@@ -81,7 +81,7 @@ fn main() {
         let mut cur = fdb_core::enumerate::GroupCursor::new(&rep, &spec).unwrap();
         let mut n = 0usize;
         while let Some((_, dangling)) = cur.next_group() {
-            let _ = fdb_core::agg::eval_funcs(rep.ftree(), &dangling, &[AggOp::Sum(attrs.price)])
+            let _ = fdb_core::agg::eval_funcs(rep.ftree(), dangling, &[AggOp::Sum(attrs.price)])
                 .unwrap();
             n += 1;
         }

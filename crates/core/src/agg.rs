@@ -702,21 +702,51 @@ pub fn eval_op_par(
     op: &AggOp,
     threads: usize,
 ) -> Result<Value> {
-    match op {
-        AggOp::Count => {
-            let mut prod: i64 = 1;
-            for &u in unions {
-                prod = prod.wrapping_mul(count_union_par(ftree, u, threads)?);
+    let provider = provider_among(ftree, unions.iter().map(|u| u.node()), op);
+    eval_op_at(ftree, unions, op, provider, threads)
+}
+
+/// Index of the first factor whose subtree provides `op`'s attribute
+/// (`None` for `count`, which reads every factor, and when no factor
+/// does). Depends on the f-tree alone, so callers evaluating the same
+/// function over many products of the same shape resolve it once
+/// ([`CompiledAgg`]).
+fn provider_among(
+    ftree: &FTree,
+    mut nodes: impl Iterator<Item = NodeId>,
+    op: &AggOp,
+) -> Option<usize> {
+    op.attr()?;
+    nodes.position(|n| subtree_provides(ftree, n, op))
+}
+
+/// The general evaluator behind [`eval_op_par`], with the providing
+/// factor already resolved.
+fn eval_op_at(
+    ftree: &FTree,
+    unions: &[UnionRef<'_>],
+    op: &AggOp,
+    provider: Option<usize>,
+    threads: usize,
+) -> Result<Value> {
+    // Cardinality of the factors other than `j`, multiplied in order.
+    let others = |j: Option<usize>| -> Result<i64> {
+        let mut mult: i64 = 1;
+        for (k, &u) in unions.iter().enumerate() {
+            if Some(k) != j {
+                mult = mult.wrapping_mul(count_union_par(ftree, u, threads)?);
             }
-            Ok(Value::Int(prod))
         }
+        Ok(mult)
+    };
+    if matches!(op, AggOp::Count) {
+        return Ok(Value::Int(others(None)?));
+    }
+    let j = provider
+        .ok_or_else(|| FdbError::InvalidComposition(format!("no factor provides {op:?}")))?;
+    match op {
+        AggOp::Count => unreachable!("handled above"),
         AggOp::Sum(_) => {
-            let j = unions
-                .iter()
-                .position(|u| subtree_provides(ftree, u.node(), op))
-                .ok_or_else(|| {
-                    FdbError::InvalidComposition(format!("no factor provides {op:?}"))
-                })?;
             let mut total = sum_union_par(ftree, unions[j], op, threads)?;
             for (k, &u) in unions.iter().enumerate() {
                 if k != j {
@@ -725,49 +755,25 @@ pub fn eval_op_par(
             }
             Ok(total.into_value())
         }
-        AggOp::Min(_) | AggOp::Max(_) => {
-            let j = unions
-                .iter()
-                .position(|u| subtree_provides(ftree, u.node(), op))
-                .ok_or_else(|| {
-                    FdbError::InvalidComposition(format!("no factor provides {op:?}"))
-                })?;
-            extremum_union_par(ftree, unions[j], op, threads)
-        }
+        AggOp::Min(_) | AggOp::Max(_) => extremum_union_par(ftree, unions[j], op, threads),
         AggOp::CountDistinct(_) => {
             // Multiplicity-invariant: the non-providing factors only
             // repeat tuples, never change which values occur.
-            let j = find_provider(ftree, unions, op)?;
             let set = distinct_values(ftree, unions[j], op, threads)?;
             Ok(Value::Int(set.len() as i64))
         }
         AggOp::Product(_) => {
-            let j = find_provider(ftree, unions, op)?;
-            let mut mult: i64 = 1;
-            for (k, &u) in unions.iter().enumerate() {
-                if k != j {
-                    mult = mult.wrapping_mul(count_union_par(ftree, u, threads)?);
-                }
-            }
+            let mult = others(Some(j))?;
             Ok(match product_union_par(ftree, unions[j], op, threads)? {
                 Some(p) => p.pow(mult.max(0) as u64).into_value(),
                 None => Value::Null,
             })
         }
-        AggOp::Exists(..) | AggOp::Forall(..) => {
-            let j = find_provider(ftree, unions, op)?;
-            Ok(Value::Int(
-                boolean_union_par(ftree, unions[j], op, threads)? as i64,
-            ))
-        }
+        AggOp::Exists(..) | AggOp::Forall(..) => Ok(Value::Int(boolean_union_par(
+            ftree, unions[j], op, threads,
+        )? as i64)),
         AggOp::TopK(_, k) => {
-            let j = find_provider(ftree, unions, op)?;
-            let mut mult: i64 = 1;
-            for (i, &u) in unions.iter().enumerate() {
-                if i != j {
-                    mult = mult.wrapping_mul(count_union_par(ftree, u, threads)?);
-                }
-            }
+            let mult = others(Some(j))?;
             let partial = topk_union_par(ftree, unions[j], op, threads)?;
             let mut out = Vec::with_capacity(*k);
             for v in partial {
@@ -785,12 +791,156 @@ pub fn eval_op_par(
     }
 }
 
-/// Index of the factor union providing `op`'s attribute.
-fn find_provider(ftree: &FTree, unions: &[UnionRef<'_>], op: &AggOp) -> Result<usize> {
-    unions
-        .iter()
-        .position(|u| subtree_provides(ftree, u.node(), op))
-        .ok_or_else(|| FdbError::InvalidComposition(format!("no factor provides {op:?}")))
+/// How one factor feeds a [`CompiledAgg`] without a walk, when it is the
+/// shape an f-plan's `γ` leaves under a group node: a childless node whose
+/// union is a plain value vector or a single partial-aggregate singleton.
+/// A component is `None` for a single-function aggregate (the value
+/// itself), else the index into its `Tup`.
+#[derive(Clone, Copy, Debug)]
+enum LeafRole {
+    /// Atomic leaf: multiplies by its entry count.
+    Rows,
+    /// Partial-aggregate leaf: multiplies by its count component.
+    Count(Option<usize>),
+    /// Partial-aggregate leaf: supplies the function's own component.
+    Supply(Option<usize>),
+    /// Never read (extrema ignore the factors that only repeat tuples).
+    Unread,
+}
+
+/// One aggregation function resolved once against the f-tree nodes of a
+/// fixed list of factors, then evaluated over many products of unions of
+/// those nodes — the per-group evaluation of the engine's grouped results.
+///
+/// Resolution fixes which factor provides the attribute and which only
+/// multiply, and for `count`/`sum`/`min`/`max` over partial-aggregate
+/// leaves also the value components to read: such a product is evaluated
+/// without recursion and without touching the f-tree, in the arithmetic
+/// order of the general evaluator, so the two agree bit for bit. Any other
+/// shape — and a leaf union that turns out not to hold exactly one
+/// singleton — goes through the general evaluator ([`eval_op`] with the
+/// provider supplied).
+#[derive(Clone, Debug)]
+pub(crate) struct CompiledAgg {
+    op: AggOp,
+    provider: Option<usize>,
+    /// Per factor; `None` when some factor needs the general evaluator.
+    leaves: Option<Vec<LeafRole>>,
+}
+
+impl CompiledAgg {
+    pub(crate) fn new(ftree: &FTree, nodes: &[NodeId], op: AggOp) -> Self {
+        let provider = provider_among(ftree, nodes.iter().copied(), &op);
+        let component = |l: &AggLabel, i: usize| (l.arity() > 1).then_some(i);
+        let role = |(k, &n): (usize, &NodeId)| -> Option<LeafRole> {
+            let node = ftree.node(n);
+            if !node.children.is_empty() {
+                return None;
+            }
+            if provider == Some(k) {
+                return match &node.label {
+                    NodeLabel::Agg(l) => Some(LeafRole::Supply(component(l, l.component_of(&op)?))),
+                    NodeLabel::Atomic(_) => None,
+                };
+            }
+            match (&op, &node.label) {
+                (AggOp::Min(_) | AggOp::Max(_), _) => Some(LeafRole::Unread),
+                (_, NodeLabel::Atomic(_)) => Some(LeafRole::Rows),
+                (_, NodeLabel::Agg(l)) => Some(LeafRole::Count(component(l, l.count_component()?))),
+            }
+        };
+        let compilable = match op {
+            AggOp::Count => true,
+            AggOp::Sum(_) | AggOp::Min(_) | AggOp::Max(_) => provider.is_some(),
+            _ => false,
+        };
+        let leaves = compilable
+            .then(|| nodes.iter().enumerate().map(role).collect())
+            .flatten();
+        CompiledAgg {
+            op,
+            provider,
+            leaves,
+        }
+    }
+
+    /// True when the value depends on factor `k`: every factor scales a
+    /// multiplicity-sensitive function, the others read their provider
+    /// alone. While none of the factors read changes, neither does the
+    /// value.
+    pub(crate) fn reads(&self, k: usize) -> bool {
+        match self.op {
+            AggOp::Count | AggOp::Sum(_) | AggOp::Product(_) | AggOp::TopK(..) => true,
+            _ => self.provider.is_none_or(|j| j == k),
+        }
+    }
+
+    /// The function's value over the product of `unions` (parallel to the
+    /// nodes given to [`CompiledAgg::new`]).
+    pub(crate) fn eval(&self, ftree: &FTree, unions: &[UnionRef<'_>]) -> Result<Value> {
+        if let Some(v) = self
+            .leaves
+            .as_ref()
+            .and_then(|l| self.eval_leaves(l, unions))
+        {
+            return v;
+        }
+        eval_op_at(ftree, unions, &self.op, self.provider, 1)
+    }
+
+    /// The non-recursive path; `None` hands over to the general evaluator.
+    fn eval_leaves(&self, leaves: &[LeafRole], unions: &[UnionRef<'_>]) -> Option<Result<Value>> {
+        // The lone singleton of a partial-aggregate leaf, by component.
+        let single = |k: usize, c: Option<usize>| -> Option<&Value> {
+            let v = (unions[k].len() == 1).then(|| unions[k].entry(0).value())?;
+            Some(match c {
+                None => v,
+                Some(i) => &v.as_tup().expect("composite aggregate holds a Tup")[i],
+            })
+        };
+        // Cardinality of a factor that only multiplies.
+        let card = |k: usize| -> Option<i64> {
+            match leaves[k] {
+                LeafRole::Rows => Some(unions[k].len() as i64),
+                LeafRole::Count(c) => {
+                    Some(single(k, c)?.as_int().expect("count component is integral"))
+                }
+                LeafRole::Supply(_) | LeafRole::Unread => {
+                    unreachable!("only the provider supplies, only extrema skip factors")
+                }
+            }
+        };
+        if matches!(self.op, AggOp::Count) {
+            let mut prod: i64 = 1;
+            for k in 0..leaves.len() {
+                prod = prod.wrapping_mul(card(k)?);
+            }
+            return Some(Ok(Value::Int(prod)));
+        }
+        let j = self.provider?;
+        let LeafRole::Supply(c) = leaves[j] else {
+            unreachable!("the provider's role is to supply");
+        };
+        let v = single(j, c)?;
+        match self.op {
+            AggOp::Sum(_) => {
+                let Some(n) = v.as_number() else {
+                    return Some(Err(FdbError::NonNumeric(format!(
+                        "sum over non-numeric value {v}"
+                    ))));
+                };
+                // The general fold over the one childless entry, 0 + n·1,
+                // then scaled factor by factor.
+                let mut total = Number::ZERO.add(n.mul(Number::Int(1)));
+                for k in (0..leaves.len()).filter(|&k| k != j) {
+                    total = total.mul(Number::Int(card(k)?));
+                }
+                Some(Ok(total.into_value()))
+            }
+            AggOp::Min(_) | AggOp::Max(_) => Some(Ok(v.clone())),
+            _ => None,
+        }
+    }
 }
 
 /// Evaluates a composite function `(F1,…,Fk)` over a product of unions,
@@ -1001,7 +1151,7 @@ pub fn combine_partials(final_op: &AggOp, leaves: &[(&AggLabel, &Value)]) -> Res
 mod tests {
     use super::*;
     use crate::frep::FRep;
-    use fdb_relational::{Catalog, CmpOp, Relation, Schema};
+    use fdb_relational::{AttrId, Catalog, CmpOp, Relation, Schema};
 
     /// The Items relation of Figure 1 as a path factorisation.
     fn items_rep() -> (Catalog, FRep) {
@@ -1357,6 +1507,131 @@ mod tests {
         let sum_leaf = rep.root(0).entry(0).child(0).entry(0).child(1);
         let err = count_union(rep.ftree(), sum_leaf);
         assert!(matches!(err, Err(FdbError::InvalidComposition(_))));
+    }
+
+    /// g → {⟨(sum x, count, min x)⟩, ⟨count(y)⟩, z}: per group a
+    /// composite partial-aggregate leaf, a count leaf and an atomic leaf
+    /// — the shapes [`CompiledAgg`] evaluates without a walk. `extra`
+    /// adds a second singleton to the first group's composite leaf (a
+    /// shape only restructuring produces), which must fall back.
+    fn partial_leaves_rep(extra: bool) -> (AttrId, FRep) {
+        use crate::frep::{Entry, Union};
+        let mut c = Catalog::new();
+        let ids = c.intern_all(["g", "x", "y", "z", "sx", "nx", "lo", "ny"]);
+        let x = ids[1];
+        let mut t = FTree::new();
+        let n_g = t.add_node(NodeLabel::Atomic(vec![ids[0]]), None);
+        let n_sx = t.add_node(
+            NodeLabel::Agg(AggLabel {
+                funcs: vec![AggOp::Sum(x), AggOp::Count, AggOp::Min(x)],
+                over: [x].into_iter().collect(),
+                outputs: vec![ids[4], ids[5], ids[6]],
+            }),
+            Some(n_g),
+        );
+        let n_ny = t.add_node(
+            NodeLabel::Agg(AggLabel {
+                funcs: vec![AggOp::Count],
+                over: [ids[2]].into_iter().collect(),
+                outputs: vec![ids[7]],
+            }),
+            Some(n_g),
+        );
+        let n_z = t.add_node(NodeLabel::Atomic(vec![ids[3]]), Some(n_g));
+        let leaf = |value: Value| Entry {
+            value,
+            children: vec![],
+        };
+        let group = |g: i64, sums: Vec<(f64, i64)>, ny: i64, zs: i64| Entry {
+            value: Value::Int(g),
+            children: vec![
+                Union {
+                    node: n_sx,
+                    entries: sums
+                        .into_iter()
+                        .map(|(s, n)| {
+                            leaf(Value::tup(vec![
+                                Value::Float(s),
+                                Value::Int(n),
+                                Value::Float(s / 2.0),
+                            ]))
+                        })
+                        .collect(),
+                },
+                Union {
+                    node: n_ny,
+                    entries: vec![leaf(Value::Int(ny))],
+                },
+                Union {
+                    node: n_z,
+                    entries: (0..zs).map(|z| leaf(Value::Int(z))).collect(),
+                },
+            ],
+        };
+        let first = if extra {
+            vec![(-1.5, 2), (4.25, 3)]
+        } else {
+            vec![(4.25, 3)]
+        };
+        let root = Union {
+            node: n_g,
+            entries: vec![
+                group(0, first, 2, 3),
+                group(1, vec![(-0.0, 1)], 1, 1),
+                group(2, vec![(0.1, 7)], 3, 2),
+            ],
+        };
+        (x, FRep::new(t, vec![root]).unwrap())
+    }
+
+    #[test]
+    fn compiled_aggregates_agree_with_the_general_evaluator() {
+        for extra in [false, true] {
+            let (x, rep) = partial_leaves_rep(extra);
+            let tree = rep.ftree();
+            let nodes = &tree.node(tree.roots()[0]).children;
+            for op in [
+                AggOp::Count,
+                AggOp::Sum(x),
+                AggOp::Min(x),
+                AggOp::Max(x),
+                AggOp::Product(x),
+                AggOp::TopK(x, 2),
+            ] {
+                let compiled = CompiledAgg::new(tree, nodes, op);
+                // Max has no component in the leaf and nothing else
+                // exposes x: unprovided. Product has no leaf path.
+                let walk_free = matches!(op, AggOp::Count | AggOp::Sum(_) | AggOp::Min(_));
+                assert_eq!(compiled.leaves.is_some(), walk_free, "{op:?}");
+                for (g, e) in rep.root(0).entries().enumerate() {
+                    let unions: Vec<UnionRef<'_>> = e.children().collect();
+                    let want = eval_op(tree, &unions, &op);
+                    let got = compiled.eval(tree, &unions);
+                    match (&got, &want) {
+                        (Ok(g), Ok(w)) => assert_eq!(g, w),
+                        (Err(g), Err(w)) => assert_eq!(g.to_string(), w.to_string()),
+                        _ => panic!("{op:?} group {g}: {got:?} vs {want:?}"),
+                    }
+                    // The non-recursive path really ran — except on the
+                    // two-singleton leaf, which only the walk can sum.
+                    if let Some(leaves) = &compiled.leaves {
+                        let fast = compiled.eval_leaves(leaves, &unions);
+                        assert_eq!(fast.is_some(), !(extra && g == 0), "{op:?} group {g}");
+                    }
+                }
+            }
+            // Sum over a float leaf holding -0.0 is +0.0 in both (0 + -0.0).
+            let unions: Vec<UnionRef<'_>> = rep.root(0).entry(1).children().collect();
+            let sum = CompiledAgg::new(tree, nodes, AggOp::Sum(x)).eval(tree, &unions);
+            assert_eq!(sum.unwrap(), Value::Float(0.0));
+            // What each function reads decides when it is re-evaluated.
+            let reads = |op| {
+                let c = CompiledAgg::new(tree, nodes, op);
+                (0..nodes.len()).map(|k| c.reads(k)).collect::<Vec<_>>()
+            };
+            assert_eq!(reads(AggOp::Sum(x)), [true, true, true]);
+            assert_eq!(reads(AggOp::Min(x)), [true, false, false]);
+        }
     }
 
     #[test]

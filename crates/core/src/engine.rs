@@ -17,13 +17,12 @@
 //!    delay when Theorems 1/2 apply, with `HAVING` filters and `LIMIT`
 //!    applied during enumeration.
 
-use crate::enumerate::{EnumSpec, GroupCursor, TupleIter};
+use crate::enumerate::EnumSpec;
 use crate::error::{FdbError, Result};
 use crate::frep::FRep;
 use crate::ftree::{AggOp, FTree};
 use crate::optim::ordering::{choose_order_strategy, OrderChoice, OrderCostInputs};
 use crate::optim::{exhaustive, greedy, ExhaustiveConfig, QuerySpec, Stats};
-use crate::topk::TopK;
 use fdb_relational::planner::JoinAggTask;
 use fdb_relational::{
     dedup_sort_keys, AggFunc, AttrId, Catalog, Predicate, Relation, Schema, SortKey, Value,
@@ -31,6 +30,8 @@ use fdb_relational::{
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
+
+mod emit;
 
 /// How often the enumeration sinks poll the deadline clock (rows
 /// between checks). Coarse enough to stay invisible in the profile,
@@ -474,237 +475,6 @@ impl FdbResult {
         }
         out
     }
-
-    /// Enumerates the result into a flat relation (`FDB` mode): ordered,
-    /// filtered and truncated per the query.
-    pub fn to_relation(&self) -> Result<Relation> {
-        Ok(self.to_relation_counted()?.0)
-    }
-
-    /// [`FdbResult::to_relation`] plus the enumeration report: which
-    /// ordering strategy executed, how many filtered rows reached it, and
-    /// the peak ordering-side allocation — `O(k·row)` for heap top-k vs
-    /// `O(N·row)` for collect-sort-cut, which the bench ordering ablation
-    /// records (`ibytes=`) and the perf gate holds to ratio.
-    pub fn to_relation_counted(&self) -> Result<(Relation, OrderRunStats)> {
-        let out_schema = Schema::new(self.output_attrs.clone());
-        let mut out = Relation::empty(out_schema.clone());
-        let mut stats = OrderRunStats {
-            strategy: self.order_strategy,
-            ..OrderRunStats::default()
-        };
-        match self.order_strategy {
-            // Streamed strategies: rows arrive in final order (or no
-            // order was asked for), an OFFSET discards its prefix in
-            // the sink, and LIMIT stops enumeration once the page is
-            // full.
-            OrderStrategy::Unordered | OrderStrategy::StreamInTree => {
-                let ordered = matches!(self.order_strategy, OrderStrategy::StreamInTree);
-                let limit = self.limit;
-                let skip = self.offset;
-                let mut seen = 0usize;
-                if limit != Some(0) {
-                    self.enumerate_filtered(ordered, &out_schema, &mut |row| {
-                        seen += 1;
-                        if seen > skip {
-                            out.push_row(row);
-                        }
-                        match limit {
-                            Some(k) => out.len() < k,
-                            None => true,
-                        }
-                    })?;
-                }
-                stats.rows_enumerated = seen;
-            }
-            // The count-annotated seek: the skipped prefix is never
-            // enumerated, so the page costs O(seek + k). Plan-time
-            // verification guarantees an order-realising tuple cursor
-            // and no residual row filters on this path.
-            OrderStrategy::DirectAccess => {
-                debug_assert!(self.row_filters.is_empty());
-                let mut clock = DeadlinePoll::new(self.deadline_at);
-                let spec = EnumSpec::ordered(self.rep.ftree(), &self.order_by)?;
-                let mut cur =
-                    crate::enumerate::DirectCursor::new(&self.rep, &spec, self.offset as u64)?;
-                let raw_attrs = self.raw_attrs();
-                let positions = cur.positions(&raw_attrs)?;
-                let mut buf: Vec<Value> = Vec::with_capacity(self.emit.len());
-                while self.limit.is_none_or(|k| out.len() < k) {
-                    let Some(row) = cur.next_row() else { break };
-                    clock.poll("direct-access enumeration")?;
-                    buf.clear();
-                    self.emit_row(row, &positions, &raw_attrs, &mut buf);
-                    out.push_row(&buf);
-                }
-                stats.rows_enumerated = out.len();
-            }
-            OrderStrategy::CollectSortCut => {
-                self.enumerate_filtered(false, &out_schema, &mut |row| {
-                    out.push_row(row);
-                    true
-                })?;
-                stats.rows_enumerated = out.len();
-                stats.order_bytes = out.len() * out.arity() * std::mem::size_of::<Value>();
-                if !self.order_by.is_empty() {
-                    out.sort_by_keys_par(&self.order_by, self.threads);
-                }
-                if self.offset > 0 || self.limit.is_some_and(|k| out.len() > k) {
-                    out = fdb_relational::ops::page(&out, self.offset, self.limit);
-                }
-            }
-            // With an OFFSET the heap widens to m+k and the first m of
-            // the sorted pop-out are dropped — still O((m+k)·row)
-            // auxiliary memory, independent of the flat result size.
-            OrderStrategy::HeapTopK { k } => {
-                let keys: Vec<(usize, fdb_relational::SortDir)> = self
-                    .order_by
-                    .iter()
-                    .map(|key| {
-                        out_schema
-                            .position(key.attr)
-                            .map(|p| (p, key.dir))
-                            .ok_or_else(|| {
-                                FdbError::Unresolved(format!(
-                                    "order attribute {} not in the output schema",
-                                    key.attr
-                                ))
-                            })
-                    })
-                    .collect::<Result<_>>()?;
-                let mut topk = TopK::new(self.offset + k, keys);
-                self.enumerate_filtered(false, &out_schema, &mut |row| {
-                    topk.push(row);
-                    true
-                })?;
-                stats.rows_enumerated = topk.rows_seen();
-                stats.order_bytes = topk.peak_bytes();
-                for row in topk.into_rows().iter().skip(self.offset) {
-                    out.push_row(row);
-                }
-            }
-        }
-        Ok((out, stats))
-    }
-
-    /// Streams the emitted output rows that pass the row filters into
-    /// `sink`; a `false` return stops enumeration. `ordered` selects the
-    /// Theorem-2 visit sequence (sorted streaming); otherwise pre-order
-    /// tuples / unordered groups. The producing run's deadline is
-    /// polled every [`DEADLINE_CHECK_EVERY`] rows so a slow enumeration
-    /// cannot wedge a serving worker.
-    fn enumerate_filtered(
-        &self,
-        ordered: bool,
-        out_schema: &Schema,
-        sink: &mut dyn FnMut(&[Value]) -> bool,
-    ) -> Result<()> {
-        let mut clock = DeadlinePoll::new(self.deadline_at);
-        let keep = |row: &[Value]| self.row_filters.iter().all(|p| p.eval(out_schema, row));
-        match &self.kind {
-            ResultKind::Spj | ResultKind::AggConsolidated => {
-                let spec = if ordered {
-                    EnumSpec::ordered(self.rep.ftree(), &self.order_by)?
-                } else {
-                    EnumSpec::all_preorder(self.rep.ftree())
-                };
-                let mut it = TupleIter::new(&self.rep, &spec)?;
-                let raw_attrs = self.raw_attrs();
-                let positions = it.positions(&raw_attrs)?;
-                let mut buf: Vec<Value> = Vec::with_capacity(self.emit.len());
-                while let Some(row) = it.next_row() {
-                    clock.poll("enumeration")?;
-                    buf.clear();
-                    self.emit_row(row, &positions, &raw_attrs, &mut buf);
-                    if keep(&buf) && !sink(&buf) {
-                        break;
-                    }
-                }
-            }
-            ResultKind::AggGrouped {
-                group_attrs,
-                final_funcs,
-                func_outputs,
-            } => {
-                let spec = if ordered {
-                    EnumSpec::group_prefix_ordered(self.rep.ftree(), group_attrs, &self.order_by)?
-                } else {
-                    EnumSpec::group_prefix(self.rep.ftree(), group_attrs)?
-                };
-                let mut cur = GroupCursor::new(&self.rep, &spec)?;
-                let cur_schema = cur.schema();
-                // Raw values: group attrs (from cursor) + per-group
-                // aggregate evaluations.
-                let mut buf: Vec<Value> = Vec::with_capacity(self.emit.len());
-                while let Some((vals, dangling)) = cur.next_group() {
-                    clock.poll("group enumeration")?;
-                    let mut raw: HashMap<AttrId, Value> = HashMap::new();
-                    for (a, v) in cur_schema.iter().zip(vals) {
-                        raw.insert(*a, v.clone());
-                    }
-                    for (f, o) in final_funcs.iter().zip(func_outputs) {
-                        let v = crate::agg::eval_op(self.rep.ftree(), &dangling, f)?;
-                        raw.insert(*o, v);
-                    }
-                    buf.clear();
-                    for (col, _) in &self.emit {
-                        buf.push(compute_emit(col, &raw)?);
-                    }
-                    if keep(&buf) && !sink(&buf) {
-                        break;
-                    }
-                }
-            }
-            ResultKind::Materialised(rel) => {
-                for row in rel.rows() {
-                    clock.poll("grouping-sets enumeration")?;
-                    if keep(row) && !sink(row) {
-                        break;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The raw tree attributes each emit column reads.
-    fn raw_attrs(&self) -> Vec<AttrId> {
-        let mut attrs = Vec::new();
-        for (col, _) in &self.emit {
-            match col {
-                EmitCol::Raw(a) => attrs.push(*a),
-                EmitCol::Div { num, den } => {
-                    attrs.push(*num);
-                    attrs.push(*den);
-                }
-            }
-        }
-        attrs.dedup();
-        attrs
-    }
-
-    fn emit_row(
-        &self,
-        row: &[Value],
-        positions: &[usize],
-        raw_attrs: &[AttrId],
-        buf: &mut Vec<Value>,
-    ) {
-        let lookup = |a: AttrId| -> &Value {
-            let i = raw_attrs.iter().position(|&x| x == a).expect("raw attr");
-            &row[positions[i]]
-        };
-        for (col, _) in &self.emit {
-            match col {
-                EmitCol::Raw(a) => buf.push(lookup(*a).clone()),
-                EmitCol::Div { num, den } => {
-                    let n = lookup(*num).as_number().expect("numeric sum").to_f64();
-                    let d = lookup(*den).as_number().expect("numeric count").to_f64();
-                    buf.push(Value::Float(n / d));
-                }
-            }
-        }
-    }
 }
 
 /// Cheap periodic deadline clock: polls [`Instant::now`] once every
@@ -736,20 +506,6 @@ impl DeadlinePoll {
 /// One-shot deadline check (planning/execution stage boundaries).
 fn check_deadline(at: Option<Instant>, what: &str) -> Result<()> {
     DeadlinePoll::new(at).poll(what)
-}
-
-fn compute_emit(col: &EmitCol, raw: &HashMap<AttrId, Value>) -> Result<Value> {
-    match col {
-        EmitCol::Raw(a) => raw
-            .get(a)
-            .cloned()
-            .ok_or_else(|| FdbError::Unresolved(format!("output attribute {a} missing"))),
-        EmitCol::Div { num, den } => {
-            let n = raw[num].as_number().expect("numeric sum").to_f64();
-            let d = raw[den].as_number().expect("numeric count").to_f64();
-            Ok(Value::Float(n / d))
-        }
-    }
 }
 
 /// The FDB main-memory engine.
@@ -1375,7 +1131,10 @@ impl FdbEngine {
     fn run_grouping_sets(&mut self, task: &JoinAggTask, opts: RunOptions) -> Result<FdbResult> {
         let threads = fdb_exec::effective_threads(opts.threads);
         let output_attrs = task.output_attrs();
-        let mut out = Relation::empty(Schema::new(output_attrs.clone()));
+        // The concatenation's row-major buffer: every value is cloned
+        // once, from its set's rows into its padded place.
+        let mut data: Vec<Value> = Vec::new();
+        let mut rows = 0usize;
         let mut last: Option<FdbResult> = None;
         for set in &task.grouping_sets {
             let sub = JoinAggTask {
@@ -1389,23 +1148,26 @@ impl FdbEngine {
             };
             let result = self.run(&sub, opts)?;
             let rel = result.to_relation()?;
-            let positions: Vec<Option<usize>> = output_attrs
-                .iter()
-                .map(|&a| rel.schema().position(a))
-                .collect();
-            let mut row_buf: Vec<Value> = Vec::with_capacity(output_attrs.len());
-            for row in rel.rows() {
-                row_buf.clear();
-                for p in &positions {
-                    row_buf.push(match p {
+            rows += rel.len();
+            if rel.schema().attrs() == output_attrs {
+                // The full grouping set: its rows are output rows already.
+                data.append(&mut rel.into_flat());
+            } else {
+                let positions: Vec<Option<usize>> = output_attrs
+                    .iter()
+                    .map(|&a| rel.schema().position(a))
+                    .collect();
+                data.reserve(rel.len() * positions.len());
+                for row in rel.rows() {
+                    data.extend(positions.iter().map(|p| match p {
                         Some(i) => row[*i].clone(),
                         None => Value::Null,
-                    });
+                    }));
                 }
-                out.push_row(&row_buf);
             }
             last = Some(result);
         }
+        let out = emit::finish(Schema::new(output_attrs.clone()), data, rows);
         let last = last.ok_or_else(|| {
             FdbError::Unresolved("GROUPING SETS task carries no grouping sets".into())
         })?;

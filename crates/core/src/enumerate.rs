@@ -18,7 +18,7 @@
 //!   aggregates on the fly (scenario 3 of the introduction).
 
 use crate::error::{FdbError, Result};
-use crate::frep::{CountIndex, EntryRef, FRep, UnionId, UnionRef};
+use crate::frep::{Arena, FRep, UnionId, UnionRec, UnionRef};
 use crate::ftree::{FTree, NodeId, NodeLabel};
 use fdb_relational::{AttrId, SortDir, SortKey, Value};
 
@@ -192,31 +192,53 @@ enum Slot {
     },
 }
 
+/// What [`Odometer::value`] points at before the first step.
+static UNSET: Value = Value::Null;
+
 /// The shared odometer over a visit sequence: an iterative cursor walk
-/// over the arena's index tables, holding one [`UnionId`] and one entry
-/// index per visited node — no recursion, no per-step allocation.
-struct Odometer<'a> {
+/// over the arena's index tables — no recursion, no per-step allocation.
+///
+/// Per visited node it caches the open union's entry range, the current
+/// entry's table index and a *borrow* of the current value, and a step
+/// refreshes only the positions it moved: [`Odometer::step`] reports the
+/// shallowest of them, everything before it is untouched. While the
+/// deepest position has entries left a step is one index bump over that
+/// union's contiguous entry run. Consumers that copy values out (the
+/// lending cursors below, the engine's result emitter) therefore clone
+/// each value once, when it changes or when it is emitted — never to
+/// rebuild an unchanged prefix.
+pub(crate) struct Odometer<'a> {
     rep: &'a FRep,
+    arena: &'a Arena,
     visit: Vec<NodeId>,
     dirs: Vec<SortDir>,
     slots: Vec<Slot>,
-    unions: Vec<Option<UnionId>>,
-    /// Logical index per node (0 = first in direction order).
+    /// Entry range of the union open at each position.
+    open: Vec<UnionRec>,
+    /// Logical index per position (0 = first in direction order).
     idxs: Vec<usize>,
+    /// Entry-table index of the entry selected at each position.
+    ents: Vec<u32>,
+    /// The selected entry's value at each position.
+    cur: Vec<&'a Value>,
     started: bool,
+    /// A seek parked the odometer *on* a combination that the next
+    /// [`Odometer::step`] must report instead of moving past it.
+    parked: bool,
     done: bool,
 }
 
 impl<'a> Odometer<'a> {
-    fn new(rep: &'a FRep, spec: &EnumSpec) -> Result<Self> {
+    pub(crate) fn new(rep: &'a FRep, spec: &EnumSpec) -> Result<Self> {
         let tree = rep.ftree();
-        let mut slots = Vec::with_capacity(spec.visit.len());
-        for (i, &n) in spec.visit.iter().enumerate() {
-            let slot = match tree.node(n).parent {
+        let n = spec.visit.len();
+        let mut slots = Vec::with_capacity(n);
+        for (i, &node) in spec.visit.iter().enumerate() {
+            let slot = match tree.node(node).parent {
                 None => Slot::Root(
                     tree.roots()
                         .iter()
-                        .position(|&r| r == n)
+                        .position(|&r| r == node)
                         .expect("root registered"),
                 ),
                 Some(p) => {
@@ -226,14 +248,14 @@ impl<'a> Odometer<'a> {
                             .position(|&v| v == p)
                             .ok_or_else(|| {
                                 FdbError::OrderUnsupported(format!(
-                                    "visit sequence places {n:?} before its parent"
+                                    "visit sequence places {node:?} before its parent"
                                 ))
                             })?;
                     let child_pos = tree
                         .node(p)
                         .children
                         .iter()
-                        .position(|&c| c == n)
+                        .position(|&c| c == node)
                         .expect("child registered");
                     Slot::Inner {
                         parent_visit,
@@ -243,99 +265,190 @@ impl<'a> Odometer<'a> {
             };
             slots.push(slot);
         }
+        let arena = rep.arena_ref();
         Ok(Odometer {
             rep,
+            arena,
+            open: spec
+                .visit
+                .iter()
+                .map(|&node| UnionRec {
+                    node,
+                    start: 0,
+                    len: 0,
+                })
+                .collect(),
             visit: spec.visit.clone(),
             dirs: spec.dirs.clone(),
             slots,
-            unions: vec![None; spec.visit.len()],
-            idxs: vec![0; spec.visit.len()],
+            idxs: vec![0; n],
+            ents: vec![0; n],
+            cur: vec![&UNSET; n],
             started: false,
+            parked: false,
             done: false,
         })
     }
 
-    /// Cursor over the union currently open at visit position `i`.
-    fn union(&self, i: usize) -> UnionRef<'a> {
-        self.rep.union(self.unions[i].expect("opened"))
+    /// Label of the node visited at position `i`.
+    fn label(&self, i: usize) -> &'a NodeLabel {
+        &self.rep.ftree().node(self.visit[i]).label
     }
 
-    /// Physical entry index for a logical position.
-    fn phys(&self, i: usize) -> usize {
-        let len = self.union(i).len();
-        match self.dirs[i] {
-            SortDir::Asc => self.idxs[i],
-            SortDir::Desc => len - 1 - self.idxs[i],
-        }
+    /// Value of the entry currently selected at visit position `i`.
+    #[inline]
+    pub(crate) fn value(&self, i: usize) -> &'a Value {
+        self.cur[i]
     }
 
-    /// Currently selected entry at visit position `i`.
-    fn entry(&self, i: usize) -> EntryRef<'a> {
-        self.union(i).entry(self.phys(i))
+    /// Child union `child_pos` of the entry selected at position `i`.
+    fn child_id(&self, i: usize, child_pos: usize) -> UnionId {
+        let e = self.arena.erec(self.ents[i]);
+        debug_assert!(child_pos < e.kids_len as usize);
+        self.arena.kid_at(e.kids_start + child_pos as u32)
     }
 
-    /// (Re)opens position `i` at its first entry. Returns `false` when the
-    /// union is empty (possible only at the roots of an empty relation).
-    fn open(&mut self, i: usize) -> bool {
-        let u: UnionId = match self.slots[i] {
+    /// The union position `i` iterates under the current choices above it.
+    fn union_at(&self, i: usize) -> UnionId {
+        match self.slots[i] {
             Slot::Root(r) => self.rep.root_ids()[r],
             Slot::Inner {
                 parent_visit,
                 child_pos,
-            } => self.entry(parent_visit).child_id(child_pos),
-        };
-        self.unions[i] = Some(u);
-        self.idxs[i] = 0;
-        !self.rep.union(u).is_empty()
+            } => self.child_id(parent_visit, child_pos),
+        }
     }
 
-    /// Moves to the first/next combination; returns `false` at the end.
-    fn step(&mut self) -> bool {
-        if self.done {
+    /// Selects logical index `idx` of the union open at position `i`.
+    #[inline]
+    fn select(&mut self, i: usize, idx: usize) {
+        let rec = self.open[i];
+        let phys = match self.dirs[i] {
+            SortDir::Asc => idx,
+            SortDir::Desc => rec.len as usize - 1 - idx,
+        };
+        let e = rec.start + phys as u32;
+        self.idxs[i] = idx;
+        self.ents[i] = e;
+        self.cur[i] = self.arena.value_at(rec.node, self.arena.erec(e).val);
+    }
+
+    /// (Re)opens position `i` at its first entry. Returns `false` when the
+    /// union is empty (possible only at the roots of an empty relation).
+    fn reopen(&mut self, i: usize) -> bool {
+        let rec = self.arena.urec(self.union_at(i));
+        if rec.len == 0 {
             return false;
         }
+        self.open[i] = rec;
+        self.select(i, 0);
+        true
+    }
+
+    /// Moves to the first/next combination and returns the shallowest
+    /// visit position whose entry changed (`0` for the first combination:
+    /// every position is new); `None` at the end.
+    pub(crate) fn step(&mut self) -> Option<usize> {
+        if self.done {
+            return None;
+        }
+        if self.parked {
+            self.parked = false;
+            return Some(0);
+        }
+        let n = self.visit.len();
         if !self.started {
             self.started = true;
             // Emptiness is only representable at the roots; an empty
             // relation yields no tuples and no groups (even with an empty
             // visit sequence, where the single nullary group must not
             // appear).
-            if self.rep.is_empty() {
+            if self.rep.is_empty() || !(0..n).all(|i| self.reopen(i)) {
                 self.done = true;
-                return false;
+                return None;
             }
-            for i in 0..self.visit.len() {
-                if !self.open(i) {
-                    self.done = true;
-                    return false;
-                }
-            }
-            return true;
+            return Some(0);
         }
         // Advance the deepest position with entries left; everything after
         // it reopens. At most |visit| unions are touched: constant delay.
-        let mut i = self.visit.len();
-        loop {
-            if i == 0 {
-                self.done = true;
-                return false;
-            }
-            i -= 1;
-            let len = self.union(i).len();
-            if self.idxs[i] + 1 < len {
-                self.idxs[i] += 1;
-                for j in i + 1..self.visit.len() {
-                    let ok = self.open(j);
+        // While the deepest position itself has entries left this is one
+        // bump along its union's contiguous run.
+        for i in (0..n).rev() {
+            if self.idxs[i] + 1 < self.open[i].len as usize {
+                self.select(i, self.idxs[i] + 1);
+                for j in i + 1..n {
+                    let ok = self.reopen(j);
                     debug_assert!(ok, "inner unions are never empty");
                 }
-                return true;
+                return Some(i);
             }
         }
+        self.done = true;
+        None
+    }
+
+    /// Exact number of combinations a full walk enumerates (saturating):
+    /// what a sink reserves before the first row. Walks only the entries
+    /// of positions that have a visited child — a position nothing hangs
+    /// off contributes its union lengths without being entered — so the
+    /// cost is a fraction of the enumeration it sizes.
+    pub(crate) fn combinations(&self) -> usize {
+        if self.rep.is_empty() {
+            return 0;
+        }
+        let mut below: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.visit.len()];
+        let mut total = 1usize;
+        for (i, slot) in self.slots.iter().enumerate().rev() {
+            match *slot {
+                Slot::Inner {
+                    parent_visit,
+                    child_pos,
+                } => below[parent_visit].push((i, child_pos)),
+                Slot::Root(r) => {
+                    let n = self.count_under(self.rep.root_ids()[r], i, &below);
+                    total = total.saturating_mul(n);
+                }
+            }
+        }
+        total
+    }
+
+    fn count_under(&self, u: UnionId, pos: usize, below: &[Vec<(usize, usize)>]) -> usize {
+        let rec = self.arena.urec(u);
+        if below[pos].is_empty() {
+            return rec.len as usize;
+        }
+        let mut sum = 0usize;
+        for e in rec.start..rec.start + rec.len {
+            let e = self.arena.erec(e);
+            let mut prod = 1usize;
+            for &(child, child_pos) in &below[pos] {
+                let kid = self.arena.kid_at(e.kids_start + child_pos as u32);
+                prod = prod.saturating_mul(self.count_under(kid, child, below));
+            }
+            sum = sum.saturating_add(prod);
+        }
+        sum
+    }
+
+    /// Where an output attribute is read from: the visit position exposing
+    /// it and, for a composite aggregate node, the component of its `Tup`
+    /// value (class members share the value; a single-function aggregate
+    /// is the value itself).
+    pub(crate) fn source_of(&self, attr: AttrId) -> Option<(usize, Option<usize>)> {
+        (0..self.visit.len()).find_map(|i| match self.label(i) {
+            NodeLabel::Atomic(attrs) => attrs.contains(&attr).then_some((i, None)),
+            NodeLabel::Agg(l) => {
+                let k = l.outputs.iter().position(|&o| o == attr)?;
+                Some((i, (l.arity() > 1).then_some(k)))
+            }
+        })
     }
 
     /// Positions the odometer *directly on* the `skip`-th combination
     /// (0-based) of the enumeration order, without stepping through the
-    /// skipped prefix. Returns `false` when `skip` is past the end.
+    /// skipped prefix; the next [`Odometer::step`] reports it. A `skip`
+    /// past the end leaves the odometer exhausted.
     ///
     /// The walk follows the visit sequence once. After the first `i`
     /// positions are chosen, the tuples sharing those choices factorise
@@ -347,13 +460,14 @@ impl<'a> Odometer<'a> {
     /// entry containing the target index is found by binary-searching
     /// the union's count prefix sums scaled by the product of the other
     /// dangling totals: O(depth · log fanout) union-entry probes total.
-    fn seek_to(&mut self, skip: u64, counts: &CountIndex) -> bool {
+    pub(crate) fn seek(&mut self, skip: u64) {
         debug_assert!(!self.started);
         self.started = true;
         if self.rep.is_empty() {
             self.done = true;
-            return false;
+            return;
         }
+        let counts = self.rep.count_index().clone();
         let total: u128 = self
             .rep
             .root_ids()
@@ -362,22 +476,14 @@ impl<'a> Odometer<'a> {
             .fold(1u128, u128::saturating_mul);
         if skip as u128 >= total {
             self.done = true;
-            return false;
+            return;
         }
         let mut remaining = skip as u128;
         // Dangling unions, in no particular order (the product below is
         // order-free). Bounded by the f-tree width: O(depth) long.
         let mut dangling: Vec<UnionId> = self.rep.root_ids().to_vec();
-        let arena = self.rep.arena_ref();
         for i in 0..self.visit.len() {
-            let u: UnionId = match self.slots[i] {
-                Slot::Root(r) => self.rep.root_ids()[r],
-                Slot::Inner {
-                    parent_visit,
-                    child_pos,
-                } => self.entry(parent_visit).child_id(child_pos),
-            };
-            self.unions[i] = Some(u);
+            let u = self.union_at(i);
             let pos = dangling
                 .iter()
                 .position(|&d| d == u)
@@ -389,7 +495,7 @@ impl<'a> Odometer<'a> {
                 .iter()
                 .map(|&d| counts.total(d) as u128)
                 .fold(1u128, u128::saturating_mul);
-            let rec = arena.urec(u);
+            let rec = self.arena.urec(u);
             let dir = self.dirs[i];
             let len = rec.len as usize;
             debug_assert!(len > 0, "inner unions are never empty");
@@ -406,69 +512,55 @@ impl<'a> Odometer<'a> {
                     hi = mid - 1;
                 }
             }
-            self.idxs[i] = lo;
+            self.open[i] = rec;
+            self.select(i, lo);
             remaining -= (counts.cum_before(rec, lo, dir) as u128).saturating_mul(rest);
             debug_assert!(
-                remaining < (counts.entry_count_at(rec, self.phys(i)) as u128).saturating_mul(rest)
+                remaining
+                    < (counts.entry_count_at(rec, (self.ents[i] - rec.start) as usize) as u128)
+                        .saturating_mul(rest)
             );
-            let e = self.entry(i);
-            for k in 0..e.child_count() {
-                dangling.push(e.child_id(k));
-            }
+            let e = self.arena.erec(self.ents[i]);
+            dangling.extend((0..e.kids_len).map(|k| self.arena.kid_at(e.kids_start + k)));
         }
         debug_assert_eq!(remaining, 0, "seek must land exactly on the target");
         debug_assert!(dangling.is_empty(), "full visit enters every union");
-        true
+        self.parked = true;
     }
 }
 
-/// Constant-delay tuple enumeration following an [`EnumSpec`].
-///
-/// `next_row` is a lending-iterator: the returned slice is valid until the
-/// next call. Column layout follows the visit sequence ([`TupleIter::schema`]);
-/// use [`TupleIter::projected`] for a caller-chosen column order.
-pub struct TupleIter<'a> {
-    odo: Odometer<'a>,
+/// An owned copy of the odometer's current values in visit-order column
+/// layout, kept current by rewriting only the positions a step moved —
+/// the row the lending cursors hand out.
+struct RowBuf<'a> {
+    labels: Vec<&'a NodeLabel>,
     offsets: Vec<usize>,
     row: Vec<Value>,
 }
 
-impl<'a> TupleIter<'a> {
-    pub fn new(rep: &'a FRep, spec: &EnumSpec) -> Result<Self> {
-        let odo = Odometer::new(rep, spec)?;
-        let mut offsets = Vec::with_capacity(spec.visit.len());
+impl<'a> RowBuf<'a> {
+    fn new(odo: &Odometer<'a>) -> Self {
+        let labels: Vec<&NodeLabel> = (0..odo.visit.len()).map(|i| odo.label(i)).collect();
+        let mut offsets = Vec::with_capacity(labels.len());
         let mut width = 0;
-        for &n in &spec.visit {
+        for label in &labels {
             offsets.push(width);
-            width += rep.ftree().node(n).label.exposed_attrs().len();
+            width += label.exposed_attrs().len();
         }
-        Ok(TupleIter {
-            odo,
+        RowBuf {
+            labels,
             offsets,
             row: vec![Value::Int(0); width],
-        })
+        }
     }
 
     /// Output attributes in visit order.
-    pub fn schema(&self) -> Vec<AttrId> {
-        self.odo
-            .visit
-            .iter()
-            .flat_map(|&n| self.odo.rep.ftree().node(n).label.exposed_attrs())
-            .collect()
+    fn schema(&self) -> Vec<AttrId> {
+        self.labels.iter().flat_map(|l| l.exposed_attrs()).collect()
     }
 
-    /// Next tuple, or `None` when exhausted.
-    pub fn next_row(&mut self) -> Option<&[Value]> {
-        if !self.odo.step() {
-            return None;
-        }
-        write_current_row(&self.odo, &self.offsets, &mut self.row);
-        Some(&self.row)
-    }
-
-    /// Column positions of `attrs` within [`TupleIter::schema`].
-    pub fn positions(&self, attrs: &[AttrId]) -> Result<Vec<usize>> {
+    /// Column positions of `attrs` within [`RowBuf::schema`].
+    fn positions(&self, attrs: &[AttrId]) -> Result<Vec<usize>> {
         let schema = self.schema();
         attrs
             .iter()
@@ -479,6 +571,53 @@ impl<'a> TupleIter<'a> {
                     .ok_or_else(|| FdbError::Unresolved(format!("attribute {a} not enumerated")))
             })
             .collect()
+    }
+
+    /// Rewrites the columns of positions `from..` — the suffix a step
+    /// reported as moved.
+    fn refresh(&mut self, odo: &Odometer<'a>, from: usize) -> &[Value] {
+        for i in from..self.labels.len() {
+            write_entry_values(
+                self.labels[i],
+                odo.value(i),
+                &mut self.row[self.offsets[i]..],
+            );
+        }
+        &self.row
+    }
+}
+
+/// Constant-delay tuple enumeration following an [`EnumSpec`].
+///
+/// `next_row` is a lending-iterator: the returned slice is valid until the
+/// next call. Column layout follows the visit sequence ([`TupleIter::schema`]);
+/// use [`TupleIter::projected`] for a caller-chosen column order.
+pub struct TupleIter<'a> {
+    odo: Odometer<'a>,
+    buf: RowBuf<'a>,
+}
+
+impl<'a> TupleIter<'a> {
+    pub fn new(rep: &'a FRep, spec: &EnumSpec) -> Result<Self> {
+        let odo = Odometer::new(rep, spec)?;
+        let buf = RowBuf::new(&odo);
+        Ok(TupleIter { odo, buf })
+    }
+
+    /// Output attributes in visit order.
+    pub fn schema(&self) -> Vec<AttrId> {
+        self.buf.schema()
+    }
+
+    /// Next tuple, or `None` when exhausted.
+    pub fn next_row(&mut self) -> Option<&[Value]> {
+        let from = self.odo.step()?;
+        Some(self.buf.refresh(&self.odo, from))
+    }
+
+    /// Column positions of `attrs` within [`TupleIter::schema`].
+    pub fn positions(&self, attrs: &[AttrId]) -> Result<Vec<usize>> {
+        self.buf.positions(attrs)
     }
 
     /// Materialises up to `limit` tuples projected onto `attrs`.
@@ -507,16 +646,6 @@ impl<'a> TupleIter<'a> {
     }
 }
 
-/// Writes the odometer's current combination into `row` (layout per the
-/// visit-order offsets).
-fn write_current_row(odo: &Odometer<'_>, offsets: &[usize], row: &mut [Value]) {
-    for i in 0..odo.visit.len() {
-        let e = odo.entry(i);
-        let label = &odo.rep.ftree().node(odo.visit[i]).label;
-        write_entry_values(label, e.value(), &mut row[offsets[i]..]);
-    }
-}
-
 /// Direct ordered access: a cursor that *seeks* to the `skip`-th tuple
 /// of the enumeration order realised by an [`EnumSpec`] — binary
 /// searches over the [`FRep`]'s memoised subtree-count annotations, no
@@ -528,70 +657,32 @@ fn write_current_row(odo: &Odometer<'_>, offsets: &[usize], row: &mut [Value]) {
 /// O(depth · log fanout) and the stream then emits exactly the k
 /// requested rows. The first `next_row` yields the seeked-to tuple
 /// itself; subsequent calls continue in order.
-pub struct DirectCursor<'a> {
-    odo: Odometer<'a>,
-    offsets: Vec<usize>,
-    row: Vec<Value>,
-    /// The seeked-to combination is pending emission (the odometer is
-    /// parked *on* it, not before it).
-    primed: bool,
-}
+pub struct DirectCursor<'a>(TupleIter<'a>);
 
 impl<'a> DirectCursor<'a> {
     /// Seeks `rep` to the `skip`-th tuple of `spec`'s order. Builds (or
     /// reuses) the representation's count annotations. A `skip` at or
     /// past the end yields an exhausted cursor, not an error.
     pub fn new(rep: &'a FRep, spec: &EnumSpec, skip: u64) -> Result<Self> {
-        let mut odo = Odometer::new(rep, spec)?;
-        let counts = rep.count_index().clone();
-        let primed = odo.seek_to(skip, &counts);
-        let mut offsets = Vec::with_capacity(spec.visit.len());
-        let mut width = 0;
-        for &n in &spec.visit {
-            offsets.push(width);
-            width += rep.ftree().node(n).label.exposed_attrs().len();
-        }
-        Ok(DirectCursor {
-            odo,
-            offsets,
-            row: vec![Value::Int(0); width],
-            primed,
-        })
+        let mut it = TupleIter::new(rep, spec)?;
+        it.odo.seek(skip);
+        Ok(DirectCursor(it))
     }
 
     /// Output attributes in visit order (same layout as [`TupleIter`]).
     pub fn schema(&self) -> Vec<AttrId> {
-        self.odo
-            .visit
-            .iter()
-            .flat_map(|&n| self.odo.rep.ftree().node(n).label.exposed_attrs())
-            .collect()
+        self.0.schema()
     }
 
     /// Column positions of `attrs` within [`DirectCursor::schema`].
     pub fn positions(&self, attrs: &[AttrId]) -> Result<Vec<usize>> {
-        let schema = self.schema();
-        attrs
-            .iter()
-            .map(|a| {
-                schema
-                    .iter()
-                    .position(|x| x == a)
-                    .ok_or_else(|| FdbError::Unresolved(format!("attribute {a} not enumerated")))
-            })
-            .collect()
+        self.0.positions(attrs)
     }
 
     /// Next tuple, or `None` when exhausted. The first call returns the
     /// seeked-to tuple.
     pub fn next_row(&mut self) -> Option<&[Value]> {
-        if self.primed {
-            self.primed = false;
-        } else if !self.odo.step() {
-            return None;
-        }
-        write_current_row(&self.odo, &self.offsets, &mut self.row);
-        Some(&self.row)
+        self.0.next_row()
     }
 }
 
@@ -617,16 +708,32 @@ fn write_entry_values(label: &NodeLabel, value: &Value, slots: &mut [Value]) {
     }
 }
 
+/// One dangling union of a [`GroupCursor`]: where it hangs and the f-tree
+/// node it ranges over.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct DanglingSlot {
+    /// Visit position of the parent entry; `None` for a free root, which
+    /// never changes between groups.
+    pub(crate) parent: Option<usize>,
+    /// Root index (free root) or child position under the parent entry.
+    index: usize,
+    pub(crate) node: NodeId,
+}
+
 /// Iterates over group combinations, exposing the group values and the
 /// dangling subtree unions below them (for on-the-fly aggregation).
+///
+/// Both are kept in buffers owned by the cursor: a step rewrites only
+/// the group columns and the dangling unions of the positions it moved.
 pub struct GroupCursor<'a> {
     odo: Odometer<'a>,
-    /// Root positions not covered by the visit sequence.
-    free_roots: Vec<usize>,
-    /// Per visit position: child positions not covered by the visit.
-    dangling_children: Vec<Vec<usize>>,
-    offsets: Vec<usize>,
-    row: Vec<Value>,
+    /// Dangling unions in buffer order: free roots first, then every
+    /// visit position's uncovered children, position by position.
+    slots: Vec<DanglingSlot>,
+    /// `first[i]` = index of the first slot hanging off a position ≥ `i`.
+    first: Vec<usize>,
+    dangling: Vec<UnionRef<'a>>,
+    buf: RowBuf<'a>,
 }
 
 impl<'a> GroupCursor<'a> {
@@ -635,69 +742,199 @@ impl<'a> GroupCursor<'a> {
     pub fn new(rep: &'a FRep, spec: &EnumSpec) -> Result<Self> {
         let tree = rep.ftree();
         let odo = Odometer::new(rep, spec)?;
-        let free_roots = tree
+        let mut slots: Vec<DanglingSlot> = tree
             .roots()
             .iter()
             .enumerate()
             .filter(|(_, r)| !spec.visit.contains(r))
-            .map(|(i, _)| i)
-            .collect();
-        let dangling_children = spec
-            .visit
-            .iter()
-            .map(|&n| {
-                tree.node(n)
-                    .children
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| !spec.visit.contains(c))
-                    .map(|(i, _)| i)
-                    .collect()
+            .map(|(index, &node)| DanglingSlot {
+                parent: None,
+                index,
+                node,
             })
             .collect();
-        let mut offsets = Vec::with_capacity(spec.visit.len());
-        let mut width = 0;
-        for &n in &spec.visit {
-            offsets.push(width);
-            width += tree.node(n).label.exposed_attrs().len();
+        let mut first = Vec::with_capacity(spec.visit.len());
+        for (i, &n) in spec.visit.iter().enumerate() {
+            first.push(slots.len());
+            let children = tree.node(n).children.iter().enumerate();
+            slots.extend(children.filter(|(_, c)| !spec.visit.contains(c)).map(
+                |(index, &node)| DanglingSlot {
+                    parent: Some(i),
+                    index,
+                    node,
+                },
+            ));
         }
+        let buf = RowBuf::new(&odo);
         Ok(GroupCursor {
             odo,
-            free_roots,
-            dangling_children,
-            offsets,
-            row: vec![Value::Int(0); width],
+            dangling: Vec::with_capacity(slots.len()),
+            slots,
+            first,
+            buf,
         })
     }
 
     /// Group-value attributes in visit order.
     pub fn schema(&self) -> Vec<AttrId> {
-        self.odo
-            .visit
-            .iter()
-            .flat_map(|&n| self.odo.rep.ftree().node(n).label.exposed_attrs())
-            .collect()
+        self.buf.schema()
+    }
+
+    pub(crate) fn ftree(&self) -> &'a FTree {
+        self.odo.rep.ftree()
+    }
+
+    /// The dangling unions' static layout, parallel to
+    /// [`GroupCursor::dangling`].
+    pub(crate) fn slots(&self) -> &[DanglingSlot] {
+        &self.slots
+    }
+
+    /// See [`Odometer::source_of`].
+    pub(crate) fn source_of(&self, attr: AttrId) -> Option<(usize, Option<usize>)> {
+        self.odo.source_of(attr)
+    }
+
+    /// See [`Odometer::combinations`]: the exact number of groups.
+    pub(crate) fn combinations(&self) -> usize {
+        self.odo.combinations()
+    }
+
+    /// Group value at visit position `i`, borrowed from the arena.
+    #[inline]
+    pub(crate) fn value(&self, i: usize) -> &'a Value {
+        self.odo.value(i)
+    }
+
+    /// The current group's dangling unions.
+    pub(crate) fn dangling(&self) -> &[UnionRef<'a>] {
+        &self.dangling
+    }
+
+    /// Advances to the next group without copying its values: refreshes
+    /// the dangling unions of the moved positions and returns the
+    /// shallowest of them (see [`Odometer::step`]).
+    pub(crate) fn advance(&mut self) -> Option<usize> {
+        let from = self.odo.step()?;
+        let keep = if self.dangling.len() < self.slots.len() {
+            // The first group: nothing is current yet, free roots included.
+            0
+        } else {
+            self.first.get(from).copied().unwrap_or(self.slots.len())
+        };
+        self.dangling.truncate(keep);
+        for slot in &self.slots[keep..] {
+            let u = match slot.parent {
+                None => self.odo.rep.root_ids()[slot.index],
+                Some(p) => self.odo.child_id(p, slot.index),
+            };
+            self.dangling.push(self.odo.rep.union(u));
+        }
+        Some(from)
     }
 
     /// Advances to the next group; returns the group values and the
-    /// dangling unions, or `None` when exhausted.
-    pub fn next_group(&mut self) -> Option<(&[Value], Vec<UnionRef<'a>>)> {
-        if !self.odo.step() {
-            return None;
-        }
-        let mut dangling: Vec<UnionRef<'a>> = Vec::new();
-        for &r in &self.free_roots {
-            dangling.push(self.odo.rep.root(r));
-        }
-        for i in 0..self.odo.visit.len() {
-            let e = self.odo.entry(i);
-            let label = &self.odo.rep.ftree().node(self.odo.visit[i]).label;
-            write_entry_values(label, e.value(), &mut self.row[self.offsets[i]..]);
-            for &cp in &self.dangling_children[i] {
-                dangling.push(e.child(cp));
+    /// dangling unions — both valid until the next call — or `None` when
+    /// exhausted.
+    pub fn next_group(&mut self) -> Option<(&[Value], &[UnionRef<'a>])> {
+        let from = self.advance()?;
+        Some((self.buf.refresh(&self.odo, from), &self.dangling))
+    }
+}
+
+/// The deliberately naive enumerator the odometer and the engine's result
+/// emitter are differentially tested against: plain recursion over the
+/// visit sequence, every combination materialised, every row and every
+/// dangling list rebuilt from scratch.
+#[cfg(test)]
+pub(crate) mod naive {
+    use super::EnumSpec;
+    use crate::frep::{EntryRef, FRep, UnionRef};
+    use crate::ftree::NodeLabel;
+    use fdb_relational::{AttrId, SortDir, Value};
+
+    /// Every combination of `spec`'s visit sequence, in enumeration
+    /// order, as the entry chosen at each position.
+    pub(crate) fn combinations<'a>(rep: &'a FRep, spec: &EnumSpec) -> Vec<Vec<EntryRef<'a>>> {
+        fn rec<'a>(
+            rep: &'a FRep,
+            spec: &EnumSpec,
+            chosen: &mut Vec<EntryRef<'a>>,
+            out: &mut Vec<Vec<EntryRef<'a>>>,
+        ) {
+            let i = chosen.len();
+            let Some(&node) = spec.visit.get(i) else {
+                out.push(chosen.clone());
+                return;
+            };
+            let tree = rep.ftree();
+            let union = match tree.node(node).parent {
+                None => rep.root(tree.roots().iter().position(|&r| r == node).unwrap()),
+                Some(p) => {
+                    let above = spec.visit[..i].iter().position(|&v| v == p).unwrap();
+                    let child = tree.node(p).children.iter().position(|&c| c == node);
+                    chosen[above].child(child.unwrap())
+                }
+            };
+            for l in 0..union.len() {
+                let phys = match spec.dirs[i] {
+                    SortDir::Asc => l,
+                    SortDir::Desc => union.len() - 1 - l,
+                };
+                chosen.push(union.entry(phys));
+                rec(rep, spec, chosen, out);
+                chosen.pop();
             }
         }
-        Some((&self.row, dangling))
+        let mut out = Vec::new();
+        if !rep.is_empty() {
+            rec(rep, spec, &mut Vec::new(), &mut out);
+        }
+        out
+    }
+
+    /// Column layout of [`row`]: the visited nodes' exposed attributes.
+    pub(crate) fn schema(rep: &FRep, spec: &EnumSpec) -> Vec<AttrId> {
+        let labels = spec.visit.iter().map(|&n| &rep.ftree().node(n).label);
+        labels.flat_map(|l| l.exposed_attrs()).collect()
+    }
+
+    /// The full row of one combination, rebuilt value by value.
+    pub(crate) fn row(rep: &FRep, spec: &EnumSpec, chosen: &[EntryRef<'_>]) -> Vec<Value> {
+        let mut row = Vec::new();
+        for (&n, e) in spec.visit.iter().zip(chosen) {
+            match &rep.ftree().node(n).label {
+                NodeLabel::Atomic(attrs) => row.extend(attrs.iter().map(|_| e.value().clone())),
+                NodeLabel::Agg(l) if l.arity() == 1 => row.push(e.value().clone()),
+                NodeLabel::Agg(_) => row.extend(e.value().as_tup().unwrap().iter().cloned()),
+            }
+        }
+        row
+    }
+
+    /// A fresh list of the unions dangling below one combination: the
+    /// roots outside the visit sequence, then every chosen entry's
+    /// children outside it.
+    pub(crate) fn dangling<'a>(
+        rep: &'a FRep,
+        spec: &EnumSpec,
+        chosen: &[EntryRef<'a>],
+    ) -> Vec<UnionRef<'a>> {
+        let tree = rep.ftree();
+        let mut out = Vec::new();
+        for (i, r) in tree.roots().iter().enumerate() {
+            if !spec.visit.contains(r) {
+                out.push(rep.root(i));
+            }
+        }
+        for (&n, e) in spec.visit.iter().zip(chosen) {
+            for (k, c) in tree.node(n).children.iter().enumerate() {
+                if !spec.visit.contains(c) {
+                    out.push(e.child(k));
+                }
+            }
+        }
+        out
     }
 }
 
@@ -886,7 +1123,7 @@ mod tests {
         let mut got: Vec<(String, Value)> = Vec::new();
         while let Some((vals, dangling)) = cur.next_group() {
             let v =
-                crate::agg::eval_funcs(rep.ftree(), &dangling, &[AggOp::Sum(a("price"))]).unwrap();
+                crate::agg::eval_funcs(rep.ftree(), dangling, &[AggOp::Sum(a("price"))]).unwrap();
             got.push((vals[0].as_str().unwrap().to_string(), v));
         }
         // Capricciosa: prices (6+1) × 2 dates = 14; Hawaii: 6 × 2
@@ -909,7 +1146,7 @@ mod tests {
         let mut groups = 0;
         while let Some((vals, dangling)) = cur.next_group() {
             assert!(vals.is_empty());
-            let v = crate::agg::eval_funcs(rep.ftree(), &dangling, &[AggOp::Count]).unwrap();
+            let v = crate::agg::eval_funcs(rep.ftree(), dangling, &[AggOp::Count]).unwrap();
             assert_eq!(v, Value::Int(6));
             groups += 1;
         }
@@ -987,7 +1224,7 @@ mod tests {
             assert_eq!(vals.len(), 1);
             assert_eq!(dangling.len(), 1);
             let count =
-                crate::agg::eval_funcs(rep.ftree(), &dangling, &[crate::ftree::AggOp::Count])
+                crate::agg::eval_funcs(rep.ftree(), dangling, &[crate::ftree::AggOp::Count])
                     .unwrap();
             assert_eq!(count, Value::Int(3));
             n_groups += 1;
@@ -1095,6 +1332,179 @@ mod tests {
             let want = skip_enumerate(&rep, &spec, skip);
             let got = direct_enumerate(&rep, &spec, skip as u64);
             assert_eq!(got, want, "skip {skip}");
+        }
+    }
+    /// Random small representations over (w, x, y, z): `a_rows ⋈ b_rows`
+    /// on `w` as a path in some attribute order or as the branching tree
+    /// w → {x, y → z} the join licenses, or the product forest
+    /// (w → x) × (y → z).
+    fn random_rep(
+        shape: usize,
+        a_rows: &[(i64, i64)],
+        b_rows: &[(i64, i64, i64)],
+    ) -> (Vec<AttrId>, FRep) {
+        let mut c = Catalog::new();
+        let attrs = c.intern_all(["w", "x", "y", "z"]);
+        let (w, x, y, z) = (attrs[0], attrs[1], attrs[2], attrs[3]);
+        let ints = |vals: &[i64]| vals.iter().map(|&v| Value::Int(v)).collect::<Vec<_>>();
+        let a = Relation::from_rows(
+            Schema::new(vec![w, x]),
+            a_rows.iter().map(|&(p, q)| ints(&[p, q])),
+        )
+        .canonical();
+        let rep = if shape == 7 {
+            let yz = b_rows.iter().map(|&(_, q, r)| ints(&[q, r]));
+            let b = Relation::from_rows(Schema::new(vec![y, z]), yz).canonical();
+            crate::ops::product(
+                FRep::from_relation(&a, FTree::path(&[w, x])).unwrap(),
+                FRep::from_relation(&b, FTree::path(&[y, z])).unwrap(),
+            )
+        } else {
+            let joined = a_rows.iter().flat_map(|&(p, q)| {
+                let matches = b_rows.iter().filter(move |b| b.0 == p);
+                matches.map(move |&(_, r, t)| (p, q, r, t))
+            });
+            let rel = Relation::from_rows(
+                Schema::new(attrs.clone()),
+                joined.map(|(p, q, r, t)| ints(&[p, q, r, t])),
+            )
+            .canonical();
+            let tree = match shape {
+                0 => FTree::path(&[w, x, y, z]),
+                1 => FTree::path(&[z, y, x, w]),
+                2 => FTree::path(&[x, w, z, y]),
+                3 => FTree::path(&[y, z, w, x]),
+                _ => {
+                    let mut t = FTree::new();
+                    let nw = t.add_node(NodeLabel::Atomic(vec![w]), None);
+                    t.add_node(NodeLabel::Atomic(vec![x]), Some(nw));
+                    let ny = t.add_node(NodeLabel::Atomic(vec![y]), Some(nw));
+                    t.add_node(NodeLabel::Atomic(vec![z]), Some(ny));
+                    t.add_dep([w, x]);
+                    t.add_dep([w, y, z]);
+                    t
+                }
+            };
+            FRep::from_relation(&rel, tree).unwrap()
+        };
+        (attrs, rep)
+    }
+
+    /// The suffix-rewriting cursors against the naive enumerator on
+    /// `spec`: same rows in the same order, `step` reporting exactly the
+    /// shallowest position whose entry changed, seeks landing on the
+    /// right row, and the exact combination count.
+    fn assert_tuples_match_naive(rep: &FRep, spec: &EnumSpec) {
+        let want = naive::combinations(rep, spec);
+        let want_rows: Vec<Vec<Value>> = want.iter().map(|c| naive::row(rep, spec, c)).collect();
+        let mut it = TupleIter::new(rep, spec).unwrap();
+        assert_eq!(it.schema(), naive::schema(rep, spec));
+        let mut got = Vec::new();
+        while let Some(r) = it.next_row() {
+            got.push(r.to_vec());
+        }
+        assert_eq!(got, want_rows, "{spec:?}");
+        assert!(it.next_row().is_none(), "exhaustion is sticky");
+
+        let mut odo = Odometer::new(rep, spec).unwrap();
+        assert_eq!(odo.combinations(), want.len(), "{spec:?}");
+        for (n, chosen) in want.iter().enumerate() {
+            let from = odo.step().expect("as many steps as combinations");
+            let moved = match n.checked_sub(1) {
+                None => 0,
+                Some(prev) => (0..chosen.len())
+                    .find(|&i| !std::ptr::eq(want[prev][i].value(), chosen[i].value()))
+                    .expect("consecutive combinations differ"),
+            };
+            assert_eq!(from, moved, "step {n} of {spec:?}");
+            for (i, e) in chosen.iter().enumerate() {
+                assert!(
+                    std::ptr::eq(odo.value(i), e.value()),
+                    "borrowed, not copied"
+                );
+            }
+        }
+        assert!(odo.step().is_none());
+
+        for skip in [
+            0,
+            1,
+            want.len() / 2,
+            want.len().saturating_sub(1),
+            want.len(),
+            want.len() + 3,
+        ] {
+            let mut cur = DirectCursor::new(rep, spec, skip as u64).unwrap();
+            let mut tail = Vec::new();
+            while let Some(r) = cur.next_row() {
+                tail.push(r.to_vec());
+            }
+            assert_eq!(
+                tail,
+                want_rows[skip.min(want.len())..],
+                "skip {skip} of {spec:?}"
+            );
+        }
+    }
+
+    fn assert_groups_match_naive(rep: &FRep, spec: &EnumSpec) {
+        let want = naive::combinations(rep, spec);
+        let mut cur = GroupCursor::new(rep, spec).unwrap();
+        assert_eq!(cur.combinations(), want.len(), "{spec:?}");
+        assert_eq!(cur.schema(), naive::schema(rep, spec));
+        let nodes: Vec<NodeId> = cur.slots().iter().map(|s| s.node).collect();
+        for chosen in &want {
+            let (vals, dangling) = cur.next_group().expect("as many groups as combinations");
+            assert_eq!(vals, naive::row(rep, spec, chosen));
+            let ids = |us: &[UnionRef<'_>]| us.iter().map(|u| u.id()).collect::<Vec<_>>();
+            assert_eq!(
+                ids(dangling),
+                ids(&naive::dangling(rep, spec, chosen)),
+                "{spec:?}"
+            );
+            let at: Vec<NodeId> = dangling.iter().map(|u| u.node()).collect();
+            assert_eq!(at, nodes, "the static layout names the dangling nodes");
+        }
+        assert!(cur.next_group().is_none());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 64,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        #[test]
+        fn cursors_match_the_naive_enumerator_on_random_reps(
+            shape in 0usize..8,
+            a_rows in proptest::collection::vec((0i64..4, 0i64..4), 0..10),
+            b_rows in proptest::collection::vec((0i64..4, 0i64..3, 0i64..3), 0..12),
+            picks in proptest::collection::vec((0usize..4, 0u8..2), 0..5),
+        ) {
+            let (attrs, rep) = random_rep(shape, &a_rows, &b_rows);
+            let tree = rep.ftree();
+            assert_tuples_match_naive(&rep, &EnumSpec::all_preorder(tree));
+            // Whatever prefix of the random key list the tree supports.
+            let keys: Vec<SortKey> = picks
+                .iter()
+                .map(|&(a, desc)| SortKey {
+                    attr: attrs[a],
+                    dir: if desc == 1 { SortDir::Desc } else { SortDir::Asc },
+                })
+                .collect();
+            for n in 0..=keys.len() {
+                if let Ok(spec) = EnumSpec::ordered(tree, &keys[..n]) {
+                    assert_tuples_match_naive(&rep, &spec);
+                }
+                let group: Vec<AttrId> = keys[..n].iter().map(|k| k.attr).collect();
+                if let Ok(spec) = EnumSpec::group_prefix(tree, &group) {
+                    assert_groups_match_naive(&rep, &spec);
+                    assert_tuples_match_naive(&rep, &EnumSpec::grouped(tree, &group).unwrap());
+                }
+                if let Ok(spec) = EnumSpec::group_prefix_ordered(tree, &group, &keys[..n]) {
+                    assert_groups_match_naive(&rep, &spec);
+                }
+            }
         }
     }
 }

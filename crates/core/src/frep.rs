@@ -1178,9 +1178,11 @@ impl FRep {
     }
 
     /// True when most physical entry records are unreachable garbage
-    /// (superseded by in-place rewrites): the staged executor's cue
-    /// that a compaction pass pays for itself.
-    pub(crate) fn garbage_dominated(&self) -> bool {
+    /// (superseded by in-place rewrites or delta updates): the cue that
+    /// a [`FRep::compact`] pass pays for itself — for the staged
+    /// executor at the end of a plan, for a writer before it publishes
+    /// a new version. One walk over the live entries.
+    pub fn garbage_dominated(&self) -> bool {
         let live = self.arena.live_entry_count(&self.roots);
         self.arena.entries.len() > 2 * live
     }

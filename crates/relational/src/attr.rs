@@ -35,6 +35,10 @@ impl fmt::Display for AttrId {
 pub struct Catalog {
     names: Vec<String>,
     index: HashMap<String, AttrId>,
+    /// Per [`Catalog::fresh`] base: the first numeric suffix not yet known
+    /// to be taken. Names are never removed, so every smaller suffix stays
+    /// taken and the next call resumes here instead of re-probing from 2.
+    next_suffix: HashMap<String, usize>,
 }
 
 impl Catalog {
@@ -85,19 +89,23 @@ impl Catalog {
     /// Generates a fresh attribute with a unique, derived name.
     ///
     /// Used for aggregate output attributes such as `sum(price)` when the
-    /// query does not name them explicitly; if the derived name collides, a
-    /// numeric suffix disambiguates.
+    /// query does not name them explicitly; if the derived name collides, the
+    /// smallest free numeric suffix (from `_2`) disambiguates. Amortised
+    /// O(1) per call: a long-lived session asks for the same base once per
+    /// query, so the next free suffix is remembered per base.
     pub fn fresh(&mut self, base: &str) -> AttrId {
         if self.lookup(base).is_none() {
             return self.intern(base);
         }
-        for i in 2.. {
+        let mut i = self.next_suffix.get(base).copied().unwrap_or(2);
+        loop {
             let candidate = format!("{base}_{i}");
+            i += 1;
             if self.lookup(&candidate).is_none() {
+                self.next_suffix.insert(base.to_string(), i);
                 return self.intern(&candidate);
             }
         }
-        unreachable!("catalog exhausted usize suffixes")
     }
 
     /// Iterates over `(id, name)` pairs in id order.
@@ -144,6 +152,39 @@ mod tests {
         assert_eq!(c.name(f), "sum(price)_2");
         let g = c.fresh("sum(price)");
         assert_eq!(c.name(g), "sum(price)_3");
+    }
+
+    #[test]
+    fn fresh_skips_suffixes_interned_directly() {
+        // A name interned behind `fresh`'s back is skipped exactly as the
+        // probe-from-2 scan would skip it.
+        let mut c = Catalog::new();
+        c.intern("x");
+        assert_eq!(c.fresh("x"), c.lookup("x_2").unwrap());
+        c.intern("x_4");
+        let (a, b) = (c.fresh("x"), c.fresh("x"));
+        assert_eq!((c.name(a), c.name(b)), ("x_3", "x_5"));
+    }
+
+    #[test]
+    fn fresh_is_linear_over_a_long_session() {
+        // Regression: every call probed `base_2, base_3, …` from 2, so a
+        // session slowed with each query it answered — 10 000 calls were
+        // 5·10⁷ formatted probes (tens of seconds unoptimised); linear,
+        // they are milliseconds.
+        let mut c = Catalog::new();
+        let base = "partial_sum(price)";
+        c.intern(base);
+        let start = std::time::Instant::now();
+        for i in 2..=10_001 {
+            let id = c.fresh(base);
+            assert_eq!(c.name(id), format!("{base}_{i}"));
+        }
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(2),
+            "10 000 fresh() calls took {:?}",
+            start.elapsed()
+        );
     }
 
     #[test]

@@ -107,6 +107,37 @@ impl Relation {
         rel
     }
 
+    /// Bulk construction from a row-major value buffer — the append
+    /// path of producers that write whole rows straight into the store
+    /// (the factorised engine's result emitter) instead of staging each
+    /// row in a scratch buffer for [`Relation::push_row`]. The nullary
+    /// schema has no buffer to hand over; use `push_row(&[])` there.
+    ///
+    /// # Panics
+    /// Panics if `data` is not a whole number of rows.
+    pub fn from_flat(schema: Schema, data: Vec<Value>) -> Self {
+        let a = schema.arity();
+        assert!(
+            if a == 0 {
+                data.is_empty()
+            } else {
+                data.len() % a == 0
+            },
+            "flat buffer of {} values is not a whole number of arity-{a} rows",
+            data.len(),
+        );
+        Relation { schema, data }
+    }
+
+    /// The row-major value buffer, by move (inverse of
+    /// [`Relation::from_flat`]; empty for the nullary schema).
+    pub fn into_flat(self) -> Vec<Value> {
+        if self.schema.arity() == 0 {
+            return Vec::new();
+        }
+        self.data
+    }
+
     /// The relation's schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
@@ -609,6 +640,23 @@ mod tests {
         // Set semantics: the nullary tuple is present at most once.
         assert_eq!(rel.len(), 1);
         assert_eq!(rel.rows().count(), 1);
+    }
+
+    #[test]
+    fn flat_buffer_round_trips() {
+        let (_, rel) = rel_ab(&[(1, 2), (3, 4)]);
+        let schema = rel.schema().clone();
+        let data = rel.clone().into_flat();
+        assert_eq!(data.len(), 4);
+        assert_eq!(Relation::from_flat(schema, data), rel);
+        assert!(Relation::empty(Schema::empty()).into_flat().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "whole number")]
+    fn flat_buffer_must_hold_whole_rows() {
+        let (_, rel) = rel_ab(&[]);
+        Relation::from_flat(rel.schema().clone(), vec![Value::Int(1)]);
     }
 
     #[test]

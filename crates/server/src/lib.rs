@@ -37,7 +37,7 @@
 pub mod cache;
 pub mod proto;
 
-use cache::PlanCache;
+use cache::{CachedLines, PlanCache};
 use fdb::core::RunOptions;
 use fdb::Db;
 use proto::{err_line, ok_header, Request};
@@ -179,6 +179,20 @@ struct Shared {
     shutdown: AtomicBool,
 }
 
+impl Shared {
+    fn new(db: Db, opts: ServerOptions) -> Shared {
+        Shared {
+            cache: PlanCache::new(opts.cache_capacity),
+            db,
+            opts,
+            counters: Counters::default(),
+            queue: Mutex::new(VecDeque::new()),
+            available: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+        }
+    }
+}
+
 /// A running server: its bound address plus the thread handles needed
 /// for a clean [`shutdown`](ServerHandle::shutdown).
 #[derive(Debug)]
@@ -252,15 +266,7 @@ pub fn spawn(
         opts.workers = auto_workers();
     }
 
-    let shared = Arc::new(Shared {
-        cache: PlanCache::new(opts.cache_capacity),
-        db,
-        opts: opts.clone(),
-        counters: Counters::default(),
-        queue: Mutex::new(VecDeque::new()),
-        available: Condvar::new(),
-        shutdown: AtomicBool::new(false),
-    });
+    let shared = Arc::new(Shared::new(db, opts));
 
     let accept = {
         let shared = Arc::clone(&shared);
@@ -377,22 +383,61 @@ fn serve_connection(stream: TcpStream, shared: &Shared, session: &mut Option<fdb
     }
 }
 
-/// One fully-rendered response: status line plus payload lines.
-type Response = Vec<String>;
+/// One response: the status line plus its payload lines — owned, or the
+/// very lines the plan cache holds. A cached (or just-cached) result is
+/// written to the socket from the shared allocation; no hit copies it.
+#[derive(Debug)]
+struct Response {
+    status: String,
+    payload: Payload,
+}
+
+#[derive(Debug)]
+enum Payload {
+    Owned(Vec<String>),
+    Shared(CachedLines),
+}
+
+impl Response {
+    fn ok(payload: Vec<String>) -> Response {
+        Response {
+            status: ok_header(payload.len()),
+            payload: Payload::Owned(payload),
+        }
+    }
+
+    fn ok_shared(lines: CachedLines) -> Response {
+        Response {
+            status: ok_header(lines.len()),
+            payload: Payload::Shared(lines),
+        }
+    }
+
+    fn err(msg: &str) -> Response {
+        Response {
+            status: err_line(msg),
+            payload: Payload::Owned(Vec::new()),
+        }
+    }
+
+    fn is_err(&self) -> bool {
+        self.status.starts_with("ERR")
+    }
+
+    fn lines(&self) -> &[String] {
+        match &self.payload {
+            Payload::Owned(lines) => lines,
+            Payload::Shared(lines) => lines,
+        }
+    }
+}
 
 fn write_response(w: &mut impl Write, response: &Response) -> std::io::Result<()> {
-    for line in response {
+    for line in std::iter::once(&response.status).chain(response.lines()) {
         w.write_all(line.as_bytes())?;
         w.write_all(b"\n")?;
     }
     w.flush()
-}
-
-fn ok_response(payload: Vec<String>) -> Response {
-    let mut out = Vec::with_capacity(1 + payload.len());
-    out.push(ok_header(payload.len()));
-    out.extend(payload);
-    out
 }
 
 fn handle_line(line: &str, shared: &Shared, session: &mut Option<fdb::Session>) -> Response {
@@ -400,11 +445,11 @@ fn handle_line(line: &str, shared: &Shared, session: &mut Option<fdb::Session>) 
         Ok(r) => r,
         Err(e) => {
             shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-            return vec![err_line(&e)];
+            return Response::err(&e);
         }
     };
     let response = handle_request(&request, shared, session);
-    if response.first().is_some_and(|l| l.starts_with("ERR")) {
+    if response.is_err() {
         shared.counters.errors.fetch_add(1, Ordering::Relaxed);
     }
     response
@@ -434,17 +479,17 @@ fn fresh_session<'a>(
 fn run_cached_query(key: String, shared: &Shared, session: &mut Option<fdb::Session>) -> Response {
     let epoch = shared.db.epoch();
     if let Some(lines) = shared.cache.get(epoch, &key) {
-        return ok_response(lines.as_ref().clone());
+        return Response::ok_shared(lines);
     }
     let s = fresh_session(shared, session);
     match s.query(&key) {
         Ok(outcome) => {
             shared.counters.count_strategy(outcome.strategy);
-            let lines = proto::render_outcome(&outcome);
-            shared.cache.put(s.epoch(), key, Arc::new(lines.clone()));
-            ok_response(lines)
+            let lines = Arc::new(proto::render_outcome(&outcome));
+            shared.cache.put(s.epoch(), key, Arc::clone(&lines));
+            Response::ok_shared(lines)
         }
-        Err(e) => vec![err_line(&e.to_string())],
+        Err(e) => Response::err(&e.to_string()),
     }
 }
 
@@ -454,7 +499,7 @@ fn handle_request(
     session: &mut Option<fdb::Session>,
 ) -> Response {
     match request {
-        Request::Ping | Request::Quit => ok_response(Vec::new()),
+        Request::Ping | Request::Quit => Response::ok(Vec::new()),
         Request::Query(sql) => {
             shared.counters.queries.fetch_add(1, Ordering::Relaxed);
             run_cached_query(proto::normalise_sql(sql), shared, session)
@@ -475,31 +520,31 @@ fn handle_request(
         Request::Insert(sql) | Request::Delete(sql) => {
             shared.counters.writes.fetch_add(1, Ordering::Relaxed);
             match shared.db.execute(sql) {
-                Ok(report) => ok_response(vec![
+                Ok(report) => Response::ok(vec![
                     proto::join_fields(["inserted", report.inserted.to_string().as_str()]),
                     proto::join_fields(["deleted", report.deleted.to_string().as_str()]),
                 ]),
-                Err(e) => vec![err_line(&e.to_string())],
+                Err(e) => Response::err(&e.to_string()),
             }
         }
         Request::Explain(sql) => {
             let s = fresh_session(shared, session);
             match s.explain(&proto::normalise_sql(sql)) {
-                Ok(text) => ok_response(proto::render_text(&text)),
-                Err(e) => vec![err_line(&e.to_string())],
+                Ok(text) => Response::ok(proto::render_text(&text)),
+                Err(e) => Response::err(&e.to_string()),
             }
         }
         Request::Load { name, path } => {
             let file = match std::fs::File::open(path) {
                 Ok(f) => f,
-                Err(e) => return vec![err_line(&format!("cannot open `{path}`: {e}"))],
+                Err(e) => return Response::err(&format!("cannot open `{path}`: {e}")),
             };
             match shared.db.load_view(name.clone(), BufReader::new(file)) {
-                Ok(()) => ok_response(Vec::new()),
-                Err(e) => vec![err_line(&e.to_string())],
+                Ok(()) => Response::ok(Vec::new()),
+                Err(e) => Response::err(&e.to_string()),
             }
         }
-        Request::Stats => ok_response(stats_payload(shared)),
+        Request::Stats => Response::ok(stats_payload(shared)),
     }
 }
 
@@ -664,5 +709,88 @@ impl Client {
     pub fn quit(mut self) -> std::io::Result<()> {
         let _ = self.request("QUIT")?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fdb::{Relation, Schema, Value};
+
+    /// Collects what is written and, at every write, how many handles
+    /// the payload being written has.
+    struct Probe<'a> {
+        bytes: Vec<u8>,
+        lines: &'a CachedLines,
+        fewest_handles: usize,
+    }
+
+    impl Write for Probe<'_> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.fewest_handles = self.fewest_handles.min(Arc::strong_count(self.lines));
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn written(response: &Response) -> (Vec<u8>, usize) {
+        let Payload::Shared(lines) = &response.payload else {
+            panic!("a query response carries the cacheable payload: {response:?}");
+        };
+        let mut probe = Probe {
+            bytes: Vec::new(),
+            lines,
+            fewest_handles: usize::MAX,
+        };
+        write_response(&mut probe, response).unwrap();
+        (probe.bytes, probe.fewest_handles)
+    }
+
+    #[test]
+    fn a_cache_hit_writes_from_the_shared_payload() {
+        // Regression: every hit deep-copied the cached lines (and every
+        // miss copied them once more on the way into the cache).
+        let db = Db::open();
+        let (a, b) = {
+            let mut catalog = db.catalog();
+            (catalog.intern("a"), catalog.intern("b"))
+        };
+        let rows = (0..5_000).map(|i| vec![Value::Int(i), Value::str(format!("row\t{i}"))]);
+        db.register_relation("T", Relation::from_rows(Schema::new(vec![a, b]), rows));
+        let shared = Shared::new(db, ServerOptions::new());
+        let mut session = None;
+
+        let miss = handle_line("QUERY SELECT a, b FROM T", &shared, &mut session);
+        let hit = handle_line("QUERY  SELECT a, b  FROM T ;", &shared, &mut session);
+        assert_eq!(shared.cache.stats(), (1, 1, 1), "one miss, then one hit");
+        assert_eq!(hit.lines().len(), 5_001);
+
+        // During the write the cache and the response hold the same
+        // allocation: nothing was copied to produce the response.
+        let (hit_bytes, handles) = written(&hit);
+        assert!(handles > 1, "payload had {handles} handle(s) mid-write");
+        let (miss_bytes, _) = written(&miss);
+        assert_eq!(hit_bytes, miss_bytes);
+        assert!(hit_bytes.starts_with(b"OK 5001\na\tb\n0\trow\\t0\n"));
+        match (&miss.payload, &hit.payload) {
+            (Payload::Shared(m), Payload::Shared(h)) => assert!(Arc::ptr_eq(m, h)),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn error_responses_are_one_status_line() {
+        let shared = Shared::new(Db::open(), ServerOptions::new());
+        let response = handle_line("QUERY SELECT x FROM Nowhere", &shared, &mut None);
+        assert!(response.is_err() && response.lines().is_empty());
+        let mut bytes = Vec::new();
+        write_response(&mut bytes, &response).unwrap();
+        assert!(bytes.starts_with(b"ERR ") && bytes.ends_with(b"\n"));
+        assert_eq!(bytes.iter().filter(|&&b| b == b'\n').count(), 1);
+        assert_eq!(shared.counters.errors.load(Ordering::Relaxed), 1);
     }
 }

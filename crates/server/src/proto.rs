@@ -206,16 +206,29 @@ pub fn normalise_sql(sql: &str) -> String {
 /// CR → `\r`. The framing characters never appear raw in a payload.
 pub fn escape_field(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
+}
+
+/// Appends `s` to `out`, escaped as by [`escape_field`]. A byte scan
+/// finds the (rare) characters to escape — all ASCII, so every cut is a
+/// char boundary — and everything between them is copied as one slice.
+fn escape_into(out: &mut String, s: &str) {
+    let mut rest = s;
+    while let Some(i) = rest
+        .bytes()
+        .position(|b| matches!(b, b'\\' | b'\t' | b'\n' | b'\r'))
+    {
+        out.push_str(&rest[..i]);
+        out.push_str(match rest.as_bytes()[i] {
+            b'\\' => "\\\\",
+            b'\t' => "\\t",
+            b'\n' => "\\n",
+            _ => "\\r",
+        });
+        rest = &rest[i + 1..];
+    }
+    out.push_str(rest);
 }
 
 /// Inverse of [`escape_field`]; unknown escapes error.
@@ -262,24 +275,59 @@ pub fn split_fields(line: &str) -> Result<Vec<String>, String> {
 
 /// Renders a [`QueryOutcome`](fdb::QueryOutcome) as payload lines: one
 /// header line of column names, then one line per row. Fields are
-/// escaped and TAB-joined; values print via their canonical `Display`.
+/// escaped and TAB-joined; values print as their canonical `Display`.
+///
+/// The row loop goes through no formatter for the common values: each
+/// line is one `String` sized from the widest line so far, integers are
+/// written by a digit loop, strings are escaped straight from their
+/// payload, and the remaining variants (floats, composites, `NULL`)
+/// print into one scratch buffer reused across the whole response.
 pub fn render_outcome(out: &fdb::QueryOutcome) -> Vec<String> {
     let mut lines = Vec::with_capacity(1 + out.rows.len());
     lines.push(join_fields(out.columns.iter().map(|c| escape_field(c))));
-    let mut buf = String::new();
-    for i in 0..out.rows.len() {
-        let mut line = String::new();
-        for (j, v) in out.rows.row(i).iter().enumerate() {
+    let mut scratch = String::new();
+    let mut widest = 0;
+    for row in out.rows.rows() {
+        let mut line = String::with_capacity(widest);
+        for (j, v) in row.iter().enumerate() {
             if j > 0 {
                 line.push('\t');
             }
-            buf.clear();
-            let _ = write!(buf, "{v}");
-            line.push_str(&escape_field(&buf));
+            match v {
+                fdb::Value::Int(i) => push_int(&mut line, *i),
+                fdb::Value::Str(s) => escape_into(&mut line, s),
+                other => {
+                    scratch.clear();
+                    let _ = write!(scratch, "{other}");
+                    escape_into(&mut line, &scratch);
+                }
+            }
         }
+        widest = widest.max(line.len());
         lines.push(line);
     }
     lines
+}
+
+/// Appends the decimal form of `i` (what `Display` prints).
+fn push_int(out: &mut String, i: i64) {
+    // 19 digits of |i64::MIN| and a sign.
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    let mut n = i.unsigned_abs();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if i < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
 }
 
 /// Splits free text (EXPLAIN output, error context) into escaped
@@ -389,6 +437,129 @@ mod tests {
         }
         assert!(unescape_field("bad\\q").is_err());
         assert!(unescape_field("dangling\\").is_err());
+    }
+
+    /// The rendering formula `render_outcome` replaced, kept as the
+    /// reference: `Display` per value, a char-by-char escape, TAB-join.
+    fn render_reference(out: &fdb::QueryOutcome) -> Vec<String> {
+        fn escape(s: &str) -> String {
+            let mut out = String::new();
+            for c in s.chars() {
+                match c {
+                    '\\' => out.push_str("\\\\"),
+                    '\t' => out.push_str("\\t"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    c => out.push(c),
+                }
+            }
+            out
+        }
+        let header = out.columns.iter().map(|c| escape(c));
+        let rows = out.rows.rows().map(|row| {
+            let fields: Vec<String> = row.iter().map(|v| escape(&v.to_string())).collect();
+            fields.join("\t")
+        });
+        std::iter::once(header.collect::<Vec<_>>().join("\t"))
+            .chain(rows)
+            .collect()
+    }
+
+    fn outcome(columns: &[&str], rows: Vec<Vec<fdb::Value>>) -> fdb::QueryOutcome {
+        let attrs = (0..columns.len() as u32).map(fdb::relational::AttrId);
+        let schema = fdb::Schema::new(attrs.collect());
+        fdb::QueryOutcome {
+            rows: fdb::Relation::from_rows(schema, rows),
+            columns: columns.iter().map(|c| c.to_string()).collect(),
+            explain: String::new(),
+            strategy: Default::default(),
+            exec: Default::default(),
+            order: Default::default(),
+        }
+    }
+
+    #[test]
+    fn render_matches_the_display_escape_join_formula() {
+        use fdb::Value;
+        let tricky = [
+            "",
+            "plain",
+            "tab\there",
+            "nl\nhere",
+            "cr\rhere",
+            "back\\slash",
+            "\\\t\n\r",
+            "trailing\\",
+            "żółć\tnaïve\n日本語\\🦀",
+        ];
+        let mut values = vec![
+            Value::Int(0),
+            Value::Int(-1),
+            Value::Int(7),
+            Value::Int(10),
+            Value::Int(-1234567890123),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(1.5),
+            Value::Float(-2.25e-7),
+            Value::Float(1e300),
+            Value::Float(f64::NAN),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Null,
+            Value::tup(vec![]),
+            Value::tup(vec![Value::Int(3), Value::str("a\tb"), Value::Null]),
+            Value::tup(vec![
+                Value::tup(vec![Value::Float(0.5), Value::str("in\\ner\n")]),
+                Value::Int(i64::MIN),
+            ]),
+        ];
+        values.extend(tricky.iter().map(Value::str));
+        // One value per row, then rows mixing every pair of neighbours so
+        // separators and the per-line size hint see uneven widths.
+        let single = outcome(&["v"], values.iter().map(|v| vec![v.clone()]).collect());
+        assert_eq!(render_outcome(&single), render_reference(&single));
+        let pairs: Vec<Vec<Value>> = values
+            .windows(2)
+            .map(|w| vec![w[0].clone(), w[1].clone(), w[0].clone()])
+            .collect();
+        let wide = outcome(&["a\tb", "back\\slash", "ok"], pairs);
+        let lines = render_outcome(&wide);
+        assert_eq!(lines, render_reference(&wide));
+        assert!(lines.iter().all(|l| !l.contains('\n') && !l.contains('\r')));
+        assert_eq!(lines[1].matches('\t').count(), 2, "{:?}", lines[1]);
+        // The zero-row result is its header; the nullary relation has an
+        // empty header and one empty line per (the one possible) tuple.
+        let none = outcome(&["x", "y"], Vec::new());
+        assert_eq!(render_outcome(&none), vec!["x\ty".to_string()]);
+        assert_eq!(render_outcome(&none), render_reference(&none));
+        for rows in [vec![], vec![vec![]]] {
+            let nullary = outcome(&[], rows.clone());
+            assert_eq!(render_outcome(&nullary).len(), 1 + rows.len());
+            assert_eq!(render_outcome(&nullary), render_reference(&nullary));
+        }
+    }
+
+    #[test]
+    fn escape_field_matches_on_every_escaped_byte_position() {
+        for s in [
+            "\\",
+            "\t",
+            "\n",
+            "\r",
+            "a\\",
+            "\\a",
+            "a\tb\nc\rd\\e",
+            "é\té",
+            "🦀\\",
+        ] {
+            let escaped = escape_field(s);
+            assert!(!escaped.contains(['\t', '\n', '\r']), "{escaped:?}");
+            assert_eq!(unescape_field(&escaped).unwrap(), s);
+        }
+        assert_eq!(escape_field("a\tb\\"), "a\\tb\\\\");
     }
 
     #[test]

@@ -208,6 +208,36 @@ fn zero_deadline_reports_deadline_exceeded() {
     server.shutdown();
 }
 
+/// A result far too large to hold — the product of four 30 000-row
+/// relations — streams until the deadline and answers `ERR`; it must not
+/// size its output from the row count and take the worker down with it.
+#[test]
+fn a_huge_cross_product_reports_deadline_exceeded() {
+    let mut catalog = Catalog::new();
+    let attrs = catalog.intern_all(["a", "b", "c", "d"]);
+    let mut engine = FdbEngine::new(catalog);
+    for (name, &attr) in ["R", "S", "T", "U"].into_iter().zip(&attrs) {
+        let rows = (0..30_000i64).map(|i| vec![Value::Int(i)]);
+        engine.register_relation(name, Relation::from_rows(Schema::new(vec![attr]), rows));
+    }
+    let opts = ServerOptions::new()
+        .workers(1)
+        .deadline(Some(Duration::from_millis(200)));
+    let mut server = spawn(Db::from_engine(engine), "127.0.0.1:0", opts).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    for sql in [
+        "SELECT a, b, c, d FROM R, S, T, U",
+        "SELECT a, b, c, d FROM R, S, T, U ORDER BY d, a",
+    ] {
+        let err = c.query(sql).unwrap().unwrap_err();
+        assert!(err.contains("deadline exceeded"), "{sql}: {err}");
+    }
+    // The one worker survived both.
+    assert!(c.request("PING").unwrap().is_ok());
+    c.quit().unwrap();
+    server.shutdown();
+}
+
 #[test]
 fn plan_cache_serves_repeats_identically() {
     let mut server = spawn(pizzeria_db(), "127.0.0.1:0", ServerOptions::new()).unwrap();

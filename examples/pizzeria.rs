@@ -96,7 +96,7 @@ fn main() {
         .expect("customer and pizza are above the partial aggregates");
     let mut cur = GroupCursor::new(&p, &spec).expect("group cursor");
     while let Some((vals, dangling)) = cur.next_group() {
-        let v = fdb::core::agg::eval_funcs(p.ftree(), &dangling, &[AggOp::Sum(a.price)])
+        let v = fdb::core::agg::eval_funcs(p.ftree(), dangling, &[AggOp::Sum(a.price)])
             .expect("sum over partial aggregates");
         println!("  {} × {} -> revenue {}", vals[0], vals[1], v);
     }

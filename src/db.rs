@@ -335,7 +335,16 @@ impl WriteBatch<'_> {
         }
         let changed = report.inserted + report.deleted > 0;
         if changed {
-            for (name, rep) in views {
+            for (name, mut rep) in views {
+                // The delta mutators only append: every write leaves the
+                // spine it superseded behind, and each version starts as
+                // a copy of the last. Shed the garbage once it outweighs
+                // the data, or a long-lived writer's arena — and every
+                // snapshot cut from it — grows with the number of writes
+                // it has ever applied.
+                if rep.garbage_dominated() {
+                    rep = rep.compact();
+                }
                 engine.register_view_arc(name, Arc::new(rep));
             }
             for (name, rel) in rels {

@@ -327,3 +327,42 @@ fn memoised_count_annotations_stay_fresh_across_writes() {
         );
     }
 }
+
+/// The delta mutators only append, and every version starts as a copy
+/// of the last, so without compaction a view's arena grows with the
+/// number of writes ever applied (the churn benchmark's peak RSS rose
+/// with its own throughput). A commit sheds the garbage once it
+/// outweighs the data: after any number of writes the published view
+/// holds at most one dead entry record per live one, and still equals
+/// a from-scratch rebuild.
+#[test]
+fn a_long_churn_leaves_a_bounded_arena() {
+    let mut fx = fixture(11, 60);
+    let mut lcg = Lcg(2013);
+    let mut peak_ratio = 0.0f64;
+    for step in 0..600 {
+        if step % 2 == 1 && !fx.mirror.is_empty() {
+            let row = fx
+                .mirror
+                .row(lcg.next() as usize % fx.mirror.len())
+                .to_vec();
+            fx.mirror.delete_row(&row);
+            fx.db.delete_row("R", row).unwrap();
+        } else {
+            let row = random_row(&mut lcg);
+            fx.mirror.insert(&row);
+            fx.db.insert("R", [row]).unwrap();
+        }
+        let mut session = fx.db.session();
+        let stats = session.engine_mut().view("R").unwrap().stats();
+        assert!(
+            stats.entries <= 2 * stats.singletons.max(1),
+            "step {step}: {} entry records for {} live singletons",
+            stats.entries,
+            stats.singletons
+        );
+        peak_ratio = peak_ratio.max(stats.entries as f64 / stats.singletons.max(1) as f64);
+    }
+    assert!(peak_ratio > 1.2, "the churn never produced garbage to shed");
+    check(&fx, 600);
+}
