@@ -3,7 +3,8 @@
 //!
 //! * recursive aggregation (`count`/`sum`) over a factorised view — §3.2
 //!   says linear in the factorisation size;
-//! * the swap operator — partial restructuring cost;
+//! * the swap operator as the staged executor runs it — restructuring
+//!   cost (a root and an inner `χ`);
 //! * constant-delay enumeration — per-tuple cost independent of data size;
 //! * constant selection with pruning.
 
@@ -71,15 +72,24 @@ fn micro(c: &mut Criterion) {
         );
     }
 
-    group.bench_function("swap_package_date", |b| {
-        let root = rep.ftree().roots()[0];
-        let date_node = rep.ftree().node(root).children[0];
-        b.iter_batched(
-            || rep.clone(),
-            |r| ops::swap(r, root, date_node).unwrap(),
-            BatchSize::LargeInput,
-        )
-    });
+    // χ as the staged executor runs it (in place, fragments shared):
+    // the root swap regroups one union of every (package, date) pair,
+    // the inner swap one date-union per package.
+    let package_node = rep.ftree().roots()[0];
+    let date_node = rep.ftree().node(package_node).children[0];
+    let customer_node = rep.ftree().node(date_node).children[0];
+    for (name, parent, child) in [
+        ("swap_inplace_root_package_date", package_node, date_node),
+        ("swap_inplace_inner_date_customer", date_node, customer_node),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter_batched(
+                || rep.clone(),
+                |r| ops::swap_inplace(r, parent, child).unwrap(),
+                BatchSize::LargeInput,
+            )
+        });
+    }
 
     group.bench_function("enumerate_all_tuples", |b| {
         b.iter(|| {

@@ -323,6 +323,9 @@ pub struct FdbResult {
     offset: usize,
     /// The executed f-plan (for EXPLAIN-style introspection).
     plan: crate::plan::FPlan,
+    /// The f-tree the plan ran on: `explain` simulates the plan on it
+    /// to name the nodes each operator touches.
+    input_tree: FTree,
     /// Execution report of the f-plan run (stages, intermediate
     /// bytes, copies avoided), including the HAVING push-down.
     exec_stats: crate::pipeline::ExecStats,
@@ -387,7 +390,7 @@ impl FdbResult {
             self.plan.len(),
             self.exec_stats.stages
         );
-        out.push_str(&self.plan.display(catalog));
+        out.push_str(&self.plan.display(catalog, &self.input_tree));
         if !self.plan.is_empty() {
             match self.executor {
                 ExecutorMode::Staged => {
@@ -1005,6 +1008,7 @@ impl FdbEngine {
             ..
         } = cand;
         check_deadline(deadline_at, "plan execution")?;
+        let input_tree = rep.ftree().clone();
         let (mut result_rep, mut exec_stats) = opts.executor.run_plan(&plan, rep, threads)?;
         check_deadline(deadline_at, "plan execution")?;
 
@@ -1115,6 +1119,7 @@ impl FdbEngine {
             limit: task.limit,
             offset: task.offset,
             plan,
+            input_tree,
             exec_stats,
             executor: opts.executor,
             threads,
@@ -1188,6 +1193,7 @@ impl FdbEngine {
             limit: task.limit,
             offset: task.offset,
             plan: last.plan,
+            input_tree: last.input_tree,
             exec_stats: last.exec_stats,
             executor: opts.executor,
             threads,

@@ -161,6 +161,38 @@ impl Arena {
         }
     }
 
+    /// Reserves room for `unions`, `entries` and `kids` more records —
+    /// a rewrite that knows its exact output counts appends without
+    /// regrowing the tables mid-way.
+    pub(crate) fn reserve(&mut self, unions: usize, entries: usize, kids: usize) {
+        self.unions.reserve(unions);
+        self.entries.reserve(entries);
+        self.kids.reserve(kids);
+    }
+
+    /// Where the next kid list starts: append its kids with
+    /// [`Arena::push_kid`], then close it with [`Arena::entry_since`].
+    /// Builds an entry without staging its kid list in a temporary
+    /// vector.
+    pub(crate) fn kids_mark(&self) -> u32 {
+        self.kids.len() as u32
+    }
+
+    /// Appends one kid to the open kid list.
+    pub(crate) fn push_kid(&mut self, kid: UnionId) {
+        self.kids.push(kid);
+    }
+
+    /// Closes the kid list opened at `mark` into an entry spec reusing
+    /// value index `val` of the owning node's column.
+    pub(crate) fn entry_since(&self, val: u32, mark: u32) -> EntrySpec {
+        EntrySpec {
+            val,
+            kids_start: mark,
+            kids_len: self.kids.len() as u32 - mark,
+        }
+    }
+
     /// Appends a union with the given entries (laid out contiguously in
     /// the entry table, in slice order).
     pub(crate) fn push_union(&mut self, node: NodeId, entries: &[EntrySpec]) -> UnionId {
@@ -225,6 +257,11 @@ impl Arena {
     /// The value at index `val` of `node`'s column.
     pub(crate) fn value_at(&self, node: NodeId, val: u32) -> &Value {
         &self.cols[node.0 as usize][val as usize]
+    }
+
+    /// `node`'s whole value column (indexed by [`EntryRec::val`]).
+    pub(crate) fn col(&self, node: NodeId) -> &[Value] {
+        &self.cols[node.0 as usize]
     }
 
     /// Binary search of union `uid` for `v`; returns the *absolute*
@@ -885,8 +922,9 @@ pub struct FRepStats {
     /// Physical arena footprint in bytes, capacity-aware.
     pub bytes: usize,
     /// Deep copies of untouched fragments avoided by the in-place
-    /// staged-pipeline rewrites that produced this representation
-    /// (0 for freshly built or legacy copy-transformed ones).
+    /// rewrites that produced this representation (0 for freshly built
+    /// ones; carried through compaction, so a copying `swap` reports
+    /// its regroup's shares too).
     pub copies_avoided: u64,
 }
 

@@ -791,12 +791,23 @@ impl FTree {
         out
     }
 
+    /// Short name of node `n`: its class members joined by `=` for an
+    /// atomic node, its output columns joined by `,` for an aggregate
+    /// node (how `EXPLAIN` refers to the nodes an operator touches).
+    pub(crate) fn node_name(&self, n: NodeId, catalog: &Catalog) -> String {
+        let (attrs, sep) = match &self.node(n).label {
+            NodeLabel::Atomic(attrs) => (attrs, "="),
+            NodeLabel::Agg(l) => (&l.outputs, ","),
+        };
+        let names: Vec<&str> = attrs.iter().map(|&a| catalog.name(a)).collect();
+        names.join(sep)
+    }
+
     fn display_node(&self, n: NodeId, catalog: &Catalog, depth: usize, out: &mut String) {
         let pad = "  ".repeat(depth);
         match &self.node(n).label {
-            NodeLabel::Atomic(attrs) => {
-                let names: Vec<&str> = attrs.iter().map(|&a| catalog.name(a)).collect();
-                let _ = writeln!(out, "{pad}{}", names.join("="));
+            NodeLabel::Atomic(_) => {
+                let _ = writeln!(out, "{pad}{}", self.node_name(n, catalog));
             }
             NodeLabel::Agg(l) => {
                 let over: Vec<&str> = l.over.iter().map(|&a| catalog.name(a)).collect();

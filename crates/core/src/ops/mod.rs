@@ -16,7 +16,7 @@
 //! Every operator exists in **two physical forms** over the arena
 //! storage of [`crate::frep`]:
 //!
-//! * the **legacy copy transform** (`select_const`, `swap`, …): walks
+//! * the **legacy copy transform** (`select_const`, `merge`, …): walks
 //!   the source arena through [`crate::frep::UnionRef`] cursors and
 //!   appends the rewritten representation into a fresh destination
 //!   arena, deep-copying every untouched fragment record by record
@@ -32,7 +32,9 @@
 //!
 //! `product` is the exception in both forms: it splices the right
 //! arena onto the left in one wholesale table append without touching
-//! the left side at all.
+//! the left side at all. `swap` has one regroup kernel: its copying
+//! form is the in-place rewrite followed by one sharing-preserving
+//! compaction (`swap_inplace(..)?.compact()`).
 //!
 //! All operators preserve the sortedness invariant of unions and prune
 //! entries whose subtrees become empty, cascading towards the roots.

@@ -3,130 +3,36 @@
 //! * `swap` exchanges a node with its parent while preserving the path
 //!   constraint: `⋃_a (⟨A:a⟩×E_a×⋃_b (⟨B:b⟩×F_b×G_ab))` becomes
 //!   `⋃_b (⟨B:b⟩×F_b×⋃_a (⟨A:a⟩×E_a×G_ab))`. The independent subtrees
-//!   `F_b` are deduplicated (first occurrence kept, the rest dropped) —
-//!   the regrouping records *source* union ids and copies each fragment
-//!   into the output arena exactly once per emitted position, so the
-//!   factorisation can only shrink here.
+//!   `F_b` are deduplicated (first occurrence kept, the rest dropped) and
+//!   every `E_a`/`F_b`/`G_ab` fragment is shared by id, so the
+//!   factorisation can only shrink here. One regroup kernel
+//!   (`Regroup`) serves both forms of the operator.
 //! * `merge` implements a selection `A = B` on sibling nodes as a linear
 //!   intersection of their sorted unions.
 //! * `absorb` implements `A = B` when `B`'s node is a descendant of `A`'s:
 //!   each `B`-union below an `A`-value is restricted to that value.
 
 use crate::error::{FdbError, Result};
-use crate::frep::{Arena, EntryRec, EntryRef, FRep, UnionId, UnionRef};
+use crate::frep::{Arena, EntryRec, EntryRef, EntrySpec, FRep, UnionId};
 use crate::ftree::{FTree, NodeId};
 use crate::ops::{rewrite_at, rewrite_at_inplace};
 use fdb_relational::Value;
-use std::collections::btree_map;
-use std::collections::BTreeMap;
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hash, Hasher};
 
 /// Swap `χ_{A,B}`: `b` (a child of `a`) becomes `a`'s parent.
+///
+/// The copying form: the in-place regroup of [`swap_inplace`], then one
+/// sharing-preserving compaction into a fresh arena that holds exactly
+/// the result.
 pub fn swap(rep: FRep, a: NodeId, b: NodeId) -> Result<FRep> {
-    let (tree, arena, roots) = rep.into_arena_parts();
-    if tree.node(b).parent != Some(a) {
-        return Err(FdbError::InvalidOperator(format!(
-            "swap requires {b:?} to be a child of {a:?}"
-        )));
-    }
-    let b_children_before = tree.node(b).children.clone();
-    let mut new_tree = tree.clone();
-    let outcome = new_tree.swap(a, b)?;
-    let pos_of = |n: NodeId| {
-        b_children_before
-            .iter()
-            .position(|&c| c == n)
-            .expect("partitioned child came from b")
-    };
-    let moved_idx: Vec<usize> = outcome.moved_up.iter().map(|&n| pos_of(n)).collect();
-    let stayed_idx: Vec<usize> = outcome.stayed.iter().map(|&n| pos_of(n)).collect();
-    let b_pos = outcome.b_pos_in_a;
-    let mut dst = Arena::default();
-    let roots = rewrite_at(&tree, &arena, &roots, a, &mut dst, &mut |ua, dst| {
-        Ok(Some(swap_union(
-            ua,
-            dst,
-            a,
-            b,
-            b_pos,
-            &moved_idx,
-            &stayed_idx,
-        )))
-    })?;
-    let out = FRep::from_arena(new_tree, dst, roots);
-    debug_assert!(out.check_invariants().is_ok());
-    Ok(out)
-}
-
-fn swap_union(
-    ua: UnionRef<'_>,
-    dst: &mut Arena,
-    a: NodeId,
-    b: NodeId,
-    b_pos: usize,
-    moved_idx: &[usize],
-    stayed_idx: &[usize],
-) -> UnionId {
-    let src = ua.arena();
-    // For each b-value: the F_b subtrees (source ids, first occurrence)
-    // and the new inner a-union's entries as (a-value, source ids of
-    // E_a ++ G_ab), accumulated in ascending a-order because the outer
-    // loop visits a-entries in order. Nothing is copied until emission,
-    // so shared E_a fragments duplicate naturally per b-branch.
-    type Regrouped = (Vec<UnionId>, Vec<(Value, Vec<UnionId>)>);
-    let mut regroup: BTreeMap<Value, Regrouped> = BTreeMap::new();
-    for ea in ua.entries() {
-        let ub = ea.child(b_pos);
-        let ea_rest: Vec<UnionId> = ea
-            .child_ids()
-            .enumerate()
-            .filter(|&(j, _)| j != b_pos)
-            .map(|(_, c)| c)
-            .collect();
-        for eb in ub.entries() {
-            let gab = stayed_idx.iter().map(|&i| eb.child_id(i));
-            let new_a_children: Vec<UnionId> = ea_rest.iter().copied().chain(gab).collect();
-            let a_entry = (ea.value().clone(), new_a_children);
-            match regroup.entry(eb.value().clone()) {
-                btree_map::Entry::Vacant(slot) => {
-                    // First occurrence of this b-value keeps F_b; later
-                    // copies are identical by the path constraint and are
-                    // dropped.
-                    let fb: Vec<UnionId> = moved_idx.iter().map(|&i| eb.child_id(i)).collect();
-                    slot.insert((fb, vec![a_entry]));
-                }
-                btree_map::Entry::Occupied(mut slot) => {
-                    slot.get_mut().1.push(a_entry);
-                }
-            }
-        }
-    }
-    let mut b_specs = Vec::with_capacity(regroup.len());
-    let mut kid_ids: Vec<UnionId> = Vec::new();
-    for (b_val, (fb, a_entries)) in regroup {
-        let mut a_specs = Vec::with_capacity(a_entries.len());
-        for (a_val, src_kids) in a_entries {
-            kid_ids.clear();
-            for c in &src_kids {
-                kid_ids.push(dst.copy_union_from(src, *c));
-            }
-            a_specs.push(dst.entry(a, a_val, &kid_ids));
-        }
-        let inner = dst.push_union(a, &a_specs);
-        kid_ids.clear();
-        for c in &fb {
-            kid_ids.push(dst.copy_union_from(src, *c));
-        }
-        kid_ids.push(inner);
-        b_specs.push(dst.entry(b, b_val, &kid_ids));
-    }
-    dst.push_union(b, &b_specs)
+    Ok(swap_inplace(rep, a, b)?.compact())
 }
 
 /// In-place [`swap`]: the regrouped `b`-over-`a` levels are appended to
 /// the same arena while the `E_a`, `F_b` and `G_ab` fragments are
-/// shared by id — the shared `E_a` fragments, which the legacy copy
-/// transform duplicates once per b-branch, are here referenced from
-/// every branch without any copy at all.
+/// shared by id — the shared `E_a` fragments are referenced from every
+/// b-branch without any copy at all.
 pub fn swap_inplace(rep: FRep, a: NodeId, b: NodeId) -> Result<FRep> {
     let (tree, mut arena, roots) = rep.into_arena_parts();
     if tree.node(b).parent != Some(a) {
@@ -141,85 +47,313 @@ pub fn swap_inplace(rep: FRep, a: NodeId, b: NodeId) -> Result<FRep> {
         b_children_before
             .iter()
             .position(|&c| c == n)
-            .expect("partitioned child came from b")
+            .expect("partitioned child came from b") as u32
     };
-    let moved_idx: Vec<usize> = outcome.moved_up.iter().map(|&n| pos_of(n)).collect();
-    let stayed_idx: Vec<usize> = outcome.stayed.iter().map(|&n| pos_of(n)).collect();
-    let b_pos = outcome.b_pos_in_a;
+    let mut regroup = Regroup::new(
+        a,
+        b,
+        outcome.b_pos_in_a as u32,
+        outcome.moved_up.iter().map(|&n| pos_of(n)).collect(),
+        outcome.stayed.iter().map(|&n| pos_of(n)).collect(),
+    );
     let roots = rewrite_at_inplace(&tree, &mut arena, &roots, a, &mut |arena, uid| {
-        Ok(Some(swap_union_inplace(
-            arena,
-            uid,
-            a,
-            b,
-            b_pos,
-            &moved_idx,
-            &stayed_idx,
-        )))
+        Ok(Some(regroup.run(arena, uid)))
     })?;
     let out = FRep::from_arena(new_tree, arena, roots);
     debug_assert!(out.check_invariants().is_ok());
     Ok(out)
 }
 
-fn swap_union_inplace(
-    arena: &mut Arena,
-    uid: UnionId,
+/// Free slot of [`Regroup::slots`].
+const EMPTY: u32 = u32::MAX;
+
+/// The regroup kernel of one `χ_{A,B}` operator, with scratch reused
+/// across every `a`-union the operator rewrites — after the first
+/// union, regrouping one allocates nothing.
+///
+/// Per `a`-union of `n` (a-entry, b-entry) pairs with `D` distinct
+/// b-values, in O(n + D log D):
+/// 1. walk the pairs in a-order, giving equal b-values one dense id
+///    through a hash table keyed with a seeded [`FxHasher`] (sized by
+///    `D`, not `n`);
+/// 2. sort the `D` distinct values (`Value::cmp`, so every comparison
+///    is between *distinct* values);
+/// 3. walk the pairs again and counting-scatter them into b-order —
+///    stable, so a stays ascending within each b-group, and the first
+///    occurrence of a b-value (the one whose `F_b` is kept) leads its
+///    group;
+/// 4. append the kid lists straight into the arena's kid table, its
+///    tables reserved from the exact output counts.
+///
+/// Not a k-way merge of the sorted b-unions: under a typical a-entry
+/// those runs are about one entry long, so a merge degenerates into a
+/// full comparison sort of all `n` pairs. Setup scales with `n`, never
+/// with the column or arena size.
+struct Regroup {
     a: NodeId,
     b: NodeId,
-    b_pos: usize,
-    moved_idx: &[usize],
-    stayed_idx: &[usize],
-) -> UnionId {
-    // Same regrouping as `swap_union`, but recording *value indices*
-    // (into the existing a/b columns) and fragment ids, so emission is
-    // pure record appends with every fragment shared.
-    type Regrouped = (u32, Vec<UnionId>, Vec<(u32, Vec<UnionId>)>);
-    let mut regroup: BTreeMap<Value, Regrouped> = BTreeMap::new();
-    let ua = arena.urec(uid);
-    for i in ua.start..ua.start + ua.len {
-        let ea = arena.erec(i);
-        let ub_id = arena.kid_at(ea.kids_start + b_pos as u32);
-        let ea_rest: Vec<UnionId> = (0..ea.kids_len)
-            .filter(|&j| j as usize != b_pos)
-            .map(|j| arena.kid_at(ea.kids_start + j))
-            .collect();
-        let ub = arena.urec(ub_id);
-        for j in ub.start..ub.start + ub.len {
-            let eb = arena.erec(j);
-            let gab = stayed_idx
-                .iter()
-                .map(|&k| arena.kid_at(eb.kids_start + k as u32));
-            let new_a_children: Vec<UnionId> = ea_rest.iter().copied().chain(gab).collect();
-            let a_entry = (ea.val, new_a_children);
-            match regroup.entry(arena.value_at(b, eb.val).clone()) {
-                btree_map::Entry::Vacant(slot) => {
-                    let fb: Vec<UnionId> = moved_idx
-                        .iter()
-                        .map(|&k| arena.kid_at(eb.kids_start + k as u32))
-                        .collect();
-                    slot.insert((eb.val, fb, vec![a_entry]));
-                }
-                btree_map::Entry::Occupied(mut slot) => {
-                    slot.get_mut().2.push(a_entry);
-                }
+    /// Position of `b` among `a`'s children before the swap.
+    b_pos: u32,
+    /// Kid positions of `b`'s children that move up with it (`F_b`)
+    /// and that stay under `a` (`G_ab`).
+    moved: Vec<u32>,
+    stayed: Vec<u32>,
+    /// Per-operator random start state of the value hash: the data can
+    /// come from clients, and a fixed hash would let crafted values
+    /// collide into one long probe run.
+    seed: u64,
+    /// Per pair, in a-order: the dense id of its b-value.
+    ids: Vec<u32>,
+    /// Per pair, grouped by b-value rank: its a-entry and b-entry.
+    grouped: Vec<[u32; 2]>,
+    /// Per dense id: the first occurrence's b-entry record (its value
+    /// index and `F_b` are the ones kept) and the value's hash.
+    first: Vec<(EntryRec, u64)>,
+    /// Per dense id: its pair count, then its group's scatter cursor
+    /// (its group's end once the scatter is done).
+    cursor: Vec<u32>,
+    /// Dense ids in ascending b-value order.
+    order: Vec<u32>,
+    /// Linear-probing table of dense ids ([`EMPTY`] = free), grown to
+    /// stay at most a quarter full.
+    slots: Vec<u32>,
+    a_specs: Vec<EntrySpec>,
+    b_specs: Vec<EntrySpec>,
+}
+
+impl Regroup {
+    fn new(a: NodeId, b: NodeId, b_pos: u32, moved: Vec<u32>, stayed: Vec<u32>) -> Regroup {
+        Regroup {
+            a,
+            b,
+            b_pos,
+            moved,
+            stayed,
+            seed: RandomState::new().hash_one(0u8),
+            ids: Vec::new(),
+            grouped: Vec::new(),
+            first: Vec::new(),
+            cursor: Vec::new(),
+            order: Vec::new(),
+            slots: Vec::new(),
+            a_specs: Vec::new(),
+            b_specs: Vec::new(),
+        }
+    }
+
+    /// Regroups the `a`-union `uid` into a `b`-union appended to `arena`.
+    fn run(&mut self, arena: &mut Arena, uid: UnionId) -> UnionId {
+        self.collect(arena, uid);
+        if self.ids.is_empty() {
+            return arena.empty_union(self.b);
+        }
+        self.rank(arena.col(self.b));
+        self.scatter(arena, uid);
+        self.emit(arena)
+    }
+
+    /// The `b`-union under a-entry `ea`.
+    fn b_union(&self, arena: &Arena, ea: EntryRec) -> std::ops::Range<u32> {
+        let ub = arena.urec(arena.kid_at(ea.kids_start + self.b_pos));
+        ub.start..ub.start + ub.len
+    }
+
+    /// Step 1: the dense id of every pair's b-value, in a-order.
+    fn collect(&mut self, arena: &Arena, uid: UnionId) {
+        let ua = arena.urec(uid);
+        let a_range = ua.start..ua.start + ua.len;
+        let n = a_range
+            .clone()
+            .map(|i| self.b_union(arena, arena.erec(i)).len())
+            .sum();
+        self.ids.clear();
+        self.ids.reserve(n);
+        self.first.clear();
+        self.cursor.clear();
+        self.slots.clear();
+        self.slots.resize(16, EMPTY);
+        if n == 0 {
+            return;
+        }
+        let col = arena.col(self.b);
+        for i in a_range {
+            for j in self.b_union(arena, arena.erec(i)) {
+                let id = self.intern(col, arena.erec(j));
+                self.cursor[id as usize] += 1;
+                self.ids.push(id);
             }
         }
     }
-    let mut b_specs = Vec::with_capacity(regroup.len());
-    for (_, (b_val, fb, a_entries)) in regroup {
-        let mut a_specs = Vec::with_capacity(a_entries.len());
-        for (a_val, kids) in a_entries {
-            arena.note_shared(kids.len() as u64);
-            a_specs.push(arena.entry_shared_val(a_val, &kids));
+
+    /// The dense id of `eb`'s b-value, assigned on first sight.
+    fn intern(&mut self, col: &[Value], eb: EntryRec) -> u32 {
+        let v = &col[eb.val as usize];
+        let mut h = FxHasher(self.seed);
+        v.hash(&mut h);
+        let h = h.finish();
+        let mask = self.slots.len() - 1;
+        let mut s = slot_of(h, mask);
+        loop {
+            let id = self.slots[s];
+            if id == EMPTY {
+                break;
+            }
+            let (f, fh) = self.first[id as usize];
+            if fh == h && (f.val == eb.val || col[f.val as usize] == *v) {
+                return id;
+            }
+            s = (s + 1) & mask;
         }
-        let inner = arena.push_union(a, &a_specs);
-        arena.note_shared(fb.len() as u64);
-        let mut kid_ids = fb;
-        kid_ids.push(inner);
-        b_specs.push(arena.entry_shared_val(b_val, &kid_ids));
+        let id = self.first.len() as u32;
+        self.slots[s] = id;
+        self.first.push((eb, h));
+        self.cursor.push(0);
+        if 4 * self.first.len() > self.slots.len() {
+            // Double and re-place every id by its stored hash.
+            let mask = 2 * self.slots.len() - 1;
+            self.slots.clear();
+            self.slots.resize(mask + 1, EMPTY);
+            for (id, &(_, h)) in self.first.iter().enumerate() {
+                let mut s = slot_of(h, mask);
+                while self.slots[s] != EMPTY {
+                    s = (s + 1) & mask;
+                }
+                self.slots[s] = id as u32;
+            }
+        }
+        id
     }
-    arena.push_union(b, &b_specs)
+
+    /// Step 2: the distinct b-values in ascending order; each id's
+    /// cursor becomes the start of its group.
+    fn rank(&mut self, col: &[Value]) {
+        let first = &self.first;
+        self.order.clear();
+        self.order.extend(0..first.len() as u32);
+        self.order.sort_unstable_by(|&x, &y| {
+            col[first[x as usize].0.val as usize].cmp(&col[first[y as usize].0.val as usize])
+        });
+        let mut at = 0u32;
+        for &id in &self.order {
+            let count = std::mem::replace(&mut self.cursor[id as usize], at);
+            at += count;
+        }
+    }
+
+    /// Step 3: a second walk over the pairs, in the same a-order,
+    /// scattering each into its group.
+    fn scatter(&mut self, arena: &Arena, uid: UnionId) {
+        self.grouped.clear();
+        self.grouped.resize(self.ids.len(), [0; 2]);
+        let ua = arena.urec(uid);
+        let mut k = 0;
+        for i in ua.start..ua.start + ua.len {
+            for j in self.b_union(arena, arena.erec(i)) {
+                let c = &mut self.cursor[self.ids[k] as usize];
+                self.grouped[*c as usize] = [i, j];
+                *c += 1;
+                k += 1;
+            }
+        }
+    }
+
+    /// Step 4: one `b`-entry per distinct value (kids `F_b` of its
+    /// first occurrence, then the inner `a`-union), one inner `a`-entry
+    /// per pair (kids `E_a` without the b-union, then `G_ab`).
+    fn emit(&mut self, arena: &mut Arena) -> UnionId {
+        let (n, d) = (self.ids.len(), self.order.len());
+        // Every a-entry of one union has the arity of `a`'s child list.
+        let a_kids = arena.erec(self.grouped[0][0]).kids_len;
+        let per_a = (a_kids as usize - 1) + self.stayed.len();
+        let per_b = self.moved.len() + 1;
+        arena.reserve(d + 1, n + d, n * per_a + d * per_b);
+        // The kid tally of the map-based regroup this replaced: every
+        // kid but the inner a-union is a shared fragment.
+        arena.note_shared((n * per_a + d * self.moved.len()) as u64);
+        self.b_specs.clear();
+        let mut start = 0usize;
+        for &id in &self.order {
+            let end = self.cursor[id as usize] as usize;
+            self.a_specs.clear();
+            for &[ia, ib] in &self.grouped[start..end] {
+                let ea = arena.erec(ia);
+                let mark = arena.kids_mark();
+                for k in (0..a_kids).filter(|&k| k != self.b_pos) {
+                    arena.push_kid(arena.kid_at(ea.kids_start + k));
+                }
+                if !self.stayed.is_empty() {
+                    let eb = arena.erec(ib);
+                    for &k in &self.stayed {
+                        arena.push_kid(arena.kid_at(eb.kids_start + k));
+                    }
+                }
+                self.a_specs.push(arena.entry_since(ea.val, mark));
+            }
+            let inner = arena.push_union(self.a, &self.a_specs);
+            let fb = self.first[id as usize].0;
+            let mark = arena.kids_mark();
+            for &k in &self.moved {
+                arena.push_kid(arena.kid_at(fb.kids_start + k));
+            }
+            arena.push_kid(inner);
+            self.b_specs.push(arena.entry_since(fb.val, mark));
+            start = end;
+        }
+        arena.push_union(self.b, &self.b_specs)
+    }
+}
+
+/// Table slot of hash `h` under `mask` (a power of two minus one).
+/// The Fx hash of an integer `i` is `(c ^ i)·K` for constants `c` and
+/// `K`, so consecutive integers would fall into a few regular runs of
+/// slots; one xor-shift-multiply round mixes them before the high bits
+/// are taken.
+fn slot_of(h: u64, mask: usize) -> usize {
+    let x = (h ^ (h >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (x >> (64 - mask.count_ones())) as usize
+}
+
+/// Fx-style word hasher (the rustc hasher) from a given start state:
+/// one rotate, xor and multiply per word — cheap for the short keys
+/// `Value::hash` feeds it.
+struct FxHasher(u64);
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut w = [0u8; 8];
+            w[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(w));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(i.into());
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Merge: implements a selection `A = B` for sibling nodes by intersecting
@@ -824,18 +958,378 @@ mod tests {
         let (_, rp, _) = pizzeria();
         let root = rp.ftree().roots()[0];
         let child = rp.ftree().node(root).children[0];
-        let legacy = swap(rp.clone(), root, child).unwrap();
-        let inplace = swap_inplace(rp, root, child).unwrap();
-        inplace.check_invariants().unwrap();
-        assert!(inplace.same_data(&legacy));
-        assert_eq!(
-            inplace.ftree().canonical_key(),
-            legacy.ftree().canonical_key()
-        );
-        assert_eq!(inplace.singleton_count(), legacy.singleton_count());
+        let copied = swap(rp.clone(), root, child).unwrap();
+        let inplace = check_swap(rp, root, child).unwrap();
+        assert!(copied.same_data(&inplace));
+        assert_eq!(inplace.singleton_count(), copied.singleton_count());
         // Double swap through the in-place path restores the data too.
-        let twice = swap_inplace(inplace, child, root).unwrap();
-        twice.check_invariants().unwrap();
+        check_swap(inplace, child, root).unwrap();
+    }
+
+    /// The naive reference of χ: flatten, then regroup from scratch over
+    /// the swapped f-tree.
+    fn swap_reference(rep: &FRep, a: NodeId, b: NodeId) -> FRep {
+        let mut tree = rep.ftree().clone();
+        tree.swap(a, b).unwrap();
+        FRep::from_relation(&rep.flatten(), tree).unwrap()
+    }
+
+    /// The `copies_avoided` a swap adds, by the tally of the map-based
+    /// regroup the kernel replaced: per (a, b) pair every kid of the new
+    /// a-entry (`E_a` without the b-union, then `G_ab`), per distinct
+    /// b-value of a union its `F_b` — plus what the root-path rewrite
+    /// shares, measured by running it with a stand-in kernel.
+    fn expected_copies_avoided(rep: &FRep, a: NodeId, b: NodeId) -> u64 {
+        let b_pos = rep.ftree().child_position(b) as u32;
+        let outcome = rep.ftree().clone().swap(a, b).unwrap();
+        let (moved, stayed) = (outcome.moved_up.len() as u64, outcome.stayed.len() as u64);
+        let (tree, mut arena, roots) = rep.clone().into_arena_parts();
+        let before = arena.copies_avoided();
+        let mut kernel = 0u64;
+        rewrite_at_inplace(&tree, &mut arena, &roots, a, &mut |arena, uid| {
+            let ua = arena.urec(uid);
+            let mut distinct = std::collections::BTreeSet::new();
+            for i in ua.start..ua.start + ua.len {
+                let ea = arena.erec(i);
+                let ub = arena.urec(arena.kid_at(ea.kids_start + b_pos));
+                for j in ub.start..ub.start + ub.len {
+                    distinct.insert(arena.value_at(b, arena.erec(j).val).clone());
+                    kernel += u64::from(ea.kids_len) - 1 + stayed;
+                }
+            }
+            kernel += distinct.len() as u64 * moved;
+            let spec = arena.entry_shared_val(0, &[]);
+            Ok(Some(arena.push_union(b, &[spec])))
+        })
+        .unwrap();
+        arena.copies_avoided() - before + kernel
+    }
+
+    /// Runs [`swap_inplace`] and holds it to the reference: same data in
+    /// the same entry order, same f-tree, invariants, and the old
+    /// `copies_avoided` tally.
+    fn check_swap(rep: FRep, a: NodeId, b: NodeId) -> std::result::Result<FRep, String> {
+        let want = swap_reference(&rep, a, b);
+        let shares = expected_copies_avoided(&rep, a, b);
+        let before = rep.stats().copies_avoided;
+        let got = swap_inplace(rep, a, b).map_err(|e| e.to_string())?;
+        got.check_invariants().map_err(|e| e.to_string())?;
+        if !got.same_data(&want) {
+            return Err(format!(
+                "swap χ({a:?}, {b:?}) differs from the reference:\n{:?}\nvs\n{:?}",
+                got.flatten(),
+                want.flatten()
+            ));
+        }
+        if got.ftree().canonical_key() != want.ftree().canonical_key() {
+            return Err("swapped f-tree differs from the reference".into());
+        }
+        let added = got.stats().copies_avoided - before;
+        if added != shares {
+            return Err(format!(
+                "copies_avoided +{added}, the old tally is +{shares}"
+            ));
+        }
+        Ok(got)
+    }
+
+    /// One differential scenario: `[p →] a → {e?, b → {c_0..c_k}}`, where
+    /// `c_i` depends on `a` (stays under it) unless bit `i` of `moved`
+    /// is set (then it depends on `b` and `p` only, and moves up).
+    struct Scenario {
+        /// `(p, a, b)` triples; `p` is ignored for a root swap.
+        pab: Vec<(i64, i64, i64)>,
+        root_swap: bool,
+        with_e: bool,
+        e_first: bool,
+        kids: usize,
+        moved: u8,
+        /// How `a`/`b` values are encoded: Int, Str, Float (with `-0.0`
+        /// and `NaN`), Null, mixed variants.
+        kind: usize,
+        /// Seed of the pseudo-random `e`/`c_i` value sets.
+        salt: u64,
+    }
+
+    fn encode(kind: usize, x: i64) -> Value {
+        match (kind, x % 4) {
+            (0, _) => Value::Int(x),
+            (1, _) => Value::str(format!("s{x}")),
+            (2, i) => Value::Float([-0.0, 0.0, f64::NAN, 1.5][i as usize]),
+            (3, 0) => Value::Null,
+            (3, _) => Value::Int(x),
+            (_, 0) => Value::Int(x),
+            (_, 1) => Value::str(format!("s{x}")),
+            (_, 2) => Value::Float(x as f64 * 0.5),
+            _ => Value::Null,
+        }
+    }
+
+    impl Scenario {
+        /// Builds the input representation; returns it with the `a` and
+        /// `b` nodes.
+        fn build(&self) -> (FRep, NodeId, NodeId) {
+            use crate::ftree::NodeLabel;
+            // Two thirds of the candidate values, fixed by the salt.
+            let keep = |key: &[i64]| {
+                let mut s = std::collections::hash_map::DefaultHasher::new();
+                (self.salt, key).hash(&mut s);
+                s.finish() % 3 != 0
+            };
+            let mut c = Catalog::new();
+            let p = c.intern("p");
+            let a = c.intern("a");
+            let e = c.intern("e");
+            let b = c.intern("b");
+            let cs: Vec<_> = (0..self.kids).map(|i| c.intern(&format!("c{i}"))).collect();
+            let is_moved = |i: usize| self.moved >> i & 1 == 1;
+            let mut t = FTree::new();
+            let np = (!self.root_swap).then(|| t.add_node(NodeLabel::Atomic(vec![p]), None));
+            let na = t.add_node(NodeLabel::Atomic(vec![a]), np);
+            let add_e = |t: &mut FTree| t.add_node(NodeLabel::Atomic(vec![e]), Some(na));
+            if self.with_e && self.e_first {
+                add_e(&mut t);
+            }
+            let nb = t.add_node(NodeLabel::Atomic(vec![b]), Some(na));
+            if self.with_e && !self.e_first {
+                add_e(&mut t);
+            }
+            for &ci in &cs {
+                t.add_node(NodeLabel::Atomic(vec![ci]), Some(nb));
+            }
+            let with_p = |edge: &[fdb_relational::AttrId]| {
+                let mut v = edge.to_vec();
+                if !self.root_swap {
+                    v.push(p);
+                }
+                v
+            };
+            t.add_dep(with_p(&[a, b]));
+            if self.with_e {
+                t.add_dep(with_p(&[a, e]));
+            }
+            for (i, &ci) in cs.iter().enumerate() {
+                t.add_dep(with_p(&if is_moved(i) {
+                    vec![b, ci]
+                } else {
+                    vec![a, b, ci]
+                }));
+            }
+            let mut attrs = Vec::new();
+            if !self.root_swap {
+                attrs.push(p);
+            }
+            attrs.push(a);
+            if self.with_e {
+                attrs.push(e);
+            }
+            attrs.push(b);
+            attrs.extend(&cs);
+            let mut rows: Vec<Vec<Value>> = Vec::new();
+            for &(pv, av, bv) in &self.pab {
+                let pv = if self.root_swap { 0 } else { pv };
+                let mut prefix: Vec<Vec<Value>> = Vec::new();
+                let head = |ev: Option<i64>| {
+                    let mut r = Vec::new();
+                    if !self.root_swap {
+                        r.push(Value::Int(pv));
+                    }
+                    r.push(encode(self.kind, av));
+                    r.extend(ev.map(Value::Int));
+                    r.push(encode(self.kind, bv));
+                    r
+                };
+                if self.with_e {
+                    for ev in (0..3).filter(|&ev| keep(&[-1, pv, av, ev])) {
+                        prefix.push(head(Some(ev)));
+                    }
+                } else {
+                    prefix.push(head(None));
+                }
+                for i in 0..self.kids {
+                    let vals: Vec<i64> = (0..3)
+                        .filter(|&cv| {
+                            let i = i as i64;
+                            if is_moved(i as usize) {
+                                keep(&[i, pv, bv, cv])
+                            } else {
+                                keep(&[i, pv, av, bv, cv])
+                            }
+                        })
+                        .collect();
+                    prefix = prefix
+                        .iter()
+                        .flat_map(|r| {
+                            vals.iter().map(move |&cv| {
+                                let mut r = r.clone();
+                                r.push(Value::Int(cv));
+                                r
+                            })
+                        })
+                        .collect();
+                }
+                rows.extend(prefix);
+            }
+            let rel = Relation::from_rows(Schema::new(attrs), rows).canonical();
+            (FRep::from_relation(&rel, t).unwrap(), na, nb)
+        }
+    }
+
+    fn pab_grid() -> Vec<(i64, i64, i64)> {
+        (0..18).map(|i| (i % 2, i % 3, (i * 7) % 4)).collect()
+    }
+
+    #[test]
+    fn swap_kernel_edge_shapes_match_reference() {
+        let base = Scenario {
+            pab: pab_grid(),
+            root_swap: true,
+            with_e: true,
+            e_first: true,
+            kids: 3,
+            moved: 0b101,
+            kind: 0,
+            salt: 7,
+        };
+        // Every value encoding, root and inner swaps, E_a on either side
+        // of the b-union.
+        for kind in 0..5 {
+            for root_swap in [true, false] {
+                for e_first in [true, false] {
+                    let sc = Scenario {
+                        kind,
+                        root_swap,
+                        e_first,
+                        pab: base.pab.clone(),
+                        ..base
+                    };
+                    let (rep, a, b) = sc.build();
+                    check_swap(rep, a, b).unwrap();
+                }
+            }
+        }
+        // b with 0..=3 children, every moved/stayed split.
+        for kids in 0..=3 {
+            for moved in 0..1u8 << kids {
+                let sc = Scenario {
+                    kids,
+                    moved,
+                    pab: base.pab.clone(),
+                    ..base
+                };
+                let (rep, a, b) = sc.build();
+                check_swap(rep, a, b).unwrap();
+            }
+        }
+        // Empty and single-entry results.
+        for pab in [vec![], vec![(1, 2, 3)]] {
+            for root_swap in [true, false] {
+                let sc = Scenario {
+                    pab: pab.clone(),
+                    root_swap,
+                    with_e: false,
+                    kids: 0,
+                    ..base
+                };
+                let (rep, a, b) = sc.build();
+                let out = check_swap(rep, a, b).unwrap();
+                assert_eq!(out.tuple_count(), pab.len());
+            }
+        }
+    }
+
+    #[test]
+    fn swap_kernel_groups_equal_values_stored_apart() {
+        // Each b-value recurs under several a-entries, each occurrence at
+        // its own index of b's column: grouping goes by value, not index.
+        let sc = Scenario {
+            pab: pab_grid(),
+            root_swap: true,
+            with_e: false,
+            e_first: false,
+            kids: 1,
+            moved: 1,
+            kind: 1,
+            salt: 3,
+        };
+        let (rep, a, b) = sc.build();
+        let col = rep.arena_ref().col(b);
+        let distinct = col.iter().collect::<std::collections::BTreeSet<_>>().len();
+        assert!(distinct < col.len(), "b-values are stored apart");
+        let out = check_swap(rep, a, b).unwrap();
+        assert_eq!(out.root(0).len(), distinct);
+    }
+
+    #[test]
+    fn swap_kernel_on_dag_input() {
+        // a → {e → f, b}: χ(a, b) shares each E_a (an e-union) across the
+        // b-branches, so the follow-up χ(e, f) reaches the same e-union
+        // from several parents and must regroup it once.
+        let mut c = Catalog::new();
+        let [a, e, f, b] = ["a", "e", "f", "b"].map(|n| c.intern(n));
+        let rel = Relation::from_rows(
+            Schema::new(vec![a, e, f, b]),
+            (0..36i64).map(|i| {
+                let av = i % 3;
+                vec![
+                    Value::Int(av),
+                    Value::Int(i / 3 % 2),
+                    Value::Int((av + i / 6) % 3),
+                    Value::Int(i / 12 + av),
+                ]
+            }),
+        )
+        .canonical();
+        let mut t = FTree::new();
+        let na = t.add_node(crate::ftree::NodeLabel::Atomic(vec![a]), None);
+        let ne = t.add_node(crate::ftree::NodeLabel::Atomic(vec![e]), Some(na));
+        let nf = t.add_node(crate::ftree::NodeLabel::Atomic(vec![f]), Some(ne));
+        let nb = t.add_node(crate::ftree::NodeLabel::Atomic(vec![b]), Some(na));
+        t.add_dep([a, e, f]);
+        t.add_dep([a, b]);
+        // Grouping over the branching tree closes the rows under its
+        // join dependency.
+        let rep = FRep::from_relation(&rel, t).unwrap();
+        let rep = check_swap(rep, na, nb).unwrap();
+        let rep = check_swap(rep, ne, nf).unwrap();
+        // And back through a garbage-laden, shared arena.
+        let rep = check_swap(rep, nf, ne).unwrap();
+        check_swap(rep, nb, na).unwrap();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 64,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        #[test]
+        fn swap_kernel_matches_naive_reference(
+            pab in proptest::collection::vec((0i64..3, 0i64..4, 0i64..4), 0..12),
+            shape in (0u8..2, 0u8..2, 0u8..2, 0usize..4, 0u8..8),
+            kind in 0usize..5,
+            salt in 0u64..1000,
+            dag in 0u8..2,
+        ) {
+            let (root_swap, with_e, e_first, kids, moved) = shape;
+            let sc = Scenario {
+                pab,
+                root_swap: root_swap == 1,
+                with_e: with_e == 1,
+                e_first: e_first == 1,
+                kids,
+                moved,
+                kind,
+                salt,
+            };
+            let (mut rep, a, b) = sc.build();
+            if dag == 1 {
+                // A swap after other in-place swaps: shared fragments and
+                // garbage in the input arena.
+                rep = swap_inplace(swap_inplace(rep, a, b).unwrap(), b, a).unwrap();
+            }
+            check_swap(rep, a, b).map_err(proptest::prelude::TestCaseError::fail)?;
+        }
     }
 
     #[test]

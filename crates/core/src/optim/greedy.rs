@@ -548,7 +548,7 @@ mod tests {
         assert!(
             matches!(plan.ops[0], FOp::Aggregate { .. }),
             "plan: {}",
-            plan.display(&c)
+            plan.display(&c, rep.ftree())
         );
         let out = plan.execute(rep).unwrap();
         out.check_invariants().unwrap();

@@ -46,6 +46,7 @@
 
 use crate::error::Result;
 use crate::frep::FRep;
+use crate::ftree::FTree;
 use crate::ops;
 use crate::plan::{apply_with, FOp, FPlan};
 use fdb_relational::Catalog;
@@ -135,14 +136,14 @@ pub fn render_stages(stages: &[Stage]) -> String {
     out
 }
 
-/// Per-stage rendering of a plan: the operator list annotated with the
-/// stage each operator belongs to (used by `explain` and the plan
-/// explorer example).
-pub fn display_staged(plan: &FPlan, catalog: &Catalog) -> String {
+/// Per-stage rendering of a plan over its input f-tree: the operator
+/// list annotated with the stage each operator belongs to (used by the
+/// plan explorer example).
+pub fn display_staged(plan: &FPlan, catalog: &Catalog, input: &FTree) -> String {
     let stages = segment(plan);
     let mut out = String::new();
     let _ = writeln!(out, "stages: {}", render_stages(&stages));
-    let ops_text = plan.display(catalog);
+    let ops_text = plan.display(catalog, input);
     for (i, line) in ops_text.lines().enumerate() {
         let stage = stages.iter().position(|s| s.ops.contains(&i));
         match stage {
@@ -392,7 +393,7 @@ mod tests {
             render_stages(&stages),
             "1-2 fused | 3 restructure | 4 fused"
         );
-        let text = display_staged(&plan, &c);
+        let text = display_staged(&plan, &c, rep.ftree());
         assert!(text.contains("stages: 1-2 fused"), "{text}");
         assert!(text.contains("[stage 2]"), "{text}");
     }

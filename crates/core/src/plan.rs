@@ -98,23 +98,33 @@ impl FPlan {
         Ok(())
     }
 
-    /// Human-readable rendering.
-    pub fn display(&self, catalog: &Catalog) -> String {
+    /// Human-readable rendering against `input`, the f-tree the plan
+    /// runs on: the plan is simulated on a copy of it, so every operator
+    /// names the nodes it touches by their attributes as they stand at
+    /// that point (`swap χ(date, customer)`, `γ[sum(price)] over [item,
+    /// price]`). Should the simulation fail, the rest of the plan falls
+    /// back to raw node ids.
+    pub fn display(&self, catalog: &Catalog, input: &FTree) -> String {
         let mut out = String::new();
+        let mut tree = Some(input.clone());
         for (i, op) in self.ops.iter().enumerate() {
+            let name = |n: NodeId| match &tree {
+                Some(t) => t.node_name(n, catalog),
+                None => format!("{n:?}"),
+            };
             let _ = write!(out, "{:>3}. ", i + 1);
             match op {
                 FOp::SelectConst { attr, op, value } => {
                     let _ = writeln!(out, "select {} {op} {value}", catalog.name(*attr));
                 }
                 FOp::Merge { a, b } => {
-                    let _ = writeln!(out, "merge {a:?} with {b:?}");
+                    let _ = writeln!(out, "merge {} with {}", name(*a), name(*b));
                 }
                 FOp::Absorb { anc, desc } => {
-                    let _ = writeln!(out, "absorb {desc:?} into {anc:?}");
+                    let _ = writeln!(out, "absorb {} into {}", name(*desc), name(*anc));
                 }
                 FOp::Swap { parent, child } => {
-                    let _ = writeln!(out, "swap χ({parent:?}, {child:?})");
+                    let _ = writeln!(out, "swap χ({}, {})", name(*parent), name(*child));
                 }
                 FOp::Aggregate {
                     targets,
@@ -124,10 +134,21 @@ impl FPlan {
                 } => {
                     let fs: Vec<String> = funcs.iter().map(|f| f.display(catalog)).collect();
                     let os: Vec<&str> = outputs.iter().map(|&o| catalog.name(o)).collect();
+                    // Every node the aggregate consumes: the targets'
+                    // whole subtrees.
+                    let over: Vec<String> = match &tree {
+                        Some(t) => targets
+                            .iter()
+                            .flat_map(|&n| t.subtree_nodes(n))
+                            .map(name)
+                            .collect(),
+                        None => targets.iter().map(|&n| name(n)).collect(),
+                    };
                     let _ = writeln!(
                         out,
-                        "γ[{}] over {targets:?} -> {}",
+                        "γ[{}] over [{}] -> {}",
                         fs.join(","),
+                        over.join(", "),
                         os.join(",")
                     );
                 }
@@ -141,6 +162,11 @@ impl FPlan {
                         catalog.name(*from),
                         catalog.name(*to)
                     );
+                }
+            }
+            if let Some(t) = &mut tree {
+                if apply_to_tree(t, op).is_err() {
+                    tree = None;
                 }
             }
         }
@@ -279,19 +305,64 @@ mod tests {
 
     #[test]
     fn plan_display_is_readable() {
-        let (c, rep) = simple_rep();
+        let (mut c, rep) = simple_rep();
         let a = c.lookup("a").unwrap();
+        let b = c.lookup("b").unwrap();
         let na = rep.ftree().node_of_attr(a).unwrap();
         let nb = rep.ftree().node(na).children[0];
+        let n = c.intern("n");
         let mut plan = FPlan::new();
         plan.push(FOp::Swap {
             parent: na,
             child: nb,
         });
-        plan.push(FOp::ProjectAway { attr: a });
-        let s = plan.display(&c);
-        assert!(s.contains("swap"));
-        assert!(s.contains("project away a"));
+        plan.push(FOp::Aggregate {
+            parent: Some(nb),
+            targets: vec![na],
+            funcs: vec![AggOp::Count],
+            outputs: vec![n],
+        });
+        plan.push(FOp::ProjectAway { attr: b });
+        let s = plan.display(&c, rep.ftree());
+        // Nodes are named by their attributes at the point each
+        // operator runs — never by raw id.
+        assert!(s.contains("swap χ(a, b)"), "{s}");
+        assert!(s.contains("γ[count] over [a] -> n"), "{s}");
+        assert!(s.contains("project away b"), "{s}");
+        assert!(!s.contains("NodeId"), "{s}");
+
+        // A deeper target names its whole subtree, and merge/absorb
+        // name both sides.
+        let mut c = Catalog::new();
+        let [x, y, z, w] = ["x", "y", "z", "w"].map(|s| c.intern(s));
+        let mut t = FTree::path(&[x, y, z]);
+        let w_node = t.add_node(crate::ftree::NodeLabel::Atomic(vec![w]), None);
+        let [nx, ny, nz] = [x, y, z].map(|at| t.node_of_attr(at).unwrap());
+        let m = c.intern("m");
+        let mut plan = FPlan::new();
+        plan.push(FOp::Absorb { anc: nx, desc: nz });
+        plan.push(FOp::Merge { a: nx, b: w_node });
+        plan.push(FOp::Aggregate {
+            parent: Some(nx),
+            targets: vec![ny],
+            funcs: vec![AggOp::Count],
+            outputs: vec![m],
+        });
+        let s = plan.display(&c, &t);
+        assert!(s.contains("absorb z into x"), "{s}");
+        assert!(s.contains("merge x=z with w"), "{s}");
+        assert!(s.contains("over [y] -> m"), "{s}");
+        let t = FTree::path(&[x, y, z]);
+        let ny = t.node_of_attr(y).unwrap();
+        let mut plan = FPlan::new();
+        plan.push(FOp::Aggregate {
+            parent: t.node(ny).parent,
+            targets: vec![ny],
+            funcs: vec![AggOp::Count],
+            outputs: vec![m],
+        });
+        let s = plan.display(&c, &t);
+        assert!(s.contains("over [y, z] -> m"), "{s}");
     }
 
     #[test]

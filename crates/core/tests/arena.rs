@@ -227,12 +227,20 @@ fn compaction_sheds_garbage_and_preserves_data() {
     round_trip(&compacted, &c);
 }
 
+/// The naive reference of χ: flatten, then regroup from scratch over
+/// the swapped f-tree (no sharing anywhere).
+fn swap_reference(rep: &FRep, a: fdb_core::NodeId, b: fdb_core::NodeId) -> FRep {
+    let mut tree = rep.ftree().clone();
+    tree.swap(a, b).unwrap();
+    FRep::from_relation(&rep.flatten(), tree).unwrap()
+}
+
 #[test]
 fn compaction_preserves_sharing() {
     // The in-place swap shares the `E_a` fragments across b-branches;
     // compaction must keep one physical copy per shared fragment, so
-    // the compacted arena is no bigger than what the legacy copying
-    // swap produces.
+    // the compacted arena is no bigger than the unshared reference
+    // rebuilt from the flat relation.
     let mut c = Catalog::new();
     let x = c.intern("x");
     let y = c.intern("y");
@@ -244,7 +252,7 @@ fn compaction_preserves_sharing() {
     let rep = FRep::from_relation(&rel, FTree::path(&[x, y, z])).unwrap();
     let nx = rep.ftree().node_of_attr(x).unwrap();
     let ny = rep.ftree().node_of_attr(y).unwrap();
-    let legacy = fdb_core::ops::swap(rep.clone(), nx, ny).unwrap();
+    let legacy = swap_reference(&rep, nx, ny);
     let compacted = fdb_core::ops::swap_inplace(rep, nx, ny).unwrap().compact();
     compacted.check_invariants().unwrap();
     assert!(compacted.same_data(&legacy));

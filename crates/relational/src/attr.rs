@@ -41,6 +41,13 @@ pub struct Catalog {
     next_suffix: HashMap<String, usize>,
 }
 
+/// A saved extent of a [`Catalog`] (see [`Catalog::mark`]).
+#[derive(Clone, Debug)]
+pub struct CatalogMark {
+    len: usize,
+    next_suffix: HashMap<String, usize>,
+}
+
 impl Catalog {
     /// Creates an empty catalog.
     pub fn new() -> Self {
@@ -106,6 +113,26 @@ impl Catalog {
                 return self.intern(&candidate);
             }
         }
+    }
+
+    /// The catalog's current extent, to [`Catalog::rollback`] to once
+    /// the names interned after it (a query's output and scratch
+    /// attributes) are no longer needed.
+    pub fn mark(&self) -> CatalogMark {
+        CatalogMark {
+            len: self.names.len(),
+            next_suffix: self.next_suffix.clone(),
+        }
+    }
+
+    /// Forgets every name interned since `mark` and restores the
+    /// [`Catalog::fresh`] suffix counters, so the same derived name
+    /// comes out again. Ids handed out since `mark` become invalid.
+    pub fn rollback(&mut self, mark: CatalogMark) {
+        for name in self.names.drain(mark.len.min(self.names.len())..) {
+            self.index.remove(&name);
+        }
+        self.next_suffix = mark.next_suffix;
     }
 
     /// Iterates over `(id, name)` pairs in id order.
@@ -185,6 +212,24 @@ mod tests {
             "10 000 fresh() calls took {:?}",
             start.elapsed()
         );
+    }
+
+    #[test]
+    fn rollback_forgets_names_and_suffixes() {
+        let mut c = Catalog::new();
+        c.intern("price");
+        c.intern("sum(price)");
+        let mark = c.mark();
+        let f = c.fresh("sum(price)");
+        assert_eq!(c.name(f), "sum(price)_2");
+        c.intern("total");
+        c.rollback(mark);
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.lookup("total"), None);
+        assert_eq!(c.lookup("sum(price)_2"), None);
+        // The same derived name, at the same id, comes out again.
+        assert_eq!(c.fresh("sum(price)"), f);
+        assert_eq!(c.name(f), "sum(price)_2");
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod schema;
 pub mod value;
 
 pub use agg::{AggFunc, AggSpec};
-pub use attr::{AttrId, Catalog};
+pub use attr::{AttrId, Catalog, CatalogMark};
 pub use error::RelError;
 pub use expr::{CmpOp, Predicate};
 pub use ops::GroupStrategy;

@@ -261,6 +261,28 @@ fn plan_cache_serves_repeats_identically() {
     server.shutdown();
 }
 
+/// Regression: a worker keeps its session for a whole epoch, and every
+/// query used to intern its output names into it for good — after an
+/// eviction the same unaliased SQL came back headed `sum(price)_2`.
+#[test]
+fn evicted_query_reruns_with_the_same_header() {
+    let opts = ServerOptions::new().workers(1).cache_capacity(1);
+    let mut server = spawn(pizzeria_db(), "127.0.0.1:0", opts).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let sql = "SELECT customer, SUM(price) FROM Orders, Pizzas, Items GROUP BY customer";
+    let first = c.query(sql).unwrap().unwrap();
+    assert_eq!(first[0], "customer\tsum(price)");
+    // A different query evicts the first from the one-entry cache.
+    c.query("SELECT SUM(price) FROM Items").unwrap().unwrap();
+    let again = c.query(sql).unwrap().unwrap();
+    assert_eq!(again, first);
+    let stats = c.request("STATS").unwrap().unwrap();
+    assert_eq!(stat(&stats, "cache_hits"), "0");
+    assert_eq!(stat(&stats, "cache_misses"), "3");
+    c.quit().unwrap();
+    server.shutdown();
+}
+
 #[test]
 fn stats_reports_per_strategy_query_counts() {
     let mut server = spawn(pizzeria_db(), "127.0.0.1:0", ServerOptions::new()).unwrap();

@@ -57,7 +57,7 @@ fn main() {
         let gplan = greedy(rep.ftree(), &spec, &stats, &mut catalog).expect("greedy plan");
         println!(
             "greedy f-plan (operators grouped by pipeline stage):\n{}",
-            fdb::core::pipeline::display_staged(&gplan, &catalog)
+            fdb::core::pipeline::display_staged(&gplan, &catalog, rep.ftree())
         );
         println!(
             "greedy plan cost: {:.1}",

@@ -41,8 +41,13 @@ fn main() {
         "ordering strategy: {:?}; rows enumerated: {}; intermediate bytes: {}",
         out.strategy, out.order.rows_enumerated, out.exec.intermediate_bytes
     );
-    println!("columns: {}", out.columns.join(", "));
-    println!("\nFDB result:\n{}", out.rows.display(session.catalog()));
+    // The session forgets the query's output attributes once the
+    // outcome is built, so the names travel in `out.columns`.
+    println!("\nFDB result:\n{}", out.columns.join(" | "));
+    for row in out.rows.rows() {
+        let cells: Vec<String> = row.iter().map(ToString::to_string).collect();
+        println!("{}", cells.join(" | "));
+    }
 
     // 5. Cross-check with the relational baseline engine.
     let mut rdb = RdbEngine::new(session.catalog().clone(), GroupStrategy::Sort);

@@ -518,33 +518,55 @@ impl Session {
 
     /// [`Session::query`] with explicit per-call options (the serving
     /// layer threads per-request deadlines through here).
+    ///
+    /// The attributes a run interns (aliases, derived aggregate names,
+    /// partial-aggregate scratch) are forgotten once the outcome is
+    /// built, so a long-lived session's catalog does not grow with the
+    /// queries it answers and the same SQL always gets the same column
+    /// names. The attribute ids in the outcome's `rows` schema are
+    /// therefore not resolvable through [`Session::catalog`]; use
+    /// `columns`.
     pub fn query_with(&mut self, sql: &str, opts: RunOptions) -> Result<QueryOutcome> {
-        let result = self.engine.run_sql_with(sql, opts)?;
-        let explain = result.explain(&self.engine.catalog);
-        let strategy = result.order_strategy();
-        let exec = result.exec_stats();
-        let (rows, order) = result.to_relation_counted()?;
-        let columns = rows
-            .schema()
-            .attrs()
-            .iter()
-            .map(|&a| self.engine.catalog.name(a).to_string())
-            .collect();
-        Ok(QueryOutcome {
-            rows,
-            columns,
-            explain,
-            strategy,
-            exec,
-            order,
+        self.scoped(|engine| {
+            let result = engine.run_sql_with(sql, opts)?;
+            let explain = result.explain(&engine.catalog);
+            let strategy = result.order_strategy();
+            let exec = result.exec_stats();
+            let (rows, order) = result.to_relation_counted()?;
+            let columns = rows
+                .schema()
+                .attrs()
+                .iter()
+                .map(|&a| engine.catalog.name(a).to_string())
+                .collect();
+            Ok(QueryOutcome {
+                rows,
+                columns,
+                explain,
+                strategy,
+                exec,
+                order,
+            })
         })
     }
 
     /// The EXPLAIN text of `sql` under the session options: plans and
-    /// executes the f-plan but does **not** enumerate the result.
+    /// executes the f-plan but does **not** enumerate the result. Like
+    /// [`Session::query_with`], leaves the catalog as it found it.
     pub fn explain(&mut self, sql: &str) -> Result<String> {
-        let result = self.engine.run_sql_with(sql, self.opts)?;
-        Ok(result.explain(&self.engine.catalog))
+        let opts = self.opts;
+        self.scoped(|engine| {
+            let result = engine.run_sql_with(sql, opts)?;
+            Ok(result.explain(&engine.catalog))
+        })
+    }
+
+    /// Runs `f`, then rolls the catalog back to where it was before.
+    fn scoped<T>(&mut self, f: impl FnOnce(&mut FdbEngine) -> Result<T>) -> Result<T> {
+        let mark = self.engine.catalog.mark();
+        let out = f(&mut self.engine);
+        self.engine.catalog.rollback(mark);
+        out
     }
 }
 

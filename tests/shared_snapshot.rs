@@ -160,3 +160,36 @@ fn outcome_carries_explain_and_stats() {
     assert_eq!(out.len(), out.rows.len());
     assert!(!out.is_empty());
 }
+
+#[test]
+fn unaliased_headers_are_stable_across_runs() {
+    // Before the per-query catalog rollback the second run answered
+    // `sum(price)_2`, the third `sum(price)_3`.
+    let db = Db::from_engine(orders_engine());
+    let mut session = db.session();
+    let sql = "SELECT package, SUM(price) FROM R1 GROUP BY package";
+    for _ in 0..3 {
+        let out = session.query(sql).unwrap();
+        assert_eq!(out.columns, vec!["package", "sum(price)"]);
+    }
+    // EXPLAIN and failing queries leave no names behind either.
+    session.explain(sql).unwrap();
+    assert!(session.query("SELECT SUM(nope) AS x FROM R1").is_err());
+    assert_eq!(session.query(sql).unwrap().columns[1], "sum(price)");
+}
+
+#[test]
+fn session_catalog_does_not_grow_with_queries() {
+    let db = Db::from_engine(orders_engine());
+    let mut session = db.session();
+    let names = session.catalog().len();
+    for i in 0..10_000 {
+        let sql = if i % 2 == 0 {
+            "SELECT SUM(price) AS total FROM Items"
+        } else {
+            "SELECT item, AVG(price) FROM Items GROUP BY item"
+        };
+        session.query(sql).unwrap();
+    }
+    assert_eq!(session.catalog().len(), names);
+}
