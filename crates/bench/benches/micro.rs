@@ -6,14 +6,15 @@
 //! * the swap operator as the staged executor runs it — restructuring
 //!   cost (a root and an inner `χ`);
 //! * constant-delay enumeration — per-tuple cost independent of data size;
-//! * constant selection with pruning.
+//! * constant selection with pruning, and the predicate delete that runs
+//!   it backwards.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use fdb_core::enumerate::{EnumSpec, TupleIter};
 use fdb_core::ftree::AggOp;
 use fdb_core::ops;
 use fdb_relational::Catalog;
-use fdb_relational::{CmpOp, Value};
+use fdb_relational::{CmpOp, Predicate, Value};
 use fdb_workload::orders::{generate, OrdersConfig};
 
 fn micro(c: &mut Criterion) {
@@ -86,6 +87,31 @@ fn micro(c: &mut Criterion) {
             b.iter_batched(
                 || rep.clone(),
                 |r| ops::swap_inplace(r, parent, child).unwrap(),
+                BatchSize::LargeInput,
+            )
+        });
+    }
+
+    // `DELETE … WHERE` pushed into the factorisation: one root key (the
+    // package's whole group goes by id), and one inner date under every
+    // package (a walk of the date unions, customer subtrees dropped).
+    let root = rep.root(0);
+    let package = root.entry(root.len() / 2).value().clone();
+    let date = root.entry(0).child(0).entry(0).value().clone();
+    for (name, pred) in [
+        (
+            "delete_where_root_package",
+            Predicate::AttrCmp(a.package, CmpOp::Eq, package),
+        ),
+        (
+            "delete_where_inner_date",
+            Predicate::AttrCmp(a.date, CmpOp::Eq, date),
+        ),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter_batched(
+                || rep.clone(),
+                |mut r| r.delete_where(std::slice::from_ref(&pred)).unwrap(),
                 BatchSize::LargeInput,
             )
         });

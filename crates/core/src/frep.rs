@@ -43,7 +43,7 @@ use crate::ftree::{FTree, NodeId, NodeLabel};
 use fdb_relational::{AttrId, Catalog, Relation, Schema, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 // ---------------------------------------------------------------------
 // Arena storage
@@ -103,7 +103,11 @@ impl EntrySpec {
 }
 
 /// Flat storage for one factorised representation (see module docs).
-#[derive(Clone, Debug, Default)]
+///
+/// Cloning and dropping a large arena go through one process-wide
+/// spare slot: a dropped arena's tables can become the buffers of the
+/// next large clone.
+#[derive(Debug, Default)]
 pub struct Arena {
     unions: Vec<UnionRec>,
     entries: Vec<EntryRec>,
@@ -115,6 +119,135 @@ pub struct Arena {
     /// [`crate::pipeline`]. Purely diagnostic; carried through
     /// [`Arena::append`] and compaction.
     copies_avoided: u64,
+}
+
+/// Arenas whose entry table takes fewer bytes than this are cloned and
+/// freed by the allocator alone.
+const SPARE_MIN_BYTES: usize = 64 * 1024;
+
+/// The emptied tables of one dropped [`Arena`].
+#[derive(Default)]
+struct Tables {
+    unions: Vec<UnionRec>,
+    entries: Vec<EntryRec>,
+    kids: Vec<UnionId>,
+    cols: Vec<Vec<Value>>,
+}
+
+/// The tables of a dropped large [`Arena`], waiting for the next large
+/// clone to copy into them.
+///
+/// Every write to a view clones its arena (copy-on-write snapshots) and
+/// every query clones the view it reads (the in-place executor owns
+/// what it rewrites); the clone a write or a query supersedes is
+/// dropped soon after. Freed, those multi-megabyte tables go back to
+/// the system and are faulted in again by the next clone, at a rate set
+/// by the allocator's heap state, so the same sequence of writes costs
+/// several times more page faults in one process than in another.
+/// Handed from the drop straight to the next clone, the buffers are
+/// reused in every process alike.
+///
+/// A drop is kept only when its entry table can take the last arena
+/// cloned and holds at most a quarter more records than that arena: a
+/// clone a query grew with its rewrites, or one too small, is freed, so
+/// that the slot does not hold memory while the query that dropped it
+/// goes on allocating. One arena's tables at most wait here.
+struct Spare {
+    /// Entry records of the last large arena cloned.
+    want: usize,
+    tables: Tables,
+}
+
+static SPARE: Mutex<Spare> = Mutex::new(Spare {
+    want: 0,
+    tables: Tables {
+        unions: Vec::new(),
+        entries: Vec::new(),
+        kids: Vec::new(),
+        cols: Vec::new(),
+    },
+});
+
+fn spare() -> MutexGuard<'static, Spare> {
+    // Emptied buffers hold no invariant a panic could break.
+    SPARE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A copy of `src`, in `buf` when it is large enough.
+fn refill<T: Clone>(mut buf: Vec<T>, src: &[T]) -> Vec<T> {
+    if buf.capacity() < src.len() {
+        return src.to_vec();
+    }
+    buf.extend_from_slice(src);
+    buf
+}
+
+fn is_large(entries: usize) -> bool {
+    entries * std::mem::size_of::<EntryRec>() >= SPARE_MIN_BYTES
+}
+
+impl Clone for Arena {
+    fn clone(&self) -> Arena {
+        if !is_large(self.entries.len()) {
+            return Arena {
+                unions: self.unions.clone(),
+                entries: self.entries.clone(),
+                kids: self.kids.clone(),
+                cols: self.cols.clone(),
+                copies_avoided: self.copies_avoided,
+            };
+        }
+        let mut spare = {
+            let mut slot = spare();
+            slot.want = self.entries.len();
+            std::mem::take(&mut slot.tables)
+        };
+        let cols = self
+            .cols
+            .iter()
+            .map(|src| {
+                // The smallest spare column that fits.
+                let fit = (0..spare.cols.len())
+                    .filter(|&i| spare.cols[i].capacity() >= src.len())
+                    .min_by_key(|&i| spare.cols[i].capacity());
+                let buf = fit.map_or_else(Vec::new, |i| spare.cols.swap_remove(i));
+                refill(buf, src)
+            })
+            .collect();
+        Arena {
+            unions: refill(spare.unions, &self.unions),
+            entries: refill(spare.entries, &self.entries),
+            kids: refill(spare.kids, &self.kids),
+            cols,
+            copies_avoided: self.copies_avoided,
+        }
+    }
+}
+
+impl Drop for Arena {
+    fn drop(&mut self) {
+        let (used, room) = (self.entries.len(), self.entries.capacity());
+        if !is_large(room) {
+            return;
+        }
+        let want = spare().want;
+        if room < want || used > want + want / 4 {
+            return;
+        }
+        let mut kept = Tables {
+            unions: std::mem::take(&mut self.unions),
+            entries: std::mem::take(&mut self.entries),
+            kids: std::mem::take(&mut self.kids),
+            cols: std::mem::take(&mut self.cols),
+        };
+        kept.unions.clear();
+        kept.entries.clear();
+        kept.kids.clear();
+        kept.cols.iter_mut().for_each(Vec::clear);
+        // What the slot held is freed after the lock is released.
+        let replaced = std::mem::replace(&mut spare().tables, kept);
+        drop(replaced);
+    }
 }
 
 impl Arena {
@@ -343,8 +476,11 @@ impl Arena {
     /// in-place rewrites) is shed.
     pub(crate) fn compact(&self, roots: &[UnionId]) -> (Arena, Vec<UnionId>) {
         let mut dst = Arena {
+            unions: Vec::new(),
+            entries: Vec::new(),
+            kids: Vec::new(),
+            cols: Vec::new(),
             copies_avoided: self.copies_avoided,
-            ..Arena::default()
         };
         // Flat memo table indexed by source union id (u32::MAX = not
         // yet copied): O(1) sharing detection without hashing.
@@ -434,7 +570,7 @@ impl Arena {
     /// Every entry reachable from a union of `sub` is re-based exactly
     /// once (each live entry belongs to exactly one union); unreachable
     /// garbage keeps stale value indices but is never read.
-    pub(crate) fn append(&mut self, sub: Arena, node_offset: u32) -> u32 {
+    pub(crate) fn append(&mut self, mut sub: Arena, node_offset: u32) -> u32 {
         let union_base = self.unions.len() as u32;
         let entry_base = self.entries.len() as u32;
         let kid_base = self.kids.len() as u32;
@@ -445,10 +581,10 @@ impl Arena {
         let col_base: Vec<u32> = (0..sub.cols.len())
             .map(|n| self.cols[n + node_offset as usize].len() as u32)
             .collect();
-        for (n, col) in sub.cols.into_iter().enumerate() {
-            self.cols[n + node_offset as usize].extend(col);
+        for (n, col) in sub.cols.iter_mut().enumerate() {
+            self.cols[n + node_offset as usize].append(col);
         }
-        for k in sub.kids {
+        for &k in &sub.kids {
             self.kids.push(UnionId(k.0 + union_base));
         }
         for e in &sub.entries {

@@ -36,23 +36,65 @@
 //! and `delete` of an absent one are no-ops returning `false`.
 //!
 //! At a branching node the entry's child unions form a product, so a
-//! tuple's sub-values cannot be removed independently: deletion
-//! recurses into child `i` only when every *sibling* subtree is a
-//! singleton (for the root list: into root `i` only when every other
-//! root is a singleton), and drops an entry only when **all** its child
-//! subtrees are singletons. Under the join dependencies the f-tree
-//! asserts (the same precondition [`FRep::from_relation`] needs to be
-//! exact, Prop. 1 of the paper), this reproduces the rebuilt grouping
-//! exactly. When a deletion's result violates those dependencies the
-//! f-tree cannot represent it; both the delta path and a rebuild then
-//! over-approximate by the identical grouping, so the two stay
-//! structurally equal even there. Path f-trees — tries, the shape the
-//! engine builds for base relations — never hit this case.
+//! tuple's sub-values cannot be removed independently: single-row
+//! deletion recurses into child `i` only when every *sibling* subtree
+//! is a singleton (for the root list: into root `i` only when every
+//! other root is a singleton), and drops an entry only when **all** its
+//! child subtrees are singletons. Under the join dependencies the
+//! f-tree asserts (the same precondition [`FRep::from_relation`] needs
+//! to be exact, Prop. 1 of the paper), this reproduces the rebuilt
+//! grouping exactly. When one row's removal violates those dependencies
+//! the f-tree cannot represent the result; [`FRep::delete`] and a
+//! rebuild then over-approximate by the identical grouping. That
+//! agreement is a property of *one* row: a sequence of single-row
+//! deletes passes through such states and cannot recover, which is why
+//! predicate deletes never loop over [`FRep::delete`]. Path f-trees —
+//! tries, the shape the engine builds for base relations — never hit
+//! this case.
+//!
+//! ## Predicate deletes
+//!
+//! [`FRep::delete_where`] is the paper's constant selection (§5.1) run
+//! backwards: instead of keeping the entries that pass `A θ c` it drops
+//! them, and it never flattens the view. When every predicate is a
+//! comparison with a constant and all their nodes lie on one
+//! root-to-leaf path, one walk from the root toward the deepest
+//! predicate node does the delete:
+//!
+//! * at a predicate node, entries failing one of its predicates are
+//!   kept whole, by id; the candidates are cut by binary search
+//!   (`Arena::search_entry`) — `=` finds its one entry, `<`/`<=`/`>`/
+//!   `>=` a contiguous run — so a delete matching nothing appends no
+//!   record;
+//! * passing entries descend toward the next predicate node, through
+//!   the one child on the path (its siblings are shared by id); at the
+//!   deepest predicate node they are dropped;
+//! * unions that empty out prune their entry upward; other roots of a
+//!   forest are shared unless the whole product empties;
+//! * the removed-tuple count is taken from the dropped fragments —
+//!   their subtree counts times the sibling-subtree counts along the
+//!   spine (and the other roots'), counted over just those fragments;
+//!   no count index is built or read and nothing is enumerated;
+//! * an empty predicate list is one level at the first root with
+//!   nothing to fail: every entry goes and the product empties.
+//!
+//! Deleting a selection on one path keeps every product intact, so the
+//! result is exact, and equal to a rebuild, whenever the view satisfies
+//! its f-tree's join dependencies. Cost: O(matching spine + dropped
+//! fragments), not O(|flat view|).
+//!
+//! Predicates the walk cannot express — attribute equalities, or
+//! comparisons on independent branches, whose result can break a
+//! product — fall back to one scan of the tuples and a rebuild of the
+//! survivors. If the rebuild holds more tuples than survived, the
+//! result is not representable over the view's f-tree and the delete is
+//! refused with a typed error, leaving the representation untouched:
+//! no predicate delete over-approximates.
 
-use fdb_relational::Value;
+use fdb_relational::{CmpOp, Predicate, Relation, Value};
 
 use crate::error::{FdbError, Result};
-use crate::frep::{Arena, EntrySpec, FRep, UnionId};
+use crate::frep::{Arena, EntryRec, EntrySpec, FRep, UnionId, UnionRec};
 use crate::ftree::{FTree, NodeId, NodeLabel};
 
 /// Per f-tree node (indexed by `NodeId::idx`): the position of the
@@ -161,6 +203,265 @@ impl FRep {
         debug_assert!(self.check_invariants().is_ok());
         Ok(true)
     }
+
+    /// Deletes every tuple satisfying all `preds` (an empty list deletes
+    /// everything); returns how many went.
+    ///
+    /// Comparisons with constants whose nodes share one root-to-leaf
+    /// path are pushed into the factorisation: one walk along that path,
+    /// O(matching spine + dropped fragments), exact whenever the view
+    /// satisfies its f-tree's join dependencies. Anything else is
+    /// answered by a scan and a rebuild of the survivors, or refused
+    /// with [`FdbError::InvalidOperator`] when the f-tree cannot
+    /// represent the result — the representation is then left as it
+    /// was. See the module docs. Same copy-on-write discipline as
+    /// [`FRep::insert`].
+    pub fn delete_where(&mut self, preds: &[Predicate]) -> Result<usize> {
+        col_map(self)?;
+        let (root, levels) = match plan_delete(self.ftree(), preds)? {
+            DeletePlan::Scan => return self.delete_where_by_rebuild(preds),
+            DeletePlan::Spine { root, levels } => (root, levels),
+        };
+        if self.is_empty() {
+            return Ok(0);
+        }
+        let (tree, arena, roots) = self.update_parts();
+        let mut removed = 0u64;
+        let rewritten = match delete_walk(arena, roots[root], &levels, &mut removed) {
+            Deleted::Unchanged => return Ok(0),
+            Deleted::Rewritten(id) => Some(id),
+            Deleted::Emptied => None,
+        };
+        // Each removed tuple of the walked root pairs with every tuple
+        // of the other roots.
+        for (j, &r) in roots.iter().enumerate() {
+            if j != root {
+                removed = removed.saturating_mul(subtree_count(arena, r));
+            }
+        }
+        if let Some(id) = rewritten {
+            roots[root] = id;
+            arena.note_shared(roots.len() as u64 - 1);
+        } else {
+            // The product emptied.
+            for (r, &node) in roots.iter_mut().zip(tree.roots()) {
+                *r = arena.empty_union(node);
+            }
+        }
+        debug_assert!(self.check_invariants().is_ok());
+        Ok(usize::try_from(removed).unwrap_or(usize::MAX))
+    }
+
+    /// The fallback of [`FRep::delete_where`]: one pass keeps the
+    /// surviving tuples, which are rebuilt over the view's f-tree —
+    /// exactly, or not at all.
+    fn delete_where_by_rebuild(&mut self, preds: &[Predicate]) -> Result<usize> {
+        let schema = self.schema();
+        let mut survivors = Relation::empty(schema.clone());
+        let mut removed = 0usize;
+        self.for_each_tuple(|row| {
+            if preds.iter().all(|p| p.eval(&schema, row)) {
+                removed += 1;
+            } else {
+                survivors.push_row(row);
+            }
+        });
+        if removed == 0 {
+            return Ok(0);
+        }
+        let rebuilt = FRep::from_relation(&survivors, self.ftree().clone())?;
+        if rebuilt.tuple_count() != survivors.len() {
+            return Err(FdbError::InvalidOperator(format!(
+                "delete result not representable over the view's f-tree: the {} surviving \
+                 tuples break its join dependencies (a rebuild would hold {})",
+                survivors.len(),
+                rebuilt.tuple_count()
+            )));
+        }
+        *self = rebuilt;
+        Ok(removed)
+    }
+}
+
+/// How [`FRep::delete_where`] answers a predicate list.
+enum DeletePlan {
+    /// Pushed into the factorisation: walk root `root` (a position in
+    /// the f-tree's root list) along `levels`.
+    Spine { root: usize, levels: Vec<Level> },
+    /// Not expressible as one walk: scan and rebuild.
+    Scan,
+}
+
+/// One node on the pushed delete's path, root first; the last level is
+/// the deepest predicate node.
+struct Level {
+    /// `(θ, c)` of every predicate `A θ c` on this node's attribute.
+    preds: Vec<(CmpOp, Value)>,
+    /// Position of the next level's node among this node's children.
+    next: usize,
+}
+
+fn plan_delete(tree: &FTree, preds: &[Predicate]) -> Result<DeletePlan> {
+    let mut cmps: Vec<(NodeId, CmpOp, &Value)> = Vec::with_capacity(preds.len());
+    let mut pushable = true;
+    for p in preds {
+        let nodes = p
+            .attrs()
+            .into_iter()
+            .map(|a| {
+                tree.node_of_attr(a).ok_or_else(|| {
+                    FdbError::Unresolved(format!(
+                        "predicate attribute {a} is not in the view's f-tree"
+                    ))
+                })
+            })
+            .collect::<Result<Vec<NodeId>>>()?;
+        match p {
+            Predicate::AttrCmp(_, op, c) => cmps.push((nodes[0], *op, c)),
+            Predicate::AttrEq(..) => pushable = false,
+        }
+    }
+    if !pushable {
+        return Ok(DeletePlan::Scan);
+    }
+    // No predicate deletes everything: one level at the first root with
+    // nothing to fail drops all its entries, which empties the product.
+    let Some(deepest) = cmps
+        .iter()
+        .map(|c| c.0)
+        .max_by_key(|&n| tree.depth(n))
+        .or_else(|| tree.roots().first().copied())
+    else {
+        return Ok(DeletePlan::Scan);
+    };
+    let path = tree.root_path(deepest);
+    if !cmps.iter().all(|c| path.contains(&c.0)) {
+        return Ok(DeletePlan::Scan);
+    }
+    let levels = path
+        .iter()
+        .enumerate()
+        .map(|(i, &node)| Level {
+            preds: cmps
+                .iter()
+                .filter(|c| c.0 == node)
+                .map(|c| (c.1, c.2.clone()))
+                .collect(),
+            next: path.get(i + 1).map_or(0, |&n| tree.child_position(n)),
+        })
+        .collect();
+    Ok(DeletePlan::Spine {
+        root: tree.child_position(path[0]),
+        levels,
+    })
+}
+
+/// Deletes from the subtree under `uid` every tuple whose values on the
+/// path `levels` pass their predicates; adds the number of this
+/// subtree's tuples that went to `removed`. Appends nothing when
+/// nothing matches.
+fn delete_walk(arena: &mut Arena, uid: UnionId, levels: &[Level], removed: &mut u64) -> Deleted {
+    let (level, below) = levels.split_first().expect("a spine has a level");
+    let rec = arena.urec(uid);
+    let (lo, hi) = candidates(arena, uid, rec, &level.preds);
+    // Per changed entry (ascending position): the replacement kid on the
+    // path, or `None` to drop the entry.
+    let mut changes: Vec<(u32, Option<UnionId>)> = Vec::new();
+    for phys in lo..hi {
+        let e = arena.erec(rec.start + phys);
+        let v = arena.value_at(rec.node, e.val);
+        if !level.preds.iter().all(|(op, c)| op.eval(v.cmp(c))) {
+            continue;
+        }
+        if below.is_empty() {
+            *removed = removed.saturating_add(kids_product(arena, e, None));
+            changes.push((phys, None));
+            continue;
+        }
+        let mut gone = 0u64;
+        let kid = arena.kid_at(e.kids_start + level.next as u32);
+        let outcome = delete_walk(arena, kid, below, &mut gone);
+        if gone > 0 {
+            let siblings = kids_product(arena, e, Some(level.next));
+            *removed = removed.saturating_add(gone.saturating_mul(siblings));
+        }
+        match outcome {
+            Deleted::Unchanged => {}
+            Deleted::Emptied => changes.push((phys, None)),
+            Deleted::Rewritten(id) => changes.push((phys, Some(id))),
+        }
+    }
+    if changes.is_empty() {
+        return Deleted::Unchanged;
+    }
+    if changes.len() == rec.len as usize && changes.iter().all(|c| c.1.is_none()) {
+        return Deleted::Emptied;
+    }
+    let mut specs = Vec::with_capacity(rec.len as usize);
+    let mut kids: Vec<UnionId> = Vec::new();
+    let mut shared = 0u64;
+    let mut changes = changes.into_iter().peekable();
+    for phys in 0..rec.len {
+        let e = arena.erec(rec.start + phys);
+        match changes.next_if(|c| c.0 == phys) {
+            None => {
+                specs.push(EntrySpec::from_rec(e));
+                shared += 1;
+            }
+            Some((_, None)) => {}
+            Some((_, Some(id))) => {
+                kids.clear();
+                kids.extend((0..e.kids_len).map(|k| arena.kid_at(e.kids_start + k)));
+                kids[level.next] = id;
+                specs.push(arena.entry_shared_val(e.val, &kids));
+                shared += u64::from(e.kids_len) - 1;
+            }
+        }
+    }
+    arena.note_shared(shared);
+    Deleted::Rewritten(arena.push_union(rec.node, &specs))
+}
+
+/// The physical range of `uid`'s entries that can pass every predicate.
+/// Entries ascend strictly, so `=`, `<`, `<=`, `>` and `>=` each cut a
+/// contiguous run with one binary search; `<>` cuts nothing.
+fn candidates(arena: &Arena, uid: UnionId, rec: UnionRec, preds: &[(CmpOp, Value)]) -> (u32, u32) {
+    let (mut lo, mut hi) = (0, rec.len);
+    for (op, c) in preds {
+        let (at, hit) = match arena.search_entry(uid, c) {
+            Ok(abs) => (abs - rec.start, 1),
+            Err(ins) => (ins, 0),
+        };
+        let (l, h) = match op {
+            CmpOp::Eq => (at, at + hit),
+            CmpOp::Ne => (0, rec.len),
+            CmpOp::Lt => (0, at),
+            CmpOp::Le => (0, at + hit),
+            CmpOp::Gt => (at + hit, rec.len),
+            CmpOp::Ge => (at, rec.len),
+        };
+        lo = lo.max(l);
+        hi = hi.min(h);
+    }
+    (lo, hi.max(lo))
+}
+
+/// Tuples in the subtree under `uid`, counted over just that subtree.
+fn subtree_count(arena: &Arena, uid: UnionId) -> u64 {
+    let rec = arena.urec(uid);
+    (0..rec.len).fold(0u64, |acc, phys| {
+        acc.saturating_add(kids_product(arena, arena.erec(rec.start + phys), None))
+    })
+}
+
+/// Tuples under entry `e`: the product of its kids' subtree counts,
+/// leaving out kid `skip`.
+fn kids_product(arena: &Arena, e: EntryRec, skip: Option<usize>) -> u64 {
+    (0..e.kids_len)
+        .filter(|&k| Some(k as usize) != skip)
+        .fold(1u64, |acc, k| {
+            acc.saturating_mul(subtree_count(arena, arena.kid_at(e.kids_start + k)))
+        })
 }
 
 fn contains_union(arena: &Arena, uid: UnionId, row: &[Value], cols: &[usize]) -> bool {
@@ -346,7 +647,7 @@ fn delete_union(arena: &mut Arena, uid: UnionId, row: &[Value], cols: &[usize]) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fdb_relational::{Catalog, Relation, Schema};
+    use fdb_relational::{AttrId, Catalog, Schema};
 
     fn v(i: i64) -> Value {
         Value::Int(i)
@@ -614,6 +915,169 @@ mod tests {
         assert_eq!(rep.tuple_count(), 1);
         assert!(rep.contains(&[v(1), v(10)]).unwrap());
         rep.check_invariants().unwrap();
+    }
+
+    /// The fixtures intern `a`, `b`, `c` in that order.
+    fn attr(name: &str) -> AttrId {
+        AttrId(["a", "b", "c"].iter().position(|&n| n == name).unwrap() as u32)
+    }
+
+    fn cmp(name: &str, op: CmpOp, c: i64) -> Predicate {
+        Predicate::AttrCmp(attr(name), op, v(c))
+    }
+
+    /// `rel` minus the rows satisfying every predicate, and how many went.
+    fn mirror_delete(rel: &Relation, preds: &[Predicate]) -> (Relation, usize) {
+        let mut out = rel.clone();
+        let schema = rel.schema().clone();
+        let n = out.delete_where(|row| preds.iter().all(|p| p.eval(&schema, row)));
+        (out, n)
+    }
+
+    #[test]
+    fn pushed_delete_on_a_branch_keeps_the_product() {
+        // a=1 → {10,20}×{100,200}, a=2 → {30}×{300}: deleting b = 10
+        // removes the (1,10,·) row pair and leaves a=1 → {20}×{100,200}.
+        let rows = [
+            [1i64, 10, 100],
+            [1, 10, 200],
+            [1, 20, 100],
+            [1, 20, 200],
+            [2, 30, 300],
+        ];
+        let (mut rep, rel) = branch_fixture(&rows);
+        let preds = [cmp("b", CmpOp::Eq, 10)];
+        let (want, n) = mirror_delete(&rel, &preds);
+        assert_eq!(rep.delete_where(&preds).unwrap(), n);
+        assert_eq!(n, 2);
+        assert_eq!(rep.tuple_count(), 3);
+        assert!(rep.same_data(&rebuild(&rep, &want)));
+        rep.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn pushed_delete_on_every_op_and_level_matches_rebuild() {
+        let rows: Vec<[i64; 3]> = (0..60).map(|i| [i % 5, i % 7, i % 11]).collect();
+        for attr in ["a", "b", "c"] {
+            for op in [
+                CmpOp::Eq,
+                CmpOp::Ne,
+                CmpOp::Lt,
+                CmpOp::Le,
+                CmpOp::Gt,
+                CmpOp::Ge,
+            ] {
+                for c in [-1, 0, 3, 6, 20] {
+                    let (mut rep, rel) = path_fixture(&rows);
+                    let preds = [cmp("a", CmpOp::Ge, 1), cmp(attr, op, c)];
+                    let (want, n) = mirror_delete(&rel, &preds);
+                    assert_eq!(rep.delete_where(&preds).unwrap(), n, "{attr} {op} {c}");
+                    assert!(rep.same_data(&rebuild(&rep, &want)), "{attr} {op} {c}");
+                    rep.check_invariants().unwrap();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cross_branch_delete_is_exact_or_refused() {
+        let rows = [
+            [1i64, 10, 100],
+            [1, 10, 200],
+            [1, 20, 100],
+            [1, 20, 200],
+            [2, 30, 300],
+        ];
+        // Deleting one cell of the 2×2 product breaks it: refused, and
+        // the representation is untouched.
+        let (mut rep, _) = branch_fixture(&rows);
+        let before = rep.clone();
+        let preds = [cmp("b", CmpOp::Eq, 10), cmp("c", CmpOp::Eq, 100)];
+        let err = rep.delete_where(&preds).unwrap_err();
+        assert!(
+            matches!(&err, FdbError::InvalidOperator(m) if m.contains("not representable")),
+            "{err}"
+        );
+        assert!(rep.same_data(&before));
+        // Deleting a whole group across both branches is representable.
+        let (mut rep, rel) = branch_fixture(&rows);
+        let preds = [cmp("b", CmpOp::Eq, 30), cmp("c", CmpOp::Ge, 300)];
+        let (want, n) = mirror_delete(&rel, &preds);
+        assert_eq!(rep.delete_where(&preds).unwrap(), n);
+        assert!(rep.same_data(&rebuild(&rep, &want)));
+        // An attribute equality takes the same exact-or-refuse route.
+        let (mut rep, rel) = path_fixture(&[[1, 1, 2], [2, 2, 2], [3, 1, 1]]);
+        let preds = [Predicate::AttrEq(attr("a"), attr("b"))];
+        let (want, n) = mirror_delete(&rel, &preds);
+        assert_eq!(rep.delete_where(&preds).unwrap(), n);
+        assert!(rep.same_data(&rebuild(&rep, &want)));
+        // An attribute the view lacks is an error, not a no-op.
+        let unknown = [Predicate::AttrCmp(AttrId(99), CmpOp::Eq, v(0))];
+        assert!(matches!(
+            rep.delete_where(&unknown),
+            Err(FdbError::Unresolved(_))
+        ));
+    }
+
+    #[test]
+    fn pushed_delete_on_a_forest_touches_one_root() {
+        let mut catalog = Catalog::new();
+        let a = catalog.intern("a");
+        let b = catalog.intern("b");
+        let mut tree = FTree::new();
+        tree.add_node(NodeLabel::Atomic(vec![a]), None);
+        tree.add_node(NodeLabel::Atomic(vec![b]), None);
+        tree.add_dep([a]);
+        tree.add_dep([b]);
+        let rel = Relation::from_rows(
+            Schema::new(vec![a, b]),
+            [1i64, 2, 3]
+                .iter()
+                .flat_map(|&x| [10i64, 20].map(|y| vec![v(x), v(y)])),
+        );
+        let mut rep = FRep::from_relation(&rel, tree).unwrap();
+        let b_root = rep.root_ids()[1];
+        let preds = [Predicate::AttrCmp(a, CmpOp::Le, v(2))];
+        assert_eq!(rep.delete_where(&preds).unwrap(), 4);
+        assert_eq!(rep.root_ids()[1], b_root, "the other root is shared");
+        assert_eq!(rep.tuple_count(), 2);
+        // Emptying one root empties the product.
+        let preds = [Predicate::AttrCmp(b, CmpOp::Gt, v(0))];
+        assert_eq!(rep.delete_where(&preds).unwrap(), 2);
+        assert!(rep.is_empty());
+        assert!(rep.same_data(&FRep::empty(rep.ftree().clone())));
+        assert_eq!(rep.delete_where(&[]).unwrap(), 0);
+    }
+
+    #[test]
+    fn pushed_delete_costs_the_spine_not_the_view() {
+        let rows: Vec<[i64; 3]> = (0..100_000)
+            .map(|i| [i / 100, (i / 10) % 10, i % 10])
+            .collect();
+        let (mut rep, rel) = path_fixture(&rows);
+        let depth = rep.ftree().live_nodes().len();
+        // A delete that matches nothing appends nothing.
+        let before = rep.stats();
+        for miss in [
+            cmp("a", CmpOp::Eq, 5_000),
+            cmp("a", CmpOp::Gt, 999),
+            cmp("a", CmpOp::Lt, 0),
+        ] {
+            assert_eq!(rep.delete_where(&[miss]).unwrap(), 0);
+        }
+        assert_eq!(rep.stats().unions, before.unions);
+        // One root key: one new root record, every other entry by id.
+        let preds = [cmp("a", CmpOp::Eq, 500)];
+        assert_eq!(rep.delete_where(&preds).unwrap(), 100);
+        let after = rep.stats();
+        assert!(
+            after.unions <= before.unions + depth + 1,
+            "union table grew by {} records for one root key",
+            after.unions - before.unions
+        );
+        assert!(after.copies_avoided > before.copies_avoided);
+        let (want, _) = mirror_delete(&rel, &preds);
+        assert!(rep.same_data(&rebuild(&rep, &want)));
     }
 
     #[test]

@@ -189,6 +189,50 @@ fn stats_track_logical_and_physical_size() {
 }
 
 #[test]
+fn a_large_clone_reuses_dropped_tables_without_their_data() {
+    // Arenas this large are cloned into the tables the last large drop
+    // left behind. Drops of a wider and of a narrower arena (more and
+    // fewer value columns, other sizes) come first; every clone must
+    // still hold exactly its source's records, values and counter.
+    let mut c = Catalog::new();
+    let (w, x, y, z) = (c.intern("w"), c.intern("x"), c.intern("y"), c.intern("z"));
+    let wide = Relation::from_rows(
+        Schema::new(vec![w, x, y, z]),
+        (0..30_000).map(|i| {
+            vec![
+                Value::Int(i % 97),
+                Value::str(format!("s{}", i % 1009)),
+                Value::Int(i),
+                Value::Int(i % 7),
+            ]
+        }),
+    );
+    let narrow = Relation::from_rows(
+        Schema::new(vec![x, y]),
+        (0..12_000).map(|i| vec![Value::str(format!("t{}", i % 501)), Value::Int(-i)]),
+    );
+    let wide = FRep::from_relation(&wide, FTree::path(&[w, x, y, z])).unwrap();
+    let narrow = FRep::from_relation(&narrow, FTree::path(&[x, y])).unwrap();
+    let same = |copy: &FRep, source: &FRep| {
+        copy.check_invariants().unwrap();
+        assert!(copy.same_data(source));
+        let (cs, ss) = (copy.stats(), source.stats());
+        assert_eq!(
+            (cs.unions, cs.entries, cs.values, cs.copies_avoided),
+            (ss.unions, ss.entries, ss.values, ss.copies_avoided)
+        );
+    };
+    for _ in 0..3 {
+        drop(wide.clone());
+        let copy = narrow.clone();
+        same(&copy, &narrow);
+        assert_eq!(copy.flatten().canonical(), narrow.flatten().canonical());
+        drop(copy);
+        same(&wide.clone(), &wide);
+    }
+}
+
+#[test]
 fn compaction_sheds_garbage_and_preserves_data() {
     // In-place operators leave superseded records behind; compaction
     // must shed them without changing the represented data, and the

@@ -682,3 +682,65 @@ fn reload_replaces_view_and_purges_stale_cache() {
         std::fs::remove_file(p).ok();
     }
 }
+
+/// A `DELETE` whose result the view's f-tree cannot represent is
+/// refused: the client gets `ERR`, nothing is published, the epoch
+/// stays put, and the worker keeps serving — this connection and new
+/// ones. A representable delete on the same view then goes through.
+#[test]
+fn unrepresentable_delete_answers_err_and_the_worker_survives() {
+    let mut catalog = Catalog::new();
+    let [a, b, c] = ["a", "b", "c"].map(|n| catalog.intern(n));
+    let mut tree = fdb::FTree::new();
+    let na = tree.add_node(fdb::core::NodeLabel::Atomic(vec![a]), None);
+    tree.add_node(fdb::core::NodeLabel::Atomic(vec![b]), Some(na));
+    tree.add_node(fdb::core::NodeLabel::Atomic(vec![c]), Some(na));
+    tree.add_dep([a, b, c]);
+    // a=1 → {10,20}×{100,200}, a=2 → {30}×{300}.
+    let rel = Relation::from_rows(
+        Schema::new(vec![a, b, c]),
+        [
+            [1, 10, 100],
+            [1, 10, 200],
+            [1, 20, 100],
+            [1, 20, 200],
+            [2, 30, 300],
+        ]
+        .map(|r: [i64; 3]| r.map(Value::Int).to_vec()),
+    );
+    let mut engine = FdbEngine::new(catalog);
+    engine.register_view("V", fdb::FRep::from_relation(&rel, tree).unwrap());
+    let mut server = spawn(
+        Db::from_engine(engine),
+        "127.0.0.1:0",
+        ServerOptions::new().workers(1),
+    )
+    .unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let count = "SELECT COUNT(*) AS n FROM V";
+    let epoch = |c: &mut Client| stat(&c.request("STATS").unwrap().unwrap(), "epoch");
+    let epoch0 = epoch(&mut c);
+
+    // Removing one cell of the 2×2 product breaks it.
+    let err = c
+        .request("DELETE FROM V WHERE b = 10 AND c = 100")
+        .unwrap()
+        .unwrap_err();
+    assert!(err.contains("not representable"), "{err}");
+    assert_eq!(
+        epoch(&mut c),
+        epoch0,
+        "a refused delete must not bump the epoch"
+    );
+    assert_eq!(c.query(count).unwrap().unwrap()[1], "5");
+    c.quit().unwrap();
+
+    // The one worker serves the next connection too.
+    let mut c = Client::connect(server.addr()).unwrap();
+    assert_eq!(c.query(count).unwrap().unwrap()[1], "5");
+    let report = c.request("DELETE FROM V WHERE b = 10").unwrap().unwrap();
+    assert_eq!(stat(&report, "deleted"), "2");
+    assert_eq!(c.query(count).unwrap().unwrap()[1], "3");
+    c.quit().unwrap();
+    server.shutdown();
+}

@@ -190,7 +190,9 @@ impl Db {
     }
 
     /// Deletes every row satisfying all `predicates` (an empty list
-    /// deletes everything); returns how many went.
+    /// deletes everything); returns how many went. On a view whose
+    /// f-tree cannot represent the result the delete is refused and
+    /// nothing changes (see [`FRep::delete_where`]).
     pub fn delete_where(
         &self,
         table: impl Into<String>,
@@ -396,23 +398,7 @@ fn apply_to_view(rep: &mut FRep, op: &WriteOp, report: &mut WriteReport) -> Resu
                 report.deleted += 1;
             }
         }
-        WriteOp::DeleteWhere(preds) => {
-            let schema = rep.schema();
-            check_predicates(preds, &schema)?;
-            // Collect matches first: the delta delete rewrites the
-            // spine, so mutation under enumeration is off the table.
-            let mut victims: Vec<Vec<Value>> = Vec::new();
-            rep.for_each_tuple(|row| {
-                if preds.iter().all(|p| p.eval(&schema, row)) {
-                    victims.push(row.to_vec());
-                }
-            });
-            for row in victims {
-                if rep.delete(&row)? {
-                    report.deleted += 1;
-                }
-            }
-        }
+        WriteOp::DeleteWhere(preds) => report.deleted += rep.delete_where(preds)?,
     }
     Ok(())
 }

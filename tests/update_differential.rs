@@ -9,7 +9,8 @@ mod common;
 
 use common::thread_sweep;
 use fdb::core::engine::{ExecutorMode, RunOptions};
-use fdb::relational::{CmpOp, Predicate};
+use fdb::core::NodeLabel;
+use fdb::relational::{AttrId, CmpOp, Predicate};
 use fdb::{Catalog, Db, FRep, FTree, FdbEngine, Relation, Schema, Value};
 use std::collections::BTreeMap;
 
@@ -365,4 +366,270 @@ fn a_long_churn_leaves_a_bounded_arena() {
     }
     assert!(peak_ratio > 1.2, "the churn never produced garbage to shed");
     check(&fx, 600);
+}
+
+/// `R(a, b, c, d)` on the shape of the paper's view R1,
+/// `a → {b → c, d}`, mirrored by a plain [`Relation`]. Every a-group is
+/// the product of a (b, c) trie and a d-set, so the view satisfies the
+/// tree's join dependency; column `c` holds `Null`s.
+struct BranchFixture {
+    db: Db,
+    mirror: Relation,
+    tree: FTree,
+    attrs: [AttrId; 4],
+}
+
+fn branch_fixture() -> BranchFixture {
+    let mut catalog = Catalog::new();
+    let attrs = ["a", "b", "c", "d"].map(|n| catalog.intern(n));
+    let [a, b, c, d] = attrs;
+    let mut tree = FTree::new();
+    let na = tree.add_node(NodeLabel::Atomic(vec![a]), None);
+    let nb = tree.add_node(NodeLabel::Atomic(vec![b]), Some(na));
+    tree.add_node(NodeLabel::Atomic(vec![c]), Some(nb));
+    tree.add_node(NodeLabel::Atomic(vec![d]), Some(na));
+    tree.add_dep([a, b, c]);
+    tree.add_dep([a, d]);
+    let mut mirror = Relation::empty(Schema::new(attrs.to_vec()));
+    let mut lcg = Lcg(0xB2A1C4);
+    for av in 0..5i64 {
+        let bc: Vec<(i64, Value)> = (0..2 + lcg.next() % 3)
+            .map(|_| {
+                let bv = (lcg.next() % 4) as i64;
+                let cv = match lcg.next() % 5 {
+                    0 => Value::Null,
+                    _ => Value::Int((lcg.next() % 6) as i64),
+                };
+                (bv, cv)
+            })
+            .collect();
+        let ds: Vec<i64> = (0..2 + lcg.next() % 2)
+            .map(|_| (lcg.next() % 5) as i64)
+            .collect();
+        for (bv, cv) in &bc {
+            for dv in &ds {
+                mirror.insert(&[Value::Int(av), Value::Int(*bv), cv.clone(), Value::Int(*dv)]);
+            }
+        }
+    }
+    let rep = FRep::from_relation(&mirror, tree.clone()).unwrap();
+    assert_eq!(rep.tuple_count(), mirror.len(), "fixture breaks its JD");
+    let mut engine = FdbEngine::new(catalog);
+    engine.register_view("R", rep);
+    BranchFixture {
+        db: Db::from_engine(engine),
+        mirror,
+        tree,
+        attrs,
+    }
+}
+
+/// The registered view equals an exact rebuild of the mirror, and both
+/// executors at every thread count answer a projection and a grouped
+/// aggregate as the mirror does.
+fn check_branch(fx: &BranchFixture, case: &str) {
+    let rebuilt = FRep::from_relation(&fx.mirror, fx.tree.clone()).unwrap();
+    assert_eq!(rebuilt.tuple_count(), fx.mirror.len(), "{case}: not exact");
+    let mut session = fx.db.session();
+    let live = session.engine_mut().view("R").expect("view registered");
+    assert!(
+        live.same_data(&rebuilt),
+        "{case}: view diverged from rebuild"
+    );
+
+    let mut want_rows: Vec<Vec<Value>> = as_rows(&fx.mirror);
+    want_rows.sort();
+    let mut sums: BTreeMap<Value, i64> = BTreeMap::new();
+    for row in fx.mirror.rows() {
+        let Value::Int(d) = row[3] else {
+            panic!("d is an integer column")
+        };
+        *sums.entry(row[0].clone()).or_insert(0) += d;
+    }
+    let want_sums: Vec<Vec<Value>> = sums
+        .into_iter()
+        .map(|(a, s)| vec![a, Value::Int(s)])
+        .collect();
+    for threads in thread_sweep() {
+        for executor in [ExecutorMode::Staged, ExecutorMode::PerOp] {
+            let opts = RunOptions::new().threads(threads).executor(executor);
+            let got = session
+                .query_with("SELECT a, b, c, d FROM R ORDER BY a, b, c, d", opts)
+                .unwrap_or_else(|e| panic!("{case} projection: {e}"));
+            assert_eq!(
+                as_rows(&got.rows),
+                want_rows,
+                "{case}: {executor:?} t{threads}"
+            );
+            let got = session
+                .query_with("SELECT a, SUM(d) AS s FROM R GROUP BY a ORDER BY a", opts)
+                .unwrap_or_else(|e| panic!("{case} aggregate: {e}"));
+            assert_eq!(
+                as_rows(&got.rows),
+                want_sums,
+                "{case}: {executor:?} t{threads}"
+            );
+        }
+    }
+}
+
+/// Runs one predicate delete on a fresh branching fixture against the
+/// relational mirror. `on_one_path` cases must be answered exactly; the
+/// others either exactly or with a refusal that changes nothing.
+/// Returns the deleted count, `None` on a refusal.
+fn branch_case(build: impl Fn(&[AttrId; 4]) -> Vec<Predicate>, on_one_path: bool) -> Option<usize> {
+    let mut fx = branch_fixture();
+    let preds = build(&fx.attrs);
+    let case = {
+        let catalog = fx.db.catalog();
+        let shown: Vec<String> = preds
+            .iter()
+            .map(|p| p.display(&catalog).to_string())
+            .collect();
+        shown.join(" AND ")
+    };
+    let epoch0 = fx.db.epoch();
+    let schema = fx.mirror.schema().clone();
+    let mut want = fx.mirror.clone();
+    let n = want.delete_where(|row| preds.iter().all(|p| p.eval(&schema, row)));
+    let outcome = match fx.db.delete_where("R", preds) {
+        Ok(got) => {
+            assert_eq!(got, n, "{case}: deleted count");
+            assert_eq!(fx.db.epoch(), epoch0 + u64::from(n > 0), "{case}: epoch");
+            fx.mirror = want;
+            Some(got)
+        }
+        Err(e) => {
+            assert!(!on_one_path, "{case}: a one-path delete was refused: {e}");
+            assert!(e.to_string().contains("not representable"), "{case}: {e}");
+            assert_eq!(fx.db.epoch(), epoch0, "{case}: a refusal bumped the epoch");
+            let rebuilt = FRep::from_relation(&want, fx.tree.clone()).unwrap();
+            assert_ne!(
+                rebuilt.tuple_count(),
+                want.len(),
+                "{case}: refused an exact delete"
+            );
+            None
+        }
+    };
+    check_branch(&fx, &case);
+    outcome
+}
+
+/// Every attribute × every comparison × present, absent and `Null`
+/// constants, pushed into the factorisation of a branching view.
+#[test]
+fn predicate_delete_on_every_attribute_of_a_branching_view() {
+    let ops = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+    let constants = [Value::Int(0), Value::Int(2), Value::Int(99), Value::Null];
+    let total = branch_fixture().mirror.len();
+    let mut partial = 0;
+    for i in 0..4 {
+        for op in ops {
+            for c in &constants {
+                let n = branch_case(|at| vec![Predicate::AttrCmp(at[i], op, c.clone())], true);
+                partial += usize::from(n.is_some_and(|n| n > 0 && n < total));
+            }
+        }
+    }
+    assert!(
+        partial >= 40,
+        "only {partial} cases deleted part of the view"
+    );
+    // The empty list deletes everything.
+    assert_eq!(branch_case(|_| Vec::new(), true), Some(total));
+}
+
+/// A predicate list over the branching fixture's `[a, b, c, d]`.
+type Conjunction = fn(&[AttrId; 4]) -> Vec<Predicate>;
+
+/// Conjunctions along one root-to-leaf path are pushed too; those that
+/// span the `b → c` and `d` branches, and attribute equalities, are
+/// exact or refused.
+#[test]
+fn predicate_delete_conjunctions_on_a_branching_view() {
+    fn cmp(a: AttrId, op: CmpOp, c: i64) -> Predicate {
+        Predicate::AttrCmp(a, op, Value::Int(c))
+    }
+    let one_path: [Conjunction; 5] = [
+        |[a, b, _, _]| vec![cmp(*a, CmpOp::Ge, 1), cmp(*b, CmpOp::Lt, 3)],
+        |[a, b, c, _]| {
+            vec![
+                cmp(*a, CmpOp::Eq, 2),
+                cmp(*b, CmpOp::Ge, 1),
+                cmp(*c, CmpOp::Ne, 0),
+            ]
+        },
+        |[_, b, c, _]| vec![cmp(*b, CmpOp::Gt, 0), cmp(*c, CmpOp::Le, 3)],
+        |[a, _, _, d]| vec![cmp(*a, CmpOp::Ne, 3), cmp(*d, CmpOp::Ge, 2)],
+        |[a, _, _, _]| vec![cmp(*a, CmpOp::Gt, 0), cmp(*a, CmpOp::Lt, 4)],
+    ];
+    for build in one_path {
+        branch_case(build, true);
+    }
+    let cross: [Conjunction; 6] = [
+        |[_, b, _, d]| vec![cmp(*b, CmpOp::Eq, 1), cmp(*d, CmpOp::Eq, 2)],
+        |[_, _, c, d]| vec![cmp(*c, CmpOp::Lt, 3), cmp(*d, CmpOp::Ge, 1)],
+        |[_, _, c, d]| {
+            vec![
+                Predicate::AttrCmp(*c, CmpOp::Eq, Value::Null),
+                cmp(*d, CmpOp::Ge, 0),
+            ]
+        },
+        |[_, b, _, d]| vec![cmp(*b, CmpOp::Ge, 0), cmp(*d, CmpOp::Ge, 0)],
+        |[_, b, _, d]| vec![Predicate::AttrEq(*b, *d)],
+        |[a, b, _, _]| vec![Predicate::AttrEq(*a, *b)],
+    ];
+    let outcomes: Vec<Option<usize>> = cross.into_iter().map(|b| branch_case(b, false)).collect();
+    assert!(
+        outcomes.contains(&None),
+        "no cross-branch delete was refused"
+    );
+    assert!(
+        outcomes.iter().any(|o| o.is_some_and(|n| n > 0)),
+        "no cross-branch delete was exact: {outcomes:?}"
+    );
+}
+
+/// Regression: on `a → {b, c}` with the group `a=1 → {10,20}×{100,200}`,
+/// `DELETE WHERE b = 10` once reported 2 deletions and left all five
+/// tuples in the view. It removes exactly the two `(1, 10, ·)` tuples.
+#[test]
+fn delete_where_on_a_branch_is_exact() {
+    let mut catalog = Catalog::new();
+    let [a, b, c] = ["a", "b", "c"].map(|n| catalog.intern(n));
+    let mut tree = FTree::new();
+    let na = tree.add_node(NodeLabel::Atomic(vec![a]), None);
+    tree.add_node(NodeLabel::Atomic(vec![b]), Some(na));
+    tree.add_node(NodeLabel::Atomic(vec![c]), Some(na));
+    tree.add_dep([a, b, c]);
+    let row = |r: [i64; 3]| r.map(Value::Int).to_vec();
+    let mut mirror = Relation::from_rows(
+        Schema::new(vec![a, b, c]),
+        [
+            [1, 10, 100],
+            [1, 10, 200],
+            [1, 20, 100],
+            [1, 20, 200],
+            [2, 30, 300],
+        ]
+        .map(row),
+    );
+    let mut engine = FdbEngine::new(catalog);
+    engine.register_view("V", FRep::from_relation(&mirror, tree.clone()).unwrap());
+    let db = Db::from_engine(engine);
+    let report = db.execute("DELETE FROM V WHERE b = 10").unwrap();
+    assert_eq!(report.deleted, 2);
+    mirror.delete_where(|r| r[1] == Value::Int(10));
+    let mut session = db.session();
+    let view = session.engine_mut().view("V").unwrap();
+    assert_eq!(view.tuple_count(), 3);
+    assert!(view.same_data(&FRep::from_relation(&mirror, tree).unwrap()));
 }
