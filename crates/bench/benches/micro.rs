@@ -3,8 +3,7 @@
 //!
 //! * recursive aggregation (`count`/`sum`) over a factorised view — §3.2
 //!   says linear in the factorisation size;
-//! * the swap operator as the staged executor runs it — restructuring
-//!   cost (a root and an inner `χ`);
+//! * the swap operator — restructuring cost (a root and an inner `χ`);
 //! * constant-delay enumeration — per-tuple cost independent of data size;
 //! * constant selection with pruning, and the predicate delete that runs
 //!   it backwards.
@@ -73,20 +72,19 @@ fn micro(c: &mut Criterion) {
         );
     }
 
-    // χ as the staged executor runs it (in place, fragments shared):
-    // the root swap regroups one union of every (package, date) pair,
+    // χ (in place, fragments shared): the root swap regroups one union of every (package, date) pair,
     // the inner swap one date-union per package.
     let package_node = rep.ftree().roots()[0];
     let date_node = rep.ftree().node(package_node).children[0];
     let customer_node = rep.ftree().node(date_node).children[0];
     for (name, parent, child) in [
-        ("swap_inplace_root_package_date", package_node, date_node),
-        ("swap_inplace_inner_date_customer", date_node, customer_node),
+        ("swap_root_package_date", package_node, date_node),
+        ("swap_inner_date_customer", date_node, customer_node),
     ] {
         group.bench_function(name, |b| {
             b.iter_batched(
                 || rep.clone(),
-                |r| ops::swap_inplace(r, parent, child).unwrap(),
+                |r| ops::swap(r, parent, child).unwrap(),
                 BatchSize::LargeInput,
             )
         });
@@ -149,32 +147,17 @@ fn micro(c: &mut Criterion) {
         )
     });
 
-    group.bench_function("aggregate_items_subtree", |b| {
-        let item_node = rep.ftree().node_of_attr(a.item).unwrap();
-        let mut freshen = catalog.clone();
-        let out = freshen.fresh("bench_sum");
-        b.iter_batched(
-            || rep.clone(),
-            |r| {
-                let target = ops::AggTarget::subtree(r.ftree(), item_node);
-                ops::aggregate(r, &target, vec![AggOp::Sum(a.price)], vec![out]).unwrap()
-            },
-            BatchSize::LargeInput,
-        )
-    });
-
-    // The aggregation operator with one pool task per group (per parent
-    // union entry).
-    for threads in [2usize, 4] {
+    // The aggregation operator; with threads > 1, one pool task per
+    // group (per parent union entry).
+    let item_node = rep.ftree().node_of_attr(a.item).unwrap();
+    let out = catalog.fresh("bench_sum");
+    for threads in [1usize, 2, 4] {
         group.bench_function(format!("aggregate_items_subtree_t{threads}"), |b| {
-            let item_node = rep.ftree().node_of_attr(a.item).unwrap();
-            let mut freshen = catalog.clone();
-            let out = freshen.fresh("bench_sum_par");
             b.iter_batched(
                 || rep.clone(),
                 |r| {
                     let target = ops::AggTarget::subtree(r.ftree(), item_node);
-                    ops::aggregate_par(r, &target, vec![AggOp::Sum(a.price)], vec![out], threads)
+                    ops::aggregate(r, &target, vec![AggOp::Sum(a.price)], vec![out], threads)
                         .unwrap()
                 },
                 BatchSize::LargeInput,

@@ -12,17 +12,11 @@
 //! 3. **Greedy vs exhaustive** — plan costs and planning time on the
 //!    pizzeria query (the benchmark queries are in the exhaustive
 //!    optimiser's comfortable range too, at tiny scale).
-//! 4. **Fused vs per-operator execution** — every AGG query run through
-//!    the staged pipeline executor (in-place rewrites, one compaction
-//!    pass per plan) and through the legacy one-copy-per-operator
-//!    path. Rows report wall time plus the intermediate arena
-//!    bytes (`ibytes=`) and fragment copies avoided, so the fusion win
-//!    is visible in the perf trajectory.
 //!
 //! `cargo run --release -p fdb-bench --bin ablation -- --scale 4`
 
-use fdb_bench::{extended_agg_queries, median_secs, paper_queries, Args, BenchSetup, QueryClass};
-use fdb_core::engine::{ConsolidateMode, ExecutorMode, RunOptions};
+use fdb_bench::{median_secs, paper_queries, Args, BenchSetup};
+use fdb_core::engine::{ConsolidateMode, RunOptions};
 use fdb_core::ftree::AggOp;
 use fdb_core::optim::{exhaustive, greedy, tree_cost, ExhaustiveConfig, QuerySpec, Stats};
 use fdb_core::plan::apply_to_tree;
@@ -162,37 +156,5 @@ fn main() {
         t_x,
         &format!("cost={:.1} ops={}", plan_cost(&xplan), xplan.len()),
     );
-
-    // --- 4. Fused vs per-operator execution -------------------------
-    // Q1–Q5 plus the extended aggregate surface (QD/QP/QB/QK/QG): the
-    // new evaluators run through both executors so their staged win —
-    // and any intermediate-allocation regression — shows in the rows.
-    let mut queries = queries;
-    queries.extend(extended_agg_queries(&mut env.fdb.catalog, &attrs));
-    for q in queries
-        .iter()
-        .filter(|q| q.class == QueryClass::Agg || q.class == QueryClass::AggExt)
-    {
-        for (engine, executor) in [
-            ("FDB fused", ExecutorMode::Staged),
-            ("FDB per-op", ExecutorMode::PerOp),
-        ] {
-            let opts = RunOptions::new().threads(env.threads).executor(executor);
-            let (exec, t) = median_secs(args.repeats, || {
-                env.fdb.run(&q.task, opts).unwrap().exec_stats()
-            });
-            emit.row(
-                "ablation",
-                scale,
-                q.name,
-                engine,
-                t,
-                &format!(
-                    "ibytes={} stages={} copies_avoided={}",
-                    exec.intermediate_bytes, exec.stages, exec.copies_avoided
-                ),
-            );
-        }
-    }
     emit.finish();
 }

@@ -1,5 +1,5 @@
 //! Threads sweep — the multi-core campaign (scale fixed, worker count
-//! varied) plus the skewed-workload scheduler A/B.
+//! varied) plus a skewed-workload scheduler row.
 //!
 //! Runs the AGG queries Q1–Q5 through both FDB flavours at `--threads`
 //! 1, 2, 4 and 0 (= the machine), tagging each configuration's rows
@@ -7,16 +7,11 @@
 //! `BENCH_threads_s1.json` in the repository root is the recorded
 //! `--scale 1` baseline.
 //!
-//! The `SKEW` rows measure the morsel-driven work-stealing scheduler
-//! against the legacy static carve (one contiguous chunk per worker, no
-//! stealing) on a skewed per-group aggregation: one group holds ~90% of
-//! the entries, the rest spread over many small groups — the shape that
-//! serialises a static partitioning behind the giant group's worker.
-//! The `static` row also runs the pre-kernel inner loop (per-value
-//! clone + `Number` dispatch) where the `morsel` row runs the slice
-//! kernel, so the pair brackets this change end to end. Speedups only
-//! materialise with real cores; on a single-core container both rows
-//! cost the same (see EXPERIMENTS.md).
+//! The `SKEW` row times the morsel-driven work-stealing scheduler on a
+//! skewed per-group aggregation: one group holds ~90% of the entries,
+//! the rest spread over many small groups — the shape that would
+//! serialise a one-chunk-per-worker carve behind the giant group's
+//! worker. Each group is folded by the slice kernel.
 //!
 //! `cargo run --release -p fdb-bench --bin threads_sweep -- --scale 1 \
 //!    --json BENCH_threads_s1.json`
@@ -41,17 +36,6 @@ fn skewed_groups(total: usize, small: usize) -> (Vec<Value>, Vec<(usize, usize)>
         at += len;
     }
     (values, ranges)
-}
-
-/// The pre-kernel inner loop: per-value clone, `as_number`, `Number`
-/// dispatch — what `fdb_core::agg` folded before the slice kernels.
-fn generic_sum(vals: &[Value]) -> Number {
-    let mut acc = Number::ZERO;
-    for v in vals {
-        let v = v.clone();
-        acc = acc.add(v.as_number().expect("int values"));
-    }
-    acc
 }
 
 /// The slice-kernel inner loop: branch-predictable scan, wrapping adds.
@@ -115,35 +99,22 @@ fn main() {
         }
     }
 
-    // Skewed-workload scheduler A/B at 4 requested workers: one group
-    // holds 90% of the entries. `static` = legacy one-chunk-per-worker
-    // carve + pre-kernel fold; `morsel` = work-stealing morsels + slice
-    // kernel.
+    // Skewed-workload scheduler row at 4 requested workers: one group
+    // holds 90% of the entries.
     let total = 200_000 * scale as usize;
     let (values, ranges) = skewed_groups(total, 63);
     let groups = ranges.len();
     println!("# SKEW: {total} entries, {groups} groups, giant group = 90%");
-    let threads = 4;
-    let (sums_static, t_static) = median_secs(args.repeats, || {
-        fdb_exec::parallel_map_grained(threads, 1, ranges.clone(), |(at, len)| {
-            generic_sum(&values[at..at + len])
-        })
-    });
-    let (sums_morsel, t_morsel) = median_secs(args.repeats, || {
-        fdb_exec::parallel_map(threads, ranges.clone(), |(at, len)| {
+    let (sums, t_morsel) = median_secs(args.repeats, || {
+        fdb_exec::parallel_map(4, ranges.clone(), |(at, len)| {
             kernel_sum(&values[at..at + len])
         })
     });
-    assert_eq!(sums_static, sums_morsel, "scheduler changed the results");
-    emit.row_tagged(
-        "T",
-        scale,
-        "SKEW",
-        "FDB",
-        "static-t4",
-        t_static,
-        &format!("groups={groups} entries={total}"),
-    );
+    let serial: Vec<Number> = ranges
+        .iter()
+        .map(|&(at, len)| kernel_sum(&values[at..at + len]))
+        .collect();
+    assert_eq!(sums, serial, "scheduler changed the results");
     emit.row_tagged(
         "T",
         scale,
@@ -151,10 +122,7 @@ fn main() {
         "FDB",
         "morsel-t4",
         t_morsel,
-        &format!(
-            "groups={groups} entries={total} speedup_vs_static={:.2}",
-            t_static / t_morsel.max(1e-9)
-        ),
+        &format!("groups={groups} entries={total}"),
     );
     emit.finish();
 }

@@ -48,33 +48,6 @@ pub enum PlanStrategy {
     Exhaustive(ExhaustiveConfig),
 }
 
-/// Which f-plan executor to use (see [`crate::pipeline`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ExecutorMode {
-    /// The staged pipeline: in-place rewrites on one shared arena,
-    /// fused selection runs, one compaction pass per plan (default).
-    #[default]
-    Staged,
-    /// The legacy path: one full copy transform per operator. Kept for
-    /// the differential suites and the ablation benchmark.
-    PerOp,
-}
-
-impl ExecutorMode {
-    /// Runs `plan` through this executor.
-    fn run_plan(
-        self,
-        plan: &crate::plan::FPlan,
-        rep: FRep,
-        threads: usize,
-    ) -> Result<(FRep, crate::pipeline::ExecStats)> {
-        match self {
-            ExecutorMode::Staged => crate::pipeline::execute_staged(plan, rep, threads),
-            ExecutorMode::PerOp => crate::pipeline::execute_per_op(plan, rep, threads),
-        }
-    }
-}
-
 /// Preference knob for the physical `ORDER BY` strategy (see
 /// [`OrderStrategy`] for what actually executed).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -159,6 +132,11 @@ pub enum ConsolidateMode {
 
 /// Options for [`FdbEngine::run`].
 ///
+/// Every run executes its f-plan through the one staged pipeline
+/// executor ([`crate::pipeline::execute_staged`]); the options choose
+/// how the plan is searched and consolidated, how many workers it uses,
+/// how `ORDER BY` is realised and how long the run may take.
+///
 /// The struct is `#[non_exhaustive]`: construct it with
 /// [`RunOptions::new`] (or [`RunOptions::default`]) and the builder
 /// methods, so future knobs (deadlines, cache policy, …) are not
@@ -180,9 +158,6 @@ pub struct RunOptions {
     /// ([`std::thread::available_parallelism`]). Results are identical
     /// for every thread count (see `fdb-exec`).
     pub threads: usize,
-    /// F-plan executor: the staged pipeline (default) or the legacy
-    /// one-copy-per-operator path; both produce bit-identical results.
-    pub executor: ExecutorMode,
     /// Physical `ORDER BY` strategy preference; `Auto` (the default)
     /// picks by cost. Every mode produces identical rows — only the
     /// time/memory profile differs — which the differential suites pin.
@@ -202,7 +177,6 @@ impl Default for RunOptions {
             strategy: PlanStrategy::Greedy,
             consolidate: ConsolidateMode::Auto,
             threads: 1,
-            executor: ExecutorMode::Staged,
             order: OrderMode::Auto,
             deadline: None,
         }
@@ -230,12 +204,6 @@ impl RunOptions {
     /// Sets the worker-thread count (`0` = use the machine).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Sets the f-plan executor.
-    pub fn executor(mut self, executor: ExecutorMode) -> Self {
-        self.executor = executor;
         self
     }
 
@@ -329,8 +297,6 @@ pub struct FdbResult {
     /// Execution report of the f-plan run (stages, intermediate
     /// bytes, copies avoided), including the HAVING push-down.
     exec_stats: crate::pipeline::ExecStats,
-    /// Which executor produced this result (for `explain`).
-    executor: ExecutorMode,
     /// Worker threads for enumeration-time work (the sort fallback),
     /// resolved from the [`RunOptions`] that produced this result.
     threads: usize,
@@ -392,15 +358,8 @@ impl FdbResult {
         );
         out.push_str(&self.plan.display(catalog, &self.input_tree));
         if !self.plan.is_empty() {
-            match self.executor {
-                ExecutorMode::Staged => {
-                    let stages = crate::pipeline::segment(&self.plan);
-                    let _ = writeln!(out, "stages: {}", crate::pipeline::render_stages(&stages));
-                }
-                ExecutorMode::PerOp => {
-                    let _ = writeln!(out, "stages: one per operator (legacy executor)");
-                }
-            }
+            let stages = crate::pipeline::segment(&self.plan);
+            let _ = writeln!(out, "stages: {}", crate::pipeline::render_stages(&stages));
         }
         let _ = writeln!(
             out,
@@ -1009,15 +968,15 @@ impl FdbEngine {
         } = cand;
         check_deadline(deadline_at, "plan execution")?;
         let input_tree = rep.ftree().clone();
-        let (mut result_rep, mut exec_stats) = opts.executor.run_plan(&plan, rep, threads)?;
+        let (mut result_rep, mut exec_stats) =
+            crate::pipeline::execute_staged(&plan, rep, threads)?;
         check_deadline(deadline_at, "plan execution")?;
 
         // HAVING: push what we can into the factorisation as selections;
         // the rest (e.g. conditions on avg) filters rows at emission.
         // HAVING never changes the f-tree, so the pushable predicates
-        // batch into one fused in-place filter walk (per-op mode keeps
-        // the legacy one-copy-per-selection path for the differential
-        // suites); the allocation joins the exec-stats accounting.
+        // batch into one fused filter walk; the allocation joins the
+        // exec-stats accounting.
         let mut row_filters: Vec<Predicate> = Vec::new();
         let mut pushed: Vec<(AttrId, fdb_relational::CmpOp, Value)> = Vec::new();
         for p in &task.having {
@@ -1030,14 +989,14 @@ impl FdbEngine {
         }
         if !pushed.is_empty() {
             // Run the pushed predicates as a mini f-plan through the
-            // same executor as the main plan, so the selection fusion,
-            // the garbage-driven compaction and the allocation
-            // accounting all live in one place (`crate::pipeline`).
+            // staged executor, so the selection fusion, the
+            // garbage-driven compaction and the allocation accounting
+            // all live in one place (`crate::pipeline`).
             let mut having_plan = crate::plan::FPlan::new();
             for (attr, op, value) in pushed {
                 having_plan.push(crate::plan::FOp::SelectConst { attr, op, value });
             }
-            let (rep, hstats) = opts.executor.run_plan(&having_plan, result_rep, threads)?;
+            let (rep, hstats) = crate::pipeline::execute_staged(&having_plan, result_rep, threads)?;
             result_rep = rep;
             exec_stats.intermediate_bytes += hstats.intermediate_bytes;
             exec_stats.copies_avoided += hstats.copies_avoided;
@@ -1121,7 +1080,6 @@ impl FdbEngine {
             plan,
             input_tree,
             exec_stats,
-            executor: opts.executor,
             threads,
             deadline_at,
         })
@@ -1195,7 +1153,6 @@ impl FdbEngine {
             plan: last.plan,
             input_tree: last.input_tree,
             exec_stats: last.exec_stats,
-            executor: opts.executor,
             threads,
             deadline_at: last.deadline_at,
         })
@@ -1884,36 +1841,23 @@ mod tests {
     }
 
     #[test]
-    fn executor_modes_agree_and_report_stats() {
+    fn run_reports_exec_stats() {
         let mut e = engine();
         let task = revenue_task(&mut e);
-        let staged = e.run(&task, RunOptions::default()).unwrap();
-        let per_op = e
-            .run(&task, RunOptions::new().executor(ExecutorMode::PerOp))
-            .unwrap();
-        assert!(staged.rep().same_data(per_op.rep()));
-        assert_eq!(
-            staged.to_relation().unwrap().canonical(),
-            per_op.to_relation().unwrap().canonical()
-        );
-        let (s, p) = (staged.exec_stats(), per_op.exec_stats());
-        assert_eq!(s.operators, p.operators);
-        assert!(s.stages <= p.stages);
-        assert!(s.copies_avoided > 0);
-        // Single-operator plans can legitimately allocate slightly more
-        // under the staged executor (append + compaction vs one copy);
-        // the strict inequality below is a multi-operator property, so
-        // pin that precondition first with a clear message.
+        let serial = e.run(&task, RunOptions::default()).unwrap();
+        let s = serial.exec_stats();
         assert!(
             s.operators >= 2,
-            "revenue plan is no longer multi-operator; revisit the ibytes assertion"
+            "revenue plan is no longer multi-operator; revisit this test"
         );
-        assert!(
-            s.intermediate_bytes < p.intermediate_bytes,
-            "staged {} >= per-op {}",
-            s.intermediate_bytes,
-            p.intermediate_bytes
-        );
+        assert_eq!(s.operators, serial.plan().len());
+        assert_eq!(s.stages, crate::pipeline::segment(serial.plan()).len());
+        assert!(s.copies_avoided > 0);
+        assert!(s.intermediate_bytes > 0);
+        // Parallel aggregation builds the same factorisation.
+        let par = e.run(&task, RunOptions::new().threads(2)).unwrap();
+        assert!(par.rep().same_data(serial.rep()));
+        assert_eq!(par.to_relation().unwrap(), serial.to_relation().unwrap());
     }
 
     #[test]

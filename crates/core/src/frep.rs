@@ -24,8 +24,9 @@
 //! *ranges*, not owned vectors: traversal is array indexing, and
 //! constructing or transforming a representation is append-only table
 //! building with no per-node allocation. Traversal goes through the
-//! cheap copyable cursors [`UnionRef`]/[`EntryRef`]; operators consume
-//! the input arena and emit a fresh one (see [`crate::ops`]).
+//! cheap copyable cursors [`UnionRef`]/[`EntryRef`]; operators append
+//! the fragments they rewrite to the same arena and share the rest by
+//! id (see [`crate::ops`]).
 //!
 //! The nested [`Union`]/[`Entry`] structs survive as a *builder-side*
 //! convenience for callers that assemble factorisations by hand (data
@@ -115,8 +116,7 @@ pub struct Arena {
     /// Per f-tree node id: the values of every entry tagged with it.
     cols: Vec<Vec<Value>>,
     /// Untouched fragments *shared* by id (instead of deep-copied) by
-    /// the in-place operators of the staged pipeline executor — see
-    /// [`crate::pipeline`]. Purely diagnostic; carried through
+    /// the f-plan operators — see [`crate::ops`]. Purely diagnostic; carried through
     /// [`Arena::append`] and compaction.
     copies_avoided: u64,
 }
@@ -365,10 +365,9 @@ impl Arena {
     }
 
     // -----------------------------------------------------------------
-    // Index-based record access — the in-place rewrites of the staged
-    // pipeline executor read and append to the *same* arena, so they
-    // cannot hold `UnionRef` cursors (which borrow the arena) across
-    // appends. Records are `Copy`; reads through `&self` reborrows of a
+    // Index-based record access — the f-plan operators read and append
+    // to the *same* arena, so they cannot hold `UnionRef` cursors
+    // (which borrow the arena) across appends. Records are `Copy`; reads through `&self` reborrows of a
     // `&mut Arena` are always safe because the tables are append-only.
     // -----------------------------------------------------------------
 
@@ -469,8 +468,8 @@ impl Arena {
 
     /// Copies the live data reachable from `roots` into a fresh arena,
     /// **preserving sharing**: a union referenced from several parents
-    /// (the in-place `swap`/`rewrite` operators share untouched
-    /// fragments by id) is copied exactly once and re-referenced. This
+    /// (the f-plan operators share untouched fragments by id) is
+    /// copied exactly once and re-referenced. This
     /// is the single per-plan "garbage collection" pass of the staged
     /// executor — everything unreachable (superseded path spines of the
     /// in-place rewrites) is shed.
@@ -524,43 +523,6 @@ impl Arena {
         let out = dst.push_union(rec.node, &spec_scratch[spec_base..]);
         spec_scratch.truncate(spec_base);
         memo[uid.0 as usize] = out.0;
-        out
-    }
-
-    /// Deep-copies union `src_id` from `src` into `self`: a record-wise
-    /// walk over the source tables that appends one union/entry record
-    /// per copied node and clones each value (`Arc` payloads make value
-    /// clones cheap). Wholesale arena splicing is [`Arena::append`].
-    pub(crate) fn copy_union_from(&mut self, src: &Arena, src_id: UnionId) -> UnionId {
-        let mut kid_scratch: Vec<UnionId> = Vec::new();
-        let mut spec_scratch: Vec<EntrySpec> = Vec::new();
-        self.copy_union_rec(src, src_id, &mut kid_scratch, &mut spec_scratch)
-    }
-
-    fn copy_union_rec(
-        &mut self,
-        src: &Arena,
-        src_id: UnionId,
-        kid_scratch: &mut Vec<UnionId>,
-        spec_scratch: &mut Vec<EntrySpec>,
-    ) -> UnionId {
-        let rec = src.unions[src_id.0 as usize];
-        let node = rec.node;
-        let spec_base = spec_scratch.len();
-        for i in rec.start..rec.start + rec.len {
-            let e = src.entries[i as usize];
-            let kid_base = kid_scratch.len();
-            for k in e.kids_start..e.kids_start + e.kids_len {
-                let cid = self.copy_union_rec(src, src.kids[k as usize], kid_scratch, spec_scratch);
-                kid_scratch.push(cid);
-            }
-            let value = src.cols[node.0 as usize][e.val as usize].clone();
-            let spec = self.entry(node, value, &kid_scratch[kid_base..]);
-            kid_scratch.truncate(kid_base);
-            spec_scratch.push(spec);
-        }
-        let out = self.push_union(node, &spec_scratch[spec_base..]);
-        spec_scratch.truncate(spec_base);
         out
     }
 
@@ -910,10 +872,6 @@ impl<'a> UnionRef<'a> {
         }
         total
     }
-
-    pub(crate) fn arena(&self) -> &'a Arena {
-        self.arena
-    }
 }
 
 /// Structural equality: same node, values and (recursively) children.
@@ -986,10 +944,6 @@ impl<'a> EntryRef<'a> {
         let arena = self.arena;
         (rec.kids_start..rec.kids_start + rec.kids_len).map(move |k| arena.kids[k as usize])
     }
-
-    pub(crate) fn arena(&self) -> &'a Arena {
-        self.arena
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1059,8 +1013,7 @@ pub struct FRepStats {
     pub bytes: usize,
     /// Deep copies of untouched fragments avoided by the in-place
     /// rewrites that produced this representation (0 for freshly built
-    /// ones; carried through compaction, so a copying `swap` reports
-    /// its regroup's shares too).
+    /// ones; carried through compaction).
     pub copies_avoided: u64,
 }
 
@@ -1322,8 +1275,8 @@ impl FRep {
     /// unreachable from the roots while **preserving sharing** (a
     /// union referenced from several parents is copied once, via a
     /// flat memo table): this is the one full arena pass the staged
-    /// pipeline executor performs per plan, in place of the legacy
-    /// one-copy-per-operator transforms.
+    /// pipeline executor performs per plan, and what a caller applying
+    /// operators by hand runs when it wants a tight arena.
     pub fn compact(self) -> FRep {
         let (tree, arena, roots) = self.into_arena_parts();
         let (arena, roots) = arena.compact(&roots);

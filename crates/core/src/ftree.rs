@@ -651,6 +651,24 @@ impl FTree {
         Ok(())
     }
 
+    /// How projecting `attr` away changes this f-tree (§2.1): the one
+    /// decision that both the projection operator and plan simulation
+    /// follow, so a plan that simulates also executes. A composite
+    /// aggregate node is refused — its outputs share one value and
+    /// cannot be projected one at a time.
+    pub fn projection(&self, attr: AttrId) -> Result<Projection> {
+        let n = self
+            .node_of_attr(attr)
+            .ok_or_else(|| FdbError::Unresolved(format!("attribute {attr} not in f-tree")))?;
+        match &self.node(n).label {
+            NodeLabel::Atomic(attrs) if attrs.len() > 1 => Ok(Projection::ShrinkClass(n)),
+            NodeLabel::Agg(l) if l.outputs.len() > 1 => Err(FdbError::InvalidOperator(
+                "cannot project a single output of a composite aggregate".into(),
+            )),
+            _ => Ok(Projection::PushDownAndRemove(n)),
+        }
+    }
+
     /// Renames an exposed attribute in place (constant time; names live in
     /// the f-tree, not in singletons, §2.1).
     pub fn rename_attr(&mut self, from: AttrId, to: AttrId) -> Result<()> {
@@ -830,6 +848,18 @@ pub struct SwapOutcome {
     pub stayed: Vec<NodeId>,
     /// Position `b` had among `a`'s children before the swap.
     pub b_pos_in_a: usize,
+}
+
+/// Result of [`FTree::projection`]: the f-tree step that projects one
+/// attribute away.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Projection {
+    /// The attribute shares its node with other class members: drop it
+    /// from the label ([`FTree::shrink_class`]); the data is untouched.
+    ShrinkClass(NodeId),
+    /// The node exposes nothing else: push it down to a leaf by swapping
+    /// its children above it, then remove it ([`FTree::remove_leaf`]).
+    PushDownAndRemove(NodeId),
 }
 
 /// Result of [`FTree::merge`]: the sibling positions of the merged nodes.

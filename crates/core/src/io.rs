@@ -505,7 +505,7 @@ mod tests {
         let n_item = rep.ftree().node_of_attr(item).unwrap();
         let out = c.intern("n");
         let target = crate::ops::AggTarget::subtree(rep.ftree(), n_item);
-        let agged = crate::ops::aggregate(rep, &target, vec![AggOp::Count], vec![out]).unwrap();
+        let agged = crate::ops::aggregate(rep, &target, vec![AggOp::Count], vec![out], 1).unwrap();
         let mut buf = Vec::new();
         write_frep(&agged, &c, &mut buf).unwrap();
         let mut c2 = Catalog::new();

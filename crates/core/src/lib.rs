@@ -13,7 +13,8 @@
 //!
 //! * the f-plan operators of the FDB engine — product, constant
 //!   selections, merge/absorb (equality selections), swap (restructuring),
-//!   projection and constant-time renaming ([`ops`]);
+//!   projection and constant-time renaming — each a rewrite of the
+//!   representation in place that shares untouched fragments ([`ops`]);
 //! * the paper's contribution: the **aggregation operator** `γ_F(U)` with
 //!   linear-time recursive evaluators for `count`/`sum`/`min`/`max` and
 //!   composite functions such as `avg` ([`agg`], [`mod@ops::aggregate`]),
@@ -24,8 +25,8 @@
 //! * restructuring for group-by/order-by clauses via swaps, including the
 //!   single-attribute consolidation of §5.2 step 7 ([`orderby`]);
 //! * the **staged pipeline executor** ([`pipeline`]): f-plans segment
-//!   into fusible stages executed in place on one shared arena — one
-//!   compaction pass per plan instead of one full copy per operator;
+//!   into fusible stages executed on one shared arena, with at most one
+//!   compaction pass per plan;
 //! * the **optimisers**: the greedy heuristic of §5.2 and exhaustive
 //!   Dijkstra over the f-plan space, both driven by tight factorisation
 //!   size bounds from fractional edge covers ([`optim`]);
@@ -77,8 +78,8 @@ pub mod topk;
 pub mod update;
 
 pub use engine::{
-    ConsolidateMode, ExecutorMode, FdbEngine, FdbResult, OrderMode, OrderRunStats, OrderStrategy,
-    PlanStrategy, RunOptions,
+    ConsolidateMode, FdbEngine, FdbResult, OrderMode, OrderRunStats, OrderStrategy, PlanStrategy,
+    RunOptions,
 };
 pub use error::{FdbError, Result};
 pub use frep::{Entry, EntryRef, FRep, FRepStats, Union, UnionId, UnionRef};

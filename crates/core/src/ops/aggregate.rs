@@ -7,15 +7,15 @@
 //! gets a fresh aggregate node in place of the `U` subtrees, and the
 //! dependency sets are extended per Example 5.
 //!
-//! Evaluation reads the *source* arena (through cursors); the rewritten
-//! parent entries — untouched siblings plus the new aggregate leaf — are
-//! emitted into the output arena. The consumed target subtrees are simply
+//! Evaluation reads the arena through cursors; the rewritten parent
+//! entries — untouched siblings shared by id plus the new aggregate leaf
+//! — are appended to the same arena. The consumed target subtrees are
 //! never copied.
 
 use crate::error::{FdbError, Result};
 use crate::frep::{Arena, FRep, UnionId, UnionRef};
 use crate::ftree::{AggOp, FTree, NodeId};
-use crate::ops::{rewrite_at, rewrite_at_inplace};
+use crate::ops::rewrite_spine;
 use fdb_relational::{AttrId, Value};
 
 /// Where the operator applies: sibling subtrees under `parent`, or root
@@ -37,149 +37,24 @@ impl AggTarget {
 }
 
 /// Applies `γ` with functions `funcs` (named `outputs`) over the target
-/// subtrees. With `k > 1` functions the new node holds composite values
-/// (§3.2.4); identical functions should be deduplicated by the caller
-/// ([`crate::agg::partial_funcs`] does).
-pub fn aggregate(
-    rep: FRep,
-    target: &AggTarget,
-    funcs: Vec<AggOp>,
-    outputs: Vec<AttrId>,
-) -> Result<FRep> {
-    aggregate_par(rep, target, funcs, outputs, 1)
-}
-
-/// [`aggregate`] on up to `threads` workers.
+/// subtrees, on up to `threads` workers. With `k > 1` functions the new
+/// node holds composite values (§3.2.4); identical functions should be
+/// deduplicated by the caller ([`crate::agg::partial_funcs`] does).
 ///
 /// The operator's work is one independent evaluation per entry of the
-/// parent union (per group), so the evaluations are fanned out to the
-/// pool against the immutable source arena; the rewritten entries are
-/// then emitted serially in order, making the result identical for
-/// every thread count. A parent union with a single entry (and the
-/// root-level reduction) parallelises *inside* the evaluation instead,
-/// over the target unions' top entries ([`crate::agg`]).
-pub fn aggregate_par(
-    rep: FRep,
-    target: &AggTarget,
-    funcs: Vec<AggOp>,
-    outputs: Vec<AttrId>,
-    threads: usize,
-) -> Result<FRep> {
-    if funcs.is_empty() || funcs.len() != outputs.len() {
-        return Err(FdbError::InvalidOperator(
-            "aggregate needs parallel funcs/outputs".into(),
-        ));
-    }
-    let (tree, arena, roots) = rep.into_arena_parts();
-    let mut new_tree = tree.clone();
-    let new_node = new_tree.aggregate(target.parent, &target.nodes, funcs.clone(), outputs)?;
-
-    // Positions of the target subtrees in the (old) sibling list.
-    let sibling_ids: Vec<NodeId> = match target.parent {
-        Some(p) => tree.node(p).children.clone(),
-        None => tree.roots().to_vec(),
-    };
-    let positions: Vec<usize> = target
-        .nodes
-        .iter()
-        .map(|&t| {
-            sibling_ids
-                .iter()
-                .position(|&c| c == t)
-                .expect("validated by tree aggregate")
-        })
-        .collect();
-    let insert_at = *positions.iter().min().expect("at least one target");
-
-    let mut dst = Arena::default();
-    let new_roots = match target.parent {
-        Some(p) => rewrite_at(&tree, &arena, &roots, p, &mut dst, &mut |up, dst| {
-            // Evaluate every group against the source arena (possibly in
-            // parallel), then emit the rewritten entries in order. The
-            // pool morselises the group indices (~4× threads chunks
-            // drained work-stealing), so one giant group pins a single
-            // worker while its siblings rebalance across the rest.
-            let eval_group = |i: usize, eval_threads: usize| -> Result<Value> {
-                let e = up.entry(i);
-                let unions: Vec<UnionRef<'_>> = positions.iter().map(|&pos| e.child(pos)).collect();
-                crate::agg::eval_funcs_par(&tree, &unions, &funcs, eval_threads)
-            };
-            let values: Vec<Value> = if threads > 1 && up.len() > 1 {
-                let idx: Vec<usize> = (0..up.len()).collect();
-                fdb_exec::try_parallel_map(threads, idx, |i| eval_group(i, 1))?
-            } else {
-                (0..up.len())
-                    .map(|i| eval_group(i, threads))
-                    .collect::<Result<_>>()?
-            };
-            let src = up.arena();
-            let mut specs = Vec::with_capacity(up.len());
-            let mut kid_ids: Vec<UnionId> = Vec::new();
-            for (e, value) in up.entries().zip(values) {
-                kid_ids.clear();
-                for (j, c) in e.child_ids().enumerate() {
-                    if positions.contains(&j) {
-                        if j == insert_at {
-                            kid_ids.push(leaf_union(dst, new_node, value.clone()));
-                        }
-                        // Other target positions vanish.
-                    } else {
-                        kid_ids.push(dst.copy_union_from(src, c));
-                    }
-                }
-                specs.push(dst.entry(up.node(), e.value().clone(), &kid_ids));
-            }
-            Ok(Some(dst.push_union(up.node(), &specs)))
-        })?,
-        None => {
-            // Root-level aggregation reduces whole root unions to one leaf.
-            if roots.iter().any(|&u| arena.union_len(u) == 0) {
-                // Empty input: the aggregate of an empty relation is the
-                // empty relation (no groups exist).
-                return Ok(FRep::empty(new_tree));
-            }
-            let unions: Vec<UnionRef<'_>> = positions
-                .iter()
-                .map(|&pos| arena.union(roots[pos]))
-                .collect();
-            let value = crate::agg::eval_funcs_par(&tree, &unions, &funcs, threads)?;
-            let mut out = Vec::with_capacity(roots.len() - positions.len() + 1);
-            for (i, &r) in roots.iter().enumerate() {
-                if positions.contains(&i) {
-                    if i == insert_at {
-                        out.push(leaf_union(&mut dst, new_node, value.clone()));
-                    }
-                } else {
-                    out.push(dst.copy_union_from(&arena, r));
-                }
-            }
-            out
-        }
-    };
-    let out = FRep::from_arena(new_tree, dst, new_roots);
-    debug_assert!(out.check_invariants().is_ok());
-    Ok(out)
-}
-
-/// A one-entry, zero-children aggregate leaf `⟨F(U):v⟩`.
-fn leaf_union(dst: &mut Arena, node: NodeId, value: Value) -> UnionId {
-    let spec = dst.entry(node, value, &[]);
-    dst.push_union(node, &[spec])
-}
-
-/// In-place [`aggregate_par`]: evaluation reads the shared arena
-/// through cursors exactly as the legacy form does (including the
-/// per-group fan-out to the pool), but the rewritten parent entries —
-/// untouched siblings shared by id plus the new aggregate leaf — are
-/// appended to the *same* arena. The consumed target subtrees simply
-/// become unreachable.
-///
-/// Each occurrence is processed in two phases: a read-only phase
-/// evaluates every group against an immutable reborrow of the arena
-/// (`try_parallel_map` needs `Sync` cursors), then an append phase
-/// emits the rewritten entries serially in order — so results stay
-/// identical for every thread count.
-pub fn aggregate_par_inplace(
+/// parent union (per group). Each occurrence of the parent union is
+/// processed in two phases: a read-only phase evaluates every group
+/// against an immutable reborrow of the arena, fanned out to the pool
+/// (`try_parallel_map` needs `Sync` cursors; it morselises the group
+/// indices, so one giant group pins a single worker while its siblings
+/// rebalance across the rest); then an append phase emits the rewritten
+/// entries — untouched siblings shared by id plus the new aggregate
+/// leaf — serially in order, so results are identical for every thread
+/// count. A parent union with a single entry (and the root-level
+/// reduction) parallelises *inside* the evaluation instead, over the
+/// target unions' top entries ([`crate::agg`]). The consumed target
+/// subtrees simply become unreachable.
+pub fn aggregate(
     rep: FRep,
     target: &AggTarget,
     funcs: Vec<AggOp>,
@@ -212,7 +87,7 @@ pub fn aggregate_par_inplace(
     let insert_at = *positions.iter().min().expect("at least one target");
 
     let new_roots = match target.parent {
-        Some(p) => rewrite_at_inplace(&tree, &mut arena, &roots, p, &mut |arena, uid| {
+        Some(p) => rewrite_spine(&tree, &mut arena, &roots, p, &mut |arena, uid| {
             let values = eval_groups(arena, uid, &tree, &positions, &funcs, threads)?;
             let rec = arena.urec(uid);
             let mut specs = Vec::with_capacity(rec.len as usize);
@@ -266,8 +141,14 @@ pub fn aggregate_par_inplace(
     Ok(out)
 }
 
-/// The read-only phase of one in-place occurrence: evaluates every
-/// group of the parent union `uid` against the shared arena.
+/// A one-entry, zero-children aggregate leaf `⟨F(U):v⟩`.
+fn leaf_union(dst: &mut Arena, node: NodeId, value: Value) -> UnionId {
+    let spec = dst.entry(node, value, &[]);
+    dst.push_union(node, &[spec])
+}
+
+/// The read-only phase of one occurrence: evaluates every group of
+/// the parent union `uid` against the shared arena.
 fn eval_groups(
     arena: &Arena,
     uid: UnionId,
@@ -294,7 +175,11 @@ fn eval_groups(
 mod tests {
     use super::*;
     use crate::ftree::{FTree, NodeLabel};
-    use fdb_relational::{Catalog, Relation, Schema, Value};
+    use crate::ops::reference::assert_represents;
+    use fdb_relational::ops::aggregate::PhysAggSpec;
+    use fdb_relational::{
+        ops as rel_ops, AggFunc, AggSpec, Catalog, GroupStrategy, Relation, Schema, Value,
+    };
 
     /// R = Orders ⋈ Pizzas ⋈ Items over T1, built directly from the flat
     /// join (which satisfies T1's join dependencies).
@@ -365,7 +250,7 @@ mod tests {
         let item_node = rep.ftree().node_of_attr(c.lookup("item").unwrap()).unwrap();
         let out_attr = c.intern("sumprice");
         let target = AggTarget::subtree(rep.ftree(), item_node);
-        let out = aggregate(rep, &target, vec![AggOp::Sum(price)], vec![out_attr]).unwrap();
+        let out = aggregate(rep, &target, vec![AggOp::Sum(price)], vec![out_attr], 1).unwrap();
         // For each pizza, the aggregate leaf holds the pizza's price sum.
         let root = out.root(0);
         let sums: Vec<(String, Value)> = root
@@ -401,7 +286,7 @@ mod tests {
 
         // γ_sum(price) over the item subtree (T1 → T2).
         let target = AggTarget::subtree(rep.ftree(), item_node);
-        let rep = aggregate(rep, &target, vec![AggOp::Sum(price)], vec![sum_out]).unwrap();
+        let rep = aggregate(rep, &target, vec![AggOp::Sum(price)], vec![sum_out], 1).unwrap();
 
         // Swap customer above date, then above pizza (T2 → T3).
         let n_cust = rep.ftree().node_of_attr(customer).unwrap();
@@ -415,7 +300,7 @@ mod tests {
         let n_date = rep.ftree().node_of_attr(c.lookup("date").unwrap()).unwrap();
         let cnt_out = c.intern("countdate");
         let target = AggTarget::subtree(rep.ftree(), n_date);
-        let rep = aggregate(rep, &target, vec![AggOp::Count], vec![cnt_out]).unwrap();
+        let rep = aggregate(rep, &target, vec![AggOp::Count], vec![cnt_out], 1).unwrap();
 
         // Final γ_sum over everything under customer.
         let n_cust = rep.ftree().node_of_attr(customer).unwrap();
@@ -429,6 +314,7 @@ mod tests {
             },
             vec![AggOp::Sum(price)],
             vec![rev_out],
+            1,
         )
         .unwrap();
 
@@ -461,6 +347,7 @@ mod tests {
             },
             vec![AggOp::Sum(price)],
             vec![out_attr],
+            1,
         )
         .unwrap();
         assert_eq!(out.tuple_count(), 1);
@@ -484,6 +371,7 @@ mod tests {
             },
             vec![AggOp::Count],
             vec![out_attr],
+            1,
         )
         .unwrap();
         assert!(out.is_empty());
@@ -502,6 +390,7 @@ mod tests {
             &target,
             vec![AggOp::Sum(price), AggOp::Count],
             vec![s_out, n_out],
+            1,
         )
         .unwrap();
         // Capricciosa: (8, 3).
@@ -514,10 +403,39 @@ mod tests {
         let (c, rep) = fig1_rep();
         let item_node = rep.ftree().node_of_attr(c.lookup("item").unwrap()).unwrap();
         let target = AggTarget::subtree(rep.ftree(), item_node);
-        let err = aggregate(rep.clone(), &target, vec![AggOp::Count], vec![]);
+        let err = aggregate(rep, &target, vec![AggOp::Count], vec![], 1);
         assert!(matches!(err, Err(FdbError::InvalidOperator(_))));
-        let err = aggregate_par_inplace(rep, &target, vec![AggOp::Count], vec![], 1);
-        assert!(matches!(err, Err(FdbError::InvalidOperator(_))));
+    }
+
+    /// The relational reference of `γ`: group the flattening by every
+    /// attribute outside the target subtrees (for a fixed context those
+    /// rows are exactly the target subtrees' tuples), over the simulated
+    /// f-tree.
+    fn check_aggregate(rep: &FRep, target: &AggTarget, funcs: &[(AggOp, AggFunc, AttrId)]) {
+        let consumed: Vec<AttrId> = target
+            .nodes
+            .iter()
+            .flat_map(|&n| rep.ftree().subtree_attrs(n))
+            .collect();
+        let group: Vec<AttrId> = rep
+            .ftree()
+            .all_attrs()
+            .into_iter()
+            .filter(|a| !consumed.contains(a))
+            .collect();
+        let specs: Vec<PhysAggSpec> = funcs
+            .iter()
+            .map(|&(_, f, out)| AggSpec::new(f, out).into())
+            .collect();
+        let want = rel_ops::group_aggregate(&rep.flatten(), &group, &specs, GroupStrategy::Sort);
+        let (ops, outs): (Vec<AggOp>, Vec<AttrId>) = funcs.iter().map(|(o, _, a)| (*o, *a)).unzip();
+        let mut tree = rep.ftree().clone();
+        tree.aggregate(target.parent, &target.nodes, ops.clone(), outs.clone())
+            .unwrap();
+        for threads in [1, 2, 4] {
+            let got = aggregate(rep.clone(), target, ops.clone(), outs.clone(), threads).unwrap();
+            assert_represents(&got, &want, &tree);
+        }
     }
 
     #[test]
@@ -525,27 +443,12 @@ mod tests {
         let (mut c, rep) = fig1_rep();
         let price = c.lookup("price").unwrap();
         let item_node = rep.ftree().node_of_attr(c.lookup("item").unwrap()).unwrap();
-        let out_attr = c.intern("sumprice");
         let target = AggTarget::subtree(rep.ftree(), item_node);
-        let legacy = aggregate(
-            rep.clone(),
-            &target,
-            vec![AggOp::Sum(price), AggOp::Count],
-            vec![out_attr, c.intern("n")],
-        )
-        .unwrap();
-        for threads in [1, 2, 4] {
-            let inplace = aggregate_par_inplace(
-                rep.clone(),
-                &target,
-                vec![AggOp::Sum(price), AggOp::Count],
-                vec![out_attr, c.lookup("n").unwrap()],
-                threads,
-            )
-            .unwrap();
-            inplace.check_invariants().unwrap();
-            assert!(inplace.same_data(&legacy), "threads={threads}");
-        }
+        let funcs = [
+            (AggOp::Sum(price), AggFunc::Sum(price), c.intern("sumprice")),
+            (AggOp::Count, AggFunc::Count, c.intern("n")),
+        ];
+        check_aggregate(&rep, &target, &funcs);
     }
 
     #[test]
@@ -558,40 +461,31 @@ mod tests {
             parent: None,
             nodes: roots,
         };
-        let legacy = aggregate(
-            rep.clone(),
+        check_aggregate(
+            &rep,
             &target,
-            vec![AggOp::Sum(price)],
-            vec![out_attr],
-        )
-        .unwrap();
-        let inplace =
-            aggregate_par_inplace(rep, &target, vec![AggOp::Sum(price)], vec![out_attr], 2)
-                .unwrap();
-        inplace.check_invariants().unwrap();
-        assert!(inplace.same_data(&legacy));
-        assert_eq!(*inplace.root(0).entry(0).value(), Value::Int(40));
+            &[(AggOp::Sum(price), AggFunc::Sum(price), out_attr)],
+        );
+        let out = aggregate(rep, &target, vec![AggOp::Sum(price)], vec![out_attr], 2).unwrap();
+        assert_eq!(*out.root(0).entry(0).value(), Value::Int(40));
     }
 
     #[test]
     fn inplace_aggregate_of_empty_relation_is_empty() {
+        // Below the root: the empty relation has no parent entry to
+        // rewrite, on every thread count.
         let mut c = Catalog::new();
         let a = c.intern("a");
+        let b = c.intern("b");
         let out_attr = c.intern("n");
-        let rel = Relation::empty(Schema::new(vec![a]));
-        let rep = FRep::from_relation(&rel, FTree::path(&[a])).unwrap();
-        let roots = rep.ftree().roots().to_vec();
-        let out = aggregate_par_inplace(
-            rep,
-            &AggTarget {
-                parent: None,
-                nodes: roots,
-            },
-            vec![AggOp::Count],
-            vec![out_attr],
-            1,
-        )
-        .unwrap();
-        assert!(out.is_empty());
+        let rel = Relation::empty(Schema::new(vec![a, b]));
+        for threads in [1, 2] {
+            let rep = FRep::from_relation(&rel, FTree::path(&[a, b])).unwrap();
+            let nb = rep.ftree().node_of_attr(b).unwrap();
+            let target = AggTarget::subtree(rep.ftree(), nb);
+            let out = aggregate(rep, &target, vec![AggOp::Count], vec![out_attr], threads).unwrap();
+            out.check_invariants().unwrap();
+            assert!(out.is_empty());
+        }
     }
 }

@@ -13,28 +13,20 @@
 //! | `project_away` | projection (leaf removal, with push-down) | [`project`] |
 //! | `rename` | constant-time attribute renaming | [`project`] |
 //!
-//! Every operator exists in **two physical forms** over the arena
-//! storage of [`crate::frep`]:
+//! Every operator is a **rewrite of the representation in place**
+//! (the FDB engine paper's reading of an f-plan operator): it appends
+//! only the fragment it rewrites to the arena of [`crate::frep`] the
+//! representation already lives in and **shares** every untouched
+//! subtree by id (`rewrite_spine`), recording each share in the arena's
+//! `copies_avoided` counter. No operator materialises the whole
+//! representation; the superseded records along a rewritten root path
+//! become unreachable garbage, which the staged pipeline executor
+//! ([`crate::pipeline`]) sheds in at most one compaction pass per plan.
+//! A caller that applies operators by hand and wants a tight arena calls
+//! [`crate::frep::FRep::compact`] itself.
 //!
-//! * the **legacy copy transform** (`select_const`, `merge`, …): walks
-//!   the source arena through [`crate::frep::UnionRef`] cursors and
-//!   appends the rewritten representation into a fresh destination
-//!   arena, deep-copying every untouched fragment record by record
-//!   (`Arena::copy_union_from`). One full arena materialisation per
-//!   operator — the reference semantics the differential suites pin.
-//! * the **in-place rewrite** (`select_const_inplace`,
-//!   `swap_inplace`, …): appends only the rewritten fragment to the
-//!   *same* arena the representation lives in and **shares** untouched
-//!   subtrees by id (`rewrite_at_inplace`). No per-operator
-//!   materialisation; superseded records along the rewritten root path
-//!   become unreachable garbage that the staged pipeline executor
-//!   ([`crate::pipeline`]) sheds in one compaction pass per plan.
-//!
-//! `product` is the exception in both forms: it splices the right
-//! arena onto the left in one wholesale table append without touching
-//! the left side at all. `swap` has one regroup kernel: its copying
-//! form is the in-place rewrite followed by one sharing-preserving
-//! compaction (`swap_inplace(..)?.compact()`).
+//! `product` splices the right arena onto the left in one wholesale
+//! table append without touching the left side at all.
 //!
 //! All operators preserve the sortedness invariant of unions and prune
 //! entries whose subtrees become empty, cascading towards the roots.
@@ -45,95 +37,25 @@ pub mod project;
 pub mod restructure;
 pub mod select;
 
-pub use aggregate::{aggregate, aggregate_par, aggregate_par_inplace, AggTarget};
+pub use aggregate::{aggregate, AggTarget};
 pub use product::product;
-pub use project::{project_away, project_away_inplace, remove_leaf, remove_leaf_inplace, rename};
-pub use restructure::{absorb, absorb_inplace, merge, merge_inplace, swap, swap_inplace};
-pub use select::{select_const, select_const_inplace};
+pub use project::{project_away, remove_leaf, rename};
+pub use restructure::{absorb, merge, swap};
+pub use select::select_const;
 
 use crate::error::Result;
-use crate::frep::{Arena, UnionId, UnionRef};
+use crate::frep::{Arena, UnionId};
 use crate::ftree::{FTree, NodeId};
 
-/// Rewrites every occurrence of `target`'s union, copying everything
-/// else from `src` into `dst` unchanged.
+/// Rewrites every occurrence of `target`'s union by **appending** to
+/// the arena the representation lives in, returning the new root ids.
 ///
 /// The unions of a node occur once per combination of its ancestors'
-/// values; this walks the unique root path (computed on the f-tree *before*
-/// any structural change) and calls `f` on each occurrence, passing the
-/// source cursor and the destination arena. If `f` returns `None` — or a
-/// union with no entries — the containing entry is pruned and pruning
-/// cascades upward; at the root an empty union denotes the empty
-/// relation.
-pub(crate) fn rewrite_at(
-    tree: &FTree,
-    src: &Arena,
-    roots: &[UnionId],
-    target: NodeId,
-    dst: &mut Arena,
-    f: &mut dyn FnMut(UnionRef<'_>, &mut Arena) -> Result<Option<UnionId>>,
-) -> Result<Vec<UnionId>> {
-    let path = tree.root_path(target);
-    let root_idx = tree
-        .roots()
-        .iter()
-        .position(|&r| r == path[0])
-        .expect("target's root is a forest root");
-    let mut out = Vec::with_capacity(roots.len());
-    for (i, &r) in roots.iter().enumerate() {
-        if i == root_idx {
-            let nu = rewrite_rec(tree, src, r, &path, f, dst)?;
-            out.push(nu.unwrap_or_else(|| dst.empty_union(path[0])));
-        } else {
-            out.push(dst.copy_union_from(src, r));
-        }
-    }
-    Ok(out)
-}
-
-fn rewrite_rec(
-    tree: &FTree,
-    src: &Arena,
-    uid: UnionId,
-    path: &[NodeId],
-    f: &mut dyn FnMut(UnionRef<'_>, &mut Arena) -> Result<Option<UnionId>>,
-    dst: &mut Arena,
-) -> Result<Option<UnionId>> {
-    let u = src.union(uid);
-    debug_assert_eq!(u.node(), path[0]);
-    if path.len() == 1 {
-        return Ok(f(u, dst)?.filter(|&nu| dst.union_len(nu) > 0));
-    }
-    let child_idx = tree
-        .node(path[0])
-        .children
-        .iter()
-        .position(|&c| c == path[1])
-        .expect("path step is a child");
-    let mut specs = Vec::with_capacity(u.len());
-    let mut kid_ids: Vec<UnionId> = Vec::new();
-    for e in u.entries() {
-        // Rewrite the on-path child first: a pruned subtree skips the
-        // sibling copies entirely.
-        let Some(nu) = rewrite_rec(tree, src, e.child_id(child_idx), &path[1..], f, dst)? else {
-            continue;
-        };
-        kid_ids.clear();
-        for (j, c) in e.child_ids().enumerate() {
-            kid_ids.push(if j == child_idx {
-                nu
-            } else {
-                dst.copy_union_from(src, c)
-            });
-        }
-        specs.push(dst.entry(u.node(), e.value().clone(), &kid_ids));
-    }
-    Ok((!specs.is_empty()).then(|| dst.push_union(u.node(), &specs)))
-}
-
-/// In-place analog of [`rewrite_at`]: rewrites every occurrence of
-/// `target`'s union by **appending** to the same arena the
-/// representation lives in, returning the new root ids.
+/// values; this walks the unique root path (computed on the f-tree
+/// *before* any structural change) and calls `f` on each occurrence. If
+/// `f` returns `None` — or a union with no entries — the containing
+/// entry is pruned and pruning cascades upward; at the root an empty
+/// union denotes the empty relation.
 ///
 /// Untouched sibling fragments and off-path roots are *shared* by id
 /// rather than deep-copied (each share is recorded in the arena's
@@ -144,9 +66,9 @@ fn rewrite_rec(
 /// pruned) the containing union is shared wholesale too.
 ///
 /// The closure receives `(&mut Arena, UnionId)` instead of a cursor:
-/// in-place rewrites read records by index (they are `Copy`) because a
-/// cursor would borrow the arena across the appends.
-pub(crate) fn rewrite_at_inplace(
+/// rewrites read records by index (they are `Copy`) because a cursor
+/// would borrow the arena across the appends.
+pub(crate) fn rewrite_spine(
     tree: &FTree,
     arena: &mut Arena,
     roots: &[UnionId],
@@ -169,7 +91,7 @@ pub(crate) fn rewrite_at_inplace(
     let mut out = Vec::with_capacity(roots.len());
     for (i, &r) in roots.iter().enumerate() {
         if i == root_idx {
-            let nu = rewrite_rec_inplace(tree, arena, r, &path, f, &mut memo)?;
+            let nu = rewrite_spine_rec(tree, arena, r, &path, f, &mut memo)?;
             out.push(nu.unwrap_or_else(|| arena.empty_union(path[0])));
         } else {
             arena.note_shared(1);
@@ -179,7 +101,7 @@ pub(crate) fn rewrite_at_inplace(
     Ok(out)
 }
 
-fn rewrite_rec_inplace(
+fn rewrite_spine_rec(
     tree: &FTree,
     arena: &mut Arena,
     uid: UnionId,
@@ -217,7 +139,7 @@ fn rewrite_rec_inplace(
     for i in rec.start..rec.start + rec.len {
         let e = arena.erec(i);
         let old_kid = arena.kid_at(e.kids_start + child_idx as u32);
-        let Some(nu) = rewrite_rec_inplace(tree, arena, old_kid, &path[1..], f, memo)? else {
+        let Some(nu) = rewrite_spine_rec(tree, arena, old_kid, &path[1..], f, memo)? else {
             unchanged = false;
             continue;
         };
@@ -249,4 +171,33 @@ fn rewrite_rec_inplace(
     let nu = arena.push_union(path[0], &specs);
     memo.insert(uid.0, Some(nu));
     Ok(Some(nu))
+}
+
+/// The independent reference the operator unit tests hold every
+/// operator to: its relational counterpart applied to the input's
+/// flattening.
+#[cfg(test)]
+pub(crate) mod reference {
+    use crate::frep::FRep;
+    use crate::ftree::FTree;
+    use fdb_relational::Relation;
+
+    /// Asserts that `got` is the factorisation of `want` over `tree`,
+    /// the f-tree the tree-level operator simulates. Over
+    /// single-attribute atomic nodes the reference is
+    /// `FRep::from_relation(want, tree)`, compared structurally. Class
+    /// and aggregate nodes have no `from_relation` form; there the
+    /// flattenings must agree, which with the invariants pins the same
+    /// thing (over a fixed f-tree a relation has one factorisation with
+    /// sorted, non-empty unions).
+    pub(crate) fn assert_represents(got: &FRep, want: &Relation, tree: &FTree) {
+        got.check_invariants().unwrap();
+        assert_eq!(got.ftree().canonical_key(), tree.canonical_key(), "f-tree");
+        let want = want.project_cols(got.schema().attrs());
+        assert_eq!(got.flatten().canonical(), want.canonical(), "tuples");
+        if let Ok(rebuilt) = FRep::from_relation(&want, tree.clone()) {
+            assert!(got.same_data(&rebuilt), "factorisation");
+            assert_eq!(got.singleton_count(), rebuilt.singleton_count());
+        }
+    }
 }

@@ -6,121 +6,22 @@
 //! implemented, as in FDB, by swapping its children above it — and is then
 //! removed (§2.1). Renaming is a constant-time label edit.
 
-use crate::error::{FdbError, Result};
-use crate::frep::{Arena, FRep, UnionId};
-use crate::ftree::{NodeId, NodeLabel};
-use crate::ops::{rewrite_at, rewrite_at_inplace, swap, swap_inplace};
+use crate::error::Result;
+use crate::frep::{FRep, UnionId};
+use crate::ftree::{NodeId, Projection};
+use crate::ops::{rewrite_spine, swap};
 use fdb_relational::AttrId;
 
 /// Removes a leaf node's union everywhere (the data-level step of
-/// projection).
+/// projection): the parent level is re-emitted with the leaf's kid
+/// position dropped; every kept fragment is shared by id.
 pub fn remove_leaf(rep: FRep, node: NodeId) -> Result<FRep> {
-    let (tree, arena, roots) = rep.into_arena_parts();
-    let parent = tree.node(node).parent;
-    let mut new_tree = tree.clone();
-    let pos = new_tree.remove_leaf(node)?;
-    let mut dst = Arena::default();
-    let roots = match parent {
-        Some(p) => rewrite_at(&tree, &arena, &roots, p, &mut dst, &mut |up, dst| {
-            let src = up.arena();
-            let mut specs = Vec::with_capacity(up.len());
-            let mut kid_ids: Vec<UnionId> = Vec::new();
-            for e in up.entries() {
-                kid_ids.clear();
-                for (j, c) in e.child_ids().enumerate() {
-                    if j != pos {
-                        kid_ids.push(dst.copy_union_from(src, c));
-                    }
-                }
-                specs.push(dst.entry(up.node(), e.value().clone(), &kid_ids));
-            }
-            Ok(Some(dst.push_union(up.node(), &specs)))
-        })?,
-        None => roots
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != pos)
-            .map(|(_, &r)| dst.copy_union_from(&arena, r))
-            .collect(),
-    };
-    let out = FRep::from_arena(new_tree, dst, roots);
-    debug_assert!(out.check_invariants().is_ok());
-    Ok(out)
-}
-
-/// Projects away one attribute.
-///
-/// If the attribute shares its node with other class members, only the
-/// label changes. Otherwise the node is pushed down to a leaf with swaps
-/// (each swap lifts one child above it) and removed. Note that projection
-/// on factorised *sets* needs no deduplication: the remaining structure
-/// keys distinct combinations.
-pub fn project_away(rep: FRep, attr: AttrId) -> Result<FRep> {
-    let node = rep
-        .ftree()
-        .node_of_attr(attr)
-        .ok_or_else(|| FdbError::Unresolved(format!("attribute {attr} not in f-tree")))?;
-    let label = rep.ftree().node(node).label.clone();
-    match &label {
-        NodeLabel::Atomic(attrs) if attrs.len() > 1 => {
-            // Drop from the class; the representative value stays and the
-            // dependency edges are rewritten to a remaining member.
-            let mut rep = rep;
-            rep.ftree_mut().shrink_class(node, attr)?;
-            Ok(rep)
-        }
-        NodeLabel::Atomic(_) => {
-            let mut rep = rep;
-            // Push the node down until it is a leaf: swapping a child above
-            // the node increases the node's depth by one each time, so this
-            // terminates within the tree height.
-            loop {
-                let children = rep.ftree().node(node).children.clone();
-                match children.first() {
-                    None => break,
-                    Some(&c) => {
-                        rep = swap(rep, node, c)?;
-                    }
-                }
-            }
-            remove_leaf(rep, node)
-        }
-        NodeLabel::Agg(l) if l.outputs.len() > 1 => Err(FdbError::InvalidOperator(
-            "cannot project a single output of a composite aggregate".into(),
-        )),
-        NodeLabel::Agg(_) => {
-            let mut rep = rep;
-            loop {
-                let children = rep.ftree().node(node).children.clone();
-                match children.first() {
-                    None => break,
-                    Some(&c) => {
-                        rep = swap(rep, node, c)?;
-                    }
-                }
-            }
-            remove_leaf(rep, node)
-        }
-    }
-}
-
-/// Renames an output attribute (constant time, §2.1: names live in the
-/// f-tree, not in singletons). Already in-place — the staged executor
-/// uses it directly.
-pub fn rename(mut rep: FRep, from: AttrId, to: AttrId) -> Result<FRep> {
-    rep.ftree_mut().rename_attr(from, to)?;
-    Ok(rep)
-}
-
-/// In-place [`remove_leaf`]: the parent level is re-emitted with the
-/// leaf's kid position dropped; every kept fragment is shared by id.
-pub fn remove_leaf_inplace(rep: FRep, node: NodeId) -> Result<FRep> {
     let (tree, mut arena, roots) = rep.into_arena_parts();
     let parent = tree.node(node).parent;
     let mut new_tree = tree.clone();
     let pos = new_tree.remove_leaf(node)?;
     let roots = match parent {
-        Some(p) => rewrite_at_inplace(&tree, &mut arena, &roots, p, &mut |arena, uid| {
+        Some(p) => rewrite_spine(&tree, &mut arena, &roots, p, &mut |arena, uid| {
             let rec = arena.urec(uid);
             let mut specs = Vec::with_capacity(rec.len as usize);
             let mut kid_ids: Vec<UnionId> = Vec::new();
@@ -137,6 +38,9 @@ pub fn remove_leaf_inplace(rep: FRep, node: NodeId) -> Result<FRep> {
             }
             Ok(Some(arena.push_union(rec.node, &specs)))
         })?,
+        // An empty root union makes the whole relation empty; dropping
+        // it must not bring the other roots' tuples back.
+        None if arena.union_len(roots[pos]) == 0 => return Ok(FRep::empty(new_tree)),
         None => {
             let mut out = Vec::with_capacity(roots.len() - 1);
             for (i, &r) in roots.iter().enumerate() {
@@ -153,45 +57,45 @@ pub fn remove_leaf_inplace(rep: FRep, node: NodeId) -> Result<FRep> {
     Ok(out)
 }
 
-/// In-place [`project_away`]: same label-shrink / push-down-and-remove
-/// logic, but every data step runs as an in-place rewrite
-/// ([`swap_inplace`], [`remove_leaf_inplace`]).
-pub fn project_away_inplace(rep: FRep, attr: AttrId) -> Result<FRep> {
-    let node = rep
-        .ftree()
-        .node_of_attr(attr)
-        .ok_or_else(|| FdbError::Unresolved(format!("attribute {attr} not in f-tree")))?;
-    let label = rep.ftree().node(node).label.clone();
-    match &label {
-        NodeLabel::Atomic(attrs) if attrs.len() > 1 => {
-            let mut rep = rep;
+/// Projects away one attribute.
+///
+/// [`crate::ftree::FTree::projection`] decides the f-tree step. If the
+/// attribute shares its node with other class members, only the label
+/// changes. Otherwise the node is pushed down to a leaf with swaps (each
+/// swap lifts one child above it, so this terminates within the tree
+/// height) and removed. Projection on factorised *sets* needs no
+/// deduplication: the remaining structure keys distinct combinations.
+pub fn project_away(mut rep: FRep, attr: AttrId) -> Result<FRep> {
+    match rep.ftree().projection(attr)? {
+        Projection::ShrinkClass(node) => {
+            // The representative value stays; the dependency edges are
+            // rewritten to a remaining member.
             rep.ftree_mut().shrink_class(node, attr)?;
             Ok(rep)
         }
-        NodeLabel::Agg(l) if l.outputs.len() > 1 => Err(FdbError::InvalidOperator(
-            "cannot project a single output of a composite aggregate".into(),
-        )),
-        NodeLabel::Atomic(_) | NodeLabel::Agg(_) => {
-            let mut rep = rep;
-            loop {
-                let children = rep.ftree().node(node).children.clone();
-                match children.first() {
-                    None => break,
-                    Some(&c) => {
-                        rep = swap_inplace(rep, node, c)?;
-                    }
-                }
+        Projection::PushDownAndRemove(node) => {
+            while let Some(&c) = rep.ftree().node(node).children.first() {
+                rep = swap(rep, node, c)?;
             }
-            remove_leaf_inplace(rep, node)
+            remove_leaf(rep, node)
         }
     }
+}
+
+/// Renames an output attribute (constant time, §2.1: names live in the
+/// f-tree, not in singletons).
+pub fn rename(mut rep: FRep, from: AttrId, to: AttrId) -> Result<FRep> {
+    rep.ftree_mut().rename_attr(from, to)?;
+    Ok(rep)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ftree::FTree;
-    use fdb_relational::{Catalog, Relation, Schema, Value};
+    use crate::ops::reference::assert_represents;
+    use crate::plan::{apply_to_tree, FOp};
+    use fdb_relational::{ops as rel_ops, Catalog, Relation, Schema, Value};
 
     fn abc_rep() -> (Catalog, FRep) {
         let mut c = Catalog::new();
@@ -243,20 +147,23 @@ mod tests {
 
     #[test]
     fn inplace_project_matches_legacy() {
-        // Leaf removal, internal-node push-down and root projection —
-        // each through both physical paths.
+        // Leaf removal, internal-node push-down and root projection,
+        // each against the relational projection of the flattening over
+        // the simulated f-tree.
         for attr_name in ["x", "b", "a"] {
             let (c, rep) = abc_rep();
             let attr = c.lookup(attr_name).unwrap();
-            let legacy = project_away(rep.clone(), attr).unwrap();
-            let inplace = project_away_inplace(rep, attr).unwrap();
-            inplace.check_invariants().unwrap();
-            assert!(inplace.same_data(&legacy), "project away {attr_name}");
-            assert_eq!(
-                inplace.ftree().canonical_key(),
-                legacy.ftree().canonical_key(),
-                "project away {attr_name}"
-            );
+            let keep: Vec<AttrId> = rep
+                .ftree()
+                .all_attrs()
+                .into_iter()
+                .filter(|&a| a != attr)
+                .collect();
+            let want = rel_ops::project(&rep.flatten(), &keep, true);
+            let mut tree = rep.ftree().clone();
+            apply_to_tree(&mut tree, &FOp::ProjectAway { attr }).unwrap();
+            let got = project_away(rep, attr).unwrap();
+            assert_represents(&got, &want, &tree);
         }
     }
 
@@ -265,11 +172,29 @@ mod tests {
         let (c, rep) = abc_rep();
         let x = c.lookup("x").unwrap();
         let leaf = rep.ftree().node_of_attr(x).unwrap();
-        let legacy = remove_leaf(rep.clone(), leaf).unwrap();
-        let inplace = remove_leaf_inplace(rep, leaf).unwrap();
-        inplace.check_invariants().unwrap();
-        assert!(inplace.same_data(&legacy));
-        assert_eq!(inplace.tuple_count(), 3);
+        let a = c.lookup("a").unwrap();
+        let b = c.lookup("b").unwrap();
+        let want = rel_ops::project(&rep.flatten(), &[a, b], true);
+        let mut tree = rep.ftree().clone();
+        tree.remove_leaf(leaf).unwrap();
+        let got = remove_leaf(rep, leaf).unwrap();
+        assert_represents(&got, &want, &tree);
+        assert_eq!(got.tuple_count(), 3);
+    }
+
+    #[test]
+    fn removing_an_empty_root_keeps_the_relation_empty() {
+        // A product with an empty relation is empty even though the
+        // other root's union is not.
+        let (mut c, rep) = abc_rep();
+        let w = c.intern("w");
+        let empty = FRep::from_relation(&Relation::empty(Schema::new(vec![w])), FTree::path(&[w]));
+        let joined = crate::ops::product(rep, empty.unwrap());
+        assert!(joined.is_empty());
+        let out = project_away(joined, w).unwrap();
+        out.check_invariants().unwrap();
+        assert!(out.is_empty());
+        assert_eq!(out.tuple_count(), 0);
     }
 
     #[test]

@@ -5,35 +5,27 @@
 //!   `⋃_b (⟨B:b⟩×F_b×⋃_a (⟨A:a⟩×E_a×G_ab))`. The independent subtrees
 //!   `F_b` are deduplicated (first occurrence kept, the rest dropped) and
 //!   every `E_a`/`F_b`/`G_ab` fragment is shared by id, so the
-//!   factorisation can only shrink here. One regroup kernel
-//!   (`Regroup`) serves both forms of the operator.
+//!   factorisation can only shrink here; `Regroup` is the kernel.
 //! * `merge` implements a selection `A = B` on sibling nodes as a linear
 //!   intersection of their sorted unions.
 //! * `absorb` implements `A = B` when `B`'s node is a descendant of `A`'s:
 //!   each `B`-union below an `A`-value is restricted to that value.
 
 use crate::error::{FdbError, Result};
-use crate::frep::{Arena, EntryRec, EntryRef, EntrySpec, FRep, UnionId};
+use crate::frep::{Arena, EntryRec, EntrySpec, FRep, UnionId};
 use crate::ftree::{FTree, NodeId};
-use crate::ops::{rewrite_at, rewrite_at_inplace};
+use crate::ops::rewrite_spine;
 use fdb_relational::Value;
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hash, Hasher};
 
 /// Swap `χ_{A,B}`: `b` (a child of `a`) becomes `a`'s parent.
 ///
-/// The copying form: the in-place regroup of [`swap_inplace`], then one
-/// sharing-preserving compaction into a fresh arena that holds exactly
-/// the result.
+/// The regrouped `b`-over-`a` levels are appended to the same arena
+/// while the `E_a`, `F_b` and `G_ab` fragments are shared by id — the
+/// shared `E_a` fragments are referenced from every b-branch without any
+/// copy at all.
 pub fn swap(rep: FRep, a: NodeId, b: NodeId) -> Result<FRep> {
-    Ok(swap_inplace(rep, a, b)?.compact())
-}
-
-/// In-place [`swap`]: the regrouped `b`-over-`a` levels are appended to
-/// the same arena while the `E_a`, `F_b` and `G_ab` fragments are
-/// shared by id — the shared `E_a` fragments are referenced from every
-/// b-branch without any copy at all.
-pub fn swap_inplace(rep: FRep, a: NodeId, b: NodeId) -> Result<FRep> {
     let (tree, mut arena, roots) = rep.into_arena_parts();
     if tree.node(b).parent != Some(a) {
         return Err(FdbError::InvalidOperator(format!(
@@ -56,7 +48,7 @@ pub fn swap_inplace(rep: FRep, a: NodeId, b: NodeId) -> Result<FRep> {
         outcome.moved_up.iter().map(|&n| pos_of(n)).collect(),
         outcome.stayed.iter().map(|&n| pos_of(n)).collect(),
     );
-    let roots = rewrite_at_inplace(&tree, &mut arena, &roots, a, &mut |arena, uid| {
+    let roots = rewrite_spine(&tree, &mut arena, &roots, a, &mut |arena, uid| {
         Ok(Some(regroup.run(arena, uid)))
     })?;
     let out = FRep::from_arena(new_tree, arena, roots);
@@ -357,110 +349,10 @@ impl Hasher for FxHasher {
 }
 
 /// Merge: implements a selection `A = B` for sibling nodes by intersecting
-/// their sorted unions (linear in the union sizes).
+/// their sorted unions (linear in the union sizes). The intersected union
+/// is appended to the same arena; matched entries share both sides' child
+/// fragments by id and untouched siblings are never copied.
 pub fn merge(rep: FRep, a: NodeId, b: NodeId) -> Result<FRep> {
-    let (tree, arena, roots) = rep.into_arena_parts();
-    let parent = tree.node(a).parent;
-    let mut new_tree = tree.clone();
-    let outcome = new_tree.merge(a, b)?;
-    let (a_pos, b_pos) = (outcome.a_pos, outcome.b_pos);
-    let mut dst = Arena::default();
-    let new_roots = match parent {
-        None => {
-            // Both nodes are roots: intersect the two root unions directly.
-            let mut out = Vec::with_capacity(roots.len() - 1);
-            for (i, &r) in roots.iter().enumerate() {
-                if i == b_pos {
-                    continue;
-                }
-                if i == a_pos {
-                    out.push(intersect_unions(
-                        &arena,
-                        roots[a_pos],
-                        roots[b_pos],
-                        a,
-                        &mut dst,
-                    ));
-                } else {
-                    out.push(dst.copy_union_from(&arena, r));
-                }
-            }
-            if out.iter().any(|&u| dst.union_len(u) == 0) {
-                // Empty relation: normalise every root to empty.
-                dst = Arena::default();
-                out = new_tree
-                    .roots()
-                    .iter()
-                    .map(|&r| dst.empty_union(r))
-                    .collect();
-            }
-            out
-        }
-        Some(p) => rewrite_at(&tree, &arena, &roots, p, &mut dst, &mut |up, dst| {
-            let src = up.arena();
-            let mut specs = Vec::with_capacity(up.len());
-            let mut kid_ids: Vec<UnionId> = Vec::new();
-            for e in up.entries() {
-                let merged = intersect_unions(src, e.child_id(a_pos), e.child_id(b_pos), a, dst);
-                if dst.union_len(merged) == 0 {
-                    continue; // dangling combination: prune this entry
-                }
-                kid_ids.clear();
-                for (j, c) in e.child_ids().enumerate() {
-                    if j == b_pos {
-                        continue;
-                    }
-                    kid_ids.push(if j == a_pos {
-                        merged
-                    } else {
-                        dst.copy_union_from(src, c)
-                    });
-                }
-                specs.push(dst.entry(up.node(), e.value().clone(), &kid_ids));
-            }
-            Ok(Some(dst.push_union(up.node(), &specs)))
-        })?,
-    };
-    let out = FRep::from_arena(new_tree, dst, new_roots);
-    debug_assert!(out.check_invariants().is_ok());
-    Ok(out)
-}
-
-/// Sorted intersection of two unions; matched entries concatenate their
-/// child lists (the merged node keeps `a`'s children then `b`'s).
-fn intersect_unions(
-    src: &Arena,
-    ua: UnionId,
-    ub: UnionId,
-    node: NodeId,
-    dst: &mut Arena,
-) -> UnionId {
-    let ua = src.union(ua);
-    let ub = src.union(ub);
-    let mut specs = Vec::new();
-    let mut kid_ids: Vec<UnionId> = Vec::new();
-    let mut j = 0usize;
-    for ea in ua.entries() {
-        while j < ub.len() && ub.entry(j).value() < ea.value() {
-            j += 1;
-        }
-        if j < ub.len() && ub.entry(j).value() == ea.value() {
-            let eb = ub.entry(j);
-            j += 1;
-            kid_ids.clear();
-            for c in ea.child_ids().chain(eb.child_ids()) {
-                kid_ids.push(dst.copy_union_from(src, c));
-            }
-            specs.push(dst.entry(node, ea.value().clone(), &kid_ids));
-        }
-    }
-    dst.push_union(node, &specs)
-}
-
-/// In-place [`merge`]: the intersected union is appended to the same
-/// arena; matched entries share both sides' child fragments by id and
-/// untouched siblings are never copied.
-pub fn merge_inplace(rep: FRep, a: NodeId, b: NodeId) -> Result<FRep> {
     let (tree, mut arena, roots) = rep.into_arena_parts();
     let parent = tree.node(a).parent;
     let mut new_tree = tree.clone();
@@ -474,12 +366,7 @@ pub fn merge_inplace(rep: FRep, a: NodeId, b: NodeId) -> Result<FRep> {
                     continue;
                 }
                 if i == a_pos {
-                    out.push(intersect_unions_inplace(
-                        &mut arena,
-                        roots[a_pos],
-                        roots[b_pos],
-                        a,
-                    ));
+                    out.push(intersect_unions(&mut arena, roots[a_pos], roots[b_pos], a));
                 } else {
                     arena.note_shared(1);
                     out.push(r);
@@ -497,7 +384,7 @@ pub fn merge_inplace(rep: FRep, a: NodeId, b: NodeId) -> Result<FRep> {
             }
             out
         }
-        Some(p) => rewrite_at_inplace(&tree, &mut arena, &roots, p, &mut |arena, uid| {
+        Some(p) => rewrite_spine(&tree, &mut arena, &roots, p, &mut |arena, uid| {
             let rec = arena.urec(uid);
             let mut specs = Vec::with_capacity(rec.len as usize);
             let mut kid_ids: Vec<UnionId> = Vec::new();
@@ -505,7 +392,7 @@ pub fn merge_inplace(rep: FRep, a: NodeId, b: NodeId) -> Result<FRep> {
                 let e = arena.erec(i);
                 let ua = arena.kid_at(e.kids_start + a_pos as u32);
                 let ub = arena.kid_at(e.kids_start + b_pos as u32);
-                let merged = intersect_unions_inplace(arena, ua, ub, a);
+                let merged = intersect_unions(arena, ua, ub, a);
                 if arena.union_len(merged) == 0 {
                     continue; // dangling combination: prune this entry
                 }
@@ -531,9 +418,10 @@ pub fn merge_inplace(rep: FRep, a: NodeId, b: NodeId) -> Result<FRep> {
     Ok(out)
 }
 
-/// In-place [`intersect_unions`]: matched entries concatenate both
-/// sides' kid ids (shared, never copied).
-fn intersect_unions_inplace(arena: &mut Arena, ua: UnionId, ub: UnionId, node: NodeId) -> UnionId {
+/// Sorted intersection of two unions; matched entries concatenate both
+/// sides' kid ids (shared, never copied), so the merged node keeps `a`'s
+/// children then `b`'s.
+fn intersect_unions(arena: &mut Arena, ua: UnionId, ub: UnionId, node: NodeId) -> UnionId {
     // Phase 1 (read-only): the sorted intersection as value indices of
     // `a`'s column plus the concatenated shared kid lists.
     let matched: Vec<(u32, Vec<UnionId>)> = {
@@ -570,9 +458,11 @@ fn intersect_unions_inplace(arena: &mut Arena, ua: UnionId, ub: UnionId, node: N
 }
 
 /// Absorb: implements a selection `A = B` when `desc` (holding `B`) is a
-/// strict descendant of `anc` (holding `A`).
+/// strict descendant of `anc` (holding `A`). The restricted levels
+/// between `anc` and `desc` are appended to the same arena; the matching
+/// `desc` entry's children and every untouched sibling are shared by id.
 pub fn absorb(rep: FRep, anc: NodeId, desc: NodeId) -> Result<FRep> {
-    let (tree, arena, roots) = rep.into_arena_parts();
+    let (tree, mut arena, roots) = rep.into_arena_parts();
     if !tree.is_ancestor(anc, desc) {
         return Err(FdbError::InvalidOperator(format!(
             "absorb requires {desc:?} below {anc:?}"
@@ -588,107 +478,13 @@ pub fn absorb(rep: FRep, anc: NodeId, desc: NodeId) -> Result<FRep> {
     // Path from anc down to desc's parent, inclusive.
     let inner: Vec<NodeId> = full[anc_i..full.len() - 1].to_vec();
     let desc_pos = outcome.pos;
-    let mut dst = Arena::default();
-    let roots = rewrite_at(&tree, &arena, &roots, anc, &mut dst, &mut |ua, dst| {
-        let mut specs = Vec::with_capacity(ua.len());
-        for e in ua.entries() {
-            let v = e.value().clone();
-            if let Some(kids) = restrict_entry(&tree, e, &inner, desc_pos, &v, dst) {
-                specs.push(dst.entry(ua.node(), v, &kids));
-            }
-        }
-        Ok(Some(dst.push_union(ua.node(), &specs)))
-    })?;
-    let out = FRep::from_arena(new_tree, dst, roots);
-    debug_assert!(out.check_invariants().is_ok());
-    Ok(out)
-}
-
-/// Restricts the `desc` unions below one `anc` entry to the value `v`,
-/// splicing the matching entry's children in place of the `desc` union.
-/// Returns the rewritten kid list for the entry, or `None` when the
-/// restriction empties it (pruning).
-fn restrict_entry(
-    tree: &FTree,
-    e: EntryRef<'_>,
-    path: &[NodeId],
-    desc_pos: usize,
-    v: &Value,
-    dst: &mut Arena,
-) -> Option<Vec<UnionId>> {
-    let src = e.arena();
-    if path.len() == 1 {
-        // `e` is an entry of desc's parent: restrict the desc child union.
-        let du = e.child(desc_pos);
-        let i = du.find(v)?;
-        let de = du.entry(i);
-        let mut kids = Vec::with_capacity(e.child_count() - 1 + de.child_count());
-        for (j, c) in e.child_ids().enumerate() {
-            if j == desc_pos {
-                for dc in de.child_ids() {
-                    kids.push(dst.copy_union_from(src, dc));
-                }
-            } else {
-                kids.push(dst.copy_union_from(src, c));
-            }
-        }
-        Some(kids)
-    } else {
-        let child_idx = tree
-            .node(path[0])
-            .children
-            .iter()
-            .position(|&c| c == path[1])
-            .expect("path step is a child");
-        let cu = e.child(child_idx);
-        let mut specs = Vec::with_capacity(cu.len());
-        for ce in cu.entries() {
-            if let Some(ce_kids) = restrict_entry(tree, ce, &path[1..], desc_pos, v, dst) {
-                specs.push(dst.entry(cu.node(), ce.value().clone(), &ce_kids));
-            }
-        }
-        if specs.is_empty() {
-            return None;
-        }
-        let new_cu = dst.push_union(cu.node(), &specs);
-        let mut kids = Vec::with_capacity(e.child_count());
-        for (j, c) in e.child_ids().enumerate() {
-            kids.push(if j == child_idx {
-                new_cu
-            } else {
-                dst.copy_union_from(src, c)
-            });
-        }
-        Some(kids)
-    }
-}
-
-/// In-place [`absorb`]: the restricted levels between `anc` and `desc`
-/// are appended to the same arena; the matching `desc` entry's children
-/// and every untouched sibling are shared by id.
-pub fn absorb_inplace(rep: FRep, anc: NodeId, desc: NodeId) -> Result<FRep> {
-    let (tree, mut arena, roots) = rep.into_arena_parts();
-    if !tree.is_ancestor(anc, desc) {
-        return Err(FdbError::InvalidOperator(format!(
-            "absorb requires {desc:?} below {anc:?}"
-        )));
-    }
-    let mut new_tree = tree.clone();
-    let outcome = new_tree.absorb(anc, desc)?;
-    let full = tree.root_path(desc);
-    let anc_i = full
-        .iter()
-        .position(|&n| n == anc)
-        .expect("anc on desc's root path");
-    let inner: Vec<NodeId> = full[anc_i..full.len() - 1].to_vec();
-    let desc_pos = outcome.pos;
-    let roots = rewrite_at_inplace(&tree, &mut arena, &roots, anc, &mut |arena, uid| {
+    let roots = rewrite_spine(&tree, &mut arena, &roots, anc, &mut |arena, uid| {
         let rec = arena.urec(uid);
         let mut specs = Vec::with_capacity(rec.len as usize);
         for i in rec.start..rec.start + rec.len {
             let e = arena.erec(i);
             let v = arena.value_at(rec.node, e.val).clone();
-            if let Some(kids) = restrict_entry_inplace(&tree, arena, e, &inner, desc_pos, &v) {
+            if let Some(kids) = restrict_entry(&tree, arena, e, &inner, desc_pos, &v) {
                 specs.push(arena.entry_shared_val(e.val, &kids));
             }
         }
@@ -699,10 +495,12 @@ pub fn absorb_inplace(rep: FRep, anc: NodeId, desc: NodeId) -> Result<FRep> {
     Ok(out)
 }
 
-/// In-place [`restrict_entry`]: returns the rewritten kid list for one
-/// entry (fragments shared, the rewritten inner level appended), or
-/// `None` when the restriction empties it.
-fn restrict_entry_inplace(
+/// Restricts the `desc` unions below one `anc` entry to the value `v`,
+/// splicing the matching entry's children in place of the `desc` union.
+/// Returns the rewritten kid list for the entry (fragments shared, the
+/// rewritten inner level appended), or `None` when the restriction
+/// empties it (pruning).
+fn restrict_entry(
     tree: &FTree,
     arena: &mut Arena,
     e: EntryRec,
@@ -740,8 +538,7 @@ fn restrict_entry_inplace(
         let mut specs = Vec::with_capacity(curec.len as usize);
         for i in curec.start..curec.start + curec.len {
             let ce = arena.erec(i);
-            if let Some(ce_kids) = restrict_entry_inplace(tree, arena, ce, &path[1..], desc_pos, v)
-            {
+            if let Some(ce_kids) = restrict_entry(tree, arena, ce, &path[1..], desc_pos, v) {
                 specs.push(arena.entry_shared_val(ce.val, &ce_kids));
             }
         }
@@ -766,7 +563,8 @@ fn restrict_entry_inplace(
 mod tests {
     use super::*;
     use crate::ops::product;
-    use fdb_relational::{Catalog, Relation, Schema};
+    use crate::ops::reference::assert_represents;
+    use fdb_relational::{ops as rel_ops, Catalog, Predicate, Relation, Schema};
 
     /// Pizzas and Items from Figure 1 as path factorisations.
     fn pizzeria() -> (Catalog, FRep, FRep) {
@@ -949,8 +747,7 @@ mod tests {
     fn swap_requires_parent_child_relation() {
         let (_, rp, _) = pizzeria();
         let root = rp.ftree().roots()[0];
-        assert!(swap(rp.clone(), root, root).is_err());
-        assert!(swap_inplace(rp, root, root).is_err());
+        assert!(swap(rp, root, root).is_err());
     }
 
     #[test]
@@ -958,12 +755,10 @@ mod tests {
         let (_, rp, _) = pizzeria();
         let root = rp.ftree().roots()[0];
         let child = rp.ftree().node(root).children[0];
-        let copied = swap(rp.clone(), root, child).unwrap();
-        let inplace = check_swap(rp, root, child).unwrap();
-        assert!(copied.same_data(&inplace));
-        assert_eq!(inplace.singleton_count(), copied.singleton_count());
-        // Double swap through the in-place path restores the data too.
-        check_swap(inplace, child, root).unwrap();
+        let swapped = check_swap(rp, root, child).unwrap();
+        // Compacting keeps the data; swapping back restores it.
+        assert!(swapped.clone().compact().same_data(&swapped));
+        check_swap(swapped, child, root).unwrap();
     }
 
     /// The naive reference of χ: flatten, then regroup from scratch over
@@ -986,7 +781,7 @@ mod tests {
         let (tree, mut arena, roots) = rep.clone().into_arena_parts();
         let before = arena.copies_avoided();
         let mut kernel = 0u64;
-        rewrite_at_inplace(&tree, &mut arena, &roots, a, &mut |arena, uid| {
+        rewrite_spine(&tree, &mut arena, &roots, a, &mut |arena, uid| {
             let ua = arena.urec(uid);
             let mut distinct = std::collections::BTreeSet::new();
             for i in ua.start..ua.start + ua.len {
@@ -1005,14 +800,14 @@ mod tests {
         arena.copies_avoided() - before + kernel
     }
 
-    /// Runs [`swap_inplace`] and holds it to the reference: same data in
+    /// Runs [`swap`] and holds it to the reference: same data in
     /// the same entry order, same f-tree, invariants, and the old
     /// `copies_avoided` tally.
     fn check_swap(rep: FRep, a: NodeId, b: NodeId) -> std::result::Result<FRep, String> {
         let want = swap_reference(&rep, a, b);
         let shares = expected_copies_avoided(&rep, a, b);
         let before = rep.stats().copies_avoided;
-        let got = swap_inplace(rep, a, b).map_err(|e| e.to_string())?;
+        let got = swap(rep, a, b).map_err(|e| e.to_string())?;
         got.check_invariants().map_err(|e| e.to_string())?;
         if !got.same_data(&want) {
             return Err(format!(
@@ -1326,10 +1121,23 @@ mod tests {
             if dag == 1 {
                 // A swap after other in-place swaps: shared fragments and
                 // garbage in the input arena.
-                rep = swap_inplace(swap_inplace(rep, a, b).unwrap(), b, a).unwrap();
+                rep = swap(swap(rep, a, b).unwrap(), b, a).unwrap();
             }
             check_swap(rep, a, b).map_err(proptest::prelude::TestCaseError::fail)?;
         }
+    }
+
+    /// Runs [`merge`] on two sibling roots and holds it to the
+    /// relational selection `a = b` of the flattening, over the simulated
+    /// f-tree.
+    fn check_merge(rep: FRep, a: NodeId, b: NodeId) -> FRep {
+        let eq = |n: NodeId| rep.ftree().node(n).label.exposed_attrs()[0];
+        let want = rel_ops::select(&rep.flatten(), &[Predicate::AttrEq(eq(a), eq(b))]);
+        let mut tree = rep.ftree().clone();
+        tree.merge(a, b).unwrap();
+        let got = merge(rep, a, b).unwrap();
+        assert_represents(&got, &want, &tree);
+        got
     }
 
     #[test]
@@ -1340,11 +1148,8 @@ mod tests {
         let rp = swap(rp, pizza_root, item_node).unwrap();
         let joined = product(rp, ri);
         let item2_node = joined.ftree().roots()[1];
-        let legacy = merge(joined.clone(), item_node, item2_node).unwrap();
-        let inplace = merge_inplace(joined, item_node, item2_node).unwrap();
-        inplace.check_invariants().unwrap();
-        assert!(inplace.same_data(&legacy));
-        assert_eq!(inplace.tuple_count(), 7);
+        let got = check_merge(joined, item_node, item2_node);
+        assert_eq!(got.tuple_count(), 7);
     }
 
     #[test]
@@ -1364,11 +1169,8 @@ mod tests {
         let rp = swap(rp, pizza_root, item_node).unwrap();
         let joined = product(rp, ri);
         let item2_node = joined.ftree().roots()[1];
-        let legacy = merge(joined.clone(), item_node, item2_node).unwrap();
-        let inplace = merge_inplace(joined, item_node, item2_node).unwrap();
-        inplace.check_invariants().unwrap();
-        assert!(inplace.is_empty());
-        assert!(inplace.same_data(&legacy));
+        let got = check_merge(joined, item_node, item2_node);
+        assert!(got.is_empty());
     }
 
     #[test]
@@ -1386,10 +1188,13 @@ mod tests {
         let rep = FRep::from_relation(&rel, FTree::path(&[a, x, b])).unwrap();
         let na = rep.ftree().roots()[0];
         let nb = rep.ftree().node_of_attr(b).unwrap();
-        let legacy = absorb(rep.clone(), na, nb).unwrap();
-        let inplace = absorb_inplace(rep, na, nb).unwrap();
-        inplace.check_invariants().unwrap();
-        assert!(inplace.same_data(&legacy));
-        assert_eq!(inplace.tuple_count(), 2);
+        // The reference: the relational selection a = b of the
+        // flattening, over the simulated f-tree.
+        let want = rel_ops::select(&rep.flatten(), &[Predicate::AttrEq(a, b)]);
+        let mut tree = rep.ftree().clone();
+        tree.absorb(na, nb).unwrap();
+        let got = absorb(rep, na, nb).unwrap();
+        assert_represents(&got, &want, &tree);
+        assert_eq!(got.tuple_count(), 2);
     }
 }

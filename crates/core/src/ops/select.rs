@@ -3,48 +3,13 @@
 //! A constant selection filters the entries of the attribute's unions in
 //! one traversal of the relevant fragment (§5.1); entries whose subtrees
 //! become empty are pruned on the way back up. The surviving entries'
-//! subtrees are copied verbatim into the output arena.
+//! subtrees are shared by id, never copied.
 
 use crate::error::{FdbError, Result};
 use crate::frep::{value_for_attr, Arena, FRep, UnionId};
 use crate::ftree::{FTree, NodeId, NodeLabel};
-use crate::ops::rewrite_at;
 use fdb_relational::{AttrId, CmpOp, Value};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Filters the factorised relation to tuples with `attr θ value`.
-///
-/// Works on atomic attributes and on aggregate outputs alike — the latter
-/// is how `HAVING` clauses execute after aggregation (§2).
-pub fn select_const(rep: FRep, attr: AttrId, op: CmpOp, value: &Value) -> Result<FRep> {
-    let node = rep
-        .ftree()
-        .node_of_attr(attr)
-        .ok_or_else(|| FdbError::Unresolved(format!("attribute {attr} not in f-tree")))?;
-    let (tree, arena, roots) = rep.into_arena_parts();
-    let label = tree.node(node).label.clone();
-    let mut dst = Arena::default();
-    let roots = rewrite_at(&tree, &arena, &roots, node, &mut dst, &mut |u, dst| {
-        let mut specs = Vec::with_capacity(u.len());
-        let mut kid_ids: Vec<UnionId> = Vec::new();
-        for e in u.entries() {
-            let v = value_for_attr(&label, e.value(), attr)
-                .expect("node exposes the selected attribute");
-            if !op.eval(v.cmp(value)) {
-                continue;
-            }
-            kid_ids.clear();
-            for c in e.child_ids() {
-                kid_ids.push(dst.copy_union_from(&arena, c));
-            }
-            specs.push(dst.entry(u.node(), e.value().clone(), &kid_ids));
-        }
-        Ok(Some(dst.push_union(u.node(), &specs)))
-    })?;
-    let out = FRep::from_arena(tree, dst, roots);
-    debug_assert!(out.check_invariants().is_ok());
-    Ok(out)
-}
 
 /// One resolved constant selection: the node it filters and the
 /// entry-level predicate.
@@ -63,23 +28,25 @@ impl NodeFilter {
     }
 }
 
-/// In-place [`select_const`]: filters the attribute's unions by
-/// appending the surviving fragment to the same arena; untouched
-/// subtrees and all-pass unions are shared by id
-/// (`rewrite_at_inplace`).
-pub fn select_const_inplace(rep: FRep, attr: AttrId, op: CmpOp, value: &Value) -> Result<FRep> {
-    apply_filters_inplace(rep, &[(attr, op, value.clone())])
+/// Filters the factorised relation to tuples with `attr θ value`.
+///
+/// Works on atomic attributes and on aggregate outputs alike — the latter
+/// is how `HAVING` clauses execute after aggregation (§2). The surviving
+/// fragment is appended to the same arena; untouched subtrees and
+/// all-pass unions are shared by id.
+pub fn select_const(rep: FRep, attr: AttrId, op: CmpOp, value: &Value) -> Result<FRep> {
+    apply_filters(rep, &[(attr, op, value.clone())])
 }
 
 /// A run of consecutive `SelectConst` operators **fused into one
 /// arena walk**: the staged pipeline executor compiles each stage's
 /// selections into per-node entry filters and applies them all in a
-/// single in-place pass from the roots. Filters are resolved in plan
+/// single pass from the roots. Filters are resolved in plan
 /// order (first unresolved attribute wins the error, exactly as in
 /// sequential execution); because constant selections only remove
 /// entries and never create them, simultaneous application reaches the
 /// same pruning fixpoint as applying them one at a time.
-pub(crate) fn apply_filters_inplace(rep: FRep, filters: &[(AttrId, CmpOp, Value)]) -> Result<FRep> {
+pub(crate) fn apply_filters(rep: FRep, filters: &[(AttrId, CmpOp, Value)]) -> Result<FRep> {
     let (tree, mut arena, roots) = rep.into_arena_parts();
     let mut per_node: BTreeMap<NodeId, Vec<NodeFilter>> = BTreeMap::new();
     for (attr, op, value) in filters {
@@ -100,7 +67,7 @@ pub(crate) fn apply_filters_inplace(rep: FRep, filters: &[(AttrId, CmpOp, Value)
         active.extend(tree.root_path(n));
     }
     // Memoised over source union ids: fragments shared by earlier
-    // in-place operators are filtered once and re-shared (`None` =
+    // operators are filtered once and re-shared (`None` =
     // pruned), keeping the DAG a DAG.
     let mut memo: BTreeMap<u32, Option<UnionId>> = BTreeMap::new();
     let mut new_roots = Vec::with_capacity(roots.len());
@@ -193,7 +160,8 @@ fn filter_walk(
 mod tests {
     use super::*;
     use crate::ftree::FTree;
-    use fdb_relational::{Catalog, Relation, Schema};
+    use crate::ops::reference::assert_represents;
+    use fdb_relational::{ops as rel_ops, Catalog, Predicate, Relation, Schema};
 
     fn items() -> (Catalog, FRep) {
         let mut c = Catalog::new();
@@ -260,13 +228,12 @@ mod tests {
         let (_, rep) = items();
         let err = select_const(rep, AttrId(99), CmpOp::Eq, &Value::Int(0));
         assert!(matches!(err, Err(FdbError::Unresolved(_))));
-        let (_, rep) = items();
-        let err = select_const_inplace(rep, AttrId(99), CmpOp::Eq, &Value::Int(0));
-        assert!(matches!(err, Err(FdbError::Unresolved(_))));
     }
 
     #[test]
     fn inplace_select_matches_legacy() {
+        // The reference is the relational selection of the flattening,
+        // refactorised over the unchanged f-tree.
         for (attr_name, op, v) in [
             ("price", CmpOp::Le, Value::Int(2)),
             ("price", CmpOp::Gt, Value::Int(10)), // prunes everything
@@ -275,11 +242,10 @@ mod tests {
         ] {
             let (c, rep) = items();
             let attr = c.lookup(attr_name).unwrap();
-            let legacy = select_const(rep.clone(), attr, op, &v).unwrap();
-            let inplace = select_const_inplace(rep, attr, op, &v).unwrap();
-            inplace.check_invariants().unwrap();
-            assert!(inplace.same_data(&legacy), "{attr_name} {op:?} {v}");
-            assert_eq!(inplace.singleton_count(), legacy.singleton_count());
+            let want = rel_ops::select(&rep.flatten(), &[Predicate::AttrCmp(attr, op, v.clone())]);
+            let tree = rep.ftree().clone();
+            let got = select_const(rep, attr, op, &v).unwrap();
+            assert_represents(&got, &want, &tree);
         }
     }
 
@@ -288,7 +254,7 @@ mod tests {
         let (c, rep) = items();
         let price = c.lookup("price").unwrap();
         let before = rep.stats();
-        let out = select_const_inplace(rep, price, CmpOp::Ge, &Value::Int(0)).unwrap();
+        let out = select_const(rep, price, CmpOp::Ge, &Value::Int(0)).unwrap();
         let after = out.stats();
         // Nothing filtered: the whole representation is shared, no new
         // union appended, and the share is recorded.
@@ -306,13 +272,13 @@ mod tests {
             (item, CmpOp::Ne, Value::str("base")),
             (price, CmpOp::Ge, Value::Int(2)),
         ];
-        let mut legacy = rep.clone();
+        let mut sequential = rep.clone();
         for (a, o, v) in &filters {
-            legacy = select_const(legacy, *a, *o, v).unwrap();
+            sequential = select_const(sequential, *a, *o, v).unwrap();
         }
-        let fused = apply_filters_inplace(rep, &filters).unwrap();
+        let fused = apply_filters(rep, &filters).unwrap();
         fused.check_invariants().unwrap();
-        assert!(fused.same_data(&legacy));
+        assert!(fused.same_data(&sequential));
         assert_eq!(fused.tuple_count(), 1); // pineapple only
     }
 }

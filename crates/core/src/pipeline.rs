@@ -1,12 +1,11 @@
 //! Staged pipeline execution of f-plans.
 //!
-//! The legacy executor applies an f-plan one operator at a time, and
-//! with the arena storage of [`crate::frep`] every operator is a full
-//! arena→arena copy transform: a k-operator plan materialises k
-//! complete intermediate representations, most of which is redundant
-//! deep-copying of untouched subtrees. The paper's cost model (§5.1)
-//! prices a plan by the representations it *produces*, not by how
-//! often an engine recopies them — this module closes that gap.
+//! Every f-plan operator is an in-place rewrite of the representation
+//! (see [`crate::ops`]): it appends the fragment it rewrites to the
+//! arena and shares the rest by id. The paper's cost model (§5.1)
+//! prices a plan by the representations it *produces*; this module
+//! runs a plan so that it also only *allocates* what it produces, plus
+//! at most one compaction pass.
 //!
 //! ## Pipeline IR
 //!
@@ -22,33 +21,31 @@
 //!
 //! ## Execution
 //!
-//! [`execute_staged`] runs every operator **in place** on one shared
-//! arena: each rewrite appends only its rewritten fragment and shares
-//! untouched subtrees by id (see `ops::rewrite_at_inplace`),
-//! so no operator materialises the representation. Within a fused
-//! stage, runs of consecutive constant selections additionally compile
-//! into a single composed filter walk
-//! (`select::apply_filters_inplace`) — one arena pass no
-//! matter how many predicates the stage carries. Superseded records
-//! accumulate as unreachable garbage; at most one sharing-preserving
-//! compaction pass per plan ([`crate::frep::FRep::compact`]) sheds
-//! them at the end, and it only runs when dead records outnumber live
-//! ones — an empty plan is a pure pass-through, and short plans whose
-//! result is still mostly the input (a selection keeping most entries,
-//! a rename) return the in-place arena directly, with no full copy
-//! anywhere.
+//! [`execute_staged`] runs every operator on one shared arena through
+//! [`crate::plan::apply`], so no operator materialises the
+//! representation. Within a fused stage, runs of consecutive constant
+//! selections additionally compile into a single composed filter walk
+//! (`select::apply_filters`) — one arena pass no matter how many
+//! predicates the stage carries. Superseded records accumulate as
+//! unreachable garbage; at most one sharing-preserving compaction pass
+//! per plan ([`crate::frep::FRep::compact`]) sheds them at the end, and
+//! it only runs when dead records outnumber live ones — an empty plan
+//! is a pure pass-through, and short plans whose result is still mostly
+//! the input (a selection keeping most entries, a rename) return the
+//! arena directly, with no full copy anywhere.
 //!
-//! Parallelism applies per stage: aggregation operators inside a fused
-//! stage fan their per-group evaluations out to the `fdb-exec` pool
-//! exactly as in the legacy path, so results are bit-identical for
-//! every thread count *and* to the legacy executor — the differential
-//! property `tests/pipeline_fused.rs` and the oracle suite pin.
+//! Parallelism applies per operator: aggregation operators fan their
+//! per-group evaluations out to the `fdb-exec` pool and emit serially,
+//! so results are bit-identical for every thread count. Two references
+//! pin the executor: the same plan applied one operator at a time with
+//! a compaction after each step, and a relational evaluation of the
+//! plan over the input's flattening (`tests/pipeline_fused.rs`).
 
 use crate::error::Result;
 use crate::frep::FRep;
 use crate::ftree::FTree;
 use crate::ops;
-use crate::plan::{apply_with, FOp, FPlan};
+use crate::plan::{apply, FOp, FPlan};
 use fdb_relational::Catalog;
 use std::fmt::Write as _;
 use std::ops::Range;
@@ -158,21 +155,18 @@ pub fn display_staged(plan: &FPlan, catalog: &Catalog, input: &FTree) -> String 
     out
 }
 
-/// Execution report of one plan run (see [`execute_staged`] /
-/// [`execute_per_op`]).
+/// Execution report of one plan run (see [`execute_staged`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Operators executed.
     pub operators: usize,
-    /// Stages (for the per-operator executor: one stage per operator).
+    /// Stages ([`segment`]).
     pub stages: usize,
     /// Bytes of intermediate representation data allocated over the
-    /// plan run (size-based, no allocator slack — [`FRep::data_bytes`]).
-    /// The legacy executor materialises one full arena per operator, so
-    /// it accumulates the size of every intermediate; the staged
-    /// executor accumulates only its in-place appends plus the final
-    /// compaction copy. `0` for an empty plan (no intermediates exist)
-    /// and for pure tree edits (`Rename`, label-shrink projection).
+    /// plan run (size-based, no allocator slack — [`FRep::data_bytes`]):
+    /// the operators' appends plus the final compaction copy. `0` for
+    /// an empty plan (no intermediates exist) and for pure tree edits
+    /// (`Rename`, label-shrink projection).
     pub intermediate_bytes: usize,
     /// Untouched fragments shared by id instead of deep-copied.
     pub copies_avoided: u64,
@@ -180,36 +174,9 @@ pub struct ExecStats {
     pub compacted: bool,
 }
 
-/// Applies one operator via its in-place rewrite.
-pub fn apply_inplace_with(rep: FRep, op: &FOp, threads: usize) -> Result<FRep> {
-    match op {
-        FOp::SelectConst { attr, op, value } => ops::select_const_inplace(rep, *attr, *op, value),
-        FOp::Merge { a, b } => ops::merge_inplace(rep, *a, *b),
-        FOp::Absorb { anc, desc } => ops::absorb_inplace(rep, *anc, *desc),
-        FOp::Swap { parent, child } => ops::swap_inplace(rep, *parent, *child),
-        FOp::Aggregate {
-            parent,
-            targets,
-            funcs,
-            outputs,
-        } => ops::aggregate_par_inplace(
-            rep,
-            &ops::AggTarget {
-                parent: *parent,
-                nodes: targets.clone(),
-            },
-            funcs.clone(),
-            outputs.clone(),
-            threads,
-        ),
-        FOp::ProjectAway { attr } => ops::project_away_inplace(rep, *attr),
-        FOp::Rename { from, to } => ops::rename(rep, *from, *to),
-    }
-}
-
 /// Executes a plan through the staged pipeline: one shared arena, every
-/// operator in place, consecutive selections fused into one walk, one
-/// compaction pass at the end (skipped for zero/one-stage plans).
+/// operator in place, consecutive selections fused into one walk, and
+/// one compaction pass at the end when dead records outnumber live ones.
 pub fn execute_staged(plan: &FPlan, rep: FRep, threads: usize) -> Result<(FRep, ExecStats)> {
     let stages = segment(plan);
     let mut stats = ExecStats {
@@ -227,13 +194,13 @@ pub fn execute_staged(plan: &FPlan, rep: FRep, threads: usize) -> Result<(FRep, 
     for stage in &stages {
         match stage.kind {
             StageKind::Restructure => {
-                rep = apply_inplace_with(rep, &plan.ops[stage.ops.start], threads)?;
+                rep = apply(rep, &plan.ops[stage.ops.start], threads)?;
             }
             StageKind::Fused => {
                 let mut i = stage.ops.start;
                 while i < stage.ops.end {
                     // Fuse a maximal run of constant selections into one
-                    // walk (a run of one is just `select_const_inplace`).
+                    // walk (a run of one is just `select_const`).
                     let mut filters: Vec<_> = Vec::new();
                     while i < stage.ops.end {
                         let FOp::SelectConst { attr, op, value } = &plan.ops[i] else {
@@ -243,16 +210,16 @@ pub fn execute_staged(plan: &FPlan, rep: FRep, threads: usize) -> Result<(FRep, 
                         i += 1;
                     }
                     if !filters.is_empty() {
-                        rep = ops::select::apply_filters_inplace(rep, &filters)?;
+                        rep = ops::select::apply_filters(rep, &filters)?;
                     } else {
-                        rep = apply_inplace_with(rep, &plan.ops[i], threads)?;
+                        rep = apply(rep, &plan.ops[i], threads)?;
                         i += 1;
                     }
                 }
             }
         }
-        // Intermediate allocation of the stage: what the in-place
-        // rewrites appended (the arena only grows within a stage; the
+        // Intermediate allocation of the stage: what the operators
+        // appended (the arena only grows within a stage; the
         // rare root-level-aggregate-of-empty shortcut replaces the
         // arena by a smaller one, hence the saturation).
         let bytes_after = rep.data_bytes();
@@ -271,38 +238,6 @@ pub fn execute_staged(plan: &FPlan, rep: FRep, threads: usize) -> Result<(FRep, 
         stats.intermediate_bytes += rep.data_bytes();
     }
     stats.copies_avoided = rep.stats_counter_base().saturating_sub(counter_base);
-    Ok((rep, stats))
-}
-
-/// Executes a plan operator by operator through the legacy copy
-/// transforms — the reference path the differential suites compare
-/// against, and the `per-op` arm of the ablation benchmark.
-pub fn execute_per_op(plan: &FPlan, rep: FRep, threads: usize) -> Result<(FRep, ExecStats)> {
-    let mut stats = ExecStats {
-        operators: plan.len(),
-        stages: plan.len(),
-        ..ExecStats::default()
-    };
-    let mut rep = rep;
-    for op in &plan.ops {
-        // Pure tree edits materialise nothing; every other legacy
-        // operator produces a complete fresh arena.
-        let tree_only =
-            match op {
-                FOp::Rename { .. } => true,
-                FOp::ProjectAway { attr } => rep.ftree().node_of_attr(*attr).is_some_and(|n| {
-                    match &rep.ftree().node(n).label {
-                        crate::ftree::NodeLabel::Atomic(attrs) => attrs.len() > 1,
-                        crate::ftree::NodeLabel::Agg(_) => false,
-                    }
-                }),
-                _ => false,
-            };
-        rep = apply_with(rep, op, threads)?;
-        if !tree_only {
-            stats.intermediate_bytes += rep.data_bytes();
-        }
-    }
     Ok((rep, stats))
 }
 
@@ -398,25 +333,38 @@ mod tests {
         assert!(text.contains("[stage 2]"), "{text}");
     }
 
+    /// The reference: the plan applied one operator at a time through
+    /// [`apply`], compacting after each step, with the bytes those
+    /// compacted intermediates hold — what one full copy per operator
+    /// costs.
+    fn per_op(plan: &FPlan, mut rep: FRep) -> (FRep, usize) {
+        let mut bytes = 0;
+        for op in &plan.ops {
+            rep = apply(rep, op, 1).unwrap().compact();
+            bytes += rep.data_bytes();
+        }
+        (rep, bytes)
+    }
+
     #[test]
     fn staged_matches_per_op_and_compacts() {
         let (mut c, rep) = rep_abc();
         let plan = sample_plan(&mut c, &rep);
-        let (legacy, legacy_stats) = execute_per_op(&plan, rep.clone(), 1).unwrap();
+        let (stepped, stepped_bytes) = per_op(&plan, rep.clone());
         for threads in [1, 2, 4] {
             let (fused, stats) = execute_staged(&plan, rep.clone(), threads).unwrap();
-            assert!(fused.same_data(&legacy), "threads={threads}");
+            assert!(fused.same_data(&stepped), "threads={threads}");
             assert_eq!(
                 fused.ftree().canonical_key(),
-                legacy.ftree().canonical_key()
+                stepped.ftree().canonical_key()
             );
             assert!(stats.compacted);
             assert!(stats.copies_avoided > 0);
             assert!(
-                stats.intermediate_bytes < legacy_stats.intermediate_bytes,
+                stats.intermediate_bytes < stepped_bytes,
                 "staged {} >= per-op {}",
                 stats.intermediate_bytes,
-                legacy_stats.intermediate_bytes
+                stepped_bytes
             );
         }
     }
@@ -442,8 +390,7 @@ mod tests {
         });
         let (out, stats) = execute_staged(&plan, rep.clone(), 1).unwrap();
         assert!(!stats.compacted);
-        let (legacy, _) = execute_per_op(&plan, rep, 1).unwrap();
-        assert!(out.same_data(&legacy));
+        assert!(out.same_data(&per_op(&plan, rep).0));
     }
 
     #[test]
@@ -460,8 +407,8 @@ mod tests {
             });
         }
         let (fused, _) = execute_staged(&plan, rep.clone(), 1).unwrap();
-        let (legacy, _) = execute_per_op(&plan, rep, 1).unwrap();
-        assert!(fused.same_data(&legacy));
-        assert_eq!(fused.flatten().canonical(), legacy.flatten().canonical());
+        let (stepped, _) = per_op(&plan, rep);
+        assert!(fused.same_data(&stepped));
+        assert_eq!(fused.flatten().canonical(), stepped.flatten().canonical());
     }
 }

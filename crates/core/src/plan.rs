@@ -8,7 +8,7 @@
 
 use crate::error::Result;
 use crate::frep::FRep;
-use crate::ftree::{AggOp, FTree, NodeId};
+use crate::ftree::{AggOp, FTree, NodeId, Projection};
 use crate::ops;
 use fdb_relational::{AttrId, Catalog, CmpOp, Value};
 use std::fmt::Write as _;
@@ -72,22 +72,11 @@ impl FPlan {
     /// Applies the plan through the staged pipeline executor
     /// ([`crate::pipeline::execute_staged`]): every operator runs in
     /// place on one shared arena, consecutive selections fuse into one
-    /// walk, and one compaction pass per plan replaces the legacy
-    /// one-full-copy-per-operator transforms. Aggregation operators fan
-    /// out to `threads` workers; results are identical for every thread
-    /// count and bit-identical to [`FPlan::execute_per_op`].
+    /// walk, and at most one compaction pass runs per plan. Aggregation
+    /// operators fan out to `threads` workers; results are identical for
+    /// every thread count.
     pub fn execute_with(&self, rep: FRep, threads: usize) -> Result<FRep> {
         crate::pipeline::execute_staged(self, rep, threads).map(|(rep, _)| rep)
-    }
-
-    /// Applies the plan one copy transform per operator — the legacy
-    /// execution path, kept as the reference for the fused-vs-per-op
-    /// differential suites and the ablation benchmark.
-    pub fn execute_per_op(&self, mut rep: FRep, threads: usize) -> Result<FRep> {
-        for op in &self.ops {
-            rep = apply_with(rep, op, threads)?;
-        }
-        Ok(rep)
     }
 
     /// Simulates the plan on an f-tree (what the optimiser explores).
@@ -174,15 +163,12 @@ impl FPlan {
     }
 }
 
-/// Applies one operator to a representation.
-pub fn apply(rep: FRep, op: &FOp) -> Result<FRep> {
-    apply_with(rep, op, 1)
-}
-
-/// Applies one operator with aggregation parallelised on `threads`
-/// workers; the structural operators stay serial (they are linear
-/// single-pass rewrites).
-pub fn apply_with(rep: FRep, op: &FOp, threads: usize) -> Result<FRep> {
+/// Applies one operator to a representation, in place on its arena
+/// (see [`crate::ops`]); aggregation fans out to `threads` workers, the
+/// structural operators stay serial (they are linear single-pass
+/// rewrites). The staged executor dispatches every operator that is
+/// not part of a fused selection run through here.
+pub fn apply(rep: FRep, op: &FOp, threads: usize) -> Result<FRep> {
     match op {
         FOp::SelectConst { attr, op, value } => ops::select_const(rep, *attr, *op, value),
         FOp::Merge { a, b } => ops::merge(rep, *a, *b),
@@ -193,7 +179,7 @@ pub fn apply_with(rep: FRep, op: &FOp, threads: usize) -> Result<FRep> {
             targets,
             funcs,
             outputs,
-        } => ops::aggregate_par(
+        } => ops::aggregate(
             rep,
             &ops::AggTarget {
                 parent: *parent,
@@ -223,30 +209,15 @@ pub fn apply_to_tree(tree: &mut FTree, op: &FOp) -> Result<()> {
         } => tree
             .aggregate(*parent, targets, funcs.clone(), outputs.clone())
             .map(|_| ()),
-        FOp::ProjectAway { attr } => {
-            // Tree-level approximation of project_away: label shrink or
-            // push-down-and-remove, mirroring `ops::project_away`.
-            let node = tree.node_of_attr(*attr).ok_or_else(|| {
-                crate::error::FdbError::Unresolved(format!("attribute {attr} not in f-tree"))
-            })?;
-            match tree.node(node).label.clone() {
-                crate::ftree::NodeLabel::Atomic(attrs) if attrs.len() > 1 => {
-                    tree.shrink_class(node, *attr)
+        FOp::ProjectAway { attr } => match tree.projection(*attr)? {
+            Projection::ShrinkClass(node) => tree.shrink_class(node, *attr),
+            Projection::PushDownAndRemove(node) => {
+                while let Some(&c) = tree.node(node).children.first() {
+                    tree.swap(node, c)?;
                 }
-                _ => {
-                    loop {
-                        let children = tree.node(node).children.clone();
-                        match children.first() {
-                            None => break,
-                            Some(&c) => {
-                                tree.swap(node, c)?;
-                            }
-                        }
-                    }
-                    tree.remove_leaf(node).map(|_| ())
-                }
+                tree.remove_leaf(node).map(|_| ())
             }
-        }
+        },
         FOp::Rename { from, to } => tree.rename_attr(*from, *to),
     }
 }
@@ -363,6 +334,38 @@ mod tests {
         });
         let s = plan.display(&c, &t);
         assert!(s.contains("over [y, z] -> m"), "{s}");
+    }
+
+    #[test]
+    fn simulation_refuses_what_execution_refuses() {
+        // Projecting one output of a composite aggregate fails at
+        // execution; simulation must fail the same way, or the optimiser
+        // could pick a plan that cannot run.
+        let (mut c, rep) = simple_rep();
+        let a = c.lookup("a").unwrap();
+        let b = c.lookup("b").unwrap();
+        let na = rep.ftree().node_of_attr(a).unwrap();
+        let nb = rep.ftree().node_of_attr(b).unwrap();
+        let (n, s) = (c.intern("n"), c.intern("s"));
+        let mut plan = FPlan::new();
+        plan.push(FOp::Aggregate {
+            parent: Some(na),
+            targets: vec![nb],
+            funcs: vec![AggOp::Count, AggOp::Sum(b)],
+            outputs: vec![n, s],
+        });
+        plan.push(FOp::ProjectAway { attr: n });
+        let mut tree = rep.ftree().clone();
+        let simulated = plan.simulate(&mut tree);
+        assert!(
+            matches!(simulated, Err(crate::error::FdbError::InvalidOperator(_))),
+            "{simulated:?}"
+        );
+        let executed = plan.execute(rep);
+        assert!(
+            matches!(executed, Err(crate::error::FdbError::InvalidOperator(_))),
+            "{executed:?}"
+        );
     }
 
     #[test]

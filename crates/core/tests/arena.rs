@@ -119,8 +119,8 @@ fn deep_path_round_trips() {
 #[test]
 fn branching_tree_round_trips_after_operators() {
     // Run the representation through swap + aggregate first, so the
-    // serialized arena is one produced by the copy-transform operators
-    // (possibly holding unreachable records), then round-trip it.
+    // serialized arena is one produced by the f-plan operators (holding
+    // shared fragments and unreachable records), then round-trip it.
     let mut c = Catalog::new();
     let x = c.intern("x");
     let y = c.intern("y");
@@ -137,7 +137,7 @@ fn branching_tree_round_trips_after_operators() {
     let nz = rep.ftree().node_of_attr(z).unwrap();
     let target = fdb_core::ops::AggTarget::subtree(rep.ftree(), nz);
     let rep =
-        fdb_core::ops::aggregate(rep, &target, vec![fdb_core::AggOp::Count], vec![out]).unwrap();
+        fdb_core::ops::aggregate(rep, &target, vec![fdb_core::AggOp::Count], vec![out], 1).unwrap();
     round_trip(&rep, &c);
 }
 
@@ -234,7 +234,7 @@ fn a_large_clone_reuses_dropped_tables_without_their_data() {
 
 #[test]
 fn compaction_sheds_garbage_and_preserves_data() {
-    // In-place operators leave superseded records behind; compaction
+    // The operators leave superseded records behind; compaction
     // must shed them without changing the represented data, and the
     // compacted arena must round-trip through io like any other.
     let mut c = Catalog::new();
@@ -247,11 +247,10 @@ fn compaction_sheds_garbage_and_preserves_data() {
     );
     let rep = FRep::from_relation(&rel, FTree::path(&[x, y, z])).unwrap();
     let rep =
-        fdb_core::ops::select_const_inplace(rep, y, fdb_relational::CmpOp::Ne, &Value::Int(3))
-            .unwrap();
+        fdb_core::ops::select_const(rep, y, fdb_relational::CmpOp::Ne, &Value::Int(3)).unwrap();
     let nx = rep.ftree().node_of_attr(x).unwrap();
     let ny = rep.ftree().node_of_attr(y).unwrap();
-    let rep = fdb_core::ops::swap_inplace(rep, nx, ny).unwrap();
+    let rep = fdb_core::ops::swap(rep, nx, ny).unwrap();
     let before = rep.stats();
     let logical = rep.flatten().canonical();
     let compacted = rep.compact();
@@ -281,7 +280,7 @@ fn swap_reference(rep: &FRep, a: fdb_core::NodeId, b: fdb_core::NodeId) -> FRep 
 
 #[test]
 fn compaction_preserves_sharing() {
-    // The in-place swap shares the `E_a` fragments across b-branches;
+    // The swap shares the `E_a` fragments across b-branches;
     // compaction must keep one physical copy per shared fragment, so
     // the compacted arena is no bigger than the unshared reference
     // rebuilt from the flat relation.
@@ -297,7 +296,7 @@ fn compaction_preserves_sharing() {
     let nx = rep.ftree().node_of_attr(x).unwrap();
     let ny = rep.ftree().node_of_attr(y).unwrap();
     let legacy = swap_reference(&rep, nx, ny);
-    let compacted = fdb_core::ops::swap_inplace(rep, nx, ny).unwrap().compact();
+    let compacted = fdb_core::ops::swap(rep, nx, ny).unwrap().compact();
     compacted.check_invariants().unwrap();
     assert!(compacted.same_data(&legacy));
     assert_eq!(compacted.singleton_count(), legacy.singleton_count());

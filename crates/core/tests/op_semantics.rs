@@ -28,6 +28,30 @@ fn rel3(attrs: &[fdb_relational::AttrId; 3], rows: &[(i64, i64, i64)]) -> Relati
     .canonical()
 }
 
+/// `L(p, b) ⋈ R(p, b2)` factorised over the branching f-tree
+/// `p → {b, b2}`, which the join satisfies by construction.
+fn siblings(l: &[(i64, i64)], r: &[(i64, i64)]) -> (Relation, FRep, [fdb_relational::AttrId; 3]) {
+    let mut c = Catalog::new();
+    let [p, b, b2] = ["p", "b", "b2"].map(|n| c.intern(n));
+    let mut rows = Vec::new();
+    for &(lp, lb) in l {
+        for &(rp, rb) in r {
+            if lp == rp {
+                rows.push(vec![Value::Int(lp), Value::Int(lb), Value::Int(rb)]);
+            }
+        }
+    }
+    let rel = Relation::from_rows(Schema::new(vec![p, b, b2]), rows).canonical();
+    let mut t = FTree::new();
+    let np = t.add_node(NodeLabel::Atomic(vec![p]), None);
+    t.add_node(NodeLabel::Atomic(vec![b]), Some(np));
+    t.add_node(NodeLabel::Atomic(vec![b2]), Some(np));
+    t.add_dep([p, b]);
+    t.add_dep([p, b2]);
+    let rep = FRep::from_relation(&rel, t).unwrap();
+    (rel, rep, [p, b, b2])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
 
@@ -140,6 +164,48 @@ proptest! {
     }
 
     #[test]
+    fn merge_of_inner_siblings_implements_equality_selection(
+        l in prop::collection::vec((0i64..3, 0i64..4), 0..15),
+        r in prop::collection::vec((0i64..3, 0i64..4), 0..15),
+    ) {
+        // p → {b, b2}: the merge intersects the b- and b2-unions under
+        // every p-entry and prunes the p-entries left without a match.
+        let (rel, rep, [p, b, b2]) = siblings(&l, &r);
+        let nb = rep.ftree().node_of_attr(b).unwrap();
+        let nb2 = rep.ftree().node_of_attr(b2).unwrap();
+        let merged = ops::merge(rep, nb, nb2).unwrap();
+        prop_assert!(merged.check_invariants().is_ok());
+        let expected = rel_ops::select(&rel, &[Predicate::AttrEq(b, b2)]);
+        let got = merged.flatten().project_cols(&[p, b, b2]).canonical();
+        prop_assert_eq!(got, expected.canonical());
+    }
+
+    #[test]
+    fn remove_leaf_implements_projection(
+        rows in prop::collection::vec((0i64..5, 0i64..5, 0i64..5), 0..25),
+        l in prop::collection::vec((0i64..3, 0i64..4), 0..15),
+        r in prop::collection::vec((0i64..3, 0i64..4), 0..15),
+    ) {
+        // The leaf of a path, and one leaf of a branching node.
+        let (_, attrs) = catalog3();
+        let rel = rel3(&attrs, &rows);
+        let rep = FRep::from_relation(&rel, FTree::path(&attrs)).unwrap();
+        let nz = rep.ftree().node_of_attr(attrs[2]).unwrap();
+        let out = ops::remove_leaf(rep, nz).unwrap();
+        prop_assert!(out.check_invariants().is_ok());
+        let keep = [attrs[0], attrs[1]];
+        let expected = rel_ops::project(&rel, &keep, true);
+        prop_assert_eq!(out.flatten().project_cols(&keep).canonical(), expected.canonical());
+
+        let (rel, rep, [p, b, b2]) = siblings(&l, &r);
+        let nb = rep.ftree().node_of_attr(b).unwrap();
+        let out = ops::remove_leaf(rep, nb).unwrap();
+        prop_assert!(out.check_invariants().is_ok());
+        let expected = rel_ops::project(&rel, &[p, b2], true);
+        prop_assert_eq!(out.flatten().project_cols(&[p, b2]).canonical(), expected.canonical());
+    }
+
+    #[test]
     fn aggregate_matches_relational_group_aggregate(
         rows in prop::collection::vec((0i64..5, 0i64..5, -5i64..5), 0..25),
         func_pick in 0usize..4,
@@ -160,7 +226,7 @@ proptest! {
             _ => (AggOp::Max(attrs[2]), AggFunc::Max(attrs[2])),
         };
         let target = ops::AggTarget::subtree(rep.ftree(), ny);
-        let agged = ops::aggregate(rep, &target, vec![fop], vec![out]).unwrap();
+        let agged = ops::aggregate(rep, &target, vec![fop], vec![out], 1).unwrap();
         prop_assert!(agged.check_invariants().is_ok());
         let expected = rel_ops::group_aggregate(
             &rel,
@@ -195,8 +261,8 @@ proptest! {
             _ => (AggOp::Max(attrs[2]), AggFunc::Max(attrs[2])),
         };
         let target = ops::AggTarget::subtree(rep.ftree(), ny);
-        let serial = ops::aggregate(rep.clone(), &target, vec![fop], vec![out]).unwrap();
-        let par = ops::aggregate_par(rep, &target, vec![fop], vec![out], threads).unwrap();
+        let serial = ops::aggregate(rep.clone(), &target, vec![fop], vec![out], 1).unwrap();
+        let par = ops::aggregate(rep, &target, vec![fop], vec![out], threads).unwrap();
         prop_assert!(par.check_invariants().is_ok());
         // Parallel ≡ serial structurally, not just as a set.
         prop_assert!(par.same_data(&serial));
@@ -222,7 +288,7 @@ proptest! {
         let rep = FRep::from_relation(&rel, FTree::path(&attrs)).unwrap();
         let out = c.intern("total");
         let roots = rep.ftree().roots().to_vec();
-        let par = ops::aggregate_par(
+        let par = ops::aggregate(
             rep,
             &ops::AggTarget { parent: None, nodes: roots },
             vec![AggOp::Sum(attrs[2])],
@@ -286,7 +352,7 @@ fn parallel_aggregate_empty_union_edge_case() {
     for threads in [1usize, 2, 4] {
         let rep = FRep::from_relation_with(&rel, FTree::path(&attrs), threads).unwrap();
         let roots = rep.ftree().roots().to_vec();
-        let agged = ops::aggregate_par(
+        let agged = ops::aggregate(
             rep,
             &ops::AggTarget {
                 parent: None,
@@ -330,8 +396,7 @@ fn parallel_aggregate_single_child_union_edge_case() {
         let ny = rep.ftree().node_of_attr(attrs[1]).unwrap();
         let target = ops::AggTarget::subtree(rep.ftree(), ny);
         let agged =
-            ops::aggregate_par(rep, &target, vec![AggOp::Sum(attrs[2])], vec![out], threads)
-                .unwrap();
+            ops::aggregate(rep, &target, vec![AggOp::Sum(attrs[2])], vec![out], threads).unwrap();
         assert_eq!(
             agged.flatten().project_cols(&[attrs[0], out]).canonical(),
             expected,
@@ -367,13 +432,13 @@ fn parallel_aggregate_skewed_child_sizes_edge_case() {
             let rep = FRep::from_relation(&rel, FTree::path(&attrs)).unwrap();
             let ny = rep.ftree().node_of_attr(attrs[1]).unwrap();
             let target = ops::AggTarget::subtree(rep.ftree(), ny);
-            ops::aggregate(rep, &target, vec![fop], vec![out]).unwrap()
+            ops::aggregate(rep, &target, vec![fop], vec![out], 1).unwrap()
         };
         for threads in [2usize, 3, 4, 8] {
             let rep = FRep::from_relation(&rel, FTree::path(&attrs)).unwrap();
             let ny = rep.ftree().node_of_attr(attrs[1]).unwrap();
             let target = ops::AggTarget::subtree(rep.ftree(), ny);
-            let par = ops::aggregate_par(rep, &target, vec![fop], vec![out], threads).unwrap();
+            let par = ops::aggregate(rep, &target, vec![fop], vec![out], threads).unwrap();
             assert!(par.same_data(&serial), "threads={threads}");
             assert_eq!(
                 par.flatten().project_cols(&[attrs[0], out]).canonical(),
@@ -403,6 +468,7 @@ fn having_on_composite_aggregate_node() {
         &target,
         vec![AggOp::Sum(attrs[2]), AggOp::Count],
         vec![s, n],
+        1,
     )
     .unwrap();
     // HAVING s > 5: keeps only x=1 (sum 10 vs sum 3).
@@ -447,6 +513,7 @@ fn aggregate_multiple_sibling_targets_at_once() {
         },
         vec![AggOp::Count],
         vec![out],
+        1,
     )
     .unwrap();
     // Each x group holds 3 × 2 = 6 tuples.

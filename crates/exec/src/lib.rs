@@ -94,11 +94,12 @@ pub fn split_chunks<T>(items: Vec<T>, parts: usize) -> Vec<Vec<T>> {
 }
 
 /// Splits `items` into [`morsel_count`] contiguous chunks — the
-/// morsel-granularity counterpart of [`split_chunks`] for callers that
-/// carve their own work units (construction groups, sort runs, hash
-/// partitions) and hand the chunks to [`parallel_map`]. One near-equal
-/// chunk per worker (the legacy static carve) strands a skewed chunk's
-/// siblings behind it; ~4× threads chunks let the scheduler rebalance.
+/// morsel-granularity counterpart of [`split_chunks`], used by
+/// [`parallel_map`] itself and by callers that carve their own work
+/// units (construction groups, sort runs, hash partitions) and hand the
+/// chunks to it. One near-equal chunk per worker strands a skewed
+/// chunk's siblings behind it; ~4× threads chunks let the scheduler
+/// rebalance.
 pub fn split_morsels<T>(items: Vec<T>, threads: usize) -> Vec<Vec<T>> {
     let parts = morsel_count(items.len(), threads);
     split_chunks(items, parts)
@@ -141,36 +142,13 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    parallel_map_grained(threads, MORSELS_PER_WORKER, items, f)
-}
-
-/// [`parallel_map`] with an explicit morsels-per-worker granularity.
-///
-/// `morsels_per_worker == 1` reproduces the legacy static carve — one
-/// contiguous chunk per worker, so stealing never fires — and is kept
-/// as the A/B baseline for scheduler benchmarks and pathology tests.
-/// All contracts (order preservation, panic propagation, serial path)
-/// are identical regardless of granularity.
-pub fn parallel_map_grained<T, R, F>(
-    threads: usize,
-    morsels_per_worker: usize,
-    items: Vec<T>,
-    f: F,
-) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
     if threads <= 1 || items.len() < 2 {
         return items.into_iter().map(f).collect();
     }
     let n_items = items.len();
-    let workers = threads.min(MAX_WORKERS);
-    let parts = (workers * morsels_per_worker.max(1)).clamp(1, n_items);
-    let morsels = split_chunks(items, parts);
+    let morsels = split_morsels(items, threads);
     let n_morsels = morsels.len();
-    let workers = workers.min(n_morsels);
+    let workers = threads.min(MAX_WORKERS).min(n_morsels);
     // Input chunks are taken (once) by the claiming worker; output slots
     // are written (once) per morsel. Both are indexed by morsel id, so
     // concatenating the slots in id order restores input order no
@@ -332,16 +310,6 @@ mod tests {
         assert!(out.is_empty());
         let out = parallel_map(4, vec![9], |x: i32| x + 1);
         assert_eq!(out, vec![10]);
-    }
-
-    #[test]
-    fn static_grained_map_matches_serial() {
-        // morsels_per_worker == 1 is the legacy one-chunk-per-worker
-        // carve; it must satisfy the same order contract.
-        for threads in [2, 4] {
-            let out = parallel_map_grained(threads, 1, (0..101).collect::<Vec<i64>>(), |x| x * 3);
-            assert_eq!(out, (0..101).map(|x| x * 3).collect::<Vec<i64>>());
-        }
     }
 
     /// Skewed workload: one item vastly more expensive than the other

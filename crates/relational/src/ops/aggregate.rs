@@ -108,7 +108,7 @@ pub fn group_aggregate(
     aggs: &[PhysAggSpec],
     strategy: GroupStrategy,
 ) -> Relation {
-    group_aggregate_par(rel, group, aggs, strategy, 1)
+    group_aggregate_with(rel, group, aggs, strategy, 1)
 }
 
 /// [`group_aggregate`] on up to `threads` worker threads.
@@ -121,7 +121,7 @@ pub fn group_aggregate(
 ///   in its partition and scans the input for them; concatenation order
 ///   across workers is unspecified, exactly like the serial hash table's
 ///   iteration order.
-pub fn group_aggregate_par(
+pub fn group_aggregate_with(
     rel: &Relation,
     group: &[AttrId],
     aggs: &[PhysAggSpec],
@@ -464,7 +464,7 @@ mod tests {
         ];
         let serial = group_aggregate(&rel, &[g], &aggs, GroupStrategy::Sort);
         for threads in [2, 3, 4, 7] {
-            let par = group_aggregate_par(&rel, &[g], &aggs, GroupStrategy::Sort, threads);
+            let par = group_aggregate_with(&rel, &[g], &aggs, GroupStrategy::Sort, threads);
             // Sort grouping is order-deterministic: exact equality.
             assert_eq!(par, serial, "threads={threads}");
         }
@@ -477,8 +477,8 @@ mod tests {
         let aggs = specs(&mut c);
         let serial = group_aggregate(&rel, &[cust], &aggs, GroupStrategy::Hash).canonical();
         for threads in [2, 4] {
-            let par =
-                group_aggregate_par(&rel, &[cust], &aggs, GroupStrategy::Hash, threads).canonical();
+            let par = group_aggregate_with(&rel, &[cust], &aggs, GroupStrategy::Hash, threads)
+                .canonical();
             assert_eq!(par, serial, "threads={threads}");
         }
     }
@@ -488,7 +488,7 @@ mod tests {
         let (mut c, rel) = sales();
         let aggs = specs(&mut c);
         for strategy in [GroupStrategy::Sort, GroupStrategy::Hash] {
-            let out = group_aggregate_par(&rel, &[], &aggs, strategy, 4);
+            let out = group_aggregate_with(&rel, &[], &aggs, strategy, 4);
             assert_eq!(out.len(), 1);
             assert_eq!(out.row(0)[0], Value::Int(40));
             assert_eq!(out.row(0)[1], Value::Int(5));
@@ -501,7 +501,7 @@ mod tests {
         let empty = Relation::empty(rel.schema().clone());
         let aggs = specs(&mut c);
         for strategy in [GroupStrategy::Sort, GroupStrategy::Hash] {
-            assert!(group_aggregate_par(&empty, &[], &aggs, strategy, 4).is_empty());
+            assert!(group_aggregate_with(&empty, &[], &aggs, strategy, 4).is_empty());
         }
     }
 

@@ -11,7 +11,7 @@ mod project;
 mod select;
 mod sort;
 
-pub use aggregate::{group_aggregate, group_aggregate_par, GroupStrategy};
+pub use aggregate::{group_aggregate, group_aggregate_with, GroupStrategy};
 pub use join::{hash_join, product, sort_merge_join};
 pub use project::project;
 pub use select::select;

@@ -270,7 +270,7 @@ pub fn execute_with(
             strategy,
         } => {
             let rel = execute_with(input, relations, default_strategy, threads)?;
-            Ok(ops::group_aggregate_par(
+            Ok(ops::group_aggregate_with(
                 &rel,
                 group,
                 aggs,

@@ -75,7 +75,7 @@ pub struct ServerOptions {
     pub deadline: Option<Duration>,
     /// Plan-cache capacity in entries; `0` disables the cache.
     pub cache_capacity: usize,
-    /// Base run options applied to every request (threads, executor,
+    /// Base run options applied to every request (threads, plan search,
     /// ordering mode…). The deadline field above is layered on top.
     pub run: RunOptions,
 }

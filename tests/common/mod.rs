@@ -4,7 +4,7 @@
 //! SQL-driven equivalence checking between the factorised engine and the
 //! relational baselines.
 
-use fdb::core::engine::{ConsolidateMode, ExecutorMode, FdbEngine, PlanStrategy, RunOptions};
+use fdb::core::engine::{ConsolidateMode, FdbEngine, PlanStrategy, RunOptions};
 use fdb::core::ExhaustiveConfig;
 use fdb::relational::engine::{PlanMode, RdbEngine};
 use fdb::relational::{GroupStrategy, Relation};
@@ -35,11 +35,9 @@ impl EnginePair {
     /// Parses `sql`, runs it on all engines and plan modes **and every
     /// thread count of [`thread_sweep`]**, and asserts that every result
     /// is the same set of tuples (the parallel≡serial differential
-    /// oracle). For every thread count the staged pipeline executor is
-    /// additionally checked **bit-identical** to the legacy
-    /// one-copy-per-operator path — same factorisation, same f-tree,
-    /// same enumerated rows in the same order. Returns the canonical
-    /// result.
+    /// oracle). Every parallel run is additionally checked
+    /// **bit-identical** to the serial one — same factorisation, same
+    /// enumerated rows in the same order. Returns the canonical result.
     pub fn assert_all_agree(&mut self, sql: &str) -> Relation {
         let schemas = self.fdb.schemas();
         let query = fdb::parse(sql, &mut self.fdb.catalog, &schemas)
@@ -105,35 +103,29 @@ impl EnginePair {
                 );
             }
 
-            // Fused vs legacy executor: bit-identical factorisation,
-            // f-tree and enumeration (not just the same tuple set).
-            let staged = self
-                .fdb
-                .run(&task, RunOptions::with_threads(threads))
-                .unwrap_or_else(|e| panic!("fdb staged (threads={threads}) `{sql}`: {e}"));
-            let per_op = self
-                .fdb
-                .run(
-                    &task,
-                    RunOptions::new()
-                        .threads(threads)
-                        .executor(ExecutorMode::PerOp),
-                )
-                .unwrap_or_else(|e| panic!("fdb per-op (threads={threads}) `{sql}`: {e}"));
-            // (The f-trees are not compared by canonical key here: each
-            // `run` interns its own fresh output attributes, so node
-            // ids differ across runs regardless of executor. The
-            // plan-level suite in `crates/core/tests/pipeline_fused.rs`
-            // pins tree equality on identical plans.)
-            assert!(
-                staged.rep().same_data(per_op.rep()),
-                "fused vs per-op factorisation (threads={threads}) on `{sql}`"
-            );
-            assert_eq!(
-                staged.to_relation().unwrap(),
-                per_op.to_relation().unwrap(),
-                "fused vs per-op enumeration (threads={threads}) on `{sql}`"
-            );
+            // Parallel vs serial: bit-identical factorisation and
+            // enumeration (not just the same tuple set). The f-trees are
+            // not compared by canonical key: each `run` interns its own
+            // fresh output attributes, so node labels differ across runs.
+            if threads > 1 {
+                let serial = self
+                    .fdb
+                    .run(&task, RunOptions::default())
+                    .unwrap_or_else(|e| panic!("fdb serial `{sql}`: {e}"));
+                let parallel = self
+                    .fdb
+                    .run(&task, RunOptions::with_threads(threads))
+                    .unwrap_or_else(|e| panic!("fdb (threads={threads}) `{sql}`: {e}"));
+                assert!(
+                    parallel.rep().same_data(serial.rep()),
+                    "parallel vs serial factorisation (threads={threads}) on `{sql}`"
+                );
+                assert_eq!(
+                    parallel.to_relation().unwrap(),
+                    serial.to_relation().unwrap(),
+                    "parallel vs serial enumeration (threads={threads}) on `{sql}`"
+                );
+            }
         }
 
         // Shared-snapshot axis: concurrent sessions over one Db (cheap

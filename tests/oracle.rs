@@ -5,10 +5,9 @@
 //! of `common::thread_sweep()` — the parallel≡serial differential
 //! oracle: `threads ∈ {1, 2, 4}` (plus `FDB_TEST_THREADS`) must produce
 //! the same `Relation::canonical` on every database × query × flavour.
-//! Each sweep additionally pins the staged pipeline executor
-//! bit-identical to the legacy one-copy-per-operator path (see
-//! `common::EnginePair::assert_all_agree`); the plan-level version of
-//! that property, on random f-plans, lives in
+//! Each sweep additionally pins every parallel run bit-identical to the
+//! serial one (see `common::EnginePair::assert_all_agree`); the staged
+//! executor is checked plan by plan, on random f-plans, in
 //! `crates/core/tests/pipeline_fused.rs`.
 //!
 //! The query corpus covers joins of one to three relations, all five

@@ -3,9 +3,9 @@
 //! stream-and-skip, collect-sort-cut — must produce the page the
 //! relational ground truth produces (stable sort + skip + truncate, i.e.
 //! `fdb::relational::ops::page` over the unlimited sorted result), swept
-//! over executors {fused, per-op} × threads {1, 2, 4} × OrderMode
-//! {Auto, ForceStream, ForceDirect, ForceHeap, ForceSort} and offsets
-//! {0, 1, mid, result−1, past-end, huge}.
+//! over threads {1, 2, 4} × OrderMode {Auto, ForceStream, ForceDirect,
+//! ForceHeap, ForceSort} and offsets {0, 1, mid, result−1, past-end,
+//! huge}.
 //!
 //! Exactness levels mirror `topk_differential.rs`:
 //!
@@ -20,7 +20,7 @@
 //! * `Value::Null` sort keys follow `Value::cmp` (NULLS LAST ascending,
 //!   first descending) identically in every strategy.
 
-use fdb::core::engine::{ExecutorMode, FdbEngine, OrderMode, OrderStrategy, RunOptions};
+use fdb::core::engine::{FdbEngine, OrderMode, OrderStrategy, RunOptions};
 use fdb::relational::planner::JoinAggTask;
 use fdb::relational::{ops, AggFunc, AggSpec, Relation, Schema, SortKey, Value};
 use fdb::workload::orders::{generate, OrdersConfig};
@@ -67,8 +67,8 @@ fn order_attrs(task: &JoinAggTask) -> Vec<fdb::relational::AttrId> {
 }
 
 /// Sweeps `base` (its `limit`/`offset` are overridden) over the full
-/// mode × executor × thread × offset × limit grid against the stable
-/// sort + skip + truncate reference.
+/// mode × thread × offset × limit grid against the stable sort + skip +
+/// truncate reference.
 ///
 /// * `byte_identical` — the keys cover every output column, so every
 ///   strategy must reproduce the reference byte for byte;
@@ -104,65 +104,58 @@ fn assert_pages_agree(
             task.offset = offset;
             task.limit = limit;
             for mode in modes() {
-                for executor in [ExecutorMode::Staged, ExecutorMode::PerOp] {
-                    for threads in thread_sweep() {
-                        let ctx = format!(
-                            "{label}: {mode:?}/{executor:?}/t{threads} \
-                             OFFSET {offset} LIMIT {limit:?}"
+                for threads in thread_sweep() {
+                    let ctx =
+                        format!("{label}: {mode:?}/t{threads} OFFSET {offset} LIMIT {limit:?}");
+                    let opts = RunOptions::new().order(mode).threads(threads);
+                    let (out, stats) = e
+                        .run(&task, opts)
+                        .unwrap_or_else(|err| panic!("{ctx}: {err}"))
+                        .to_relation_counted()
+                        .unwrap();
+                    assert!(out.is_sorted_by(&keys), "{ctx}: unsorted page");
+                    if byte_identical {
+                        assert_eq!(out, expected, "{ctx}: page differs from sort+skip+cut");
+                    } else {
+                        assert_eq!(
+                            out.project_cols(&key_attrs),
+                            expected.project_cols(&key_attrs),
+                            "{ctx}: key columns differ from sort+skip+cut"
                         );
-                        let opts = RunOptions::new()
-                            .order(mode)
-                            .executor(executor)
-                            .threads(threads);
-                        let (out, stats) = e
-                            .run(&task, opts)
-                            .unwrap_or_else(|err| panic!("{ctx}: {err}"))
-                            .to_relation_counted()
-                            .unwrap();
-                        assert!(out.is_sorted_by(&keys), "{ctx}: unsorted page");
-                        if byte_identical {
-                            assert_eq!(out, expected, "{ctx}: page differs from sort+skip+cut");
-                        } else {
+                        assert!(
+                            out.rows().all(&in_unlimited),
+                            "{ctx}: row not in unlimited result"
+                        );
+                    }
+                    match mode {
+                        // Heap ≡ stable sort + page, byte for byte:
+                        // the (m+k)-heap keeps the stably-first m+k
+                        // rows and drops the first m.
+                        OrderMode::ForceHeap | OrderMode::ForceSort => {
+                            assert_eq!(out, expected, "{ctx}: differs from reference");
+                        }
+                        OrderMode::ForceDirect if expect_direct => {
+                            assert!(
+                                matches!(stats.strategy, OrderStrategy::DirectAccess),
+                                "{ctx}: expected the direct-access seek, got {:?}",
+                                stats.strategy
+                            );
+                            // The acceptance property at test scale:
+                            // the seek enumerates exactly the page,
+                            // never the skipped prefix.
                             assert_eq!(
-                                out.project_cols(&key_attrs),
-                                expected.project_cols(&key_attrs),
-                                "{ctx}: key columns differ from sort+skip+cut"
-                            );
-                            assert!(
-                                out.rows().all(&in_unlimited),
-                                "{ctx}: row not in unlimited result"
+                                stats.rows_enumerated,
+                                out.len(),
+                                "{ctx}: direct access enumerated more than the page"
                             );
                         }
-                        match mode {
-                            // Heap ≡ stable sort + page, byte for byte:
-                            // the (m+k)-heap keeps the stably-first m+k
-                            // rows and drops the first m.
-                            OrderMode::ForceHeap | OrderMode::ForceSort => {
-                                assert_eq!(out, expected, "{ctx}: differs from reference");
-                            }
-                            OrderMode::ForceDirect if expect_direct => {
-                                assert!(
-                                    matches!(stats.strategy, OrderStrategy::DirectAccess),
-                                    "{ctx}: expected the direct-access seek, got {:?}",
-                                    stats.strategy
-                                );
-                                // The acceptance property at test scale:
-                                // the seek enumerates exactly the page,
-                                // never the skipped prefix.
-                                assert_eq!(
-                                    stats.rows_enumerated,
-                                    out.len(),
-                                    "{ctx}: direct access enumerated more than the page"
-                                );
-                            }
-                            _ => {}
-                        }
-                        if mode == OrderMode::ForceHeap && limit.is_some() && offset < 1 << 20 {
-                            assert!(
-                                matches!(stats.strategy, OrderStrategy::HeapTopK { .. }),
-                                "{ctx}: ForceHeap must execute the heap"
-                            );
-                        }
+                        _ => {}
+                    }
+                    if mode == OrderMode::ForceHeap && limit.is_some() && offset < 1 << 20 {
+                        assert!(
+                            matches!(stats.strategy, OrderStrategy::HeapTopK { .. }),
+                            "{ctx}: ForceHeap must execute the heap"
+                        );
                     }
                 }
             }
@@ -315,19 +308,10 @@ fn duplicate_sort_keys_over_distinct_rows_at_the_boundary() {
     task.offset = 3;
     task.limit = Some(2);
     for mode in modes() {
-        for executor in [ExecutorMode::Staged, ExecutorMode::PerOp] {
-            for threads in thread_sweep() {
-                let opts = RunOptions::new()
-                    .order(mode)
-                    .executor(executor)
-                    .threads(threads);
-                let mut run = || e.run(&task, opts).unwrap().to_relation().unwrap();
-                assert_eq!(
-                    run(),
-                    run(),
-                    "tie boundary rerun: {mode:?}/{executor:?}/t{threads}"
-                );
-            }
+        for threads in thread_sweep() {
+            let opts = RunOptions::new().order(mode).threads(threads);
+            let mut run = || e.run(&task, opts).unwrap().to_relation().unwrap();
+            assert_eq!(run(), run(), "tie boundary rerun: {mode:?}/t{threads}");
         }
     }
 }

@@ -1,22 +1,21 @@
 //! `ORDER BY … LIMIT` differential suite: the three physical ordering
 //! strategies — bounded-heap top-k, collect-sort-cut, restructure+stream
-//! — must agree on every query, swept over executors {fused, per-op} ×
-//! threads {1, 2, 4}, including two-run determinism when ties straddle
-//! the LIMIT boundary and NULL-bearing columns (NULLS LAST ascending,
-//! first descending).
+//! — must agree on every query, swept over threads {1, 2, 4}, including
+//! two-run determinism when ties straddle the LIMIT boundary and
+//! NULL-bearing columns (NULLS LAST ascending, first descending).
 //!
 //! Exactness levels (tie order *within* equal keys is a per-strategy
 //! deterministic choice, not a cross-strategy promise):
 //!
 //! * heap ≡ sort **byte-identical** — the heap's stable tie-break makes
 //!   it literally a stable sort + truncate;
-//! * every strategy × executor × thread count: byte-identical to its own
+//! * every strategy × thread count: byte-identical to its own
 //!   re-run (determinism) and identical to the reference on the ORDER BY
 //!   key columns (the columns the query actually constrains);
 //! * every output is sorted by the keys and is a subset of the
 //!   unlimited result.
 
-use fdb::core::engine::{ExecutorMode, FdbEngine, OrderMode, OrderStrategy, RunOptions};
+use fdb::core::engine::{FdbEngine, OrderMode, OrderStrategy, RunOptions};
 use fdb::relational::planner::JoinAggTask;
 use fdb::relational::{AggFunc, AggSpec, Relation, Schema, SortKey, Value};
 use fdb::workload::orders::{generate, OrdersConfig};
@@ -36,29 +35,21 @@ fn order_attrs(task: &JoinAggTask) -> Vec<fdb::relational::AttrId> {
     attrs
 }
 
-/// Runs `task` under every ordering mode × executor × thread count and
+/// Runs `task` under every ordering mode × thread count and
 /// checks the agreement contract; returns the collect-sort-cut reference.
 fn assert_strategies_agree(e: &mut FdbEngine, task: &JoinAggTask, label: &str) -> Relation {
     let keys = fdb::relational::dedup_sort_keys(&task.order_by);
     let key_attrs = order_attrs(task);
-    let opts_for = |order, executor, threads| {
-        RunOptions::new()
-            .order(order)
-            .executor(executor)
-            .threads(threads)
-    };
+    let opts_for = |order, threads| RunOptions::new().order(order).threads(threads);
     let reference = e
-        .run(
-            task,
-            opts_for(OrderMode::ForceSort, ExecutorMode::Staged, 1),
-        )
+        .run(task, opts_for(OrderMode::ForceSort, 1))
         .unwrap_or_else(|err| panic!("{label}: sort reference plans: {err}"))
         .to_relation()
         .unwrap();
     let unlimited = {
         let mut t = task.clone();
         t.limit = None;
-        e.run(&t, opts_for(OrderMode::ForceSort, ExecutorMode::Staged, 1))
+        e.run(&t, opts_for(OrderMode::ForceSort, 1))
             .unwrap()
             .to_relation()
             .unwrap()
@@ -71,49 +62,39 @@ fn assert_strategies_agree(e: &mut FdbEngine, task: &JoinAggTask, label: &str) -
         OrderMode::ForceHeap,
         OrderMode::ForceSort,
     ] {
-        for executor in [ExecutorMode::Staged, ExecutorMode::PerOp] {
-            for threads in thread_sweep() {
-                let opts = opts_for(mode, executor, threads);
-                let mut run = || {
-                    e.run(task, opts)
-                        .unwrap_or_else(|err| {
-                            panic!("{label}: {mode:?}/{executor:?}/t{threads}: {err}")
-                        })
-                        .to_relation_counted()
-                        .unwrap()
-                };
-                let (out, stats) = run();
-                let (out2, _) = run();
-                assert_eq!(
-                    out, out2,
-                    "{label}: {mode:?}/{executor:?}/t{threads}: two runs diverged"
-                );
-                assert!(
-                    out.is_sorted_by(&keys),
-                    "{label}: {mode:?}/{executor:?}/t{threads}: unsorted output"
-                );
-                assert_eq!(
-                    out.project_cols(&key_attrs),
-                    reference.project_cols(&key_attrs),
-                    "{label}: {mode:?}/{executor:?}/t{threads}: key columns differ"
-                );
-                let contained = out.rows().all(|r| unlimited.rows().any(|u| u == r));
-                assert!(
-                    contained,
-                    "{label}: {mode:?}/{executor:?}/t{threads}: row not in unlimited result"
-                );
-                if mode == OrderMode::ForceHeap {
-                    // Heap ≡ stable sort + truncate, byte for byte.
-                    assert_eq!(
-                        out, reference,
-                        "{label}: heap/{executor:?}/t{threads} differs from sort"
+        for threads in thread_sweep() {
+            let opts = opts_for(mode, threads);
+            let mut run = || {
+                e.run(task, opts)
+                    .unwrap_or_else(|err| panic!("{label}: {mode:?}/t{threads}: {err}"))
+                    .to_relation_counted()
+                    .unwrap()
+            };
+            let (out, stats) = run();
+            let (out2, _) = run();
+            assert_eq!(out, out2, "{label}: {mode:?}/t{threads}: two runs diverged");
+            assert!(
+                out.is_sorted_by(&keys),
+                "{label}: {mode:?}/t{threads}: unsorted output"
+            );
+            assert_eq!(
+                out.project_cols(&key_attrs),
+                reference.project_cols(&key_attrs),
+                "{label}: {mode:?}/t{threads}: key columns differ"
+            );
+            let contained = out.rows().all(|r| unlimited.rows().any(|u| u == r));
+            assert!(
+                contained,
+                "{label}: {mode:?}/t{threads}: row not in unlimited result"
+            );
+            if mode == OrderMode::ForceHeap {
+                // Heap ≡ stable sort + truncate, byte for byte.
+                assert_eq!(out, reference, "{label}: heap/t{threads} differs from sort");
+                if task.limit.is_some() {
+                    assert!(
+                        matches!(stats.strategy, OrderStrategy::HeapTopK { .. }),
+                        "{label}: ForceHeap must execute the heap"
                     );
-                    if task.limit.is_some() {
-                        assert!(
-                            matches!(stats.strategy, OrderStrategy::HeapTopK { .. }),
-                            "{label}: ForceHeap must execute the heap"
-                        );
-                    }
                 }
             }
         }
@@ -294,7 +275,7 @@ fn duplicate_conflicting_direction_keys_honour_first_everywhere() {
 }
 
 /// `TOP_K(x, k)` per group (the PR-7 aggregate, not the `ORDER BY …
-/// LIMIT` pipeline): every executor × thread count must be byte-identical
+/// LIMIT` pipeline): every thread count must be byte-identical
 /// to the flat sort-and-truncate reference, twice in a row.
 #[test]
 fn top_k_per_group_matches_sort_and_truncate() {
@@ -355,22 +336,20 @@ fn top_k_per_group_matches_sort_and_truncate() {
             order_by: vec![SortKey::asc(customer)],
             ..Default::default()
         };
-        for executor in [ExecutorMode::Staged, ExecutorMode::PerOp] {
-            for threads in thread_sweep() {
-                let mut run = || {
-                    e.run(&task, RunOptions::new().executor(executor).threads(threads))
-                        .unwrap_or_else(|err| panic!("top_k k={k} {executor:?}/t{threads}: {err}"))
-                        .to_relation()
-                        .unwrap()
-                };
-                let out = run();
-                assert_eq!(
-                    out, reference,
-                    "top_k k={k} {executor:?}/t{threads} vs sort-and-truncate"
-                );
-                // Two-run determinism, byte for byte.
-                assert_eq!(out, run(), "top_k k={k} {executor:?}/t{threads} re-run");
-            }
+        for threads in thread_sweep() {
+            let mut run = || {
+                e.run(&task, RunOptions::new().threads(threads))
+                    .unwrap_or_else(|err| panic!("top_k k={k} t{threads}: {err}"))
+                    .to_relation()
+                    .unwrap()
+            };
+            let out = run();
+            assert_eq!(
+                out, reference,
+                "top_k k={k} t{threads} vs sort-and-truncate"
+            );
+            // Two-run determinism, byte for byte.
+            assert_eq!(out, run(), "top_k k={k} t{threads} re-run");
         }
     }
 }

@@ -1,14 +1,13 @@
 //! Differential oracle for the write path: randomised INSERT/DELETE
 //! interleavings where the delta-maintained factorised view must stay
 //! **byte-identical** to a from-scratch rebuild and agree with the
-//! relational ground truth across both executors and every thread
-//! count — plus snapshot isolation, batch atomicity and memoised-
+//! relational ground truth at every thread count — plus snapshot isolation, batch atomicity and memoised-
 //! annotation freshness at the `Db` level.
 
 mod common;
 
 use common::thread_sweep;
-use fdb::core::engine::{ExecutorMode, RunOptions};
+use fdb::core::engine::RunOptions;
 use fdb::core::NodeLabel;
 use fdb::relational::{AttrId, CmpOp, Predicate};
 use fdb::{Catalog, Db, FRep, FTree, FdbEngine, Relation, Schema, Value};
@@ -104,7 +103,7 @@ fn as_rows(rel: &Relation) -> Vec<Vec<Value>> {
 /// Checks the current `Db` state three ways: the registered view is
 /// byte-identical to a from-scratch rebuild of the mirror, and both
 /// a projection and a grouped aggregate agree with the relational
-/// ground truth across both executors × the thread sweep.
+/// ground truth across the thread sweep.
 fn check(fx: &Fixture, step: usize) {
     let mut session = fx.db.session();
     let rebuilt = FRep::from_relation(&fx.mirror, fx.tree.clone()).unwrap();
@@ -120,32 +119,30 @@ fn check(fx: &Fixture, step: usize) {
     let want_rows = sorted_rows(&fx.mirror);
     let want_sums = grouped_sums(&fx.mirror);
     for threads in thread_sweep() {
-        for executor in [ExecutorMode::Staged, ExecutorMode::PerOp] {
-            let opts = RunOptions::new().threads(threads).executor(executor);
-            let got = session
-                .query_with("SELECT a, b, c FROM R ORDER BY a, b, c", opts)
-                .unwrap_or_else(|e| panic!("step {step} projection: {e}"));
-            assert_eq!(
-                as_rows(&got.rows),
-                want_rows,
-                "step {step}: projection ({executor:?}, threads={threads})"
-            );
-            let got = session
-                .query_with("SELECT a, SUM(c) AS s FROM R GROUP BY a ORDER BY a", opts)
-                .unwrap_or_else(|e| panic!("step {step} aggregate: {e}"));
-            assert_eq!(
-                as_pairs(&got.rows),
-                want_sums,
-                "step {step}: aggregate ({executor:?}, threads={threads})"
-            );
-        }
+        let opts = RunOptions::new().threads(threads);
+        let got = session
+            .query_with("SELECT a, b, c FROM R ORDER BY a, b, c", opts)
+            .unwrap_or_else(|e| panic!("step {step} projection: {e}"));
+        assert_eq!(
+            as_rows(&got.rows),
+            want_rows,
+            "step {step}: projection (threads={threads})"
+        );
+        let got = session
+            .query_with("SELECT a, SUM(c) AS s FROM R GROUP BY a ORDER BY a", opts)
+            .unwrap_or_else(|e| panic!("step {step} aggregate: {e}"));
+        assert_eq!(
+            as_pairs(&got.rows),
+            want_sums,
+            "step {step}: aggregate (threads={threads})"
+        );
     }
 }
 
 /// The tentpole differential: 120 randomised insert / delete-row /
 /// delete-where steps; every 10 steps the delta-maintained view must be
-/// byte-identical to a from-scratch rebuild AND both executors at every
-/// thread count must reproduce the relational ground truth.
+/// byte-identical to a from-scratch rebuild AND every thread count
+/// must reproduce the relational ground truth.
 #[test]
 fn randomised_churn_delta_equals_rebuild_and_relational() {
     let mut fx = fixture(0xFDB_2013, 40);
@@ -424,8 +421,8 @@ fn branch_fixture() -> BranchFixture {
     }
 }
 
-/// The registered view equals an exact rebuild of the mirror, and both
-/// executors at every thread count answer a projection and a grouped
+/// The registered view equals an exact rebuild of the mirror, and every
+/// thread count answers a projection and a grouped
 /// aggregate as the mirror does.
 fn check_branch(fx: &BranchFixture, case: &str) {
     let rebuilt = FRep::from_relation(&fx.mirror, fx.tree.clone()).unwrap();
@@ -451,25 +448,15 @@ fn check_branch(fx: &BranchFixture, case: &str) {
         .map(|(a, s)| vec![a, Value::Int(s)])
         .collect();
     for threads in thread_sweep() {
-        for executor in [ExecutorMode::Staged, ExecutorMode::PerOp] {
-            let opts = RunOptions::new().threads(threads).executor(executor);
-            let got = session
-                .query_with("SELECT a, b, c, d FROM R ORDER BY a, b, c, d", opts)
-                .unwrap_or_else(|e| panic!("{case} projection: {e}"));
-            assert_eq!(
-                as_rows(&got.rows),
-                want_rows,
-                "{case}: {executor:?} t{threads}"
-            );
-            let got = session
-                .query_with("SELECT a, SUM(d) AS s FROM R GROUP BY a ORDER BY a", opts)
-                .unwrap_or_else(|e| panic!("{case} aggregate: {e}"));
-            assert_eq!(
-                as_rows(&got.rows),
-                want_sums,
-                "{case}: {executor:?} t{threads}"
-            );
-        }
+        let opts = RunOptions::new().threads(threads);
+        let got = session
+            .query_with("SELECT a, b, c, d FROM R ORDER BY a, b, c, d", opts)
+            .unwrap_or_else(|e| panic!("{case} projection: {e}"));
+        assert_eq!(as_rows(&got.rows), want_rows, "{case}: t{threads}");
+        let got = session
+            .query_with("SELECT a, SUM(d) AS s FROM R GROUP BY a ORDER BY a", opts)
+            .unwrap_or_else(|e| panic!("{case} aggregate: {e}"));
+        assert_eq!(as_rows(&got.rows), want_sums, "{case}: t{threads}");
     }
 }
 
