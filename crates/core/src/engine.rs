@@ -21,7 +21,9 @@ use crate::enumerate::EnumSpec;
 use crate::error::{FdbError, Result};
 use crate::frep::FRep;
 use crate::ftree::{AggOp, FTree};
-use crate::optim::ordering::{choose_order_strategy, OrderChoice, OrderCostInputs};
+use crate::optim::ordering::{
+    choose_order_strategy, estimate_rows, is_page, plan_cost, OrderChoice, OrderCostInputs,
+};
 use crate::optim::{exhaustive, greedy, ExhaustiveConfig, QuerySpec, Stats};
 use fdb_relational::planner::JoinAggTask;
 use fdb_relational::{
@@ -48,35 +50,9 @@ pub enum PlanStrategy {
     Exhaustive(ExhaustiveConfig),
 }
 
-/// Preference knob for the physical `ORDER BY` strategy (see
-/// [`OrderStrategy`] for what actually executed).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum OrderMode {
-    /// Cost-based choice among restructure+stream, heap top-k and
-    /// collect-sort-cut ([`crate::optim::ordering`]); the default.
-    #[default]
-    Auto,
-    /// Restructure until the factorisation realises the order, then
-    /// stream (falls back to collect-sort-cut when Theorem 2 cannot be
-    /// made to hold, e.g. ordering by a derived `avg` column).
-    ForceStream,
-    /// Bounded-heap top-k over the unrestructured factorisation (needs
-    /// `ORDER BY` + `LIMIT`; degrades to collect-sort-cut without one).
-    /// With an `OFFSET m` the heap widens to `m + k`.
-    ForceHeap,
-    /// Always materialise, sort, truncate (the ablation baseline).
-    ForceSort,
-    /// Restructure until the order is realised, then *seek* to the
-    /// `OFFSET` via the count annotations and stream the page
-    /// ([`crate::enumerate::DirectCursor`]); degrades like
-    /// `ForceStream` when the order cannot be realised, and to
-    /// sequential streaming when residual row filters make the
-    /// annotated counts unusable.
-    ForceDirect,
-}
-
-/// The physical ordering strategy a result executes — decided at plan
-/// time, reported by [`FdbResult::explain`], dispatched on by
+/// The physical ordering strategy a result executes — chosen by cost
+/// among the feasible ones at plan time ([`crate::optim::ordering`]),
+/// reported by [`FdbResult::explain`], dispatched on by
 /// [`FdbResult::to_relation`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum OrderStrategy {
@@ -134,17 +110,21 @@ pub enum ConsolidateMode {
 ///
 /// Every run executes its f-plan through the one staged pipeline
 /// executor ([`crate::pipeline::execute_staged`]); the options choose
-/// how the plan is searched and consolidated, how many workers it uses,
-/// how `ORDER BY` is realised and how long the run may take.
+/// how the plan is searched and consolidated, how many workers it uses
+/// and how long the run may take. How `ORDER BY` is realised is the
+/// cost model's choice, not an option ([`OrderStrategy`]).
 ///
 /// The struct is `#[non_exhaustive]`: construct it with
 /// [`RunOptions::new`] (or [`RunOptions::default`]) and the builder
-/// methods, so future knobs (deadlines, cache policy, …) are not
-/// breaking changes for downstream callers:
+/// methods, so future knobs (cache policy, …) are not breaking changes
+/// for downstream callers:
 ///
 /// ```
-/// use fdb_core::engine::{OrderMode, RunOptions};
-/// let opts = RunOptions::new().threads(4).order(OrderMode::ForceHeap);
+/// use fdb_core::engine::RunOptions;
+/// use std::time::Duration;
+/// let opts = RunOptions::new()
+///     .threads(4)
+///     .deadline(Some(Duration::from_millis(50)));
 /// assert_eq!(opts.threads, 4);
 /// ```
 #[derive(Clone, Copy, Debug)]
@@ -158,10 +138,6 @@ pub struct RunOptions {
     /// ([`std::thread::available_parallelism`]). Results are identical
     /// for every thread count (see `fdb-exec`).
     pub threads: usize,
-    /// Physical `ORDER BY` strategy preference; `Auto` (the default)
-    /// picks by cost. Every mode produces identical rows — only the
-    /// time/memory profile differs — which the differential suites pin.
-    pub order: OrderMode,
     /// Per-run wall-clock budget covering planning, f-plan execution
     /// and enumeration. `None` (the default) never times out. The
     /// budget starts when [`FdbEngine::run`] is entered; the result's
@@ -177,7 +153,6 @@ impl Default for RunOptions {
             strategy: PlanStrategy::Greedy,
             consolidate: ConsolidateMode::Auto,
             threads: 1,
-            order: OrderMode::Auto,
             deadline: None,
         }
     }
@@ -204,12 +179,6 @@ impl RunOptions {
     /// Sets the worker-thread count (`0` = use the machine).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Sets the physical `ORDER BY` strategy preference.
-    pub fn order(mut self, order: OrderMode) -> Self {
-        self.order = order;
         self
     }
 
@@ -278,9 +247,8 @@ pub struct FdbResult {
     emit: Vec<(EmitCol, AttrId)>,
     /// Normalised (first-occurrence-deduplicated) order keys.
     order_by: Vec<SortKey>,
-    /// The physical ordering strategy that executes (cost-chosen or
-    /// forced via [`RunOptions::order`], then verified against the
-    /// result's f-tree).
+    /// The physical ordering strategy that executes: the cheapest
+    /// feasible one, verified once against the result's f-tree.
     order_strategy: OrderStrategy,
     /// HAVING conjuncts evaluated per output row (those not already pushed
     /// into the factorisation as selections).
@@ -631,6 +599,30 @@ impl FdbEngine {
 
     /// Plans and executes `task` on factorised inputs.
     pub fn run(&mut self, task: &JoinAggTask, opts: RunOptions) -> Result<FdbResult> {
+        self.run_choosing(task, opts, None)
+    }
+
+    /// [`FdbEngine::run`] with the `ORDER BY` strategy pinned to `force`
+    /// when it is feasible for `task` ([`OrderCostInputs::feasible`]); an
+    /// infeasible choice runs the cost model's pick. The differential
+    /// suites use it to hold every strategy to collect-sort-cut. It is
+    /// not a [`RunOptions`] field, so the serving layer cannot reach it.
+    #[doc(hidden)]
+    pub fn run_forcing(
+        &mut self,
+        task: &JoinAggTask,
+        opts: RunOptions,
+        force: OrderChoice,
+    ) -> Result<FdbResult> {
+        self.run_choosing(task, opts, Some(force))
+    }
+
+    fn run_choosing(
+        &mut self,
+        task: &JoinAggTask,
+        opts: RunOptions,
+        force: Option<OrderChoice>,
+    ) -> Result<FdbResult> {
         if !task.grouping_sets.is_empty() {
             return self.run_grouping_sets(task, opts);
         }
@@ -841,122 +833,88 @@ impl FdbEngine {
             })
         };
 
-        // Strategy decision: which plan to run and how to order output.
-        // Forced modes pick their candidate directly; `Auto` with a LIMIT
-        // prices restructure+stream against heap top-k and
-        // collect-sort-cut over the non-restructuring plan.
-        let row_width = if is_aggregate {
-            emit.len()
-        } else {
-            task.projection
-                .as_ref()
-                .map(|p| p.len())
-                .unwrap_or(natural_attrs.len())
-        };
+        // The ordering decision (§4): plan the order-realising and the
+        // flat candidate once, price every feasible strategy, take the
+        // cheapest — or the forced one, when it is feasible. The executed
+        // tree is verified once below.
         let (cand, mut order_strategy) = if !has_order {
             let c = build_candidate(&mut self.catalog, want_consolidate_stream, false)?;
             (c, OrderStrategy::Unordered)
         } else {
-            match (opts.order, task.limit) {
-                (OrderMode::ForceSort, _) | (OrderMode::ForceHeap, None) => {
-                    let c = build_candidate(&mut self.catalog, want_consolidate_flat, false)?;
-                    (c, OrderStrategy::CollectSortCut)
+            let stream_cand = build_candidate(&mut self.catalog, want_consolidate_stream, true)?;
+            // When no key is realisable and the consolidation choice
+            // matches, the two candidate specs are identical — skip the
+            // second optimiser search.
+            let flat_cand =
+                if !stream_cand.realised && want_consolidate_stream == want_consolidate_flat {
+                    stream_cand.clone()
+                } else {
+                    build_candidate(&mut self.catalog, want_consolidate_flat, false)?
+                };
+            // Prices decide only a page: an unpaged order is chosen by
+            // feasibility alone, so its plans go unpriced.
+            let paged = is_page(task.limit, task.offset);
+            let price = |plan: &crate::plan::FPlan| {
+                if paged {
+                    plan_cost(rep.ftree(), plan, &stats)
+                } else {
+                    0.0
                 }
-                (OrderMode::ForceHeap, Some(k)) => {
-                    let c = build_candidate(&mut self.catalog, want_consolidate_flat, false)?;
-                    (c, OrderStrategy::HeapTopK { k })
-                }
-                (OrderMode::ForceDirect, _) => {
-                    let c = build_candidate(&mut self.catalog, want_consolidate_stream, true)?;
-                    let s = if c.realised {
-                        OrderStrategy::DirectAccess
-                    } else {
-                        OrderStrategy::CollectSortCut
+            };
+            let stream_plan_cost = stream_cand.realised.then(|| price(&stream_cand.plan));
+            let unordered_plan_cost = price(&flat_cand.plan);
+            let est_rows = if paged {
+                let mut scratch = rep.ftree().clone();
+                flat_cand.plan.simulate(&mut scratch)?;
+                estimate_rows(&scratch, &stats, &task.group_by, is_aggregate)
+            } else {
+                0.0
+            };
+            // The direct seek is quoted only when the stream plan
+            // realises the order on a tuple-cursor result shape with no
+            // HAVING (the count annotations count unfiltered tuples) and
+            // there is an OFFSET to seek past. d·log f per seek, with d
+            // the result tree's depth bound (live node count) and the
+            // per-level fanout bounded by the row estimate.
+            let direct_seek_cost = (stream_cand.realised
+                && task.offset > 0
+                && task.having.is_empty()
+                && (!is_aggregate || stream_cand.consolidate))
+                .then(|| {
+                    let mut scratch = rep.ftree().clone();
+                    let d = match stream_cand.plan.simulate(&mut scratch) {
+                        Ok(()) => scratch.live_nodes().len(),
+                        Err(_) => rep.ftree().live_nodes().len(),
                     };
-                    (c, s)
-                }
-                (OrderMode::ForceStream, _) => {
-                    let c = build_candidate(&mut self.catalog, want_consolidate_stream, true)?;
-                    let s = if c.realised {
-                        OrderStrategy::StreamInTree
-                    } else {
-                        OrderStrategy::CollectSortCut
-                    };
-                    (c, s)
-                }
-                (OrderMode::Auto, None) if task.offset == 0 => {
-                    let c = build_candidate(&mut self.catalog, want_consolidate_stream, true)?;
-                    let s = if c.realised {
-                        OrderStrategy::StreamInTree
-                    } else {
-                        OrderStrategy::CollectSortCut
-                    };
-                    (c, s)
-                }
-                (OrderMode::Auto, k_opt) => {
-                    let stream_cand =
-                        build_candidate(&mut self.catalog, want_consolidate_stream, true)?;
-                    // When no key is realisable and the consolidation
-                    // choice matches, the two candidate specs are
-                    // identical — skip the second optimiser search.
-                    let flat_cand = if !stream_cand.realised
-                        && want_consolidate_stream == want_consolidate_flat
-                    {
-                        stream_cand.clone()
-                    } else {
-                        build_candidate(&mut self.catalog, want_consolidate_flat, false)?
-                    };
-                    let stream_plan_cost = stream_cand.realised.then(|| {
-                        crate::optim::ordering::plan_cost(rep.ftree(), &stream_cand.plan, &stats)
-                    });
-                    let unordered_plan_cost =
-                        crate::optim::ordering::plan_cost(rep.ftree(), &flat_cand.plan, &stats);
-                    let est_rows = {
-                        let mut scratch = rep.ftree().clone();
-                        flat_cand.plan.simulate(&mut scratch)?;
-                        crate::optim::ordering::estimate_rows(
-                            &scratch,
-                            &stats,
-                            &task.group_by,
-                            is_aggregate,
-                        )
-                    };
-                    // The direct seek is priced only when the stream
-                    // plan realises the order on a tuple-cursor result
-                    // shape with no residual row filters — the same
-                    // conditions the post-execution verification
-                    // enforces. d·log f per seek, with d the result
-                    // tree's depth bound (live node count) and the
-                    // per-level fanout bounded by the row estimate.
-                    let direct_seek_cost = (stream_cand.realised
-                        && task.offset > 0
-                        && task.having.is_empty()
-                        && (!is_aggregate || stream_cand.consolidate))
-                        .then(|| {
-                            let mut scratch = rep.ftree().clone();
-                            let d = match stream_cand.plan.simulate(&mut scratch) {
-                                Ok(()) => scratch.live_nodes().len(),
-                                Err(_) => rep.ftree().live_nodes().len(),
-                            };
-                            d.max(1) as f64 * est_rows.max(2.0).log2()
-                        });
-                    match choose_order_strategy(&OrderCostInputs {
-                        stream_plan_cost,
-                        unordered_plan_cost,
-                        est_rows,
-                        k: k_opt,
-                        offset: task.offset,
-                        direct_seek_cost,
-                        row_width,
-                    }) {
-                        OrderChoice::Stream => (stream_cand, OrderStrategy::StreamInTree),
-                        OrderChoice::Direct => (stream_cand, OrderStrategy::DirectAccess),
-                        OrderChoice::Heap => {
-                            let k = k_opt.expect("heap choice requires a LIMIT");
-                            (flat_cand, OrderStrategy::HeapTopK { k })
-                        }
-                        OrderChoice::Sort => (flat_cand, OrderStrategy::CollectSortCut),
-                    }
+                    d.max(1) as f64 * est_rows.max(2.0).log2()
+                });
+            let inputs = OrderCostInputs {
+                stream_plan_cost,
+                unordered_plan_cost,
+                est_rows,
+                k: task.limit,
+                offset: task.offset,
+                direct_seek_cost,
+                row_width: if is_aggregate {
+                    emit.len()
+                } else {
+                    task.projection
+                        .as_ref()
+                        .map_or(natural_attrs.len(), |p| p.len())
+                },
+            };
+            let choice = match force {
+                Some(c) if inputs.feasible(c) => c,
+                _ => choose_order_strategy(&inputs),
+            };
+            match (choice, task.limit) {
+                (OrderChoice::Stream, _) => (stream_cand, OrderStrategy::StreamInTree),
+                (OrderChoice::Direct, _) => (stream_cand, OrderStrategy::DirectAccess),
+                (OrderChoice::Heap, Some(k)) => (flat_cand, OrderStrategy::HeapTopK { k }),
+                // The heap is infeasible without a LIMIT: only the sort
+                // reaches this arm.
+                (OrderChoice::Heap | OrderChoice::Sort, _) => {
+                    (flat_cand, OrderStrategy::CollectSortCut)
                 }
             }
         };
@@ -1026,14 +984,11 @@ impl FdbEngine {
             }
         };
 
-        // Verify a streamed order really is realised on the *result*
-        // f-tree (defensive: degrade to heap top-k / sort rather than
-        // return wrongly ordered data). Direct access additionally
-        // needs a tuple cursor (no grouped on-the-fly evaluation) and
-        // no residual row filters — the count annotations count *all*
-        // tuples, so a filter would make the seek land on the wrong
-        // row; it then degrades to sequential streaming when the order
-        // still holds.
+        // Verify a streamed order once against the *result* f-tree
+        // (defensive: never return wrongly ordered data); on failure fall
+        // back once — to the heap under a LIMIT, otherwise to the sort.
+        // Direct access was chosen only with a tuple cursor and no
+        // HAVING, so the order is all there is left to check.
         if matches!(
             order_strategy,
             OrderStrategy::StreamInTree | OrderStrategy::DirectAccess
@@ -1049,21 +1004,11 @@ impl FdbEngine {
                 // Built by `run_grouping_sets`, never on this path.
                 ResultKind::Materialised(_) => false,
             };
-            let fallback = |limit: Option<usize>| match limit {
-                Some(k) => OrderStrategy::HeapTopK { k },
-                None => OrderStrategy::CollectSortCut,
-            };
-            if matches!(order_strategy, OrderStrategy::DirectAccess) {
-                let tuple_cursor = matches!(kind, ResultKind::Spj | ResultKind::AggConsolidated);
-                if !(verified && tuple_cursor && row_filters.is_empty()) {
-                    order_strategy = if verified {
-                        OrderStrategy::StreamInTree
-                    } else {
-                        fallback(task.limit)
-                    };
-                }
-            } else if !verified {
-                order_strategy = fallback(task.limit);
+            if !verified {
+                order_strategy = match task.limit {
+                    Some(k) => OrderStrategy::HeapTopK { k },
+                    None => OrderStrategy::CollectSortCut,
+                };
             }
         }
 
@@ -1595,7 +1540,7 @@ mod tests {
         task.order_by = vec![SortKey::desc(revenue)];
         task.limit = Some(2);
         let result = e
-            .run(&task, RunOptions::new().order(OrderMode::ForceStream))
+            .run_forcing(&task, RunOptions::new(), OrderChoice::Stream)
             .unwrap();
         assert!(!result.plan().is_empty());
         let text = result.explain(&e.catalog);
@@ -1606,7 +1551,7 @@ mod tests {
         assert!(text.contains("result f-tree"), "{text}");
         assert!(
             text.contains("constant-delay streaming"),
-            "Q7-style ordering is realised in-tree under ForceStream: {text}"
+            "Q7-style ordering is realised in-tree when streaming is forced: {text}"
         );
         assert!(text.contains("limit: 2"), "{text}");
         // The plan must mention the aggregation operator.
@@ -1622,16 +1567,16 @@ mod tests {
         let revenue = e.catalog.lookup("revenue").unwrap();
         task.order_by = vec![SortKey::desc(revenue)];
         task.limit = Some(2);
-        for (mode, needle) in [
-            (OrderMode::ForceHeap, "heap top-k (k=2"),
-            (OrderMode::ForceSort, "collect-sort-cut"),
+        for (choice, needle) in [
+            (OrderChoice::Heap, "heap top-k (k=2"),
+            (OrderChoice::Sort, "collect-sort-cut"),
         ] {
-            let result = e.run(&task, RunOptions::new().order(mode)).unwrap();
+            let result = e.run_forcing(&task, RunOptions::new(), choice).unwrap();
             let text = result.explain(&e.catalog);
-            assert!(text.contains(needle), "{mode:?}: {text}");
+            assert!(text.contains(needle), "{choice:?}: {text}");
             assert!(
                 !text.contains("constant-delay streaming"),
-                "{mode:?} must not claim streaming: {text}"
+                "{choice:?} must not claim streaming: {text}"
             );
         }
         // A streamed order with residual row filters is not constant-delay
@@ -1670,12 +1615,12 @@ mod tests {
             ..Default::default()
         };
         let direct = e
-            .run(&task, RunOptions::new().order(OrderMode::ForceDirect))
+            .run_forcing(&task, RunOptions::new(), OrderChoice::Direct)
             .unwrap();
         assert_eq!(direct.order_strategy(), OrderStrategy::DirectAccess);
         let (rows, stats) = direct.to_relation_counted().unwrap();
         let reference = e
-            .run(&task, RunOptions::new().order(OrderMode::ForceSort))
+            .run_forcing(&task, RunOptions::new(), OrderChoice::Sort)
             .unwrap()
             .to_relation()
             .unwrap();
@@ -1695,7 +1640,7 @@ mod tests {
         let mut deep = task.clone();
         deep.offset = 10_000;
         let rel = e
-            .run(&deep, RunOptions::new().order(OrderMode::ForceDirect))
+            .run_forcing(&deep, RunOptions::new(), OrderChoice::Direct)
             .unwrap()
             .to_relation()
             .unwrap();
@@ -1704,7 +1649,7 @@ mod tests {
 
     #[test]
     fn offset_widens_the_heap_and_explains_mk() {
-        // ORDER BY revenue DESC LIMIT 1 OFFSET 1 under ForceHeap: the
+        // ORDER BY revenue DESC LIMIT 1 OFFSET 1 on a forced heap: the
         // heap holds m+k rows, the first m are dropped, and the explain
         // output names the (m+k)-heap — never constant delay.
         let mut e = engine();
@@ -1714,12 +1659,12 @@ mod tests {
         task.limit = Some(1);
         task.offset = 1;
         let heap = e
-            .run(&task, RunOptions::new().order(OrderMode::ForceHeap))
+            .run_forcing(&task, RunOptions::new(), OrderChoice::Heap)
             .unwrap();
         assert_eq!(heap.order_strategy(), OrderStrategy::HeapTopK { k: 1 });
         let (rows, stats) = heap.to_relation_counted().unwrap();
         let reference = e
-            .run(&task, RunOptions::new().order(OrderMode::ForceSort))
+            .run_forcing(&task, RunOptions::new(), OrderChoice::Sort)
             .unwrap()
             .to_relation()
             .unwrap();
@@ -1736,49 +1681,113 @@ mod tests {
     #[test]
     fn direct_degrades_when_row_filters_or_grouping_block_the_seek() {
         // Residual row filters make the count annotations unusable (they
-        // count unfiltered tuples): ForceDirect must degrade to
-        // sequential streaming and the explain output must not claim a
-        // seek.
+        // count unfiltered tuples), and grouped on-the-fly evaluation has
+        // no tuple cursor: direct access is infeasible for both, so a
+        // forced seek runs what the cost model picks — here the stream —
+        // and the explain output claims no seek.
         let mut e = engine();
-        let mut task = revenue_task(&mut e);
         let customer = e.catalog.lookup("customer").unwrap();
         let m = e.catalog.intern("m_direct");
-        task.aggregates.push(AggSpec::new(
+        let mut filtered = revenue_task(&mut e);
+        filtered.aggregates.push(AggSpec::new(
             AggFunc::Avg(e.catalog.lookup("price").unwrap()),
             m,
         ));
-        task.order_by = vec![SortKey::asc(customer)];
-        task.having = vec![Predicate::AttrCmp(m, CmpOp::Gt, Value::Float(0.0))];
-        task.offset = 1;
-        let result = e
-            .run(&task, RunOptions::new().order(OrderMode::ForceDirect))
-            .unwrap();
-        assert_eq!(result.order_strategy(), OrderStrategy::StreamInTree);
-        let rows = result.to_relation().unwrap();
-        let reference = e
-            .run(&task, RunOptions::new().order(OrderMode::ForceSort))
-            .unwrap()
-            .to_relation()
-            .unwrap();
-        assert_eq!(rows, reference);
-        assert!(!result.explain(&e.catalog).contains("direct access"));
-        // Grouped on-the-fly evaluation has no tuple cursor either: with
-        // consolidation disabled the seek degrades to the group stream.
+        filtered.order_by = vec![SortKey::asc(customer)];
+        filtered.having = vec![Predicate::AttrCmp(m, CmpOp::Gt, Value::Float(0.0))];
+        filtered.offset = 1;
         let mut grouped = revenue_task(&mut e);
         grouped.order_by = vec![SortKey::asc(customer)];
         grouped.offset = 1;
-        let result = e
-            .run(
-                &grouped,
-                RunOptions::new()
-                    .order(OrderMode::ForceDirect)
-                    .consolidate(ConsolidateMode::Never),
-            )
+        let never = RunOptions::new().consolidate(ConsolidateMode::Never);
+        for (task, opts) in [(&filtered, RunOptions::new()), (&grouped, never)] {
+            let result = e.run_forcing(task, opts, OrderChoice::Direct).unwrap();
+            assert_eq!(result.order_strategy(), OrderStrategy::StreamInTree);
+            assert!(!result.explain(&e.catalog).contains("direct access"));
+            let out = result.to_relation().unwrap();
+            let reference = e
+                .run_forcing(task, opts, OrderChoice::Sort)
+                .unwrap()
+                .to_relation()
+                .unwrap();
+            assert_eq!(out, reference);
+            assert_eq!(out.len(), 2);
+            assert!(out.is_sorted_by(&[SortKey::asc(customer)]));
+        }
+    }
+
+    #[test]
+    fn a_forced_infeasible_choice_runs_the_choosers_pick() {
+        // Outside its feasible set a forced choice is ignored: the run is
+        // the cost model's, strategy and rows alike, and the rows are the
+        // collect-sort-cut rows.
+        let mut e = engine();
+        let customer = e.catalog.lookup("customer").unwrap();
+        let price = e.catalog.lookup("price").unwrap();
+        let m = e.catalog.intern("m_infeasible");
+        let mut realisable = revenue_task(&mut e);
+        realisable.order_by = vec![SortKey::asc(customer)];
+        let mut by_avg = realisable.clone();
+        by_avg.aggregates = vec![AggSpec::new(AggFunc::Avg(price), m)];
+        by_avg.order_by = vec![SortKey::desc(m), SortKey::asc(customer)];
+        let mut having = realisable.clone();
+        having.having = vec![Predicate::AttrCmp(
+            e.catalog.lookup("revenue").unwrap(),
+            CmpOp::Gt,
+            Value::Int(0),
+        )];
+        having.offset = 1;
+        let cases = [
+            // No LIMIT: the heap is infeasible; the chooser streams a
+            // realisable order and sorts the rest.
+            (&realisable, OrderChoice::Heap, "heap, realisable"),
+            (&by_avg, OrderChoice::Heap, "heap, by avg"),
+            // Direct access under a HAVING (even one pushed into the
+            // factorisation) or at OFFSET 0; grouped output is
+            // `direct_degrades_when_row_filters_or_grouping_block_the_seek`.
+            (&having, OrderChoice::Direct, "direct, having"),
+            (&realisable, OrderChoice::Direct, "direct, offset 0"),
+            // No realising plan: streaming is infeasible.
+            (&by_avg, OrderChoice::Stream, "stream, by avg"),
+        ];
+        let opts = RunOptions::new();
+        for (task, choice, label) in cases {
+            let forced = e.run_forcing(task, opts, choice).unwrap();
+            let auto = e.run(task, opts).unwrap();
+            assert_eq!(forced.order_strategy(), auto.order_strategy(), "{label}");
+            let sorted = e.run_forcing(task, opts, OrderChoice::Sort).unwrap();
+            let rows = forced.to_relation().unwrap();
+            assert_eq!(rows, auto.to_relation().unwrap(), "{label}");
+            assert_eq!(rows, sorted.to_relation().unwrap(), "{label}");
+        }
+    }
+
+    #[test]
+    fn direct_access_over_saturated_counts_streams_past_the_offset() {
+        // More than u64::MAX tuples: the seek cannot land, so the page
+        // streams past its offset — the streamed page, polled as it goes.
+        let (catalog, rep) = crate::enumerate::tests::saturated_rep();
+        let mut e = FdbEngine::new(catalog);
+        e.register_view("V", rep);
+        let sql = "SELECT a, b0, b1, b2, b3, b4, b5, b6 FROM V \
+                   ORDER BY a DESC, b0, b1, b2, b3, b4, b5, b6 LIMIT 3 OFFSET 4";
+        let schemas = e.schemas();
+        let task = fdb_query::parse(sql, &mut e.catalog, &schemas)
+            .unwrap()
+            .to_task();
+        let direct = e
+            .run_forcing(&task, RunOptions::new(), OrderChoice::Direct)
             .unwrap();
-        assert_eq!(result.order_strategy(), OrderStrategy::StreamInTree);
-        let rows = result.to_relation().unwrap();
-        assert_eq!(rows.len(), 2);
-        assert!(rows.is_sorted_by(&[SortKey::asc(customer)]));
+        assert_eq!(direct.order_strategy(), OrderStrategy::DirectAccess);
+        let (rows, stats) = direct.to_relation_counted().unwrap();
+        let stream = e
+            .run_forcing(&task, RunOptions::new(), OrderChoice::Stream)
+            .unwrap();
+        assert_eq!(stream.order_strategy(), OrderStrategy::StreamInTree);
+        assert_eq!(rows, stream.to_relation().unwrap());
+        let firsts: Vec<i64> = rows.rows().map(|r| r[0].as_int().unwrap()).collect();
+        assert_eq!(firsts, vec![3, 2, 2]);
+        assert_eq!(stats.rows_enumerated, 7);
     }
 
     #[test]
@@ -1800,7 +1809,7 @@ mod tests {
             let auto = e.run_default(&task).unwrap();
             let rows = auto.to_relation().unwrap();
             let reference = e
-                .run(&task, RunOptions::new().order(OrderMode::ForceSort))
+                .run_forcing(&task, RunOptions::new(), OrderChoice::Sort)
                 .unwrap()
                 .to_relation()
                 .unwrap();
@@ -1832,7 +1841,7 @@ mod tests {
         assert_eq!(stats.strategy, OrderStrategy::HeapTopK { k: 1 });
         assert!(stats.order_bytes > 0);
         let sorted = e
-            .run(&task, RunOptions::new().order(OrderMode::ForceSort))
+            .run_forcing(&task, RunOptions::new(), OrderChoice::Sort)
             .unwrap()
             .to_relation()
             .unwrap();

@@ -87,6 +87,9 @@ struct Emitter<'a> {
     clock: DeadlinePoll,
     /// Names the pass in a deadline error.
     what: &'static str,
+    /// Whether a requested seek landed; if not (saturated counts), the
+    /// caller streams past the prefix under the deadline poll.
+    seeked: bool,
 }
 
 /// Component `comp` of a composite aggregate value, or the value itself.
@@ -189,7 +192,8 @@ impl FdbResult {
     /// Compiles the emitter. `ordered` selects the Theorem-2 visit
     /// sequence (sorted streaming), otherwise pre-order tuples /
     /// unordered groups; `seek` additionally parks a tuple cursor on that
-    /// row of the order via the count annotations.
+    /// row of the order via the count annotations, unless they saturated
+    /// (`Emitter::seeked`).
     fn emitter<'a>(
         &'a self,
         schema: &'a Schema,
@@ -198,6 +202,7 @@ impl FdbResult {
     ) -> Result<Emitter<'a>> {
         let tree = self.rep.ftree();
         let slot = |(pos, comp)| Src::Slot { pos, comp };
+        let mut seeked = false;
         let (rows, cols, what) = match &self.kind {
             ResultKind::Spj | ResultKind::AggConsolidated => {
                 let spec = if ordered {
@@ -211,12 +216,11 @@ impl FdbResult {
                         FdbError::Unresolved(format!("attribute {a} not enumerated"))
                     })
                 })?;
-                let what = match seek {
-                    Some(skip) => {
-                        odo.seek(skip);
-                        "direct-access enumeration"
-                    }
-                    None => "enumeration",
+                seeked = seek.is_some_and(|skip| odo.seek(skip));
+                let what = if seeked {
+                    "direct-access enumeration"
+                } else {
+                    "enumeration"
                 };
                 (Rows::Tuples(odo), cols, what)
             }
@@ -273,6 +277,7 @@ impl FdbResult {
             filters: &self.row_filters,
             clock: DeadlinePoll::new(self.deadline_at),
             what,
+            seeked,
         })
     }
 
@@ -316,8 +321,7 @@ impl FdbResult {
     /// [`FdbResult::to_relation`] plus the enumeration report: which
     /// ordering strategy executed, how many filtered rows reached it, and
     /// the peak ordering-side allocation — `O(k·row)` for heap top-k vs
-    /// `O(N·row)` for collect-sort-cut, which the bench ordering ablation
-    /// records (`ibytes=`) and the perf gate holds to ratio.
+    /// `O(N·row)` for collect-sort-cut.
     pub fn to_relation_counted(&self) -> Result<(Relation, OrderRunStats)> {
         let schema = Schema::new(self.output_attrs.clone());
         let width = schema.arity();
@@ -336,7 +340,8 @@ impl FdbResult {
             // count-annotated seek: the skipped prefix is never
             // enumerated, so the page costs O(seek + k). Plan-time
             // verification guarantees it an order-realising tuple cursor
-            // and no residual row filters.
+            // and no residual row filters; over saturated counts the seek
+            // does not land and the prefix streams past like an OFFSET.
             OrderStrategy::Unordered
             | OrderStrategy::StreamInTree
             | OrderStrategy::DirectAccess => {
@@ -352,7 +357,7 @@ impl FdbResult {
                 if self.limit != Some(0) {
                     let seek = direct.then_some(self.offset as u64);
                     let mut em = self.emitter(&schema, ordered, seek)?;
-                    let skip = if direct { 0 } else { self.offset };
+                    let skip = if em.seeked { 0 } else { self.offset };
                     match self.limit {
                         // A page stops after `k` rows: counting the result
                         // to size it would cost a walk the page never makes.
@@ -456,10 +461,11 @@ pub(super) fn finish(schema: Schema, data: Vec<Value>, rows: usize) -> Relation 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{ConsolidateMode, FdbEngine, OrderMode, RunOptions};
+    use crate::engine::{ConsolidateMode, FdbEngine, RunOptions};
     use crate::enumerate::naive;
     use crate::frep::FRep;
     use crate::ftree::{FTree, NodeLabel};
+    use crate::optim::ordering::OrderChoice;
     use fdb_relational::planner::JoinAggTask;
     use fdb_relational::{Catalog, SortKey};
     use proptest::prelude::*;
@@ -711,9 +717,10 @@ mod tests {
 
     type Coverage = BTreeSet<(&'static str, &'static str, bool)>;
 
-    /// Runs `sql` under every ordering mode × consolidation mode × page,
-    /// holding the emitter to the naive reference: same rows in the same
-    /// order, same `OrderRunStats` — or the same error.
+    /// Runs `sql` under the cost model's choice and every forced ordering
+    /// strategy × consolidation mode × page, holding the emitter to the
+    /// naive reference: same rows in the same order, same `OrderRunStats`
+    /// — or the same error.
     fn assert_emitter_matches_naive(e: &mut FdbEngine, sql: &str, seen: &mut Coverage) {
         let schemas = e.schemas();
         let base: JoinAggTask = fdb_query::parse(sql, &mut e.catalog, &schemas)
@@ -724,15 +731,15 @@ mod tests {
             .and_then(|r| r.to_relation())
             .unwrap_or_else(|err| panic!("`{sql}`: {err}"))
             .len();
-        let modes: &[OrderMode] = if base.order_by.is_empty() {
-            &[OrderMode::Auto]
+        let choices: &[Option<OrderChoice>] = if base.order_by.is_empty() {
+            &[None]
         } else {
             &[
-                OrderMode::Auto,
-                OrderMode::ForceStream,
-                OrderMode::ForceDirect,
-                OrderMode::ForceHeap,
-                OrderMode::ForceSort,
+                None,
+                Some(OrderChoice::Stream),
+                Some(OrderChoice::Direct),
+                Some(OrderChoice::Heap),
+                Some(OrderChoice::Sort),
             ]
         };
         let consolidations: &[ConsolidateMode] = if base.is_aggregate() {
@@ -763,14 +770,17 @@ mod tests {
                 offset,
                 ..base.clone()
             };
-            for &mode in modes {
+            for &choice in choices {
                 for &consolidate in consolidations {
-                    let opts = RunOptions::new().order(mode).consolidate(consolidate);
-                    let ctx =
-                        format!("`{sql}` LIMIT {limit:?} OFFSET {offset} {mode:?} {consolidate:?}");
-                    let result = e
-                        .run(&task, opts)
-                        .unwrap_or_else(|err| panic!("{ctx}: {err}"));
+                    let opts = RunOptions::new().consolidate(consolidate);
+                    let ctx = format!(
+                        "`{sql}` LIMIT {limit:?} OFFSET {offset} {choice:?} {consolidate:?}"
+                    );
+                    let result = match choice {
+                        Some(c) => e.run_forcing(&task, opts, c),
+                        None => e.run(&task, opts),
+                    };
+                    let result = result.unwrap_or_else(|err| panic!("{ctx}: {err}"));
                     seen.insert((
                         kind_name(&result),
                         strategy_name(result.order_strategy),
@@ -1021,24 +1031,27 @@ mod tests {
             let rows = (0..1i64 << 16).map(|i| vec![Value::Int(i)]);
             e.register_relation(name, Relation::from_rows(Schema::new(vec![attr]), rows));
         }
-        for (sql, mode, strategy) in [
+        for (sql, strategy) in [
             (
                 "SELECT a, b, c, d FROM A, B, C, D",
-                OrderMode::Auto,
                 OrderStrategy::Unordered,
             ),
             (
                 "SELECT a, b, c, d FROM A, B, C, D LIMIT 4000000000000",
-                OrderMode::Auto,
                 OrderStrategy::Unordered,
             ),
             (
                 "SELECT a, b, c, d FROM A, B, C, D ORDER BY d, c, b, a",
-                OrderMode::ForceSort,
                 OrderStrategy::CollectSortCut,
             ),
         ] {
-            let mut result = e.run_sql_with(sql, RunOptions::new().order(mode)).unwrap();
+            let schemas = e.schemas();
+            let task = fdb_query::parse(sql, &mut e.catalog, &schemas)
+                .unwrap()
+                .to_task();
+            let mut result = e
+                .run_forcing(&task, RunOptions::new(), OrderChoice::Sort)
+                .unwrap();
             assert_eq!(result.order_strategy, strategy, "{sql}");
             let schema = Schema::new(result.output_attrs.clone());
             let total = result.emitter(&schema, false, None).unwrap().total_rows();
@@ -1054,10 +1067,7 @@ mod tests {
         // Guards the corpus itself: ASC and DESC keys both stream.
         let mut e = chain_engine(&[(0, 1), (1, 0), (2, 2)], &[], &[], &[]);
         let result = e
-            .run_sql_with(
-                "SELECT a, b FROM R ORDER BY a DESC, b",
-                RunOptions::new().order(OrderMode::ForceStream),
-            )
+            .run_sql_result("SELECT a, b FROM R ORDER BY a DESC, b")
             .unwrap();
         assert_eq!(result.order_strategy, OrderStrategy::StreamInTree);
         let a = e.catalog.lookup("a").unwrap();

@@ -460,14 +460,22 @@ impl<'a> Odometer<'a> {
     /// entry containing the target index is found by binary-searching
     /// the union's count prefix sums scaled by the product of the other
     /// dangling totals: O(depth · log fanout) union-entry probes total.
-    pub(crate) fn seek(&mut self, skip: u64) {
+    ///
+    /// Returns `false`, leaving the odometer untouched, when the count
+    /// annotations saturated: their prefix sums cannot place the seek, so
+    /// the caller reaches row `skip` by stepping past the prefix instead.
+    pub(crate) fn seek(&mut self, skip: u64) -> bool {
         debug_assert!(!self.started);
-        self.started = true;
         if self.rep.is_empty() {
+            self.started = true;
             self.done = true;
-            return;
+            return true;
         }
         let counts = self.rep.count_index().clone();
+        if counts.saturated() {
+            return false;
+        }
+        self.started = true;
         let total: u128 = self
             .rep
             .root_ids()
@@ -476,7 +484,7 @@ impl<'a> Odometer<'a> {
             .fold(1u128, u128::saturating_mul);
         if skip as u128 >= total {
             self.done = true;
-            return;
+            return true;
         }
         let mut remaining = skip as u128;
         // Dangling unions, in no particular order (the product below is
@@ -499,9 +507,9 @@ impl<'a> Odometer<'a> {
             let dir = self.dirs[i];
             let len = rec.len as usize;
             debug_assert!(len > 0, "inner unions are never empty");
-            // Largest logical l with cum_before(l)·rest ≤ remaining.
-            // Saturated products exceed any remaining < 2^64, so they
-            // compare on the correct side.
+            // Largest logical l with cum_before(l)·rest ≤ remaining. The
+            // counts are exact; a product saturating u128 exceeds any
+            // remaining < 2^64, so it compares on the correct side.
             let (mut lo, mut hi) = (0usize, len - 1);
             while lo < hi {
                 let mid = (lo + hi).div_ceil(2);
@@ -526,6 +534,7 @@ impl<'a> Odometer<'a> {
         debug_assert_eq!(remaining, 0, "seek must land exactly on the target");
         debug_assert!(dangling.is_empty(), "full visit enters every union");
         self.parked = true;
+        true
     }
 }
 
@@ -662,10 +671,18 @@ pub struct DirectCursor<'a>(TupleIter<'a>);
 impl<'a> DirectCursor<'a> {
     /// Seeks `rep` to the `skip`-th tuple of `spec`'s order. Builds (or
     /// reuses) the representation's count annotations. A `skip` at or
-    /// past the end yields an exhausted cursor, not an error.
+    /// past the end yields an exhausted cursor, not an error. When the
+    /// counts saturated (more than `u64::MAX` tuples) the cursor streams
+    /// past the first `skip` tuples instead: slower, never wrong.
     pub fn new(rep: &'a FRep, spec: &EnumSpec, skip: u64) -> Result<Self> {
         let mut it = TupleIter::new(rep, spec)?;
-        it.odo.seek(skip);
+        if !it.odo.seek(skip) {
+            for _ in 0..skip {
+                if it.next_row().is_none() {
+                    break;
+                }
+            }
+        }
         Ok(DirectCursor(it))
     }
 
@@ -939,7 +956,7 @@ pub(crate) mod naive {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ftree::AggOp;
     use fdb_relational::{Catalog, Relation, Schema};
@@ -1276,6 +1293,76 @@ mod tests {
                 let want = skip_enumerate(&rep, &spec, skip);
                 let got = direct_enumerate(&rep, &spec, skip as u64);
                 assert_eq!(got, want, "keys {keys:?} skip {skip}");
+            }
+        }
+    }
+
+    /// a → {b0 … b6}. Entries a=1 and a=2 each carry seven 512-value
+    /// kids (2^63 tuples apiece), a=3 carries 5 tuples: 2^64 + 5 in all,
+    /// so the count prefix sums saturate.
+    pub(crate) fn saturated_rep() -> (Catalog, FRep) {
+        use crate::frep::{Entry, Union};
+        let mut c = Catalog::new();
+        let a = c.intern("a");
+        let mut tree = FTree::new();
+        let na = tree.add_node(NodeLabel::Atomic(vec![a]), None);
+        let nbs: Vec<NodeId> = (0..7)
+            .map(|i| {
+                let b = c.intern(&format!("b{i}"));
+                tree.add_node(NodeLabel::Atomic(vec![b]), Some(na))
+            })
+            .collect();
+        let leaves = |node, n: i64| Union {
+            node,
+            entries: (0..n)
+                .map(|v| Entry {
+                    value: Value::Int(v),
+                    children: Vec::new(),
+                })
+                .collect(),
+        };
+        let entry = |v: i64, widths: [i64; 7]| Entry {
+            value: Value::Int(v),
+            children: nbs.iter().zip(widths).map(|(&n, w)| leaves(n, w)).collect(),
+        };
+        let root = Union {
+            node: na,
+            entries: vec![
+                entry(1, [512; 7]),
+                entry(2, [512; 7]),
+                entry(3, [5, 1, 1, 1, 1, 1, 1]),
+            ],
+        };
+        (c, FRep::new(tree, vec![root]).unwrap())
+    }
+
+    #[test]
+    fn direct_cursor_over_saturated_counts_matches_skip_enumeration() {
+        // A descending seek that subtracted two saturated prefix sums
+        // landed on a=2 for skips 0–4.
+        let (c, rep) = saturated_rep();
+        let a = c.lookup("a").unwrap();
+        let bs: Vec<AttrId> = (0..7)
+            .map(|i| c.lookup(&format!("b{i}")).unwrap())
+            .collect();
+        let skip_take = |spec: &EnumSpec, skip: u64| {
+            let mut it = TupleIter::new(&rep, spec).unwrap();
+            for _ in 0..skip {
+                it.next_row().unwrap();
+            }
+            (0..3)
+                .map(|_| it.next_row().unwrap().to_vec())
+                .collect::<Vec<_>>()
+        };
+        for dir in [SortKey::asc, SortKey::desc] {
+            let mut keys = vec![dir(a)];
+            keys.extend(bs.iter().map(|&b| SortKey::asc(b)));
+            let spec = EnumSpec::ordered(rep.ftree(), &keys).unwrap();
+            for skip in [0, 3, 4, 5, 7, 1_000_000] {
+                let mut cur = DirectCursor::new(&rep, &spec, skip).unwrap();
+                let got: Vec<Vec<Value>> =
+                    (0..3).map(|_| cur.next_row().unwrap().to_vec()).collect();
+                assert_eq!(got, skip_take(&spec, skip), "{keys:?} skip {skip}");
             }
         }
     }

@@ -645,16 +645,24 @@ fn value_heap_bytes(v: &Value) -> usize {
 /// Built in one bottom-up pass over the unions reachable from the roots,
 /// memoised per [`UnionId`] so DAG-shared fragments are counted once and
 /// share their annotation (unreachable garbage records keep count 0).
-/// Counts saturate at `u64::MAX`; a saturated representation has more
-/// tuples than any addressable offset, so seeks still terminate (they
-/// simply stay inside the first astronomically-large block).
+/// Counts saturate at `u64::MAX`, and the index records whether any did:
+/// a saturated prefix sum no longer tells where an entry's block starts
+/// (a descending seek subtracts two of them), so a seek over a saturated
+/// index must stream instead ([`CountIndex::saturated`]).
 #[derive(Debug)]
 pub(crate) struct CountIndex {
     entry_prefix: Vec<u64>,
     union_total: Vec<u64>,
+    saturated: bool,
 }
 
 impl CountIndex {
+    /// Whether some count overflowed `u64` and was clamped: the prefix
+    /// sums are then not exact and cannot place a seek.
+    pub(crate) fn saturated(&self) -> bool {
+        self.saturated
+    }
+
     /// Tuple count of the subtree hanging off union `u`.
     pub(crate) fn total(&self, u: UnionId) -> u64 {
         self.union_total[u.0 as usize]
@@ -714,6 +722,7 @@ impl Arena {
         let mut entry_prefix = vec![0u64; self.entries.len()];
         let mut union_total = vec![0u64; self.unions.len()];
         let mut computed = vec![false; self.unions.len()];
+        let mut saturated = false;
         enum Phase {
             Enter(UnionId),
             Exit(UnionId),
@@ -746,8 +755,11 @@ impl Arena {
                         for k in e.kids_start..e.kids_start + e.kids_len {
                             let kid = self.kids[k as usize];
                             debug_assert!(computed[kid.0 as usize]);
-                            cnt = cnt.saturating_mul(union_total[kid.0 as usize]);
+                            let total = union_total[kid.0 as usize];
+                            saturated |= cnt.checked_mul(total).is_none();
+                            cnt = cnt.saturating_mul(total);
                         }
+                        saturated |= running.checked_add(cnt).is_none();
                         running = running.saturating_add(cnt);
                         entry_prefix[i as usize] = running;
                     }
@@ -759,6 +771,7 @@ impl Arena {
         CountIndex {
             entry_prefix,
             union_total,
+            saturated,
         }
     }
 }
@@ -1243,6 +1256,7 @@ impl FRep {
     /// memoised `CountIndex` when one has been built (O(#roots));
     /// otherwise a quick recursive walk — cheap relative to enumeration,
     /// and avoiding the index's whole-arena allocation for one-off calls.
+    /// Both saturate at `usize::MAX`.
     pub fn tuple_count(&self) -> usize {
         if self.is_empty() {
             return 0;
@@ -1255,7 +1269,9 @@ impl FRep {
                 .fold(1u128, u128::saturating_mul);
             return n.min(usize::MAX as u128) as usize;
         }
-        self.root_unions().map(|u| count_tuples(&u)).product()
+        self.root_unions()
+            .map(|u| count_tuples(&u))
+            .fold(1, usize::saturating_mul)
     }
 
     /// Size report: logical singleton count plus the arena's physical
@@ -1465,8 +1481,12 @@ pub fn value_for_attr(label: &NodeLabel, value: &Value, attr: AttrId) -> Option<
 
 fn count_tuples(u: &UnionRef<'_>) -> usize {
     u.entries()
-        .map(|e| e.children().map(|c| count_tuples(&c)).product::<usize>())
-        .sum()
+        .map(|e| {
+            e.children()
+                .map(|c| count_tuples(&c))
+                .fold(1, usize::saturating_mul)
+        })
+        .fold(0, usize::saturating_add)
 }
 
 // ---------------------------------------------------------------------

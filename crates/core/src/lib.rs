@@ -78,8 +78,7 @@ pub mod topk;
 pub mod update;
 
 pub use engine::{
-    ConsolidateMode, FdbEngine, FdbResult, OrderMode, OrderRunStats, OrderStrategy, PlanStrategy,
-    RunOptions,
+    ConsolidateMode, FdbEngine, FdbResult, OrderRunStats, OrderStrategy, PlanStrategy, RunOptions,
 };
 pub use error::{FdbError, Result};
 pub use frep::{Entry, EntryRef, FRep, FRepStats, Union, UnionId, UnionRef};

@@ -19,9 +19,13 @@
 //!    then stream the `k` requested rows with constant delay. The only
 //!    strategy whose cost is independent of the offset depth.
 //!
-//! The chooser prices each strategy in the paper's currency — the size
-//! bounds of the representations a plan materialises ([`tree_cost`]) plus
-//! the enumeration-side work — and picks the cheapest. Estimates use only
+//! Not every strategy serves every query ([`OrderCostInputs::feasible`]):
+//! streaming needs an order-realising plan, direct access additionally an
+//! OFFSET, no HAVING and a tuple cursor, the heap a LIMIT; the sort always
+//! works. The chooser prices each feasible strategy in the paper's
+//! currency — the size bounds of the representations a plan materialises
+//! ([`tree_cost`]) plus the enumeration-side work — and picks the
+//! cheapest. Estimates use only
 //! the f-tree and the base-relation [`Stats`], so the choice is
 //! deterministic across executors and thread counts (a property the
 //! differential suites rely on).
@@ -45,7 +49,9 @@ pub enum OrderChoice {
     Sort,
 }
 
-/// Everything the chooser looks at.
+/// Everything the chooser looks at. The prices (plan costs, row and seek
+/// estimates) are read only for a page ([`is_page`]); an unpaged order is
+/// chosen by feasibility alone, so a caller may leave them at zero.
 #[derive(Clone, Copy, Debug)]
 pub struct OrderCostInputs {
     /// Cost of the plan that realises the order in-tree ([`plan_cost`]),
@@ -62,23 +68,56 @@ pub struct OrderCostInputs {
     pub offset: usize,
     /// Seek cost of the count-annotated direct-access path
     /// (≈ depth · log fanout), or `None` when direct access is
-    /// ineligible: no order-realising plan, a result shape without a
-    /// tuple cursor (grouped on-the-fly aggregation), or no offset to
-    /// skip (plain streaming is then strictly cheaper).
+    /// ineligible: no order-realising plan, a `HAVING` clause (the counts
+    /// would include filtered rows), a result shape without a tuple
+    /// cursor (grouped on-the-fly aggregation), or no offset to skip
+    /// (plain streaming is then strictly cheaper).
     pub direct_seek_cost: Option<f64>,
     /// Output row width in columns (weights the per-row materialisation).
     pub row_width: usize,
 }
 
-/// Picks the cheapest strategy. Without a LIMIT or OFFSET the in-tree
-/// realisation always wins when it exists (the full output must be
-/// produced anyway, and streaming it sorted beats an extra
+impl OrderCostInputs {
+    /// Whether `choice` can produce the query's page at all: streaming
+    /// needs an order-realising plan; direct access that plan, an OFFSET
+    /// to seek past and a quoted seek cost; the heap a LIMIT to bound it.
+    /// Collect-sort-cut always works.
+    pub fn feasible(&self, choice: OrderChoice) -> bool {
+        match choice {
+            OrderChoice::Stream => self.stream_plan_cost.is_some(),
+            OrderChoice::Direct => {
+                self.stream_plan_cost.is_some()
+                    && self.direct_seek_cost.is_some()
+                    && self.offset > 0
+            }
+            OrderChoice::Heap => self.k.is_some(),
+            OrderChoice::Sort => true,
+        }
+    }
+}
+
+/// Whether a LIMIT or an OFFSET cuts the ordered output: only then do the
+/// strategies' prices decide between them.
+pub fn is_page(k: Option<usize>, offset: usize) -> bool {
+    k.is_some() || offset > 0
+}
+
+/// Picks the cheapest feasible strategy. Without a LIMIT or OFFSET the
+/// in-tree realisation always wins when it exists (the full output must
+/// be produced anyway, and streaming it sorted beats an extra
 /// `O(N · log N)` sort); with a LIMIT the swap overhead competes against
 /// `N · log(m+k)` heap work and `N · log N + N` sort work. With an
 /// OFFSET `m`, sequential streaming additionally enumerates-and-discards
 /// `m` rows, so for deep offsets the count-annotated seek (whose cost is
 /// independent of `m`) takes over.
 pub fn choose_order_strategy(inputs: &OrderCostInputs) -> OrderChoice {
+    if !is_page(inputs.k, inputs.offset) {
+        return if inputs.feasible(OrderChoice::Stream) {
+            OrderChoice::Stream
+        } else {
+            OrderChoice::Sort
+        };
+    }
     let w = inputs.row_width.max(1) as f64;
     let lg = |x: f64| x.max(2.0).log2();
     let n = inputs.est_rows.max(1.0);
@@ -88,12 +127,6 @@ pub fn choose_order_strategy(inputs: &OrderCostInputs) -> OrderChoice {
         Some(k) => (k as f64).min((n - m).max(0.0)),
         None => (n - m).max(0.0),
     };
-    if inputs.k.is_none() && inputs.offset == 0 {
-        return match inputs.stream_plan_cost {
-            Some(_) => OrderChoice::Stream,
-            None => OrderChoice::Sort,
-        };
-    }
     // Each enumerated row costs its width (the emit into the row buffer)
     // before the heap can reject it or the sort can store it — charging
     // only the comparison term would overprice a swap (one materialised
@@ -102,7 +135,7 @@ pub fn choose_order_strategy(inputs: &OrderCostInputs) -> OrderChoice {
     // swap is several times faster end to end.
     let heap = inputs.unordered_plan_cost + n * (lg(m + kf + 1.0) + w) + (m + kf) * w;
     let sort = inputs.unordered_plan_cost + n * (lg(n) + w) + n * w;
-    let mut best = if inputs.k.is_some() && heap <= sort {
+    let mut best = if inputs.feasible(OrderChoice::Heap) && heap <= sort {
         (OrderChoice::Heap, heap)
     } else {
         (OrderChoice::Sort, sort)
@@ -116,7 +149,7 @@ pub fn choose_order_strategy(inputs: &OrderCostInputs) -> OrderChoice {
         }
         if let Some(seek) = inputs.direct_seek_cost {
             let direct = cs + seek + kf * w;
-            if direct < best.1 {
+            if inputs.feasible(OrderChoice::Direct) && direct < best.1 {
                 best = (OrderChoice::Direct, direct);
             }
         }
@@ -218,6 +251,14 @@ mod tests {
             choose_order_strategy(&inputs(None, 1.0, 1e6, None)),
             OrderChoice::Sort
         );
+        // Whatever the prices (unpaged inputs may leave them at zero).
+        for i in grid().iter().filter(|i| !is_page(i.k, i.offset)) {
+            let want = match i.stream_plan_cost {
+                Some(_) => OrderChoice::Stream,
+                None => OrderChoice::Sort,
+            };
+            assert_eq!(choose_order_strategy(i), want, "{i:?}");
+        }
     }
 
     #[test]
@@ -283,6 +324,55 @@ mod tests {
         // seek cannot amortise it for a shallow page over few rows.
         let choice = choose_order_strategy(&paged(Some(1e8), 1e6, 1e5, Some(10), 50, Some(10.0)));
         assert_eq!(choice, OrderChoice::Heap);
+    }
+
+    /// Inputs spanning cheap and dear plans, with and without a realising
+    /// plan, a seek quote, an OFFSET and a LIMIT.
+    fn grid() -> Vec<OrderCostInputs> {
+        let mut all = Vec::new();
+        for stream in [None, Some(1.0), Some(1e4), Some(1e9)] {
+            for unordered in [0.0, 1e4, 1e8] {
+                for n in [1.0, 1e3, 1e6] {
+                    for k in [None, Some(0), Some(10), Some(1_000_000)] {
+                        for offset in [0, 1, 500, 999_999] {
+                            for seek in [None, Some(0.0), Some(60.0)] {
+                                all.push(paged(stream, unordered, n, k, offset, seek));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        all
+    }
+
+    #[test]
+    fn heap_is_never_chosen_without_a_limit() {
+        for inputs in grid().into_iter().filter(|i| i.k.is_none()) {
+            assert!(!inputs.feasible(OrderChoice::Heap), "{inputs:?}");
+            assert_ne!(
+                choose_order_strategy(&inputs),
+                OrderChoice::Heap,
+                "{inputs:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn direct_is_never_chosen_outside_its_conditions() {
+        // Direct needs a realising plan, an OFFSET and a seek quote (the
+        // engine quotes one only without HAVING and with a tuple cursor).
+        let outside = |i: &OrderCostInputs| {
+            i.stream_plan_cost.is_none() || i.offset == 0 || i.direct_seek_cost.is_none()
+        };
+        for inputs in grid().into_iter().filter(outside) {
+            assert!(!inputs.feasible(OrderChoice::Direct), "{inputs:?}");
+            assert_ne!(
+                choose_order_strategy(&inputs),
+                OrderChoice::Direct,
+                "{inputs:?}"
+            );
+        }
     }
 
     #[test]

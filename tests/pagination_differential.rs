@@ -3,9 +3,10 @@
 //! stream-and-skip, collect-sort-cut — must produce the page the
 //! relational ground truth produces (stable sort + skip + truncate, i.e.
 //! `fdb::relational::ops::page` over the unlimited sorted result), swept
-//! over threads {1, 2, 4} × OrderMode {Auto, ForceStream, ForceDirect,
-//! ForceHeap, ForceSort} and offsets {0, 1, mid, result−1, past-end,
-//! huge}.
+//! over threads {1, 2, 4} × {the cost model's choice, each strategy
+//! forced via `FdbEngine::run_forcing`} and offsets {0, 1, mid,
+//! result−1, past-end, huge}. A forced strategy outside its feasible set
+//! runs the cost model's choice.
 //!
 //! Exactness levels mirror `topk_differential.rs`:
 //!
@@ -20,7 +21,8 @@
 //! * `Value::Null` sort keys follow `Value::cmp` (NULLS LAST ascending,
 //!   first descending) identically in every strategy.
 
-use fdb::core::engine::{FdbEngine, OrderMode, OrderStrategy, RunOptions};
+use fdb::core::engine::{FdbEngine, FdbResult, OrderStrategy, RunOptions};
+use fdb::core::optim::ordering::OrderChoice;
 use fdb::relational::planner::JoinAggTask;
 use fdb::relational::{ops, AggFunc, AggSpec, Relation, Schema, SortKey, Value};
 use fdb::workload::orders::{generate, OrdersConfig};
@@ -30,14 +32,28 @@ fn thread_sweep() -> Vec<usize> {
     vec![1, 2, 4]
 }
 
-fn modes() -> [OrderMode; 5] {
+/// The cost model's choice (`None`) and every strategy forced.
+fn choices() -> [Option<OrderChoice>; 5] {
     [
-        OrderMode::Auto,
-        OrderMode::ForceStream,
-        OrderMode::ForceDirect,
-        OrderMode::ForceHeap,
-        OrderMode::ForceSort,
+        None,
+        Some(OrderChoice::Stream),
+        Some(OrderChoice::Direct),
+        Some(OrderChoice::Heap),
+        Some(OrderChoice::Sort),
     ]
+}
+
+fn run(
+    e: &mut FdbEngine,
+    task: &JoinAggTask,
+    choice: Option<OrderChoice>,
+    threads: usize,
+) -> fdb::core::Result<FdbResult> {
+    let opts = RunOptions::new().threads(threads);
+    match choice {
+        Some(c) => e.run_forcing(task, opts, c),
+        None => e.run(task, opts),
+    }
 }
 
 /// The offset grid from the issue: start, one-in, middle, last row,
@@ -67,15 +83,15 @@ fn order_attrs(task: &JoinAggTask) -> Vec<fdb::relational::AttrId> {
 }
 
 /// Sweeps `base` (its `limit`/`offset` are overridden) over the full
-/// mode × thread × offset × limit grid against the stable sort + skip +
+/// choice × thread × offset × limit grid against the stable sort + skip +
 /// truncate reference.
 ///
 /// * `byte_identical` — the keys cover every output column, so every
 ///   strategy must reproduce the reference byte for byte;
 /// * `expect_direct` — the f-tree (possibly after restructuring)
-///   realises the order with a plain tuple cursor, so `ForceDirect`
-///   must actually execute the count-annotated seek and enumerate only
-///   the page it returns.
+///   realises the order with a plain tuple cursor, so a forced direct
+///   access at a positive offset must actually execute the
+///   count-annotated seek and enumerate only the page it returns.
 fn assert_pages_agree(
     e: &mut FdbEngine,
     base: &JoinAggTask,
@@ -89,7 +105,7 @@ fn assert_pages_agree(
         let mut t = base.clone();
         t.limit = None;
         t.offset = 0;
-        e.run(&t, RunOptions::new().order(OrderMode::ForceSort))
+        run(e, &t, Some(OrderChoice::Sort), 1)
             .unwrap_or_else(|err| panic!("{label}: unlimited reference: {err}"))
             .to_relation()
             .unwrap()
@@ -103,13 +119,11 @@ fn assert_pages_agree(
             let mut task = base.clone();
             task.offset = offset;
             task.limit = limit;
-            for mode in modes() {
+            for choice in choices() {
                 for threads in thread_sweep() {
                     let ctx =
-                        format!("{label}: {mode:?}/t{threads} OFFSET {offset} LIMIT {limit:?}");
-                    let opts = RunOptions::new().order(mode).threads(threads);
-                    let (out, stats) = e
-                        .run(&task, opts)
+                        format!("{label}: {choice:?}/t{threads} OFFSET {offset} LIMIT {limit:?}");
+                    let (out, stats) = run(e, &task, choice, threads)
                         .unwrap_or_else(|err| panic!("{ctx}: {err}"))
                         .to_relation_counted()
                         .unwrap();
@@ -127,14 +141,17 @@ fn assert_pages_agree(
                             "{ctx}: row not in unlimited result"
                         );
                     }
-                    match mode {
-                        // Heap ≡ stable sort + page, byte for byte:
-                        // the (m+k)-heap keeps the stably-first m+k
-                        // rows and drops the first m.
-                        OrderMode::ForceHeap | OrderMode::ForceSort => {
-                            assert_eq!(out, expected, "{ctx}: differs from reference");
-                        }
-                        OrderMode::ForceDirect if expect_direct => {
+                    // Heap ≡ stable sort + page, byte for byte: the
+                    // (m+k)-heap keeps the stably-first m+k rows and
+                    // drops the first m.
+                    if matches!(
+                        stats.strategy,
+                        OrderStrategy::HeapTopK { .. } | OrderStrategy::CollectSortCut
+                    ) {
+                        assert_eq!(out, expected, "{ctx}: differs from reference");
+                    }
+                    match choice {
+                        Some(OrderChoice::Direct) if expect_direct && offset > 0 => {
                             assert!(
                                 matches!(stats.strategy, OrderStrategy::DirectAccess),
                                 "{ctx}: expected the direct-access seek, got {:?}",
@@ -151,10 +168,10 @@ fn assert_pages_agree(
                         }
                         _ => {}
                     }
-                    if mode == OrderMode::ForceHeap && limit.is_some() && offset < 1 << 20 {
+                    if choice == Some(OrderChoice::Heap) && limit.is_some() {
                         assert!(
                             matches!(stats.strategy, OrderStrategy::HeapTopK { .. }),
-                            "{ctx}: ForceHeap must execute the heap"
+                            "{ctx}: a forced heap under a LIMIT must execute the heap"
                         );
                     }
                 }
@@ -307,11 +324,19 @@ fn duplicate_sort_keys_over_distinct_rows_at_the_boundary() {
     let mut task = base.clone();
     task.offset = 3;
     task.limit = Some(2);
-    for mode in modes() {
+    for choice in choices() {
         for threads in thread_sweep() {
-            let opts = RunOptions::new().order(mode).threads(threads);
-            let mut run = || e.run(&task, opts).unwrap().to_relation().unwrap();
-            assert_eq!(run(), run(), "tie boundary rerun: {mode:?}/t{threads}");
+            let mut rerun = || {
+                run(&mut e, &task, choice, threads)
+                    .unwrap()
+                    .to_relation()
+                    .unwrap()
+            };
+            assert_eq!(
+                rerun(),
+                rerun(),
+                "tie boundary rerun: {choice:?}/t{threads}"
+            );
         }
     }
 }

@@ -1,6 +1,8 @@
 //! `ORDER BY … LIMIT` differential suite: the three physical ordering
 //! strategies — bounded-heap top-k, collect-sort-cut, restructure+stream
-//! — must agree on every query, swept over threads {1, 2, 4}, including
+//! — must agree on every query, each forced via `FdbEngine::run_forcing`
+//! beside the cost model's own choice, swept over threads {1, 2, 4},
+//! including
 //! two-run determinism when ties straddle the LIMIT boundary and
 //! NULL-bearing columns (NULLS LAST ascending, first descending).
 //!
@@ -15,7 +17,8 @@
 //! * every output is sorted by the keys and is a subset of the
 //!   unlimited result.
 
-use fdb::core::engine::{FdbEngine, OrderMode, OrderStrategy, RunOptions};
+use fdb::core::engine::{FdbEngine, FdbResult, OrderStrategy, RunOptions};
+use fdb::core::optim::ordering::OrderChoice;
 use fdb::relational::planner::JoinAggTask;
 use fdb::relational::{AggFunc, AggSpec, Relation, Schema, SortKey, Value};
 use fdb::workload::orders::{generate, OrdersConfig};
@@ -35,67 +38,88 @@ fn order_attrs(task: &JoinAggTask) -> Vec<fdb::relational::AttrId> {
     attrs
 }
 
-/// Runs `task` under every ordering mode × thread count and
-/// checks the agreement contract; returns the collect-sort-cut reference.
+fn run(
+    e: &mut FdbEngine,
+    task: &JoinAggTask,
+    choice: Option<OrderChoice>,
+    threads: usize,
+) -> fdb::core::Result<FdbResult> {
+    let opts = RunOptions::new().threads(threads);
+    match choice {
+        Some(c) => e.run_forcing(task, opts, c),
+        None => e.run(task, opts),
+    }
+}
+
+/// Runs `task` under the cost model's choice and every forced strategy ×
+/// thread count and checks the agreement contract; returns the
+/// collect-sort-cut reference.
 fn assert_strategies_agree(e: &mut FdbEngine, task: &JoinAggTask, label: &str) -> Relation {
     let keys = fdb::relational::dedup_sort_keys(&task.order_by);
     let key_attrs = order_attrs(task);
-    let opts_for = |order, threads| RunOptions::new().order(order).threads(threads);
-    let reference = e
-        .run(task, opts_for(OrderMode::ForceSort, 1))
+    let sort = Some(OrderChoice::Sort);
+    let reference = run(e, task, sort, 1)
         .unwrap_or_else(|err| panic!("{label}: sort reference plans: {err}"))
         .to_relation()
         .unwrap();
     let unlimited = {
         let mut t = task.clone();
         t.limit = None;
-        e.run(&t, opts_for(OrderMode::ForceSort, 1))
+        run(e, &t, sort, 1)
             .unwrap()
             .to_relation()
             .unwrap()
             .canonical()
     };
     assert!(reference.is_sorted_by(&keys), "{label}: reference sorted");
-    for mode in [
-        OrderMode::Auto,
-        OrderMode::ForceStream,
-        OrderMode::ForceHeap,
-        OrderMode::ForceSort,
+    for choice in [
+        None,
+        Some(OrderChoice::Stream),
+        Some(OrderChoice::Heap),
+        sort,
     ] {
         for threads in thread_sweep() {
-            let opts = opts_for(mode, threads);
-            let mut run = || {
-                e.run(task, opts)
-                    .unwrap_or_else(|err| panic!("{label}: {mode:?}/t{threads}: {err}"))
+            let mut rerun = || {
+                run(e, task, choice, threads)
+                    .unwrap_or_else(|err| panic!("{label}: {choice:?}/t{threads}: {err}"))
                     .to_relation_counted()
                     .unwrap()
             };
-            let (out, stats) = run();
-            let (out2, _) = run();
-            assert_eq!(out, out2, "{label}: {mode:?}/t{threads}: two runs diverged");
+            let (out, stats) = rerun();
+            let (out2, _) = rerun();
+            assert_eq!(
+                out, out2,
+                "{label}: {choice:?}/t{threads}: two runs diverged"
+            );
             assert!(
                 out.is_sorted_by(&keys),
-                "{label}: {mode:?}/t{threads}: unsorted output"
+                "{label}: {choice:?}/t{threads}: unsorted output"
             );
             assert_eq!(
                 out.project_cols(&key_attrs),
                 reference.project_cols(&key_attrs),
-                "{label}: {mode:?}/t{threads}: key columns differ"
+                "{label}: {choice:?}/t{threads}: key columns differ"
             );
             let contained = out.rows().all(|r| unlimited.rows().any(|u| u == r));
             assert!(
                 contained,
-                "{label}: {mode:?}/t{threads}: row not in unlimited result"
+                "{label}: {choice:?}/t{threads}: row not in unlimited result"
             );
-            if mode == OrderMode::ForceHeap {
+            if matches!(
+                stats.strategy,
+                OrderStrategy::HeapTopK { .. } | OrderStrategy::CollectSortCut
+            ) {
                 // Heap ≡ stable sort + truncate, byte for byte.
-                assert_eq!(out, reference, "{label}: heap/t{threads} differs from sort");
-                if task.limit.is_some() {
-                    assert!(
-                        matches!(stats.strategy, OrderStrategy::HeapTopK { .. }),
-                        "{label}: ForceHeap must execute the heap"
-                    );
-                }
+                assert_eq!(
+                    out, reference,
+                    "{label}: {choice:?}/t{threads} differs from sort"
+                );
+            }
+            if choice == Some(OrderChoice::Heap) && task.limit.is_some() {
+                assert!(
+                    matches!(stats.strategy, OrderStrategy::HeapTopK { .. }),
+                    "{label}: a forced heap under a LIMIT must execute the heap"
+                );
             }
         }
     }
@@ -152,8 +176,8 @@ fn orders_workload_limit_sweep() {
         ..Default::default()
     };
     assert_strategies_agree(&mut e, &task, "Q7 LIMIT 3");
-    // Mixed directions without a limit: heap degrades to sort, stream
-    // restructures; all agree.
+    // Mixed directions without a limit: a forced heap is infeasible and
+    // runs the cost model's choice, stream restructures; all agree.
     let task = JoinAggTask {
         inputs: vec!["R1".into()],
         projection: Some(vec![a.package, a.date]),
@@ -359,7 +383,7 @@ fn heap_memory_is_independent_of_flat_size_and_below_sort() {
     // The acceptance property at engine level: the heap's ordering-side
     // allocation depends on k, not on the flat result size, and sits
     // strictly below the collect-sort-cut buffer.
-    let run = |customers: u32, mode: OrderMode| {
+    let run_with = |customers: u32, choice: OrderChoice| {
         let mut catalog = Catalog::new();
         let ds = generate(
             &mut catalog,
@@ -383,14 +407,14 @@ fn heap_memory_is_independent_of_flat_size_and_below_sort() {
             limit: Some(10),
             ..Default::default()
         };
-        let result = e.run(&task, RunOptions::new().order(mode)).unwrap();
+        let result = e.run_forcing(&task, RunOptions::new(), choice).unwrap();
         let (out, stats) = result.to_relation_counted().unwrap();
         assert_eq!(out.len(), 10);
         stats
     };
-    let heap_small = run(20, OrderMode::ForceHeap);
-    let heap_large = run(60, OrderMode::ForceHeap);
-    let sort_large = run(60, OrderMode::ForceSort);
+    let heap_small = run_with(20, OrderChoice::Heap);
+    let heap_large = run_with(60, OrderChoice::Heap);
+    let sort_large = run_with(60, OrderChoice::Sort);
     assert!(
         heap_large.rows_enumerated > heap_small.rows_enumerated,
         "the large input must actually enumerate more rows \
