@@ -2,36 +2,30 @@
 //! the committed baseline and fails on large regressions.
 //!
 //! ```text
-//! perfgate --baseline BENCH_s1.json --current fresh.json \
-//!          [--max-ratio 3.0] [--floor-ms 1.0] [--max-mem-ratio 1.2] \
-//!          [--engine-prefix FDB]
+//! perfgate --baseline BENCH_s1.json --current fresh.json
 //! ```
 //!
 //! Exit codes: `0` pass, `1` regression detected, `2` usage/parse error.
-//! Only rows whose engine starts with the prefix are gated (default
-//! `FDB`); the timing threshold is deliberately generous so that shared
-//! CI runners don't flake the build — the gate exists to catch
+//! The rules are [`GateConfig::default`]: only rows whose engine starts
+//! with `FDB` are gated; timing fails past 3× the baseline (clamped up
+//! to a 1 ms noise floor) — deliberately generous so that shared CI
+//! runners don't flake the build, since the gate exists to catch
 //! order-of-magnitude storage regressions, not single-digit percents.
-//! Rows carrying an `ibytes=` note (intermediate bytes allocated by
-//! the staged plan execution) are additionally gated on memory with the
-//! much tighter `--max-mem-ratio`, since allocation is deterministic.
+//! Rows carrying an `ibytes=` note (intermediate bytes allocated by the
+//! staged plan execution) are additionally gated on memory at 1.2×,
+//! since allocation is deterministic.
 
 use fdb_bench::perf::{compare, parse_results, GateConfig};
+
+const USAGE: &str = "usage: perfgate --baseline PATH --current PATH";
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut baseline_path: Option<String> = None;
     let mut current_path: Option<String> = None;
-    let mut max_ratio = 3.0f64;
-    let mut floor_ms = 1.0f64;
-    let mut max_mem_ratio = 1.2f64;
-    let mut engine_prefix = "FDB".to_string();
     let mut i = 0;
-    let usage = "usage: perfgate --baseline PATH --current PATH \
-                 [--max-ratio R] [--floor-ms MS] [--max-mem-ratio R] \
-                 [--engine-prefix P]";
     while i < argv.len() {
-        let value = |i: usize| -> String {
+        let value = || -> String {
             argv.get(i + 1)
                 .unwrap_or_else(|| {
                     eprintln!("missing value for {}", argv[i]);
@@ -40,40 +34,21 @@ fn main() {
                 .clone()
         };
         match argv[i].as_str() {
-            "--baseline" => baseline_path = Some(value(i)),
-            "--current" => current_path = Some(value(i)),
-            "--max-ratio" => {
-                max_ratio = value(i).parse().unwrap_or_else(|_| {
-                    eprintln!("bad --max-ratio");
-                    std::process::exit(2);
-                })
-            }
-            "--floor-ms" => {
-                floor_ms = value(i).parse().unwrap_or_else(|_| {
-                    eprintln!("bad --floor-ms");
-                    std::process::exit(2);
-                })
-            }
-            "--max-mem-ratio" => {
-                max_mem_ratio = value(i).parse().unwrap_or_else(|_| {
-                    eprintln!("bad --max-mem-ratio");
-                    std::process::exit(2);
-                })
-            }
-            "--engine-prefix" => engine_prefix = value(i),
+            "--baseline" => baseline_path = Some(value()),
+            "--current" => current_path = Some(value()),
             "--help" | "-h" => {
-                eprintln!("{usage}");
+                eprintln!("{USAGE}");
                 std::process::exit(0);
             }
             other => {
-                eprintln!("unknown flag `{other}`; {usage}");
+                eprintln!("unknown flag `{other}`; {USAGE}");
                 std::process::exit(2);
             }
         }
         i += 2;
     }
     let (Some(baseline_path), Some(current_path)) = (baseline_path, current_path) else {
-        eprintln!("{usage}");
+        eprintln!("{USAGE}");
         std::process::exit(2);
     };
     let read = |path: &str| -> String {
@@ -90,22 +65,22 @@ fn main() {
     };
     let baseline = parse(&baseline_path, &read(&baseline_path));
     let current = parse(&current_path, &read(&current_path));
-    let cfg = GateConfig {
-        max_ratio,
-        floor_secs: floor_ms / 1000.0,
-        max_mem_ratio,
-        engine_prefix: &engine_prefix,
-        ..GateConfig::default()
-    };
+    let cfg = GateConfig::default();
     let verdicts = compare(&baseline, &current, &cfg);
     if verdicts.is_empty() {
-        eprintln!("no gated rows matched engine prefix `{engine_prefix}` — refusing to pass an empty gate");
+        eprintln!(
+            "no gated rows matched engine prefix `{}` — refusing to pass an empty gate",
+            cfg.engine_prefix
+        );
         std::process::exit(2);
     }
     let mut failed = false;
     println!(
-        "# perf gate: max-ratio {max_ratio}, floor {floor_ms} ms, \
-         max-mem-ratio {max_mem_ratio}, prefix `{engine_prefix}`"
+        "# perf gate: max-ratio {}, floor {} ms, max-mem-ratio {}, prefix `{}`",
+        cfg.max_ratio,
+        cfg.floor_secs * 1000.0,
+        cfg.max_mem_ratio,
+        cfg.engine_prefix
     );
     for v in &verdicts {
         let status = if v.failed { "FAIL" } else { "ok  " };
@@ -120,7 +95,10 @@ fn main() {
         );
     }
     if failed {
-        eprintln!("perf gate FAILED: at least one gated row regressed past {max_ratio}x");
+        eprintln!(
+            "perf gate FAILED: at least one gated row regressed past {}x",
+            cfg.max_ratio
+        );
         std::process::exit(1);
     }
     println!("# perf gate passed ({} rows)", verdicts.len());

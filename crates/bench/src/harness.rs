@@ -1,4 +1,4 @@
-//! Timing and output-format helpers shared by the figure binaries.
+//! Timing and output-format helpers of the `figures` binary.
 
 use std::time::Instant;
 
@@ -10,7 +10,7 @@ pub fn time_secs<R>(f: impl FnOnce() -> R) -> (R, f64) {
 }
 
 /// Median wall-clock seconds over `repeats` invocations (the figure
-/// binaries default to 3, like the paper's "time the last repetition"
+/// binary defaults to 3, like the paper's "time the last repetition"
 /// policy but robust to one-off noise). Returns the last result.
 pub fn median_secs<R>(repeats: usize, mut f: impl FnMut() -> R) -> (R, f64) {
     assert!(repeats >= 1);
@@ -26,7 +26,7 @@ pub fn median_secs<R>(repeats: usize, mut f: impl FnMut() -> R) -> (R, f64) {
 }
 
 /// One output row, greppable and gnuplot-friendly.
-pub fn print_row(figure: &str, scale: u32, query: &str, engine: &str, seconds: f64, note: &str) {
+fn print_row(figure: &str, scale: u32, query: &str, engine: &str, seconds: f64, note: &str) {
     let note = if note.is_empty() {
         String::new()
     } else {
@@ -37,88 +37,53 @@ pub fn print_row(figure: &str, scale: u32, query: &str, engine: &str, seconds: f
     );
 }
 
-/// Parses `--scale N`, `--max-scale N`, `--repeats N`, `--customers N`,
-/// `--threads N`, `--json PATH` from argv with defaults; unknown flags
-/// abort with usage.
+/// The common flags: `--scale N`, `--max-scale N` (default 4),
+/// `--repeats N` (default 3), `--customers N` (default 100) and
+/// `--json PATH`. Every run is serial: the multi-core numbers are the
+/// benchmark's (`suite/`, `exec.speedup_tn`).
 pub struct Args {
     pub scale: u32,
     pub max_scale: u32,
     pub repeats: usize,
     pub customers: u32,
-    /// Worker threads for both engines (1 = serial, 0 = machine).
-    pub threads: usize,
     /// Optional path for a machine-readable JSON results file.
     pub json: Option<String>,
 }
 
 impl Args {
-    pub fn parse(default_scale: u32, default_max: u32) -> Args {
+    /// Parses the flags in `argv` (program name already stripped), with
+    /// `--scale` defaulting to `default_scale`. Unknown flags and
+    /// missing or malformed values are errors.
+    pub fn parse_from(argv: &[String], default_scale: u32) -> Result<Args, String> {
         let mut args = Args {
             scale: default_scale,
-            max_scale: default_max,
+            max_scale: 4,
             repeats: 3,
             customers: 100,
-            threads: 1,
             json: None,
         };
-        let argv: Vec<String> = std::env::args().skip(1).collect();
         let mut i = 0;
         while i < argv.len() {
-            let need_value = |i: usize| {
-                argv.get(i + 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("missing value for {}", argv[i]);
-                        std::process::exit(2);
-                    })
+            let flag = argv[i].as_str();
+            let value = argv
+                .get(i + 1)
+                .ok_or_else(|| format!("missing value for {flag}"))?;
+            let number = || {
+                value
                     .parse::<u64>()
-                    .unwrap_or_else(|_| {
-                        eprintln!("bad value for {}", argv[i]);
-                        std::process::exit(2);
-                    })
+                    .map_err(|_| format!("bad value for {flag}"))
             };
-            match argv[i].as_str() {
-                "--scale" => {
-                    args.scale = need_value(i) as u32;
-                    i += 2;
-                }
-                "--max-scale" => {
-                    args.max_scale = need_value(i) as u32;
-                    i += 2;
-                }
-                "--repeats" => {
-                    args.repeats = need_value(i) as usize;
-                    i += 2;
-                }
-                "--customers" => {
-                    args.customers = need_value(i) as u32;
-                    i += 2;
-                }
-                "--threads" => {
-                    args.threads = need_value(i) as usize;
-                    i += 2;
-                }
-                "--json" => {
-                    let path = argv.get(i + 1).unwrap_or_else(|| {
-                        eprintln!("missing value for --json");
-                        std::process::exit(2);
-                    });
-                    args.json = Some(path.clone());
-                    i += 2;
-                }
-                "--help" | "-h" => {
-                    eprintln!(
-                        "usage: [--scale N] [--max-scale N] [--repeats N] [--customers N] \
-                         [--threads N] [--json PATH]"
-                    );
-                    std::process::exit(0);
-                }
-                other => {
-                    eprintln!("unknown flag `{other}`; see --help");
-                    std::process::exit(2);
-                }
+            match flag {
+                "--scale" => args.scale = number()? as u32,
+                "--max-scale" => args.max_scale = number()? as u32,
+                "--repeats" => args.repeats = number()? as usize,
+                "--customers" => args.customers = number()? as u32,
+                "--json" => args.json = Some(value.clone()),
+                other => return Err(format!("unknown flag `{other}`")),
             }
+            i += 2;
         }
-        args
+        Ok(args)
     }
 
     /// The scale sweep 1, 2, 4, … up to `max_scale`.
@@ -132,13 +97,10 @@ impl Args {
         out
     }
 
-    /// An [`Emitter`] honouring this invocation's `--json` flag. The
-    /// report records the *resolved* worker count (`--threads 0` means
-    /// "use the machine"), so results files compare like against like.
+    /// An [`Emitter`] honouring this invocation's `--json` flag.
     pub fn emitter(&self) -> Emitter {
         Emitter {
             json_path: self.json.clone(),
-            threads: fdb_exec::effective_threads(self.threads),
             repeats: self.repeats,
             rows: Vec::new(),
         }
@@ -152,7 +114,6 @@ impl Args {
 #[derive(Debug)]
 pub struct Emitter {
     json_path: Option<String>,
-    threads: usize,
     repeats: usize,
     rows: Vec<JsonRow>,
 }
@@ -163,10 +124,6 @@ struct JsonRow {
     scale: u32,
     query: String,
     engine: String,
-    /// Configuration tag distinguishing otherwise identical rows in one
-    /// file (the threads sweep uses `t1`/`t2`/…); empty = untagged, and
-    /// untagged rows serialise exactly as before the field existed.
-    tag: String,
     seconds: f64,
     note: String,
 }
@@ -174,10 +131,9 @@ struct JsonRow {
 impl Emitter {
     /// An emitter that never writes a file — for tests of the results
     /// format (see [`crate::perf`]).
-    pub fn for_tests(threads: usize, repeats: usize) -> Emitter {
+    pub fn for_tests(repeats: usize) -> Emitter {
         Emitter {
             json_path: None,
-            threads,
             repeats,
             rows: Vec::new(),
         }
@@ -193,67 +149,37 @@ impl Emitter {
         seconds: f64,
         note: &str,
     ) {
-        self.row_tagged(figure, scale, query, engine, "", seconds, note);
-    }
-
-    /// [`Emitter::row`] with a configuration tag: tagged rows keep a
-    /// distinct perfgate identity (`crate::perf::PerfRow::key`), so one
-    /// results file can hold the same query at several configurations
-    /// (e.g. a `--threads` sweep) without the rows shadowing each other.
-    #[allow(clippy::too_many_arguments)]
-    pub fn row_tagged(
-        &mut self,
-        figure: &str,
-        scale: u32,
-        query: &str,
-        engine: &str,
-        tag: &str,
-        seconds: f64,
-        note: &str,
-    ) {
-        let note_with_tag = if tag.is_empty() {
-            note.to_string()
-        } else {
-            format!("tag={tag} {note}").trim_end().to_string()
-        };
-        print_row(figure, scale, query, engine, seconds, &note_with_tag);
+        print_row(figure, scale, query, engine, seconds, note);
         self.rows.push(JsonRow {
             figure: figure.to_string(),
             scale,
             query: query.to_string(),
             engine: engine.to_string(),
-            tag: tag.to_string(),
             seconds,
             note: note.to_string(),
         });
     }
 
-    /// Renders the recorded rows as a JSON document.
+    /// Renders the recorded rows as a JSON document. The header's
+    /// `threads` is always 1 (every run is serial); it stays so fresh
+    /// files have the shape of the committed baselines.
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"threads\": {},", self.threads);
+        let _ = writeln!(out, "  \"threads\": 1,");
         let _ = writeln!(out, "  \"repeats\": {},", self.repeats);
         let _ = writeln!(out, "  \"rows\": [");
         for (i, r) in self.rows.iter().enumerate() {
             let comma = if i + 1 < self.rows.len() { "," } else { "" };
-            // Untagged rows omit the field entirely, keeping the format
-            // byte-compatible with baselines recorded before tags.
-            let tag = if r.tag.is_empty() {
-                String::new()
-            } else {
-                format!("\"tag\": \"{}\", ", json_escape(&r.tag))
-            };
             let _ = writeln!(
                 out,
                 "    {{\"figure\": \"{}\", \"scale\": {}, \"query\": \"{}\", \
-                 \"engine\": \"{}\", {}\"seconds\": {:.6}, \"note\": \"{}\"}}{comma}",
+                 \"engine\": \"{}\", \"seconds\": {:.6}, \"note\": \"{}\"}}{comma}",
                 json_escape(&r.figure),
                 r.scale,
                 json_escape(&r.query),
                 json_escape(&r.engine),
-                tag,
                 r.seconds,
                 json_escape(&r.note),
             );
@@ -314,16 +240,11 @@ mod tests {
 
     #[test]
     fn emitter_renders_escaped_json() {
-        let mut e = Emitter {
-            json_path: None,
-            threads: 4,
-            repeats: 3,
-            rows: Vec::new(),
-        };
+        let mut e = Emitter::for_tests(3);
         e.row("5", 1, "Q1", "FDB f/o", 0.001234, "singletons=\"7\"");
         e.row("5", 1, "Q1", "RDB sort", 0.01, "");
         let json = e.to_json();
-        assert!(json.contains("\"threads\": 4"), "{json}");
+        assert!(json.contains("\"threads\": 1"), "{json}");
         assert!(json.contains("\"engine\": \"FDB f/o\""), "{json}");
         assert!(json.contains("singletons=\\\"7\\\""), "{json}");
         assert!(json.contains("\"seconds\": 0.001234"), "{json}");
@@ -331,17 +252,6 @@ mod tests {
         assert_eq!(json.matches("\"}},").count(), 0);
         assert_eq!(json.matches("\"}\n").count(), 1);
         assert_eq!(json.matches("\"},\n").count(), 1);
-    }
-
-    #[test]
-    fn tagged_rows_render_tag_field() {
-        let mut e = Emitter::for_tests(4, 3);
-        e.row_tagged("T", 1, "Q1", "FDB", "t4", 0.002, "rows=5");
-        e.row("T", 1, "Q1", "FDB", 0.002, "rows=5");
-        let json = e.to_json();
-        assert!(json.contains("\"tag\": \"t4\""), "{json}");
-        // Untagged rows keep the pre-tag serialisation.
-        assert_eq!(json.matches("\"tag\"").count(), 1, "{json}");
     }
 
     #[test]

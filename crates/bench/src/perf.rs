@@ -1,13 +1,13 @@
 //! Perf-regression gating over the `--json` results format.
 //!
-//! The figure binaries emit a machine-readable results file (see
-//! [`crate::harness::Emitter`]); `BENCH_s1.json` in the repository root
-//! is the committed baseline. The CI perf-smoke step re-runs `fig5
-//! --scale 1 --json` on the runner and calls [`compare`] (via the
-//! `perfgate` binary) to fail the build when an FDB row regresses by
-//! more than a generous ratio — the threshold tolerates runner noise and
-//! only catches order-of-magnitude slowdowns, which is exactly what a
-//! storage-layout regression looks like.
+//! The `figures` binary emits a machine-readable results file (see
+//! [`crate::harness::Emitter`]); `BENCH_s{1,2,4}.json` in the repository
+//! root are the committed baselines. The CI perf-smoke job re-runs
+//! `figures --fig 5 --json` at s=1 and s=4 on the runner and calls
+//! [`compare`] (via the `perfgate` binary) to fail the build when an FDB
+//! row regresses by more than a generous ratio — the threshold tolerates
+//! runner noise and only catches order-of-magnitude slowdowns, which is
+//! exactly what a storage-layout regression looks like.
 //!
 //! The parser below handles precisely the JSON subset the
 //! [`crate::harness::Emitter`] writes (an object with scalar fields and
@@ -23,10 +23,6 @@ pub struct PerfRow {
     pub scale: u64,
     pub query: String,
     pub engine: String,
-    /// Optional configuration tag (`t1`, `t0`, … in the threads sweep);
-    /// part of the row identity, so one file can gate the same query at
-    /// several configurations. Empty for untagged rows.
-    pub tag: String,
     pub seconds: f64,
     pub note: String,
 }
@@ -34,13 +30,8 @@ pub struct PerfRow {
 impl PerfRow {
     /// The identity a row is matched on across files.
     pub fn key(&self) -> String {
-        let tag = if self.tag.is_empty() {
-            String::new()
-        } else {
-            format!(" tag={}", self.tag)
-        };
         format!(
-            "figure={} scale={} query={} engine={}{tag}",
+            "figure={} scale={} query={} engine={}",
             self.figure, self.scale, self.query, self.engine
         )
     }
@@ -89,9 +80,9 @@ pub struct Verdict {
     pub failed: bool,
 }
 
-/// Gate configuration.
+/// Gate configuration; `perfgate` always runs [`GateConfig::default`].
 #[derive(Clone, Copy, Debug)]
-pub struct GateConfig<'a> {
+pub struct GateConfig {
     /// Fail when `current / max(baseline, floor_secs) > max_ratio`.
     pub max_ratio: f64,
     /// Baselines below this are clamped up before the division, so
@@ -113,10 +104,10 @@ pub struct GateConfig<'a> {
     /// Only rows whose engine starts with this prefix are gated
     /// (the acceptance criterion targets the FDB rows; the relational
     /// baselines are too noisy to gate).
-    pub engine_prefix: &'a str,
+    pub engine_prefix: &'static str,
 }
 
-impl Default for GateConfig<'_> {
+impl Default for GateConfig {
     fn default() -> Self {
         GateConfig {
             max_ratio: 3.0,
@@ -136,7 +127,7 @@ impl Default for GateConfig<'_> {
 /// baseline row *missing* from `current` is reported as failed (a
 /// silently dropped measurement must not weaken the gate); extra rows
 /// in `current` are ignored.
-pub fn compare(baseline: &[PerfRow], current: &[PerfRow], cfg: &GateConfig<'_>) -> Vec<Verdict> {
+pub fn compare(baseline: &[PerfRow], current: &[PerfRow], cfg: &GateConfig) -> Vec<Verdict> {
     let cur: BTreeMap<String, &PerfRow> = current.iter().map(|r| (r.key(), r)).collect();
     let mut out = Vec::new();
     for b in baseline {
@@ -340,7 +331,6 @@ fn parse_row(c: &mut Cursor<'_>) -> Result<PerfRow, String> {
         scale: 0,
         query: String::new(),
         engine: String::new(),
-        tag: String::new(),
         seconds: 0.0,
         note: String::new(),
     };
@@ -352,7 +342,6 @@ fn parse_row(c: &mut Cursor<'_>) -> Result<PerfRow, String> {
             "scale" => row.scale = c.number()? as u64,
             "query" => row.query = c.string()?,
             "engine" => row.engine = c.string()?,
-            "tag" => row.tag = c.string()?,
             "seconds" => row.seconds = c.number()?,
             "note" => row.note = c.string()?,
             other => return Err(format!("unknown row field `{other}`")),
@@ -373,7 +362,7 @@ mod tests {
     use super::*;
 
     fn sample() -> String {
-        let mut e = crate::harness::Emitter::for_tests(2, 3);
+        let mut e = crate::harness::Emitter::for_tests(3);
         e.row("5", 1, "Q1", "FDB f/o", 0.002, "singletons=10");
         e.row("5", 1, "Q1", "FDB", 0.004, "rows=5 with \"quotes\"");
         e.row("5", 1, "Q1", "RDB sort", 0.100, "");
@@ -400,25 +389,6 @@ mod tests {
     fn malformed_is_rejected() {
         assert!(parse_results("not json").is_err());
         assert!(parse_results("{\"rows\": [{\"bogus\": 1}]}").is_err());
-    }
-
-    #[test]
-    fn tagged_rows_round_trip_with_distinct_keys() {
-        let mut e = crate::harness::Emitter::for_tests(1, 3);
-        e.row_tagged("T", 1, "Q1", "FDB", "t1", 0.004, "rows=5");
-        e.row_tagged("T", 1, "Q1", "FDB", "t0", 0.002, "rows=5");
-        let rows = parse_results(&e.to_json()).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].tag, "t1");
-        assert_eq!(rows[1].tag, "t0");
-        // The tag is part of the identity: both rows gate independently.
-        assert_ne!(rows[0].key(), rows[1].key());
-        let verdicts = compare(&rows, &rows, &GateConfig::default());
-        assert_eq!(verdicts.len(), 2);
-        assert!(verdicts.iter().all(|v| !v.failed));
-        // A missing tagged row still fails the gate.
-        let verdicts = compare(&rows, &rows[..1], &GateConfig::default());
-        assert!(verdicts.iter().any(|v| v.failed));
     }
 
     #[test]
@@ -452,7 +422,6 @@ mod tests {
             scale: 1,
             query: "Q1".into(),
             engine: "FDB".into(),
-            tag: String::new(),
             seconds: 0.0002,
             note: String::new(),
         }];
@@ -476,7 +445,6 @@ mod tests {
             scale: 1,
             query: "Q1".into(),
             engine: "FDB f/o".into(),
-            tag: String::new(),
             seconds: 0.002,
             note: note.into(),
         }

@@ -192,7 +192,7 @@ pub fn paper_queries(catalog: &mut Catalog, a: &OrdersAttrs) -> Vec<PaperQuery> 
 /// (wrapping) price product, `QB` evaluates both boolean quantifiers
 /// per package, `QK` keeps the three largest prices per customer, and
 /// `QG` expands `ROLLUP (customer, date)` over `SUM(price)`. Benched by
-/// the `ablation` fused-vs-per-op sweep and the perf-smoke `fig5` rows.
+/// `figures --fig 5`, whose rows the perf-smoke gate checks.
 pub fn extended_agg_queries(catalog: &mut Catalog, a: &OrdersAttrs) -> Vec<PaperQuery> {
     let u_items = catalog.intern("u_items");
     let p_price = catalog.intern("p_price");

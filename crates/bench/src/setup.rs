@@ -30,36 +30,22 @@ pub struct BenchEnv {
     /// Physical arena footprint of the factorised view in bytes
     /// (capacity-aware, see `FRep::stats`).
     pub view_bytes: usize,
-    /// Worker threads for both engine families (1 = serial).
-    pub threads: usize,
 }
 
 /// What to materialise (the ORD experiment needs the flat views; the AGG
 /// experiments on views do too; the flat-input experiment only needs base
-/// relations).
+/// relations). Both engine families run serially.
 #[derive(Clone, Copy, Debug)]
 pub struct BenchSetup {
     pub config: OrdersConfig,
     /// Materialise the flat join for the relational engines (skipped when
     /// only factorised inputs are needed — it dominates setup time).
     pub materialise_flat: bool,
-    /// Worker threads for both engine families (1 = serial, 0 = machine),
-    /// so FDB-vs-RDB comparisons stay fair under parallelism.
-    pub threads: usize,
 }
 
 impl BenchSetup {
-    pub fn at_scale(scale: u32) -> Self {
-        BenchSetup {
-            config: OrdersConfig::at_scale(scale),
-            materialise_flat: true,
-            threads: 1,
-        }
-    }
-
     /// Builds the environment.
     pub fn build(&self) -> BenchEnv {
-        let threads = fdb_exec::effective_threads(self.threads);
         let mut catalog = Catalog::new();
         let ds = generate(&mut catalog, &self.config);
         let a = ds.attrs;
@@ -86,10 +72,9 @@ impl BenchSetup {
             ]);
             r
         };
-        let r3_rep = FRep::from_relation_with(
+        let r3_rep = FRep::from_relation(
             &r3_flat,
             fdb_core::FTree::path(&[a.date, a.customer, a.package]),
-            threads,
         )
         .expect("orders trie");
         fdb.register_view("R3", r3_rep);
@@ -97,8 +82,6 @@ impl BenchSetup {
         // Relational side.
         let mut rdb_sort = RdbEngine::new(catalog.clone(), GroupStrategy::Sort);
         let mut rdb_hash = RdbEngine::new(catalog.clone(), GroupStrategy::Hash);
-        rdb_sort.threads = threads;
-        rdb_hash.threads = threads;
         for rdb in [&mut rdb_sort, &mut rdb_hash] {
             rdb.register("Orders", ds.orders.clone());
             rdb.register("Packages", ds.packages.clone());
@@ -128,22 +111,22 @@ impl BenchSetup {
             flat_tuples,
             view_singletons,
             view_bytes,
-            threads,
         }
     }
 }
 
 impl BenchEnv {
-    /// Run options honouring the environment's thread count.
-    fn run_opts(&self) -> fdb_core::RunOptions {
-        fdb_core::RunOptions::with_threads(self.threads)
+    /// Hands the FDB catalog — where the queries interned their output
+    /// attributes — to both relational engines.
+    pub fn share_catalog(&mut self) {
+        self.rdb_sort.catalog = self.fdb.catalog.clone();
+        self.rdb_hash.catalog = self.fdb.catalog.clone();
     }
 
     /// Runs a task on FDB with flat output, returning the tuple count
     /// (forces full enumeration, like the paper's `FDB` timings).
     pub fn run_fdb_flat(&mut self, task: &JoinAggTask) -> usize {
-        let opts = self.run_opts();
-        let result = self.fdb.run(task, opts).expect("fdb plans");
+        let result = self.fdb.run_default(task).expect("fdb plans");
         result.to_relation().expect("fdb enumerates").len()
     }
 
@@ -167,8 +150,7 @@ impl BenchEnv {
         &mut self,
         task: &JoinAggTask,
     ) -> (fdb_core::FRepStats, fdb_core::ExecStats) {
-        let opts = self.run_opts();
-        let result = self.fdb.run(task, opts).expect("fdb plans");
+        let result = self.fdb.run_default(task).expect("fdb plans");
         (result.rep().stats(), result.exec_stats())
     }
 
@@ -200,7 +182,7 @@ impl BenchEnv {
                 None => stored.clone().len(),
             };
         }
-        let out: Relation = fdb_relational::ops::order_by_par(stored, keys, self.threads);
+        let out: Relation = fdb_relational::ops::order_by(stored, keys);
         match limit {
             Some(k) => fdb_relational::ops::limit(&out, k).len(),
             None => out.len(),
@@ -222,7 +204,6 @@ mod tests {
                 seed: 5,
             },
             materialise_flat: true,
-            threads: 1,
         }
         .build()
     }

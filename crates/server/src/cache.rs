@@ -96,8 +96,14 @@ impl PlanCache {
         (inner.hits, inner.misses, inner.map.len())
     }
 
+    /// Locks the map, recovering it from a panic under the lock: every
+    /// critical section leaves a consistent map (at worst a counter or
+    /// the FIFO order lags by one entry), so a poisoned cache keeps
+    /// serving instead of failing every later request.
     fn lock(&self) -> std::sync::MutexGuard<'_, CacheInner> {
-        self.inner.lock().expect("plan cache lock poisoned")
+        self.inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 

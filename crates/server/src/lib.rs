@@ -45,7 +45,7 @@ use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -174,6 +174,9 @@ struct Shared {
     opts: ServerOptions,
     cache: PlanCache,
     counters: Counters,
+    /// Accepted connections awaiting a worker. Only pushes and pops run
+    /// under the lock, so a poisoned queue is still consistent and is
+    /// recovered rather than taking the accept loop and workers down.
     queue: Mutex<VecDeque<TcpStream>>,
     available: Condvar,
     shutdown: AtomicBool,
@@ -297,7 +300,7 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
         match listener.accept() {
             Ok((stream, _)) => {
                 shared.counters.connections.fetch_add(1, Ordering::Relaxed);
-                let mut queue = shared.queue.lock().expect("queue lock poisoned");
+                let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
                 queue.push_back(stream);
                 drop(queue);
                 shared.available.notify_one();
@@ -324,7 +327,7 @@ fn worker_loop(shared: &Shared) {
     let mut session: Option<fdb::Session> = None;
     loop {
         let stream = {
-            let mut queue = shared.queue.lock().expect("queue lock poisoned");
+            let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
                 if let Some(s) = queue.pop_front() {
                     break Some(s);
@@ -335,7 +338,7 @@ fn worker_loop(shared: &Shared) {
                 let (q, _) = shared
                     .available
                     .wait_timeout(queue, POLL_INTERVAL)
-                    .expect("queue lock poisoned");
+                    .unwrap_or_else(PoisonError::into_inner);
                 queue = q;
             }
         };

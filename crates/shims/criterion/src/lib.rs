@@ -9,7 +9,7 @@
 //! plain wall-clock sampling: per benchmark it runs a warm-up call, then
 //! times `sample_size` invocations and prints min / median / mean to
 //! stdout. There are no plots, no statistical regression analysis, and
-//! no baseline files; the figure binaries in `fdb-bench` are the
+//! no baseline files; the `figures` binary in `fdb-bench` is the
 //! publication-quality path.
 
 use std::time::{Duration, Instant};

@@ -50,7 +50,7 @@ use crate::query::Statement;
 use crate::relational::{Catalog, Predicate, Relation, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A shared database: the registration surface plus a template engine
 /// from which immutable [`Session`] snapshots are cloned.
@@ -95,11 +95,15 @@ impl Db {
         CatalogGuard { guard: self.lock() }
     }
 
+    /// Locks the template, recovering it from a panic under the lock: a
+    /// commit mutates private clones and publishes only after every
+    /// fallible step (see [`WriteBatch::commit`]), so a panicking holder
+    /// leaves the last published template, never a half-applied batch.
     fn lock(&self) -> MutexGuard<'_, FdbEngine> {
         self.inner
             .template
             .lock()
-            .expect("fdb::Db template lock poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Registers a flat relation; visible to sessions opened afterwards.
@@ -337,16 +341,25 @@ impl WriteBatch<'_> {
         }
         let changed = report.inserted + report.deleted > 0;
         if changed {
-            for (name, mut rep) in views {
-                // The delta mutators only append: every write leaves the
-                // spine it superseded behind, and each version starts as
-                // a copy of the last. Shed the garbage once it outweighs
-                // the data, or a long-lived writer's arena — and every
-                // snapshot cut from it — grows with the number of writes
-                // it has ever applied.
-                if rep.garbage_dominated() {
-                    rep = rep.compact();
-                }
+            // The delta mutators only append: every write leaves the
+            // spine it superseded behind, and each version starts as a
+            // copy of the last. Shed the garbage once it outweighs the
+            // data, or a long-lived writer's arena — and every snapshot
+            // cut from it — grows with the number of writes it has ever
+            // applied. Compact every view before registering any, so a
+            // panic while compacting cannot leave a half-published batch.
+            let views: Vec<(String, FRep)> = views
+                .into_iter()
+                .map(|(name, rep)| {
+                    let rep = if rep.garbage_dominated() {
+                        rep.compact()
+                    } else {
+                        rep
+                    };
+                    (name, rep)
+                })
+                .collect();
+            for (name, rep) in views {
                 engine.register_view_arc(name, Arc::new(rep));
             }
             for (name, rel) in rels {

@@ -289,6 +289,38 @@ fn write_batches_commit_atomically_or_not_at_all() {
     assert_eq!(fx.db.epoch(), epoch0 + 1, "no-op batch must not bump");
 }
 
+/// A thread that panics while holding the template lock poisons it; the
+/// `Db` must keep serving snapshots, queries and writes afterwards, on
+/// the template as it was last published.
+#[test]
+fn a_panic_under_the_template_lock_does_not_wedge_the_db() {
+    let mut fx = fixture(4, 12);
+    let holder = fx.db.clone();
+    let panicked = std::thread::spawn(move || {
+        let _guard = holder.catalog();
+        panic!("injected panic under the template lock");
+    })
+    .join();
+    assert!(panicked.is_err(), "the injected panic must fire");
+
+    let sql = "SELECT a, b, c FROM R ORDER BY a, b, c";
+    let mut s = fx.db.session();
+    assert_eq!(
+        as_rows(&s.query(sql).unwrap().rows),
+        sorted_rows(&fx.mirror)
+    );
+
+    let row = vec![Value::Int(70), Value::Int(1), Value::Int(2)];
+    fx.mirror.insert(&row);
+    assert_eq!(fx.db.insert("R", [row]).unwrap(), 1);
+    let mut s = fx.db.session();
+    assert_eq!(
+        as_rows(&s.query(sql).unwrap().rows),
+        sorted_rows(&fx.mirror),
+        "a write after the poisoning must be visible to a new session"
+    );
+}
+
 /// Satellite 1 (staleness audit at the facade): the count annotations
 /// memoised for direct access are invalidated by writes — paginated
 /// queries after a write land on the post-write offsets, never on the
