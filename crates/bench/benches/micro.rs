@@ -47,31 +47,6 @@ fn micro(c: &mut Criterion) {
         })
     });
 
-    // Parallel counterparts of the recursive evaluators: the entries of
-    // the top union are fanned out to the fdb-exec pool.
-    for threads in [2usize, 4] {
-        group.bench_function(
-            format!("count_over_{singletons}_singletons_t{threads}"),
-            |b| {
-                b.iter(|| {
-                    let unions: Vec<fdb_core::UnionRef<'_>> = rep.root_unions().collect();
-                    fdb_core::agg::eval_op_par(rep.ftree(), &unions, &AggOp::Count, threads)
-                        .unwrap()
-                })
-            },
-        );
-        group.bench_function(
-            format!("sum_over_{singletons}_singletons_t{threads}"),
-            |b| {
-                b.iter(|| {
-                    let unions: Vec<fdb_core::UnionRef<'_>> = rep.root_unions().collect();
-                    fdb_core::agg::eval_op_par(rep.ftree(), &unions, &AggOp::Sum(a.price), threads)
-                        .unwrap()
-                })
-            },
-        );
-    }
-
     // χ (in place, fragments shared): the root swap regroups one union of every (package, date) pair,
     // the inner swap one date-union per package.
     let package_node = rep.ftree().roots()[0];
@@ -147,23 +122,20 @@ fn micro(c: &mut Criterion) {
         )
     });
 
-    // The aggregation operator; with threads > 1, one pool task per
-    // group (per parent union entry).
+    // The aggregation operator: one evaluation per group (per parent
+    // union entry).
     let item_node = rep.ftree().node_of_attr(a.item).unwrap();
     let out = catalog.fresh("bench_sum");
-    for threads in [1usize, 2, 4] {
-        group.bench_function(format!("aggregate_items_subtree_t{threads}"), |b| {
-            b.iter_batched(
-                || rep.clone(),
-                |r| {
-                    let target = ops::AggTarget::subtree(r.ftree(), item_node);
-                    ops::aggregate(r, &target, vec![AggOp::Sum(a.price)], vec![out], threads)
-                        .unwrap()
-                },
-                BatchSize::LargeInput,
-            )
-        });
-    }
+    group.bench_function("aggregate_items_subtree", |b| {
+        b.iter_batched(
+            || rep.clone(),
+            |r| {
+                let target = ops::AggTarget::subtree(r.ftree(), item_node);
+                ops::aggregate(r, &target, vec![AggOp::Sum(a.price)], vec![out]).unwrap()
+            },
+            BatchSize::LargeInput,
+        )
+    });
 
     group.finish();
 }

@@ -12,13 +12,6 @@
 //! The evaluators traverse the arena through [`UnionRef`]/[`EntryRef`]
 //! cursors — index chasing over flat tables, no pointer-chasing through
 //! heap-allocated nodes.
-//!
-//! Every evaluator exists in a serial form and a `_par` form that
-//! partitions the top union's entries over an [`fdb_exec`] pool. The
-//! per-entry contributions are always combined **in entry order**, so
-//! the parallel evaluators return bit-identical results to the serial
-//! ones for every thread count — including floating-point sums, whose
-//! addition order never changes.
 
 use crate::error::{FdbError, Result};
 use crate::frep::{EntryRef, UnionRef};
@@ -27,29 +20,18 @@ use fdb_relational::{Number, Value};
 use std::collections::BTreeSet;
 
 /// Evaluates `term` for every entry and folds the results in entry
-/// order with `combine` — serially for `threads <= 1`, on the pool
-/// otherwise. Because the fold order is fixed, both paths return the
-/// same value bit for bit.
+/// order with `combine`.
 fn fold_entries<A, T>(
-    threads: usize,
     u: UnionRef<'_>,
     init: A,
-    term: impl Fn(EntryRef<'_>) -> Result<T> + Sync,
+    term: impl Fn(EntryRef<'_>) -> Result<T>,
     mut combine: impl FnMut(A, T) -> A,
-) -> Result<A>
-where
-    T: Send,
-{
-    if threads <= 1 || u.len() < 2 {
-        let mut acc = init;
-        for e in u.entries() {
-            acc = combine(acc, term(e)?);
-        }
-        return Ok(acc);
+) -> Result<A> {
+    let mut acc = init;
+    for e in u.entries() {
+        acc = combine(acc, term(e)?);
     }
-    let idx: Vec<usize> = (0..u.len()).collect();
-    let terms = fdb_exec::try_parallel_map(threads, idx, |i| term(u.entry(i)))?;
-    Ok(terms.into_iter().fold(init, combine))
+    Ok(acc)
 }
 
 // ---------------------------------------------------------------------
@@ -151,12 +133,6 @@ fn component(label: &AggLabel, value: &Value, i: usize) -> Value {
 
 /// `count(E)` — cardinality of the relation represented by union `u`.
 pub fn count_union(ftree: &FTree, u: UnionRef<'_>) -> Result<i64> {
-    count_union_par(ftree, u, 1)
-}
-
-/// [`count_union`] with the top union's entries partitioned over
-/// `threads` workers; identical result for every thread count.
-pub fn count_union_par(ftree: &FTree, u: UnionRef<'_>, threads: usize) -> Result<i64> {
     // Leaf atomic union: every entry stands for exactly one tuple, so
     // the count is the entry count — O(1), and the workhorse of the
     // sibling-cardinality products in the recursive evaluators below.
@@ -166,7 +142,6 @@ pub fn count_union_par(ftree: &FTree, u: UnionRef<'_>, threads: usize) -> Result
     }
     let label = &ftree.node(u.node()).label;
     fold_entries(
-        threads,
         u,
         0i64,
         |e| {
@@ -182,13 +157,6 @@ pub fn count_union_par(ftree: &FTree, u: UnionRef<'_>, threads: usize) -> Result
 
 /// `sumA(E)` over union `u`, which must provide `A`.
 pub fn sum_union(ftree: &FTree, u: UnionRef<'_>, op: &AggOp) -> Result<Number> {
-    sum_union_par(ftree, u, op, 1)
-}
-
-/// [`sum_union`] with the top union's entries partitioned over
-/// `threads` workers. Per-entry terms are added in entry order, so even
-/// float sums match the serial result bit for bit.
-pub fn sum_union_par(ftree: &FTree, u: UnionRef<'_>, op: &AggOp, threads: usize) -> Result<Number> {
     let attr = op.attr().expect("sum has an attribute");
     let label = &ftree.node(u.node()).label;
     let node_provides = match label {
@@ -205,7 +173,6 @@ pub fn sum_union_par(ftree: &FTree, u: UnionRef<'_>, op: &AggOp, threads: usize)
             }
         }
         return fold_entries(
-            threads,
             u,
             Number::ZERO,
             |e| {
@@ -237,7 +204,6 @@ pub fn sum_union_par(ftree: &FTree, u: UnionRef<'_>, op: &AggOp, threads: usize)
             ))
         })?;
     fold_entries(
-        threads,
         u,
         Number::ZERO,
         |e| {
@@ -256,18 +222,6 @@ pub fn sum_union_par(ftree: &FTree, u: UnionRef<'_>, op: &AggOp, threads: usize)
 
 /// `minA(E)` / `maxA(E)` over union `u`, which must provide `A`.
 pub fn extremum_union(ftree: &FTree, u: UnionRef<'_>, op: &AggOp) -> Result<Value> {
-    extremum_union_par(ftree, u, op, 1)
-}
-
-/// [`extremum_union`] with the top union's entries partitioned over
-/// `threads` workers; candidates are compared in entry order, so ties
-/// resolve exactly as in the serial scan.
-pub fn extremum_union_par(
-    ftree: &FTree,
-    u: UnionRef<'_>,
-    op: &AggOp,
-    threads: usize,
-) -> Result<Value> {
     let is_min = matches!(op, AggOp::Min(_));
     let attr = op.attr().expect("min/max has an attribute");
     let label = &ftree.node(u.node()).label;
@@ -314,7 +268,7 @@ pub fn extremum_union_par(
             };
             match fast {
                 Some(v) => Some(v),
-                None => fold_entries(threads, u, None, |e| Ok(component(l, e.value(), i)), pick)?,
+                None => fold_entries(u, None, |e| Ok(component(l, e.value(), i)), pick)?,
             }
         }
         _ => {
@@ -327,20 +281,14 @@ pub fn extremum_union_par(
                         "no subtree provides {op:?}; a prior aggregate hid the attribute"
                     ))
                 })?;
-            fold_entries(
-                threads,
-                u,
-                None,
-                |e| extremum_union(ftree, e.child(j), op),
-                pick,
-            )?
+            fold_entries(u, None, |e| extremum_union(ftree, e.child(j), op), pick)?
         }
     };
     best.ok_or_else(|| FdbError::InvalidOperator("extremum of an empty union".into()))
 }
 
 /// Finds the child subtree of `u`'s node that provides `op`, mirroring
-/// the lookup in [`sum_union_par`].
+/// the lookup in [`sum_union`].
 fn providing_child(ftree: &FTree, u: UnionRef<'_>, op: &AggOp) -> Result<usize> {
     ftree
         .node(u.node())
@@ -360,18 +308,6 @@ fn providing_child(ftree: &FTree, u: UnionRef<'_>, op: &AggOp) -> Result<usize> 
 /// cardinalities (`product^count`), which for wrapping integer
 /// arithmetic is congruent mod 2^64 with the flat sequential product.
 pub fn product_union(ftree: &FTree, u: UnionRef<'_>, op: &AggOp) -> Result<Option<Number>> {
-    product_union_par(ftree, u, op, 1)
-}
-
-/// [`product_union`] with the top union's entries partitioned over
-/// `threads` workers; per-entry factors multiply in entry order, so even
-/// float products match the serial result bit for bit.
-pub fn product_union_par(
-    ftree: &FTree,
-    u: UnionRef<'_>,
-    op: &AggOp,
-    threads: usize,
-) -> Result<Option<Number>> {
     let attr = op.attr().expect("product has an attribute");
     let label = &ftree.node(u.node()).label;
     let mul = |acc: Option<Number>, t: Option<Number>| match (acc, t) {
@@ -384,7 +320,6 @@ pub fn product_union_par(
     };
     if node_provides {
         return fold_entries(
-            threads,
             u,
             None,
             |e| {
@@ -399,7 +334,7 @@ pub fn product_union_par(
                     FdbError::NonNumeric(format!("product over non-numeric value {v}"))
                 })?;
                 // A partial-product singleton already condensed its own
-                // tuples (mirrors `sum_union_par`): only sibling-child
+                // tuples (mirrors `sum_union`): only sibling-child
                 // cardinalities exponentiate it.
                 let mut mult: i64 = 1;
                 for c in e.children() {
@@ -412,7 +347,6 @@ pub fn product_union_par(
     }
     let j = providing_child(ftree, u, op)?;
     fold_entries(
-        threads,
         u,
         None,
         |e| {
@@ -436,12 +370,7 @@ pub fn product_union_par(
 ///
 /// The attribute must still be *atomic* in the tree: distinct values
 /// cannot be recovered from aggregate singletons.
-pub fn distinct_values(
-    ftree: &FTree,
-    u: UnionRef<'_>,
-    op: &AggOp,
-    threads: usize,
-) -> Result<BTreeSet<Value>> {
+pub fn distinct_values(ftree: &FTree, u: UnionRef<'_>, op: &AggOp) -> Result<BTreeSet<Value>> {
     let attr = op.attr().expect("count(distinct) has an attribute");
     let label = &ftree.node(u.node()).label;
     match label {
@@ -449,7 +378,6 @@ pub fn distinct_values(
             // Every entry stands for at least one tuple (unions are never
             // empty), so the distinct values are the entry values.
             fold_entries(
-                threads,
                 u,
                 BTreeSet::new(),
                 |e| Ok((!e.value().is_null()).then(|| e.value().clone())),
@@ -467,10 +395,9 @@ pub fn distinct_values(
         _ => {
             let j = providing_child(ftree, u, op)?;
             fold_entries(
-                threads,
                 u,
                 BTreeSet::new(),
-                |e| distinct_values(ftree, e.child(j), op, 1),
+                |e| distinct_values(ftree, e.child(j), op),
                 |mut acc, set| {
                     acc.extend(set);
                     acc
@@ -485,17 +412,6 @@ pub fn distinct_values(
 /// multiplicity-invariant, so sibling cardinalities never matter — the
 /// walk only descends the providing spine, like `min`/`max`.
 pub fn boolean_union(ftree: &FTree, u: UnionRef<'_>, op: &AggOp) -> Result<bool> {
-    boolean_union_par(ftree, u, op, 1)
-}
-
-/// [`boolean_union`] with the top union's entries partitioned over
-/// `threads` workers.
-pub fn boolean_union_par(
-    ftree: &FTree,
-    u: UnionRef<'_>,
-    op: &AggOp,
-    threads: usize,
-) -> Result<bool> {
     let (attr, cmp, rhs, is_exists) = match *op {
         AggOp::Exists(a, c, r) => (a, c, r, true),
         AggOp::Forall(a, c, r) => (a, c, r, false),
@@ -506,7 +422,6 @@ pub fn boolean_union_par(
     let label = &ftree.node(u.node()).label;
     match label {
         NodeLabel::Atomic(attrs) if attrs.contains(&attr) => fold_entries(
-            threads,
             u,
             !is_exists,
             |e| {
@@ -525,7 +440,6 @@ pub fn boolean_union_par(
             // erased subtree; combine across entries.
             let i = l.component_of(op).unwrap();
             fold_entries(
-                threads,
                 u,
                 !is_exists,
                 |e| {
@@ -540,7 +454,6 @@ pub fn boolean_union_par(
         _ => {
             let j = providing_child(ftree, u, op)?;
             fold_entries(
-                threads,
                 u,
                 !is_exists,
                 |e| boolean_union(ftree, e.child(j), op),
@@ -585,18 +498,6 @@ fn push_repeated(out: &mut Vec<Value>, v: Value, mult: i64, k: usize) {
 /// by `m` tuples occurs `min(m, k)` times. One bounded heap-equivalent
 /// list per union entry, merged in entry order (§ PR-5 top-k).
 pub fn topk_union(ftree: &FTree, u: UnionRef<'_>, op: &AggOp) -> Result<Vec<Value>> {
-    topk_union_par(ftree, u, op, 1)
-}
-
-/// [`topk_union`] with the top union's entries partitioned over
-/// `threads` workers; identical result for every thread count (merging
-/// sorted lists is order-insensitive on multisets).
-pub fn topk_union_par(
-    ftree: &FTree,
-    u: UnionRef<'_>,
-    op: &AggOp,
-    threads: usize,
-) -> Result<Vec<Value>> {
     let (attr, k) = match *op {
         AggOp::TopK(a, k) => (a, k),
         _ => unreachable!("topk_union is only called for top_k"),
@@ -608,8 +509,8 @@ pub fn topk_union_par(
     match label {
         NodeLabel::Atomic(attrs) if attrs.contains(&attr) => {
             // Entries are sorted ascending; walk them backwards so the
-            // largest values fill the budget first. (Serial walk: the
-            // reverse scan stops after at most k distinct entries.)
+            // largest values fill the budget first; the reverse scan
+            // stops after at most k distinct entries.
             let mut out = Vec::with_capacity(k);
             for i in (0..u.len()).rev() {
                 if out.len() >= k {
@@ -631,7 +532,6 @@ pub fn topk_union_par(
         NodeLabel::Agg(l) if l.component_of(op).is_some() => {
             let i = l.component_of(op).unwrap();
             fold_entries(
-                threads,
                 u,
                 Vec::new(),
                 |e| {
@@ -661,7 +561,6 @@ pub fn topk_union_par(
         _ => {
             let j = providing_child(ftree, u, op)?;
             fold_entries(
-                threads,
                 u,
                 Vec::new(),
                 |e| {
@@ -690,20 +589,8 @@ pub fn topk_union_par(
 /// Evaluates one aggregation function over a *product* of sibling unions
 /// (the expression an aggregation operator replaces, §3.2).
 pub fn eval_op(ftree: &FTree, unions: &[UnionRef<'_>], op: &AggOp) -> Result<Value> {
-    eval_op_par(ftree, unions, op, 1)
-}
-
-/// [`eval_op`] with the recursive evaluators parallelised over the top
-/// unions' entries on `threads` workers; identical result for every
-/// thread count.
-pub fn eval_op_par(
-    ftree: &FTree,
-    unions: &[UnionRef<'_>],
-    op: &AggOp,
-    threads: usize,
-) -> Result<Value> {
     let provider = provider_among(ftree, unions.iter().map(|u| u.node()), op);
-    eval_op_at(ftree, unions, op, provider, threads)
+    eval_op_at(ftree, unions, op, provider)
 }
 
 /// Index of the first factor whose subtree provides `op`'s attribute
@@ -720,21 +607,20 @@ fn provider_among(
     nodes.position(|n| subtree_provides(ftree, n, op))
 }
 
-/// The general evaluator behind [`eval_op_par`], with the providing
-/// factor already resolved.
+/// The general evaluator behind [`eval_op`], with the providing factor
+/// already resolved.
 fn eval_op_at(
     ftree: &FTree,
     unions: &[UnionRef<'_>],
     op: &AggOp,
     provider: Option<usize>,
-    threads: usize,
 ) -> Result<Value> {
     // Cardinality of the factors other than `j`, multiplied in order.
     let others = |j: Option<usize>| -> Result<i64> {
         let mut mult: i64 = 1;
         for (k, &u) in unions.iter().enumerate() {
             if Some(k) != j {
-                mult = mult.wrapping_mul(count_union_par(ftree, u, threads)?);
+                mult = mult.wrapping_mul(count_union(ftree, u)?);
             }
         }
         Ok(mult)
@@ -747,34 +633,34 @@ fn eval_op_at(
     match op {
         AggOp::Count => unreachable!("handled above"),
         AggOp::Sum(_) => {
-            let mut total = sum_union_par(ftree, unions[j], op, threads)?;
+            let mut total = sum_union(ftree, unions[j], op)?;
             for (k, &u) in unions.iter().enumerate() {
                 if k != j {
-                    total = total.mul(Number::Int(count_union_par(ftree, u, threads)?));
+                    total = total.mul(Number::Int(count_union(ftree, u)?));
                 }
             }
             Ok(total.into_value())
         }
-        AggOp::Min(_) | AggOp::Max(_) => extremum_union_par(ftree, unions[j], op, threads),
+        AggOp::Min(_) | AggOp::Max(_) => extremum_union(ftree, unions[j], op),
         AggOp::CountDistinct(_) => {
             // Multiplicity-invariant: the non-providing factors only
             // repeat tuples, never change which values occur.
-            let set = distinct_values(ftree, unions[j], op, threads)?;
+            let set = distinct_values(ftree, unions[j], op)?;
             Ok(Value::Int(set.len() as i64))
         }
         AggOp::Product(_) => {
             let mult = others(Some(j))?;
-            Ok(match product_union_par(ftree, unions[j], op, threads)? {
+            Ok(match product_union(ftree, unions[j], op)? {
                 Some(p) => p.pow(mult.max(0) as u64).into_value(),
                 None => Value::Null,
             })
         }
-        AggOp::Exists(..) | AggOp::Forall(..) => Ok(Value::Int(boolean_union_par(
-            ftree, unions[j], op, threads,
-        )? as i64)),
+        AggOp::Exists(..) | AggOp::Forall(..) => {
+            Ok(Value::Int(boolean_union(ftree, unions[j], op)? as i64))
+        }
         AggOp::TopK(_, k) => {
             let mult = others(Some(j))?;
-            let partial = topk_union_par(ftree, unions[j], op, threads)?;
+            let partial = topk_union(ftree, unions[j], op)?;
             let mut out = Vec::with_capacity(*k);
             for v in partial {
                 if out.len() >= *k {
@@ -885,7 +771,7 @@ impl CompiledAgg {
         {
             return v;
         }
-        eval_op_at(ftree, unions, &self.op, self.provider, 1)
+        eval_op_at(ftree, unions, &self.op, self.provider)
     }
 
     /// The non-recursive path; `None` hands over to the general evaluator.
@@ -946,19 +832,9 @@ impl CompiledAgg {
 /// Evaluates a composite function `(F1,…,Fk)` over a product of unions,
 /// returning a scalar when `k = 1` and a `Tup` otherwise (§3.2.4).
 pub fn eval_funcs(ftree: &FTree, unions: &[UnionRef<'_>], funcs: &[AggOp]) -> Result<Value> {
-    eval_funcs_par(ftree, unions, funcs, 1)
-}
-
-/// [`eval_funcs`] on `threads` workers (see [`eval_op_par`]).
-pub fn eval_funcs_par(
-    ftree: &FTree,
-    unions: &[UnionRef<'_>],
-    funcs: &[AggOp],
-    threads: usize,
-) -> Result<Value> {
     let mut vals = Vec::with_capacity(funcs.len());
     for f in funcs {
-        vals.push(eval_op_par(ftree, unions, f, threads)?);
+        vals.push(eval_op(ftree, unions, f)?);
     }
     Ok(if vals.len() == 1 {
         vals.pop().unwrap()
@@ -1283,51 +1159,6 @@ mod tests {
             eval_op(rep.ftree(), &unions, &AggOp::Forall(b, CmpOp::Ne, 2)).unwrap(),
             Value::Int(0)
         );
-    }
-
-    #[test]
-    fn parallel_evaluators_match_serial_bit_for_bit() {
-        // Mixed int/float prices: the in-entry-order fold must keep even
-        // the float addition sequence identical to the serial scan.
-        let mut c = Catalog::new();
-        let item = c.intern("item");
-        let price = c.intern("price");
-        let rel = Relation::from_rows(
-            Schema::new(vec![item, price]),
-            (0..40).map(|i| {
-                let p = if i % 3 == 0 {
-                    Value::Float(0.1 * i as f64)
-                } else {
-                    Value::Int(i)
-                };
-                vec![Value::Int(i), p]
-            }),
-        );
-        let rep = FRep::from_relation(&rel, FTree::path(&[item, price])).unwrap();
-        let u = rep.root(0);
-        let t = rep.ftree();
-        for threads in [2, 3, 4, 8] {
-            assert_eq!(
-                count_union_par(t, u, threads).unwrap(),
-                count_union(t, u).unwrap()
-            );
-            for op in [
-                AggOp::Sum(price),
-                AggOp::Min(price),
-                AggOp::Max(price),
-                AggOp::CountDistinct(price),
-                AggOp::Exists(price, CmpOp::Gt, 20),
-                AggOp::Forall(price, CmpOp::Ge, 0),
-                AggOp::TopK(price, 5),
-            ] {
-                let unions = [u];
-                assert_eq!(
-                    eval_op_par(t, &unions, &op, threads).unwrap(),
-                    eval_op(t, &unions, &op).unwrap(),
-                    "op={op:?} threads={threads}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -109,10 +109,10 @@ pub enum ConsolidateMode {
 /// Options for [`FdbEngine::run`].
 ///
 /// Every run executes its f-plan through the one staged pipeline
-/// executor ([`crate::pipeline::execute_staged`]); the options choose
-/// how the plan is searched and consolidated, how many workers it uses
-/// and how long the run may take. How `ORDER BY` is realised is the
-/// cost model's choice, not an option ([`OrderStrategy`]).
+/// executor ([`crate::pipeline::execute`]) on the calling thread; the
+/// options choose how the plan is searched and consolidated and how long
+/// the run may take. How `ORDER BY` is realised is the cost model's
+/// choice, not an option ([`OrderStrategy`]).
 ///
 /// The struct is `#[non_exhaustive]`: construct it with
 /// [`RunOptions::new`] (or [`RunOptions::default`]) and the builder
@@ -120,24 +120,18 @@ pub enum ConsolidateMode {
 /// for downstream callers:
 ///
 /// ```
-/// use fdb_core::engine::RunOptions;
+/// use fdb_core::engine::{ConsolidateMode, RunOptions};
 /// use std::time::Duration;
 /// let opts = RunOptions::new()
-///     .threads(4)
+///     .consolidate(ConsolidateMode::Always)
 ///     .deadline(Some(Duration::from_millis(50)));
-/// assert_eq!(opts.threads, 4);
+/// assert_eq!(opts.deadline, Some(Duration::from_millis(50)));
 /// ```
 #[derive(Clone, Copy, Debug)]
 #[non_exhaustive]
 pub struct RunOptions {
     pub strategy: PlanStrategy,
     pub consolidate: ConsolidateMode,
-    /// Worker threads for f-representation construction, aggregation
-    /// operators and the sort fallback. `1` (the default) is the exact
-    /// serial path; `0` means "use the machine"
-    /// ([`std::thread::available_parallelism`]). Results are identical
-    /// for every thread count (see `fdb-exec`).
-    pub threads: usize,
     /// Per-run wall-clock budget covering planning, f-plan execution
     /// and enumeration. `None` (the default) never times out. The
     /// budget starts when [`FdbEngine::run`] is entered; the result's
@@ -152,7 +146,6 @@ impl Default for RunOptions {
         RunOptions {
             strategy: PlanStrategy::Greedy,
             consolidate: ConsolidateMode::Auto,
-            threads: 1,
             deadline: None,
         }
     }
@@ -176,12 +169,6 @@ impl RunOptions {
         self
     }
 
-    /// Sets the worker-thread count (`0` = use the machine).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Sets the per-run wall-clock budget (planning + execution +
     /// enumeration); `None` never times out.
     pub fn deadline(mut self, deadline: Option<std::time::Duration>) -> Self {
@@ -189,10 +176,10 @@ impl RunOptions {
         self
     }
 
-    /// Default options with the given worker-thread count (thin alias
-    /// for `RunOptions::new().threads(n)`, kept for existing callers).
-    pub fn with_threads(threads: usize) -> Self {
-        RunOptions::new().threads(threads)
+    /// Kept for callers outside the workspace; returns `self` unchanged.
+    /// The thread count is ignored: a run executes on the calling thread.
+    pub fn threads(self, _threads: usize) -> Self {
+        self
     }
 }
 
@@ -265,9 +252,6 @@ pub struct FdbResult {
     /// Execution report of the f-plan run (stages, intermediate
     /// bytes, copies avoided), including the HAVING push-down.
     exec_stats: crate::pipeline::ExecStats,
-    /// Worker threads for enumeration-time work (the sort fallback),
-    /// resolved from the [`RunOptions`] that produced this result.
-    threads: usize,
     /// Absolute deadline carried over from the producing run
     /// ([`RunOptions::deadline`]): enumeration honours the same
     /// wall-clock budget as planning and execution did.
@@ -626,11 +610,9 @@ impl FdbEngine {
         if !task.grouping_sets.is_empty() {
             return self.run_grouping_sets(task, opts);
         }
-        let threads = fdb_exec::effective_threads(opts.threads);
         let deadline_at = opts.deadline.map(|d| Instant::now() + d);
         check_deadline(deadline_at, "input assembly")?;
-        let (rep, stats, mut selections, natural_attrs) =
-            self.build_input(&task.inputs, threads)?;
+        let (rep, stats, mut selections, natural_attrs) = self.build_input(&task.inputs)?;
         check_deadline(deadline_at, "planning")?;
 
         let mut const_preds = Vec::new();
@@ -926,8 +908,7 @@ impl FdbEngine {
         } = cand;
         check_deadline(deadline_at, "plan execution")?;
         let input_tree = rep.ftree().clone();
-        let (mut result_rep, mut exec_stats) =
-            crate::pipeline::execute_staged(&plan, rep, threads)?;
+        let (mut result_rep, mut exec_stats) = crate::pipeline::execute(&plan, rep)?;
         check_deadline(deadline_at, "plan execution")?;
 
         // HAVING: push what we can into the factorisation as selections;
@@ -954,7 +935,7 @@ impl FdbEngine {
             for (attr, op, value) in pushed {
                 having_plan.push(crate::plan::FOp::SelectConst { attr, op, value });
             }
-            let (rep, hstats) = crate::pipeline::execute_staged(&having_plan, result_rep, threads)?;
+            let (rep, hstats) = crate::pipeline::execute(&having_plan, result_rep)?;
             result_rep = rep;
             exec_stats.intermediate_bytes += hstats.intermediate_bytes;
             exec_stats.copies_avoided += hstats.copies_avoided;
@@ -1025,7 +1006,6 @@ impl FdbEngine {
             plan,
             input_tree,
             exec_stats,
-            threads,
             deadline_at,
         })
     }
@@ -1037,7 +1017,6 @@ impl FdbEngine {
     /// mirrors the relational twin (`RdbEngine::run_grouping_sets`)
     /// row-for-row.
     fn run_grouping_sets(&mut self, task: &JoinAggTask, opts: RunOptions) -> Result<FdbResult> {
-        let threads = fdb_exec::effective_threads(opts.threads);
         let output_attrs = task.output_attrs();
         // The concatenation's row-major buffer: every value is cloned
         // once, from its set's rows into its padded place.
@@ -1098,7 +1077,6 @@ impl FdbEngine {
             plan: last.plan,
             input_tree: last.input_tree,
             exec_stats: last.exec_stats,
-            threads,
             deadline_at: last.deadline_at,
         })
     }
@@ -1112,7 +1090,6 @@ impl FdbEngine {
     fn build_input(
         &mut self,
         inputs: &[String],
-        threads: usize,
     ) -> Result<(FRep, Stats, Vec<(AttrId, AttrId)>, Vec<AttrId>)> {
         if inputs.is_empty() {
             return Err(FdbError::Unresolved("query has no inputs".into()));
@@ -1161,7 +1138,7 @@ impl FdbEngine {
                     .filter(|&a| shared(a, i))
                     .collect();
                 order.extend(schemas[i].iter().copied().filter(|&a| !shared(a, i)));
-                FRep::from_relation_with(rel, FTree::path(&order), threads)?
+                FRep::from_relation(rel, FTree::path(&order))?
             };
             let size = rep.tuple_count();
             // Shadow attributes already seen: rename in this input's copy
@@ -1853,20 +1830,21 @@ mod tests {
     fn run_reports_exec_stats() {
         let mut e = engine();
         let task = revenue_task(&mut e);
-        let serial = e.run(&task, RunOptions::default()).unwrap();
-        let s = serial.exec_stats();
+        let first = e.run(&task, RunOptions::default()).unwrap();
+        let s = first.exec_stats();
         assert!(
             s.operators >= 2,
             "revenue plan is no longer multi-operator; revisit this test"
         );
-        assert_eq!(s.operators, serial.plan().len());
-        assert_eq!(s.stages, crate::pipeline::segment(serial.plan()).len());
+        assert_eq!(s.operators, first.plan().len());
+        assert_eq!(s.stages, crate::pipeline::segment(first.plan()).len());
         assert!(s.copies_avoided > 0);
         assert!(s.intermediate_bytes > 0);
-        // Parallel aggregation builds the same factorisation.
-        let par = e.run(&task, RunOptions::new().threads(2)).unwrap();
-        assert!(par.rep().same_data(serial.rep()));
-        assert_eq!(par.to_relation().unwrap(), serial.to_relation().unwrap());
+        // A second run builds the same factorisation and reports the same.
+        let again = e.run(&task, RunOptions::default()).unwrap();
+        assert!(again.rep().same_data(first.rep()));
+        assert_eq!(again.exec_stats(), s);
+        assert_eq!(again.to_relation().unwrap(), first.to_relation().unwrap());
     }
 
     #[test]

@@ -400,7 +400,7 @@ impl FdbResult {
                 stats.rows_enumerated = out.len();
                 stats.order_bytes = out.len() * out.arity() * std::mem::size_of::<Value>();
                 if !self.order_by.is_empty() {
-                    out.sort_by_keys_par(&self.order_by, self.threads);
+                    out.sort_by_keys(&self.order_by);
                 }
                 if self.offset > 0 || self.limit.is_some_and(|k| out.len() > k) {
                     out = fdb_relational::ops::page(&out, self.offset, self.limit);

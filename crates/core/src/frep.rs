@@ -1119,17 +1119,6 @@ impl FRep {
     /// `debug_assert`ed here, and guaranteed by construction when the
     /// f-plan operators build the branching themselves.
     pub fn from_relation(rel: &Relation, ftree: FTree) -> Result<FRep> {
-        Self::from_relation_with(rel, ftree, 1)
-    }
-
-    /// [`FRep::from_relation`] with construction partitioned over the
-    /// leading union: the root-level grouping is computed once, then the
-    /// child factorisations of the root entries are built into per-chunk
-    /// sub-arenas on up to `threads` workers and spliced back in order.
-    /// Grouping is order-deterministic (`BTreeMap`), so the result is
-    /// structurally identical for every thread count; `threads <= 1` is
-    /// exactly the serial build.
-    pub fn from_relation_with(rel: &Relation, ftree: FTree, threads: usize) -> Result<FRep> {
         let mut col_of: BTreeMap<AttrId, usize> = BTreeMap::new();
         for n in ftree.live_nodes() {
             match &ftree.node(n).label {
@@ -1156,10 +1145,23 @@ impl FRep {
         }
         let all_rows: Vec<usize> = (0..rel.len()).collect();
         let mut arena = Arena::default();
+        let mut kid_scratch = Vec::new();
+        let mut spec_scratch = Vec::new();
         let roots = ftree
             .roots()
             .iter()
-            .map(|&r| build_union_par(rel, &ftree, r, &all_rows, &col_of, threads, &mut arena))
+            .map(|&r| {
+                build_union(
+                    rel,
+                    &ftree,
+                    r,
+                    &all_rows,
+                    &col_of,
+                    &mut arena,
+                    &mut kid_scratch,
+                    &mut spec_scratch,
+                )
+            })
             .collect();
         let rep = FRep {
             ftree,
@@ -1169,6 +1171,12 @@ impl FRep {
         };
         debug_assert!(rep.check_invariants().is_ok());
         Ok(rep)
+    }
+
+    /// [`FRep::from_relation`] under its former name, for callers outside
+    /// the workspace. The thread count is ignored: construction is serial.
+    pub fn from_relation_with(rel: &Relation, ftree: FTree, _threads: usize) -> Result<FRep> {
+        Self::from_relation(rel, ftree)
     }
 
     /// The nesting structure.
@@ -1493,7 +1501,7 @@ fn count_tuples(u: &UnionRef<'_>) -> usize {
 // Construction from relations
 // ---------------------------------------------------------------------
 
-/// Builds one union serially into `arena`, reusing shared scratch
+/// Builds one union into `arena`, reusing shared scratch
 /// buffers so the hot path allocates only the grouping map per level.
 fn build_union(
     rel: &Relation,
@@ -1550,78 +1558,6 @@ fn group_rows(rel: &Relation, col: usize, rows: &[usize]) -> BTreeMap<Value, Vec
         groups.entry(rel.row(r)[col].clone()).or_default().push(r);
     }
     groups
-}
-
-/// Builds one union, fanning chunks of the leading union's groups out to
-/// `threads` workers, each building a private sub-arena that is spliced
-/// back in group order. Recursive builds below the top level stay serial
-/// — the root fan-out already exposes all the parallelism the data has.
-fn build_union_par(
-    rel: &Relation,
-    ftree: &FTree,
-    node: NodeId,
-    rows: &[usize],
-    col_of: &BTreeMap<AttrId, usize>,
-    threads: usize,
-    arena: &mut Arena,
-) -> UnionId {
-    let (col, children) = node_shape(ftree, node, col_of);
-    if threads <= 1 || children.is_empty() {
-        let mut kid_scratch = Vec::new();
-        let mut spec_scratch = Vec::new();
-        return build_union(
-            rel,
-            ftree,
-            node,
-            rows,
-            col_of,
-            arena,
-            &mut kid_scratch,
-            &mut spec_scratch,
-        );
-    }
-    let groups: Vec<(Value, Vec<usize>)> = group_rows(rel, col, rows).into_iter().collect();
-    // Morsel-granularity chunks (~4× threads): a giant group occupies
-    // its worker for one small chunk while the rest are stolen, instead
-    // of serialising a whole static 1/threads share behind it.
-    let chunks = fdb_exec::split_morsels(groups, threads);
-    /// One worker's output: its private arena plus, per group, the value
-    /// and the child union ids within that arena.
-    type ChunkBuild = (Arena, Vec<(Value, Vec<UnionId>)>);
-    let built: Vec<ChunkBuild> = fdb_exec::parallel_map(threads, chunks, |chunk| {
-        let mut sub = Arena::default();
-        let mut kid_scratch = Vec::new();
-        let mut spec_scratch = Vec::new();
-        let mut entries = Vec::with_capacity(chunk.len());
-        for (value, group) in chunk {
-            let kids: Vec<UnionId> = children
-                .iter()
-                .map(|&c| {
-                    build_union(
-                        rel,
-                        ftree,
-                        c,
-                        &group,
-                        col_of,
-                        &mut sub,
-                        &mut kid_scratch,
-                        &mut spec_scratch,
-                    )
-                })
-                .collect();
-            entries.push((value, kids));
-        }
-        (sub, entries)
-    });
-    let mut specs = Vec::new();
-    for (sub, entries) in built {
-        let off = arena.append(sub, 0);
-        for (value, kids) in entries {
-            let ids: Vec<UnionId> = kids.iter().map(|k| UnionId(k.0 + off)).collect();
-            specs.push(arena.entry(node, value, &ids));
-        }
-    }
-    arena.push_union(node, &specs)
 }
 
 #[cfg(test)]
@@ -1727,31 +1663,6 @@ mod tests {
         let rep = FRep::from_relation(&rel, t).unwrap();
         assert_eq!(rep.singleton_count(), 5);
         assert_eq!(rep.flatten().canonical(), rel.canonical());
-    }
-
-    #[test]
-    fn parallel_construction_matches_serial() {
-        let mut c = Catalog::new();
-        let x = c.intern("x");
-        let y = c.intern("y");
-        let z = c.intern("z");
-        let rel = Relation::from_rows(
-            Schema::new(vec![x, y, z]),
-            (0..120).map(|i| {
-                vec![
-                    Value::Int(i % 11),
-                    Value::Int((i * 3) % 7),
-                    Value::Int(i % 5),
-                ]
-            }),
-        )
-        .canonical();
-        let serial = FRep::from_relation(&rel, FTree::path(&[x, y, z])).unwrap();
-        for threads in [2, 3, 4, 8] {
-            let par = FRep::from_relation_with(&rel, FTree::path(&[x, y, z]), threads).unwrap();
-            par.check_invariants().unwrap();
-            assert!(par.same_data(&serial), "threads={threads}");
-        }
     }
 
     #[test]

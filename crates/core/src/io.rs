@@ -217,6 +217,15 @@ impl Tokens {
         Ok(Tokens { buf, pos: 0 })
     }
 
+    /// Capacity to reserve for `n` elements announced by the stream: never
+    /// more than the remaining input can encode (each element takes at
+    /// least two bytes, a separator and a token), so a hostile count
+    /// cannot trigger a huge allocation. Reading past the real elements
+    /// fails on the first missing token.
+    fn capacity(&self, n: usize) -> usize {
+        n.min((self.buf.len() - self.pos) / 2)
+    }
+
     fn skip_ws(&mut self) {
         while self.pos < self.buf.len() && self.buf[self.pos].is_ascii_whitespace() {
             self.pos += 1;
@@ -267,10 +276,11 @@ impl Tokens {
             return Err(malformed("expected `:` after string length"));
         }
         self.pos += 1;
-        let end = self.pos + len;
-        if end > self.buf.len() {
-            return Err(malformed("string payload truncated"));
-        }
+        let end = self
+            .pos
+            .checked_add(len)
+            .filter(|&end| end <= self.buf.len())
+            .ok_or_else(|| malformed("string payload truncated"))?;
         let s = std::str::from_utf8(&self.buf[self.pos..end])
             .map_err(|_| malformed("non-utf8 string payload"))?
             .to_string();
@@ -296,7 +306,7 @@ impl Tokens {
             Some(b't') => {
                 self.pos += 1;
                 let k = self.usize()?;
-                let mut vs = Vec::with_capacity(k);
+                let mut vs = Vec::with_capacity(self.capacity(k));
                 for _ in 0..k {
                     vs.push(self.value()?);
                 }
@@ -318,7 +328,7 @@ pub fn read_frep(r: impl BufRead, catalog: &mut Catalog) -> Result<FRep> {
         return Err(malformed("bad magic (expected fdbv1)"));
     }
     let n_attrs = t.usize()?;
-    let mut attrs = Vec::with_capacity(n_attrs);
+    let mut attrs = Vec::with_capacity(t.capacity(n_attrs));
     for _ in 0..n_attrs {
         let name = t.string()?;
         attrs.push(catalog.intern(&name));
@@ -335,7 +345,7 @@ pub fn read_frep(r: impl BufRead, catalog: &mut Catalog) -> Result<FRep> {
     }
     let n_nodes = t.usize()?;
     let mut tree = FTree::new();
-    let mut ids: Vec<NodeId> = Vec::with_capacity(n_nodes);
+    let mut ids: Vec<NodeId> = Vec::with_capacity(t.capacity(n_nodes));
     for _ in 0..n_nodes {
         let parent = t.i64()?;
         let parent = if parent < 0 {
@@ -350,7 +360,7 @@ pub fn read_frep(r: impl BufRead, catalog: &mut Catalog) -> Result<FRep> {
         let label = match t.word()? {
             "a" => {
                 let k = t.usize()?;
-                let mut class = Vec::with_capacity(k);
+                let mut class = Vec::with_capacity(t.capacity(k));
                 for _ in 0..k {
                     class.push(attr(t.usize()?)?);
                 }
@@ -358,7 +368,7 @@ pub fn read_frep(r: impl BufRead, catalog: &mut Catalog) -> Result<FRep> {
             }
             "g" => {
                 let k = t.usize()?;
-                let mut funcs = Vec::with_capacity(k);
+                let mut funcs = Vec::with_capacity(t.capacity(k));
                 for _ in 0..k {
                     funcs.push(match t.word()? {
                         "c" => AggOp::Count,
@@ -390,7 +400,7 @@ pub fn read_frep(r: impl BufRead, catalog: &mut Catalog) -> Result<FRep> {
                     over.insert(attr(t.usize()?)?);
                 }
                 let n_out = t.usize()?;
-                let mut outputs = Vec::with_capacity(n_out);
+                let mut outputs = Vec::with_capacity(t.capacity(n_out));
                 for _ in 0..n_out {
                     outputs.push(attr(t.usize()?)?);
                 }
@@ -410,7 +420,7 @@ pub fn read_frep(r: impl BufRead, catalog: &mut Catalog) -> Result<FRep> {
     let n_deps = t.usize()?;
     for _ in 0..n_deps {
         let k = t.usize()?;
-        let mut edge = Vec::with_capacity(k);
+        let mut edge = Vec::with_capacity(t.capacity(k));
         for _ in 0..k {
             edge.push(attr(t.usize()?)?);
         }
@@ -435,7 +445,7 @@ fn read_union(t: &mut Tokens, tree: &FTree, node: NodeId, arena: &mut Arena) -> 
     }
     let n = t.usize()?;
     let children: Vec<NodeId> = tree.node(node).children.clone();
-    let mut specs = Vec::with_capacity(n);
+    let mut specs = Vec::with_capacity(t.capacity(n));
     let mut kid_ids = Vec::with_capacity(children.len());
     for _ in 0..n {
         let value = t.value()?;
@@ -505,7 +515,7 @@ mod tests {
         let n_item = rep.ftree().node_of_attr(item).unwrap();
         let out = c.intern("n");
         let target = crate::ops::AggTarget::subtree(rep.ftree(), n_item);
-        let agged = crate::ops::aggregate(rep, &target, vec![AggOp::Count], vec![out], 1).unwrap();
+        let agged = crate::ops::aggregate(rep, &target, vec![AggOp::Count], vec![out]).unwrap();
         let mut buf = Vec::new();
         write_frep(&agged, &c, &mut buf).unwrap();
         let mut c2 = Catalog::new();
@@ -600,5 +610,28 @@ mod tests {
     fn bad_magic_is_error() {
         let mut c = Catalog::new();
         assert!(read_frep("nope 0".as_bytes(), &mut c).is_err());
+    }
+
+    #[test]
+    fn hostile_counts_are_errors_not_panics() {
+        // A one-node tree over `a`, then the data section.
+        let prefix = "fdbv1 1 s1:a t 1 -1 a 1 0 d 0";
+        for input in [
+            "fdbv1 18446744073709551615".to_string(),
+            format!("{prefix} u 18446744073709551615"),
+            format!("{prefix} u 1 t18446744073709551615"),
+            "fdbv1 1 s18446744073709551615:a".to_string(),
+            format!("{prefix} u 1099511627776"),
+        ] {
+            let mut c = Catalog::new();
+            match read_frep(input.as_bytes(), &mut c) {
+                Err(FdbError::Unresolved(m)) => assert!(m.contains("malformed"), "{input}: {m}"),
+                other => panic!("{input}: expected a malformed-stream error, got {other:?}"),
+            }
+        }
+        // The prefix itself is sound: one well-formed entry reads back.
+        let mut c = Catalog::new();
+        let rep = read_frep(format!("{prefix} u 1 i7").as_bytes(), &mut c).unwrap();
+        assert_eq!(rep.tuple_count(), 1);
     }
 }

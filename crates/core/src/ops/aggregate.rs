@@ -37,29 +37,19 @@ impl AggTarget {
 }
 
 /// Applies `γ` with functions `funcs` (named `outputs`) over the target
-/// subtrees, on up to `threads` workers. With `k > 1` functions the new
-/// node holds composite values (§3.2.4); identical functions should be
-/// deduplicated by the caller ([`crate::agg::partial_funcs`] does).
+/// subtrees. With `k > 1` functions the new node holds composite values
+/// (§3.2.4); identical functions should be deduplicated by the caller
+/// ([`crate::agg::partial_funcs`] does).
 ///
-/// The operator's work is one independent evaluation per entry of the
-/// parent union (per group). Each occurrence of the parent union is
-/// processed in two phases: a read-only phase evaluates every group
-/// against an immutable reborrow of the arena, fanned out to the pool
-/// (`try_parallel_map` needs `Sync` cursors; it morselises the group
-/// indices, so one giant group pins a single worker while its siblings
-/// rebalance across the rest); then an append phase emits the rewritten
-/// entries — untouched siblings shared by id plus the new aggregate
-/// leaf — serially in order, so results are identical for every thread
-/// count. A parent union with a single entry (and the root-level
-/// reduction) parallelises *inside* the evaluation instead, over the
-/// target unions' top entries ([`crate::agg`]). The consumed target
-/// subtrees simply become unreachable.
+/// Each occurrence of the parent union is evaluated group by group
+/// against the arena, then its rewritten entries — untouched siblings
+/// shared by id plus the new aggregate leaf — are appended in order. The
+/// consumed target subtrees simply become unreachable.
 pub fn aggregate(
     rep: FRep,
     target: &AggTarget,
     funcs: Vec<AggOp>,
     outputs: Vec<AttrId>,
-    threads: usize,
 ) -> Result<FRep> {
     if funcs.is_empty() || funcs.len() != outputs.len() {
         return Err(FdbError::InvalidOperator(
@@ -88,7 +78,7 @@ pub fn aggregate(
 
     let new_roots = match target.parent {
         Some(p) => rewrite_spine(&tree, &mut arena, &roots, p, &mut |arena, uid| {
-            let values = eval_groups(arena, uid, &tree, &positions, &funcs, threads)?;
+            let values = eval_groups(arena, uid, &tree, &positions, &funcs)?;
             let rec = arena.urec(uid);
             let mut specs = Vec::with_capacity(rec.len as usize);
             let mut kid_ids: Vec<UnionId> = Vec::new();
@@ -120,7 +110,7 @@ pub fn aggregate(
                 let a: &Arena = &arena;
                 let unions: Vec<UnionRef<'_>> =
                     positions.iter().map(|&pos| a.union(roots[pos])).collect();
-                crate::agg::eval_funcs_par(&tree, &unions, &funcs, threads)?
+                crate::agg::eval_funcs(&tree, &unions, &funcs)?
             };
             let mut out = Vec::with_capacity(roots.len() - positions.len() + 1);
             for (i, &r) in roots.iter().enumerate() {
@@ -155,20 +145,15 @@ fn eval_groups(
     tree: &FTree,
     positions: &[usize],
     funcs: &[AggOp],
-    threads: usize,
 ) -> Result<Vec<Value>> {
-    let up = arena.union(uid);
-    let eval_group = |i: usize, eval_threads: usize| -> Result<Value> {
-        let e = up.entry(i);
-        let unions: Vec<UnionRef<'_>> = positions.iter().map(|&pos| e.child(pos)).collect();
-        crate::agg::eval_funcs_par(tree, &unions, funcs, eval_threads)
-    };
-    if threads > 1 && up.len() > 1 {
-        let idx: Vec<usize> = (0..up.len()).collect();
-        fdb_exec::try_parallel_map(threads, idx, |i| eval_group(i, 1))
-    } else {
-        (0..up.len()).map(|i| eval_group(i, threads)).collect()
-    }
+    arena
+        .union(uid)
+        .entries()
+        .map(|e| {
+            let unions: Vec<UnionRef<'_>> = positions.iter().map(|&pos| e.child(pos)).collect();
+            crate::agg::eval_funcs(tree, &unions, funcs)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -250,7 +235,7 @@ mod tests {
         let item_node = rep.ftree().node_of_attr(c.lookup("item").unwrap()).unwrap();
         let out_attr = c.intern("sumprice");
         let target = AggTarget::subtree(rep.ftree(), item_node);
-        let out = aggregate(rep, &target, vec![AggOp::Sum(price)], vec![out_attr], 1).unwrap();
+        let out = aggregate(rep, &target, vec![AggOp::Sum(price)], vec![out_attr]).unwrap();
         // For each pizza, the aggregate leaf holds the pizza's price sum.
         let root = out.root(0);
         let sums: Vec<(String, Value)> = root
@@ -286,7 +271,7 @@ mod tests {
 
         // γ_sum(price) over the item subtree (T1 → T2).
         let target = AggTarget::subtree(rep.ftree(), item_node);
-        let rep = aggregate(rep, &target, vec![AggOp::Sum(price)], vec![sum_out], 1).unwrap();
+        let rep = aggregate(rep, &target, vec![AggOp::Sum(price)], vec![sum_out]).unwrap();
 
         // Swap customer above date, then above pizza (T2 → T3).
         let n_cust = rep.ftree().node_of_attr(customer).unwrap();
@@ -300,7 +285,7 @@ mod tests {
         let n_date = rep.ftree().node_of_attr(c.lookup("date").unwrap()).unwrap();
         let cnt_out = c.intern("countdate");
         let target = AggTarget::subtree(rep.ftree(), n_date);
-        let rep = aggregate(rep, &target, vec![AggOp::Count], vec![cnt_out], 1).unwrap();
+        let rep = aggregate(rep, &target, vec![AggOp::Count], vec![cnt_out]).unwrap();
 
         // Final γ_sum over everything under customer.
         let n_cust = rep.ftree().node_of_attr(customer).unwrap();
@@ -314,7 +299,6 @@ mod tests {
             },
             vec![AggOp::Sum(price)],
             vec![rev_out],
-            1,
         )
         .unwrap();
 
@@ -347,7 +331,6 @@ mod tests {
             },
             vec![AggOp::Sum(price)],
             vec![out_attr],
-            1,
         )
         .unwrap();
         assert_eq!(out.tuple_count(), 1);
@@ -371,7 +354,6 @@ mod tests {
             },
             vec![AggOp::Count],
             vec![out_attr],
-            1,
         )
         .unwrap();
         assert!(out.is_empty());
@@ -390,7 +372,6 @@ mod tests {
             &target,
             vec![AggOp::Sum(price), AggOp::Count],
             vec![s_out, n_out],
-            1,
         )
         .unwrap();
         // Capricciosa: (8, 3).
@@ -403,7 +384,7 @@ mod tests {
         let (c, rep) = fig1_rep();
         let item_node = rep.ftree().node_of_attr(c.lookup("item").unwrap()).unwrap();
         let target = AggTarget::subtree(rep.ftree(), item_node);
-        let err = aggregate(rep, &target, vec![AggOp::Count], vec![], 1);
+        let err = aggregate(rep, &target, vec![AggOp::Count], vec![]);
         assert!(matches!(err, Err(FdbError::InvalidOperator(_))));
     }
 
@@ -432,10 +413,8 @@ mod tests {
         let mut tree = rep.ftree().clone();
         tree.aggregate(target.parent, &target.nodes, ops.clone(), outs.clone())
             .unwrap();
-        for threads in [1, 2, 4] {
-            let got = aggregate(rep.clone(), target, ops.clone(), outs.clone(), threads).unwrap();
-            assert_represents(&got, &want, &tree);
-        }
+        let got = aggregate(rep.clone(), target, ops, outs).unwrap();
+        assert_represents(&got, &want, &tree);
     }
 
     #[test]
@@ -466,26 +445,24 @@ mod tests {
             &target,
             &[(AggOp::Sum(price), AggFunc::Sum(price), out_attr)],
         );
-        let out = aggregate(rep, &target, vec![AggOp::Sum(price)], vec![out_attr], 2).unwrap();
+        let out = aggregate(rep, &target, vec![AggOp::Sum(price)], vec![out_attr]).unwrap();
         assert_eq!(*out.root(0).entry(0).value(), Value::Int(40));
     }
 
     #[test]
     fn inplace_aggregate_of_empty_relation_is_empty() {
         // Below the root: the empty relation has no parent entry to
-        // rewrite, on every thread count.
+        // rewrite.
         let mut c = Catalog::new();
         let a = c.intern("a");
         let b = c.intern("b");
         let out_attr = c.intern("n");
         let rel = Relation::empty(Schema::new(vec![a, b]));
-        for threads in [1, 2] {
-            let rep = FRep::from_relation(&rel, FTree::path(&[a, b])).unwrap();
-            let nb = rep.ftree().node_of_attr(b).unwrap();
-            let target = AggTarget::subtree(rep.ftree(), nb);
-            let out = aggregate(rep, &target, vec![AggOp::Count], vec![out_attr], threads).unwrap();
-            out.check_invariants().unwrap();
-            assert!(out.is_empty());
-        }
+        let rep = FRep::from_relation(&rel, FTree::path(&[a, b])).unwrap();
+        let nb = rep.ftree().node_of_attr(b).unwrap();
+        let target = AggTarget::subtree(rep.ftree(), nb);
+        let out = aggregate(rep, &target, vec![AggOp::Count], vec![out_attr]).unwrap();
+        out.check_invariants().unwrap();
+        assert!(out.is_empty());
     }
 }

@@ -27,8 +27,7 @@
 //! ([`tree_cost`]) plus the enumeration-side work — and picks the
 //! cheapest. Estimates use only
 //! the f-tree and the base-relation [`Stats`], so the choice is
-//! deterministic across executors and thread counts (a property the
-//! differential suites rely on).
+//! deterministic (a property the differential suites rely on).
 
 use crate::ftree::{FTree, NodeLabel};
 use crate::optim::cost::{tree_cost, Stats};

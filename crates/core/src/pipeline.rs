@@ -21,7 +21,7 @@
 //!
 //! ## Execution
 //!
-//! [`execute_staged`] runs every operator on one shared arena through
+//! [`execute`] runs every operator on one shared arena through
 //! [`crate::plan::apply`], so no operator materialises the
 //! representation. Within a fused stage, runs of consecutive constant
 //! selections additionally compile into a single composed filter walk
@@ -34,12 +34,10 @@
 //! the input (a selection keeping most entries, a rename) return the
 //! arena directly, with no full copy anywhere.
 //!
-//! Parallelism applies per operator: aggregation operators fan their
-//! per-group evaluations out to the `fdb-exec` pool and emit serially,
-//! so results are bit-identical for every thread count. Two references
-//! pin the executor: the same plan applied one operator at a time with
-//! a compaction after each step, and a relational evaluation of the
-//! plan over the input's flattening (`tests/pipeline_fused.rs`).
+//! Two references pin the executor: the same plan applied one operator
+//! at a time with a compaction after each step, and a relational
+//! evaluation of the plan over the input's flattening
+//! (`tests/pipeline_fused.rs`).
 
 use crate::error::Result;
 use crate::frep::FRep;
@@ -155,7 +153,7 @@ pub fn display_staged(plan: &FPlan, catalog: &Catalog, input: &FTree) -> String 
     out
 }
 
-/// Execution report of one plan run (see [`execute_staged`]).
+/// Execution report of one plan run (see [`execute`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Operators executed.
@@ -177,7 +175,7 @@ pub struct ExecStats {
 /// Executes a plan through the staged pipeline: one shared arena, every
 /// operator in place, consecutive selections fused into one walk, and
 /// one compaction pass at the end when dead records outnumber live ones.
-pub fn execute_staged(plan: &FPlan, rep: FRep, threads: usize) -> Result<(FRep, ExecStats)> {
+pub fn execute(plan: &FPlan, rep: FRep) -> Result<(FRep, ExecStats)> {
     let stages = segment(plan);
     let mut stats = ExecStats {
         operators: plan.len(),
@@ -194,7 +192,7 @@ pub fn execute_staged(plan: &FPlan, rep: FRep, threads: usize) -> Result<(FRep, 
     for stage in &stages {
         match stage.kind {
             StageKind::Restructure => {
-                rep = apply(rep, &plan.ops[stage.ops.start], threads)?;
+                rep = apply(rep, &plan.ops[stage.ops.start])?;
             }
             StageKind::Fused => {
                 let mut i = stage.ops.start;
@@ -212,7 +210,7 @@ pub fn execute_staged(plan: &FPlan, rep: FRep, threads: usize) -> Result<(FRep, 
                     if !filters.is_empty() {
                         rep = ops::select::apply_filters(rep, &filters)?;
                     } else {
-                        rep = apply(rep, &plan.ops[i], threads)?;
+                        rep = apply(rep, &plan.ops[i])?;
                         i += 1;
                     }
                 }
@@ -239,6 +237,12 @@ pub fn execute_staged(plan: &FPlan, rep: FRep, threads: usize) -> Result<(FRep, 
     }
     stats.copies_avoided = rep.stats_counter_base().saturating_sub(counter_base);
     Ok((rep, stats))
+}
+
+/// [`execute`] under its former name, for callers outside the
+/// workspace. The thread count is ignored: plans run serially.
+pub fn execute_staged(plan: &FPlan, rep: FRep, _threads: usize) -> Result<(FRep, ExecStats)> {
+    execute(plan, rep)
 }
 
 #[cfg(test)]
@@ -340,7 +344,7 @@ mod tests {
     fn per_op(plan: &FPlan, mut rep: FRep) -> (FRep, usize) {
         let mut bytes = 0;
         for op in &plan.ops {
-            rep = apply(rep, op, 1).unwrap().compact();
+            rep = apply(rep, op).unwrap().compact();
             bytes += rep.data_bytes();
         }
         (rep, bytes)
@@ -351,29 +355,27 @@ mod tests {
         let (mut c, rep) = rep_abc();
         let plan = sample_plan(&mut c, &rep);
         let (stepped, stepped_bytes) = per_op(&plan, rep.clone());
-        for threads in [1, 2, 4] {
-            let (fused, stats) = execute_staged(&plan, rep.clone(), threads).unwrap();
-            assert!(fused.same_data(&stepped), "threads={threads}");
-            assert_eq!(
-                fused.ftree().canonical_key(),
-                stepped.ftree().canonical_key()
-            );
-            assert!(stats.compacted);
-            assert!(stats.copies_avoided > 0);
-            assert!(
-                stats.intermediate_bytes < stepped_bytes,
-                "staged {} >= per-op {}",
-                stats.intermediate_bytes,
-                stepped_bytes
-            );
-        }
+        let (fused, stats) = execute(&plan, rep).unwrap();
+        assert!(fused.same_data(&stepped));
+        assert_eq!(
+            fused.ftree().canonical_key(),
+            stepped.ftree().canonical_key()
+        );
+        assert!(stats.compacted);
+        assert!(stats.copies_avoided > 0);
+        assert!(
+            stats.intermediate_bytes < stepped_bytes,
+            "staged {} >= per-op {}",
+            stats.intermediate_bytes,
+            stepped_bytes
+        );
     }
 
     #[test]
     fn empty_plan_is_a_pass_through() {
         let (_, rep) = rep_abc();
         let before = rep.stats();
-        let (out, stats) = execute_staged(&FPlan::new(), rep, 1).unwrap();
+        let (out, stats) = execute(&FPlan::new(), rep).unwrap();
         assert_eq!(stats, ExecStats::default());
         assert_eq!(out.stats(), before); // no appends, no compaction
     }
@@ -388,7 +390,7 @@ mod tests {
             op: CmpOp::Lt,
             value: Value::Int(3),
         });
-        let (out, stats) = execute_staged(&plan, rep.clone(), 1).unwrap();
+        let (out, stats) = execute(&plan, rep.clone()).unwrap();
         assert!(!stats.compacted);
         assert!(out.same_data(&per_op(&plan, rep).0));
     }
@@ -406,7 +408,7 @@ mod tests {
                 value: Value::Int(v),
             });
         }
-        let (fused, _) = execute_staged(&plan, rep.clone(), 1).unwrap();
+        let (fused, _) = execute(&plan, rep.clone()).unwrap();
         let (stepped, _) = per_op(&plan, rep);
         assert!(fused.same_data(&stepped));
         assert_eq!(fused.flatten().canonical(), stepped.flatten().canonical());

@@ -64,19 +64,12 @@ impl FPlan {
         self.ops.is_empty()
     }
 
-    /// Applies the plan to a representation.
+    /// Applies the plan to a representation through the staged pipeline
+    /// executor ([`crate::pipeline::execute`]): every operator runs
+    /// in place on one shared arena, consecutive selections fuse into one
+    /// walk, and at most one compaction pass runs per plan.
     pub fn execute(&self, rep: FRep) -> Result<FRep> {
-        self.execute_with(rep, 1)
-    }
-
-    /// Applies the plan through the staged pipeline executor
-    /// ([`crate::pipeline::execute_staged`]): every operator runs in
-    /// place on one shared arena, consecutive selections fuse into one
-    /// walk, and at most one compaction pass runs per plan. Aggregation
-    /// operators fan out to `threads` workers; results are identical for
-    /// every thread count.
-    pub fn execute_with(&self, rep: FRep, threads: usize) -> Result<FRep> {
-        crate::pipeline::execute_staged(self, rep, threads).map(|(rep, _)| rep)
+        crate::pipeline::execute(self, rep).map(|(rep, _)| rep)
     }
 
     /// Simulates the plan on an f-tree (what the optimiser explores).
@@ -164,11 +157,9 @@ impl FPlan {
 }
 
 /// Applies one operator to a representation, in place on its arena
-/// (see [`crate::ops`]); aggregation fans out to `threads` workers, the
-/// structural operators stay serial (they are linear single-pass
-/// rewrites). The staged executor dispatches every operator that is
-/// not part of a fused selection run through here.
-pub fn apply(rep: FRep, op: &FOp, threads: usize) -> Result<FRep> {
+/// (see [`crate::ops`]). The staged executor dispatches every operator
+/// that is not part of a fused selection run through here.
+pub fn apply(rep: FRep, op: &FOp) -> Result<FRep> {
     match op {
         FOp::SelectConst { attr, op, value } => ops::select_const(rep, *attr, *op, value),
         FOp::Merge { a, b } => ops::merge(rep, *a, *b),
@@ -187,7 +178,6 @@ pub fn apply(rep: FRep, op: &FOp, threads: usize) -> Result<FRep> {
             },
             funcs.clone(),
             outputs.clone(),
-            threads,
         ),
         FOp::ProjectAway { attr } => ops::project_away(rep, *attr),
         FOp::Rename { from, to } => ops::rename(rep, *from, *to),

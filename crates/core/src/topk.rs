@@ -17,9 +17,8 @@
 //! sequence number*, which makes its output **identical** to a stable
 //! sort followed by truncation: among rows with equal keys, the earliest
 //! enumerated rows win and they are emitted in enumeration order. Since
-//! enumeration order over a factorisation is deterministic (and
-//! bit-identical across executors and thread counts), two runs of the
-//! same query produce byte-identical results even when ties straddle the
+//! enumeration order over a factorisation is deterministic, two runs of
+//! the same query produce byte-identical results even when ties straddle the
 //! LIMIT boundary.
 
 use fdb_relational::{SortDir, Value};

@@ -137,7 +137,7 @@ fn branching_tree_round_trips_after_operators() {
     let nz = rep.ftree().node_of_attr(z).unwrap();
     let target = fdb_core::ops::AggTarget::subtree(rep.ftree(), nz);
     let rep =
-        fdb_core::ops::aggregate(rep, &target, vec![fdb_core::AggOp::Count], vec![out], 1).unwrap();
+        fdb_core::ops::aggregate(rep, &target, vec![fdb_core::AggOp::Count], vec![out]).unwrap();
     round_trip(&rep, &c);
 }
 

@@ -92,7 +92,6 @@ fn final_gamma(rep: FRep, func: AggOp, out: AttrId) -> FRep {
         },
         vec![func],
         vec![out],
-        1,
     )
     .unwrap()
 }
@@ -112,7 +111,6 @@ fn law1_pre_aggregation_is_absorbed_sum() {
         &AggTarget::subtree(f.rep.ftree(), item_node),
         vec![AggOp::Sum(f.price)],
         vec![partial_out],
-        1,
     )
     .unwrap();
     let composed = final_gamma(pre, AggOp::Sum(f.price), out);
@@ -135,7 +133,6 @@ fn law1_pre_aggregation_is_absorbed_count() {
         &AggTarget::subtree(f.rep.ftree(), date_node),
         vec![AggOp::Count],
         vec![partial],
-        1,
     )
     .unwrap();
     let composed = final_gamma(pre, AggOp::Count, out);
@@ -159,7 +156,6 @@ fn law1_min_max_absorbed() {
             &AggTarget::subtree(f.rep.ftree(), item_node),
             vec![func],
             vec![partial],
-            1,
         )
         .unwrap();
         let composed = final_gamma(pre, func, out);
@@ -184,7 +180,6 @@ fn law2_sum_after_count_on_disjoint_subtree() {
         &AggTarget::subtree(f.rep.ftree(), date_node),
         vec![AggOp::Count],
         vec![partial],
-        1,
     )
     .unwrap();
     let composed = final_gamma(pre, AggOp::Sum(f.price), out);
@@ -206,7 +201,6 @@ fn law3_disjoint_operators_commute() {
             &AggTarget::subtree(rep.ftree(), n),
             vec![AggOp::Count],
             vec![cnt_out],
-            1,
         )
         .unwrap()
     };
@@ -217,7 +211,6 @@ fn law3_disjoint_operators_commute() {
             &AggTarget::subtree(rep.ftree(), n),
             vec![AggOp::Sum(f.price)],
             vec![sum_out],
-            1,
         )
         .unwrap()
     };
@@ -247,7 +240,6 @@ fn example7_full_pipeline_equivalence() {
         &AggTarget::subtree(f.rep.ftree(), item_node),
         vec![AggOp::Sum(f.price)],
         vec![s1],
-        1,
     )
     .unwrap();
     // Restructure customer to the root for both sides.
@@ -260,7 +252,6 @@ fn example7_full_pipeline_equivalence() {
         &AggTarget::subtree(with_partials.ftree(), date_node),
         vec![AggOp::Count],
         vec![c1],
-        1,
     )
     .unwrap();
     let rev1 = f.catalog.intern("rev_a");
@@ -274,7 +265,6 @@ fn example7_full_pipeline_equivalence() {
         },
         vec![AggOp::Sum(f.price)],
         vec![rev1],
-        1,
     )
     .unwrap();
 
@@ -291,7 +281,6 @@ fn example7_full_pipeline_equivalence() {
         },
         vec![AggOp::Sum(f.price)],
         vec![rev2],
-        1,
     )
     .unwrap();
 

@@ -226,7 +226,7 @@ proptest! {
             _ => (AggOp::Max(attrs[2]), AggFunc::Max(attrs[2])),
         };
         let target = ops::AggTarget::subtree(rep.ftree(), ny);
-        let agged = ops::aggregate(rep, &target, vec![fop], vec![out], 1).unwrap();
+        let agged = ops::aggregate(rep, &target, vec![fop], vec![out]).unwrap();
         prop_assert!(agged.check_invariants().is_ok());
         let expected = rel_ops::group_aggregate(
             &rel,
@@ -242,10 +242,9 @@ proptest! {
     fn parallel_aggregate_matches_relational_group_aggregate(
         rows in prop::collection::vec((0i64..5, 0i64..5, -5i64..5), 0..30),
         func_pick in 0usize..4,
-        threads in 2usize..6,
     ) {
-        // The parallel aggregation operator against relational ground
-        // truth, on random data and random worker counts.
+        // The aggregation operator against relational ground truth on
+        // a rebuilt input, compared structurally with a second run.
         let (mut c, attrs) = catalog3();
         let rel = rel3(&attrs, &rows);
         if rel.is_empty() {
@@ -261,39 +260,37 @@ proptest! {
             _ => (AggOp::Max(attrs[2]), AggFunc::Max(attrs[2])),
         };
         let target = ops::AggTarget::subtree(rep.ftree(), ny);
-        let serial = ops::aggregate(rep.clone(), &target, vec![fop], vec![out], 1).unwrap();
-        let par = ops::aggregate(rep, &target, vec![fop], vec![out], threads).unwrap();
-        prop_assert!(par.check_invariants().is_ok());
-        // Parallel ≡ serial structurally, not just as a set.
-        prop_assert!(par.same_data(&serial));
+        let first = ops::aggregate(rep.clone(), &target, vec![fop], vec![out]).unwrap();
+        let again = ops::aggregate(rep, &target, vec![fop], vec![out]).unwrap();
+        prop_assert!(again.check_invariants().is_ok());
+        // Deterministic structurally, not just as a set.
+        prop_assert!(again.same_data(&first));
         let expected = rel_ops::group_aggregate(
             &rel,
             &[attrs[0]],
             &[AggSpec::new(ffunc, out).into()],
             GroupStrategy::Sort,
         );
-        let got = par.flatten().project_cols(&[attrs[0], out]).canonical();
+        let got = again.flatten().project_cols(&[attrs[0], out]).canonical();
         prop_assert_eq!(got, expected.canonical());
     }
 
     #[test]
     fn parallel_root_aggregate_matches_relational_global(
         rows in prop::collection::vec((0i64..5, 0i64..5, -5i64..5), 1..30),
-        threads in 2usize..6,
     ) {
-        // Root-level (single-group) reduction: the parallelism moves
-        // inside the recursive evaluators.
+        // Root-level (single-group) reduction through the recursive
+        // evaluators.
         let (mut c, attrs) = catalog3();
         let rel = rel3(&attrs, &rows);
         let rep = FRep::from_relation(&rel, FTree::path(&attrs)).unwrap();
         let out = c.intern("total");
         let roots = rep.ftree().roots().to_vec();
-        let par = ops::aggregate(
+        let agged = ops::aggregate(
             rep,
             &ops::AggTarget { parent: None, nodes: roots },
             vec![AggOp::Sum(attrs[2])],
             vec![out],
-            threads,
         )
         .unwrap();
         let expected = rel_ops::group_aggregate(
@@ -302,7 +299,7 @@ proptest! {
             &[AggSpec::new(AggFunc::Sum(attrs[2]), out).into()],
             GroupStrategy::Sort,
         );
-        prop_assert_eq!(par.flatten().canonical(), expected.canonical());
+        prop_assert_eq!(agged.flatten().canonical(), expected.canonical());
     }
 
     #[test]
@@ -343,42 +340,37 @@ proptest! {
 
 #[test]
 fn parallel_aggregate_empty_union_edge_case() {
-    // Aggregating an empty relation must stay the empty relation on
-    // every thread count (the only place empty unions are representable
-    // is at the roots).
+    // Aggregating an empty relation must stay the empty relation (the
+    // only place empty unions are representable is at the roots).
     let (mut c, attrs) = catalog3();
     let rel = Relation::empty(Schema::new(attrs.to_vec()));
     let out = c.intern("n");
-    for threads in [1usize, 2, 4] {
-        let rep = FRep::from_relation_with(&rel, FTree::path(&attrs), threads).unwrap();
-        let roots = rep.ftree().roots().to_vec();
-        let agged = ops::aggregate(
-            rep,
-            &ops::AggTarget {
-                parent: None,
-                nodes: roots,
-            },
-            vec![AggOp::Count],
-            vec![out],
-            threads,
-        )
-        .unwrap();
-        assert!(agged.is_empty(), "threads={threads}");
-        let expected = rel_ops::group_aggregate(
-            &rel,
-            &[],
-            &[AggSpec::new(AggFunc::Count, out).into()],
-            GroupStrategy::Sort,
-        );
-        assert!(expected.is_empty());
-    }
+    let rep = FRep::from_relation(&rel, FTree::path(&attrs)).unwrap();
+    let roots = rep.ftree().roots().to_vec();
+    let agged = ops::aggregate(
+        rep,
+        &ops::AggTarget {
+            parent: None,
+            nodes: roots,
+        },
+        vec![AggOp::Count],
+        vec![out],
+    )
+    .unwrap();
+    assert!(agged.is_empty());
+    let expected = rel_ops::group_aggregate(
+        &rel,
+        &[],
+        &[AggSpec::new(AggFunc::Count, out).into()],
+        GroupStrategy::Sort,
+    );
+    assert!(expected.is_empty());
 }
 
 #[test]
 fn parallel_aggregate_single_child_union_edge_case() {
-    // A parent union with exactly one entry: the entry-level fan-out is
-    // degenerate, so parallelism must shift inside the evaluation and
-    // still match relational ground truth.
+    // A parent union with exactly one entry must still match relational
+    // ground truth.
     let (mut c, attrs) = catalog3();
     let rows: Vec<(i64, i64, i64)> = (0..24).map(|i| (7, i % 6, i % 4)).collect();
     let rel = rel3(&attrs, &rows);
@@ -390,26 +382,22 @@ fn parallel_aggregate_single_child_union_edge_case() {
         GroupStrategy::Sort,
     )
     .canonical();
-    for threads in [1usize, 2, 4, 5] {
-        let rep = FRep::from_relation(&rel, FTree::path(&attrs)).unwrap();
-        assert_eq!(rep.root(0).len(), 1, "single x value");
-        let ny = rep.ftree().node_of_attr(attrs[1]).unwrap();
-        let target = ops::AggTarget::subtree(rep.ftree(), ny);
-        let agged =
-            ops::aggregate(rep, &target, vec![AggOp::Sum(attrs[2])], vec![out], threads).unwrap();
-        assert_eq!(
-            agged.flatten().project_cols(&[attrs[0], out]).canonical(),
-            expected,
-            "threads={threads}"
-        );
-    }
+    let rep = FRep::from_relation(&rel, FTree::path(&attrs)).unwrap();
+    assert_eq!(rep.root(0).len(), 1, "single x value");
+    let ny = rep.ftree().node_of_attr(attrs[1]).unwrap();
+    let target = ops::AggTarget::subtree(rep.ftree(), ny);
+    let agged = ops::aggregate(rep, &target, vec![AggOp::Sum(attrs[2])], vec![out]).unwrap();
+    assert_eq!(
+        agged.flatten().project_cols(&[attrs[0], out]).canonical(),
+        expected
+    );
 }
 
 #[test]
 fn parallel_aggregate_skewed_child_sizes_edge_case() {
     // One group holds almost all the data, the rest are singletons: the
-    // per-group fan-out is maximally unbalanced and must still agree
-    // with relational ground truth and the serial operator.
+    // groups are maximally unbalanced and must still agree with
+    // relational ground truth.
     let (mut c, attrs) = catalog3();
     let mut rows: Vec<(i64, i64, i64)> = (0..90).map(|i| (0, i % 9, i % 7)).collect();
     rows.extend((1..12).map(|g| (g, 0, g)));
@@ -428,24 +416,15 @@ fn parallel_aggregate_skewed_child_sizes_edge_case() {
             GroupStrategy::Sort,
         )
         .canonical();
-        let serial = {
-            let rep = FRep::from_relation(&rel, FTree::path(&attrs)).unwrap();
-            let ny = rep.ftree().node_of_attr(attrs[1]).unwrap();
-            let target = ops::AggTarget::subtree(rep.ftree(), ny);
-            ops::aggregate(rep, &target, vec![fop], vec![out], 1).unwrap()
-        };
-        for threads in [2usize, 3, 4, 8] {
-            let rep = FRep::from_relation(&rel, FTree::path(&attrs)).unwrap();
-            let ny = rep.ftree().node_of_attr(attrs[1]).unwrap();
-            let target = ops::AggTarget::subtree(rep.ftree(), ny);
-            let par = ops::aggregate(rep, &target, vec![fop], vec![out], threads).unwrap();
-            assert!(par.same_data(&serial), "threads={threads}");
-            assert_eq!(
-                par.flatten().project_cols(&[attrs[0], out]).canonical(),
-                expected,
-                "{fop:?} threads={threads}"
-            );
-        }
+        let rep = FRep::from_relation(&rel, FTree::path(&attrs)).unwrap();
+        let ny = rep.ftree().node_of_attr(attrs[1]).unwrap();
+        let target = ops::AggTarget::subtree(rep.ftree(), ny);
+        let agged = ops::aggregate(rep, &target, vec![fop], vec![out]).unwrap();
+        assert_eq!(
+            agged.flatten().project_cols(&[attrs[0], out]).canonical(),
+            expected,
+            "{fop:?}"
+        );
     }
 }
 
@@ -468,7 +447,6 @@ fn having_on_composite_aggregate_node() {
         &target,
         vec![AggOp::Sum(attrs[2]), AggOp::Count],
         vec![s, n],
-        1,
     )
     .unwrap();
     // HAVING s > 5: keeps only x=1 (sum 10 vs sum 3).
@@ -513,7 +491,6 @@ fn aggregate_multiple_sibling_targets_at_once() {
         },
         vec![AggOp::Count],
         vec![out],
-        1,
     )
     .unwrap();
     // Each x group holds 3 × 2 = 6 tuples.

@@ -11,7 +11,7 @@
 
 use fdb_core::frep::FRep;
 use fdb_core::ftree::{AggOp, FTree, NodeId, NodeLabel};
-use fdb_core::pipeline::execute_staged;
+use fdb_core::pipeline::execute;
 use fdb_core::plan::{apply, apply_to_tree, FOp, FPlan};
 use fdb_relational::ops as rel_ops;
 use fdb_relational::{AttrId, Catalog, CmpOp, Predicate, Relation, Schema, Value};
@@ -194,7 +194,7 @@ fn random_plan(tree0: &FTree, catalog: &mut Catalog, picks: &[(u8, u8, u8)]) -> 
 fn per_op(plan: &FPlan, mut rep: FRep) -> fdb_core::Result<(FRep, usize)> {
     let mut bytes = 0;
     for op in &plan.ops {
-        rep = apply(rep, op, 1)?.compact();
+        rep = apply(rep, op)?.compact();
         bytes += rep.data_bytes();
     }
     Ok((rep, bytes))
@@ -251,38 +251,29 @@ fn relational(plan: &FPlan, tree: &FTree, input: Relation) -> Option<Relation> {
 fn assert_fused_matches_legacy(rep: &FRep, plan: &FPlan) {
     let stepped = per_op(plan, rep.clone());
     let naive = relational(plan, rep.ftree(), rep.flatten());
-    for threads in [1usize, 2, 4] {
-        let fused = execute_staged(plan, rep.clone(), threads);
-        match (&stepped, &fused) {
-            (Ok((l, _)), Ok((f, _))) => {
-                assert!(
-                    f.check_invariants().is_ok(),
-                    "invariants (threads={threads}) on {plan:?}"
-                );
-                assert!(
-                    f.same_data(l),
-                    "data differs (threads={threads}) on {plan:?}"
-                );
+    let fused = execute(plan, rep.clone());
+    match (&stepped, &fused) {
+        (Ok((l, _)), Ok((f, _))) => {
+            assert!(f.check_invariants().is_ok(), "invariants on {plan:?}");
+            assert!(f.same_data(l), "data differs on {plan:?}");
+            assert_eq!(
+                f.ftree().canonical_key(),
+                l.ftree().canonical_key(),
+                "tree differs on {plan:?}"
+            );
+            if let Some(want) = &naive {
                 assert_eq!(
-                    f.ftree().canonical_key(),
-                    l.ftree().canonical_key(),
-                    "tree differs (threads={threads}) on {plan:?}"
+                    f.flatten().canonical(),
+                    want.project_cols(f.schema().attrs()).canonical(),
+                    "tuples differ from the relational evaluation on {plan:?}"
                 );
-                if let Some(want) = &naive {
-                    assert_eq!(
-                        f.flatten().canonical(),
-                        want.project_cols(f.schema().attrs()).canonical(),
-                        "tuples differ from the relational evaluation \
-                         (threads={threads}) on {plan:?}"
-                    );
-                }
             }
-            (Err(_), Err(_)) => {}
-            (l, f) => panic!(
-                "staged and one-at-a-time disagree on success (threads={threads}): \
-                 per-op {l:?} vs staged {f:?} on {plan:?}"
-            ),
         }
+        (Err(_), Err(_)) => {}
+        (l, f) => panic!(
+            "staged and one-at-a-time disagree on success: \
+             per-op {l:?} vs staged {f:?} on {plan:?}"
+        ),
     }
 }
 
@@ -360,7 +351,7 @@ fn staged_intermediate_bytes_beat_per_op_on_long_plans() {
         outputs: vec![out],
     });
     let (stepped, stepped_bytes) = per_op(&plan, rep.clone()).unwrap();
-    let (fused, staged) = execute_staged(&plan, rep, 1).unwrap();
+    let (fused, staged) = execute(&plan, rep).unwrap();
     assert!(fused.same_data(&stepped));
     assert!(staged.compacted);
     assert!(staged.copies_avoided > 0);

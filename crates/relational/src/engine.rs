@@ -9,7 +9,7 @@
 use crate::attr::Catalog;
 use crate::error::RelError;
 use crate::ops::GroupStrategy;
-use crate::plan::{execute_with, RelPlan};
+use crate::plan::{execute, RelPlan};
 use crate::planner::{eager_plan, naive_plan, JoinAggTask};
 use crate::relation::Relation;
 use crate::schema::Schema;
@@ -31,10 +31,6 @@ pub struct RdbEngine {
     relations: HashMap<String, Relation>,
     /// Default grouping strategy for plans that do not pin one.
     pub strategy: GroupStrategy,
-    /// Worker threads for grouping and sorting (`1` = serial, the
-    /// default; `0` = use the machine). Keeps the FDB-vs-RDB comparison
-    /// fair when the factorised engine runs parallel.
-    pub threads: usize,
 }
 
 impl RdbEngine {
@@ -44,7 +40,6 @@ impl RdbEngine {
             catalog,
             relations: HashMap::new(),
             strategy,
-            threads: 1,
         }
     }
 
@@ -84,8 +79,7 @@ impl RdbEngine {
 
     /// Executes a physical plan.
     pub fn execute(&self, plan: &RelPlan) -> Result<Relation, RelError> {
-        let threads = fdb_exec::effective_threads(self.threads);
-        execute_with(plan, &self.relations, self.strategy, threads)
+        execute(plan, &self.relations, self.strategy)
     }
 
     /// Plans and executes in one step.
@@ -137,7 +131,7 @@ impl RdbEngine {
             out = crate::ops::select(&out, &task.having);
         }
         if !task.order_by.is_empty() {
-            out.sort_by_keys_par(&task.order_by, fdb_exec::effective_threads(self.threads));
+            out.sort_by_keys(&task.order_by);
         }
         if task.limit.is_some() || task.offset > 0 {
             out = crate::ops::page(&out, task.offset, task.limit);

@@ -108,27 +108,6 @@ pub fn group_aggregate(
     aggs: &[PhysAggSpec],
     strategy: GroupStrategy,
 ) -> Relation {
-    group_aggregate_with(rel, group, aggs, strategy, 1)
-}
-
-/// [`group_aggregate`] on up to `threads` worker threads.
-///
-/// * **Sort**: the input is sorted by the parallel stable sort, then the
-///   run-fold is partitioned into group-aligned row ranges — each group
-///   is folded wholly by one worker, so the result (including its order)
-///   is identical to the serial fold for every thread count.
-/// * **Hash**: each worker owns the keys whose (fixed-seed) hash lands
-///   in its partition and scans the input for them; concatenation order
-///   across workers is unspecified, exactly like the serial hash table's
-///   iteration order.
-pub fn group_aggregate_with(
-    rel: &Relation,
-    group: &[AttrId],
-    aggs: &[PhysAggSpec],
-    strategy: GroupStrategy,
-    threads: usize,
-) -> Relation {
-    let threads = threads.max(1);
     let schema = rel.schema().clone();
     let group_pos: Vec<usize> = group
         .iter()
@@ -151,102 +130,24 @@ pub fn group_aggregate_with(
                 .map(|&a| crate::relation::SortKey::asc(a))
                 .collect();
             let mut sorted = rel.clone();
-            sorted.sort_by_keys_par(&keys, threads);
-            let n = sorted.len();
-            if threads == 1 || n < 2 {
-                return fold_sorted_range(&sorted, 0, n, &schema, &group_pos, aggs, &out_schema);
-            }
-            // Partition rows into group-aligned ranges: a boundary may
-            // only fall where the group key changes, so every group is
-            // folded by exactly one worker.
-            let same_key = |i: usize, j: usize| {
-                group_pos
-                    .iter()
-                    .all(|&p| sorted.row(i)[p] == sorted.row(j)[p])
-            };
-            // Morsel-count ranges (~4× threads, see fdb-exec): when one
-            // group dominates the table, its range stays pinned to one
-            // worker while the many small ranges rebalance via stealing.
-            let parts = fdb_exec::morsel_count(n, threads);
-            let mut bounds: Vec<usize> = vec![0];
-            for t in 1..parts {
-                let mut b = (t * n) / parts;
-                let lo = *bounds.last().expect("non-empty");
-                b = b.max(lo);
-                while b < n && b > 0 && same_key(b - 1, b) {
-                    b += 1;
-                }
-                bounds.push(b);
-            }
-            bounds.push(n);
-            let ranges: Vec<(usize, usize)> = bounds
-                .windows(2)
-                .map(|w| (w[0], w[1]))
-                .filter(|&(lo, hi)| lo < hi)
-                .collect();
-            let parts = fdb_exec::parallel_map(threads, ranges, |(lo, hi)| {
-                fold_sorted_range(&sorted, lo, hi, &schema, &group_pos, aggs, &out_schema)
-            });
-            concat_parts(out_schema, parts)
+            sorted.sort_by_keys(&keys);
+            fold_sorted(&sorted, &schema, &group_pos, aggs, &out_schema)
         }
-        GroupStrategy::Hash => {
-            let n = rel.len();
-            if threads == 1 {
-                return fold_hash_indices(rel, 0..n, &schema, &group_pos, aggs, &out_schema);
-            }
-            // Each partition of the key space is aggregated wholly by
-            // one worker (no accumulator merging, and each key's rows
-            // fold in input order exactly like the serial table). The
-            // partition count follows the morsel sizing rule (~4×
-            // threads) so a hot key's partition pins one worker while
-            // the other partitions drain via stealing. Key hashes are
-            // computed once in parallel, then one serial O(n) pass
-            // buckets row indices so each worker touches only its own
-            // rows.
-            let partitions = fdb_exec::morsel_count(n, threads);
-            let chunks = fdb_exec::split_morsels((0..n).collect::<Vec<usize>>(), threads);
-            let partition_of: Vec<u64> = fdb_exec::parallel_map(threads, chunks, |chunk| {
-                chunk
-                    .into_iter()
-                    .map(|i| key_partition(rel.row(i), &group_pos, partitions as u64))
-                    .collect::<Vec<u64>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-            let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); partitions];
-            for (i, &part) in partition_of.iter().enumerate() {
-                buckets[part as usize].push(i);
-            }
-            let parts = fdb_exec::parallel_map(threads, buckets, |bucket| {
-                fold_hash_indices(
-                    rel,
-                    bucket.into_iter(),
-                    &schema,
-                    &group_pos,
-                    aggs,
-                    &out_schema,
-                )
-            });
-            concat_parts(out_schema, parts)
-        }
+        GroupStrategy::Hash => fold_hash(rel, &schema, &group_pos, aggs, &out_schema),
     }
 }
 
-/// Hash-groups the rows at the given indices (in index order, so each
-/// key's accumulation folds exactly as in a serial scan) and emits one
-/// output row per key in the table's iteration order.
-fn fold_hash_indices(
+/// Hash-groups the rows in input order and emits one output row per key
+/// in the table's iteration order.
+fn fold_hash(
     rel: &Relation,
-    indices: impl Iterator<Item = usize>,
     schema: &Schema,
     group_pos: &[usize],
     aggs: &[PhysAggSpec],
     out_schema: &Schema,
 ) -> Relation {
     let mut table: HashMap<Vec<Value>, Vec<PhysAcc>> = HashMap::new();
-    for i in indices {
-        let row = rel.row(i);
+    for row in rel.rows() {
         let key: Vec<Value> = group_pos.iter().map(|&p| row[p].clone()).collect();
         let accs = table
             .entry(key)
@@ -268,23 +169,10 @@ fn fold_hash_indices(
     out
 }
 
-/// Fixed-seed partition of a row's group key: deterministic within a
-/// build (SipHash with zeroed keys), independent of thread scheduling.
-fn key_partition(row: &[Value], group_pos: &[usize], workers: u64) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for &p in group_pos {
-        row[p].hash(&mut h);
-    }
-    h.finish() % workers
-}
-
-/// Folds the sorted row range `[lo, hi)` into one output row per group
-/// run — the serial sort-grouping scan, restricted to a range.
-fn fold_sorted_range(
+/// Folds the sorted rows into one output row per group run — the
+/// sort-grouping scan.
+fn fold_sorted(
     sorted: &Relation,
-    lo: usize,
-    hi: usize,
     schema: &Schema,
     group_pos: &[usize],
     aggs: &[PhysAggSpec],
@@ -303,8 +191,7 @@ fn fold_sorted_range(
             }
             out.push_row(buf);
         };
-    for i in lo..hi {
-        let row = sorted.row(i);
+    for row in sorted.rows() {
         let key: Vec<Value> = group_pos.iter().map(|&p| row[p].clone()).collect();
         match &current {
             Some(k) if *k == key => {}
@@ -321,18 +208,6 @@ fn fold_sorted_range(
     }
     if let Some(k) = current {
         flush(&mut accs, &k, &mut out, &mut buf);
-    }
-    out
-}
-
-/// Concatenates per-worker partial outputs in worker order.
-fn concat_parts(out_schema: Schema, parts: Vec<Relation>) -> Relation {
-    let mut out = Relation::empty(out_schema);
-    for part in parts {
-        out.reserve(part.len());
-        for row in part.rows() {
-            out.push_row(row);
-        }
     }
     out
 }
@@ -443,52 +318,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sort_grouping_matches_serial_exactly() {
-        // Skewed groups: one key owns most rows, so group-aligned range
-        // splitting must extend a boundary across the hot run.
-        let mut c = Catalog::new();
-        let g = c.intern("g");
-        let v = c.intern("v");
-        let mut rows: Vec<(i64, i64)> = (0..60).map(|i| (0, i)).collect();
-        rows.extend((0..12).map(|i| (1 + (i % 3), i)));
-        let rel = Relation::from_rows(
-            Schema::new(vec![g, v]),
-            rows.iter()
-                .map(|&(a, b)| vec![Value::Int(a), Value::Int(b)]),
-        );
-        let s = c.intern("s");
-        let n = c.intern("n");
-        let aggs = vec![
-            PhysAggSpec::from(AggSpec::new(AggFunc::Sum(v), s)),
-            PhysAggSpec::from(AggSpec::new(AggFunc::Count, n)),
-        ];
-        let serial = group_aggregate(&rel, &[g], &aggs, GroupStrategy::Sort);
-        for threads in [2, 3, 4, 7] {
-            let par = group_aggregate_with(&rel, &[g], &aggs, GroupStrategy::Sort, threads);
-            // Sort grouping is order-deterministic: exact equality.
-            assert_eq!(par, serial, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_hash_grouping_matches_serial_as_a_set() {
-        let (mut c, rel) = sales();
-        let cust = c.lookup("customer").unwrap();
-        let aggs = specs(&mut c);
-        let serial = group_aggregate(&rel, &[cust], &aggs, GroupStrategy::Hash).canonical();
-        for threads in [2, 4] {
-            let par = group_aggregate_with(&rel, &[cust], &aggs, GroupStrategy::Hash, threads)
-                .canonical();
-            assert_eq!(par, serial, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn parallel_global_aggregate_without_grouping() {
         let (mut c, rel) = sales();
         let aggs = specs(&mut c);
         for strategy in [GroupStrategy::Sort, GroupStrategy::Hash] {
-            let out = group_aggregate_with(&rel, &[], &aggs, strategy, 4);
+            let out = group_aggregate(&rel, &[], &aggs, strategy);
             assert_eq!(out.len(), 1);
             assert_eq!(out.row(0)[0], Value::Int(40));
             assert_eq!(out.row(0)[1], Value::Int(5));
@@ -501,7 +335,7 @@ mod tests {
         let empty = Relation::empty(rel.schema().clone());
         let aggs = specs(&mut c);
         for strategy in [GroupStrategy::Sort, GroupStrategy::Hash] {
-            assert!(group_aggregate_with(&empty, &[], &aggs, strategy, 4).is_empty());
+            assert!(group_aggregate(&empty, &[], &aggs, strategy).is_empty());
         }
     }
 

@@ -11,8 +11,8 @@ mod project;
 mod select;
 mod sort;
 
-pub use aggregate::{group_aggregate, group_aggregate_with, GroupStrategy};
+pub use aggregate::{group_aggregate, GroupStrategy};
 pub use join::{hash_join, product, sort_merge_join};
 pub use project::project;
 pub use select::select;
-pub use sort::{limit, order_by, order_by_par, page, top_k};
+pub use sort::{limit, order_by, page, top_k};

@@ -9,14 +9,6 @@ pub fn order_by(rel: &Relation, keys: &[SortKey]) -> Relation {
     out
 }
 
-/// [`order_by`] using the parallel stable sort; identical output for
-/// every thread count.
-pub fn order_by_par(rel: &Relation, keys: &[SortKey], threads: usize) -> Relation {
-    let mut out = rel.clone();
-    out.sort_by_keys_par(keys, threads);
-    out
-}
-
 /// Returns the first `k` tuples in the relation's current order (`λk`).
 pub fn limit(rel: &Relation, k: usize) -> Relation {
     let mut out = Relation::empty(rel.schema().clone());

@@ -226,25 +226,13 @@ pub fn execute(
     relations: &HashMap<String, Relation>,
     default_strategy: GroupStrategy,
 ) -> Result<Relation, RelError> {
-    execute_with(plan, relations, default_strategy, 1)
-}
-
-/// [`execute`] with grouping and sorting parallelised on up to
-/// `threads` workers (joins, selections and projections stay serial —
-/// the paper's baselines are dominated by grouping and sorting).
-pub fn execute_with(
-    plan: &RelPlan,
-    relations: &HashMap<String, Relation>,
-    default_strategy: GroupStrategy,
-    threads: usize,
-) -> Result<Relation, RelError> {
     match plan {
         RelPlan::Scan(name) => relations
             .get(name)
             .cloned()
             .ok_or_else(|| RelError::UnknownRelation(name.clone())),
         RelPlan::Select { input, preds } => {
-            let rel = execute_with(input, relations, default_strategy, threads)?;
+            let rel = execute(input, relations, default_strategy)?;
             Ok(ops::select(&rel, preds))
         }
         RelPlan::Project {
@@ -252,12 +240,12 @@ pub fn execute_with(
             attrs,
             distinct,
         } => {
-            let rel = execute_with(input, relations, default_strategy, threads)?;
+            let rel = execute(input, relations, default_strategy)?;
             Ok(ops::project(&rel, attrs, *distinct))
         }
         RelPlan::Join { left, right, algo } => {
-            let l = execute_with(left, relations, default_strategy, threads)?;
-            let r = execute_with(right, relations, default_strategy, threads)?;
+            let l = execute(left, relations, default_strategy)?;
+            let r = execute(right, relations, default_strategy)?;
             Ok(match algo {
                 JoinAlgo::Hash => ops::hash_join(&l, &r),
                 JoinAlgo::SortMerge => ops::sort_merge_join(&l, &r),
@@ -269,25 +257,24 @@ pub fn execute_with(
             aggs,
             strategy,
         } => {
-            let rel = execute_with(input, relations, default_strategy, threads)?;
-            Ok(ops::group_aggregate_with(
+            let rel = execute(input, relations, default_strategy)?;
+            Ok(ops::group_aggregate(
                 &rel,
                 group,
                 aggs,
                 strategy.unwrap_or(default_strategy),
-                threads,
             ))
         }
         RelPlan::Derive { input, exprs } => {
-            let rel = execute_with(input, relations, default_strategy, threads)?;
+            let rel = execute(input, relations, default_strategy)?;
             derive(&rel, exprs)
         }
         RelPlan::Sort { input, keys } => {
-            let rel = execute_with(input, relations, default_strategy, threads)?;
-            Ok(ops::order_by_par(&rel, keys, threads))
+            let rel = execute(input, relations, default_strategy)?;
+            Ok(ops::order_by(&rel, keys))
         }
         RelPlan::Limit { input, skip, k } => {
-            let rel = execute_with(input, relations, default_strategy, threads)?;
+            let rel = execute(input, relations, default_strategy)?;
             Ok(ops::page(&rel, *skip, *k))
         }
     }

@@ -282,16 +282,6 @@ impl Relation {
     /// Attributes not mentioned in `keys` keep their relative order, which
     /// mirrors how re-sorting can reuse existing orders (§1).
     pub fn sort_by_keys(&mut self, keys: &[SortKey]) {
-        self.sort_by_keys_par(keys, 1);
-    }
-
-    /// Parallel stable sort on up to `threads` worker threads.
-    ///
-    /// Contiguous row chunks are stable-sorted in parallel and then
-    /// stably merged (ties take the left, i.e. earlier, chunk), so the
-    /// result is **identical** to [`Relation::sort_by_keys`] for every
-    /// thread count; `threads <= 1` is exactly the serial sort.
-    pub fn sort_by_keys_par(&mut self, keys: &[SortKey], threads: usize) {
         let positions: Vec<(usize, SortDir)> = keys
             .iter()
             .map(|k| {
@@ -307,9 +297,9 @@ impl Relation {
         if a == 0 {
             return;
         }
-        let n = self.len();
         let data = &self.data;
-        let cmp = |i: usize, j: usize| -> Ordering {
+        let mut index: Vec<usize> = (0..self.len()).collect();
+        index.sort_by(|&i, &j| {
             let ri = &data[i * a..(i + 1) * a];
             let rj = &data[j * a..(j + 1) * a];
             for &(p, dir) in &positions {
@@ -319,40 +309,7 @@ impl Relation {
                 }
             }
             Ordering::Equal
-        };
-        let index: Vec<usize> = if threads <= 1 || n < 2 {
-            let mut index: Vec<usize> = (0..n).collect();
-            index.sort_by(|&i, &j| cmp(i, j));
-            index
-        } else {
-            // Sort contiguous index chunks in parallel, carved at morsel
-            // granularity (~4× threads) so stealing rebalances uneven
-            // comparison costs. Each chunk holds ascending original
-            // indices, and `sort_by` is stable, so ties within a chunk
-            // keep input order.
-            let chunks = fdb_exec::split_morsels((0..n).collect(), threads);
-            let mut runs = fdb_exec::parallel_map(threads, chunks, |mut chunk: Vec<usize>| {
-                chunk.sort_by(|&i, &j| cmp(i, j));
-                chunk
-            });
-            // Merge adjacent runs pairwise; the independent pair merges
-            // of each round run on the pool too. Every index of a left
-            // run precedes every index of its right run in the input, so
-            // taking the left on ties preserves overall stability.
-            while runs.len() > 1 {
-                let mut pairs: Vec<(Vec<usize>, Option<Vec<usize>>)> =
-                    Vec::with_capacity(runs.len().div_ceil(2));
-                let mut it = runs.into_iter();
-                while let Some(left) = it.next() {
-                    pairs.push((left, it.next()));
-                }
-                runs = fdb_exec::parallel_map(threads, pairs, |(left, right)| match right {
-                    Some(right) => merge_runs(left, right, &cmp),
-                    None => left,
-                });
-            }
-            runs.pop().unwrap_or_default()
-        };
+        });
         let mut out = Vec::with_capacity(self.data.len());
         for i in index {
             out.extend_from_slice(&self.data[i * a..(i + 1) * a]);
@@ -445,40 +402,6 @@ impl Relation {
             catalog,
         }
     }
-}
-
-/// Stable two-way merge of sorted index runs: ties take `left`, whose
-/// indices all precede `right`'s in the original input.
-fn merge_runs(
-    left: Vec<usize>,
-    right: Vec<usize>,
-    cmp: &impl Fn(usize, usize) -> Ordering,
-) -> Vec<usize> {
-    let mut out = Vec::with_capacity(left.len() + right.len());
-    let mut li = left.into_iter().peekable();
-    let mut ri = right.into_iter().peekable();
-    loop {
-        match (li.peek(), ri.peek()) {
-            (Some(&l), Some(&r)) => {
-                if cmp(l, r) == Ordering::Greater {
-                    out.push(r);
-                    ri.next();
-                } else {
-                    out.push(l);
-                    li.next();
-                }
-            }
-            (Some(_), None) => {
-                out.extend(li.by_ref());
-                break;
-            }
-            (None, _) => {
-                out.extend(ri.by_ref());
-                break;
-            }
-        }
-    }
-    out
 }
 
 enum RowsIter<'a> {
@@ -673,31 +596,6 @@ mod tests {
         let (c, rel) = rel_ab(&[(1, 2)]);
         let s = rel.display(&c).to_string();
         assert!(s.contains('a') && s.contains('b') && s.contains('1'));
-    }
-
-    #[test]
-    fn parallel_sort_matches_serial_exactly() {
-        // Duplicated keys force tie-breaking: the parallel merge must
-        // reproduce the serial stable order bit for bit.
-        let mut c = Catalog::new();
-        let a = c.intern("a");
-        let b = c.intern("b");
-        let rows: Vec<(i64, i64)> = (0..97).map(|i| ((i * 7) % 5, (i * 13) % 3)).collect();
-        let mk = || {
-            Relation::from_rows(
-                Schema::new(vec![a, b]),
-                rows.iter()
-                    .map(|&(x, y)| vec![Value::Int(x), Value::Int(y)]),
-            )
-        };
-        let keys = [SortKey::asc(a), SortKey::desc(b)];
-        let mut serial = mk();
-        serial.sort_by_keys(&keys);
-        for threads in [2, 3, 4, 8] {
-            let mut par = mk();
-            par.sort_by_keys_par(&keys, threads);
-            assert_eq!(par, serial, "threads={threads}");
-        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! * **Accept loop** (one thread): non-blocking `accept` polled against
 //!   the shutdown flag; accepted connections go into a `Mutex<VecDeque>`
 //!   + `Condvar` queue.
-//! * **Worker pool** (`workers` threads, default [`DEFAULT_WORKERS`]):
+//! * **Worker pool** (`workers` of them, default [`DEFAULT_WORKERS`]):
 //!   each pops a connection and serves its requests to completion. A
 //!   worker keeps one [`fdb::Session`] and re-snapshots when the
 //!   database [epoch](fdb::Db::epoch) moves (after a `LOAD` or a write:
@@ -69,14 +69,14 @@ const POLL_INTERVAL: Duration = Duration::from_millis(100);
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct ServerOptions {
-    /// Worker threads (connections served concurrently).
+    /// Workers (connections served concurrently).
     pub workers: usize,
     /// Per-request run budget; `None` disables deadlines.
     pub deadline: Option<Duration>,
     /// Plan-cache capacity in entries; `0` disables the cache.
     pub cache_capacity: usize,
-    /// Base run options applied to every request (threads, plan search,
-    /// ordering mode…). The deadline field above is layered on top.
+    /// Base run options applied to every request (plan search,
+    /// consolidation…). The deadline field above is layered on top.
     pub run: RunOptions,
 }
 
@@ -101,7 +101,7 @@ impl ServerOptions {
     /// twice the machine's parallelism, capped at [`DEFAULT_WORKERS`] —
     /// workers mostly block on sockets, so modest oversubscription is
     /// the right trade, but the floor tracks the hardware instead of
-    /// pinning 16 threads onto a 2-core runner.
+    /// pinning 16 workers onto a 2-core runner.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
@@ -212,7 +212,7 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Number of worker threads actually spawned (after `0` = auto
+    /// Number of workers actually spawned (after `0` = auto
     /// resolution via [`auto_workers`]). Drops to 0 once
     /// [`shutdown`](ServerHandle::shutdown) has joined the pool.
     pub fn workers(&self) -> usize {
@@ -244,10 +244,9 @@ impl Drop for ServerHandle {
 /// machine's parallelism — workers mostly block on sockets, so modest
 /// oversubscription keeps the cores busy — capped at
 /// [`DEFAULT_WORKERS`] and never below the core count itself on bigger
-/// machines. Unlike the old `effective_threads(0).max(16)` rule, a
-/// 2-core CI runner gets 4 workers, not a 16-thread pool.
+/// machines.
 pub fn auto_workers() -> usize {
-    let cores = fdb_exec::effective_threads(0);
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
     cores.max((2 * cores).min(DEFAULT_WORKERS))
 }
 

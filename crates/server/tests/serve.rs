@@ -744,3 +744,40 @@ fn unrepresentable_delete_answers_err_and_the_worker_survives() {
     c.quit().unwrap();
     server.shutdown();
 }
+
+/// Sends one request on a fresh connection and returns its status line,
+/// giving up after a few seconds instead of blocking on a dead worker.
+fn status_with_timeout(addr: std::net::SocketAddr, line: &str) -> std::io::Result<String> {
+    use std::io::{BufRead, Write};
+    let mut stream = std::net::TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
+    stream.write_all(format!("{line}\n").as_bytes())?;
+    let mut status = String::new();
+    std::io::BufReader::new(stream).read_line(&mut status)?;
+    Ok(status.trim_end().to_string())
+}
+
+#[test]
+fn hostile_fdbv1_load_answers_err_and_the_worker_survives() {
+    // A 26-byte file announcing 2^64 − 1 attributes: the loader must
+    // refuse it, not allocate for it.
+    let path = std::env::temp_dir().join(format!("fdb_hostile_{}.fdbv1", std::process::id()));
+    std::fs::write(&path, "fdbv1 18446744073709551615").unwrap();
+    let mut server = spawn(
+        pizzeria_db(),
+        "127.0.0.1:0",
+        ServerOptions::new().workers(1),
+    )
+    .unwrap();
+
+    let status = status_with_timeout(server.addr(), &format!("LOAD V {}", path.display()));
+    std::fs::remove_file(&path).ok();
+    let status = status.expect("LOAD got an answer");
+    assert!(status.starts_with("ERR "), "{status}");
+    assert!(status.contains("malformed"), "{status}");
+
+    // The one worker is still there to answer the next connection.
+    let status = status_with_timeout(server.addr(), "PING").expect("PING got an answer");
+    assert!(status.starts_with("OK"), "{status}");
+    server.shutdown();
+}

@@ -45,7 +45,6 @@ fn main() {
         &target,
         vec![AggOp::Sum(a.price)],
         vec![sumprice],
-        1,
     )
     .expect("γ sum(price) over the item subtree");
     println!("f-tree T2:\n{}", s.ftree().display(&catalog));
@@ -68,8 +67,7 @@ fn main() {
     let n_date = p.ftree().node_of_attr(a.date).unwrap();
     let countdate = catalog.intern("countdate");
     let target = AggTarget::subtree(p.ftree(), n_date);
-    let p =
-        ops::aggregate(p, &target, vec![AggOp::Count], vec![countdate], 1).expect("γ count(date)");
+    let p = ops::aggregate(p, &target, vec![AggOp::Count], vec![countdate]).expect("γ count(date)");
     println!("f-tree T4:\n{}", p.ftree().display(&catalog));
     println!("factorisation over T4:\n{}\n", p.display(&catalog));
 
@@ -84,7 +82,6 @@ fn main() {
         },
         vec![AggOp::Sum(a.price)],
         vec![revenue],
-        1,
     )
     .expect("final γ sum(price)");
     println!("final result:\n{}\n", p_final.display(&catalog));

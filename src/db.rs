@@ -13,7 +13,8 @@
 //!   copies the catalog and the name tables but **shares** every arena
 //!   and relation buffer. A session is therefore a consistent snapshot —
 //!   registrations that happen later are invisible to it;
-//! * many sessions on many threads read the same arenas concurrently;
+//! * many sessions, each on its own thread, read the same arenas
+//!   concurrently;
 //!   results are byte-identical to the single-threaded library run
 //!   (pinned by `tests/shared_snapshot.rs` and the oracle sweep);
 //! * [`Db`] tracks an **epoch** bumped on every registration, so a
@@ -516,7 +517,7 @@ impl Session {
     }
 
     /// [`Session::query`] with explicit per-call options (the serving
-    /// layer threads per-request deadlines through here).
+    /// layer passes per-request deadlines through here).
     ///
     /// The attributes a run interns (aliases, derived aggregate names,
     /// partial-aggregate scratch) are forgotten once the outcome is

@@ -32,12 +32,9 @@ impl EnginePair {
         self.rdb_hash.register(name, rel);
     }
 
-    /// Parses `sql`, runs it on all engines and plan modes **and every
-    /// thread count of [`thread_sweep`]**, and asserts that every result
-    /// is the same set of tuples (the parallel≡serial differential
-    /// oracle). Every parallel run is additionally checked
-    /// **bit-identical** to the serial one — same factorisation, same
-    /// enumerated rows in the same order. Returns the canonical result.
+    /// Parses `sql`, runs it on all engines and plan modes, and asserts
+    /// that every result is the same set of tuples. Returns the canonical
+    /// result.
     pub fn assert_all_agree(&mut self, sql: &str) -> Relation {
         let schemas = self.fdb.schemas();
         let query = fdb::parse(sql, &mut self.fdb.catalog, &schemas)
@@ -83,49 +80,17 @@ impl EnginePair {
         assert_eq!(rdb_hash, rdb_naive, "hash vs sort grouping on `{sql}`");
         assert_eq!(rdb_eager, rdb_naive, "eager vs naive on `{sql}`");
 
-        // fdb: every plan flavour × every thread count must reproduce the
-        // relational ground truth.
-        for threads in thread_sweep() {
-            for (name, opts) in &flavours {
-                let opts = opts.threads(threads);
-                let out = self
-                    .fdb
-                    .run(&task, opts)
-                    .unwrap_or_else(|e| panic!("fdb {name} (threads={threads}) `{sql}`: {e}"))
-                    .to_relation()
-                    .unwrap_or_else(|e| {
-                        panic!("fdb {name} (threads={threads}) enumerate `{sql}`: {e}")
-                    })
-                    .canonical();
-                assert_eq!(
-                    out, rdb_naive,
-                    "fdb {name} (threads={threads}) vs rdb naive on `{sql}`"
-                );
-            }
-
-            // Parallel vs serial: bit-identical factorisation and
-            // enumeration (not just the same tuple set). The f-trees are
-            // not compared by canonical key: each `run` interns its own
-            // fresh output attributes, so node labels differ across runs.
-            if threads > 1 {
-                let serial = self
-                    .fdb
-                    .run(&task, RunOptions::default())
-                    .unwrap_or_else(|e| panic!("fdb serial `{sql}`: {e}"));
-                let parallel = self
-                    .fdb
-                    .run(&task, RunOptions::with_threads(threads))
-                    .unwrap_or_else(|e| panic!("fdb (threads={threads}) `{sql}`: {e}"));
-                assert!(
-                    parallel.rep().same_data(serial.rep()),
-                    "parallel vs serial factorisation (threads={threads}) on `{sql}`"
-                );
-                assert_eq!(
-                    parallel.to_relation().unwrap(),
-                    serial.to_relation().unwrap(),
-                    "parallel vs serial enumeration (threads={threads}) on `{sql}`"
-                );
-            }
+        // fdb: every plan flavour must reproduce the relational ground
+        // truth.
+        for (name, opts) in &flavours {
+            let out = self
+                .fdb
+                .run(&task, *opts)
+                .unwrap_or_else(|e| panic!("fdb {name} `{sql}`: {e}"))
+                .to_relation()
+                .unwrap_or_else(|e| panic!("fdb {name} enumerate `{sql}`: {e}"))
+                .canonical();
+            assert_eq!(out, rdb_naive, "fdb {name} vs rdb naive on `{sql}`");
         }
 
         // Shared-snapshot axis: concurrent sessions over one Db (cheap
@@ -157,29 +122,6 @@ impl EnginePair {
             rdb_naive,
             "shared-snapshot session vs rdb naive on `{sql}`"
         );
-
-        // rdb: the parallel baselines must agree with their serial selves.
-        for threads in thread_sweep() {
-            if threads == 1 {
-                continue;
-            }
-            self.rdb_sort.threads = threads;
-            self.rdb_hash.threads = threads;
-            let sort_par = self
-                .rdb_sort
-                .run(&task, PlanMode::Naive)
-                .unwrap()
-                .canonical();
-            let hash_par = self
-                .rdb_hash
-                .run(&task, PlanMode::Naive)
-                .unwrap()
-                .canonical();
-            self.rdb_sort.threads = 1;
-            self.rdb_hash.threads = 1;
-            assert_eq!(sort_par, rdb_naive, "rdb sort (threads={threads}) `{sql}`");
-            assert_eq!(hash_par, rdb_naive, "rdb hash (threads={threads}) `{sql}`");
-        }
         rdb_naive
     }
 
@@ -196,21 +138,6 @@ impl EnginePair {
             .to_relation()
             .unwrap_or_else(|e| panic!("fdb enumerate `{sql}`: {e}"))
     }
-}
-
-/// The worker-thread counts the differential suites sweep: `{1, 2, 4}`
-/// by default. Setting `FDB_TEST_THREADS=N` *replaces* the parallel
-/// part with `{1, N}` — serial stays as the reference — so CI can
-/// exercise an extra, odd count without re-paying the default sweep.
-pub fn thread_sweep() -> Vec<usize> {
-    if let Ok(v) = std::env::var("FDB_TEST_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 1 {
-                return vec![1, n];
-            }
-        }
-    }
-    vec![1, 2, 4]
 }
 
 /// The pizzeria database registered in all engines.

@@ -1,13 +1,10 @@
 //! Property-based equivalence: the factorised engine must agree with the
 //! relational baselines on randomly generated databases and queries, for
 //! every plan flavour (greedy/exhaustive, consolidated or not, sort/hash
-//! grouping, naive/eager aggregation) **and every worker-thread count**
-//! of `common::thread_sweep()` — the parallel≡serial differential
-//! oracle: `threads ∈ {1, 2, 4}` (plus `FDB_TEST_THREADS`) must produce
-//! the same `Relation::canonical` on every database × query × flavour.
-//! Each sweep additionally pins every parallel run bit-identical to the
-//! serial one (see `common::EnginePair::assert_all_agree`); the staged
-//! executor is checked plan by plan, on random f-plans, in
+//! grouping, naive/eager aggregation): every flavour must produce the
+//! same `Relation::canonical` on every database × query (see
+//! `common::EnginePair::assert_all_agree`); the staged executor is
+//! checked plan by plan, on random f-plans, in
 //! `crates/core/tests/pipeline_fused.rs`.
 //!
 //! The query corpus covers joins of one to three relations, all five
@@ -284,10 +281,11 @@ fn skewed_database_one_hot_key() {
 #[test]
 fn thread_sweep_on_larger_skewed_database() {
     // A bigger, heavily skewed database run directly against the engine
-    // (not only through `assert_all_agree`): the parallel runs must match
-    // the serial run for the whole corpus, including the exact order of
-    // ordered results.
+    // (not only through `assert_all_agree`): every corpus query must match
+    // the relational engine as a set, and a second run must repeat the
+    // first exactly, including the order of ordered results.
     use fdb::core::engine::RunOptions;
+    use fdb::relational::engine::PlanMode;
     let r: Vec<(i64, i64)> = (0..120).map(|i| (i % 13, i % 4)).collect();
     let s: Vec<(i64, i64)> = (0..150).map(|j| (j % 4, j % 17)).collect();
     let t: Vec<(i64, i64)> = (0..80).map(|k| (k % 17, k % 9)).collect();
@@ -295,27 +293,19 @@ fn thread_sweep_on_larger_skewed_database() {
     for sql in corpus() {
         let schemas = pair.fdb.schemas();
         let query = fdb::parse(sql, &mut pair.fdb.catalog, &schemas).unwrap();
+        pair.rdb_sort.catalog = pair.fdb.catalog.clone();
         let task = query.to_task();
-        let serial = pair
-            .fdb
-            .run(&task, RunOptions::default())
-            .unwrap()
-            .to_relation()
-            .unwrap();
-        for threads in common::thread_sweep() {
-            if threads == 1 {
-                continue;
-            }
-            let par = pair
-                .fdb
-                .run(&task, RunOptions::with_threads(threads))
+        let mut run = || {
+            pair.fdb
+                .run(&task, RunOptions::default())
                 .unwrap()
                 .to_relation()
-                .unwrap();
-            // Exact equality, not just canonical: parallelism must not
-            // perturb enumeration or sort order.
-            assert_eq!(par, serial, "`{sql}` threads={threads}");
-        }
+                .unwrap()
+        };
+        let first = run();
+        assert_eq!(run(), first, "`{sql}` second run");
+        let want = pair.rdb_sort.run(&task, PlanMode::Naive).unwrap();
+        assert_eq!(first.canonical(), want.canonical(), "`{sql}` vs rdb");
     }
 }
 

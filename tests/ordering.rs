@@ -281,12 +281,10 @@ fn pizzeria_supported_and_unsupported_orders() {
 
 #[test]
 fn parallel_runs_are_deterministic_including_limit_ties() {
-    // Two back-to-back parallel runs with the same seed and threads = 4
-    // must yield byte-identical results — including `ORDER BY … LIMIT`
-    // where several groups tie at the cut, the classic nondeterminism
-    // trap for parallel engines. The dataset is built so that revenue
-    // ties: customers 0..8 pair up with equal totals.
-    use fdb::core::engine::RunOptions;
+    // Two back-to-back runs on fresh engines must yield byte-identical
+    // results — including `ORDER BY … LIMIT` where several groups tie at
+    // the cut. The dataset is built so that revenue ties: customers 0..8
+    // pair up with equal totals.
     use fdb::relational::{Relation, Schema};
 
     let build = || {
@@ -330,49 +328,38 @@ fn parallel_runs_are_deterministic_including_limit_ties() {
         }
     };
 
-    // Serial reference: threads = 1 on a fresh engine.
-    let mut e1 = build();
-    let t1 = task(&mut e1);
-    let serial = e1.run_default(&t1).unwrap().to_relation().unwrap();
-    assert_eq!(serial.len(), 3);
-
-    // Two identical parallel runs on fresh engines.
-    let mut runs = Vec::new();
-    for _ in 0..2 {
+    let run_fresh = |make: &dyn Fn(&mut FdbEngine) -> JoinAggTask| {
         let mut e = build();
-        let t = task(&mut e);
-        let out = e
-            .run(&t, RunOptions::with_threads(4))
-            .unwrap()
-            .to_relation()
-            .unwrap();
-        runs.push(out);
-    }
-    assert_eq!(runs[0], runs[1], "two parallel runs diverged");
-    assert_eq!(runs[0], serial, "parallel differs from serial");
+        let t = make(&mut e);
+        e.run_default(&t).unwrap().to_relation().unwrap()
+    };
+
+    // Revenue per customer is 100 · (c / 2): customers 6 and 7 tie at
+    // 300, broken by customer, then 4 at 200.
+    let first = run_fresh(&task);
+    let top: Vec<(i64, i64)> = first
+        .rows()
+        .map(|r| (r[0].as_int().unwrap(), r[1].as_int().unwrap()))
+        .collect();
+    assert_eq!(top, vec![(6, 300), (7, 300), (4, 200)]);
+    assert_eq!(run_fresh(&task), first, "two runs diverged");
 
     // The same discipline with the tie *at* the LIMIT cut and no
-    // tiebreaker key: the stable sort must resolve it identically in
-    // serial and parallel runs.
+    // tiebreaker key: the stable sort must resolve it identically on
+    // every run.
     let tie_task = |e: &mut FdbEngine| {
         let mut t = task(e);
         t.order_by.truncate(1); // ORDER BY revenue DESC only
         t.limit = Some(5); // cuts inside a tie pair
         t
     };
-    let mut es = build();
-    let ts = tie_task(&mut es);
-    let serial_tie = es.run_default(&ts).unwrap().to_relation().unwrap();
-    for _ in 0..2 {
-        let mut e = build();
-        let t = tie_task(&mut e);
-        let out = e
-            .run(&t, RunOptions::with_threads(4))
-            .unwrap()
-            .to_relation()
-            .unwrap();
-        assert_eq!(out, serial_tie, "tie at the LIMIT cut diverged");
-    }
+    let first_tie = run_fresh(&tie_task);
+    assert_eq!(first_tie.len(), 5);
+    assert_eq!(
+        run_fresh(&tie_task),
+        first_tie,
+        "tie at the LIMIT cut diverged"
+    );
 }
 
 #[test]

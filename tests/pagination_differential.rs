@@ -3,10 +3,10 @@
 //! stream-and-skip, collect-sort-cut — must produce the page the
 //! relational ground truth produces (stable sort + skip + truncate, i.e.
 //! `fdb::relational::ops::page` over the unlimited sorted result), swept
-//! over threads {1, 2, 4} × {the cost model's choice, each strategy
-//! forced via `FdbEngine::run_forcing`} and offsets {0, 1, mid,
-//! result−1, past-end, huge}. A forced strategy outside its feasible set
-//! runs the cost model's choice.
+//! over {the cost model's choice, each strategy forced via
+//! `FdbEngine::run_forcing`} × offsets {0, 1, mid, result−1, past-end,
+//! huge}. A forced strategy outside its feasible set runs the cost
+//! model's choice.
 //!
 //! Exactness levels mirror `topk_differential.rs`:
 //!
@@ -28,10 +28,6 @@ use fdb::relational::{ops, AggFunc, AggSpec, Relation, Schema, SortKey, Value};
 use fdb::workload::orders::{generate, OrdersConfig};
 use fdb::Catalog;
 
-fn thread_sweep() -> Vec<usize> {
-    vec![1, 2, 4]
-}
-
 /// The cost model's choice (`None`) and every strategy forced.
 fn choices() -> [Option<OrderChoice>; 5] {
     [
@@ -47,9 +43,8 @@ fn run(
     e: &mut FdbEngine,
     task: &JoinAggTask,
     choice: Option<OrderChoice>,
-    threads: usize,
 ) -> fdb::core::Result<FdbResult> {
-    let opts = RunOptions::new().threads(threads);
+    let opts = RunOptions::new();
     match choice {
         Some(c) => e.run_forcing(task, opts, c),
         None => e.run(task, opts),
@@ -83,7 +78,7 @@ fn order_attrs(task: &JoinAggTask) -> Vec<fdb::relational::AttrId> {
 }
 
 /// Sweeps `base` (its `limit`/`offset` are overridden) over the full
-/// choice × thread × offset × limit grid against the stable sort + skip +
+/// choice × offset × limit grid against the stable sort + skip +
 /// truncate reference.
 ///
 /// * `byte_identical` — the keys cover every output column, so every
@@ -105,7 +100,7 @@ fn assert_pages_agree(
         let mut t = base.clone();
         t.limit = None;
         t.offset = 0;
-        run(e, &t, Some(OrderChoice::Sort), 1)
+        run(e, &t, Some(OrderChoice::Sort))
             .unwrap_or_else(|err| panic!("{label}: unlimited reference: {err}"))
             .to_relation()
             .unwrap()
@@ -120,60 +115,57 @@ fn assert_pages_agree(
             task.offset = offset;
             task.limit = limit;
             for choice in choices() {
-                for threads in thread_sweep() {
-                    let ctx =
-                        format!("{label}: {choice:?}/t{threads} OFFSET {offset} LIMIT {limit:?}");
-                    let (out, stats) = run(e, &task, choice, threads)
-                        .unwrap_or_else(|err| panic!("{ctx}: {err}"))
-                        .to_relation_counted()
-                        .unwrap();
-                    assert!(out.is_sorted_by(&keys), "{ctx}: unsorted page");
-                    if byte_identical {
-                        assert_eq!(out, expected, "{ctx}: page differs from sort+skip+cut");
-                    } else {
+                let ctx = format!("{label}: {choice:?} OFFSET {offset} LIMIT {limit:?}");
+                let (out, stats) = run(e, &task, choice)
+                    .unwrap_or_else(|err| panic!("{ctx}: {err}"))
+                    .to_relation_counted()
+                    .unwrap();
+                assert!(out.is_sorted_by(&keys), "{ctx}: unsorted page");
+                if byte_identical {
+                    assert_eq!(out, expected, "{ctx}: page differs from sort+skip+cut");
+                } else {
+                    assert_eq!(
+                        out.project_cols(&key_attrs),
+                        expected.project_cols(&key_attrs),
+                        "{ctx}: key columns differ from sort+skip+cut"
+                    );
+                    assert!(
+                        out.rows().all(&in_unlimited),
+                        "{ctx}: row not in unlimited result"
+                    );
+                }
+                // Heap ≡ stable sort + page, byte for byte: the
+                // (m+k)-heap keeps the stably-first m+k rows and
+                // drops the first m.
+                if matches!(
+                    stats.strategy,
+                    OrderStrategy::HeapTopK { .. } | OrderStrategy::CollectSortCut
+                ) {
+                    assert_eq!(out, expected, "{ctx}: differs from reference");
+                }
+                match choice {
+                    Some(OrderChoice::Direct) if expect_direct && offset > 0 => {
+                        assert!(
+                            matches!(stats.strategy, OrderStrategy::DirectAccess),
+                            "{ctx}: expected the direct-access seek, got {:?}",
+                            stats.strategy
+                        );
+                        // The acceptance property at test scale: the
+                        // seek enumerates exactly the page, never the
+                        // skipped prefix.
                         assert_eq!(
-                            out.project_cols(&key_attrs),
-                            expected.project_cols(&key_attrs),
-                            "{ctx}: key columns differ from sort+skip+cut"
-                        );
-                        assert!(
-                            out.rows().all(&in_unlimited),
-                            "{ctx}: row not in unlimited result"
+                            stats.rows_enumerated,
+                            out.len(),
+                            "{ctx}: direct access enumerated more than the page"
                         );
                     }
-                    // Heap ≡ stable sort + page, byte for byte: the
-                    // (m+k)-heap keeps the stably-first m+k rows and
-                    // drops the first m.
-                    if matches!(
-                        stats.strategy,
-                        OrderStrategy::HeapTopK { .. } | OrderStrategy::CollectSortCut
-                    ) {
-                        assert_eq!(out, expected, "{ctx}: differs from reference");
-                    }
-                    match choice {
-                        Some(OrderChoice::Direct) if expect_direct && offset > 0 => {
-                            assert!(
-                                matches!(stats.strategy, OrderStrategy::DirectAccess),
-                                "{ctx}: expected the direct-access seek, got {:?}",
-                                stats.strategy
-                            );
-                            // The acceptance property at test scale:
-                            // the seek enumerates exactly the page,
-                            // never the skipped prefix.
-                            assert_eq!(
-                                stats.rows_enumerated,
-                                out.len(),
-                                "{ctx}: direct access enumerated more than the page"
-                            );
-                        }
-                        _ => {}
-                    }
-                    if choice == Some(OrderChoice::Heap) && limit.is_some() {
-                        assert!(
-                            matches!(stats.strategy, OrderStrategy::HeapTopK { .. }),
-                            "{ctx}: a forced heap under a LIMIT must execute the heap"
-                        );
-                    }
+                    _ => {}
+                }
+                if choice == Some(OrderChoice::Heap) && limit.is_some() {
+                    assert!(
+                        matches!(stats.strategy, OrderStrategy::HeapTopK { .. }),
+                        "{ctx}: a forced heap under a LIMIT must execute the heap"
+                    );
                 }
             }
         }
@@ -325,19 +317,8 @@ fn duplicate_sort_keys_over_distinct_rows_at_the_boundary() {
     task.offset = 3;
     task.limit = Some(2);
     for choice in choices() {
-        for threads in thread_sweep() {
-            let mut rerun = || {
-                run(&mut e, &task, choice, threads)
-                    .unwrap()
-                    .to_relation()
-                    .unwrap()
-            };
-            assert_eq!(
-                rerun(),
-                rerun(),
-                "tie boundary rerun: {choice:?}/t{threads}"
-            );
-        }
+        let mut rerun = || run(&mut e, &task, choice).unwrap().to_relation().unwrap();
+        assert_eq!(rerun(), rerun(), "tie boundary rerun: {choice:?}");
     }
 }
 

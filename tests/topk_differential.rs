@@ -1,19 +1,18 @@
 //! `ORDER BY … LIMIT` differential suite: the three physical ordering
 //! strategies — bounded-heap top-k, collect-sort-cut, restructure+stream
 //! — must agree on every query, each forced via `FdbEngine::run_forcing`
-//! beside the cost model's own choice, swept over threads {1, 2, 4},
-//! including
-//! two-run determinism when ties straddle the LIMIT boundary and
-//! NULL-bearing columns (NULLS LAST ascending, first descending).
+//! beside the cost model's own choice, including two-run determinism
+//! when ties straddle the LIMIT boundary and NULL-bearing columns (NULLS
+//! LAST ascending, first descending).
 //!
 //! Exactness levels (tie order *within* equal keys is a per-strategy
 //! deterministic choice, not a cross-strategy promise):
 //!
 //! * heap ≡ sort **byte-identical** — the heap's stable tie-break makes
 //!   it literally a stable sort + truncate;
-//! * every strategy × thread count: byte-identical to its own
-//!   re-run (determinism) and identical to the reference on the ORDER BY
-//!   key columns (the columns the query actually constrains);
+//! * every strategy: byte-identical to its own re-run (determinism) and
+//!   identical to the reference on the ORDER BY key columns (the columns
+//!   the query actually constrains);
 //! * every output is sorted by the keys and is a subset of the
 //!   unlimited result.
 
@@ -23,10 +22,6 @@ use fdb::relational::planner::JoinAggTask;
 use fdb::relational::{AggFunc, AggSpec, Relation, Schema, SortKey, Value};
 use fdb::workload::orders::{generate, OrdersConfig};
 use fdb::Catalog;
-
-fn thread_sweep() -> Vec<usize> {
-    vec![1, 2, 4]
-}
 
 fn order_attrs(task: &JoinAggTask) -> Vec<fdb::relational::AttrId> {
     let mut attrs: Vec<fdb::relational::AttrId> = Vec::new();
@@ -42,34 +37,29 @@ fn run(
     e: &mut FdbEngine,
     task: &JoinAggTask,
     choice: Option<OrderChoice>,
-    threads: usize,
 ) -> fdb::core::Result<FdbResult> {
-    let opts = RunOptions::new().threads(threads);
+    let opts = RunOptions::new();
     match choice {
         Some(c) => e.run_forcing(task, opts, c),
         None => e.run(task, opts),
     }
 }
 
-/// Runs `task` under the cost model's choice and every forced strategy ×
-/// thread count and checks the agreement contract; returns the
-/// collect-sort-cut reference.
+/// Runs `task` under the cost model's choice and every forced strategy
+/// and checks the agreement contract; returns the collect-sort-cut
+/// reference.
 fn assert_strategies_agree(e: &mut FdbEngine, task: &JoinAggTask, label: &str) -> Relation {
     let keys = fdb::relational::dedup_sort_keys(&task.order_by);
     let key_attrs = order_attrs(task);
     let sort = Some(OrderChoice::Sort);
-    let reference = run(e, task, sort, 1)
+    let reference = run(e, task, sort)
         .unwrap_or_else(|err| panic!("{label}: sort reference plans: {err}"))
         .to_relation()
         .unwrap();
     let unlimited = {
         let mut t = task.clone();
         t.limit = None;
-        run(e, &t, sort, 1)
-            .unwrap()
-            .to_relation()
-            .unwrap()
-            .canonical()
+        run(e, &t, sort).unwrap().to_relation().unwrap().canonical()
     };
     assert!(reference.is_sorted_by(&keys), "{label}: reference sorted");
     for choice in [
@@ -78,49 +68,41 @@ fn assert_strategies_agree(e: &mut FdbEngine, task: &JoinAggTask, label: &str) -
         Some(OrderChoice::Heap),
         sort,
     ] {
-        for threads in thread_sweep() {
-            let mut rerun = || {
-                run(e, task, choice, threads)
-                    .unwrap_or_else(|err| panic!("{label}: {choice:?}/t{threads}: {err}"))
-                    .to_relation_counted()
-                    .unwrap()
-            };
-            let (out, stats) = rerun();
-            let (out2, _) = rerun();
-            assert_eq!(
-                out, out2,
-                "{label}: {choice:?}/t{threads}: two runs diverged"
-            );
+        let mut rerun = || {
+            run(e, task, choice)
+                .unwrap_or_else(|err| panic!("{label}: {choice:?}: {err}"))
+                .to_relation_counted()
+                .unwrap()
+        };
+        let (out, stats) = rerun();
+        let (out2, _) = rerun();
+        assert_eq!(out, out2, "{label}: {choice:?}: two runs diverged");
+        assert!(
+            out.is_sorted_by(&keys),
+            "{label}: {choice:?}: unsorted output"
+        );
+        assert_eq!(
+            out.project_cols(&key_attrs),
+            reference.project_cols(&key_attrs),
+            "{label}: {choice:?}: key columns differ"
+        );
+        let contained = out.rows().all(|r| unlimited.rows().any(|u| u == r));
+        assert!(
+            contained,
+            "{label}: {choice:?}: row not in unlimited result"
+        );
+        if matches!(
+            stats.strategy,
+            OrderStrategy::HeapTopK { .. } | OrderStrategy::CollectSortCut
+        ) {
+            // Heap ≡ stable sort + truncate, byte for byte.
+            assert_eq!(out, reference, "{label}: {choice:?} differs from sort");
+        }
+        if choice == Some(OrderChoice::Heap) && task.limit.is_some() {
             assert!(
-                out.is_sorted_by(&keys),
-                "{label}: {choice:?}/t{threads}: unsorted output"
+                matches!(stats.strategy, OrderStrategy::HeapTopK { .. }),
+                "{label}: a forced heap under a LIMIT must execute the heap"
             );
-            assert_eq!(
-                out.project_cols(&key_attrs),
-                reference.project_cols(&key_attrs),
-                "{label}: {choice:?}/t{threads}: key columns differ"
-            );
-            let contained = out.rows().all(|r| unlimited.rows().any(|u| u == r));
-            assert!(
-                contained,
-                "{label}: {choice:?}/t{threads}: row not in unlimited result"
-            );
-            if matches!(
-                stats.strategy,
-                OrderStrategy::HeapTopK { .. } | OrderStrategy::CollectSortCut
-            ) {
-                // Heap ≡ stable sort + truncate, byte for byte.
-                assert_eq!(
-                    out, reference,
-                    "{label}: {choice:?}/t{threads} differs from sort"
-                );
-            }
-            if choice == Some(OrderChoice::Heap) && task.limit.is_some() {
-                assert!(
-                    matches!(stats.strategy, OrderStrategy::HeapTopK { .. }),
-                    "{label}: a forced heap under a LIMIT must execute the heap"
-                );
-            }
         }
     }
     reference
@@ -299,8 +281,8 @@ fn duplicate_conflicting_direction_keys_honour_first_everywhere() {
 }
 
 /// `TOP_K(x, k)` per group (the PR-7 aggregate, not the `ORDER BY …
-/// LIMIT` pipeline): every thread count must be byte-identical
-/// to the flat sort-and-truncate reference, twice in a row.
+/// LIMIT` pipeline): byte-identical to the flat sort-and-truncate
+/// reference, twice in a row.
 #[test]
 fn top_k_per_group_matches_sort_and_truncate() {
     let mut catalog = Catalog::new();
@@ -360,21 +342,16 @@ fn top_k_per_group_matches_sort_and_truncate() {
             order_by: vec![SortKey::asc(customer)],
             ..Default::default()
         };
-        for threads in thread_sweep() {
-            let mut run = || {
-                e.run(&task, RunOptions::new().threads(threads))
-                    .unwrap_or_else(|err| panic!("top_k k={k} t{threads}: {err}"))
-                    .to_relation()
-                    .unwrap()
-            };
-            let out = run();
-            assert_eq!(
-                out, reference,
-                "top_k k={k} t{threads} vs sort-and-truncate"
-            );
-            // Two-run determinism, byte for byte.
-            assert_eq!(out, run(), "top_k k={k} t{threads} re-run");
-        }
+        let mut run = || {
+            e.run(&task, RunOptions::new())
+                .unwrap_or_else(|err| panic!("top_k k={k}: {err}"))
+                .to_relation()
+                .unwrap()
+        };
+        let out = run();
+        assert_eq!(out, reference, "top_k k={k} vs sort-and-truncate");
+        // Two-run determinism, byte for byte.
+        assert_eq!(out, run(), "top_k k={k} re-run");
     }
 }
 

@@ -1,13 +1,11 @@
 //! Differential oracle for the write path: randomised INSERT/DELETE
 //! interleavings where the delta-maintained factorised view must stay
 //! **byte-identical** to a from-scratch rebuild and agree with the
-//! relational ground truth at every thread count — plus snapshot isolation, batch atomicity and memoised-
-//! annotation freshness at the `Db` level.
+//! relational ground truth — plus snapshot isolation, batch atomicity and
+//! memoised-annotation freshness at the `Db` level.
 
 mod common;
 
-use common::thread_sweep;
-use fdb::core::engine::RunOptions;
 use fdb::core::NodeLabel;
 use fdb::relational::{AttrId, CmpOp, Predicate};
 use fdb::{Catalog, Db, FRep, FTree, FdbEngine, Relation, Schema, Value};
@@ -103,7 +101,7 @@ fn as_rows(rel: &Relation) -> Vec<Vec<Value>> {
 /// Checks the current `Db` state three ways: the registered view is
 /// byte-identical to a from-scratch rebuild of the mirror, and both
 /// a projection and a grouped aggregate agree with the relational
-/// ground truth across the thread sweep.
+/// ground truth.
 fn check(fx: &Fixture, step: usize) {
     let mut session = fx.db.session();
     let rebuilt = FRep::from_relation(&fx.mirror, fx.tree.clone()).unwrap();
@@ -116,33 +114,28 @@ fn check(fx: &Fixture, step: usize) {
         rebuilt.tuple_count()
     );
 
-    let want_rows = sorted_rows(&fx.mirror);
-    let want_sums = grouped_sums(&fx.mirror);
-    for threads in thread_sweep() {
-        let opts = RunOptions::new().threads(threads);
-        let got = session
-            .query_with("SELECT a, b, c FROM R ORDER BY a, b, c", opts)
-            .unwrap_or_else(|e| panic!("step {step} projection: {e}"));
-        assert_eq!(
-            as_rows(&got.rows),
-            want_rows,
-            "step {step}: projection (threads={threads})"
-        );
-        let got = session
-            .query_with("SELECT a, SUM(c) AS s FROM R GROUP BY a ORDER BY a", opts)
-            .unwrap_or_else(|e| panic!("step {step} aggregate: {e}"));
-        assert_eq!(
-            as_pairs(&got.rows),
-            want_sums,
-            "step {step}: aggregate (threads={threads})"
-        );
-    }
+    let got = session
+        .query("SELECT a, b, c FROM R ORDER BY a, b, c")
+        .unwrap_or_else(|e| panic!("step {step} projection: {e}"));
+    assert_eq!(
+        as_rows(&got.rows),
+        sorted_rows(&fx.mirror),
+        "step {step}: projection"
+    );
+    let got = session
+        .query("SELECT a, SUM(c) AS s FROM R GROUP BY a ORDER BY a")
+        .unwrap_or_else(|e| panic!("step {step} aggregate: {e}"));
+    assert_eq!(
+        as_pairs(&got.rows),
+        grouped_sums(&fx.mirror),
+        "step {step}: aggregate"
+    );
 }
 
 /// The tentpole differential: 120 randomised insert / delete-row /
 /// delete-where steps; every 10 steps the delta-maintained view must be
-/// byte-identical to a from-scratch rebuild AND every thread count
-/// must reproduce the relational ground truth.
+/// byte-identical to a from-scratch rebuild AND reproduce the relational
+/// ground truth.
 #[test]
 fn randomised_churn_delta_equals_rebuild_and_relational() {
     let mut fx = fixture(0xFDB_2013, 40);
@@ -453,9 +446,8 @@ fn branch_fixture() -> BranchFixture {
     }
 }
 
-/// The registered view equals an exact rebuild of the mirror, and every
-/// thread count answers a projection and a grouped
-/// aggregate as the mirror does.
+/// The registered view equals an exact rebuild of the mirror, and a
+/// projection and a grouped aggregate answer as the mirror does.
 fn check_branch(fx: &BranchFixture, case: &str) {
     let rebuilt = FRep::from_relation(&fx.mirror, fx.tree.clone()).unwrap();
     assert_eq!(rebuilt.tuple_count(), fx.mirror.len(), "{case}: not exact");
@@ -479,17 +471,14 @@ fn check_branch(fx: &BranchFixture, case: &str) {
         .into_iter()
         .map(|(a, s)| vec![a, Value::Int(s)])
         .collect();
-    for threads in thread_sweep() {
-        let opts = RunOptions::new().threads(threads);
-        let got = session
-            .query_with("SELECT a, b, c, d FROM R ORDER BY a, b, c, d", opts)
-            .unwrap_or_else(|e| panic!("{case} projection: {e}"));
-        assert_eq!(as_rows(&got.rows), want_rows, "{case}: t{threads}");
-        let got = session
-            .query_with("SELECT a, SUM(d) AS s FROM R GROUP BY a ORDER BY a", opts)
-            .unwrap_or_else(|e| panic!("{case} aggregate: {e}"));
-        assert_eq!(as_rows(&got.rows), want_sums, "{case}: t{threads}");
-    }
+    let got = session
+        .query("SELECT a, b, c, d FROM R ORDER BY a, b, c, d")
+        .unwrap_or_else(|e| panic!("{case} projection: {e}"));
+    assert_eq!(as_rows(&got.rows), want_rows, "{case}: projection");
+    let got = session
+        .query("SELECT a, SUM(d) AS s FROM R GROUP BY a ORDER BY a")
+        .unwrap_or_else(|e| panic!("{case} aggregate: {e}"));
+    assert_eq!(as_rows(&got.rows), want_sums, "{case}: aggregate");
 }
 
 /// Runs one predicate delete on a fresh branching fixture against the
