@@ -8,9 +8,10 @@
 //!
 //! 1. input assembly: per-relation tries, `product`, natural-join equality
 //!    selections (with attribute shadowing for name collisions);
-//! 2. optimisation: the greedy heuristic (default) or exhaustive Dijkstra
-//!    compiles the task into an f-plan of selections, swaps and partial
-//!    aggregation operators (§5);
+//! 2. optimisation: the greedy heuristic compiles the task into an f-plan
+//!    of selections, swaps and partial aggregation operators (§5.2),
+//!    consolidating the aggregate into one node only when HAVING or
+//!    ORDER BY needs it as a node (step 7);
 //! 3. execution of the f-plan on the factorisation;
 //! 4. output: either the result factorisation (`FDB f/o` in the
 //!    experiments) or tuple enumeration (`FDB`) — ordered with constant
@@ -24,7 +25,7 @@ use crate::ftree::{AggOp, FTree};
 use crate::optim::ordering::{
     choose_order_strategy, estimate_rows, is_page, plan_cost, OrderChoice, OrderCostInputs,
 };
-use crate::optim::{exhaustive, greedy, ExhaustiveConfig, QuerySpec, Stats};
+use crate::optim::{greedy, QuerySpec, Stats};
 use fdb_relational::planner::JoinAggTask;
 use fdb_relational::{
     dedup_sort_keys, AggFunc, AttrId, Catalog, Predicate, Relation, Schema, SortKey, Value,
@@ -39,16 +40,6 @@ mod emit;
 /// between checks). Coarse enough to stay invisible in the profile,
 /// fine enough that a wedged enumeration is cut within microseconds.
 const DEADLINE_CHECK_EVERY: usize = 1024;
-
-/// Plan search strategy.
-#[derive(Clone, Copy, Debug)]
-pub enum PlanStrategy {
-    /// §5.2 greedy heuristic (polynomial, the default).
-    Greedy,
-    /// §5.1 Dijkstra over the f-plan space; falls back to greedy when the
-    /// state budget is exhausted.
-    Exhaustive(ExhaustiveConfig),
-}
 
 /// The physical ordering strategy a result executes — chosen by cost
 /// among the feasible ones at plan time ([`crate::optim::ordering`]),
@@ -96,23 +87,14 @@ pub struct OrderRunStats {
     pub order_bytes: usize,
 }
 
-/// Whether to reduce the aggregate to a single attribute (§5.2 step 7).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ConsolidateMode {
-    /// Consolidate only when HAVING or ORDER BY needs the aggregate as a
-    /// named node (the scenario-3 optimisation otherwise).
-    Auto,
-    Always,
-    Never,
-}
-
 /// Options for [`FdbEngine::run`].
 ///
-/// Every run executes its f-plan through the one staged pipeline
-/// executor ([`crate::pipeline::execute`]) on the calling thread; the
-/// options choose how the plan is searched and consolidated and how long
-/// the run may take. How `ORDER BY` is realised is the cost model's
-/// choice, not an option ([`OrderStrategy`]).
+/// Every run plans with the greedy heuristic, consolidates the aggregate
+/// exactly when HAVING or ORDER BY needs it as a node, and executes its
+/// f-plan through the one staged pipeline executor
+/// ([`crate::pipeline::execute`]) on the calling thread. The options
+/// only bound how long the run may take. How `ORDER BY` is realised is
+/// the cost model's choice, not an option ([`OrderStrategy`]).
 ///
 /// The struct is `#[non_exhaustive]`: construct it with
 /// [`RunOptions::new`] (or [`RunOptions::default`]) and the builder
@@ -120,18 +102,14 @@ pub enum ConsolidateMode {
 /// for downstream callers:
 ///
 /// ```
-/// use fdb_core::engine::{ConsolidateMode, RunOptions};
+/// use fdb_core::engine::RunOptions;
 /// use std::time::Duration;
-/// let opts = RunOptions::new()
-///     .consolidate(ConsolidateMode::Always)
-///     .deadline(Some(Duration::from_millis(50)));
+/// let opts = RunOptions::new().deadline(Some(Duration::from_millis(50)));
 /// assert_eq!(opts.deadline, Some(Duration::from_millis(50)));
 /// ```
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 #[non_exhaustive]
 pub struct RunOptions {
-    pub strategy: PlanStrategy,
-    pub consolidate: ConsolidateMode,
     /// Per-run wall-clock budget covering planning, f-plan execution
     /// and enumeration. `None` (the default) never times out. The
     /// budget starts when [`FdbEngine::run`] is entered; the result's
@@ -141,32 +119,10 @@ pub struct RunOptions {
     pub deadline: Option<std::time::Duration>,
 }
 
-impl Default for RunOptions {
-    fn default() -> Self {
-        RunOptions {
-            strategy: PlanStrategy::Greedy,
-            consolidate: ConsolidateMode::Auto,
-            deadline: None,
-        }
-    }
-}
-
 impl RunOptions {
     /// The default options; entry point of the builder chain.
     pub fn new() -> Self {
         RunOptions::default()
-    }
-
-    /// Sets the plan search strategy.
-    pub fn strategy(mut self, strategy: PlanStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Sets the aggregate-consolidation mode (§5.2 step 7).
-    pub fn consolidate(mut self, consolidate: ConsolidateMode) -> Self {
-        self.consolidate = consolidate;
-        self
     }
 
     /// Sets the per-run wall-clock budget (planning + execution +
@@ -536,7 +492,7 @@ impl FdbEngine {
         out
     }
 
-    /// Runs a task with default options (greedy, auto-consolidation).
+    /// Runs a task with default options (no deadline).
     pub fn run_default(&mut self, task: &JoinAggTask) -> Result<FdbResult> {
         self.run(task, RunOptions::default())
     }
@@ -633,66 +589,23 @@ impl FdbEngine {
             emit.push((EmitCol::Raw(*g), *g));
         }
         for spec in &task.aggregates {
-            match spec.func {
-                AggFunc::Count => {
-                    final_funcs.push(AggOp::Count);
-                    final_outputs.push(spec.output);
-                    emit.push((EmitCol::Raw(spec.output), spec.output));
-                }
-                AggFunc::Sum(a) => {
-                    final_funcs.push(AggOp::Sum(a));
-                    final_outputs.push(spec.output);
-                    emit.push((EmitCol::Raw(spec.output), spec.output));
-                }
-                AggFunc::Min(a) => {
-                    final_funcs.push(AggOp::Min(a));
-                    final_outputs.push(spec.output);
-                    emit.push((EmitCol::Raw(spec.output), spec.output));
-                }
-                AggFunc::Max(a) => {
-                    final_funcs.push(AggOp::Max(a));
-                    final_outputs.push(spec.output);
-                    emit.push((EmitCol::Raw(spec.output), spec.output));
-                }
-                AggFunc::CountDistinct(a) => {
-                    final_funcs.push(AggOp::CountDistinct(a));
-                    final_outputs.push(spec.output);
-                    emit.push((EmitCol::Raw(spec.output), spec.output));
-                }
-                AggFunc::Product(a) => {
-                    final_funcs.push(AggOp::Product(a));
-                    final_outputs.push(spec.output);
-                    emit.push((EmitCol::Raw(spec.output), spec.output));
-                }
-                AggFunc::Exists(a, op, c) => {
-                    final_funcs.push(AggOp::Exists(a, op, c));
-                    final_outputs.push(spec.output);
-                    emit.push((EmitCol::Raw(spec.output), spec.output));
-                }
-                AggFunc::Forall(a, op, c) => {
-                    final_funcs.push(AggOp::Forall(a, op, c));
-                    final_outputs.push(spec.output);
-                    emit.push((EmitCol::Raw(spec.output), spec.output));
-                }
-                AggFunc::TopK(a, k) => {
-                    final_funcs.push(AggOp::TopK(a, k));
-                    final_outputs.push(spec.output);
-                    emit.push((EmitCol::Raw(spec.output), spec.output));
-                }
-                AggFunc::Avg(a) => {
-                    let s = self
-                        .catalog
-                        .fresh(&format!("avg_sum({})", self.catalog.name(a)));
-                    let n = self
-                        .catalog
-                        .fresh(&format!("avg_count({})", self.catalog.name(a)));
-                    final_funcs.push(AggOp::Sum(a));
-                    final_outputs.push(s);
-                    final_funcs.push(AggOp::Count);
-                    final_outputs.push(n);
-                    emit.push((EmitCol::Div { num: s, den: n }, spec.output));
-                    div_outputs.push(spec.output);
-                }
+            if let Some(op) = AggOp::from_func(spec.func) {
+                final_funcs.push(op);
+                final_outputs.push(spec.output);
+                emit.push((EmitCol::Raw(spec.output), spec.output));
+            } else if let AggFunc::Avg(a) = spec.func {
+                let s = self
+                    .catalog
+                    .fresh(&format!("avg_sum({})", self.catalog.name(a)));
+                let n = self
+                    .catalog
+                    .fresh(&format!("avg_count({})", self.catalog.name(a)));
+                final_funcs.push(AggOp::Sum(a));
+                final_outputs.push(s);
+                final_funcs.push(AggOp::Count);
+                final_outputs.push(n);
+                emit.push((EmitCol::Div { num: s, den: n }, spec.output));
+                div_outputs.push(spec.output);
             }
         }
         let is_aggregate = !task.aggregates.is_empty();
@@ -713,19 +626,13 @@ impl FdbEngine {
             Predicate::AttrCmp(a, _, _) => final_outputs.contains(a) || task.group_by.contains(a),
             Predicate::AttrEq(_, _) => false,
         });
-        let consolidate_if = |needed: bool| {
-            is_aggregate
-                && match opts.consolidate {
-                    ConsolidateMode::Always => true,
-                    ConsolidateMode::Never => false,
-                    ConsolidateMode::Auto => needed,
-                }
-        };
-        // The stream candidate needs consolidation to realise an order on
-        // the aggregate in-tree (Q7); the flat candidates evaluate the
-        // aggregate at emission instead, so only HAVING can demand it.
-        let want_consolidate_stream = consolidate_if(order_on_raw_agg || having_on_raw);
-        let want_consolidate_flat = consolidate_if(having_on_raw);
+        // Consolidate (§5.2 step 7) exactly when HAVING or ORDER BY needs
+        // the aggregate as a node. The stream candidate needs it to
+        // realise an order on the aggregate in-tree (Q7); the flat
+        // candidates evaluate the aggregate at emission instead, so only
+        // HAVING can demand it.
+        let want_consolidate_stream = is_aggregate && (order_on_raw_agg || having_on_raw);
+        let want_consolidate_flat = is_aggregate && having_on_raw;
 
         // Builds the optimiser spec for a consolidation choice and a
         // realise-the-order choice. The tree can realise the order only
@@ -774,21 +681,6 @@ impl FdbEngine {
                 (spec, tree_keys, realised)
             };
 
-        let plan_spec = |spec: &QuerySpec, catalog: &mut Catalog| -> Result<crate::plan::FPlan> {
-            match opts.strategy {
-                PlanStrategy::Greedy => greedy(rep.ftree(), spec, &stats, catalog),
-                PlanStrategy::Exhaustive(cfg) => {
-                    match exhaustive(rep.ftree(), spec, &stats, catalog, cfg) {
-                        Ok(p) => Ok(p),
-                        Err(FdbError::PlanningFailed(_)) => {
-                            greedy(rep.ftree(), spec, &stats, catalog)
-                        }
-                        Err(e) => Err(e),
-                    }
-                }
-            }
-        };
-
         // Consolidation (§5.2 step 7) is not always achievable: partial
         // aggregates pinned under *different* group nodes along a path
         // cannot be gathered by upward swaps. When planning fails for that
@@ -800,7 +692,7 @@ impl FdbEngine {
          -> Result<OrderCandidate> {
             let (mut spec, mut tree_keys, mut realised) =
                 make_parts(want_consolidate, realise_order);
-            let mut plan = plan_spec(&spec, catalog);
+            let mut plan = greedy(rep.ftree(), &spec, &stats, catalog);
             let mut consolidate = want_consolidate;
             if consolidate && matches!(plan, Err(FdbError::PlanningFailed(_))) {
                 consolidate = false;
@@ -1452,50 +1344,6 @@ mod tests {
     }
 
     #[test]
-    fn exhaustive_strategy_agrees_with_greedy() {
-        let mut e = engine();
-        let task = revenue_task(&mut e);
-        let g = e
-            .run(&task, RunOptions::default())
-            .unwrap()
-            .to_relation()
-            .unwrap()
-            .canonical();
-        let x = e
-            .run(
-                &task,
-                RunOptions::new().strategy(PlanStrategy::Exhaustive(ExhaustiveConfig::default())),
-            )
-            .unwrap()
-            .to_relation()
-            .unwrap()
-            .canonical();
-        assert_eq!(g, x);
-    }
-
-    #[test]
-    fn consolidate_modes_agree() {
-        let mut e = engine();
-        let task = revenue_task(&mut e);
-        let never = e
-            .run(&task, RunOptions::new().consolidate(ConsolidateMode::Never))
-            .unwrap()
-            .to_relation()
-            .unwrap()
-            .canonical();
-        let always = e
-            .run(
-                &task,
-                RunOptions::new().consolidate(ConsolidateMode::Always),
-            )
-            .unwrap()
-            .to_relation()
-            .unwrap()
-            .canonical();
-        assert_eq!(never, always);
-    }
-
-    #[test]
     fn descending_group_order() {
         let mut e = engine();
         let mut task = revenue_task(&mut e);
@@ -1661,7 +1509,9 @@ mod tests {
         // count unfiltered tuples), and grouped on-the-fly evaluation has
         // no tuple cursor: direct access is infeasible for both, so a
         // forced seek runs what the cost model picks — here the stream —
-        // and the explain output claims no seek.
+        // and the explain output claims no seek. An order on the group
+        // column alone leaves the aggregate unconsolidated (grouped). An order on the group
+        // column alone leaves the aggregate unconsolidated (grouped).
         let mut e = engine();
         let customer = e.catalog.lookup("customer").unwrap();
         let m = e.catalog.intern("m_direct");
@@ -1676,8 +1526,8 @@ mod tests {
         let mut grouped = revenue_task(&mut e);
         grouped.order_by = vec![SortKey::asc(customer)];
         grouped.offset = 1;
-        let never = RunOptions::new().consolidate(ConsolidateMode::Never);
-        for (task, opts) in [(&filtered, RunOptions::new()), (&grouped, never)] {
+        let opts = RunOptions::new();
+        for task in [&filtered, &grouped] {
             let result = e.run_forcing(task, opts, OrderChoice::Direct).unwrap();
             assert_eq!(result.order_strategy(), OrderStrategy::StreamInTree);
             assert!(!result.explain(&e.catalog).contains("direct access"));

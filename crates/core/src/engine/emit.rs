@@ -461,7 +461,7 @@ pub(super) fn finish(schema: Schema, data: Vec<Value>, rows: usize) -> Relation 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{ConsolidateMode, FdbEngine, RunOptions};
+    use crate::engine::{FdbEngine, RunOptions};
     use crate::enumerate::naive;
     use crate::frep::FRep;
     use crate::ftree::{FTree, NodeLabel};
@@ -678,6 +678,8 @@ mod tests {
         "SELECT b, a, SUM(c) AS s FROM V GROUP BY b, a ORDER BY b, a DESC",
         "SELECT b, SUM(a) AS sa, SUM(c) AS sc, COUNT(*) AS n FROM V GROUP BY b ORDER BY b DESC",
         "SELECT a, SUM(d) AS s FROM R, S, T GROUP BY a HAVING s >= 3 ORDER BY a",
+        "SELECT a, SUM(c) AS s FROM R, S GROUP BY a HAVING s > 1",
+        "SELECT a, SUM(c) AS s, AVG(c) AS m FROM R, S GROUP BY a HAVING s > 1 AND m >= 1",
         "SELECT a, MIN(c) AS lo, MAX(c) AS hi FROM R, S GROUP BY a ORDER BY hi, a DESC",
         "SELECT a, AVG(c) AS m FROM R, S GROUP BY a ORDER BY a",
         "SELECT a, AVG(d) AS m FROM R, S, T GROUP BY a ORDER BY m DESC, a",
@@ -718,7 +720,7 @@ mod tests {
     type Coverage = BTreeSet<(&'static str, &'static str, bool)>;
 
     /// Runs `sql` under the cost model's choice and every forced ordering
-    /// strategy × consolidation mode × page, holding the emitter to the
+    /// strategy × page, holding the emitter to the
     /// naive reference: same rows in the same order, same `OrderRunStats`
     /// — or the same error.
     fn assert_emitter_matches_naive(e: &mut FdbEngine, sql: &str, seen: &mut Coverage) {
@@ -742,15 +744,6 @@ mod tests {
                 Some(OrderChoice::Sort),
             ]
         };
-        let consolidations: &[ConsolidateMode] = if base.is_aggregate() {
-            &[
-                ConsolidateMode::Auto,
-                ConsolidateMode::Always,
-                ConsolidateMode::Never,
-            ]
-        } else {
-            &[ConsolidateMode::Auto]
-        };
         // LIMIT/OFFSET ∈ {none, 0, 1, mid, past-end}, crossed sparsely.
         let mid = unlimited / 2;
         let pages = [
@@ -771,29 +764,25 @@ mod tests {
                 ..base.clone()
             };
             for &choice in choices {
-                for &consolidate in consolidations {
-                    let opts = RunOptions::new().consolidate(consolidate);
-                    let ctx = format!(
-                        "`{sql}` LIMIT {limit:?} OFFSET {offset} {choice:?} {consolidate:?}"
-                    );
-                    let result = match choice {
-                        Some(c) => e.run_forcing(&task, opts, c),
-                        None => e.run(&task, opts),
-                    };
-                    let result = result.unwrap_or_else(|err| panic!("{ctx}: {err}"));
-                    seen.insert((
-                        kind_name(&result),
-                        strategy_name(result.order_strategy),
-                        result.row_filters.is_empty(),
-                    ));
-                    match (result.to_relation_counted(), naive_counted(&result)) {
-                        (Ok((rows, stats)), Ok((want_rows, want_stats))) => {
-                            assert_eq!(rows, want_rows, "{ctx}\n{}", result.explain(&e.catalog));
-                            assert_eq!(stats, want_stats, "{ctx}");
-                        }
-                        (Err(got), Err(want)) => assert_eq!(got.to_string(), want.to_string()),
-                        (got, want) => panic!("{ctx}: emitter {got:?}, reference {want:?}"),
+                let opts = RunOptions::new();
+                let ctx = format!("`{sql}` LIMIT {limit:?} OFFSET {offset} {choice:?}");
+                let result = match choice {
+                    Some(c) => e.run_forcing(&task, opts, c),
+                    None => e.run(&task, opts),
+                };
+                let result = result.unwrap_or_else(|err| panic!("{ctx}: {err}"));
+                seen.insert((
+                    kind_name(&result),
+                    strategy_name(result.order_strategy),
+                    result.row_filters.is_empty(),
+                ));
+                match (result.to_relation_counted(), naive_counted(&result)) {
+                    (Ok((rows, stats)), Ok((want_rows, want_stats))) => {
+                        assert_eq!(rows, want_rows, "{ctx}\n{}", result.explain(&e.catalog));
+                        assert_eq!(stats, want_stats, "{ctx}");
                     }
+                    (Err(got), Err(want)) => assert_eq!(got.to_string(), want.to_string()),
+                    (got, want) => panic!("{ctx}: emitter {got:?}, reference {want:?}"),
                 }
             }
         }
@@ -883,45 +872,29 @@ mod tests {
         let pairs: Vec<(i64, i64)> = (0..40).map(|i| (i % 8, i)).collect();
         let mut e = chain_engine(&pairs, &[(0, 0)], &[], &[]);
         let mut kinds = BTreeSet::new();
-        // (query, consolidation, whether a pass enumerates any row).
-        for (sql, consolidate, enumerates) in [
-            ("SELECT a, b FROM R", ConsolidateMode::Auto, true),
+        // (query, whether a pass enumerates any row). A HAVING on the
+        // aggregate consolidates it; without one it stays grouped.
+        for (sql, enumerates) in [
+            ("SELECT a, b FROM R", true),
             (
-                "SELECT a, SUM(b) AS s FROM R GROUP BY a",
-                ConsolidateMode::Always,
+                "SELECT a, SUM(b) AS s FROM R GROUP BY a HAVING s >= 0",
                 true,
             ),
-            (
-                "SELECT a, SUM(b) AS s FROM R GROUP BY a",
-                ConsolidateMode::Never,
-                true,
-            ),
-            (
-                "SELECT a, COUNT(*) AS n FROM R GROUP BY ROLLUP (a)",
-                ConsolidateMode::Auto,
-                true,
-            ),
+            ("SELECT a, SUM(b) AS s FROM R GROUP BY a", true),
+            ("SELECT a, COUNT(*) AS n FROM R GROUP BY ROLLUP (a)", true),
             // Every group is enumerated, then filtered away: polled.
             (
-                "SELECT a, SUM(b) AS s FROM R GROUP BY a HAVING s > 9000",
-                ConsolidateMode::Never,
+                "SELECT a, AVG(b) AS m FROM R GROUP BY a HAVING m > 9000",
                 true,
             ),
             // No row, no poll: an empty result is never late.
-            (
-                "SELECT a, b FROM R WHERE b > 9000",
-                ConsolidateMode::Auto,
-                false,
-            ),
+            ("SELECT a, b FROM R WHERE b > 9000", false),
             (
                 "SELECT a, SUM(b) AS s FROM R WHERE b > 9000 GROUP BY a",
-                ConsolidateMode::Never,
                 false,
             ),
         ] {
-            let mut result = e
-                .run_sql_with(sql, RunOptions::new().consolidate(consolidate))
-                .unwrap();
+            let mut result = e.run_sql_result(sql).unwrap();
             kinds.insert(kind_name(&result));
             result.deadline_at = Some(Instant::now());
             match result.to_relation_counted() {
@@ -976,20 +949,12 @@ mod tests {
     fn reservation_is_exact_for_an_unfiltered_uncut_result() {
         let pairs: Vec<(i64, i64)> = (0..500).map(|i| (i % 9, i)).collect();
         let mut e = chain_engine(&pairs, &[(0, 0)], &[], &[]);
-        for (sql, consolidate) in [
-            ("SELECT a, b FROM R", ConsolidateMode::Auto),
-            (
-                "SELECT a, b, COUNT(*) AS n FROM R GROUP BY a, b",
-                ConsolidateMode::Never,
-            ),
-            (
-                "SELECT a, b, COUNT(*) AS n FROM R GROUP BY a, b",
-                ConsolidateMode::Always,
-            ),
+        for sql in [
+            "SELECT a, b FROM R",
+            "SELECT a, b, COUNT(*) AS n FROM R GROUP BY a, b",
+            "SELECT b, SUM(a) AS s FROM R GROUP BY b HAVING s >= 0",
         ] {
-            let result = e
-                .run_sql_with(sql, RunOptions::new().consolidate(consolidate))
-                .unwrap();
+            let result = e.run_sql_result(sql).unwrap();
             let schema = Schema::new(result.output_attrs.clone());
             let em = result.emitter(&schema, false, None).unwrap();
             assert_eq!(em.total_rows(), 500, "{sql}");

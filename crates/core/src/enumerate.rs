@@ -40,7 +40,8 @@ impl EnumSpec {
     /// Visit sequence for lexicographic enumeration by `keys` (Theorem 2).
     ///
     /// Fails with [`FdbError::OrderUnsupported`] when the f-tree does not
-    /// support the order; restructure first (see [`crate::orderby`]).
+    /// support the order; restructure first (greedy step 5,
+    /// [`mod@crate::optim::greedy`]).
     pub fn ordered(tree: &FTree, keys: &[SortKey]) -> Result<Self> {
         let mut visit: Vec<NodeId> = Vec::new();
         let mut dirs: Vec<SortDir> = Vec::new();

@@ -16,7 +16,7 @@
 //! f-plan operators can reference nodes before execution.
 
 use crate::error::{FdbError, Result};
-use fdb_relational::{AttrId, Catalog, CmpOp};
+use fdb_relational::{AggFunc, AttrId, Catalog, CmpOp};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
@@ -53,6 +53,23 @@ pub enum AggOp {
 }
 
 impl AggOp {
+    /// The operator computing a SQL aggregate directly; `None` for `AVG`,
+    /// which the engine desugars into `SUM` and `COUNT` (§3.2.4).
+    pub fn from_func(func: AggFunc) -> Option<AggOp> {
+        Some(match func {
+            AggFunc::Count => AggOp::Count,
+            AggFunc::Sum(a) => AggOp::Sum(a),
+            AggFunc::Min(a) => AggOp::Min(a),
+            AggFunc::Max(a) => AggOp::Max(a),
+            AggFunc::CountDistinct(a) => AggOp::CountDistinct(a),
+            AggFunc::Product(a) => AggOp::Product(a),
+            AggFunc::Exists(a, op, c) => AggOp::Exists(a, op, c),
+            AggFunc::Forall(a, op, c) => AggOp::Forall(a, op, c),
+            AggFunc::TopK(a, k) => AggOp::TopK(a, k),
+            AggFunc::Avg(_) => return None,
+        })
+    }
+
     /// The attribute this function aggregates, if any.
     pub fn attr(&self) -> Option<AttrId> {
         match self {

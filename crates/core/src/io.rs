@@ -29,6 +29,13 @@ use std::io::{BufRead, Write};
 
 const MAGIC: &str = "fdbv1";
 
+/// Deepest nesting the reader accepts, for tuple values (`t<k>` inside
+/// `t<k>`) and for the f-tree (nodes on a root-to-leaf path). Both are
+/// read by recursion, so an unbounded depth would let a small hostile
+/// file overflow the loading thread's stack — an abort of the whole
+/// process, not an error.
+const MAX_NESTING: usize = 256;
+
 fn cmp_code(op: CmpOp) -> usize {
     match op {
         CmpOp::Eq => 0,
@@ -288,8 +295,8 @@ impl Tokens {
         Ok(s)
     }
 
-    /// A value token.
-    fn value(&mut self) -> Result<Value> {
+    /// A value token, nested inside `depth` tuples.
+    fn value(&mut self, depth: usize) -> Result<Value> {
         self.skip_ws();
         match self.buf.get(self.pos) {
             Some(b'i') => {
@@ -304,11 +311,16 @@ impl Tokens {
             }
             Some(b's') => Ok(Value::str(self.string()?)),
             Some(b't') => {
+                if depth == MAX_NESTING {
+                    return Err(malformed(format!(
+                        "values nest deeper than {MAX_NESTING} tuples"
+                    )));
+                }
                 self.pos += 1;
                 let k = self.usize()?;
                 let mut vs = Vec::with_capacity(self.capacity(k));
                 for _ in 0..k {
-                    vs.push(self.value()?);
+                    vs.push(self.value(depth + 1)?);
                 }
                 Ok(Value::tup(vs))
             }
@@ -345,18 +357,22 @@ pub fn read_frep(r: impl BufRead, catalog: &mut Catalog) -> Result<FRep> {
     }
     let n_nodes = t.usize()?;
     let mut tree = FTree::new();
-    let mut ids: Vec<NodeId> = Vec::with_capacity(t.capacity(n_nodes));
+    // (node id, depth in nodes) per node read so far.
+    let mut ids: Vec<(NodeId, usize)> = Vec::with_capacity(t.capacity(n_nodes));
     for _ in 0..n_nodes {
         let parent = t.i64()?;
-        let parent = if parent < 0 {
-            None
+        let (parent, depth) = if parent < 0 {
+            (None, 1)
         } else {
-            Some(
-                ids.get(parent as usize)
-                    .copied()
-                    .ok_or_else(|| malformed("parent index out of range"))?,
-            )
+            let (p, d) = ids
+                .get(parent as usize)
+                .copied()
+                .ok_or_else(|| malformed("parent index out of range"))?;
+            (Some(p), d + 1)
         };
+        if depth > MAX_NESTING {
+            return Err(malformed(format!("f-tree deeper than {MAX_NESTING} nodes")));
+        }
         let label = match t.word()? {
             "a" => {
                 let k = t.usize()?;
@@ -412,7 +428,7 @@ pub fn read_frep(r: impl BufRead, catalog: &mut Catalog) -> Result<FRep> {
             }
             other => return Err(malformed(format!("unknown label kind `{other}`"))),
         };
-        ids.push(tree.add_node(label, parent));
+        ids.push((tree.add_node(label, parent), depth));
     }
     if t.word()? != "d" {
         return Err(malformed("expected dependency section"));
@@ -448,7 +464,7 @@ fn read_union(t: &mut Tokens, tree: &FTree, node: NodeId, arena: &mut Arena) -> 
     let mut specs = Vec::with_capacity(t.capacity(n));
     let mut kid_ids = Vec::with_capacity(children.len());
     for _ in 0..n {
-        let value = t.value()?;
+        let value = t.value(0)?;
         kid_ids.clear();
         for &c in &children {
             kid_ids.push(read_union(t, tree, c, arena)?);
@@ -612,16 +628,36 @@ mod tests {
         assert!(read_frep("nope 0".as_bytes(), &mut c).is_err());
     }
 
+    /// A one-node tree over `a`, then the data section.
+    const PREFIX: &str = "fdbv1 1 s1:a t 1 -1 a 1 0 d 0";
+
+    /// One entry whose value nests `depth` one-element tuples.
+    fn nested_value(depth: usize) -> String {
+        format!("{PREFIX} u 1 {}i7", "t1 ".repeat(depth))
+    }
+
+    /// A chain f-tree `depth` nodes deep (every node over `a`), one tuple.
+    fn chain_tree(depth: usize) -> String {
+        let parents: String = (0..depth - 1).map(|i| format!(" {i} a 1 0")).collect();
+        let data = " u 1 i0".repeat(depth);
+        format!("fdbv1 1 s1:a t {depth} -1 a 1 0{parents} d 0{data}")
+    }
+
     #[test]
     fn hostile_counts_are_errors_not_panics() {
-        // A one-node tree over `a`, then the data section.
-        let prefix = "fdbv1 1 s1:a t 1 -1 a 1 0 d 0";
+        let prefix = PREFIX;
         for input in [
             "fdbv1 18446744073709551615".to_string(),
             format!("{prefix} u 18446744073709551615"),
             format!("{prefix} u 1 t18446744073709551615"),
             "fdbv1 1 s18446744073709551615:a".to_string(),
             format!("{prefix} u 1099511627776"),
+            // Read by recursion: without a bound, each overflows the
+            // stack and aborts the process.
+            nested_value(100_000),
+            chain_tree(100_000),
+            nested_value(MAX_NESTING + 1),
+            chain_tree(MAX_NESTING + 1),
         ] {
             let mut c = Catalog::new();
             match read_frep(input.as_bytes(), &mut c) {
@@ -633,5 +669,27 @@ mod tests {
         let mut c = Catalog::new();
         let rep = read_frep(format!("{prefix} u 1 i7").as_bytes(), &mut c).unwrap();
         assert_eq!(rep.tuple_count(), 1);
+    }
+
+    #[test]
+    fn a_view_at_the_nesting_bound_round_trips() {
+        // A path f-tree exactly `MAX_NESTING` nodes deep whose leaf value
+        // nests `MAX_NESTING` tuples.
+        let mut c = Catalog::new();
+        let attrs: Vec<AttrId> = (0..MAX_NESTING)
+            .map(|i| c.intern(&format!("a{i}")))
+            .collect();
+        let mut leaf = Value::Int(7);
+        for _ in 0..MAX_NESTING {
+            leaf = Value::tup(vec![leaf]);
+        }
+        let mut row: Vec<Value> = (0..MAX_NESTING as i64).map(Value::Int).collect();
+        row[MAX_NESTING - 1] = leaf;
+        let rel = Relation::from_rows(Schema::new(attrs.clone()), [row]);
+        let rep = FRep::from_relation(&rel, FTree::path(&attrs)).unwrap();
+        let mut buf = Vec::new();
+        write_frep(&rep, &c, &mut buf).unwrap();
+        let back = read_frep(buf.as_slice(), &mut c.clone()).unwrap();
+        assert!(back.same_data(&rep));
     }
 }

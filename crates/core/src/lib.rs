@@ -22,14 +22,15 @@
 //! * **constant-delay enumeration** of tuples, plain, grouped (Theorem 1)
 //!   and in given asc/desc lexicographic orders (Theorem 2), plus the
 //!   group cursor for on-the-fly aggregate combination ([`enumerate`]);
-//! * restructuring for group-by/order-by clauses via swaps, including the
-//!   single-attribute consolidation of §5.2 step 7 ([`orderby`]);
 //! * the **staged pipeline executor** ([`pipeline`]): f-plans segment
 //!   into fusible stages executed on one shared arena, with at most one
 //!   compaction pass per plan;
-//! * the **optimisers**: the greedy heuristic of §5.2 and exhaustive
-//!   Dijkstra over the f-plan space, both driven by tight factorisation
-//!   size bounds from fractional edge covers ([`optim`]);
+//! * the **optimisers** ([`optim`]): the greedy heuristic of §5.2, the
+//!   engine's one planner, which restructures for group-by/order-by
+//!   clauses via swaps and consolidates the aggregate into a single
+//!   attribute when needed (§5.2 step 7); and exhaustive Dijkstra over
+//!   the f-plan space, a library search (§5.1). Both are driven by tight
+//!   factorisation size bounds from fractional edge covers;
 //! * a high-level engine executing SQL-lowered
 //!   [`fdb_relational::planner::JoinAggTask`]s end to end
 //!   ([`engine::FdbEngine`]).
@@ -71,15 +72,12 @@ pub mod ftree;
 pub mod io;
 pub mod ops;
 pub mod optim;
-pub mod orderby;
 pub mod pipeline;
 pub mod plan;
 pub mod topk;
 pub mod update;
 
-pub use engine::{
-    ConsolidateMode, FdbEngine, FdbResult, OrderRunStats, OrderStrategy, PlanStrategy, RunOptions,
-};
+pub use engine::{FdbEngine, FdbResult, OrderRunStats, OrderStrategy, RunOptions};
 pub use error::{FdbError, Result};
 pub use frep::{Entry, EntryRef, FRep, FRepStats, Union, UnionId, UnionRef};
 pub use ftree::{AggLabel, AggOp, FTree, NodeId, NodeLabel};

@@ -238,7 +238,8 @@ mod tests {
     use crate::frep::FRep;
     use crate::ftree::AggOp;
     use crate::optim::greedy::greedy;
-    use fdb_relational::{Relation, Schema, Value};
+    use crate::optim::ordering::plan_cost;
+    use fdb_relational::{Relation, Schema, SortKey, Value};
 
     fn t1_rep() -> (Catalog, FRep, Stats) {
         let mut c = Catalog::new();
@@ -291,41 +292,101 @@ mod tests {
         (c, rep, stats)
     }
 
+    /// Pizzas(pizza, item) × Items(item2, price), the input of
+    /// `greedy_join_by_selection`: the join condition `item = item2` is
+    /// still pending.
+    fn join_rep() -> (Catalog, FRep, Stats) {
+        let mut c = Catalog::new();
+        let pizza = c.intern("pizza");
+        let item = c.intern("item");
+        let item2 = c.intern("item2");
+        let price = c.intern("price");
+        let pizzas = Relation::from_rows(
+            Schema::new(vec![pizza, item]),
+            [
+                ("Hawaii", "base"),
+                ("Hawaii", "ham"),
+                ("Margherita", "base"),
+            ]
+            .into_iter()
+            .map(|(p, i)| vec![Value::str(p), Value::str(i)]),
+        );
+        let items = Relation::from_rows(
+            Schema::new(vec![item2, price]),
+            [("base", 6), ("ham", 1)]
+                .into_iter()
+                .map(|(i, p)| vec![Value::str(i), Value::Int(p)]),
+        );
+        let rp = FRep::from_relation(&pizzas, FTree::path(&[pizza, item])).unwrap();
+        let ri = FRep::from_relation(&items, FTree::path(&[item2, price])).unwrap();
+        let mut stats = Stats::new();
+        stats.add_relation([pizza, item], 3);
+        stats.add_relation([item2, price], 2);
+        (c, crate::ops::product(rp, ri), stats)
+    }
+
     #[test]
     fn exhaustive_matches_greedy_results() {
+        // `plan_explorer`'s three group-bys, an order on the consolidated
+        // aggregate and a join by selection: both optimisers' plans must
+        // compute the same result.
+        let mut cases: Vec<(&str, Catalog, FRep, Stats, QuerySpec)> = Vec::new();
+        let groups: [(&str, &[&str]); 3] = [
+            ("revenue per customer", &["customer"]),
+            ("revenue per (customer, pizza)", &["customer", "pizza"]),
+            ("total revenue", &[]),
+        ];
+        for (name, group) in groups {
+            let (mut c, rep, stats) = t1_rep();
+            let spec = QuerySpec {
+                group_by: group.iter().map(|a| c.lookup(a).unwrap()).collect(),
+                final_funcs: vec![AggOp::Sum(c.lookup("price").unwrap())],
+                final_outputs: vec![c.intern("revenue")],
+                consolidate: true,
+                ..Default::default()
+            };
+            cases.push((name, c, rep, stats, spec));
+        }
         let (mut c, rep, stats) = t1_rep();
-        let price = c.lookup("price").unwrap();
-        let customer = c.lookup("customer").unwrap();
-        let r1 = c.intern("rev_g");
-        let r2 = c.intern("rev_x");
-        let mut spec = QuerySpec {
-            group_by: vec![customer],
-            final_funcs: vec![AggOp::Sum(price)],
-            final_outputs: vec![r1],
+        let revenue = c.intern("revenue");
+        let spec = QuerySpec {
+            group_by: vec![c.lookup("customer").unwrap()],
+            final_funcs: vec![AggOp::Sum(c.lookup("price").unwrap())],
+            final_outputs: vec![revenue],
+            order_by: vec![SortKey::desc(revenue)],
             consolidate: true,
             ..Default::default()
         };
-        let gplan = greedy(rep.ftree(), &spec, &stats, &mut c).unwrap();
-        spec.final_outputs = vec![r2];
-        let xplan = exhaustive(
-            rep.ftree(),
-            &spec,
-            &stats,
-            &mut c,
-            ExhaustiveConfig::default(),
-        )
-        .unwrap();
-        let gout = gplan.execute(rep.clone()).unwrap().flatten();
-        let xout = xplan.execute(rep).unwrap().flatten();
-        let g: Vec<(String, i64)> = gout
-            .rows()
-            .map(|r| (r[0].as_str().unwrap().to_string(), r[1].as_int().unwrap()))
-            .collect();
-        let x: Vec<(String, i64)> = xout
-            .rows()
-            .map(|r| (r[0].as_str().unwrap().to_string(), r[1].as_int().unwrap()))
-            .collect();
-        assert_eq!(g, x);
+        cases.push(("revenue per customer by revenue", c, rep, stats, spec));
+        let (mut c, rep, stats) = join_rep();
+        let spec = QuerySpec {
+            selections: vec![(c.lookup("item").unwrap(), c.lookup("item2").unwrap())],
+            group_by: vec![c.lookup("pizza").unwrap()],
+            final_funcs: vec![AggOp::Sum(c.lookup("price").unwrap())],
+            final_outputs: vec![c.intern("total")],
+            consolidate: true,
+            ..Default::default()
+        };
+        cases.push(("join by selection", c, rep, stats, spec));
+
+        for (name, mut c, rep, stats, spec) in cases {
+            let gplan = greedy(rep.ftree(), &spec, &stats, &mut c).unwrap();
+            let xplan = exhaustive(
+                rep.ftree(),
+                &spec,
+                &stats,
+                &mut c,
+                ExhaustiveConfig::default(),
+            )
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let mut cols = spec.group_by.clone();
+            cols.extend(&spec.final_outputs);
+            let run = |plan: &FPlan| {
+                let out = plan.execute(rep.clone()).unwrap().flatten();
+                out.project_cols(&cols).canonical()
+            };
+            assert_eq!(run(&gplan), run(&xplan), "{name}");
+        }
     }
 
     #[test]
@@ -351,16 +412,8 @@ mod tests {
             ExhaustiveConfig::default(),
         )
         .unwrap();
-        let cost_of = |plan: &FPlan| -> f64 {
-            let mut tree = rep.ftree().clone();
-            let mut total = 0.0;
-            for op in &plan.ops {
-                apply_to_tree(&mut tree, op).unwrap();
-                total += tree_cost(&tree, &stats);
-            }
-            total
-        };
-        assert!(cost_of(&xplan) <= cost_of(&gplan) + 1e-6);
+        let x = plan_cost(rep.ftree(), &xplan, &stats);
+        assert!(x <= plan_cost(rep.ftree(), &gplan, &stats) + 1e-6);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! group-by attributes above non-group parents; (5) fix order-by
 //! contradictions; then stop. Step (7) — consolidating the remaining
 //! partial aggregates into a single attribute — runs when requested
-//! (needed for HAVING and for ordering by the aggregation result).
+//! (needed for HAVING and for ordering by the aggregation result); its
+//! swaps and target are planned by `plan_consolidation`.
 //!
 //! The heuristic plans on a scratch f-tree; every emitted operator is
 //! simulated immediately so later operators reference valid node ids.
@@ -16,7 +17,6 @@ use crate::agg::partial_funcs;
 use crate::error::{FdbError, Result};
 use crate::ftree::{AggOp, FTree, NodeId, NodeLabel};
 use crate::optim::cost::{tree_cost, Stats};
-use crate::orderby;
 use crate::plan::{apply_to_tree, FOp, FPlan};
 use fdb_relational::{AttrId, Catalog, CmpOp, SortKey, Value};
 use std::collections::BTreeSet;
@@ -171,7 +171,7 @@ pub(crate) fn finish(tree: &mut FTree, plan: &mut FPlan, spec: &QuerySpec) -> Re
     };
     if spec.is_aggregate() && spec.consolidate {
         // Step 7: single-attribute result.
-        let (swaps, parent, targets) = orderby::plan_consolidation(tree, &spec.group_by)?;
+        let (swaps, parent, targets) = plan_consolidation(tree, &spec.group_by)?;
         for (p, n) in swaps {
             emit(
                 tree,
@@ -469,11 +469,129 @@ pub(crate) fn order_violation(tree: &FTree, keys: &[SortKey]) -> Option<(NodeId,
     None
 }
 
+/// What [`plan_consolidation`] computes: the swap sequence, then the
+/// target parent and sibling subtrees for the consolidating `γ`.
+pub(crate) type ConsolidationPlan = (Vec<(NodeId, NodeId)>, Option<NodeId>, Vec<NodeId>);
+
+/// Plans §5.2 step 7: swaps that gather every node *not* exposing a
+/// `group` attribute under a single parent, returning the swaps plus the
+/// final target (parent, sibling subtrees) for the consolidating `γ`.
+///
+/// Fails when the non-group nodes live in different trees of the forest
+/// with group roots in between — callers fall back to materialising.
+pub(crate) fn plan_consolidation(tree: &FTree, group: &[AttrId]) -> Result<ConsolidationPlan> {
+    let mut scratch = tree.clone();
+    let mut swaps: Vec<(NodeId, NodeId)> = Vec::new();
+    let group_nodes = nodes_of(&scratch, group)?;
+    let value_nodes: Vec<NodeId> = scratch
+        .live_nodes()
+        .into_iter()
+        .filter(|n| !group_nodes.contains(n))
+        .collect();
+    // `PlanningFailed`, not `InvalidOperator`: callers fall back to the
+    // grouped (scenario-3) evaluation, which is exact here — with every
+    // node a group node there are no partial aggregates left to gather
+    // (e.g. `GROUP BY` over all attributes with only `COUNT(*)`).
+    if value_nodes.is_empty() {
+        return Err(FdbError::PlanningFailed(
+            "nothing to consolidate: every node is a group node".into(),
+        ));
+    }
+    // Iterate: find the LCA of all value nodes; while it is a group node
+    // with group children on the paths to value nodes, lift those group
+    // children above it.
+    let mut guard = 0usize;
+    loop {
+        guard += 1;
+        if guard > 10_000 {
+            return Err(FdbError::PlanningFailed(
+                "consolidation did not converge".into(),
+            ));
+        }
+        let value_nodes: Vec<NodeId> = scratch
+            .live_nodes()
+            .into_iter()
+            .filter(|n| !group_nodes.contains(n))
+            .collect();
+        // Roots of the value forest: value nodes whose parent is a group
+        // node or absent.
+        let value_roots: Vec<NodeId> = value_nodes
+            .iter()
+            .copied()
+            .filter(|&n| match scratch.node(n).parent {
+                None => true,
+                Some(p) => group_nodes.contains(&p),
+            })
+            .collect();
+        let parents: Vec<Option<NodeId>> = value_roots
+            .iter()
+            .map(|&n| scratch.node(n).parent)
+            .collect();
+        if parents.iter().all(|p| p.is_none()) {
+            return Ok((swaps, None, value_roots));
+        }
+        if parents.windows(2).all(|w| w[0] == w[1]) {
+            // All value subtrees already hang under one parent.
+            if let Some(Some(p)) = parents.first().copied() {
+                // The parent must not have *group* children below which
+                // more value nodes hide — value_roots covers all of them
+                // by construction, so we are done.
+                return Ok((swaps, Some(p), value_roots));
+            }
+        }
+        // Mixed parents: lift a group node that sits on the path between
+        // the deepest common region and a value root — concretely, lift
+        // the deepest group parent of a value root above its own parent,
+        // funnelling value subtrees towards a common ancestor.
+        let deepest = value_roots
+            .iter()
+            .filter_map(|&n| scratch.node(n).parent.map(|p| (p, scratch.depth(p))))
+            .max_by_key(|&(_, d)| d);
+        match deepest {
+            None => {
+                return Err(FdbError::PlanningFailed(
+                    "value subtrees split across forest roots".into(),
+                ))
+            }
+            Some((gp, _)) => {
+                match scratch.node(gp).parent {
+                    None => {
+                        return Err(FdbError::PlanningFailed(
+                            "value subtrees split across forest roots".into(),
+                        ))
+                    }
+                    Some(gpp) => {
+                        // χ_{gpp, gp}: lift the group parent; its value
+                        // children that depend on gpp sink to gpp,
+                        // merging value regions.
+                        scratch.swap(gpp, gp)?;
+                        swaps.push((gpp, gp));
+                    }
+                }
+            }
+        }
+    }
+}
+
+fn nodes_of(tree: &FTree, attrs: &[AttrId]) -> Result<Vec<NodeId>> {
+    let mut nodes = Vec::new();
+    for &a in attrs {
+        let n = tree
+            .node_of_attr(a)
+            .ok_or_else(|| FdbError::Unresolved(format!("attribute {a} not in f-tree")))?;
+        if !nodes.contains(&n) {
+            nodes.push(n);
+        }
+    }
+    Ok(nodes)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::enumerate::{supports_group, supports_order, EnumSpec, TupleIter};
     use crate::frep::FRep;
-    use fdb_relational::{Relation, Schema};
+    use fdb_relational::{Relation, Schema, SortDir};
 
     /// T1 rep + stats for the pizzeria join.
     fn t1_rep() -> (Catalog, FRep, Stats) {
@@ -754,5 +872,197 @@ mod tests {
                 ("Pietro".to_string(), 3)
             ]
         );
+    }
+
+    /// Applies the swap `violation` names (greedy step 4 or 5) through
+    /// `ops::swap` until there is none; returns the result and the
+    /// number of swaps.
+    fn restructure(
+        mut rep: FRep,
+        violation: impl Fn(&FTree) -> Option<(NodeId, NodeId)>,
+    ) -> (FRep, usize) {
+        let mut swaps = 0;
+        while let Some((p, n)) = violation(rep.ftree()) {
+            rep = crate::ops::swap(rep, p, n).unwrap();
+            swaps += 1;
+        }
+        (rep, swaps)
+    }
+
+    #[test]
+    fn example2_customer_order_restructuring() {
+        // Example 2: the order (customer, pizza, item, price) is obtained
+        // by pushing customer up past date and pizza; the item/price
+        // branch is untouched.
+        let (c, rep, _) = t1_rep();
+        let a = |n: &str| c.lookup(n).unwrap();
+        let keys = vec![
+            SortKey::asc(a("customer")),
+            SortKey::asc(a("pizza")),
+            SortKey::asc(a("item")),
+            SortKey::asc(a("price")),
+        ];
+        assert!(!supports_order(rep.ftree(), &keys));
+        let before = rep.tuple_count();
+        let (out, swaps) = restructure(rep, |t| order_violation(t, &keys));
+        assert_eq!(swaps, 2); // customer past date, then past pizza
+        out.check_invariants().unwrap();
+        assert!(supports_order(out.ftree(), &keys));
+        assert_eq!(out.tuple_count(), before);
+        // And the enumeration really is sorted.
+        let spec = EnumSpec::ordered(out.ftree(), &keys).unwrap();
+        let rel = TupleIter::new(&out, &spec)
+            .unwrap()
+            .projected(&[a("customer"), a("pizza"), a("item"), a("price")], None)
+            .unwrap();
+        assert!(rel.is_sorted_by(&keys));
+    }
+
+    #[test]
+    fn group_restructuring_lifts_group_nodes() {
+        let (c, rep, _) = t1_rep();
+        let a = |n: &str| c.lookup(n).unwrap();
+        let group = vec![a("customer"), a("pizza")];
+        assert!(!supports_group(rep.ftree(), &group));
+        let (out, _) = restructure(rep, |t| group_violation(t, &group));
+        assert!(supports_group(out.ftree(), &group));
+        out.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn already_supported_order_needs_no_swaps() {
+        let (c, rep, _) = t1_rep();
+        let a = |n: &str| c.lookup(n).unwrap();
+        let keys = vec![
+            SortKey {
+                attr: a("pizza"),
+                dir: SortDir::Asc,
+            },
+            SortKey {
+                attr: a("date"),
+                dir: SortDir::Desc,
+            },
+        ];
+        assert!(order_violation(rep.ftree(), &keys).is_none());
+    }
+
+    #[test]
+    fn consolidation_under_single_group_node() {
+        // Group by pizza: date-customer and item-price subtrees both hang
+        // under pizza already; consolidation targets them directly.
+        let (c, rep, _) = t1_rep();
+        let a = |n: &str| c.lookup(n).unwrap();
+        let (swaps, parent, targets) = plan_consolidation(rep.ftree(), &[a("pizza")]).unwrap();
+        assert!(swaps.is_empty());
+        assert_eq!(parent, rep.ftree().node_of_attr(a("pizza")));
+        assert_eq!(targets.len(), 2);
+    }
+
+    #[test]
+    fn consolidation_with_scattered_value_nodes() {
+        // Group by customer after restructuring: the date node sits between
+        // customer and the leaves; consolidation must lift group nodes so
+        // that the value subtrees share a parent.
+        let (c, rep, _) = t1_rep();
+        let a = |n: &str| c.lookup(n).unwrap();
+        let group = [a("customer")];
+        let (mut rep, _) = restructure(rep, |t| group_violation(t, &group));
+        let (swaps, parent, targets) = plan_consolidation(rep.ftree(), &group).unwrap();
+        for (p, n) in swaps {
+            rep = crate::ops::swap(rep, p, n).unwrap();
+        }
+        rep.check_invariants().unwrap();
+        // All value subtrees now under the customer node.
+        let cust_node = rep.ftree().node_of_attr(a("customer")).unwrap();
+        assert_eq!(parent, Some(cust_node));
+        for &t in &targets {
+            assert_eq!(rep.ftree().node(t).parent, Some(cust_node));
+        }
+    }
+
+    #[test]
+    fn full_aggregation_consolidates_at_root() {
+        let (_, rep, _) = t1_rep();
+        let (swaps, parent, targets) = plan_consolidation(rep.ftree(), &[]).unwrap();
+        assert!(swaps.is_empty());
+        assert_eq!(parent, None);
+        assert_eq!(targets, rep.ftree().roots().to_vec());
+    }
+}
+
+#[cfg(test)]
+mod consolidation_failure_tests {
+    use super::*;
+    use crate::ftree::AggLabel;
+
+    /// Value subtrees in different *trees of the forest* cannot be
+    /// consolidated by upward swaps: the planner must report failure so
+    /// the engine can fall back to grouped evaluation.
+    #[test]
+    fn forest_split_value_nodes_fail_gracefully() {
+        let mut c = Catalog::new();
+        let g1 = c.intern("g1");
+        let g2 = c.intern("g2");
+        let v1 = c.intern("v1");
+        let v2 = c.intern("v2");
+        let mut t = FTree::new();
+        let n1 = t.add_node(NodeLabel::Atomic(vec![g1]), None);
+        let n2 = t.add_node(NodeLabel::Atomic(vec![g2]), None);
+        let mk_leaf = |t: &mut FTree, parent, out: AttrId, over: AttrId| {
+            t.add_node(
+                NodeLabel::Agg(AggLabel {
+                    funcs: vec![AggOp::Count],
+                    over: [over].into_iter().collect(),
+                    outputs: vec![out],
+                }),
+                Some(parent),
+            )
+        };
+        let x1 = c.intern("x1");
+        let x2 = c.intern("x2");
+        mk_leaf(&mut t, n1, v1, x1);
+        mk_leaf(&mut t, n2, v2, x2);
+        t.add_dep([g1, v1]);
+        t.add_dep([g2, v2]);
+        let err = plan_consolidation(&t, &[g1, g2]);
+        assert!(matches!(err, Err(FdbError::PlanningFailed(_))));
+    }
+
+    /// Partial aggregates pinned under different group nodes on one path
+    /// (the R⋈S⋈T `GROUP BY b, c` shape) also fail — the swap loop must
+    /// hit its guard, not spin forever.
+    #[test]
+    fn path_split_value_nodes_fail_gracefully() {
+        let mut c = Catalog::new();
+        let b = c.intern("b");
+        let d = c.intern("d");
+        let cnt_a = c.intern("count_a");
+        let sum_d = c.intern("sum_d");
+        let a_attr = c.intern("a");
+        let d_over = c.intern("d_over");
+        let mut t = FTree::new();
+        let nb = t.add_node(NodeLabel::Atomic(vec![b]), None);
+        let nc = t.add_node(NodeLabel::Atomic(vec![d]), Some(nb));
+        t.add_node(
+            NodeLabel::Agg(AggLabel {
+                funcs: vec![AggOp::Count],
+                over: [a_attr].into_iter().collect(),
+                outputs: vec![cnt_a],
+            }),
+            Some(nb),
+        );
+        t.add_node(
+            NodeLabel::Agg(AggLabel {
+                funcs: vec![AggOp::Sum(d_over)],
+                over: [d_over].into_iter().collect(),
+                outputs: vec![sum_d],
+            }),
+            Some(nc),
+        );
+        t.add_dep([b, cnt_a]);
+        t.add_dep([d, sum_d]);
+        t.add_dep([b, d]);
+        let result = plan_consolidation(&t, &[b, d]);
+        assert!(matches!(result, Err(FdbError::PlanningFailed(_))));
     }
 }

@@ -242,8 +242,15 @@ fn example7_full_pipeline_equivalence() {
         vec![s1],
     )
     .unwrap();
-    // Restructure customer to the root for both sides.
-    let lift = |rep: FRep| fdb_core::orderby::restructure_for_group(rep, &[f.customer]).unwrap();
+    // Restructure customer to the root for both sides: swap it past each
+    // parent in turn.
+    let lift = |mut rep: FRep| loop {
+        let n = rep.ftree().node_of_attr(f.customer).unwrap();
+        match rep.ftree().node(n).parent {
+            Some(p) => rep = fdb_core::ops::swap(rep, p, n).unwrap(),
+            None => break rep,
+        }
+    };
     let with_partials = lift(with_partials);
     let date_node = with_partials.ftree().node_of_attr(f.date).unwrap();
     let c1 = f.catalog.intern("cd");

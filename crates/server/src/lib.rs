@@ -75,9 +75,6 @@ pub struct ServerOptions {
     pub deadline: Option<Duration>,
     /// Plan-cache capacity in entries; `0` disables the cache.
     pub cache_capacity: usize,
-    /// Base run options applied to every request (plan search,
-    /// consolidation…). The deadline field above is layered on top.
-    pub run: RunOptions,
 }
 
 impl Default for ServerOptions {
@@ -86,7 +83,6 @@ impl Default for ServerOptions {
             workers: DEFAULT_WORKERS,
             deadline: Some(DEFAULT_DEADLINE),
             cache_capacity: DEFAULT_CACHE_CAPACITY,
-            run: RunOptions::default(),
         }
     }
 }
@@ -119,16 +115,9 @@ impl ServerOptions {
         self
     }
 
-    /// Sets the base run options applied to every request.
-    pub fn run(mut self, run: RunOptions) -> Self {
-        self.run = run;
-        self
-    }
-
-    /// The effective per-request options: base run options plus the
-    /// server deadline.
+    /// The per-request run options: the server deadline.
     fn request_options(&self) -> RunOptions {
-        self.run.deadline(self.deadline)
+        RunOptions::new().deadline(self.deadline)
     }
 }
 

@@ -759,25 +759,36 @@ fn status_with_timeout(addr: std::net::SocketAddr, line: &str) -> std::io::Resul
 
 #[test]
 fn hostile_fdbv1_load_answers_err_and_the_worker_survives() {
-    // A 26-byte file announcing 2^64 − 1 attributes: the loader must
-    // refuse it, not allocate for it.
-    let path = std::env::temp_dir().join(format!("fdb_hostile_{}.fdbv1", std::process::id()));
-    std::fs::write(&path, "fdbv1 18446744073709551615").unwrap();
+    // A 26-byte file announcing 2^64 − 1 attributes must be refused, not
+    // allocated for; a value nested 100 000 tuples deep (~300 KB) must
+    // be refused, not recursed into off the worker's stack — an abort
+    // that would take every worker down.
+    let deep = format!(
+        "fdbv1 1 s1:a t 1 -1 a 1 0 d 0 u 1 {}i7",
+        "t1 ".repeat(100_000)
+    );
     let mut server = spawn(
         pizzeria_db(),
         "127.0.0.1:0",
         ServerOptions::new().workers(1),
     )
     .unwrap();
+    for (i, contents) in ["fdbv1 18446744073709551615".to_string(), deep]
+        .into_iter()
+        .enumerate()
+    {
+        let path =
+            std::env::temp_dir().join(format!("fdb_hostile_{}_{i}.fdbv1", std::process::id()));
+        std::fs::write(&path, contents).unwrap();
+        let status = status_with_timeout(server.addr(), &format!("LOAD V {}", path.display()));
+        std::fs::remove_file(&path).ok();
+        let status = status.expect("LOAD got an answer");
+        assert!(status.starts_with("ERR "), "file {i}: {status}");
+        assert!(status.contains("malformed"), "file {i}: {status}");
 
-    let status = status_with_timeout(server.addr(), &format!("LOAD V {}", path.display()));
-    std::fs::remove_file(&path).ok();
-    let status = status.expect("LOAD got an answer");
-    assert!(status.starts_with("ERR "), "{status}");
-    assert!(status.contains("malformed"), "{status}");
-
-    // The one worker is still there to answer the next connection.
-    let status = status_with_timeout(server.addr(), "PING").expect("PING got an answer");
-    assert!(status.starts_with("OK"), "{status}");
+        // The one worker is still there to answer the next connection.
+        let status = status_with_timeout(server.addr(), "PING").expect("PING got an answer");
+        assert!(status.starts_with("OK"), "file {i}: {status}");
+    }
     server.shutdown();
 }

@@ -6,21 +6,10 @@
 //! Run with: `cargo run --release --example plan_explorer`
 
 use fdb::core::ftree::AggOp;
+use fdb::core::optim::ordering::plan_cost;
 use fdb::core::optim::{exhaustive, greedy, tree_cost, ExhaustiveConfig, QuerySpec, Stats};
-use fdb::core::plan::{apply_to_tree, FPlan};
-use fdb::core::FTree;
 use fdb::workload::pizzeria::{factorised_r, pizzeria};
 use fdb::Catalog;
-
-fn plan_cost(tree0: &FTree, plan: &FPlan, stats: &Stats) -> f64 {
-    let mut tree = tree0.clone();
-    let mut total = 0.0;
-    for op in &plan.ops {
-        apply_to_tree(&mut tree, op).expect("plan simulates");
-        total += tree_cost(&tree, stats);
-    }
-    total
-}
 
 fn main() {
     let mut catalog = Catalog::new();

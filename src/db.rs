@@ -488,12 +488,7 @@ impl Session {
         self.opts
     }
 
-    /// Replaces the session's default run options.
-    pub fn set_options(&mut self, opts: RunOptions) {
-        self.opts = opts;
-    }
-
-    /// Builder-style [`Session::set_options`].
+    /// Replaces the session's default run options (builder style).
     pub fn with_options(mut self, opts: RunOptions) -> Self {
         self.opts = opts;
         self

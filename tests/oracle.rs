@@ -1,9 +1,10 @@
 //! Property-based equivalence: the factorised engine must agree with the
-//! relational baselines on randomly generated databases and queries, for
-//! every plan flavour (greedy/exhaustive, consolidated or not, sort/hash
-//! grouping, naive/eager aggregation): every flavour must produce the
-//! same `Relation::canonical` on every database × query (see
-//! `common::EnginePair::assert_all_agree`); the staged executor is
+//! relational baselines on randomly generated databases and queries: the
+//! factorised run as planned, a derived run whose extra HAVING conjunct
+//! makes the aggregate consolidate, sort/hash grouping and naive/eager
+//! aggregation must all produce the same `Relation::canonical` on every
+//! database × query (see `common::EnginePair::assert_all_agree`); the
+//! staged executor is
 //! checked plan by plan, on random f-plans, in
 //! `crates/core/tests/pipeline_fused.rs`.
 //!
@@ -66,6 +67,8 @@ fn corpus() -> Vec<&'static str> {
         "SELECT COUNT(*) AS n FROM R, S, T",
         "SELECT a, SUM(d) AS s FROM R, S, T GROUP BY a",
         "SELECT b, c, SUM(d) AS s FROM R, S, T GROUP BY b, c",
+        // Consolidation gathers two value subtrees under one parent.
+        "SELECT a, c, SUM(d) AS s FROM R, S, T GROUP BY a, c",
         "SELECT a, d, COUNT(*) AS n FROM R, S, T GROUP BY a, d",
         "SELECT a, AVG(d) AS m FROM R, S, T GROUP BY a",
         "SELECT c, MAX(a) AS hi FROM R, S, T GROUP BY c",

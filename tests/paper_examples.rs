@@ -1,6 +1,6 @@
 //! End-to-end checks of the numbers the paper derives in its running
 //! examples (§1 Example 1, §3 Examples 6 and 8), driven through SQL and
-//! checked across every engine and plan flavour.
+//! checked across every engine and plan mode.
 
 mod common;
 
