@@ -9,15 +9,24 @@
 //! singleton, whose cardinality is unrecoverable — are reported as
 //! [`FdbError::InvalidComposition`].
 //!
+//! Every function but one composes through partial aggregates
+//! ([`partial_funcs`]). `product` exponentiates a partial product by its
+//! siblings' tuple count; `top_k` keeps a partial list of at most `k`
+//! values and repeats each by that count before cutting at `k` again.
+//! `count(distinct)` does not compose — which values occur is lost in a
+//! count — so its attribute stays atomic and the final evaluation walks
+//! the providing spine once per group, interning each value into one
+//! dense-id table reused for the whole result.
+//!
 //! The evaluators traverse the arena through [`UnionRef`]/[`EntryRef`]
 //! cursors — index chasing over flat tables, no pointer-chasing through
 //! heap-allocated nodes.
 
+use crate::dense::DenseIds;
 use crate::error::{FdbError, Result};
 use crate::frep::{EntryRef, UnionRef};
 use crate::ftree::{AggLabel, AggOp, FTree, NodeId, NodeLabel};
 use fdb_relational::{Number, Value};
-use std::collections::BTreeSet;
 
 /// Evaluates `term` for every entry and folds the results in entry
 /// order with `combine`.
@@ -287,11 +296,11 @@ pub fn extremum_union(ftree: &FTree, u: UnionRef<'_>, op: &AggOp) -> Result<Valu
     best.ok_or_else(|| FdbError::InvalidOperator("extremum of an empty union".into()))
 }
 
-/// Finds the child subtree of `u`'s node that provides `op`, mirroring
-/// the lookup in [`sum_union`].
-fn providing_child(ftree: &FTree, u: UnionRef<'_>, op: &AggOp) -> Result<usize> {
+/// Finds the child subtree of `node` that provides `op`, mirroring the
+/// lookup in [`sum_union`].
+fn providing_child(ftree: &FTree, node: NodeId, op: &AggOp) -> Result<usize> {
     ftree
-        .node(u.node())
+        .node(node)
         .children
         .iter()
         .position(|&c| subtree_provides(ftree, c, op))
@@ -345,7 +354,7 @@ pub fn product_union(ftree: &FTree, u: UnionRef<'_>, op: &AggOp) -> Result<Optio
             mul,
         );
     }
-    let j = providing_child(ftree, u, op)?;
+    let j = providing_child(ftree, u.node(), op)?;
     fold_entries(
         u,
         None,
@@ -363,48 +372,65 @@ pub fn product_union(ftree: &FTree, u: UnionRef<'_>, op: &AggOp) -> Result<Optio
     )
 }
 
-/// The set of distinct non-NULL values of `op`'s attribute in the
-/// relation represented by `u` — the distinct-count walk. Each distinct
-/// value is touched once per union that mentions it, regardless of how
-/// many tuples share it, so the walk runs in factorisation size.
+/// The providing spine of `count(distinct A)` below `node`: the child
+/// position to descend at each level, down to the atomic node holding
+/// `A`. It depends on the f-tree alone, so it is resolved once per
+/// evaluation, not once per union.
 ///
 /// The attribute must still be *atomic* in the tree: distinct values
 /// cannot be recovered from aggregate singletons.
-pub fn distinct_values(ftree: &FTree, u: UnionRef<'_>, op: &AggOp) -> Result<BTreeSet<Value>> {
+fn distinct_spine(ftree: &FTree, node: NodeId, op: &AggOp) -> Result<Vec<usize>> {
     let attr = op.attr().expect("count(distinct) has an attribute");
-    let label = &ftree.node(u.node()).label;
-    match label {
-        NodeLabel::Atomic(attrs) if attrs.contains(&attr) => {
-            // Every entry stands for at least one tuple (unions are never
-            // empty), so the distinct values are the entry values.
-            fold_entries(
-                u,
-                BTreeSet::new(),
-                |e| Ok((!e.value().is_null()).then(|| e.value().clone())),
-                |mut set, v| {
-                    if let Some(v) = v {
-                        set.insert(v);
-                    }
-                    set
-                },
-            )
-        }
-        NodeLabel::Agg(l) if l.component_of(op).is_some() => Err(FdbError::InvalidComposition(
-            format!("distinct values of {op:?} are unrecoverable from an aggregate singleton"),
-        )),
-        _ => {
-            let j = providing_child(ftree, u, op)?;
-            fold_entries(
-                u,
-                BTreeSet::new(),
-                |e| distinct_values(ftree, e.child(j), op),
-                |mut acc, set| {
-                    acc.extend(set);
-                    acc
-                },
-            )
+    let mut spine = Vec::new();
+    let mut n = node;
+    loop {
+        match &ftree.node(n).label {
+            NodeLabel::Atomic(attrs) if attrs.contains(&attr) => return Ok(spine),
+            NodeLabel::Agg(l) if l.component_of(op).is_some() => {
+                return Err(FdbError::InvalidComposition(format!(
+                    "distinct values of {op:?} are unrecoverable from an aggregate singleton"
+                )))
+            }
+            _ => {
+                let j = providing_child(ftree, n, op)?;
+                spine.push(j);
+                n = ftree.node(n).children[j];
+            }
         }
     }
+}
+
+/// The number of distinct non-NULL values of the attribute at the end of
+/// `spine` in the relation represented by `u` — `count(distinct A)`.
+/// Multiplicity-invariant, so the walk only descends the spine: sibling
+/// subtrees never change which values occur.
+///
+/// Every entry stands for at least one tuple (unions are never empty),
+/// so the distinct values are those of the providing unions' entries:
+/// each is interned into `ids` (cleared first) and the answer is the
+/// number of ids — a value is touched once per entry that mentions it,
+/// so the walk runs in factorisation size.
+fn count_distinct(u: UnionRef<'_>, spine: &[usize], ids: &mut DenseIds) -> i64 {
+    fn intern(u: UnionRef<'_>, spine: &[usize], ids: &mut DenseIds) {
+        match spine.split_first() {
+            None => {
+                let (col, vals) = u.value_indices();
+                for v in vals {
+                    if !col[v as usize].is_null() {
+                        ids.intern(col, v);
+                    }
+                }
+            }
+            Some((&j, rest)) => {
+                for e in u.entries() {
+                    intern(e.child(j), rest, ids);
+                }
+            }
+        }
+    }
+    ids.clear();
+    intern(u, spine, ids);
+    ids.len() as i64
 }
 
 /// `existsA(E)` / `forallA(E)` over union `u`: whether some (resp.
@@ -452,7 +478,7 @@ pub fn boolean_union(ftree: &FTree, u: UnionRef<'_>, op: &AggOp) -> Result<bool>
             )
         }
         _ => {
-            let j = providing_child(ftree, u, op)?;
+            let j = providing_child(ftree, u.node(), op)?;
             fold_entries(
                 u,
                 !is_exists,
@@ -493,10 +519,29 @@ fn push_repeated(out: &mut Vec<Value>, v: Value, mult: i64, k: usize) {
     }
 }
 
+/// The descending list `vals` with each value repeated `mult` times,
+/// truncated at `k`: the top `k` of a partial top-`k` list times `mult`
+/// tuples, since `min(min(c,k)·m, k) = min(c·m, k)` — the rule that
+/// exponentiates `product` by sibling counts. Sized by the values that
+/// arrive, never by `k` alone, which comes from the query.
+fn repeat_truncated(vals: &[Value], mult: i64, k: usize) -> Vec<Value> {
+    let mut out = Vec::with_capacity(k.min(vals.len()));
+    for v in vals {
+        if out.len() >= k {
+            break;
+        }
+        push_repeated(&mut out, v.clone(), mult, k);
+    }
+    out
+}
+
 /// The `k` largest non-NULL values of `op`'s attribute in the relation
 /// represented by `u`, descending, under bag semantics: a value shared
-/// by `m` tuples occurs `min(m, k)` times. One bounded heap-equivalent
-/// list per union entry, merged in entry order (§ PR-5 top-k).
+/// by `m` tuples occurs `min(m, k)` times. One list of at most `k`
+/// values per union entry, merged in entry order. The attribute may sit
+/// in an atomic node or in a partial `top_k` component left by an
+/// earlier `γ`: a list that composes like `product`, each value
+/// repeated by its entry's tuple count and the list cut at `k` again.
 pub fn topk_union(ftree: &FTree, u: UnionRef<'_>, op: &AggOp) -> Result<Vec<Value>> {
     let (attr, k) = match *op {
         AggOp::TopK(a, k) => (a, k),
@@ -511,7 +556,7 @@ pub fn topk_union(ftree: &FTree, u: UnionRef<'_>, op: &AggOp) -> Result<Vec<Valu
             // Entries are sorted ascending; walk them backwards so the
             // largest values fill the budget first; the reverse scan
             // stops after at most k distinct entries.
-            let mut out = Vec::with_capacity(k);
+            let mut out = Vec::with_capacity(k.min(u.len()));
             for i in (0..u.len()).rev() {
                 if out.len() >= k {
                     break;
@@ -535,31 +580,23 @@ pub fn topk_union(ftree: &FTree, u: UnionRef<'_>, op: &AggOp) -> Result<Vec<Valu
                 u,
                 Vec::new(),
                 |e| {
-                    let part = component(l, e.value(), i);
+                    // A partial list (NULL when its tuples had no
+                    // non-NULL value), repeated by this entry's subtree.
                     let mut mult: i64 = 1;
                     for c in e.children() {
                         mult = mult.wrapping_mul(count_union(ftree, c)?);
                     }
-                    let mut out = Vec::new();
-                    match part {
-                        Value::Null => {}
-                        Value::Tup(vals) => {
-                            for v in vals.iter() {
-                                if out.len() >= k {
-                                    break;
-                                }
-                                push_repeated(&mut out, v.clone(), mult, k);
-                            }
-                        }
-                        v => push_repeated(&mut out, v, mult, k),
-                    }
-                    Ok(out)
+                    Ok(match component(l, e.value(), i) {
+                        Value::Null => Vec::new(),
+                        Value::Tup(vals) => repeat_truncated(&vals, mult, k),
+                        v => repeat_truncated(&[v], mult, k),
+                    })
                 },
                 |acc, part| merge_topk(acc, part, k),
             )
         }
         _ => {
-            let j = providing_child(ftree, u, op)?;
+            let j = providing_child(ftree, u.node(), op)?;
             fold_entries(
                 u,
                 Vec::new(),
@@ -571,14 +608,7 @@ pub fn topk_union(ftree: &FTree, u: UnionRef<'_>, op: &AggOp) -> Result<Vec<Valu
                         }
                     }
                     let sub = topk_union(ftree, e.child(j), op)?;
-                    let mut out = Vec::with_capacity(k);
-                    for v in sub {
-                        if out.len() >= k {
-                            break;
-                        }
-                        push_repeated(&mut out, v, mult, k);
-                    }
-                    Ok(out)
+                    Ok(repeat_truncated(&sub, mult, k))
                 },
                 |acc, part| merge_topk(acc, part, k),
             )
@@ -645,8 +675,12 @@ fn eval_op_at(
         AggOp::CountDistinct(_) => {
             // Multiplicity-invariant: the non-providing factors only
             // repeat tuples, never change which values occur.
-            let set = distinct_values(ftree, unions[j], op)?;
-            Ok(Value::Int(set.len() as i64))
+            let spine = distinct_spine(ftree, unions[j].node(), op)?;
+            Ok(Value::Int(count_distinct(
+                unions[j],
+                &spine,
+                &mut DenseIds::new(),
+            )))
         }
         AggOp::Product(_) => {
             let mult = others(Some(j))?;
@@ -660,14 +694,7 @@ fn eval_op_at(
         }
         AggOp::TopK(_, k) => {
             let mult = others(Some(j))?;
-            let partial = topk_union(ftree, unions[j], op)?;
-            let mut out = Vec::with_capacity(*k);
-            for v in partial {
-                if out.len() >= *k {
-                    break;
-                }
-                push_repeated(&mut out, v, mult, *k);
-            }
+            let out = repeat_truncated(&topk_union(ftree, unions[j], op)?, mult, *k);
             Ok(if out.is_empty() {
                 Value::Null
             } else {
@@ -675,6 +702,52 @@ fn eval_op_at(
             })
         }
     }
+}
+
+/// Evaluates `op` over the relation `{v} × unions` when its attribute is
+/// a group attribute holding `v` in the current group: the factors below
+/// the group cannot provide it and only repeat `v` by their tuple count.
+pub(crate) fn eval_on_group_value(
+    ftree: &FTree,
+    unions: &[UnionRef<'_>],
+    op: &AggOp,
+    v: &Value,
+) -> Result<Value> {
+    let mult = || -> Result<i64> {
+        let mut mult: i64 = 1;
+        for &u in unions {
+            mult = mult.wrapping_mul(count_union(ftree, u)?);
+        }
+        Ok(mult)
+    };
+    let number = |what: &str| {
+        v.as_number()
+            .ok_or_else(|| FdbError::NonNumeric(format!("{what} over non-numeric value {v}")))
+    };
+    Ok(match *op {
+        AggOp::Count => Value::Int(mult()?),
+        AggOp::Sum(_) => number("sum")?.mul(Number::Int(mult()?)).into_value(),
+        AggOp::Min(_) | AggOp::Max(_) => v.clone(),
+        // NULL inputs are skipped by every function below.
+        _ if v.is_null() => match op {
+            AggOp::CountDistinct(_) | AggOp::Exists(..) => Value::Int(0),
+            AggOp::Forall(..) => Value::Int(1),
+            _ => Value::Null,
+        },
+        AggOp::CountDistinct(_) => Value::Int(1),
+        AggOp::Product(_) => number("product")?.pow(mult()?.max(0) as u64).into_value(),
+        AggOp::Exists(_, cmp, rhs) | AggOp::Forall(_, cmp, rhs) => {
+            Value::Int(cmp.eval(v.cmp(&Value::Int(rhs))) as i64)
+        }
+        AggOp::TopK(_, k) => {
+            let out = repeat_truncated(std::slice::from_ref(v), mult()?, k);
+            if out.is_empty() {
+                Value::Null
+            } else {
+                Value::tup(out)
+            }
+        }
+    })
 }
 
 /// How one factor feeds a [`CompiledAgg`] without a walk, when it is the
@@ -702,16 +775,21 @@ enum LeafRole {
 /// multiply, and for `count`/`sum`/`min`/`max` over partial-aggregate
 /// leaves also the value components to read: such a product is evaluated
 /// without recursion and without touching the f-tree, in the arithmetic
-/// order of the general evaluator, so the two agree bit for bit. Any other
-/// shape — and a leaf union that turns out not to hold exactly one
-/// singleton — goes through the general evaluator ([`eval_op`] with the
-/// provider supplied).
+/// order of the general evaluator, so the two agree bit for bit. For
+/// `count(distinct)` it fixes the providing spine and keeps one
+/// [`DenseIds`] table for every group. Any other shape — and a leaf
+/// union that turns out not to hold exactly one singleton — goes through
+/// the general evaluator ([`eval_op`] with the provider supplied).
 #[derive(Clone, Debug)]
 pub(crate) struct CompiledAgg {
     op: AggOp,
     provider: Option<usize>,
     /// Per factor; `None` when some factor needs the general evaluator.
     leaves: Option<Vec<LeafRole>>,
+    /// `count(distinct)`: the provider's spine and the table its values
+    /// are interned into, cleared per group. A spine that does not
+    /// resolve is left to the general evaluator, which reports why.
+    distinct: Option<(Vec<usize>, DenseIds)>,
 }
 
 impl CompiledAgg {
@@ -743,11 +821,35 @@ impl CompiledAgg {
         let leaves = compilable
             .then(|| nodes.iter().enumerate().map(role).collect())
             .flatten();
+        let distinct = match (op, provider) {
+            (AggOp::CountDistinct(_), Some(j)) => distinct_spine(ftree, nodes[j], &op)
+                .ok()
+                .map(|spine| (spine, DenseIds::new())),
+            _ => None,
+        };
         CompiledAgg {
             op,
             provider,
             leaves,
+            distinct,
         }
+    }
+
+    /// True when some factor provides the function's attribute; when none
+    /// does, the attribute is a group attribute (or hidden by an earlier
+    /// aggregate) and [`CompiledAgg::eval_on_group_value`] applies.
+    pub(crate) fn provided(&self) -> bool {
+        self.op.attr().is_none() || self.provider.is_some()
+    }
+
+    /// [`eval_on_group_value`] for this function.
+    pub(crate) fn eval_on_group_value(
+        &self,
+        ftree: &FTree,
+        unions: &[UnionRef<'_>],
+        v: &Value,
+    ) -> Result<Value> {
+        eval_on_group_value(ftree, unions, &self.op, v)
     }
 
     /// True when the value depends on factor `k`: every factor scales a
@@ -763,7 +865,10 @@ impl CompiledAgg {
 
     /// The function's value over the product of `unions` (parallel to the
     /// nodes given to [`CompiledAgg::new`]).
-    pub(crate) fn eval(&self, ftree: &FTree, unions: &[UnionRef<'_>]) -> Result<Value> {
+    pub(crate) fn eval(&mut self, ftree: &FTree, unions: &[UnionRef<'_>]) -> Result<Value> {
+        if let (Some((spine, ids)), Some(j)) = (&mut self.distinct, self.provider) {
+            return Ok(Value::Int(count_distinct(unions[j], spine, ids)));
+        }
         if let Some(v) = self
             .leaves
             .as_ref()
@@ -874,153 +979,6 @@ pub fn partial_funcs(ftree: &FTree, targets: &[NodeId], final_funcs: &[AggOp]) -
         }
     }
     out
-}
-
-/// Combines the values of several partial-aggregate leaves into the final
-/// aggregate for one group (the enumeration-time combination of §5: "the
-/// value of the final aggregate is the product (or min or max) of these
-/// values").
-pub fn combine_partials(final_op: &AggOp, leaves: &[(&AggLabel, &Value)]) -> Result<Value> {
-    match final_op {
-        AggOp::Count => {
-            let mut prod: i64 = 1;
-            for (l, v) in leaves {
-                let i = l.count_component().ok_or_else(|| {
-                    FdbError::InvalidComposition(
-                        "count combination needs a count component in every leaf".into(),
-                    )
-                })?;
-                prod = prod.wrapping_mul(component(l, v, i).as_int().expect("integral count"));
-            }
-            Ok(Value::Int(prod))
-        }
-        AggOp::Sum(_) => {
-            let mut total: Option<Number> = None;
-            let mut mult: i64 = 1;
-            for (l, v) in leaves {
-                if let Some(i) = l.component_of(final_op) {
-                    let n = component(l, v, i)
-                        .as_number()
-                        .ok_or_else(|| FdbError::NonNumeric("sum component".into()))?;
-                    if total.is_some() {
-                        return Err(FdbError::InvalidComposition(
-                            "two leaves carry the same sum component".into(),
-                        ));
-                    }
-                    total = Some(n);
-                } else {
-                    let i = l.count_component().ok_or_else(|| {
-                        FdbError::InvalidComposition(
-                            "sum combination needs counts in the other leaves".into(),
-                        )
-                    })?;
-                    mult = mult.wrapping_mul(component(l, v, i).as_int().expect("integral count"));
-                }
-            }
-            let total = total.ok_or_else(|| {
-                FdbError::InvalidComposition("no leaf carries the sum component".into())
-            })?;
-            Ok(total.mul(Number::Int(mult)).into_value())
-        }
-        AggOp::Min(_) | AggOp::Max(_) => {
-            for (l, v) in leaves {
-                if let Some(i) = l.component_of(final_op) {
-                    return Ok(component(l, v, i));
-                }
-            }
-            Err(FdbError::InvalidComposition(
-                "no leaf carries the extremum component".into(),
-            ))
-        }
-        // Multiplicity-invariant: the one leaf carrying the component IS
-        // the answer; other leaves only repeat tuples.
-        AggOp::CountDistinct(_) | AggOp::Exists(..) | AggOp::Forall(..) => {
-            for (l, v) in leaves {
-                if let Some(i) = l.component_of(final_op) {
-                    return Ok(component(l, v, i));
-                }
-            }
-            Err(FdbError::InvalidComposition(format!(
-                "no leaf carries the {final_op:?} component"
-            )))
-        }
-        AggOp::Product(_) => {
-            // partial_product ^ (product of the other leaves' counts).
-            let mut partial: Option<Value> = None;
-            let mut mult: i64 = 1;
-            for (l, v) in leaves {
-                if let Some(i) = l.component_of(final_op) {
-                    if partial.is_some() {
-                        return Err(FdbError::InvalidComposition(
-                            "two leaves carry the same product component".into(),
-                        ));
-                    }
-                    partial = Some(component(l, v, i));
-                } else {
-                    let i = l.count_component().ok_or_else(|| {
-                        FdbError::InvalidComposition(
-                            "product combination needs counts in the other leaves".into(),
-                        )
-                    })?;
-                    mult = mult.wrapping_mul(component(l, v, i).as_int().expect("integral count"));
-                }
-            }
-            let partial = partial.ok_or_else(|| {
-                FdbError::InvalidComposition("no leaf carries the product component".into())
-            })?;
-            if partial.is_null() {
-                return Ok(Value::Null);
-            }
-            let n = partial
-                .as_number()
-                .ok_or_else(|| FdbError::NonNumeric("product component".into()))?;
-            Ok(n.pow(mult.max(0) as u64).into_value())
-        }
-        AggOp::TopK(_, k) => {
-            // Each partial top-k value is repeated by the other leaves'
-            // tuple multiplicities, then the combined list re-truncates.
-            let mut partial: Option<Value> = None;
-            let mut mult: i64 = 1;
-            for (l, v) in leaves {
-                if let Some(i) = l.component_of(final_op) {
-                    if partial.is_some() {
-                        return Err(FdbError::InvalidComposition(
-                            "two leaves carry the same top-k component".into(),
-                        ));
-                    }
-                    partial = Some(component(l, v, i));
-                } else {
-                    let i = l.count_component().ok_or_else(|| {
-                        FdbError::InvalidComposition(
-                            "top-k combination needs counts in the other leaves".into(),
-                        )
-                    })?;
-                    mult = mult.wrapping_mul(component(l, v, i).as_int().expect("integral count"));
-                }
-            }
-            let partial = partial.ok_or_else(|| {
-                FdbError::InvalidComposition("no leaf carries the top-k component".into())
-            })?;
-            let mut out = Vec::with_capacity(*k);
-            match partial {
-                Value::Null => {}
-                Value::Tup(vals) => {
-                    for v in vals.iter() {
-                        if out.len() >= *k {
-                            break;
-                        }
-                        push_repeated(&mut out, v.clone(), mult, *k);
-                    }
-                }
-                v => push_repeated(&mut out, v, mult, *k),
-            }
-            Ok(if out.is_empty() {
-                Value::Null
-            } else {
-                Value::tup(out)
-            })
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1429,7 +1387,7 @@ mod tests {
                 AggOp::Product(x),
                 AggOp::TopK(x, 2),
             ] {
-                let compiled = CompiledAgg::new(tree, nodes, op);
+                let mut compiled = CompiledAgg::new(tree, nodes, op);
                 // Max has no component in the leaf and nothing else
                 // exposes x: unprovided. Product has no leaf path.
                 let walk_free = matches!(op, AggOp::Count | AggOp::Sum(_) | AggOp::Min(_));
@@ -1499,37 +1457,172 @@ mod tests {
         );
     }
 
+    /// g → {⟨sum(price):8⟩, ⟨count:c⟩, ⟨top_k(price, k):t⟩} — one group of
+    /// partial-aggregate leaves as `γ` leaves them, combined by `eval_op`.
+    fn partial_leaf_group(count: i64, top: Value, k: usize) -> (AttrId, FRep) {
+        use crate::frep::{Entry, Union};
+        let mut c = Catalog::new();
+        let ids = c.intern_all(["g", "price", "date", "s", "n", "t"]);
+        let price = ids[1];
+        let mut t = FTree::new();
+        let n_g = t.add_node(NodeLabel::Atomic(vec![ids[0]]), None);
+        let mut leaf = |op: AggOp, over: AttrId, out: AttrId| {
+            t.add_node(
+                NodeLabel::Agg(AggLabel {
+                    funcs: vec![op],
+                    over: [over].into_iter().collect(),
+                    outputs: vec![out],
+                }),
+                Some(n_g),
+            )
+        };
+        let n_sum = leaf(AggOp::Sum(price), price, ids[3]);
+        let n_cnt = leaf(AggOp::Count, ids[2], ids[4]);
+        let n_top = leaf(AggOp::TopK(price, k), price, ids[5]);
+        let single = |node: NodeId, value: Value| Union {
+            node,
+            entries: vec![Entry {
+                value,
+                children: vec![],
+            }],
+        };
+        let root = Union {
+            node: n_g,
+            entries: vec![Entry {
+                value: Value::Int(0),
+                children: vec![
+                    single(n_sum, Value::Int(8)),
+                    single(n_cnt, Value::Int(count)),
+                    single(n_top, top),
+                ],
+            }],
+        };
+        (price, FRep::new(t, vec![root]).unwrap())
+    }
+
+    #[test]
+    fn partial_leaves_combine_through_eval_op() {
+        let nine_five = Value::tup(vec![Value::Int(9), Value::Int(5)]);
+        let (price, rep) = partial_leaf_group(2, nine_five, 3);
+        let t = rep.ftree();
+        let [sum, cnt, top]: [UnionRef<'_>; 3] = rep
+            .root(0)
+            .entry(0)
+            .children()
+            .collect::<Vec<_>>()
+            .try_into()
+            .unwrap();
+        // sum × count = 16 (revenue for Mario's Capricciosa, Example 1).
+        assert_eq!(
+            eval_op(t, &[sum, cnt], &AggOp::Sum(price)).unwrap(),
+            Value::Int(16)
+        );
+        // A count needs a count component in every factor.
+        assert!(matches!(
+            eval_op(t, &[sum], &AggOp::Count),
+            Err(FdbError::InvalidComposition(_))
+        ));
+        assert_eq!(eval_op(t, &[cnt], &AggOp::Count).unwrap(), Value::Int(2));
+        // A partial top-k list is repeated by the sibling count, then cut
+        // at k: (9, 5) × 2 tuples → 9, 9, 5.
+        let want = Value::tup(vec![Value::Int(9), Value::Int(9), Value::Int(5)]);
+        assert_eq!(
+            eval_op(t, &[cnt, top], &AggOp::TopK(price, 3)).unwrap(),
+            want
+        );
+        // A sum-only factor hides its tuple count from every other
+        // function; γ pairs such a sum with a count when one is needed.
+        assert!(eval_op(t, &[sum, top], &AggOp::TopK(price, 3)).is_err());
+        // One value reaches k copies only through the multiplication.
+        let (price, rep) = partial_leaf_group(3, Value::tup(vec![Value::Int(9)]), 3);
+        let unions: Vec<UnionRef<'_>> = rep.root(0).entry(0).children().skip(1).collect();
+        assert_eq!(
+            eval_op(rep.ftree(), &unions, &AggOp::TopK(price, 3)).unwrap(),
+            Value::tup(vec![Value::Int(9); 3])
+        );
+        // A group whose values were all NULL carries a NULL list.
+        let (price, rep) = partial_leaf_group(3, Value::Null, 3);
+        let unions: Vec<UnionRef<'_>> = rep.root(0).entry(0).children().skip(1).collect();
+        assert_eq!(
+            eval_op(rep.ftree(), &unions, &AggOp::TopK(price, 3)).unwrap(),
+            Value::Null
+        );
+    }
+
+    #[test]
+    fn a_huge_k_reserves_only_what_arrives() {
+        // Reserving k up front would ask the allocator for 24 TB (and
+        // overflow `Vec`'s capacity at i64::MAX) before the first value.
+        let (c, rep) = items_rep();
+        let price = c.lookup("price").unwrap();
+        for k in [1_000_000_000_000, i64::MAX as usize] {
+            let op = AggOp::TopK(price, k);
+            // The path item → price: the providing-child and atomic
+            // branches, then the final repetition.
+            let all = Value::tup([6, 2, 1, 1].map(Value::Int).to_vec());
+            assert_eq!(eval_op(rep.ftree(), &[rep.root(0)], &op).unwrap(), all);
+            let top = topk_union(rep.ftree(), rep.root(0), &op).unwrap();
+            assert!(top.capacity() <= 4, "k = {k}: capacity {}", top.capacity());
+            // A partial list that γ left for the same k.
+            let (price, rep) = partial_leaf_group(2, Value::tup(vec![Value::Int(9)]), k);
+            let unions: Vec<UnionRef<'_>> = rep.root(0).entry(0).children().skip(1).collect();
+            assert_eq!(
+                eval_op(rep.ftree(), &unions, &AggOp::TopK(price, k)).unwrap(),
+                Value::tup(vec![Value::Int(9); 2])
+            );
+        }
+    }
+
+    #[test]
+    fn count_distinct_walks_the_spine_with_one_table_per_result() {
+        // g → x → y with string y: repeats across x-unions, NULL entries,
+        // and a group whose y-values are all NULL.
+        let mut c = Catalog::new();
+        let [g, x, y] = ["g", "x", "y"].map(|n| c.intern(n));
+        let rows: [(i64, i64, Option<&str>); 8] = [
+            (0, 0, Some("a")),
+            (0, 0, Some("b")),
+            (0, 1, Some("a")),
+            (0, 1, None),
+            (0, 2, Some("c")),
+            (1, 0, None),
+            (1, 1, None),
+            (2, 0, Some("z")),
+        ];
+        let rel = Relation::from_rows(
+            Schema::new(vec![g, x, y]),
+            rows.iter().map(|&(a, b, v)| {
+                vec![
+                    Value::Int(a),
+                    Value::Int(b),
+                    v.map_or(Value::Null, Value::str),
+                ]
+            }),
+        );
+        let rep = FRep::from_relation(&rel, FTree::path(&[g, x, y])).unwrap();
+        let tree = rep.ftree();
+        let nodes = [tree.node_of_attr(x).unwrap()];
+        for (op, want) in [
+            (AggOp::CountDistinct(y), [3, 0, 1]),
+            (AggOp::CountDistinct(x), [3, 2, 1]),
+        ] {
+            let mut compiled = CompiledAgg::new(tree, &nodes, op);
+            assert!(compiled.distinct.is_some(), "{op:?}");
+            for (e, want) in rep.root(0).entries().zip(want) {
+                let unions: Vec<UnionRef<'_>> = e.children().collect();
+                assert_eq!(compiled.eval(tree, &unions).unwrap(), Value::Int(want));
+                assert_eq!(eval_op(tree, &unions, &op).unwrap(), Value::Int(want));
+            }
+        }
+        // Over the whole relation: a, b, c, z.
+        let all = eval_op(tree, &[rep.root(0)], &AggOp::CountDistinct(y)).unwrap();
+        assert_eq!(all, Value::Int(4));
+    }
+
     struct AttrIdOutside;
     impl AttrIdOutside {
         fn attr() -> fdb_relational::AttrId {
             fdb_relational::AttrId(999)
         }
-    }
-
-    #[test]
-    fn combine_partials_products_and_extrema() {
-        let price = fdb_relational::AttrId(1);
-        let sum_label = AggLabel {
-            funcs: vec![AggOp::Sum(price)],
-            over: [price].into_iter().collect(),
-            outputs: vec![fdb_relational::AttrId(10)],
-        };
-        let cnt_label = AggLabel {
-            funcs: vec![AggOp::Count],
-            over: [fdb_relational::AttrId(0)].into_iter().collect(),
-            outputs: vec![fdb_relational::AttrId(11)],
-        };
-        let s = Value::Int(8);
-        let n = Value::Int(2);
-        // sum × count = 16 (revenue for Mario's Capricciosa, Example 1).
-        let combined =
-            combine_partials(&AggOp::Sum(price), &[(&sum_label, &s), (&cnt_label, &n)]).unwrap();
-        assert_eq!(combined, Value::Int(16));
-        // count over both leaves requires both to carry counts.
-        assert!(combine_partials(&AggOp::Count, &[(&sum_label, &s)]).is_err());
-        assert_eq!(
-            combine_partials(&AggOp::Count, &[(&cnt_label, &n)]).unwrap(),
-            Value::Int(2)
-        );
     }
 }

@@ -631,8 +631,15 @@ impl FdbEngine {
         // realise an order on the aggregate in-tree (Q7); the flat
         // candidates evaluate the aggregate at emission instead, so only
         // HAVING can demand it.
-        let want_consolidate_stream = is_aggregate && (order_on_raw_agg || having_on_raw);
-        let want_consolidate_flat = is_aggregate && having_on_raw;
+        // A function over a group attribute reads the group's value, which
+        // only the grouped evaluation has at hand: such a query never
+        // consolidates, and its HAVING filters rows at emission.
+        let over_group = final_funcs
+            .iter()
+            .any(|f| f.attr().is_some_and(|a| task.group_by.contains(&a)));
+        let consolidable = is_aggregate && !over_group;
+        let want_consolidate_stream = consolidable && (order_on_raw_agg || having_on_raw);
+        let want_consolidate_flat = consolidable && having_on_raw;
 
         // Builds the optimiser spec for a consolidation choice and a
         // realise-the-order choice. The tree can realise the order only

@@ -58,13 +58,22 @@ enum Col {
     },
 }
 
+/// One final aggregate of a grouped result, with the deepest visit
+/// position it depends on (`None`: free roots only, one value for every
+/// group) — a step that moved nothing at or above that position leaves
+/// its value standing — and, when it aggregates a group attribute, the
+/// visit position holding that attribute's value.
+struct GroupAgg {
+    agg: CompiledAgg,
+    deepest: Option<usize>,
+    group: Option<usize>,
+}
+
 /// The per-group half of a grouped result: the cursor plus each final
-/// aggregate with the deepest visit position it depends on (`None`: free
-/// roots only, one value for every group). A step that moved nothing at
-/// or above that position leaves the aggregate's value standing.
+/// aggregate and its current value.
 struct Groups<'a> {
     cur: GroupCursor<'a>,
-    aggs: Vec<(CompiledAgg, Option<usize>)>,
+    aggs: Vec<GroupAgg>,
     vals: Vec<Value>,
 }
 
@@ -147,9 +156,15 @@ impl Emitter<'_> {
                         g.vals.resize(g.aggs.len(), Value::Null);
                     }
                     let tree = g.cur.ftree();
-                    for ((agg, deepest), val) in g.aggs.iter().zip(&mut g.vals) {
-                        if first || deepest.is_some_and(|d| d >= from) {
-                            *val = agg.eval(tree, g.cur.dangling())?;
+                    for (a, val) in g.aggs.iter_mut().zip(&mut g.vals) {
+                        if first || a.deepest.is_some_and(|d| d >= from) {
+                            let dangling = g.cur.dangling();
+                            *val = match a.group {
+                                Some(p) => {
+                                    a.agg.eval_on_group_value(tree, dangling, g.cur.value(p))
+                                }
+                                None => a.agg.eval(tree, dangling),
+                            }?;
                         }
                     }
                     let g = &*g;
@@ -241,12 +256,24 @@ impl FdbResult {
                     .iter()
                     .map(|&f| {
                         let agg = CompiledAgg::new(tree, &nodes, f);
+                        // No factor below the groups provides a group
+                        // attribute: the group's own value does.
+                        let group = f
+                            .attr()
+                            .filter(|_| !agg.provided())
+                            .and_then(|a| cur.source_of(a))
+                            .map(|(pos, _)| pos);
                         let read = cur.slots().iter().enumerate();
                         let deepest = read
                             .filter(|(k, _)| agg.reads(*k))
                             .filter_map(|(_, s)| s.parent)
+                            .chain(group)
                             .max();
-                        (agg, deepest)
+                        GroupAgg {
+                            agg,
+                            deepest,
+                            group,
+                        }
                     })
                     .collect();
                 let cols = self.compile_cols(|a| {
@@ -530,7 +557,13 @@ mod tests {
                             .zip(naive::row(&r.rep, &spec, &chosen)),
                     );
                     for (f, o) in final_funcs.iter().zip(func_outputs) {
-                        raw.insert(*o, crate::agg::eval_op(tree, &dangling, f)?);
+                        let v = match f.attr().filter(|a| group_attrs.contains(a)) {
+                            Some(a) => {
+                                crate::agg::eval_on_group_value(tree, &dangling, f, &raw[&a])
+                            }
+                            None => crate::agg::eval_op(tree, &dangling, f),
+                        };
+                        raw.insert(*o, v?);
                     }
                     let cols = r.emit.iter().map(|(col, _)| match col {
                         EmitCol::Raw(a) => raw[a].clone(),
@@ -690,6 +723,7 @@ mod tests {
         "SELECT a, TOP_K(c, 2) AS t FROM R, S GROUP BY a ORDER BY a DESC",
         "SELECT b, TOP_K(d, 3) AS t, COUNT(*) AS n FROM S, T GROUP BY b",
         "SELECT a, COUNT(DISTINCT c) AS u, PRODUCT(c) AS x FROM R, S GROUP BY a ORDER BY a",
+        "SELECT a, b, COUNT(DISTINCT a) AS u, TOP_K(b, 2) AS t, SUM(b) AS s FROM R, S GROUP BY a, b",
         "SELECT a, EXISTS(c > 1) AS e, FORALL(c <= 2) AS f FROM R, S GROUP BY a ORDER BY a",
         "SELECT d, COUNT(*) AS n FROM W GROUP BY d HAVING n > 1 ORDER BY n DESC, d",
         "SELECT a, b, COUNT(*) AS n FROM R GROUP BY ROLLUP (a, b)",

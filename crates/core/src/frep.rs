@@ -857,6 +857,18 @@ impl<'a> UnionRef<'a> {
         Some(&self.arena.cols[rec.node.0 as usize][base..base + n])
     }
 
+    /// The node's value column and, in entry order, the index of each
+    /// entry's value in it: the keys of a `DenseIds` table, which holds
+    /// no borrow of the arena.
+    pub(crate) fn value_indices(&self) -> (&'a [Value], impl ExactSizeIterator<Item = u32> + 'a) {
+        let rec = self.rec();
+        let ents = &self.arena.entries[rec.start as usize..(rec.start + rec.len) as usize];
+        (
+            &self.arena.cols[rec.node.0 as usize],
+            ents.iter().map(|e| e.val),
+        )
+    }
+
     /// Binary search for an entry by value.
     pub fn find(&self, value: &Value) -> Option<usize> {
         let rec = self.rec();

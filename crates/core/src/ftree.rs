@@ -88,9 +88,10 @@ impl AggOp {
     /// True for aggregates whose result cannot be composed from
     /// per-subtree partial aggregates: their attribute must stay raw
     /// (unaggregated) until the final group-level evaluation, so the
-    /// planner never folds it into a partial `γ`.
+    /// planner never folds it into a partial `γ`. Only `count(distinct)`:
+    /// which values occur cannot be recovered from per-subtree counts.
     pub fn needs_raw_input(&self) -> bool {
-        matches!(self, AggOp::CountDistinct(_) | AggOp::TopK(..))
+        matches!(self, AggOp::CountDistinct(_))
     }
 
     /// Human-readable name, e.g. `sum(price)`.

@@ -64,6 +64,7 @@
 //! ```
 
 pub mod agg;
+mod dense;
 pub mod engine;
 pub mod enumerate;
 pub mod error;

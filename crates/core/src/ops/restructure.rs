@@ -11,13 +11,12 @@
 //! * `absorb` implements `A = B` when `B`'s node is a descendant of `A`'s:
 //!   each `B`-union below an `A`-value is restricted to that value.
 
+use crate::dense::DenseIds;
 use crate::error::{FdbError, Result};
 use crate::frep::{Arena, EntryRec, EntrySpec, FRep, UnionId};
 use crate::ftree::{FTree, NodeId};
 use crate::ops::rewrite_spine;
 use fdb_relational::Value;
-use std::collections::hash_map::RandomState;
-use std::hash::{BuildHasher, Hash, Hasher};
 
 /// Swap `χ_{A,B}`: `b` (a child of `a`) becomes `a`'s parent.
 ///
@@ -56,9 +55,6 @@ pub fn swap(rep: FRep, a: NodeId, b: NodeId) -> Result<FRep> {
     Ok(out)
 }
 
-/// Free slot of [`Regroup::slots`].
-const EMPTY: u32 = u32::MAX;
-
 /// The regroup kernel of one `χ_{A,B}` operator, with scratch reused
 /// across every `a`-union the operator rewrites — after the first
 /// union, regrouping one allocates nothing.
@@ -66,8 +62,7 @@ const EMPTY: u32 = u32::MAX;
 /// Per `a`-union of `n` (a-entry, b-entry) pairs with `D` distinct
 /// b-values, in O(n + D log D):
 /// 1. walk the pairs in a-order, giving equal b-values one dense id
-///    through a hash table keyed with a seeded [`FxHasher`] (sized by
-///    `D`, not `n`);
+///    through a seeded [`DenseIds`] table (sized by `D`, not `n`);
 /// 2. sort the `D` distinct values (`Value::cmp`, so every comparison
 ///    is between *distinct* values);
 /// 3. walk the pairs again and counting-scatter them into b-order —
@@ -90,25 +85,20 @@ struct Regroup {
     /// and that stay under `a` (`G_ab`).
     moved: Vec<u32>,
     stayed: Vec<u32>,
-    /// Per-operator random start state of the value hash: the data can
-    /// come from clients, and a fixed hash would let crafted values
-    /// collide into one long probe run.
-    seed: u64,
+    /// Dense ids of the b-values, seeded per operator.
+    table: DenseIds,
     /// Per pair, in a-order: the dense id of its b-value.
     ids: Vec<u32>,
     /// Per pair, grouped by b-value rank: its a-entry and b-entry.
     grouped: Vec<[u32; 2]>,
     /// Per dense id: the first occurrence's b-entry record (its value
-    /// index and `F_b` are the ones kept) and the value's hash.
-    first: Vec<(EntryRec, u64)>,
+    /// index and `F_b` are the ones kept).
+    first: Vec<EntryRec>,
     /// Per dense id: its pair count, then its group's scatter cursor
     /// (its group's end once the scatter is done).
     cursor: Vec<u32>,
     /// Dense ids in ascending b-value order.
     order: Vec<u32>,
-    /// Linear-probing table of dense ids ([`EMPTY`] = free), grown to
-    /// stay at most a quarter full.
-    slots: Vec<u32>,
     a_specs: Vec<EntrySpec>,
     b_specs: Vec<EntrySpec>,
 }
@@ -121,13 +111,12 @@ impl Regroup {
             b_pos,
             moved,
             stayed,
-            seed: RandomState::new().hash_one(0u8),
+            table: DenseIds::new(),
             ids: Vec::new(),
             grouped: Vec::new(),
             first: Vec::new(),
             cursor: Vec::new(),
             order: Vec::new(),
-            slots: Vec::new(),
             a_specs: Vec::new(),
             b_specs: Vec::new(),
         }
@@ -160,10 +149,9 @@ impl Regroup {
             .sum();
         self.ids.clear();
         self.ids.reserve(n);
+        self.table.clear();
         self.first.clear();
         self.cursor.clear();
-        self.slots.clear();
-        self.slots.resize(16, EMPTY);
         if n == 0 {
             return;
         }
@@ -179,39 +167,10 @@ impl Regroup {
 
     /// The dense id of `eb`'s b-value, assigned on first sight.
     fn intern(&mut self, col: &[Value], eb: EntryRec) -> u32 {
-        let v = &col[eb.val as usize];
-        let mut h = FxHasher(self.seed);
-        v.hash(&mut h);
-        let h = h.finish();
-        let mask = self.slots.len() - 1;
-        let mut s = slot_of(h, mask);
-        loop {
-            let id = self.slots[s];
-            if id == EMPTY {
-                break;
-            }
-            let (f, fh) = self.first[id as usize];
-            if fh == h && (f.val == eb.val || col[f.val as usize] == *v) {
-                return id;
-            }
-            s = (s + 1) & mask;
-        }
-        let id = self.first.len() as u32;
-        self.slots[s] = id;
-        self.first.push((eb, h));
-        self.cursor.push(0);
-        if 4 * self.first.len() > self.slots.len() {
-            // Double and re-place every id by its stored hash.
-            let mask = 2 * self.slots.len() - 1;
-            self.slots.clear();
-            self.slots.resize(mask + 1, EMPTY);
-            for (id, &(_, h)) in self.first.iter().enumerate() {
-                let mut s = slot_of(h, mask);
-                while self.slots[s] != EMPTY {
-                    s = (s + 1) & mask;
-                }
-                self.slots[s] = id as u32;
-            }
+        let id = self.table.intern(col, eb.val);
+        if id as usize == self.first.len() {
+            self.first.push(eb);
+            self.cursor.push(0);
         }
         id
     }
@@ -223,7 +182,7 @@ impl Regroup {
         self.order.clear();
         self.order.extend(0..first.len() as u32);
         self.order.sort_unstable_by(|&x, &y| {
-            col[first[x as usize].0.val as usize].cmp(&col[first[y as usize].0.val as usize])
+            col[first[x as usize].val as usize].cmp(&col[first[y as usize].val as usize])
         });
         let mut at = 0u32;
         for &id in &self.order {
@@ -282,7 +241,7 @@ impl Regroup {
                 self.a_specs.push(arena.entry_since(ea.val, mark));
             }
             let inner = arena.push_union(self.a, &self.a_specs);
-            let fb = self.first[id as usize].0;
+            let fb = self.first[id as usize];
             let mark = arena.kids_mark();
             for &k in &self.moved {
                 arena.push_kid(arena.kid_at(fb.kids_start + k));
@@ -292,59 +251,6 @@ impl Regroup {
             start = end;
         }
         arena.push_union(self.b, &self.b_specs)
-    }
-}
-
-/// Table slot of hash `h` under `mask` (a power of two minus one).
-/// The Fx hash of an integer `i` is `(c ^ i)·K` for constants `c` and
-/// `K`, so consecutive integers would fall into a few regular runs of
-/// slots; one xor-shift-multiply round mixes them before the high bits
-/// are taken.
-fn slot_of(h: u64, mask: usize) -> usize {
-    let x = (h ^ (h >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    (x >> (64 - mask.count_ones())) as usize
-}
-
-/// Fx-style word hasher (the rustc hasher) from a given start state:
-/// one rotate, xor and multiply per word — cheap for the short keys
-/// `Value::hash` feeds it.
-struct FxHasher(u64);
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
-        }
-        let rest = words.remainder();
-        if !rest.is_empty() {
-            let mut w = [0u8; 8];
-            w[..rest.len()].copy_from_slice(rest);
-            self.add(u64::from_le_bytes(w));
-        }
-    }
-
-    fn write_u8(&mut self, i: u8) {
-        self.add(i.into());
-    }
-
-    fn write_u64(&mut self, i: u64) {
-        self.add(i);
-    }
-
-    fn write_usize(&mut self, i: usize) {
-        self.add(i as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -565,6 +471,7 @@ mod tests {
     use crate::ops::product;
     use crate::ops::reference::assert_represents;
     use fdb_relational::{ops as rel_ops, Catalog, Predicate, Relation, Schema};
+    use std::hash::{Hash, Hasher};
 
     /// Pizzas and Items from Figure 1 as path factorisations.
     fn pizzeria() -> (Catalog, FRep, FRep) {

@@ -301,9 +301,9 @@ pub(crate) fn best_aggregate(
     pending: &[(AttrId, AttrId)],
 ) -> Option<(Option<NodeId>, Vec<NodeId>)> {
     // Attributes that must survive: group-by, pending selections, any
-    // order-by attribute still atomic in the tree, and the inputs of
-    // distinct-sensitive final aggregates (count(distinct)/top_k), whose
-    // results cannot be recovered from partial-aggregate singletons.
+    // order-by attribute still atomic in the tree, and the input of a
+    // final count(distinct), whose result cannot be recovered from
+    // partial-aggregate singletons.
     let mut blocked: BTreeSet<AttrId> = spec.group_by.iter().copied().collect();
     for &(x, y) in pending {
         blocked.insert(x);

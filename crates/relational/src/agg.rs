@@ -55,14 +55,6 @@ impl AggFunc {
         }
     }
 
-    /// True for the aggregates whose result depends on *which* distinct
-    /// input values occur, not only on decomposable per-subtree partials
-    /// — the factorised planner must keep their attribute raw until the
-    /// final group-level evaluation.
-    pub fn distinct_sensitive(&self) -> bool {
-        matches!(self, AggFunc::CountDistinct(_) | AggFunc::TopK(..))
-    }
-
     /// Renders the function with attribute names from `catalog`.
     pub fn display<'a>(&'a self, catalog: &'a Catalog) -> AggFuncDisplay<'a> {
         AggFuncDisplay {
@@ -230,7 +222,7 @@ impl Accumulator {
                 // Keep the buffer bounded: prune to the k largest once it
                 // doubles. Equal values are interchangeable, so pruning
                 // never changes the finished result.
-                if vals.len() >= (2 * *k).max(64) {
+                if vals.len() >= k.saturating_mul(2).max(64) {
                     vals.sort_by(|a, b| b.cmp(a));
                     vals.truncate(*k);
                 }

@@ -792,3 +792,49 @@ fn hostile_fdbv1_load_answers_err_and_the_worker_survives() {
     }
     server.shutdown();
 }
+
+#[test]
+fn a_huge_top_k_answers_ok_and_the_worker_survives() {
+    // Sizing the top-k buffer by the query's k asked the allocator for
+    // 24 TB (k = 10^12) or overflowed `Vec`'s capacity (k = 2^62) — an
+    // abort that would take every worker down.
+    let mut server = spawn(
+        pizzeria_db(),
+        "127.0.0.1:0",
+        ServerOptions::new().workers(1),
+    )
+    .unwrap();
+    for k in [
+        "1000000000000",
+        "4611686018427387904",
+        "9223372036854775807",
+    ] {
+        let sql = format!(
+            "SELECT customer, TOP_K(price, {k}) AS t FROM Orders, Pizzas, Items GROUP BY customer"
+        );
+        let status = status_with_timeout(server.addr(), &format!("QUERY {sql}"))
+            .expect("QUERY got an answer");
+        assert!(status.starts_with("OK"), "k = {k}: {status}");
+        let status = status_with_timeout(server.addr(), "PING").expect("PING got an answer");
+        assert!(status.starts_with("OK"), "k = {k}: {status}");
+    }
+    // The whole list comes back: every price of every pizza a customer
+    // ordered, under a k no group reaches.
+    let mut c = Client::connect(server.addr()).unwrap();
+    let rows = c
+        .query(
+            "SELECT customer, TOP_K(price, 1000000000000) AS t FROM Orders, Pizzas, Items \
+             GROUP BY customer",
+        )
+        .unwrap()
+        .unwrap();
+    let small = c
+        .query(
+            "SELECT customer, TOP_K(price, 100) AS t FROM Orders, Pizzas, Items GROUP BY customer",
+        )
+        .unwrap()
+        .unwrap();
+    assert_eq!(rows, small);
+    c.quit().unwrap();
+    server.shutdown();
+}

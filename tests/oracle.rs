@@ -92,6 +92,12 @@ fn corpus() -> Vec<&'static str> {
         "SELECT b, TOP_K(d, 3) AS t FROM S, T GROUP BY b",
         "SELECT a, TOP_K(c, 2) AS t FROM R, S GROUP BY a ORDER BY a",
         "SELECT a, COUNT(DISTINCT d) AS u FROM R, S, T GROUP BY a HAVING u >= 1",
+        // Top-k lists composed through γ under the root attribute; a
+        // distinct count whose group attribute is swapped above the
+        // providing spine; functions of a group attribute itself.
+        "SELECT b, TOP_K(d, 2) AS t FROM R, S, T GROUP BY b",
+        "SELECT c, COUNT(DISTINCT a) AS u FROM R, S GROUP BY c",
+        "SELECT b, COUNT(DISTINCT b) AS u, TOP_K(b, 3) AS t, SUM(b) AS s FROM R, S GROUP BY b",
         // OFFSET pagination (PG semantics: with or without LIMIT, either
         // clause order). ORDER BY keys cover every output column, so
         // rows tied on the keys are identical and the page is a
