@@ -416,8 +416,8 @@ fn count_distinct(u: UnionRef<'_>, spine: &[usize], ids: &mut DenseIds) -> i64 {
             None => {
                 let (col, vals) = u.value_indices();
                 for v in vals {
-                    if !col[v as usize].is_null() {
-                        ids.intern(col, v);
+                    if !col.get(v).is_null() {
+                        ids.intern(&col, v);
                     }
                 }
             }

@@ -2,14 +2,16 @@
 //! linear-probing hash table behind the swap kernel's regroup
 //! ([`crate::ops::swap`]) and the distinct count ([`crate::agg`]).
 //!
-//! A key is a value index into a column (`&[Value]`), so the table holds
-//! no borrow of the arena and one table is cleared and reused across
-//! every union (or group) its owner visits: once grown, interning
-//! allocates nothing.
+//! A key is a value index into a column (anything indexable by
+//! position: a slice, or an arena column split across base and tail),
+//! so the table holds no borrow of the arena and one table is cleared
+//! and reused across every union (or group) its owner visits: once
+//! grown, interning allocates nothing.
 
 use fdb_relational::Value;
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hash, Hasher};
+use std::ops::Index;
 
 /// Free slot of [`DenseIds::slots`].
 const EMPTY: u32 = u32::MAX;
@@ -58,7 +60,10 @@ impl DenseIds {
     /// `len() - 1`). Every call for one table between two clears must
     /// pass the same column.
     #[inline]
-    pub(crate) fn intern(&mut self, col: &[Value], val: u32) -> u32 {
+    pub(crate) fn intern<C>(&mut self, col: &C, val: u32) -> u32
+    where
+        C: Index<usize, Output = Value> + ?Sized,
+    {
         let v = &col[val as usize];
         let mut h = FxHasher(self.seed);
         v.hash(&mut h);
@@ -166,7 +171,9 @@ mod tests {
             })
             .collect();
         let mut ids = DenseIds::new();
-        let got: Vec<u32> = (0..col.len() as u32).map(|v| ids.intern(&col, v)).collect();
+        let got: Vec<u32> = (0..col.len() as u32)
+            .map(|v| ids.intern(col.as_slice(), v))
+            .collect();
         let mut distinct = col.clone();
         distinct.sort();
         distinct.dedup();
@@ -178,6 +185,6 @@ mod tests {
         }
         ids.clear();
         assert_eq!(ids.len(), 0);
-        assert_eq!(ids.intern(&col, 5), 0);
+        assert_eq!(ids.intern(col.as_slice(), 5), 0);
     }
 }

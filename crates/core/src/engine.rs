@@ -390,8 +390,17 @@ fn check_deadline(at: Option<Instant>, what: &str) -> Result<()> {
 pub struct FdbEngine {
     /// Attribute catalog shared with every registered input.
     pub catalog: Catalog,
-    views: HashMap<String, (Arc<FRep>, Stats)>,
+    views: HashMap<String, View>,
     relations: HashMap<String, Arc<Relation>>,
+}
+
+/// A registered view: the representation, its tuple count, and the
+/// cost model's statistics built from that count.
+#[derive(Clone, Debug)]
+struct View {
+    rep: Arc<FRep>,
+    tuples: usize,
+    stats: Stats,
 }
 
 impl FdbEngine {
@@ -410,17 +419,35 @@ impl FdbEngine {
 
     /// Registers an [`Arc`]-shared factorised view without copying the
     /// arena — the registration path of the serving layer, where the
-    /// same snapshot is shared across many engines/sessions.
+    /// same snapshot is shared across many engines/sessions. Counts the
+    /// view's tuples once.
     pub fn register_view_arc(&mut self, name: impl Into<String>, rep: Arc<FRep>) {
+        let tuples = rep.tuple_count();
+        self.register_view_counted(name, rep, tuples);
+    }
+
+    /// [`FdbEngine::register_view_arc`] for a caller that knows the
+    /// view's tuple count — a writer carries it forward from the
+    /// previous version — so registration walks nothing. When `rep` is
+    /// not shared yet its tail is sealed into its base, so snapshots of
+    /// it copy no records.
+    pub fn register_view_counted(
+        &mut self,
+        name: impl Into<String>,
+        mut rep: Arc<FRep>,
+        tuples: usize,
+    ) {
+        if let Some(owned) = Arc::get_mut(&mut rep) {
+            owned.seal();
+        }
         let mut stats = Stats::new();
-        let size = rep.tuple_count();
         for edge in rep.ftree().deps() {
-            stats.add_relation(edge.iter().copied(), size);
+            stats.add_relation(edge.iter().copied(), tuples);
         }
         // Views with no multi-attribute dependencies still need coverage.
         let attrs = rep.ftree().all_attrs();
-        stats.add_relation(attrs, size);
-        self.views.insert(name.into(), (rep, stats));
+        stats.add_relation(attrs, tuples);
+        self.views.insert(name.into(), View { rep, tuples, stats });
     }
 
     /// Registers a flat relation (factorised on demand as a sorted trie).
@@ -435,13 +462,18 @@ impl FdbEngine {
 
     /// Borrow of a registered view's factorisation.
     pub fn view(&self, name: &str) -> Option<&FRep> {
-        self.views.get(name).map(|(rep, _)| rep.as_ref())
+        self.views.get(name).map(|v| v.rep.as_ref())
     }
 
     /// Shared handle to a registered view's factorisation (the unit the
     /// serving layer hands to concurrent readers).
     pub fn view_arc(&self, name: &str) -> Option<Arc<FRep>> {
-        self.views.get(name).map(|(rep, _)| Arc::clone(rep))
+        self.views.get(name).map(|v| Arc::clone(&v.rep))
+    }
+
+    /// The tuple count a registered view was registered with.
+    pub fn view_tuples(&self, name: &str) -> Option<usize> {
+        self.views.get(name).map(|v| v.tuples)
     }
 
     /// Shared handle to a registered flat relation.
@@ -486,8 +518,8 @@ impl FdbEngine {
             .iter()
             .map(|(k, v)| (k.clone(), v.schema().clone()))
             .collect();
-        for (k, (rep, _)) in &self.views {
-            out.insert(k.clone(), rep.schema());
+        for (k, v) in &self.views {
+            out.insert(k.clone(), v.rep.schema());
         }
         out
     }
@@ -994,9 +1026,9 @@ impl FdbEngine {
             return Err(FdbError::Unresolved("query has no inputs".into()));
         }
         if inputs.len() == 1 {
-            if let Some((rep, stats)) = self.views.get(&inputs[0]) {
-                let natural = rep.ftree().all_attrs();
-                return Ok((FRep::clone(rep), stats.clone(), Vec::new(), natural));
+            if let Some(v) = self.views.get(&inputs[0]) {
+                let natural = v.rep.ftree().all_attrs();
+                return Ok((FRep::clone(&v.rep), v.stats.clone(), Vec::new(), natural));
             }
         }
         // Shared attributes across the original input schemas determine
@@ -1004,8 +1036,8 @@ impl FdbEngine {
         let schemas: Vec<Vec<AttrId>> = inputs
             .iter()
             .map(|name| {
-                if let Some((rep, _)) = self.views.get(name) {
-                    Ok(rep.ftree().all_attrs())
+                if let Some(v) = self.views.get(name) {
+                    Ok(v.rep.ftree().all_attrs())
                 } else if let Some(rel) = self.relations.get(name) {
                     Ok(rel.schema().attrs().to_vec())
                 } else {
@@ -1026,8 +1058,8 @@ impl FdbEngine {
         let mut seen: Vec<AttrId> = Vec::new();
         let mut natural: Vec<AttrId> = Vec::new();
         for (i, name) in inputs.iter().enumerate() {
-            let mut rep = if let Some((rep, _)) = self.views.get(name) {
-                FRep::clone(rep)
+            let mut rep = if let Some(v) = self.views.get(name) {
+                FRep::clone(&v.rep)
             } else {
                 let rel: &Relation = &self.relations[name];
                 // Trie order: shared (join) attributes first.

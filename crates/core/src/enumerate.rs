@@ -18,7 +18,7 @@
 //!   aggregates on the fly (scenario 3 of the introduction).
 
 use crate::error::{FdbError, Result};
-use crate::frep::{Arena, FRep, UnionId, UnionRec, UnionRef};
+use crate::frep::{Col, FRep, Tabs, UnionId, UnionRec, UnionRef};
 use crate::ftree::{FTree, NodeId, NodeLabel};
 use fdb_relational::{AttrId, SortDir, SortKey, Value};
 
@@ -210,8 +210,10 @@ static UNSET: Value = Value::Null;
 /// rebuild an unchanged prefix.
 pub(crate) struct Odometer<'a> {
     rep: &'a FRep,
-    arena: &'a Arena,
+    tabs: Tabs<'a>,
     visit: Vec<NodeId>,
+    /// Value column of the node visited at each position.
+    cols: Vec<Col<'a>>,
     dirs: Vec<SortDir>,
     slots: Vec<Slot>,
     /// Entry range of the union open at each position.
@@ -266,10 +268,11 @@ impl<'a> Odometer<'a> {
             };
             slots.push(slot);
         }
-        let arena = rep.arena_ref();
+        let tabs = rep.arena_ref().tabs();
         Ok(Odometer {
             rep,
-            arena,
+            tabs,
+            cols: spec.visit.iter().map(|&node| tabs.col(node)).collect(),
             open: spec
                 .visit
                 .iter()
@@ -304,9 +307,9 @@ impl<'a> Odometer<'a> {
 
     /// Child union `child_pos` of the entry selected at position `i`.
     fn child_id(&self, i: usize, child_pos: usize) -> UnionId {
-        let e = self.arena.erec(self.ents[i]);
+        let e = self.tabs.erec(self.ents[i]);
         debug_assert!(child_pos < e.kids_len as usize);
-        self.arena.kid_at(e.kids_start + child_pos as u32)
+        self.tabs.kid_at(e.kids_start + child_pos as u32)
     }
 
     /// The union position `i` iterates under the current choices above it.
@@ -331,13 +334,13 @@ impl<'a> Odometer<'a> {
         let e = rec.start + phys as u32;
         self.idxs[i] = idx;
         self.ents[i] = e;
-        self.cur[i] = self.arena.value_at(rec.node, self.arena.erec(e).val);
+        self.cur[i] = self.cols[i].get(self.tabs.erec(e).val);
     }
 
     /// (Re)opens position `i` at its first entry. Returns `false` when the
     /// union is empty (possible only at the roots of an empty relation).
     fn reopen(&mut self, i: usize) -> bool {
-        let rec = self.arena.urec(self.union_at(i));
+        let rec = self.tabs.urec(self.union_at(i));
         if rec.len == 0 {
             return false;
         }
@@ -415,16 +418,16 @@ impl<'a> Odometer<'a> {
     }
 
     fn count_under(&self, u: UnionId, pos: usize, below: &[Vec<(usize, usize)>]) -> usize {
-        let rec = self.arena.urec(u);
+        let rec = self.tabs.urec(u);
         if below[pos].is_empty() {
             return rec.len as usize;
         }
         let mut sum = 0usize;
         for e in rec.start..rec.start + rec.len {
-            let e = self.arena.erec(e);
+            let e = self.tabs.erec(e);
             let mut prod = 1usize;
             for &(child, child_pos) in &below[pos] {
-                let kid = self.arena.kid_at(e.kids_start + child_pos as u32);
+                let kid = self.tabs.kid_at(e.kids_start + child_pos as u32);
                 prod = prod.saturating_mul(self.count_under(kid, child, below));
             }
             sum = sum.saturating_add(prod);
@@ -504,7 +507,7 @@ impl<'a> Odometer<'a> {
                 .iter()
                 .map(|&d| counts.total(d) as u128)
                 .fold(1u128, u128::saturating_mul);
-            let rec = self.arena.urec(u);
+            let rec = self.tabs.urec(u);
             let dir = self.dirs[i];
             let len = rec.len as usize;
             debug_assert!(len > 0, "inner unions are never empty");
@@ -529,8 +532,8 @@ impl<'a> Odometer<'a> {
                     < (counts.entry_count_at(rec, (self.ents[i] - rec.start) as usize) as u128)
                         .saturating_mul(rest)
             );
-            let e = self.arena.erec(self.ents[i]);
-            dangling.extend((0..e.kids_len).map(|k| self.arena.kid_at(e.kids_start + k)));
+            let e = self.tabs.erec(self.ents[i]);
+            dangling.extend((0..e.kids_len).map(|k| self.tabs.kid_at(e.kids_start + k)));
         }
         debug_assert_eq!(remaining, 0, "seek must land exactly on the target");
         debug_assert!(dangling.is_empty(), "full visit enters every union");

@@ -28,6 +28,15 @@
 //! the fragments they rewrite to the same arena and share the rest by
 //! id (see [`crate::ops`]).
 //!
+//! The tables come in two parts: a frozen **base**, shared through an
+//! [`Arc`] by every clone, and a private append **tail**. Ids address
+//! `base ++ tail`, every append goes to the tail, and nothing ever
+//! writes the base, so cloning a representation — a query's private
+//! input, a writer's next version — copies the tail alone. A
+//! registered view is sealed (its tail moved into the base), and a
+//! written version folds its tail into a fresh base only once the
+//! tail outgrows an eighth of the base ([`FRep::settle`]).
+//!
 //! The nested [`Union`]/[`Entry`] structs survive as a *builder-side*
 //! convenience for callers that assemble factorisations by hand (data
 //! generators, tests); [`FRep::new`] freezes them into an arena.
@@ -44,7 +53,7 @@ use crate::ftree::{FTree, NodeId, NodeLabel};
 use fdb_relational::{AttrId, Catalog, Relation, Schema, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 
 // ---------------------------------------------------------------------
 // Arena storage
@@ -53,10 +62,6 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 /// Index of a union in an [`Arena`]'s union table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct UnionId(pub u32);
-
-/// Index of an entry in an [`Arena`]'s entry table.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EntryId(pub u32);
 
 /// One union: the f-tree node it ranges over and its entry range.
 #[derive(Clone, Copy, Debug)]
@@ -103,170 +108,284 @@ impl EntrySpec {
     }
 }
 
-/// Flat storage for one factorised representation (see module docs).
-///
-/// Cloning and dropping a large arena go through one process-wide
-/// spare slot: a dropped arena's tables can become the buffers of the
-/// next large clone.
-#[derive(Debug, Default)]
-pub struct Arena {
+/// One set of arena tables: the frozen base or the private tail of an
+/// [`Arena`].
+#[derive(Clone, Debug, Default)]
+struct Tables {
     unions: Vec<UnionRec>,
     entries: Vec<EntryRec>,
     kids: Vec<UnionId>,
     /// Per f-tree node id: the values of every entry tagged with it.
     cols: Vec<Vec<Value>>,
+}
+
+impl Tables {
+    /// `node`'s value column (empty when nothing was pushed for it).
+    fn col(&self, node: usize) -> &[Value] {
+        self.cols.get(node).map_or(&[], Vec::as_slice)
+    }
+
+    /// Records of every kind, values included — the unit of the fold
+    /// rule ([`FOLD_FRACTION`]).
+    fn records(&self) -> usize {
+        self.unions.len()
+            + self.entries.len()
+            + self.kids.len()
+            + self.cols.iter().map(Vec::len).sum::<usize>()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.unions.is_empty()
+            && self.entries.is_empty()
+            && self.kids.is_empty()
+            && self.cols.iter().all(Vec::is_empty)
+    }
+
+    /// This table set followed by `next`, whose ids continue this
+    /// one's, in tables of exactly that size.
+    fn concat(&self, next: &Tables) -> Tables {
+        fn join<T: Clone>(a: &[T], b: &[T]) -> Vec<T> {
+            let mut v = Vec::with_capacity(a.len() + b.len());
+            v.extend_from_slice(a);
+            v.extend_from_slice(b);
+            v
+        }
+        Tables {
+            unions: join(&self.unions, &next.unions),
+            entries: join(&self.entries, &next.entries),
+            kids: join(&self.kids, &next.kids),
+            cols: (0..self.cols.len().max(next.cols.len()))
+                .map(|n| join(self.col(n), next.col(n)))
+                .collect(),
+        }
+    }
+
+    /// Appends `next`, whose ids continue this table set's.
+    fn extend_from(&mut self, next: &Tables) {
+        self.unions.extend_from_slice(&next.unions);
+        self.entries.extend_from_slice(&next.entries);
+        self.kids.extend_from_slice(&next.kids);
+        if self.cols.len() < next.cols.len() {
+            self.cols.resize_with(next.cols.len(), Vec::new);
+        }
+        for (col, more) in self.cols.iter_mut().zip(&next.cols) {
+            col.extend_from_slice(more);
+        }
+    }
+}
+
+/// A published view folds its tail into a fresh base once the tail
+/// holds more than one record per this many base records: a snapshot
+/// then copies at most an eighth of the view, and each fold — one copy
+/// of the view — is paid for by the writes that grew the tail by an
+/// eighth of it.
+const FOLD_FRACTION: usize = 8;
+
+/// One table of an [`Arena`] as the two slices its id space spans: an
+/// id below the base's length addresses the base, the rest the tail.
+#[derive(Debug)]
+pub(crate) struct Split<'a, T> {
+    base: &'a [T],
+    tail: &'a [T],
+}
+
+impl<T> Clone for Split<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for Split<'_, T> {}
+
+impl<'a, T> Split<'a, T> {
+    /// The element at id `i`.
+    #[inline]
+    pub(crate) fn get(self, i: u32) -> &'a T {
+        let i = i as usize;
+        match self.base.get(i) {
+            Some(x) => x,
+            None => &self.tail[i - self.base.len()],
+        }
+    }
+
+    /// The run of `len` ids from `start`. Every run the arena hands out
+    /// was pushed in one go, so it lies in the base or in the tail.
+    #[inline]
+    fn run(self, start: u32, len: u32) -> &'a [T] {
+        let s = start as usize;
+        let (part, s) = match s.checked_sub(self.base.len()) {
+            None => (self.base, s),
+            Some(t) => (self.tail, t),
+        };
+        &part[s..s + len as usize]
+    }
+
+    pub(crate) fn len(self) -> usize {
+        self.base.len() + self.tail.len()
+    }
+
+    /// The `n` elements from id `start` as one slice, unless they
+    /// straddle the base/tail boundary.
+    fn slice(self, start: usize, n: usize) -> Option<&'a [T]> {
+        let b = self.base.len();
+        if start + n <= b {
+            Some(&self.base[start..start + n])
+        } else if start >= b {
+            Some(&self.tail[start - b..start - b + n])
+        } else {
+            None
+        }
+    }
+}
+
+impl<T> std::ops::Index<usize> for Split<'_, T> {
+    type Output = T;
+
+    #[inline]
+    fn index(&self, i: usize) -> &T {
+        self.get(i as u32)
+    }
+}
+
+/// One node's value column, addressed by [`EntryRec::val`].
+pub(crate) type Col<'a> = Split<'a, Value>;
+
+/// A read-only borrow of every table of an [`Arena`], base and tail
+/// side by side. A walk that only reads holds one, so each record it
+/// reads is one slice away instead of behind the base's [`Arc`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Tabs<'a> {
+    unions: Split<'a, UnionRec>,
+    entries: Split<'a, EntryRec>,
+    kids: Split<'a, UnionId>,
+    cols: (&'a [Vec<Value>], &'a [Vec<Value>]),
+}
+
+impl<'a> Tabs<'a> {
+    /// The record of union `id`.
+    #[inline]
+    pub(crate) fn urec(self, id: UnionId) -> UnionRec {
+        *self.unions.get(id.0)
+    }
+
+    /// The record of the entry at absolute index `i` in the entry table.
+    #[inline]
+    pub(crate) fn erec(self, i: u32) -> EntryRec {
+        *self.entries.get(i)
+    }
+
+    /// The kid at absolute index `k` in the kid table.
+    #[inline]
+    pub(crate) fn kid_at(self, k: u32) -> UnionId {
+        *self.kids.get(k)
+    }
+
+    /// The entry records of union `rec`, in order.
+    #[inline]
+    pub(crate) fn entries_of(self, rec: UnionRec) -> &'a [EntryRec] {
+        self.entries.run(rec.start, rec.len)
+    }
+
+    /// The child union ids of entry `e`, in f-tree child order.
+    #[inline]
+    pub(crate) fn kids_of(self, e: EntryRec) -> &'a [UnionId] {
+        self.kids.run(e.kids_start, e.kids_len)
+    }
+
+    /// `node`'s whole value column (indexed by [`EntryRec::val`]).
+    #[inline]
+    pub(crate) fn col(self, node: NodeId) -> Col<'a> {
+        let n = node.0 as usize;
+        let part = |cols: &'a [Vec<Value>]| cols.get(n).map_or(&[][..], Vec::as_slice);
+        Split {
+            base: part(self.cols.0),
+            tail: part(self.cols.1),
+        }
+    }
+
+    /// Entry records of the subtree under `uid`, `uid`'s own included.
+    fn subtree_entries(self, uid: UnionId) -> u64 {
+        let mut stack = vec![uid];
+        let mut n = 0u64;
+        while let Some(uid) = stack.pop() {
+            let u = self.urec(uid);
+            n += u64::from(u.len);
+            for &e in self.entries_of(u) {
+                for &k in self.kids_of(e) {
+                    stack.push(k);
+                }
+            }
+        }
+        n
+    }
+
+    /// Tuples in the subtree under `uid` (saturating).
+    fn tuple_count(&self, uid: UnionId) -> usize {
+        self.entries_of(self.urec(uid))
+            .iter()
+            .map(|&e| {
+                self.kids_of(e)
+                    .iter()
+                    .map(|&k| self.tuple_count(k))
+                    .fold(1, usize::saturating_mul)
+            })
+            .fold(0, usize::saturating_add)
+    }
+}
+
+/// Flat storage for one factorised representation (see module docs):
+/// a frozen, [`Arc`]-shared **base** and a private append **tail**.
+///
+/// Ids (of unions, entries, kids, and per node of values) address the
+/// concatenation `base ++ tail`: an id below the base table's length
+/// addresses the base, the rest the tail. Every append goes to the
+/// tail, so the base is never written and clones share it: cloning
+/// costs the tail, not the representation. A union's entries and an
+/// entry's kids are pushed together, so each such run lies in one of
+/// the two.
+#[derive(Clone, Debug, Default)]
+pub struct Arena {
+    base: Arc<Tables>,
+    tail: Tables,
     /// Untouched fragments *shared* by id (instead of deep-copied) by
     /// the f-plan operators — see [`crate::ops`]. Purely diagnostic; carried through
     /// [`Arena::append`] and compaction.
     copies_avoided: u64,
-}
-
-/// Arenas whose entry table takes fewer bytes than this are cloned and
-/// freed by the allocator alone.
-const SPARE_MIN_BYTES: usize = 64 * 1024;
-
-/// The emptied tables of one dropped [`Arena`].
-#[derive(Default)]
-struct Tables {
-    unions: Vec<UnionRec>,
-    entries: Vec<EntryRec>,
-    kids: Vec<UnionId>,
-    cols: Vec<Vec<Value>>,
-}
-
-/// The tables of a dropped large [`Arena`], waiting for the next large
-/// clone to copy into them.
-///
-/// Every write to a view clones its arena (copy-on-write snapshots) and
-/// every query clones the view it reads (the in-place executor owns
-/// what it rewrites); the clone a write or a query supersedes is
-/// dropped soon after. Freed, those multi-megabyte tables go back to
-/// the system and are faulted in again by the next clone, at a rate set
-/// by the allocator's heap state, so the same sequence of writes costs
-/// several times more page faults in one process than in another.
-/// Handed from the drop straight to the next clone, the buffers are
-/// reused in every process alike.
-///
-/// A drop is kept only when its entry table can take the last arena
-/// cloned and holds at most a quarter more records than that arena: a
-/// clone a query grew with its rewrites, or one too small, is freed, so
-/// that the slot does not hold memory while the query that dropped it
-/// goes on allocating. One arena's tables at most wait here.
-struct Spare {
-    /// Entry records of the last large arena cloned.
-    want: usize,
-    tables: Tables,
-}
-
-static SPARE: Mutex<Spare> = Mutex::new(Spare {
-    want: 0,
-    tables: Tables {
-        unions: Vec::new(),
-        entries: Vec::new(),
-        kids: Vec::new(),
-        cols: Vec::new(),
-    },
-});
-
-fn spare() -> MutexGuard<'static, Spare> {
-    // Emptied buffers hold no invariant a panic could break.
-    SPARE.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A copy of `src`, in `buf` when it is large enough.
-fn refill<T: Clone>(mut buf: Vec<T>, src: &[T]) -> Vec<T> {
-    if buf.capacity() < src.len() {
-        return src.to_vec();
-    }
-    buf.extend_from_slice(src);
-    buf
-}
-
-fn is_large(entries: usize) -> bool {
-    entries * std::mem::size_of::<EntryRec>() >= SPARE_MIN_BYTES
-}
-
-impl Clone for Arena {
-    fn clone(&self) -> Arena {
-        if !is_large(self.entries.len()) {
-            return Arena {
-                unions: self.unions.clone(),
-                entries: self.entries.clone(),
-                kids: self.kids.clone(),
-                cols: self.cols.clone(),
-                copies_avoided: self.copies_avoided,
-            };
-        }
-        let mut spare = {
-            let mut slot = spare();
-            slot.want = self.entries.len();
-            std::mem::take(&mut slot.tables)
-        };
-        let cols = self
-            .cols
-            .iter()
-            .map(|src| {
-                // The smallest spare column that fits.
-                let fit = (0..spare.cols.len())
-                    .filter(|&i| spare.cols[i].capacity() >= src.len())
-                    .min_by_key(|&i| spare.cols[i].capacity());
-                let buf = fit.map_or_else(Vec::new, |i| spare.cols.swap_remove(i));
-                refill(buf, src)
-            })
-            .collect();
-        Arena {
-            unions: refill(spare.unions, &self.unions),
-            entries: refill(spare.entries, &self.entries),
-            kids: refill(spare.kids, &self.kids),
-            cols,
-            copies_avoided: self.copies_avoided,
-        }
-    }
-}
-
-impl Drop for Arena {
-    fn drop(&mut self) {
-        let (used, room) = (self.entries.len(), self.entries.capacity());
-        if !is_large(room) {
-            return;
-        }
-        let want = spare().want;
-        if room < want || used > want + want / 4 {
-            return;
-        }
-        let mut kept = Tables {
-            unions: std::mem::take(&mut self.unions),
-            entries: std::mem::take(&mut self.entries),
-            kids: std::mem::take(&mut self.kids),
-            cols: std::mem::take(&mut self.cols),
-        };
-        kept.unions.clear();
-        kept.entries.clear();
-        kept.kids.clear();
-        kept.cols.iter_mut().for_each(Vec::clear);
-        // What the slot held is freed after the lock is released.
-        let replaced = std::mem::replace(&mut spare().tables, kept);
-        drop(replaced);
-    }
+    /// Entry records the delta mutators ([`crate::update`]) unlinked:
+    /// an upper bound on the dead entries, counted per write instead of
+    /// found by a walk (see [`FRep::dead_outnumber_live`]).
+    dead: u64,
 }
 
 impl Arena {
+    fn n_unions(&self) -> usize {
+        self.base.unions.len() + self.tail.unions.len()
+    }
+
+    fn n_entries(&self) -> usize {
+        self.base.entries.len() + self.tail.entries.len()
+    }
+
+    fn n_kids(&self) -> usize {
+        self.base.kids.len() + self.tail.kids.len()
+    }
+
     /// Appends `v` to `node`'s column; returns its index therein.
     pub(crate) fn push_value(&mut self, node: NodeId, v: Value) -> u32 {
         let n = node.0 as usize;
-        if self.cols.len() <= n {
-            self.cols.resize_with(n + 1, Vec::new);
+        if self.tail.cols.len() <= n {
+            self.tail.cols.resize_with(n + 1, Vec::new);
         }
-        let col = &mut self.cols[n];
+        let col = &mut self.tail.cols[n];
         col.push(v);
-        (col.len() - 1) as u32
+        (self.base.col(n).len() + col.len() - 1) as u32
     }
 
     /// Appends a kid list; returns an [`EntrySpec`] once paired with a
     /// value via [`Arena::entry`].
     pub(crate) fn push_kids(&mut self, kids: &[UnionId]) -> (u32, u32) {
-        let start = self.kids.len() as u32;
-        self.kids.extend_from_slice(kids);
+        let start = self.n_kids() as u32;
+        self.tail.kids.extend_from_slice(kids);
         (start, kids.len() as u32)
     }
 
@@ -284,7 +403,7 @@ impl Arena {
     /// Builds one entry spec *reusing* an existing value index of the
     /// owning node's column — the in-place rewrites re-emit entries of
     /// the same node within the same arena, so the singleton value need
-    /// not be cloned or re-pushed.
+    /// not be cloned or re-pushed (a tail entry may reuse a base value).
     pub(crate) fn entry_shared_val(&mut self, val: u32, kids: &[UnionId]) -> EntrySpec {
         let (kids_start, kids_len) = self.push_kids(kids);
         EntrySpec {
@@ -298,9 +417,9 @@ impl Arena {
     /// a rewrite that knows its exact output counts appends without
     /// regrowing the tables mid-way.
     pub(crate) fn reserve(&mut self, unions: usize, entries: usize, kids: usize) {
-        self.unions.reserve(unions);
-        self.entries.reserve(entries);
-        self.kids.reserve(kids);
+        self.tail.unions.reserve(unions);
+        self.tail.entries.reserve(entries);
+        self.tail.kids.reserve(kids);
     }
 
     /// Where the next kid list starts: append its kids with
@@ -308,12 +427,12 @@ impl Arena {
     /// Builds an entry without staging its kid list in a temporary
     /// vector.
     pub(crate) fn kids_mark(&self) -> u32 {
-        self.kids.len() as u32
+        self.n_kids() as u32
     }
 
     /// Appends one kid to the open kid list.
     pub(crate) fn push_kid(&mut self, kid: UnionId) {
-        self.kids.push(kid);
+        self.tail.kids.push(kid);
     }
 
     /// Closes the kid list opened at `mark` into an entry spec reusing
@@ -322,27 +441,25 @@ impl Arena {
         EntrySpec {
             val,
             kids_start: mark,
-            kids_len: self.kids.len() as u32 - mark,
+            kids_len: self.n_kids() as u32 - mark,
         }
     }
 
     /// Appends a union with the given entries (laid out contiguously in
     /// the entry table, in slice order).
     pub(crate) fn push_union(&mut self, node: NodeId, entries: &[EntrySpec]) -> UnionId {
-        let start = self.entries.len() as u32;
-        for s in entries {
-            self.entries.push(EntryRec {
-                val: s.val,
-                kids_start: s.kids_start,
-                kids_len: s.kids_len,
-            });
-        }
-        self.unions.push(UnionRec {
+        let start = self.n_entries() as u32;
+        self.tail.entries.extend(entries.iter().map(|s| EntryRec {
+            val: s.val,
+            kids_start: s.kids_start,
+            kids_len: s.kids_len,
+        }));
+        self.tail.unions.push(UnionRec {
             node,
             start,
             len: entries.len() as u32,
         });
-        UnionId((self.unions.len() - 1) as u32)
+        UnionId(self.n_unions() as u32 - 1)
     }
 
     /// An empty union for `node` (representable only at the roots).
@@ -350,9 +467,17 @@ impl Arena {
         self.push_union(node, &[])
     }
 
-    /// Retags a union's f-tree node (empty-root normalisation).
-    pub(crate) fn set_union_node(&mut self, id: UnionId, node: NodeId) {
-        self.unions[id.0 as usize].node = node;
+    /// Retags the empty union `id` to `node`: in place when it sits in
+    /// the tail; a base record is never written, so an empty union of
+    /// the base is replaced by a fresh one.
+    fn retag_empty(&mut self, id: UnionId, node: NodeId) -> UnionId {
+        match (id.0 as usize).checked_sub(self.base.unions.len()) {
+            Some(t) => {
+                self.tail.unions[t].node = node;
+                id
+            }
+            None => self.empty_union(node),
+        }
     }
 
     /// Cursor over union `id`.
@@ -361,7 +486,7 @@ impl Arena {
     }
 
     pub(crate) fn union_len(&self, id: UnionId) -> usize {
-        self.unions[id.0 as usize].len as usize
+        self.urec(id).len as usize
     }
 
     // -----------------------------------------------------------------
@@ -371,44 +496,73 @@ impl Arena {
     // `&mut Arena` are always safe because the tables are append-only.
     // -----------------------------------------------------------------
 
+    /// All tables, borrowed for a read-only walk.
+    #[inline]
+    pub(crate) fn tabs(&self) -> Tabs<'_> {
+        let (b, t) = (&*self.base, &self.tail);
+        Tabs {
+            unions: Split {
+                base: &b.unions,
+                tail: &t.unions,
+            },
+            entries: Split {
+                base: &b.entries,
+                tail: &t.entries,
+            },
+            kids: Split {
+                base: &b.kids,
+                tail: &t.kids,
+            },
+            cols: (&b.cols, &t.cols),
+        }
+    }
+
     /// The record of union `id`.
+    #[inline]
     pub(crate) fn urec(&self, id: UnionId) -> UnionRec {
-        self.unions[id.0 as usize]
+        self.tabs().urec(id)
     }
 
     /// The record of the entry at absolute index `i` in the entry table.
+    #[inline]
     pub(crate) fn erec(&self, i: u32) -> EntryRec {
-        self.entries[i as usize]
+        self.tabs().erec(i)
     }
 
     /// The kid at absolute index `k` in the kid table.
+    #[inline]
     pub(crate) fn kid_at(&self, k: u32) -> UnionId {
-        self.kids[k as usize]
+        self.tabs().kid_at(k)
+    }
+
+    /// The entry records of union `rec`, in order.
+    #[inline]
+    pub(crate) fn entries_of(&self, rec: UnionRec) -> &[EntryRec] {
+        self.tabs().entries_of(rec)
+    }
+
+    /// The child union ids of entry `e`, in f-tree child order.
+    #[inline]
+    pub(crate) fn kids_of(&self, e: EntryRec) -> &[UnionId] {
+        self.tabs().kids_of(e)
     }
 
     /// The value at index `val` of `node`'s column.
+    #[inline]
     pub(crate) fn value_at(&self, node: NodeId, val: u32) -> &Value {
-        &self.cols[node.0 as usize][val as usize]
+        self.col(node).get(val)
     }
 
     /// `node`'s whole value column (indexed by [`EntryRec::val`]).
-    pub(crate) fn col(&self, node: NodeId) -> &[Value] {
-        &self.cols[node.0 as usize]
+    #[inline]
+    pub(crate) fn col(&self, node: NodeId) -> Col<'_> {
+        self.tabs().col(node)
     }
 
     /// Binary search of union `uid` for `v`; returns the *absolute*
     /// entry-table index of the match (entries are sorted ascending).
     pub(crate) fn find_entry(&self, uid: UnionId, v: &Value) -> Option<u32> {
-        let rec = self.unions[uid.0 as usize];
-        if rec.len == 0 {
-            return None;
-        }
-        let col = &self.cols[rec.node.0 as usize];
-        let range = &self.entries[rec.start as usize..(rec.start + rec.len) as usize];
-        range
-            .binary_search_by(|e| col[e.val as usize].cmp(v))
-            .ok()
-            .map(|i| rec.start + i as u32)
+        self.search_entry(uid, v).ok()
     }
 
     /// Binary search of union `uid` for `v` with the insertion point on
@@ -417,16 +571,12 @@ impl Arena {
     /// where `v` would keep the entries strictly ascending. The delta
     /// insert ([`crate::update`]) splices a fresh entry run there.
     pub(crate) fn search_entry(&self, uid: UnionId, v: &Value) -> std::result::Result<u32, u32> {
-        let rec = self.unions[uid.0 as usize];
-        if rec.len == 0 {
-            // Empty root of an empty representation; its node may not
-            // even have a value column yet.
-            return Err(0);
-        }
-        let col = &self.cols[rec.node.0 as usize];
-        let range = &self.entries[rec.start as usize..(rec.start + rec.len) as usize];
-        range
-            .binary_search_by(|e| col[e.val as usize].cmp(v))
+        let rec = self.urec(uid);
+        // An empty root of an empty representation: its node may not
+        // even have a value column yet.
+        let col = self.col(rec.node);
+        self.entries_of(rec)
+            .binary_search_by(|e| col.get(e.val).cmp(v))
             .map(|i| rec.start + i as u32)
             .map_err(|i| i as u32)
     }
@@ -435,7 +585,8 @@ impl Arena {
     /// unions once (iterative walk with a visited set — O(live), used
     /// by the staged executor to decide whether compaction pays off).
     pub(crate) fn live_entry_count(&self, roots: &[UnionId]) -> usize {
-        let mut seen = vec![false; self.unions.len()];
+        let t = self.tabs();
+        let mut seen = vec![false; self.n_unions()];
         let mut stack: Vec<UnionId> = roots.to_vec();
         let mut live = 0usize;
         while let Some(uid) = stack.pop() {
@@ -444,12 +595,11 @@ impl Arena {
                 continue;
             }
             *seen_slot = true;
-            let u = self.unions[uid.0 as usize];
+            let u = t.urec(uid);
             live += u.len as usize;
-            for i in u.start..u.start + u.len {
-                let e = self.entries[i as usize];
-                for k in e.kids_start..e.kids_start + e.kids_len {
-                    stack.push(self.kids[k as usize]);
+            for &e in t.entries_of(u) {
+                for &k in t.kids_of(e) {
+                    stack.push(k);
                 }
             }
         }
@@ -466,30 +616,79 @@ impl Arena {
         self.copies_avoided
     }
 
-    /// Copies the live data reachable from `roots` into a fresh arena,
-    /// **preserving sharing**: a union referenced from several parents
-    /// (the f-plan operators share untouched fragments by id) is
-    /// copied exactly once and re-referenced. This
+    /// Records `n` entry records a delta mutator unlinked.
+    pub(crate) fn note_dead(&mut self, n: u64) {
+        self.dead = self.dead.saturating_add(n);
+    }
+
+    /// Counts every entry record as dead: nothing the arena holds is
+    /// reachable any more (a delete emptied the product).
+    pub(crate) fn note_all_dead(&mut self) {
+        self.dead = self.n_entries() as u64;
+    }
+
+    /// Entry records of the subtree under `uid`, `uid`'s own included —
+    /// what unlinking `uid` kills.
+    pub(crate) fn subtree_entries(&self, uid: UnionId) -> u64 {
+        self.tabs().subtree_entries(uid)
+    }
+
+    /// Moves the tail into the base when that copies no base record:
+    /// when the base is empty or owned by this arena alone. Otherwise
+    /// leaves the arena as it is.
+    pub(crate) fn seal(&mut self) {
+        if self.tail.is_empty() {
+            return;
+        }
+        if let Some(base) = Arc::get_mut(&mut self.base) {
+            if base.is_empty() {
+                *base = std::mem::take(&mut self.tail);
+            } else {
+                base.extend_from(&self.tail);
+                self.tail = Tables::default();
+            }
+        }
+    }
+
+    /// Folds the tail into a fresh base, copying the base when other
+    /// arenas share it; ids do not change.
+    pub(crate) fn fold(&mut self) {
+        self.seal();
+        if self.tail.is_empty() {
+            return;
+        }
+        self.base = Arc::new(self.base.concat(&self.tail));
+        self.tail = Tables::default();
+    }
+
+    /// Whether the tail holds more than one record per
+    /// [`FOLD_FRACTION`] base records.
+    pub(crate) fn tail_outgrew_base(&self) -> bool {
+        self.tail.records() * FOLD_FRACTION > self.base.records()
+    }
+
+    /// Copies the live data reachable from `roots` into a fresh, sealed
+    /// arena, **preserving sharing**: a union referenced from several
+    /// parents (the f-plan operators share untouched fragments by id)
+    /// is copied exactly once and re-referenced. This
     /// is the single per-plan "garbage collection" pass of the staged
     /// executor — everything unreachable (superseded path spines of the
     /// in-place rewrites) is shed.
     pub(crate) fn compact(&self, roots: &[UnionId]) -> (Arena, Vec<UnionId>) {
         let mut dst = Arena {
-            unions: Vec::new(),
-            entries: Vec::new(),
-            kids: Vec::new(),
-            cols: Vec::new(),
             copies_avoided: self.copies_avoided,
+            ..Arena::default()
         };
         // Flat memo table indexed by source union id (u32::MAX = not
         // yet copied): O(1) sharing detection without hashing.
-        let mut memo: Vec<u32> = vec![u32::MAX; self.unions.len()];
+        let mut memo: Vec<u32> = vec![u32::MAX; self.n_unions()];
         let mut kid_scratch: Vec<UnionId> = Vec::new();
         let mut spec_scratch: Vec<EntrySpec> = Vec::new();
         let new_roots = roots
             .iter()
             .map(|&r| self.compact_rec(r, &mut dst, &mut memo, &mut kid_scratch, &mut spec_scratch))
             .collect();
+        dst.seal();
         (dst, new_roots)
     }
 
@@ -505,18 +704,16 @@ impl Arena {
         if m != u32::MAX {
             return UnionId(m);
         }
-        let rec = self.unions[uid.0 as usize];
+        let rec = self.urec(uid);
+        let col = self.col(rec.node);
         let spec_base = spec_scratch.len();
-        for i in rec.start..rec.start + rec.len {
-            let e = self.entries[i as usize];
+        for &e in self.entries_of(rec) {
             let kid_base = kid_scratch.len();
-            for k in e.kids_start..e.kids_start + e.kids_len {
-                let cid =
-                    self.compact_rec(self.kids[k as usize], dst, memo, kid_scratch, spec_scratch);
+            for &kid in self.kids_of(e) {
+                let cid = self.compact_rec(kid, dst, memo, kid_scratch, spec_scratch);
                 kid_scratch.push(cid);
             }
-            let value = self.cols[rec.node.0 as usize][e.val as usize].clone();
-            let spec = dst.entry(rec.node, value, &kid_scratch[kid_base..]);
+            let spec = dst.entry(rec.node, col.get(e.val).clone(), &kid_scratch[kid_base..]);
             kid_scratch.truncate(kid_base);
             spec_scratch.push(spec);
         }
@@ -526,88 +723,109 @@ impl Arena {
         out
     }
 
-    /// Appends another arena wholesale, shifting its f-tree node ids by
+    /// Appends another arena wholesale — its base and its tail, both
+    /// into this arena's tail — shifting its f-tree node ids by
     /// `node_offset`; returns the [`UnionId`] offset to add to `sub` ids.
     ///
     /// Every entry reachable from a union of `sub` is re-based exactly
     /// once (each live entry belongs to exactly one union); unreachable
     /// garbage keeps stale value indices but is never read.
-    pub(crate) fn append(&mut self, mut sub: Arena, node_offset: u32) -> u32 {
-        let union_base = self.unions.len() as u32;
-        let entry_base = self.entries.len() as u32;
-        let kid_base = self.kids.len() as u32;
-        let want = sub.cols.len() + node_offset as usize;
-        if self.cols.len() < want {
-            self.cols.resize_with(want, Vec::new);
+    pub(crate) fn append(&mut self, sub: Arena, node_offset: u32) -> u32 {
+        let off = node_offset as usize;
+        let union_base = self.n_unions() as u32;
+        let entry_base = self.n_entries() as u32;
+        let kid_base = self.n_kids() as u32;
+        let sub_cols = sub.base.cols.len().max(sub.tail.cols.len());
+        if self.tail.cols.len() < sub_cols + off {
+            self.tail.cols.resize_with(sub_cols + off, Vec::new);
         }
-        let col_base: Vec<u32> = (0..sub.cols.len())
-            .map(|n| self.cols[n + node_offset as usize].len() as u32)
+        let col_base: Vec<u32> = (0..sub_cols)
+            .map(|n| self.col(NodeId((n + off) as u32)).len() as u32)
             .collect();
-        for (n, col) in sub.cols.iter_mut().enumerate() {
-            self.cols[n + node_offset as usize].append(col);
-        }
-        for &k in &sub.kids {
-            self.kids.push(UnionId(k.0 + union_base));
-        }
-        for e in &sub.entries {
-            self.entries.push(EntryRec {
-                val: e.val,
-                kids_start: e.kids_start + kid_base,
-                kids_len: e.kids_len,
-            });
-        }
-        for u in &sub.unions {
-            for i in u.start..u.start + u.len {
-                self.entries[(entry_base + i) as usize].val += col_base[u.node.0 as usize];
+        let segments = [&*sub.base, &sub.tail];
+        for seg in segments {
+            for (n, col) in seg.cols.iter().enumerate() {
+                self.tail.cols[n + off].extend_from_slice(col);
             }
-            self.unions.push(UnionRec {
-                node: NodeId(u.node.0 + node_offset),
-                start: u.start + entry_base,
-                len: u.len,
-            });
+        }
+        for seg in segments {
+            self.tail
+                .kids
+                .extend(seg.kids.iter().map(|k| UnionId(k.0 + union_base)));
+        }
+        let first_entry = self.tail.entries.len();
+        for seg in segments {
+            self.tail
+                .entries
+                .extend(seg.entries.iter().map(|e| EntryRec {
+                    val: e.val,
+                    kids_start: e.kids_start + kid_base,
+                    kids_len: e.kids_len,
+                }));
+        }
+        for seg in segments {
+            for u in &seg.unions {
+                // An empty union's node may have no column at all.
+                let shift = col_base.get(u.node.0 as usize).copied().unwrap_or(0);
+                let at = first_entry + u.start as usize;
+                for e in &mut self.tail.entries[at..at + u.len as usize] {
+                    e.val += shift;
+                }
+                self.tail.unions.push(UnionRec {
+                    node: NodeId(u.node.0 + node_offset),
+                    start: u.start + entry_base,
+                    len: u.len,
+                });
+            }
         }
         self.copies_avoided += sub.copies_avoided;
+        self.dead += sub.dead;
         union_base
     }
 
     /// Physical footprint in bytes, capacity-aware: table capacities plus
-    /// the heap behind every stored [`Value`].
+    /// the heap behind every stored [`Value`], of the base and the tail.
     fn bytes(&self) -> usize {
-        let mut total = std::mem::size_of::<Self>()
-            + self.unions.capacity() * std::mem::size_of::<UnionRec>()
-            + self.entries.capacity() * std::mem::size_of::<EntryRec>()
-            + self.kids.capacity() * std::mem::size_of::<UnionId>()
-            + self.cols.capacity() * std::mem::size_of::<Vec<Value>>();
-        for col in &self.cols {
-            total += col.capacity() * std::mem::size_of::<Value>();
-            for v in col {
-                total += value_heap_bytes(v);
+        let tables = |t: &Tables| {
+            let mut total = t.unions.capacity() * std::mem::size_of::<UnionRec>()
+                + t.entries.capacity() * std::mem::size_of::<EntryRec>()
+                + t.kids.capacity() * std::mem::size_of::<UnionId>()
+                + t.cols.capacity() * std::mem::size_of::<Vec<Value>>();
+            for col in &t.cols {
+                total += col.capacity() * std::mem::size_of::<Value>();
+                total += col.iter().map(value_heap_bytes).sum::<usize>();
             }
-        }
-        total
+            total
+        };
+        std::mem::size_of::<Self>() + tables(&self.base) + tables(&self.tail)
     }
 
     /// Size-based footprint in bytes: stored records plus the inline
     /// size of every stored value, ignoring unused vector capacity and
-    /// value heap payloads. Computed in O(#nodes) — table lengths only
-    /// — so the executors can difference it at every stage boundary to
-    /// account *intermediate allocation* without a full arena walk
-    /// (allocator rounding and `Arc`-shared string payloads would only
-    /// obscure how many records an operator actually materialised).
+    /// value heap payloads, and where the records sit. Computed in
+    /// O(#nodes) — table lengths only — so the executors can difference
+    /// it at every stage boundary to account *intermediate allocation*
+    /// without a full arena walk (allocator rounding and `Arc`-shared
+    /// string payloads would only obscure how many records an operator
+    /// actually materialised). The header is that of one table set and
+    /// the sharing counter.
     fn bytes_used(&self) -> usize {
-        let mut total = std::mem::size_of::<Self>()
-            + self.unions.len() * std::mem::size_of::<UnionRec>()
-            + self.entries.len() * std::mem::size_of::<EntryRec>()
-            + self.kids.len() * std::mem::size_of::<UnionId>()
-            + self.cols.len() * std::mem::size_of::<Vec<Value>>();
-        for col in &self.cols {
-            total += col.len() * std::mem::size_of::<Value>();
-        }
-        total
+        let cols = self.base.cols.len().max(self.tail.cols.len());
+        std::mem::size_of::<Tables>()
+            + std::mem::size_of::<u64>()
+            + self.n_unions() * std::mem::size_of::<UnionRec>()
+            + self.n_entries() * std::mem::size_of::<EntryRec>()
+            + self.n_kids() * std::mem::size_of::<UnionId>()
+            + cols * std::mem::size_of::<Vec<Value>>()
+            + self.value_count() * std::mem::size_of::<Value>()
     }
 
     fn value_count(&self) -> usize {
-        self.cols.iter().map(Vec::len).sum()
+        [&*self.base, &self.tail]
+            .iter()
+            .flat_map(|t| &t.cols)
+            .map(Vec::len)
+            .sum()
     }
 }
 
@@ -719,10 +937,11 @@ impl Arena {
     /// memo: shared fragments (the staged executor's DAG rewrites) are
     /// visited once.
     pub(crate) fn build_counts(&self, roots: &[UnionId]) -> CountIndex {
-        let mut entry_prefix = vec![0u64; self.entries.len()];
-        let mut union_total = vec![0u64; self.unions.len()];
-        let mut computed = vec![false; self.unions.len()];
+        let mut entry_prefix = vec![0u64; self.n_entries()];
+        let mut union_total = vec![0u64; self.n_unions()];
+        let mut computed = vec![false; self.n_unions()];
         let mut saturated = false;
+        let t = self.tabs();
         enum Phase {
             Enter(UnionId),
             Exit(UnionId),
@@ -735,11 +954,9 @@ impl Arena {
                         continue;
                     }
                     stack.push(Phase::Exit(uid));
-                    let u = self.unions[uid.0 as usize];
-                    for i in u.start..u.start + u.len {
-                        let e = self.entries[i as usize];
-                        for k in e.kids_start..e.kids_start + e.kids_len {
-                            stack.push(Phase::Enter(self.kids[k as usize]));
+                    for &e in t.entries_of(t.urec(uid)) {
+                        for &k in t.kids_of(e) {
+                            stack.push(Phase::Enter(k));
                         }
                     }
                 }
@@ -747,13 +964,11 @@ impl Arena {
                     if computed[uid.0 as usize] {
                         continue;
                     }
-                    let u = self.unions[uid.0 as usize];
+                    let u = t.urec(uid);
                     let mut running = 0u64;
-                    for i in u.start..u.start + u.len {
-                        let e = self.entries[i as usize];
+                    for (i, &e) in (u.start..).zip(t.entries_of(u)) {
                         let mut cnt = 1u64;
-                        for k in e.kids_start..e.kids_start + e.kids_len {
-                            let kid = self.kids[k as usize];
+                        for &kid in t.kids_of(e) {
                             debug_assert!(computed[kid.0 as usize]);
                             let total = union_total[kid.0 as usize];
                             saturated |= cnt.checked_mul(total).is_none();
@@ -793,7 +1008,7 @@ impl<'a> UnionRef<'a> {
     }
 
     fn rec(&self) -> UnionRec {
-        self.arena.unions[self.id.0 as usize]
+        self.arena.urec(self.id)
     }
 
     /// The f-tree node this union ranges over.
@@ -816,33 +1031,33 @@ impl<'a> UnionRef<'a> {
         debug_assert!(i < rec.len as usize);
         EntryRef {
             arena: self.arena,
-            node: rec.node,
-            id: EntryId(rec.start + i as u32),
+            col: self.arena.col(rec.node),
+            rec: self.arena.erec(rec.start + i as u32),
         }
     }
 
-    /// Iterates the entries in order.
+    /// Iterates the entries in order (the union's entry run and value
+    /// column are resolved once).
     pub fn entries(&self) -> impl ExactSizeIterator<Item = EntryRef<'a>> + 'a {
         let rec = self.rec();
         let arena = self.arena;
-        (rec.start..rec.start + rec.len).map(move |i| EntryRef {
-            arena,
-            node: rec.node,
-            id: EntryId(i),
-        })
+        let col = arena.col(rec.node);
+        arena
+            .entries_of(rec)
+            .iter()
+            .map(move |&rec| EntryRef { arena, col, rec })
     }
 
     /// The entries' values as one contiguous slice of the node's value
     /// column, when the entries reference back-to-back column positions
     /// — true for freshly built unions, whose values are pushed in
-    /// entry order. Rewrites that share or reorder values return
-    /// `None`, and callers fall back to per-entry cursors. The slice is
-    /// what the `fdb_core::agg` leaf kernels iterate.
+    /// entry order. Rewrites that share or reorder values, and runs
+    /// that straddle the base/tail boundary, return `None`, and callers
+    /// fall back to per-entry cursors. The slice is what the
+    /// `fdb_core::agg` leaf kernels iterate.
     pub fn contiguous_values(&self) -> Option<&'a [Value]> {
         let rec = self.rec();
-        let n = rec.len as usize;
-        let start = rec.start as usize;
-        let ents = &self.arena.entries[start..start + n];
+        let ents = self.arena.entries_of(rec);
         let Some(first) = ents.first() else {
             return Some(&[]);
         };
@@ -854,48 +1069,39 @@ impl<'a> UnionRef<'a> {
         {
             return None;
         }
-        Some(&self.arena.cols[rec.node.0 as usize][base..base + n])
+        self.arena.col(rec.node).slice(base, ents.len())
     }
 
     /// The node's value column and, in entry order, the index of each
     /// entry's value in it: the keys of a `DenseIds` table, which holds
     /// no borrow of the arena.
-    pub(crate) fn value_indices(&self) -> (&'a [Value], impl ExactSizeIterator<Item = u32> + 'a) {
+    pub(crate) fn value_indices(&self) -> (Col<'a>, impl ExactSizeIterator<Item = u32> + 'a) {
         let rec = self.rec();
-        let ents = &self.arena.entries[rec.start as usize..(rec.start + rec.len) as usize];
         (
-            &self.arena.cols[rec.node.0 as usize],
-            ents.iter().map(|e| e.val),
+            self.arena.col(rec.node),
+            self.arena.entries_of(rec).iter().map(|e| e.val),
         )
     }
 
     /// Binary search for an entry by value.
     pub fn find(&self, value: &Value) -> Option<usize> {
         let rec = self.rec();
-        let col = &self.arena.cols[rec.node.0 as usize];
-        let range = &self.arena.entries[rec.start as usize..(rec.start + rec.len) as usize];
-        range
-            .binary_search_by(|e| col[e.val as usize].cmp(value))
+        let col = self.arena.col(rec.node);
+        self.arena
+            .entries_of(rec)
+            .binary_search_by(|e| col.get(e.val).cmp(value))
             .ok()
     }
 
     /// Number of singletons in this union and all its descendants
     /// (iterative walk over the index tables).
     pub fn singleton_count(&self) -> usize {
-        let arena = self.arena;
-        let mut total = 0usize;
-        let mut stack: Vec<UnionId> = vec![self.id];
-        while let Some(uid) = stack.pop() {
-            let u = arena.unions[uid.0 as usize];
-            total += u.len as usize;
-            for i in u.start..u.start + u.len {
-                let e = arena.entries[i as usize];
-                for k in e.kids_start..e.kids_start + e.kids_len {
-                    stack.push(arena.kids[k as usize]);
-                }
-            }
-        }
-        total
+        self.arena.subtree_entries(self.id) as usize
+    }
+
+    /// Number of tuples this union represents (saturating).
+    fn tuple_count(&self) -> usize {
+        self.arena.tabs().tuple_count(self.id)
     }
 }
 
@@ -918,24 +1124,20 @@ impl PartialEq for UnionRef<'_> {
 #[derive(Clone, Copy, Debug)]
 pub struct EntryRef<'a> {
     arena: &'a Arena,
-    /// Node of the owning union (locates the value column).
-    node: NodeId,
-    id: EntryId,
+    /// The value column of the owning union's node.
+    col: Col<'a>,
+    rec: EntryRec,
 }
 
 impl<'a> EntryRef<'a> {
-    fn rec(&self) -> EntryRec {
-        self.arena.entries[self.id.0 as usize]
-    }
-
     /// The singleton value.
     pub fn value(&self) -> &'a Value {
-        &self.arena.cols[self.node.0 as usize][self.rec().val as usize]
+        self.col.get(self.rec.val)
     }
 
     /// Number of child unions (f-tree child arity).
     pub fn child_count(&self) -> usize {
-        self.rec().kids_len as usize
+        self.rec.kids_len as usize
     }
 
     /// The `k`-th child union, in f-tree child order.
@@ -948,26 +1150,22 @@ impl<'a> EntryRef<'a> {
 
     /// The `k`-th child union's id.
     pub fn child_id(&self, k: usize) -> UnionId {
-        let rec = self.rec();
-        debug_assert!(k < rec.kids_len as usize);
-        self.arena.kids[(rec.kids_start + k as u32) as usize]
+        self.kids()[k]
+    }
+
+    fn kids(&self) -> &'a [UnionId] {
+        self.arena.kids_of(self.rec)
     }
 
     /// Iterates the child unions in order.
     pub fn children(&self) -> impl ExactSizeIterator<Item = UnionRef<'a>> + 'a {
-        let rec = self.rec();
         let arena = self.arena;
-        (rec.kids_start..rec.kids_start + rec.kids_len).map(move |k| UnionRef {
-            arena,
-            id: arena.kids[k as usize],
-        })
+        self.kids().iter().map(move |&id| UnionRef { arena, id })
     }
 
     /// Iterates the child union ids in order.
     pub fn child_ids(&self) -> impl ExactSizeIterator<Item = UnionId> + 'a {
-        let rec = self.rec();
-        let arena = self.arena;
-        (rec.kids_start..rec.kids_start + rec.kids_len).map(move |k| arena.kids[k as usize])
+        self.kids().iter().copied()
     }
 }
 
@@ -1063,12 +1261,12 @@ impl FRep {
     ///
     /// Empty root unions are re-tagged to the (possibly restructured)
     /// f-tree's root ids: an operator on an empty relation changes the
-    /// tree but has no entries to carry the new node ids.
-    pub(crate) fn from_arena(ftree: FTree, mut arena: Arena, roots: Vec<UnionId>) -> Self {
-        let root_ids: Vec<NodeId> = ftree.roots().to_vec();
-        for (&u, &rid) in roots.iter().zip(&root_ids) {
-            if arena.union_len(u) == 0 && arena.urec(u).node != rid {
-                arena.set_union_node(u, rid);
+    /// tree but has no entries to carry the new node ids. A root in the
+    /// shared base is replaced by a fresh empty union, not rewritten.
+    pub(crate) fn from_arena(ftree: FTree, mut arena: Arena, mut roots: Vec<UnionId>) -> Self {
+        for (u, &rid) in roots.iter_mut().zip(ftree.roots()) {
+            if arena.union_len(*u) == 0 && arena.urec(*u).node != rid {
+                *u = arena.retag_empty(*u, rid);
             }
         }
         FRep {
@@ -1095,6 +1293,7 @@ impl FRep {
             .into_iter()
             .map(|u| freeze_union(&mut arena, u))
             .collect();
+        arena.seal();
         let rep = FRep {
             ftree,
             arena,
@@ -1113,6 +1312,7 @@ impl FRep {
             .iter()
             .map(|&r| arena.empty_union(r))
             .collect();
+        arena.seal();
         FRep {
             ftree,
             arena,
@@ -1175,6 +1375,7 @@ impl FRep {
                 )
             })
             .collect();
+        arena.seal();
         let rep = FRep {
             ftree,
             arena,
@@ -1290,7 +1491,7 @@ impl FRep {
             return n.min(usize::MAX as u128) as usize;
         }
         self.root_unions()
-            .map(|u| count_tuples(&u))
+            .map(|u| u.tuple_count())
             .fold(1, usize::saturating_mul)
     }
 
@@ -1299,8 +1500,8 @@ impl FRep {
     pub fn stats(&self) -> FRepStats {
         FRepStats {
             singletons: self.singleton_count(),
-            unions: self.arena.unions.len(),
-            entries: self.arena.entries.len(),
+            unions: self.arena.n_unions(),
+            entries: self.arena.n_entries(),
             values: self.arena.value_count(),
             bytes: self.memory_bytes(),
             copies_avoided: self.arena.copies_avoided(),
@@ -1341,13 +1542,58 @@ impl FRep {
     }
 
     /// True when most physical entry records are unreachable garbage
-    /// (superseded by in-place rewrites or delta updates): the cue that
-    /// a [`FRep::compact`] pass pays for itself — for the staged
-    /// executor at the end of a plan, for a writer before it publishes
-    /// a new version. One walk over the live entries.
+    /// (superseded by in-place rewrites): the cue that a
+    /// [`FRep::compact`] pass pays for itself at the end of a plan. One
+    /// walk over the live entries.
     pub fn garbage_dominated(&self) -> bool {
         let live = self.arena.live_entry_count(&self.roots);
-        self.arena.entries.len() > 2 * live
+        self.arena.n_entries() > 2 * live
+    }
+
+    /// True when the entry records the delta mutators unlinked
+    /// outnumber the rest — [`FRep::garbage_dominated`] without the
+    /// walk, for a writer about to publish a version. The count is an
+    /// upper bound (a fragment an operator shares between parents is
+    /// counted dead when one parent lets go of it), so this fires no
+    /// later than the walk would.
+    pub(crate) fn dead_outnumber_live(&self) -> bool {
+        self.arena.dead.saturating_mul(2) > self.arena.n_entries() as u64
+    }
+
+    /// Readies a written version for publication, in time proportional
+    /// to the writes except when it compacts or folds: compacts it when
+    /// the entry records the delta mutators unlinked outnumber the
+    /// rest, and otherwise folds its tail into a fresh base once the
+    /// tail outgrows an eighth of the base. A version that does neither
+    /// keeps sharing the base of the version it was cloned from.
+    pub fn settle(self) -> FRep {
+        if self.dead_outnumber_live() {
+            return self.compact();
+        }
+        let mut rep = self;
+        if rep.arena.tail_outgrew_base() {
+            rep.arena.fold();
+        }
+        rep
+    }
+
+    /// Moves the private tail into the base when no other
+    /// representation shares the base (the tail is moved or appended,
+    /// the base never copied); otherwise does nothing. Registering a
+    /// view seals it, so its snapshots copy no records.
+    pub(crate) fn seal(&mut self) {
+        self.arena.seal();
+    }
+
+    /// Whether `self` and `other` share one base (one is a snapshot of
+    /// the other, or both of a third).
+    pub fn shares_base_with(&self, other: &FRep) -> bool {
+        Arc::ptr_eq(&self.arena.base, &other.arena.base)
+    }
+
+    /// Records in the private tail — what a clone copies.
+    pub fn tail_records(&self) -> usize {
+        self.arena.tail.records()
     }
 
     /// Structural data equality: same root unions (node, values, shape),
@@ -1497,16 +1743,6 @@ pub fn value_for_attr(label: &NodeLabel, value: &Value, attr: AttrId) -> Option<
             }
         }
     }
-}
-
-fn count_tuples(u: &UnionRef<'_>) -> usize {
-    u.entries()
-        .map(|e| {
-            e.children()
-                .map(|c| count_tuples(&c))
-                .fold(1, usize::saturating_mul)
-        })
-        .fold(0, usize::saturating_add)
 }
 
 // ---------------------------------------------------------------------
@@ -1804,6 +2040,125 @@ mod tests {
         assert_eq!(s.unions, 3); // A-union + two B-unions
         assert!(s.bytes >= 8 * (std::mem::size_of::<Value>() + 12));
         assert_eq!(rep.memory_bytes(), s.bytes);
+    }
+
+    /// Example 3's trie over `a → b`, sealed: every record in the base.
+    fn sealed_example3() -> (FRep, NodeId, NodeId) {
+        let (c, rel) = example3();
+        let a = c.lookup("A").unwrap();
+        let b = c.lookup("B").unwrap();
+        let rep = FRep::from_relation(&rel, FTree::path(&[a, b])).unwrap();
+        let na = rep.ftree().roots()[0];
+        let nb = rep.ftree().node(na).children[0];
+        assert_eq!(rep.tail_records(), 0, "a fresh build is sealed");
+        (rep, na, nb)
+    }
+
+    #[test]
+    fn a_tail_union_reads_base_values_and_straddling_runs_are_split() {
+        let (rep, _, nb) = sealed_example3();
+        let (_, mut arena, roots) = rep.into_arena_parts();
+        // The last b-union holds B = 1, 2, 3 at the end of b's base
+        // column.
+        let first_a = arena.erec(arena.urec(roots[0]).start + 1);
+        let b_union = arena.urec(arena.kid_at(first_a.kids_start));
+        let base_vals: Vec<u32> = arena.entries_of(b_union).iter().map(|e| e.val).collect();
+        let base_len = arena.col(nb).len() as u32;
+        assert_eq!(*base_vals.last().unwrap(), base_len - 1);
+        // A tail union over the last base value and a fresh tail value:
+        // back-to-back column positions across the boundary.
+        let shared = arena.entry_shared_val(base_len - 1, &[]);
+        let fresh = arena.entry(nb, Value::Int(4), &[]);
+        let straddling = arena.push_union(nb, &[shared, fresh]);
+        // A tail union reusing base values only, and one of tail values.
+        let reused: Vec<EntrySpec> = base_vals
+            .iter()
+            .map(|&v| arena.entry_shared_val(v, &[]))
+            .collect();
+        let over_base = arena.push_union(nb, &reused);
+        let more = arena.entry(nb, Value::Int(5), &[]);
+        let over_tail = arena.push_union(nb, &[more]);
+        let values = |id| -> Vec<Value> {
+            arena
+                .union(id)
+                .entries()
+                .map(|e| e.value().clone())
+                .collect()
+        };
+        assert_eq!(values(straddling), [Value::Int(3), Value::Int(4)]);
+        assert_eq!(values(over_base), [1, 2, 3].map(Value::Int));
+        assert_eq!(arena.union(straddling).contiguous_values(), None);
+        assert_eq!(
+            arena.union(over_base).contiguous_values(),
+            Some(&[1, 2, 3].map(Value::Int)[..])
+        );
+        assert_eq!(
+            arena.union(over_tail).contiguous_values(),
+            Some(&[Value::Int(5)][..])
+        );
+        assert_eq!(arena.union(straddling).find(&Value::Int(4)), Some(1));
+    }
+
+    #[test]
+    fn clones_share_the_base_and_seal_and_fold_keep_ids() {
+        let (rep, na, _) = sealed_example3();
+        let mut next = rep.clone();
+        assert!(next.shares_base_with(&rep));
+        assert_eq!(next.tail_records(), 0);
+        // A write goes to the clone's tail; the base stays shared.
+        assert!(next.insert(&[Value::Int(3), Value::Int(1)]).unwrap());
+        assert!(next.shares_base_with(&rep) && next.tail_records() > 0);
+        assert_eq!((rep.tuple_count(), next.tuple_count()), (6, 7));
+        // Sealing a shared base copies nothing and changes nothing.
+        let tail = next.tail_records();
+        next.seal();
+        assert_eq!(next.tail_records(), tail);
+        // Folding copies the base once; ids and data stay put.
+        let (roots, entries) = (next.root_ids().to_vec(), next.stats().entries);
+        next.arena.fold();
+        assert!(!next.shares_base_with(&rep));
+        assert_eq!(next.tail_records(), 0);
+        assert_eq!(
+            (next.root_ids(), next.stats().entries),
+            (&roots[..], entries)
+        );
+        assert_eq!(next.root(0).node(), na);
+        let want = FRep::from_relation(&next.flatten(), next.ftree().clone()).unwrap();
+        assert!(next.same_data(&want));
+        // A clone of the folded version is free again, and sealing a
+        // base nobody shares moves the tail in place.
+        let mut only = next;
+        assert!(only.insert(&[Value::Int(4), Value::Int(4)]).unwrap());
+        only.seal();
+        assert_eq!(only.tail_records(), 0);
+        assert_eq!(only.tuple_count(), 8);
+    }
+
+    #[test]
+    fn settling_folds_a_grown_tail_and_compacts_a_dead_one() {
+        let (rep, _, _) = sealed_example3();
+        // One insert grows the tail past an eighth of this small base.
+        let mut next = rep.clone();
+        assert!(next.insert(&[Value::Int(3), Value::Int(1)]).unwrap());
+        assert!(!next.dead_outnumber_live());
+        let next = next.settle();
+        assert_eq!(next.tail_records(), 0);
+        assert!(!next.shares_base_with(&rep));
+        // Rewrites that unlink more entries than stay live: compacted.
+        let mut churned = next.clone();
+        for round in 0..3 {
+            for v in 0..4 {
+                let row = [Value::Int(v), Value::Int(10 + round)];
+                assert!(churned.insert(&row).unwrap());
+                assert!(churned.delete(&row).unwrap());
+            }
+        }
+        assert!(churned.dead_outnumber_live());
+        let entries = churned.stats().entries;
+        let settled = churned.clone().settle();
+        assert!(settled.same_data(&churned));
+        assert!(settled.stats().entries < entries);
+        assert!(!settled.dead_outnumber_live());
     }
 
     #[test]

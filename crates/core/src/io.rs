@@ -449,7 +449,8 @@ pub fn read_frep(r: impl BufRead, catalog: &mut Catalog) -> Result<FRep> {
     for &root in &roots {
         root_unions.push(read_union(&mut t, &tree, root, &mut arena)?);
     }
-    let rep = FRep::from_arena(tree, arena, root_unions);
+    let mut rep = FRep::from_arena(tree, arena, root_unions);
+    rep.seal();
     rep.check_invariants()?;
     Ok(rep)
 }

@@ -13,7 +13,7 @@
 
 use crate::dense::DenseIds;
 use crate::error::{FdbError, Result};
-use crate::frep::{Arena, EntryRec, EntrySpec, FRep, UnionId};
+use crate::frep::{Arena, Col, EntryRec, EntrySpec, FRep, UnionId};
 use crate::ftree::{FTree, NodeId};
 use crate::ops::rewrite_spine;
 use fdb_relational::Value;
@@ -166,8 +166,8 @@ impl Regroup {
     }
 
     /// The dense id of `eb`'s b-value, assigned on first sight.
-    fn intern(&mut self, col: &[Value], eb: EntryRec) -> u32 {
-        let id = self.table.intern(col, eb.val);
+    fn intern(&mut self, col: Col<'_>, eb: EntryRec) -> u32 {
+        let id = self.table.intern(&col, eb.val);
         if id as usize == self.first.len() {
             self.first.push(eb);
             self.cursor.push(0);
@@ -177,12 +177,13 @@ impl Regroup {
 
     /// Step 2: the distinct b-values in ascending order; each id's
     /// cursor becomes the start of its group.
-    fn rank(&mut self, col: &[Value]) {
+    fn rank(&mut self, col: Col<'_>) {
         let first = &self.first;
         self.order.clear();
         self.order.extend(0..first.len() as u32);
         self.order.sort_unstable_by(|&x, &y| {
-            col[first[x as usize].val as usize].cmp(&col[first[y as usize].val as usize])
+            col.get(first[x as usize].val)
+                .cmp(col.get(first[y as usize].val))
         });
         let mut at = 0u32;
         for &id in &self.order {
@@ -956,7 +957,10 @@ mod tests {
         };
         let (rep, a, b) = sc.build();
         let col = rep.arena_ref().col(b);
-        let distinct = col.iter().collect::<std::collections::BTreeSet<_>>().len();
+        let distinct = (0..col.len() as u32)
+            .map(|i| col.get(i))
+            .collect::<std::collections::BTreeSet<_>>()
+            .len();
         assert!(distinct < col.len(), "b-values are stored apart");
         let out = check_swap(rep, a, b).unwrap();
         assert_eq!(out.root(0).len(), distinct);

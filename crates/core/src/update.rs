@@ -21,7 +21,12 @@
 //!   avoided copies just like the in-place f-plan operators do;
 //! * the memoised count annotations are dropped on the mutated wrapper
 //!   only (`FRep::update_parts`); an `Arc`-shared snapshot the wrapper
-//!   was cloned from keeps serving its own index.
+//!   was cloned from keeps serving its own index;
+//! * every union record a rewrite supersedes, and every fragment a
+//!   delete drops, adds its entry records to the arena's dead count
+//!   (`Arena::note_dead`), so a writer learns when compaction pays
+//!   ([`FRep::settle`]) from work proportional to the write instead of
+//!   a walk over the view.
 //!
 //! Because the edit mimics `from_relation`'s grouping step by step, the
 //! mutated representation is **structurally identical** (same unions,
@@ -244,6 +249,7 @@ impl FRep {
             arena.note_shared(roots.len() as u64 - 1);
         } else {
             // The product emptied.
+            arena.note_all_dead();
             for (r, &node) in roots.iter_mut().zip(tree.roots()) {
                 *r = arena.empty_union(node);
             }
@@ -375,6 +381,7 @@ fn delete_walk(arena: &mut Arena, uid: UnionId, levels: &[Level], removed: &mut 
         }
         if below.is_empty() {
             *removed = removed.saturating_add(kids_product(arena, e, None));
+            note_dropped_kids(arena, e);
             changes.push((phys, None));
             continue;
         }
@@ -394,6 +401,7 @@ fn delete_walk(arena: &mut Arena, uid: UnionId, levels: &[Level], removed: &mut 
     if changes.is_empty() {
         return Deleted::Unchanged;
     }
+    arena.note_dead(u64::from(rec.len));
     if changes.len() == rec.len as usize && changes.iter().all(|c| c.1.is_none()) {
         return Deleted::Emptied;
     }
@@ -420,6 +428,14 @@ fn delete_walk(arena: &mut Arena, uid: UnionId, levels: &[Level], removed: &mut 
     }
     arena.note_shared(shared);
     Deleted::Rewritten(arena.push_union(rec.node, &specs))
+}
+
+/// Counts the subtrees under entry `e`, which a delete drops, as dead.
+fn note_dropped_kids(arena: &mut Arena, e: EntryRec) {
+    for k in 0..e.kids_len {
+        let n = arena.subtree_entries(arena.kid_at(e.kids_start + k));
+        arena.note_dead(n);
+    }
 }
 
 /// The physical range of `uid`'s entries that can pass every predicate.
@@ -524,6 +540,7 @@ fn insert_union(
                 }
             }
             arena.note_shared(rec.len.saturating_sub(1) as u64);
+            arena.note_dead(u64::from(rec.len));
             Some(arena.push_union(node, &specs))
         }
         Err(ins) => {
@@ -541,6 +558,7 @@ fn insert_union(
                 specs.push(EntrySpec::from_rec(arena.erec(rec.start + i)));
             }
             arena.note_shared(rec.len as u64);
+            arena.note_dead(u64::from(rec.len));
             Some(arena.push_union(node, &specs))
         }
     }
@@ -596,6 +614,8 @@ fn delete_union(arena: &mut Arena, uid: UnionId, row: &[Value], cols: &[usize]) 
     let sing: Vec<bool> = kids.iter().map(|&k| is_singleton(arena, k)).collect();
     if sing.iter().all(|&s| s) {
         // The entry's whole group is this one tuple: drop the entry.
+        note_dropped_kids(arena, e);
+        arena.note_dead(u64::from(rec.len));
         if rec.len == 1 {
             return Deleted::Emptied;
         }
@@ -641,6 +661,7 @@ fn delete_union(arena: &mut Arena, uid: UnionId, row: &[Value], cols: &[usize]) 
         }
     }
     arena.note_shared(rec.len.saturating_sub(1) as u64);
+    arena.note_dead(u64::from(rec.len));
     Deleted::Rewritten(arena.push_union(node, &specs))
 }
 

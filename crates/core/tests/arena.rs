@@ -1,7 +1,9 @@
 //! Arena round-trip coverage: build-from-relation → serialize via
 //! `io` → reload → canonical-flatten equality, plus the edge shapes the
 //! flat storage has to get right (empty root unions, single-entry
-//! unions, deep paths) and sanity checks on the physical size report.
+//! unions, deep paths), sanity checks on the physical size report, and
+//! the shared-base overlay: operators, compaction, products and io on
+//! clones whose private tails point into a base they share.
 
 use fdb_core::frep::FRep;
 use fdb_core::ftree::{FTree, NodeLabel};
@@ -189,11 +191,11 @@ fn stats_track_logical_and_physical_size() {
 }
 
 #[test]
-fn a_large_clone_reuses_dropped_tables_without_their_data() {
-    // Arenas this large are cloned into the tables the last large drop
-    // left behind. Drops of a wider and of a narrower arena (more and
-    // fewer value columns, other sizes) come first; every clone must
-    // still hold exactly its source's records, values and counter.
+fn large_clones_hold_exactly_their_sources_records() {
+    // Clones of a wider and of a narrower arena (more and fewer value
+    // columns, other sizes), interleaved with drops: every clone must
+    // hold exactly its source's records, values and counter, and share
+    // its source's base.
     let mut c = Catalog::new();
     let (w, x, y, z) = (c.intern("w"), c.intern("x"), c.intern("y"), c.intern("z"));
     let wide = Relation::from_rows(
@@ -216,6 +218,7 @@ fn a_large_clone_reuses_dropped_tables_without_their_data() {
     let same = |copy: &FRep, source: &FRep| {
         copy.check_invariants().unwrap();
         assert!(copy.same_data(source));
+        assert!(copy.shares_base_with(source));
         let (cs, ss) = (copy.stats(), source.stats());
         assert_eq!(
             (cs.unions, cs.entries, cs.values, cs.copies_avoided),
@@ -307,4 +310,178 @@ fn compaction_preserves_sharing() {
         cs.entries,
         ls.entries
     );
+}
+
+/// `R(x, y, z)` as a sealed trie over `x → y → z`.
+fn sealed_xyz(c: &mut Catalog, rows: i64) -> FRep {
+    let (x, y, z) = (c.intern("x"), c.intern("y"), c.intern("z"));
+    let rel = Relation::from_rows(
+        Schema::new(vec![x, y, z]),
+        (0..rows).map(|i| vec![Value::Int(i % 6), Value::Int(i % 11), Value::Int(i % 4)]),
+    );
+    let rep = FRep::from_relation(&rel, FTree::path(&[x, y, z])).unwrap();
+    assert_eq!(rep.tail_records(), 0, "a fresh build is sealed");
+    rep
+}
+
+#[test]
+fn operators_on_a_clone_leave_the_sealed_view_untouched() {
+    let mut c = Catalog::new();
+    let view = sealed_xyz(&mut c, 120);
+    let (x, y) = (c.lookup("x").unwrap(), c.lookup("y").unwrap());
+    let rows_before = view.flatten();
+    let rebuilt = FRep::from_relation(&rows_before, view.ftree().clone()).unwrap();
+    let copy = view.clone();
+    assert!(copy.shares_base_with(&view) && copy.tail_records() == 0);
+    // Selection and a root swap append to the clone's tail only.
+    let copy =
+        fdb_core::ops::select_const(copy, y, fdb_relational::CmpOp::Ne, &Value::Int(3)).unwrap();
+    let (nx, ny) = (
+        copy.ftree().node_of_attr(x).unwrap(),
+        copy.ftree().node_of_attr(y).unwrap(),
+    );
+    let swapped = fdb_core::ops::swap(copy, nx, ny).unwrap();
+    swapped.check_invariants().unwrap();
+    assert!(swapped.shares_base_with(&view) && swapped.tail_records() > 0);
+    let reference = swap_reference(
+        &fdb_core::ops::select_const(view.clone(), y, fdb_relational::CmpOp::Ne, &Value::Int(3))
+            .unwrap(),
+        nx,
+        ny,
+    );
+    assert!(swapped.same_data(&reference));
+    // The view reads exactly as before, row for row.
+    assert!(view.same_data(&rebuilt));
+    assert_eq!(view.flatten(), rows_before);
+    assert_eq!(view.tail_records(), 0);
+}
+
+#[test]
+fn compacting_a_clone_keeps_data_and_sharing() {
+    // The swap on a clone shares base fragments from its tail; the
+    // compacted result is one sealed arena with one copy per fragment.
+    let mut c = Catalog::new();
+    let view = sealed_xyz(&mut c, 80);
+    let (x, y) = (c.lookup("x").unwrap(), c.lookup("y").unwrap());
+    let (nx, ny) = (
+        view.ftree().node_of_attr(x).unwrap(),
+        view.ftree().node_of_attr(y).unwrap(),
+    );
+    let legacy = swap_reference(&view, nx, ny);
+    let swapped = fdb_core::ops::swap(view.clone(), nx, ny).unwrap();
+    let compacted = swapped.clone().compact();
+    compacted.check_invariants().unwrap();
+    assert!(compacted.same_data(&swapped) && compacted.same_data(&legacy));
+    assert!(!compacted.shares_base_with(&view));
+    assert_eq!(compacted.tail_records(), 0);
+    assert!(compacted.stats().entries <= legacy.stats().entries);
+    // And the settled form of a write on the compacted result agrees
+    // with a rebuild.
+    let mut next = compacted.clone();
+    let z = c.lookup("z").unwrap();
+    let row: Vec<Value> = next
+        .schema()
+        .attrs()
+        .iter()
+        .map(|&attr| {
+            Value::Int(
+                [(x, 1), (y, 0), (z, 99)]
+                    .into_iter()
+                    .find(|p| p.0 == attr)
+                    .unwrap()
+                    .1,
+            )
+        })
+        .collect();
+    assert!(next.insert(&row).unwrap());
+    let settled = next.clone().settle();
+    assert!(settled.same_data(&next));
+    let rebuilt = FRep::from_relation(&next.flatten(), next.ftree().clone()).unwrap();
+    assert!(settled.same_data(&rebuilt));
+}
+
+#[test]
+fn the_product_of_two_overlay_arenas_copies_both_parts() {
+    let mut c = Catalog::new();
+    let (a, b) = (c.intern("a"), c.intern("b"));
+    let (d, e) = (c.intern("d"), c.intern("e"));
+    let left = FRep::from_relation(
+        &Relation::from_rows(
+            Schema::new(vec![a, b]),
+            (0..12).map(|i| vec![Value::Int(i % 3), Value::str(format!("l{i}"))]),
+        ),
+        FTree::path(&[a, b]),
+    )
+    .unwrap();
+    let right = FRep::from_relation(
+        &Relation::from_rows(
+            Schema::new(vec![d, e]),
+            (0..10).map(|i| vec![Value::Int(i % 4), Value::Int(-i)]),
+        ),
+        FTree::path(&[d, e]),
+    )
+    .unwrap();
+    // Give both a tail whose new entries reuse base values.
+    let (mut l, mut r) = (left.clone(), right.clone());
+    assert!(l.insert(&[Value::Int(1), Value::str("new")]).unwrap());
+    assert!(r.insert(&[Value::Int(2), Value::Int(50)]).unwrap());
+    assert!(l.tail_records() > 0 && r.tail_records() > 0);
+    let (lf, rf) = (l.flatten(), r.flatten());
+    let prod = fdb_core::ops::product(l, r);
+    prod.check_invariants().unwrap();
+    assert_eq!(prod.tuple_count(), lf.len() * rf.len());
+    let mut want = Relation::empty(prod.schema());
+    for lr in lf.rows() {
+        for rr in rf.rows() {
+            want.push_row(&[lr, rr].concat());
+        }
+    }
+    assert_eq!(prod.flatten().canonical(), want.canonical());
+    // The sources still read as before.
+    assert_eq!(left.tuple_count(), 12);
+    assert_eq!(right.tuple_count(), 10);
+}
+
+#[test]
+fn a_version_with_a_tail_round_trips_through_io() {
+    let mut c = Catalog::new();
+    let view = sealed_xyz(&mut c, 60);
+    let mut next = view.clone();
+    for i in 0..5 {
+        assert!(next
+            .insert(&[Value::Int(i), Value::Int(100 + i), Value::Int(7)])
+            .unwrap());
+    }
+    assert!(next
+        .delete(&[Value::Int(0), Value::Int(0), Value::Int(0)])
+        .unwrap());
+    assert!(next.tail_records() > 0 && next.shares_base_with(&view));
+    let back = round_trip(&next, &c);
+    assert!(back.same_data(&next));
+    assert_eq!(back.tail_records(), 0, "a loaded view is sealed");
+}
+
+#[test]
+fn an_empty_root_in_a_shared_base_is_retagged_by_a_fresh_union() {
+    // Swapping the root of an empty relation changes the root node id;
+    // the empty root union sits in the base the source still reads.
+    let mut c = Catalog::new();
+    let (a, b) = (c.intern("a"), c.intern("b"));
+    let view = FRep::from_relation(
+        &Relation::empty(Schema::new(vec![a, b])),
+        FTree::path(&[a, b]),
+    )
+    .unwrap();
+    assert_eq!(view.tail_records(), 0);
+    let (na, nb) = (
+        view.ftree().node_of_attr(a).unwrap(),
+        view.ftree().node_of_attr(b).unwrap(),
+    );
+    let swapped = fdb_core::ops::swap(view.clone(), na, nb).unwrap();
+    swapped.check_invariants().unwrap();
+    assert_eq!(swapped.root(0).node(), nb);
+    assert!(swapped.is_empty());
+    // The source's root keeps its tag.
+    view.check_invariants().unwrap();
+    assert_eq!(view.root(0).node(), na);
 }

@@ -19,6 +19,9 @@
 //!   (pinned by `tests/shared_snapshot.rs` and the oracle sweep);
 //! * [`Db`] tracks an **epoch** bumped on every registration, so a
 //!   long-lived worker can cheaply detect staleness and re-snapshot.
+//!   The bump happens under the template lock and a session reads the
+//!   epoch under the same lock, so a session's epoch names exactly the
+//!   data it holds.
 //!
 //! ```
 //! use fdb::{Db, Value};
@@ -68,8 +71,8 @@ struct DbInner {
     /// The template engine. Mutated only by registrations; sessions
     /// clone it under the lock (cheap: inputs are `Arc`-shared).
     template: Mutex<FdbEngine>,
-    /// Bumped on every registration; lets workers detect stale
-    /// snapshots without taking the template lock.
+    /// Bumped on every registration, under the template lock; lets
+    /// workers detect stale snapshots without taking the lock.
     epoch: AtomicU64,
 }
 
@@ -109,21 +112,24 @@ impl Db {
 
     /// Registers a flat relation; visible to sessions opened afterwards.
     pub fn register_relation(&self, name: impl Into<String>, rel: Relation) {
-        self.lock().register_relation(name, rel);
-        self.bump();
+        let mut engine = self.lock();
+        engine.register_relation(name, rel);
+        self.bump(&engine);
     }
 
     /// Registers a factorised view; visible to sessions opened afterwards.
     pub fn register_view(&self, name: impl Into<String>, rep: FRep) {
-        self.lock().register_view(name, rep);
-        self.bump();
+        let mut engine = self.lock();
+        engine.register_view(name, rep);
+        self.bump(&engine);
     }
 
     /// Loads a serialised view (the `fdbv1` format of `fdb_core::io`)
     /// and registers it under `name`.
     pub fn load_view(&self, name: impl Into<String>, r: impl std::io::BufRead) -> Result<()> {
-        self.lock().load_view(name, r)?;
-        self.bump();
+        let mut engine = self.lock();
+        engine.load_view(name, r)?;
+        self.bump(&engine);
         Ok(())
     }
 
@@ -134,16 +140,19 @@ impl Db {
         self.inner.epoch.load(Ordering::Acquire)
     }
 
-    fn bump(&self) {
+    /// Bumps the epoch; takes the template guard to prove the lock is
+    /// held, so no session can clone the new data under the old epoch.
+    fn bump(&self, _held: &MutexGuard<'_, FdbEngine>) {
         self.inner.epoch.fetch_add(1, Ordering::AcqRel);
     }
 
     /// Cuts an immutable snapshot: a [`Session`] holding its own cheap
-    /// clone of the template engine (shared arenas, private catalog).
+    /// clone of the template engine (shared arenas, private catalog)
+    /// and the epoch that data was published at.
     pub fn session(&self) -> Session {
-        let engine = self.lock().clone();
+        let template = self.lock();
         Session {
-            engine,
+            engine: template.clone(),
             opts: RunOptions::default(),
             epoch: self.epoch(),
         }
@@ -162,13 +171,14 @@ impl Db {
     //
     // A write never touches a published input in place. Under the
     // template lock it clones the target (for a factorised view the
-    // clone is a flat-table memcpy; the delta mutators then rewrite
-    // only the spine, sharing every untouched fragment — see
-    // `fdb_core::update`), re-registers the mutated copy, and bumps the
-    // epoch once. Sessions cut before the write keep their own `Arc`s
-    // to the old snapshot and are unaffected; the serving layer's plan
-    // cache is keyed by epoch, so the bump retires every cached
-    // response built over the pre-write state.
+    // clone shares the published arena base and copies only its tail;
+    // the delta mutators then append the rewritten spine to the tail,
+    // sharing every untouched fragment — see `fdb_core::update`),
+    // re-registers the mutated copy, and bumps the epoch once. Sessions
+    // cut before the write keep their own `Arc`s to the old snapshot
+    // and are unaffected; the serving layer's plan cache is keyed by
+    // epoch, so the bump retires every cached response built over the
+    // pre-write state.
 
     /// Inserts `rows` (laid out per the table's registered schema) into
     /// a registered view or relation; returns how many were new (set
@@ -210,8 +220,8 @@ impl Db {
 
     /// Starts a write batch: queued operations apply atomically on
     /// [`WriteBatch::commit`] — one template lock, one copy-on-write
-    /// clone per touched input, one epoch bump. Readers see either none
-    /// or all of the batch.
+    /// snapshot per touched input, one epoch bump. Readers see either
+    /// none or all of the batch.
     pub fn begin_batch(&self) -> WriteBatch<'_> {
         WriteBatch {
             db: self,
@@ -308,24 +318,33 @@ impl WriteBatch<'_> {
     }
 
     /// Applies the queued writes atomically: one template lock, one
-    /// copy-on-write clone per touched input (re-registered only on
+    /// copy-on-write snapshot per touched input (re-registered only on
     /// success of the whole batch), one epoch bump — and none at all
     /// when no row actually changed, keeping cached responses valid
     /// across no-op writes.
+    ///
+    /// A view's snapshot shares the published arena base and copies its
+    /// tail; the writes append to that tail, and the published version
+    /// keeps the base (see [`FRep::settle`] for when it compacts or
+    /// folds instead). Its tuple count is carried forward from the
+    /// batch's own insert and delete counts. So a commit costs the
+    /// writes, not the view.
     pub fn commit(self) -> Result<WriteReport> {
         let mut report = WriteReport::default();
         if self.ops.is_empty() {
             return Ok(report);
         }
         let mut engine = self.db.lock();
-        // Copy-on-write working set: each touched input is cloned once
-        // per batch however many ops hit it.
-        let mut views: HashMap<String, FRep> = HashMap::new();
+        // Copy-on-write working set: each touched input is snapshotted
+        // once per batch however many ops hit it; a view carries the
+        // batch's counts against it.
+        let mut views: HashMap<String, (FRep, WriteReport)> = HashMap::new();
         let mut rels: HashMap<String, Relation> = HashMap::new();
         for (table, op) in &self.ops {
             if !views.contains_key(table) && !rels.contains_key(table) {
                 if let Some(rep) = engine.view_arc(table) {
-                    views.insert(table.clone(), FRep::clone(&rep));
+                    let snapshot = FRep::clone(&rep);
+                    views.insert(table.clone(), (snapshot, WriteReport::default()));
                 } else if let Some(rel) = engine.relation_arc(table) {
                     rels.insert(table.clone(), Relation::clone(&rel));
                 } else {
@@ -334,43 +353,36 @@ impl WriteBatch<'_> {
                     )));
                 }
             }
-            if let Some(rep) = views.get_mut(table) {
-                apply_to_view(rep, op, &mut report)?;
+            if let Some((rep, counts)) = views.get_mut(table) {
+                apply_to_view(rep, op, counts)?;
             } else if let Some(rel) = rels.get_mut(table) {
                 apply_to_relation(rel, op, &mut report)?;
             }
         }
-        let changed = report.inserted + report.deleted > 0;
-        if changed {
-            // The delta mutators only append: every write leaves the
-            // spine it superseded behind, and each version starts as a
-            // copy of the last. Shed the garbage once it outweighs the
-            // data, or a long-lived writer's arena — and every snapshot
-            // cut from it — grows with the number of writes it has ever
-            // applied. Compact every view before registering any, so a
-            // panic while compacting cannot leave a half-published batch.
-            let views: Vec<(String, FRep)> = views
-                .into_iter()
-                .map(|(name, rep)| {
-                    let rep = if rep.garbage_dominated() {
-                        rep.compact()
-                    } else {
-                        rep
-                    };
-                    (name, rep)
-                })
-                .collect();
-            for (name, rep) in views {
-                engine.register_view_arc(name, Arc::new(rep));
-            }
-            for (name, rel) in rels {
-                engine.register_relation_arc(name, Arc::new(rel));
-            }
+        for (_, counts) in views.values() {
+            report.inserted += counts.inserted;
+            report.deleted += counts.deleted;
         }
-        drop(engine);
-        if changed {
-            self.db.bump();
+        if report.inserted + report.deleted == 0 {
+            return Ok(report);
         }
+        // Settle every view before registering any, so a panic while
+        // compacting or folding cannot leave a half-published batch.
+        let views: Vec<(String, FRep, usize)> = views
+            .into_iter()
+            .map(|(name, (rep, counts))| {
+                let before = engine.view_tuples(&name).unwrap_or(0);
+                let tuples = (before + counts.inserted).saturating_sub(counts.deleted);
+                (name, rep.settle(), tuples)
+            })
+            .collect();
+        for (name, rep, tuples) in views {
+            engine.register_view_counted(name, Arc::new(rep), tuples);
+        }
+        for (name, rel) in rels {
+            engine.register_relation_arc(name, Arc::new(rel));
+        }
+        self.db.bump(&engine);
         Ok(report)
     }
 }

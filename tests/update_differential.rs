@@ -641,3 +641,81 @@ fn delete_where_on_a_branch_is_exact() {
     assert_eq!(view.tuple_count(), 3);
     assert!(view.same_data(&FRep::from_relation(&mirror, tree).unwrap()));
 }
+
+/// What one commit appended to view `R1`: records in the tail beyond
+/// the root union's re-emitted entries, and union records.
+#[derive(Debug, PartialEq)]
+struct Appended {
+    beyond_root: usize,
+    unions: usize,
+}
+
+/// A commit costs its writes, not the view: at two view sizes a commit
+/// that does not fold publishes a version sharing the previous
+/// version's arena base, and appends the same records at both sizes —
+/// except the root union's entries, which every spine rewrite
+/// re-emits and which grow with the number of packages, not with the
+/// view.
+#[test]
+fn a_commit_appends_its_writes_and_shares_the_base() {
+    let mut per_scale = Vec::new();
+    for scale in [1, 4] {
+        let mut catalog = Catalog::new();
+        let cfg = fdb::workload::orders::OrdersConfig {
+            scale,
+            customers: 100,
+            seed: 7,
+        };
+        let ds = fdb::workload::orders::generate(&mut catalog, &cfg);
+        let mut engine = FdbEngine::new(catalog);
+        engine.register_view("R1", ds.factorised_view());
+        let db = Db::from_engine(engine);
+        let current = || db.session().engine_mut().view_arc("R1").unwrap();
+        let initial = current();
+        assert_eq!(initial.tail_records(), 0, "a registered view is sealed");
+        let view_records = {
+            let s = initial.stats();
+            s.unions + s.entries + s.values
+        };
+        let package = 1_000_000;
+        let rows: Vec<String> = (0..4)
+            .map(|c| format!("({package}, 1, {c}, 1, 7)"))
+            .collect();
+        let mut appended = Vec::new();
+        let mut previous = initial.clone();
+        for (sql, rewrites) in [
+            (
+                format!(
+                    "INSERT INTO R1 (package, date, customer, item, price) VALUES {}",
+                    rows.join(", ")
+                ),
+                4,
+            ),
+            (format!("DELETE FROM R1 WHERE package = {package}"), 1),
+        ] {
+            let report = db.execute(&sql).unwrap();
+            assert_eq!(report.inserted + report.deleted, 4, "{sql}");
+            let next = current();
+            assert!(
+                next.shares_base_with(&previous),
+                "s={scale}: `{sql}` copied the view"
+            );
+            let tail = next.tail_records() - previous.tail_records();
+            assert!(
+                tail * 8 < view_records,
+                "s={scale}: {tail} records appended"
+            );
+            appended.push(Appended {
+                beyond_root: tail - rewrites * next.root(0).len(),
+                unions: next.stats().unions - previous.stats().unions,
+            });
+            previous = next;
+        }
+        assert!(previous.same_data(&initial));
+        per_scale.push(appended);
+    }
+    assert_eq!(
+        per_scale[0], per_scale[1],
+        "the writes' records depend on the view size"
+    );
+}
