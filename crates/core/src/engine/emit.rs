@@ -14,14 +14,15 @@
 //! exactly once, from the arena straight into the output relation's
 //! row-major buffer.
 
-use super::{check_deadline, DeadlinePoll, EmitCol, FdbResult, OrderRunStats};
-use super::{OrderStrategy, ResultKind};
+use super::execute::{check_deadline, DeadlinePoll, ResultKind};
+use super::lower::EmitCol;
+use super::{FdbResult, OrderStrategy};
 use crate::agg::CompiledAgg;
 use crate::enumerate::{EnumSpec, GroupCursor, Odometer};
 use crate::error::{FdbError, Result};
 use crate::ftree::NodeId;
 use crate::topk::TopK;
-use fdb_relational::{AttrId, Predicate, Relation, Schema, SortDir, Value};
+use fdb_relational::{AttrId, Relation, Schema, SortDir, Value};
 
 /// Most bytes of output buffer reserved before the first row. A result
 /// of ordinary size gets its one exact allocation; a larger one — a cross
@@ -35,6 +36,20 @@ const RESERVE_CAP_BYTES: usize = 64 << 20;
 fn reserve_rows(data: &mut Vec<Value>, rows: usize, width: usize) {
     let cap = RESERVE_CAP_BYTES / std::mem::size_of::<Value>();
     data.reserve(rows.saturating_mul(width).min(cap));
+}
+
+/// Report of one enumeration pass ([`FdbResult::to_relation_counted`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct OrderRunStats {
+    /// The strategy that executed.
+    pub strategy: OrderStrategy,
+    /// Rows that passed the row filters and reached the ordering stage
+    /// (for streamed strategies: rows emitted).
+    pub rows_enumerated: usize,
+    /// Peak bytes of ordering-side state — the heap payload for top-k,
+    /// the buffer for collect-sort-cut, zero when streamed. Size-based,
+    /// like [`crate::frep::FRep::data_bytes`], so it gates tightly.
+    pub order_bytes: usize,
 }
 
 /// Where one value of an output row is read.
@@ -91,8 +106,8 @@ enum Rows<'a> {
 struct Emitter<'a> {
     rows: Rows<'a>,
     cols: Vec<Col>,
-    schema: &'a Schema,
-    filters: &'a [Predicate],
+    /// The result, for its row filters over its output schema.
+    result: &'a FdbResult,
     clock: DeadlinePoll,
     /// Names the pass in a deadline error.
     what: &'static str,
@@ -182,11 +197,8 @@ impl Emitter<'_> {
                     *next += 1;
                 }
             }
-            if self
-                .filters
-                .iter()
-                .all(|p| p.eval(self.schema, &out[start..]))
-            {
+            let (filters, schema) = (&self.result.row_filters, &self.result.schema);
+            if filters.iter().all(|p| p.eval(schema, &out[start..])) {
                 return Ok(true);
             }
             out.truncate(start);
@@ -209,12 +221,7 @@ impl FdbResult {
     /// unordered groups; `seek` additionally parks a tuple cursor on that
     /// row of the order via the count annotations, unless they saturated
     /// (`Emitter::seeked`).
-    fn emitter<'a>(
-        &'a self,
-        schema: &'a Schema,
-        ordered: bool,
-        seek: Option<u64>,
-    ) -> Result<Emitter<'a>> {
+    fn emitter(&self, ordered: bool, seek: Option<u64>) -> Result<Emitter<'_>> {
         let tree = self.rep.ftree();
         let slot = |(pos, comp)| Src::Slot { pos, comp };
         let mut seeked = false;
@@ -300,8 +307,7 @@ impl FdbResult {
         Ok(Emitter {
             rows,
             cols,
-            schema,
-            filters: &self.row_filters,
+            result: self,
             clock: DeadlinePoll::new(self.deadline_at),
             what,
             seeked,
@@ -312,7 +318,7 @@ impl FdbResult {
     fn compile_cols(&self, mut resolve: impl FnMut(AttrId) -> Result<Src>) -> Result<Vec<Col>> {
         self.emit
             .iter()
-            .map(|(col, _)| {
+            .map(|col| {
                 Ok(match *col {
                     EmitCol::Raw(a) => Col::Copy(resolve(a)?),
                     EmitCol::Div { num, den } => Col::Div {
@@ -350,8 +356,7 @@ impl FdbResult {
     /// the peak ordering-side allocation — `O(k·row)` for heap top-k vs
     /// `O(N·row)` for collect-sort-cut.
     pub fn to_relation_counted(&self) -> Result<(Relation, OrderRunStats)> {
-        let schema = Schema::new(self.output_attrs.clone());
-        let width = schema.arity();
+        let width = self.schema.arity();
         let mut stats = OrderRunStats {
             strategy: self.order_strategy,
             ..OrderRunStats::default()
@@ -383,7 +388,7 @@ impl FdbResult {
                 }
                 if self.limit != Some(0) {
                     let seek = direct.then_some(self.offset as u64);
-                    let mut em = self.emitter(&schema, ordered, seek)?;
+                    let mut em = self.emitter(ordered, seek)?;
                     let skip = if em.seeked { 0 } else { self.offset };
                     match self.limit {
                         // A page stops after `k` rows: counting the result
@@ -414,14 +419,14 @@ impl FdbResult {
                 let mut out = match self.stored_whole()? {
                     Some(rel) => rel.clone(),
                     None => {
-                        let mut em = self.emitter(&schema, false, None)?;
+                        let mut em = self.emitter(false, None)?;
                         if self.row_filters.is_empty() {
                             reserve_rows(&mut data, em.total_rows(), width);
                         }
                         while em.next_into(&mut data)? {
                             rows += 1;
                         }
-                        finish(schema, data, rows)
+                        finish(self.schema.clone(), data, rows)
                     }
                 };
                 stats.rows_enumerated = out.len();
@@ -437,12 +442,12 @@ impl FdbResult {
             // With an OFFSET the heap widens to m+k and the first m of
             // the sorted pop-out are dropped — still O((m+k)·row)
             // auxiliary memory, independent of the flat result size.
-            OrderStrategy::HeapTopK { k } => {
+            OrderStrategy::HeapTopK => {
                 let keys: Vec<(usize, SortDir)> = self
                     .order_by
                     .iter()
                     .map(|key| {
-                        schema
+                        self.schema
                             .position(key.attr)
                             .map(|p| (p, key.dir))
                             .ok_or_else(|| {
@@ -453,8 +458,9 @@ impl FdbResult {
                             })
                     })
                     .collect::<Result<_>>()?;
-                let mut topk = TopK::new(self.offset + k, keys);
-                let mut em = self.emitter(&schema, false, None)?;
+                let page_end = self.offset.saturating_add(self.limit.unwrap_or(usize::MAX));
+                let mut topk = TopK::new(page_end, keys);
+                let mut em = self.emitter(false, None)?;
                 let mut row: Vec<Value> = Vec::with_capacity(width);
                 while em.next_into(&mut row)? {
                     topk.push(&row);
@@ -468,7 +474,7 @@ impl FdbResult {
                 }
             }
         }
-        Ok((finish(schema, data, rows), stats))
+        Ok((finish(self.schema.clone(), data, rows), stats))
     }
 }
 
@@ -492,7 +498,6 @@ mod tests {
     use crate::enumerate::naive;
     use crate::frep::FRep;
     use crate::ftree::{FTree, NodeLabel};
-    use crate::optim::ordering::OrderChoice;
     use fdb_relational::planner::JoinAggTask;
     use fdb_relational::{Catalog, SortKey};
     use proptest::prelude::*;
@@ -529,7 +534,7 @@ mod tests {
                 for chosen in naive::combinations(&r.rep, &spec) {
                     let raw = naive::row(&r.rep, &spec, &chosen);
                     let get = |a: AttrId| &raw[attrs.iter().position(|&x| x == a).unwrap()];
-                    let cols = r.emit.iter().map(|(col, _)| match *col {
+                    let cols = r.emit.iter().map(|col| match *col {
                         EmitCol::Raw(a) => get(a).clone(),
                         EmitCol::Div { num, den } => div(get(num), get(den)),
                     });
@@ -565,7 +570,7 @@ mod tests {
                         };
                         raw.insert(*o, v?);
                     }
-                    let cols = r.emit.iter().map(|(col, _)| match col {
+                    let cols = r.emit.iter().map(|col| match col {
                         EmitCol::Raw(a) => raw[a].clone(),
                         EmitCol::Div { num, den } => div(&raw[num], &raw[den]),
                     });
@@ -580,7 +585,7 @@ mod tests {
 
     /// What `to_relation_counted` must return, from the complete row list.
     fn naive_counted(r: &FdbResult) -> Result<(Relation, OrderRunStats)> {
-        let schema = Schema::new(r.output_attrs.clone());
+        let schema = r.schema.clone();
         let ordered = matches!(
             r.order_strategy,
             OrderStrategy::StreamInTree | OrderStrategy::DirectAccess
@@ -617,12 +622,12 @@ mod tests {
                 sorted.sort_by_keys(&r.order_by);
                 page(&sorted.rows().map(|row| row.to_vec()).collect::<Vec<_>>())
             }
-            OrderStrategy::HeapTopK { k } => {
+            OrderStrategy::HeapTopK => {
                 let keys = r.order_by.iter().map(|key| {
                     let p = schema.position(key.attr).expect("order key in the output");
                     (p, key.dir)
                 });
-                let mut topk = TopK::new(r.offset + k, keys.collect());
+                let mut topk = TopK::new(r.offset + r.limit.unwrap(), keys.collect());
                 for row in &all {
                     topk.push(row);
                 }
@@ -746,7 +751,7 @@ mod tests {
             OrderStrategy::Unordered => "unordered",
             OrderStrategy::StreamInTree => "stream",
             OrderStrategy::DirectAccess => "direct",
-            OrderStrategy::HeapTopK { .. } => "heap",
+            OrderStrategy::HeapTopK => "heap",
             OrderStrategy::CollectSortCut => "sort",
         }
     }
@@ -767,15 +772,15 @@ mod tests {
             .and_then(|r| r.to_relation())
             .unwrap_or_else(|err| panic!("`{sql}`: {err}"))
             .len();
-        let choices: &[Option<OrderChoice>] = if base.order_by.is_empty() {
+        let choices: &[Option<OrderStrategy>] = if base.order_by.is_empty() {
             &[None]
         } else {
             &[
                 None,
-                Some(OrderChoice::Stream),
-                Some(OrderChoice::Direct),
-                Some(OrderChoice::Heap),
-                Some(OrderChoice::Sort),
+                Some(OrderStrategy::StreamInTree),
+                Some(OrderStrategy::DirectAccess),
+                Some(OrderStrategy::HeapTopK),
+                Some(OrderStrategy::CollectSortCut),
             ]
         };
         // LIMIT/OFFSET ∈ {none, 0, 1, mid, past-end}, crossed sparsely.
@@ -948,7 +953,7 @@ mod tests {
         // `DEADLINE_CHECK_EVERY` rows, so a budget that runs out after the
         // first row is noticed exactly at row 1 024 — not before, and not
         // at the end.
-        let every = super::super::DEADLINE_CHECK_EVERY;
+        let every = crate::engine::execute::DEADLINE_CHECK_EVERY;
         let pairs: Vec<(i64, i64)> = (0..4 * every as i64).map(|i| (i % 7, i)).collect();
         let mut e = chain_engine(&pairs, &[], &[], &[]);
         for sql in [
@@ -959,8 +964,8 @@ mod tests {
             let mut result = e.run_sql_result(sql).unwrap();
             let budget = Duration::from_millis(300);
             result.deadline_at = Some(Instant::now() + budget);
-            let schema = Schema::new(result.output_attrs.clone());
-            let mut em = result.emitter(&schema, false, None).unwrap();
+            let width = result.schema.arity();
+            let mut em = result.emitter(false, None).unwrap();
             let mut data = Vec::new();
             assert!(
                 em.next_into(&mut data).unwrap(),
@@ -975,7 +980,7 @@ mod tests {
             }
             let err = em.next_into(&mut data).unwrap_err();
             assert!(matches!(err, FdbError::DeadlineExceeded(_)), "{sql}: {err}");
-            assert_eq!(data.len(), every * schema.arity());
+            assert_eq!(data.len(), every * width);
         }
     }
 
@@ -989,8 +994,7 @@ mod tests {
             "SELECT b, SUM(a) AS s FROM R GROUP BY b HAVING s >= 0",
         ] {
             let result = e.run_sql_result(sql).unwrap();
-            let schema = Schema::new(result.output_attrs.clone());
-            let em = result.emitter(&schema, false, None).unwrap();
+            let em = result.emitter(false, None).unwrap();
             assert_eq!(em.total_rows(), 500, "{sql}");
             let flat = result.to_relation().unwrap().into_flat();
             assert_eq!(flat.len(), flat.capacity(), "{sql}: one exact allocation");
@@ -1049,11 +1053,10 @@ mod tests {
                 .unwrap()
                 .to_task();
             let mut result = e
-                .run_forcing(&task, RunOptions::new(), OrderChoice::Sort)
+                .run_forcing(&task, RunOptions::new(), OrderStrategy::CollectSortCut)
                 .unwrap();
             assert_eq!(result.order_strategy, strategy, "{sql}");
-            let schema = Schema::new(result.output_attrs.clone());
-            let total = result.emitter(&schema, false, None).unwrap().total_rows();
+            let total = result.emitter(false, None).unwrap().total_rows();
             assert_eq!(total, usize::MAX, "{sql}: the row count saturates");
             result.deadline_at = Some(Instant::now() + Duration::from_millis(20));
             let err = result.to_relation_counted().unwrap_err();

@@ -1,0 +1,321 @@
+//! Execution: the chosen f-plan through the staged pipeline
+//! ([`crate::pipeline::execute`]), `HAVING` pushed into the result as
+//! selections, and the ordering verified once against the result f-tree.
+//! The result is an [`FdbResult`]; [`super::emit`] turns it into rows.
+
+use super::choose::Chosen;
+use super::lower::{EmitCol, Lowered};
+use crate::enumerate::EnumSpec;
+use crate::error::{FdbError, Result};
+use crate::frep::FRep;
+use crate::ftree::{AggOp, FTree};
+use crate::optim::ordering::OrderStrategy;
+use crate::pipeline::ExecStats;
+use crate::plan::{FOp, FPlan};
+use fdb_relational::planner::JoinAggTask;
+use fdb_relational::{AttrId, Catalog, Predicate, Relation, Schema, SortKey};
+use std::time::Instant;
+
+/// How often the enumeration sinks poll the deadline clock (rows
+/// between checks). Coarse enough to stay invisible in the profile,
+/// fine enough that a wedged enumeration is cut within microseconds.
+pub(super) const DEADLINE_CHECK_EVERY: usize = 1024;
+
+/// Cheap periodic deadline clock: polls [`Instant::now`] once every
+/// [`DEADLINE_CHECK_EVERY`] calls (and on the very first call, so a
+/// zero budget fails deterministically before any row is emitted).
+pub(super) struct DeadlinePoll {
+    at: Option<Instant>,
+    calls: usize,
+}
+
+impl DeadlinePoll {
+    pub(super) fn new(at: Option<Instant>) -> Self {
+        DeadlinePoll { at, calls: 0 }
+    }
+
+    pub(super) fn poll(&mut self, what: &str) -> Result<()> {
+        let Some(at) = self.at else { return Ok(()) };
+        let due = self.calls % DEADLINE_CHECK_EVERY == 0;
+        self.calls += 1;
+        if due && Instant::now() >= at {
+            return Err(FdbError::DeadlineExceeded(format!(
+                "run budget expired during {what}"
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// One-shot deadline check (planning/execution stage boundaries).
+pub(super) fn check_deadline(at: Option<Instant>, what: &str) -> Result<()> {
+    DeadlinePoll::new(at).poll(what)
+}
+
+/// Result shape.
+#[derive(Clone, Debug)]
+pub(super) enum ResultKind {
+    /// Select-project-join: enumerate and project.
+    Spj,
+    /// Aggregates consolidated into named nodes: enumerate directly.
+    AggConsolidated,
+    /// Aggregates left as partial leaves: walk groups, evaluate on the fly
+    /// (scenario 3 of the introduction).
+    AggGrouped {
+        group_attrs: Vec<AttrId>,
+        final_funcs: Vec<AggOp>,
+        func_outputs: Vec<AttrId>,
+    },
+    /// GROUPING SETS: the concatenation of the per-set runs, already
+    /// padded to the output schema. Rows stream as-is; HAVING stays in
+    /// the row filters and ordering/limit run at enumeration.
+    Materialised(Relation),
+}
+
+/// A query result: the factorisation plus everything needed to emit flat
+/// tuples (`FDB` mode) or keep it factorised (`FDB f/o` mode).
+#[derive(Clone, Debug)]
+pub struct FdbResult {
+    pub(super) rep: FRep,
+    pub(super) kind: ResultKind,
+    /// The output columns, in declared order.
+    pub(super) schema: Schema,
+    /// How each output column is produced (empty for a materialised
+    /// result, whose rows are already in output layout).
+    pub(super) emit: Vec<EmitCol>,
+    /// Normalised (first-occurrence-deduplicated) order keys.
+    pub(super) order_by: Vec<SortKey>,
+    /// The physical ordering strategy that executes: the cheapest
+    /// feasible one, verified once against the result's f-tree.
+    pub(super) order_strategy: OrderStrategy,
+    /// HAVING conjuncts evaluated per output row (those not already pushed
+    /// into the factorisation as selections).
+    pub(super) row_filters: Vec<Predicate>,
+    pub(super) limit: Option<usize>,
+    /// OFFSET m: rows of the ordered output skipped before the first
+    /// returned row (`0` = none).
+    pub(super) offset: usize,
+    /// The executed f-plan (for EXPLAIN-style introspection).
+    pub(super) plan: FPlan,
+    /// The f-tree the plan ran on: `explain` simulates the plan on it
+    /// to name the nodes each operator touches.
+    pub(super) input_tree: FTree,
+    /// Execution report of the f-plan run (stages, intermediate
+    /// bytes, copies avoided), including the HAVING push-down.
+    pub(super) exec_stats: ExecStats,
+    /// Absolute deadline of the producing run (`RunOptions::deadline`),
+    /// which enumeration honours too.
+    pub(super) deadline_at: Option<Instant>,
+}
+
+/// Executes the chosen plan on the lowered input and verifies the
+/// ordering once against the result f-tree.
+pub(super) fn execute(
+    low: Lowered,
+    chosen: Chosen,
+    task: &JoinAggTask,
+    deadline_at: Option<Instant>,
+) -> Result<FdbResult> {
+    let spec = chosen.spec;
+    let input_tree = low.rep.ftree().clone();
+    let (mut rep, mut exec_stats) = crate::pipeline::execute(&chosen.plan, low.rep)?;
+    check_deadline(deadline_at, "plan execution")?;
+
+    // HAVING: what can be is pushed into the factorisation as one fused
+    // selection f-plan (HAVING never changes the f-tree), its allocation
+    // joining the exec-stats; the rest (e.g. on avg) filters rows at
+    // emission.
+    let mut row_filters: Vec<Predicate> = Vec::new();
+    let mut having_plan = FPlan::new();
+    for p in &task.having {
+        match p {
+            Predicate::AttrCmp(attr, op, value) if rep.ftree().node_of_attr(*attr).is_some() => {
+                let (attr, op, value) = (*attr, *op, value.clone());
+                having_plan.push(FOp::SelectConst { attr, op, value });
+            }
+            other => row_filters.push(other.clone()),
+        }
+    }
+    if !having_plan.is_empty() {
+        let hstats;
+        (rep, hstats) = crate::pipeline::execute(&having_plan, rep)?;
+        exec_stats.intermediate_bytes += hstats.intermediate_bytes;
+        exec_stats.copies_avoided += hstats.copies_avoided;
+        exec_stats.compacted |= hstats.compacted;
+    }
+
+    // Verify a streamed order once against the *result* f-tree
+    // (defensive: never return wrongly ordered data); on failure fall
+    // back once, to the chooser's pick among the flat strategies. Only a
+    // streamed strategy runs a plan whose spec realises an order. Direct
+    // access was chosen only with a tuple cursor and no HAVING, so the
+    // order is all there is left to check.
+    let grouped = spec.is_aggregate() && !spec.consolidate;
+    let (tree, keys) = (rep.ftree(), &spec.order_by);
+    let realised = keys.is_empty()
+        || if grouped {
+            EnumSpec::group_prefix_ordered(tree, &spec.group_by, keys).is_ok()
+        } else {
+            crate::enumerate::supports_order(tree, keys)
+        };
+    let order_strategy = if realised {
+        chosen.strategy
+    } else {
+        chosen.fallback
+    };
+    let kind = if !spec.is_aggregate() {
+        ResultKind::Spj
+    } else if !grouped {
+        ResultKind::AggConsolidated
+    } else {
+        ResultKind::AggGrouped {
+            group_attrs: spec.group_by,
+            final_funcs: spec.final_funcs,
+            func_outputs: spec.final_outputs,
+        }
+    };
+
+    Ok(FdbResult {
+        rep,
+        kind,
+        schema: low.schema,
+        emit: low.emit,
+        order_by: low.order_keys,
+        order_strategy,
+        row_filters,
+        limit: task.limit,
+        offset: task.offset,
+        plan: chosen.plan,
+        input_tree,
+        exec_stats,
+        deadline_at,
+    })
+}
+
+impl FdbResult {
+    /// The result factorisation (`FDB f/o`).
+    pub fn rep(&self) -> &FRep {
+        &self.rep
+    }
+
+    /// Size of the factorised result in singletons.
+    pub fn singleton_count(&self) -> usize {
+        self.rep.singleton_count()
+    }
+
+    /// Output schema (declared column order).
+    pub fn output_attrs(&self) -> &[AttrId] {
+        self.schema.attrs()
+    }
+
+    /// The physical ordering strategy this result executes.
+    pub fn order_strategy(&self) -> OrderStrategy {
+        self.order_strategy
+    }
+
+    /// The f-plan that produced this result.
+    pub fn plan(&self) -> &FPlan {
+        &self.plan
+    }
+
+    /// Execution report of the f-plan run: stage count, intermediate
+    /// bytes allocated, fragments shared instead of copied.
+    pub fn exec_stats(&self) -> ExecStats {
+        self.exec_stats
+    }
+
+    /// EXPLAIN-style rendering: the executed f-plan with its stage
+    /// grouping, the result f-tree, the output mode, and how
+    /// ordering/limits are realised.
+    pub fn explain(&self, catalog: &Catalog) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "f-plan ({} operator(s), {} stage(s)):",
+            self.plan.len(),
+            self.exec_stats.stages
+        );
+        out.push_str(&self.plan.display(catalog, &self.input_tree));
+        if !self.plan.is_empty() {
+            let stages = crate::pipeline::segment(&self.plan);
+            let _ = writeln!(out, "stages: {}", crate::pipeline::render_stages(&stages));
+        }
+        let _ = writeln!(
+            out,
+            "execution: intermediate bytes allocated {}, fragment copies avoided {}{}",
+            self.exec_stats.intermediate_bytes,
+            self.exec_stats.copies_avoided,
+            if self.exec_stats.compacted {
+                ", compacted"
+            } else {
+                ""
+            }
+        );
+        let _ = writeln!(out, "result f-tree:");
+        out.push_str(&self.rep.ftree().display(catalog));
+        let mode = match &self.kind {
+            ResultKind::Spj => "select-project-join (enumerate + project)".to_string(),
+            ResultKind::AggConsolidated => "aggregates consolidated into named nodes".to_string(),
+            ResultKind::AggGrouped { final_funcs, .. } => format!(
+                "grouped: {} aggregate(s) evaluated on the fly per group",
+                final_funcs.len()
+            ),
+            ResultKind::Materialised(rel) => format!(
+                "grouping sets: {} concatenated row(s), NULL-padded to the output schema",
+                rel.len()
+            ),
+        };
+        let _ = writeln!(out, "output mode: {mode}");
+        // Name the strategy that actually executes — never claim
+        // constant-delay streaming when row filters stretch the delay or
+        // when a sort/heap pass produces the limit.
+        let k = self.limit.unwrap_or(usize::MAX);
+        let ordering = match self.order_strategy {
+            OrderStrategy::Unordered => "none".to_string(),
+            OrderStrategy::StreamInTree if self.row_filters.is_empty() => {
+                "realised by the factorisation (constant-delay streaming)".to_string()
+            }
+            OrderStrategy::StreamInTree => format!(
+                "realised by the factorisation (streamed; {} row filter(s), \
+                 delay not constant)",
+                self.row_filters.len()
+            ),
+            OrderStrategy::DirectAccess => format!(
+                "direct access (offset={}, seeks=d·log f; count-annotated \
+                 seek past the skipped prefix, then constant-delay \
+                 streaming)",
+                self.offset
+            ),
+            OrderStrategy::HeapTopK if self.offset > 0 => format!(
+                "(m+k)-heap (m={}, k={k}; bounded heap of m+k rows over the \
+                 unrestructured enumeration, first m dropped)",
+                self.offset
+            ),
+            OrderStrategy::HeapTopK => format!(
+                "heap top-k (k={k}; bounded heap over the unrestructured \
+                 enumeration, no full materialisation)"
+            ),
+            OrderStrategy::CollectSortCut => {
+                "collect-sort-cut (full materialisation, then sort".to_string()
+                    + &match (self.offset, self.limit) {
+                        (0, Some(k)) => format!(", truncate to {k})"),
+                        (0, None) => ")".to_string(),
+                        (m, Some(k)) => format!(", cut rows {m}..{})", m + k),
+                        (m, None) => format!(", skip {m})"),
+                    }
+            }
+        };
+        let _ = writeln!(out, "ordering: {ordering}");
+        if let Some(k) = self.limit {
+            let _ = writeln!(out, "limit: {k}");
+        }
+        if self.offset > 0 {
+            let _ = writeln!(out, "offset: {}", self.offset);
+        }
+        if !self.row_filters.is_empty() {
+            let _ = writeln!(out, "row filters: {}", self.row_filters.len());
+        }
+        out
+    }
+}

@@ -21,4 +21,4 @@ pub mod ordering;
 pub use cost::{tree_cost, Stats};
 pub use exhaustive::{exhaustive, ExhaustiveConfig};
 pub use greedy::{greedy, QuerySpec};
-pub use ordering::{choose_order_strategy, OrderChoice, OrderCostInputs};
+pub use ordering::{choose_order_strategy, OrderCostInputs, OrderStrategy};

@@ -1,6 +1,6 @@
 //! Cost-based choice among the physical `ORDER BY` strategies.
 //!
-//! Three ways exist to produce ordered (and LIMIT-truncated) output from
+//! Four ways exist to produce ordered (and LIMIT-truncated) output from
 //! a factorisation:
 //!
 //! 1. **restructure + stream** — swap until Theorem 2 holds, then
@@ -34,18 +34,22 @@ use crate::optim::cost::{tree_cost, Stats};
 use crate::plan::{apply_to_tree, FPlan};
 use fdb_relational::AttrId;
 
-/// Which physical ordering strategy the cost model selects.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OrderChoice {
-    /// Realise the order in the factorisation and stream (Theorem 2).
-    Stream,
-    /// Realise the order, then *seek* to the OFFSET via the subtree
-    /// count annotations and stream only the requested page.
-    Direct,
-    /// Bounded-heap top-(m+k) over the unrestructured enumeration.
-    Heap,
-    /// Materialise, stable-sort, cut the page out.
-    Sort,
+/// The physical ordering strategy a result executes: the cheapest
+/// feasible one ([`choose_order_strategy`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum OrderStrategy {
+    /// No `ORDER BY`: the order is unspecified.
+    #[default]
+    Unordered,
+    /// The factorisation realises the order; enumeration streams it.
+    StreamInTree,
+    /// Streaming after a seek past the `OFFSET` on the subtree-count
+    /// annotations ([`crate::enumerate::DirectCursor`]).
+    DirectAccess,
+    /// Bounded-heap top-(m+k) over the unrestructured enumeration (LIMIT k).
+    HeapTopK,
+    /// Full enumeration into a flat relation, stable sort, cut.
+    CollectSortCut,
 }
 
 /// Everything the chooser looks at. The prices (plan costs, row and seek
@@ -77,20 +81,21 @@ pub struct OrderCostInputs {
 }
 
 impl OrderCostInputs {
-    /// Whether `choice` can produce the query's page at all: streaming
-    /// needs an order-realising plan; direct access that plan, an OFFSET
-    /// to seek past and a quoted seek cost; the heap a LIMIT to bound it.
-    /// Collect-sort-cut always works.
-    pub fn feasible(&self, choice: OrderChoice) -> bool {
-        match choice {
-            OrderChoice::Stream => self.stream_plan_cost.is_some(),
-            OrderChoice::Direct => {
+    /// Whether `strategy` can produce the query's ordered page at all:
+    /// streaming needs an order-realising plan; direct access that plan,
+    /// an OFFSET to seek past and a quoted seek cost; the heap a LIMIT.
+    /// Collect-sort-cut always works; leaving the order out never does.
+    pub fn feasible(&self, strategy: OrderStrategy) -> bool {
+        match strategy {
+            OrderStrategy::Unordered => false,
+            OrderStrategy::StreamInTree => self.stream_plan_cost.is_some(),
+            OrderStrategy::DirectAccess => {
                 self.stream_plan_cost.is_some()
                     && self.direct_seek_cost.is_some()
                     && self.offset > 0
             }
-            OrderChoice::Heap => self.k.is_some(),
-            OrderChoice::Sort => true,
+            OrderStrategy::HeapTopK => self.k.is_some(),
+            OrderStrategy::CollectSortCut => true,
         }
     }
 }
@@ -109,12 +114,12 @@ pub fn is_page(k: Option<usize>, offset: usize) -> bool {
 /// OFFSET `m`, sequential streaming additionally enumerates-and-discards
 /// `m` rows, so for deep offsets the count-annotated seek (whose cost is
 /// independent of `m`) takes over.
-pub fn choose_order_strategy(inputs: &OrderCostInputs) -> OrderChoice {
+pub fn choose_order_strategy(inputs: &OrderCostInputs) -> OrderStrategy {
     if !is_page(inputs.k, inputs.offset) {
-        return if inputs.feasible(OrderChoice::Stream) {
-            OrderChoice::Stream
+        return if inputs.feasible(OrderStrategy::StreamInTree) {
+            OrderStrategy::StreamInTree
         } else {
-            OrderChoice::Sort
+            OrderStrategy::CollectSortCut
         };
     }
     let w = inputs.row_width.max(1) as f64;
@@ -134,22 +139,22 @@ pub fn choose_order_strategy(inputs: &OrderCostInputs) -> OrderChoice {
     // swap is several times faster end to end.
     let heap = inputs.unordered_plan_cost + n * (lg(m + kf + 1.0) + w) + (m + kf) * w;
     let sort = inputs.unordered_plan_cost + n * (lg(n) + w) + n * w;
-    let mut best = if inputs.feasible(OrderChoice::Heap) && heap <= sort {
-        (OrderChoice::Heap, heap)
+    let mut best = if inputs.feasible(OrderStrategy::HeapTopK) && heap <= sort {
+        (OrderStrategy::HeapTopK, heap)
     } else {
-        (OrderChoice::Sort, sort)
+        (OrderStrategy::CollectSortCut, sort)
     };
     if let Some(cs) = inputs.stream_plan_cost {
         // Sequential streaming enumerates (and discards) the m skipped
         // rows before the kf returned ones.
         let stream = cs + (m + kf) * w;
         if stream <= best.1 {
-            best = (OrderChoice::Stream, stream);
+            best = (OrderStrategy::StreamInTree, stream);
         }
         if let Some(seek) = inputs.direct_seek_cost {
             let direct = cs + seek + kf * w;
-            if inputs.feasible(OrderChoice::Direct) && direct < best.1 {
-                best = (OrderChoice::Direct, direct);
+            if inputs.feasible(OrderStrategy::DirectAccess) && direct < best.1 {
+                best = (OrderStrategy::DirectAccess, direct);
             }
         }
     }
@@ -245,17 +250,17 @@ mod tests {
     fn no_limit_prefers_stream_when_realisable() {
         assert_eq!(
             choose_order_strategy(&inputs(Some(1e9), 1.0, 1e6, None)),
-            OrderChoice::Stream
+            OrderStrategy::StreamInTree
         );
         assert_eq!(
             choose_order_strategy(&inputs(None, 1.0, 1e6, None)),
-            OrderChoice::Sort
+            OrderStrategy::CollectSortCut
         );
         // Whatever the prices (unpaged inputs may leave them at zero).
         for i in grid().iter().filter(|i| !is_page(i.k, i.offset)) {
             let want = match i.stream_plan_cost {
-                Some(_) => OrderChoice::Stream,
-                None => OrderChoice::Sort,
+                Some(_) => OrderStrategy::StreamInTree,
+                None => OrderStrategy::CollectSortCut,
             };
             assert_eq!(choose_order_strategy(i), want, "{i:?}");
         }
@@ -266,7 +271,7 @@ mod tests {
         // Swaps would materialise ~100x the unordered plan: with a small
         // k the heap pass over N rows is far cheaper.
         let choice = choose_order_strategy(&inputs(Some(1e8), 1e6, 1e5, Some(10)));
-        assert_eq!(choice, OrderChoice::Heap);
+        assert_eq!(choice, OrderStrategy::HeapTopK);
     }
 
     #[test]
@@ -274,14 +279,14 @@ mod tests {
         // The order is already realised (no extra swaps: equal plan
         // costs): streaming k rows beats an N-row heap pass.
         let choice = choose_order_strategy(&inputs(Some(1e4), 1e4, 1e5, Some(10)));
-        assert_eq!(choice, OrderChoice::Stream);
+        assert_eq!(choice, OrderStrategy::StreamInTree);
     }
 
     #[test]
     fn heap_beats_sort_whenever_k_is_small() {
         for n in [10.0, 1e3, 1e6] {
             let choice = choose_order_strategy(&inputs(None, 0.0, n, Some(5)));
-            assert_eq!(choice, OrderChoice::Heap, "n={n}");
+            assert_eq!(choice, OrderStrategy::HeapTopK, "n={n}");
         }
     }
 
@@ -291,11 +296,11 @@ mod tests {
         // rows dwarfs a logarithmic seek.
         let choice =
             choose_order_strategy(&paged(Some(1e4), 1e4, 1e5, Some(10), 90_000, Some(60.0)));
-        assert_eq!(choice, OrderChoice::Direct);
+        assert_eq!(choice, OrderStrategy::DirectAccess);
         // Same page without the seek option: streaming still beats the
         // flat passes (they enumerate all N rows either way).
         let choice = choose_order_strategy(&paged(Some(1e4), 1e4, 1e5, Some(10), 90_000, None));
-        assert_eq!(choice, OrderChoice::Stream);
+        assert_eq!(choice, OrderStrategy::StreamInTree);
     }
 
     #[test]
@@ -304,7 +309,7 @@ mod tests {
         // passes `None`, but even a quoted seek cost must lose to the
         // tie-broken stream.
         let choice = choose_order_strategy(&paged(Some(1e4), 1e4, 1e5, Some(10), 0, Some(60.0)));
-        assert_eq!(choice, OrderChoice::Stream);
+        assert_eq!(choice, OrderStrategy::StreamInTree);
     }
 
     #[test]
@@ -312,10 +317,10 @@ mod tests {
         // OFFSET-only page at 99% depth: direct access returns the 1%
         // tail without enumerating the 99% prefix.
         let choice = choose_order_strategy(&paged(Some(1e4), 1e4, 1e5, None, 99_000, Some(60.0)));
-        assert_eq!(choice, OrderChoice::Direct);
+        assert_eq!(choice, OrderStrategy::DirectAccess);
         // No realising plan at all: only the sort can serve the page.
         let choice = choose_order_strategy(&paged(None, 1e4, 1e5, None, 99_000, None));
-        assert_eq!(choice, OrderChoice::Sort);
+        assert_eq!(choice, OrderStrategy::CollectSortCut);
     }
 
     #[test]
@@ -323,7 +328,7 @@ mod tests {
         // The order-realising plan costs 100× the flat plan: even a free
         // seek cannot amortise it for a shallow page over few rows.
         let choice = choose_order_strategy(&paged(Some(1e8), 1e6, 1e5, Some(10), 50, Some(10.0)));
-        assert_eq!(choice, OrderChoice::Heap);
+        assert_eq!(choice, OrderStrategy::HeapTopK);
     }
 
     /// Inputs spanning cheap and dear plans, with and without a realising
@@ -349,10 +354,10 @@ mod tests {
     #[test]
     fn heap_is_never_chosen_without_a_limit() {
         for inputs in grid().into_iter().filter(|i| i.k.is_none()) {
-            assert!(!inputs.feasible(OrderChoice::Heap), "{inputs:?}");
+            assert!(!inputs.feasible(OrderStrategy::HeapTopK), "{inputs:?}");
             assert_ne!(
                 choose_order_strategy(&inputs),
-                OrderChoice::Heap,
+                OrderStrategy::HeapTopK,
                 "{inputs:?}"
             );
         }
@@ -366,10 +371,10 @@ mod tests {
             i.stream_plan_cost.is_none() || i.offset == 0 || i.direct_seek_cost.is_none()
         };
         for inputs in grid().into_iter().filter(outside) {
-            assert!(!inputs.feasible(OrderChoice::Direct), "{inputs:?}");
+            assert!(!inputs.feasible(OrderStrategy::DirectAccess), "{inputs:?}");
             assert_ne!(
                 choose_order_strategy(&inputs),
-                OrderChoice::Direct,
+                OrderStrategy::DirectAccess,
                 "{inputs:?}"
             );
         }

@@ -40,22 +40,17 @@
 //! The f-rep denotes a *set* of tuples. `insert` of a represented tuple
 //! and `delete` of an absent one are no-ops returning `false`.
 //!
-//! At a branching node the entry's child unions form a product, so a
-//! tuple's sub-values cannot be removed independently: single-row
-//! deletion recurses into child `i` only when every *sibling* subtree
-//! is a singleton (for the root list: into root `i` only when every
-//! other root is a singleton), and drops an entry only when **all** its
-//! child subtrees are singletons. Under the join dependencies the
-//! f-tree asserts (the same precondition [`FRep::from_relation`] needs
-//! to be exact, Prop. 1 of the paper), this reproduces the rebuilt
-//! grouping exactly. When one row's removal violates those dependencies
-//! the f-tree cannot represent the result; [`FRep::delete`] and a
-//! rebuild then over-approximate by the identical grouping. That
-//! agreement is a property of *one* row: a sequence of single-row
-//! deletes passes through such states and cannot recover, which is why
-//! predicate deletes never loop over [`FRep::delete`]. Path f-trees —
-//! tries, the shape the engine builds for base relations — never hit
-//! this case.
+//! At a branching node an entry's child unions form a product, as do the
+//! roots of a forest. One row changes a product by exactly one tuple only
+//! through **one** factor, while every other factor is a single tuple. A
+//! single-row write applies this rule at every present entry of its spine
+//! — an insert descends into the one child lacking the row, a delete into
+//! the one child wider than a tuple, or drops the entry when none is — and
+//! otherwise refuses with [`FdbError::InvalidOperator`]. The rule is
+//! checked on the way down, before a record is appended, so a refusal
+//! leaves the representation untouched. Under the f-tree's join
+//! dependencies (Prop. 1 of the paper) an accepted write equals a rebuild;
+//! path f-trees — the tries the engine builds — are never refused.
 //!
 //! ## Predicate deletes
 //!
@@ -162,27 +157,30 @@ impl FRep {
     /// Cost is O(depth · (log fanout + spine width)): one rewritten
     /// union per level, every untouched fragment shared by id. Any
     /// memoised count index on *this wrapper* is dropped; snapshots
-    /// this wrapper was cloned from are untouched (copy-on-write).
+    /// this wrapper was cloned from are untouched (copy-on-write). A row
+    /// the f-tree cannot add exactly is refused (see the module docs).
     pub fn insert(&mut self, row: &[Value]) -> Result<bool> {
         check_arity(self, row)?;
         let cols = col_map(self)?;
+        let empty = self.is_empty();
         let (tree, arena, roots) = self.update_parts();
-        let mut changed = false;
-        for r in roots.iter_mut() {
-            if let Some(new_id) = insert_union(arena, tree, *r, row, &cols) {
-                *r = new_id;
-                changed = true;
+        if empty {
+            // The empty product: every root becomes the row's chain.
+            for (r, &node) in roots.iter_mut().zip(tree.roots()) {
+                let spec = fresh_entry(arena, tree, node, row, &cols);
+                *r = arena.push_union(node, &[spec]);
             }
+        } else if !insert_into(arena, tree, roots, row, &cols)? {
+            return Ok(false);
         }
         debug_assert!(self.check_invariants().is_ok());
-        Ok(changed)
+        Ok(true)
     }
 
     /// Deletes `row` (laid out per [`FRep::schema`]); returns `true` if
     /// it was represented, `false` otherwise (set semantics, no-op on
-    /// absent rows). Same spine-rewrite cost and copy-on-write
-    /// discipline as [`FRep::insert`]; see the module docs for the
-    /// branching-tree rule.
+    /// absent rows). Same spine-rewrite cost, copy-on-write discipline
+    /// and refusal as [`FRep::insert`]; see the module docs.
     pub fn delete(&mut self, row: &[Value]) -> Result<bool> {
         check_arity(self, row)?;
         if !self.contains(row)? {
@@ -190,19 +188,12 @@ impl FRep {
         }
         let cols = col_map(self)?;
         let (_tree, arena, roots) = self.update_parts();
-        let sing: Vec<bool> = roots.iter().map(|&r| is_singleton(arena, r)).collect();
-        let n = roots.len();
-        for (i, root) in roots.iter_mut().enumerate() {
-            if !(0..n).filter(|&j| j != i).all(|j| sing[j]) {
-                continue;
-            }
-            match delete_union(arena, *root, row, &cols) {
-                Deleted::Emptied => {
-                    let node = arena.urec(*root).node;
-                    *root = arena.empty_union(node);
-                }
-                Deleted::Rewritten(id) => *root = id,
-                Deleted::Unchanged => {}
+        if delete_from(arena, roots, row, &cols)? {
+            // Every root a single tuple: the row was the whole product.
+            for root in roots.iter_mut() {
+                let node = arena.urec(*root).node;
+                delete_union(arena, *root, row, &cols)?;
+                *root = arena.empty_union(node);
             }
         }
         debug_assert!(self.check_invariants().is_ok());
@@ -499,67 +490,90 @@ fn is_singleton(arena: &Arena, uid: UnionId) -> bool {
     (0..e.kids_len).all(|k| is_singleton(arena, arena.kid_at(e.kids_start + k)))
 }
 
+/// The factor of a product — the unions under one entry, or the roots —
+/// that a single-row write changes: the first one `changes` picks, or
+/// `None` for none. Its change is the product's change only when every
+/// other factor is a single tuple the write leaves alone; anything else
+/// is refused.
+fn changed_factor(
+    arena: &Arena,
+    factors: &[UnionId],
+    changes: impl Fn(UnionId) -> bool,
+    write: &str,
+) -> Result<Option<usize>> {
+    let Some(k) = factors.iter().position(|&f| changes(f)) else {
+        return Ok(None);
+    };
+    let alone = |j: usize| j == k || (!changes(factors[j]) && is_singleton(arena, factors[j]));
+    if (0..factors.len()).all(alone) {
+        return Ok(Some(k));
+    }
+    Err(FdbError::InvalidOperator(format!(
+        "{write} result not representable over the view's f-tree: the row would change \
+         a product whose other factors are not single tuples"
+    )))
+}
+
+/// Inserts `row`'s projection into the non-empty product `factors`
+/// through the one factor that lacks it (a lone factor's recursion finds
+/// out itself); `false` when every factor holds it already.
+fn insert_into(
+    arena: &mut Arena,
+    tree: &FTree,
+    factors: &mut [UnionId],
+    row: &[Value],
+    cols: &[usize],
+) -> Result<bool> {
+    let k = if factors.len() == 1 {
+        Some(0)
+    } else {
+        let a = &*arena;
+        changed_factor(a, factors, |f| !contains_union(a, f, row, cols), "insert")?
+    };
+    let Some(k) = k else { return Ok(false) };
+    let Some(id) = insert_union(arena, tree, factors[k], row, cols)? else {
+        return Ok(false);
+    };
+    factors[k] = id;
+    Ok(true)
+}
+
 /// Inserts `row`'s projection into the subtree under `uid`. Returns the
 /// rewritten union's id, or `None` when the projection was already
-/// fully represented (nothing changed).
+/// fully represented (nothing changed). Every refusal is decided on the
+/// way down, before the first record is appended.
 fn insert_union(
     arena: &mut Arena,
     tree: &FTree,
     uid: UnionId,
     row: &[Value],
     cols: &[usize],
-) -> Option<UnionId> {
+) -> Result<Option<UnionId>> {
     let rec = arena.urec(uid);
     let node = rec.node;
     let v = &row[cols[node.idx()]];
     match arena.search_entry(uid, v) {
         Ok(abs) => {
-            // Value present: recurse into the children; rewrite this
-            // union only if some child actually changed.
+            // Value present: insert into the one child that changes.
             let phys = abs - rec.start;
             let e = arena.erec(abs);
             let mut new_kids: Vec<UnionId> = (0..e.kids_len)
                 .map(|k| arena.kid_at(e.kids_start + k))
                 .collect();
-            let mut any = false;
-            for nk in new_kids.iter_mut() {
-                if let Some(id) = insert_union(arena, tree, *nk, row, cols) {
-                    *nk = id;
-                    any = true;
-                }
+            if !insert_into(arena, tree, &mut new_kids, row, cols)? {
+                return Ok(None);
             }
-            if !any {
-                return None;
-            }
-            let mut specs = Vec::with_capacity(rec.len as usize);
-            for i in 0..rec.len {
-                if i == phys {
-                    specs.push(arena.entry_shared_val(e.val, &new_kids));
-                } else {
-                    specs.push(EntrySpec::from_rec(arena.erec(rec.start + i)));
-                }
-            }
-            arena.note_shared(rec.len.saturating_sub(1) as u64);
-            arena.note_dead(u64::from(rec.len));
-            Some(arena.push_union(node, &specs))
+            Ok(Some(rewrite_entry(arena, uid, phys, Some(&new_kids))))
         }
         Err(ins) => {
             // Fresh value: splice a new entry (with a singleton chain
-            // below it) into the sorted run. Handles the empty union of
-            // an empty representation's root as the `ins == len == 0`
-            // case.
+            // below it) into the sorted run.
             let fresh = fresh_entry(arena, tree, node, row, cols);
-            let mut specs = Vec::with_capacity(rec.len as usize + 1);
-            for i in 0..ins {
-                specs.push(EntrySpec::from_rec(arena.erec(rec.start + i)));
-            }
-            specs.push(fresh);
-            for i in ins..rec.len {
-                specs.push(EntrySpec::from_rec(arena.erec(rec.start + i)));
-            }
+            let mut specs = carried(arena, uid);
+            specs.insert(ins as usize, fresh);
             arena.note_shared(rec.len as u64);
             arena.note_dead(u64::from(rec.len));
-            Some(arena.push_union(node, &specs))
+            Ok(Some(arena.push_union(node, &specs)))
         }
     }
 }
@@ -592,77 +606,80 @@ enum Deleted {
     Unchanged,
 }
 
-/// Deletes `row`'s projection from the subtree under `uid`, assuming it
-/// is present (checked by [`FRep::contains`] up front — a partial
-/// recursive edit on an absent tuple would corrupt the spine).
-fn delete_union(arena: &mut Arena, uid: UnionId, row: &[Value], cols: &[usize]) -> Deleted {
-    let rec = arena.urec(uid);
-    let node = rec.node;
-    let v = &row[cols[node.idx()]];
-    let Some(abs) = arena.find_entry(uid, v) else {
-        debug_assert!(
-            false,
-            "delete_union: entry vanished under a contains() check"
-        );
-        return Deleted::Unchanged;
+/// Deletes `row` from the product `factors` through its one factor
+/// wider than a tuple, which cannot empty; `true` when every factor is a
+/// single tuple — the product is the row, and the caller drops it whole.
+fn delete_from(
+    arena: &mut Arena,
+    factors: &mut [UnionId],
+    row: &[Value],
+    cols: &[usize],
+) -> Result<bool> {
+    let a = &*arena;
+    let Some(k) = changed_factor(a, factors, |f| !is_singleton(a, f), "delete")? else {
+        return Ok(true);
     };
+    let id = delete_union(arena, factors[k], row, cols)?;
+    factors[k] = id.expect("a factor wider than a tuple survives");
+    Ok(false)
+}
+
+/// Deletes `row`'s projection from the subtree under `uid`, which holds
+/// it (checked by [`FRep::contains`] up front — a partial recursive edit
+/// on an absent tuple would corrupt the spine); `None` when the union
+/// lost its last entry. Every refusal is decided on the way down, before
+/// anything is appended.
+fn delete_union(
+    arena: &mut Arena,
+    uid: UnionId,
+    row: &[Value],
+    cols: &[usize],
+) -> Result<Option<UnionId>> {
+    let rec = arena.urec(uid);
+    let v = &row[cols[rec.node.idx()]];
+    let abs = arena
+        .find_entry(uid, v)
+        .expect("the deleted row is present");
     let phys = abs - rec.start;
     let e = arena.erec(abs);
-    let kids: Vec<UnionId> = (0..e.kids_len)
+    let mut kids: Vec<UnionId> = (0..e.kids_len)
         .map(|k| arena.kid_at(e.kids_start + k))
         .collect();
-    let sing: Vec<bool> = kids.iter().map(|&k| is_singleton(arena, k)).collect();
-    if sing.iter().all(|&s| s) {
-        // The entry's whole group is this one tuple: drop the entry.
-        note_dropped_kids(arena, e);
-        arena.note_dead(u64::from(rec.len));
-        if rec.len == 1 {
-            return Deleted::Emptied;
-        }
-        let mut specs = Vec::with_capacity(rec.len as usize - 1);
-        for i in 0..rec.len {
-            if i != phys {
-                specs.push(EntrySpec::from_rec(arena.erec(rec.start + i)));
-            }
-        }
-        arena.note_shared(rec.len as u64 - 1);
-        return Deleted::Rewritten(arena.push_union(node, &specs));
+    if !delete_from(arena, &mut kids, row, cols)? {
+        return Ok(Some(rewrite_entry(arena, uid, phys, Some(&kids))));
     }
-    // Group survives: recurse into exactly the children whose siblings
-    // are all singletons (see module docs).
-    let mut new_kids = kids.clone();
-    let mut any = false;
-    for k in 0..kids.len() {
-        if !(0..kids.len()).filter(|&j| j != k).all(|j| sing[j]) {
-            continue;
-        }
-        match delete_union(arena, kids[k], row, cols) {
-            Deleted::Rewritten(id) => {
-                new_kids[k] = id;
-                any = true;
-            }
-            Deleted::Unchanged => {}
-            Deleted::Emptied => {
-                // A recursion target is the unique non-singleton child,
-                // which cannot lose its last entry.
-                debug_assert!(false, "delete_union: non-singleton child emptied");
-            }
-        }
+    // The entry's whole group is this one tuple: drop the entry.
+    note_dropped_kids(arena, e);
+    if rec.len == 1 {
+        arena.note_dead(1);
+        return Ok(None);
     }
-    if !any {
-        return Deleted::Unchanged;
-    }
-    let mut specs = Vec::with_capacity(rec.len as usize);
-    for i in 0..rec.len {
-        if i == phys {
-            specs.push(arena.entry_shared_val(e.val, &new_kids));
-        } else {
-            specs.push(EntrySpec::from_rec(arena.erec(rec.start + i)));
+    Ok(Some(rewrite_entry(arena, uid, phys, None)))
+}
+
+/// `uid`'s entries, each carried over by id, with room for one more.
+fn carried(arena: &Arena, uid: UnionId) -> Vec<EntrySpec> {
+    let rec = arena.urec(uid);
+    let mut specs = Vec::with_capacity(rec.len as usize + 1);
+    specs.extend((0..rec.len).map(|i| EntrySpec::from_rec(arena.erec(rec.start + i))));
+    specs
+}
+
+/// Appends `uid` rewritten: its entry at `phys` with `kids` below it, or
+/// dropped for `None`; every other entry carried over by id.
+fn rewrite_entry(arena: &mut Arena, uid: UnionId, phys: u32, kids: Option<&[UnionId]>) -> UnionId {
+    let rec = arena.urec(uid);
+    let mut specs = carried(arena, uid);
+    match kids {
+        Some(kids) => {
+            let val = arena.erec(rec.start + phys).val;
+            specs[phys as usize] = arena.entry_shared_val(val, kids);
         }
+        None => drop(specs.remove(phys as usize)),
     }
-    arena.note_shared(rec.len.saturating_sub(1) as u64);
+    arena.note_shared(u64::from(rec.len) - 1);
     arena.note_dead(u64::from(rec.len));
-    Deleted::Rewritten(arena.push_union(node, &specs))
+    arena.push_union(rec.node, &specs)
 }
 
 #[cfg(test)]
@@ -829,22 +846,24 @@ mod tests {
     }
 
     #[test]
-    fn branching_delete_matches_rebuild_even_off_product() {
-        // 2×2 product under a=1; deleting one tuple leaves a set the
-        // tree cannot represent — delta and rebuild must over-
-        // approximate identically (module docs).
+    fn branching_writes_off_the_product_are_refused() {
+        // a=1 → {10,20}×{100,200}: one cell of the product cannot go, and
+        // a row new in both factors (or new in one factor beside a wider
+        // sibling) cannot come, without changing more than one tuple.
         let rows = [[1i64, 10, 100], [1, 10, 200], [1, 20, 100], [1, 20, 200]];
-        let (mut rep, rel) = branch_fixture(&rows);
-        let del: Vec<Value> = rows[0].iter().map(|&i| v(i)).collect();
-        assert!(rep.delete(&del).unwrap());
-        let rel2 = Relation::from_rows(
-            rel.schema().clone(),
-            rows[1..]
-                .iter()
-                .map(|r| r.iter().copied().map(v).collect::<Vec<_>>()),
-        );
-        let fresh = FRep::from_relation(&rel2, rep.ftree().clone()).unwrap();
-        assert!(rep.same_data(&fresh));
+        let (mut rep, _) = branch_fixture(&rows);
+        let before = rep.clone();
+        let refused = |r: Result<bool>| matches!(&r, Err(FdbError::InvalidOperator(m)) if m.contains("not representable"));
+        let row = |r: [i64; 3]| r.map(v).to_vec();
+        assert!(refused(rep.delete(&row(rows[0]))));
+        assert!(refused(rep.insert(&row([1, 30, 300]))));
+        assert!(refused(rep.insert(&row([1, 30, 100]))));
+        assert!(rep.same_data(&before), "a refused write changed the view");
+        assert_eq!(rep.stats(), before.stats(), "a refused write appended");
+        // Present rows and fresh groups stay no-ops and exact inserts.
+        assert!(!rep.insert(&row(rows[3])).unwrap());
+        assert!(rep.insert(&row([2, 10, 100])).unwrap());
+        assert_eq!(rep.tuple_count(), 5);
     }
 
     #[test]

@@ -149,7 +149,7 @@ impl Counters {
             OrderStrategy::Unordered => &self.strategy_unordered,
             OrderStrategy::StreamInTree => &self.strategy_stream,
             OrderStrategy::DirectAccess => &self.strategy_direct,
-            OrderStrategy::HeapTopK { .. } => &self.strategy_heap,
+            OrderStrategy::HeapTopK => &self.strategy_heap,
             OrderStrategy::CollectSortCut => &self.strategy_sort,
         };
         counter.fetch_add(1, Ordering::Relaxed);

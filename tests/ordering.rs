@@ -5,7 +5,7 @@
 mod common;
 
 use common::pizzeria_engines;
-use fdb::core::engine::FdbEngine;
+use fdb::core::engine::{FdbEngine, OrderStrategy};
 use fdb::relational::planner::JoinAggTask;
 use fdb::relational::{SortDir, SortKey, Value};
 use fdb::workload::orders::{generate, OrdersConfig};
@@ -35,7 +35,7 @@ fn assert_streams_sorted(
 ) {
     let result = engine.run_default(task).expect("plans");
     assert_eq!(
-        result.order_supported_in_tree(),
+        result.order_strategy() == OrderStrategy::StreamInTree,
         expect_in_tree,
         "order-in-tree flag"
     );
@@ -189,7 +189,7 @@ fn grouped_aggregate_ordered_by_group_prefix() {
 fn order_by_avg_falls_back_to_sort() {
     // avg is a derived (divided) column: the factorisation cannot realise
     // this order, so the engine must sort the materialised result — and
-    // say so via `order_supported_in_tree`.
+    // say so via its ordering strategy.
     let (mut e, ds) = orders_engine(1);
     let a = ds.attrs;
     let m = e.catalog.intern("mean_price");
@@ -205,7 +205,7 @@ fn order_by_avg_falls_back_to_sort() {
         ..Default::default()
     };
     let result = e.run_default(&task).unwrap();
-    assert!(!result.order_supported_in_tree());
+    assert_eq!(result.order_strategy(), OrderStrategy::CollectSortCut);
     let rel = result.to_relation().unwrap();
     assert!(rel.is_sorted_by(&keys));
 }
@@ -241,7 +241,7 @@ fn q13_partial_resort_of_orders_trie() {
         ..Default::default()
     };
     let result = e.run_default(&task).unwrap();
-    assert!(result.order_supported_in_tree());
+    assert_eq!(result.order_strategy(), OrderStrategy::StreamInTree);
     let rel = result.to_relation().unwrap();
     assert_eq!(rel.len(), before);
     assert!(rel.is_sorted_by(&keys));

@@ -22,27 +22,26 @@
 //!   first descending) identically in every strategy.
 
 use fdb::core::engine::{FdbEngine, FdbResult, OrderStrategy, RunOptions};
-use fdb::core::optim::ordering::OrderChoice;
 use fdb::relational::planner::JoinAggTask;
 use fdb::relational::{ops, AggFunc, AggSpec, Relation, Schema, SortKey, Value};
 use fdb::workload::orders::{generate, OrdersConfig};
 use fdb::Catalog;
 
 /// The cost model's choice (`None`) and every strategy forced.
-fn choices() -> [Option<OrderChoice>; 5] {
+fn choices() -> [Option<OrderStrategy>; 5] {
     [
         None,
-        Some(OrderChoice::Stream),
-        Some(OrderChoice::Direct),
-        Some(OrderChoice::Heap),
-        Some(OrderChoice::Sort),
+        Some(OrderStrategy::StreamInTree),
+        Some(OrderStrategy::DirectAccess),
+        Some(OrderStrategy::HeapTopK),
+        Some(OrderStrategy::CollectSortCut),
     ]
 }
 
 fn run(
     e: &mut FdbEngine,
     task: &JoinAggTask,
-    choice: Option<OrderChoice>,
+    choice: Option<OrderStrategy>,
 ) -> fdb::core::Result<FdbResult> {
     let opts = RunOptions::new();
     match choice {
@@ -100,7 +99,7 @@ fn assert_pages_agree(
         let mut t = base.clone();
         t.limit = None;
         t.offset = 0;
-        run(e, &t, Some(OrderChoice::Sort))
+        run(e, &t, Some(OrderStrategy::CollectSortCut))
             .unwrap_or_else(|err| panic!("{label}: unlimited reference: {err}"))
             .to_relation()
             .unwrap()
@@ -139,12 +138,12 @@ fn assert_pages_agree(
                 // drops the first m.
                 if matches!(
                     stats.strategy,
-                    OrderStrategy::HeapTopK { .. } | OrderStrategy::CollectSortCut
+                    OrderStrategy::HeapTopK | OrderStrategy::CollectSortCut
                 ) {
                     assert_eq!(out, expected, "{ctx}: differs from reference");
                 }
                 match choice {
-                    Some(OrderChoice::Direct) if expect_direct && offset > 0 => {
+                    Some(OrderStrategy::DirectAccess) if expect_direct && offset > 0 => {
                         assert!(
                             matches!(stats.strategy, OrderStrategy::DirectAccess),
                             "{ctx}: expected the direct-access seek, got {:?}",
@@ -161,9 +160,9 @@ fn assert_pages_agree(
                     }
                     _ => {}
                 }
-                if choice == Some(OrderChoice::Heap) && limit.is_some() {
+                if choice == Some(OrderStrategy::HeapTopK) && limit.is_some() {
                     assert!(
-                        matches!(stats.strategy, OrderStrategy::HeapTopK { .. }),
+                        matches!(stats.strategy, OrderStrategy::HeapTopK),
                         "{ctx}: a forced heap under a LIMIT must execute the heap"
                     );
                 }

@@ -17,7 +17,6 @@
 //!   unlimited result.
 
 use fdb::core::engine::{FdbEngine, FdbResult, OrderStrategy, RunOptions};
-use fdb::core::optim::ordering::OrderChoice;
 use fdb::relational::planner::JoinAggTask;
 use fdb::relational::{AggFunc, AggSpec, Relation, Schema, SortKey, Value};
 use fdb::workload::orders::{generate, OrdersConfig};
@@ -36,7 +35,7 @@ fn order_attrs(task: &JoinAggTask) -> Vec<fdb::relational::AttrId> {
 fn run(
     e: &mut FdbEngine,
     task: &JoinAggTask,
-    choice: Option<OrderChoice>,
+    choice: Option<OrderStrategy>,
 ) -> fdb::core::Result<FdbResult> {
     let opts = RunOptions::new();
     match choice {
@@ -51,7 +50,7 @@ fn run(
 fn assert_strategies_agree(e: &mut FdbEngine, task: &JoinAggTask, label: &str) -> Relation {
     let keys = fdb::relational::dedup_sort_keys(&task.order_by);
     let key_attrs = order_attrs(task);
-    let sort = Some(OrderChoice::Sort);
+    let sort = Some(OrderStrategy::CollectSortCut);
     let reference = run(e, task, sort)
         .unwrap_or_else(|err| panic!("{label}: sort reference plans: {err}"))
         .to_relation()
@@ -64,8 +63,8 @@ fn assert_strategies_agree(e: &mut FdbEngine, task: &JoinAggTask, label: &str) -
     assert!(reference.is_sorted_by(&keys), "{label}: reference sorted");
     for choice in [
         None,
-        Some(OrderChoice::Stream),
-        Some(OrderChoice::Heap),
+        Some(OrderStrategy::StreamInTree),
+        Some(OrderStrategy::HeapTopK),
         sort,
     ] {
         let mut rerun = || {
@@ -93,14 +92,14 @@ fn assert_strategies_agree(e: &mut FdbEngine, task: &JoinAggTask, label: &str) -
         );
         if matches!(
             stats.strategy,
-            OrderStrategy::HeapTopK { .. } | OrderStrategy::CollectSortCut
+            OrderStrategy::HeapTopK | OrderStrategy::CollectSortCut
         ) {
             // Heap ≡ stable sort + truncate, byte for byte.
             assert_eq!(out, reference, "{label}: {choice:?} differs from sort");
         }
-        if choice == Some(OrderChoice::Heap) && task.limit.is_some() {
+        if choice == Some(OrderStrategy::HeapTopK) && task.limit.is_some() {
             assert!(
-                matches!(stats.strategy, OrderStrategy::HeapTopK { .. }),
+                matches!(stats.strategy, OrderStrategy::HeapTopK),
                 "{label}: a forced heap under a LIMIT must execute the heap"
             );
         }
@@ -360,7 +359,7 @@ fn heap_memory_is_independent_of_flat_size_and_below_sort() {
     // The acceptance property at engine level: the heap's ordering-side
     // allocation depends on k, not on the flat result size, and sits
     // strictly below the collect-sort-cut buffer.
-    let run_with = |customers: u32, choice: OrderChoice| {
+    let run_with = |customers: u32, choice: OrderStrategy| {
         let mut catalog = Catalog::new();
         let ds = generate(
             &mut catalog,
@@ -389,9 +388,9 @@ fn heap_memory_is_independent_of_flat_size_and_below_sort() {
         assert_eq!(out.len(), 10);
         stats
     };
-    let heap_small = run_with(20, OrderChoice::Heap);
-    let heap_large = run_with(60, OrderChoice::Heap);
-    let sort_large = run_with(60, OrderChoice::Sort);
+    let heap_small = run_with(20, OrderStrategy::HeapTopK);
+    let heap_large = run_with(60, OrderStrategy::HeapTopK);
+    let sort_large = run_with(60, OrderStrategy::CollectSortCut);
     assert!(
         heap_large.rows_enumerated > heap_small.rows_enumerated,
         "the large input must actually enumerate more rows \

@@ -98,12 +98,21 @@ fn as_rows(rel: &Relation) -> Vec<Vec<Value>> {
     rel.rows().map(<[Value]>::to_vec).collect()
 }
 
+/// The tuple count a commit carried forward to the registered view
+/// (which feeds the cost model's statistics) is the view's own count.
+fn assert_carried_count(session: &mut fdb::Session, case: &str) {
+    let engine = session.engine_mut();
+    let live = engine.view("R").expect("view registered").tuple_count();
+    assert_eq!(engine.view_tuples("R"), Some(live), "{case}: carried count");
+}
+
 /// Checks the current `Db` state three ways: the registered view is
-/// byte-identical to a from-scratch rebuild of the mirror, and both
-/// a projection and a grouped aggregate agree with the relational
-/// ground truth.
+/// byte-identical to a from-scratch rebuild of the mirror (and carries
+/// its own tuple count), and both a projection and a grouped aggregate
+/// agree with the relational ground truth.
 fn check(fx: &Fixture, step: usize) {
     let mut session = fx.db.session();
+    assert_carried_count(&mut session, &format!("step {step}"));
     let rebuilt = FRep::from_relation(&fx.mirror, fx.tree.clone()).unwrap();
     let live = session.engine_mut().view("R").expect("view registered");
     assert!(
@@ -446,12 +455,14 @@ fn branch_fixture() -> BranchFixture {
     }
 }
 
-/// The registered view equals an exact rebuild of the mirror, and a
-/// projection and a grouped aggregate answer as the mirror does.
+/// The registered view equals an exact rebuild of the mirror and
+/// carries its own tuple count, and a projection and a grouped
+/// aggregate answer as the mirror does.
 fn check_branch(fx: &BranchFixture, case: &str) {
     let rebuilt = FRep::from_relation(&fx.mirror, fx.tree.clone()).unwrap();
     assert_eq!(rebuilt.tuple_count(), fx.mirror.len(), "{case}: not exact");
     let mut session = fx.db.session();
+    assert_carried_count(&mut session, case);
     let live = session.engine_mut().view("R").expect("view registered");
     assert!(
         live.same_data(&rebuilt),
@@ -603,6 +614,117 @@ fn predicate_delete_conjunctions_on_a_branching_view() {
     assert!(
         outcomes.iter().any(|o| o.is_some_and(|n| n > 0)),
         "no cross-branch delete was exact: {outcomes:?}"
+    );
+}
+
+/// One single-row write on the branching fixture, checked against the
+/// relational mirror: applied exactly, or refused — and refused only
+/// when the mirror's result breaks the tree's join dependency, with the
+/// view and the epoch left as they were. Returns whether it applied.
+fn branch_write(fx: &mut BranchFixture, insert: bool, row: Vec<Value>, case: &str) -> bool {
+    let mut want = fx.mirror.clone();
+    let changed = if insert {
+        want.insert(&row)
+    } else {
+        want.delete_row(&row)
+    };
+    let epoch0 = fx.db.epoch();
+    let got = if insert {
+        fx.db.insert("R", [row]).map(|n| n > 0)
+    } else {
+        fx.db.delete_row("R", row)
+    };
+    let applied = match got {
+        Ok(got) => {
+            assert_eq!(got, changed, "{case}: reported change");
+            fx.mirror = want;
+            true
+        }
+        Err(e) => {
+            assert!(e.to_string().contains("not representable"), "{case}: {e}");
+            assert_eq!(fx.db.epoch(), epoch0, "{case}: a refusal bumped the epoch");
+            let rebuilt = FRep::from_relation(&want, fx.tree.clone()).unwrap();
+            assert_ne!(
+                rebuilt.tuple_count(),
+                want.len(),
+                "{case}: refused an exact write"
+            );
+            false
+        }
+    };
+    check_branch(fx, case);
+    applied
+}
+
+/// Single-row inserts and deletes on a branching view are exact or
+/// refused. An `a`-group that is the product of a wide `(b, c)` trie and
+/// a wide `d`-set can neither lose one of its tuples nor gain a tuple
+/// new in one factor; a fresh group, or a factor beside a single-tuple
+/// sibling, takes the write exactly.
+#[test]
+fn single_row_writes_on_a_branching_view_are_exact_or_refused() {
+    let mut fx = branch_fixture();
+    let int = |r: [i64; 4]| r.map(Value::Int).to_vec();
+    // Every fixture group is at least 2 × 2.
+    let first = fx.mirror.row(0).to_vec();
+    assert!(!branch_write(
+        &mut fx,
+        false,
+        first.clone(),
+        "delete a product cell"
+    ));
+    let mut fresh_d = first;
+    fresh_d[3] = Value::Int(77);
+    assert!(!branch_write(&mut fx, true, fresh_d, "insert a new d"));
+    for (insert, row, applies, case) in [
+        (true, [9, 1, 1, 1], true, "insert a new group"),
+        (true, [9, 2, 1, 1], true, "widen bc beside one d"),
+        (true, [9, 2, 1, 2], false, "insert a new d beside two bc"),
+        (false, [9, 2, 1, 1], true, "shrink bc beside one d"),
+        (true, [9, 1, 1, 2], true, "widen d beside one bc"),
+        (true, [9, 3, 3, 3], false, "insert new in both factors"),
+        (false, [9, 1, 1, 1], true, "shrink d beside one bc"),
+    ] {
+        assert_eq!(
+            branch_write(&mut fx, insert, int(row), case),
+            applies,
+            "{case}"
+        );
+    }
+    // Random rows over the fixture's groups and a few fresh ones.
+    let mut lcg = Lcg(0x05EE_DB2A);
+    let (mut applied, mut refused) = (0, 0);
+    for step in 0..80 {
+        let insert = fx.mirror.is_empty() || lcg.next() % 2 == 0;
+        let row = if insert {
+            let c = match lcg.next() % 5 {
+                0 => Value::Null,
+                c => Value::Int(c as i64),
+            };
+            let (a, b) = ((lcg.next() % 8) as i64, (lcg.next() % 4) as i64);
+            vec![
+                Value::Int(a),
+                Value::Int(b),
+                c,
+                Value::Int((lcg.next() % 5) as i64),
+            ]
+        } else {
+            let i = (lcg.next() as usize) % fx.mirror.len();
+            fx.mirror.row(i).to_vec()
+        };
+        let case = format!(
+            "step {step}: {} {row:?}",
+            ["delete", "insert"][insert as usize]
+        );
+        if branch_write(&mut fx, insert, row, &case) {
+            applied += 1;
+        } else {
+            refused += 1;
+        }
+    }
+    assert!(
+        applied >= 10 && refused >= 10,
+        "{applied} applied, {refused} refused"
     );
 }
 
