@@ -9,53 +9,26 @@
 //! singleton, whose cardinality is unrecoverable — are reported as
 //! [`FdbError::InvalidComposition`].
 //!
-//! Every function but one composes through partial aggregates
-//! ([`partial_funcs`]). `product` exponentiates a partial product by its
-//! siblings' tuple count; `top_k` keeps a partial list of at most `k`
-//! values and repeats each by that count before cutting at `k` again.
-//! `count(distinct)` does not compose — which values occur is lost in a
-//! count — so its attribute stays atomic and the final evaluation walks
-//! the providing spine once per group, interning each value into one
-//! dense-id table reused for the whole result.
+//! Every other function but `count(distinct)` is a `Fold` — an identity,
+//! `combine`, `scale` by a multiplicity (never called for `min`/`max`/
+//! `exists`/`forall`), reads of an atomic value and of a partial component
+//! ([`partial_funcs`]), and a `leaf` fast path — evaluated by one walk,
+//! `fold_union`: a union combines its entries' terms, and an entry's term
+//! is its providing child's value scaled by the multiplicity of everything
+//! else under the entry. `count(distinct)` does not compose — which values
+//! occur is lost in a count — so its attribute stays atomic and the final
+//! evaluation walks the providing spine once per group, interning each
+//! value into one dense-id table reused for the whole result.
 //!
-//! The evaluators traverse the arena through [`UnionRef`]/[`EntryRef`]
-//! cursors — index chasing over flat tables, no pointer-chasing through
-//! heap-allocated nodes.
+//! Multiplicities are exact or refused: every count and product of counts
+//! is checked, and one that leaves `i64` is an
+//! [`FdbError::InvalidOperator`], never a wrapped value.
 
 use crate::dense::DenseIds;
 use crate::error::{FdbError, Result};
-use crate::frep::{EntryRef, UnionRef};
+use crate::frep::UnionRef;
 use crate::ftree::{AggLabel, AggOp, FTree, NodeId, NodeLabel};
-use fdb_relational::{Number, Value};
-
-/// Evaluates `term` for every entry and folds the results in entry
-/// order with `combine`.
-fn fold_entries<A, T>(
-    u: UnionRef<'_>,
-    init: A,
-    term: impl Fn(EntryRef<'_>) -> Result<T>,
-    mut combine: impl FnMut(A, T) -> A,
-) -> Result<A> {
-    let mut acc = init;
-    for e in u.entries() {
-        acc = combine(acc, term(e)?);
-    }
-    Ok(acc)
-}
-
-// ---------------------------------------------------------------------
-// Leaf slice kernels
-// ---------------------------------------------------------------------
-// A leaf atomic union is a plain sorted value vector, and freshly built
-// arenas lay its values out back-to-back in the node's column
-// ([`UnionRef::contiguous_values`]). The aggregates below collapse such
-// unions to tight loops over `&[Value]` — branch-predictable scans over
-// the columnar buffer the arena layout was chosen for — instead of a
-// per-entry cursor walk with a clone and a `Number` dispatch per value.
-// Every kernel is bit-identical to the generic fold it replaces:
-// integer adds wrap (associative, so the loop shape is free to change),
-// and mixed, non-`Int` or non-contiguous buffers fall back to the
-// generic path, preserving result and error identity.
+use fdb_relational::{CmpOp, Number, Value};
 
 /// True when the union is a leaf of the f-tree with an atomic label:
 /// entries carry multiplicity 1 and no children, so aggregates over it
@@ -67,50 +40,67 @@ fn is_atomic_leaf(ftree: &FTree, u: UnionRef<'_>) -> bool {
 
 /// Wrapping sum when every value is an `Int`; `None` otherwise.
 fn sum_int_slice(vals: &[Value]) -> Option<i64> {
-    if !vals.iter().all(|v| matches!(v, Value::Int(_))) {
-        return None;
-    }
-    let mut acc = 0i64;
-    for v in vals {
-        if let Value::Int(x) = v {
-            acc = acc.wrapping_add(*x);
-        }
-    }
-    Some(acc)
+    vals.iter().try_fold(0i64, |acc, v| match v {
+        Value::Int(x) => Some(acc.wrapping_add(*x)),
+        _ => None,
+    })
 }
 
 /// Min or max when the slice is non-empty and every value is an `Int`;
 /// `None` otherwise.
 fn extremum_int_slice(vals: &[Value], is_min: bool) -> Option<i64> {
-    if vals.is_empty() || !vals.iter().all(|v| matches!(v, Value::Int(_))) {
+    let (Value::Int(first), rest) = vals.split_first()? else {
         return None;
-    }
-    let mut best = match vals[0] {
-        Value::Int(x) => x,
-        _ => unreachable!(),
     };
-    for v in &vals[1..] {
-        if let Value::Int(x) = v {
-            best = if is_min { best.min(*x) } else { best.max(*x) };
-        }
+    rest.iter().try_fold(*first, |best, v| match v {
+        Value::Int(x) if is_min => Some(best.min(*x)),
+        Value::Int(x) => Some(best.max(*x)),
+        _ => None,
+    })
+}
+
+/// True if the node itself exposes `op`'s attribute atomically or holds a
+/// partial-aggregate component computing `op`.
+fn node_provides(label: &NodeLabel, op: &AggOp) -> bool {
+    match label {
+        NodeLabel::Atomic(attrs) => op.attr().is_some_and(|a| attrs.contains(&a)),
+        NodeLabel::Agg(l) => l.component_of(op).is_some(),
     }
-    Some(best)
 }
 
 /// True if the subtree rooted at `node` can feed the aggregation `op`:
 /// it exposes the aggregated attribute atomically, or holds a compatible
 /// partial-aggregate component (e.g. `sum(a)` feeding a later `sum(a)`).
 pub fn subtree_provides(ftree: &FTree, node: NodeId, op: &AggOp) -> bool {
-    match op.attr() {
-        None => true,
-        Some(attr) => ftree
+    op.attr().is_none()
+        || ftree
             .subtree_nodes(node)
             .iter()
-            .any(|&n| match &ftree.node(n).label {
-                NodeLabel::Atomic(attrs) => attrs.contains(&attr),
-                NodeLabel::Agg(l) => l.component_of(op).is_some(),
-            }),
+            .any(|&n| node_provides(&ftree.node(n).label, op))
+}
+
+/// The providing spine of `op` below `node`: the child position to
+/// descend at each level (exactly one child subtree provides — attributes
+/// partition the schema), down to the first node that provides `op`,
+/// which is returned with it. It depends on the f-tree alone, so it is
+/// resolved once per evaluation, not once per union.
+fn providing_spine(ftree: &FTree, node: NodeId, op: &AggOp) -> Result<(Vec<usize>, NodeId)> {
+    let mut spine = Vec::new();
+    let mut n = node;
+    while !node_provides(&ftree.node(n).label, op) {
+        let children = &ftree.node(n).children;
+        let j = children
+            .iter()
+            .position(|&c| subtree_provides(ftree, c, op))
+            .ok_or_else(|| {
+                FdbError::InvalidComposition(format!(
+                    "no subtree provides {op:?}; a prior aggregate hid the attribute"
+                ))
+            })?;
+        spine.push(j);
+        n = children[j];
     }
+    Ok((spine, n))
 }
 
 /// Tuple multiplicity of one entry: how many tuples of the represented
@@ -132,271 +122,362 @@ fn entry_multiplicity(label: &NodeLabel, value: &Value) -> Result<i64> {
 }
 
 /// Reads component `i` of a (possibly composite) aggregate value.
-fn component(label: &AggLabel, value: &Value, i: usize) -> Value {
+fn component<'v>(label: &AggLabel, value: &'v Value, i: usize) -> &'v Value {
     if label.arity() == 1 {
-        value.clone()
+        value
     } else {
-        value.as_tup().expect("composite aggregate holds a Tup")[i].clone()
+        &value.as_tup().expect("composite aggregate holds a Tup")[i]
     }
+}
+
+/// `init` times the tuple counts of `unions` other than the one at
+/// position `skip`, multiplied in order; refused once it leaves `i64`.
+fn count_product<'a>(
+    ftree: &FTree,
+    unions: impl Iterator<Item = UnionRef<'a>>,
+    skip: Option<usize>,
+    init: i64,
+) -> Result<i64> {
+    let mut mult = init;
+    for (k, u) in unions.enumerate() {
+        if Some(k) != skip {
+            mult = checked(mult.checked_mul(count_union(ftree, u)?))?;
+        }
+    }
+    Ok(mult)
+}
+
+/// A multiplicity, or its refusal once it left `i64`.
+fn checked(mult: Option<i64>) -> Result<i64> {
+    mult.ok_or_else(|| FdbError::InvalidOperator("tuple multiplicity exceeds i64::MAX".into()))
 }
 
 /// `count(E)` — cardinality of the relation represented by union `u`.
 pub fn count_union(ftree: &FTree, u: UnionRef<'_>) -> Result<i64> {
     // Leaf atomic union: every entry stands for exactly one tuple, so
     // the count is the entry count — O(1), and the workhorse of the
-    // sibling-cardinality products in the recursive evaluators below.
+    // multiplicities the walk scales by.
     if is_atomic_leaf(ftree, u) {
         debug_assert!(u.entries().all(|e| e.child_count() == 0));
         return Ok(u.len() as i64);
     }
     let label = &ftree.node(u.node()).label;
-    fold_entries(
-        u,
-        0i64,
-        |e| {
-            let mut prod = entry_multiplicity(label, e.value())?;
-            for c in e.children() {
-                prod = prod.wrapping_mul(count_union(ftree, c)?);
-            }
-            Ok(prod)
-        },
-        i64::wrapping_add,
-    )
-}
-
-/// `sumA(E)` over union `u`, which must provide `A`.
-pub fn sum_union(ftree: &FTree, u: UnionRef<'_>, op: &AggOp) -> Result<Number> {
-    let attr = op.attr().expect("sum has an attribute");
-    let label = &ftree.node(u.node()).label;
-    let node_provides = match label {
-        NodeLabel::Atomic(attrs) => attrs.contains(&attr),
-        NodeLabel::Agg(l) => l.component_of(op).is_some(),
-    };
-    if node_provides {
-        // Leaf providing union: no child cardinalities scale the
-        // values, so an all-`Int` contiguous buffer sums as one slice
-        // scan (wrapping adds — identical to the entry-order fold).
-        if is_atomic_leaf(ftree, u) {
-            if let Some(s) = u.contiguous_values().and_then(sum_int_slice) {
-                return Ok(Number::Int(s));
-            }
-        }
-        return fold_entries(
-            u,
-            Number::ZERO,
-            |e| {
-                let v = match label {
-                    NodeLabel::Atomic(_) => e.value().clone(),
-                    NodeLabel::Agg(l) => component(l, e.value(), l.component_of(op).unwrap()),
-                };
-                let n = v.as_number().ok_or_else(|| {
-                    FdbError::NonNumeric(format!("sum over non-numeric value {v}"))
-                })?;
-                let mut mult: i64 = 1;
-                for c in e.children() {
-                    mult = mult.wrapping_mul(count_union(ftree, c)?);
-                }
-                Ok(n.mul(Number::Int(mult)))
-            },
-            Number::add,
-        );
+    let mut total: i64 = 0;
+    for e in u.entries() {
+        let mult = entry_multiplicity(label, e.value())?;
+        total = checked(total.checked_add(count_product(ftree, e.children(), None, mult)?))?;
     }
-    // Exactly one child subtree provides A (attributes partition the
-    // schema); the others contribute their cardinalities.
-    let children = &ftree.node(u.node()).children;
-    let j = children
-        .iter()
-        .position(|&c| subtree_provides(ftree, c, op))
-        .ok_or_else(|| {
-            FdbError::InvalidComposition(format!(
-                "no subtree provides {op:?}; a prior aggregate hid the attribute"
-            ))
-        })?;
-    fold_entries(
-        u,
-        Number::ZERO,
-        |e| {
-            let mut mult = entry_multiplicity(label, e.value())?;
-            for (k, c) in e.children().enumerate() {
-                if k != j {
-                    mult = mult.wrapping_mul(count_union(ftree, c)?);
-                }
-            }
-            let s = sum_union(ftree, e.child(j), op)?;
-            Ok(s.mul(Number::Int(mult)))
-        },
-        Number::add,
-    )
+    Ok(total)
 }
 
-/// `minA(E)` / `maxA(E)` over union `u`, which must provide `A`.
-pub fn extremum_union(ftree: &FTree, u: UnionRef<'_>, op: &AggOp) -> Result<Value> {
-    let is_min = matches!(op, AggOp::Min(_));
-    let attr = op.attr().expect("min/max has an attribute");
+/// A composable aggregate (§3.2) as a commutative-semiring fold: the
+/// algebra of one function, and nothing about the walk ([`fold_union`]).
+trait Fold {
+    /// The running value: a sum, the best value so far, a list.
+    type Acc;
+    /// The value of no input.
+    const ZERO: Self::Acc;
+    /// Whether multiplicities change the value. `min`/`max`/`exists`/
+    /// `forall` do not: no tuple is counted for them, so a partial
+    /// without a count component stays readable.
+    const SCALES: bool;
+    /// Whether the factors beside the provider scale the value one at a
+    /// time (`sum`, whose float products round per factor) rather than
+    /// by their product.
+    const PER_FACTOR: bool = false;
+    /// Adds the term of one more entry.
+    fn combine(&self, acc: Self::Acc, term: Self::Acc) -> Self::Acc;
+    /// The value of `mult` copies of the tuples behind `acc`.
+    fn scale(&self, acc: Self::Acc, _mult: i64) -> Self::Acc {
+        acc
+    }
+    /// The term of one atomic value.
+    fn atom(&self, v: &Value) -> Result<Self::Acc>;
+    /// The term of a partial-aggregate component computing the function.
+    fn partial(&self, v: &Value) -> Result<Self::Acc> {
+        self.atom(v)
+    }
+    /// A whole providing union at once where its shape has a fast path
+    /// (`None` walks its entries): a slice scan of a contiguous value
+    /// buffer ([`UnionRef::contiguous_values`]), a sorted end. Each is
+    /// bit-identical to the walk — integer adds wrap, so the loop shape is
+    /// free to change — and any other buffer falls back to it.
+    fn leaf(&self, _ftree: &FTree, _u: UnionRef<'_>) -> Result<Option<Self::Acc>> {
+        Ok(None)
+    }
+    /// The function's value.
+    fn finish(&self, acc: Self::Acc) -> Result<Value>;
+}
+
+/// The one walk behind every composable aggregate: `f` (computing `op`)
+/// over the relation represented by union `u`, down `op`'s providing
+/// spine. At its end each entry's value (or partial component) is scaled
+/// by the entry's children; above it, by the entry's own multiplicity and
+/// its children off the spine. Terms combine in entry order. The siblings
+/// of a NULL value are never counted: every fold that scales skips NULL
+/// inputs, and no multiplicity changes its identity.
+fn fold_union<F: Fold>(
+    f: &F,
+    ftree: &FTree,
+    op: &AggOp,
+    u: UnionRef<'_>,
+    spine: &[usize],
+) -> Result<F::Acc> {
     let label = &ftree.node(u.node()).label;
-    let pick = move |best: Option<Value>, v: Value| -> Option<Value> {
-        let better = match &best {
-            None => true,
-            Some(b) => {
-                if is_min {
-                    v < *b
-                } else {
-                    v > *b
+    let mut acc = F::ZERO;
+    let Some((&j, rest)) = spine.split_first() else {
+        if let Some(acc) = f.leaf(ftree, u)? {
+            return Ok(acc);
+        }
+        for e in u.entries() {
+            let (v, term) = match label {
+                NodeLabel::Atomic(_) => (e.value(), f.atom(e.value())?),
+                NodeLabel::Agg(l) => {
+                    let v = component(l, e.value(), l.component_of(op).unwrap());
+                    (v, f.partial(v)?)
                 }
-            }
-        };
-        if better {
-            Some(v)
-        } else {
-            best
-        }
-    };
-    let best = match label {
-        NodeLabel::Atomic(attrs) if attrs.contains(&attr) => {
-            // Entries are sorted ascending: the extremum is at an end.
-            if u.is_empty() {
-                None
-            } else if is_min {
-                Some(u.entry(0).value().clone())
-            } else {
-                Some(u.entry(u.len() - 1).value().clone())
-            }
-        }
-        NodeLabel::Agg(l) if l.component_of(op).is_some() => {
-            let i = l.component_of(op).unwrap();
-            // Single-component aggregate unions expose the component as
-            // the value itself: an all-`Int` contiguous buffer reduces
-            // with a slice min/max scan (first-wins ties are moot —
-            // equal `Int`s are identical values).
-            let fast = if l.arity() == 1 {
-                u.contiguous_values()
-                    .and_then(|vals| extremum_int_slice(vals, is_min))
-                    .map(Value::Int)
-            } else {
-                None
             };
-            match fast {
-                Some(v) => Some(v),
-                None => fold_entries(u, None, |e| Ok(component(l, e.value(), i)), pick)?,
+            let mut mult = 1;
+            if F::SCALES && !v.is_null() {
+                mult = count_product(ftree, e.children(), None, 1)?;
             }
+            acc = f.combine(acc, f.scale(term, mult));
         }
-        _ => {
-            let children = &ftree.node(u.node()).children;
-            let j = children
-                .iter()
-                .position(|&c| subtree_provides(ftree, c, op))
-                .ok_or_else(|| {
-                    FdbError::InvalidComposition(format!(
-                        "no subtree provides {op:?}; a prior aggregate hid the attribute"
-                    ))
-                })?;
-            fold_entries(u, None, |e| extremum_union(ftree, e.child(j), op), pick)?
+        return Ok(acc);
+    };
+    for e in u.entries() {
+        let mut mult = 1;
+        if F::SCALES {
+            let own = entry_multiplicity(label, e.value())?;
+            mult = count_product(ftree, e.children(), Some(j), own)?;
         }
-    };
-    best.ok_or_else(|| FdbError::InvalidOperator("extremum of an empty union".into()))
-}
-
-/// Finds the child subtree of `node` that provides `op`, mirroring the
-/// lookup in [`sum_union`].
-fn providing_child(ftree: &FTree, node: NodeId, op: &AggOp) -> Result<usize> {
-    ftree
-        .node(node)
-        .children
-        .iter()
-        .position(|&c| subtree_provides(ftree, c, op))
-        .ok_or_else(|| {
-            FdbError::InvalidComposition(format!(
-                "no subtree provides {op:?}; a prior aggregate hid the attribute"
-            ))
-        })
-}
-
-/// `productA(E)` over union `u`, which must provide `A`: the product of
-/// `A`'s non-NULL values under bag semantics. Returns `None` when every
-/// input is NULL. The factorised recursion exponentiates by sibling
-/// cardinalities (`product^count`), which for wrapping integer
-/// arithmetic is congruent mod 2^64 with the flat sequential product.
-pub fn product_union(ftree: &FTree, u: UnionRef<'_>, op: &AggOp) -> Result<Option<Number>> {
-    let attr = op.attr().expect("product has an attribute");
-    let label = &ftree.node(u.node()).label;
-    let mul = |acc: Option<Number>, t: Option<Number>| match (acc, t) {
-        (Some(a), Some(b)) => Some(a.mul(b)),
-        (a, b) => a.or(b),
-    };
-    let node_provides = match label {
-        NodeLabel::Atomic(attrs) => attrs.contains(&attr),
-        NodeLabel::Agg(l) => l.component_of(op).is_some(),
-    };
-    if node_provides {
-        return fold_entries(
-            u,
-            None,
-            |e| {
-                let v = match label {
-                    NodeLabel::Atomic(_) => e.value().clone(),
-                    NodeLabel::Agg(l) => component(l, e.value(), l.component_of(op).unwrap()),
-                };
-                if v.is_null() {
-                    return Ok(None);
-                }
-                let n = v.as_number().ok_or_else(|| {
-                    FdbError::NonNumeric(format!("product over non-numeric value {v}"))
-                })?;
-                // A partial-product singleton already condensed its own
-                // tuples (mirrors `sum_union`): only sibling-child
-                // cardinalities exponentiate it.
-                let mut mult: i64 = 1;
-                for c in e.children() {
-                    mult = mult.wrapping_mul(count_union(ftree, c)?);
-                }
-                Ok(Some(n.pow(mult.max(0) as u64)))
-            },
-            mul,
-        );
+        let term = fold_union(f, ftree, op, e.child(j), rest)?;
+        acc = f.combine(acc, f.scale(term, mult));
     }
-    let j = providing_child(ftree, u.node(), op)?;
-    fold_entries(
-        u,
-        None,
-        |e| {
-            let mut mult = entry_multiplicity(label, e.value())?;
-            for (k, c) in e.children().enumerate() {
-                if k != j {
-                    mult = mult.wrapping_mul(count_union(ftree, c)?);
-                }
-            }
-            let p = product_union(ftree, e.child(j), op)?;
-            Ok(p.map(|n| n.pow(mult.max(0) as u64)))
-        },
-        mul,
-    )
+    Ok(acc)
 }
 
-/// The providing spine of `count(distinct A)` below `node`: the child
-/// position to descend at each level, down to the atomic node holding
-/// `A`. It depends on the f-tree alone, so it is resolved once per
-/// evaluation, not once per union.
-///
-/// The attribute must still be *atomic* in the tree: distinct values
-/// cannot be recovered from aggregate singletons.
-fn distinct_spine(ftree: &FTree, node: NodeId, op: &AggOp) -> Result<Vec<usize>> {
-    let attr = op.attr().expect("count(distinct) has an attribute");
-    let mut spine = Vec::new();
-    let mut n = node;
-    loop {
-        match &ftree.node(n).label {
-            NodeLabel::Atomic(attrs) if attrs.contains(&attr) => return Ok(spine),
-            NodeLabel::Agg(l) if l.component_of(op).is_some() => {
-                return Err(FdbError::InvalidComposition(format!(
-                    "distinct values of {op:?} are unrecoverable from an aggregate singleton"
-                )))
+/// `sumA`: integers add wrapping, any float widens the sum.
+struct Sum;
+
+impl Fold for Sum {
+    type Acc = Number;
+    const ZERO: Number = Number::ZERO;
+    const SCALES: bool = true;
+    const PER_FACTOR: bool = true;
+    fn combine(&self, acc: Number, term: Number) -> Number {
+        acc.add(term)
+    }
+    fn scale(&self, acc: Number, mult: i64) -> Number {
+        acc.mul(Number::Int(mult))
+    }
+    fn atom(&self, v: &Value) -> Result<Number> {
+        v.as_number()
+            .ok_or_else(|| FdbError::NonNumeric(format!("sum over non-numeric value {v}")))
+    }
+    fn leaf(&self, ftree: &FTree, u: UnionRef<'_>) -> Result<Option<Number>> {
+        // No child cardinalities scale the values of a leaf.
+        let vals = is_atomic_leaf(ftree, u).then(|| u.contiguous_values());
+        Ok(vals.flatten().and_then(sum_int_slice).map(Number::Int))
+    }
+    fn finish(&self, acc: Number) -> Result<Value> {
+        Ok(acc.into_value())
+    }
+}
+
+/// `minA` (`true`) or `maxA`: the first of equal extremes wins.
+struct Extremum(bool);
+
+impl Fold for Extremum {
+    type Acc = Option<Value>;
+    const ZERO: Option<Value> = None;
+    const SCALES: bool = false;
+    fn combine(&self, best: Option<Value>, v: Option<Value>) -> Option<Value> {
+        match (best, v) {
+            (Some(b), Some(v)) if (self.0 && v < b) || (!self.0 && v > b) => Some(v),
+            (Some(b), _) => Some(b),
+            (None, v) => v,
+        }
+    }
+    fn atom(&self, v: &Value) -> Result<Option<Value>> {
+        Ok(Some(v.clone()))
+    }
+    fn leaf(&self, ftree: &FTree, u: UnionRef<'_>) -> Result<Option<Option<Value>>> {
+        Ok(match &ftree.node(u.node()).label {
+            // Entries are sorted ascending: the extremum is at an end.
+            NodeLabel::Atomic(_) => Some(match u.len() {
+                0 => None,
+                _ if self.0 => Some(u.entry(0).value().clone()),
+                n => Some(u.entry(n - 1).value().clone()),
+            }),
+            // Single-component aggregate unions expose the component as
+            // the value itself (first-wins ties are moot — equal `Int`s
+            // are identical values).
+            NodeLabel::Agg(l) if l.arity() == 1 => {
+                let best = u
+                    .contiguous_values()
+                    .and_then(|v| extremum_int_slice(v, self.0));
+                best.map(|b| Some(Value::Int(b)))
             }
-            _ => {
-                let j = providing_child(ftree, n, op)?;
-                spine.push(j);
-                n = ftree.node(n).children[j];
+            NodeLabel::Agg(_) => None,
+        })
+    }
+    fn finish(&self, best: Option<Value>) -> Result<Value> {
+        best.ok_or_else(|| FdbError::InvalidOperator("extremum of an empty union".into()))
+    }
+}
+
+/// `productA`: the product of `A`'s non-NULL values under bag semantics,
+/// NULL when every input is. Scaling exponentiates (`product^count`),
+/// which for wrapping integers is congruent mod 2^64 with the flat
+/// sequential product.
+struct Product;
+
+impl Fold for Product {
+    type Acc = Option<Number>;
+    const ZERO: Option<Number> = None;
+    const SCALES: bool = true;
+    fn combine(&self, acc: Option<Number>, term: Option<Number>) -> Option<Number> {
+        match (acc, term) {
+            (Some(a), Some(b)) => Some(a.mul(b)),
+            (a, b) => a.or(b),
+        }
+    }
+    fn scale(&self, acc: Option<Number>, mult: i64) -> Option<Number> {
+        acc.map(|n| n.pow(mult.max(0) as u64))
+    }
+    fn atom(&self, v: &Value) -> Result<Option<Number>> {
+        if v.is_null() {
+            return Ok(None);
+        }
+        let n = v.as_number();
+        n.map(Some)
+            .ok_or_else(|| FdbError::NonNumeric(format!("product over non-numeric value {v}")))
+    }
+    fn finish(&self, acc: Option<Number>) -> Result<Value> {
+        Ok(acc.map_or(Value::Null, Number::into_value))
+    }
+}
+
+/// `existsA θ c` (`EXISTS = true`: OR from false) or `forallA θ c` (AND
+/// from true) over the non-NULL values.
+struct Quantifier<const EXISTS: bool>(CmpOp, i64);
+
+impl<const EXISTS: bool> Fold for Quantifier<EXISTS> {
+    type Acc = bool;
+    const ZERO: bool = !EXISTS;
+    const SCALES: bool = false;
+    fn combine(&self, acc: bool, term: bool) -> bool {
+        if EXISTS {
+            acc || term
+        } else {
+            acc && term
+        }
+    }
+    fn atom(&self, v: &Value) -> Result<bool> {
+        // NULL inputs are skipped: they contribute the identity.
+        Ok(if v.is_null() {
+            Self::ZERO
+        } else {
+            self.0.eval(v.cmp(&Value::Int(self.1)))
+        })
+    }
+    fn partial(&self, v: &Value) -> Result<bool> {
+        // The component already holds the sub-result (0/1) for the
+        // erased subtree.
+        Ok(v.as_int().expect("boolean aggregate component is 0/1") != 0)
+    }
+    fn finish(&self, acc: bool) -> Result<Value> {
+        Ok(Value::Int(acc as i64))
+    }
+}
+
+/// `top_k(A, k)`: the `k` largest non-NULL values, descending, under bag
+/// semantics — a value shared by `m` tuples occurs `min(m, k)` times.
+/// Lists merge in entry order; a partial list left by an earlier `γ`
+/// composes like `product`. Lists are sized by the values that arrive,
+/// never by `k` alone, which comes from the query.
+struct TopK(usize);
+
+impl Fold for TopK {
+    type Acc = Vec<Value>;
+    const ZERO: Vec<Value> = Vec::new();
+    const SCALES: bool = true;
+    /// Merges two descending lists, keeping at most `k`: the stable sort
+    /// merges the two runs, `a`'s values first on ties.
+    fn combine(&self, mut a: Vec<Value>, b: Vec<Value>) -> Vec<Value> {
+        a.extend(b);
+        a.sort_by(|x, y| y.cmp(x));
+        a.truncate(self.0);
+        a
+    }
+    /// Each value repeated `mult` times, cut at `k`: the top `k` of `mult`
+    /// copies of the tuples, since `min(min(c,k)·m, k) = min(c·m, k)`.
+    fn scale(&self, mut acc: Vec<Value>, mult: i64) -> Vec<Value> {
+        if mult == 1 {
+            acc.truncate(self.0);
+            return acc;
+        }
+        let mut out = Vec::with_capacity(self.0.min(acc.len()));
+        for v in acc {
+            push_repeated(&mut out, v, mult, self.0);
+        }
+        out
+    }
+    fn atom(&self, v: &Value) -> Result<Vec<Value>> {
+        Ok((!v.is_null()).then(|| v.clone()).into_iter().collect())
+    }
+    fn partial(&self, v: &Value) -> Result<Vec<Value>> {
+        // NULL when the partial's tuples had no non-NULL value.
+        Ok(match v {
+            Value::Tup(vals) => vals.to_vec(),
+            v => self.atom(v)?,
+        })
+    }
+    fn leaf(&self, ftree: &FTree, u: UnionRef<'_>) -> Result<Option<Vec<Value>>> {
+        if !matches!(ftree.node(u.node()).label, NodeLabel::Atomic(_)) {
+            return Ok(None);
+        }
+        // Entries are sorted ascending; walk them backwards so the
+        // largest values fill the budget first; the reverse scan stops
+        // after at most k distinct entries.
+        let mut out = Vec::with_capacity(self.0.min(u.len()));
+        for e in (0..u.len()).rev().map(|i| u.entry(i)) {
+            if out.len() >= self.0 {
+                break;
+            }
+            if !e.value().is_null() {
+                let mult = count_product(ftree, e.children(), None, 1)?;
+                push_repeated(&mut out, e.value().clone(), mult, self.0);
             }
         }
+        Ok(Some(out))
+    }
+    fn finish(&self, acc: Vec<Value>) -> Result<Value> {
+        Ok(if acc.is_empty() {
+            Value::Null
+        } else {
+            Value::tup(acc)
+        })
+    }
+}
+
+/// Pushes `v` repeated `mult` times (capped at the remaining budget)
+/// onto a descending list that still has room for `k` values total.
+fn push_repeated(out: &mut Vec<Value>, v: Value, mult: i64, k: usize) {
+    let n = (mult.max(0) as usize).min(k.saturating_sub(out.len()));
+    out.extend(std::iter::repeat_n(v, n));
+}
+
+/// The providing spine of `count(distinct A)` below `node`. The
+/// attribute must still be *atomic* in the tree: distinct values cannot
+/// be recovered from aggregate singletons.
+fn distinct_spine(ftree: &FTree, node: NodeId, op: &AggOp) -> Result<Vec<usize>> {
+    match providing_spine(ftree, node, op)? {
+        (spine, n) if matches!(ftree.node(n).label, NodeLabel::Atomic(_)) => Ok(spine),
+        _ => Err(FdbError::InvalidComposition(format!(
+            "distinct values of {op:?} are unrecoverable from an aggregate singleton"
+        ))),
     }
 }
 
@@ -433,189 +514,6 @@ fn count_distinct(u: UnionRef<'_>, spine: &[usize], ids: &mut DenseIds) -> i64 {
     ids.len() as i64
 }
 
-/// `existsA(E)` / `forallA(E)` over union `u`: whether some (resp.
-/// every) non-NULL value of `A` satisfies `value θ c`. Both are
-/// multiplicity-invariant, so sibling cardinalities never matter — the
-/// walk only descends the providing spine, like `min`/`max`.
-pub fn boolean_union(ftree: &FTree, u: UnionRef<'_>, op: &AggOp) -> Result<bool> {
-    let (attr, cmp, rhs, is_exists) = match *op {
-        AggOp::Exists(a, c, r) => (a, c, r, true),
-        AggOp::Forall(a, c, r) => (a, c, r, false),
-        _ => unreachable!("boolean_union is only called for exists/forall"),
-    };
-    // exists folds with OR from false; forall with AND from true.
-    let combine = move |acc: bool, t: bool| if is_exists { acc || t } else { acc && t };
-    let label = &ftree.node(u.node()).label;
-    match label {
-        NodeLabel::Atomic(attrs) if attrs.contains(&attr) => fold_entries(
-            u,
-            !is_exists,
-            |e| {
-                let v = e.value();
-                // NULL inputs are skipped: they contribute the identity.
-                if v.is_null() {
-                    Ok(!is_exists)
-                } else {
-                    Ok(cmp.eval(v.cmp(&Value::Int(rhs))))
-                }
-            },
-            combine,
-        ),
-        NodeLabel::Agg(l) if l.component_of(op).is_some() => {
-            // The component already holds the sub-result (0/1) for the
-            // erased subtree; combine across entries.
-            let i = l.component_of(op).unwrap();
-            fold_entries(
-                u,
-                !is_exists,
-                |e| {
-                    Ok(component(l, e.value(), i)
-                        .as_int()
-                        .expect("boolean aggregate component is 0/1")
-                        != 0)
-                },
-                combine,
-            )
-        }
-        _ => {
-            let j = providing_child(ftree, u.node(), op)?;
-            fold_entries(
-                u,
-                !is_exists,
-                |e| boolean_union(ftree, e.child(j), op),
-                combine,
-            )
-        }
-    }
-}
-
-/// Merges two descending top-`k` lists into one, keeping at most `k`.
-fn merge_topk(a: Vec<Value>, b: Vec<Value>, k: usize) -> Vec<Value> {
-    let mut out = Vec::with_capacity((a.len() + b.len()).min(k));
-    let (mut ia, mut ib) = (0, 0);
-    while out.len() < k && (ia < a.len() || ib < b.len()) {
-        let take_a = match (a.get(ia), b.get(ib)) {
-            (Some(x), Some(y)) => x >= y,
-            (Some(_), None) => true,
-            _ => false,
-        };
-        if take_a {
-            out.push(a[ia].clone());
-            ia += 1;
-        } else {
-            out.push(b[ib].clone());
-            ib += 1;
-        }
-    }
-    out
-}
-
-/// Pushes `v` repeated `mult` times (capped at the remaining budget)
-/// onto a descending list that still has room for `k` values total.
-fn push_repeated(out: &mut Vec<Value>, v: Value, mult: i64, k: usize) {
-    let n = (mult.max(0) as usize).min(k.saturating_sub(out.len()));
-    for _ in 0..n {
-        out.push(v.clone());
-    }
-}
-
-/// The descending list `vals` with each value repeated `mult` times,
-/// truncated at `k`: the top `k` of a partial top-`k` list times `mult`
-/// tuples, since `min(min(c,k)·m, k) = min(c·m, k)` — the rule that
-/// exponentiates `product` by sibling counts. Sized by the values that
-/// arrive, never by `k` alone, which comes from the query.
-fn repeat_truncated(vals: &[Value], mult: i64, k: usize) -> Vec<Value> {
-    let mut out = Vec::with_capacity(k.min(vals.len()));
-    for v in vals {
-        if out.len() >= k {
-            break;
-        }
-        push_repeated(&mut out, v.clone(), mult, k);
-    }
-    out
-}
-
-/// The `k` largest non-NULL values of `op`'s attribute in the relation
-/// represented by `u`, descending, under bag semantics: a value shared
-/// by `m` tuples occurs `min(m, k)` times. One list of at most `k`
-/// values per union entry, merged in entry order. The attribute may sit
-/// in an atomic node or in a partial `top_k` component left by an
-/// earlier `γ`: a list that composes like `product`, each value
-/// repeated by its entry's tuple count and the list cut at `k` again.
-pub fn topk_union(ftree: &FTree, u: UnionRef<'_>, op: &AggOp) -> Result<Vec<Value>> {
-    let (attr, k) = match *op {
-        AggOp::TopK(a, k) => (a, k),
-        _ => unreachable!("topk_union is only called for top_k"),
-    };
-    if k == 0 {
-        return Ok(Vec::new());
-    }
-    let label = &ftree.node(u.node()).label;
-    match label {
-        NodeLabel::Atomic(attrs) if attrs.contains(&attr) => {
-            // Entries are sorted ascending; walk them backwards so the
-            // largest values fill the budget first; the reverse scan
-            // stops after at most k distinct entries.
-            let mut out = Vec::with_capacity(k.min(u.len()));
-            for i in (0..u.len()).rev() {
-                if out.len() >= k {
-                    break;
-                }
-                let e = u.entry(i);
-                let v = e.value();
-                if v.is_null() {
-                    continue;
-                }
-                let mut mult: i64 = 1;
-                for c in e.children() {
-                    mult = mult.wrapping_mul(count_union(ftree, c)?);
-                }
-                push_repeated(&mut out, v.clone(), mult, k);
-            }
-            Ok(out)
-        }
-        NodeLabel::Agg(l) if l.component_of(op).is_some() => {
-            let i = l.component_of(op).unwrap();
-            fold_entries(
-                u,
-                Vec::new(),
-                |e| {
-                    // A partial list (NULL when its tuples had no
-                    // non-NULL value), repeated by this entry's subtree.
-                    let mut mult: i64 = 1;
-                    for c in e.children() {
-                        mult = mult.wrapping_mul(count_union(ftree, c)?);
-                    }
-                    Ok(match component(l, e.value(), i) {
-                        Value::Null => Vec::new(),
-                        Value::Tup(vals) => repeat_truncated(&vals, mult, k),
-                        v => repeat_truncated(&[v], mult, k),
-                    })
-                },
-                |acc, part| merge_topk(acc, part, k),
-            )
-        }
-        _ => {
-            let j = providing_child(ftree, u.node(), op)?;
-            fold_entries(
-                u,
-                Vec::new(),
-                |e| {
-                    let mut mult = entry_multiplicity(label, e.value())?;
-                    for (c_idx, c) in e.children().enumerate() {
-                        if c_idx != j {
-                            mult = mult.wrapping_mul(count_union(ftree, c)?);
-                        }
-                    }
-                    let sub = topk_union(ftree, e.child(j), op)?;
-                    Ok(repeat_truncated(&sub, mult, k))
-                },
-                |acc, part| merge_topk(acc, part, k),
-            )
-        }
-    }
-}
-
 /// Evaluates one aggregation function over a *product* of sibling unions
 /// (the expression an aggregation operator replaces, §3.2).
 pub fn eval_op(ftree: &FTree, unions: &[UnionRef<'_>], op: &AggOp) -> Result<Value> {
@@ -645,63 +543,20 @@ fn eval_op_at(
     op: &AggOp,
     provider: Option<usize>,
 ) -> Result<Value> {
-    // Cardinality of the factors other than `j`, multiplied in order.
-    let others = |j: Option<usize>| -> Result<i64> {
-        let mut mult: i64 = 1;
-        for (k, &u) in unions.iter().enumerate() {
-            if Some(k) != j {
-                mult = mult.wrapping_mul(count_union(ftree, u)?);
-            }
-        }
-        Ok(mult)
-    };
     if matches!(op, AggOp::Count) {
-        return Ok(Value::Int(others(None)?));
+        let n = count_product(ftree, unions.iter().copied(), None, 1)?;
+        return Ok(Value::Int(n));
     }
     let j = provider
         .ok_or_else(|| FdbError::InvalidComposition(format!("no factor provides {op:?}")))?;
-    match op {
-        AggOp::Count => unreachable!("handled above"),
-        AggOp::Sum(_) => {
-            let mut total = sum_union(ftree, unions[j], op)?;
-            for (k, &u) in unions.iter().enumerate() {
-                if k != j {
-                    total = total.mul(Number::Int(count_union(ftree, u)?));
-                }
-            }
-            Ok(total.into_value())
-        }
-        AggOp::Min(_) | AggOp::Max(_) => extremum_union(ftree, unions[j], op),
-        AggOp::CountDistinct(_) => {
-            // Multiplicity-invariant: the non-providing factors only
-            // repeat tuples, never change which values occur.
-            let spine = distinct_spine(ftree, unions[j].node(), op)?;
-            Ok(Value::Int(count_distinct(
-                unions[j],
-                &spine,
-                &mut DenseIds::new(),
-            )))
-        }
-        AggOp::Product(_) => {
-            let mult = others(Some(j))?;
-            Ok(match product_union(ftree, unions[j], op)? {
-                Some(p) => p.pow(mult.max(0) as u64).into_value(),
-                None => Value::Null,
-            })
-        }
-        AggOp::Exists(..) | AggOp::Forall(..) => {
-            Ok(Value::Int(boolean_union(ftree, unions[j], op)? as i64))
-        }
-        AggOp::TopK(_, k) => {
-            let mult = others(Some(j))?;
-            let out = repeat_truncated(&topk_union(ftree, unions[j], op)?, mult, *k);
-            Ok(if out.is_empty() {
-                Value::Null
-            } else {
-                Value::tup(out)
-            })
-        }
+    if let AggOp::CountDistinct(_) = op {
+        // Multiplicity-invariant: the non-providing factors only repeat
+        // tuples, never change which values occur.
+        let spine = distinct_spine(ftree, unions[j].node(), op)?;
+        let n = count_distinct(unions[j], &spine, &mut DenseIds::new());
+        return Ok(Value::Int(n));
     }
+    eval_folded(ftree, unions, op, Source::Factor(j))
 }
 
 /// Evaluates `op` over the relation `{v} × unions` when its attribute is
@@ -713,41 +568,69 @@ pub(crate) fn eval_on_group_value(
     op: &AggOp,
     v: &Value,
 ) -> Result<Value> {
-    let mult = || -> Result<i64> {
-        let mut mult: i64 = 1;
-        for &u in unions {
-            mult = mult.wrapping_mul(count_union(ftree, u)?);
-        }
-        Ok(mult)
+    match op {
+        AggOp::Count => count_product(ftree, unions.iter().copied(), None, 1).map(Value::Int),
+        // NULL inputs are skipped.
+        AggOp::CountDistinct(_) => Ok(Value::Int(!v.is_null() as i64)),
+        _ => eval_folded(ftree, unions, op, Source::Group(v)),
+    }
+}
+
+/// Where a composable function reads its attribute.
+enum Source<'v> {
+    /// The factor at this position provides it.
+    Factor(usize),
+    /// It is a group attribute holding this value.
+    Group(&'v Value),
+}
+
+/// A composable `op` over the product of `unions`: its fold over the
+/// source, scaled by the tuple count of the factors that do not provide.
+fn eval_folded(ftree: &FTree, unions: &[UnionRef<'_>], op: &AggOp, src: Source) -> Result<Value> {
+    match *op {
+        AggOp::Sum(_) => eval_fold(&Sum, ftree, unions, op, src),
+        AggOp::Min(_) => eval_fold(&Extremum(true), ftree, unions, op, src),
+        AggOp::Max(_) => eval_fold(&Extremum(false), ftree, unions, op, src),
+        AggOp::Product(_) => eval_fold(&Product, ftree, unions, op, src),
+        AggOp::Exists(_, c, r) => eval_fold(&Quantifier::<true>(c, r), ftree, unions, op, src),
+        AggOp::Forall(_, c, r) => eval_fold(&Quantifier::<false>(c, r), ftree, unions, op, src),
+        AggOp::TopK(_, k) => eval_fold(&TopK(k), ftree, unions, op, src),
+        AggOp::Count | AggOp::CountDistinct(_) => unreachable!("{op:?} is not a fold"),
+    }
+}
+
+/// [`eval_folded`] for the fold `f` of `op`.
+fn eval_fold<F: Fold>(
+    f: &F,
+    ftree: &FTree,
+    unions: &[UnionRef<'_>],
+    op: &AggOp,
+    src: Source,
+) -> Result<Value> {
+    let others = |skip| count_product(ftree, unions.iter().copied(), skip, 1);
+    let walk = |j: usize| {
+        let (spine, _) = providing_spine(ftree, unions[j].node(), op)?;
+        fold_union(f, ftree, op, unions[j], &spine)
     };
-    let number = |what: &str| {
-        v.as_number()
-            .ok_or_else(|| FdbError::NonNumeric(format!("{what} over non-numeric value {v}")))
-    };
-    Ok(match *op {
-        AggOp::Count => Value::Int(mult()?),
-        AggOp::Sum(_) => number("sum")?.mul(Number::Int(mult()?)).into_value(),
-        AggOp::Min(_) | AggOp::Max(_) => v.clone(),
-        // NULL inputs are skipped by every function below.
-        _ if v.is_null() => match op {
-            AggOp::CountDistinct(_) | AggOp::Exists(..) => Value::Int(0),
-            AggOp::Forall(..) => Value::Int(1),
-            _ => Value::Null,
-        },
-        AggOp::CountDistinct(_) => Value::Int(1),
-        AggOp::Product(_) => number("product")?.pow(mult()?.max(0) as u64).into_value(),
-        AggOp::Exists(_, cmp, rhs) | AggOp::Forall(_, cmp, rhs) => {
-            Value::Int(cmp.eval(v.cmp(&Value::Int(rhs))) as i64)
+    let acc = match src {
+        Source::Group(v) if F::SCALES && !v.is_null() => {
+            let term = f.atom(v)?;
+            f.scale(term, others(None)?)
         }
-        AggOp::TopK(_, k) => {
-            let out = repeat_truncated(std::slice::from_ref(v), mult()?, k);
-            if out.is_empty() {
-                Value::Null
-            } else {
-                Value::tup(out)
+        Source::Group(v) => f.atom(v)?,
+        Source::Factor(j) if F::PER_FACTOR => {
+            let mut acc = walk(j)?;
+            for (_, &u) in unions.iter().enumerate().filter(|&(k, _)| k != j) {
+                acc = f.scale(acc, count_union(ftree, u)?);
             }
+            acc
         }
-    })
+        Source::Factor(j) => {
+            let mult = if F::SCALES { others(Some(j))? } else { 1 };
+            f.scale(walk(j)?, mult)
+        }
+    };
+    f.finish(acc)
 }
 
 /// How one factor feeds a [`CompiledAgg`] without a walk, when it is the
@@ -778,8 +661,9 @@ enum LeafRole {
 /// order of the general evaluator, so the two agree bit for bit. For
 /// `count(distinct)` it fixes the providing spine and keeps one
 /// [`DenseIds`] table for every group. Any other shape — and a leaf
-/// union that turns out not to hold exactly one singleton — goes through
-/// the general evaluator ([`eval_op`] with the provider supplied).
+/// union that turns out not to hold exactly one singleton, a count past
+/// `i64::MAX` or a non-numeric sum — goes through the general evaluator
+/// ([`eval_op`] with the provider supplied), which reports every error.
 #[derive(Clone, Debug)]
 pub(crate) struct CompiledAgg {
     op: AggOp,
@@ -874,13 +758,13 @@ impl CompiledAgg {
             .as_ref()
             .and_then(|l| self.eval_leaves(l, unions))
         {
-            return v;
+            return Ok(v);
         }
         eval_op_at(ftree, unions, &self.op, self.provider)
     }
 
     /// The non-recursive path; `None` hands over to the general evaluator.
-    fn eval_leaves(&self, leaves: &[LeafRole], unions: &[UnionRef<'_>]) -> Option<Result<Value>> {
+    fn eval_leaves(&self, leaves: &[LeafRole], unions: &[UnionRef<'_>]) -> Option<Value> {
         // The lone singleton of a partial-aggregate leaf, by component.
         let single = |k: usize, c: Option<usize>| -> Option<&Value> {
             let v = (unions[k].len() == 1).then(|| unions[k].entry(0).value())?;
@@ -904,9 +788,9 @@ impl CompiledAgg {
         if matches!(self.op, AggOp::Count) {
             let mut prod: i64 = 1;
             for k in 0..leaves.len() {
-                prod = prod.wrapping_mul(card(k)?);
+                prod = prod.checked_mul(card(k)?)?;
             }
-            return Some(Ok(Value::Int(prod)));
+            return Some(Value::Int(prod));
         }
         let j = self.provider?;
         let LeafRole::Supply(c) = leaves[j] else {
@@ -915,20 +799,15 @@ impl CompiledAgg {
         let v = single(j, c)?;
         match self.op {
             AggOp::Sum(_) => {
-                let Some(n) = v.as_number() else {
-                    return Some(Err(FdbError::NonNumeric(format!(
-                        "sum over non-numeric value {v}"
-                    ))));
-                };
-                // The general fold over the one childless entry, 0 + n·1,
-                // then scaled factor by factor.
-                let mut total = Number::ZERO.add(n.mul(Number::Int(1)));
+                // The walk over the one childless entry, then scaled
+                // factor by factor.
+                let mut total = Sum.combine(Sum::ZERO, Sum.scale(Sum.atom(v).ok()?, 1));
                 for k in (0..leaves.len()).filter(|&k| k != j) {
-                    total = total.mul(Number::Int(card(k)?));
+                    total = Sum.scale(total, card(k)?);
                 }
-                Some(Ok(total.into_value()))
+                Some(total.into_value())
             }
-            AggOp::Min(_) | AggOp::Max(_) => Some(Ok(v.clone())),
+            AggOp::Min(_) | AggOp::Max(_) => Some(v.clone()),
             _ => None,
         }
     }
@@ -1013,16 +892,16 @@ mod tests {
     fn sum_over_trie() {
         let (c, rep) = items_rep();
         let price = c.lookup("price").unwrap();
-        let s = sum_union(rep.ftree(), rep.root(0), &AggOp::Sum(price)).unwrap();
-        assert_eq!(s.into_value(), Value::Int(10));
+        let s = eval_op(rep.ftree(), &[rep.root(0)], &AggOp::Sum(price)).unwrap();
+        assert_eq!(s, Value::Int(10));
     }
 
     #[test]
     fn min_max_over_trie() {
         let (c, rep) = items_rep();
         let price = c.lookup("price").unwrap();
-        let mn = extremum_union(rep.ftree(), rep.root(0), &AggOp::Min(price)).unwrap();
-        let mx = extremum_union(rep.ftree(), rep.root(0), &AggOp::Max(price)).unwrap();
+        let mn = eval_op(rep.ftree(), &[rep.root(0)], &AggOp::Min(price)).unwrap();
+        let mx = eval_op(rep.ftree(), &[rep.root(0)], &AggOp::Max(price)).unwrap();
         assert_eq!(mn, Value::Int(1));
         assert_eq!(mx, Value::Int(6));
     }
@@ -1550,6 +1429,57 @@ mod tests {
     }
 
     #[test]
+    fn multiplicity_invariant_functions_never_count() {
+        // g → {⟨min(price):3⟩, ⟨exists(price > 5):1⟩, ⟨sum(price):8⟩}: the
+        // sum-only leaf hides its tuple count, which min and exists never
+        // ask for — only a function that scales does.
+        use crate::frep::{Entry, Union};
+        let mut c = Catalog::new();
+        let ids = c.intern_all(["g", "price", "m", "e", "s"]);
+        let price = ids[1];
+        let (min, exists, sum) = (
+            AggOp::Min(price),
+            AggOp::Exists(price, CmpOp::Gt, 5),
+            AggOp::Sum(price),
+        );
+        let mut t = FTree::new();
+        let n_g = t.add_node(NodeLabel::Atomic(vec![ids[0]]), None);
+        let mut children = Vec::new();
+        for (op, out, v) in [(min, ids[2], 3), (exists, ids[3], 1), (sum, ids[4], 8)] {
+            let label = AggLabel {
+                funcs: vec![op],
+                over: [price].into_iter().collect(),
+                outputs: vec![out],
+            };
+            let node = t.add_node(NodeLabel::Agg(label), Some(n_g));
+            let value = Value::Int(v);
+            let entries = vec![Entry {
+                value,
+                children: vec![],
+            }];
+            children.push(Union { node, entries });
+        }
+        let value = Value::Int(0);
+        let entries = vec![Entry { value, children }];
+        let rep = FRep::new(t, vec![Union { node: n_g, entries }]).unwrap();
+        let t = rep.ftree();
+        let leaves: Vec<UnionRef<'_>> = rep.root(0).entry(0).children().collect();
+        assert_eq!(eval_op(t, &leaves, &min).unwrap(), Value::Int(3));
+        assert_eq!(eval_op(t, &leaves, &exists).unwrap(), Value::Int(1));
+        let v = Value::Int(4);
+        assert_eq!(eval_on_group_value(t, &leaves, &min, &v).unwrap(), v);
+        for err in [
+            eval_op(t, &leaves, &sum),
+            eval_on_group_value(t, &leaves, &sum, &v),
+        ] {
+            assert!(
+                matches!(err, Err(FdbError::InvalidComposition(_))),
+                "{err:?}"
+            );
+        }
+    }
+
+    #[test]
     fn a_huge_k_reserves_only_what_arrives() {
         // Reserving k up front would ask the allocator for 24 TB (and
         // overflow `Vec`'s capacity at i64::MAX) before the first value.
@@ -1561,7 +1491,8 @@ mod tests {
             // branches, then the final repetition.
             let all = Value::tup([6, 2, 1, 1].map(Value::Int).to_vec());
             assert_eq!(eval_op(rep.ftree(), &[rep.root(0)], &op).unwrap(), all);
-            let top = topk_union(rep.ftree(), rep.root(0), &op).unwrap();
+            let (spine, _) = providing_spine(rep.ftree(), rep.root(0).node(), &op).unwrap();
+            let top = fold_union(&TopK(k), rep.ftree(), &op, rep.root(0), &spine).unwrap();
             assert!(top.capacity() <= 4, "k = {k}: capacity {}", top.capacity());
             // A partial list that γ left for the same k.
             let (price, rep) = partial_leaf_group(2, Value::tup(vec![Value::Int(9)]), k);

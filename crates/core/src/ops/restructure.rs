@@ -566,15 +566,15 @@ mod tests {
         let root = merged.ftree().roots()[0];
         assert_eq!(merged.ftree().node(root).label.exposed_attrs().len(), 2);
         let price = c.lookup("price").unwrap();
-        let s = crate::agg::sum_union(
+        let s = crate::agg::eval_op(
             merged.ftree(),
-            merged.root(0),
+            &[merged.root(0)],
             &crate::ftree::AggOp::Sum(price),
         )
         .unwrap();
         // Sum of prices over the join: base 6×3 + ham 1×2 + mushrooms 1 +
         // pineapple 2 = 23.
-        assert_eq!(s.into_value(), Value::Int(23));
+        assert_eq!(s, Value::Int(23));
     }
 
     #[test]

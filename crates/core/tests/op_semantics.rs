@@ -2,12 +2,13 @@
 //! each f-plan operator must transform the *represented relation* exactly
 //! as its relational counterpart transforms the flat relation.
 
+use fdb_core::agg::partial_funcs;
 use fdb_core::frep::FRep;
 use fdb_core::ftree::{AggOp, FTree, NodeLabel};
 use fdb_core::ops;
 use fdb_relational::ops as rel_ops;
 use fdb_relational::{
-    AggFunc, AggSpec, Catalog, CmpOp, GroupStrategy, Predicate, Relation, Schema, Value,
+    AggFunc, AggSpec, AttrId, Catalog, CmpOp, GroupStrategy, Predicate, Relation, Schema, Value,
 };
 use proptest::prelude::*;
 
@@ -52,6 +53,31 @@ fn siblings(l: &[(i64, i64)], r: &[(i64, i64)]) -> (Relation, FRep, [fdb_relatio
     (rel, rep, [p, b, b2])
 }
 
+const CMP: [CmpOp; 6] = [
+    CmpOp::Eq,
+    CmpOp::Ne,
+    CmpOp::Lt,
+    CmpOp::Le,
+    CmpOp::Gt,
+    CmpOp::Ge,
+];
+
+/// Every aggregation function `γ` evaluates, over attribute `a`: the
+/// relational definitions the factorised ones are held to.
+fn nine_funcs(a: AttrId, cmp: CmpOp, c: i64, k: usize) -> [AggFunc; 9] {
+    [
+        AggFunc::Count,
+        AggFunc::Sum(a),
+        AggFunc::Min(a),
+        AggFunc::Max(a),
+        AggFunc::Product(a),
+        AggFunc::Exists(a, cmp, c),
+        AggFunc::Forall(a, cmp, c),
+        AggFunc::TopK(a, k),
+        AggFunc::CountDistinct(a),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
 
@@ -64,7 +90,7 @@ proptest! {
         let (_, attrs) = catalog3();
         let rel = rel3(&attrs, &rows);
         let rep = FRep::from_relation(&rel, FTree::path(&attrs)).unwrap();
-        let op = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge][op_pick];
+        let op = CMP[op_pick];
         // Select on the middle attribute: exercises pruning both ways.
         let selected = ops::select_const(rep, attrs[1], op, &Value::Int(threshold)).unwrap();
         prop_assert!(selected.check_invariants().is_ok());
@@ -207,76 +233,93 @@ proptest! {
 
     #[test]
     fn aggregate_matches_relational_group_aggregate(
-        rows in prop::collection::vec((0i64..5, 0i64..5, -5i64..5), 0..25),
-        func_pick in 0usize..4,
+        rows in prop::collection::vec((0i64..5, 0i64..5, -5i64..5), 0..30),
+        cmp_pick in 0usize..6,
+        c in -5i64..5,
+        k in 1usize..5,
     ) {
-        let (mut c, attrs) = catalog3();
+        // γ over the subtree rooted at y groups by x. The same γ over a
+        // partial γ of z's subtree — with a count beside it, so the
+        // partial is a composite — reads z from partial components.
+        let (mut catalog, attrs) = catalog3();
         let rel = rel3(&attrs, &rows);
         if rel.is_empty() {
             return Ok(());
         }
         let rep = FRep::from_relation(&rel, FTree::path(&attrs)).unwrap();
-        // γ over the subtree rooted at y: groups by x.
         let ny = rep.ftree().node_of_attr(attrs[1]).unwrap();
-        let out = c.intern("out");
-        let (fop, ffunc) = match func_pick {
-            0 => (AggOp::Count, AggFunc::Count),
-            1 => (AggOp::Sum(attrs[2]), AggFunc::Sum(attrs[2])),
-            2 => (AggOp::Min(attrs[2]), AggFunc::Min(attrs[2])),
-            _ => (AggOp::Max(attrs[2]), AggFunc::Max(attrs[2])),
-        };
-        let target = ops::AggTarget::subtree(rep.ftree(), ny);
-        let agged = ops::aggregate(rep, &target, vec![fop], vec![out]).unwrap();
-        prop_assert!(agged.check_invariants().is_ok());
-        let expected = rel_ops::group_aggregate(
-            &rel,
-            &[attrs[0]],
-            &[AggSpec::new(ffunc, out).into()],
-            GroupStrategy::Sort,
-        );
-        let got = agged.flatten().project_cols(&[attrs[0], out]).canonical();
-        prop_assert_eq!(got, expected.canonical());
+        let nz = rep.ftree().node_of_attr(attrs[2]).unwrap();
+        let out = catalog.intern("out");
+        for ffunc in nine_funcs(attrs[2], CMP[cmp_pick], c, k) {
+            let fop = AggOp::from_func(ffunc).unwrap();
+            let target = ops::AggTarget::subtree(rep.ftree(), ny);
+            let agged = ops::aggregate(rep.clone(), &target, vec![fop], vec![out]).unwrap();
+            prop_assert!(agged.check_invariants().is_ok());
+            let expected = rel_ops::group_aggregate(
+                &rel,
+                &[attrs[0]],
+                &[AggSpec::new(ffunc, out).into()],
+                GroupStrategy::Sort,
+            )
+            .canonical();
+            let got = agged.flatten().project_cols(&[attrs[0], out]).canonical();
+            prop_assert_eq!(got, expected.clone(), "{:?}", ffunc);
+
+            let partials = partial_funcs(rep.ftree(), &[nz], &[fop, AggOp::Count]);
+            let names = (0..partials.len()).map(|i| catalog.intern(&format!("p{i}"))).collect();
+            let target_z = ops::AggTarget::subtree(rep.ftree(), nz);
+            let partial = ops::aggregate(rep.clone(), &target_z, partials, names).unwrap();
+            let target = ops::AggTarget::subtree(partial.ftree(), ny);
+            let two = ops::aggregate(partial, &target, vec![fop], vec![out]);
+            if fop.needs_raw_input() {
+                // Which values occur is lost in a partial: refused.
+                prop_assert!(two.is_err());
+            } else {
+                let got = two.unwrap().flatten().project_cols(&[attrs[0], out]).canonical();
+                prop_assert_eq!(got, expected, "{:?} over a partial", ffunc);
+            }
+        }
     }
 
     #[test]
     fn parallel_aggregate_matches_relational_group_aggregate(
         rows in prop::collection::vec((0i64..5, 0i64..5, -5i64..5), 0..30),
-        func_pick in 0usize..4,
+        cmp_pick in 0usize..6,
+        c in -5i64..5,
+        k in 1usize..5,
     ) {
         // The aggregation operator against relational ground truth on
         // a rebuilt input, compared structurally with a second run.
-        let (mut c, attrs) = catalog3();
+        let (mut catalog, attrs) = catalog3();
         let rel = rel3(&attrs, &rows);
         if rel.is_empty() {
             return Ok(());
         }
         let rep = FRep::from_relation(&rel, FTree::path(&attrs)).unwrap();
         let ny = rep.ftree().node_of_attr(attrs[1]).unwrap();
-        let out = c.intern("out");
-        let (fop, ffunc) = match func_pick {
-            0 => (AggOp::Count, AggFunc::Count),
-            1 => (AggOp::Sum(attrs[2]), AggFunc::Sum(attrs[2])),
-            2 => (AggOp::Min(attrs[2]), AggFunc::Min(attrs[2])),
-            _ => (AggOp::Max(attrs[2]), AggFunc::Max(attrs[2])),
-        };
-        let target = ops::AggTarget::subtree(rep.ftree(), ny);
-        let first = ops::aggregate(rep.clone(), &target, vec![fop], vec![out]).unwrap();
-        let again = ops::aggregate(rep, &target, vec![fop], vec![out]).unwrap();
-        prop_assert!(again.check_invariants().is_ok());
-        // Deterministic structurally, not just as a set.
-        prop_assert!(again.same_data(&first));
-        let expected = rel_ops::group_aggregate(
-            &rel,
-            &[attrs[0]],
-            &[AggSpec::new(ffunc, out).into()],
-            GroupStrategy::Sort,
-        );
-        let got = again.flatten().project_cols(&[attrs[0], out]).canonical();
-        prop_assert_eq!(got, expected.canonical());
+        let out = catalog.intern("out");
+        for ffunc in nine_funcs(attrs[2], CMP[cmp_pick], c, k) {
+            let fop = AggOp::from_func(ffunc).unwrap();
+            let target = ops::AggTarget::subtree(rep.ftree(), ny);
+            let first = ops::aggregate(rep.clone(), &target, vec![fop], vec![out]).unwrap();
+            let rebuilt = FRep::from_relation(&rel, FTree::path(&attrs)).unwrap();
+            let again = ops::aggregate(rebuilt, &target, vec![fop], vec![out]).unwrap();
+            prop_assert!(again.check_invariants().is_ok());
+            // Deterministic structurally, not just as a set.
+            prop_assert!(again.same_data(&first), "{:?}", ffunc);
+            let expected = rel_ops::group_aggregate(
+                &rel,
+                &[attrs[0]],
+                &[AggSpec::new(ffunc, out).into()],
+                GroupStrategy::Sort,
+            );
+            let got = again.flatten().project_cols(&[attrs[0], out]).canonical();
+            prop_assert_eq!(got, expected.canonical(), "{:?}", ffunc);
+        }
     }
 
     #[test]
-    fn parallel_root_aggregate_matches_relational_global(
+    fn root_aggregate_matches_relational_global(
         rows in prop::collection::vec((0i64..5, 0i64..5, -5i64..5), 1..30),
     ) {
         // Root-level (single-group) reduction through the recursive
@@ -339,7 +382,7 @@ proptest! {
 }
 
 #[test]
-fn parallel_aggregate_empty_union_edge_case() {
+fn aggregate_empty_union_edge_case() {
     // Aggregating an empty relation must stay the empty relation (the
     // only place empty unions are representable is at the roots).
     let (mut c, attrs) = catalog3();
@@ -368,7 +411,7 @@ fn parallel_aggregate_empty_union_edge_case() {
 }
 
 #[test]
-fn parallel_aggregate_single_child_union_edge_case() {
+fn aggregate_single_child_union_edge_case() {
     // A parent union with exactly one entry must still match relational
     // ground truth.
     let (mut c, attrs) = catalog3();
@@ -394,7 +437,7 @@ fn parallel_aggregate_single_child_union_edge_case() {
 }
 
 #[test]
-fn parallel_aggregate_skewed_child_sizes_edge_case() {
+fn aggregate_skewed_child_sizes_edge_case() {
     // One group holds almost all the data, the rest are singletons: the
     // groups are maximally unbalanced and must still agree with
     // relational ground truth.
@@ -403,12 +446,8 @@ fn parallel_aggregate_skewed_child_sizes_edge_case() {
     rows.extend((1..12).map(|g| (g, 0, g)));
     let rel = rel3(&attrs, &rows);
     let out = c.intern("agg");
-    for (fop, ffunc) in [
-        (AggOp::Count, AggFunc::Count),
-        (AggOp::Sum(attrs[2]), AggFunc::Sum(attrs[2])),
-        (AggOp::Min(attrs[2]), AggFunc::Min(attrs[2])),
-        (AggOp::Max(attrs[2]), AggFunc::Max(attrs[2])),
-    ] {
+    for ffunc in nine_funcs(attrs[2], CmpOp::Gt, 3, 4) {
+        let fop = AggOp::from_func(ffunc).unwrap();
         let expected = rel_ops::group_aggregate(
             &rel,
             &[attrs[0]],

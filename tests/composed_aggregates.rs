@@ -183,3 +183,46 @@ fn top_k_and_count_distinct_over_strings_and_nulls() {
         ]
     );
 }
+
+/// An engine over `n` single-column relations `T0(a0), …, T{n-1}(a{n-1})`
+/// of two rows each (`0` and `1`), and the `FROM` list of their cross
+/// product, which has `2^n` tuples.
+fn cross_product(n: usize) -> (fdb::FdbEngine, String) {
+    let mut catalog = Catalog::new();
+    let attrs: Vec<_> = (0..n).map(|i| catalog.intern(&format!("a{i}"))).collect();
+    let mut engine = fdb::FdbEngine::new(catalog);
+    for (i, &a) in attrs.iter().enumerate() {
+        let rows = [0, 1].map(|v| vec![Value::Int(v)]);
+        engine.register_relation(
+            format!("T{i}"),
+            Relation::from_rows(Schema::new(vec![a]), rows),
+        );
+    }
+    let from = (0..n).map(|i| format!("T{i}")).collect::<Vec<_>>();
+    (engine, from.join(", "))
+}
+
+#[test]
+fn tuple_multiplicities_beyond_i64_are_refused_not_wrapped() {
+    let run = |n: usize, agg: &str| {
+        let (mut engine, from) = cross_product(n);
+        engine.run_sql(&format!("SELECT {agg} AS v FROM {from}"))
+    };
+    let refused = |n: usize, agg: &str| match run(n, agg) {
+        Err(fdb::core::FdbError::InvalidOperator(m)) => assert!(m.contains("multiplicity"), "{m}"),
+        other => panic!("{agg} over {n} relations: {other:?}"),
+    };
+    // 2^62 tuples still fit.
+    let out = run(62, "COUNT(*)").unwrap();
+    assert_eq!(out.row(0), [Value::Int(4_611_686_018_427_387_904)]);
+    // 2^63 tuples do not: the count used to wrap to i64::MIN. A top-k
+    // over them scales the provider's list by the other 62 relations'
+    // 2^62 tuples, which fits, so it still answers exactly.
+    refused(63, "COUNT(*)");
+    let top = Value::tup(vec![Value::Int(1); 3]);
+    assert_eq!(run(63, "TOP_K(a0, 3)").unwrap().row(0), [top]);
+    // 2^64 tuples: the count used to wrap to 0 and the top-k's 2^63
+    // repetitions to a NULL list.
+    refused(64, "COUNT(*)");
+    refused(64, "TOP_K(a0, 3)");
+}
