@@ -15,10 +15,13 @@
 //! ([`partial_funcs`]), and a `leaf` fast path — evaluated by one walk,
 //! `fold_union`: a union combines its entries' terms, and an entry's term
 //! is its providing child's value scaled by the multiplicity of everything
-//! else under the entry. `count(distinct)` does not compose — which values
-//! occur is lost in a count — so its attribute stays atomic and the final
-//! evaluation walks the providing spine once per group, interning each
-//! value into one dense-id table reused for the whole result.
+//! else under the entry. The group fold (`fold_groups`, behind
+//! `FOp::GroupFold`) runs the same folds, `count` among them, for every
+//! group of one node at once, in one walk down the root path to it.
+//! `count(distinct)` does not compose — which values occur is lost in a
+//! count — so its attribute stays atomic and the final evaluation walks
+//! the providing spine once per group, interning each value into one
+//! dense-id table reused for the whole result.
 //!
 //! Multiplicities are exact or refused: every count and product of counts
 //! is checked, and one that leaves `i64` is an
@@ -26,7 +29,7 @@
 
 use crate::dense::DenseIds;
 use crate::error::{FdbError, Result};
-use crate::frep::UnionRef;
+use crate::frep::{EntryRef, UnionRef};
 use crate::ftree::{AggLabel, AggOp, FTree, NodeId, NodeLabel};
 use fdb_relational::{CmpOp, Number, Value};
 
@@ -174,7 +177,7 @@ pub fn count_union(ftree: &FTree, u: UnionRef<'_>) -> Result<i64> {
 /// algebra of one function, and nothing about the walk ([`fold_union`]).
 trait Fold {
     /// The running value: a sum, the best value so far, a list.
-    type Acc;
+    type Acc: Clone;
     /// The value of no input.
     const ZERO: Self::Acc;
     /// Whether multiplicities change the value. `min`/`max`/`exists`/
@@ -467,6 +470,477 @@ impl Fold for TopK {
 fn push_repeated(out: &mut Vec<Value>, v: Value, mult: i64, k: usize) {
     let n = (mult.max(0) as usize).min(k.saturating_sub(out.len()));
     out.extend(std::iter::repeat_n(v, n));
+}
+
+/// `count`: the tuple count, `None` once it left `i64` (refused at
+/// [`Fold::finish`]). It reads no attribute; in a group fold every tuple
+/// counts one, whatever its group value.
+struct Count;
+
+impl Fold for Count {
+    type Acc = Option<i64>;
+    const ZERO: Option<i64> = Some(0);
+    const SCALES: bool = true;
+    fn combine(&self, acc: Option<i64>, term: Option<i64>) -> Option<i64> {
+        acc?.checked_add(term?)
+    }
+    fn scale(&self, acc: Option<i64>, mult: i64) -> Option<i64> {
+        acc?.checked_mul(mult)
+    }
+    fn atom(&self, _v: &Value) -> Result<Option<i64>> {
+        Ok(Some(1))
+    }
+    fn partial(&self, v: &Value) -> Result<Option<i64>> {
+        Ok(Some(v.as_int().expect("count component is integral")))
+    }
+    fn finish(&self, acc: Option<i64>) -> Result<Value> {
+        checked(acc).map(Value::Int)
+    }
+}
+
+/// Where one function of a group fold reads its input, relative to the
+/// root path to the group node (level 0 is the root).
+enum Reader {
+    /// `count`: the tuples alone, read at the group node.
+    Rows,
+    /// The root-path node at this level exposes the attribute, or holds a
+    /// partial-aggregate component computing the function.
+    Node(usize),
+    /// Child `j` of the root-path node at `level`, off the path, provides
+    /// it down `spine`.
+    Child {
+        level: usize,
+        j: usize,
+        spine: Vec<usize>,
+    },
+}
+
+impl Reader {
+    /// The first provider of `op` on `path`, top-down: a node on the path
+    /// itself, else a child of it off the path.
+    fn resolve(ftree: &FTree, path: &[NodeId], op: &AggOp) -> Result<Reader> {
+        if op.attr().is_none() {
+            return Ok(Reader::Rows);
+        }
+        for (level, &n) in path.iter().enumerate() {
+            if node_provides(&ftree.node(n).label, op) {
+                return Ok(Reader::Node(level));
+            }
+            let on_path = path.get(level + 1);
+            for (j, c) in ftree.node(n).children.iter().enumerate() {
+                if Some(c) != on_path && subtree_provides(ftree, *c, op) {
+                    let (spine, _) = providing_spine(ftree, *c, op)?;
+                    return Ok(Reader::Child { level, j, spine });
+                }
+            }
+        }
+        Err(FdbError::InvalidComposition(format!(
+            "no node provides {op:?}; a prior aggregate hid the attribute"
+        )))
+    }
+}
+
+/// One entry of a root-path union as every function of a group fold
+/// sees it: its own multiplicity and its children's tuple counts are
+/// computed on first request and shared by all functions.
+struct Here<'a, 'b> {
+    ftree: &'a FTree,
+    label: &'a NodeLabel,
+    e: EntryRef<'a>,
+    /// The child on the path; `None` at the group node.
+    path_child: Option<usize>,
+    own: Option<i64>,
+    /// Per child, its tuple count once computed.
+    counts: &'b mut Vec<Option<i64>>,
+}
+
+impl Here<'_, '_> {
+    /// The multiplicity of the entry's factors beside the path: its own
+    /// (unless `own` is false — a partial already counts its tuples) times
+    /// the tuple counts of its children off the path but `provider`.
+    fn mult(&mut self, own: bool, provider: Option<usize>) -> Result<i64> {
+        let mut mult = 1;
+        if own {
+            mult = match self.own {
+                Some(m) => m,
+                None => *self
+                    .own
+                    .insert(entry_multiplicity(self.label, self.e.value())?),
+            };
+        }
+        for j in 0..self.e.child_count() {
+            if Some(j) == self.path_child || Some(j) == provider {
+                continue;
+            }
+            let n = match self.counts[j] {
+                Some(n) => n,
+                None => *self.counts[j].insert(count_union(self.ftree, self.e.child(j))?),
+            };
+            mult = checked(mult.checked_mul(n))?;
+        }
+        Ok(mult)
+    }
+}
+
+/// A function's context below one root-path entry: the multiplicity of
+/// the tuples above until its reader is passed, then their value.
+enum Ctx<A> {
+    Mult(i64),
+    Value(A),
+}
+
+/// One function of a group fold; the walk ([`GroupWalk`]) is shared.
+trait GroupSink {
+    /// Whether the function reads its input on `level`.
+    fn reads_at(&self, level: usize) -> bool;
+    /// Enters `at`, an entry of the root-path union on `level`.
+    fn enter(&mut self, at: &mut Here<'_, '_>, level: usize) -> Result<()>;
+    /// Leaves the entry entered last.
+    fn leave(&mut self);
+    /// Adds entries of an atomic leaf group node under the current
+    /// context to the groups `gids`, whose values are `keys` (a new
+    /// group's id is the number of groups so far).
+    fn add_leaf(&mut self, gids: &[u32], keys: &[Value]) -> Result<()>;
+    /// Adds the entries of `u`, a union of the group node on `level`, to
+    /// the groups `gids` (one per entry, as in [`GroupSink::add_leaf`]).
+    /// `counts` is scratch for [`Here::counts`].
+    fn add(
+        &mut self,
+        ftree: &FTree,
+        u: UnionRef<'_>,
+        level: usize,
+        gids: &[u32],
+        counts: &mut Vec<Option<i64>>,
+    ) -> Result<()>;
+    /// The function's value per group, by group id.
+    fn finish(&mut self) -> Result<Vec<Value>>;
+}
+
+/// The per-group accumulators of fold `f` (computing `op`) and its
+/// context stack along the root path.
+struct Table<F: Fold> {
+    f: F,
+    op: AggOp,
+    reader: Reader,
+    stack: Vec<Ctx<F::Acc>>,
+    groups: Vec<F::Acc>,
+}
+
+impl<F: Fold> Table<F> {
+    /// Combines `term` into group `gid`, a new group when it is the
+    /// number of groups so far.
+    fn combine_into(&mut self, gid: u32, term: F::Acc) {
+        let gid = gid as usize;
+        if gid == self.groups.len() {
+            self.groups.push(F::ZERO);
+        }
+        let acc = std::mem::replace(&mut self.groups[gid], F::ZERO);
+        self.groups[gid] = self.f.combine(acc, term);
+    }
+
+    /// The context below `at` on `level`. Before the reader, the
+    /// multiplicity grows by the entry's; at it, the reader's term is
+    /// scaled by the multiplicity of everything else so far; below it,
+    /// the value is scaled by the entry's multiplicity. As in
+    /// [`fold_union`], a NULL input is never scaled.
+    fn below(&self, at: &mut Here<'_, '_>, level: usize) -> Result<Ctx<F::Acc>> {
+        let f = &self.f;
+        let m = match self.stack.last().expect("the root context") {
+            Ctx::Value(acc) => {
+                let mult = if F::SCALES { at.mult(true, None)? } else { 1 };
+                return Ok(Ctx::Value(f.scale(acc.clone(), mult)));
+            }
+            Ctx::Mult(m) => *m,
+        };
+        let (term, own, provider, null) = match &self.reader {
+            Reader::Node(l) if *l == level => {
+                let v = at.e.value();
+                match at.label {
+                    NodeLabel::Atomic(_) => (f.atom(v)?, false, None, v.is_null()),
+                    NodeLabel::Agg(l) => {
+                        let v = component(l, v, l.component_of(&self.op).unwrap());
+                        (f.partial(v)?, false, None, v.is_null())
+                    }
+                }
+            }
+            Reader::Child { level: l, j, spine } if *l == level => {
+                let term = fold_union(f, at.ftree, &self.op, at.e.child(*j), spine)?;
+                (term, true, Some(*j), false)
+            }
+            Reader::Rows if at.path_child.is_none() => (f.atom(at.e.value())?, true, None, false),
+            _ if F::SCALES => return Ok(Ctx::Mult(checked(m.checked_mul(at.mult(true, None)?))?)),
+            _ => return Ok(Ctx::Mult(1)),
+        };
+        let mut mult = 1;
+        if F::SCALES && !null {
+            mult = checked(m.checked_mul(at.mult(own, provider)?))?;
+        }
+        Ok(Ctx::Value(f.scale(term, mult)))
+    }
+}
+
+impl<F: Fold> GroupSink for Table<F> {
+    fn reads_at(&self, level: usize) -> bool {
+        match self.reader {
+            Reader::Rows => false,
+            Reader::Node(l) | Reader::Child { level: l, .. } => l == level,
+        }
+    }
+
+    fn enter(&mut self, at: &mut Here<'_, '_>, level: usize) -> Result<()> {
+        let ctx = self.below(at, level)?;
+        self.stack.push(ctx);
+        Ok(())
+    }
+
+    fn leave(&mut self) {
+        self.stack.pop();
+    }
+
+    fn add(
+        &mut self,
+        ftree: &FTree,
+        u: UnionRef<'_>,
+        level: usize,
+        gids: &[u32],
+        counts: &mut Vec<Option<i64>>,
+    ) -> Result<()> {
+        let label = &ftree.node(u.node()).label;
+        for (e, &gid) in u.entries().zip(gids) {
+            counts.clear();
+            counts.resize(e.child_count(), None);
+            let mut at = Here {
+                ftree,
+                label,
+                e,
+                path_child: None,
+                own: None,
+                counts,
+            };
+            let Ctx::Value(term) = self.below(&mut at, level)? else {
+                unreachable!("every reader is passed by the group node");
+            };
+            self.combine_into(gid, term);
+        }
+        Ok(())
+    }
+
+    fn add_leaf(&mut self, gids: &[u32], keys: &[Value]) -> Result<()> {
+        // An atomic leaf entry stands for one tuple and has no children:
+        // nothing at it scales the context.
+        let m = match self.stack.last().expect("the root context") {
+            Ctx::Value(acc) => {
+                let acc = acc.clone();
+                for &gid in gids {
+                    self.combine_into(gid, acc.clone());
+                }
+                return Ok(());
+            }
+            Ctx::Mult(m) => *m,
+        };
+        // The reader is the group node: its value, or (`count`) its row.
+        for &gid in gids {
+            let v = &keys[gid as usize];
+            let term = self.f.atom(v)?;
+            let null = !matches!(self.reader, Reader::Rows) && v.is_null();
+            let mult = if F::SCALES && !null { m } else { 1 };
+            let term = self.f.scale(term, mult);
+            self.combine_into(gid, term);
+        }
+        Ok(())
+    }
+
+    fn finish(&mut self) -> Result<Vec<Value>> {
+        std::mem::take(&mut self.groups)
+            .into_iter()
+            .map(|acc| self.f.finish(acc))
+            .collect()
+    }
+}
+
+/// The sink of one function of a group fold on `path`.
+fn group_sink(ftree: &FTree, path: &[NodeId], op: AggOp) -> Result<Box<dyn GroupSink>> {
+    fn table<F: Fold + 'static>(f: F, op: AggOp, reader: Reader) -> Box<dyn GroupSink> {
+        Box::new(Table {
+            f,
+            op,
+            reader,
+            stack: vec![Ctx::Mult(1)],
+            groups: Vec::new(),
+        })
+    }
+    let reader = Reader::resolve(ftree, path, &op)?;
+    Ok(match op {
+        AggOp::Count => table(Count, op, reader),
+        AggOp::Sum(_) => table(Sum, op, reader),
+        AggOp::Min(_) => table(Extremum(true), op, reader),
+        AggOp::Max(_) => table(Extremum(false), op, reader),
+        AggOp::Product(_) => table(Product, op, reader),
+        AggOp::Exists(_, c, r) => table(Quantifier::<true>(c, r), op, reader),
+        AggOp::Forall(_, c, r) => table(Quantifier::<false>(c, r), op, reader),
+        AggOp::TopK(_, k) => table(TopK(k), op, reader),
+        AggOp::CountDistinct(_) => {
+            return Err(FdbError::InvalidOperator(format!(
+                "{op:?} does not compose, so it cannot fold by group"
+            )))
+        }
+    })
+}
+
+/// The shared top-down walk of a group fold.
+struct GroupWalk<'a> {
+    ftree: &'a FTree,
+    /// Per root-path level but the last, the child position of the path.
+    path: Vec<usize>,
+    /// Per root-path level but the last, whether every context passes it
+    /// unchanged: an atomic node whose only child is on the path and
+    /// where no function reads.
+    quiet: Vec<bool>,
+    /// Whether the group node is an atomic leaf: then the functions see
+    /// its entries as group ids alone, in one batch per context.
+    leaf: bool,
+    sinks: Vec<Box<dyn GroupSink>>,
+    /// Group ids of the group node's values, each group's value, and the
+    /// ids of the group-node entries not yet added.
+    ids: DenseIds,
+    keys: Vec<Value>,
+    gids: Vec<u32>,
+    /// Scratch for [`Here::counts`].
+    counts: Vec<Option<i64>>,
+}
+
+impl<'a> GroupWalk<'a> {
+    fn walk(&mut self, u: UnionRef<'a>, level: usize) -> Result<()> {
+        let Some(&j) = self.path.get(level) else {
+            let (col, vals) = u.value_indices();
+            for val in vals {
+                let gid = self.ids.intern(&col, val);
+                if gid as usize == self.keys.len() {
+                    self.keys.push(col.get(val).clone());
+                }
+                self.gids.push(gid);
+            }
+            if !self.leaf {
+                for s in &mut self.sinks {
+                    s.add(self.ftree, u, level, &self.gids, &mut self.counts)?;
+                }
+                self.gids.clear();
+            }
+            return Ok(());
+        };
+        if self.quiet[level] {
+            for e in u.entries() {
+                self.walk(e.child(j), level + 1)?;
+            }
+            return Ok(());
+        }
+        let label = &self.ftree.node(u.node()).label;
+        for e in u.entries() {
+            self.counts.clear();
+            self.counts.resize(e.child_count(), None);
+            let mut at = Here {
+                ftree: self.ftree,
+                label,
+                e,
+                path_child: Some(j),
+                own: None,
+                counts: &mut self.counts,
+            };
+            for s in &mut self.sinks {
+                s.enter(&mut at, level)?;
+            }
+            self.walk(e.child(j), level + 1)?;
+            self.flush()?;
+            for s in &mut self.sinks {
+                s.leave();
+            }
+        }
+        Ok(())
+    }
+
+    /// Adds the leaf group entries gathered under the current context.
+    fn flush(&mut self) -> Result<()> {
+        if self.leaf && !self.gids.is_empty() {
+            for s in &mut self.sinks {
+                s.add_leaf(&self.gids, &self.keys)?;
+            }
+            self.gids.clear();
+        }
+        Ok(())
+    }
+}
+
+/// `γ_funcs` grouped by the atomic node `g`, over the relation
+/// represented by `root` (the union of the tree's only root): each
+/// group's value in ascending group order, as `(group value, value)`
+/// with a `Tup` value for several functions ([`eval_funcs`]).
+///
+/// One walk down the root path to `g` serves every function. Each
+/// carries a context down the path: the multiplicity of the tuples so
+/// far, until it meets its provider — a node on the path, whose value it
+/// reads, or a child off the path, which [`fold_union`] folds — and from
+/// then on the accumulated value, scaled by each entry's multiplicity
+/// beside the path. At `g` each entry's term combines into the table
+/// slot of its value, interned once per visit into one [`DenseIds`].
+/// Multiplicities are checked like everywhere else in this module.
+pub(crate) fn fold_groups(
+    ftree: &FTree,
+    root: UnionRef<'_>,
+    g: NodeId,
+    funcs: &[AggOp],
+) -> Result<Vec<(Value, Value)>> {
+    let nodes = ftree.root_path(g);
+    let path = nodes[1..]
+        .iter()
+        .map(|&n| ftree.child_position(n))
+        .collect();
+    let sinks: Vec<Box<dyn GroupSink>> = funcs
+        .iter()
+        .map(|&op| group_sink(ftree, &nodes, op))
+        .collect::<Result<_>>()?;
+    let quiet = (0..nodes.len() - 1)
+        .map(|level| {
+            let node = ftree.node(nodes[level]);
+            matches!(node.label, NodeLabel::Atomic(_))
+                && node.children.len() == 1
+                && sinks.iter().all(|s| !s.reads_at(level))
+        })
+        .collect();
+    let mut walk = GroupWalk {
+        ftree,
+        path,
+        quiet,
+        leaf: ftree.node(g).children.is_empty(),
+        sinks,
+        ids: DenseIds::new(),
+        keys: Vec::new(),
+        gids: Vec::new(),
+        counts: Vec::new(),
+    };
+    walk.walk(root, 0)?;
+    walk.flush()?;
+    let mut cols = walk
+        .sinks
+        .iter_mut()
+        .map(|s| s.finish())
+        .collect::<Result<Vec<_>>>()?;
+    let mut order: Vec<usize> = (0..walk.keys.len()).collect();
+    order.sort_unstable_by(|&a, &b| walk.keys[a].cmp(&walk.keys[b]));
+    Ok(order
+        .into_iter()
+        .map(|gid| {
+            let mut vals: Vec<Value> = cols
+                .iter_mut()
+                .map(|c| std::mem::replace(&mut c[gid], Value::Null))
+                .collect();
+            let v = if vals.len() == 1 {
+                vals.pop().unwrap()
+            } else {
+                Value::tup(vals)
+            };
+            (std::mem::replace(&mut walk.keys[gid], Value::Null), v)
+        })
+        .collect())
 }
 
 /// The providing spine of `count(distinct A)` below `node`. The

@@ -1248,12 +1248,15 @@ pub struct FRep {
     arena: Arena,
     roots: Vec<UnionId>,
     /// Lazily built, memoised count annotations (see [`CountIndex`]).
-    /// Cloning an `FRep` (or sharing it behind an `Arc`) shares the
-    /// computed index; every structural transformation rebuilds the
-    /// representation through [`FRep::from_arena`] and therefore starts
-    /// from an empty cell — the invalidation rule is "new arena parts,
-    /// new cell", with no manual bookkeeping.
-    counts: OnceLock<Arc<CountIndex>>,
+    /// The cell itself is shared: a clone shares it with its original,
+    /// so the first build by any of them — a query's private snapshot of
+    /// a registered view, say — serves the view and every later snapshot
+    /// of that version too. Whatever changes the arena or the roots gets
+    /// a cell of its own: every structural transformation rebuilds the
+    /// representation through [`FRep::from_arena`], and the delta
+    /// mutators install a fresh cell ([`FRep::update_parts`]) rather than
+    /// clear the shared one, which the pre-write snapshots keep.
+    counts: Arc<OnceLock<Arc<CountIndex>>>,
 }
 
 impl FRep {
@@ -1273,7 +1276,7 @@ impl FRep {
             ftree,
             arena,
             roots,
-            counts: OnceLock::new(),
+            counts: Arc::default(),
         }
     }
 
@@ -1298,7 +1301,7 @@ impl FRep {
             ftree,
             arena,
             roots: root_ids,
-            counts: OnceLock::new(),
+            counts: Arc::default(),
         };
         rep.check_invariants()?;
         Ok(rep)
@@ -1317,7 +1320,7 @@ impl FRep {
             ftree,
             arena,
             roots,
-            counts: OnceLock::new(),
+            counts: Arc::default(),
         }
     }
 
@@ -1380,7 +1383,7 @@ impl FRep {
             ftree,
             arena,
             roots,
-            counts: OnceLock::new(),
+            counts: Arc::default(),
         };
         debug_assert!(rep.check_invariants().is_ok());
         Ok(rep)
@@ -1432,13 +1435,12 @@ impl FRep {
     }
 
     /// Split borrow for the delta mutators ([`crate::update`]): the
-    /// f-tree read-only, the arena and root list writable. Drops any
-    /// memoised count index first — a wrapper obtained by cloning an
-    /// `Arc`-shared snapshot carries the snapshot's (possibly built)
-    /// `OnceLock`, and a mutation must never leave a pre-mutation
-    /// index behind. The snapshot itself keeps its own copy.
+    /// f-tree read-only, the arena and root list writable. Installs a
+    /// fresh count-index cell first: a clone of a snapshot shares the
+    /// snapshot's cell, and a mutation must neither leave a pre-mutation
+    /// index behind nor take the snapshot's away.
     pub(crate) fn update_parts(&mut self) -> (&FTree, &mut Arena, &mut Vec<UnionId>) {
-        self.counts.take();
+        self.counts = Arc::default();
         (&self.ftree, &mut self.arena, &mut self.roots)
     }
 
@@ -1446,6 +1448,15 @@ impl FRep {
     /// staleness-invariant suite).
     pub fn has_count_index(&self) -> bool {
         self.counts.get().is_some()
+    }
+
+    /// Whether `self` and `other` read one built count index (one is a
+    /// clone of the other, and neither was written since).
+    pub fn shares_count_index_with(&self, other: &FRep) -> bool {
+        match (self.counts.get(), other.counts.get()) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 
     /// Shared borrow of the arena (crate-internal; read-only walks).
@@ -1465,9 +1476,9 @@ impl FRep {
         self.root_unions().map(|u| u.singleton_count()).sum()
     }
 
-    /// The count annotations, built on first use and memoised for the
-    /// lifetime of this representation: `Arc`-shared snapshots compute
-    /// the index once and every clone reads the same buffers.
+    /// The count annotations, built on first use and memoised in the cell
+    /// this representation shares with its clones: they compute the
+    /// index once and all read the same buffers.
     pub(crate) fn count_index(&self) -> &Arc<CountIndex> {
         self.counts
             .get_or_init(|| Arc::new(self.arena.build_counts(&self.roots)))

@@ -617,6 +617,34 @@ impl FTree {
         Ok(new_id)
     }
 
+    /// Swaps `n` with its parent until it is a root.
+    pub fn lift(&mut self, n: NodeId) -> Result<()> {
+        while let Some(p) = self.node(n).parent {
+            self.swap(p, n)?;
+        }
+        Ok(())
+    }
+
+    /// The f-tree effect of a group fold on `g` (`FOp::GroupFold`): `g`
+    /// is lifted to the root by swaps with its parent, then one `γ`
+    /// replaces all its children. Needs a single-rooted tree and an atomic
+    /// `g`; returns the new aggregate node.
+    pub fn group_fold(
+        &mut self,
+        g: NodeId,
+        funcs: Vec<AggOp>,
+        outputs: Vec<AttrId>,
+    ) -> Result<NodeId> {
+        if self.roots.len() != 1 || !matches!(self.node(g).label, NodeLabel::Atomic(_)) {
+            return Err(FdbError::InvalidOperator(format!(
+                "a group fold needs one root and an atomic group node, not {g:?}"
+            )));
+        }
+        self.lift(g)?;
+        let targets = self.node(g).children.clone();
+        self.aggregate(Some(g), &targets, funcs, outputs)
+    }
+
     /// Removes a leaf node (projection step). Dependencies are updated as
     /// for aggregation but with no new outputs.
     pub fn remove_leaf(&mut self, n: NodeId) -> Result<usize> {

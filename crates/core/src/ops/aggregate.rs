@@ -131,6 +131,42 @@ pub fn aggregate(
     Ok(out)
 }
 
+/// The group fold on node `group`: the representation the swaps lifting
+/// `group` to the root and `γ` with `funcs` (named `outputs`) over all
+/// its children would produce ([`FTree::group_fold`]), built afresh from
+/// one top-down pass over the input ([`crate::agg`]'s group fold) — one
+/// entry per group, each with its aggregate leaf. The input must have a
+/// single root.
+pub fn group_fold(
+    rep: FRep,
+    group: NodeId,
+    funcs: Vec<AggOp>,
+    outputs: Vec<AttrId>,
+) -> Result<FRep> {
+    if funcs.is_empty() || funcs.len() != outputs.len() {
+        return Err(FdbError::InvalidOperator(
+            "group fold needs parallel funcs/outputs".into(),
+        ));
+    }
+    let mut tree = rep.ftree().clone();
+    let node = tree.group_fold(group, funcs.clone(), outputs)?;
+    if rep.is_empty() {
+        return Ok(FRep::empty(tree));
+    }
+    let groups = crate::agg::fold_groups(rep.ftree(), rep.root(0), group, &funcs)?;
+    let mut arena = Arena::default();
+    let mut specs = Vec::with_capacity(groups.len());
+    for (key, value) in groups {
+        let leaf = leaf_union(&mut arena, node, value);
+        specs.push(arena.entry(group, key, &[leaf]));
+    }
+    let root = arena.push_union(group, &specs);
+    arena.seal();
+    let out = FRep::from_arena(tree, arena, vec![root]);
+    debug_assert!(out.check_invariants().is_ok());
+    Ok(out)
+}
+
 /// A one-entry, zero-children aggregate leaf `⟨F(U):v⟩`.
 fn leaf_union(dst: &mut Arena, node: NodeId, value: Value) -> UnionId {
     let spec = dst.entry(node, value, &[]);

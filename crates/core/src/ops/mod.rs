@@ -10,6 +10,7 @@
 //! | `merge` / `absorb` | `A = B` selections (siblings / path) | [`restructure`] |
 //! | `swap` | restructuring `χ_{A,B}` | [`restructure`] |
 //! | `aggregate` | the new aggregation operator `γ_F(U)` | [`mod@aggregate`] |
+//! | `group_fold` | `γ_F` grouped by one node, in one pass | [`mod@aggregate`] |
 //! | `project_away` | projection (leaf removal, with push-down) | [`project`] |
 //! | `rename` | constant-time attribute renaming | [`project`] |
 //!
@@ -37,7 +38,7 @@ pub mod project;
 pub mod restructure;
 pub mod select;
 
-pub use aggregate::{aggregate, AggTarget};
+pub use aggregate::{aggregate, group_fold, AggTarget};
 pub use product::product;
 pub use project::{project_away, remove_leaf, rename};
 pub use restructure::{absorb, merge, swap};

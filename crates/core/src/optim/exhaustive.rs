@@ -5,7 +5,7 @@
 //! Dijkstra's algorithm to find the minimum-cost f-plan" — with
 //! Proposition 3 characterising the outgoing edges (permissible
 //! operators): applicable selections, permissible aggregation operators,
-//! and any swap. Edge cost is the size bound of the operator's output tree
+//! and any swap — plus the group fold where its shape rule holds. Edge cost is the size bound of the operator's output tree
 //! (the paper's metric), so the path cost estimates total intermediate
 //! size.
 //!
@@ -18,7 +18,8 @@ use crate::error::{FdbError, Result};
 use crate::ftree::{FTree, NodeLabel};
 use crate::optim::cost::{tree_cost, Stats};
 use crate::optim::greedy::{
-    applicable_selection, best_aggregate, finish, group_violation, order_violation, QuerySpec,
+    applicable_selection, best_aggregate, finish, group_fold, group_violation, order_violation,
+    QuerySpec,
 };
 use crate::plan::{apply_to_tree, FOp, FPlan};
 use fdb_relational::{AttrId, Catalog};
@@ -174,6 +175,15 @@ pub fn exhaustive(
                     plan.push(op);
                     push(tree, state.pending.clone(), plan, state.cost, &mut heap);
                 }
+            }
+        }
+        // The group fold, where its shape rule holds.
+        if let Some(op) = group_fold(&state.tree, spec, &state.pending, catalog)? {
+            let mut tree = state.tree.clone();
+            if apply_to_tree(&mut tree, &op).is_ok() {
+                let mut plan = state.plan.clone();
+                plan.push(op);
+                push(tree, state.pending.clone(), plan, state.cost, &mut heap);
             }
         }
         // Every swap.

@@ -1,7 +1,10 @@
 //! The polynomial-time greedy heuristic of §5.2.
 //!
 //! Repeatedly, in priority order: (1) execute a permissible selection
-//! operator on a highest-placed node; (2) execute a permissible aggregation
+//! operator on a highest-placed node; then, once no selection is pending,
+//! fold a single non-root group attribute in one pass where the group
+//! fold's shape rule holds (`group_fold`) — it stands for steps 2 and
+//! 4; (2) execute a permissible aggregation
 //! operator with maximal subject; (3) restructure for a pending selection,
 //! choosing the cheapest of lifting one side, the other, or both; (4) lift
 //! group-by attributes above non-group parents; (5) fix order-by
@@ -91,6 +94,13 @@ pub fn greedy(
         if let Some((i, op)) = applicable_selection(&tree, &pending) {
             emit(&mut tree, &mut plan, op)?;
             pending.remove(i);
+            continue;
+        }
+        // The group fold, in place of steps 2 and 4 for its shape: every
+        // group's aggregate read off in one pass over the input, instead
+        // of partial γs rewriting the spine and swaps lifting the group.
+        if let Some(op) = group_fold(&tree, spec, &pending, catalog)? {
+            emit(&mut tree, &mut plan, op)?;
             continue;
         }
         // Step 2: permissible aggregation operator with maximal subject.
@@ -291,6 +301,58 @@ pub(crate) fn applicable_selection(
         }
     }
     best.map(|(_, i, op)| (i, op))
+}
+
+/// The group fold on `tree` when its shape rule holds: every pending
+/// selection done, one root, exactly one group attribute, on an atomic
+/// non-root node, and only final functions that one fold evaluates.
+/// `top_k` (whose merge sorts at every entry, slower than the swap plan)
+/// and `count(distinct)` (which does not compose) keep the swap plan.
+/// Its functions are the partial ones of the `γ` it stands for.
+pub(crate) fn group_fold(
+    tree: &FTree,
+    spec: &QuerySpec,
+    pending: &[(AttrId, AttrId)],
+    catalog: &mut Catalog,
+) -> Result<Option<FOp>> {
+    let group = match spec.group_by[..] {
+        [attr] => tree.node_of_attr(attr),
+        _ => None,
+    };
+    let folds = spec.final_funcs.iter().all(|f| {
+        matches!(
+            f,
+            AggOp::Sum(_)
+                | AggOp::Count
+                | AggOp::Min(_)
+                | AggOp::Max(_)
+                | AggOp::Product(_)
+                | AggOp::Exists(..)
+                | AggOp::Forall(..)
+        )
+    });
+    let Some(group) = group.filter(|&g| {
+        pending.is_empty()
+            && spec.is_aggregate()
+            && folds
+            && tree.roots().len() == 1
+            && tree.node(g).parent.is_some()
+            && matches!(tree.node(g).label, NodeLabel::Atomic(_))
+    }) else {
+        return Ok(None);
+    };
+    let mut lifted = tree.clone();
+    lifted.lift(group)?;
+    let funcs = partial_funcs(&lifted, &lifted.node(group).children, &spec.final_funcs);
+    let outputs: Vec<AttrId> = funcs
+        .iter()
+        .map(|f| catalog.fresh(&format!("partial_{}", f.display(catalog))))
+        .collect();
+    Ok(Some(FOp::GroupFold {
+        group,
+        funcs,
+        outputs,
+    }))
 }
 
 /// Step 2: the permissible aggregation target with the most atomic
@@ -661,10 +723,11 @@ mod tests {
             ..Default::default()
         };
         let plan = greedy(rep.ftree(), &spec, &stats, &mut c).unwrap();
-        // The plan must start with a partial aggregation (the item-price
-        // subtree is aggregatable before any restructuring).
+        // One group attribute on a non-root node of a single-rooted tree:
+        // the plan starts with the group fold and swaps nothing.
         assert!(
-            matches!(plan.ops[0], FOp::Aggregate { .. }),
+            matches!(plan.ops[0], FOp::GroupFold { .. })
+                && !plan.ops.iter().any(|op| matches!(op, FOp::Swap { .. })),
             "plan: {}",
             plan.display(&c, rep.ftree())
         );

@@ -17,7 +17,9 @@
 //! * a **restructure** stage is a single `Swap` — the operator that
 //!   rebuilds whole levels and therefore bounds fusion (the `product`
 //!   splice happens before plan execution and is already a single
-//!   table append).
+//!   table append);
+//! * a **fold** stage is a single `GroupFold`, which reads the whole
+//!   input once and builds its (small) result in a fresh arena.
 //!
 //! ## Execution
 //!
@@ -55,6 +57,8 @@ pub enum StageKind {
     Fused,
     /// A single `Swap` — rebuilds levels, bounds fusion.
     Restructure,
+    /// A single `GroupFold` — a fresh representation, bounds fusion.
+    Fold,
 }
 
 /// One stage: a range of operator indices into [`FPlan::ops`].
@@ -75,31 +79,36 @@ impl Stage {
     }
 }
 
-/// True for operators that only rewrite along a root path and
-/// therefore fuse into a stage.
-fn fusible(op: &FOp) -> bool {
-    !matches!(op, FOp::Swap { .. })
+/// The stage of its own an operator needs, or `None` for operators
+/// that only rewrite along a root path and therefore fuse.
+fn own_stage(op: &FOp) -> Option<StageKind> {
+    match op {
+        FOp::Swap { .. } => Some(StageKind::Restructure),
+        FOp::GroupFold { .. } => Some(StageKind::Fold),
+        _ => None,
+    }
 }
 
-/// Segments a plan into fusible stages with `Swap` boundaries.
+/// Segments a plan into fusible stages with `Swap` and `GroupFold`
+/// boundaries.
 pub fn segment(plan: &FPlan) -> Vec<Stage> {
     let mut out = Vec::new();
     let mut run_start: Option<usize> = None;
     for (i, op) in plan.ops.iter().enumerate() {
-        if fusible(op) {
+        let Some(kind) = own_stage(op) else {
             run_start.get_or_insert(i);
-        } else {
-            if let Some(s) = run_start.take() {
-                out.push(Stage {
-                    ops: s..i,
-                    kind: StageKind::Fused,
-                });
-            }
+            continue;
+        };
+        if let Some(s) = run_start.take() {
             out.push(Stage {
-                ops: i..i + 1,
-                kind: StageKind::Restructure,
+                ops: s..i,
+                kind: StageKind::Fused,
             });
         }
+        out.push(Stage {
+            ops: i..i + 1,
+            kind,
+        });
     }
     if let Some(s) = run_start {
         out.push(Stage {
@@ -126,6 +135,7 @@ pub fn render_stages(stages: &[Stage]) -> String {
         match s.kind {
             StageKind::Fused => out.push_str(" fused"),
             StageKind::Restructure => out.push_str(" restructure"),
+            StageKind::Fold => out.push_str(" fold"),
         }
     }
     out
@@ -186,13 +196,21 @@ pub fn execute(plan: &FPlan, rep: FRep) -> Result<(FRep, ExecStats)> {
         // Zero-stage pass-through: not even a byte is appended.
         return Ok((rep, stats));
     }
-    let counter_base = rep.stats_counter_base();
+    let mut counter_base = rep.stats_counter_base();
     let mut rep = rep;
     let mut bytes_before = rep.data_bytes();
     for stage in &stages {
         match stage.kind {
             StageKind::Restructure => {
                 rep = apply(rep, &plan.ops[stage.ops.start])?;
+            }
+            StageKind::Fold => {
+                // A fresh arena: all of it is the stage's allocation, and
+                // the input's share counter stops here.
+                stats.copies_avoided += rep.stats_counter_base().saturating_sub(counter_base);
+                rep = apply(rep, &plan.ops[stage.ops.start])?;
+                counter_base = rep.stats_counter_base();
+                bytes_before = 0;
             }
             StageKind::Fused => {
                 let mut i = stage.ops.start;
@@ -217,7 +235,7 @@ pub fn execute(plan: &FPlan, rep: FRep) -> Result<(FRep, ExecStats)> {
             }
         }
         // Intermediate allocation of the stage: what the operators
-        // appended (the arena only grows within a stage; the
+        // appended (the arena only grows within a fused stage; the
         // rare root-level-aggregate-of-empty shortcut replaces the
         // arena by a smaller one, hence the saturation).
         let bytes_after = rep.data_bytes();
@@ -235,7 +253,7 @@ pub fn execute(plan: &FPlan, rep: FRep) -> Result<(FRep, ExecStats)> {
         stats.compacted = true;
         stats.intermediate_bytes += rep.data_bytes();
     }
-    stats.copies_avoided = rep.stats_counter_base().saturating_sub(counter_base);
+    stats.copies_avoided += rep.stats_counter_base().saturating_sub(counter_base);
     Ok((rep, stats))
 }
 

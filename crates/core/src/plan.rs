@@ -35,6 +35,15 @@ pub enum FOp {
         funcs: Vec<AggOp>,
         outputs: Vec<AttrId>,
     },
+    /// `γ_funcs` grouped by the atomic node `group`, read off in one
+    /// top-down pass ([`ops::group_fold`]). Its f-tree effect is that of
+    /// swaps lifting `group` to the root followed by `γ_funcs` over all
+    /// its children; its data is new, and no swap or `γ` runs.
+    GroupFold {
+        group: NodeId,
+        funcs: Vec<AggOp>,
+        outputs: Vec<AttrId>,
+    },
     /// Projection of one attribute.
     ProjectAway { attr: AttrId },
     /// Constant-time renaming.
@@ -134,6 +143,32 @@ impl FPlan {
                         os.join(",")
                     );
                 }
+                FOp::GroupFold {
+                    group,
+                    funcs,
+                    outputs,
+                } => {
+                    let fs: Vec<String> = funcs.iter().map(|f| f.display(catalog)).collect();
+                    let os: Vec<&str> = outputs.iter().map(|&o| catalog.name(o)).collect();
+                    // Every node but the group node (the tree has one root).
+                    let over: Vec<String> = match &tree {
+                        Some(t) => t
+                            .subtree_nodes(t.roots()[0])
+                            .into_iter()
+                            .filter(|n| n != group)
+                            .map(name)
+                            .collect(),
+                        None => Vec::new(),
+                    };
+                    let _ = writeln!(
+                        out,
+                        "fold by {}: γ[{}] over [{}] -> {}",
+                        name(*group),
+                        fs.join(","),
+                        over.join(", "),
+                        os.join(",")
+                    );
+                }
                 FOp::ProjectAway { attr } => {
                     let _ = writeln!(out, "project away {}", catalog.name(*attr));
                 }
@@ -179,6 +214,11 @@ pub fn apply(rep: FRep, op: &FOp) -> Result<FRep> {
             funcs.clone(),
             outputs.clone(),
         ),
+        FOp::GroupFold {
+            group,
+            funcs,
+            outputs,
+        } => ops::group_fold(rep, *group, funcs.clone(), outputs.clone()),
         FOp::ProjectAway { attr } => ops::project_away(rep, *attr),
         FOp::Rename { from, to } => ops::rename(rep, *from, *to),
     }
@@ -198,6 +238,13 @@ pub fn apply_to_tree(tree: &mut FTree, op: &FOp) -> Result<()> {
             outputs,
         } => tree
             .aggregate(*parent, targets, funcs.clone(), outputs.clone())
+            .map(|_| ()),
+        FOp::GroupFold {
+            group,
+            funcs,
+            outputs,
+        } => tree
+            .group_fold(*group, funcs.clone(), outputs.clone())
             .map(|_| ()),
         FOp::ProjectAway { attr } => match tree.projection(*attr)? {
             Projection::ShrinkClass(node) => tree.shrink_class(node, *attr),

@@ -211,7 +211,7 @@ fn relational(plan: &FPlan, tree: &FTree, input: Relation) -> Option<Relation> {
     let first_attr = |t: &FTree, n: NodeId| t.node(n).label.exposed_attrs()[0];
     for op in &plan.ops {
         rel = match op {
-            FOp::Aggregate { .. } => return None,
+            FOp::Aggregate { .. } | FOp::GroupFold { .. } => return None,
             FOp::SelectConst { attr, op, value } => {
                 rel_ops::select(&rel, &[Predicate::AttrCmp(*attr, *op, value.clone())])
             }

@@ -1,0 +1,317 @@
+//! The group fold held to the relational engines. A query with one
+//! `GROUP BY` attribute on a non-root node of a single-rooted f-tree and
+//! only composable functions plans one fold instead of partial `γ`s and
+//! swaps; its rows must be the relational engines' under every `WHERE`,
+//! `ORDER BY`, `LIMIT`/`OFFSET` and `HAVING` shape on the orders view
+//! `R1` (`package → {date → customer, item → price}`), with NULL group
+//! values and NULL inputs, and a multiplicity past `i64` is still
+//! refused. The shapes the fold leaves out keep the swap plan.
+
+mod common;
+
+use common::EnginePair;
+use fdb::relational::{Relation, Schema, Value};
+use fdb::workload::orders::{generate, OrdersConfig};
+use fdb::Catalog;
+
+/// `R1` as a factorised view for the factorised engine and as its flat
+/// join for the relational ones.
+fn r1_pair() -> EnginePair {
+    let mut catalog = Catalog::new();
+    let ds = generate(
+        &mut catalog,
+        &OrdersConfig {
+            scale: 1,
+            customers: 8,
+            seed: 0xF01D,
+        },
+    );
+    let view = ds.factorised_view();
+    let flat = view.flatten();
+    let mut pair = EnginePair::new(catalog);
+    pair.fdb.register_view("R1", view);
+    pair.rdb_sort.register("R1", flat.clone());
+    pair.rdb_hash.register("R1", flat);
+    pair
+}
+
+/// The executed f-plan of `sql` on the factorised engine.
+fn explain(pair: &mut EnginePair, sql: &str) -> String {
+    let result = pair
+        .fdb
+        .run_sql_result(sql)
+        .unwrap_or_else(|e| panic!("`{sql}`: {e}"));
+    result.explain(&pair.fdb.catalog)
+}
+
+/// Asserts that `sql` agrees with the relational engines and plans the
+/// group fold; returns the plan after the agreed rows.
+fn folds(pair: &mut EnginePair, sql: &str) -> (Relation, String) {
+    let out = pair.assert_all_agree(sql);
+    let plan = explain(pair, sql);
+    assert!(plan.contains("fold by"), "`{sql}` must fold:\n{plan}");
+    (out, plan)
+}
+
+/// [`folds`] on `R1`, a view: no join needs a swap, so none comes before
+/// the fold.
+fn folds_r1(pair: &mut EnginePair, sql: &str) -> Relation {
+    let (out, plan) = folds(pair, sql);
+    let fold = plan.find("fold by").unwrap();
+    assert!(
+        !plan[..fold].contains("swap"),
+        "`{sql}` swaps before its fold:\n{plan}"
+    );
+    out
+}
+
+/// Every composable function the fold takes (`AVG` arrives as a sum and
+/// a count), over `price` — the group attribute itself when grouping by
+/// price.
+const FUNCS: [&str; 8] = [
+    "SUM(price)",
+    "COUNT(*)",
+    "MIN(price)",
+    "MAX(price)",
+    "PRODUCT(price)",
+    "EXISTS(price > 12)",
+    "FORALL(price >= 3)",
+    "AVG(price)",
+];
+
+/// Every non-root attribute of `R1`.
+const GROUPS: [&str; 4] = ["date", "customer", "item", "price"];
+
+#[test]
+fn every_folded_function_agrees_per_group_and_selection() {
+    let mut pair = r1_pair();
+    for g in GROUPS {
+        for f in FUNCS {
+            let sql = format!("SELECT {g}, {f} AS v FROM R1 GROUP BY {g}");
+            let out = folds_r1(&mut pair, &sql);
+            assert!(!out.is_empty(), "`{sql}`");
+        }
+        // No selection, one on the root, one off the group's root path;
+        // every function in one walk.
+        let sibling = match g {
+            "date" | "customer" => " WHERE item <> 5",
+            _ => " WHERE date < 300",
+        };
+        for w in ["", " WHERE package <> 2", sibling] {
+            let all: Vec<String> = FUNCS
+                .iter()
+                .enumerate()
+                .map(|(k, f)| format!("{f} AS v{k}"))
+                .collect();
+            let sql = format!("SELECT {g}, {} FROM R1{w} GROUP BY {g}", all.join(", "));
+            folds_r1(&mut pair, &sql);
+        }
+    }
+}
+
+#[test]
+fn functions_over_the_root_path_and_the_group_attribute_fold() {
+    let mut pair = r1_pair();
+    for sql in [
+        // date lies on customer's root path; package is the root.
+        "SELECT customer, MIN(date) AS v FROM R1 GROUP BY customer",
+        "SELECT customer, MAX(package) AS v, COUNT(*) AS n FROM R1 GROUP BY customer",
+        "SELECT price, SUM(package) AS v FROM R1 GROUP BY price",
+        // The group attribute itself, read off each group's value.
+        "SELECT customer, SUM(customer) AS v FROM R1 GROUP BY customer",
+        "SELECT date, SUM(date) AS v, PRODUCT(price) AS p FROM R1 GROUP BY date",
+        "SELECT item, MIN(item) AS v, FORALL(item >= 0) AS f FROM R1 GROUP BY item",
+    ] {
+        folds_r1(&mut pair, sql);
+    }
+}
+
+#[test]
+fn ordered_paged_and_filtered_folds_agree() {
+    let mut pair = r1_pair();
+    for g in ["customer", "date", "item"] {
+        let base = format!("SELECT {g}, SUM(price) AS v FROM R1 GROUP BY {g}");
+        for tail in [
+            format!(" ORDER BY {g}"),
+            format!(" ORDER BY {g} DESC LIMIT 3"),
+            format!(" ORDER BY v DESC, {g} LIMIT 4 OFFSET 2"),
+            format!(" ORDER BY v, {g} LIMIT 5"),
+            " HAVING v > 100".to_string(),
+            format!(" HAVING v > 100 ORDER BY v DESC, {g} LIMIT 3 OFFSET 1"),
+        ] {
+            folds_r1(&mut pair, &format!("{base}{tail}"));
+        }
+        let avg = format!(
+            "SELECT {g}, AVG(price) AS a FROM R1 GROUP BY {g} ORDER BY a DESC, {g} LIMIT 5"
+        );
+        folds_r1(&mut pair, &avg);
+    }
+    // A selection that leaves nothing: no groups.
+    let none = "SELECT customer, SUM(price) AS v FROM R1 WHERE package > 1000000 GROUP BY customer";
+    assert!(folds_r1(&mut pair, none).is_empty());
+    // The fold's groups come out in value order.
+    let out = pair.run_fdb("SELECT customer, SUM(price) AS v FROM R1 GROUP BY customer");
+    let keys: Vec<&Value> = out.rows().map(|r| &r[0]).collect();
+    assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
+}
+
+#[test]
+fn excluded_shapes_keep_the_swap_plan() {
+    let mut pair = r1_pair();
+    for (sql, swaps) in [
+        (
+            "SELECT customer, TOP_K(price, 3) AS v FROM R1 GROUP BY customer",
+            true,
+        ),
+        (
+            "SELECT customer, COUNT(DISTINCT item) AS v FROM R1 GROUP BY customer",
+            true,
+        ),
+        (
+            "SELECT customer, SUM(price) AS v, TOP_K(price, 2) AS t FROM R1 GROUP BY customer",
+            true,
+        ),
+        (
+            "SELECT customer, date, SUM(price) AS v FROM R1 GROUP BY customer, date",
+            true,
+        ),
+        // The root is already on top: nothing to lift, nothing to fold.
+        (
+            "SELECT package, SUM(price) AS v FROM R1 GROUP BY package",
+            false,
+        ),
+        ("SELECT SUM(price) AS v FROM R1", false),
+    ] {
+        pair.assert_all_agree(sql);
+        let plan = explain(&mut pair, sql);
+        assert!(!plan.contains("fold by"), "`{sql}` must not fold:\n{plan}");
+        assert_eq!(plan.contains("swap"), swaps, "`{sql}`:\n{plan}");
+    }
+}
+
+/// Orders(customer, date, package), Packages(package, item),
+/// Items(item, price) from literal rows.
+fn orders_pair(orders: &[[Value; 3]], packages: &[[i64; 2]], items: &[(i64, Value)]) -> EnginePair {
+    let mut catalog = Catalog::new();
+    let [customer, date, package, item, price] =
+        ["customer", "date", "package", "item", "price"].map(|n| catalog.intern(n));
+    let mut pair = EnginePair::new(catalog);
+    pair.register(
+        "Orders",
+        Relation::from_rows(
+            Schema::new(vec![customer, date, package]),
+            orders.iter().map(|r| r.to_vec()),
+        ),
+    );
+    pair.register(
+        "Packages",
+        Relation::from_rows(
+            Schema::new(vec![package, item]),
+            packages
+                .iter()
+                .map(|r| r.iter().map(|&v| Value::Int(v)).collect()),
+        ),
+    );
+    pair.register(
+        "Items",
+        Relation::from_rows(
+            Schema::new(vec![item, price]),
+            items.iter().map(|(i, p)| vec![Value::Int(*i), p.clone()]),
+        ),
+    );
+    pair
+}
+
+#[test]
+fn null_group_values_and_null_inputs() {
+    let i = Value::Int;
+    // Customer NULL orders twice; customer 3's only item has a NULL price,
+    // and package 5 holds a NULL price beside two numbers.
+    let mut pair = orders_pair(
+        &[
+            [i(1), i(10), i(5)],
+            [i(1), i(11), i(6)],
+            [Value::Null, i(10), i(5)],
+            [Value::Null, i(12), i(6)],
+            [i(2), i(12), i(5)],
+            [i(3), i(10), i(8)],
+        ],
+        &[[5, 70], [5, 71], [5, 72], [6, 90], [8, 80]],
+        &[
+            (70, i(4)),
+            (71, Value::Null),
+            (72, i(7)),
+            (80, Value::Null),
+            (90, i(2)),
+        ],
+    );
+    let from = "Orders, Packages, Items";
+    for f in [
+        "COUNT(*)",
+        "MIN(price)",
+        "MAX(price)",
+        "PRODUCT(price)",
+        "EXISTS(price > 5)",
+        "FORALL(price > 1)",
+        "MIN(date)",
+        "SUM(date)",
+    ] {
+        for g in ["customer", "price", "date"] {
+            folds(
+                &mut pair,
+                &format!("SELECT {g}, {f} AS v FROM {from} GROUP BY {g}"),
+            );
+        }
+    }
+    let (out, _) = folds(
+        &mut pair,
+        &format!("SELECT customer, COUNT(*) AS n, MIN(price) AS lo FROM {from} GROUP BY customer"),
+    );
+    let rows: Vec<Vec<Value>> = out.rows().map(|r| r.to_vec()).collect();
+    // NULL is a group of its own: 3 + 1 tuples, the smallest price 2.
+    assert!(rows.contains(&vec![Value::Null, i(4), i(2)]), "{rows:?}");
+}
+
+/// An engine over `n` relations `T0(k, a0), …` of four rows each (`k` and
+/// `a` each `0` or `1`), and the `FROM` list of their join on `k`: one
+/// root `k` with `n` children, `2^(n+1)` tuples.
+fn star(n: usize) -> (fdb::FdbEngine, String) {
+    let mut catalog = Catalog::new();
+    let k = catalog.intern("k");
+    let attrs: Vec<_> = (0..n).map(|i| catalog.intern(&format!("a{i}"))).collect();
+    let mut engine = fdb::FdbEngine::new(catalog);
+    for (i, &a) in attrs.iter().enumerate() {
+        let rows = [[0, 0], [0, 1], [1, 0], [1, 1]].map(|r| r.map(Value::Int).to_vec());
+        engine.register_relation(
+            format!("T{i}"),
+            Relation::from_rows(Schema::new(vec![k, a]), rows),
+        );
+    }
+    let from = (0..n).map(|i| format!("T{i}")).collect::<Vec<_>>();
+    (engine, from.join(", "))
+}
+
+#[test]
+fn a_folded_count_past_i64_is_refused() {
+    // Each a0 group holds 2 · 2^(n-1) tuples: 2^62 for 62 relations, 2^63
+    // for 63.
+    let sql = |from: &str| format!("SELECT a0, COUNT(*) AS n FROM {from} GROUP BY a0");
+    let (mut engine, from) = star(62);
+    let result = engine.run_sql_result(&sql(&from)).unwrap();
+    let plan = result.explain(&engine.catalog);
+    assert!(plan.contains("fold by"), "{plan}");
+    let out = result.to_relation().unwrap();
+    let n = Value::Int(1 << 62);
+    assert_eq!(
+        out.rows().map(|r| r[1].clone()).collect::<Vec<_>>(),
+        [n.clone(), n]
+    );
+
+    let (mut engine, from) = star(63);
+    match engine.run_sql(&sql(&from)) {
+        Err(fdb::core::FdbError::InvalidOperator(m)) => {
+            assert_eq!(m, "tuple multiplicity exceeds i64::MAX")
+        }
+        other => panic!("COUNT(*) over 2^63 tuples per group: {other:?}"),
+    }
+}

@@ -193,3 +193,46 @@ fn session_catalog_does_not_grow_with_queries() {
     }
     assert_eq!(session.catalog().len(), names);
 }
+
+/// A direct-access page (`OFFSET` deep into a stored order) seeks through
+/// the view's count index. The index is built once per view version: the
+/// first session's page builds it into the registered version, and every
+/// later snapshot of that version reads the same one. A write's new
+/// version starts without one, and a snapshot cut before the write keeps
+/// its own.
+#[test]
+fn the_count_index_is_built_once_per_view_version() {
+    let db = Db::from_engine(orders_engine());
+    let page = "SELECT package, date, customer, item, price FROM R1 \
+                ORDER BY package, date, item, customer LIMIT 10 OFFSET 2000";
+    let view = |s: &mut fdb::Session| s.engine_mut().view_arc("R1").unwrap();
+    let mut first = db.session();
+    assert!(!view(&mut first).has_count_index());
+    let rows = first.query(page).unwrap().rows;
+    assert_eq!(rows.len(), 10);
+    let built = view(&mut db.session());
+    assert!(
+        built.has_count_index(),
+        "the registered version has no index"
+    );
+    for _ in 0..2 {
+        let mut s = db.session();
+        assert!(view(&mut s).shares_count_index_with(&built));
+        assert_eq!(s.query(page).unwrap().rows, rows);
+        assert!(view(&mut s).shares_count_index_with(&built));
+    }
+
+    let mut before = db.session();
+    db.execute(
+        "INSERT INTO R1 (package, date, customer, item, price) VALUES (1000000, 1, 1, 1, 5)",
+    )
+    .unwrap();
+    let written = view(&mut db.session());
+    assert!(!written.has_count_index(), "a write kept a stale index");
+    assert!(view(&mut before).shares_count_index_with(&built));
+    assert_eq!(before.query(page).unwrap().rows, rows);
+    db.session().query(page).unwrap();
+    let rebuilt = view(&mut db.session());
+    assert!(rebuilt.has_count_index());
+    assert!(!rebuilt.shares_count_index_with(&built));
+}
