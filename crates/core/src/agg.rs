@@ -9,19 +9,23 @@
 //! singleton, whose cardinality is unrecoverable — are reported as
 //! [`FdbError::InvalidComposition`].
 //!
-//! Every other function but `count(distinct)` is a `Fold` — an identity,
-//! `combine`, `scale` by a multiplicity (never called for `min`/`max`/
-//! `exists`/`forall`), reads of an atomic value and of a partial component
-//! ([`partial_funcs`]), and a `leaf` fast path — evaluated by one walk,
-//! `fold_union`: a union combines its entries' terms, and an entry's term
-//! is its providing child's value scaled by the multiplicity of everything
-//! else under the entry. The group fold (`fold_groups`, behind
-//! `FOp::GroupFold`) runs the same folds, `count` among them, for every
+//! Which factor provides a function's attribute, and the spine down to
+//! it, depend on the f-tree alone, so each function is resolved once:
+//! [`CompiledAgg`] is the one evaluator of a function over a product of
+//! factors — compiled once per `γ`, once per grouped result, once per
+//! [`eval_op`] call — and the group fold resolves its readers once per
+//! walk. Every function but `count(distinct)` is a `Fold` (an identity,
+//! `combine`, `scale` by a multiplicity — never called for `min`/`max`/
+//! `exists`/`forall` — reads of an atomic value and of a partial
+//! component, and a `leaf` fast path), found through one dispatch and
+//! evaluated by one walk, `fold_union`: a union combines its entries'
+//! terms, and an entry's term is its providing child's value scaled by
+//! the multiplicity of everything else under the entry. The group fold
+//! (`fold_groups`, behind `FOp::GroupFold`) runs the same folds for every
 //! group of one node at once, in one walk down the root path to it.
 //! `count(distinct)` does not compose — which values occur is lost in a
-//! count — so its attribute stays atomic and the final evaluation walks
-//! the providing spine once per group, interning each value into one
-//! dense-id table reused for the whole result.
+//! count — so its attribute stays atomic and each evaluation walks the
+//! providing spine, interning each value into one dense-id table.
 //!
 //! Multiplicities are exact or refused: every count and product of counts
 //! is checked, and one that leaves `i64` is an
@@ -75,35 +79,39 @@ fn node_provides(label: &NodeLabel, op: &AggOp) -> bool {
 /// it exposes the aggregated attribute atomically, or holds a compatible
 /// partial-aggregate component (e.g. `sum(a)` feeding a later `sum(a)`).
 pub fn subtree_provides(ftree: &FTree, node: NodeId, op: &AggOp) -> bool {
-    op.attr().is_none()
-        || ftree
-            .subtree_nodes(node)
-            .iter()
-            .any(|&n| node_provides(&ftree.node(n).label, op))
+    op.attr().is_none() || providing_spine(ftree, node, op).is_some()
 }
 
 /// The providing spine of `op` below `node`: the child position to
 /// descend at each level (exactly one child subtree provides — attributes
 /// partition the schema), down to the first node that provides `op`,
-/// which is returned with it. It depends on the f-tree alone, so it is
-/// resolved once per evaluation, not once per union.
-fn providing_spine(ftree: &FTree, node: NodeId, op: &AggOp) -> Result<(Vec<usize>, NodeId)> {
-    let mut spine = Vec::new();
-    let mut n = node;
-    while !node_provides(&ftree.node(n).label, op) {
-        let children = &ftree.node(n).children;
-        let j = children
-            .iter()
-            .position(|&c| subtree_provides(ftree, c, op))
-            .ok_or_else(|| {
-                FdbError::InvalidComposition(format!(
-                    "no subtree provides {op:?}; a prior aggregate hid the attribute"
-                ))
-            })?;
-        spine.push(j);
-        n = children[j];
+/// which is returned with it; `None` when no node of the subtree does.
+fn providing_spine(ftree: &FTree, node: NodeId, op: &AggOp) -> Option<(Vec<usize>, NodeId)> {
+    if node_provides(&ftree.node(node).label, op) {
+        return Some((Vec::new(), node));
     }
-    Ok((spine, n))
+    let mut children = ftree.node(node).children.iter().enumerate();
+    children.find_map(|(j, &c)| {
+        let (mut spine, n) = providing_spine(ftree, c, op)?;
+        spine.insert(0, j);
+        Some((spine, n))
+    })
+}
+
+/// The first of `nodes` (each with its position) whose subtree provides
+/// `op`: its position, the spine below it and the providing node. `None`
+/// for `count`, which reads no attribute, and when none provides. It
+/// depends on the f-tree alone, so a function resolves it when it is
+/// compiled ([`CompiledAgg::new`], [`Reader::resolve`]), never per entry.
+fn first_provider(
+    ftree: &FTree,
+    nodes: impl IntoIterator<Item = (usize, NodeId)>,
+    op: &AggOp,
+) -> Option<(usize, Vec<usize>, NodeId)> {
+    op.attr()?;
+    nodes
+        .into_iter()
+        .find_map(|(k, n)| providing_spine(ftree, n, op).map(|(spine, p)| (k, spine, p)))
 }
 
 /// Tuple multiplicity of one entry: how many tuples of the represented
@@ -498,6 +506,30 @@ impl Fold for Count {
     }
 }
 
+/// One use of a composable function's fold, generic over the fold: its
+/// evaluation over a product ([`FoldEval`]) or its group-fold table
+/// ([`group_sink`]).
+trait FoldUse {
+    type Out;
+    fn with<F: Fold + 'static>(self, f: F) -> Self::Out;
+}
+
+/// `u` applied to `op`'s fold — the one `AggOp → Fold` dispatch; `None`
+/// for `count(distinct)`, which does not compose.
+fn with_fold<U: FoldUse>(op: AggOp, u: U) -> Option<U::Out> {
+    Some(match op {
+        AggOp::Count => u.with(Count),
+        AggOp::Sum(_) => u.with(Sum),
+        AggOp::Min(_) => u.with(Extremum(true)),
+        AggOp::Max(_) => u.with(Extremum(false)),
+        AggOp::Product(_) => u.with(Product),
+        AggOp::Exists(_, c, r) => u.with(Quantifier::<true>(c, r)),
+        AggOp::Forall(_, c, r) => u.with(Quantifier::<false>(c, r)),
+        AggOp::TopK(_, k) => u.with(TopK(k)),
+        AggOp::CountDistinct(_) => return None,
+    })
+}
+
 /// Where one function of a group fold reads its input, relative to the
 /// root path to the group node (level 0 is the root).
 enum Reader {
@@ -527,11 +559,10 @@ impl Reader {
                 return Ok(Reader::Node(level));
             }
             let on_path = path.get(level + 1);
-            for (j, c) in ftree.node(n).children.iter().enumerate() {
-                if Some(c) != on_path && subtree_provides(ftree, *c, op) {
-                    let (spine, _) = providing_spine(ftree, *c, op)?;
-                    return Ok(Reader::Child { level, j, spine });
-                }
+            let children = ftree.node(n).children.iter().copied().enumerate();
+            let off_path = children.filter(|(_, c)| Some(c) != on_path);
+            if let Some((j, spine, _)) = first_provider(ftree, off_path, op) {
+                return Ok(Reader::Child { level, j, spine });
             }
         }
         Err(FdbError::InvalidComposition(format!(
@@ -760,30 +791,25 @@ impl<F: Fold> GroupSink for Table<F> {
 
 /// The sink of one function of a group fold on `path`.
 fn group_sink(ftree: &FTree, path: &[NodeId], op: AggOp) -> Result<Box<dyn GroupSink>> {
-    fn table<F: Fold + 'static>(f: F, op: AggOp, reader: Reader) -> Box<dyn GroupSink> {
-        Box::new(Table {
-            f,
-            op,
-            reader,
-            stack: vec![Ctx::Mult(1)],
-            groups: Vec::new(),
-        })
+    struct NewTable(AggOp, Reader);
+    impl FoldUse for NewTable {
+        type Out = Box<dyn GroupSink>;
+        fn with<F: Fold + 'static>(self, f: F) -> Box<dyn GroupSink> {
+            let NewTable(op, reader) = self;
+            Box::new(Table {
+                f,
+                op,
+                reader,
+                stack: vec![Ctx::Mult(1)],
+                groups: Vec::new(),
+            })
+        }
     }
     let reader = Reader::resolve(ftree, path, &op)?;
-    Ok(match op {
-        AggOp::Count => table(Count, op, reader),
-        AggOp::Sum(_) => table(Sum, op, reader),
-        AggOp::Min(_) => table(Extremum(true), op, reader),
-        AggOp::Max(_) => table(Extremum(false), op, reader),
-        AggOp::Product(_) => table(Product, op, reader),
-        AggOp::Exists(_, c, r) => table(Quantifier::<true>(c, r), op, reader),
-        AggOp::Forall(_, c, r) => table(Quantifier::<false>(c, r), op, reader),
-        AggOp::TopK(_, k) => table(TopK(k), op, reader),
-        AggOp::CountDistinct(_) => {
-            return Err(FdbError::InvalidOperator(format!(
-                "{op:?} does not compose, so it cannot fold by group"
-            )))
-        }
+    with_fold(op, NewTable(op, reader)).ok_or_else(|| {
+        FdbError::InvalidOperator(format!(
+            "{op:?} does not compose, so it cannot fold by group"
+        ))
     })
 }
 
@@ -943,18 +969,6 @@ pub(crate) fn fold_groups(
         .collect())
 }
 
-/// The providing spine of `count(distinct A)` below `node`. The
-/// attribute must still be *atomic* in the tree: distinct values cannot
-/// be recovered from aggregate singletons.
-fn distinct_spine(ftree: &FTree, node: NodeId, op: &AggOp) -> Result<Vec<usize>> {
-    match providing_spine(ftree, node, op)? {
-        (spine, n) if matches!(ftree.node(n).label, NodeLabel::Atomic(_)) => Ok(spine),
-        _ => Err(FdbError::InvalidComposition(format!(
-            "distinct values of {op:?} are unrecoverable from an aggregate singleton"
-        ))),
-    }
-}
-
 /// The number of distinct non-NULL values of the attribute at the end of
 /// `spine` in the relation represented by `u` — `count(distinct A)`.
 /// Multiplicity-invariant, so the walk only descends the spine: sibling
@@ -989,122 +1003,49 @@ fn count_distinct(u: UnionRef<'_>, spine: &[usize], ids: &mut DenseIds) -> i64 {
 }
 
 /// Evaluates one aggregation function over a *product* of sibling unions
-/// (the expression an aggregation operator replaces, §3.2).
+/// (the expression an aggregation operator replaces, §3.2): compiles it
+/// against the unions' nodes ([`CompiledAgg`]), then evaluates it once.
 pub fn eval_op(ftree: &FTree, unions: &[UnionRef<'_>], op: &AggOp) -> Result<Value> {
-    let provider = provider_among(ftree, unions.iter().map(|u| u.node()), op);
-    eval_op_at(ftree, unions, op, provider)
-}
-
-/// Index of the first factor whose subtree provides `op`'s attribute
-/// (`None` for `count`, which reads every factor, and when no factor
-/// does). Depends on the f-tree alone, so callers evaluating the same
-/// function over many products of the same shape resolve it once
-/// ([`CompiledAgg`]).
-fn provider_among(
-    ftree: &FTree,
-    mut nodes: impl Iterator<Item = NodeId>,
-    op: &AggOp,
-) -> Option<usize> {
-    op.attr()?;
-    nodes.position(|n| subtree_provides(ftree, n, op))
-}
-
-/// The general evaluator behind [`eval_op`], with the providing factor
-/// already resolved.
-fn eval_op_at(
-    ftree: &FTree,
-    unions: &[UnionRef<'_>],
-    op: &AggOp,
-    provider: Option<usize>,
-) -> Result<Value> {
-    if matches!(op, AggOp::Count) {
-        let n = count_product(ftree, unions.iter().copied(), None, 1)?;
-        return Ok(Value::Int(n));
-    }
-    let j = provider
-        .ok_or_else(|| FdbError::InvalidComposition(format!("no factor provides {op:?}")))?;
-    if let AggOp::CountDistinct(_) = op {
-        // Multiplicity-invariant: the non-providing factors only repeat
-        // tuples, never change which values occur.
-        let spine = distinct_spine(ftree, unions[j].node(), op)?;
-        let n = count_distinct(unions[j], &spine, &mut DenseIds::new());
-        return Ok(Value::Int(n));
-    }
-    eval_folded(ftree, unions, op, Source::Factor(j))
-}
-
-/// Evaluates `op` over the relation `{v} × unions` when its attribute is
-/// a group attribute holding `v` in the current group: the factors below
-/// the group cannot provide it and only repeat `v` by their tuple count.
-pub(crate) fn eval_on_group_value(
-    ftree: &FTree,
-    unions: &[UnionRef<'_>],
-    op: &AggOp,
-    v: &Value,
-) -> Result<Value> {
-    match op {
-        AggOp::Count => count_product(ftree, unions.iter().copied(), None, 1).map(Value::Int),
-        // NULL inputs are skipped.
-        AggOp::CountDistinct(_) => Ok(Value::Int(!v.is_null() as i64)),
-        _ => eval_folded(ftree, unions, op, Source::Group(v)),
-    }
+    eval_funcs(ftree, unions, std::slice::from_ref(op))
 }
 
 /// Where a composable function reads its attribute.
-enum Source<'v> {
-    /// The factor at this position provides it.
-    Factor(usize),
+enum Source<'a> {
+    /// The factor at this position provides it, down this spine.
+    Factor(usize, &'a [usize]),
     /// It is a group attribute holding this value.
-    Group(&'v Value),
+    Group(&'a Value),
 }
 
 /// A composable `op` over the product of `unions`: its fold over the
 /// source, scaled by the tuple count of the factors that do not provide.
-fn eval_folded(ftree: &FTree, unions: &[UnionRef<'_>], op: &AggOp, src: Source) -> Result<Value> {
-    match *op {
-        AggOp::Sum(_) => eval_fold(&Sum, ftree, unions, op, src),
-        AggOp::Min(_) => eval_fold(&Extremum(true), ftree, unions, op, src),
-        AggOp::Max(_) => eval_fold(&Extremum(false), ftree, unions, op, src),
-        AggOp::Product(_) => eval_fold(&Product, ftree, unions, op, src),
-        AggOp::Exists(_, c, r) => eval_fold(&Quantifier::<true>(c, r), ftree, unions, op, src),
-        AggOp::Forall(_, c, r) => eval_fold(&Quantifier::<false>(c, r), ftree, unions, op, src),
-        AggOp::TopK(_, k) => eval_fold(&TopK(k), ftree, unions, op, src),
-        AggOp::Count | AggOp::CountDistinct(_) => unreachable!("{op:?} is not a fold"),
-    }
-}
+struct FoldEval<'a, 'u>(&'a FTree, &'a [UnionRef<'u>], &'a AggOp, Source<'a>);
 
-/// [`eval_folded`] for the fold `f` of `op`.
-fn eval_fold<F: Fold>(
-    f: &F,
-    ftree: &FTree,
-    unions: &[UnionRef<'_>],
-    op: &AggOp,
-    src: Source,
-) -> Result<Value> {
-    let others = |skip| count_product(ftree, unions.iter().copied(), skip, 1);
-    let walk = |j: usize| {
-        let (spine, _) = providing_spine(ftree, unions[j].node(), op)?;
-        fold_union(f, ftree, op, unions[j], &spine)
-    };
-    let acc = match src {
-        Source::Group(v) if F::SCALES && !v.is_null() => {
-            let term = f.atom(v)?;
-            f.scale(term, others(None)?)
-        }
-        Source::Group(v) => f.atom(v)?,
-        Source::Factor(j) if F::PER_FACTOR => {
-            let mut acc = walk(j)?;
-            for (_, &u) in unions.iter().enumerate().filter(|&(k, _)| k != j) {
-                acc = f.scale(acc, count_union(ftree, u)?);
+impl FoldUse for FoldEval<'_, '_> {
+    type Out = Result<Value>;
+    fn with<F: Fold + 'static>(self, f: F) -> Result<Value> {
+        let FoldEval(ftree, unions, op, src) = self;
+        let others = |skip| count_product(ftree, unions.iter().copied(), skip, 1);
+        let acc = match src {
+            Source::Group(v) if F::SCALES && !v.is_null() => {
+                let term = f.atom(v)?;
+                f.scale(term, others(None)?)
             }
-            acc
-        }
-        Source::Factor(j) => {
-            let mult = if F::SCALES { others(Some(j))? } else { 1 };
-            f.scale(walk(j)?, mult)
-        }
-    };
-    f.finish(acc)
+            Source::Group(v) => f.atom(v)?,
+            Source::Factor(j, spine) if F::PER_FACTOR => {
+                let mut acc = fold_union(&f, ftree, op, unions[j], spine)?;
+                for (_, &u) in unions.iter().enumerate().filter(|&(k, _)| k != j) {
+                    acc = f.scale(acc, count_union(ftree, u)?);
+                }
+                acc
+            }
+            Source::Factor(j, spine) => {
+                let mult = if F::SCALES { others(Some(j))? } else { 1 };
+                f.scale(fold_union(&f, ftree, op, unions[j], spine)?, mult)
+            }
+        };
+        f.finish(acc)
+    }
 }
 
 /// How one factor feeds a [`CompiledAgg`] without a walk, when it is the
@@ -1125,34 +1066,49 @@ enum LeafRole {
 }
 
 /// One aggregation function resolved once against the f-tree nodes of a
-/// fixed list of factors, then evaluated over many products of unions of
-/// those nodes — the per-group evaluation of the engine's grouped results.
+/// fixed list of factors, then evaluated over any number of products of
+/// unions of those nodes: the one evaluator of a function over a product
+/// of factors. `γ` compiles one per function per operator, the grouped
+/// emitter one per function per result, and [`eval_op`] one per call.
 ///
-/// Resolution fixes which factor provides the attribute and which only
-/// multiply, and for `count`/`sum`/`min`/`max` over partial-aggregate
-/// leaves also the value components to read: such a product is evaluated
-/// without recursion and without touching the f-tree, in the arithmetic
-/// order of the general evaluator, so the two agree bit for bit. For
-/// `count(distinct)` it fixes the providing spine and keeps one
-/// [`DenseIds`] table for every group. Any other shape — and a leaf
-/// union that turns out not to hold exactly one singleton, a count past
-/// `i64::MAX` or a non-numeric sum — goes through the general evaluator
-/// ([`eval_op`] with the provider supplied), which reports every error.
+/// For `count`/`sum`/`min`/`max` over partial-aggregate leaves resolution
+/// also fixes the value components to read: such a product is evaluated
+/// without recursion, in the arithmetic order of the walk, so the two
+/// agree bit for bit. A leaf union that turns out not to hold exactly one
+/// singleton, a count past `i64::MAX` or a non-numeric sum goes through
+/// the walk, which reports every error.
 #[derive(Clone, Debug)]
 pub(crate) struct CompiledAgg {
     op: AggOp,
+    /// The first factor whose subtree provides the attribute: `None` for
+    /// `count`, which reads every factor, and when none does.
     provider: Option<usize>,
-    /// Per factor; `None` when some factor needs the general evaluator.
+    /// The provider's spine, or why the function cannot be evaluated over
+    /// these factors (no factor provides its attribute, or
+    /// `count(distinct)` would read an aggregate singleton), reported by
+    /// every evaluation that needs it.
+    spine: Result<Vec<usize>>,
+    /// Per factor; `None` when some factor needs the walk.
     leaves: Option<Vec<LeafRole>>,
-    /// `count(distinct)`: the provider's spine and the table its values
-    /// are interned into, cleared per group. A spine that does not
-    /// resolve is left to the general evaluator, which reports why.
-    distinct: Option<(Vec<usize>, DenseIds)>,
+    /// `count(distinct)`: the table its values are interned into, cleared
+    /// per evaluation.
+    ids: Option<DenseIds>,
 }
 
 impl CompiledAgg {
     pub(crate) fn new(ftree: &FTree, nodes: &[NodeId], op: AggOp) -> Self {
-        let provider = provider_among(ftree, nodes.iter().copied(), &op);
+        let found = first_provider(ftree, nodes.iter().copied().enumerate(), &op);
+        let provider = found.as_ref().map(|&(k, ..)| k);
+        let is_agg = |n: NodeId| matches!(ftree.node(n).label, NodeLabel::Agg(_));
+        let spine = match found {
+            None => Err(format!("no factor provides {op:?}")),
+            // Distinct values cannot be recovered from aggregate singletons.
+            Some((.., n)) if op.needs_raw_input() && is_agg(n) => Err(format!(
+                "distinct values of {op:?} are unrecoverable from an aggregate singleton"
+            )),
+            Some((_, spine, _)) => Ok(spine),
+        }
+        .map_err(FdbError::InvalidComposition);
         let component = |l: &AggLabel, i: usize| (l.arity() > 1).then_some(i);
         let role = |(k, &n): (usize, &NodeId)| -> Option<LeafRole> {
             let node = ftree.node(n);
@@ -1179,17 +1135,12 @@ impl CompiledAgg {
         let leaves = compilable
             .then(|| nodes.iter().enumerate().map(role).collect())
             .flatten();
-        let distinct = match (op, provider) {
-            (AggOp::CountDistinct(_), Some(j)) => distinct_spine(ftree, nodes[j], &op)
-                .ok()
-                .map(|spine| (spine, DenseIds::new())),
-            _ => None,
-        };
         CompiledAgg {
             op,
             provider,
+            spine,
             leaves,
-            distinct,
+            ids: op.needs_raw_input().then(DenseIds::new),
         }
     }
 
@@ -1200,14 +1151,28 @@ impl CompiledAgg {
         self.op.attr().is_none() || self.provider.is_some()
     }
 
-    /// [`eval_on_group_value`] for this function.
+    /// The function's value over the relation `{v} × unions` when its
+    /// attribute is a group attribute holding `v` in the current group:
+    /// the factors cannot provide it and only repeat `v` by their tuple
+    /// count.
     pub(crate) fn eval_on_group_value(
         &self,
         ftree: &FTree,
         unions: &[UnionRef<'_>],
         v: &Value,
     ) -> Result<Value> {
-        eval_on_group_value(ftree, unions, &self.op, v)
+        match self.op {
+            AggOp::Count => count_product(ftree, unions.iter().copied(), None, 1).map(Value::Int),
+            // NULL inputs are skipped.
+            AggOp::CountDistinct(_) => Ok(Value::Int(!v.is_null() as i64)),
+            _ => self.fold(ftree, unions, Source::Group(v)),
+        }
+    }
+
+    /// The function's fold over `src` ([`FoldEval`]).
+    fn fold(&self, ftree: &FTree, unions: &[UnionRef<'_>], src: Source) -> Result<Value> {
+        let eval = FoldEval(ftree, unions, &self.op, src);
+        with_fold(self.op, eval).expect("count(distinct) does not fold")
     }
 
     /// True when the value depends on factor `k`: every factor scales a
@@ -1224,21 +1189,25 @@ impl CompiledAgg {
     /// The function's value over the product of `unions` (parallel to the
     /// nodes given to [`CompiledAgg::new`]).
     pub(crate) fn eval(&mut self, ftree: &FTree, unions: &[UnionRef<'_>]) -> Result<Value> {
-        if let (Some((spine, ids)), Some(j)) = (&mut self.distinct, self.provider) {
-            return Ok(Value::Int(count_distinct(unions[j], spine, ids)));
-        }
-        if let Some(v) = self
-            .leaves
-            .as_ref()
-            .and_then(|l| self.eval_leaves(l, unions))
-        {
+        if let Some(v) = self.eval_leaves(unions) {
             return Ok(v);
         }
-        eval_op_at(ftree, unions, &self.op, self.provider)
+        if matches!(self.op, AggOp::Count) {
+            return count_product(ftree, unions.iter().copied(), None, 1).map(Value::Int);
+        }
+        let spine = self.spine.as_ref().map_err(FdbError::clone)?;
+        let j = self.provider.expect("a resolved spine has a provider");
+        if let Some(ids) = &mut self.ids {
+            // Multiplicity-invariant: the non-providing factors only
+            // repeat tuples, never change which values occur.
+            return Ok(Value::Int(count_distinct(unions[j], spine, ids)));
+        }
+        self.fold(ftree, unions, Source::Factor(j, spine))
     }
 
-    /// The non-recursive path; `None` hands over to the general evaluator.
-    fn eval_leaves(&self, leaves: &[LeafRole], unions: &[UnionRef<'_>]) -> Option<Value> {
+    /// The non-recursive path; `None` hands over to the walk.
+    fn eval_leaves(&self, unions: &[UnionRef<'_>]) -> Option<Value> {
+        let leaves = self.leaves.as_ref()?;
         // The lone singleton of a partial-aggregate leaf, by component.
         let single = |k: usize, c: Option<usize>| -> Option<&Value> {
             let v = (unions[k].len() == 1).then(|| unions[k].entry(0).value())?;
@@ -1287,18 +1256,33 @@ impl CompiledAgg {
     }
 }
 
+/// Evaluates compiled functions `(F1,…,Fk)` over one product of unions:
+/// a scalar when `k = 1`, a `Tup` otherwise (§3.2.4).
+pub(crate) fn eval_compiled(
+    aggs: &mut [CompiledAgg],
+    ftree: &FTree,
+    unions: &[UnionRef<'_>],
+) -> Result<Value> {
+    // γ calls this once per entry: one function allocates nothing.
+    if let [a] = aggs {
+        return a.eval(ftree, unions);
+    }
+    let mut vals = Vec::with_capacity(aggs.len());
+    for a in aggs {
+        vals.push(a.eval(ftree, unions)?);
+    }
+    Ok(Value::tup(vals))
+}
+
 /// Evaluates a composite function `(F1,…,Fk)` over a product of unions,
 /// returning a scalar when `k = 1` and a `Tup` otherwise (§3.2.4).
 pub fn eval_funcs(ftree: &FTree, unions: &[UnionRef<'_>], funcs: &[AggOp]) -> Result<Value> {
-    let mut vals = Vec::with_capacity(funcs.len());
-    for f in funcs {
-        vals.push(eval_op(ftree, unions, f)?);
-    }
-    Ok(if vals.len() == 1 {
-        vals.pop().unwrap()
-    } else {
-        Value::tup(vals)
-    })
+    let nodes: Vec<NodeId> = unions.iter().map(|u| u.node()).collect();
+    let mut aggs: Vec<CompiledAgg> = funcs
+        .iter()
+        .map(|&f| CompiledAgg::new(ftree, &nodes, f))
+        .collect();
+    eval_compiled(&mut aggs, ftree, unions)
 }
 
 /// Derives the *partial* aggregation functions for `γ` over `targets` when
@@ -1310,22 +1294,11 @@ pub fn eval_funcs(ftree: &FTree, unions: &[UnionRef<'_>], funcs: &[AggOp]) -> Re
 pub fn partial_funcs(ftree: &FTree, targets: &[NodeId], final_funcs: &[AggOp]) -> Vec<AggOp> {
     let mut out: Vec<AggOp> = Vec::new();
     for f in final_funcs {
-        let partial = match f {
-            AggOp::Count => AggOp::Count,
-            AggOp::Sum(_)
-            | AggOp::Min(_)
-            | AggOp::Max(_)
-            | AggOp::Product(_)
-            | AggOp::Exists(..)
-            | AggOp::Forall(..)
-            | AggOp::CountDistinct(_)
-            | AggOp::TopK(..) => {
-                if targets.iter().any(|&t| subtree_provides(ftree, t, f)) {
-                    *f
-                } else {
-                    AggOp::Count
-                }
-            }
+        // `count` reads no attribute: every subtree provides it.
+        let partial = if targets.iter().any(|&t| subtree_provides(ftree, t, f)) {
+            *f
+        } else {
+            AggOp::Count
         };
         if !out.contains(&partial) {
             out.push(partial);
@@ -1651,121 +1624,161 @@ mod tests {
         assert!(matches!(err, Err(FdbError::InvalidComposition(_))));
     }
 
-    /// g → {⟨(sum x, count, min x)⟩, ⟨count(y)⟩, z}: per group a
-    /// composite partial-aggregate leaf, a count leaf and an atomic leaf
-    /// — the shapes [`CompiledAgg`] evaluates without a walk. `extra`
-    /// adds a second singleton to the first group's composite leaf (a
-    /// shape only restructuring produces), which must fall back.
-    fn partial_leaves_rep(extra: bool) -> (AttrId, FRep) {
+    /// The partial components of [`partial_leaves_rep`]'s `x` leaves.
+    fn partial_x_funcs(x: AttrId) -> [AggOp; 6] {
+        [
+            AggOp::Sum(x),
+            AggOp::Count,
+            AggOp::Min(x),
+            AggOp::Max(x),
+            AggOp::Product(x),
+            AggOp::TopK(x, 2),
+        ]
+    }
+
+    /// g → {⟨(sum x, count, min x, max x, product x, top_k(x, 2))⟩,
+    /// ⟨count(y)⟩, z}: per group a composite partial-aggregate leaf, a
+    /// count leaf and an atomic leaf — the shapes [`CompiledAgg`]
+    /// evaluates without a walk — and the flat relation `(g, x, y, z)`
+    /// they stand for. Each partial singleton is computed from its own
+    /// list of `x` values, all dyadic so that float sums and products are
+    /// exact in any order; the group's relation is those values × `ny`
+    /// values of `y` × `zs` values of `z`. `extra` adds a second
+    /// singleton to the first group's composite leaf (a shape only
+    /// restructuring produces), which only the walk can evaluate.
+    fn partial_leaves_rep(extra: bool) -> (AttrId, AttrId, FRep, Relation) {
         use crate::frep::{Entry, Union};
         let mut c = Catalog::new();
-        let ids = c.intern_all(["g", "x", "y", "z", "sx", "nx", "lo", "ny"]);
-        let x = ids[1];
+        let ids = c.intern_all(["g", "x", "y", "z", "ny", "s", "n", "lo", "hi", "p", "t"]);
+        let [g, x, y, z] = [ids[0], ids[1], ids[2], ids[3]];
         let mut t = FTree::new();
-        let n_g = t.add_node(NodeLabel::Atomic(vec![ids[0]]), None);
-        let n_sx = t.add_node(
+        let n_g = t.add_node(NodeLabel::Atomic(vec![g]), None);
+        let n_x = t.add_node(
             NodeLabel::Agg(AggLabel {
-                funcs: vec![AggOp::Sum(x), AggOp::Count, AggOp::Min(x)],
+                funcs: partial_x_funcs(x).to_vec(),
                 over: [x].into_iter().collect(),
-                outputs: vec![ids[4], ids[5], ids[6]],
+                outputs: ids[5..].to_vec(),
             }),
             Some(n_g),
         );
         let n_ny = t.add_node(
             NodeLabel::Agg(AggLabel {
                 funcs: vec![AggOp::Count],
-                over: [ids[2]].into_iter().collect(),
-                outputs: vec![ids[7]],
+                over: [y].into_iter().collect(),
+                outputs: vec![ids[4]],
             }),
             Some(n_g),
         );
-        let n_z = t.add_node(NodeLabel::Atomic(vec![ids[3]]), Some(n_g));
+        let n_z = t.add_node(NodeLabel::Atomic(vec![z]), Some(n_g));
         let leaf = |value: Value| Entry {
             value,
             children: vec![],
         };
-        let group = |g: i64, sums: Vec<(f64, i64)>, ny: i64, zs: i64| Entry {
-            value: Value::Int(g),
-            children: vec![
-                Union {
-                    node: n_sx,
-                    entries: sums
-                        .into_iter()
-                        .map(|(s, n)| {
-                            leaf(Value::tup(vec![
-                                Value::Float(s),
-                                Value::Int(n),
-                                Value::Float(s / 2.0),
-                            ]))
-                        })
-                        .collect(),
-                },
-                Union {
-                    node: n_ny,
-                    entries: vec![leaf(Value::Int(ny))],
-                },
-                Union {
-                    node: n_z,
-                    entries: (0..zs).map(|z| leaf(Value::Int(z))).collect(),
-                },
-            ],
+        // One partial singleton over the values `xs`, folded in order.
+        let partial = |xs: &[f64]| {
+            let sum = xs[1..].iter().fold(xs[0], |a, b| a + b);
+            let product = xs[1..].iter().fold(xs[0], |a, b| a * b);
+            let mut top = xs.to_vec();
+            top.sort_by(|a, b| b.total_cmp(a));
+            top.truncate(2);
+            let fold = |pick: fn(f64, f64) -> f64| xs[1..].iter().fold(xs[0], |a, &b| pick(a, b));
+            leaf(Value::tup(vec![
+                Value::Float(sum),
+                Value::Int(xs.len() as i64),
+                Value::Float(fold(f64::min)),
+                Value::Float(fold(f64::max)),
+                Value::Float(product),
+                Value::tup(top.into_iter().map(Value::Float).collect::<Vec<_>>()),
+            ]))
         };
-        let first = if extra {
-            vec![(-1.5, 2), (4.25, 3)]
+        let first: Vec<&[f64]> = if extra {
+            vec![&[-1.5, 0.5], &[4.25, 1.0, 2.0]]
         } else {
-            vec![(4.25, 3)]
+            vec![&[4.25, 1.0, 2.0]]
         };
-        let root = Union {
-            node: n_g,
-            entries: vec![
-                group(0, first, 2, 3),
-                group(1, vec![(-0.0, 1)], 1, 1),
-                group(2, vec![(0.1, 7)], 3, 2),
-            ],
-        };
-        (x, FRep::new(t, vec![root]).unwrap())
+        let groups: [(Vec<&[f64]>, i64, i64); 3] = [
+            (first, 2, 3),
+            (vec![&[-0.0]], 1, 1),
+            (vec![&[0.125, -2.0, 0.125, 3.5]], 3, 2),
+        ];
+        let mut rows = Vec::new();
+        let mut entries = Vec::new();
+        for (gv, (xs, ny, zs)) in groups.iter().enumerate() {
+            let gv = Value::Int(gv as i64);
+            for &xv in xs.iter().flat_map(|xs| xs.iter()) {
+                for (yv, zv) in (0..*ny).flat_map(|yv| (0..*zs).map(move |zv| (yv, zv))) {
+                    let row = [gv.clone(), Value::Float(xv), Value::Int(yv), Value::Int(zv)];
+                    rows.push(row.to_vec());
+                }
+            }
+            entries.push(Entry {
+                value: gv,
+                children: vec![
+                    Union {
+                        node: n_x,
+                        entries: xs.iter().map(|xs| partial(xs)).collect(),
+                    },
+                    Union {
+                        node: n_ny,
+                        entries: vec![leaf(Value::Int(*ny))],
+                    },
+                    Union {
+                        node: n_z,
+                        entries: (0..*zs).map(|z| leaf(Value::Int(z))).collect(),
+                    },
+                ],
+            });
+        }
+        let root = Union { node: n_g, entries };
+        let truth = Relation::from_rows(Schema::new(vec![g, x, y, z]), rows);
+        (g, x, FRep::new(t, vec![root]).unwrap(), truth)
     }
 
     #[test]
     fn compiled_aggregates_agree_with_the_general_evaluator() {
+        use fdb_relational::ops::aggregate::{group_aggregate, PhysAggSpec};
+        use fdb_relational::{AggFunc, AggSpec, GroupStrategy};
         for extra in [false, true] {
-            let (x, rep) = partial_leaves_rep(extra);
+            let (g, x, rep, truth) = partial_leaves_rep(extra);
             let tree = rep.ftree();
             let nodes = &tree.node(tree.roots()[0]).children;
-            for op in [
-                AggOp::Count,
-                AggOp::Sum(x),
-                AggOp::Min(x),
-                AggOp::Max(x),
-                AggOp::Product(x),
-                AggOp::TopK(x, 2),
+            let out = AttrId(999);
+            for func in [
+                AggFunc::Count,
+                AggFunc::Sum(x),
+                AggFunc::Min(x),
+                AggFunc::Max(x),
+                AggFunc::Product(x),
+                AggFunc::TopK(x, 2),
             ] {
+                let op = AggOp::from_func(func).unwrap();
+                let spec: PhysAggSpec = AggSpec::new(func, out).into();
+                let want = group_aggregate(&truth, &[g], &[spec], GroupStrategy::Sort);
                 let mut compiled = CompiledAgg::new(tree, nodes, op);
-                // Max has no component in the leaf and nothing else
-                // exposes x: unprovided. Product has no leaf path.
-                let walk_free = matches!(op, AggOp::Count | AggOp::Sum(_) | AggOp::Min(_));
+                let walk_free = !matches!(op, AggOp::Product(_) | AggOp::TopK(..));
                 assert_eq!(compiled.leaves.is_some(), walk_free, "{op:?}");
-                for (g, e) in rep.root(0).entries().enumerate() {
+                for (gi, e) in rep.root(0).entries().enumerate() {
                     let unions: Vec<UnionRef<'_>> = e.children().collect();
-                    let want = eval_op(tree, &unions, &op);
-                    let got = compiled.eval(tree, &unions);
-                    match (&got, &want) {
-                        (Ok(g), Ok(w)) => assert_eq!(g, w),
-                        (Err(g), Err(w)) => assert_eq!(g.to_string(), w.to_string()),
-                        _ => panic!("{op:?} group {g}: {got:?} vs {want:?}"),
-                    }
+                    let got = compiled.eval(tree, &unions).unwrap();
+                    assert_eq!(got, want.row(gi)[1], "{op:?} group {gi}");
                     // The non-recursive path really ran — except on the
                     // two-singleton leaf, which only the walk can sum.
-                    if let Some(leaves) = &compiled.leaves {
-                        let fast = compiled.eval_leaves(leaves, &unions);
-                        assert_eq!(fast.is_some(), !(extra && g == 0), "{op:?} group {g}");
+                    if walk_free {
+                        let fast = compiled.eval_leaves(&unions);
+                        assert_eq!(fast.is_some(), !(extra && gi == 0), "{op:?} group {gi}");
                     }
                 }
             }
-            // Sum over a float leaf holding -0.0 is +0.0 in both (0 + -0.0).
+            // Sum over a float leaf holding -0.0 is +0.0 (0 + -0.0), as
+            // over the flat relation.
             let unions: Vec<UnionRef<'_>> = rep.root(0).entry(1).children().collect();
             let sum = CompiledAgg::new(tree, nodes, AggOp::Sum(x)).eval(tree, &unions);
             assert_eq!(sum.unwrap(), Value::Float(0.0));
+            // A function no component computes is refused.
+            let exists = CompiledAgg::new(tree, nodes, AggOp::Exists(x, CmpOp::Gt, 0));
+            assert!(!exists.provided());
+            let refused = exists.clone().eval(tree, &unions);
+            assert!(matches!(refused, Err(FdbError::InvalidComposition(_))));
             // What each function reads decides when it is re-evaluated.
             let reads = |op| {
                 let c = CompiledAgg::new(tree, nodes, op);
@@ -1941,11 +1954,10 @@ mod tests {
         assert_eq!(eval_op(t, &leaves, &min).unwrap(), Value::Int(3));
         assert_eq!(eval_op(t, &leaves, &exists).unwrap(), Value::Int(1));
         let v = Value::Int(4);
-        assert_eq!(eval_on_group_value(t, &leaves, &min, &v).unwrap(), v);
-        for err in [
-            eval_op(t, &leaves, &sum),
-            eval_on_group_value(t, &leaves, &sum, &v),
-        ] {
+        let nodes: Vec<NodeId> = leaves.iter().map(|u| u.node()).collect();
+        let on_group = |op| CompiledAgg::new(t, &nodes, op).eval_on_group_value(t, &leaves, &v);
+        assert_eq!(on_group(min).unwrap(), v);
+        for err in [eval_op(t, &leaves, &sum), on_group(sum)] {
             assert!(
                 matches!(err, Err(FdbError::InvalidComposition(_))),
                 "{err:?}"
@@ -2012,10 +2024,12 @@ mod tests {
             (AggOp::CountDistinct(x), [3, 2, 1]),
         ] {
             let mut compiled = CompiledAgg::new(tree, &nodes, op);
-            assert!(compiled.distinct.is_some(), "{op:?}");
+            assert!(compiled.ids.is_some(), "{op:?}");
             for (e, want) in rep.root(0).entries().zip(want) {
                 let unions: Vec<UnionRef<'_>> = e.children().collect();
                 assert_eq!(compiled.eval(tree, &unions).unwrap(), Value::Int(want));
+                // The shared table holds this group's values alone.
+                assert_eq!(compiled.ids.as_ref().unwrap().len() as i64, want);
                 assert_eq!(eval_op(tree, &unions, &op).unwrap(), Value::Int(want));
             }
         }

@@ -509,8 +509,8 @@ mod tests {
     // at its most naive. Every combination of the visit sequence is
     // materialised by plain recursion, every row is rebuilt in full,
     // every output column searches the row's attribute list, every group
-    // gets a fresh dangling list and a fresh attribute map and goes
-    // through the generic `eval_op` (provider search and all), and every
+    // gets a fresh dangling list and a fresh attribute map and compiles
+    // every function afresh (`eval_op`, provider search and all), and every
     // row is pushed on its own. Strategies then cut the complete list.
     // -----------------------------------------------------------------
 
@@ -564,7 +564,10 @@ mod tests {
                     for (f, o) in final_funcs.iter().zip(func_outputs) {
                         let v = match f.attr().filter(|a| group_attrs.contains(a)) {
                             Some(a) => {
-                                crate::agg::eval_on_group_value(tree, &dangling, f, &raw[&a])
+                                let nodes: Vec<NodeId> =
+                                    dangling.iter().map(|u| u.node()).collect();
+                                let agg = CompiledAgg::new(tree, &nodes, *f);
+                                agg.eval_on_group_value(tree, &dangling, &raw[&a])
                             }
                             None => crate::agg::eval_op(tree, &dangling, f),
                         };

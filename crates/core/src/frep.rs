@@ -319,17 +319,18 @@ impl<'a> Tabs<'a> {
         n
     }
 
-    /// Tuples in the subtree under `uid` (saturating).
-    fn tuple_count(&self, uid: UnionId) -> usize {
+    /// Tuples in the subtree under `uid`, counted over just that subtree:
+    /// per entry the product of its kids' counts, summed (saturating).
+    pub(crate) fn tuple_count(&self, uid: UnionId) -> u64 {
         self.entries_of(self.urec(uid))
             .iter()
             .map(|&e| {
                 self.kids_of(e)
                     .iter()
                     .map(|&k| self.tuple_count(k))
-                    .fold(1, usize::saturating_mul)
+                    .fold(1, u64::saturating_mul)
             })
-            .fold(0, usize::saturating_add)
+            .fold(0, u64::saturating_add)
     }
 }
 
@@ -1101,7 +1102,8 @@ impl<'a> UnionRef<'a> {
 
     /// Number of tuples this union represents (saturating).
     fn tuple_count(&self) -> usize {
-        self.arena.tabs().tuple_count(self.id)
+        let n = self.arena.tabs().tuple_count(self.id);
+        usize::try_from(n).unwrap_or(usize::MAX)
     }
 }
 
@@ -1161,11 +1163,6 @@ impl<'a> EntryRef<'a> {
     pub fn children(&self) -> impl ExactSizeIterator<Item = UnionRef<'a>> + 'a {
         let arena = self.arena;
         self.kids().iter().map(move |&id| UnionRef { arena, id })
-    }
-
-    /// Iterates the child union ids in order.
-    pub fn child_ids(&self) -> impl ExactSizeIterator<Item = UnionId> + 'a {
-        self.kids().iter().copied()
     }
 }
 

@@ -172,16 +172,6 @@ impl NodeLabel {
             NodeLabel::Agg(l) => l.outputs.contains(&attr),
         }
     }
-
-    /// True if an aggregation over `attr` can read this node: the atomic
-    /// class contains it, or an aggregate component computes over it.
-    pub fn provides_agg_input(&self, op: &AggOp) -> bool {
-        match (self, op) {
-            (_, AggOp::Count) => true,
-            (NodeLabel::Atomic(attrs), _) => attrs.contains(&op.attr().unwrap()),
-            (NodeLabel::Agg(l), op) => l.component_of(op).is_some(),
-        }
-    }
 }
 
 /// One arena node.
@@ -659,12 +649,6 @@ impl FTree {
         self.node_mut(n).dead = true;
         self.project_deps(&removed, &[]);
         Ok(pos)
-    }
-
-    /// Replaces a node's label (used by projection to shrink an
-    /// equivalence class without touching data).
-    pub fn node_label_set(&mut self, n: NodeId, label: NodeLabel) {
-        self.node_mut(n).label = label;
     }
 
     /// Projects one attribute out of a multi-member equivalence class.

@@ -7,14 +7,16 @@
 //! gets a fresh aggregate node in place of the `U` subtrees, and the
 //! dependency sets are extended per Example 5.
 //!
-//! Evaluation reads the arena through cursors; the rewritten parent
-//! entries — untouched siblings shared by id plus the new aggregate leaf
-//! — are appended to the same arena. The consumed target subtrees are
-//! never copied.
+//! Each function is compiled once per operator against the target nodes
+//! ([`crate::agg::CompiledAgg`]) and evaluated in every context through
+//! cursors over the arena; the rewritten parent entries — untouched
+//! siblings shared by id plus the new aggregate leaf — are appended to
+//! the same arena. The consumed target subtrees are never copied.
 
+use crate::agg::{eval_compiled, CompiledAgg};
 use crate::error::{FdbError, Result};
 use crate::frep::{Arena, FRep, UnionId, UnionRef};
-use crate::ftree::{AggOp, FTree, NodeId};
+use crate::ftree::{AggOp, NodeId};
 use crate::ops::rewrite_spine;
 use fdb_relational::{AttrId, Value};
 
@@ -60,43 +62,41 @@ pub fn aggregate(
     let mut new_tree = tree.clone();
     let new_node = new_tree.aggregate(target.parent, &target.nodes, funcs.clone(), outputs)?;
 
-    let sibling_ids: Vec<NodeId> = match target.parent {
-        Some(p) => tree.node(p).children.clone(),
-        None => tree.roots().to_vec(),
-    };
+    // Validated by the tree's aggregate: every target is a child of the
+    // parent (or a root).
     let positions: Vec<usize> = target
         .nodes
         .iter()
-        .map(|&t| {
-            sibling_ids
-                .iter()
-                .position(|&c| c == t)
-                .expect("validated by tree aggregate")
-        })
+        .map(|&t| tree.child_position(t))
         .collect();
-    let insert_at = *positions.iter().min().expect("at least one target");
+    let mut aggs: Vec<CompiledAgg> = funcs
+        .iter()
+        .map(|&f| CompiledAgg::new(&tree, &target.nodes, f))
+        .collect();
 
     let new_roots = match target.parent {
         Some(p) => rewrite_spine(&tree, &mut arena, &roots, p, &mut |arena, uid| {
-            let values = eval_groups(arena, uid, &tree, &positions, &funcs)?;
+            // Read-only: every group of this occurrence against the arena.
+            let values = {
+                let a: &Arena = arena;
+                let mut unions: Vec<UnionRef<'_>> = Vec::with_capacity(positions.len());
+                let groups = a.union(uid).entries().map(|e| {
+                    unions.clear();
+                    unions.extend(positions.iter().map(|&pos| e.child(pos)));
+                    eval_compiled(&mut aggs, &tree, &unions)
+                });
+                groups.collect::<Result<Vec<_>>>()?
+            };
             let rec = arena.urec(uid);
             let mut specs = Vec::with_capacity(rec.len as usize);
-            let mut kid_ids: Vec<UnionId> = Vec::new();
+            let mut kids: Vec<UnionId> = Vec::new();
             for (i, value) in (rec.start..rec.start + rec.len).zip(values) {
                 let e = arena.erec(i);
-                kid_ids.clear();
-                for j in 0..e.kids_len {
-                    if positions.contains(&(j as usize)) {
-                        if j as usize == insert_at {
-                            kid_ids.push(leaf_union(arena, new_node, value.clone()));
-                        }
-                        // Other target positions vanish.
-                    } else {
-                        arena.note_shared(1);
-                        kid_ids.push(arena.kid_at(e.kids_start + j));
-                    }
-                }
-                specs.push(arena.entry_shared_val(e.val, &kid_ids));
+                kids.clear();
+                kids.extend_from_slice(arena.kids_of(e));
+                let leaf = leaf_union(arena, new_node, value);
+                splice_leaf(arena, &mut kids, &positions, leaf);
+                specs.push(arena.entry_shared_val(e.val, &kids));
             }
             Ok(Some(arena.push_union(rec.node, &specs)))
         })?,
@@ -106,23 +106,14 @@ pub fn aggregate(
                 // empty relation (no groups exist).
                 return Ok(FRep::empty(new_tree));
             }
-            let value = {
-                let a: &Arena = &arena;
-                let unions: Vec<UnionRef<'_>> =
-                    positions.iter().map(|&pos| a.union(roots[pos])).collect();
-                crate::agg::eval_funcs(&tree, &unions, &funcs)?
-            };
-            let mut out = Vec::with_capacity(roots.len() - positions.len() + 1);
-            for (i, &r) in roots.iter().enumerate() {
-                if positions.contains(&i) {
-                    if i == insert_at {
-                        out.push(leaf_union(&mut arena, new_node, value.clone()));
-                    }
-                } else {
-                    arena.note_shared(1);
-                    out.push(r);
-                }
-            }
+            let unions: Vec<UnionRef<'_>> = positions
+                .iter()
+                .map(|&pos| arena.union(roots[pos]))
+                .collect();
+            let value = eval_compiled(&mut aggs, &tree, &unions)?;
+            let leaf = leaf_union(&mut arena, new_node, value);
+            let mut out = roots;
+            splice_leaf(&mut arena, &mut out, &positions, leaf);
             out
         }
     };
@@ -173,23 +164,17 @@ fn leaf_union(dst: &mut Arena, node: NodeId, value: Value) -> UnionId {
     dst.push_union(node, &[spec])
 }
 
-/// The read-only phase of one occurrence: evaluates every group of
-/// the parent union `uid` against the shared arena.
-fn eval_groups(
-    arena: &Arena,
-    uid: UnionId,
-    tree: &FTree,
-    positions: &[usize],
-    funcs: &[AggOp],
-) -> Result<Vec<Value>> {
-    arena
-        .union(uid)
-        .entries()
-        .map(|e| {
-            let unions: Vec<UnionRef<'_>> = positions.iter().map(|&pos| e.child(pos)).collect();
-            crate::agg::eval_funcs(tree, &unions, funcs)
-        })
-        .collect()
+/// Replaces the targets at `positions` of `kids` by `leaf`, at the first
+/// of them; the other kids stay, shared by id.
+fn splice_leaf(arena: &mut Arena, kids: &mut Vec<UnionId>, positions: &[usize], leaf: UnionId) {
+    let insert_at = *positions.iter().min().expect("at least one target");
+    arena.note_shared((kids.len() - positions.len()) as u64);
+    kids[insert_at] = leaf;
+    let mut j = 0;
+    kids.retain(|_| {
+        j += 1;
+        j - 1 == insert_at || !positions.contains(&(j - 1))
+    });
 }
 
 #[cfg(test)]

@@ -232,7 +232,7 @@ impl FRep {
         // of the other roots.
         for (j, &r) in roots.iter().enumerate() {
             if j != root {
-                removed = removed.saturating_mul(subtree_count(arena, r));
+                removed = removed.saturating_mul(arena.tabs().tuple_count(r));
             }
         }
         if let Some(id) = rewritten {
@@ -453,21 +453,14 @@ fn candidates(arena: &Arena, uid: UnionId, rec: UnionRec, preds: &[(CmpOp, Value
     (lo, hi.max(lo))
 }
 
-/// Tuples in the subtree under `uid`, counted over just that subtree.
-fn subtree_count(arena: &Arena, uid: UnionId) -> u64 {
-    let rec = arena.urec(uid);
-    (0..rec.len).fold(0u64, |acc, phys| {
-        acc.saturating_add(kids_product(arena, arena.erec(rec.start + phys), None))
-    })
-}
-
 /// Tuples under entry `e`: the product of its kids' subtree counts,
 /// leaving out kid `skip`.
 fn kids_product(arena: &Arena, e: EntryRec, skip: Option<usize>) -> u64 {
+    let tabs = arena.tabs();
     (0..e.kids_len)
         .filter(|&k| Some(k as usize) != skip)
         .fold(1u64, |acc, k| {
-            acc.saturating_mul(subtree_count(arena, arena.kid_at(e.kids_start + k)))
+            acc.saturating_mul(tabs.tuple_count(tabs.kid_at(e.kids_start + k)))
         })
 }
 
