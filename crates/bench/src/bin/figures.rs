@@ -12,8 +12,8 @@
 //!   result), `FDB` (flat output, like the relational engines) and the
 //!   two relational baselines. The extended aggregate surface
 //!   (QD/QP/QB/QK/QG: distinct, product, quantifiers, top-k-per-group,
-//!   ROLLUP) runs through the same sweep so the perf-smoke gate covers
-//!   its evaluators.
+//!   ROLLUP) runs through the same sweep, so figure 5's claims cover its
+//!   evaluators.
 //! * **6** — AGG queries on flat input, no materialised view
 //!   (Experiment 2). FDB factorises on the fly (product + merge
 //!   selections + partial aggregation); the relational baselines run
@@ -34,65 +34,180 @@
 //!   first 10 tuples: constant-delay enumeration makes them nearly free
 //!   for FDB after restructuring, while the baselines pay the full sort.
 //!
+//! Every run then checks its figure's claims, each a ratio between rows
+//! timed in the same process (so independent of the machine), prints
+//! one `claim=<name> ratio=<r> bound=<b> ok|FAIL` line per claim, and
+//! exits 1 when a claim fails or names a row the run did not print (2 on
+//! a usage error). The bounds come from runs on a 2-core Xeon (release
+//! build, seed `0xFDB`, 100 customers; EXPERIMENTS.md "The reproduction
+//! asserts the paper").
+//!
 //! ```text
 //! figures --fig {4,5,6,7,8} [--scale N] [--max-scale N] [--repeats N]
-//!         [--customers N] [--json PATH]
+//!         [--customers N]
 //! ```
 //!
 //! Default scale: 4, except figure 6 (2); figure 4 sweeps up to
-//! `--max-scale` (default 4) and ignores `--scale`. `--json PATH`
-//! additionally writes the rows as a machine-readable results file
-//! (`BENCH_s{1,2,4}.json` in the repository root are the recorded
-//! `--fig 5` baselines).
+//! `--max-scale` (default 4, at least 2) and ignores `--scale`.
 //!
 //! `cargo run --release -p fdb-bench --bin figures -- --fig 5 --scale 8`
 
 use fdb_bench::queries::flat_input_agg_queries;
 use fdb_bench::{
-    extended_agg_queries, median_secs, paper_queries, Args, BenchEnv, BenchSetup, Emitter,
-    QueryClass,
+    check, exit_code, figure5_queries, median_secs, paper_queries, Args, BenchEnv, BenchSetup,
+    Claim, Emitter, QueryClass,
 };
 use fdb_relational::engine::PlanMode;
 use fdb_relational::GroupStrategy;
 use fdb_workload::orders::OrdersConfig;
 
 const USAGE: &str = "usage: figures --fig {4,5,6,7,8} [--scale N] [--max-scale N] \
-                     [--repeats N] [--customers N] [--json PATH]";
+                     [--repeats N] [--customers N]";
 
 /// One figure's sweep, writing its rows to the emitter.
-type Figure = fn(&Args, &mut Emitter);
+type Run = fn(&Args, &mut Emitter);
+
+/// Claims at one scale, as `(query, slower engine, faster engine,
+/// bound)`: `slower ÷ faster` on the query reaches the bound.
+type Table = &'static [(&'static str, &'static str, &'static str, f64)];
+
+/// Figure 4, at every scale of the sweep: FDB beats `RDB hash`.
+const FIG4: Table = &[
+    ("Q2", "RDB hash", "FDB", 28.0),
+    ("Q3", "RDB hash", "FDB", 6.5),
+];
+
+/// Figure 5 below scale 4: FDB, with flat and with factorised output,
+/// beats `RDB hash` on every query, and factorised output beats flat
+/// output on Q1, whose result is large. Each `RDB hash` bound is the
+/// geometric middle of a third of the highest ratio measured (so a 3×
+/// slowdown of the FDB row fails it) and two thirds of the lowest (so
+/// the measured ratio clears it by 1.5×). Where the runs spread more
+/// than 2× (Q5 and QK here, Q4 at s=4) the two margins are equal and
+/// under 1.5×.
+#[rustfmt::skip]
+const FIG5_S1: Table = &[
+    ("Q1", "FDB", "FDB f/o", 1.2),
+    ("Q1", "RDB hash", "FDB", 30.0), ("Q1", "RDB hash", "FDB f/o", 78.0),
+    ("Q2", "RDB hash", "FDB", 38.0), ("Q2", "RDB hash", "FDB f/o", 36.0),
+    ("Q3", "RDB hash", "FDB", 9.8), ("Q3", "RDB hash", "FDB f/o", 13.0),
+    ("Q4", "RDB hash", "FDB", 160.0), ("Q4", "RDB hash", "FDB f/o", 160.0),
+    ("Q5", "RDB hash", "FDB", 120.0), ("Q5", "RDB hash", "FDB f/o", 120.0),
+    ("QD", "RDB hash", "FDB", 8.2), ("QD", "RDB hash", "FDB f/o", 8.2),
+    ("QP", "RDB hash", "FDB", 46.0), ("QP", "RDB hash", "FDB f/o", 36.0),
+    ("QB", "RDB hash", "FDB", 400.0), ("QB", "RDB hash", "FDB f/o", 370.0),
+    ("QK", "RDB hash", "FDB", 12.0), ("QK", "RDB hash", "FDB f/o", 13.0),
+    ("QG", "RDB hash", "FDB", 10.0), ("QG", "RDB hash", "FDB f/o", 11.0),
+];
+
+/// Figure 5 from scale 4 up: the same claims, with bounds set the same
+/// way from s=4 runs (the gap widens with scale, figure 4).
+#[rustfmt::skip]
+const FIG5_S4: Table = &[
+    ("Q1", "FDB", "FDB f/o", 1.2),
+    ("Q1", "RDB hash", "FDB", 43.0), ("Q1", "RDB hash", "FDB f/o", 120.0),
+    ("Q2", "RDB hash", "FDB", 76.0), ("Q2", "RDB hash", "FDB f/o", 72.0),
+    ("Q3", "RDB hash", "FDB", 17.0), ("Q3", "RDB hash", "FDB f/o", 23.0),
+    ("Q4", "RDB hash", "FDB", 220.0), ("Q4", "RDB hash", "FDB f/o", 210.0),
+    ("Q5", "RDB hash", "FDB", 230.0), ("Q5", "RDB hash", "FDB f/o", 220.0),
+    ("QD", "RDB hash", "FDB", 20.0), ("QD", "RDB hash", "FDB f/o", 23.0),
+    ("QP", "RDB hash", "FDB", 92.0), ("QP", "RDB hash", "FDB f/o", 87.0),
+    ("QB", "RDB hash", "FDB", 960.0), ("QB", "RDB hash", "FDB f/o", 910.0),
+    ("QK", "RDB hash", "FDB", 37.0), ("QK", "RDB hash", "FDB f/o", 36.0),
+    ("QG", "RDB hash", "FDB", 16.0), ("QG", "RDB hash", "FDB f/o", 16.0),
+];
+
+/// Figure 6: FDB on flat input beats the naive `RDB hash` plan on Q1–Q5
+/// and the eager `RDB hash man` plan (the faster `man`) on Q1–Q3. On Q4
+/// and Q5 the eager plans win here, against the paper; that gap is an
+/// open ROADMAP item, not a claim.
+#[rustfmt::skip]
+const FIG6: Table = &[
+    ("Q1", "RDB hash", "FDB", 6.5), ("Q1", "RDB hash man", "FDB", 7.0),
+    ("Q2", "RDB hash", "FDB", 4.5), ("Q2", "RDB hash man", "FDB", 1.2),
+    ("Q3", "RDB hash", "FDB", 4.0), ("Q3", "RDB hash man", "FDB", 3.5),
+    ("Q4", "RDB hash", "FDB", 9.5),
+    ("Q5", "RDB hash", "FDB", 6.5),
+];
+
+/// Figure 7: FDB beats `RDB hash` on Q6–Q9, so ordering adds little to
+/// its aggregate.
+#[rustfmt::skip]
+const FIG7: Table = &[
+    ("Q6", "RDB hash", "FDB", 30.0), ("Q7", "RDB hash", "FDB", 28.0),
+    ("Q8", "RDB hash", "FDB", 5.0), ("Q9", "RDB hash", "FDB", 8.0),
+];
+
+/// Figure 8: `FDB lim` beats both FDB's full order and `RDB lim` on
+/// Q10–Q13, and FDB's full order beats `RDB`'s on Q11–Q13. On Q10 `RDB`
+/// only scans its stored copy, which already has the order, and wins,
+/// as the paper expects (Experiment 4), so Q10 has no full-order claim.
+#[rustfmt::skip]
+const FIG8: Table = &[
+    ("Q10", "FDB", "FDB lim", 1000.0), ("Q10", "RDB lim", "FDB lim", 150.0),
+    ("Q11", "FDB", "FDB lim", 1000.0), ("Q11", "RDB lim", "FDB lim", 4000.0),
+    ("Q11", "RDB", "FDB", 1.7),
+    ("Q12", "FDB", "FDB lim", 23.0), ("Q12", "RDB lim", "FDB lim", 48.0),
+    ("Q12", "RDB", "FDB", 1.2),
+    ("Q13", "FDB", "FDB lim", 1.2), ("Q13", "RDB lim", "FDB lim", 2.8),
+    ("Q13", "RDB", "FDB", 1.2),
+];
 
 fn main() {
-    let mut argv: Vec<String> = std::env::args().skip(1).collect();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!("{USAGE}");
         std::process::exit(0);
     }
-    let fig = match argv.iter().position(|a| a == "--fig") {
-        Some(i) if i + 1 < argv.len() => {
-            let fig = argv.remove(i + 1);
-            argv.remove(i);
-            fig
-        }
-        _ => fail("missing --fig"),
-    };
-    let (figure, default_scale): (Figure, u32) = match fig.as_str() {
-        "4" => (fig4, 1),
-        "5" => (fig5, 4),
-        "6" => (fig6, 2),
-        "7" => (fig7, 4),
-        "8" => (fig8, 4),
-        other => fail(&format!("unknown figure `{other}`")),
-    };
-    let args = Args::parse_from(&argv, default_scale).unwrap_or_else(|e| fail(&e));
-    let mut emit = args.emitter();
-    figure(&args, &mut emit);
-    emit.finish();
+    let args = Args::parse_from(&argv).unwrap_or_else(|e| {
+        eprintln!("{e}; {USAGE}");
+        std::process::exit(2);
+    });
+    let mut emit = Emitter::new(args.fig);
+    figure(args.fig)(&args, &mut emit);
+    let outcomes = check(&claims(&args), &emit.rows);
+    for outcome in &outcomes {
+        println!("{outcome}");
+    }
+    std::process::exit(exit_code(&outcomes));
 }
 
-fn fail(msg: &str) -> ! {
-    eprintln!("{msg}; {USAGE}");
-    std::process::exit(2);
+fn figure(fig: u32) -> Run {
+    match fig {
+        4 => fig4,
+        5 => fig5,
+        6 => fig6,
+        7 => fig7,
+        8 => fig8,
+        _ => unreachable!("Args::parse_from admits figures 4 to 8"),
+    }
+}
+
+/// The claims of this run's figure. Figure 4's also include that the
+/// gap widens from the first scale of the sweep to the last, claimed
+/// over Q2 and Q3 together: at `--max-scale 2` the sub-millisecond Q2
+/// rows alone spread from 0.8× to 1.9×.
+fn claims(args: &Args) -> Vec<Claim> {
+    let beats = |scale, table: Table| -> Vec<Claim> {
+        let claim = |&(q, slower, faster, bound)| Claim::beats(scale, q, slower, faster, bound);
+        table.iter().map(claim).collect()
+    };
+    match args.fig {
+        4 => {
+            let sweep = args.sweep();
+            let (first, last) = (sweep[0], sweep[sweep.len() - 1]);
+            let mut claims: Vec<Claim> = sweep.iter().flat_map(|&s| beats(s, FIG4)).collect();
+            let widens = Claim::widens(first, last, &["Q2", "Q3"], "RDB hash", "FDB", 1.1);
+            claims.push(widens);
+            claims
+        }
+        5 if args.scale >= 4 => beats(args.scale, FIG5_S4),
+        5 => beats(args.scale, FIG5_S1),
+        6 => beats(args.scale, FIG6),
+        7 => beats(args.scale, FIG7),
+        8 => beats(args.scale, FIG8),
+        _ => unreachable!("Args::parse_from admits figures 4 to 8"),
+    }
 }
 
 /// Both engine families over the Orders dataset at `scale`.
@@ -108,23 +223,32 @@ fn env_at(args: &Args, scale: u32, materialise_flat: bool) -> BenchEnv {
     .build()
 }
 
-/// The two relational baselines' rows for `task` (naive plans).
+/// The two relational baselines' rows for `task`, one per plan mode:
+/// `RDB sort` and `RDB hash` for the naive plans, suffixed ` man` for
+/// the eager ones.
 fn rdb_rows(
     env: &mut BenchEnv,
     args: &Args,
     emit: &mut Emitter,
-    figure: &str,
     q: &str,
     task: &fdb_relational::planner::JoinAggTask,
+    modes: &[PlanMode],
 ) {
     for (engine, strategy) in [
         ("RDB sort", GroupStrategy::Sort),
         ("RDB hash", GroupStrategy::Hash),
     ] {
-        let (n, t) = median_secs(args.repeats, || {
-            env.run_rdb(task, strategy, PlanMode::Naive)
-        });
-        emit.row(figure, env.scale, q, engine, t, &format!("rows={n}"));
+        for &mode in modes {
+            let (n, t) = median_secs(args.repeats, || env.run_rdb(task, strategy, mode));
+            let suffix = if mode == PlanMode::Eager { " man" } else { "" };
+            emit.row(
+                env.scale,
+                q,
+                &format!("{engine}{suffix}"),
+                t,
+                &format!("rows={n}"),
+            );
+        }
     }
 }
 
@@ -142,8 +266,8 @@ fn fig4(args: &Args, emit: &mut Emitter) {
         env.share_catalog();
         for q in queries.iter().filter(|q| q.name == "Q2" || q.name == "Q3") {
             let (n, t) = median_secs(args.repeats, || env.run_fdb_flat(&q.task));
-            emit.row("4", scale, q.name, "FDB", t, &format!("rows={n}"));
-            rdb_rows(&mut env, args, emit, "4", q.name, &q.task);
+            emit.row(scale, q.name, "FDB", t, &format!("rows={n}"));
+            rdb_rows(&mut env, args, emit, q.name, &q.task, &[PlanMode::Naive]);
         }
     }
 }
@@ -157,16 +281,11 @@ fn fig5(args: &Args, emit: &mut Emitter) {
         env.flat_tuples, env.view_singletons, env.view_bytes
     );
     let attrs = env.attrs;
-    let mut queries = paper_queries(&mut env.fdb.catalog, &attrs);
-    queries.extend(extended_agg_queries(&mut env.fdb.catalog, &attrs));
+    let queries = figure5_queries(&mut env.fdb.catalog, &attrs);
     env.share_catalog();
-    for q in queries
-        .iter()
-        .filter(|q| q.class == QueryClass::Agg || q.class == QueryClass::AggExt)
-    {
-        let ((st, exec), t) = median_secs(args.repeats, || env.run_fdb_fo_report(&q.task));
+    for q in &queries {
+        let ((st, exec), t) = median_secs(args.repeats, || env.run_fdb_fo(&q.task));
         emit.row(
-            "5",
             scale,
             q.name,
             "FDB f/o",
@@ -177,8 +296,8 @@ fn fig5(args: &Args, emit: &mut Emitter) {
             ),
         );
         let (n, t) = median_secs(args.repeats, || env.run_fdb_flat(&q.task));
-        emit.row("5", scale, q.name, "FDB", t, &format!("rows={n}"));
-        rdb_rows(&mut env, args, emit, "5", q.name, &q.task);
+        emit.row(scale, q.name, "FDB", t, &format!("rows={n}"));
+        rdb_rows(&mut env, args, emit, q.name, &q.task, &[PlanMode::Naive]);
     }
 }
 
@@ -190,30 +309,13 @@ fn fig6(args: &Args, emit: &mut Emitter) {
     let queries = flat_input_agg_queries(&mut env.fdb.catalog, &attrs);
     env.share_catalog();
     for q in &queries {
-        let (n, t) = median_secs(args.repeats, || env.run_fdb_fo(&q.task));
-        emit.row("6", scale, q.name, "FDB f/o", t, &format!("singletons={n}"));
+        let ((st, _), t) = median_secs(args.repeats, || env.run_fdb_fo(&q.task));
+        let note = format!("singletons={}", st.singletons);
+        emit.row(scale, q.name, "FDB f/o", t, &note);
         let (n, t) = median_secs(args.repeats, || env.run_fdb_flat(&q.task));
-        emit.row("6", scale, q.name, "FDB", t, &format!("rows={n}"));
-        for (engine, strategy) in [
-            ("RDB sort", GroupStrategy::Sort),
-            ("RDB hash", GroupStrategy::Hash),
-        ] {
-            let (n, t) = median_secs(args.repeats, || {
-                env.run_rdb(&q.task, strategy, PlanMode::Naive)
-            });
-            emit.row("6", scale, q.name, engine, t, &format!("rows={n}"));
-            let (n, t) = median_secs(args.repeats, || {
-                env.run_rdb(&q.task, strategy, PlanMode::Eager)
-            });
-            emit.row(
-                "6",
-                scale,
-                q.name,
-                &format!("{engine} man"),
-                t,
-                &format!("rows={n}"),
-            );
-        }
+        emit.row(scale, q.name, "FDB", t, &format!("rows={n}"));
+        let modes = [PlanMode::Naive, PlanMode::Eager];
+        rdb_rows(&mut env, args, emit, q.name, &q.task, &modes);
     }
 }
 
@@ -226,8 +328,8 @@ fn fig7(args: &Args, emit: &mut Emitter) {
     env.share_catalog();
     for q in queries.iter().filter(|q| q.class == QueryClass::AggOrd) {
         let (n, t) = median_secs(args.repeats, || env.run_fdb_flat(&q.task));
-        emit.row("7", scale, q.name, "FDB", t, &format!("rows={n}"));
-        rdb_rows(&mut env, args, emit, "7", q.name, &q.task);
+        emit.row(scale, q.name, "FDB", t, &format!("rows={n}"));
+        rdb_rows(&mut env, args, emit, q.name, &q.task, &[PlanMode::Naive]);
     }
 }
 
@@ -245,7 +347,6 @@ fn fig8(args: &Args, emit: &mut Emitter) {
             let suffix = if limit.is_some() { " lim" } else { "" };
             let (n, t) = median_secs(args.repeats, || env.run_fdb_flat(&task));
             emit.row(
-                "8",
                 scale,
                 q.name,
                 &format!("FDB{suffix}"),
@@ -255,7 +356,6 @@ fn fig8(args: &Args, emit: &mut Emitter) {
             let keys = task.order_by.clone();
             let (n, t) = median_secs(args.repeats, || env.run_rdb_ord(q.input, &keys, limit));
             emit.row(
-                "8",
                 scale,
                 q.name,
                 &format!("RDB{suffix}"),
@@ -269,31 +369,26 @@ fn fig8(args: &Args, emit: &mut Emitter) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fdb_bench::{parse_results, PerfRow};
-    use std::collections::BTreeSet;
 
-    fn gated_keys(rows: &[PerfRow]) -> BTreeSet<String> {
-        rows.iter()
-            .filter(|r| r.engine.starts_with("FDB"))
-            .map(PerfRow::key)
-            .collect()
-    }
-
-    /// The perf gate matches rows by key, so a figure-5 row renamed or
-    /// lost here would fail CI's gate as "missing"; catch it in tier-1.
+    /// A tiny run of every figure prints every row its claims name. No
+    /// timing is asserted: at 8 customers the ratios mean nothing.
     #[test]
-    fn fig5_emits_every_gated_row_of_the_committed_baseline() {
-        let args = Args {
-            scale: 1,
-            max_scale: 1,
-            repeats: 1,
-            customers: 8,
-            json: None,
-        };
-        let mut emit = Emitter::for_tests(1);
-        fig5(&args, &mut emit);
-        let fresh = parse_results(&emit.to_json()).unwrap();
-        let baseline = parse_results(include_str!("../../../../BENCH_s1.json")).unwrap();
-        assert_eq!(gated_keys(&fresh), gated_keys(&baseline));
+    fn every_claim_finds_its_rows() {
+        for fig in 4..=8 {
+            let args = Args {
+                fig,
+                scale: 1,
+                max_scale: 2,
+                repeats: 1,
+                customers: 8,
+            };
+            let mut emit = Emitter::new(fig);
+            figure(fig)(&args, &mut emit);
+            let outcomes = check(&claims(&args), &emit.rows);
+            assert!(!outcomes.is_empty(), "figure {fig} claims nothing");
+            for outcome in outcomes {
+                assert!(outcome.ratio.is_ok(), "figure {fig}: {outcome}");
+            }
+        }
     }
 }

@@ -1,17 +1,17 @@
 //! # fdb-bench — harness regenerating the paper's evaluation (§6)
 //!
-//! Everything the `figures` binary (Figures 4–8, one per `--fig N`),
-//! the `perfgate` binary and the operator micro-benches share:
+//! Everything the `figures` binary (Figures 4–8, one per `--fig N`) and
+//! the operator micro-benches share:
 //!
 //! * [`queries`] — the thirteen queries of Figure 3 (AGG: Q1–Q5, AGG+ORD:
 //!   Q6–Q9, ORD: Q10–Q13) as engine-neutral tasks;
 //! * [`setup`] — paired engine construction over the scalable Orders/
 //!   Packages/Items dataset: the factorised view `R1` for FDB, the
 //!   materialised flat views `R1`/`R2`/`R3` for the relational baselines;
-//! * [`harness`] — timing, flags and the row format of every figure
-//!   (`figure=<n> scale=<s> query=<q> engine=<e> seconds=<t>`);
-//! * [`perf`] — the `--json` results format and the regression gate
-//!   `perfgate` runs against the committed `BENCH_s{1,2,4}.json`.
+//! * [`harness`] — timing, flags, the row format of every figure
+//!   (`figure=<n> scale=<s> query=<q> engine=<e> seconds=<t>`) and the
+//!   check of a figure's claims, ratios between rows of the same run
+//!   (`claim=<name> ratio=<r> bound=<b> ok|FAIL`).
 //!
 //! Engine naming follows the paper: `FDB` (flat output), `FDB f/o`
 //! (factorised output), `RDB sort` (SQLite-like sort-based grouping),
@@ -20,11 +20,9 @@
 //! end-to-end and multi-core numbers are the benchmark's (`suite/`).
 
 pub mod harness;
-pub mod perf;
 pub mod queries;
 pub mod setup;
 
-pub use harness::{median_secs, time_secs, Args, Emitter};
-pub use perf::{compare, parse_results, GateConfig, PerfRow, Verdict};
-pub use queries::{extended_agg_queries, paper_queries, PaperQuery, QueryClass};
+pub use harness::{check, exit_code, median_secs, time_secs, Args, Claim, Emitter};
+pub use queries::{extended_agg_queries, figure5_queries, paper_queries, PaperQuery, QueryClass};
 pub use setup::{BenchEnv, BenchSetup};

@@ -131,25 +131,11 @@ impl BenchEnv {
     }
 
     /// Runs a task on FDB keeping the output factorised (`FDB f/o`),
-    /// returning the singleton count of the result.
-    pub fn run_fdb_fo(&mut self, task: &JoinAggTask) -> usize {
-        self.run_fdb_fo_stats(task).singletons
-    }
-
-    /// [`BenchEnv::run_fdb_fo`] returning the full size report of the
-    /// result factorisation — the perf trajectory records the arena's
-    /// byte footprint alongside the paper's singleton measure.
-    pub fn run_fdb_fo_stats(&mut self, task: &JoinAggTask) -> fdb_core::FRepStats {
-        self.run_fdb_fo_report(task).0
-    }
-
-    /// [`BenchEnv::run_fdb_fo_stats`] plus the staged executor's
-    /// report — the perf trajectory gates on the intermediate
-    /// arena bytes of the plan run (`ibytes=` in the `--json` notes).
-    pub fn run_fdb_fo_report(
-        &mut self,
-        task: &JoinAggTask,
-    ) -> (fdb_core::FRepStats, fdb_core::ExecStats) {
+    /// returning the size report of the result factorisation (the
+    /// paper's singleton measure and the arena's byte footprint) and the
+    /// staged executor's report, whose intermediate arena bytes
+    /// `tests/intermediate_bytes.rs` gates.
+    pub fn run_fdb_fo(&mut self, task: &JoinAggTask) -> (fdb_core::FRepStats, fdb_core::ExecStats) {
         let result = self.fdb.run_default(task).expect("fdb plans");
         (result.rep().stats(), result.exec_stats())
     }
@@ -300,9 +286,8 @@ mod tests {
         let attrs = env.attrs;
         let queries = paper_queries(&mut env.fdb.catalog, &attrs);
         let q1 = &queries[0];
-        let stats = env.run_fdb_fo_stats(&q1.task);
+        let (stats, _) = env.run_fdb_fo(&q1.task);
         assert!(stats.singletons > 0);
         assert!(stats.bytes > 0);
-        assert_eq!(stats.singletons, env.run_fdb_fo(&q1.task));
     }
 }
