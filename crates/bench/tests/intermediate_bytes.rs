@@ -14,7 +14,7 @@ use fdb_workload::orders::OrdersConfig;
 const BOUNDS: [(&str, usize); 10] = [
     ("Q1", 2_756),
     ("Q2", 9_060),
-    ("Q3", 1_876_900),
+    ("Q3", 1_084_036),
     ("Q4", 6_376),
     ("Q5", 368),
     ("QD", 1_124_476),

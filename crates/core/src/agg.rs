@@ -11,7 +11,7 @@
 //!
 //! Which factor provides a function's attribute, and the spine down to
 //! it, depend on the f-tree alone, so each function is resolved once:
-//! [`CompiledAgg`] is the one evaluator of a function over a product of
+//! `CompiledAgg` is the one evaluator of a function over a product of
 //! factors — compiled once per `γ`, once per grouped result, once per
 //! [`eval_op`] call — and the group fold resolves its readers once per
 //! walk. Every function but `count(distinct)` is a `Fold` (an identity,
@@ -33,7 +33,7 @@
 
 use crate::dense::DenseIds;
 use crate::error::{FdbError, Result};
-use crate::frep::{EntryRef, UnionRef};
+use crate::frep::{Col, EntryRef, UnionRef};
 use crate::ftree::{AggLabel, AggOp, FTree, NodeId, NodeLabel};
 use fdb_relational::{CmpOp, Number, Value};
 
@@ -629,9 +629,9 @@ trait GroupSink {
     /// Leaves the entry entered last.
     fn leave(&mut self);
     /// Adds entries of an atomic leaf group node under the current
-    /// context to the groups `gids`, whose values are `keys` (a new
+    /// context to the groups `gids`, whose keys are `keys` (a new
     /// group's id is the number of groups so far).
-    fn add_leaf(&mut self, gids: &[u32], keys: &[Value]) -> Result<()>;
+    fn add_leaf(&mut self, gids: &[u32], keys: &[(u32, Value)]) -> Result<()>;
     /// Adds the entries of `u`, a union of the group node on `level`, to
     /// the groups `gids` (one per entry, as in [`GroupSink::add_leaf`]).
     /// `counts` is scratch for [`Here::counts`].
@@ -737,6 +737,31 @@ impl<F: Fold> GroupSink for Table<F> {
         counts: &mut Vec<Option<i64>>,
     ) -> Result<()> {
         let label = &ftree.node(u.node()).label;
+        if let Some(Ctx::Value(acc)) = self.stack.last() {
+            // Read above: each entry scales the context by its own
+            // multiplicity and its children's tuple counts.
+            let acc = acc.clone();
+            // Atomic leaf children count their entries: no walk.
+            let node = ftree.node(u.node());
+            let leaves = matches!(label, NodeLabel::Atomic(_))
+                && node.children.iter().all(|&c| {
+                    let c = ftree.node(c);
+                    matches!(c.label, NodeLabel::Atomic(_)) && c.children.is_empty()
+                });
+            for (e, &gid) in u.entries().zip(gids) {
+                let mut mult = 1;
+                if F::SCALES && leaves {
+                    let mut lens = e.children().map(|c| c.len() as i64);
+                    mult = checked(lens.try_fold(1i64, |m, n| m.checked_mul(n)))?;
+                } else if F::SCALES {
+                    let own = entry_multiplicity(label, e.value())?;
+                    mult = count_product(ftree, e.children(), None, own)?;
+                }
+                let term = self.f.scale(acc.clone(), mult);
+                self.combine_into(gid, term);
+            }
+            return Ok(());
+        }
         for (e, &gid) in u.entries().zip(gids) {
             counts.clear();
             counts.resize(e.child_count(), None);
@@ -756,7 +781,7 @@ impl<F: Fold> GroupSink for Table<F> {
         Ok(())
     }
 
-    fn add_leaf(&mut self, gids: &[u32], keys: &[Value]) -> Result<()> {
+    fn add_leaf(&mut self, gids: &[u32], keys: &[(u32, Value)]) -> Result<()> {
         // An atomic leaf entry stands for one tuple and has no children:
         // nothing at it scales the context.
         let m = match self.stack.last().expect("the root context") {
@@ -771,7 +796,7 @@ impl<F: Fold> GroupSink for Table<F> {
         };
         // The reader is the group node: its value, or (`count`) its row.
         for &gid in gids {
-            let v = &keys[gid as usize];
+            let v = &keys[gid as usize].1;
             let term = self.f.atom(v)?;
             let null = !matches!(self.reader, Reader::Rows) && v.is_null();
             let mult = if F::SCALES && !null { m } else { 1 };
@@ -813,6 +838,76 @@ fn group_sink(ftree: &FTree, path: &[NodeId], op: AggOp) -> Result<Box<dyn Group
     })
 }
 
+/// The groups of one group node in a group fold.
+struct GroupLevel {
+    /// Per group, its key: its enclosing group (on the group node above
+    /// it on the path, `0` for the topmost) and its value.
+    keys: Vec<(u32, Value)>,
+    ids: GroupIds,
+}
+
+/// How a group node finds the id of an entry's group.
+enum GroupIds {
+    /// Every node above is a group node: each entry is a group of its
+    /// own, met once, and its id is the next number.
+    Next,
+    /// The topmost group node, under a node outside the set: the value
+    /// alone is the key, interned by its place in the arena column.
+    Value(DenseIds),
+    /// Under another group node and a node outside the set: the
+    /// `(enclosing group, value)` key is interned.
+    Pair(DenseIds),
+}
+
+impl GroupLevel {
+    /// The id of the group of value `col[val]` inside group `parent`.
+    #[inline(always)]
+    fn id(&mut self, parent: u32, col: &Col<'_>, val: u32) -> u32 {
+        let next = self.keys.len() as u32;
+        let gid = match &mut self.ids {
+            GroupIds::Next => next,
+            GroupIds::Value(ids) => ids.intern(col, val),
+            GroupIds::Pair(ids) => {
+                self.keys.push((parent, col.get(val).clone()));
+                let gid = ids.intern(self.keys.as_slice(), next);
+                if gid != next {
+                    self.keys.pop();
+                }
+                return gid;
+            }
+        };
+        if gid == next {
+            self.keys.push((parent, col.get(val).clone()));
+        }
+        gid
+    }
+
+    /// [`GroupLevel::id`] of each of `vals`, appended to `gids`: the
+    /// topmost interned node (every single-node fold below the root)
+    /// loops over its table alone.
+    fn ids(
+        &mut self,
+        parent: u32,
+        col: &Col<'_>,
+        vals: impl Iterator<Item = u32>,
+        gids: &mut Vec<u32>,
+    ) {
+        if let GroupIds::Value(ids) = &mut self.ids {
+            for val in vals {
+                let gid = ids.intern(col, val);
+                if gid as usize == self.keys.len() {
+                    self.keys.push((parent, col.get(val).clone()));
+                }
+                gids.push(gid);
+            }
+            return;
+        }
+        for val in vals {
+            gids.push(self.id(parent, col, val));
+        }
+    }
+}
+
 /// The shared top-down walk of a group fold.
 struct GroupWalk<'a> {
     ftree: &'a FTree,
@@ -822,14 +917,20 @@ struct GroupWalk<'a> {
     /// unchanged: an atomic node whose only child is on the path and
     /// where no function reads.
     quiet: Vec<bool>,
-    /// Whether the group node is an atomic leaf: then the functions see
-    /// its entries as group ids alone, in one batch per context.
+    /// Whether the deepest group node is an atomic leaf: then the
+    /// functions see its entries as group ids alone, in one batch per
+    /// context.
     leaf: bool,
     sinks: Vec<Box<dyn GroupSink>>,
-    /// Group ids of the group node's values, each group's value, and the
-    /// ids of the group-node entries not yet added.
-    ids: DenseIds,
-    keys: Vec<Value>,
+    /// Per root-path level, the index of its group node in `groups`.
+    group_at: Vec<Option<usize>>,
+    /// The group nodes' groups, top-down; the last one's are the fold's.
+    groups: Vec<GroupLevel>,
+    /// Per group node, the group enclosing its entries: `0` for the
+    /// topmost, else the group of the entry being walked on the group
+    /// node above.
+    enclosing: Vec<u32>,
+    /// Ids of the deepest group node's entries not yet added.
     gids: Vec<u32>,
     /// Scratch for [`Here::counts`].
     counts: Vec<Option<i64>>,
@@ -838,14 +939,10 @@ struct GroupWalk<'a> {
 impl<'a> GroupWalk<'a> {
     fn walk(&mut self, u: UnionRef<'a>, level: usize) -> Result<()> {
         let Some(&j) = self.path.get(level) else {
+            // The deepest node: the last group node.
+            let g = self.groups.len() - 1;
             let (col, vals) = u.value_indices();
-            for val in vals {
-                let gid = self.ids.intern(&col, val);
-                if gid as usize == self.keys.len() {
-                    self.keys.push(col.get(val).clone());
-                }
-                self.gids.push(gid);
-            }
+            self.groups[g].ids(self.enclosing[g], &col, vals, &mut self.gids);
             if !self.leaf {
                 for s in &mut self.sinks {
                     s.add(self.ftree, u, level, &self.gids, &mut self.counts)?;
@@ -854,14 +951,21 @@ impl<'a> GroupWalk<'a> {
             }
             return Ok(());
         };
+        let group = self.group_at[level];
         if self.quiet[level] {
             for e in u.entries() {
+                if let Some(g) = group {
+                    self.enter_group(g, e);
+                }
                 self.walk(e.child(j), level + 1)?;
             }
             return Ok(());
         }
         let label = &self.ftree.node(u.node()).label;
         for e in u.entries() {
+            if let Some(g) = group {
+                self.enter_group(g, e);
+            }
             self.counts.clear();
             self.counts.resize(e.child_count(), None);
             let mut at = Here {
@@ -884,11 +988,19 @@ impl<'a> GroupWalk<'a> {
         Ok(())
     }
 
+    /// Enters entry `e` of group node `g`: its group becomes current.
+    #[inline(always)]
+    fn enter_group(&mut self, g: usize, e: EntryRef<'_>) {
+        let (col, val) = e.value_index();
+        self.enclosing[g + 1] = self.groups[g].id(self.enclosing[g], &col, val);
+    }
+
     /// Adds the leaf group entries gathered under the current context.
     fn flush(&mut self) -> Result<()> {
         if self.leaf && !self.gids.is_empty() {
+            let keys = &self.groups.last().expect("a group node").keys;
             for s in &mut self.sinks {
-                s.add_leaf(&self.gids, &self.keys)?;
+                s.add_leaf(&self.gids, keys)?;
             }
             self.gids.clear();
         }
@@ -896,26 +1008,45 @@ impl<'a> GroupWalk<'a> {
     }
 }
 
-/// `γ_funcs` grouped by the atomic node `g`, over the relation
-/// represented by `root` (the union of the tree's only root): each
-/// group's value in ascending group order, as `(group value, value)`
-/// with a `Tup` value for several functions ([`eval_funcs`]).
+/// The groups of a group fold ([`fold_groups`]) as a chain: one level
+/// per group node, in the order the nodes were given, each in ascending
+/// key order.
+pub(crate) struct FoldedGroups {
+    /// Per level, top-down: each group's enclosing group, as its index on
+    /// the level above (non-decreasing; `0` on the top level), and each
+    /// group's value. A group stands for the tuple of values up the
+    /// chain.
+    pub(crate) levels: Vec<(Vec<u32>, Vec<Value>)>,
+    /// Per group of the last level, the functions' value: a `Tup` for
+    /// several functions ([`eval_funcs`]).
+    pub(crate) values: Vec<Value>,
+}
+
+/// `γ_funcs` grouped by the atomic nodes `groups`, which lie on one root
+/// path, over the relation represented by `root` (the union of the
+/// tree's only root), as a chain of the group nodes in the given order.
 ///
-/// One walk down the root path to `g` serves every function. Each
-/// carries a context down the path: the multiplicity of the tuples so
-/// far, until it meets its provider — a node on the path, whose value it
-/// reads, or a child off the path, which [`fold_union`] folds — and from
-/// then on the accumulated value, scaled by each entry's multiplicity
-/// beside the path. At `g` each entry's term combines into the table
-/// slot of its value, interned once per visit into one [`DenseIds`].
+/// One walk down the root path to the deepest group node serves every
+/// function. Each carries a context down the path: the multiplicity of
+/// the tuples so far, until it meets its provider — a node on the path,
+/// whose value it reads, or a child off the path, which [`fold_union`]
+/// folds — and from then on the accumulated value, scaled by each entry's
+/// multiplicity beside the path. At the deepest group node each entry's
+/// term combines into the table slot of its group, whose key is the tuple
+/// of group values along the path. When the group nodes are a prefix of
+/// the path, each group is met exactly once, in path key order, so its id
+/// is the next number and, when `groups` keeps the path order, the walk's
+/// groups are the chain; otherwise each group node interns `(enclosing
+/// group, value)` into a table and the groups are sorted at the end.
 /// Multiplicities are checked like everywhere else in this module.
 pub(crate) fn fold_groups(
     ftree: &FTree,
     root: UnionRef<'_>,
-    g: NodeId,
+    groups: &[NodeId],
     funcs: &[AggOp],
-) -> Result<Vec<(Value, Value)>> {
-    let nodes = ftree.root_path(g);
+) -> Result<FoldedGroups> {
+    let deepest = groups.iter().copied().max_by_key(|&g| ftree.depth(g));
+    let nodes = ftree.root_path(deepest.expect("at least one group node"));
     let path = nodes[1..]
         .iter()
         .map(|&n| ftree.child_position(n))
@@ -932,14 +1063,34 @@ pub(crate) fn fold_groups(
                 && sinks.iter().all(|s| !s.reads_at(level))
         })
         .collect();
+    // The group nodes in path order, and where each sits on the path.
+    let levels: Vec<usize> = (0..nodes.len())
+        .filter(|&l| groups.contains(&nodes[l]))
+        .collect();
+    let mut group_at = vec![None; nodes.len()];
+    for (g, &l) in levels.iter().enumerate() {
+        group_at[l] = Some(g);
+    }
     let mut walk = GroupWalk {
         ftree,
         path,
         quiet,
-        leaf: ftree.node(g).children.is_empty(),
+        leaf: ftree.node(nodes[nodes.len() - 1]).children.is_empty(),
         sinks,
-        ids: DenseIds::new(),
-        keys: Vec::new(),
+        group_at,
+        groups: levels
+            .iter()
+            .enumerate()
+            .map(|(g, &l)| GroupLevel {
+                keys: Vec::new(),
+                ids: match (l == g, g == 0) {
+                    (true, _) => GroupIds::Next,
+                    (false, true) => GroupIds::Value(DenseIds::new()),
+                    (false, false) => GroupIds::Pair(DenseIds::new()),
+                },
+            })
+            .collect(),
+        enclosing: vec![0; levels.len() + 1],
         gids: Vec::new(),
         counts: Vec::new(),
     };
@@ -950,23 +1101,143 @@ pub(crate) fn fold_groups(
         .iter_mut()
         .map(|s| s.finish())
         .collect::<Result<Vec<_>>>()?;
-    let mut order: Vec<usize> = (0..walk.keys.len()).collect();
-    order.sort_unstable_by(|&a, &b| walk.keys[a].cmp(&walk.keys[b]));
-    Ok(order
-        .into_iter()
-        .map(|gid| {
-            let mut vals: Vec<Value> = cols
-                .iter_mut()
-                .map(|c| std::mem::replace(&mut c[gid], Value::Null))
-                .collect();
-            let v = if vals.len() == 1 {
-                vals.pop().unwrap()
-            } else {
-                Value::tup(vals)
-            };
-            (std::mem::replace(&mut walk.keys[gid], Value::Null), v)
+    let values = match cols.len() {
+        1 => cols.pop().expect("one function, one column"),
+        _ => (0..cols[0].len())
+            .map(|gid| {
+                let vals = cols
+                    .iter_mut()
+                    .map(|c| std::mem::replace(&mut c[gid], Value::Null));
+                Value::tup(vals.collect::<Vec<_>>())
+            })
+            .collect(),
+    };
+    // The path-order index of each group node, in chain order.
+    let chain: Vec<usize> = groups
+        .iter()
+        .map(|g| {
+            let on_path = levels.iter().position(|&l| nodes[l] == *g);
+            on_path.expect("every group node lies on the deepest one's root path")
         })
-        .collect())
+        .collect();
+    Ok(chain_groups(walk.groups, &chain, values))
+}
+
+/// The walk's groups (`levels`, top-down on the path, the last level's
+/// ids indexing `values`) as the chain that visits the group nodes in
+/// the order `chain` (of indices into `levels`). The walk's own groups
+/// when each was met once in path order and the chain keeps it;
+/// otherwise sorted by their keys in chain order: a stable counting sort
+/// per chain level, last level first, by the rank of the value, skipping
+/// a level the order already follows.
+fn chain_groups(levels: Vec<GroupLevel>, chain: &[usize], mut values: Vec<Value>) -> FoldedGroups {
+    if levels.iter().all(|l| matches!(l.ids, GroupIds::Next)) && chain.is_sorted() {
+        return FoldedGroups {
+            levels: levels
+                .into_iter()
+                .map(|l| l.keys.into_iter().unzip())
+                .collect(),
+            values,
+        };
+    }
+    // Per group node, each last-level group's rank of its value there,
+    // and the distinct values by rank.
+    let n = values.len();
+    let mut ranked: Vec<(Vec<u32>, Vec<Value>)> = Vec::with_capacity(levels.len());
+    let mut ancestor: Vec<u32> = (0..n as u32).collect();
+    for level in levels.iter().rev() {
+        let (rank, distinct) = ranks(&level.keys);
+        ranked.push((
+            ancestor.iter().map(|&a| rank[a as usize]).collect(),
+            distinct,
+        ));
+        for a in &mut ancestor {
+            *a = level.keys[*a as usize].0;
+        }
+    }
+    ranked.reverse();
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    for &g in chain.iter().rev() {
+        let (rank, distinct) = &ranked[g];
+        if order.is_sorted_by_key(|&gid| rank[gid as usize]) {
+            continue;
+        }
+        let mut starts = vec![0; distinct.len() + 1];
+        for &gid in &order {
+            starts[rank[gid as usize] as usize + 1] += 1;
+        }
+        for r in 1..starts.len() {
+            starts[r] += starts[r - 1];
+        }
+        let mut sorted = vec![0; n];
+        for &gid in &order {
+            let slot = &mut starts[rank[gid as usize] as usize];
+            sorted[*slot] = gid;
+            *slot += 1;
+        }
+        order = sorted;
+    }
+    // Each chain level: a new group wherever the key up to it changes.
+    let mut out = Vec::with_capacity(chain.len());
+    let mut changed = vec![false; n];
+    // Per sorted group, the index of its group on the level above.
+    let mut enclosing = vec![0u32; n];
+    for &g in chain {
+        let (rank, distinct) = &ranked[g];
+        let (mut parents, mut vals) = (Vec::new(), Vec::new());
+        let mut prev = u32::MAX;
+        for (i, &gid) in order.iter().enumerate() {
+            let r = rank[gid as usize];
+            changed[i] |= i == 0 || r != prev;
+            prev = r;
+            if changed[i] {
+                parents.push(enclosing[i]);
+                vals.push(distinct[r as usize].clone());
+            }
+            enclosing[i] = vals.len() as u32 - 1;
+        }
+        out.push((parents, vals));
+    }
+    let values = order
+        .iter()
+        .map(|&gid| std::mem::replace(&mut values[gid as usize], Value::Null))
+        .collect();
+    FoldedGroups {
+        levels: out,
+        values,
+    }
+}
+
+/// Per key, the rank of its value among the distinct values of `keys`,
+/// and those values in ascending order.
+fn ranks(keys: &[(u32, Value)]) -> (Vec<u32>, Vec<Value>) {
+    /// The values of the keys, as a column for [`DenseIds`].
+    struct Values<'a>(&'a [(u32, Value)]);
+    impl std::ops::Index<usize> for Values<'_> {
+        type Output = Value;
+        fn index(&self, i: usize) -> &Value {
+            &self.0[i].1
+        }
+    }
+    let mut ids = DenseIds::new();
+    let vids: Vec<u32> = (0..keys.len() as u32)
+        .map(|i| ids.intern(&Values(keys), i))
+        .collect();
+    let mut first = vec![0; ids.len()];
+    for (i, &v) in vids.iter().enumerate().rev() {
+        first[v as usize] = i;
+    }
+    let mut distinct: Vec<u32> = (0..ids.len() as u32).collect();
+    distinct.sort_unstable_by(|&a, &b| keys[first[a as usize]].1.cmp(&keys[first[b as usize]].1));
+    let mut rank = vec![0; ids.len()];
+    for (r, &v) in distinct.iter().enumerate() {
+        rank[v as usize] = r as u32;
+    }
+    let values = distinct
+        .iter()
+        .map(|&v| keys[first[v as usize]].1.clone())
+        .collect();
+    (vids.iter().map(|&v| rank[v as usize]).collect(), values)
 }
 
 /// The number of distinct non-NULL values of the attribute at the end of
@@ -1004,7 +1275,7 @@ fn count_distinct(u: UnionRef<'_>, spine: &[usize], ids: &mut DenseIds) -> i64 {
 
 /// Evaluates one aggregation function over a *product* of sibling unions
 /// (the expression an aggregation operator replaces, §3.2): compiles it
-/// against the unions' nodes ([`CompiledAgg`]), then evaluates it once.
+/// against the unions' nodes (`CompiledAgg`), then evaluates it once.
 pub fn eval_op(ftree: &FTree, unions: &[UnionRef<'_>], op: &AggOp) -> Result<Value> {
     eval_funcs(ftree, unions, std::slice::from_ref(op))
 }
@@ -1292,14 +1563,29 @@ pub fn eval_funcs(ftree: &FTree, unions: &[UnionRef<'_>], funcs: &[AggOp]) -> Re
 /// `count` elsewhere (the counts are ignored by the final extremum but keep
 /// the factorisation reducible). Duplicates are evaluated once (§3.2.4).
 pub fn partial_funcs(ftree: &FTree, targets: &[NodeId], final_funcs: &[AggOp]) -> Vec<AggOp> {
+    partials(final_funcs, |f| {
+        targets.iter().any(|&t| subtree_provides(ftree, t, f))
+    })
+}
+
+/// The partial functions of a group fold by `groups` ([`partial_funcs`]
+/// over every node but the group nodes).
+pub fn fold_funcs(ftree: &FTree, groups: &[NodeId], final_funcs: &[AggOp]) -> Vec<AggOp> {
+    partials(final_funcs, |f| {
+        let mut rest = ftree
+            .live_nodes()
+            .into_iter()
+            .filter(|n| !groups.contains(n));
+        rest.any(|n| node_provides(&ftree.node(n).label, f))
+    })
+}
+
+/// Each final function where `available` holds, `count` elsewhere, once.
+fn partials(final_funcs: &[AggOp], available: impl Fn(&AggOp) -> bool) -> Vec<AggOp> {
     let mut out: Vec<AggOp> = Vec::new();
     for f in final_funcs {
         // `count` reads no attribute: every subtree provides it.
-        let partial = if targets.iter().any(|&t| subtree_provides(ftree, t, f)) {
-            *f
-        } else {
-            AggOp::Count
-        };
+        let partial = if available(f) { *f } else { AggOp::Count };
         if !out.contains(&partial) {
             out.push(partial);
         }

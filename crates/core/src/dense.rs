@@ -1,14 +1,15 @@
 //! Dense ids for the values of one arena column: the seeded,
 //! linear-probing hash table behind the swap kernel's regroup
-//! ([`crate::ops::swap`]) and the distinct count ([`crate::agg`]).
+//! ([`crate::ops::swap`]), the distinct count and the group fold's
+//! groups ([`crate::agg`]).
 //!
 //! A key is a value index into a column (anything indexable by
-//! position: a slice, or an arena column split across base and tail),
+//! position: a slice, or an arena column split across base and tail;
+//! its items are `Value`s, or any other hashable keys),
 //! so the table holds no borrow of the arena and one table is cleared
 //! and reused across every union (or group) its owner visits: once
 //! grown, interning allocates nothing.
 
-use fdb_relational::Value;
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::ops::Index;
@@ -64,9 +65,10 @@ impl DenseIds {
     // second call site stopped it being inlined into the distinct
     // count's loop, which then ran measurably slower.
     #[inline(always)]
-    pub(crate) fn intern<C>(&mut self, col: &C, val: u32) -> u32
+    pub(crate) fn intern<C, K>(&mut self, col: &C, val: u32) -> u32
     where
-        C: Index<usize, Output = Value> + ?Sized,
+        C: Index<usize, Output = K> + ?Sized,
+        K: Hash + PartialEq + ?Sized,
     {
         let v = &col[val as usize];
         let mut h = FxHasher(self.seed);
@@ -161,6 +163,7 @@ impl Hasher for FxHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fdb_relational::Value;
 
     #[test]
     fn equal_values_share_an_id_across_positions_and_growth() {

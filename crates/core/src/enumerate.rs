@@ -45,7 +45,7 @@ impl EnumSpec {
     pub fn ordered(tree: &FTree, keys: &[SortKey]) -> Result<Self> {
         let mut visit: Vec<NodeId> = Vec::new();
         let mut dirs: Vec<SortDir> = Vec::new();
-        for key in keys {
+        for (i, key) in keys.iter().enumerate() {
             let node = tree.node_of_attr(key.attr).ok_or_else(|| {
                 FdbError::Unresolved(format!("order attribute {} not in f-tree", key.attr))
             })?;
@@ -66,6 +66,13 @@ impl EnumSpec {
                 return Err(FdbError::OrderUnsupported(format!(
                     "attribute {} is neither a root nor a child of an \
                      earlier order attribute (Theorem 2)",
+                    key.attr
+                )));
+            }
+            if !composite_realises(tree, node, &keys[i..]) {
+                return Err(FdbError::OrderUnsupported(format!(
+                    "a composite aggregate's entries are sorted by its whole \
+                     tuple, which does not order by attribute {}",
                     key.attr
                 )));
             }
@@ -156,6 +163,29 @@ impl EnumSpec {
         let dirs = vec![SortDir::Asc; nodes.len()];
         Ok(EnumSpec { visit: nodes, dirs })
     }
+}
+
+/// Whether visiting `node` realises the order `keys`, which starts at
+/// its first key. The entries of a composite aggregate node are sorted by
+/// their whole tuple, so its keys must be its outputs in order, in one
+/// direction, and either all of them or the last keys of the order —
+/// else its tuple order, not the next key, would break their ties.
+fn composite_realises(tree: &FTree, node: NodeId, keys: &[SortKey]) -> bool {
+    let NodeLabel::Agg(l) = &tree.node(node).label else {
+        return true;
+    };
+    if l.outputs.len() == 1 {
+        return true;
+    }
+    let run = keys
+        .iter()
+        .take_while(|k| tree.node_of_attr(k.attr) == Some(node))
+        .count();
+    let in_order = keys[..run]
+        .iter()
+        .zip(&l.outputs)
+        .all(|(k, &o)| k.attr == o && k.dir == keys[0].dir);
+    in_order && (run == l.outputs.len() || run == keys.len())
 }
 
 /// Appends the unvisited nodes in pre-order (parents first).
@@ -1035,6 +1065,32 @@ pub(crate) mod tests {
         assert!(supports_order(t, &[k("pizza"), k("date"), k("item")]));
         assert!(!supports_order(t, &[k("pizza"), k("customer"), k("date")]));
         assert!(!supports_order(t, &[k("customer"), k("pizza")]));
+    }
+
+    #[test]
+    fn a_composite_aggregate_orders_by_its_whole_tuple() {
+        // `(v, n)` over `g`: its entries sort by `v`, then `n`.
+        let mut c = Catalog::new();
+        let [g, v, n, x] = ["g", "v", "n", "x"].map(|a| c.intern(a));
+        let mut t = FTree::new();
+        let top = t.add_node(
+            NodeLabel::Agg(crate::ftree::AggLabel {
+                funcs: vec![AggOp::Sum(x), AggOp::Count],
+                over: [x].into(),
+                outputs: vec![v, n],
+            }),
+            None,
+        );
+        t.add_node(NodeLabel::Atomic(vec![g]), Some(top));
+        let (asc, desc) = (SortKey::asc, SortKey::desc);
+        assert!(supports_order(&t, &[asc(v)]));
+        assert!(supports_order(&t, &[asc(v), asc(n), asc(g)]));
+        assert!(supports_order(&t, &[desc(v), desc(n)]));
+        // Ties on `v` are broken by `n`, not by the next key.
+        assert!(!supports_order(&t, &[asc(v), asc(g)]));
+        assert!(!supports_order(&t, &[asc(n), asc(g)]));
+        assert!(!supports_order(&t, &[asc(n)]));
+        assert!(!supports_order(&t, &[asc(v), desc(n)]));
     }
 
     #[test]

@@ -382,6 +382,54 @@ impl Arena {
         (self.base.col(n).len() + col.len() - 1) as u32
     }
 
+    /// Appends one union of `node` per run of `runs` (their lengths, in
+    /// order) over `values`: entry `i` holds `values[i]` over the kid
+    /// union `first_kid + i` (over none when `first_kid` is `None`). The
+    /// bulk form of [`Arena::entry`] and [`Arena::push_union`] for unions
+    /// built level by level, bottom-up: each table grows by one append.
+    /// Returns the first new union's id, the others following in order.
+    pub(crate) fn push_runs(
+        &mut self,
+        node: NodeId,
+        values: Vec<Value>,
+        runs: impl IntoIterator<Item = u32>,
+        first_kid: Option<UnionId>,
+    ) -> UnionId {
+        let n = node.0 as usize;
+        let first = UnionId(self.n_unions() as u32);
+        let val = (self.base.col(n).len() + self.tail.col(n).len()) as u32;
+        let (kid, mut start) = (self.n_kids() as u32, self.n_entries() as u32);
+        let tail = &mut self.tail;
+        if tail.cols.len() <= n {
+            tail.cols.resize_with(n + 1, Vec::new);
+        }
+        let len = values.len() as u32;
+        let kids_len = u32::from(first_kid.is_some());
+        tail.entries.extend((0..len).map(|i| EntryRec {
+            val: val + i,
+            kids_start: kid + i * kids_len,
+            kids_len,
+        }));
+        if let Some(k) = first_kid {
+            tail.kids.extend((0..len).map(|i| UnionId(k.0 + i)));
+        }
+        tail.unions.extend(runs.into_iter().map(|len| {
+            start += len;
+            UnionRec {
+                node,
+                start: start - len,
+                len,
+            }
+        }));
+        let col = &mut tail.cols[n];
+        if col.is_empty() {
+            *col = values;
+        } else {
+            col.extend(values);
+        }
+        first
+    }
+
     /// Appends a kid list; returns an [`EntrySpec`] once paired with a
     /// value via [`Arena::entry`].
     pub(crate) fn push_kids(&mut self, kids: &[UnionId]) -> (u32, u32) {
@@ -1135,6 +1183,12 @@ impl<'a> EntryRef<'a> {
     /// The singleton value.
     pub fn value(&self) -> &'a Value {
         self.col.get(self.rec.val)
+    }
+
+    /// The value's column and its index there: a key of a `DenseIds`
+    /// table, which holds no borrow of the arena.
+    pub(crate) fn value_index(&self) -> (Col<'a>, u32) {
+        (self.col, self.rec.val)
     }
 
     /// Number of child unions (f-tree child arity).

@@ -607,32 +607,76 @@ impl FTree {
         Ok(new_id)
     }
 
-    /// Swaps `n` with its parent until it is a root.
-    pub fn lift(&mut self, n: NodeId) -> Result<()> {
-        while let Some(p) = self.node(n).parent {
-            self.swap(p, n)?;
-        }
-        Ok(())
-    }
-
-    /// The f-tree effect of a group fold on `g` (`FOp::GroupFold`): `g`
-    /// is lifted to the root by swaps with its parent, then one `γ`
-    /// replaces all its children. Needs a single-rooted tree and an atomic
-    /// `g`; returns the new aggregate node.
+    /// The f-tree effect of a group fold on `groups` (`FOp::GroupFold`):
+    /// the group nodes, keeping their ids, become a chain from the root in
+    /// the given order, and one aggregate node with `funcs` under the last
+    /// of them replaces every other node, its dependencies updated as by
+    /// [`FTree::aggregate`]. For one group node this is the effect of the
+    /// swaps lifting it to the root followed by `γ` over all its children.
+    /// Needs a single-rooted tree, distinct atomic group nodes on one root
+    /// path and at least one other node; returns the new aggregate node.
     pub fn group_fold(
         &mut self,
-        g: NodeId,
+        groups: &[NodeId],
         funcs: Vec<AggOp>,
         outputs: Vec<AttrId>,
     ) -> Result<NodeId> {
-        if self.roots.len() != 1 || !matches!(self.node(g).label, NodeLabel::Atomic(_)) {
+        let deepest = groups.iter().copied().max_by_key(|&g| self.depth(g));
+        let path = deepest.map(|g| self.root_path(g)).unwrap_or_default();
+        let rest: Vec<NodeId> = self
+            .live_nodes()
+            .into_iter()
+            .filter(|n| !groups.contains(n))
+            .collect();
+        let valid = self.roots.len() == 1
+            && !rest.is_empty()
+            && groups.iter().enumerate().all(|(i, g)| {
+                path.contains(g)
+                    && !groups[..i].contains(g)
+                    && matches!(self.node(*g).label, NodeLabel::Atomic(_))
+            });
+        let (Some(&last), true) = (groups.last(), valid) else {
             return Err(FdbError::InvalidOperator(format!(
-                "a group fold needs one root and an atomic group node, not {g:?}"
+                "a group fold needs one root, distinct atomic group nodes on one root path \
+                 and another node, not {groups:?}"
             )));
+        };
+        let mut over: BTreeSet<AttrId> = BTreeSet::new();
+        let mut removed: BTreeSet<AttrId> = BTreeSet::new();
+        for &m in &rest {
+            match &self.node(m).label {
+                NodeLabel::Atomic(attrs) => {
+                    over.extend(attrs.iter().copied());
+                    removed.extend(attrs.iter().copied());
+                }
+                NodeLabel::Agg(l) => {
+                    over.extend(l.over.iter().copied());
+                    removed.extend(l.outputs.iter().copied());
+                }
+            }
+            self.node_mut(m).dead = true;
         }
-        self.lift(g)?;
-        let targets = self.node(g).children.clone();
-        self.aggregate(Some(g), &targets, funcs, outputs)
+        let mut parent = None;
+        for &g in groups {
+            let node = self.node_mut(g);
+            node.parent = parent;
+            node.children.clear();
+            if let Some(p) = parent {
+                self.node_mut(p).children.push(g);
+            }
+            parent = Some(g);
+        }
+        self.roots = vec![groups[0]];
+        let agg = self.add_node(
+            NodeLabel::Agg(AggLabel {
+                funcs,
+                over,
+                outputs: outputs.clone(),
+            }),
+            Some(last),
+        );
+        self.project_deps(&removed, &outputs);
+        Ok(agg)
     }
 
     /// Removes a leaf node (projection step). Dependencies are updated as

@@ -8,7 +8,7 @@
 //! dependency sets are extended per Example 5.
 //!
 //! Each function is compiled once per operator against the target nodes
-//! ([`crate::agg::CompiledAgg`]) and evaluated in every context through
+//! (`agg::CompiledAgg`) and evaluated in every context through
 //! cursors over the arena; the rewritten parent entries — untouched
 //! siblings shared by id plus the new aggregate leaf — are appended to
 //! the same arena. The consumed target subtrees are never copied.
@@ -122,15 +122,16 @@ pub fn aggregate(
     Ok(out)
 }
 
-/// The group fold on node `group`: the representation the swaps lifting
-/// `group` to the root and `γ` with `funcs` (named `outputs`) over all
-/// its children would produce ([`FTree::group_fold`]), built afresh from
-/// one top-down pass over the input ([`crate::agg`]'s group fold) — one
-/// entry per group, each with its aggregate leaf. The input must have a
-/// single root.
+/// The group fold on the nodes `groups`, which lie on one root path: a
+/// chain of the group nodes in the given order with one aggregate leaf
+/// under each group ([`crate::ftree::FTree::group_fold`]), built afresh
+/// from one top-down pass over the input ([`crate::agg`]'s group fold).
+/// For one group node this is what the swaps lifting it to the root and
+/// `γ` with `funcs` (named `outputs`) over all its children would
+/// produce. The input must have a single root.
 pub fn group_fold(
     rep: FRep,
-    group: NodeId,
+    groups: &[NodeId],
     funcs: Vec<AggOp>,
     outputs: Vec<AttrId>,
 ) -> Result<FRep> {
@@ -140,20 +141,23 @@ pub fn group_fold(
         ));
     }
     let mut tree = rep.ftree().clone();
-    let node = tree.group_fold(group, funcs.clone(), outputs)?;
+    let node = tree.group_fold(groups, funcs.clone(), outputs)?;
     if rep.is_empty() {
         return Ok(FRep::empty(tree));
     }
-    let groups = crate::agg::fold_groups(rep.ftree(), rep.root(0), group, &funcs)?;
+    let folded = crate::agg::fold_groups(rep.ftree(), rep.root(0), groups, &funcs)?;
+    // Bottom-up: the aggregate leaves, then per level one entry per group
+    // over the union below it, and one union per run of groups that
+    // share their enclosing group.
     let mut arena = Arena::default();
-    let mut specs = Vec::with_capacity(groups.len());
-    for (key, value) in groups {
-        let leaf = leaf_union(&mut arena, node, value);
-        specs.push(arena.entry(group, key, &[leaf]));
+    let n = folded.values.len();
+    let mut below = arena.push_runs(node, folded.values, std::iter::repeat_n(1, n), None);
+    for (&group, (parents, values)) in groups.iter().zip(folded.levels).rev() {
+        let runs = parents.chunk_by(|a, b| a == b).map(|run| run.len() as u32);
+        below = arena.push_runs(group, values, runs, Some(below));
     }
-    let root = arena.push_union(group, &specs);
     arena.seal();
-    let out = FRep::from_arena(tree, arena, vec![root]);
+    let out = FRep::from_arena(tree, arena, vec![below]);
     debug_assert!(out.check_invariants().is_ok());
     Ok(out)
 }

@@ -16,7 +16,7 @@
 //! The heuristic plans on a scratch f-tree; every emitted operator is
 //! simulated immediately so later operators reference valid node ids.
 
-use crate::agg::partial_funcs;
+use crate::agg::{fold_funcs, partial_funcs};
 use crate::error::{FdbError, Result};
 use crate::ftree::{AggOp, FTree, NodeId, NodeLabel};
 use crate::optim::cost::{tree_cost, Stats};
@@ -304,21 +304,23 @@ pub(crate) fn applicable_selection(
 }
 
 /// The group fold on `tree` when its shape rule holds: every pending
-/// selection done, one root, exactly one group attribute, on an atomic
-/// non-root node, and only final functions that one fold evaluates.
-/// `top_k` (whose merge sorts at every entry, slower than the swap plan)
-/// and `count(distinct)` (which does not compose) keep the swap plan.
-/// Its functions are the partial ones of the `γ` it stands for.
+/// selection done, one root, the group attributes on atomic nodes of one
+/// root path, some other atomic node, and only final functions that one
+/// fold evaluates. `top_k` (whose merge sorts at every entry, slower than
+/// the swap plan) and `count(distinct)` (which does not compose) keep the
+/// swap plan, and so do two shapes whose `γ` plan never rewrites per
+/// group: the root alone, and group nodes that are — or, once the
+/// topmost is lifted to the root, become — a prefix of the root path
+/// that ends in a leaf. The group nodes chain in the order of the `ORDER BY` keys that
+/// lead it and are group attributes, then in root-path order, so an
+/// order by the group attributes needs no swap after the fold. Its
+/// functions are the partial ones of the `γ` it stands for.
 pub(crate) fn group_fold(
     tree: &FTree,
     spec: &QuerySpec,
     pending: &[(AttrId, AttrId)],
     catalog: &mut Catalog,
 ) -> Result<Option<FOp>> {
-    let group = match spec.group_by[..] {
-        [attr] => tree.node_of_attr(attr),
-        _ => None,
-    };
     let folds = spec.final_funcs.iter().all(|f| {
         matches!(
             f,
@@ -331,28 +333,70 @@ pub(crate) fn group_fold(
                 | AggOp::Forall(..)
         )
     });
-    let Some(group) = group.filter(|&g| {
-        pending.is_empty()
-            && spec.is_aggregate()
-            && folds
-            && tree.roots().len() == 1
-            && tree.node(g).parent.is_some()
-            && matches!(tree.node(g).label, NodeLabel::Atomic(_))
-    }) else {
+    if !pending.is_empty() || !spec.is_aggregate() || !folds || tree.roots().len() != 1 {
+        return Ok(None);
+    }
+    let Some(nodes) = spec
+        .group_by
+        .iter()
+        .map(|&a| tree.node_of_attr(a))
+        .collect::<Option<BTreeSet<NodeId>>>()
+    else {
         return Ok(None);
     };
-    let mut lifted = tree.clone();
-    lifted.lift(group)?;
-    let funcs = partial_funcs(&lifted, &lifted.node(group).children, &spec.final_funcs);
+    let Some(deepest) = nodes.iter().copied().max_by_key(|&g| tree.depth(g)) else {
+        return Ok(None);
+    };
+    let path = tree.root_path(deepest);
+    let on_path = nodes.iter().all(|n| path.contains(n));
+    let is_atomic = |n: NodeId| matches!(tree.node(n).label, NodeLabel::Atomic(_));
+    let atomic = nodes.iter().all(|&n| is_atomic(n));
+    // Nothing left to aggregate: the fold (or a `γ`) already ran.
+    let done = tree
+        .live_nodes()
+        .into_iter()
+        .all(|n| nodes.contains(&n) || !is_atomic(n));
+    if !on_path || !atomic || done || path.len() == 1 || leaf_prefix(tree, &nodes) {
+        return Ok(None);
+    }
+    let lead = spec
+        .order_by
+        .iter()
+        .map_while(|k| tree.node_of_attr(k.attr).filter(|n| nodes.contains(n)));
+    let mut groups: Vec<NodeId> = Vec::new();
+    for n in lead.chain(path.iter().copied().filter(|n| nodes.contains(n))) {
+        if !groups.contains(&n) {
+            groups.push(n);
+        }
+    }
+    let funcs = fold_funcs(tree, &groups, &spec.final_funcs);
     let outputs: Vec<AttrId> = funcs
         .iter()
         .map(|f| catalog.fresh(&format!("partial_{}", f.display(catalog))))
         .collect();
     Ok(Some(FOp::GroupFold {
-        group,
+        groups,
         funcs,
         outputs,
     }))
+}
+
+/// Whether the swaps lifting the topmost of the group nodes `nodes` (on
+/// one root path) to the root leave them a prefix of the root path that
+/// ends in a leaf: then the `γ` plan that follows collapses only the
+/// subtrees beside them and never rewrites per group.
+fn leaf_prefix(tree: &FTree, nodes: &BTreeSet<NodeId>) -> bool {
+    let mut lifted = tree.clone();
+    let top = nodes.iter().copied().min_by_key(|&n| tree.depth(n));
+    let top = top.expect("at least one group node");
+    while let Some(p) = lifted.node(top).parent {
+        if lifted.swap(p, top).is_err() {
+            return false;
+        }
+    }
+    let deepest = nodes.iter().copied().max_by_key(|&n| lifted.depth(n));
+    let path = lifted.root_path(deepest.expect("at least one group node"));
+    path.iter().all(|n| nodes.contains(n)) && lifted.node(path[path.len() - 1]).children.is_empty()
 }
 
 /// Step 2: the permissible aggregation target with the most atomic

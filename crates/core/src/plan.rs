@@ -35,12 +35,15 @@ pub enum FOp {
         funcs: Vec<AggOp>,
         outputs: Vec<AttrId>,
     },
-    /// `γ_funcs` grouped by the atomic node `group`, read off in one
-    /// top-down pass ([`ops::group_fold`]). Its f-tree effect is that of
-    /// swaps lifting `group` to the root followed by `γ_funcs` over all
-    /// its children; its data is new, and no swap or `γ` runs.
+    /// `γ_funcs` grouped by the atomic nodes `groups`, which lie on one
+    /// root path, read off in one top-down pass ([`ops::group_fold`]). Its
+    /// f-tree effect ([`FTree::group_fold`]) is a chain of the group nodes
+    /// in the given order with one aggregate node under the last — for one
+    /// group node, that of the swaps lifting it to the root followed by
+    /// `γ_funcs` over all its children. Its data is new, and no swap or
+    /// `γ` runs.
     GroupFold {
-        group: NodeId,
+        groups: Vec<NodeId>,
         funcs: Vec<AggOp>,
         outputs: Vec<AttrId>,
     },
@@ -144,18 +147,19 @@ impl FPlan {
                     );
                 }
                 FOp::GroupFold {
-                    group,
+                    groups,
                     funcs,
                     outputs,
                 } => {
                     let fs: Vec<String> = funcs.iter().map(|f| f.display(catalog)).collect();
                     let os: Vec<&str> = outputs.iter().map(|&o| catalog.name(o)).collect();
-                    // Every node but the group node (the tree has one root).
+                    let by: Vec<String> = groups.iter().map(|&g| name(g)).collect();
+                    // Every node but the group nodes (the tree has one root).
                     let over: Vec<String> = match &tree {
                         Some(t) => t
                             .subtree_nodes(t.roots()[0])
                             .into_iter()
-                            .filter(|n| n != group)
+                            .filter(|n| !groups.contains(n))
                             .map(name)
                             .collect(),
                         None => Vec::new(),
@@ -163,7 +167,7 @@ impl FPlan {
                     let _ = writeln!(
                         out,
                         "fold by {}: γ[{}] over [{}] -> {}",
-                        name(*group),
+                        by.join(", "),
                         fs.join(","),
                         over.join(", "),
                         os.join(",")
@@ -215,10 +219,10 @@ pub fn apply(rep: FRep, op: &FOp) -> Result<FRep> {
             outputs.clone(),
         ),
         FOp::GroupFold {
-            group,
+            groups,
             funcs,
             outputs,
-        } => ops::group_fold(rep, *group, funcs.clone(), outputs.clone()),
+        } => ops::group_fold(rep, groups, funcs.clone(), outputs.clone()),
         FOp::ProjectAway { attr } => ops::project_away(rep, *attr),
         FOp::Rename { from, to } => ops::rename(rep, *from, *to),
     }
@@ -240,11 +244,11 @@ pub fn apply_to_tree(tree: &mut FTree, op: &FOp) -> Result<()> {
             .aggregate(*parent, targets, funcs.clone(), outputs.clone())
             .map(|_| ()),
         FOp::GroupFold {
-            group,
+            groups,
             funcs,
             outputs,
         } => tree
-            .group_fold(*group, funcs.clone(), outputs.clone())
+            .group_fold(groups, funcs.clone(), outputs.clone())
             .map(|_| ()),
         FOp::ProjectAway { attr } => match tree.projection(*attr)? {
             Projection::ShrinkClass(node) => tree.shrink_class(node, *attr),

@@ -1,11 +1,11 @@
-//! The group fold held to the relational engines. A query with one
-//! `GROUP BY` attribute on a non-root node of a single-rooted f-tree and
-//! only composable functions plans one fold instead of partial `γ`s and
+//! The group fold held to the relational engines. A query whose `GROUP
+//! BY` attributes lie on one root path of a single-rooted f-tree, with
+//! only composable functions, plans one fold instead of partial `γ`s and
 //! swaps; its rows must be the relational engines' under every `WHERE`,
 //! `ORDER BY`, `LIMIT`/`OFFSET` and `HAVING` shape on the orders view
 //! `R1` (`package → {date → customer, item → price}`), with NULL group
 //! values and NULL inputs, and a multiplicity past `i64` is still
-//! refused. The shapes the fold leaves out keep the swap plan.
+//! refused. The shapes the fold leaves out keep their swap or `γ` plan.
 
 mod common;
 
@@ -155,6 +155,89 @@ fn ordered_paged_and_filtered_folds_agree() {
     assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
 }
 
+/// Group sets on one root path of `R1`: prefixes that do not end in a
+/// leaf, and sets under or around a node outside them.
+const GROUP_SETS: [&str; 6] = [
+    "date, package",
+    "customer, date",
+    "package, customer",
+    "package, item",
+    "package, price",
+    "customer, package, date, item",
+];
+
+#[test]
+fn group_sets_on_one_root_path_fold_alone() {
+    let mut pair = r1_pair();
+    for g in GROUP_SETS {
+        let base = format!("SELECT {g}, SUM(price) AS v FROM R1 GROUP BY {g}");
+        if g.contains("item") && g.contains("customer") {
+            // Not on one root path: no fold.
+            let plan = explain(&mut pair, &base);
+            assert!(!plan.contains("fold by"), "`{base}` must not fold:\n{plan}");
+            pair.assert_all_agree(&base);
+            continue;
+        }
+        let keys: Vec<&str> = g.split(", ").collect();
+        let reversed: Vec<&str> = keys.iter().rev().copied().collect();
+        for tail in [
+            String::new(),
+            format!(" ORDER BY {g}"),
+            format!(" ORDER BY {}", reversed.join(", ")),
+            format!(" ORDER BY {} DESC, {} LIMIT 7 OFFSET 3", keys[1], keys[0]),
+        ] {
+            // One operator: the fold, with no swap and no partial `γ`.
+            let sql = format!("{base}{tail}");
+            let (_, plan) = folds(&mut pair, &sql);
+            assert!(plan.contains("f-plan (1 operator(s)"), "`{sql}`:\n{plan}");
+        }
+    }
+    // `order_page`'s grouped page.
+    let page = "SELECT date, package, SUM(price) AS sum_price FROM R1 \
+                GROUP BY date, package ORDER BY package, date LIMIT 10 OFFSET 20";
+    let (out, plan) = folds(&mut pair, page);
+    assert!(plan.contains("f-plan (1 operator(s)"), "{plan}");
+    assert_eq!(out.len(), 10);
+}
+
+#[test]
+fn group_sets_agree_under_every_clause() {
+    let mut pair = r1_pair();
+    for g in [
+        "date, package",
+        "customer, date",
+        "package, customer",
+        "package, price",
+    ] {
+        let keys: Vec<&str> = g.split(", ").collect();
+        let (a, b) = (keys[0], keys[1]);
+        let all: Vec<String> = FUNCS
+            .iter()
+            .enumerate()
+            .map(|(k, f)| format!("{f} AS v{k}"))
+            .collect();
+        folds_r1(
+            &mut pair,
+            &format!("SELECT {g}, {} FROM R1 GROUP BY {g}", all.join(", ")),
+        );
+        let base = format!("SELECT {g}, SUM(price) AS v, COUNT(*) AS n FROM R1");
+        for tail in [
+            format!(" GROUP BY {g} ORDER BY {a}, {b}"),
+            format!(" GROUP BY {g} ORDER BY {b}, {a}"),
+            format!(" GROUP BY {g} ORDER BY {a} DESC, {b} DESC"),
+            format!(" GROUP BY {g} ORDER BY {b} DESC, {a} LIMIT 5 OFFSET 2"),
+            format!(" GROUP BY {g} ORDER BY {a}, {b} LIMIT 4"),
+            format!(" GROUP BY {g} ORDER BY v DESC, {a}, {b} LIMIT 6 OFFSET 1"),
+            format!(" GROUP BY {g} HAVING v > 40"),
+            format!(" GROUP BY {g} HAVING n > 2 ORDER BY n, {b}, {a} LIMIT 3"),
+            format!(" WHERE package <> 2 GROUP BY {g}"),
+            format!(" WHERE date < 300 AND item <> 5 GROUP BY {g} ORDER BY {b}, {a}"),
+        ] {
+            folds_r1(&mut pair, &format!("{base}{tail}"));
+        }
+    }
+}
+
 #[test]
 fn excluded_shapes_keep_the_swap_plan() {
     let mut pair = r1_pair();
@@ -172,7 +255,7 @@ fn excluded_shapes_keep_the_swap_plan() {
             true,
         ),
         (
-            "SELECT customer, date, SUM(price) AS v FROM R1 GROUP BY customer, date",
+            "SELECT customer, date, TOP_K(price, 2) AS t FROM R1 GROUP BY customer, date",
             true,
         ),
         // The root is already on top: nothing to lift, nothing to fold.
@@ -180,13 +263,52 @@ fn excluded_shapes_keep_the_swap_plan() {
             "SELECT package, SUM(price) AS v FROM R1 GROUP BY package",
             false,
         ),
+        // A prefix of the root path that ends in a leaf: its `γ`s leave
+        // every group where it is.
+        (
+            "SELECT package, date, customer, SUM(price) AS v FROM R1 \
+             GROUP BY package, date, customer",
+            false,
+        ),
+        // One swap lifts `item` to the root, and `item → price` is then
+        // a prefix that ends in a leaf.
+        (
+            "SELECT item, price, SUM(price) AS v FROM R1 GROUP BY item, price",
+            true,
+        ),
         ("SELECT SUM(price) AS v FROM R1", false),
     ] {
         pair.assert_all_agree(sql);
         let plan = explain(&mut pair, sql);
         assert!(!plan.contains("fold by"), "`{sql}` must not fold:\n{plan}");
+        assert!(plan.contains("γ["), "`{sql}` keeps its γ:\n{plan}");
         assert_eq!(plan.contains("swap"), swaps, "`{sql}`:\n{plan}");
     }
+}
+
+#[test]
+fn figure_6_q1_on_the_base_relations_keeps_its_plan() {
+    // Joined, the tree is `item → package → customer → date` with a
+    // partial `γ` under `item`: one swap lifts `package` to the root and
+    // the group nodes are then a prefix that ends in a leaf.
+    let mut catalog = Catalog::new();
+    let ds = generate(
+        &mut catalog,
+        &OrdersConfig {
+            scale: 1,
+            customers: 8,
+            seed: 0xF01D,
+        },
+    );
+    let mut pair = EnginePair::new(catalog);
+    pair.register("Orders", ds.orders.clone());
+    pair.register("Packages", ds.packages.clone());
+    pair.register("Items", ds.items.clone());
+    let sql = "SELECT package, date, customer, SUM(price) AS v FROM Orders, Packages, Items \
+               GROUP BY package, date, customer";
+    pair.assert_all_agree(sql);
+    let plan = explain(&mut pair, sql);
+    assert!(!plan.contains("fold by"), "{plan}");
 }
 
 /// Orders(customer, date, package), Packages(package, item),
@@ -260,6 +382,21 @@ fn null_group_values_and_null_inputs() {
             folds(
                 &mut pair,
                 &format!("SELECT {g}, {f} AS v FROM {from} GROUP BY {g}"),
+            );
+        }
+    }
+    for g in ["customer, date", "date, customer", "customer, price"] {
+        let (a, b) = g.split_once(", ").unwrap();
+        for tail in [
+            String::new(),
+            format!(" ORDER BY {a} DESC, {b}"),
+            " HAVING n > 1".to_string(),
+        ] {
+            folds(
+                &mut pair,
+                &format!(
+                    "SELECT {g}, COUNT(*) AS n, MIN(price) AS lo FROM {from} GROUP BY {g}{tail}"
+                ),
             );
         }
     }

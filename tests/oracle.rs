@@ -70,6 +70,10 @@ fn corpus() -> Vec<&'static str> {
         // Consolidation gathers two value subtrees under one parent.
         "SELECT a, c, SUM(d) AS s FROM R, S, T GROUP BY a, c",
         "SELECT a, d, COUNT(*) AS n FROM R, S, T GROUP BY a, d",
+        // Group sets on one root path, folded in one pass: in path order,
+        // and ordered against it.
+        "SELECT a, b, SUM(d) AS s FROM R, S, T GROUP BY a, b",
+        "SELECT a, c, COUNT(*) AS n, MIN(d) AS lo FROM R, S, T GROUP BY a, c ORDER BY a, c",
         "SELECT a, AVG(d) AS m FROM R, S, T GROUP BY a",
         "SELECT c, MAX(a) AS hi FROM R, S, T GROUP BY c",
         // Aggregating a join attribute.
