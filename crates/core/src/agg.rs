@@ -736,26 +736,22 @@ impl<F: Fold> GroupSink for Table<F> {
         gids: &[u32],
         counts: &mut Vec<Option<i64>>,
     ) -> Result<()> {
-        let label = &ftree.node(u.node()).label;
-        if let Some(Ctx::Value(acc)) = self.stack.last() {
-            // Read above: each entry scales the context by its own
-            // multiplicity and its children's tuple counts.
+        let node = ftree.node(u.node());
+        let label = &node.label;
+        // Read above, atomic leaves below: each entry scales the context
+        // by its children's entry counts, with no `Here` to set up.
+        let leaves = matches!(label, NodeLabel::Atomic(_))
+            && node.children.iter().all(|&c| {
+                let c = ftree.node(c);
+                matches!(c.label, NodeLabel::Atomic(_)) && c.children.is_empty()
+            });
+        if let (true, Some(Ctx::Value(acc))) = (leaves, self.stack.last()) {
             let acc = acc.clone();
-            // Atomic leaf children count their entries: no walk.
-            let node = ftree.node(u.node());
-            let leaves = matches!(label, NodeLabel::Atomic(_))
-                && node.children.iter().all(|&c| {
-                    let c = ftree.node(c);
-                    matches!(c.label, NodeLabel::Atomic(_)) && c.children.is_empty()
-                });
             for (e, &gid) in u.entries().zip(gids) {
                 let mut mult = 1;
-                if F::SCALES && leaves {
+                if F::SCALES {
                     let mut lens = e.children().map(|c| c.len() as i64);
                     mult = checked(lens.try_fold(1i64, |m, n| m.checked_mul(n)))?;
-                } else if F::SCALES {
-                    let own = entry_multiplicity(label, e.value())?;
-                    mult = count_product(ftree, e.children(), None, own)?;
                 }
                 let term = self.f.scale(acc.clone(), mult);
                 self.combine_into(gid, term);

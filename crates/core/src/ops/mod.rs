@@ -10,7 +10,7 @@
 //! | `merge` / `absorb` | `A = B` selections (siblings / path) | [`restructure`] |
 //! | `swap` | restructuring `χ_{A,B}` | [`restructure`] |
 //! | `aggregate` | the new aggregation operator `γ_F(U)` | [`mod@aggregate`] |
-//! | `group_fold` | `γ_F` grouped by one node, in one pass | [`mod@aggregate`] |
+//! | `group_fold` | `γ_F` grouped by nodes on one root path, in one pass | [`mod@aggregate`] |
 //! | `project_away` | projection (leaf removal, with push-down) | [`project`] |
 //! | `rename` | constant-time attribute renaming | [`project`] |
 //!

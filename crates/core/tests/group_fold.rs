@@ -451,5 +451,5 @@ fn group_fold_matches_the_swap_plan() {
 #[test]
 #[ignore = "long budget; CI runs it in release with --ignored"]
 fn group_fold_matches_the_swap_plan_long() {
-    fold_matches_the_swap_plan(100_000, 0x5EED);
+    fold_matches_the_swap_plan(200_000, 0x5EED);
 }
