@@ -31,7 +31,7 @@
 //! is checked, and one that leaves `i64` is an
 //! [`FdbError::InvalidOperator`], never a wrapped value.
 
-use crate::dense::DenseIds;
+use crate::dense::{direct_cap, DenseIds, PairIds, ValueIds};
 use crate::error::{FdbError, Result};
 use crate::frep::{Col, EntryRef, UnionRef};
 use crate::ftree::{AggLabel, AggOp, FTree, NodeId, NodeLabel};
@@ -629,9 +629,9 @@ trait GroupSink {
     /// Leaves the entry entered last.
     fn leave(&mut self);
     /// Adds entries of an atomic leaf group node under the current
-    /// context to the groups `gids`, whose keys are `keys` (a new
-    /// group's id is the number of groups so far).
-    fn add_leaf(&mut self, gids: &[u32], keys: &[(u32, Value)]) -> Result<()>;
+    /// context to the groups `gids` of `groups` (a new group's id is the
+    /// number of groups so far).
+    fn add_leaf(&mut self, gids: &[u32], groups: &GroupLevel) -> Result<()>;
     /// Adds the entries of `u`, a union of the group node on `level`, to
     /// the groups `gids` (one per entry, as in [`GroupSink::add_leaf`]).
     /// `counts` is scratch for [`Here::counts`].
@@ -777,7 +777,7 @@ impl<F: Fold> GroupSink for Table<F> {
         Ok(())
     }
 
-    fn add_leaf(&mut self, gids: &[u32], keys: &[(u32, Value)]) -> Result<()> {
+    fn add_leaf(&mut self, gids: &[u32], groups: &GroupLevel) -> Result<()> {
         // An atomic leaf entry stands for one tuple and has no children:
         // nothing at it scales the context.
         let m = match self.stack.last().expect("the root context") {
@@ -792,7 +792,7 @@ impl<F: Fold> GroupSink for Table<F> {
         };
         // The reader is the group node: its value, or (`count`) its row.
         for &gid in gids {
-            let v = &keys[gid as usize].1;
+            let v = groups.value(gid);
             let term = self.f.atom(v)?;
             let null = !matches!(self.reader, Reader::Rows) && v.is_null();
             let mult = if F::SCALES && !null { m } else { 1 };
@@ -837,45 +837,72 @@ fn group_sink(ftree: &FTree, path: &[NodeId], op: AggOp) -> Result<Box<dyn Group
 /// The groups of one group node in a group fold.
 struct GroupLevel {
     /// Per group, its key: its enclosing group (on the group node above
-    /// it on the path, `0` for the topmost) and its value.
-    keys: Vec<(u32, Value)>,
+    /// it on the path, `0` for the topmost) and the id of its value.
+    keys: Vec<(u32, u32)>,
     ids: GroupIds,
 }
 
 /// How a group node finds the id of an entry's group.
 enum GroupIds {
     /// Every node above is a group node: each entry is a group of its
-    /// own, met once, and its id is the next number.
-    Next,
+    /// own, met once, and its id is the next number; so is its value's,
+    /// and the values are kept by group.
+    Next(Vec<Value>),
     /// The topmost group node, under a node outside the set: the value
-    /// alone is the key, interned by its place in the arena column.
-    Value(DenseIds),
+    /// alone is the key, so a group's id is its value's.
+    Value(ValueIds),
     /// Under another group node and a node outside the set: the
-    /// `(enclosing group, value)` key is interned.
-    Pair(DenseIds),
+    /// `(enclosing group, value id)` key is interned.
+    Pair(ValueIds, PairIds),
 }
 
 impl GroupLevel {
+    /// The groups of a group node with `entries` entries in its arena
+    /// column: each entry a group of its own when every node above is a
+    /// group node (`next`), else keyed by the value alone on the topmost
+    /// group node and by `(enclosing group, value id)` below it.
+    fn new(entries: usize, next: bool, topmost: bool) -> GroupLevel {
+        let ids = match (next, topmost) {
+            (true, _) => GroupIds::Next(Vec::new()),
+            (false, true) => GroupIds::Value(ValueIds::new()),
+            (false, false) => GroupIds::Pair(ValueIds::new(), PairIds::new(direct_cap(entries))),
+        };
+        GroupLevel {
+            keys: Vec::new(),
+            ids,
+        }
+    }
+
+    /// The value of group `gid`.
+    fn value(&self, gid: u32) -> &Value {
+        match &self.ids {
+            GroupIds::Next(vals) => &vals[gid as usize],
+            GroupIds::Value(ids) | GroupIds::Pair(ids, _) => ids.value(self.keys[gid as usize].1),
+        }
+    }
+
     /// The id of the group of value `col[val]` inside group `parent`.
     #[inline(always)]
     fn id(&mut self, parent: u32, col: &Col<'_>, val: u32) -> u32 {
-        let next = self.keys.len() as u32;
-        let gid = match &mut self.ids {
-            GroupIds::Next => next,
-            GroupIds::Value(ids) => ids.intern(col, val),
-            GroupIds::Pair(ids) => {
-                self.keys.push((parent, col.get(val).clone()));
-                let gid = ids.intern(self.keys.as_slice(), next);
-                if gid != next {
-                    self.keys.pop();
-                }
-                return gid;
+        match &mut self.ids {
+            GroupIds::Next(vals) => {
+                let gid = vals.len() as u32;
+                vals.push(col.get(val).clone());
+                self.keys.push((parent, gid));
+                gid
             }
-        };
-        if gid == next {
-            self.keys.push((parent, col.get(val).clone()));
+            GroupIds::Value(ids) => {
+                let gid = ids.intern(col, val);
+                if gid as usize == self.keys.len() {
+                    self.keys.push((parent, gid));
+                }
+                gid
+            }
+            GroupIds::Pair(ids, pairs) => {
+                let vid = ids.intern(col, val);
+                pairs.intern(&mut self.keys, (parent, vid))
+            }
         }
-        gid
     }
 
     /// [`GroupLevel::id`] of each of `vals`, appended to `gids`: the
@@ -892,7 +919,7 @@ impl GroupLevel {
             for val in vals {
                 let gid = ids.intern(col, val);
                 if gid as usize == self.keys.len() {
-                    self.keys.push((parent, col.get(val).clone()));
+                    self.keys.push((parent, gid));
                 }
                 gids.push(gid);
             }
@@ -994,9 +1021,9 @@ impl<'a> GroupWalk<'a> {
     /// Adds the leaf group entries gathered under the current context.
     fn flush(&mut self) -> Result<()> {
         if self.leaf && !self.gids.is_empty() {
-            let keys = &self.groups.last().expect("a group node").keys;
+            let groups = self.groups.last().expect("a group node");
             for s in &mut self.sinks {
-                s.add_leaf(&self.gids, keys)?;
+                s.add_leaf(&self.gids, groups)?;
             }
             self.gids.clear();
         }
@@ -1077,14 +1104,7 @@ pub(crate) fn fold_groups(
         groups: levels
             .iter()
             .enumerate()
-            .map(|(g, &l)| GroupLevel {
-                keys: Vec::new(),
-                ids: match (l == g, g == 0) {
-                    (true, _) => GroupIds::Next,
-                    (false, true) => GroupIds::Value(DenseIds::new()),
-                    (false, false) => GroupIds::Pair(DenseIds::new()),
-                },
-            })
+            .map(|(g, &l)| GroupLevel::new(root.column_len(nodes[l]), l == g, g == 0))
             .collect(),
         enclosing: vec![0; levels.len() + 1],
         gids: Vec::new(),
@@ -1125,14 +1145,17 @@ pub(crate) fn fold_groups(
 /// when each was met once in path order and the chain keeps it;
 /// otherwise sorted by their keys in chain order: a stable counting sort
 /// per chain level, last level first, by the rank of the value, skipping
-/// a level the order already follows.
+/// a level the order already follows. A level's ranks come from its
+/// value ids ([`ValueIds::ascending`]); a level whose groups were each
+/// met once gives its values ids in one pass first.
 fn chain_groups(levels: Vec<GroupLevel>, chain: &[usize], mut values: Vec<Value>) -> FoldedGroups {
-    if levels.iter().all(|l| matches!(l.ids, GroupIds::Next)) && chain.is_sorted() {
+    if levels.iter().all(|l| matches!(l.ids, GroupIds::Next(_))) && chain.is_sorted() {
+        let level = |l: GroupLevel| match l.ids {
+            GroupIds::Next(vals) => (l.keys.into_iter().map(|(p, _)| p).collect(), vals),
+            _ => unreachable!("every level is met once per group"),
+        };
         return FoldedGroups {
-            levels: levels
-                .into_iter()
-                .map(|l| l.keys.into_iter().unzip())
-                .collect(),
+            levels: levels.into_iter().map(level).collect(),
             values,
         };
     }
@@ -1141,14 +1164,36 @@ fn chain_groups(levels: Vec<GroupLevel>, chain: &[usize], mut values: Vec<Value>
     let n = values.len();
     let mut ranked: Vec<(Vec<u32>, Vec<Value>)> = Vec::with_capacity(levels.len());
     let mut ancestor: Vec<u32> = (0..n as u32).collect();
-    for level in levels.iter().rev() {
-        let (rank, distinct) = ranks(&level.keys);
+    for GroupLevel { mut keys, ids } in levels.into_iter().rev() {
+        let ids = match ids {
+            GroupIds::Next(vals) => {
+                let mut ids = ValueIds::new();
+                for (gid, key) in keys.iter_mut().enumerate() {
+                    key.1 = ids.intern(vals.as_slice(), gid as u32);
+                }
+                ids
+            }
+            GroupIds::Value(ids) | GroupIds::Pair(ids, _) => ids,
+        };
+        let ascending = ids.ascending();
+        let mut rank = vec![0; ascending.len()];
+        for (r, &id) in ascending.iter().enumerate() {
+            rank[id as usize] = r as u32;
+        }
+        let mut vals = ids.into_values();
+        let distinct = ascending
+            .iter()
+            .map(|&id| std::mem::replace(&mut vals[id as usize], Value::Null))
+            .collect();
         ranked.push((
-            ancestor.iter().map(|&a| rank[a as usize]).collect(),
+            ancestor
+                .iter()
+                .map(|&a| rank[keys[a as usize].1 as usize])
+                .collect(),
             distinct,
         ));
         for a in &mut ancestor {
-            *a = level.keys[*a as usize].0;
+            *a = keys[*a as usize].0;
         }
     }
     ranked.reverse();
@@ -1202,38 +1247,6 @@ fn chain_groups(levels: Vec<GroupLevel>, chain: &[usize], mut values: Vec<Value>
         levels: out,
         values,
     }
-}
-
-/// Per key, the rank of its value among the distinct values of `keys`,
-/// and those values in ascending order.
-fn ranks(keys: &[(u32, Value)]) -> (Vec<u32>, Vec<Value>) {
-    /// The values of the keys, as a column for [`DenseIds`].
-    struct Values<'a>(&'a [(u32, Value)]);
-    impl std::ops::Index<usize> for Values<'_> {
-        type Output = Value;
-        fn index(&self, i: usize) -> &Value {
-            &self.0[i].1
-        }
-    }
-    let mut ids = DenseIds::new();
-    let vids: Vec<u32> = (0..keys.len() as u32)
-        .map(|i| ids.intern(&Values(keys), i))
-        .collect();
-    let mut first = vec![0; ids.len()];
-    for (i, &v) in vids.iter().enumerate().rev() {
-        first[v as usize] = i;
-    }
-    let mut distinct: Vec<u32> = (0..ids.len() as u32).collect();
-    distinct.sort_unstable_by(|&a, &b| keys[first[a as usize]].1.cmp(&keys[first[b as usize]].1));
-    let mut rank = vec![0; ids.len()];
-    for (r, &v) in distinct.iter().enumerate() {
-        rank[v as usize] = r as u32;
-    }
-    let values = distinct
-        .iter()
-        .map(|&v| keys[first[v as usize]].1.clone())
-        .collect();
-    (vids.iter().map(|&v| rank[v as usize]).collect(), values)
 }
 
 /// The number of distinct non-NULL values of the attribute at the end of

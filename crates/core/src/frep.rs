@@ -1121,6 +1121,11 @@ impl<'a> UnionRef<'a> {
         self.arena.col(rec.node).slice(base, ents.len())
     }
 
+    /// The length of `node`'s value column in this union's arena.
+    pub(crate) fn column_len(&self, node: NodeId) -> usize {
+        self.arena.col(node).len()
+    }
+
     /// The node's value column and, in entry order, the index of each
     /// entry's value in it: the keys of a `DenseIds` table, which holds
     /// no borrow of the arena.

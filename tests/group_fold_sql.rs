@@ -311,6 +311,43 @@ fn figure_6_q1_on_the_base_relations_keeps_its_plan() {
     assert!(!plan.contains("fold by"), "{plan}");
 }
 
+#[test]
+fn figure_6_q3_on_the_base_relations_keeps_its_plan() {
+    // Joined, `date` sits under `customer`, below `package`: one swap
+    // (`χ(package, item)`), then one fold groups by package and date,
+    // interning each order's `(package, date)` pair in direct slots. The
+    // swap plan it replaced (three swaps, three `γ`s) was faster while
+    // that interning hashed every pair.
+    let mut catalog = Catalog::new();
+    let ds = generate(
+        &mut catalog,
+        &OrdersConfig {
+            scale: 1,
+            customers: 8,
+            seed: 0xF01D,
+        },
+    );
+    let mut pair = EnginePair::new(catalog);
+    pair.register("Orders", ds.orders.clone());
+    pair.register("Packages", ds.packages.clone());
+    pair.register("Items", ds.items.clone());
+    let sql = "SELECT date, package, SUM(price) AS v FROM Orders, Packages, Items \
+               GROUP BY date, package";
+    pair.assert_all_agree(sql);
+    let plan = explain(&mut pair, sql);
+    let ops: Vec<&str> = plan
+        .lines()
+        .filter(|l| l.starts_with("  ") && l.trim_start().starts_with(char::is_numeric))
+        .collect();
+    assert_eq!(ops.len(), 5, "{plan}");
+    assert!(ops[2].contains("swap χ(package="), "{plan}");
+    assert!(
+        ops[4].contains("fold by package=") && ops[4].contains(", date: "),
+        "{plan}"
+    );
+    assert_eq!(plan.matches("swap").count(), 1, "{plan}");
+}
+
 /// Orders(customer, date, package), Packages(package, item),
 /// Items(item, price) from literal rows.
 fn orders_pair(orders: &[[Value; 3]], packages: &[[i64; 2]], items: &[(i64, Value)]) -> EnginePair {
