@@ -21,11 +21,18 @@
 //! evaluated by one walk, `fold_union`: a union combines its entries'
 //! terms, and an entry's term is its providing child's value scaled by
 //! the multiplicity of everything else under the entry. The group fold
-//! (`fold_groups`, behind `FOp::GroupFold`) runs the same folds for every
-//! group of one node at once, in one walk down the root path to it.
+//! (`fold_groups`, behind `FOp::GroupFold`) evaluates every function for
+//! every group of its nodes at once, in one walk down the root path: the
+//! folds through one table of accumulators each (`Table`), and
+//! `count(distinct)` through its own (`Distinct`).
+//!
 //! `count(distinct)` does not compose — which values occur is lost in a
-//! count — so its attribute stays atomic and each evaluation walks the
-//! providing spine, interning each value into one dense-id table.
+//! count — so no partial `γ` computes it and its attribute stays atomic
+//! until one evaluation reads it: over a product, a walk of the providing
+//! spine that interns each value into one dense-id table; in the group
+//! fold, a table of `(group, value id)` pairs. The fold's count is final:
+//! a later `γ` or the emitter reads it from each group's one singleton,
+//! and refuses to combine several.
 //!
 //! Multiplicities are exact or refused: every count and product of counts
 //! is checked, and one that leaves `i64` is an
@@ -198,9 +205,19 @@ trait Fold {
     const PER_FACTOR: bool = false;
     /// Adds the term of one more entry.
     fn combine(&self, acc: Self::Acc, term: Self::Acc) -> Self::Acc;
-    /// The value of `mult` copies of the tuples behind `acc`.
+    /// The value of `mult` copies of the tuples behind `acc`; `mult = 1`
+    /// leaves every fold's value as it is.
     fn scale(&self, acc: Self::Acc, _mult: i64) -> Self::Acc {
         acc
+    }
+    /// `combine(acc, scale(term, mult))` with `term` borrowed: the group
+    /// fold adds one context value to every group below it, most often
+    /// unscaled.
+    fn combine_scaled(&self, acc: Self::Acc, term: &Self::Acc, mult: i64) -> Self::Acc {
+        match mult {
+            1 => self.combine(acc, term.clone()),
+            _ => self.combine(acc, self.scale(term.clone(), mult)),
+        }
     }
     /// The term of one atomic value.
     fn atom(&self, v: &Value) -> Result<Self::Acc>;
@@ -414,12 +431,50 @@ impl Fold for TopK {
     type Acc = Vec<Value>;
     const ZERO: Vec<Value> = Vec::new();
     const SCALES: bool = true;
-    /// Merges two descending lists, keeping at most `k`: the stable sort
-    /// merges the two runs, `a`'s values first on ties.
-    fn combine(&self, mut a: Vec<Value>, b: Vec<Value>) -> Vec<Value> {
-        a.extend(b);
-        a.sort_by(|x, y| y.cmp(x));
-        a.truncate(self.0);
+    fn combine(&self, a: Vec<Value>, b: Vec<Value>) -> Vec<Value> {
+        self.combine_scaled(a, &b, 1)
+    }
+    /// Merges the descending run `a` with `mult` copies of each value of
+    /// the descending run `b`, in place, keeping at most `k`, `a`'s
+    /// values first on ties. A first pass counts how many values each
+    /// run gives; the second fills the list from its end, moving `a`'s
+    /// values and cloning only the `b` values that are kept — none when
+    /// `a` already holds `k` values no smaller than `b`'s largest.
+    fn combine_scaled(&self, mut a: Vec<Value>, b: &Vec<Value>, mult: i64) -> Vec<Value> {
+        // A full list keeps itself when `b`'s largest value ties or loses
+        // with its smallest: one comparison, the common case of a group
+        // met many times.
+        if a.len() >= self.0 && b.first().is_none_or(|v| a.last().is_none_or(|l| v <= l)) {
+            return a;
+        }
+        let m = mult.max(0) as usize;
+        let lb = b.len().saturating_mul(m);
+        let n = a.len().saturating_add(lb).min(self.0);
+        let (mut i, mut j) = (0, 0);
+        while i + j < n {
+            if j < lb && (i == a.len() || b[j / m] > a[i]) {
+                j += 1;
+            } else {
+                i += 1;
+            }
+        }
+        a.truncate(i);
+        if j == 0 {
+            return a;
+        }
+        a.resize(n, Value::Null);
+        let mut w = n;
+        while j > 0 {
+            w -= 1;
+            let v = &b[(j - 1) / m];
+            if i > 0 && a[i - 1] < *v {
+                a.swap(i - 1, w);
+                i -= 1;
+            } else {
+                a[w] = v.clone();
+                j -= 1;
+            }
+        }
         a
     }
     /// Each value repeated `mult` times, cut at `k`: the top `k` of `mult`
@@ -514,10 +569,10 @@ trait FoldUse {
     fn with<F: Fold + 'static>(self, f: F) -> Self::Out;
 }
 
-/// `u` applied to `op`'s fold — the one `AggOp → Fold` dispatch; `None`
-/// for `count(distinct)`, which does not compose.
-fn with_fold<U: FoldUse>(op: AggOp, u: U) -> Option<U::Out> {
-    Some(match op {
+/// `u` applied to `op`'s fold — the one `AggOp → Fold` dispatch. Never
+/// called for `count(distinct)`, which does not compose.
+fn with_fold<U: FoldUse>(op: AggOp, u: U) -> U::Out {
+    match op {
         AggOp::Count => u.with(Count),
         AggOp::Sum(_) => u.with(Sum),
         AggOp::Min(_) => u.with(Extremum(true)),
@@ -526,8 +581,8 @@ fn with_fold<U: FoldUse>(op: AggOp, u: U) -> Option<U::Out> {
         AggOp::Exists(_, c, r) => u.with(Quantifier::<true>(c, r)),
         AggOp::Forall(_, c, r) => u.with(Quantifier::<false>(c, r)),
         AggOp::TopK(_, k) => u.with(TopK(k)),
-        AggOp::CountDistinct(_) => return None,
-    })
+        AggOp::CountDistinct(_) => unreachable!("count(distinct) does not fold"),
+    }
 }
 
 /// Where one function of a group fold reads its input, relative to the
@@ -614,9 +669,22 @@ impl Here<'_, '_> {
 }
 
 /// A function's context below one root-path entry: the multiplicity of
-/// the tuples above until its reader is passed, then their value.
-enum Ctx<A> {
+/// the tuples above until its reader is passed, then their value, as an
+/// index into [`Table::vals`] — an entry that scales it by one shares the
+/// value above instead of cloning it.
+#[derive(Clone, Copy)]
+enum Ctx {
     Mult(i64),
+    Value(usize),
+}
+
+/// What [`Table::below`] finds below one entry.
+enum Below<A> {
+    /// The multiplicity so far; the reader is further down.
+    Mult(i64),
+    /// The current context value, scaled by this multiplicity.
+    Scaled(i64),
+    /// A new value: the reader's term, scaled.
     Value(A),
 }
 
@@ -653,20 +721,22 @@ struct Table<F: Fold> {
     f: F,
     op: AggOp,
     reader: Reader,
-    stack: Vec<Ctx<F::Acc>>,
+    stack: Vec<Ctx>,
+    /// The context values on the stack, bottom-up.
+    vals: Vec<F::Acc>,
     groups: Vec<F::Acc>,
 }
 
 impl<F: Fold> Table<F> {
-    /// Combines `term` into group `gid`, a new group when it is the
-    /// number of groups so far.
-    fn combine_into(&mut self, gid: u32, term: F::Acc) {
+    /// Combines `mult` copies of `term` into group `gid` of `groups`, a
+    /// new group when it is the number of groups so far.
+    fn combine_into(f: &F, groups: &mut Vec<F::Acc>, gid: u32, term: &F::Acc, mult: i64) {
         let gid = gid as usize;
-        if gid == self.groups.len() {
-            self.groups.push(F::ZERO);
+        if gid == groups.len() {
+            groups.push(F::ZERO);
         }
-        let acc = std::mem::replace(&mut self.groups[gid], F::ZERO);
-        self.groups[gid] = self.f.combine(acc, term);
+        let acc = std::mem::replace(&mut groups[gid], F::ZERO);
+        groups[gid] = f.combine_scaled(acc, term, mult);
     }
 
     /// The context below `at` on `level`. Before the reader, the
@@ -674,14 +744,14 @@ impl<F: Fold> Table<F> {
     /// scaled by the multiplicity of everything else so far; below it,
     /// the value is scaled by the entry's multiplicity. As in
     /// [`fold_union`], a NULL input is never scaled.
-    fn below(&self, at: &mut Here<'_, '_>, level: usize) -> Result<Ctx<F::Acc>> {
+    fn below(&self, at: &mut Here<'_, '_>, level: usize) -> Result<Below<F::Acc>> {
         let f = &self.f;
-        let m = match self.stack.last().expect("the root context") {
-            Ctx::Value(acc) => {
+        let m = match *self.stack.last().expect("the root context") {
+            Ctx::Value(_) => {
                 let mult = if F::SCALES { at.mult(true, None)? } else { 1 };
-                return Ok(Ctx::Value(f.scale(acc.clone(), mult)));
+                return Ok(Below::Scaled(mult));
             }
-            Ctx::Mult(m) => *m,
+            Ctx::Mult(m) => m,
         };
         let (term, own, provider, null) = match &self.reader {
             Reader::Node(l) if *l == level => {
@@ -699,14 +769,24 @@ impl<F: Fold> Table<F> {
                 (term, true, Some(*j), false)
             }
             Reader::Rows if at.path_child.is_none() => (f.atom(at.e.value())?, true, None, false),
-            _ if F::SCALES => return Ok(Ctx::Mult(checked(m.checked_mul(at.mult(true, None)?))?)),
-            _ => return Ok(Ctx::Mult(1)),
+            _ if F::SCALES => {
+                return Ok(Below::Mult(checked(m.checked_mul(at.mult(true, None)?))?))
+            }
+            _ => return Ok(Below::Mult(1)),
         };
         let mut mult = 1;
         if F::SCALES && !null {
             mult = checked(m.checked_mul(at.mult(own, provider)?))?;
         }
-        Ok(Ctx::Value(f.scale(term, mult)))
+        Ok(Below::Value(f.scale(term, mult)))
+    }
+
+    /// The index of the value on top of the stack.
+    fn top(&self) -> usize {
+        match self.stack.last() {
+            Some(Ctx::Value(i)) => *i,
+            _ => unreachable!("a value context"),
+        }
     }
 }
 
@@ -719,13 +799,29 @@ impl<F: Fold> GroupSink for Table<F> {
     }
 
     fn enter(&mut self, at: &mut Here<'_, '_>, level: usize) -> Result<()> {
-        let ctx = self.below(at, level)?;
+        let ctx = match self.below(at, level)? {
+            Below::Mult(m) => Ctx::Mult(m),
+            Below::Scaled(1) => Ctx::Value(self.top()),
+            Below::Scaled(mult) => {
+                let v = self.f.scale(self.vals[self.top()].clone(), mult);
+                self.vals.push(v);
+                Ctx::Value(self.vals.len() - 1)
+            }
+            Below::Value(v) => {
+                self.vals.push(v);
+                Ctx::Value(self.vals.len() - 1)
+            }
+        };
         self.stack.push(ctx);
         Ok(())
     }
 
     fn leave(&mut self) {
-        self.stack.pop();
+        if let Some(Ctx::Value(i)) = self.stack.pop() {
+            if !matches!(self.stack.last(), Some(Ctx::Value(j)) if *j == i) {
+                self.vals.truncate(i);
+            }
+        }
     }
 
     fn add(
@@ -745,16 +841,14 @@ impl<F: Fold> GroupSink for Table<F> {
                 let c = ftree.node(c);
                 matches!(c.label, NodeLabel::Atomic(_)) && c.children.is_empty()
             });
-        if let (true, Some(Ctx::Value(acc))) = (leaves, self.stack.last()) {
-            let acc = acc.clone();
+        if let (true, Some(&Ctx::Value(i))) = (leaves, self.stack.last()) {
             for (e, &gid) in u.entries().zip(gids) {
                 let mut mult = 1;
                 if F::SCALES {
                     let mut lens = e.children().map(|c| c.len() as i64);
                     mult = checked(lens.try_fold(1i64, |m, n| m.checked_mul(n)))?;
                 }
-                let term = self.f.scale(acc.clone(), mult);
-                self.combine_into(gid, term);
+                Self::combine_into(&self.f, &mut self.groups, gid, &self.vals[i], mult);
             }
             return Ok(());
         }
@@ -769,10 +863,14 @@ impl<F: Fold> GroupSink for Table<F> {
                 own: None,
                 counts,
             };
-            let Ctx::Value(term) = self.below(&mut at, level)? else {
-                unreachable!("every reader is passed by the group node");
-            };
-            self.combine_into(gid, term);
+            match self.below(&mut at, level)? {
+                Below::Scaled(mult) => {
+                    let top = self.top();
+                    Self::combine_into(&self.f, &mut self.groups, gid, &self.vals[top], mult);
+                }
+                Below::Value(term) => Self::combine_into(&self.f, &mut self.groups, gid, &term, 1),
+                Below::Mult(_) => unreachable!("every reader is passed by the group node"),
+            }
         }
         Ok(())
     }
@@ -780,15 +878,14 @@ impl<F: Fold> GroupSink for Table<F> {
     fn add_leaf(&mut self, gids: &[u32], groups: &GroupLevel) -> Result<()> {
         // An atomic leaf entry stands for one tuple and has no children:
         // nothing at it scales the context.
-        let m = match self.stack.last().expect("the root context") {
-            Ctx::Value(acc) => {
-                let acc = acc.clone();
+        let m = match *self.stack.last().expect("the root context") {
+            Ctx::Value(i) => {
                 for &gid in gids {
-                    self.combine_into(gid, acc.clone());
+                    Self::combine_into(&self.f, &mut self.groups, gid, &self.vals[i], 1);
                 }
                 return Ok(());
             }
-            Ctx::Mult(m) => *m,
+            Ctx::Mult(m) => m,
         };
         // The reader is the group node: its value, or (`count`) its row.
         for &gid in gids {
@@ -796,8 +893,7 @@ impl<F: Fold> GroupSink for Table<F> {
             let term = self.f.atom(v)?;
             let null = !matches!(self.reader, Reader::Rows) && v.is_null();
             let mult = if F::SCALES && !null { m } else { 1 };
-            let term = self.f.scale(term, mult);
-            self.combine_into(gid, term);
+            Self::combine_into(&self.f, &mut self.groups, gid, &term, mult);
         }
         Ok(())
     }
@@ -810,8 +906,14 @@ impl<F: Fold> GroupSink for Table<F> {
     }
 }
 
-/// The sink of one function of a group fold on `path`.
-fn group_sink(ftree: &FTree, path: &[NodeId], op: AggOp) -> Result<Box<dyn GroupSink>> {
+/// The sink of one function of a group fold on `path`, whose deepest
+/// group node has `entries` entries in its arena column.
+fn group_sink(
+    ftree: &FTree,
+    path: &[NodeId],
+    op: AggOp,
+    entries: usize,
+) -> Result<Box<dyn GroupSink>> {
     struct NewTable(AggOp, Reader);
     impl FoldUse for NewTable {
         type Out = Box<dyn GroupSink>;
@@ -822,16 +924,239 @@ fn group_sink(ftree: &FTree, path: &[NodeId], op: AggOp) -> Result<Box<dyn Group
                 op,
                 reader,
                 stack: vec![Ctx::Mult(1)],
+                vals: Vec::new(),
                 groups: Vec::new(),
             })
         }
     }
     let reader = Reader::resolve(ftree, path, &op)?;
-    with_fold(op, NewTable(op, reader)).ok_or_else(|| {
-        FdbError::InvalidOperator(format!(
-            "{op:?} does not compose, so it cannot fold by group"
-        ))
-    })
+    if !op.needs_raw_input() {
+        return Ok(with_fold(op, NewTable(op, reader)));
+    }
+    // The node that provides the attribute, at the end of the reader.
+    let provider = match &reader {
+        Reader::Node(l) => path[*l],
+        Reader::Child { level, j, spine } => {
+            let c = ftree.node(path[*level]).children[*j];
+            spine.iter().fold(c, |n, &k| ftree.node(n).children[k])
+        }
+        Reader::Rows => unreachable!("count(distinct) reads an attribute"),
+    };
+    if matches!(ftree.node(provider).label, NodeLabel::Agg(_)) {
+        return Err(unrecoverable(&op));
+    }
+    Ok(Box::new(Distinct {
+        reader,
+        deepest: path.len() - 1,
+        stack: Vec::new(),
+        ids: ValueIds::new(),
+        unions: Vec::new(),
+        union_tokens: DenseIds::new(),
+        starts: vec![0],
+        list: Vec::new(),
+        seen: Vec::new(),
+        met: (Vec::new(), PairIds::new(direct_cap(entries))),
+        pairs: (Vec::new(), PairIds::new(direct_cap(entries))),
+        counts: Vec::new(),
+    }))
+}
+
+/// Why `count(distinct)` cannot read an aggregate singleton: which
+/// values occur is lost in a count.
+fn unrecoverable(op: &AggOp) -> FdbError {
+    FdbError::InvalidComposition(format!(
+        "distinct values of {op:?} are unrecoverable from an aggregate singleton"
+    ))
+}
+
+/// `count(distinct a)` of a group fold: which values of `a` each group's
+/// tuples hold, never how often. Each context below the reader carries a
+/// token — its providing union (a child reader) or its value (a node on
+/// the path) — whose distinct non-NULL value ids are listed once, on
+/// first sight. A group takes a token's list the first time it meets the
+/// token, and counts each `(group, value id)` pair once: below a shared
+/// providing union, most of the group entries cost one pair lookup.
+struct Distinct {
+    reader: Reader,
+    /// The root-path level of the group node the fold's groups are of.
+    deepest: usize,
+    /// Per entered root-path entry, its context's token; `None` above
+    /// the reader.
+    stack: Vec<Option<u32>>,
+    /// Ids of the attribute's values, in the providing node's column.
+    ids: ValueIds,
+    /// A child reader's providing unions, by the order their tokens were
+    /// given, and the table giving them.
+    unions: Vec<u32>,
+    union_tokens: DenseIds,
+    /// Per token, its value ids: `list[starts[t]..starts[t + 1]]`.
+    starts: Vec<u32>,
+    list: Vec<u32>,
+    /// Per value id, the last token whose list took it.
+    seen: Vec<u32>,
+    /// The `(group, token)` pairs met, and the `(group, value id)` pairs
+    /// counted, each with its table.
+    met: (Vec<(u32, u32)>, PairIds),
+    pairs: (Vec<(u32, u32)>, PairIds),
+    /// Per group, its distinct values.
+    counts: Vec<i64>,
+}
+
+impl Distinct {
+    /// The token of a node reader's value `col[val]`: its value id.
+    fn value_token(&mut self, col: &Col<'_>, val: u32) -> u32 {
+        let vid = self.ids.intern(col, val);
+        if vid as usize + 1 == self.starts.len() {
+            if !col.get(val).is_null() {
+                self.list.push(vid);
+            }
+            self.starts.push(self.list.len() as u32);
+        }
+        vid
+    }
+
+    /// The token of providing union `u`; a new one lists the distinct
+    /// non-NULL values down the spine.
+    fn union_token(&mut self, u: UnionRef<'_>) -> u32 {
+        self.unions.push(u.id().0);
+        let last = self.unions.len() as u32 - 1;
+        let token = self.union_tokens.intern(self.unions.as_slice(), last);
+        if token != last {
+            self.unions.pop();
+            return token;
+        }
+        let Distinct {
+            reader: Reader::Child { spine, .. },
+            ids,
+            seen,
+            list,
+            ..
+        } = self
+        else {
+            unreachable!("a child reader's token");
+        };
+        let mut unions = vec![u];
+        for &j in spine.iter() {
+            let below = unions
+                .iter()
+                .flat_map(|u| u.entries().map(move |e| e.child(j)));
+            unions = below.collect();
+        }
+        for u in unions {
+            let (col, vals) = u.value_indices();
+            for val in vals.filter(|&val| !col.get(val).is_null()) {
+                let vid = ids.intern(&col, val) as usize;
+                if vid >= seen.len() {
+                    seen.resize(vid + 1, u32::MAX);
+                }
+                if seen[vid] != token {
+                    seen[vid] = token;
+                    list.push(vid as u32);
+                }
+            }
+        }
+        self.starts.push(self.list.len() as u32);
+        token
+    }
+
+    /// The token below `e` on `level` when the reader is there; `None`
+    /// when it reads elsewhere or at the group node itself.
+    fn token_at(&mut self, e: EntryRef<'_>, level: usize) -> Option<u32> {
+        match self.reader {
+            Reader::Node(l) if l == level && l != self.deepest => {
+                let (col, val) = e.value_index();
+                Some(self.value_token(&col, val))
+            }
+            Reader::Child { level: l, j, .. } if l == level => Some(self.union_token(e.child(j))),
+            _ => None,
+        }
+    }
+
+    /// Group `gid`'s count, made for a new group.
+    fn count(&mut self, gid: u32) -> &mut i64 {
+        let gid = gid as usize;
+        if gid >= self.counts.len() {
+            self.counts.resize(gid + 1, 0);
+        }
+        &mut self.counts[gid]
+    }
+
+    /// Adds the values of `token` that group `gid` lacks to it, the
+    /// first time the group meets the token.
+    fn credit(&mut self, gid: u32, token: u32) {
+        let mut added = 0;
+        let (keys, met) = &mut self.met;
+        let n = keys.len();
+        if met.intern(keys, (gid, token)) as usize == n {
+            let (from, to) = (self.starts[token as usize], self.starts[token as usize + 1]);
+            let (keys, pairs) = &mut self.pairs;
+            for &vid in &self.list[from as usize..to as usize] {
+                let n = keys.len();
+                added += i64::from(pairs.intern(keys, (gid, vid)) as usize == n);
+            }
+        }
+        *self.count(gid) += added;
+    }
+}
+
+impl GroupSink for Distinct {
+    fn reads_at(&self, level: usize) -> bool {
+        match self.reader {
+            Reader::Rows => false,
+            Reader::Node(l) | Reader::Child { level: l, .. } => l == level,
+        }
+    }
+
+    fn enter(&mut self, at: &mut Here<'_, '_>, level: usize) -> Result<()> {
+        let token = match self.stack.last() {
+            Some(&Some(t)) => Some(t),
+            _ => self.token_at(at.e, level),
+        };
+        self.stack.push(token);
+        Ok(())
+    }
+
+    fn leave(&mut self) {
+        self.stack.pop();
+    }
+
+    fn add(
+        &mut self,
+        _ftree: &FTree,
+        u: UnionRef<'_>,
+        level: usize,
+        gids: &[u32],
+        _counts: &mut Vec<Option<i64>>,
+    ) -> Result<()> {
+        let above = self.stack.last().copied().flatten();
+        for (e, &gid) in u.entries().zip(gids) {
+            match above.or_else(|| self.token_at(e, level)) {
+                Some(token) => self.credit(gid, token),
+                // The group node itself: one value per group.
+                None => *self.count(gid) = i64::from(!e.value().is_null()),
+            }
+        }
+        Ok(())
+    }
+
+    fn add_leaf(&mut self, gids: &[u32], groups: &GroupLevel) -> Result<()> {
+        match self.stack.last().copied().flatten() {
+            Some(token) => gids.iter().for_each(|&gid| self.credit(gid, token)),
+            None => {
+                for &gid in gids {
+                    *self.count(gid) = i64::from(!groups.value(gid).is_null());
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(&mut self) -> Result<Vec<Value>> {
+        Ok(std::mem::take(&mut self.counts)
+            .into_iter()
+            .map(Value::Int)
+            .collect())
+    }
 }
 
 /// The groups of one group node in a group fold.
@@ -1076,7 +1401,7 @@ pub(crate) fn fold_groups(
         .collect();
     let sinks: Vec<Box<dyn GroupSink>> = funcs
         .iter()
-        .map(|&op| group_sink(ftree, &nodes, op))
+        .map(|&op| group_sink(ftree, &nodes, op, root.column_len(nodes[nodes.len() - 1])))
         .collect::<Result<_>>()?;
     let quiet = (0..nodes.len() - 1)
         .map(|level| {
@@ -1365,31 +1690,53 @@ pub(crate) struct CompiledAgg {
     provider: Option<usize>,
     /// The provider's spine, or why the function cannot be evaluated over
     /// these factors (no factor provides its attribute, or
-    /// `count(distinct)` would read an aggregate singleton), reported by
-    /// every evaluation that needs it.
+    /// `count(distinct)` would combine aggregate singletons below a
+    /// factor), reported by every evaluation that needs it.
     spine: Result<Vec<usize>>,
     /// Per factor; `None` when some factor needs the walk.
     leaves: Option<Vec<LeafRole>>,
-    /// `count(distinct)`: the table its values are interned into, cleared
-    /// per evaluation.
-    ids: Option<DenseIds>,
+    /// `count(distinct)`: how it reads its values.
+    distinct: Option<DistinctRead>,
+}
+
+/// How a compiled `count(distinct)` reads the values it counts.
+#[derive(Clone, Debug)]
+enum DistinctRead {
+    /// The values down the provider's spine, interned into one table
+    /// cleared per evaluation.
+    Walk(DenseIds),
+    /// A group fold's final count: this component (`None`: the value
+    /// itself) of the provider's one singleton. A union of several
+    /// would re-aggregate counts across groups, and is refused.
+    Final(Option<usize>),
 }
 
 impl CompiledAgg {
     pub(crate) fn new(ftree: &FTree, nodes: &[NodeId], op: AggOp) -> Self {
         let found = first_provider(ftree, nodes.iter().copied().enumerate(), &op);
         let provider = found.as_ref().map(|&(k, ..)| k);
-        let is_agg = |n: NodeId| matches!(ftree.node(n).label, NodeLabel::Agg(_));
-        let spine = match found {
-            None => Err(format!("no factor provides {op:?}")),
-            // Distinct values cannot be recovered from aggregate singletons.
-            Some((.., n)) if op.needs_raw_input() && is_agg(n) => Err(format!(
-                "distinct values of {op:?} are unrecoverable from an aggregate singleton"
-            )),
-            Some((_, spine, _)) => Ok(spine),
-        }
-        .map_err(FdbError::InvalidComposition);
         let component = |l: &AggLabel, i: usize| (l.arity() > 1).then_some(i);
+        let mut distinct = None;
+        let spine = match found {
+            None => Err(FdbError::InvalidComposition(format!(
+                "no factor provides {op:?}"
+            ))),
+            Some((_, spine, n)) if op.needs_raw_input() => match &ftree.node(n).label {
+                NodeLabel::Atomic(_) => {
+                    distinct = Some(DistinctRead::Walk(DenseIds::new()));
+                    Ok(spine)
+                }
+                // A final count, read where it stands; below a factor it
+                // would combine with others, which distinct values forbid.
+                NodeLabel::Agg(l) if spine.is_empty() => {
+                    let c = l.component_of(&op).expect("the provider computes it");
+                    distinct = Some(DistinctRead::Final(component(l, c)));
+                    Ok(spine)
+                }
+                NodeLabel::Agg(_) => Err(unrecoverable(&op)),
+            },
+            Some((_, spine, _)) => Ok(spine),
+        };
         let role = |(k, &n): (usize, &NodeId)| -> Option<LeafRole> {
             let node = ftree.node(n);
             if !node.children.is_empty() {
@@ -1420,7 +1767,7 @@ impl CompiledAgg {
             provider,
             spine,
             leaves,
-            ids: op.needs_raw_input().then(DenseIds::new),
+            distinct,
         }
     }
 
@@ -1452,7 +1799,7 @@ impl CompiledAgg {
     /// The function's fold over `src` ([`FoldEval`]).
     fn fold(&self, ftree: &FTree, unions: &[UnionRef<'_>], src: Source) -> Result<Value> {
         let eval = FoldEval(ftree, unions, &self.op, src);
-        with_fold(self.op, eval).expect("count(distinct) does not fold")
+        with_fold(self.op, eval)
     }
 
     /// True when the value depends on factor `k`: every factor scales a
@@ -1477,10 +1824,28 @@ impl CompiledAgg {
         }
         let spine = self.spine.as_ref().map_err(FdbError::clone)?;
         let j = self.provider.expect("a resolved spine has a provider");
-        if let Some(ids) = &mut self.ids {
-            // Multiplicity-invariant: the non-providing factors only
-            // repeat tuples, never change which values occur.
-            return Ok(Value::Int(count_distinct(unions[j], spine, ids)));
+        // Multiplicity-invariant: the non-providing factors only repeat
+        // tuples, never change which values occur.
+        match &mut self.distinct {
+            Some(DistinctRead::Walk(ids)) => {
+                return Ok(Value::Int(count_distinct(unions[j], spine, ids)))
+            }
+            Some(DistinctRead::Final(c)) => {
+                let u = unions[j];
+                if u.len() != 1 {
+                    return Err(FdbError::InvalidComposition(format!(
+                        "{:?} of {} groups does not combine",
+                        self.op,
+                        u.len()
+                    )));
+                }
+                let v = u.entry(0).value();
+                return Ok(match *c {
+                    None => v.clone(),
+                    Some(i) => v.as_tup().expect("composite aggregate holds a Tup")[i].clone(),
+                });
+            }
+            None => {}
         }
         self.fold(ftree, unions, Source::Factor(j, spine))
     }
@@ -2286,6 +2651,131 @@ mod tests {
     }
 
     #[test]
+    fn a_group_fold_with_a_huge_k_sizes_its_lists_by_what_arrives() {
+        // g → x → y: per g, its x values with one to three y each, so the
+        // fold scales x's lists by y's counts on the way to g's groups.
+        let mut c = Catalog::new();
+        let [g, x, y] = ["g", "x", "y"].map(|n| c.intern(n));
+        let rows = (0..3).flat_map(|gv| {
+            (0..4).flat_map(move |xv| (0..=xv % 3).map(move |yv| [gv, gv * 10 + xv, yv]))
+        });
+        let rel = Relation::from_rows(
+            Schema::new(vec![g, x, y]),
+            rows.map(|r| r.map(Value::Int).to_vec()),
+        );
+        let rep = FRep::from_relation(&rel, FTree::path(&[x, g, y])).unwrap();
+        let tree = rep.ftree();
+        let gn = tree.node_of_attr(g).unwrap();
+        let k = i64::MAX as usize;
+        let folded = fold_groups(tree, rep.root(0), &[gn], &[AggOp::TopK(x, k)]).unwrap();
+        for (gv, top) in folded.levels[0].1.iter().zip(&folded.values) {
+            let gv = gv.as_int().unwrap();
+            let mut want: Vec<Value> = (0..4)
+                .flat_map(|xv| std::iter::repeat_n(Value::Int(gv * 10 + xv), 1 + xv as usize % 3))
+                .collect();
+            want.reverse();
+            assert_eq!(*top, Value::tup(want), "group {gv}");
+        }
+        // The merge grows a list by the values it keeps, never towards k.
+        let f = TopK(k);
+        let ints = |v: &[i64]| v.iter().map(|&i| Value::Int(i)).collect::<Vec<_>>();
+        let merged = f.combine_scaled(ints(&[9, 4, 1]), &ints(&[7, 4]), 3);
+        assert_eq!(merged, ints(&[9, 7, 7, 7, 4, 4, 4, 4, 1]));
+        assert!(
+            merged.capacity() <= 2 * merged.len(),
+            "{}",
+            merged.capacity()
+        );
+        // Cut at k: a float ranks above every integer.
+        let three = TopK(3).combine_scaled(ints(&[5, 1]), &vec![Value::Float(1.0)], 2);
+        assert_eq!(three, [Value::Float(1.0), Value::Float(1.0), Value::Int(5)]);
+        assert_eq!(TopK(2).combine(ints(&[8, 3]), ints(&[2])), ints(&[8, 3]));
+    }
+
+    #[test]
+    fn a_final_distinct_count_is_read_once_per_group() {
+        // g → ⟨count(distinct x)⟩, as a group fold leaves it: 3 under
+        // g = 0, 2 under g = 1; and the same counts as one union of two
+        // singletons, which no group fold leaves.
+        use crate::frep::{Entry, Union};
+        let mut c = Catalog::new();
+        let [g, x, d] = ["g", "x", "d"].map(|n| c.intern(n));
+        let op = AggOp::CountDistinct(x);
+        let label = label_of(op, x, d);
+        let single = |n| Entry {
+            value: Value::Int(n),
+            children: vec![],
+        };
+        let mut t = FTree::new();
+        let n_g = t.add_node(NodeLabel::Atomic(vec![g]), None);
+        let n_d = t.add_node(label.clone(), Some(n_g));
+        let entries = [3, 2]
+            .into_iter()
+            .enumerate()
+            .map(|(gv, n)| Entry {
+                value: Value::Int(gv as i64),
+                children: vec![Union {
+                    node: n_d,
+                    entries: vec![single(n)],
+                }],
+            })
+            .collect();
+        let rep = FRep::new(t, vec![Union { node: n_g, entries }]).unwrap();
+        let tree = rep.ftree();
+        let mut compiled = CompiledAgg::new(tree, &[n_d], op);
+        for (e, want) in rep.root(0).entries().zip([3, 2]) {
+            let unions: Vec<UnionRef<'_>> = e.children().collect();
+            assert_eq!(compiled.eval(tree, &unions).unwrap(), Value::Int(want));
+        }
+        // Across the groups: below a factor, and as several singletons.
+        let refused = |r: Result<Value>| matches!(r, Err(FdbError::InvalidComposition(_)));
+        assert!(refused(eval_op(tree, &[rep.root(0)], &op)));
+        let mut t = FTree::new();
+        let n_d = t.add_node(label, None);
+        let both = Union {
+            node: n_d,
+            entries: vec![single(2), single(3)],
+        };
+        let rep = FRep::new(t, vec![both]).unwrap();
+        assert!(refused(eval_op(rep.ftree(), &[rep.root(0)], &op)));
+        // A group fold reads no aggregate singleton for distinct values:
+        // g → {h, ⟨count(distinct x)⟩}, grouped by h.
+        let mut t = FTree::new();
+        let h = c.intern("h");
+        let n_g = t.add_node(NodeLabel::Atomic(vec![g]), None);
+        let n_h = t.add_node(NodeLabel::Atomic(vec![h]), Some(n_g));
+        let n_d = t.add_node(label_of(op, x, d), Some(n_g));
+        let root = Union {
+            node: n_g,
+            entries: vec![Entry {
+                value: Value::Int(0),
+                children: vec![
+                    Union {
+                        node: n_h,
+                        entries: vec![single(1), single(2)],
+                    },
+                    Union {
+                        node: n_d,
+                        entries: vec![single(3)],
+                    },
+                ],
+            }],
+        };
+        let rep = FRep::new(t, vec![root]).unwrap();
+        let folded = fold_groups(rep.ftree(), rep.root(0), &[n_h], &[op]);
+        assert!(matches!(folded, Err(FdbError::InvalidComposition(_))));
+    }
+
+    /// The label of an aggregate node computing `op` over `x` into `out`.
+    fn label_of(op: AggOp, x: AttrId, out: AttrId) -> NodeLabel {
+        NodeLabel::Agg(AggLabel {
+            funcs: vec![op],
+            over: [x].into_iter().collect(),
+            outputs: vec![out],
+        })
+    }
+
+    #[test]
     fn count_distinct_walks_the_spine_with_one_table_per_result() {
         // g → x → y with string y: repeats across x-unions, NULL entries,
         // and a group whose y-values are all NULL.
@@ -2319,12 +2809,18 @@ mod tests {
             (AggOp::CountDistinct(x), [3, 2, 1]),
         ] {
             let mut compiled = CompiledAgg::new(tree, &nodes, op);
-            assert!(compiled.ids.is_some(), "{op:?}");
+            assert!(
+                matches!(compiled.distinct, Some(DistinctRead::Walk(_))),
+                "{op:?}"
+            );
             for (e, want) in rep.root(0).entries().zip(want) {
                 let unions: Vec<UnionRef<'_>> = e.children().collect();
                 assert_eq!(compiled.eval(tree, &unions).unwrap(), Value::Int(want));
                 // The shared table holds this group's values alone.
-                assert_eq!(compiled.ids.as_ref().unwrap().len() as i64, want);
+                let Some(DistinctRead::Walk(ids)) = &compiled.distinct else {
+                    unreachable!("a walking count");
+                };
+                assert_eq!(ids.len() as i64, want);
                 assert_eq!(eval_op(tree, &unions, &op).unwrap(), Value::Int(want));
             }
         }

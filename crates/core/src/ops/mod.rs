@@ -6,11 +6,11 @@
 //! | operator | implements | module |
 //! |---|---|---|
 //! | `product` | cross product (cheapest op: forest union) | [`mod@product`] |
-//! | `select_const` | `A θ c` selections | [`select`] |
+//! | `select_const` | `A θ c` selections, by binary search on atomic unions | [`select`] |
 //! | `merge` / `absorb` | `A = B` selections (siblings / path) | [`restructure`] |
 //! | `swap` | restructuring `χ_{A,B}` | [`restructure`] |
 //! | `aggregate` | the new aggregation operator `γ_F(U)` | [`mod@aggregate`] |
-//! | `group_fold` | `γ_F` grouped by nodes on one root path, in one pass | [`mod@aggregate`] |
+//! | `group_fold` | `γ_F` grouped by nodes on one root path, every function in one pass | [`mod@aggregate`] |
 //! | `project_away` | projection (leaf removal, with push-down) | [`project`] |
 //! | `rename` | constant-time attribute renaming | [`project`] |
 //!

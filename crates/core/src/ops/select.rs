@@ -1,29 +1,43 @@
 //! Constant selections `A θ c` on factorisations.
 //!
 //! A constant selection filters the entries of the attribute's unions in
-//! one traversal of the relevant fragment (§5.1); entries whose subtrees
-//! become empty are pruned on the way back up. The surviving entries'
-//! subtrees are shared by id, never copied.
+//! one traversal of the relevant fragment (§5.1) — the unions on the
+//! root paths of the filtered nodes — and prunes, on the way back up,
+//! entries whose subtrees became empty. It rewrites only what it
+//! changes. A filtered union of an atomic node answers each filter on
+//! its sorted values: one or two binary searches give the runs of
+//! entries that pass, for every `θ`, so a union all of whose entries
+//! pass costs `O(log n)` and is shared as it is, with no append. An
+//! aggregate node's union, sorted by its whole value rather than by the
+//! selected output, is scanned. A rewritten union carries each kept
+//! entry whose subtree did not change over as it is — its value and its
+//! kids by id — so nothing below it is copied.
 
 use crate::error::{FdbError, Result};
-use crate::frep::{value_for_attr, Arena, FRep, UnionId};
+use crate::frep::{Arena, EntrySpec, FRep, UnionId};
 use crate::ftree::{FTree, NodeId, NodeLabel};
 use fdb_relational::{AttrId, CmpOp, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::HashMap;
 
-/// One resolved constant selection: the node it filters and the
-/// entry-level predicate.
+/// One resolved constant selection: the entry-level predicate of the
+/// node exposing `attr`.
 struct NodeFilter {
-    label: NodeLabel,
     attr: AttrId,
     op: CmpOp,
     value: Value,
 }
 
 impl NodeFilter {
-    fn passes(&self, arena: &Arena, node: NodeId, val: u32) -> bool {
-        let v = value_for_attr(&self.label, arena.value_at(node, val), self.attr)
-            .expect("node exposes the selected attribute");
+    /// Whether a value of a node labelled `label` passes.
+    fn passes(&self, label: &NodeLabel, v: &Value) -> bool {
+        let v = match label {
+            NodeLabel::Agg(l) if l.arity() > 1 => {
+                let i = l.outputs.iter().position(|&o| o == self.attr);
+                let i = i.expect("node exposes the selected attribute");
+                &v.as_tup().expect("composite aggregate holds a Tup")[i]
+            }
+            _ => v,
+        };
         self.op.eval(v.cmp(&self.value))
     }
 }
@@ -48,32 +62,53 @@ pub fn select_const(rep: FRep, attr: AttrId, op: CmpOp, value: &Value) -> Result
 /// same pruning fixpoint as applying them one at a time.
 pub(crate) fn apply_filters(rep: FRep, filters: &[(AttrId, CmpOp, Value)]) -> Result<FRep> {
     let (tree, mut arena, roots) = rep.into_arena_parts();
-    let mut per_node: BTreeMap<NodeId, Vec<NodeFilter>> = BTreeMap::new();
+    let slots = tree
+        .live_nodes()
+        .iter()
+        .map(|n| n.idx() + 1)
+        .max()
+        .unwrap_or(0);
+    let mut per_node: Vec<Vec<NodeFilter>> = (0..slots).map(|_| Vec::new()).collect();
     for (attr, op, value) in filters {
         let node = tree
             .node_of_attr(*attr)
             .ok_or_else(|| FdbError::Unresolved(format!("attribute {attr} not in f-tree")))?;
-        per_node.entry(node).or_default().push(NodeFilter {
-            label: tree.node(node).label.clone(),
+        per_node[node.idx()].push(NodeFilter {
             attr: *attr,
             op: *op,
             value: value.clone(),
         });
     }
     // A union must be entered iff its subtree contains a filtered node:
-    // precisely the nodes on some filtered node's root path.
-    let mut active: BTreeSet<NodeId> = BTreeSet::new();
-    for &n in per_node.keys() {
-        active.extend(tree.root_path(n));
+    // precisely the nodes on some filtered node's root path. Per such
+    // node, the positions of its children that are entered too.
+    let mut active: Vec<Option<Vec<usize>>> = vec![None; slots];
+    for n in tree.live_nodes() {
+        if !per_node[n.idx()].is_empty() {
+            let path = tree.root_path(n);
+            for (k, &p) in path.iter().enumerate() {
+                let kids = active[p.idx()].get_or_insert_with(Vec::new);
+                if let Some(&c) = path.get(k + 1) {
+                    let j = tree.child_position(c);
+                    if !kids.contains(&j) {
+                        kids.push(j);
+                    }
+                }
+            }
+        }
     }
-    // Memoised over source union ids: fragments shared by earlier
-    // operators are filtered once and re-shared (`None` =
-    // pruned), keeping the DAG a DAG.
-    let mut memo: BTreeMap<u32, Option<UnionId>> = BTreeMap::new();
+    let mut walk = FilterWalk {
+        tree: &tree,
+        per_node,
+        active,
+        memo: HashMap::new(),
+        runs: Vec::new(),
+        scratch: Vec::new(),
+    };
     let mut new_roots = Vec::with_capacity(roots.len());
     for (&r, &rn) in roots.iter().zip(tree.roots()) {
-        if active.contains(&rn) {
-            let nu = filter_walk(&tree, &mut arena, r, rn, &per_node, &active, &mut memo)?;
+        if walk.active[rn.idx()].is_some() {
+            let nu = walk.union(&mut arena, r, rn)?;
             new_roots.push(nu.unwrap_or_else(|| arena.empty_union(rn)));
         } else {
             arena.note_shared(1);
@@ -85,75 +120,167 @@ pub(crate) fn apply_filters(rep: FRep, filters: &[(AttrId, CmpOp, Value)]) -> Re
     Ok(out)
 }
 
-/// Rewrites one union under the fused filter set; `None` prunes it.
-fn filter_walk(
-    tree: &FTree,
-    arena: &mut Arena,
-    uid: UnionId,
-    node: NodeId,
-    per_node: &BTreeMap<NodeId, Vec<NodeFilter>>,
-    active: &BTreeSet<NodeId>,
-    memo: &mut BTreeMap<u32, Option<UnionId>>,
-) -> Result<Option<UnionId>> {
-    if let Some(&m) = memo.get(&uid.0) {
-        if m.is_some() {
-            arena.note_shared(1);
+/// The state of one fused filter walk.
+struct FilterWalk<'t> {
+    tree: &'t FTree,
+    /// Per node id, its filters.
+    per_node: Vec<Vec<NodeFilter>>,
+    /// Per node id, the positions of its entered children; `None` for a
+    /// node the walk never enters.
+    active: Vec<Option<Vec<usize>>>,
+    /// The rewrites of the source unions that changed or hold entered
+    /// children (`None` = pruned): fragments shared by earlier operators
+    /// are filtered once and re-shared, keeping the DAG a DAG. Sized by
+    /// the unions walked, never by the arena.
+    memo: HashMap<u32, Option<UnionId>>,
+    /// The runs of passing entry positions of the union being filtered,
+    /// and scratch for intersecting them.
+    runs: Vec<(u32, u32)>,
+    scratch: Vec<(u32, u32)>,
+}
+
+impl FilterWalk<'_> {
+    /// Rewrites union `uid` of `node`; `None` prunes it. A union none of
+    /// whose children is entered is decided by its passing runs alone
+    /// when they hold every entry (shared as it is) or none (pruned).
+    fn union(&mut self, arena: &mut Arena, uid: UnionId, node: NodeId) -> Result<Option<UnionId>> {
+        let rec = arena.urec(uid);
+        debug_assert_eq!(rec.node, node);
+        self.passing(arena, uid, node);
+        let entered = self.active[node.idx()].as_ref().expect("an entered node");
+        if entered.is_empty() {
+            let kept: u32 = self.runs.iter().map(|r| r.1 - r.0).sum();
+            if kept == rec.len {
+                arena.note_shared(1);
+                return Ok(Some(uid));
+            }
+            if kept == 0 {
+                return Ok(None);
+            }
         }
-        return Ok(m);
-    }
-    let rec = arena.urec(uid);
-    debug_assert_eq!(rec.node, node);
-    let filters = per_node.get(&node);
-    let children = &tree.node(node).children;
-    let mut specs = Vec::with_capacity(rec.len as usize);
-    let mut kid_ids: Vec<UnionId> = Vec::new();
-    let mut unchanged = true;
-    // Kid shares are tallied locally and committed only when the
-    // rewritten union is actually emitted — the unchanged-wholesale
-    // path discards its specs and must not count them.
-    let mut shared_here: u64 = 0;
-    'entry: for i in rec.start..rec.start + rec.len {
-        let e = arena.erec(i);
-        if let Some(fs) = filters {
-            if !fs.iter().all(|f| f.passes(arena, node, e.val)) {
-                unchanged = false;
+        if let Some(&m) = self.memo.get(&uid.0) {
+            if m.is_some() {
+                arena.note_shared(1);
+            }
+            return Ok(m);
+        }
+        let entered = entered.clone();
+        let runs = self.runs.clone();
+        let tree = self.tree;
+        let children = &tree.node(node).children;
+        // The rewritten entries, from the first change on (before it,
+        // every entry is kept as it is).
+        let mut specs: Option<Vec<EntrySpec>> = None;
+        let keep_first = |specs: &mut Option<Vec<EntrySpec>>, arena: &Arena, upto: u32| {
+            if specs.is_none() {
+                let recs = &arena.entries_of(rec)[..upto as usize];
+                *specs = Some(recs.iter().map(|&e| EntrySpec::from_rec(e)).collect());
+            }
+        };
+        let mut new_kids: Vec<UnionId> = Vec::new();
+        // The kids the kept entries share, committed only when the
+        // rewritten union is emitted.
+        let mut shared_here: u64 = 0;
+        let mut run = runs.iter().peekable();
+        'entry: for i in 0..rec.len {
+            while run.next_if(|r| r.1 <= i).is_some() {}
+            if run.peek().is_none_or(|r| r.0 > i) {
+                keep_first(&mut specs, arena, i);
                 continue;
             }
-        }
-        kid_ids.clear();
-        for (k, &cn) in children.iter().enumerate() {
-            let old = arena.kid_at(e.kids_start + k as u32);
-            if active.contains(&cn) {
-                match filter_walk(tree, arena, old, cn, per_node, active, memo)? {
+            let e = arena.erec(rec.start + i);
+            let mut changed = 0;
+            for &k in &entered {
+                let old = arena.kid_at(e.kids_start + k as u32);
+                match self.union(arena, old, children[k])? {
                     None => {
-                        unchanged = false;
+                        keep_first(&mut specs, arena, i);
                         continue 'entry;
                     }
-                    Some(nu) => {
-                        unchanged &= nu == old;
-                        kid_ids.push(nu);
+                    Some(nu) if nu != old => {
+                        if changed == 0 {
+                            new_kids.clear();
+                            new_kids.extend_from_slice(arena.kids_of(e));
+                        }
+                        new_kids[k] = nu;
+                        changed += 1;
                     }
+                    Some(_) => {}
                 }
-            } else {
-                shared_here += 1;
-                kid_ids.push(old);
+            }
+            shared_here += u64::from(e.kids_len) - changed;
+            if changed > 0 {
+                keep_first(&mut specs, arena, i);
+                let spec = arena.entry_shared_val(e.val, &new_kids);
+                specs.as_mut().expect("rewritten").push(spec);
+            } else if let Some(specs) = &mut specs {
+                specs.push(EntrySpec::from_rec(e));
             }
         }
-        specs.push(arena.entry_shared_val(e.val, &kid_ids));
+        let out = match specs {
+            None => {
+                arena.note_shared(1);
+                Some(uid)
+            }
+            Some(specs) if specs.is_empty() => None,
+            Some(specs) => {
+                arena.note_shared(shared_here);
+                Some(arena.push_union(node, &specs))
+            }
+        };
+        self.memo.insert(uid.0, out);
+        Ok(out)
     }
-    if unchanged {
-        arena.note_shared(1);
-        memo.insert(uid.0, Some(uid));
-        return Ok(Some(uid));
+
+    /// Sets `runs` to the runs `[from, to)` of positions of union
+    /// `uid`'s entries that pass every filter of `node`, ascending. Each
+    /// filter of an atomic node keeps at most two runs around the equal
+    /// range of its constant, found by binary search.
+    fn passing(&mut self, arena: &Arena, uid: UnionId, node: NodeId) {
+        let rec = arena.urec(uid);
+        let entries = arena.entries_of(rec);
+        let col = arena.col(node);
+        let label = &self.tree.node(node).label;
+        let filters = &self.per_node[node.idx()];
+        self.runs.clear();
+        if matches!(label, NodeLabel::Agg(_)) {
+            for (i, e) in (0..).zip(entries) {
+                let v = col.get(e.val);
+                if filters.iter().all(|f| f.passes(label, v)) {
+                    match self.runs.last_mut() {
+                        Some(r) if r.1 == i => r.1 += 1,
+                        _ => self.runs.push((i, i + 1)),
+                    }
+                }
+            }
+            return;
+        }
+        let len = rec.len;
+        self.runs.push((0, len));
+        for f in filters {
+            let c = &f.value;
+            let lo = entries.partition_point(|e| col.get(e.val) < c) as u32;
+            let hi = lo + entries[lo as usize..].partition_point(|e| col.get(e.val) <= c) as u32;
+            let keep = match f.op {
+                CmpOp::Eq => [(lo, hi), (len, len)],
+                CmpOp::Ne => [(0, lo), (hi, len)],
+                CmpOp::Lt => [(0, lo), (len, len)],
+                CmpOp::Le => [(0, hi), (len, len)],
+                CmpOp::Gt => [(hi, len), (len, len)],
+                CmpOp::Ge => [(lo, len), (len, len)],
+            };
+            self.scratch.clear();
+            for &(a, b) in &self.runs {
+                for &(c, d) in &keep {
+                    let (from, to) = (a.max(c), b.min(d));
+                    if from < to {
+                        self.scratch.push((from, to));
+                    }
+                }
+            }
+            std::mem::swap(&mut self.runs, &mut self.scratch);
+        }
     }
-    if specs.is_empty() {
-        memo.insert(uid.0, None);
-        return Ok(None);
-    }
-    arena.note_shared(shared_here);
-    let nu = arena.push_union(node, &specs);
-    memo.insert(uid.0, Some(nu));
-    Ok(Some(nu))
 }
 
 #[cfg(test)]

@@ -305,35 +305,22 @@ pub(crate) fn applicable_selection(
 
 /// The group fold on `tree` when its shape rule holds: every pending
 /// selection done, one root, the group attributes on atomic nodes of one
-/// root path, some other atomic node, and only final functions that one
-/// fold evaluates. `top_k` (whose merge sorts at every entry, slower than
-/// the swap plan) and `count(distinct)` (which does not compose) keep the
-/// swap plan, and so do two shapes whose `γ` plan never rewrites per
+/// root path, and some other atomic node. Every function folds. Two
+/// shapes keep the swap plan, as their `γ` plan never rewrites per
 /// group: the root alone, and group nodes that are — or, once the
 /// topmost is lifted to the root, become — a prefix of the root path
-/// that ends in a leaf. The group nodes chain in the order of the `ORDER BY` keys that
-/// lead it and are group attributes, then in root-path order, so an
-/// order by the group attributes needs no swap after the fold. Its
-/// functions are the partial ones of the `γ` it stands for.
+/// that ends in a leaf. The group nodes chain in the order of the
+/// `ORDER BY` keys that lead it and are group attributes, then in
+/// root-path order, so an order by the group attributes needs no swap
+/// after the fold. Its functions are the partial ones of the `γ` it
+/// stands for.
 pub(crate) fn group_fold(
     tree: &FTree,
     spec: &QuerySpec,
     pending: &[(AttrId, AttrId)],
     catalog: &mut Catalog,
 ) -> Result<Option<FOp>> {
-    let folds = spec.final_funcs.iter().all(|f| {
-        matches!(
-            f,
-            AggOp::Sum(_)
-                | AggOp::Count
-                | AggOp::Min(_)
-                | AggOp::Max(_)
-                | AggOp::Product(_)
-                | AggOp::Exists(..)
-                | AggOp::Forall(..)
-        )
-    });
-    if !pending.is_empty() || !spec.is_aggregate() || !folds || tree.roots().len() != 1 {
+    if !pending.is_empty() || !spec.is_aggregate() || tree.roots().len() != 1 {
         return Ok(None);
     }
     let Some(nodes) = spec

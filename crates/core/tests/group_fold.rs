@@ -19,7 +19,7 @@
 //! `#[ignore]`d variant runs many more
 //! (`cargo test --release -p fdb-core --test group_fold -- --ignored`).
 
-use fdb_core::agg::{eval_funcs, fold_funcs, partial_funcs};
+use fdb_core::agg::{eval_funcs, fold_funcs, partial_funcs, subtree_provides};
 use fdb_core::frep::{Entry, FRep, Union, UnionRef};
 use fdb_core::ftree::{AggOp, FTree, NodeId, NodeLabel};
 use fdb_core::ops::{self, AggTarget};
@@ -174,14 +174,15 @@ impl Data {
 }
 
 /// One to three final functions over random attributes (the group
-/// attribute included), each composable.
+/// attribute included), any of the nine. `top_k` draws `k` from 1 to 4
+/// or past every group's size (a tree holds at most 3^6 tuples).
 fn random_funcs(rng: &mut Lcg, attrs: &[AttrId]) -> Vec<AggOp> {
     let cmps = [CmpOp::Lt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne];
     (0..1 + rng.below(3))
         .map(|_| {
             let a = attrs[rng.below(attrs.len() as u64) as usize];
             let c = (cmps[rng.below(4) as usize], rng.below(5) as i64);
-            match rng.below(8) {
+            match rng.below(9) {
                 0 => AggOp::Count,
                 1 => AggOp::Sum(a),
                 2 => AggOp::Min(a),
@@ -189,7 +190,8 @@ fn random_funcs(rng: &mut Lcg, attrs: &[AttrId]) -> Vec<AggOp> {
                 4 => AggOp::Product(a),
                 5 => AggOp::Exists(a, c.0, c.1),
                 6 => AggOp::Forall(a, c.0, c.1),
-                _ => AggOp::TopK(a, 1 + rng.below(4) as usize),
+                7 => AggOp::CountDistinct(a),
+                _ => AggOp::TopK(a, [1, 2, 3, 4, 1000][rng.below(5) as usize]),
             }
         })
         .collect()
@@ -215,7 +217,9 @@ fn swap_plan(
 
 /// In half the cases, `rep` with one subtree off `g`'s root path
 /// replaced by a partial `γ` of `finals` — what greedy's step 2 can leave
-/// before the fold — so the fold reads partial and count components.
+/// before the fold — so the fold reads partial and count components. As
+/// in step 2, no subtree that provides a `count(distinct)` attribute is
+/// aggregated: which values occur would be lost.
 fn maybe_partial(
     rep: &FRep,
     g: NodeId,
@@ -228,6 +232,10 @@ fn maybe_partial(
         .live_nodes()
         .into_iter()
         .filter(|&t| tree.node(t).parent.is_some() && t != g && !tree.is_ancestor(t, g))
+        .filter(|&t| {
+            let distinct = finals.iter().filter(|f| f.needs_raw_input());
+            !distinct.clone().any(|f| subtree_provides(tree, t, f))
+        })
         .collect();
     if off.is_empty() || rng.below(2) == 0 {
         return rep.clone();
@@ -353,12 +361,21 @@ fn chain_unions(chain: &[NodeId], agg: NodeId, groups: &[(Vec<Value>, Value)]) -
     }
 }
 
+/// How many folds of [`fold_matches_the_swap_plan`] succeeded (the rest
+/// failed on both sides), how many of them had several group nodes, and
+/// how many counted distinct values of an attribute on a group node, on
+/// the group nodes' root path, off it, and over NULLs.
+#[derive(Debug, Default)]
+struct Folds {
+    ok: usize,
+    several: usize,
+    distinct: [usize; 4],
+}
+
 /// Runs `cases` random trees; every non-root node is a lone group node
-/// once, and three random group sets follow. Returns how many folds
-/// succeeded (the rest failed on both sides), and how many of them had
-/// several group nodes.
-fn fold_matches_the_swap_plan(cases: u64, seed: u64) -> (usize, usize) {
-    let (mut ok, mut several) = (0, 0);
+/// once, and three random group sets follow.
+fn fold_matches_the_swap_plan(cases: u64, seed: u64) -> Folds {
+    let mut folds = Folds::default();
     for case in 0..cases {
         let mut rng = Lcg(seed ^ case.wrapping_mul(0x2545_F491_4F6C_DD1D));
         let mut catalog = Catalog::new();
@@ -423,8 +440,20 @@ fn fold_matches_the_swap_plan(cases: u64, seed: u64) -> (usize, usize) {
                         what()
                     );
                     assert_chain(&rep, &got, &groups, &funcs, &outputs);
-                    ok += 1;
-                    several += usize::from(groups.len() > 1);
+                    folds.ok += 1;
+                    folds.several += usize::from(groups.len() > 1);
+                    for f in finals.iter().filter(|f| f.needs_raw_input()) {
+                        let n = rep.ftree().node_of_attr(f.attr().unwrap()).unwrap();
+                        let at = if groups.contains(&n) {
+                            0
+                        } else if rep.ftree().is_ancestor(n, deepest) {
+                            1
+                        } else {
+                            2
+                        };
+                        folds.distinct[at] += 1;
+                        folds.distinct[3] += usize::from(case % 2 == 1);
+                    }
                 }
                 (Err(a), Err(b)) => assert_eq!(
                     std::mem::discriminant(&a),
@@ -436,7 +465,7 @@ fn fold_matches_the_swap_plan(cases: u64, seed: u64) -> (usize, usize) {
             }
         }
     }
-    (ok, several)
+    folds
 }
 
 /// Whether `got` and `want` hold the same tuples, up to the value
@@ -517,11 +546,11 @@ fn assert_chain(input: &FRep, got: &FRep, groups: &[NodeId], funcs: &[AggOp], ou
 
 #[test]
 fn group_fold_matches_the_swap_plan() {
-    let (ok, several) = fold_matches_the_swap_plan(300, 0xF01D);
+    let folds = fold_matches_the_swap_plan(300, 0xF01D);
     // Most cases evaluate: only a sum over a NULL fails on both sides.
     assert!(
-        ok > 1200 && several > 250,
-        "{ok} successful folds, {several} on several nodes"
+        folds.ok > 1200 && folds.several > 250 && folds.distinct.iter().all(|&n| n > 20),
+        "{folds:?}"
     );
 }
 

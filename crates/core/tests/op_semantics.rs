@@ -2,20 +2,22 @@
 //! each f-plan operator must transform the *represented relation* exactly
 //! as its relational counterpart transforms the flat relation.
 //!
-//! `γ` against the relational group aggregate has two budgets: tier-1
-//! runs a fixed-seed few dozen relations; the `#[ignore]`d variant runs
-//! many more
+//! `γ` against the relational group aggregate and the constant selection
+//! against the relational one have two budgets each: tier-1 runs a
+//! fixed-seed few dozen (or hundred) relations; the `#[ignore]`d
+//! variants run many more
 //! (`cargo test --release -p fdb-core --test op_semantics -- --ignored`).
 
 use fdb_core::agg::partial_funcs;
-use fdb_core::frep::FRep;
-use fdb_core::ftree::{AggOp, FTree, NodeLabel};
+use fdb_core::frep::{value_for_attr, FRep, UnionRef};
+use fdb_core::ftree::{AggOp, FTree, NodeId, NodeLabel};
 use fdb_core::ops;
 use fdb_relational::ops as rel_ops;
 use fdb_relational::{
     AggFunc, AggSpec, AttrId, Catalog, CmpOp, GroupStrategy, Predicate, Relation, Schema, Value,
 };
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 fn catalog3() -> (Catalog, [fdb_relational::AttrId; 3]) {
     let mut c = Catalog::new();
@@ -187,28 +189,178 @@ fn aggregate_matches_relational_group_aggregate_long() {
     aggregate_matches(60_000, 0x5EED);
 }
 
+/// The number of unions of `rep` (shared ones once) that a selection
+/// keeping the values of `node` that satisfy `keep` must rewrite: those
+/// with an entry that fails, or an entry whose child on the root path to
+/// `node` must be rewritten.
+fn unions_to_rewrite(rep: &FRep, node: NodeId, keep: &dyn Fn(&Value) -> bool) -> usize {
+    fn walk(
+        u: UnionRef<'_>,
+        path: &[NodeId],
+        keep: &dyn Fn(&Value) -> bool,
+        seen: &mut HashMap<u32, bool>,
+    ) -> bool {
+        if let Some(&c) = seen.get(&u.id().0) {
+            return c;
+        }
+        let changes = match path {
+            [_] => u.entries().any(|e| !keep(e.value())),
+            // Every entry's child is walked: a later one may change too.
+            [_, next, ..] => u.entries().fold(false, |changes, e| {
+                let k = e.children().position(|c| c.node() == *next).unwrap();
+                walk(e.child(k), &path[1..], keep, seen) || changes
+            }),
+            [] => unreachable!(),
+        };
+        seen.insert(u.id().0, changes);
+        changes
+    }
+    let path = rep.ftree().root_path(node);
+    let mut seen = HashMap::new();
+    for r in rep.root_unions().filter(|r| r.node() == path[0]) {
+        walk(r, &path, keep, &mut seen);
+    }
+    seen.values().filter(|&&c| c).count()
+}
+
+/// The shapes [`select_matches`] selects on: a relation, its
+/// factorisation, and the attribute selected.
+fn selection_inputs(rng: &mut Lcg) -> Vec<(&'static str, Relation, FRep, AttrId)> {
+    // Even values, so odd constants are absent from every column; z may
+    // hold NULLs.
+    let n = 1 + rng.below(25);
+    let rows: Vec<[Value; 3]> = (0..n)
+        .map(|_| {
+            let z = match rng.below(8) {
+                0 => Value::Null,
+                v => Value::Int(2 * v as i64 - 2),
+            };
+            [
+                Value::Int(2 * rng.range(0, 4)),
+                Value::Int(2 * rng.range(0, 4)),
+                z,
+            ]
+        })
+        .collect();
+    let (mut catalog, attrs) = catalog3();
+    let [x, y, z] = attrs;
+    let rel = Relation::from_rows(Schema::new(attrs.to_vec()), rows.iter().map(|r| r.to_vec()))
+        .canonical();
+    let path = FRep::from_relation(&rel, FTree::path(&attrs)).unwrap();
+    let mut out = vec![
+        ("root", rel.clone(), path.clone(), x),
+        ("inner", rel.clone(), path.clone(), y),
+        ("leaf", rel.clone(), path.clone(), z),
+    ];
+    // Swapped: y on top, x and z below it, sharing their fragments.
+    let (nx, ny) = (
+        path.ftree().node_of_attr(x).unwrap(),
+        path.ftree().node_of_attr(y).unwrap(),
+    );
+    let swapped = ops::swap(path.clone(), nx, ny).unwrap();
+    out.push(("swapped leaf", rel.clone(), swapped.clone(), z));
+    out.push(("swapped inner", rel.clone(), swapped, x));
+    // A merged class {y, w} at the root, x and z below it: the join of
+    // (y, x) and (w, z) on y = w.
+    let w = catalog.intern("w");
+    let left = rel.project_cols(&[y, x]).canonical();
+    let right_rows = rel.rows().map(|r| vec![r[1].clone(), r[2].clone()]);
+    let right = Relation::from_rows(Schema::new(vec![w, z]), right_rows).canonical();
+    let l = FRep::from_relation(&left, FTree::path(&[y, x])).unwrap();
+    let r = FRep::from_relation(&right, FTree::path(&[w, z])).unwrap();
+    let joined = ops::product(l, r);
+    let (a, b) = (joined.ftree().roots()[0], joined.ftree().roots()[1]);
+    let merged = ops::merge(joined, a, b).unwrap();
+    let mut joined_rows = Vec::new();
+    for lr in left.rows() {
+        for rr in right.rows().filter(|rr| rr[0] == lr[0]) {
+            joined_rows.push(vec![
+                lr[0].clone(),
+                lr[1].clone(),
+                rr[0].clone(),
+                rr[1].clone(),
+            ]);
+        }
+    }
+    let joined = Relation::from_rows(Schema::new(vec![y, x, w, z]), joined_rows).canonical();
+    out.push(("merged", joined, merged, w));
+    // An aggregate output, as `HAVING` reads it: x → (sum z, count).
+    let (s, c) = (catalog.intern("s"), catalog.intern("c"));
+    let target = ops::AggTarget::subtree(path.ftree(), ny);
+    let funcs = vec![AggOp::Sum(z), AggOp::Count];
+    if let Ok(agged) = ops::aggregate(path, &target, funcs, vec![s, c]) {
+        let specs = [
+            AggSpec::new(AggFunc::Sum(z), s),
+            AggSpec::new(AggFunc::Count, c),
+        ];
+        let specs: Vec<_> = specs.into_iter().map(Into::into).collect();
+        let grouped = rel_ops::group_aggregate(&rel, &[x], &specs, GroupStrategy::Sort);
+        out.push(("aggregate", grouped.clone(), agged.clone(), s));
+        out.push(("aggregate count", grouped, agged, c));
+    }
+    out
+}
+
+/// Constant selections against the relational selection on `cases`
+/// random relations from `seed`: every `θ`, with constants below, inside
+/// (present and absent), and above the column, and `NULL`, `Float` and
+/// `Str` constants, on every shape of [`selection_inputs`]. Each result
+/// appends no more unions than [`unions_to_rewrite`] counts — none when
+/// every entry passes, the input then shared whole.
+fn select_matches(cases: usize, seed: u64) {
+    let mut rng = Lcg(seed);
+    let constants = [
+        Value::Int(-1),
+        Value::Int(3),
+        Value::Int(4),
+        Value::Int(99),
+        Value::Null,
+        Value::Float(4.0),
+        Value::str("4"),
+    ];
+    for case in 0..cases {
+        for (shape, rel, rep, attr) in selection_inputs(&mut rng) {
+            for op in CMP {
+                let c = &constants[rng.below(constants.len() as u64) as usize];
+                let what = format!("case {case}, {shape}, {op:?} {c:?} on\n{rel:?}");
+                let node = rep.ftree().node_of_attr(attr).unwrap();
+                let label = rep.ftree().node(node).label.clone();
+                let keep = |v: &Value| {
+                    let v = value_for_attr(&label, v, attr).unwrap();
+                    op.eval(v.cmp(c))
+                };
+                let bound = unions_to_rewrite(&rep, node, &keep);
+                let before = rep.stats().unions;
+                let root = rep.root_ids().to_vec();
+                let got = ops::select_const(rep.clone(), attr, op, c).unwrap();
+                assert!(got.check_invariants().is_ok(), "{what}");
+                let appended = got.stats().unions - before;
+                assert!(appended <= bound, "{appended} > {bound} unions: {what}");
+                if bound == 0 {
+                    assert_eq!(got.root_ids(), root, "{what}");
+                }
+                let want = rel_ops::select(&rel, &[Predicate::AttrCmp(attr, op, c.clone())]);
+                let attrs = want.schema().attrs().to_vec();
+                let got = got.flatten().project_cols(&attrs).canonical();
+                assert_eq!(got, want.canonical(), "{what}");
+            }
+        }
+    }
+}
+
+#[test]
+fn select_const_matches_relational_selection() {
+    select_matches(120, 0x5E1);
+}
+
+#[test]
+#[ignore = "long budget; CI runs it in release with --ignored"]
+fn select_const_matches_relational_selection_long() {
+    select_matches(40_000, 0x5EED);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
-
-    #[test]
-    fn select_const_matches_relational_selection(
-        rows in prop::collection::vec((0i64..6, 0i64..6, 0i64..6), 0..25),
-        threshold in 0i64..6,
-        op_pick in 0usize..6,
-    ) {
-        let (_, attrs) = catalog3();
-        let rel = rel3(&attrs, &rows);
-        let rep = FRep::from_relation(&rel, FTree::path(&attrs)).unwrap();
-        let op = CMP[op_pick];
-        // Select on the middle attribute: exercises pruning both ways.
-        let selected = ops::select_const(rep, attrs[1], op, &Value::Int(threshold)).unwrap();
-        prop_assert!(selected.check_invariants().is_ok());
-        let expected = rel_ops::select(
-            &rel,
-            &[Predicate::AttrCmp(attrs[1], op, Value::Int(threshold))],
-        );
-        prop_assert_eq!(selected.flatten().canonical(), expected.canonical());
-    }
 
     #[test]
     fn merge_implements_natural_join(

@@ -1,7 +1,7 @@
 //! The group fold held to the relational engines. A query whose `GROUP
-//! BY` attributes lie on one root path of a single-rooted f-tree, with
-//! only composable functions, plans one fold instead of partial `γ`s and
-//! swaps; its rows must be the relational engines' under every `WHERE`,
+//! BY` attributes lie on one root path of a single-rooted f-tree plans
+//! one fold instead of partial `γ`s and swaps, whatever its functions;
+//! its rows must be the relational engines' under every `WHERE`,
 //! `ORDER BY`, `LIMIT`/`OFFSET` and `HAVING` shape on the orders view
 //! `R1` (`package → {date → customer, item → price}`), with NULL group
 //! values and NULL inputs, and a multiplicity past `i64` is still
@@ -65,10 +65,9 @@ fn folds_r1(pair: &mut EnginePair, sql: &str) -> Relation {
     out
 }
 
-/// Every composable function the fold takes (`AVG` arrives as a sum and
-/// a count), over `price` — the group attribute itself when grouping by
-/// price.
-const FUNCS: [&str; 8] = [
+/// Every function the fold takes (`AVG` arrives as a sum and a count),
+/// over `price` — the group attribute itself when grouping by price.
+const FUNCS: [&str; 10] = [
     "SUM(price)",
     "COUNT(*)",
     "MIN(price)",
@@ -77,6 +76,8 @@ const FUNCS: [&str; 8] = [
     "EXISTS(price > 12)",
     "FORALL(price >= 3)",
     "AVG(price)",
+    "COUNT(DISTINCT price)",
+    "TOP_K(price, 3)",
 ];
 
 /// Every non-root attribute of `R1`.
@@ -242,22 +243,6 @@ fn group_sets_agree_under_every_clause() {
 fn excluded_shapes_keep_the_swap_plan() {
     let mut pair = r1_pair();
     for (sql, swaps) in [
-        (
-            "SELECT customer, TOP_K(price, 3) AS v FROM R1 GROUP BY customer",
-            true,
-        ),
-        (
-            "SELECT customer, COUNT(DISTINCT item) AS v FROM R1 GROUP BY customer",
-            true,
-        ),
-        (
-            "SELECT customer, SUM(price) AS v, TOP_K(price, 2) AS t FROM R1 GROUP BY customer",
-            true,
-        ),
-        (
-            "SELECT customer, date, TOP_K(price, 2) AS t FROM R1 GROUP BY customer, date",
-            true,
-        ),
         // The root is already on top: nothing to lift, nothing to fold.
         (
             "SELECT package, SUM(price) AS v FROM R1 GROUP BY package",
@@ -283,6 +268,78 @@ fn excluded_shapes_keep_the_swap_plan() {
         assert!(!plan.contains("fold by"), "`{sql}` must not fold:\n{plan}");
         assert!(plan.contains("γ["), "`{sql}` keeps its γ:\n{plan}");
         assert_eq!(plan.contains("swap"), swaps, "`{sql}`:\n{plan}");
+    }
+}
+
+/// `agg_fo`'s distinct and top-k templates, a sum beside a top-k and a
+/// distinct count beside an average: each one fold by `customer` and
+/// nothing else.
+const ONE_FOLD: [&str; 4] = [
+    "SELECT customer, COUNT(DISTINCT item) AS u_items FROM R1 GROUP BY customer",
+    "SELECT customer, TOP_K(price, 3) AS top_price FROM R1 GROUP BY customer",
+    "SELECT customer, SUM(price) AS v, TOP_K(price, 2) AS t FROM R1 GROUP BY customer",
+    "SELECT customer, COUNT(DISTINCT date) AS d, AVG(price) AS a FROM R1 GROUP BY customer",
+];
+
+#[test]
+fn distinct_and_top_k_fold_alone() {
+    let mut pair = r1_pair();
+    for sql in ONE_FOLD {
+        folds_r1(&mut pair, sql);
+        let plan = explain(&mut pair, sql);
+        assert!(plan.contains("f-plan (1 operator(s)"), "`{sql}`:\n{plan}");
+        assert!(plan.contains("fold by customer"), "`{sql}`:\n{plan}");
+    }
+    // Several group nodes, a top-k and a distinct count of a node on the
+    // group nodes' root path and of one off it.
+    for sql in [
+        "SELECT customer, date, TOP_K(price, 2) AS t FROM R1 GROUP BY customer, date",
+        "SELECT date, customer, COUNT(DISTINCT item) AS u, COUNT(DISTINCT package) AS p \
+         FROM R1 GROUP BY date, customer",
+    ] {
+        let (_, plan) = folds(&mut pair, sql);
+        assert!(plan.contains("f-plan (1 operator(s)"), "`{sql}`:\n{plan}");
+    }
+}
+
+#[test]
+fn distinct_and_top_k_agree_under_every_clause() {
+    let mut pair = r1_pair();
+    let d = "SELECT customer, COUNT(DISTINCT item) AS u FROM R1";
+    let t = "SELECT customer, TOP_K(price, 3) AS t FROM R1";
+    let both = "SELECT customer, COUNT(DISTINCT price) AS u, TOP_K(item, 2) AS t, \
+                SUM(price) AS s FROM R1";
+    for base in [d, t, both] {
+        for tail in [
+            " GROUP BY customer HAVING u > 40",
+            " GROUP BY customer ORDER BY customer DESC LIMIT 3 OFFSET 2",
+            " WHERE customer <> 3 GROUP BY customer",
+            " WHERE customer <> 3 AND package <> 1 GROUP BY customer ORDER BY customer",
+            " WHERE date < 300 GROUP BY customer",
+        ] {
+            if base == t && tail.contains("HAVING") {
+                continue;
+            }
+            folds_r1(&mut pair, &format!("{base}{tail}"));
+        }
+    }
+    // Ordered by the aggregate and paged: the fold, then its output
+    // consolidated under each group.
+    for sql in [
+        format!("{d} GROUP BY customer ORDER BY u DESC, customer LIMIT 4 OFFSET 1"),
+        format!("{d} GROUP BY customer HAVING u >= 30 ORDER BY u, customer"),
+        format!("{t} GROUP BY customer ORDER BY t DESC, customer LIMIT 5"),
+        format!("{both} WHERE customer <> 5 GROUP BY customer ORDER BY u, customer LIMIT 3"),
+    ] {
+        folds_r1(&mut pair, &sql);
+    }
+    // Grouping sets: one run per set, each its own plan.
+    for sql in [
+        "SELECT customer, date, COUNT(DISTINCT item) AS u FROM R1 GROUP BY ROLLUP (customer, date)",
+        "SELECT customer, date, TOP_K(price, 2) AS t, COUNT(*) AS n FROM R1 \
+         GROUP BY ROLLUP (customer, date)",
+    ] {
+        pair.assert_all_agree(sql);
     }
 }
 
@@ -414,6 +471,9 @@ fn null_group_values_and_null_inputs() {
         "FORALL(price > 1)",
         "MIN(date)",
         "SUM(date)",
+        "COUNT(DISTINCT price)",
+        "TOP_K(price, 2)",
+        "COUNT(DISTINCT date)",
     ] {
         for g in ["customer", "price", "date"] {
             folds(
