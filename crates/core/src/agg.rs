@@ -484,11 +484,7 @@ impl Fold for TopK {
             acc.truncate(self.0);
             return acc;
         }
-        let mut out = Vec::with_capacity(self.0.min(acc.len()));
-        for v in acc {
-            push_repeated(&mut out, v, mult, self.0);
-        }
-        out
+        self.combine_scaled(Vec::new(), &acc, mult)
     }
     fn atom(&self, v: &Value) -> Result<Vec<Value>> {
         Ok((!v.is_null()).then(|| v.clone()).into_iter().collect())
@@ -514,7 +510,8 @@ impl Fold for TopK {
             }
             if !e.value().is_null() {
                 let mult = count_product(ftree, e.children(), None, 1)?;
-                push_repeated(&mut out, e.value().clone(), mult, self.0);
+                let n = (mult.max(0) as usize).min(self.0 - out.len());
+                out.extend(std::iter::repeat_n(e.value().clone(), n));
             }
         }
         Ok(Some(out))
@@ -526,13 +523,6 @@ impl Fold for TopK {
             Value::tup(acc)
         })
     }
-}
-
-/// Pushes `v` repeated `mult` times (capped at the remaining budget)
-/// onto a descending list that still has room for `k` values total.
-fn push_repeated(out: &mut Vec<Value>, v: Value, mult: i64, k: usize) {
-    let n = (mult.max(0) as usize).min(k.saturating_sub(out.len()));
-    out.extend(std::iter::repeat_n(v, n));
 }
 
 /// `count`: the tuple count, `None` once it left `i64` (refused at

@@ -133,8 +133,9 @@ struct FilterWalk<'t> {
     /// are filtered once and re-shared, keeping the DAG a DAG. Sized by
     /// the unions walked, never by the arena.
     memo: HashMap<u32, Option<UnionId>>,
-    /// The runs of passing entry positions of the union being filtered,
-    /// and scratch for intersecting them.
+    /// The runs of passing entry positions of the unions being filtered,
+    /// one stack of them per walk: a union's runs sit above its
+    /// ancestors' and are popped when it returns. Scratch intersects them.
     runs: Vec<(u32, u32)>,
     scratch: Vec<(u32, u32)>,
 }
@@ -144,12 +145,32 @@ impl FilterWalk<'_> {
     /// whose children is entered is decided by its passing runs alone
     /// when they hold every entry (shared as it is) or none (pruned).
     fn union(&mut self, arena: &mut Arena, uid: UnionId, node: NodeId) -> Result<Option<UnionId>> {
+        let base = self.runs.len();
+        let out = self.union_above(arena, uid, node, base);
+        self.runs.truncate(base);
+        out
+    }
+
+    /// The positions of `node`'s entered children.
+    fn entered(&self, node: NodeId) -> &[usize] {
+        self.active[node.idx()].as_deref().expect("an entered node")
+    }
+
+    /// [`Self::union`] with `uid`'s runs pushed from `runs[base]` on.
+    fn union_above(
+        &mut self,
+        arena: &mut Arena,
+        uid: UnionId,
+        node: NodeId,
+        base: usize,
+    ) -> Result<Option<UnionId>> {
         let rec = arena.urec(uid);
         debug_assert_eq!(rec.node, node);
         self.passing(arena, uid, node);
-        let entered = self.active[node.idx()].as_ref().expect("an entered node");
-        if entered.is_empty() {
-            let kept: u32 = self.runs.iter().map(|r| r.1 - r.0).sum();
+        let end = self.runs.len();
+        let n_entered = self.entered(node).len();
+        if n_entered == 0 {
+            let kept: u32 = self.runs[base..].iter().map(|r| r.1 - r.0).sum();
             if kept == rec.len {
                 arena.note_shared(1);
                 return Ok(Some(uid));
@@ -164,8 +185,6 @@ impl FilterWalk<'_> {
             }
             return Ok(m);
         }
-        let entered = entered.clone();
-        let runs = self.runs.clone();
         let tree = self.tree;
         let children = &tree.node(node).children;
         // The rewritten entries, from the first change on (before it,
@@ -181,16 +200,21 @@ impl FilterWalk<'_> {
         // The kids the kept entries share, committed only when the
         // rewritten union is emitted.
         let mut shared_here: u64 = 0;
-        let mut run = runs.iter().peekable();
+        // Children's runs are pushed above `end` and popped again, so
+        // `runs[base..end]` stays this union's.
+        let mut run = base;
         'entry: for i in 0..rec.len {
-            while run.next_if(|r| r.1 <= i).is_some() {}
-            if run.peek().is_none_or(|r| r.0 > i) {
+            while run < end && self.runs[run].1 <= i {
+                run += 1;
+            }
+            if run == end || self.runs[run].0 > i {
                 keep_first(&mut specs, arena, i);
                 continue;
             }
             let e = arena.erec(rec.start + i);
             let mut changed = 0;
-            for &k in &entered {
+            for j in 0..n_entered {
+                let k = self.entered(node)[j];
                 let old = arena.kid_at(e.kids_start + k as u32);
                 match self.union(arena, old, children[k])? {
                     None => {
@@ -232,7 +256,7 @@ impl FilterWalk<'_> {
         Ok(out)
     }
 
-    /// Sets `runs` to the runs `[from, to)` of positions of union
+    /// Pushes onto `runs` the runs `[from, to)` of positions of union
     /// `uid`'s entries that pass every filter of `node`, ascending. Each
     /// filter of an atomic node keeps at most two runs around the equal
     /// range of its constant, found by binary search.
@@ -242,12 +266,12 @@ impl FilterWalk<'_> {
         let col = arena.col(node);
         let label = &self.tree.node(node).label;
         let filters = &self.per_node[node.idx()];
-        self.runs.clear();
+        let base = self.runs.len();
         if matches!(label, NodeLabel::Agg(_)) {
             for (i, e) in (0..).zip(entries) {
                 let v = col.get(e.val);
                 if filters.iter().all(|f| f.passes(label, v)) {
-                    match self.runs.last_mut() {
+                    match self.runs[base..].last_mut() {
                         Some(r) if r.1 == i => r.1 += 1,
                         _ => self.runs.push((i, i + 1)),
                     }
@@ -270,7 +294,7 @@ impl FilterWalk<'_> {
                 CmpOp::Ge => [(lo, len), (len, len)],
             };
             self.scratch.clear();
-            for &(a, b) in &self.runs {
+            for &(a, b) in &self.runs[base..] {
                 for &(c, d) in &keep {
                     let (from, to) = (a.max(c), b.min(d));
                     if from < to {
@@ -278,7 +302,8 @@ impl FilterWalk<'_> {
                     }
                 }
             }
-            std::mem::swap(&mut self.runs, &mut self.scratch);
+            self.runs.truncate(base);
+            self.runs.extend_from_slice(&self.scratch);
         }
     }
 }

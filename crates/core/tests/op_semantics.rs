@@ -227,8 +227,8 @@ fn unions_to_rewrite(rep: &FRep, node: NodeId, keep: &dyn Fn(&Value) -> bool) ->
 /// factorisation, and the attribute selected.
 fn selection_inputs(rng: &mut Lcg) -> Vec<(&'static str, Relation, FRep, AttrId)> {
     // Even values, so odd constants are absent from every column; z may
-    // hold NULLs.
-    let n = 1 + rng.below(25);
+    // hold NULLs. No rows at all selects on an empty root union.
+    let n = rng.below(26);
     let rows: Vec<[Value; 3]> = (0..n)
         .map(|_| {
             let z = match rng.below(8) {
