@@ -133,7 +133,7 @@ impl BenchEnv {
     /// Runs a task on FDB keeping the output factorised (`FDB f/o`),
     /// returning the size report of the result factorisation (the
     /// paper's singleton measure and the arena's byte footprint) and the
-    /// staged executor's report, whose intermediate arena bytes
+    /// plan executor's report, whose intermediate arena bytes
     /// `tests/intermediate_bytes.rs` gates.
     pub fn run_fdb_fo(&mut self, task: &JoinAggTask) -> (fdb_core::FRepStats, fdb_core::ExecStats) {
         let result = self.fdb.run_default(task).expect("fdb plans");

@@ -21,7 +21,9 @@ const BOUNDS: [(&str, usize); 10] = [
     ("QP", 9_060),
     ("QB", 6_376),
     ("QK", 649_544),
-    ("QG", 368),
+    // The sum over ROLLUP (customer, date)'s three sets: 695 084 + 9 060
+    // + 368.
+    ("QG", 704_512),
 ];
 
 fn within(ibytes: usize, bound: usize) -> bool {

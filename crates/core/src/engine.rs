@@ -17,9 +17,11 @@
 use crate::error::{FdbError, Result};
 use crate::frep::FRep;
 use crate::optim::Stats;
+use crate::pipeline::ExecStats;
 use execute::check_deadline;
 use fdb_relational::planner::JoinAggTask;
-use fdb_relational::{dedup_sort_keys, Catalog, Relation, Schema, Value};
+use fdb_relational::{dedup_sort_keys, Catalog, Relation, Schema};
+use lower::EmitCol;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -37,8 +39,8 @@ pub use execute::FdbResult;
 ///
 /// Every run plans with the greedy heuristic, consolidates the aggregate
 /// exactly when HAVING or ORDER BY needs it as a node, and executes its
-/// f-plan through the one staged pipeline executor
-/// ([`crate::pipeline::execute`]) on the calling thread. The options
+/// f-plan through the one plan executor ([`crate::pipeline::execute`])
+/// on the calling thread. The options
 /// only bound how long the run may take. How `ORDER BY` is realised is
 /// the cost model's choice, not an option ([`OrderStrategy`]).
 ///
@@ -319,22 +321,18 @@ impl FdbEngine {
     }
 
     /// GROUPING SETS (and its ROLLUP/CUBE sugar): one factorised run per
-    /// grouping set, all by the one deadline; each sub-result is
-    /// enumerated, NULL-padded to the full output schema and
-    /// concatenated in set order. HAVING stays in the row filters and
-    /// ORDER BY/LIMIT execute at enumeration, which mirrors the
-    /// relational twin (`RdbEngine::run_grouping_sets`) row-for-row.
+    /// grouping set, all by the one deadline. Each set's result stays
+    /// factorised and emits in the output schema's layout, NULL in the
+    /// group columns outside the set; the emitter chains the sets in set
+    /// order. HAVING stays in the row filters and ORDER BY/LIMIT execute
+    /// at enumeration, which mirrors the relational twin
+    /// (`RdbEngine::run_grouping_sets`) row-for-row.
     fn run_grouping_sets(
         &mut self,
         task: &JoinAggTask,
         deadline_at: Option<Instant>,
     ) -> Result<FdbResult> {
         let schema = Schema::new(task.output_attrs());
-        // The concatenation's row-major buffer: every value is cloned
-        // once, from its set's rows into its padded place.
-        let mut data: Vec<Value> = Vec::new();
-        let mut rows = 0usize;
-        let mut last: Option<FdbResult> = None;
         let mut sub = JoinAggTask {
             grouping_sets: Vec::new(),
             having: Vec::new(),
@@ -343,32 +341,25 @@ impl FdbEngine {
             offset: 0,
             ..task.clone()
         };
+        let mut sets = Vec::with_capacity(task.grouping_sets.len());
+        let mut exec_stats = ExecStats::default();
         for set in &task.grouping_sets {
             sub.group_by = set.clone();
-            let result = self.run_by(&sub, deadline_at, None)?;
-            let rel = result.to_relation()?;
-            rows += rel.len();
-            if rel.schema() == &schema {
-                // The full grouping set: its rows are output rows already.
-                data.append(&mut rel.into_flat());
-            } else {
-                let positions: Vec<Option<usize>> = schema
-                    .attrs()
-                    .iter()
-                    .map(|&a| rel.schema().position(a))
-                    .collect();
-                data.reserve(rel.len() * positions.len());
-                for row in rel.rows() {
-                    data.extend(positions.iter().map(|p| match p {
-                        Some(i) => row[*i].clone(),
-                        None => Value::Null,
-                    }));
-                }
-            }
-            last = Some(result);
+            let mut result = self.run_by(&sub, deadline_at, None)?;
+            let own = &result.schema;
+            result.emit = (schema.attrs().iter())
+                .map(|&a| own.position(a).map_or(EmitCol::Null, |i| result.emit[i]))
+                .collect();
+            result.schema = schema.clone();
+            exec_stats.add(&result.exec_stats);
+            sets.push((set.clone(), result));
         }
-        let out = emit::finish(schema.clone(), data, rows);
-        let last = last.expect("a grouping-sets task has a set");
+        let (_, last) = sets.last_mut().expect("a grouping-sets task has a set");
+        // Sealed, the last set's arena is shared with the outer result
+        // rather than copied (unless it shares a view's base already).
+        last.rep.seal();
+        let (rep, plan, input_tree) =
+            (last.rep.clone(), last.plan.clone(), last.input_tree.clone());
         let order_by = dedup_sort_keys(&task.order_by);
         let order_strategy = if order_by.is_empty() {
             OrderStrategy::Unordered
@@ -376,7 +367,8 @@ impl FdbEngine {
             OrderStrategy::CollectSortCut
         };
         Ok(FdbResult {
-            kind: execute::ResultKind::Materialised(out),
+            rep,
+            kind: execute::ResultKind::Sets(sets),
             schema,
             emit: Vec::new(),
             order_by,
@@ -384,8 +376,10 @@ impl FdbEngine {
             row_filters: task.having.clone(),
             limit: task.limit,
             offset: task.offset,
+            plan,
+            input_tree,
+            exec_stats,
             deadline_at,
-            ..last
         })
     }
 }
@@ -393,7 +387,7 @@ impl FdbEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fdb_relational::{AggFunc, AggSpec, CmpOp, Predicate, SortDir, SortKey};
+    use fdb_relational::{AggFunc, AggSpec, CmpOp, Predicate, SortDir, SortKey, Value};
 
     /// Base relations of the running example (natural-join keys shared).
     fn engine() -> FdbEngine {
@@ -694,9 +688,15 @@ mod tests {
             .unwrap();
         assert!(!result.plan().is_empty());
         let text = result.explain(&e.catalog);
-        assert!(text.contains("f-plan"), "{text}");
-        assert!(text.contains("stage(s)"), "{text}");
-        assert!(text.contains("stages: "), "{text}");
+        let passes = result.exec_stats().stages;
+        assert!(
+            text.contains(&format!(
+                "f-plan ({} operator(s), {passes} pass(es)):",
+                result.plan().len()
+            )),
+            "{text}"
+        );
+        assert!(!text.contains("stages: "), "{text}");
         assert!(text.contains("intermediate bytes allocated"), "{text}");
         assert!(text.contains("result f-tree"), "{text}");
         assert!(
@@ -1015,7 +1015,13 @@ mod tests {
             "revenue plan is no longer multi-operator; revisit this test"
         );
         assert_eq!(s.operators, first.plan().len());
-        assert_eq!(s.stages, crate::pipeline::segment(first.plan()).len());
+        // One pass per operator but for runs of consecutive selections.
+        let ops = &first.plan().ops;
+        let selection_joins = ops.windows(2).filter(|w| {
+            w.iter()
+                .all(|op| matches!(op, crate::plan::FOp::SelectConst { .. }))
+        });
+        assert_eq!(s.stages, s.operators - selection_joins.count());
         assert!(s.copies_avoided > 0);
         assert!(s.intermediate_bytes > 0);
         // A second run builds the same factorisation and reports the same.
@@ -1023,6 +1029,47 @@ mod tests {
         assert!(again.rep().same_data(first.rep()));
         assert_eq!(again.exec_stats(), s);
         assert_eq!(again.to_relation().unwrap(), first.to_relation().unwrap());
+    }
+
+    #[test]
+    fn grouping_sets_report_and_explain_every_set() {
+        // A ROLLUP's execution report is the sum of its sets' single-set
+        // runs, and its explain output names every set with its plan.
+        let mut e = engine();
+        let rollup = e
+            .run_sql_result(
+                "SELECT customer, package, SUM(price) AS revenue \
+                 FROM Orders, Packages, Items GROUP BY ROLLUP (customer, package)",
+            )
+            .unwrap();
+        let mut want = ExecStats::default();
+        let mut operators = Vec::new();
+        for group in ["customer, package", "customer", ""] {
+            let by = if group.is_empty() {
+                String::new()
+            } else {
+                format!(" GROUP BY {group}")
+            };
+            let sql = format!(
+                "SELECT {group}{} SUM(price) AS revenue FROM Orders, Packages, Items{by}",
+                if group.is_empty() { "" } else { "," }
+            );
+            let single = e.run_sql_result(&sql).unwrap();
+            want.add(&single.exec_stats());
+            operators.push(single.plan().len());
+        }
+        assert_eq!(rollup.exec_stats(), want);
+        assert!(want.intermediate_bytes > 0);
+        let text = rollup.explain(&e.catalog);
+        for (i, set) in ["customer, package", "customer", ""].iter().enumerate() {
+            let head = format!(
+                "grouping set {} of 3 ({set}):\nf-plan ({} operator(s)",
+                i + 1,
+                operators[i]
+            );
+            assert!(text.contains(&head), "{head}\n{text}");
+        }
+        assert!(text.contains("grouping sets: 3 set(s)"), "{text}");
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! step moved ([`crate::enumerate`]), an aggregate is re-evaluated only
 //! when a union it reads changed, and each emitted value is cloned
 //! exactly once, from the arena straight into the output relation's
-//! row-major buffer.
+//! row-major buffer. A grouping-sets result chains its sets' emitters in
+//! set order, each writing the output layout (NULL outside its set).
 
-use super::execute::{check_deadline, DeadlinePoll, ResultKind};
+use super::execute::{DeadlinePoll, ResultKind};
 use super::lower::EmitCol;
 use super::{FdbResult, OrderStrategy};
 use crate::agg::CompiledAgg;
@@ -71,6 +72,8 @@ enum Col {
         num: Src,
         den: Src,
     },
+    /// NULL: a group column outside the grouping set.
+    Null,
 }
 
 /// One final aggregate of a grouped result, with the deepest visit
@@ -97,15 +100,23 @@ enum Rows<'a> {
     Tuples(Odometer<'a>),
     /// Aggregates evaluated on the fly per group.
     Groups(Groups<'a>),
-    /// Grouping sets: rows already in output layout.
-    Stored { rel: &'a Relation, next: usize },
+}
+
+/// One factorised result's rows and how its output columns are read.
+struct Source<'a> {
+    rows: Rows<'a>,
+    cols: Vec<Col>,
 }
 
 /// The compiled emitter: appends the result's rows — those that pass the
 /// row filters — one at a time to a row-major buffer.
 struct Emitter<'a> {
+    /// The rows being drawn: the result's own, or a grouping set's …
     rows: Rows<'a>,
+    /// … and how their output columns are read.
     cols: Vec<Col>,
+    /// The grouping sets after the current one, in set order.
+    rest: std::vec::IntoIter<Source<'a>>,
     /// The result, for its row filters over its output schema.
     result: &'a FdbResult,
     clock: DeadlinePoll,
@@ -137,21 +148,36 @@ fn emit<'v>(cols: &[Col], out: &mut Vec<Value>, get: impl Fn(Src) -> &'v Value) 
                 let d = get(den).as_number().expect("numeric count").to_f64();
                 Value::Float(n / d)
             }
+            Col::Null => Value::Null,
         });
+    }
+}
+
+impl Rows<'_> {
+    /// Exact number of rows a full pass enumerates before filtering.
+    fn total(&self) -> usize {
+        match self {
+            Rows::Tuples(odo) => odo.combinations(),
+            Rows::Groups(g) => g.cur.combinations(),
+        }
     }
 }
 
 impl Emitter<'_> {
     /// Appends the next row that passes the row filters to `out`;
     /// `false` when the result is exhausted. The producing run's deadline
-    /// is polled per enumerated row (see [`DeadlinePoll`]), so a slow
-    /// enumeration cannot wedge a serving worker.
+    /// is polled per enumerated row (see [`DeadlinePoll`]) by one clock
+    /// across every source, so a slow enumeration cannot wedge a serving
+    /// worker.
     fn next_into(&mut self, out: &mut Vec<Value>) -> Result<bool> {
         loop {
             let start = out.len();
             match &mut self.rows {
                 Rows::Tuples(odo) => {
                     if odo.step().is_none() {
+                        if self.next_set() {
+                            continue;
+                        }
                         return Ok(false);
                     }
                     self.clock.poll(self.what)?;
@@ -163,6 +189,9 @@ impl Emitter<'_> {
                 }
                 Rows::Groups(g) => {
                     let Some(from) = g.cur.advance() else {
+                        if self.next_set() {
+                            continue;
+                        }
                         return Ok(false);
                     };
                     self.clock.poll(self.what)?;
@@ -188,14 +217,6 @@ impl Emitter<'_> {
                         Src::Agg(i) => &g.vals[i],
                     });
                 }
-                Rows::Stored { rel, next } => {
-                    if *next >= rel.len() {
-                        return Ok(false);
-                    }
-                    self.clock.poll(self.what)?;
-                    out.extend_from_slice(rel.row(*next));
-                    *next += 1;
-                }
             }
             let (filters, schema) = (&self.result.row_filters, &self.result.schema);
             if filters.iter().all(|p| p.eval(schema, &out[start..])) {
@@ -205,13 +226,20 @@ impl Emitter<'_> {
         }
     }
 
+    /// Moves on to the next grouping set; `false` after the last.
+    #[cold]
+    fn next_set(&mut self) -> bool {
+        let Some(next) = self.rest.next() else {
+            return false;
+        };
+        (self.rows, self.cols) = (next.rows, next.cols);
+        true
+    }
+
     /// Exact number of rows a full pass enumerates before filtering.
     fn total_rows(&self) -> usize {
-        match &self.rows {
-            Rows::Tuples(odo) => odo.combinations(),
-            Rows::Groups(g) => g.cur.combinations(),
-            Rows::Stored { rel, .. } => rel.len(),
-        }
+        let rest = self.rest.as_slice().iter();
+        rest.fold(self.rows.total(), |n, s| n.saturating_add(s.rows.total()))
     }
 }
 
@@ -222,10 +250,42 @@ impl FdbResult {
     /// row of the order via the count annotations, unless they saturated
     /// (`Emitter::seeked`).
     fn emitter(&self, ordered: bool, seek: Option<u64>) -> Result<Emitter<'_>> {
+        let (first, rest, seeked, what) = match &self.kind {
+            ResultKind::Sets(sets) => {
+                debug_assert!(!ordered && seek.is_none(), "grouping sets order by a sort");
+                let sources = sets.iter().map(|(_, set)| Ok(set.source(false, None)?.0));
+                let mut rest = sources.collect::<Result<Vec<_>>>()?.into_iter();
+                let first = rest.next().expect("a grouping-sets result has a set");
+                (first, rest, false, "grouping-sets enumeration")
+            }
+            _ => {
+                let (source, seeked) = self.source(ordered, seek)?;
+                let what = match (&source.rows, seeked) {
+                    (Rows::Tuples(_), true) => "direct-access enumeration",
+                    (Rows::Tuples(_), false) => "enumeration",
+                    (Rows::Groups(_), _) => "group enumeration",
+                };
+                (source, Vec::new().into_iter(), seeked, what)
+            }
+        };
+        Ok(Emitter {
+            rows: first.rows,
+            cols: first.cols,
+            rest,
+            result: self,
+            clock: DeadlinePoll::new(self.deadline_at),
+            what,
+            seeked,
+        })
+    }
+
+    /// Compiles this result's own row source (see [`FdbResult::emitter`])
+    /// and whether a requested seek landed.
+    fn source(&self, ordered: bool, seek: Option<u64>) -> Result<(Source<'_>, bool)> {
         let tree = self.rep.ftree();
         let slot = |(pos, comp)| Src::Slot { pos, comp };
         let mut seeked = false;
-        let (rows, cols, what) = match &self.kind {
+        let (rows, cols) = match &self.kind {
             ResultKind::Spj | ResultKind::AggConsolidated => {
                 let spec = if ordered {
                     EnumSpec::ordered(tree, &self.order_by)?
@@ -239,12 +299,7 @@ impl FdbResult {
                     })
                 })?;
                 seeked = seek.is_some_and(|skip| odo.seek(skip));
-                let what = if seeked {
-                    "direct-access enumeration"
-                } else {
-                    "enumeration"
-                };
-                (Rows::Tuples(odo), cols, what)
+                (Rows::Tuples(odo), cols)
             }
             ResultKind::AggGrouped {
                 group_attrs,
@@ -296,22 +351,11 @@ impl FdbResult {
                     aggs,
                     vals: Vec::new(),
                 };
-                (Rows::Groups(groups), cols, "group enumeration")
+                (Rows::Groups(groups), cols)
             }
-            ResultKind::Materialised(rel) => (
-                Rows::Stored { rel, next: 0 },
-                Vec::new(),
-                "grouping-sets enumeration",
-            ),
+            ResultKind::Sets(_) => unreachable!("a grouping set is a single result"),
         };
-        Ok(Emitter {
-            rows,
-            cols,
-            result: self,
-            clock: DeadlinePoll::new(self.deadline_at),
-            what,
-            seeked,
-        })
+        Ok((Source { rows, cols }, seeked))
     }
 
     /// Resolves every output column through `resolve`.
@@ -325,24 +369,10 @@ impl FdbResult {
                         num: resolve(num)?,
                         den: resolve(den)?,
                     },
+                    EmitCol::Null => Col::Null,
                 })
             })
             .collect()
-    }
-
-    /// The grouping-sets relation when no row filter applies: it already
-    /// is the filtered result, so a strategy that keeps every row takes
-    /// it whole instead of re-appending it row by row.
-    fn stored_whole(&self) -> Result<Option<&Relation>> {
-        match &self.kind {
-            ResultKind::Materialised(rel) if self.row_filters.is_empty() => {
-                if !rel.is_empty() {
-                    check_deadline(self.deadline_at, "grouping-sets enumeration")?;
-                }
-                Ok(Some(rel))
-            }
-            _ => Ok(None),
-        }
     }
 
     /// Enumerates the result into a flat relation (`FDB` mode): ordered,
@@ -380,12 +410,6 @@ impl FdbResult {
                 let ordered = !matches!(self.order_strategy, OrderStrategy::Unordered);
                 let direct = matches!(self.order_strategy, OrderStrategy::DirectAccess);
                 debug_assert!(!direct || self.row_filters.is_empty());
-                if self.limit.is_none() && self.offset == 0 {
-                    if let Some(rel) = self.stored_whole()? {
-                        stats.rows_enumerated = rel.len();
-                        return Ok((rel.clone(), stats));
-                    }
-                }
                 if self.limit != Some(0) {
                     let seek = direct.then_some(self.offset as u64);
                     let mut em = self.emitter(ordered, seek)?;
@@ -416,19 +440,14 @@ impl FdbResult {
                 }
             }
             OrderStrategy::CollectSortCut => {
-                let mut out = match self.stored_whole()? {
-                    Some(rel) => rel.clone(),
-                    None => {
-                        let mut em = self.emitter(false, None)?;
-                        if self.row_filters.is_empty() {
-                            reserve_rows(&mut data, em.total_rows(), width);
-                        }
-                        while em.next_into(&mut data)? {
-                            rows += 1;
-                        }
-                        finish(self.schema.clone(), data, rows)
-                    }
-                };
+                let mut em = self.emitter(false, None)?;
+                if self.row_filters.is_empty() {
+                    reserve_rows(&mut data, em.total_rows(), width);
+                }
+                while em.next_into(&mut data)? {
+                    rows += 1;
+                }
+                let mut out = finish(self.schema.clone(), data, rows);
                 stats.rows_enumerated = out.len();
                 stats.order_bytes = out.len() * out.arity() * std::mem::size_of::<Value>();
                 if !self.order_by.is_empty() {
@@ -480,7 +499,7 @@ impl FdbResult {
 
 /// Wraps a filled row-major buffer of `rows` rows (the nullary schema
 /// keeps no values: its one possible tuple is pushed by hand).
-pub(super) fn finish(schema: Schema, data: Vec<Value>, rows: usize) -> Relation {
+fn finish(schema: Schema, data: Vec<Value>, rows: usize) -> Relation {
     if schema.arity() > 0 {
         return Relation::from_flat(schema, data);
     }
@@ -537,6 +556,7 @@ mod tests {
                     let cols = r.emit.iter().map(|col| match *col {
                         EmitCol::Raw(a) => get(a).clone(),
                         EmitCol::Div { num, den } => div(get(num), get(den)),
+                        EmitCol::Null => Value::Null,
                     });
                     rows.push(cols.collect());
                 }
@@ -576,11 +596,16 @@ mod tests {
                     let cols = r.emit.iter().map(|col| match col {
                         EmitCol::Raw(a) => raw[a].clone(),
                         EmitCol::Div { num, den } => div(&raw[num], &raw[den]),
+                        EmitCol::Null => Value::Null,
                     });
                     rows.push(cols.collect());
                 }
             }
-            ResultKind::Materialised(rel) => rows.extend(rel.rows().map(|row| row.to_vec())),
+            ResultKind::Sets(sets) => {
+                for (_, set) in sets {
+                    rows.extend(naive_rows(set, false, schema)?);
+                }
+            }
         }
         rows.retain(|row| r.row_filters.iter().all(|p| p.eval(schema, row)));
         Ok(rows)
@@ -737,6 +762,8 @@ mod tests {
         "SELECT a, b, COUNT(*) AS n FROM R GROUP BY ROLLUP (a, b)",
         "SELECT a, b, COUNT(*) AS n FROM R GROUP BY ROLLUP (a, b) ORDER BY a, b DESC, n",
         "SELECT a, c, SUM(b) AS s FROM R, S GROUP BY CUBE (a, c) HAVING s > 1 ORDER BY s DESC, a, c",
+        "SELECT a, c, AVG(b) AS m, COUNT(DISTINCT b) AS u, TOP_K(b, 2) AS t FROM R, S \
+         GROUP BY GROUPING SETS ((c, a), (a), (a), ()) HAVING m >= 1",
         "SELECT a, SUM(c) AS s FROM R, S WHERE b > 100 GROUP BY a ORDER BY a",
     ];
 
@@ -745,7 +772,7 @@ mod tests {
             ResultKind::Spj => "spj",
             ResultKind::AggConsolidated => "consolidated",
             ResultKind::AggGrouped { .. } => "grouped",
-            ResultKind::Materialised(_) => "materialised",
+            ResultKind::Sets(_) => "sets",
         }
     }
 
@@ -831,8 +858,8 @@ mod tests {
     }
 
     /// Every (kind, strategy) the engine can produce: direct access needs
-    /// a tuple cursor, and a grouping-sets result is cut from its
-    /// concatenation (unordered, or collect-sort-cut).
+    /// a tuple cursor, and a grouping-sets result streams its sets in
+    /// turn (unordered) or sorts them (collect-sort-cut).
     fn reachable() -> Vec<(&'static str, &'static str)> {
         let mut all = Vec::new();
         for kind in ["spj", "consolidated", "grouped"] {
@@ -841,7 +868,7 @@ mod tests {
             }
         }
         all.extend([("spj", "direct"), ("consolidated", "direct")]);
-        all.extend([("materialised", "unordered"), ("materialised", "sort")]);
+        all.extend([("sets", "unordered"), ("sets", "sort")]);
         all
     }
 
@@ -852,7 +879,20 @@ mod tests {
                 "no {kind} result ran {strategy}: {seen:?}"
             );
         }
-        for kind in ["consolidated", "grouped", "materialised"] {
+        // A grouping-sets result streams and sorts with and without a
+        // HAVING row filter.
+        for (strategy, unfiltered) in [
+            ("unordered", true),
+            ("unordered", false),
+            ("sort", true),
+            ("sort", false),
+        ] {
+            assert!(
+                seen.contains(&("sets", strategy, unfiltered)),
+                "no sets result ran {strategy} with unfiltered = {unfiltered}: {seen:?}"
+            );
+        }
+        for kind in ["consolidated", "grouped"] {
             assert!(
                 seen.iter()
                     .any(|&(k, _, unfiltered)| k == kind && !unfiltered),
@@ -963,6 +1003,9 @@ mod tests {
             "SELECT a, b FROM R",
             "SELECT b, SUM(a) AS s FROM R GROUP BY b",
             "SELECT b, COUNT(*) AS n FROM R GROUP BY ROLLUP (b) HAVING n > 0",
+            // The first set has 7 rows: one clock spans the chain, so the
+            // second set's first row is not polled afresh.
+            "SELECT a, b, COUNT(*) AS n FROM R GROUP BY GROUPING SETS ((a), (b))",
         ] {
             let mut result = e.run_sql_result(sql).unwrap();
             let budget = Duration::from_millis(300);

@@ -1,4 +1,4 @@
-//! Execution: the chosen f-plan through the staged pipeline
+//! Execution: the chosen f-plan through the plan executor
 //! ([`crate::pipeline::execute`]), `HAVING` pushed into the result as
 //! selections, and the ordering verified once against the result f-tree.
 //! The result is an [`FdbResult`]; [`super::emit`] turns it into rows.
@@ -13,7 +13,7 @@ use crate::optim::ordering::OrderStrategy;
 use crate::pipeline::ExecStats;
 use crate::plan::{FOp, FPlan};
 use fdb_relational::planner::JoinAggTask;
-use fdb_relational::{AttrId, Catalog, Predicate, Relation, Schema, SortKey};
+use fdb_relational::{AttrId, Catalog, Predicate, Schema, SortKey};
 use std::time::Instant;
 
 /// How often the enumeration sinks poll the deadline clock (rows
@@ -66,10 +66,11 @@ pub(super) enum ResultKind {
         final_funcs: Vec<AggOp>,
         func_outputs: Vec<AttrId>,
     },
-    /// GROUPING SETS: the concatenation of the per-set runs, already
-    /// padded to the output schema. Rows stream as-is; HAVING stays in
-    /// the row filters and ordering/limit run at enumeration.
-    Materialised(Relation),
+    /// GROUPING SETS: one factorised result per set, with the set's
+    /// group attributes, in set order. Each emits in the output schema's
+    /// layout (NULL outside its set); the emitter chains them, and HAVING
+    /// stays in the row filters and ordering/limit run at enumeration.
+    Sets(Vec<(Vec<AttrId>, FdbResult)>),
 }
 
 /// A query result: the factorisation plus everything needed to emit flat
@@ -80,8 +81,8 @@ pub struct FdbResult {
     pub(super) kind: ResultKind,
     /// The output columns, in declared order.
     pub(super) schema: Schema,
-    /// How each output column is produced (empty for a materialised
-    /// result, whose rows are already in output layout).
+    /// How each output column is produced (empty for a grouping-sets
+    /// result, whose sets carry their own).
     pub(super) emit: Vec<EmitCol>,
     /// Normalised (first-occurrence-deduplicated) order keys.
     pub(super) order_by: Vec<SortKey>,
@@ -100,8 +101,9 @@ pub struct FdbResult {
     /// The f-tree the plan ran on: `explain` simulates the plan on it
     /// to name the nodes each operator touches.
     pub(super) input_tree: FTree,
-    /// Execution report of the f-plan run (stages, intermediate
-    /// bytes, copies avoided), including the HAVING push-down.
+    /// Execution report of the f-plan run (passes, intermediate
+    /// bytes, copies avoided), including the HAVING push-down; summed
+    /// over the sets of a grouping-sets result.
     pub(super) exec_stats: ExecStats,
     /// Absolute deadline of the producing run (`RunOptions::deadline`),
     /// which enumeration honours too.
@@ -193,12 +195,13 @@ pub(super) fn execute(
 }
 
 impl FdbResult {
-    /// The result factorisation (`FDB f/o`).
+    /// The result factorisation (`FDB f/o`); of a grouping-sets result,
+    /// its last set's.
     pub fn rep(&self) -> &FRep {
         &self.rep
     }
 
-    /// Size of the factorised result in singletons.
+    /// Size of the factorised result ([`FdbResult::rep`]) in singletons.
     pub fn singleton_count(&self) -> usize {
         self.rep.singleton_count()
     }
@@ -213,47 +216,43 @@ impl FdbResult {
         self.order_strategy
     }
 
-    /// The f-plan that produced this result.
+    /// The f-plan that produced this result; of a grouping-sets result,
+    /// the one that produced its last set ([`FdbResult::explain`] lists
+    /// every set's).
     pub fn plan(&self) -> &FPlan {
         &self.plan
     }
 
-    /// Execution report of the f-plan run: stage count, intermediate
-    /// bytes allocated, fragments shared instead of copied.
+    /// Execution report of the f-plan run: operator and pass counts,
+    /// intermediate bytes allocated, fragments shared instead of copied.
+    /// Of a grouping-sets result, the sum over its sets' runs.
     pub fn exec_stats(&self) -> ExecStats {
         self.exec_stats
     }
 
-    /// EXPLAIN-style rendering: the executed f-plan with its stage
-    /// grouping, the result f-tree, the output mode, and how
+    /// EXPLAIN-style rendering: the executed f-plan with its execution
+    /// report and the result f-tree (for a grouping-sets result, each
+    /// set's, under its group attributes), the output mode, and how
     /// ordering/limits are realised.
     pub fn explain(&self, catalog: &Catalog) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "f-plan ({} operator(s), {} stage(s)):",
-            self.plan.len(),
-            self.exec_stats.stages
-        );
-        out.push_str(&self.plan.display(catalog, &self.input_tree));
-        if !self.plan.is_empty() {
-            let stages = crate::pipeline::segment(&self.plan);
-            let _ = writeln!(out, "stages: {}", crate::pipeline::render_stages(&stages));
-        }
-        let _ = writeln!(
-            out,
-            "execution: intermediate bytes allocated {}, fragment copies avoided {}{}",
-            self.exec_stats.intermediate_bytes,
-            self.exec_stats.copies_avoided,
-            if self.exec_stats.compacted {
-                ", compacted"
-            } else {
-                ""
+        match &self.kind {
+            ResultKind::Sets(sets) => {
+                for (i, (attrs, set)) in sets.iter().enumerate() {
+                    let names: Vec<&str> = attrs.iter().map(|&a| catalog.name(a)).collect();
+                    let _ = writeln!(
+                        out,
+                        "grouping set {} of {} ({}):",
+                        i + 1,
+                        sets.len(),
+                        names.join(", ")
+                    );
+                    set.explain_run(catalog, &mut out);
+                }
             }
-        );
-        let _ = writeln!(out, "result f-tree:");
-        out.push_str(&self.rep.ftree().display(catalog));
+            _ => self.explain_run(catalog, &mut out),
+        }
         let mode = match &self.kind {
             ResultKind::Spj => "select-project-join (enumerate + project)".to_string(),
             ResultKind::AggConsolidated => "aggregates consolidated into named nodes".to_string(),
@@ -261,9 +260,9 @@ impl FdbResult {
                 "grouped: {} aggregate(s) evaluated on the fly per group",
                 final_funcs.len()
             ),
-            ResultKind::Materialised(rel) => format!(
-                "grouping sets: {} concatenated row(s), NULL-padded to the output schema",
-                rel.len()
+            ResultKind::Sets(sets) => format!(
+                "grouping sets: {} set(s) streamed in turn, NULL outside each set",
+                sets.len()
             ),
         };
         let _ = writeln!(out, "output mode: {mode}");
@@ -317,5 +316,28 @@ impl FdbResult {
             let _ = writeln!(out, "row filters: {}", self.row_filters.len());
         }
         out
+    }
+
+    /// Appends the executed f-plan, its execution report and the result
+    /// f-tree of this run to `out`.
+    fn explain_run(&self, catalog: &Catalog, out: &mut String) {
+        use std::fmt::Write as _;
+        let stats = &self.exec_stats;
+        let _ = writeln!(
+            out,
+            "f-plan ({} operator(s), {} pass(es)):",
+            self.plan.len(),
+            stats.stages
+        );
+        out.push_str(&self.plan.display(catalog, &self.input_tree));
+        let _ = writeln!(
+            out,
+            "execution: intermediate bytes allocated {}, fragment copies avoided {}{}",
+            stats.intermediate_bytes,
+            stats.copies_avoided,
+            if stats.compacted { ", compacted" } else { "" }
+        );
+        let _ = writeln!(out, "result f-tree:");
+        out.push_str(&self.rep.ftree().display(catalog));
     }
 }

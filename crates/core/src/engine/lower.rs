@@ -13,12 +13,14 @@ use fdb_relational::planner::JoinAggTask;
 use fdb_relational::{dedup_sort_keys, AggFunc, AttrId, Predicate, Relation, Schema, SortKey};
 
 /// How one output column is produced from the enumerated raw columns.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub(super) enum EmitCol {
     /// Copy a raw attribute.
     Raw(AttrId),
     /// `num / den` as a float — finalises `avg = (sum, count)` (§3.2.4).
     Div { num: AttrId, den: AttrId },
+    /// NULL: a group column outside the grouping set being emitted.
+    Null,
 }
 
 /// A task lowered onto factorised inputs.

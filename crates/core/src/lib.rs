@@ -22,9 +22,9 @@
 //! * **constant-delay enumeration** of tuples, plain, grouped (Theorem 1)
 //!   and in given asc/desc lexicographic orders (Theorem 2), plus the
 //!   group cursor for on-the-fly aggregate combination ([`enumerate`]);
-//! * the **staged pipeline executor** ([`pipeline`]): f-plans segment
-//!   into fusible stages executed on one shared arena, with at most one
-//!   compaction pass per plan;
+//! * the **plan executor** ([`pipeline`]): one loop over a plan's
+//!   operators on one shared arena, consecutive constant selections
+//!   fused into one walk, with at most one compaction pass per plan;
 //! * the **optimisers** ([`optim`]): the greedy heuristic of §5.2, the
 //!   engine's one planner, which restructures for group-by/order-by
 //!   clauses via swaps and consolidates the aggregate into a single
@@ -83,5 +83,5 @@ pub use error::{FdbError, Result};
 pub use frep::{Entry, EntryRef, FRep, FRepStats, Union, UnionId, UnionRef};
 pub use ftree::{AggLabel, AggOp, FTree, NodeId, NodeLabel};
 pub use optim::{ExhaustiveConfig, QuerySpec, Stats};
-pub use pipeline::{ExecStats, Stage, StageKind};
+pub use pipeline::ExecStats;
 pub use plan::{FOp, FPlan};

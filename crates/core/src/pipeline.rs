@@ -1,4 +1,4 @@
-//! Staged pipeline execution of f-plans.
+//! Execution of f-plans: one loop over the operators on one arena.
 //!
 //! Every f-plan operator is an in-place rewrite of the representation
 //! (see [`crate::ops`]): it appends the fragment it rewrites to the
@@ -7,34 +7,20 @@
 //! runs a plan so that it also only *allocates* what it produces, plus
 //! at most one compaction pass.
 //!
-//! ## Pipeline IR
-//!
-//! [`segment`] splits a plan into [`Stage`]s:
-//!
-//! * a **fused** stage is a maximal run of operators that only rewrite
-//!   along a root path (`SelectConst`, `Merge`, `Absorb`,
-//!   `ProjectAway`, `Aggregate`, `Rename`);
-//! * a **restructure** stage is a single `Swap` — the operator that
-//!   rebuilds whole levels and therefore bounds fusion (the `product`
-//!   splice happens before plan execution and is already a single
-//!   table append);
-//! * a **fold** stage is a single `GroupFold`, which reads the whole
-//!   input once and builds its (small) result in a fresh arena.
-//!
-//! ## Execution
-//!
-//! [`execute`] runs every operator on one shared arena through
-//! [`crate::plan::apply`], so no operator materialises the
-//! representation. Within a fused stage, runs of consecutive constant
-//! selections additionally compile into a single composed filter walk
-//! (`select::apply_filters`) — one arena pass no matter how many
-//! predicates the stage carries. Superseded records accumulate as
-//! unreachable garbage; at most one sharing-preserving compaction pass
-//! per plan ([`crate::frep::FRep::compact`]) sheds them at the end, and
-//! it only runs when dead records outnumber live ones — an empty plan
-//! is a pure pass-through, and short plans whose result is still mostly
-//! the input (a selection keeping most entries, a rename) return the
-//! arena directly, with no full copy anywhere.
+//! [`execute`] walks the plan's operators in order and runs each
+//! through [`crate::plan::apply`], so no operator materialises the
+//! representation. The one fusion is a run of consecutive constant
+//! selections, which compiles into a single composed filter walk
+//! (`select::apply_filters`): one arena pass however many predicates
+//! the run carries. A `GroupFold` builds its (small) result in a fresh
+//! arena, so the byte and share counts restart there. Superseded
+//! records accumulate as unreachable garbage; at most one
+//! sharing-preserving compaction pass per plan
+//! ([`crate::frep::FRep::compact`]) sheds them at the end, and it only
+//! runs when dead records outnumber live ones — an empty plan is a pure
+//! pass-through, and short plans whose result is still mostly the input
+//! (a selection keeping most entries, a rename) return the arena
+//! directly, with no full copy anywhere.
 //!
 //! Two references pin the executor: the same plan applied one operator
 //! at a time with a compaction after each step, and a relational
@@ -43,132 +29,16 @@
 
 use crate::error::Result;
 use crate::frep::FRep;
-use crate::ftree::FTree;
 use crate::ops;
 use crate::plan::{apply, FOp, FPlan};
-use fdb_relational::Catalog;
-use std::fmt::Write as _;
-use std::ops::Range;
-
-/// What a stage does to the f-tree.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StageKind {
-    /// Root-path rewrites only; executed as composed in-place rewrites.
-    Fused,
-    /// A single `Swap` — rebuilds levels, bounds fusion.
-    Restructure,
-    /// A single `GroupFold` — a fresh representation, bounds fusion.
-    Fold,
-}
-
-/// One stage: a range of operator indices into [`FPlan::ops`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Stage {
-    pub ops: Range<usize>,
-    pub kind: StageKind,
-}
-
-impl Stage {
-    /// Number of operators in the stage.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-}
-
-/// The stage of its own an operator needs, or `None` for operators
-/// that only rewrite along a root path and therefore fuse.
-fn own_stage(op: &FOp) -> Option<StageKind> {
-    match op {
-        FOp::Swap { .. } => Some(StageKind::Restructure),
-        FOp::GroupFold { .. } => Some(StageKind::Fold),
-        _ => None,
-    }
-}
-
-/// Segments a plan into fusible stages with `Swap` and `GroupFold`
-/// boundaries.
-pub fn segment(plan: &FPlan) -> Vec<Stage> {
-    let mut out = Vec::new();
-    let mut run_start: Option<usize> = None;
-    for (i, op) in plan.ops.iter().enumerate() {
-        let Some(kind) = own_stage(op) else {
-            run_start.get_or_insert(i);
-            continue;
-        };
-        if let Some(s) = run_start.take() {
-            out.push(Stage {
-                ops: s..i,
-                kind: StageKind::Fused,
-            });
-        }
-        out.push(Stage {
-            ops: i..i + 1,
-            kind,
-        });
-    }
-    if let Some(s) = run_start {
-        out.push(Stage {
-            ops: s..plan.len(),
-            kind: StageKind::Fused,
-        });
-    }
-    out
-}
-
-/// One line summarising the stage grouping, e.g.
-/// `1-3 fused | 4 restructure | 5-6 fused`.
-pub fn render_stages(stages: &[Stage]) -> String {
-    let mut out = String::new();
-    for (i, s) in stages.iter().enumerate() {
-        if i > 0 {
-            out.push_str(" | ");
-        }
-        if s.len() == 1 {
-            let _ = write!(out, "{}", s.ops.start + 1);
-        } else {
-            let _ = write!(out, "{}-{}", s.ops.start + 1, s.ops.end);
-        }
-        match s.kind {
-            StageKind::Fused => out.push_str(" fused"),
-            StageKind::Restructure => out.push_str(" restructure"),
-            StageKind::Fold => out.push_str(" fold"),
-        }
-    }
-    out
-}
-
-/// Per-stage rendering of a plan over its input f-tree: the operator
-/// list annotated with the stage each operator belongs to (used by the
-/// plan explorer example).
-pub fn display_staged(plan: &FPlan, catalog: &Catalog, input: &FTree) -> String {
-    let stages = segment(plan);
-    let mut out = String::new();
-    let _ = writeln!(out, "stages: {}", render_stages(&stages));
-    let ops_text = plan.display(catalog, input);
-    for (i, line) in ops_text.lines().enumerate() {
-        let stage = stages.iter().position(|s| s.ops.contains(&i));
-        match stage {
-            Some(si) => {
-                let _ = writeln!(out, "  [stage {}] {}", si + 1, line.trim_start());
-            }
-            None => {
-                let _ = writeln!(out, "  {line}");
-            }
-        }
-    }
-    out
-}
 
 /// Execution report of one plan run (see [`execute`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Operators executed.
     pub operators: usize,
-    /// Stages ([`segment`]).
+    /// Arena passes: a run of consecutive constant selections is one
+    /// pass, every other operator one.
     pub stages: usize,
     /// Bytes of intermediate representation data allocated over the
     /// plan run (size-based, no allocator slack — [`FRep::data_bytes`]):
@@ -182,62 +52,62 @@ pub struct ExecStats {
     pub compacted: bool,
 }
 
-/// Executes a plan through the staged pipeline: one shared arena, every
-/// operator in place, consecutive selections fused into one walk, and
-/// one compaction pass at the end when dead records outnumber live ones.
+impl ExecStats {
+    /// Adds `other`'s counts to these: the report of two runs.
+    pub(crate) fn add(&mut self, other: &ExecStats) {
+        self.operators += other.operators;
+        self.stages += other.stages;
+        self.intermediate_bytes += other.intermediate_bytes;
+        self.copies_avoided += other.copies_avoided;
+        self.compacted |= other.compacted;
+    }
+}
+
+/// Executes a plan in one loop over its operators: one shared arena,
+/// every operator in place, consecutive selections fused into one walk,
+/// and one compaction pass at the end when dead records outnumber live
+/// ones.
 pub fn execute(plan: &FPlan, rep: FRep) -> Result<(FRep, ExecStats)> {
-    let stages = segment(plan);
     let mut stats = ExecStats {
         operators: plan.len(),
-        stages: stages.len(),
         ..ExecStats::default()
     };
-    if stages.is_empty() {
-        // Zero-stage pass-through: not even a byte is appended.
+    if plan.is_empty() {
+        // An empty plan is a pass-through: not even a byte is appended.
         return Ok((rep, stats));
     }
     let mut counter_base = rep.stats_counter_base();
     let mut rep = rep;
     let mut bytes_before = rep.data_bytes();
-    for stage in &stages {
-        match stage.kind {
-            StageKind::Restructure => {
-                rep = apply(rep, &plan.ops[stage.ops.start])?;
+    let mut ops = plan.ops.iter().peekable();
+    while let Some(op) = ops.next() {
+        stats.stages += 1;
+        rep = match op {
+            FOp::SelectConst { attr, op, value } => {
+                // A maximal run of constant selections is one walk (a
+                // run of one is just `select_const`).
+                let mut filters = vec![(*attr, *op, value.clone())];
+                while let Some(FOp::SelectConst { attr, op, value }) =
+                    ops.next_if(|op| matches!(op, FOp::SelectConst { .. }))
+                {
+                    filters.push((*attr, *op, value.clone()));
+                }
+                ops::select::apply_filters(rep, &filters)?
             }
-            StageKind::Fold => {
-                // A fresh arena: all of it is the stage's allocation, and
+            FOp::GroupFold { .. } => {
+                // A fresh arena: all of it is the fold's allocation, and
                 // the input's share counter stops here.
                 stats.copies_avoided += rep.stats_counter_base().saturating_sub(counter_base);
-                rep = apply(rep, &plan.ops[stage.ops.start])?;
-                counter_base = rep.stats_counter_base();
+                let folded = apply(rep, op)?;
+                counter_base = folded.stats_counter_base();
                 bytes_before = 0;
+                folded
             }
-            StageKind::Fused => {
-                let mut i = stage.ops.start;
-                while i < stage.ops.end {
-                    // Fuse a maximal run of constant selections into one
-                    // walk (a run of one is just `select_const`).
-                    let mut filters: Vec<_> = Vec::new();
-                    while i < stage.ops.end {
-                        let FOp::SelectConst { attr, op, value } = &plan.ops[i] else {
-                            break;
-                        };
-                        filters.push((*attr, *op, value.clone()));
-                        i += 1;
-                    }
-                    if !filters.is_empty() {
-                        rep = ops::select::apply_filters(rep, &filters)?;
-                    } else {
-                        rep = apply(rep, &plan.ops[i])?;
-                        i += 1;
-                    }
-                }
-            }
-        }
-        // Intermediate allocation of the stage: what the operators
-        // appended (the arena only grows within a fused stage; the
-        // rare root-level-aggregate-of-empty shortcut replaces the
-        // arena by a smaller one, hence the saturation).
+            _ => apply(rep, op)?,
+        };
+        // What the pass appended (the rare root-level-aggregate-of-empty
+        // shortcut replaces the arena by a smaller one, hence the
+        // saturation).
         let bytes_after = rep.data_bytes();
         stats.intermediate_bytes += bytes_after.saturating_sub(bytes_before);
         bytes_before = bytes_after;
@@ -319,42 +189,6 @@ mod tests {
         plan
     }
 
-    #[test]
-    fn segmentation_groups_runs_and_boundaries() {
-        let (mut c, rep) = rep_abc();
-        let plan = sample_plan(&mut c, &rep);
-        let stages = segment(&plan);
-        assert_eq!(stages.len(), 3);
-        assert_eq!(
-            stages[0],
-            Stage {
-                ops: 0..2,
-                kind: StageKind::Fused
-            }
-        );
-        assert_eq!(
-            stages[1],
-            Stage {
-                ops: 2..3,
-                kind: StageKind::Restructure
-            }
-        );
-        assert_eq!(
-            stages[2],
-            Stage {
-                ops: 3..4,
-                kind: StageKind::Fused
-            }
-        );
-        assert_eq!(
-            render_stages(&stages),
-            "1-2 fused | 3 restructure | 4 fused"
-        );
-        let text = display_staged(&plan, &c, rep.ftree());
-        assert!(text.contains("stages: 1-2 fused"), "{text}");
-        assert!(text.contains("[stage 2]"), "{text}");
-    }
-
     /// The reference: the plan applied one operator at a time through
     /// [`apply`], compacting after each step, with the bytes those
     /// compacted intermediates hold — what one full copy per operator
@@ -387,6 +221,20 @@ mod tests {
             stats.intermediate_bytes,
             stepped_bytes
         );
+    }
+
+    #[test]
+    fn a_selection_run_is_one_pass_and_every_other_operator_one() {
+        let (mut c, rep) = rep_abc();
+        let mut plan = sample_plan(&mut c, &rep);
+        // Two selections, a swap, an aggregate: three passes.
+        let (_, stats) = execute(&plan, rep.clone()).unwrap();
+        assert_eq!((stats.operators, stats.stages), (4, 3));
+        // A selection after the swap starts a run of its own.
+        let sel = plan.ops[0].clone();
+        plan.ops.insert(3, sel);
+        let (_, stats) = execute(&plan, rep).unwrap();
+        assert_eq!((stats.operators, stats.stages), (5, 4));
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Differential suite for the staged pipeline executor: on randomly
-//! generated databases and randomly generated *valid* f-plans, staged
-//! execution (fused selection runs, shared fragments, one compaction at
-//! the end) must be bit-identical to the same plan applied one operator
+//! Differential suite for the plan executor: on randomly generated
+//! databases and randomly generated *valid* f-plans, `pipeline::execute`
+//! (fused selection runs, shared fragments, one compaction at the end)
+//! must be bit-identical to the same plan applied one operator
 //! at a time through `plan::apply` with a compaction after each step,
 //! for worker-thread counts {1, 2, 4}; aggregate-free plans must also
 //! produce exactly the tuples of a naive relational evaluation of the

@@ -1,7 +1,6 @@
 //! Plan explorer: compare the greedy heuristic against the exhaustive
-//! Dijkstra optimiser on the pizzeria queries, printing the f-plans
-//! (with the staged-pipeline segmentation each plan executes as), the
-//! intermediate f-trees and the size-bound costs (§5).
+//! Dijkstra optimiser on the pizzeria queries, printing the f-plans,
+//! the intermediate f-trees and the size-bound costs (§5).
 //!
 //! Run with: `cargo run --release --example plan_explorer`
 
@@ -44,10 +43,7 @@ fn main() {
             ..Default::default()
         };
         let gplan = greedy(rep.ftree(), &spec, &stats, &mut catalog).expect("greedy plan");
-        println!(
-            "greedy f-plan (operators grouped by pipeline stage):\n{}",
-            fdb::core::pipeline::display_staged(&gplan, &catalog, rep.ftree())
-        );
+        println!("greedy f-plan:\n{}", gplan.display(&catalog, rep.ftree()));
         println!(
             "greedy plan cost: {:.1}",
             plan_cost(rep.ftree(), &gplan, &stats)

@@ -591,7 +591,7 @@ pub struct QueryOutcome {
     pub explain: String,
     /// The physical `ORDER BY` strategy that executed.
     pub strategy: OrderStrategy,
-    /// Stage/allocation report of the f-plan run.
+    /// Pass/allocation report of the f-plan run.
     pub exec: ExecStats,
     /// Enumeration report: strategy, rows enumerated, ordering-side
     /// peak bytes.

@@ -4,13 +4,14 @@
 //! makes the aggregate consolidate, sort/hash grouping and naive/eager
 //! aggregation must all produce the same `Relation::canonical` on every
 //! database × query (see `common::EnginePair::assert_all_agree`); the
-//! staged executor is
-//! checked plan by plan, on random f-plans, in
+//! plan executor is checked plan by plan, on random f-plans, in
 //! `crates/core/tests/pipeline_fused.rs`.
 //!
 //! The query corpus covers joins of one to three relations, all five
 //! aggregation functions, grouping by arbitrary subsets, WHERE ranges,
-//! HAVING, and ordering.
+//! HAVING, and ordering; grouping sets are also held to the
+//! sort-grouping engine's per-set expansion set by set
+//! (`streamed_grouping_sets_match_rdb_row_for_row`).
 
 mod common;
 
@@ -332,4 +333,84 @@ fn dangling_tuples_database() {
     for sql in corpus() {
         pair.assert_all_agree(sql);
     }
+}
+
+/// Grouping-set statements whose sets the emitter streams in turn, each
+/// with the order keys that totally order its rows: a HAVING that
+/// empties the middle set, a set listed twice, and `AVG`,
+/// `COUNT(DISTINCT)` and `TOP_K` under `CUBE`.
+const STREAMED_SETS: [(&str, &str); 4] = [
+    // The middle set `(b)` has `a` NULL, which sorts after every Int.
+    (
+        "SELECT a, b, COUNT(*) AS n FROM R \
+         GROUP BY GROUPING SETS ((a, b), (b), (a)) HAVING a < 100",
+        "a, b",
+    ),
+    (
+        "SELECT a, SUM(b) AS s, COUNT(*) AS n FROM R GROUP BY GROUPING SETS ((a), (a))",
+        "a",
+    ),
+    (
+        "SELECT a, c, AVG(d) AS m, COUNT(DISTINCT d) AS u, TOP_K(d, 2) AS t \
+         FROM R, S, T GROUP BY CUBE (a, c)",
+        "a, c DESC",
+    ),
+    (
+        "SELECT b, a, MIN(c) AS lo FROM R, S GROUP BY ROLLUP (b, a) HAVING lo >= 1",
+        "b DESC, a",
+    ),
+];
+
+/// `rel`'s rows with each run of rows NULL in the same columns (one
+/// grouping set's block, in output order) sorted: what the order within
+/// a set cannot change.
+fn set_blocks(rel: &Relation) -> Vec<Vec<Value>> {
+    let mut rows: Vec<Vec<Value>> = rel.rows().map(|r| r.to_vec()).collect();
+    let mask = |row: &[Value]| -> Vec<bool> { row.iter().map(|v| *v == Value::Null).collect() };
+    let mut start = 0;
+    while start < rows.len() {
+        let m = mask(&rows[start]);
+        let end = (start..rows.len())
+            .find(|&i| mask(&rows[i]) != m)
+            .unwrap_or(rows.len());
+        rows[start..end].sort();
+        start = end;
+    }
+    rows
+}
+
+/// Each statement of [`STREAMED_SETS`] agrees with the relational
+/// engines as a set of rows, and with the sort-grouping engine's
+/// per-set expansion: ordered row for row, and unordered set block for
+/// set block.
+fn assert_sets_stream_like_rdb(pair: &mut EnginePair) {
+    use fdb::relational::engine::PlanMode;
+    for (sql, keys) in STREAMED_SETS {
+        let ordered = format!("{sql} ORDER BY {keys}");
+        for (sql, ordered) in [(sql, false), (ordered.as_str(), true)] {
+            pair.assert_all_agree(sql);
+            let got = pair.run_fdb(sql);
+            let schemas = pair.fdb.schemas();
+            let task = fdb::parse(sql, &mut pair.fdb.catalog, &schemas)
+                .unwrap()
+                .to_task();
+            pair.rdb_sort.catalog = pair.fdb.catalog.clone();
+            let want = pair.rdb_sort.run(&task, PlanMode::Naive).unwrap();
+            if ordered {
+                assert_eq!(got, want, "`{sql}`");
+            } else {
+                assert_eq!(set_blocks(&got), set_blocks(&want), "`{sql}`");
+            }
+        }
+    }
+}
+
+#[test]
+fn streamed_grouping_sets_match_rdb_row_for_row() {
+    let r: Vec<(i64, i64)> = (0..30).map(|i| (i % 5, (i * 7) % 4)).collect();
+    let s: Vec<(i64, i64)> = (0..12).map(|j| (j % 4, (j * 3) % 5)).collect();
+    let t: Vec<(i64, i64)> = (0..15).map(|k| (k % 5, (k * 2) % 7)).collect();
+    assert_sets_stream_like_rdb(&mut chain_db(&r, &s, &t));
+    assert_sets_stream_like_rdb(&mut chain_db(&[(1, 1)], &[(1, 1)], &[(1, 1)]));
+    assert_sets_stream_like_rdb(&mut chain_db(&[], &[], &[]));
 }

@@ -360,3 +360,62 @@ fn null_sort_keys_page_identically() {
         );
     }
 }
+
+#[test]
+fn unordered_grouping_set_pages_straddle_set_boundaries() {
+    // Without ORDER BY the sets stream in turn, so a page may start in
+    // one set and end in the next. Over the flat `Orders` input both
+    // engines list each set's groups in key order, so every page is
+    // byte-identical to the relational engine's per-set expansion, and
+    // the stream stops at the page's last row.
+    use fdb::relational::engine::{PlanMode, RdbEngine};
+    use fdb::relational::GroupStrategy;
+    let (mut e, ds) = orders_engine();
+    let mut rdb = RdbEngine::new(e.catalog.clone(), GroupStrategy::Sort);
+    rdb.register("Orders", ds.orders.clone());
+    for having in ["", " HAVING n > 1"] {
+        let sql = format!(
+            "SELECT customer, date, COUNT(*) AS n FROM Orders \
+             GROUP BY ROLLUP (customer, date){having}"
+        );
+        let schemas = e.schemas();
+        let base = fdb::parse(&sql, &mut e.catalog, &schemas)
+            .unwrap()
+            .to_task();
+        rdb.catalog = e.catalog.clone();
+        let all = rdb.run(&base, PlanMode::Naive).unwrap();
+        assert_eq!(
+            run(&mut e, &base, None).unwrap().to_relation().unwrap(),
+            all
+        );
+        // The first row NULL in `date` ends the finest set; the last row
+        // is the grand total.
+        let finest = all.rows().position(|r| r[1] == Value::Null).unwrap();
+        let total = all.len() - 1;
+        for (offset, limit) in [
+            (finest - 2, 5),
+            (finest - 1, 1),
+            (finest, 2),
+            (total - 1, 4),
+            (0, all.len() + 3),
+        ] {
+            let mut task = base.clone();
+            task.offset = offset;
+            task.limit = Some(limit);
+            let ctx = format!("`{sql}` OFFSET {offset} LIMIT {limit}");
+            let (page, stats) = run(&mut e, &task, None)
+                .unwrap()
+                .to_relation_counted()
+                .unwrap();
+            assert_eq!(page, rdb.run(&task, PlanMode::Naive).unwrap(), "{ctx}");
+            assert_eq!(page, ops::page(&all, offset, Some(limit)), "{ctx}");
+            if having.is_empty() {
+                assert_eq!(
+                    stats.rows_enumerated,
+                    all.len().min(offset + limit),
+                    "{ctx}"
+                );
+            }
+        }
+    }
+}
