@@ -42,7 +42,9 @@ use crate::dense::{direct_cap, DenseIds, PairIds, ValueIds};
 use crate::error::{FdbError, Result};
 use crate::frep::{Col, EntryRef, UnionRef};
 use crate::ftree::{AggLabel, AggOp, FTree, NodeId, NodeLabel};
+use crate::ops::select::Mask;
 use fdb_relational::{CmpOp, Number, Value};
+use std::ops::Range;
 
 /// True when the union is a leaf of the f-tree with an atomic label:
 /// entries carry multiplicity 1 and no children, so aggregates over it
@@ -225,12 +227,18 @@ trait Fold {
     fn partial(&self, v: &Value) -> Result<Self::Acc> {
         self.atom(v)
     }
-    /// A whole providing union at once where its shape has a fast path
-    /// (`None` walks its entries): a slice scan of a contiguous value
-    /// buffer ([`UnionRef::contiguous_values`]), a sorted end. Each is
-    /// bit-identical to the walk — integer adds wrap, so the loop shape is
-    /// free to change — and any other buffer falls back to it.
-    fn leaf(&self, _ftree: &FTree, _u: UnionRef<'_>) -> Result<Option<Self::Acc>> {
+    /// The entries at positions `run` of a providing union at once where
+    /// its shape has a fast path (`None` walks them): a slice scan of a
+    /// contiguous value buffer ([`UnionRef::contiguous_values`]), a sorted
+    /// end. Each is bit-identical to the walk — integer adds wrap, so the
+    /// loop shape is free to change — and any other buffer falls back to
+    /// it. The walk passes the whole union, a mask each passing run.
+    fn leaf(
+        &self,
+        _ftree: &FTree,
+        _u: UnionRef<'_>,
+        _run: Range<usize>,
+    ) -> Result<Option<Self::Acc>> {
         Ok(None)
     }
     /// The function's value.
@@ -254,7 +262,7 @@ fn fold_union<F: Fold>(
     let label = &ftree.node(u.node()).label;
     let mut acc = F::ZERO;
     let Some((&j, rest)) = spine.split_first() else {
-        if let Some(acc) = f.leaf(ftree, u)? {
+        if let Some(acc) = f.leaf(ftree, u, 0..u.len())? {
             return Ok(acc);
         }
         for e in u.entries() {
@@ -285,6 +293,210 @@ fn fold_union<F: Fold>(
     Ok(acc)
 }
 
+// A run of constant selections fused into the `γ` that follows it
+// (`pipeline::execute`) is one more 0/1 factor of the product: the walks
+// below read a union the mask touches through its passing runs, and hand
+// every union it does not touch to the unmasked walk, so an unfiltered
+// subtree costs what it costs without a mask. An entry the mask leaves
+// with no tuple is skipped for every function, scaling or not — never
+// scaled by zero, which would turn a float's `±inf` into NaN and flip
+// `-0.0`.
+
+/// [`count_union`] of `u`, read through `mask` where there is one.
+fn count_opt(ftree: &FTree, u: UnionRef<'_>, mask: Option<&mut Mask>) -> Result<i64> {
+    match mask {
+        Some(mask) if mask.touches(u.node()) => count_touched(ftree, u, u.node(), mask),
+        _ => count_union(ftree, u),
+    }
+}
+
+/// [`fold_union`] of `u`, read through `mask` where there is one. A `γ`
+/// reads only products every factor of which keeps a tuple under its
+/// mask, so the masked fold's `None` is never met there.
+fn fold_opt<F: Fold>(
+    f: &F,
+    ftree: &FTree,
+    op: &AggOp,
+    u: UnionRef<'_>,
+    spine: &[usize],
+    mask: Option<&mut Mask>,
+) -> Result<F::Acc> {
+    match mask {
+        Some(mask) => Ok(fold_in(f, ftree, op, u, spine, mask)?.unwrap_or(F::ZERO)),
+        None => fold_union(f, ftree, op, u, spine),
+    }
+}
+
+/// The tuple count of a union `u` of `node`, which `mask` touches.
+fn count_touched(ftree: &FTree, u: UnionRef<'_>, node_id: NodeId, mask: &mut Mask) -> Result<i64> {
+    let node = ftree.node(node_id);
+    if node.children.is_empty() {
+        // A filtered atomic leaf: one tuple per passing entry.
+        return Ok(i64::from(mask.passing_count(u, node_id)));
+    }
+    let kids = &node.children[..];
+    let plain = !kids.iter().any(|&k| mask.touches(k));
+    mask.with_runs(u, |mask, runs| {
+        let mut total: i64 = 0;
+        for r in runs {
+            let (from, to) = mask.run(r);
+            for e in u.entries_in(from, to) {
+                let own = entry_multiplicity(&node.label, e.value())?;
+                let mult = match plain {
+                    true => count_product(ftree, e.children(), None, own)?,
+                    false => product_in(ftree, kids, e, None, own, mask)?,
+                };
+                total = checked(total.checked_add(mult))?;
+            }
+        }
+        Ok(total)
+    })
+}
+
+/// `init` times the tuple counts of the children of `e` (of a node with
+/// children `kids`) other than the one at position `skip`, read through
+/// `mask`; `0` once one of them is empty.
+fn product_in(
+    ftree: &FTree,
+    kids: &[NodeId],
+    e: EntryRef<'_>,
+    skip: Option<usize>,
+    init: i64,
+    mask: &mut Mask,
+) -> Result<i64> {
+    let mut mult = init;
+    for (k, c) in e.children().enumerate() {
+        if Some(k) == skip {
+            continue;
+        }
+        let node = kids[k];
+        let n = match mask.touches(node) {
+            // A filtered leaf, the common case, without a call.
+            true if ftree.node(node).children.is_empty() => i64::from(mask.passing_count(c, node)),
+            true => count_touched(ftree, c, node, mask)?,
+            false => count_union(ftree, c)?,
+        };
+        if n == 0 {
+            return Ok(0);
+        }
+        mult = checked(mult.checked_mul(n))?;
+    }
+    Ok(mult)
+}
+
+/// Whether `u` keeps a tuple under `mask`.
+fn alive_in(ftree: &FTree, u: UnionRef<'_>, mask: &mut Mask) -> bool {
+    if !mask.touches(u.node()) {
+        return !u.is_empty();
+    }
+    let kids = &ftree.node(u.node()).children;
+    mask.with_runs(u, |mask, runs| {
+        runs.into_iter().any(|r| {
+            let (from, to) = mask.run(r);
+            u.entries_in(from, to)
+                .any(|e| kids_alive(ftree, kids, e, None, mask))
+        })
+    })
+}
+
+/// Whether every child of `e` (of a node with children `kids`) but the
+/// one at position `skip` keeps a tuple under `mask`. Below an entry
+/// only a touched union can be empty.
+fn kids_alive(
+    ftree: &FTree,
+    kids: &[NodeId],
+    e: EntryRef<'_>,
+    skip: Option<usize>,
+    mask: &mut Mask,
+) -> bool {
+    (0..kids.len())
+        .all(|k| Some(k) == skip || !mask.touches(kids[k]) || alive_in(ftree, e.child(k), mask))
+}
+
+/// [`fold_union`] of `u` read through `mask`: terms combine in entry
+/// order over the passing entries that keep a tuple. `None` when none
+/// does.
+fn fold_in<F: Fold>(
+    f: &F,
+    ftree: &FTree,
+    op: &AggOp,
+    u: UnionRef<'_>,
+    spine: &[usize],
+    mask: &mut Mask,
+) -> Result<Option<F::Acc>> {
+    if !mask.touches(u.node()) {
+        return fold_union(f, ftree, op, u, spine).map(Some);
+    }
+    let node = ftree.node(u.node());
+    let (label, kids) = (&node.label, &node.children[..]);
+    let add = |acc: Option<F::Acc>, term: F::Acc, mult: i64| {
+        Some(f.combine(acc.unwrap_or(F::ZERO), f.scale(term, mult)))
+    };
+    mask.with_runs(u, |mask, runs| {
+        let mut acc = None;
+        let Some((&j, rest)) = spine.split_first() else {
+            if !kids.iter().any(|&c| mask.touches(c)) {
+                // Every passing entry keeps its tuples: the leaf fast
+                // path over each run, or the walk when one has none.
+                let mut fast = true;
+                for r in runs.clone() {
+                    let (from, to) = mask.run(r);
+                    match f.leaf(ftree, u, from as usize..to as usize)? {
+                        Some(t) => acc = Some(f.combine(acc.unwrap_or(F::ZERO), t)),
+                        None => {
+                            fast = false;
+                            break;
+                        }
+                    }
+                }
+                if fast {
+                    return Ok(acc);
+                }
+                acc = None;
+            }
+            for r in runs {
+                let (from, to) = mask.run(r);
+                for e in u.entries_in(from, to) {
+                    let v = match label {
+                        NodeLabel::Atomic(_) => e.value(),
+                        NodeLabel::Agg(l) => component(l, e.value(), l.component_of(op).unwrap()),
+                    };
+                    let mult = if F::SCALES && !v.is_null() {
+                        product_in(ftree, kids, e, None, 1, mask)?
+                    } else {
+                        i64::from(kids_alive(ftree, kids, e, None, mask))
+                    };
+                    if mult > 0 {
+                        let term = match label {
+                            NodeLabel::Atomic(_) => f.atom(v)?,
+                            NodeLabel::Agg(_) => f.partial(v)?,
+                        };
+                        acc = add(acc, term, mult);
+                    }
+                }
+            }
+            return Ok(acc);
+        };
+        for r in runs {
+            let (from, to) = mask.run(r);
+            for e in u.entries_in(from, to) {
+                let mult = if F::SCALES {
+                    let own = entry_multiplicity(label, e.value())?;
+                    product_in(ftree, kids, e, Some(j), own, mask)?
+                } else {
+                    i64::from(kids_alive(ftree, kids, e, Some(j), mask))
+                };
+                if mult > 0 {
+                    if let Some(term) = fold_in(f, ftree, op, e.child(j), rest, mask)? {
+                        acc = add(acc, term, mult);
+                    }
+                }
+            }
+        }
+        Ok(acc)
+    })
+}
+
 /// `sumA`: integers add wrapping, any float widens the sum.
 struct Sum;
 
@@ -303,10 +515,12 @@ impl Fold for Sum {
         v.as_number()
             .ok_or_else(|| FdbError::NonNumeric(format!("sum over non-numeric value {v}")))
     }
-    fn leaf(&self, ftree: &FTree, u: UnionRef<'_>) -> Result<Option<Number>> {
+    #[inline]
+    fn leaf(&self, ftree: &FTree, u: UnionRef<'_>, run: Range<usize>) -> Result<Option<Number>> {
         // No child cardinalities scale the values of a leaf.
         let vals = is_atomic_leaf(ftree, u).then(|| u.contiguous_values());
-        Ok(vals.flatten().and_then(sum_int_slice).map(Number::Int))
+        let vals = vals.flatten().map(|v| &v[run]);
+        Ok(vals.and_then(sum_int_slice).map(Number::Int))
     }
     fn finish(&self, acc: Number) -> Result<Value> {
         Ok(acc.into_value())
@@ -330,13 +544,18 @@ impl Fold for Extremum {
     fn atom(&self, v: &Value) -> Result<Option<Value>> {
         Ok(Some(v.clone()))
     }
-    fn leaf(&self, ftree: &FTree, u: UnionRef<'_>) -> Result<Option<Option<Value>>> {
+    fn leaf(
+        &self,
+        ftree: &FTree,
+        u: UnionRef<'_>,
+        run: Range<usize>,
+    ) -> Result<Option<Option<Value>>> {
         Ok(match &ftree.node(u.node()).label {
             // Entries are sorted ascending: the extremum is at an end.
-            NodeLabel::Atomic(_) => Some(match u.len() {
+            NodeLabel::Atomic(_) => Some(match run.len() {
                 0 => None,
-                _ if self.0 => Some(u.entry(0).value().clone()),
-                n => Some(u.entry(n - 1).value().clone()),
+                _ if self.0 => Some(u.entry(run.start).value().clone()),
+                _ => Some(u.entry(run.end - 1).value().clone()),
             }),
             // Single-component aggregate unions expose the component as
             // the value itself (first-wins ties are moot — equal `Int`s
@@ -344,7 +563,7 @@ impl Fold for Extremum {
             NodeLabel::Agg(l) if l.arity() == 1 => {
                 let best = u
                     .contiguous_values()
-                    .and_then(|v| extremum_int_slice(v, self.0));
+                    .and_then(|v| extremum_int_slice(&v[run], self.0));
                 best.map(|b| Some(Value::Int(b)))
             }
             NodeLabel::Agg(_) => None,
@@ -496,15 +715,20 @@ impl Fold for TopK {
             v => self.atom(v)?,
         })
     }
-    fn leaf(&self, ftree: &FTree, u: UnionRef<'_>) -> Result<Option<Vec<Value>>> {
+    fn leaf(
+        &self,
+        ftree: &FTree,
+        u: UnionRef<'_>,
+        run: Range<usize>,
+    ) -> Result<Option<Vec<Value>>> {
         if !matches!(ftree.node(u.node()).label, NodeLabel::Atomic(_)) {
             return Ok(None);
         }
         // Entries are sorted ascending; walk them backwards so the
         // largest values fill the budget first; the reverse scan stops
         // after at most k distinct entries.
-        let mut out = Vec::with_capacity(self.0.min(u.len()));
-        for e in (0..u.len()).rev().map(|i| u.entry(i)) {
+        let mut out = Vec::with_capacity(self.0.min(run.len()));
+        for e in run.rev().map(|i| u.entry(i)) {
             if out.len() >= self.0 {
                 break;
             }
@@ -1564,37 +1788,66 @@ fn chain_groups(levels: Vec<GroupLevel>, chain: &[usize], mut values: Vec<Value>
     }
 }
 
-/// The number of distinct non-NULL values of the attribute at the end of
-/// `spine` in the relation represented by `u` — `count(distinct A)`.
-/// Multiplicity-invariant, so the walk only descends the spine: sibling
-/// subtrees never change which values occur.
+/// Interns into `ids` the distinct non-NULL values of the attribute at
+/// the end of `spine` in the relation represented by `u`: their number is
+/// `count(distinct A)`. Multiplicity-invariant, so the walk only descends
+/// the spine: sibling subtrees never change which values occur.
 ///
 /// Every entry stands for at least one tuple (unions are never empty),
-/// so the distinct values are those of the providing unions' entries:
-/// each is interned into `ids` (cleared first) and the answer is the
-/// number of ids — a value is touched once per entry that mentions it,
-/// so the walk runs in factorisation size.
-fn count_distinct(u: UnionRef<'_>, spine: &[usize], ids: &mut DenseIds) -> i64 {
-    fn intern(u: UnionRef<'_>, spine: &[usize], ids: &mut DenseIds) {
-        match spine.split_first() {
-            None => {
-                let (col, vals) = u.value_indices();
-                for v in vals {
-                    if !col.get(v).is_null() {
-                        ids.intern(&col, v);
-                    }
-                }
-            }
-            Some((&j, rest)) => {
-                for e in u.entries() {
-                    intern(e.child(j), rest, ids);
+/// so the distinct values are those of the providing unions' entries —
+/// a value is touched once per entry that mentions it, so the walk runs
+/// in factorisation size.
+fn intern_distinct(u: UnionRef<'_>, spine: &[usize], ids: &mut DenseIds) {
+    match spine.split_first() {
+        None => {
+            let (col, vals) = u.value_indices();
+            for v in vals {
+                if !col.get(v).is_null() {
+                    ids.intern(&col, v);
                 }
             }
         }
+        Some((&j, rest)) => {
+            for e in u.entries() {
+                intern_distinct(e.child(j), rest, ids);
+            }
+        }
     }
-    ids.clear();
-    intern(u, spine, ids);
-    ids.len() as i64
+}
+
+/// [`intern_distinct`] read through `mask`: only the values of entries
+/// that keep a tuple.
+fn intern_distinct_in(
+    ftree: &FTree,
+    u: UnionRef<'_>,
+    spine: &[usize],
+    ids: &mut DenseIds,
+    mask: &mut Mask,
+) {
+    if !mask.touches(u.node()) {
+        return intern_distinct(u, spine, ids);
+    }
+    let kids = &ftree.node(u.node()).children;
+    let j = spine.first().copied();
+    mask.with_runs(u, |mask, runs| {
+        for r in runs {
+            let (from, to) = mask.run(r);
+            for e in u.entries_in(from, to) {
+                if !kids_alive(ftree, kids, e, j, mask) {
+                    continue;
+                }
+                match j {
+                    None => {
+                        let (col, v) = e.value_index();
+                        if !col.get(v).is_null() {
+                            ids.intern(&col, v);
+                        }
+                    }
+                    Some(j) => intern_distinct_in(ftree, e.child(j), &spine[1..], ids, mask),
+                }
+            }
+        }
+    })
 }
 
 /// Evaluates one aggregation function over a *product* of sibling unions
@@ -1606,8 +1859,9 @@ pub fn eval_op(ftree: &FTree, unions: &[UnionRef<'_>], op: &AggOp) -> Result<Val
 
 /// Where a composable function reads its attribute.
 enum Source<'a> {
-    /// The factor at this position provides it, down this spine.
-    Factor(usize, &'a [usize]),
+    /// The factor at this position provides it, down this spine; every
+    /// union is read through the mask, if there is one.
+    Factor(usize, &'a [usize], Option<&'a mut Mask>),
     /// It is a group attribute holding this value.
     Group(&'a Value),
 }
@@ -1620,23 +1874,30 @@ impl FoldUse for FoldEval<'_, '_> {
     type Out = Result<Value>;
     fn with<F: Fold + 'static>(self, f: F) -> Result<Value> {
         let FoldEval(ftree, unions, op, src) = self;
-        let others = |skip| count_product(ftree, unions.iter().copied(), skip, 1);
         let acc = match src {
             Source::Group(v) if F::SCALES && !v.is_null() => {
                 let term = f.atom(v)?;
-                f.scale(term, others(None)?)
+                f.scale(term, count_product(ftree, unions.iter().copied(), None, 1)?)
             }
             Source::Group(v) => f.atom(v)?,
-            Source::Factor(j, spine) if F::PER_FACTOR => {
-                let mut acc = fold_union(&f, ftree, op, unions[j], spine)?;
-                for (_, &u) in unions.iter().enumerate().filter(|&(k, _)| k != j) {
-                    acc = f.scale(acc, count_union(ftree, u)?);
+            Source::Factor(j, spine, mut mask) => {
+                let others = unions.iter().enumerate().filter(|&(k, _)| k != j);
+                if F::PER_FACTOR {
+                    let mut acc = fold_opt(&f, ftree, op, unions[j], spine, mask.as_deref_mut())?;
+                    for (_, &u) in others {
+                        acc = f.scale(acc, count_opt(ftree, u, mask.as_deref_mut())?);
+                    }
+                    acc
+                } else {
+                    let mut mult: i64 = 1;
+                    if F::SCALES {
+                        for (_, &u) in others {
+                            let n = count_opt(ftree, u, mask.as_deref_mut())?;
+                            mult = checked(mult.checked_mul(n))?;
+                        }
+                    }
+                    f.scale(fold_opt(&f, ftree, op, unions[j], spine, mask)?, mult)
                 }
-                acc
-            }
-            Source::Factor(j, spine) => {
-                let mult = if F::SCALES { others(Some(j))? } else { 1 };
-                f.scale(fold_union(&f, ftree, op, unions[j], spine)?, mult)
             }
         };
         f.finish(acc)
@@ -1782,14 +2043,8 @@ impl CompiledAgg {
             AggOp::Count => count_product(ftree, unions.iter().copied(), None, 1).map(Value::Int),
             // NULL inputs are skipped.
             AggOp::CountDistinct(_) => Ok(Value::Int(!v.is_null() as i64)),
-            _ => self.fold(ftree, unions, Source::Group(v)),
+            _ => with_fold(self.op, FoldEval(ftree, unions, &self.op, Source::Group(v))),
         }
-    }
-
-    /// The function's fold over `src` ([`FoldEval`]).
-    fn fold(&self, ftree: &FTree, unions: &[UnionRef<'_>], src: Source) -> Result<Value> {
-        let eval = FoldEval(ftree, unions, &self.op, src);
-        with_fold(self.op, eval)
     }
 
     /// True when the value depends on factor `k`: every factor scales a
@@ -1809,8 +2064,33 @@ impl CompiledAgg {
         if let Some(v) = self.eval_leaves(unions) {
             return Ok(v);
         }
+        self.eval_walk(ftree, unions, None)
+    }
+
+    /// [`CompiledAgg::eval`] with the unions read through `mask`. Every
+    /// factor must keep a tuple under it ([`eval_compiled_masked`]).
+    fn eval_masked(
+        &mut self,
+        ftree: &FTree,
+        unions: &[UnionRef<'_>],
+        mask: &mut Mask,
+    ) -> Result<Value> {
+        self.eval_walk(ftree, unions, Some(mask))
+    }
+
+    /// The walk behind [`CompiledAgg::eval`], through `mask` if any.
+    fn eval_walk(
+        &mut self,
+        ftree: &FTree,
+        unions: &[UnionRef<'_>],
+        mut mask: Option<&mut Mask>,
+    ) -> Result<Value> {
         if matches!(self.op, AggOp::Count) {
-            return count_product(ftree, unions.iter().copied(), None, 1).map(Value::Int);
+            let mut mult: i64 = 1;
+            for &u in unions {
+                mult = checked(mult.checked_mul(count_opt(ftree, u, mask.as_deref_mut())?))?;
+            }
+            return Ok(Value::Int(mult));
         }
         let spine = self.spine.as_ref().map_err(FdbError::clone)?;
         let j = self.provider.expect("a resolved spine has a provider");
@@ -1818,7 +2098,12 @@ impl CompiledAgg {
         // tuples, never change which values occur.
         match &mut self.distinct {
             Some(DistinctRead::Walk(ids)) => {
-                return Ok(Value::Int(count_distinct(unions[j], spine, ids)))
+                ids.clear();
+                match mask {
+                    None => intern_distinct(unions[j], spine, ids),
+                    Some(mask) => intern_distinct_in(ftree, unions[j], spine, ids, mask),
+                }
+                Ok(Value::Int(ids.len() as i64))
             }
             Some(DistinctRead::Final(c)) => {
                 let u = unions[j];
@@ -1830,14 +2115,16 @@ impl CompiledAgg {
                     )));
                 }
                 let v = u.entry(0).value();
-                return Ok(match *c {
+                Ok(match *c {
                     None => v.clone(),
                     Some(i) => v.as_tup().expect("composite aggregate holds a Tup")[i].clone(),
-                });
+                })
             }
-            None => {}
+            None => {
+                let src = Source::Factor(j, spine, mask);
+                with_fold(self.op, FoldEval(ftree, unions, &self.op, src))
+            }
         }
-        self.fold(ftree, unions, Source::Factor(j, spine))
     }
 
     /// The non-recursive path; `None` hands over to the walk.
@@ -1907,6 +2194,28 @@ pub(crate) fn eval_compiled(
         vals.push(a.eval(ftree, unions)?);
     }
     Ok(Value::tup(vals))
+}
+
+/// [`eval_compiled`] with the unions read through `mask`: `None` when
+/// some factor keeps no tuple under it, so the product is empty and its
+/// entry goes.
+pub(crate) fn eval_compiled_masked(
+    aggs: &mut [CompiledAgg],
+    ftree: &FTree,
+    unions: &[UnionRef<'_>],
+    mask: &mut Mask,
+) -> Result<Option<Value>> {
+    if !unions.iter().all(|&u| alive_in(ftree, u, mask)) {
+        return Ok(None);
+    }
+    if let [a] = aggs {
+        return a.eval_masked(ftree, unions, mask).map(Some);
+    }
+    let mut vals = Vec::with_capacity(aggs.len());
+    for a in aggs {
+        vals.push(a.eval_masked(ftree, unions, mask)?);
+    }
+    Ok(Some(Value::tup(vals)))
 }
 
 /// Evaluates a composite function `(F1,…,Fk)` over a product of unions,

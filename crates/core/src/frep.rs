@@ -1097,6 +1097,27 @@ impl<'a> UnionRef<'a> {
             .map(move |&rec| EntryRef { arena, col, rec })
     }
 
+    /// Iterates the entries at positions `[from, to)` in order.
+    #[inline]
+    pub(crate) fn entries_in(
+        &self,
+        from: u32,
+        to: u32,
+    ) -> impl ExactSizeIterator<Item = EntryRef<'a>> + 'a {
+        let (recs, col) = self.records();
+        let arena = self.arena;
+        recs[from as usize..to as usize]
+            .iter()
+            .map(move |&rec| EntryRef { arena, col, rec })
+    }
+
+    /// The entry records, in order, and the value column they index.
+    #[inline]
+    pub(crate) fn records(&self) -> (&'a [EntryRec], Col<'a>) {
+        let rec = self.rec();
+        (self.arena.entries_of(rec), self.arena.col(rec.node))
+    }
+
     /// The entries' values as one contiguous slice of the node's value
     /// column, when the entries reference back-to-back column positions
     /// — true for freshly built unions, whose values are pushed in

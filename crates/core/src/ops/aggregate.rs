@@ -13,11 +13,12 @@
 //! siblings shared by id plus the new aggregate leaf — are appended to
 //! the same arena. The consumed target subtrees are never copied.
 
-use crate::agg::{eval_compiled, CompiledAgg};
+use crate::agg::{eval_compiled, eval_compiled_masked, CompiledAgg};
 use crate::error::{FdbError, Result};
 use crate::frep::{Arena, FRep, UnionId, UnionRef};
 use crate::ftree::{AggOp, NodeId};
 use crate::ops::rewrite_spine;
+use crate::ops::select::Mask;
 use fdb_relational::{AttrId, Value};
 
 /// Where the operator applies: sibling subtrees under `parent`, or root
@@ -53,6 +54,31 @@ pub fn aggregate(
     funcs: Vec<AggOp>,
     outputs: Vec<AttrId>,
 ) -> Result<FRep> {
+    aggregate_in(rep, target, funcs, outputs, None)
+}
+
+/// The selections of `mask` followed by [`aggregate`], in one pass: the
+/// walk reads the target unions through the mask, and a parent entry
+/// none of whose tuples passes is dropped (pruning up the spine), so
+/// nothing is rewritten but the parent unions. A root-level `γ` whose
+/// mask leaves nothing gives the empty relation.
+pub(crate) fn aggregate_masked(
+    rep: FRep,
+    target: &AggTarget,
+    funcs: Vec<AggOp>,
+    outputs: Vec<AttrId>,
+    mut mask: Mask,
+) -> Result<FRep> {
+    aggregate_in(rep, target, funcs, outputs, Some(&mut mask))
+}
+
+fn aggregate_in(
+    rep: FRep,
+    target: &AggTarget,
+    funcs: Vec<AggOp>,
+    outputs: Vec<AttrId>,
+    mut mask: Option<&mut Mask>,
+) -> Result<FRep> {
     if funcs.is_empty() || funcs.len() != outputs.len() {
         return Err(FdbError::InvalidOperator(
             "aggregate needs parallel funcs/outputs".into(),
@@ -73,6 +99,11 @@ pub fn aggregate(
         .iter()
         .map(|&f| CompiledAgg::new(&tree, &target.nodes, f))
         .collect();
+    // One product's value; `None` when the mask leaves it no tuple.
+    let mut eval = |unions: &[UnionRef<'_>]| match mask.as_deref_mut() {
+        None => eval_compiled(&mut aggs, &tree, unions).map(Some),
+        Some(mask) => eval_compiled_masked(&mut aggs, &tree, unions, mask),
+    };
 
     let new_roots = match target.parent {
         Some(p) => rewrite_spine(&tree, &mut arena, &roots, p, &mut |arena, uid| {
@@ -83,7 +114,7 @@ pub fn aggregate(
                 let groups = a.union(uid).entries().map(|e| {
                     unions.clear();
                     unions.extend(positions.iter().map(|&pos| e.child(pos)));
-                    eval_compiled(&mut aggs, &tree, &unions)
+                    eval(&unions)
                 });
                 groups.collect::<Result<Vec<_>>>()?
             };
@@ -91,6 +122,9 @@ pub fn aggregate(
             let mut specs = Vec::with_capacity(rec.len as usize);
             let mut kids: Vec<UnionId> = Vec::new();
             for (i, value) in (rec.start..rec.start + rec.len).zip(values) {
+                let Some(value) = value else {
+                    continue;
+                };
                 let e = arena.erec(i);
                 kids.clear();
                 kids.extend_from_slice(arena.kids_of(e));
@@ -110,7 +144,9 @@ pub fn aggregate(
                 .iter()
                 .map(|&pos| arena.union(roots[pos]))
                 .collect();
-            let value = eval_compiled(&mut aggs, &tree, &unions)?;
+            let Some(value) = eval(&unions)? else {
+                return Ok(FRep::empty(new_tree));
+            };
             let leaf = leaf_union(&mut arena, new_node, value);
             let mut out = roots;
             splice_leaf(&mut arena, &mut out, &positions, leaf);

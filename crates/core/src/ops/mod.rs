@@ -6,10 +6,10 @@
 //! | operator | implements | module |
 //! |---|---|---|
 //! | `product` | cross product (cheapest op: forest union) | [`mod@product`] |
-//! | `select_const` | `A θ c` selections, by binary search on atomic unions | [`select`] |
+//! | `select_const` | `A θ c` selections, by binary search on atomic unions; a run right before a `γ` over its nodes is that `γ`'s mask instead | [`select`] |
 //! | `merge` / `absorb` | `A = B` selections (siblings / path) | [`restructure`] |
 //! | `swap` | restructuring `χ_{A,B}` | [`restructure`] |
-//! | `aggregate` | the new aggregation operator `γ_F(U)` | [`mod@aggregate`] |
+//! | `aggregate` | the new aggregation operator `γ_F(U)`, optionally reading a selection run as a 0/1 mask (entries it empties skipped, never scaled by zero) | [`mod@aggregate`] |
 //! | `group_fold` | `γ_F` grouped by nodes on one root path, every function in one pass | [`mod@aggregate`] |
 //! | `project_away` | projection (leaf removal, with push-down) | [`project`] |
 //! | `rename` | constant-time attribute renaming | [`project`] |

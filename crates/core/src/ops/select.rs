@@ -5,16 +5,20 @@
 //! root paths of the filtered nodes — and prunes, on the way back up,
 //! entries whose subtrees became empty. It rewrites only what it
 //! changes. A filtered union of an atomic node answers each filter on
-//! its sorted values: one or two binary searches give the runs of
-//! entries that pass, for every `θ`, so a union all of whose entries
-//! pass costs `O(log n)` and is shared as it is, with no append. An
-//! aggregate node's union, sorted by its whole value rather than by the
-//! selected output, is scanned. A rewritten union carries each kept
-//! entry whose subtree did not change over as it is — its value and its
-//! kids by id — so nothing below it is copied.
+//! its sorted values: one binary search gives the runs of entries that
+//! pass, for every `θ`, so a union all of whose entries pass costs
+//! `O(log n)` and is shared as it is, with no append. An aggregate
+//! node's union, sorted by its whole value rather than by the selected
+//! output, is scanned. A rewritten union carries each kept entry whose
+//! subtree did not change over as it is — its value and its kids by id
+//! — so nothing below it is copied.
+//!
+//! A run of selections right before a `γ` over their (atomic) nodes is
+//! not applied at all: `Mask` hands the same passing runs to the
+//! `γ`'s walk, which reads them as a 0/1 factor of its product.
 
 use crate::error::{FdbError, Result};
-use crate::frep::{Arena, EntrySpec, FRep, UnionId};
+use crate::frep::{Arena, Col, EntryRec, EntrySpec, FRep, UnionId, UnionRef};
 use crate::ftree::{FTree, NodeId, NodeLabel};
 use fdb_relational::{AttrId, CmpOp, Value};
 use std::collections::HashMap;
@@ -28,6 +32,28 @@ struct NodeFilter {
 }
 
 impl NodeFilter {
+    /// The (at most two, possibly empty) runs `[from, to)` of positions of
+    /// the sorted atomic `entries` whose values in `col` pass, around the
+    /// entry equal to the constant, found by binary search.
+    fn kept(&self, entries: &[EntryRec], col: Col<'_>) -> [(u32, u32); 2] {
+        let len = entries.len() as u32;
+        // Values are strictly ascending: at most one entry equals `c`.
+        let c = &self.value;
+        let lo = entries.partition_point(|e| cmp(col.get(e.val), c).is_lt()) as u32;
+        let hit = entries
+            .get(lo as usize)
+            .is_some_and(|e| cmp(col.get(e.val), c).is_eq());
+        let hi = lo + u32::from(hit);
+        match self.op {
+            CmpOp::Eq => [(lo, hi), (len, len)],
+            CmpOp::Ne => [(0, lo), (hi, len)],
+            CmpOp::Lt => [(0, lo), (len, len)],
+            CmpOp::Le => [(0, hi), (len, len)],
+            CmpOp::Gt => [(hi, len), (len, len)],
+            CmpOp::Ge => [(lo, len), (len, len)],
+        }
+    }
+
     /// Whether a value of a node labelled `label` passes.
     fn passes(&self, label: &NodeLabel, v: &Value) -> bool {
         let v = match label {
@@ -256,55 +282,170 @@ impl FilterWalk<'_> {
         Ok(out)
     }
 
-    /// Pushes onto `runs` the runs `[from, to)` of positions of union
-    /// `uid`'s entries that pass every filter of `node`, ascending. Each
-    /// filter of an atomic node keeps at most two runs around the equal
-    /// range of its constant, found by binary search.
+    /// Pushes onto `runs` the runs of positions of union `uid`'s entries
+    /// that pass every filter of `node`, ascending. An aggregate node's
+    /// union is scanned; an atomic node's answers by binary search
+    /// ([`push_passing_runs`]).
     fn passing(&mut self, arena: &Arena, uid: UnionId, node: NodeId) {
         let rec = arena.urec(uid);
         let entries = arena.entries_of(rec);
         let col = arena.col(node);
         let label = &self.tree.node(node).label;
         let filters = &self.per_node[node.idx()];
-        let base = self.runs.len();
-        if matches!(label, NodeLabel::Agg(_)) {
-            for (i, e) in (0..).zip(entries) {
-                let v = col.get(e.val);
-                if filters.iter().all(|f| f.passes(label, v)) {
-                    match self.runs[base..].last_mut() {
-                        Some(r) if r.1 == i => r.1 += 1,
-                        _ => self.runs.push((i, i + 1)),
-                    }
-                }
-            }
+        if !matches!(label, NodeLabel::Agg(_)) {
+            push_passing_runs(entries, col, filters, &mut self.runs, &mut self.scratch);
             return;
         }
-        let len = rec.len;
-        self.runs.push((0, len));
-        for f in filters {
-            let c = &f.value;
-            let lo = entries.partition_point(|e| col.get(e.val) < c) as u32;
-            let hi = lo + entries[lo as usize..].partition_point(|e| col.get(e.val) <= c) as u32;
-            let keep = match f.op {
-                CmpOp::Eq => [(lo, hi), (len, len)],
-                CmpOp::Ne => [(0, lo), (hi, len)],
-                CmpOp::Lt => [(0, lo), (len, len)],
-                CmpOp::Le => [(0, hi), (len, len)],
-                CmpOp::Gt => [(hi, len), (len, len)],
-                CmpOp::Ge => [(lo, len), (len, len)],
-            };
-            self.scratch.clear();
-            for &(a, b) in &self.runs[base..] {
-                for &(c, d) in &keep {
-                    let (from, to) = (a.max(c), b.min(d));
-                    if from < to {
-                        self.scratch.push((from, to));
-                    }
+        let base = self.runs.len();
+        for (i, e) in (0..).zip(entries) {
+            let v = col.get(e.val);
+            if filters.iter().all(|f| f.passes(label, v)) {
+                match self.runs[base..].last_mut() {
+                    Some(r) if r.1 == i => r.1 += 1,
+                    _ => self.runs.push((i, i + 1)),
                 }
             }
-            self.runs.truncate(base);
-            self.runs.extend_from_slice(&self.scratch);
         }
+    }
+}
+
+/// Pushes onto `runs`, above what it holds, the non-empty runs `[from,
+/// to)` of positions of the sorted atomic `entries` whose values in `col`
+/// pass every filter, ascending — the whole union when there is none.
+/// Each filter keeps at most two runs around the entry equal to its
+/// constant ([`NodeFilter::kept`]); `scratch` intersects them.
+fn push_passing_runs(
+    entries: &[EntryRec],
+    col: Col<'_>,
+    filters: &[NodeFilter],
+    runs: &mut Vec<(u32, u32)>,
+    scratch: &mut Vec<(u32, u32)>,
+) {
+    let len = entries.len() as u32;
+    if len == 0 {
+        return;
+    }
+    let base = runs.len();
+    runs.push((0, len));
+    for f in filters {
+        let keep = f.kept(entries, col);
+        scratch.clear();
+        for &(a, b) in &runs[base..] {
+            for &(c, d) in &keep {
+                let (from, to) = (a.max(c), b.min(d));
+                if from < to {
+                    scratch.push((from, to));
+                }
+            }
+        }
+        runs.truncate(base);
+        runs.extend_from_slice(scratch);
+    }
+}
+
+/// `v.cmp(c)`, with the common `Int` against `Int` inline: `Value`'s
+/// `Ord` lives in another crate and is not inlined into the searches.
+#[inline]
+fn cmp(v: &Value, c: &Value) -> std::cmp::Ordering {
+    match (v, c) {
+        (Value::Int(a), Value::Int(b)) => a.cmp(b),
+        _ => v.cmp(c),
+    }
+}
+
+/// A run of constant selections read as a 0/1 factor by the `γ` that
+/// follows it (`agg`'s masked walks): every filter is on an atomic node
+/// inside the `γ`'s target subtrees, and a union of a filtered node is
+/// read through its passing runs, found by the binary search the filter
+/// walk uses. Nothing is rewritten.
+pub(crate) struct Mask {
+    /// Per node id, its filters.
+    per_node: Vec<Vec<NodeFilter>>,
+    /// Per node id, whether its subtree holds a filtered node.
+    touched: Vec<bool>,
+    /// The passing runs of the unions being read, one stack of them per
+    /// walk, as in the filter walk.
+    runs: Vec<(u32, u32)>,
+    scratch: Vec<(u32, u32)>,
+}
+
+impl Mask {
+    /// The mask of `filters` for a `γ` over `targets`; `None` when some
+    /// filter's attribute is not exposed by an atomic node inside the
+    /// targets' subtrees (that run is applied as a filter walk instead).
+    pub(crate) fn new(
+        tree: &FTree,
+        filters: &[(AttrId, CmpOp, Value)],
+        targets: &[NodeId],
+    ) -> Option<Mask> {
+        let slots = tree.live_nodes().iter().map(|n| n.idx() + 1).max()?;
+        let mut mask = Mask {
+            per_node: (0..slots).map(|_| Vec::new()).collect(),
+            touched: vec![false; slots],
+            runs: Vec::new(),
+            scratch: Vec::new(),
+        };
+        for (attr, op, value) in filters {
+            let node = tree.node_of_attr(*attr)?;
+            if !matches!(tree.node(node).label, NodeLabel::Atomic(_)) {
+                return None;
+            }
+            let path = tree.root_path(node);
+            let from = path.iter().position(|n| targets.contains(n))?;
+            for n in &path[from..] {
+                mask.touched[n.idx()] = true;
+            }
+            mask.per_node[node.idx()].push(NodeFilter {
+                attr: *attr,
+                op: *op,
+                value: value.clone(),
+            });
+        }
+        Some(mask)
+    }
+
+    /// Whether the subtree of `node` holds a filtered node: only then do
+    /// its unions need reading through the mask.
+    #[inline]
+    pub(crate) fn touches(&self, node: NodeId) -> bool {
+        self.touched.get(node.idx()).copied().unwrap_or(false)
+    }
+
+    /// Runs `f` over the passing runs of `u` (every entry when its node
+    /// has no filter of its own), given as indices for [`Mask::run`].
+    pub(crate) fn with_runs<T>(
+        &mut self,
+        u: UnionRef<'_>,
+        f: impl FnOnce(&mut Mask, std::ops::Range<usize>) -> T,
+    ) -> T {
+        let base = self.runs.len();
+        let (entries, col) = u.records();
+        let filters = &self.per_node[u.node().idx()];
+        push_passing_runs(entries, col, filters, &mut self.runs, &mut self.scratch);
+        let out = f(self, base..self.runs.len());
+        self.runs.truncate(base);
+        out
+    }
+
+    /// The number of passing entries of `u`, a union of `node`.
+    #[inline]
+    pub(crate) fn passing_count(&mut self, u: UnionRef<'_>, node: NodeId) -> u32 {
+        let (entries, col) = u.records();
+        match (&self.per_node[node.idx()][..], entries) {
+            // Most unions of a low leaf hold one entry.
+            ([f], [e]) => u32::from(f.op.eval(cmp(col.get(e.val), &f.value))),
+            ([f], _) => f.kept(entries, col).iter().map(|(a, b)| b - a).sum(),
+            _ => self.with_runs(u, |mask, runs| {
+                runs.map(|r| mask.run(r)).map(|(from, to)| to - from).sum()
+            }),
+        }
+    }
+
+    /// The passing run at index `r` of [`Mask::with_runs`]: positions
+    /// `[from, to)`.
+    #[inline]
+    pub(crate) fn run(&self, r: usize) -> (u32, u32) {
+        self.runs[r]
     }
 }
 

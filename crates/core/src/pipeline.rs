@@ -9,10 +9,13 @@
 //!
 //! [`execute`] walks the plan's operators in order and runs each
 //! through [`crate::plan::apply`], so no operator materialises the
-//! representation. The one fusion is a run of consecutive constant
-//! selections, which compiles into a single composed filter walk
-//! (`select::apply_filters`): one arena pass however many predicates
-//! the run carries. A `GroupFold` builds its (small) result in a fresh
+//! representation. Two fusions: a run of consecutive constant
+//! selections compiles into a single composed filter walk
+//! (`select::apply_filters`), one arena pass however many predicates
+//! the run carries; and when such a run comes right before a `γ` whose
+//! target subtrees hold every filtered node (all atomic), the `γ`'s walk
+//! reads the run as a mask (`select::Mask`) and nothing is rewritten —
+//! one pass for both. A `GroupFold` builds its (small) result in a fresh
 //! arena, so the byte and share counts restart there. Superseded
 //! records accumulate as unreachable garbage; at most one
 //! sharing-preserving compaction pass per plan
@@ -29,7 +32,7 @@
 
 use crate::error::Result;
 use crate::frep::FRep;
-use crate::ops;
+use crate::ops::{self, select::Mask, AggTarget};
 use crate::plan::{apply, FOp, FPlan};
 
 /// Execution report of one plan run (see [`execute`]).
@@ -38,7 +41,8 @@ pub struct ExecStats {
     /// Operators executed.
     pub operators: usize,
     /// Arena passes: a run of consecutive constant selections is one
-    /// pass, every other operator one.
+    /// pass, every other operator one — except that a selection run
+    /// read as the mask of the `γ` right after it is no pass of its own.
     pub stages: usize,
     /// Bytes of intermediate representation data allocated over the
     /// plan run (size-based, no allocator slack — [`FRep::data_bytes`]):
@@ -64,9 +68,9 @@ impl ExecStats {
 }
 
 /// Executes a plan in one loop over its operators: one shared arena,
-/// every operator in place, consecutive selections fused into one walk,
-/// and one compaction pass at the end when dead records outnumber live
-/// ones.
+/// every operator in place, consecutive selections fused into one walk
+/// or read as the mask of the `γ` right after them, and one compaction
+/// pass at the end when dead records outnumber live ones.
 pub fn execute(plan: &FPlan, rep: FRep) -> Result<(FRep, ExecStats)> {
     let mut stats = ExecStats {
         operators: plan.len(),
@@ -92,7 +96,30 @@ pub fn execute(plan: &FPlan, rep: FRep) -> Result<(FRep, ExecStats)> {
                 {
                     filters.push((*attr, *op, value.clone()));
                 }
-                ops::select::apply_filters(rep, &filters)?
+                // A run that feeds a `γ` over the filtered nodes is read
+                // by its walk as a mask: one pass, nothing rewritten.
+                let fused = match ops.peek() {
+                    Some(FOp::Aggregate {
+                        parent,
+                        targets,
+                        funcs,
+                        outputs,
+                    }) => Mask::new(rep.ftree(), &filters, targets).map(|mask| {
+                        let target = AggTarget {
+                            parent: *parent,
+                            nodes: targets.clone(),
+                        };
+                        (target, funcs.clone(), outputs.clone(), mask)
+                    }),
+                    _ => None,
+                };
+                match fused {
+                    Some((target, funcs, outputs, mask)) => {
+                        ops.next();
+                        ops::aggregate::aggregate_masked(rep, &target, funcs, outputs, mask)?
+                    }
+                    None => ops::select::apply_filters(rep, &filters)?,
+                }
             }
             FOp::GroupFold { .. } => {
                 // A fresh arena: all of it is the fold's allocation, and
@@ -230,11 +257,38 @@ mod tests {
         // Two selections, a swap, an aggregate: three passes.
         let (_, stats) = execute(&plan, rep.clone()).unwrap();
         assert_eq!((stats.operators, stats.stages), (4, 3));
-        // A selection after the swap starts a run of its own.
-        let sel = plan.ops[0].clone();
+        // A selection after the swap starts a run of its own; on `b`,
+        // the aggregate's parent, it stays a pass of its own too.
+        let sel = plan.ops[1].clone();
         plan.ops.insert(3, sel);
         let (_, stats) = execute(&plan, rep).unwrap();
         assert_eq!((stats.operators, stats.stages), (5, 4));
+    }
+
+    #[test]
+    fn a_selection_run_inside_the_next_aggregate_is_read_as_its_mask() {
+        let (mut c, rep) = rep_abc();
+        let mut plan = sample_plan(&mut c, &rep);
+        // `a` lies inside the aggregate's target: the selection after the
+        // swap runs in the aggregate's walk, with nothing rewritten.
+        let sel = plan.ops[0].clone();
+        plan.ops.insert(3, sel);
+        let (fused, stats) = execute(&plan, rep.clone()).unwrap();
+        assert_eq!((stats.operators, stats.stages), (5, 3));
+        assert!(fused.same_data(&per_op(&plan, rep.clone()).0));
+        // A constant no value passes drops every group.
+        let FOp::SelectConst { attr, .. } = plan.ops[3] else {
+            unreachable!()
+        };
+        plan.ops[3] = FOp::SelectConst {
+            attr,
+            op: CmpOp::Gt,
+            value: Value::Int(9),
+        };
+        let (fused, stats) = execute(&plan, rep.clone()).unwrap();
+        assert_eq!(stats.stages, 3);
+        assert!(fused.is_empty());
+        assert!(fused.same_data(&per_op(&plan, rep).0));
     }
 
     #[test]

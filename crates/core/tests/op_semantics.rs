@@ -2,8 +2,10 @@
 //! each f-plan operator must transform the *represented relation* exactly
 //! as its relational counterpart transforms the flat relation.
 //!
-//! `γ` against the relational group aggregate and the constant selection
-//! against the relational one have two budgets each: tier-1 runs a
+//! `γ` against the relational group aggregate, the constant selection
+//! against the relational one, and a run of selections followed by `γ`
+//! against the relational selection and group aggregate have two budgets
+//! each: tier-1 runs a
 //! fixed-seed few dozen (or hundred) relations; the `#[ignore]`d
 //! variants run many more
 //! (`cargo test --release -p fdb-core --test op_semantics -- --ignored`).
@@ -12,6 +14,8 @@ use fdb_core::agg::partial_funcs;
 use fdb_core::frep::{value_for_attr, FRep, UnionRef};
 use fdb_core::ftree::{AggOp, FTree, NodeId, NodeLabel};
 use fdb_core::ops;
+use fdb_core::pipeline;
+use fdb_core::plan::{FOp, FPlan};
 use fdb_relational::ops as rel_ops;
 use fdb_relational::{
     AggFunc, AggSpec, AttrId, Catalog, CmpOp, GroupStrategy, Predicate, Relation, Schema, Value,
@@ -187,6 +191,158 @@ fn aggregate_matches_relational_group_aggregate() {
 #[ignore = "long budget; CI runs it in release with --ignored"]
 fn aggregate_matches_relational_group_aggregate_long() {
     aggregate_matches(60_000, 0x5EED);
+}
+
+/// The relation `R(x, y, z) ⋈ S(x, w)` factorised over the branching
+/// f-tree `x → {y → z, w}`, which the join satisfies by construction.
+fn branching(
+    catalog: &mut Catalog,
+    attrs: &[AttrId; 3],
+    rows: &[(i64, i64, i64)],
+    ws: &[(i64, i64)],
+) -> (Relation, FRep, AttrId) {
+    let [x, y, z] = *attrs;
+    let w = catalog.intern("w");
+    let mut joined = Vec::new();
+    for &(a, b, c) in rows {
+        for &(_, d) in ws.iter().filter(|&&(wx, _)| wx == a) {
+            joined.push([a, b, c, d].map(Value::Int).to_vec());
+        }
+    }
+    let rel = Relation::from_rows(Schema::new(vec![x, y, z, w]), joined).canonical();
+    let mut t = FTree::new();
+    let nx = t.add_node(NodeLabel::Atomic(vec![x]), None);
+    let ny = t.add_node(NodeLabel::Atomic(vec![y]), Some(nx));
+    t.add_node(NodeLabel::Atomic(vec![z]), Some(ny));
+    t.add_node(NodeLabel::Atomic(vec![w]), Some(nx));
+    t.add_dep([x, y, z]);
+    t.add_dep([x, w]);
+    let rep = FRep::from_relation(&rel, t).unwrap();
+    (rel, rep, w)
+}
+
+/// The plan `[σ, (σ,) γ]` through the plan executor against the
+/// relational selection and group aggregate, on `cases` random relations
+/// from `seed`. One or two selections, each with any `θ` and a constant
+/// below, inside or above its column (so a group, or the whole relation,
+/// may lose every tuple) on any attribute; then `γ` of every function over
+/// z — over y's subtree grouping by x on the path `x → y → z`, over `y`
+/// and `w` grouping by x on the branching `x → {y → z, w}`, and over the
+/// root on both. A selection run whose nodes all lie inside the targets
+/// is read by the `γ` as a mask, in one pass; any other stays a pass of
+/// its own.
+fn aggregate_after_selection(cases: usize, seed: u64) {
+    let mut rng = Lcg(seed);
+    for case in 0..cases {
+        let n = rng.below(30);
+        let rows: Vec<(i64, i64, i64)> = (0..n)
+            .map(|_| (rng.range(0, 5), rng.range(0, 5), rng.range(-5, 5)))
+            .collect();
+        let ws: Vec<(i64, i64)> = (0..1 + rng.below(12))
+            .map(|_| (rng.range(0, 5), rng.range(0, 5)))
+            .collect();
+        let (cmp, c, k) = (
+            CMP[rng.below(6) as usize],
+            rng.range(-5, 5),
+            rng.range(1, 5) as usize,
+        );
+        let (mut catalog, attrs) = catalog3();
+        let [x, y, z] = attrs;
+        let out = catalog.intern("out");
+        let path_rel = rel3(&attrs, &rows);
+        let path = FRep::from_relation(&path_rel, FTree::path(&attrs)).unwrap();
+        let (branch_rel, branch, w) = branching(&mut catalog, &attrs, &rows, &ws);
+        let filters: Vec<(AttrId, CmpOp, Value)> = (0..1 + rng.below(2))
+            .map(|_| {
+                let attr = [x, y, z, w][rng.below(4) as usize];
+                (
+                    attr,
+                    CMP[rng.below(6) as usize],
+                    Value::Int(rng.range(-7, 7)),
+                )
+            })
+            .collect();
+        for (shape, rel, rep) in [
+            ("path", &path_rel, &path),
+            ("branching", &branch_rel, &branch),
+        ] {
+            if rel.is_empty() {
+                continue;
+            }
+            // On the path, w is absent: select on x instead.
+            let filters: Vec<(AttrId, CmpOp, Value)> = filters
+                .iter()
+                .map(|(a, o, v)| {
+                    let a = if rep.ftree().node_of_attr(*a).is_some() {
+                        *a
+                    } else {
+                        x
+                    };
+                    (a, *o, v.clone())
+                })
+                .collect();
+            let preds: Vec<Predicate> = filters
+                .iter()
+                .map(|(a, o, v)| Predicate::AttrCmp(*a, *o, v.clone()))
+                .collect();
+            let selected = rel_ops::select(rel, &preds);
+            let tree = rep.ftree();
+            let node = |a| tree.node_of_attr(a).unwrap();
+            let below_x: Vec<NodeId> = tree.node(node(x)).children.clone();
+            for (parent, targets, group) in [
+                (Some(node(x)), below_x, vec![x]),
+                (None, vec![node(x)], vec![]),
+            ] {
+                let inside = parent.is_none() || filters.iter().all(|f| f.0 != x);
+                for ffunc in nine_funcs(z, cmp, c, k) {
+                    let what = format!(
+                        "case {case}, {shape}, {filters:?}, {ffunc:?} by {group:?} on {rel:?}"
+                    );
+                    let fop = AggOp::from_func(ffunc).unwrap();
+                    let mut plan = FPlan::new();
+                    for (attr, op, value) in &filters {
+                        plan.push(FOp::SelectConst {
+                            attr: *attr,
+                            op: *op,
+                            value: value.clone(),
+                        });
+                    }
+                    plan.push(FOp::Aggregate {
+                        parent,
+                        targets: targets.clone(),
+                        funcs: vec![fop],
+                        outputs: vec![out],
+                    });
+                    let (got, stats) = pipeline::execute(&plan, rep.clone()).unwrap();
+                    assert!(got.check_invariants().is_ok(), "{what}");
+                    assert_eq!(stats.stages, if inside { 1 } else { 2 }, "{what}");
+                    let mut cols = group.clone();
+                    cols.push(out);
+                    let got = got.flatten().project_cols(&cols).canonical();
+                    if selected.is_empty() {
+                        // No tuple, no group: the empty relation.
+                        assert!(got.is_empty(), "{what}");
+                        continue;
+                    }
+                    let spec = AggSpec::new(ffunc, out).into();
+                    let want =
+                        rel_ops::group_aggregate(&selected, &group, &[spec], GroupStrategy::Sort);
+                    assert_eq!(got, want.canonical(), "{what}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn aggregate_matches_after_selection() {
+    aggregate_after_selection(48, 0x5E1A);
+}
+
+#[test]
+#[ignore = "long budget; CI runs it in release with --ignored"]
+fn aggregate_matches_after_selection_long() {
+    aggregate_after_selection(20_000, 0x5EED);
 }
 
 /// The number of unions of `rep` (shared ones once) that a selection

@@ -1,12 +1,14 @@
 //! Differential suite for the plan executor: on randomly generated
 //! databases and randomly generated *valid* f-plans, `pipeline::execute`
-//! (fused selection runs, shared fragments, one compaction at the end)
-//! must be bit-identical to the same plan applied one operator
-//! at a time through `plan::apply` with a compaction after each step,
-//! for worker-thread counts {1, 2, 4}; aggregate-free plans must also
-//! produce exactly the tuples of a naive relational evaluation of the
-//! plan over the input's flattening. Complements the SQL-level oracle
-//! in `tests/oracle.rs`, which checks the whole engine against the
+//! (fused selection runs, selection runs read by the `γ` after them as a
+//! mask, shared fragments, one compaction at the end) must be
+//! bit-identical to the same plan applied one operator at a time through
+//! `plan::apply` with a compaction after each step; aggregate-free plans
+//! must also produce exactly the tuples of a naive relational evaluation
+//! of the plan over the input's flattening. One database holds floats
+//! with `±inf` and `-0.0`, so an entry a mask empties must be skipped,
+//! never scaled by zero (`inf × 0` is NaN). Complements the SQL-level
+//! oracle in `tests/oracle.rs`, which checks the whole engine against the
 //! relational engines.
 
 use fdb_core::frep::FRep;
@@ -17,10 +19,35 @@ use fdb_relational::ops as rel_ops;
 use fdb_relational::{AttrId, Catalog, CmpOp, Predicate, Relation, Schema, Value};
 use proptest::prelude::*;
 
+/// The constants selections draw from on the integer database.
+const INTS: [Value; 5] = [
+    Value::Int(0),
+    Value::Int(1),
+    Value::Int(2),
+    Value::Int(3),
+    Value::Int(4),
+];
+
+/// The z values of the float database, and the constants selections draw
+/// from on it (beside the integers of x, y and w).
+const FLOATS: [Value; 6] = [
+    Value::Float(f64::NEG_INFINITY),
+    Value::Float(-0.0),
+    Value::Float(0.0),
+    Value::Float(1.5),
+    Value::Float(f64::INFINITY),
+    Value::Int(2),
+];
+
 /// A three-attribute path factorisation times a one-attribute root —
 /// the product gives the plan generator sibling roots to merge and a
-/// forest to restructure.
-fn build_rep(catalog: &mut Catalog, rows: &[(i64, i64, i64)], extra: &[i64]) -> FRep {
+/// forest to restructure. `z_of` maps a drawn z to its value.
+fn build_rep(
+    catalog: &mut Catalog,
+    rows: &[(i64, i64, i64)],
+    extra: &[i64],
+    z_of: impl Fn(i64) -> Value,
+) -> FRep {
     let x = catalog.intern("x");
     let y = catalog.intern("y");
     let z = catalog.intern("z");
@@ -28,7 +55,7 @@ fn build_rep(catalog: &mut Catalog, rows: &[(i64, i64, i64)], extra: &[i64]) -> 
     let rel = Relation::from_rows(
         Schema::new(vec![x, y, z]),
         rows.iter()
-            .map(|&(a, b, c)| vec![Value::Int(a), Value::Int(b), Value::Int(c)]),
+            .map(|&(a, b, c)| vec![Value::Int(a), Value::Int(b), z_of(c)]),
     )
     .canonical();
     let left = FRep::from_relation(&rel, FTree::path(&[x, y, z])).unwrap();
@@ -54,8 +81,14 @@ fn atomic_attrs(tree: &FTree) -> Vec<(NodeId, AttrId)> {
 
 /// Builds a random valid plan from a pick stream, simulating each
 /// candidate on a scratch tree so every emitted operator is legal for
-/// the tree state it will meet at execution time.
-fn random_plan(tree0: &FTree, catalog: &mut Catalog, picks: &[(u8, u8, u8)]) -> FPlan {
+/// the tree state it will meet at execution time. Selections compare
+/// with one of `consts`.
+fn random_plan(
+    tree0: &FTree,
+    catalog: &mut Catalog,
+    picks: &[(u8, u8, u8)],
+    consts: &[Value],
+) -> FPlan {
     let mut tree = tree0.clone();
     let mut plan = FPlan::new();
     let mut fresh = 0usize;
@@ -66,11 +99,12 @@ fn random_plan(tree0: &FTree, catalog: &mut Catalog, picks: &[(u8, u8, u8)]) -> 
             break;
         }
         let pick_attr = attrs[p1 as usize % attrs.len()];
-        let select_op = FOp::SelectConst {
-            attr: pick_attr,
+        let select_on = |attr| FOp::SelectConst {
+            attr,
             op: [CmpOp::Le, CmpOp::Ge, CmpOp::Ne, CmpOp::Eq][p2 as usize % 4],
-            value: Value::Int((p2 % 5) as i64),
+            value: consts[p2 as usize % consts.len()].clone(),
         };
+        let select_op = select_on(pick_attr);
         let op = match sel % 6 {
             1 => {
                 // Swap a child above its parent.
@@ -105,23 +139,38 @@ fn random_plan(tree0: &FTree, catalog: &mut Catalog, picks: &[(u8, u8, u8)]) -> 
                     }
                 };
                 // Always include Count so later aggregations stay
-                // composable (Prop. 2); add a Sum when a target subtree
-                // provides the attribute.
+                // composable (Prop. 2); add another function when a
+                // target subtree provides the attribute.
                 let mut funcs = vec![AggOp::Count];
                 let mut outputs = vec![out];
-                if p2 % 2 == 0 {
-                    let mut provided: Vec<AttrId> = Vec::new();
-                    for &t in &targets {
-                        for (n, a) in atomic_attrs(&tree) {
-                            if n == t || tree.is_ancestor(t, n) {
-                                provided.push(a);
-                            }
+                let mut provided: Vec<AttrId> = Vec::new();
+                for &t in &targets {
+                    for (n, a) in atomic_attrs(&tree) {
+                        if n == t || tree.is_ancestor(t, n) {
+                            provided.push(a);
                         }
                     }
+                }
+                if p2 % 4 != 3 {
                     if let Some(&a) = provided.get(p2 as usize % 3) {
-                        funcs.push(AggOp::Sum(a));
+                        funcs.push(match (p2 / 4) % 7 {
+                            0 => AggOp::Sum(a),
+                            1 => AggOp::Min(a),
+                            2 => AggOp::Max(a),
+                            3 => AggOp::Exists(a, CmpOp::Gt, 1),
+                            4 => AggOp::Forall(a, CmpOp::Le, 3),
+                            5 => AggOp::Product(a),
+                            _ => AggOp::TopK(a, 2),
+                        });
                         fresh += 1;
                         outputs.push(catalog.intern(&format!("agg{fresh}")));
+                    }
+                }
+                // Often a selection inside the targets comes right
+                // before: the `γ` then reads it as a mask.
+                if p1 % 3 != 2 {
+                    if let Some(&a) = provided.get(p1 as usize % provided.len().max(1)) {
+                        plan.push(select_on(a));
                     }
                 }
                 FOp::Aggregate {
@@ -290,8 +339,20 @@ proptest! {
         picks in prop::collection::vec((0u8..6, 0u8..32, 0u8..32), 1..9),
     ) {
         let mut catalog = Catalog::new();
-        let rep = build_rep(&mut catalog, &rows, &extra);
-        let plan = random_plan(rep.ftree(), &mut catalog, &picks);
+        let rep = build_rep(&mut catalog, &rows, &extra, Value::Int);
+        let plan = random_plan(rep.ftree(), &mut catalog, &picks, &INTS);
+        assert_fused_matches_legacy(&rep, &plan);
+    }
+
+    #[test]
+    fn fused_execution_matches_legacy_on_floats(
+        rows in prop::collection::vec((0i64..4, 0i64..4, 0i64..6), 0..20),
+        extra in prop::collection::vec(0i64..3, 0..4),
+        picks in prop::collection::vec((0u8..6, 0u8..32, 0u8..32), 1..9),
+    ) {
+        let mut catalog = Catalog::new();
+        let rep = build_rep(&mut catalog, &rows, &extra, |c| FLOATS[c as usize].clone());
+        let plan = random_plan(rep.ftree(), &mut catalog, &picks, &FLOATS);
         assert_fused_matches_legacy(&rep, &plan);
     }
 }
@@ -304,7 +365,7 @@ fn fused_matches_legacy_on_empty_and_singleton_databases() {
         (vec![(0, 0, 0), (0, 1, 0), (1, 0, 1)], vec![]),
     ] {
         let mut catalog = Catalog::new();
-        let rep = build_rep(&mut catalog, &rows, &extra);
+        let rep = build_rep(&mut catalog, &rows, &extra, Value::Int);
         // A fixed stress plan: filters, swap, merge, aggregate.
         let picks: Vec<(u8, u8, u8)> = vec![
             (0, 1, 3),
@@ -314,8 +375,70 @@ fn fused_matches_legacy_on_empty_and_singleton_databases() {
             (2, 3, 2),
             (3, 1, 0),
         ];
-        let plan = random_plan(rep.ftree(), &mut catalog, &picks);
+        let plan = random_plan(rep.ftree(), &mut catalog, &picks, &INTS);
         assert_fused_matches_legacy(&rep, &plan);
+    }
+}
+
+/// A selection on y read as a mask by a `γ` over z's subtree, with y
+/// below z: a z entry whose y values all fail keeps no tuple, and is
+/// skipped by every function — scaling it by zero would turn `±inf`
+/// into NaN and `-0.0` into `0.0`.
+#[test]
+fn a_mask_skips_the_entries_it_empties() {
+    let mut rows = Vec::new();
+    for x in 0..3 {
+        for z in 0..6 {
+            // Each z value under x meets a different set of y values.
+            for y in 0..4 {
+                if (x + z + y) % 3 != 0 {
+                    rows.push((x, y, z));
+                }
+            }
+        }
+    }
+    let mut catalog = Catalog::new();
+    let rep = build_rep(&mut catalog, &rows, &[1], |c| FLOATS[c as usize].clone());
+    let [x, y, z] = ["x", "y", "z"].map(|a| catalog.lookup(a).unwrap());
+    let tree = rep.ftree();
+    let [nx, ny, nz] = [x, y, z].map(|a| tree.node_of_attr(a).unwrap());
+    let out = [catalog.intern("n"), catalog.intern("v")];
+    let funcs = [
+        AggOp::Sum(z),
+        AggOp::Min(z),
+        AggOp::Max(z),
+        AggOp::Product(z),
+        AggOp::Exists(z, CmpOp::Gt, 1),
+        AggOp::Forall(z, CmpOp::Le, 3),
+        AggOp::TopK(z, 2),
+    ];
+    for f in funcs {
+        for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Ge] {
+            for c in 0..4 {
+                let plan = FPlan {
+                    ops: vec![
+                        FOp::Swap {
+                            parent: ny,
+                            child: nz,
+                        },
+                        FOp::SelectConst {
+                            attr: y,
+                            op,
+                            value: Value::Int(c),
+                        },
+                        FOp::Aggregate {
+                            parent: Some(nx),
+                            targets: vec![nz],
+                            funcs: vec![AggOp::Count, f],
+                            outputs: out.to_vec(),
+                        },
+                    ],
+                };
+                let (_, stats) = execute(&plan, rep.clone()).unwrap();
+                assert_eq!(stats.stages, 2, "{plan:?}");
+                assert_fused_matches_legacy(&rep, &plan);
+            }
+        }
     }
 }
 
@@ -323,7 +446,7 @@ fn fused_matches_legacy_on_empty_and_singleton_databases() {
 fn staged_intermediate_bytes_beat_per_op_on_long_plans() {
     let mut catalog = Catalog::new();
     let rows: Vec<(i64, i64, i64)> = (0..600).map(|i| (i % 23, (i * 7) % 17, i % 11)).collect();
-    let rep = build_rep(&mut catalog, &rows, &[1, 2, 3]);
+    let rep = build_rep(&mut catalog, &rows, &[1, 2, 3], Value::Int);
     let x = catalog.lookup("x").unwrap();
     let y = catalog.lookup("y").unwrap();
     let nx = rep.ftree().node_of_attr(x).unwrap();

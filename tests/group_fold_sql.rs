@@ -549,3 +549,68 @@ fn a_folded_count_past_i64_is_refused() {
         other => panic!("COUNT(*) over 2^63 tuples per group: {other:?}"),
     }
 }
+
+/// The passes of `sql`'s executed f-plan, read off `explain`.
+fn passes(pair: &mut EnginePair, sql: &str) -> usize {
+    let plan = explain(pair, sql);
+    let head = plan.lines().next().unwrap_or_default();
+    let n = head.split(", ").nth(1).and_then(|p| p.split(' ').next());
+    n.and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("`{sql}`: no pass count in\n{plan}"))
+}
+
+/// `agg_fo`'s five filtered shapes, a selection keeping one customer, one
+/// emptying `R1`, and `customer <> c` under other functions, held to the
+/// relational engines. A selection run whose nodes lie inside the `γ`
+/// right after it is read by that `γ` as a mask, so the two are one pass
+/// (T1 and T2); one before a fold stays a pass of its own (T0).
+#[test]
+fn selections_read_as_a_mask_agree_with_the_relational_engines() {
+    let mut pair = r1_pair();
+    for c in [0, 3, 7, 1000] {
+        let t0 = format!(
+            "SELECT customer, SUM(price) AS revenue FROM R1 WHERE package <> {c} GROUP BY customer"
+        );
+        let t1 = format!(
+            "SELECT package, SUM(price) AS sum_price FROM R1 WHERE customer <> {c} GROUP BY package"
+        );
+        let t2 = format!("SELECT SUM(price) AS sum_price FROM R1 WHERE date <> {c}");
+        for (sql, want) in [(&t0, 2), (&t1, 1), (&t2, 1)] {
+            pair.assert_all_agree(sql);
+            assert_eq!(passes(&mut pair, sql), want, "`{sql}`");
+        }
+        for sql in [
+            format!(
+                "SELECT customer, SUM(price) AS revenue FROM R1 WHERE item <> {c} \
+                 GROUP BY customer ORDER BY customer"
+            ),
+            format!(
+                "SELECT customer, SUM(price) AS revenue FROM R1 WHERE package <> {c} \
+                 GROUP BY customer ORDER BY revenue, customer"
+            ),
+            format!(
+                "SELECT package, SUM(price) AS s FROM R1 WHERE customer = {c} GROUP BY package"
+            ),
+            format!(
+                "SELECT package, MIN(price) AS lo, EXISTS(price > 8) AS e, TOP_K(price, 3) AS t \
+                 FROM R1 WHERE customer <> {c} GROUP BY package"
+            ),
+            format!(
+                "SELECT package, COUNT(DISTINCT item) AS u FROM R1 WHERE customer <> {c} \
+                 GROUP BY package"
+            ),
+        ] {
+            pair.assert_all_agree(&sql);
+        }
+    }
+    // No order passes: no group, and no row.
+    for sql in [
+        "SELECT package, SUM(price) AS s FROM R1 WHERE customer > 1000 GROUP BY package",
+        "SELECT SUM(price) AS s FROM R1 WHERE customer > 1000",
+        "SELECT package, MIN(price) AS lo FROM R1 WHERE date < 0 GROUP BY package",
+    ] {
+        let out = pair.assert_all_agree(sql);
+        assert!(out.is_empty(), "`{sql}`");
+        assert_eq!(passes(&mut pair, sql), 1, "`{sql}`");
+    }
+}
