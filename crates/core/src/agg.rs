@@ -20,7 +20,10 @@
 //! component, and a `leaf` fast path), found through one dispatch and
 //! evaluated by one walk, `fold_union`: a union combines its entries'
 //! terms, and an entry's term is its providing child's value scaled by
-//! the multiplicity of everything else under the entry. The group fold
+//! the multiplicity of everything else under the entry. The walks over a
+//! product are generic over a `Sieve`: `NoMask` reads every entry, a
+//! selection run fused into the `γ` reads only the entries it passes.
+//! The group fold
 //! (`fold_groups`, behind `FOp::GroupFold`) evaluates every function for
 //! every group of its nodes at once, in one walk down the root path: the
 //! folds through one table of accumulators each (`Table`), and
@@ -42,7 +45,6 @@ use crate::dense::{direct_cap, DenseIds, PairIds, ValueIds};
 use crate::error::{FdbError, Result};
 use crate::frep::{Col, EntryRef, UnionRef};
 use crate::ftree::{AggLabel, AggOp, FTree, NodeId, NodeLabel};
-use crate::ops::select::Mask;
 use fdb_relational::{CmpOp, Number, Value};
 use std::ops::Range;
 
@@ -150,18 +152,74 @@ fn component<'v>(label: &AggLabel, value: &'v Value, i: usize) -> &'v Value {
     }
 }
 
+/// What a walk reads each union through. [`NoMask`] reads every entry:
+/// it touches no node, so every check below folds to a constant and the
+/// unmasked walk compiles to the plain loop over the entries. A `Mask`
+/// ([`crate::ops::select::Mask`]) — a run of constant selections fused
+/// into the `γ` that follows it (`pipeline::execute`), one more 0/1
+/// factor of the product — reads a union of a node it touches through
+/// its passing runs, and hands every union it does not touch to the
+/// unmasked walk (one check per union), so an unfiltered subtree costs
+/// what it costs without a mask. An entry the mask leaves with no tuple
+/// is skipped for every function, scaling or not — never scaled by zero,
+/// which would turn a float's `±inf` into NaN and flip `-0.0`.
+pub(crate) trait Sieve {
+    /// Whether some node can be touched: `false` for [`NoMask`].
+    const MASKS: bool;
+    /// Whether the subtree of `node` holds a filtered node: only then do
+    /// its unions need reading through the mask.
+    fn touches(&self, node: NodeId) -> bool;
+    /// Runs `f` over the passing runs of `u`, given as indices for
+    /// [`Sieve::run`].
+    fn with_runs<T>(&mut self, u: UnionRef<'_>, f: impl FnOnce(&mut Self, Range<usize>) -> T) -> T;
+    /// The entry positions of `u`'s passing run at index `r`.
+    fn run(&self, u: UnionRef<'_>, r: usize) -> Range<usize>;
+    /// The number of passing entries of `u`, a union of a node it
+    /// touches.
+    fn passing(&mut self, u: UnionRef<'_>) -> usize;
+}
+
+/// Every entry passes: one run per union, the whole of it.
+pub(crate) struct NoMask;
+
+impl Sieve for NoMask {
+    const MASKS: bool = false;
+    #[inline]
+    fn touches(&self, _node: NodeId) -> bool {
+        false
+    }
+    #[inline]
+    fn with_runs<T>(
+        &mut self,
+        _u: UnionRef<'_>,
+        f: impl FnOnce(&mut Self, Range<usize>) -> T,
+    ) -> T {
+        f(self, 0..1)
+    }
+    #[inline]
+    fn run(&self, u: UnionRef<'_>, _r: usize) -> Range<usize> {
+        0..u.len()
+    }
+    #[inline]
+    fn passing(&mut self, u: UnionRef<'_>) -> usize {
+        u.len()
+    }
+}
+
 /// `init` times the tuple counts of `unions` other than the one at
-/// position `skip`, multiplied in order; refused once it leaves `i64`.
-fn count_product<'a>(
+/// position `skip`, read through `m` and multiplied in order; refused
+/// once it leaves `i64`.
+fn count_product<'a, M: Sieve>(
     ftree: &FTree,
     unions: impl Iterator<Item = UnionRef<'a>>,
     skip: Option<usize>,
     init: i64,
+    m: &mut M,
 ) -> Result<i64> {
     let mut mult = init;
     for (k, u) in unions.enumerate() {
         if Some(k) != skip {
-            mult = checked(mult.checked_mul(count_union(ftree, u)?))?;
+            mult = checked(mult.checked_mul(count_in(ftree, u, m)?))?;
         }
     }
     Ok(mult)
@@ -174,20 +232,62 @@ fn checked(mult: Option<i64>) -> Result<i64> {
 
 /// `count(E)` — cardinality of the relation represented by union `u`.
 pub fn count_union(ftree: &FTree, u: UnionRef<'_>) -> Result<i64> {
-    // Leaf atomic union: every entry stands for exactly one tuple, so
-    // the count is the entry count — O(1), and the workhorse of the
-    // multiplicities the walk scales by.
+    count_in(ftree, u, &mut NoMask)
+}
+
+/// The tuple count of `u` read through `m`: the sum over its passing
+/// entries of their own multiplicities times their children's counts.
+fn count_in<M: Sieve>(ftree: &FTree, u: UnionRef<'_>, m: &mut M) -> Result<i64> {
+    if M::MASKS && !m.touches(u.node()) {
+        return count_in(ftree, u, &mut NoMask);
+    }
+    // Leaf atomic union: every (passing) entry stands for exactly one
+    // tuple, so the count is the entry count — O(1) unmasked, and the
+    // workhorse of the multiplicities the walk scales by.
     if is_atomic_leaf(ftree, u) {
         debug_assert!(u.entries().all(|e| e.child_count() == 0));
-        return Ok(u.len() as i64);
+        return Ok(m.passing(u) as i64);
     }
     let label = &ftree.node(u.node()).label;
-    let mut total: i64 = 0;
-    for e in u.entries() {
-        let mult = entry_multiplicity(label, e.value())?;
-        total = checked(total.checked_add(count_product(ftree, e.children(), None, mult)?))?;
+    m.with_runs(u, |m, runs| {
+        let mut total: i64 = 0;
+        for r in runs {
+            for e in u.entries_in(m.run(u, r)) {
+                let own = entry_multiplicity(label, e.value())?;
+                let mult = count_product(ftree, e.children(), None, own, m)?;
+                total = checked(total.checked_add(mult))?;
+            }
+        }
+        Ok(total)
+    })
+}
+
+/// Whether `u` keeps a tuple under `m`.
+fn alive<M: Sieve>(ftree: &FTree, u: UnionRef<'_>, m: &mut M) -> bool {
+    if !m.touches(u.node()) {
+        return !u.is_empty();
     }
-    Ok(total)
+    let kids = &ftree.node(u.node()).children;
+    m.with_runs(u, |m, runs| {
+        runs.into_iter().any(|r| {
+            let run = m.run(u, r);
+            u.entries_in(run)
+                .any(|e| kids_alive(ftree, kids, e, None, m))
+        })
+    })
+}
+
+/// Whether every child of `e` (of a node with children `kids`) but the
+/// one at position `skip` keeps a tuple under `m`. Below an entry only a
+/// touched union can be empty, so unmasked this is `true`.
+fn kids_alive<M: Sieve>(
+    ftree: &FTree,
+    kids: &[NodeId],
+    e: EntryRef<'_>,
+    skip: Option<usize>,
+    m: &mut M,
+) -> bool {
+    (0..kids.len()).all(|k| Some(k) == skip || !m.touches(kids[k]) || alive(ftree, e.child(k), m))
 }
 
 /// A composable aggregate (§3.2) as a commutative-semiring fold: the
@@ -247,254 +347,106 @@ trait Fold {
 
 /// The one walk behind every composable aggregate: `f` (computing `op`)
 /// over the relation represented by union `u`, down `op`'s providing
-/// spine. At its end each entry's value (or partial component) is scaled
-/// by the entry's children; above it, by the entry's own multiplicity and
-/// its children off the spine. Terms combine in entry order. The siblings
-/// of a NULL value are never counted: every fold that scales skips NULL
-/// inputs, and no multiplicity changes its identity.
-fn fold_union<F: Fold>(
+/// spine, read through `m`. At its end each entry's value (or partial
+/// component) is scaled by the entry's children; above it, by the entry's
+/// own multiplicity and its children off the spine. Terms combine in
+/// entry order over the passing entries that keep a tuple; `None` when
+/// none does. The siblings of a NULL value are never counted: every fold
+/// that scales skips NULL inputs, and no multiplicity changes its
+/// identity.
+fn fold_union<F: Fold, M: Sieve>(
     f: &F,
     ftree: &FTree,
     op: &AggOp,
     u: UnionRef<'_>,
     spine: &[usize],
-) -> Result<F::Acc> {
-    let label = &ftree.node(u.node()).label;
-    let mut acc = F::ZERO;
-    let Some((&j, rest)) = spine.split_first() else {
-        if let Some(acc) = f.leaf(ftree, u, 0..u.len())? {
-            return Ok(acc);
-        }
-        for e in u.entries() {
-            let (v, term) = match label {
-                NodeLabel::Atomic(_) => (e.value(), f.atom(e.value())?),
-                NodeLabel::Agg(l) => {
-                    let v = component(l, e.value(), l.component_of(op).unwrap());
-                    (v, f.partial(v)?)
-                }
-            };
-            let mut mult = 1;
-            if F::SCALES && !v.is_null() {
-                mult = count_product(ftree, e.children(), None, 1)?;
-            }
-            acc = f.combine(acc, f.scale(term, mult));
-        }
-        return Ok(acc);
-    };
-    for e in u.entries() {
-        let mut mult = 1;
-        if F::SCALES {
-            let own = entry_multiplicity(label, e.value())?;
-            mult = count_product(ftree, e.children(), Some(j), own)?;
-        }
-        let term = fold_union(f, ftree, op, e.child(j), rest)?;
-        acc = f.combine(acc, f.scale(term, mult));
-    }
-    Ok(acc)
-}
-
-// A run of constant selections fused into the `γ` that follows it
-// (`pipeline::execute`) is one more 0/1 factor of the product: the walks
-// below read a union the mask touches through its passing runs, and hand
-// every union it does not touch to the unmasked walk, so an unfiltered
-// subtree costs what it costs without a mask. An entry the mask leaves
-// with no tuple is skipped for every function, scaling or not — never
-// scaled by zero, which would turn a float's `±inf` into NaN and flip
-// `-0.0`.
-
-/// [`count_union`] of `u`, read through `mask` where there is one.
-fn count_opt(ftree: &FTree, u: UnionRef<'_>, mask: Option<&mut Mask>) -> Result<i64> {
-    match mask {
-        Some(mask) if mask.touches(u.node()) => count_touched(ftree, u, u.node(), mask),
-        _ => count_union(ftree, u),
-    }
-}
-
-/// [`fold_union`] of `u`, read through `mask` where there is one. A `γ`
-/// reads only products every factor of which keeps a tuple under its
-/// mask, so the masked fold's `None` is never met there.
-fn fold_opt<F: Fold>(
-    f: &F,
-    ftree: &FTree,
-    op: &AggOp,
-    u: UnionRef<'_>,
-    spine: &[usize],
-    mask: Option<&mut Mask>,
-) -> Result<F::Acc> {
-    match mask {
-        Some(mask) => Ok(fold_in(f, ftree, op, u, spine, mask)?.unwrap_or(F::ZERO)),
-        None => fold_union(f, ftree, op, u, spine),
-    }
-}
-
-/// The tuple count of a union `u` of `node`, which `mask` touches.
-fn count_touched(ftree: &FTree, u: UnionRef<'_>, node_id: NodeId, mask: &mut Mask) -> Result<i64> {
-    let node = ftree.node(node_id);
-    if node.children.is_empty() {
-        // A filtered atomic leaf: one tuple per passing entry.
-        return Ok(i64::from(mask.passing_count(u, node_id)));
-    }
-    let kids = &node.children[..];
-    let plain = !kids.iter().any(|&k| mask.touches(k));
-    mask.with_runs(u, |mask, runs| {
-        let mut total: i64 = 0;
-        for r in runs {
-            let (from, to) = mask.run(r);
-            for e in u.entries_in(from, to) {
-                let own = entry_multiplicity(&node.label, e.value())?;
-                let mult = match plain {
-                    true => count_product(ftree, e.children(), None, own)?,
-                    false => product_in(ftree, kids, e, None, own, mask)?,
-                };
-                total = checked(total.checked_add(mult))?;
-            }
-        }
-        Ok(total)
-    })
-}
-
-/// `init` times the tuple counts of the children of `e` (of a node with
-/// children `kids`) other than the one at position `skip`, read through
-/// `mask`; `0` once one of them is empty.
-fn product_in(
-    ftree: &FTree,
-    kids: &[NodeId],
-    e: EntryRef<'_>,
-    skip: Option<usize>,
-    init: i64,
-    mask: &mut Mask,
-) -> Result<i64> {
-    let mut mult = init;
-    for (k, c) in e.children().enumerate() {
-        if Some(k) == skip {
-            continue;
-        }
-        let node = kids[k];
-        let n = match mask.touches(node) {
-            // A filtered leaf, the common case, without a call.
-            true if ftree.node(node).children.is_empty() => i64::from(mask.passing_count(c, node)),
-            true => count_touched(ftree, c, node, mask)?,
-            false => count_union(ftree, c)?,
-        };
-        if n == 0 {
-            return Ok(0);
-        }
-        mult = checked(mult.checked_mul(n))?;
-    }
-    Ok(mult)
-}
-
-/// Whether `u` keeps a tuple under `mask`.
-fn alive_in(ftree: &FTree, u: UnionRef<'_>, mask: &mut Mask) -> bool {
-    if !mask.touches(u.node()) {
-        return !u.is_empty();
-    }
-    let kids = &ftree.node(u.node()).children;
-    mask.with_runs(u, |mask, runs| {
-        runs.into_iter().any(|r| {
-            let (from, to) = mask.run(r);
-            u.entries_in(from, to)
-                .any(|e| kids_alive(ftree, kids, e, None, mask))
-        })
-    })
-}
-
-/// Whether every child of `e` (of a node with children `kids`) but the
-/// one at position `skip` keeps a tuple under `mask`. Below an entry
-/// only a touched union can be empty.
-fn kids_alive(
-    ftree: &FTree,
-    kids: &[NodeId],
-    e: EntryRef<'_>,
-    skip: Option<usize>,
-    mask: &mut Mask,
-) -> bool {
-    (0..kids.len())
-        .all(|k| Some(k) == skip || !mask.touches(kids[k]) || alive_in(ftree, e.child(k), mask))
-}
-
-/// [`fold_union`] of `u` read through `mask`: terms combine in entry
-/// order over the passing entries that keep a tuple. `None` when none
-/// does.
-fn fold_in<F: Fold>(
-    f: &F,
-    ftree: &FTree,
-    op: &AggOp,
-    u: UnionRef<'_>,
-    spine: &[usize],
-    mask: &mut Mask,
+    m: &mut M,
 ) -> Result<Option<F::Acc>> {
-    if !mask.touches(u.node()) {
-        return fold_union(f, ftree, op, u, spine).map(Some);
+    if M::MASKS && !m.touches(u.node()) {
+        return fold_union(f, ftree, op, u, spine, &mut NoMask);
     }
     let node = ftree.node(u.node());
     let (label, kids) = (&node.label, &node.children[..]);
-    let add = |acc: Option<F::Acc>, term: F::Acc, mult: i64| {
-        Some(f.combine(acc.unwrap_or(F::ZERO), f.scale(term, mult)))
-    };
-    mask.with_runs(u, |mask, runs| {
-        let mut acc = None;
+    m.with_runs(u, |m, runs| {
+        let mut acc = F::ZERO;
+        let mut kept = false;
         let Some((&j, rest)) = spine.split_first() else {
-            if !kids.iter().any(|&c| mask.touches(c)) {
-                // Every passing entry keeps its tuples: the leaf fast
-                // path over each run, or the walk when one has none.
-                let mut fast = true;
-                for r in runs.clone() {
-                    let (from, to) = mask.run(r);
-                    match f.leaf(ftree, u, from as usize..to as usize)? {
-                        Some(t) => acc = Some(f.combine(acc.unwrap_or(F::ZERO), t)),
-                        None => {
-                            fast = false;
-                            break;
-                        }
-                    }
-                }
-                if fast {
+            // With no child touched every passing entry keeps its
+            // tuples: the leaf fast path over each run, or the walk when
+            // one has none.
+            if !kids.iter().any(|&c| m.touches(c)) {
+                if let Some(acc) = leaf_runs(f, ftree, u, runs.clone(), m)? {
                     return Ok(acc);
                 }
-                acc = None;
             }
             for r in runs {
-                let (from, to) = mask.run(r);
-                for e in u.entries_in(from, to) {
+                for e in u.entries_in(m.run(u, r)) {
                     let v = match label {
                         NodeLabel::Atomic(_) => e.value(),
                         NodeLabel::Agg(l) => component(l, e.value(), l.component_of(op).unwrap()),
                     };
                     let mult = if F::SCALES && !v.is_null() {
-                        product_in(ftree, kids, e, None, 1, mask)?
+                        count_product(ftree, e.children(), None, 1, m)?
                     } else {
-                        i64::from(kids_alive(ftree, kids, e, None, mask))
+                        i64::from(kids_alive(ftree, kids, e, None, m))
                     };
-                    if mult > 0 {
-                        let term = match label {
-                            NodeLabel::Atomic(_) => f.atom(v)?,
-                            NodeLabel::Agg(_) => f.partial(v)?,
-                        };
-                        acc = add(acc, term, mult);
+                    if M::MASKS && mult == 0 {
+                        continue;
                     }
+                    let term = match label {
+                        NodeLabel::Atomic(_) => f.atom(v)?,
+                        NodeLabel::Agg(_) => f.partial(v)?,
+                    };
+                    acc = f.combine(acc, f.scale(term, mult));
+                    kept = true;
                 }
             }
-            return Ok(acc);
+            return Ok(kept.then_some(acc));
         };
         for r in runs {
-            let (from, to) = mask.run(r);
-            for e in u.entries_in(from, to) {
+            for e in u.entries_in(m.run(u, r)) {
                 let mult = if F::SCALES {
                     let own = entry_multiplicity(label, e.value())?;
-                    product_in(ftree, kids, e, Some(j), own, mask)?
+                    count_product(ftree, e.children(), Some(j), own, m)?
                 } else {
-                    i64::from(kids_alive(ftree, kids, e, Some(j), mask))
+                    i64::from(kids_alive(ftree, kids, e, Some(j), m))
                 };
-                if mult > 0 {
-                    if let Some(term) = fold_in(f, ftree, op, e.child(j), rest, mask)? {
-                        acc = add(acc, term, mult);
-                    }
+                if M::MASKS && mult == 0 {
+                    continue;
+                }
+                if let Some(term) = fold_union(f, ftree, op, e.child(j), rest, m)? {
+                    acc = f.combine(acc, f.scale(term, mult));
+                    kept = true;
                 }
             }
         }
-        Ok(acc)
+        Ok(kept.then_some(acc))
     })
+}
+
+/// [`Fold::leaf`] over the runs `runs` of `u` (indices for
+/// [`Sieve::run`]), combined in order: `Some(None)` when there are none,
+/// `None` when some run has no fast path. Inline, as [`Sum::leaf`] is:
+/// a call per leaf union shows in the walk.
+#[inline]
+fn leaf_runs<F: Fold, M: Sieve>(
+    f: &F,
+    ftree: &FTree,
+    u: UnionRef<'_>,
+    runs: Range<usize>,
+    m: &M,
+) -> Result<Option<Option<F::Acc>>> {
+    let mut acc = None;
+    for r in runs {
+        let Some(term) = f.leaf(ftree, u, m.run(u, r))? else {
+            return Ok(None);
+        };
+        acc = Some(match acc {
+            None => term,
+            Some(acc) => f.combine(acc, term),
+        });
+    }
+    Ok(Some(acc))
 }
 
 /// `sumA`: integers add wrapping, any float widens the sum.
@@ -733,7 +685,7 @@ impl Fold for TopK {
                 break;
             }
             if !e.value().is_null() {
-                let mult = count_product(ftree, e.children(), None, 1)?;
+                let mult = count_product(ftree, e.children(), None, 1, &mut NoMask)?;
                 let n = (mult.max(0) as usize).min(self.0 - out.len());
                 out.extend(std::iter::repeat_n(e.value().clone(), n));
             }
@@ -979,7 +931,8 @@ impl<F: Fold> Table<F> {
                 }
             }
             Reader::Child { level: l, j, spine } if *l == level => {
-                let term = fold_union(f, at.ftree, &self.op, at.e.child(*j), spine)?;
+                let term = fold_union(f, at.ftree, &self.op, at.e.child(*j), spine, &mut NoMask)?;
+                let term = term.unwrap_or(F::ZERO);
                 (term, true, Some(*j), false)
             }
             Reader::Rows if at.path_child.is_none() => (f.atom(at.e.value())?, true, None, false),
@@ -1789,51 +1742,32 @@ fn chain_groups(levels: Vec<GroupLevel>, chain: &[usize], mut values: Vec<Value>
 }
 
 /// Interns into `ids` the distinct non-NULL values of the attribute at
-/// the end of `spine` in the relation represented by `u`: their number is
-/// `count(distinct A)`. Multiplicity-invariant, so the walk only descends
-/// the spine: sibling subtrees never change which values occur.
+/// the end of `spine` in the relation represented by `u`, read through
+/// `m`: their number is `count(distinct A)`. Multiplicity-invariant, so
+/// the walk only descends the spine: sibling subtrees never change which
+/// values occur, unless the mask leaves one of them no tuple, which
+/// drops the entry.
 ///
 /// Every entry stands for at least one tuple (unions are never empty),
-/// so the distinct values are those of the providing unions' entries —
-/// a value is touched once per entry that mentions it, so the walk runs
-/// in factorisation size.
-fn intern_distinct(u: UnionRef<'_>, spine: &[usize], ids: &mut DenseIds) {
-    match spine.split_first() {
-        None => {
-            let (col, vals) = u.value_indices();
-            for v in vals {
-                if !col.get(v).is_null() {
-                    ids.intern(&col, v);
-                }
-            }
-        }
-        Some((&j, rest)) => {
-            for e in u.entries() {
-                intern_distinct(e.child(j), rest, ids);
-            }
-        }
-    }
-}
-
-/// [`intern_distinct`] read through `mask`: only the values of entries
-/// that keep a tuple.
-fn intern_distinct_in(
+/// so the distinct values are those of the providing unions' (passing)
+/// entries — a value is touched once per entry that mentions it, so the
+/// walk runs in factorisation size.
+fn intern_distinct<M: Sieve>(
     ftree: &FTree,
     u: UnionRef<'_>,
     spine: &[usize],
     ids: &mut DenseIds,
-    mask: &mut Mask,
+    m: &mut M,
 ) {
-    if !mask.touches(u.node()) {
-        return intern_distinct(u, spine, ids);
+    if M::MASKS && !m.touches(u.node()) {
+        return intern_distinct(ftree, u, spine, ids, &mut NoMask);
     }
     let kids = &ftree.node(u.node()).children;
     let j = spine.first().copied();
-    mask.with_runs(u, |mask, runs| {
+    m.with_runs(u, |m, runs| {
         for r in runs {
-            let (from, to) = mask.run(r);
-            for e in u.entries_in(from, to) {
-                if !kids_alive(ftree, kids, e, j, mask) {
+            for e in u.entries_in(m.run(u, r)) {
+                if !kids_alive(ftree, kids, e, j, m) {
                     continue;
                 }
                 match j {
@@ -1843,7 +1777,7 @@ fn intern_distinct_in(
                             ids.intern(&col, v);
                         }
                     }
-                    Some(j) => intern_distinct_in(ftree, e.child(j), &spine[1..], ids, mask),
+                    Some(j) => intern_distinct(ftree, e.child(j), &spine[1..], ids, m),
                 }
             }
         }
@@ -1859,45 +1793,51 @@ pub fn eval_op(ftree: &FTree, unions: &[UnionRef<'_>], op: &AggOp) -> Result<Val
 
 /// Where a composable function reads its attribute.
 enum Source<'a> {
-    /// The factor at this position provides it, down this spine; every
-    /// union is read through the mask, if there is one.
-    Factor(usize, &'a [usize], Option<&'a mut Mask>),
+    /// The factor at this position provides it, down this spine.
+    Factor(usize, &'a [usize]),
     /// It is a group attribute holding this value.
     Group(&'a Value),
 }
 
-/// A composable `op` over the product of `unions`: its fold over the
-/// source, scaled by the tuple count of the factors that do not provide.
-struct FoldEval<'a, 'u>(&'a FTree, &'a [UnionRef<'u>], &'a AggOp, Source<'a>);
+/// A composable `op` over the product of `unions`, read through the
+/// sieve: its fold over the source, scaled by the tuple count of the
+/// factors that do not provide.
+struct FoldEval<'a, 'u, M>(
+    &'a FTree,
+    &'a [UnionRef<'u>],
+    &'a AggOp,
+    Source<'a>,
+    &'a mut M,
+);
 
-impl FoldUse for FoldEval<'_, '_> {
+impl<M: Sieve> FoldUse for FoldEval<'_, '_, M> {
     type Out = Result<Value>;
     fn with<F: Fold + 'static>(self, f: F) -> Result<Value> {
-        let FoldEval(ftree, unions, op, src) = self;
+        let FoldEval(ftree, unions, op, src, m) = self;
         let acc = match src {
             Source::Group(v) if F::SCALES && !v.is_null() => {
                 let term = f.atom(v)?;
-                f.scale(term, count_product(ftree, unions.iter().copied(), None, 1)?)
+                f.scale(
+                    term,
+                    count_product(ftree, unions.iter().copied(), None, 1, m)?,
+                )
             }
             Source::Group(v) => f.atom(v)?,
-            Source::Factor(j, spine, mut mask) => {
-                let others = unions.iter().enumerate().filter(|&(k, _)| k != j);
-                if F::PER_FACTOR {
-                    let mut acc = fold_opt(&f, ftree, op, unions[j], spine, mask.as_deref_mut())?;
-                    for (_, &u) in others {
-                        acc = f.scale(acc, count_opt(ftree, u, mask.as_deref_mut())?);
-                    }
-                    acc
-                } else {
-                    let mut mult: i64 = 1;
-                    if F::SCALES {
-                        for (_, &u) in others {
-                            let n = count_opt(ftree, u, mask.as_deref_mut())?;
-                            mult = checked(mult.checked_mul(n))?;
-                        }
-                    }
-                    f.scale(fold_opt(&f, ftree, op, unions[j], spine, mask)?, mult)
+            Source::Factor(j, spine) if F::PER_FACTOR => {
+                let acc = fold_union(&f, ftree, op, unions[j], spine, m)?;
+                let mut acc = acc.unwrap_or(F::ZERO);
+                for (_, &u) in unions.iter().enumerate().filter(|&(k, _)| k != j) {
+                    acc = f.scale(acc, count_in(ftree, u, m)?);
                 }
+                acc
+            }
+            Source::Factor(j, spine) => {
+                let mut mult = 1;
+                if F::SCALES {
+                    mult = count_product(ftree, unions.iter().copied(), Some(j), 1, m)?;
+                }
+                let acc = fold_union(&f, ftree, op, unions[j], spine, m)?;
+                f.scale(acc.unwrap_or(F::ZERO), mult)
             }
         };
         f.finish(acc)
@@ -2040,10 +1980,15 @@ impl CompiledAgg {
         v: &Value,
     ) -> Result<Value> {
         match self.op {
-            AggOp::Count => count_product(ftree, unions.iter().copied(), None, 1).map(Value::Int),
+            AggOp::Count => {
+                count_product(ftree, unions.iter().copied(), None, 1, &mut NoMask).map(Value::Int)
+            }
             // NULL inputs are skipped.
             AggOp::CountDistinct(_) => Ok(Value::Int(!v.is_null() as i64)),
-            _ => with_fold(self.op, FoldEval(ftree, unions, &self.op, Source::Group(v))),
+            _ => {
+                let eval = FoldEval(ftree, unions, &self.op, Source::Group(v), &mut NoMask);
+                with_fold(self.op, eval)
+            }
         }
     }
 
@@ -2059,38 +2004,25 @@ impl CompiledAgg {
     }
 
     /// The function's value over the product of `unions` (parallel to the
-    /// nodes given to [`CompiledAgg::new`]).
-    pub(crate) fn eval(&mut self, ftree: &FTree, unions: &[UnionRef<'_>]) -> Result<Value> {
-        if let Some(v) = self.eval_leaves(unions) {
-            return Ok(v);
-        }
-        self.eval_walk(ftree, unions, None)
-    }
-
-    /// [`CompiledAgg::eval`] with the unions read through `mask`. Every
-    /// factor must keep a tuple under it ([`eval_compiled_masked`]).
-    fn eval_masked(
+    /// nodes given to [`CompiledAgg::new`]), read through `m`. Every
+    /// factor must keep a tuple under it ([`eval_compiled`]). Out of
+    /// line: inlined into the emitter's per-row loop, which calls it once
+    /// per group, it slows every row.
+    #[inline(never)]
+    pub(crate) fn eval<M: Sieve>(
         &mut self,
         ftree: &FTree,
         unions: &[UnionRef<'_>],
-        mask: &mut Mask,
+        m: &mut M,
     ) -> Result<Value> {
-        self.eval_walk(ftree, unions, Some(mask))
-    }
-
-    /// The walk behind [`CompiledAgg::eval`], through `mask` if any.
-    fn eval_walk(
-        &mut self,
-        ftree: &FTree,
-        unions: &[UnionRef<'_>],
-        mut mask: Option<&mut Mask>,
-    ) -> Result<Value> {
-        if matches!(self.op, AggOp::Count) {
-            let mut mult: i64 = 1;
-            for &u in unions {
-                mult = checked(mult.checked_mul(count_opt(ftree, u, mask.as_deref_mut())?))?;
+        // The leaves' fast path reads whole unions.
+        if !unions.iter().any(|u| m.touches(u.node())) {
+            if let Some(v) = self.eval_leaves(unions) {
+                return Ok(v);
             }
-            return Ok(Value::Int(mult));
+        }
+        if matches!(self.op, AggOp::Count) {
+            return count_product(ftree, unions.iter().copied(), None, 1, m).map(Value::Int);
         }
         let spine = self.spine.as_ref().map_err(FdbError::clone)?;
         let j = self.provider.expect("a resolved spine has a provider");
@@ -2099,10 +2031,7 @@ impl CompiledAgg {
         match &mut self.distinct {
             Some(DistinctRead::Walk(ids)) => {
                 ids.clear();
-                match mask {
-                    None => intern_distinct(unions[j], spine, ids),
-                    Some(mask) => intern_distinct_in(ftree, unions[j], spine, ids, mask),
-                }
+                intern_distinct(ftree, unions[j], spine, ids, m);
                 Ok(Value::Int(ids.len() as i64))
             }
             Some(DistinctRead::Final(c)) => {
@@ -2121,8 +2050,8 @@ impl CompiledAgg {
                 })
             }
             None => {
-                let src = Source::Factor(j, spine, mask);
-                with_fold(self.op, FoldEval(ftree, unions, &self.op, src))
+                let eval = FoldEval(ftree, unions, &self.op, Source::Factor(j, spine), m);
+                with_fold(self.op, eval)
             }
         }
     }
@@ -2178,42 +2107,29 @@ impl CompiledAgg {
     }
 }
 
-/// Evaluates compiled functions `(F1,…,Fk)` over one product of unions:
-/// a scalar when `k = 1`, a `Tup` otherwise (§3.2.4).
-pub(crate) fn eval_compiled(
+/// Evaluates compiled functions `(F1,…,Fk)` over one product of unions
+/// read through `m`: a scalar when `k = 1`, a `Tup` otherwise (§3.2.4);
+/// `None` when some factor keeps no tuple under the mask, so the product
+/// is empty and its entry goes.
+pub(crate) fn eval_compiled<M: Sieve>(
     aggs: &mut [CompiledAgg],
     ftree: &FTree,
     unions: &[UnionRef<'_>],
-) -> Result<Value> {
-    // γ calls this once per entry: one function allocates nothing.
-    if let [a] = aggs {
-        return a.eval(ftree, unions);
-    }
-    let mut vals = Vec::with_capacity(aggs.len());
-    for a in aggs {
-        vals.push(a.eval(ftree, unions)?);
-    }
-    Ok(Value::tup(vals))
-}
-
-/// [`eval_compiled`] with the unions read through `mask`: `None` when
-/// some factor keeps no tuple under it, so the product is empty and its
-/// entry goes.
-pub(crate) fn eval_compiled_masked(
-    aggs: &mut [CompiledAgg],
-    ftree: &FTree,
-    unions: &[UnionRef<'_>],
-    mask: &mut Mask,
+    m: &mut M,
 ) -> Result<Option<Value>> {
-    if !unions.iter().all(|&u| alive_in(ftree, u, mask)) {
+    if unions
+        .iter()
+        .any(|&u| m.touches(u.node()) && !alive(ftree, u, m))
+    {
         return Ok(None);
     }
+    // γ calls this once per entry: one function allocates nothing.
     if let [a] = aggs {
-        return a.eval_masked(ftree, unions, mask).map(Some);
+        return a.eval(ftree, unions, m).map(Some);
     }
     let mut vals = Vec::with_capacity(aggs.len());
     for a in aggs {
-        vals.push(a.eval_masked(ftree, unions, mask)?);
+        vals.push(a.eval(ftree, unions, m)?);
     }
     Ok(Some(Value::tup(vals)))
 }
@@ -2226,7 +2142,8 @@ pub fn eval_funcs(ftree: &FTree, unions: &[UnionRef<'_>], funcs: &[AggOp]) -> Re
         .iter()
         .map(|&f| CompiledAgg::new(ftree, &nodes, f))
         .collect();
-    eval_compiled(&mut aggs, ftree, unions)
+    let value = eval_compiled(&mut aggs, ftree, unions, &mut NoMask)?;
+    Ok(value.expect("every entry passes without a mask"))
 }
 
 /// Derives the *partial* aggregation functions for `γ` over `targets` when
@@ -2718,7 +2635,7 @@ mod tests {
                 assert_eq!(compiled.leaves.is_some(), walk_free, "{op:?}");
                 for (gi, e) in rep.root(0).entries().enumerate() {
                     let unions: Vec<UnionRef<'_>> = e.children().collect();
-                    let got = compiled.eval(tree, &unions).unwrap();
+                    let got = compiled.eval(tree, &unions, &mut NoMask).unwrap();
                     assert_eq!(got, want.row(gi)[1], "{op:?} group {gi}");
                     // The non-recursive path really ran — except on the
                     // two-singleton leaf, which only the walk can sum.
@@ -2731,12 +2648,12 @@ mod tests {
             // Sum over a float leaf holding -0.0 is +0.0 (0 + -0.0), as
             // over the flat relation.
             let unions: Vec<UnionRef<'_>> = rep.root(0).entry(1).children().collect();
-            let sum = CompiledAgg::new(tree, nodes, AggOp::Sum(x)).eval(tree, &unions);
+            let sum = CompiledAgg::new(tree, nodes, AggOp::Sum(x)).eval(tree, &unions, &mut NoMask);
             assert_eq!(sum.unwrap(), Value::Float(0.0));
             // A function no component computes is refused.
             let exists = CompiledAgg::new(tree, nodes, AggOp::Exists(x, CmpOp::Gt, 0));
             assert!(!exists.provided());
-            let refused = exists.clone().eval(tree, &unions);
+            let refused = exists.clone().eval(tree, &unions, &mut NoMask);
             assert!(matches!(refused, Err(FdbError::InvalidComposition(_))));
             // What each function reads decides when it is re-evaluated.
             let reads = |op| {
@@ -2937,7 +2854,8 @@ mod tests {
             let all = Value::tup([6, 2, 1, 1].map(Value::Int).to_vec());
             assert_eq!(eval_op(rep.ftree(), &[rep.root(0)], &op).unwrap(), all);
             let (spine, _) = providing_spine(rep.ftree(), rep.root(0).node(), &op).unwrap();
-            let top = fold_union(&TopK(k), rep.ftree(), &op, rep.root(0), &spine).unwrap();
+            let top = fold_union(&TopK(k), rep.ftree(), &op, rep.root(0), &spine, &mut NoMask);
+            let top = top.unwrap().unwrap();
             assert!(top.capacity() <= 4, "k = {k}: capacity {}", top.capacity());
             // A partial list that γ left for the same k.
             let (price, rep) = partial_leaf_group(2, Value::tup(vec![Value::Int(9)]), k);
@@ -3024,7 +2942,10 @@ mod tests {
         let mut compiled = CompiledAgg::new(tree, &[n_d], op);
         for (e, want) in rep.root(0).entries().zip([3, 2]) {
             let unions: Vec<UnionRef<'_>> = e.children().collect();
-            assert_eq!(compiled.eval(tree, &unions).unwrap(), Value::Int(want));
+            assert_eq!(
+                compiled.eval(tree, &unions, &mut NoMask).unwrap(),
+                Value::Int(want)
+            );
         }
         // Across the groups: below a factor, and as several singletons.
         let refused = |r: Result<Value>| matches!(r, Err(FdbError::InvalidComposition(_)));
@@ -3114,7 +3035,10 @@ mod tests {
             );
             for (e, want) in rep.root(0).entries().zip(want) {
                 let unions: Vec<UnionRef<'_>> = e.children().collect();
-                assert_eq!(compiled.eval(tree, &unions).unwrap(), Value::Int(want));
+                assert_eq!(
+                    compiled.eval(tree, &unions, &mut NoMask).unwrap(),
+                    Value::Int(want)
+                );
                 // The shared table holds this group's values alone.
                 let Some(DistinctRead::Walk(ids)) = &compiled.distinct else {
                     unreachable!("a walking count");

@@ -18,7 +18,7 @@
 use super::execute::{DeadlinePoll, ResultKind};
 use super::lower::EmitCol;
 use super::{FdbResult, OrderStrategy};
-use crate::agg::CompiledAgg;
+use crate::agg::{CompiledAgg, NoMask};
 use crate::enumerate::{EnumSpec, GroupCursor, Odometer};
 use crate::error::{FdbError, Result};
 use crate::ftree::NodeId;
@@ -207,7 +207,7 @@ impl Emitter<'_> {
                                 Some(p) => {
                                     a.agg.eval_on_group_value(tree, dangling, g.cur.value(p))
                                 }
-                                None => a.agg.eval(tree, dangling),
+                                None => a.agg.eval(tree, dangling, &mut NoMask),
                             }?;
                         }
                     }

@@ -1097,16 +1097,15 @@ impl<'a> UnionRef<'a> {
             .map(move |&rec| EntryRef { arena, col, rec })
     }
 
-    /// Iterates the entries at positions `[from, to)` in order.
+    /// Iterates the entries at positions `run` in order.
     #[inline]
     pub(crate) fn entries_in(
         &self,
-        from: u32,
-        to: u32,
+        run: std::ops::Range<usize>,
     ) -> impl ExactSizeIterator<Item = EntryRef<'a>> + 'a {
         let (recs, col) = self.records();
         let arena = self.arena;
-        recs[from as usize..to as usize]
+        recs[run]
             .iter()
             .map(move |&rec| EntryRef { arena, col, rec })
     }

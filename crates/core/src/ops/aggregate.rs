@@ -13,12 +13,11 @@
 //! siblings shared by id plus the new aggregate leaf — are appended to
 //! the same arena. The consumed target subtrees are never copied.
 
-use crate::agg::{eval_compiled, eval_compiled_masked, CompiledAgg};
+use crate::agg::{eval_compiled, CompiledAgg, NoMask, Sieve};
 use crate::error::{FdbError, Result};
 use crate::frep::{Arena, FRep, UnionId, UnionRef};
 use crate::ftree::{AggOp, NodeId};
 use crate::ops::rewrite_spine;
-use crate::ops::select::Mask;
 use fdb_relational::{AttrId, Value};
 
 /// Where the operator applies: sibling subtrees under `parent`, or root
@@ -54,30 +53,21 @@ pub fn aggregate(
     funcs: Vec<AggOp>,
     outputs: Vec<AttrId>,
 ) -> Result<FRep> {
-    aggregate_in(rep, target, funcs, outputs, None)
+    aggregate_in(rep, target, funcs, outputs, &mut NoMask)
 }
 
-/// The selections of `mask` followed by [`aggregate`], in one pass: the
-/// walk reads the target unions through the mask, and a parent entry
-/// none of whose tuples passes is dropped (pruning up the spine), so
-/// nothing is rewritten but the parent unions. A root-level `γ` whose
-/// mask leaves nothing gives the empty relation.
-pub(crate) fn aggregate_masked(
+/// [`aggregate`] with the target unions read through `m`. With a
+/// [`Mask`](crate::ops::select::Mask) this runs its selections and the
+/// `γ` in one pass: a parent entry none of whose tuples passes is
+/// dropped (pruning up the spine), so nothing is rewritten but the
+/// parent unions, and a root-level `γ` whose mask leaves nothing gives
+/// the empty relation.
+pub(crate) fn aggregate_in<M: Sieve>(
     rep: FRep,
     target: &AggTarget,
     funcs: Vec<AggOp>,
     outputs: Vec<AttrId>,
-    mut mask: Mask,
-) -> Result<FRep> {
-    aggregate_in(rep, target, funcs, outputs, Some(&mut mask))
-}
-
-fn aggregate_in(
-    rep: FRep,
-    target: &AggTarget,
-    funcs: Vec<AggOp>,
-    outputs: Vec<AttrId>,
-    mut mask: Option<&mut Mask>,
+    m: &mut M,
 ) -> Result<FRep> {
     if funcs.is_empty() || funcs.len() != outputs.len() {
         return Err(FdbError::InvalidOperator(
@@ -100,10 +90,7 @@ fn aggregate_in(
         .map(|&f| CompiledAgg::new(&tree, &target.nodes, f))
         .collect();
     // One product's value; `None` when the mask leaves it no tuple.
-    let mut eval = |unions: &[UnionRef<'_>]| match mask.as_deref_mut() {
-        None => eval_compiled(&mut aggs, &tree, unions).map(Some),
-        Some(mask) => eval_compiled_masked(&mut aggs, &tree, unions, mask),
-    };
+    let mut eval = |unions: &[UnionRef<'_>]| eval_compiled(&mut aggs, &tree, unions, m);
 
     let new_roots = match target.parent {
         Some(p) => rewrite_spine(&tree, &mut arena, &roots, p, &mut |arena, uid| {

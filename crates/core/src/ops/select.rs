@@ -17,11 +17,13 @@
 //! not applied at all: `Mask` hands the same passing runs to the
 //! `γ`'s walk, which reads them as a 0/1 factor of its product.
 
+use crate::agg::Sieve;
 use crate::error::{FdbError, Result};
 use crate::frep::{Arena, Col, EntryRec, EntrySpec, FRep, UnionId, UnionRef};
 use crate::ftree::{FTree, NodeId, NodeLabel};
 use fdb_relational::{AttrId, CmpOp, Value};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// One resolved constant selection: the entry-level predicate of the
 /// node exposing `attr`.
@@ -354,10 +356,10 @@ fn cmp(v: &Value, c: &Value) -> std::cmp::Ordering {
 }
 
 /// A run of constant selections read as a 0/1 factor by the `γ` that
-/// follows it (`agg`'s masked walks): every filter is on an atomic node
-/// inside the `γ`'s target subtrees, and a union of a filtered node is
-/// read through its passing runs, found by the binary search the filter
-/// walk uses. Nothing is rewritten.
+/// follows it (the [`Sieve`] of `agg`'s walks): every filter is on an
+/// atomic node inside the `γ`'s target subtrees, and a union of a
+/// filtered node is read through its passing runs, found by the binary
+/// search the filter walk uses. Nothing is rewritten.
 pub(crate) struct Mask {
     /// Per node id, its filters.
     per_node: Vec<Vec<NodeFilter>>,
@@ -403,21 +405,19 @@ impl Mask {
         }
         Some(mask)
     }
+}
 
-    /// Whether the subtree of `node` holds a filtered node: only then do
-    /// its unions need reading through the mask.
+impl Sieve for Mask {
+    const MASKS: bool = true;
+
     #[inline]
-    pub(crate) fn touches(&self, node: NodeId) -> bool {
+    fn touches(&self, node: NodeId) -> bool {
         self.touched.get(node.idx()).copied().unwrap_or(false)
     }
 
-    /// Runs `f` over the passing runs of `u` (every entry when its node
-    /// has no filter of its own), given as indices for [`Mask::run`].
-    pub(crate) fn with_runs<T>(
-        &mut self,
-        u: UnionRef<'_>,
-        f: impl FnOnce(&mut Mask, std::ops::Range<usize>) -> T,
-    ) -> T {
+    /// The runs of a union of a node with no filter of its own hold every
+    /// entry.
+    fn with_runs<T>(&mut self, u: UnionRef<'_>, f: impl FnOnce(&mut Self, Range<usize>) -> T) -> T {
         let base = self.runs.len();
         let (entries, col) = u.records();
         let filters = &self.per_node[u.node().idx()];
@@ -427,25 +427,25 @@ impl Mask {
         out
     }
 
-    /// The number of passing entries of `u`, a union of `node`.
     #[inline]
-    pub(crate) fn passing_count(&mut self, u: UnionRef<'_>, node: NodeId) -> u32 {
-        let (entries, col) = u.records();
-        match (&self.per_node[node.idx()][..], entries) {
-            // Most unions of a low leaf hold one entry.
-            ([f], [e]) => u32::from(f.op.eval(cmp(col.get(e.val), &f.value))),
-            ([f], _) => f.kept(entries, col).iter().map(|(a, b)| b - a).sum(),
-            _ => self.with_runs(u, |mask, runs| {
-                runs.map(|r| mask.run(r)).map(|(from, to)| to - from).sum()
-            }),
-        }
+    fn run(&self, _u: UnionRef<'_>, r: usize) -> Range<usize> {
+        let (from, to) = self.runs[r];
+        from as usize..to as usize
     }
 
-    /// The passing run at index `r` of [`Mask::with_runs`]: positions
-    /// `[from, to)`.
     #[inline]
-    pub(crate) fn run(&self, r: usize) -> (u32, u32) {
-        self.runs[r]
+    fn passing(&mut self, u: UnionRef<'_>) -> usize {
+        let (entries, col) = u.records();
+        match (&self.per_node[u.node().idx()][..], entries) {
+            // Most unions of a low leaf hold one entry.
+            ([f], [e]) => usize::from(f.op.eval(cmp(col.get(e.val), &f.value))),
+            ([f], _) => f
+                .kept(entries, col)
+                .iter()
+                .map(|(a, b)| (b - a) as usize)
+                .sum(),
+            _ => self.with_runs(u, |mask, runs| runs.map(|r| mask.run(u, r).len()).sum()),
+        }
     }
 }
 

@@ -114,9 +114,9 @@ pub fn execute(plan: &FPlan, rep: FRep) -> Result<(FRep, ExecStats)> {
                     _ => None,
                 };
                 match fused {
-                    Some((target, funcs, outputs, mask)) => {
+                    Some((target, funcs, outputs, mut mask)) => {
                         ops.next();
-                        ops::aggregate::aggregate_masked(rep, &target, funcs, outputs, mask)?
+                        ops::aggregate::aggregate_in(rep, &target, funcs, outputs, &mut mask)?
                     }
                     None => ops::select::apply_filters(rep, &filters)?,
                 }
