@@ -174,6 +174,15 @@ impl Tables {
     }
 }
 
+/// The frozen base of an [`Arena`]: its tables and, built on first use,
+/// their count annotations. Every representation over the base — every
+/// clone, and every version written over it — reads the one build.
+#[derive(Debug, Default)]
+struct Base {
+    tables: Tables,
+    counts: OnceLock<Arc<Counts>>,
+}
+
 /// A published view folds its tail into a fresh base once the tail
 /// holds more than one record per this many base records: a snapshot
 /// then copies at most an eighth of the view, and each fold — one copy
@@ -343,32 +352,35 @@ impl<'a> Tabs<'a> {
 /// tail, so the base is never written and clones share it: cloning
 /// costs the tail, not the representation. A union's entries and an
 /// entry's kids are pushed together, so each such run lies in one of
-/// the two.
+/// the two. A union's kids are older than it — they exist when its
+/// entries name them — so every kid id is below its union's id (the
+/// count index counts in one pass in id order).
 #[derive(Clone, Debug, Default)]
 pub struct Arena {
-    base: Arc<Tables>,
+    base: Arc<Base>,
     tail: Tables,
     /// Untouched fragments *shared* by id (instead of deep-copied) by
     /// the f-plan operators — see [`crate::ops`]. Purely diagnostic; carried through
     /// [`Arena::append`] and compaction.
     copies_avoided: u64,
-    /// Entry records the delta mutators ([`crate::update`]) unlinked:
-    /// an upper bound on the dead entries, counted per write instead of
-    /// found by a walk (see [`FRep::dead_outnumber_live`]).
+    /// Entry records noted dead — unlinked by the delta mutators
+    /// ([`crate::update`]), or replaced by the f-plan operators
+    /// ([`crate::ops`]): counted as they go instead of found by a walk
+    /// (see [`FRep::dead_outnumber_live`]).
     dead: u64,
 }
 
 impl Arena {
     fn n_unions(&self) -> usize {
-        self.base.unions.len() + self.tail.unions.len()
+        self.base.tables.unions.len() + self.tail.unions.len()
     }
 
     fn n_entries(&self) -> usize {
-        self.base.entries.len() + self.tail.entries.len()
+        self.base.tables.entries.len() + self.tail.entries.len()
     }
 
     fn n_kids(&self) -> usize {
-        self.base.kids.len() + self.tail.kids.len()
+        self.base.tables.kids.len() + self.tail.kids.len()
     }
 
     /// Appends `v` to `node`'s column; returns its index therein.
@@ -379,7 +391,7 @@ impl Arena {
         }
         let col = &mut self.tail.cols[n];
         col.push(v);
-        (self.base.col(n).len() + col.len() - 1) as u32
+        (self.base.tables.col(n).len() + col.len() - 1) as u32
     }
 
     /// Appends one union of `node` per run of `runs` (their lengths, in
@@ -397,7 +409,7 @@ impl Arena {
     ) -> UnionId {
         let n = node.0 as usize;
         let first = UnionId(self.n_unions() as u32);
-        let val = (self.base.col(n).len() + self.tail.col(n).len()) as u32;
+        let val = (self.base.tables.col(n).len() + self.tail.col(n).len()) as u32;
         let (kid, mut start) = (self.n_kids() as u32, self.n_entries() as u32);
         let tail = &mut self.tail;
         if tail.cols.len() <= n {
@@ -520,7 +532,7 @@ impl Arena {
     /// the tail; a base record is never written, so an empty union of
     /// the base is replaced by a fresh one.
     fn retag_empty(&mut self, id: UnionId, node: NodeId) -> UnionId {
-        match (id.0 as usize).checked_sub(self.base.unions.len()) {
+        match (id.0 as usize).checked_sub(self.base.tables.unions.len()) {
             Some(t) => {
                 self.tail.unions[t].node = node;
                 id
@@ -548,7 +560,7 @@ impl Arena {
     /// All tables, borrowed for a read-only walk.
     #[inline]
     pub(crate) fn tabs(&self) -> Tabs<'_> {
-        let (b, t) = (&*self.base, &self.tail);
+        let (b, t) = (&self.base.tables, &self.tail);
         Tabs {
             unions: Split {
                 base: &b.unions,
@@ -631,9 +643,9 @@ impl Arena {
     }
 
     /// Physical entry records reachable from `roots`, counting shared
-    /// unions once (iterative walk with a visited set — O(live), used
-    /// by the staged executor to decide whether compaction pays off).
-    pub(crate) fn live_entry_count(&self, roots: &[UnionId]) -> usize {
+    /// unions once (iterative walk with a visited set — O(live); the
+    /// oracle the tests hold the dead-record accounting to).
+    fn live_entry_count(&self, roots: &[UnionId]) -> usize {
         let t = self.tabs();
         let mut seen = vec![false; self.n_unions()];
         let mut stack: Vec<UnionId> = roots.to_vec();
@@ -670,10 +682,28 @@ impl Arena {
         self.dead = self.dead.saturating_add(n);
     }
 
+    /// Records the entry records of union `uid` as dead: an operator
+    /// replaced it.
+    pub(crate) fn note_replaced(&mut self, uid: UnionId) {
+        self.note_dead(u64::from(self.urec(uid).len));
+    }
+
     /// Counts every entry record as dead: nothing the arena holds is
     /// reachable any more (a delete emptied the product).
     pub(crate) fn note_all_dead(&mut self) {
-        self.dead = self.n_entries() as u64;
+        self.note_dead_before(self.entry_mark());
+    }
+
+    /// The entry records so far: the mark [`Arena::note_dead_before`]
+    /// takes.
+    pub(crate) fn entry_mark(&self) -> u64 {
+        self.n_entries() as u64
+    }
+
+    /// Counts every entry record older than `mark` as dead and none
+    /// since: an operator consumed all the arena held when it started.
+    pub(crate) fn note_dead_before(&mut self, mark: u64) {
+        self.dead = mark;
     }
 
     /// Entry records of the subtree under `uid`, `uid`'s own included —
@@ -690,10 +720,11 @@ impl Arena {
             return;
         }
         if let Some(base) = Arc::get_mut(&mut self.base) {
-            if base.is_empty() {
-                *base = std::mem::take(&mut self.tail);
+            base.counts = OnceLock::new();
+            if base.tables.is_empty() {
+                base.tables = std::mem::take(&mut self.tail);
             } else {
-                base.extend_from(&self.tail);
+                base.tables.extend_from(&self.tail);
                 self.tail = Tables::default();
             }
         }
@@ -706,14 +737,17 @@ impl Arena {
         if self.tail.is_empty() {
             return;
         }
-        self.base = Arc::new(self.base.concat(&self.tail));
+        self.base = Arc::new(Base {
+            tables: self.base.tables.concat(&self.tail),
+            counts: OnceLock::new(),
+        });
         self.tail = Tables::default();
     }
 
     /// Whether the tail holds more than one record per
     /// [`FOLD_FRACTION`] base records.
     pub(crate) fn tail_outgrew_base(&self) -> bool {
-        self.tail.records() * FOLD_FRACTION > self.base.records()
+        self.tail.records() * FOLD_FRACTION > self.base.tables.records()
     }
 
     /// Copies the live data reachable from `roots` into a fresh, sealed
@@ -784,14 +818,14 @@ impl Arena {
         let union_base = self.n_unions() as u32;
         let entry_base = self.n_entries() as u32;
         let kid_base = self.n_kids() as u32;
-        let sub_cols = sub.base.cols.len().max(sub.tail.cols.len());
+        let sub_cols = sub.base.tables.cols.len().max(sub.tail.cols.len());
         if self.tail.cols.len() < sub_cols + off {
             self.tail.cols.resize_with(sub_cols + off, Vec::new);
         }
         let col_base: Vec<u32> = (0..sub_cols)
             .map(|n| self.col(NodeId((n + off) as u32)).len() as u32)
             .collect();
-        let segments = [&*sub.base, &sub.tail];
+        let segments = [&sub.base.tables, &sub.tail];
         for seg in segments {
             for (n, col) in seg.cols.iter().enumerate() {
                 self.tail.cols[n + off].extend_from_slice(col);
@@ -846,7 +880,7 @@ impl Arena {
             }
             total
         };
-        std::mem::size_of::<Self>() + tables(&self.base) + tables(&self.tail)
+        std::mem::size_of::<Self>() + tables(&self.base.tables) + tables(&self.tail)
     }
 
     /// Size-based footprint in bytes: stored records plus the inline
@@ -859,7 +893,7 @@ impl Arena {
     /// actually materialised). The header is that of one table set and
     /// the sharing counter.
     fn bytes_used(&self) -> usize {
-        let cols = self.base.cols.len().max(self.tail.cols.len());
+        let cols = self.base.tables.cols.len().max(self.tail.cols.len());
         std::mem::size_of::<Tables>()
             + std::mem::size_of::<u64>()
             + self.n_unions() * std::mem::size_of::<UnionRec>()
@@ -870,7 +904,7 @@ impl Arena {
     }
 
     fn value_count(&self) -> usize {
-        [&*self.base, &self.tail]
+        [&self.base.tables, &self.tail]
             .iter()
             .flat_map(|t| &t.cols)
             .map(Vec::len)
@@ -901,26 +935,75 @@ fn value_heap_bytes(v: &Value) -> usize {
 /// enumerating past it (direct access in the sense of Eldar, Carmeli &
 /// Kimelfeld).
 ///
-/// Layout: two parallel columnar buffers keyed by the arena's absolute
-/// indices. `entry_prefix[e]` is the *inclusive* prefix sum, within the
-/// owning union's entry range, of subtree tuple counts (the number of
-/// tuples an entry's subtree represents = the product of its child-union
-/// totals; a leaf entry counts 1). `union_total[u]` is the sum over the
-/// union's entries — the tuple count of the whole subtree hanging off
-/// that union.
+/// Layout: two columns keyed by the arena's absolute ids. `union_total`
+/// holds per union the tuple count of the subtree hanging off it;
+/// `entry_prefix` per entry the *inclusive* prefix sum, within the
+/// owning union's entry range, of subtree tuple counts (an entry's count
+/// is the product of its child-union totals; a leaf entry counts 1).
+/// Like the arena, each column comes in two parts: the counts of the
+/// **base**, built once per base and shared by every representation over
+/// it — clones, query results that keep the base, later written
+/// versions — and the counts of this representation's **tail**, which
+/// read the totals of base kids from the base part. A page over a
+/// swapped view counts what the swap appended, not the view.
 ///
-/// Built in one bottom-up pass over the unions reachable from the roots,
-/// memoised per [`UnionId`] so DAG-shared fragments are counted once and
-/// share their annotation (unreachable garbage records keep count 0).
-/// Counts saturate at `u64::MAX`, and the index records whether any did:
-/// a saturated prefix sum no longer tells where an entry's block starts
-/// (a descending seek subtracts two of them), so a seek over a saturated
-/// index must stream instead ([`CountIndex::saturated`]).
+/// Counts saturate at `u64::MAX`. A saturated count reaches every union
+/// above it (a saturating product or sum with a non-empty union stays
+/// saturated), so the index saturated exactly when a root's total reads
+/// `u64::MAX`: its prefix sums then no longer tell where an entry's
+/// block starts (a descending seek subtracts two of them), so a seek
+/// must stream instead ([`CountIndex::saturated`]).
 #[derive(Debug)]
 pub(crate) struct CountIndex {
-    entry_prefix: Vec<u64>,
-    union_total: Vec<u64>,
+    base: Arc<Counts>,
+    tail: Counts,
     saturated: bool,
+}
+
+/// The count annotations of one part of an arena (its base or its
+/// tail), indexed from the part's first union and entry id.
+#[derive(Debug, Default)]
+struct Counts {
+    union_total: Vec<u64>,
+    entry_prefix: Vec<u64>,
+}
+
+impl Counts {
+    /// Counts the unions of `t` from the first id `below` does not cover
+    /// up to `unions`, whose entries end at id `entries`. A union's kids
+    /// are older than it, so one pass in id order meets every kid's
+    /// total counted before — in `below` or earlier in this pass —
+    /// whether or not the union is reachable from a root.
+    fn build(t: Tabs<'_>, below: &Counts, unions: usize, entries: usize) -> Counts {
+        let (u0, e0) = (below.union_total.len(), below.entry_prefix.len());
+        let mut union_total = Vec::with_capacity(unions - u0);
+        let mut entry_prefix = vec![0u64; entries - e0];
+        for id in u0..unions {
+            let u = t.urec(UnionId(id as u32));
+            let at = u.start as usize - e0;
+            let mut running = 0u64;
+            for (slot, &e) in entry_prefix[at..at + u.len as usize]
+                .iter_mut()
+                .zip(t.entries_of(u))
+            {
+                let cnt = t.kids_of(e).iter().fold(1u64, |cnt, &k| {
+                    debug_assert!((k.0 as usize) < id, "a kid is older than its union");
+                    let total = Split {
+                        base: &below.union_total,
+                        tail: &union_total,
+                    };
+                    cnt.saturating_mul(*total.get(k.0))
+                });
+                running = running.saturating_add(cnt);
+                *slot = running;
+            }
+            union_total.push(running);
+        }
+        Counts {
+            union_total,
+            entry_prefix,
+        }
+    }
 }
 
 impl CountIndex {
@@ -932,13 +1015,21 @@ impl CountIndex {
 
     /// Tuple count of the subtree hanging off union `u`.
     pub(crate) fn total(&self, u: UnionId) -> u64 {
-        self.union_total[u.0 as usize]
+        let totals = Split {
+            base: &self.base.union_total,
+            tail: &self.tail.union_total,
+        };
+        *totals.get(u.0)
     }
 
     /// Inclusive prefix sum at absolute entry index `e` (within the
     /// owning union's entry range, in physical = ascending-value order).
     pub(crate) fn prefix_incl(&self, e: u32) -> u64 {
-        self.entry_prefix[e as usize]
+        let prefixes = Split {
+            base: &self.base.entry_prefix,
+            tail: &self.tail.entry_prefix,
+        };
+        *prefixes.get(e)
     }
 
     /// Number of tuples enumerated before logical position `l` of a
@@ -981,62 +1072,28 @@ impl CountIndex {
 }
 
 impl Arena {
-    /// One bottom-up pass computing [`CountIndex`] for everything
-    /// reachable from `roots`. Iterative post-order with a per-union
-    /// memo: shared fragments (the staged executor's DAG rewrites) are
-    /// visited once.
-    pub(crate) fn build_counts(&self, roots: &[UnionId]) -> CountIndex {
-        let mut entry_prefix = vec![0u64; self.n_entries()];
-        let mut union_total = vec![0u64; self.n_unions()];
-        let mut computed = vec![false; self.n_unions()];
-        let mut saturated = false;
+    /// The [`CountIndex`] of the representation rooted at `roots`: the
+    /// base's counts — built by the first caller over this base, then
+    /// shared — and this arena's tail counted against them.
+    pub(crate) fn count_index(&self, roots: &[UnionId]) -> CountIndex {
         let t = self.tabs();
-        enum Phase {
-            Enter(UnionId),
-            Exit(UnionId),
-        }
-        let mut stack: Vec<Phase> = roots.iter().rev().map(|&r| Phase::Enter(r)).collect();
-        while let Some(p) = stack.pop() {
-            match p {
-                Phase::Enter(uid) => {
-                    if computed[uid.0 as usize] {
-                        continue;
-                    }
-                    stack.push(Phase::Exit(uid));
-                    for &e in t.entries_of(t.urec(uid)) {
-                        for &k in t.kids_of(e) {
-                            stack.push(Phase::Enter(k));
-                        }
-                    }
-                }
-                Phase::Exit(uid) => {
-                    if computed[uid.0 as usize] {
-                        continue;
-                    }
-                    let u = t.urec(uid);
-                    let mut running = 0u64;
-                    for (i, &e) in (u.start..).zip(t.entries_of(u)) {
-                        let mut cnt = 1u64;
-                        for &kid in t.kids_of(e) {
-                            debug_assert!(computed[kid.0 as usize]);
-                            let total = union_total[kid.0 as usize];
-                            saturated |= cnt.checked_mul(total).is_none();
-                            cnt = cnt.saturating_mul(total);
-                        }
-                        saturated |= running.checked_add(cnt).is_none();
-                        running = running.saturating_add(cnt);
-                        entry_prefix[i as usize] = running;
-                    }
-                    union_total[uid.0 as usize] = running;
-                    computed[uid.0 as usize] = true;
-                }
-            }
-        }
-        CountIndex {
-            entry_prefix,
-            union_total,
-            saturated,
-        }
+        let base = self.base.counts.get_or_init(|| {
+            let b = &self.base.tables;
+            Arc::new(Counts::build(
+                t,
+                &Counts::default(),
+                b.unions.len(),
+                b.entries.len(),
+            ))
+        });
+        let tail = Counts::build(t, base, self.n_unions(), self.n_entries());
+        let mut idx = CountIndex {
+            base: Arc::clone(base),
+            tail,
+            saturated: false,
+        };
+        idx.saturated = roots.iter().any(|&r| idx.total(r) == u64::MAX);
+        idx
     }
 }
 
@@ -1331,7 +1388,8 @@ pub struct FRep {
     /// a cell of its own: every structural transformation rebuilds the
     /// representation through [`FRep::from_arena`], and the delta
     /// mutators install a fresh cell ([`FRep::update_parts`]) rather than
-    /// clear the shared one, which the pre-write snapshots keep.
+    /// clear the shared one, which the pre-write snapshots keep. A fresh
+    /// cell counts only its tail: the base's counts live with the base.
     counts: Arc<OnceLock<Arc<CountIndex>>>,
 }
 
@@ -1535,6 +1593,46 @@ impl FRep {
         }
     }
 
+    /// Whether the built count indexes of `self` and `other` read one
+    /// count of a shared base (a version written over the other's base,
+    /// or a query result that kept it, say).
+    pub fn shares_base_counts_with(&self, other: &FRep) -> bool {
+        match (self.counts.get(), other.counts.get()) {
+            (Some(a), Some(b)) => Arc::ptr_eq(&a.base, &b.base),
+            _ => false,
+        }
+    }
+
+    /// Test oracle: the unions reachable from the roots whose totals or
+    /// entry prefix sums in the memoised count index differ from a
+    /// recount of their subtrees, each such union once.
+    #[doc(hidden)]
+    pub fn count_index_mismatches(&self) -> Vec<UnionId> {
+        let idx = self.count_index();
+        let t = self.arena.tabs();
+        let mut seen = vec![false; self.arena.n_unions()];
+        let mut stack = self.roots.clone();
+        let mut bad = Vec::new();
+        while let Some(uid) = stack.pop() {
+            if std::mem::replace(&mut seen[uid.0 as usize], true) {
+                continue;
+            }
+            let u = t.urec(uid);
+            let mut running = 0u64;
+            let mut agrees = true;
+            for (i, &e) in (u.start..).zip(t.entries_of(u)) {
+                let cnt = t.kids_of(e).iter().map(|&k| t.tuple_count(k));
+                running = running.saturating_add(cnt.fold(1, u64::saturating_mul));
+                agrees &= idx.prefix_incl(i) == running;
+                stack.extend_from_slice(t.kids_of(e));
+            }
+            if !agrees || idx.total(uid) != running {
+                bad.push(uid);
+            }
+        }
+        bad
+    }
+
     /// Shared borrow of the arena (crate-internal; read-only walks).
     pub(crate) fn arena_ref(&self) -> &Arena {
         &self.arena
@@ -1557,7 +1655,7 @@ impl FRep {
     /// index once and all read the same buffers.
     pub(crate) fn count_index(&self) -> &Arc<CountIndex> {
         self.counts
-            .get_or_init(|| Arc::new(self.arena.build_counts(&self.roots)))
+            .get_or_init(|| Arc::new(self.arena.count_index(&self.roots)))
     }
 
     /// Number of tuples in the represented relation. Served from the
@@ -1628,23 +1726,32 @@ impl FRep {
         self.arena.copies_avoided()
     }
 
-    /// True when most physical entry records are unreachable garbage
-    /// (superseded by in-place rewrites): the cue that a
-    /// [`FRep::compact`] pass pays for itself at the end of a plan. One
-    /// walk over the live entries.
-    pub fn garbage_dominated(&self) -> bool {
-        let live = self.arena.live_entry_count(&self.roots);
-        self.arena.n_entries() > 2 * live
+    /// True when the entry records noted dead outnumber the rest: the
+    /// cue that a [`FRep::compact`] pass pays for itself, read without a
+    /// walk — by the plan executor at the end of a plan and by a writer
+    /// about to publish a version. Delta mutators note the subtrees they
+    /// unlink; f-plan operators note the unions they replace, but not
+    /// the subtrees below an entry they drop or a target they consume,
+    /// which they do not walk (an operator that consumes all the arena
+    /// held notes all of it). A union shared by several parents is
+    /// noted once per parent that lets go of it.
+    pub fn dead_outnumber_live(&self) -> bool {
+        self.arena.dead.saturating_mul(2) > self.arena.n_entries() as u64
     }
 
-    /// True when the entry records the delta mutators unlinked
-    /// outnumber the rest — [`FRep::garbage_dominated`] without the
-    /// walk, for a writer about to publish a version. The count is an
-    /// upper bound (a fragment an operator shares between parents is
-    /// counted dead when one parent lets go of it), so this fires no
-    /// later than the walk would.
-    pub(crate) fn dead_outnumber_live(&self) -> bool {
-        self.arena.dead.saturating_mul(2) > self.arena.n_entries() as u64
+    /// Test oracle for [`FRep::dead_outnumber_live`]: the entry records
+    /// noted dead so far.
+    #[doc(hidden)]
+    pub fn noted_dead_entries(&self) -> u64 {
+        self.arena.dead
+    }
+
+    /// Test oracle for [`FRep::dead_outnumber_live`]: the entry records
+    /// reachable from the roots, shared unions counted once — one walk
+    /// over the live entries.
+    #[doc(hidden)]
+    pub fn live_entry_count(&self) -> usize {
+        self.arena.live_entry_count(&self.roots)
     }
 
     /// Readies a written version for publication, in time proportional

@@ -91,6 +91,13 @@ pub(crate) fn aggregate_in<M: Sieve>(
         .collect();
     // One product's value; `None` when the mask leaves it no tuple.
     let mut eval = |unions: &[UnionRef<'_>]| eval_compiled(&mut aggs, &tree, unions, m);
+    // A `γ` over every child of the only root consumes all the arena
+    // holds: that is noted at once, and exactly, below. Otherwise each
+    // consumed target union is noted, not the subtree under it.
+    let consumes_all = target
+        .parent
+        .is_some_and(|p| tree.roots() == [p] && tree.node(p).children.len() == target.nodes.len());
+    let mark = arena.entry_mark();
 
     let new_roots = match target.parent {
         Some(p) => rewrite_spine(&tree, &mut arena, &roots, p, &mut |arena, uid| {
@@ -115,6 +122,11 @@ pub(crate) fn aggregate_in<M: Sieve>(
                 let e = arena.erec(i);
                 kids.clear();
                 kids.extend_from_slice(arena.kids_of(e));
+                if !consumes_all {
+                    for &pos in &positions {
+                        arena.note_replaced(kids[pos]);
+                    }
+                }
                 let leaf = leaf_union(arena, new_node, value);
                 splice_leaf(arena, &mut kids, &positions, leaf);
                 specs.push(arena.entry_shared_val(e.val, &kids));
@@ -134,12 +146,22 @@ pub(crate) fn aggregate_in<M: Sieve>(
             let Some(value) = eval(&unions)? else {
                 return Ok(FRep::empty(new_tree));
             };
+            if positions.len() == roots.len() {
+                arena.note_all_dead();
+            } else {
+                for &pos in &positions {
+                    arena.note_replaced(roots[pos]);
+                }
+            }
             let leaf = leaf_union(&mut arena, new_node, value);
             let mut out = roots;
             splice_leaf(&mut arena, &mut out, &positions, leaf);
             out
         }
     };
+    if consumes_all {
+        arena.note_dead_before(mark);
+    }
     let out = FRep::from_arena(new_tree, arena, new_roots);
     debug_assert!(out.check_invariants().is_ok());
     Ok(out)

@@ -21,8 +21,10 @@
 //! subtree by id (`rewrite_spine`), recording each share in the arena's
 //! `copies_avoided` counter. No operator materialises the whole
 //! representation; the superseded records along a rewritten root path
-//! become unreachable garbage, which the staged pipeline executor
-//! ([`crate::pipeline`]) sheds in at most one compaction pass per plan.
+//! become unreachable garbage, which each operator notes in the arena's
+//! dead count as it replaces them (`Arena::note_replaced`) and the
+//! staged pipeline executor ([`crate::pipeline`]) sheds in at most one
+//! compaction pass per plan.
 //! A caller that applies operators by hand and wants a tight arena calls
 //! [`crate::frep::FRep::compact`] itself.
 //!
@@ -65,6 +67,11 @@ use crate::ftree::{FTree, NodeId};
 /// the size of the arena. When nothing below an occurrence changes
 /// (`f` returned the input id for every occurrence and no entry was
 /// pruned) the containing union is shared wholesale too.
+///
+/// Every union the walk replaces — each occurrence `f` rewrites or
+/// prunes, and each spine union re-emitted or pruned above one — is
+/// noted dead in the arena ([`Arena::note_replaced`]); `f` notes what
+/// else it supersedes.
 ///
 /// The closure receives `(&mut Arena, UnionId)` instead of a cursor:
 /// rewrites read records by index (they are `Copy`) because a cursor
@@ -119,6 +126,9 @@ fn rewrite_spine_rec(
     }
     if path.len() == 1 {
         let nu = f(arena, uid)?.filter(|&nu| arena.union_len(nu) > 0);
+        if nu != Some(uid) {
+            arena.note_replaced(uid);
+        }
         memo.insert(uid.0, nu);
         return Ok(nu);
     }
@@ -164,6 +174,7 @@ fn rewrite_spine_rec(
         memo.insert(uid.0, Some(uid));
         return Ok(Some(uid));
     }
+    arena.note_replaced(uid);
     if specs.is_empty() {
         memo.insert(uid.0, None);
         return Ok(None);

@@ -32,6 +32,8 @@ pub fn remove_leaf(rep: FRep, node: NodeId) -> Result<FRep> {
                     if j as usize != pos {
                         arena.note_shared(1);
                         kid_ids.push(arena.kid_at(e.kids_start + j));
+                    } else {
+                        arena.note_replaced(arena.kid_at(e.kids_start + j));
                     }
                 }
                 specs.push(arena.entry_shared_val(e.val, &kid_ids));
@@ -42,6 +44,7 @@ pub fn remove_leaf(rep: FRep, node: NodeId) -> Result<FRep> {
         // it must not bring the other roots' tuples back.
         None if arena.union_len(roots[pos]) == 0 => return Ok(FRep::empty(new_tree)),
         None => {
+            arena.note_replaced(roots[pos]);
             let mut out = Vec::with_capacity(roots.len() - 1);
             for (i, &r) in roots.iter().enumerate() {
                 if i != pos {

@@ -122,9 +122,12 @@ impl Regroup {
         }
     }
 
-    /// Regroups the `a`-union `uid` into a `b`-union appended to `arena`.
+    /// Regroups the `a`-union `uid` into a `b`-union appended to `arena`;
+    /// the `b`-unions under it are noted dead (the `a`-union itself is
+    /// noted by `rewrite_spine`).
     fn run(&mut self, arena: &mut Arena, uid: UnionId) -> UnionId {
         self.collect(arena, uid);
+        arena.note_dead(self.ids.len() as u64);
         if self.ids.is_empty() {
             return arena.empty_union(self.b);
         }
@@ -274,6 +277,8 @@ pub fn merge(rep: FRep, a: NodeId, b: NodeId) -> Result<FRep> {
                 }
                 if i == a_pos {
                     out.push(intersect_unions(&mut arena, roots[a_pos], roots[b_pos], a));
+                    arena.note_replaced(roots[a_pos]);
+                    arena.note_replaced(roots[b_pos]);
                 } else {
                     arena.note_shared(1);
                     out.push(r);
@@ -283,6 +288,7 @@ pub fn merge(rep: FRep, a: NodeId, b: NodeId) -> Result<FRep> {
                 // Empty relation: normalise every root to a fresh empty
                 // union (the source arena stays as garbage for the
                 // per-plan compaction).
+                arena.note_all_dead();
                 out = new_tree
                     .roots()
                     .iter()
@@ -300,6 +306,8 @@ pub fn merge(rep: FRep, a: NodeId, b: NodeId) -> Result<FRep> {
                 let ua = arena.kid_at(e.kids_start + a_pos as u32);
                 let ub = arena.kid_at(e.kids_start + b_pos as u32);
                 let merged = intersect_unions(arena, ua, ub, a);
+                arena.note_replaced(ua);
+                arena.note_replaced(ub);
                 if arena.union_len(merged) == 0 {
                     continue; // dangling combination: prune this entry
                 }
@@ -418,6 +426,7 @@ fn restrict_entry(
     if path.len() == 1 {
         // `e` is an entry of desc's parent: restrict the desc child union.
         let du = arena.kid_at(e.kids_start + desc_pos as u32);
+        arena.note_replaced(du);
         let i = arena.find_entry(du, v)?;
         let de = arena.erec(i);
         let mut kids = Vec::with_capacity(e.kids_len as usize - 1 + de.kids_len as usize);
@@ -441,6 +450,7 @@ fn restrict_entry(
             .position(|&c| c == path[1])
             .expect("path step is a child");
         let cu = arena.kid_at(e.kids_start + child_idx as u32);
+        arena.note_replaced(cu);
         let curec = arena.urec(cu);
         let mut specs = Vec::with_capacity(curec.len as usize);
         for i in curec.start..curec.start + curec.len {

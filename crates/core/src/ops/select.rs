@@ -41,10 +41,10 @@ impl NodeFilter {
         let len = entries.len() as u32;
         // Values are strictly ascending: at most one entry equals `c`.
         let c = &self.value;
-        let lo = entries.partition_point(|e| cmp(col.get(e.val), c).is_lt()) as u32;
+        let lo = entries.partition_point(|e| col.get(e.val).cmp(c).is_lt()) as u32;
         let hit = entries
             .get(lo as usize)
-            .is_some_and(|e| cmp(col.get(e.val), c).is_eq());
+            .is_some_and(|e| col.get(e.val).cmp(c).is_eq());
         let hi = lo + u32::from(hit);
         match self.op {
             CmpOp::Eq => [(lo, hi), (len, len)],
@@ -204,6 +204,7 @@ impl FilterWalk<'_> {
                 return Ok(Some(uid));
             }
             if kept == 0 {
+                arena.note_replaced(uid);
                 return Ok(None);
             }
         }
@@ -274,9 +275,13 @@ impl FilterWalk<'_> {
                 arena.note_shared(1);
                 Some(uid)
             }
-            Some(specs) if specs.is_empty() => None,
+            Some(specs) if specs.is_empty() => {
+                arena.note_replaced(uid);
+                None
+            }
             Some(specs) => {
                 arena.note_shared(shared_here);
+                arena.note_replaced(uid);
                 Some(arena.push_union(node, &specs))
             }
         };
@@ -342,16 +347,6 @@ fn push_passing_runs(
         }
         runs.truncate(base);
         runs.extend_from_slice(scratch);
-    }
-}
-
-/// `v.cmp(c)`, with the common `Int` against `Int` inline: `Value`'s
-/// `Ord` lives in another crate and is not inlined into the searches.
-#[inline]
-fn cmp(v: &Value, c: &Value) -> std::cmp::Ordering {
-    match (v, c) {
-        (Value::Int(a), Value::Int(b)) => a.cmp(b),
-        _ => v.cmp(c),
     }
 }
 
@@ -438,7 +433,7 @@ impl Sieve for Mask {
         let (entries, col) = u.records();
         match (&self.per_node[u.node().idx()][..], entries) {
             // Most unions of a low leaf hold one entry.
-            ([f], [e]) => usize::from(f.op.eval(cmp(col.get(e.val), &f.value))),
+            ([f], [e]) => usize::from(f.op.eval(col.get(e.val).cmp(&f.value))),
             ([f], _) => f
                 .kept(entries, col)
                 .iter()

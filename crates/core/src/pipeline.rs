@@ -20,7 +20,10 @@
 //! records accumulate as unreachable garbage; at most one
 //! sharing-preserving compaction pass per plan
 //! ([`crate::frep::FRep::compact`]) sheds them at the end, and it only
-//! runs when dead records outnumber live ones — an empty plan is a pure
+//! runs when the records the operators noted dead as they replaced them
+//! outnumber the rest (read from a counter, never found by a walk over
+//! the live records, which after a swap of a view are the whole view)
+//! — an empty plan is a pure
 //! pass-through, and short plans whose result is still mostly the input
 //! (a selection keeping most entries, a rename) return the arena
 //! directly, with no full copy anywhere.
@@ -70,8 +73,29 @@ impl ExecStats {
 /// Executes a plan in one loop over its operators: one shared arena,
 /// every operator in place, consecutive selections fused into one walk
 /// or read as the mask of the `γ` right after them, and one compaction
-/// pass at the end when dead records outnumber live ones.
+/// pass at the end when the records the operators noted dead outnumber
+/// the rest ([`FRep::dead_outnumber_live`] — no walk).
 pub fn execute(plan: &FPlan, rep: FRep) -> Result<(FRep, ExecStats)> {
+    let (mut rep, mut stats) = run_operators(plan, rep)?;
+    if !plan.is_empty() && rep.dead_outnumber_live() {
+        // The one full arena pass of the plan: shed the superseded
+        // fragments while preserving sharing. Plans whose arena is
+        // still mostly live data (short plans, selections that keep
+        // most entries, pure tree edits) skip it — no copy at all —
+        // since the garbage they carry is smaller than the copy would
+        // be.
+        rep = rep.compact();
+        stats.compacted = true;
+        stats.intermediate_bytes += rep.data_bytes();
+    }
+    Ok((rep, stats))
+}
+
+/// [`execute`] without the closing compaction: the representation
+/// whose noted dead records the compaction rule reads (a hook for the
+/// tests that hold that rule to a walk over the live records).
+#[doc(hidden)]
+pub fn run_operators(plan: &FPlan, rep: FRep) -> Result<(FRep, ExecStats)> {
     let mut stats = ExecStats {
         operators: plan.len(),
         ..ExecStats::default()
@@ -139,17 +163,7 @@ pub fn execute(plan: &FPlan, rep: FRep) -> Result<(FRep, ExecStats)> {
         stats.intermediate_bytes += bytes_after.saturating_sub(bytes_before);
         bytes_before = bytes_after;
     }
-    if rep.garbage_dominated() {
-        // The one full arena pass of the plan: shed the superseded
-        // fragments while preserving sharing. Plans whose arena is
-        // still mostly live data (short plans, selections that keep
-        // most entries, pure tree edits) skip it — no copy at all —
-        // since the garbage they carry is smaller than the copy would
-        // be.
-        rep = rep.compact();
-        stats.compacted = true;
-        stats.intermediate_bytes += rep.data_bytes();
-    }
+    // Compaction carries the share counter over, so this is final.
     stats.copies_avoided += rep.stats_counter_base().saturating_sub(counter_base);
     Ok((rep, stats))
 }

@@ -246,15 +246,34 @@ impl Relation {
             }
             return 0;
         }
+        // Compacts in place: each survivor swaps down over the deleted
+        // rows before it, which end up past the survivors and go.
         let before = self.len();
-        let mut out: Vec<Value> = Vec::with_capacity(self.data.len());
-        for row in self.data.chunks_exact(a) {
-            if !pred(row) {
-                out.extend_from_slice(row);
+        let mut kept = 0;
+        for i in 0..before {
+            if pred(&self.data[i * a..(i + 1) * a]) {
+                continue;
             }
+            if kept != i {
+                let (head, rest) = self.data.split_at_mut(i * a);
+                head[kept * a..(kept + 1) * a].swap_with_slice(&mut rest[..a]);
+            }
+            kept += 1;
         }
-        self.data = out;
-        before - self.len()
+        self.data.truncate(kept * a);
+        before - kept
+    }
+
+    /// A copy with room for `additional` more tuples: one allocation and
+    /// one copy, where a clone followed by inserts copies twice.
+    pub fn clone_with_room(&self, additional: usize) -> Relation {
+        let mut data =
+            Vec::with_capacity(self.data.len() + additional * self.schema.arity().max(1));
+        data.extend_from_slice(&self.data);
+        Relation {
+            schema: self.schema.clone(),
+            data,
+        }
     }
 
     /// Borrowing access to the `i`-th tuple.
@@ -494,6 +513,41 @@ mod tests {
                 .map(|&(x, y)| vec![Value::Int(x), Value::Int(y)]),
         );
         (c, rel)
+    }
+
+    fn ints(rel: &Relation) -> Vec<(i64, i64)> {
+        rel.rows()
+            .map(|r| (r[0].as_int().unwrap(), r[1].as_int().unwrap()))
+            .collect()
+    }
+
+    #[test]
+    fn delete_where_compacts_in_place_keeping_survivor_order() {
+        let rows: Vec<(i64, i64)> = (0..10).map(|i| (i, i % 3)).collect();
+        let (_, mut rel) = rel_ab(&rows);
+        let (buffer, capacity) = (rel.data.as_ptr(), rel.data.capacity());
+        assert_eq!(rel.delete_where(|r| r[1] == Value::Int(1)), 3);
+        let want: Vec<(i64, i64)> = rows.iter().copied().filter(|r| r.1 != 1).collect();
+        assert_eq!(ints(&rel), want);
+        // No second buffer: the survivors moved within the first.
+        assert_eq!((rel.data.as_ptr(), rel.data.capacity()), (buffer, capacity));
+        assert_eq!(rel.delete_where(|_| false), 0);
+        assert_eq!(ints(&rel), want);
+        assert_eq!(rel.delete_where(|_| true), 7);
+        assert!(rel.is_empty());
+    }
+
+    #[test]
+    fn clone_with_room_takes_its_inserts_without_a_second_buffer() {
+        let (_, rel) = rel_ab(&[(1, 2), (3, 4)]);
+        let mut copy = rel.clone_with_room(3);
+        assert_eq!(copy, rel);
+        let buffer = copy.data.as_ptr();
+        for i in 0..3 {
+            assert!(copy.insert(&[Value::Int(9), Value::Int(i)]));
+        }
+        assert_eq!(copy.data.as_ptr(), buffer);
+        assert_eq!(ints(&copy), [(1, 2), (3, 4), (9, 0), (9, 1), (9, 2)]);
     }
 
     #[test]

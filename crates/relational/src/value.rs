@@ -118,6 +118,7 @@ impl Value {
 }
 
 impl PartialEq for Value {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
@@ -126,21 +127,35 @@ impl PartialEq for Value {
 impl Eq for Value {}
 
 impl PartialOrd for Value {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
+/// Inline for the `Int`/`Int` pair, the one every binary search over an
+/// integer column and every regroup sort compares; the other kinds go
+/// through `cmp_other`, out of line.
 impl Ord for Value {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         match (self, other) {
             (Value::Int(a), Value::Int(b)) => a.cmp(b),
-            (Value::Float(a), Value::Float(b)) => a.total_cmp(b),
-            (Value::Str(a), Value::Str(b)) => a.cmp(b),
-            (Value::Tup(a), Value::Tup(b)) => a.cmp(b),
-            (Value::Null, Value::Null) => Ordering::Equal,
-            (a, b) => a.rank().cmp(&b.rank()),
+            _ => cmp_other(self, other),
         }
+    }
+}
+
+/// [`Value::cmp`] of every pair but `Int`/`Int`.
+#[cold]
+fn cmp_other(a: &Value, b: &Value) -> Ordering {
+    match (a, b) {
+        (Value::Int(a), Value::Int(b)) => a.cmp(b),
+        (Value::Float(a), Value::Float(b)) => a.total_cmp(b),
+        (Value::Str(a), Value::Str(b)) => a.cmp(b),
+        (Value::Tup(a), Value::Tup(b)) => a.cmp(b),
+        (Value::Null, Value::Null) => Ordering::Equal,
+        (a, b) => a.rank().cmp(&b.rank()),
     }
 }
 

@@ -346,7 +346,13 @@ impl WriteBatch<'_> {
                     let snapshot = FRep::clone(&rep);
                     views.insert(table.clone(), (snapshot, WriteReport::default()));
                 } else if let Some(rel) = engine.relation_arc(table) {
-                    rels.insert(table.clone(), Relation::clone(&rel));
+                    // Room for the batch's inserts: one copy, no regrowth.
+                    let inserts = self
+                        .ops
+                        .iter()
+                        .filter(|(t, op)| t == table && matches!(op, WriteOp::Insert(_)))
+                        .count();
+                    rels.insert(table.clone(), rel.clone_with_room(inserts));
                 } else {
                     return Err(FdbError::Unresolved(format!(
                         "no registered view or relation named `{table}`"

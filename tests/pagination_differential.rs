@@ -23,9 +23,10 @@
 
 use fdb::core::engine::{FdbEngine, FdbResult, OrderStrategy, RunOptions};
 use fdb::relational::planner::JoinAggTask;
-use fdb::relational::{ops, AggFunc, AggSpec, Relation, Schema, SortKey, Value};
+use fdb::relational::{ops, AggFunc, AggSpec, CmpOp, Predicate, Relation, Schema, SortKey, Value};
 use fdb::workload::orders::{generate, OrdersConfig};
-use fdb::Catalog;
+use fdb::{Catalog, FRep};
+use std::sync::Arc;
 
 /// The cost model's choice (`None`) and every strategy forced.
 fn choices() -> [Option<OrderStrategy>; 5] {
@@ -226,6 +227,29 @@ fn swap_requiring_order_pages_agree_at_every_offset() {
         ..Default::default()
     };
     assert_pages_agree(&mut e, &task, true, true, "swap order");
+
+    // The same pages over a written version of the view: the base the
+    // pages above counted, plus a tail of rows written since (two fresh
+    // packages, one package deleted). The old version stays alive, so
+    // registering the new one cannot fold the tail into the base.
+    let before = e.view_arc("R1").expect("R1 is registered");
+    let mut written = FRep::clone(&before);
+    let schema = written.schema();
+    let top = (0..ds.packages.len())
+        .map(|i| ds.packages.row(i)[0].as_int().unwrap())
+        .max()
+        .unwrap();
+    let mut row = written.flatten().row(0).to_vec();
+    for fresh in [top + 1, top + 7] {
+        row[schema.position(a.package).unwrap()] = Value::Int(fresh);
+        assert!(written.insert(&row).unwrap());
+    }
+    let gone = Predicate::AttrCmp(a.package, CmpOp::Eq, Value::Int(top / 2));
+    assert!(written.delete_where(&[gone]).unwrap() > 0);
+    assert!(written.tail_records() > 0 && written.shares_base_with(&before));
+    e.register_view_arc("R1", Arc::new(written));
+    assert!(e.view_arc("R1").unwrap().tail_records() > 0);
+    assert_pages_agree(&mut e, &task, true, true, "swap order over a written tail");
 }
 
 #[test]

@@ -236,3 +236,34 @@ fn the_count_index_is_built_once_per_view_version() {
     assert!(rebuilt.has_count_index());
     assert!(!rebuilt.shares_count_index_with(&built));
 }
+
+/// A written version keeps its predecessor's base, and with it the
+/// base's counts: its own count index counts only the tail the write
+/// appended. A page over it shows the write — here a row that sorts
+/// first shifts every later row by one — so it never reads the
+/// predecessor's tail counts.
+#[test]
+fn a_written_version_reuses_the_base_counts_and_counts_its_own_tail() {
+    let db = Db::from_engine(orders_engine());
+    let page = |offset: usize| {
+        format!(
+            "SELECT package, date, customer, item, price FROM R1 \
+             ORDER BY package, date, item, customer LIMIT 10 OFFSET {offset}"
+        )
+    };
+    let view = |s: &mut fdb::Session| s.engine_mut().view_arc("R1").unwrap();
+    let shifted = db.session().query(&page(1999)).unwrap().rows;
+    let first = view(&mut db.session());
+    assert!(first.has_count_index());
+
+    db.execute("INSERT INTO R1 (package, date, customer, item, price) VALUES (-1, 1, 1, 1, 5)")
+        .unwrap();
+    let written = view(&mut db.session());
+    assert!(written.shares_base_with(&first) && written.tail_records() > 0);
+    assert!(!written.has_count_index());
+    assert_eq!(db.session().query(&page(2000)).unwrap().rows, shifted);
+    let counted = view(&mut db.session());
+    assert!(counted.has_count_index());
+    assert!(counted.shares_base_counts_with(&first));
+    assert!(!counted.shares_count_index_with(&first));
+}
