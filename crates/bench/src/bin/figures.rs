@@ -284,7 +284,8 @@ fn fig5(args: &Args, emit: &mut Emitter) {
     let queries = figure5_queries(&mut env.fdb.catalog, &attrs);
     env.share_catalog();
     for q in &queries {
-        let ((st, exec), t) = median_secs(args.repeats, || env.run_fdb_fo(&q.task));
+        let (res, t) = median_secs(args.repeats, || env.run_fdb_fo(&q.task));
+        let (st, exec) = (res.rep().stats(), res.exec_stats());
         emit.row(
             scale,
             q.name,
@@ -309,8 +310,8 @@ fn fig6(args: &Args, emit: &mut Emitter) {
     let queries = flat_input_agg_queries(&mut env.fdb.catalog, &attrs);
     env.share_catalog();
     for q in &queries {
-        let ((st, _), t) = median_secs(args.repeats, || env.run_fdb_fo(&q.task));
-        let note = format!("singletons={}", st.singletons);
+        let (res, t) = median_secs(args.repeats, || env.run_fdb_fo(&q.task));
+        let note = format!("singletons={}", res.singleton_count());
         emit.row(scale, q.name, "FDB f/o", t, &note);
         let (n, t) = median_secs(args.repeats, || env.run_fdb_flat(&q.task));
         emit.row(scale, q.name, "FDB", t, &format!("rows={n}"));

@@ -50,7 +50,7 @@ fn figure5_plans_allocate_within_their_bounds() {
         .iter()
         .zip(BOUNDS)
         .filter_map(|(q, (_, bound))| {
-            let ibytes = env.run_fdb_fo(&q.task).1.intermediate_bytes;
+            let ibytes = env.run_fdb_fo(&q.task).exec_stats().intermediate_bytes;
             (!within(ibytes, bound)).then(|| format!("{}: {ibytes} B, bound {bound} B", q.name))
         })
         .collect();

@@ -50,8 +50,8 @@
 
 use crate::error::{FdbError, Result};
 use crate::ftree::{FTree, NodeId, NodeLabel};
+use crate::update::col_map;
 use fdb_relational::{AttrId, Catalog, Relation, Schema, Value};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
 
@@ -1458,7 +1458,8 @@ impl FRep {
         }
     }
 
-    /// Builds the factorisation of `rel` over `ftree` by recursive grouping.
+    /// Builds the factorisation of `rel` over `ftree` by recursive grouping:
+    /// each node sorts its rows by its value and splits them into runs.
     ///
     /// Every f-tree node must be an atomic single-attribute node and the
     /// exposed attributes must be exactly `rel`'s schema. For a *path*
@@ -1468,31 +1469,17 @@ impl FRep {
     /// `debug_assert`ed here, and guaranteed by construction when the
     /// f-plan operators build the branching themselves.
     pub fn from_relation(rel: &Relation, ftree: FTree) -> Result<FRep> {
-        let mut col_of: BTreeMap<AttrId, usize> = BTreeMap::new();
+        let cols = col_map(&ftree, rel.schema())?;
+        let mut covered = vec![false; rel.arity()];
         for n in ftree.live_nodes() {
-            match &ftree.node(n).label {
-                NodeLabel::Atomic(attrs) if attrs.len() == 1 => {
-                    let pos = rel.schema().position(attrs[0]).ok_or_else(|| {
-                        FdbError::Unresolved(format!(
-                            "f-tree attribute {} missing from relation schema",
-                            attrs[0]
-                        ))
-                    })?;
-                    col_of.insert(attrs[0], pos);
-                }
-                _ => {
-                    return Err(FdbError::InvalidOperator(
-                        "from_relation needs single-attribute atomic nodes".into(),
-                    ))
-                }
-            }
+            covered[cols[n.idx()]] = true;
         }
-        if col_of.len() != rel.arity() {
+        if covered.contains(&false) {
             return Err(FdbError::Unresolved(
                 "f-tree does not cover the relation schema".into(),
             ));
         }
-        let all_rows: Vec<usize> = (0..rel.len()).collect();
+        let mut rows: Vec<usize> = (0..rel.len()).collect();
         let mut arena = Arena::default();
         let mut kid_scratch = Vec::new();
         let mut spec_scratch = Vec::new();
@@ -1504,8 +1491,8 @@ impl FRep {
                     rel,
                     &ftree,
                     r,
-                    &all_rows,
-                    &col_of,
+                    &mut rows,
+                    &cols,
                     &mut arena,
                     &mut kid_scratch,
                     &mut spec_scratch,
@@ -1943,63 +1930,38 @@ pub fn value_for_attr(label: &NodeLabel, value: &Value, attr: AttrId) -> Option<
 // Construction from relations
 // ---------------------------------------------------------------------
 
-/// Builds one union into `arena`, reusing shared scratch
-/// buffers so the hot path allocates only the grouping map per level.
+/// Builds `node`'s union over `rows` into `arena`: sorts the row ids by
+/// the node's column, emits one entry per run of equal values, in value
+/// order, and builds each child union on that run's sub-slice. The
+/// scratch buffers are shared by every level, so a level allocates
+/// nothing of its own.
 fn build_union(
     rel: &Relation,
     ftree: &FTree,
     node: NodeId,
-    rows: &[usize],
-    col_of: &BTreeMap<AttrId, usize>,
+    rows: &mut [usize],
+    cols: &[usize],
     arena: &mut Arena,
     kid_scratch: &mut Vec<UnionId>,
     spec_scratch: &mut Vec<EntrySpec>,
 ) -> UnionId {
-    let (col, children) = node_shape(ftree, node, col_of);
-    let groups = group_rows(rel, col, rows);
+    let col = cols[node.idx()];
+    let value = |r: usize| &rel.row(r)[col];
+    rows.sort_unstable_by(|&a, &b| value(a).cmp(value(b)));
     let spec_base = spec_scratch.len();
-    for (value, group) in groups {
+    for run in rows.chunk_by_mut(|&a, &b| value(a).cmp(value(b)).is_eq()) {
         let kid_base = kid_scratch.len();
-        for &c in children {
-            let cid = build_union(
-                rel,
-                ftree,
-                c,
-                &group,
-                col_of,
-                arena,
-                kid_scratch,
-                spec_scratch,
-            );
+        for &c in &ftree.node(node).children {
+            let cid = build_union(rel, ftree, c, run, cols, arena, kid_scratch, spec_scratch);
             kid_scratch.push(cid);
         }
-        let spec = arena.entry(node, value, &kid_scratch[kid_base..]);
+        let spec = arena.entry(node, value(run[0]).clone(), &kid_scratch[kid_base..]);
         kid_scratch.truncate(kid_base);
         spec_scratch.push(spec);
     }
     let out = arena.push_union(node, &spec_scratch[spec_base..]);
     spec_scratch.truncate(spec_base);
     out
-}
-
-fn node_shape<'t>(
-    ftree: &'t FTree,
-    node: NodeId,
-    col_of: &BTreeMap<AttrId, usize>,
-) -> (usize, &'t [NodeId]) {
-    let attr = match &ftree.node(node).label {
-        NodeLabel::Atomic(attrs) => attrs[0],
-        NodeLabel::Agg(_) => unreachable!("checked by from_relation"),
-    };
-    (col_of[&attr], &ftree.node(node).children)
-}
-
-fn group_rows(rel: &Relation, col: usize, rows: &[usize]) -> BTreeMap<Value, Vec<usize>> {
-    let mut groups: BTreeMap<Value, Vec<usize>> = BTreeMap::new();
-    for &r in rows {
-        groups.entry(rel.row(r)[col].clone()).or_default().push(r);
-    }
-    groups
 }
 
 #[cfg(test)]

@@ -2,8 +2,9 @@
 //! without rebuilding it.
 //!
 //! [`FRep::from_relation`] is *purely syntactic* recursive grouping: at
-//! every f-tree node the rows are partitioned by that node's attribute
-//! value (in a sorted map) and each group recurses into the children.
+//! every f-tree node the rows are sorted by that node's attribute value
+//! and split into runs of equal values, and each run recurses into the
+//! children.
 //! Consequently the factorisation of `rel ∪ {t}` differs from the
 //! factorisation of `rel` only along the root-to-leaf **spine** that
 //! `t`'s attribute values select — at each level either `t`'s value
@@ -91,17 +92,17 @@
 //! refused with a typed error, leaving the representation untouched:
 //! no predicate delete over-approximates.
 
-use fdb_relational::{CmpOp, Predicate, Relation, Value};
+use fdb_relational::{CmpOp, Predicate, Relation, Schema, Value};
 
 use crate::error::{FdbError, Result};
 use crate::frep::{Arena, EntryRec, EntrySpec, FRep, UnionId, UnionRec};
 use crate::ftree::{FTree, NodeId, NodeLabel};
 
 /// Per f-tree node (indexed by `NodeId::idx`): the position of the
-/// node's attribute in an update row laid out per [`FRep::schema`].
-fn col_map(rep: &FRep) -> Result<Vec<usize>> {
-    let schema = rep.schema();
-    let ftree = rep.ftree();
+/// node's attribute in a row laid out per `schema`. Every node must be
+/// atomic over one attribute of `schema`. [`FRep::from_relation`] reads
+/// its input's columns through this map, the delta writers their rows.
+pub(crate) fn col_map(ftree: &FTree, schema: &Schema) -> Result<Vec<usize>> {
     let live = ftree.live_nodes();
     let size = live.iter().map(|n| n.idx() + 1).max().unwrap_or(0);
     let mut map = vec![usize::MAX; size];
@@ -110,7 +111,7 @@ fn col_map(rep: &FRep) -> Result<Vec<usize>> {
             NodeLabel::Atomic(attrs) if attrs.len() == 1 => {
                 let pos = schema.position(attrs[0]).ok_or_else(|| {
                     FdbError::Unresolved(format!(
-                        "f-tree attribute {} missing from the view schema",
+                        "f-tree attribute {} missing from the schema",
                         attrs[0]
                     ))
                 })?;
@@ -118,7 +119,8 @@ fn col_map(rep: &FRep) -> Result<Vec<usize>> {
             }
             _ => {
                 return Err(FdbError::InvalidOperator(
-                    "insert/delete need single-attribute atomic nodes".into(),
+                    "building or updating a factorisation needs single-attribute atomic nodes"
+                        .into(),
                 ))
             }
         }
@@ -126,15 +128,18 @@ fn col_map(rep: &FRep) -> Result<Vec<usize>> {
     Ok(map)
 }
 
-fn check_arity(rep: &FRep, row: &[Value]) -> Result<()> {
-    let arity = rep.schema().arity();
+/// The column map of a single-row write: checks that `row` is laid out
+/// per [`FRep::schema`] and maps each node to its value in it.
+fn row_cols(rep: &FRep, row: &[Value]) -> Result<Vec<usize>> {
+    let schema = rep.schema();
+    let arity = schema.arity();
     if row.len() != arity {
         return Err(FdbError::InvalidOperator(format!(
             "update row has {} values, view schema has {arity}",
             row.len()
         )));
     }
-    Ok(())
+    col_map(rep.ftree(), &schema)
 }
 
 impl FRep {
@@ -142,13 +147,15 @@ impl FRep {
     /// represented relation: one binary search per f-tree node down the
     /// spine — O(depth · log fanout), no enumeration.
     pub fn contains(&self, row: &[Value]) -> Result<bool> {
-        check_arity(self, row)?;
-        let cols = col_map(self)?;
+        let cols = row_cols(self, row)?;
+        Ok(self.contains_at(row, &cols))
+    }
+
+    fn contains_at(&self, row: &[Value], cols: &[usize]) -> bool {
         let arena = self.arena_ref();
-        Ok(self
-            .root_ids()
+        self.root_ids()
             .iter()
-            .all(|&r| contains_union(arena, r, row, &cols)))
+            .all(|&r| contains_union(arena, r, row, cols))
     }
 
     /// Inserts `row` (laid out per [`FRep::schema`]); returns `true` if
@@ -160,8 +167,7 @@ impl FRep {
     /// this wrapper was cloned from are untouched (copy-on-write). A row
     /// the f-tree cannot add exactly is refused (see the module docs).
     pub fn insert(&mut self, row: &[Value]) -> Result<bool> {
-        check_arity(self, row)?;
-        let cols = col_map(self)?;
+        let cols = row_cols(self, row)?;
         let empty = self.is_empty();
         let (tree, arena, roots) = self.update_parts();
         if empty {
@@ -182,11 +188,10 @@ impl FRep {
     /// absent rows). Same spine-rewrite cost, copy-on-write discipline
     /// and refusal as [`FRep::insert`]; see the module docs.
     pub fn delete(&mut self, row: &[Value]) -> Result<bool> {
-        check_arity(self, row)?;
-        if !self.contains(row)? {
+        let cols = row_cols(self, row)?;
+        if !self.contains_at(row, &cols) {
             return Ok(false);
         }
-        let cols = col_map(self)?;
         let (_tree, arena, roots) = self.update_parts();
         if delete_from(arena, roots, row, &cols)? {
             // Every root a single tuple: the row was the whole product.
@@ -213,7 +218,7 @@ impl FRep {
     /// was. See the module docs. Same copy-on-write discipline as
     /// [`FRep::insert`].
     pub fn delete_where(&mut self, preds: &[Predicate]) -> Result<usize> {
-        col_map(self)?;
+        col_map(self.ftree(), &self.schema())?;
         let (root, levels) = match plan_delete(self.ftree(), preds)? {
             DeletePlan::Scan => return self.delete_where_by_rebuild(preds),
             DeletePlan::Spine { root, levels } => (root, levels),

@@ -4,6 +4,11 @@
 //! unions, deep paths), sanity checks on the physical size report, and
 //! the shared-base overlay: operators, compaction, products and io on
 //! clones whose private tails point into a base they share.
+//!
+//! The construction property (`from_relation` on random relations over
+//! random path f-trees, branching f-trees and forests) has two budgets:
+//! tier-1 runs a fixed-seed 600 relations; the `#[ignore]`d variant runs
+//! 200 000 (`cargo test --release -p fdb-core --test arena -- --ignored`).
 
 use fdb_core::frep::FRep;
 use fdb_core::ftree::{FTree, NodeLabel};
@@ -484,4 +489,176 @@ fn an_empty_root_in_a_shared_base_is_retagged_by_a_fresh_union() {
     // The source's root keeps its tag.
     view.check_invariants().unwrap();
     assert_eq!(view.root(0).node(), na);
+}
+
+/// A 64-bit LCG: the construction property replays from its seed.
+struct Lcg(u64);
+
+impl Lcg {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (self.0 >> 33) as usize % n
+    }
+
+    fn shuffle<T>(&mut self, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            items.swap(i, self.below(i + 1));
+        }
+    }
+}
+
+/// A value of one of four column domains: small `Int`s with negatives,
+/// `Float`s with both zeros and NaN, strings, or every kind mixed
+/// (`Null` and `Tup` included).
+fn draw_value(rng: &mut Lcg, domain: usize) -> Value {
+    let kind = if domain < 3 { domain } else { rng.below(5) };
+    match kind {
+        0 => Value::Int(rng.below(7) as i64 - 3),
+        1 => Value::Float([-0.0, 0.0, f64::NAN, 1.5, -2.5][rng.below(5)]),
+        2 => Value::str(["", "a", "ab", "b"][rng.below(4)]),
+        3 => Value::Null,
+        _ => Value::Tup(vec![Value::Int(rng.below(2) as i64), Value::str("t")].into()),
+    }
+}
+
+/// Rows of the product of `nodes`' subtrees, one slot per column: at a
+/// node, a few distinct values, each paired with the product of its
+/// children's subtrees. Such data satisfies every join dependency of a
+/// branching f-tree or forest.
+fn product_rows(
+    rng: &mut Lcg,
+    tree: &FTree,
+    nodes: &[fdb_core::NodeId],
+    col_of: &[usize],
+    domains: &[usize],
+) -> Vec<Vec<Option<Value>>> {
+    let mut out = vec![vec![None; domains.len()]];
+    for &n in nodes {
+        let col = col_of[n.idx()];
+        let mut vals: Vec<Value> = (0..1 + rng.below(3))
+            .map(|_| draw_value(rng, domains[col]))
+            .collect();
+        vals.sort();
+        vals.dedup();
+        let mut sub = Vec::new();
+        for v in vals {
+            for mut row in product_rows(rng, tree, &tree.node(n).children, col_of, domains) {
+                row[col] = Some(v.clone());
+                sub.push(row);
+            }
+        }
+        out = out
+            .iter()
+            .flat_map(|left| {
+                sub.iter().map(move |right| {
+                    left.iter()
+                        .zip(right)
+                        .map(|(l, r)| l.clone().or_else(|| r.clone()))
+                        .collect()
+                })
+            })
+            .collect();
+    }
+    out
+}
+
+/// `from_relation` on `cases` random relations from `seed`, with
+/// shuffled and duplicated rows over random path f-trees, branching
+/// f-trees and forests (the latter two on data that is a product per
+/// branch): the result keeps its invariants, equals the build from the
+/// sorted distinct rows, flattens to the distinct rows, and on a path
+/// equals the representation grown by inserting each row, in another
+/// order, into the empty one.
+fn construction_matches(cases: usize, seed: u64) {
+    let mut rng = Lcg(seed);
+    for case in 0..cases {
+        let shape = rng.below(3); // 0 path, 1 branching, 2 forest
+        let k = if shape == 0 {
+            1 + rng.below(5)
+        } else {
+            3 + rng.below(3)
+        };
+        let mut c = Catalog::new();
+        let attrs: Vec<_> = (0..k).map(|i| c.intern(&format!("a{i}"))).collect();
+        let domains: Vec<usize> = (0..k).map(|_| rng.below(4)).collect();
+        // The f-tree visits the columns in another order than the schema.
+        let mut order: Vec<usize> = (0..k).collect();
+        rng.shuffle(&mut order);
+        let mut tree = FTree::new();
+        let mut nodes = Vec::new();
+        for (i, &col) in order.iter().enumerate() {
+            let parent = match (shape, i) {
+                (_, 0) | (2, 1) => None,
+                (0, _) => Some(nodes[i - 1]),
+                (1, 2) => Some(nodes[0]),
+                (1, _) => Some(nodes[rng.below(i)]),
+                _ => [None, Some(nodes[rng.below(i)])][rng.below(2)],
+            };
+            nodes.push(tree.add_node(NodeLabel::Atomic(vec![attrs[col]]), parent));
+        }
+        let mut col_of = vec![0; k];
+        for (n, &col) in nodes.iter().zip(&order) {
+            col_of[n.idx()] = col;
+        }
+        let mut rows: Vec<Vec<Value>> = if rng.below(10) == 0 {
+            Vec::new()
+        } else if shape == 0 {
+            (0..1 + rng.below(24))
+                .map(|_| domains.iter().map(|&d| draw_value(&mut rng, d)).collect())
+                .collect()
+        } else {
+            product_rows(&mut rng, &tree, tree.roots(), &col_of, &domains)
+                .into_iter()
+                .map(|row| row.into_iter().map(Option::unwrap).collect())
+                .collect()
+        };
+        for _ in 0..rng.below(rows.len() + 1) {
+            let dup = rows[rng.below(rows.len())].clone();
+            rows.push(dup);
+        }
+        rng.shuffle(&mut rows);
+        let what = format!("case {case}, shape {shape}, order {order:?}: {rows:?}");
+
+        let rel = Relation::from_rows(Schema::new(attrs.clone()), rows);
+        let rep = FRep::from_relation(&rel, tree.clone()).unwrap();
+        rep.check_invariants()
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        let distinct = rel.canonical();
+        let sorted = FRep::from_relation(&distinct, tree.clone()).unwrap();
+        assert!(rep.same_data(&sorted), "{what}");
+        assert_eq!(
+            rep.flatten().project_cols(&attrs).canonical(),
+            distinct,
+            "{what}"
+        );
+        if shape == 0 {
+            let layout = rep.schema();
+            let mut ids: Vec<usize> = (0..rel.len()).collect();
+            rng.shuffle(&mut ids);
+            let mut grown = FRep::empty(tree);
+            for r in ids {
+                let row: Vec<Value> = layout
+                    .attrs()
+                    .iter()
+                    .map(|&a| rel.row(r)[rel.schema().position(a).unwrap()].clone())
+                    .collect();
+                grown.insert(&row).unwrap();
+            }
+            assert!(grown.same_data(&rep), "{what}");
+        }
+    }
+}
+
+#[test]
+fn construction_matches_distinct_rows_and_inserts() {
+    construction_matches(600, 0xB17D);
+}
+
+#[test]
+#[ignore = "long budget; CI runs it in release with --ignored"]
+fn construction_matches_distinct_rows_and_inserts_long() {
+    construction_matches(200_000, 0x5EED);
 }
