@@ -27,7 +27,9 @@
 //! (`fold_groups`, behind `FOp::GroupFold`) evaluates every function for
 //! every group of its nodes at once, in one walk down the root path: the
 //! folds through one table of accumulators each (`Table`), and
-//! `count(distinct)` through its own (`Distinct`).
+//! `count(distinct)` through its own (`Distinct`). Read for a page, a
+//! fold on the top nodes of the root path walks only the root entries
+//! whose groups the page shows ([`FoldWindow`]).
 //!
 //! `count(distinct)` does not compose — which values occur is lost in a
 //! count — so no partial `γ` computes it and its attribute stays atomic
@@ -1449,6 +1451,9 @@ struct GroupWalk<'a> {
     gids: Vec<u32>,
     /// Scratch for [`Here::counts`].
     counts: Vec<Option<i64>>,
+    /// The root union's entries walked: all of them, or a page's
+    /// ([`FoldWindow`]; the root is then not the deepest group node).
+    top: Range<usize>,
 }
 
 impl<'a> GroupWalk<'a> {
@@ -1466,9 +1471,15 @@ impl<'a> GroupWalk<'a> {
             }
             return Ok(());
         };
+        // Above the deepest group node: the root's window, or every entry.
+        let run = if level == 0 {
+            self.top.clone()
+        } else {
+            0..u.len()
+        };
         let group = self.group_at[level];
         if self.quiet[level] {
-            for e in u.entries() {
+            for e in u.entries_in(run) {
                 if let Some(g) = group {
                     self.enter_group(g, e);
                 }
@@ -1477,7 +1488,7 @@ impl<'a> GroupWalk<'a> {
             return Ok(());
         }
         let label = &self.ftree.node(u.node()).label;
-        for e in u.entries() {
+        for e in u.entries_in(run) {
             if let Some(g) = group {
                 self.enter_group(g, e);
             }
@@ -1537,6 +1548,57 @@ pub(crate) struct FoldedGroups {
     pub(crate) values: Vec<Value>,
 }
 
+/// What a group fold read for a page
+/// ([`crate::ops::aggregate::group_fold_page`]): the root union's
+/// entries `roots` of its `of`, and the number of the fold's groups that
+/// come before them, which the folded groups start after.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FoldWindow {
+    /// The root entries walked, by position.
+    pub roots: Range<usize>,
+    /// The root union's length.
+    pub of: usize,
+    /// The groups under the root entries before `roots`.
+    pub skipped: usize,
+}
+
+/// The window of the groups `page` (positions in the fold's group order)
+/// over a fold whose group nodes are the first nodes of the root path,
+/// in path order, the deepest reached from the root down the child
+/// positions `path` (at least one): each root entry holds the next run
+/// of groups, one per entry of the deepest group node below it, so the
+/// root entries whose runs end at or before the page's start are
+/// skipped and the walk stops after the one that reaches its end.
+fn fold_window(root: UnionRef<'_>, path: &[usize], page: Range<usize>) -> FoldWindow {
+    fn groups_below(u: UnionRef<'_>, path: &[usize]) -> usize {
+        match path.split_first() {
+            None => u.len(),
+            Some((&j, rest)) => u.entries().map(|e| groups_below(e.child(j), rest)).sum(),
+        }
+    }
+    let groups_in = |i: usize| groups_below(root.entry(i).child(path[0]), &path[1..]);
+    let of = root.len();
+    let (mut first, mut skipped) = (0, 0);
+    while first < of {
+        let n = groups_in(first);
+        if skipped + n > page.start {
+            break;
+        }
+        skipped += n;
+        first += 1;
+    }
+    let (mut end, mut reached) = (first, skipped);
+    while end < of && reached < page.end {
+        reached += groups_in(end);
+        end += 1;
+    }
+    FoldWindow {
+        roots: first..end,
+        of,
+        skipped,
+    }
+}
+
 /// `γ_funcs` grouped by the atomic nodes `groups`, which lie on one root
 /// path, over the relation represented by `root` (the union of the
 /// tree's only root), as a chain of the group nodes in the given order.
@@ -1554,18 +1616,32 @@ pub(crate) struct FoldedGroups {
 /// groups are the chain; otherwise each group node interns `(enclosing
 /// group, value)` into a table and the groups are sorted at the end.
 /// Multiplicities are checked like everywhere else in this module.
+///
+/// With `page` (positions in the chain's group order, the end saturated
+/// for a page without a limit) and group nodes that are the first two or
+/// more nodes of the root path, in path order, the walk reads only the
+/// root entries whose groups overlap the page, and returns which
+/// ([`FoldWindow`]): the groups folded are the chain's from the window's
+/// `skipped` on. An error in a group outside the window (an overflowing
+/// multiplicity, a `sum` over a `NULL` partial) is then never met. Any
+/// other chain folds every group, the root alone too (greedy keeps its
+/// `γ` plan).
 pub(crate) fn fold_groups(
     ftree: &FTree,
     root: UnionRef<'_>,
     groups: &[NodeId],
     funcs: &[AggOp],
-) -> Result<FoldedGroups> {
+    page: Option<Range<usize>>,
+) -> Result<(FoldedGroups, Option<FoldWindow>)> {
     let deepest = groups.iter().copied().max_by_key(|&g| ftree.depth(g));
     let nodes = ftree.root_path(deepest.expect("at least one group node"));
-    let path = nodes[1..]
+    let path: Vec<usize> = nodes[1..]
         .iter()
         .map(|&n| ftree.child_position(n))
         .collect();
+    let window = page
+        .filter(|_| groups == nodes && !path.is_empty())
+        .map(|page| fold_window(root, &path, page));
     let sinks: Vec<Box<dyn GroupSink>> = funcs
         .iter()
         .map(|&op| group_sink(ftree, &nodes, op, root.column_len(nodes[nodes.len() - 1])))
@@ -1601,6 +1677,7 @@ pub(crate) fn fold_groups(
         enclosing: vec![0; levels.len() + 1],
         gids: Vec::new(),
         counts: Vec::new(),
+        top: window.as_ref().map_or(0..root.len(), |w| w.roots.clone()),
     };
     walk.walk(root, 0)?;
     walk.flush()?;
@@ -1628,7 +1705,7 @@ pub(crate) fn fold_groups(
             on_path.expect("every group node lies on the deepest one's root path")
         })
         .collect();
-    Ok(chain_groups(walk.groups, &chain, values))
+    Ok((chain_groups(walk.groups, &chain, values), window))
 }
 
 /// The walk's groups (`levels`, top-down on the path, the last level's
@@ -2884,7 +2961,9 @@ mod tests {
         let tree = rep.ftree();
         let gn = tree.node_of_attr(g).unwrap();
         let k = i64::MAX as usize;
-        let folded = fold_groups(tree, rep.root(0), &[gn], &[AggOp::TopK(x, k)]).unwrap();
+        let folded = fold_groups(tree, rep.root(0), &[gn], &[AggOp::TopK(x, k)], None)
+            .unwrap()
+            .0;
         for (gv, top) in folded.levels[0].1.iter().zip(&folded.values) {
             let gv = gv.as_int().unwrap();
             let mut want: Vec<Value> = (0..4)
@@ -2982,7 +3061,7 @@ mod tests {
             }],
         };
         let rep = FRep::new(t, vec![root]).unwrap();
-        let folded = fold_groups(rep.ftree(), rep.root(0), &[n_h], &[op]);
+        let folded = fold_groups(rep.ftree(), rep.root(0), &[n_h], &[op], None);
         assert!(matches!(folded, Err(FdbError::InvalidComposition(_))));
     }
 

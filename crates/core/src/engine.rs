@@ -376,6 +376,7 @@ impl FdbEngine {
             row_filters: task.having.clone(),
             limit: task.limit,
             offset: task.offset,
+            window: None,
             plan,
             input_tree,
             exec_stats,

@@ -5,12 +5,13 @@
 
 use super::choose::Chosen;
 use super::lower::{EmitCol, Lowered};
+use crate::agg::FoldWindow;
 use crate::enumerate::EnumSpec;
 use crate::error::{FdbError, Result};
 use crate::frep::FRep;
 use crate::ftree::{AggOp, FTree};
-use crate::optim::ordering::OrderStrategy;
-use crate::pipeline::ExecStats;
+use crate::optim::ordering::{is_page, OrderStrategy};
+use crate::pipeline::{ExecStats, Page};
 use crate::plan::{FOp, FPlan};
 use fdb_relational::planner::JoinAggTask;
 use fdb_relational::{AttrId, Catalog, Predicate, Schema, SortKey};
@@ -94,8 +95,12 @@ pub struct FdbResult {
     pub(super) row_filters: Vec<Predicate>,
     pub(super) limit: Option<usize>,
     /// OFFSET m: rows of the ordered output skipped before the first
-    /// returned row (`0` = none).
+    /// returned row (`0` = none); of a windowed result, of the window's
+    /// rows (the query's OFFSET less the groups skipped).
     pub(super) offset: usize,
+    /// What the plan's closing group fold read for the page, when it
+    /// folded only the page's groups ([`crate::pipeline::Page`]).
+    pub(super) window: Option<FoldWindow>,
     /// The executed f-plan (for EXPLAIN-style introspection).
     pub(super) plan: FPlan,
     /// The f-tree the plan ran on: `explain` simulates the plan on it
@@ -120,7 +125,19 @@ pub(super) fn execute(
 ) -> Result<FdbResult> {
     let spec = chosen.spec;
     let input_tree = low.rep.ftree().clone();
-    let (mut rep, mut exec_stats) = crate::pipeline::execute(&chosen.plan, low.rep)?;
+    // A page streamed in the plan's order, with no HAVING to thin it, is
+    // all the plan's result is read for: a closing group fold on that
+    // order folds only the groups the page shows.
+    let page = (matches!(chosen.strategy, OrderStrategy::StreamInTree)
+        && is_page(task.limit, task.offset)
+        && task.having.is_empty())
+    .then_some(Page {
+        keys: &spec.order_by,
+        offset: task.offset,
+        limit: task.limit,
+    });
+    let (mut rep, mut exec_stats, window) =
+        crate::pipeline::execute_page(&chosen.plan, low.rep, page)?;
     check_deadline(deadline_at, "plan execution")?;
 
     // HAVING: what can be is pushed into the factorisation as one fused
@@ -160,6 +177,8 @@ pub(super) fn execute(
         } else {
             crate::enumerate::supports_order(tree, keys)
         };
+    // A window's chain, from the root in the order's keys, realises it.
+    debug_assert!(realised || window.is_none());
     let order_strategy = if realised {
         chosen.strategy
     } else {
@@ -186,7 +205,9 @@ pub(super) fn execute(
         order_strategy,
         row_filters,
         limit: task.limit,
-        offset: task.offset,
+        // The groups before the window are not in the result.
+        offset: task.offset - window.as_ref().map_or(0, |w| w.skipped),
+        window,
         plan: chosen.plan,
         input_tree,
         exec_stats,
@@ -196,7 +217,9 @@ pub(super) fn execute(
 
 impl FdbResult {
     /// The result factorisation (`FDB f/o`); of a grouping-sets result,
-    /// its last set's.
+    /// its last set's. Of a page whose group fold was windowed (a
+    /// `page window:` line in [`FdbResult::explain`]), only the groups
+    /// of the root entries the window walked.
     pub fn rep(&self) -> &FRep {
         &self.rep
     }
@@ -309,8 +332,16 @@ impl FdbResult {
         if let Some(k) = self.limit {
             let _ = writeln!(out, "limit: {k}");
         }
-        if self.offset > 0 {
-            let _ = writeln!(out, "offset: {}", self.offset);
+        let skipped = self.window.as_ref().map_or(0, |w| w.skipped);
+        if self.offset + skipped > 0 {
+            let _ = writeln!(out, "offset: {}", self.offset + skipped);
+        }
+        if let Some(w) = &self.window {
+            let _ = writeln!(
+                out,
+                "page window: root entries {}..{} of {}, {} groups skipped",
+                w.roots.start, w.roots.end, w.of, w.skipped
+            );
         }
         if !self.row_filters.is_empty() {
             let _ = writeln!(out, "row filters: {}", self.row_filters.len());

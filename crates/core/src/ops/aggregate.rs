@@ -13,12 +13,13 @@
 //! siblings shared by id plus the new aggregate leaf — are appended to
 //! the same arena. The consumed target subtrees are never copied.
 
-use crate::agg::{eval_compiled, CompiledAgg, NoMask, Sieve};
+use crate::agg::{eval_compiled, CompiledAgg, FoldWindow, NoMask, Sieve};
 use crate::error::{FdbError, Result};
 use crate::frep::{Arena, FRep, UnionId, UnionRef};
 use crate::ftree::{AggOp, NodeId};
 use crate::ops::rewrite_spine;
 use fdb_relational::{AttrId, Value};
+use std::ops::Range;
 
 /// Where the operator applies: sibling subtrees under `parent`, or root
 /// subtrees when `parent` is `None`.
@@ -180,6 +181,24 @@ pub fn group_fold(
     funcs: Vec<AggOp>,
     outputs: Vec<AttrId>,
 ) -> Result<FRep> {
+    Ok(group_fold_page(rep, groups, funcs, outputs, None)?.0)
+}
+
+/// [`group_fold`] read for the groups `page` (positions in the chain's
+/// group order, the end saturated for a page without a limit): when the
+/// group nodes are the first two or more nodes of the root path, in path
+/// order, the
+/// result holds only the groups of the root entries that overlap the
+/// page, and the [`FoldWindow`] says which, and how many groups came
+/// before them. Any other chain folds every group, and no window is
+/// returned.
+pub fn group_fold_page(
+    rep: FRep,
+    groups: &[NodeId],
+    funcs: Vec<AggOp>,
+    outputs: Vec<AttrId>,
+    page: Option<Range<usize>>,
+) -> Result<(FRep, Option<FoldWindow>)> {
     if funcs.is_empty() || funcs.len() != outputs.len() {
         return Err(FdbError::InvalidOperator(
             "group fold needs parallel funcs/outputs".into(),
@@ -188,9 +207,13 @@ pub fn group_fold(
     let mut tree = rep.ftree().clone();
     let node = tree.group_fold(groups, funcs.clone(), outputs)?;
     if rep.is_empty() {
-        return Ok(FRep::empty(tree));
+        return Ok((FRep::empty(tree), None));
     }
-    let folded = crate::agg::fold_groups(rep.ftree(), rep.root(0), groups, &funcs)?;
+    let (folded, window) = crate::agg::fold_groups(rep.ftree(), rep.root(0), groups, &funcs, page)?;
+    if folded.values.is_empty() {
+        // A page past the last group.
+        return Ok((FRep::empty(tree), window));
+    }
     // Bottom-up: the aggregate leaves, then per level one entry per group
     // over the union below it, and one union per run of groups that
     // share their enclosing group.
@@ -204,7 +227,7 @@ pub fn group_fold(
     arena.seal();
     let out = FRep::from_arena(tree, arena, vec![below]);
     debug_assert!(out.check_invariants().is_ok());
-    Ok(out)
+    Ok((out, window))
 }
 
 /// A one-entry, zero-children aggregate leaf `⟨F(U):v⟩`.

@@ -16,9 +16,10 @@
 //! target subtrees hold every filtered node (all atomic), the `γ`'s walk
 //! reads the run as a mask (`select::Mask`) and nothing is rewritten —
 //! one pass for both. A `GroupFold` builds its (small) result in a fresh
-//! arena, so the byte and share counts restart there. Superseded
-//! records accumulate as unreachable garbage; at most one
-//! sharing-preserving compaction pass per plan
+//! arena, so the byte and share counts restart there; closing a plan
+//! run for a page in the page's order, it folds only the groups the
+//! page shows. Superseded records accumulate as unreachable garbage; at
+//! most one sharing-preserving compaction pass per plan
 //! ([`crate::frep::FRep::compact`]) sheds them at the end, and it only
 //! runs when the records the operators noted dead as they replaced them
 //! outnumber the rest (read from a counter, never found by a walk over
@@ -33,10 +34,14 @@
 //! evaluation of the plan over the input's flattening
 //! (`tests/pipeline_fused.rs`).
 
+use crate::agg::FoldWindow;
 use crate::error::Result;
 use crate::frep::FRep;
+use crate::ftree::{FTree, NodeId};
 use crate::ops::{self, select::Mask, AggTarget};
 use crate::plan::{apply, FOp, FPlan};
+use fdb_relational::{SortDir, SortKey};
+use std::ops::Range;
 
 /// Execution report of one plan run (see [`execute`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -70,13 +75,49 @@ impl ExecStats {
     }
 }
 
+/// The page a plan's result is read for: `LIMIT limit OFFSET offset`
+/// over the order `keys`. A plan that ends in a group fold whose chain is
+/// the keys' nodes, one key per node, ascending, folds only the groups
+/// the page shows when the chain is the top of the root path
+/// ([`crate::ops::aggregate::group_fold_page`]).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Page<'a> {
+    pub(crate) keys: &'a [SortKey],
+    pub(crate) offset: usize,
+    pub(crate) limit: Option<usize>,
+}
+
+impl Page<'_> {
+    /// The positions of the page's groups in the order of the fold on
+    /// the chain `groups` of `tree`, if the page's order is that chain.
+    fn groups_of(&self, tree: &FTree, groups: &[NodeId]) -> Option<Range<usize>> {
+        let chain = self.keys.len() == groups.len()
+            && (self.keys.iter().zip(groups))
+                .all(|(k, &g)| k.dir == SortDir::Asc && tree.node_of_attr(k.attr) == Some(g));
+        let end = self.offset.saturating_add(self.limit.unwrap_or(usize::MAX));
+        chain.then_some(self.offset..end)
+    }
+}
+
 /// Executes a plan in one loop over its operators: one shared arena,
 /// every operator in place, consecutive selections fused into one walk
 /// or read as the mask of the `γ` right after them, and one compaction
 /// pass at the end when the records the operators noted dead outnumber
 /// the rest ([`FRep::dead_outnumber_live`] — no walk).
 pub fn execute(plan: &FPlan, rep: FRep) -> Result<(FRep, ExecStats)> {
-    let (mut rep, mut stats) = run_operators(plan, rep)?;
+    let (rep, stats, _) = execute_page(plan, rep, None)?;
+    Ok((rep, stats))
+}
+
+/// [`execute`] for the page `page`: a closing group fold on the page's
+/// order folds only the groups the page shows, and the window it read
+/// is returned with the result.
+pub(crate) fn execute_page(
+    plan: &FPlan,
+    rep: FRep,
+    page: Option<Page<'_>>,
+) -> Result<(FRep, ExecStats, Option<FoldWindow>)> {
+    let (mut rep, mut stats, window) = run(plan, rep, page)?;
     if !plan.is_empty() && rep.dead_outnumber_live() {
         // The one full arena pass of the plan: shed the superseded
         // fragments while preserving sharing. Plans whose arena is
@@ -88,7 +129,7 @@ pub fn execute(plan: &FPlan, rep: FRep) -> Result<(FRep, ExecStats)> {
         stats.compacted = true;
         stats.intermediate_bytes += rep.data_bytes();
     }
-    Ok((rep, stats))
+    Ok((rep, stats, window))
 }
 
 /// [`execute`] without the closing compaction: the representation
@@ -96,13 +137,24 @@ pub fn execute(plan: &FPlan, rep: FRep) -> Result<(FRep, ExecStats)> {
 /// tests that hold that rule to a walk over the live records).
 #[doc(hidden)]
 pub fn run_operators(plan: &FPlan, rep: FRep) -> Result<(FRep, ExecStats)> {
+    let (rep, stats, _) = run(plan, rep, None)?;
+    Ok((rep, stats))
+}
+
+/// [`run_operators`] for `page`, with the window of a closing group fold.
+fn run(
+    plan: &FPlan,
+    rep: FRep,
+    page: Option<Page<'_>>,
+) -> Result<(FRep, ExecStats, Option<FoldWindow>)> {
     let mut stats = ExecStats {
         operators: plan.len(),
         ..ExecStats::default()
     };
+    let mut window = None;
     if plan.is_empty() {
         // An empty plan is a pass-through: not even a byte is appended.
-        return Ok((rep, stats));
+        return Ok((rep, stats, window));
     }
     let mut counter_base = rep.stats_counter_base();
     let mut rep = rep;
@@ -145,11 +197,22 @@ pub fn run_operators(plan: &FPlan, rep: FRep) -> Result<(FRep, ExecStats)> {
                     None => ops::select::apply_filters(rep, &filters)?,
                 }
             }
-            FOp::GroupFold { .. } => {
+            FOp::GroupFold {
+                groups,
+                funcs,
+                outputs,
+            } => {
                 // A fresh arena: all of it is the fold's allocation, and
-                // the input's share counter stops here.
+                // the input's share counter stops here. The plan's last
+                // operator folds for the page.
                 stats.copies_avoided += rep.stats_counter_base().saturating_sub(counter_base);
-                let folded = apply(rep, op)?;
+                let page = page
+                    .filter(|_| ops.peek().is_none())
+                    .and_then(|p| p.groups_of(rep.ftree(), groups));
+                let (funcs, outputs) = (funcs.clone(), outputs.clone());
+                let folded;
+                (folded, window) =
+                    ops::aggregate::group_fold_page(rep, groups, funcs, outputs, page)?;
                 counter_base = folded.stats_counter_base();
                 bytes_before = 0;
                 folded
@@ -165,7 +228,7 @@ pub fn run_operators(plan: &FPlan, rep: FRep) -> Result<(FRep, ExecStats)> {
     }
     // Compaction carries the share counter over, so this is final.
     stats.copies_avoided += rep.stats_counter_base().saturating_sub(counter_base);
-    Ok((rep, stats))
+    Ok((rep, stats, window))
 }
 
 /// [`execute`] under its former name, for callers outside the

@@ -13,14 +13,15 @@
 //! data, and the fold's f-tree that chain with one aggregate node over
 //! every other attribute. In half the cases a partial `γ` off the group
 //! nodes' root path runs first, as greedy's step 2 can leave one before
-//! the fold.
+//! the fold. Read for a page, a fold on the top of a random path's root
+//! path must hold the slice of the full fold's groups its window names.
 //!
-//! Two budgets: tier-1 runs a fixed-seed few hundred trees; the
-//! `#[ignore]`d variant runs many more
+//! Two budgets: tier-1 runs a fixed-seed 300 or 1 000 trees per property;
+//! the `#[ignore]`d variants run many more
 //! (`cargo test --release -p fdb-core --test group_fold -- --ignored`).
 
-use fdb_core::agg::{eval_funcs, fold_funcs, partial_funcs, subtree_provides};
-use fdb_core::frep::{Entry, FRep, Union, UnionRef};
+use fdb_core::agg::{eval_funcs, fold_funcs, partial_funcs, subtree_provides, FoldWindow};
+use fdb_core::frep::{Entry, EntryRef, FRep, Union, UnionRef};
 use fdb_core::ftree::{AggOp, FTree, NodeId, NodeLabel};
 use fdb_core::ops::{self, AggTarget};
 use fdb_core::pipeline::execute;
@@ -46,7 +47,8 @@ impl Lcg {
 }
 
 /// A random tree of 2–6 atomic nodes `a0 … a{n-1}` (node `i`'s parent is
-/// an earlier node, so `a0` is the root) and data over it.
+/// an earlier node, so `a0` is the root; with `path`, node `i - 1`) and
+/// data over it.
 ///
 /// Each node `i` depends on its parent and on a random set of further
 /// ancestors, `S_i`; its values under a context are a pseudo-random
@@ -56,12 +58,21 @@ impl Lcg {
 /// may move a subtree that does not depend on the swapped parent, and
 /// the swap plan is a correct reference. Each node draws its values
 /// from one [`DOMAINS`] entry; with `nulls`, values may be NULL.
-fn random_rep(rng: &mut Lcg, catalog: &mut Catalog, nulls: bool) -> (FRep, Vec<AttrId>) {
+fn random_rep(
+    rng: &mut Lcg,
+    catalog: &mut Catalog,
+    nulls: bool,
+    path: bool,
+) -> (FRep, Vec<AttrId>) {
     let n = 2 + rng.below(5) as usize;
     let attrs: Vec<AttrId> = (0..n).map(|i| catalog.intern(&format!("a{i}"))).collect();
     let mut parent: Vec<Option<usize>> = vec![None];
     for i in 1..n {
-        parent.push(Some(rng.below(i as u64) as usize));
+        parent.push(Some(if path {
+            i - 1
+        } else {
+            rng.below(i as u64) as usize
+        }));
     }
     let domains = (0..n)
         .map(|_| DOMAINS[rng.below(DOMAINS.len() as u64) as usize])
@@ -379,7 +390,7 @@ fn fold_matches_the_swap_plan(cases: u64, seed: u64) -> Folds {
     for case in 0..cases {
         let mut rng = Lcg(seed ^ case.wrapping_mul(0x2545_F491_4F6C_DD1D));
         let mut catalog = Catalog::new();
-        let (rep, attrs) = random_rep(&mut rng, &mut catalog, case % 2 == 1);
+        let (rep, attrs) = random_rep(&mut rng, &mut catalog, case % 2 == 1, false);
         let tree = rep.ftree();
         let lone = tree
             .live_nodes()
@@ -544,6 +555,116 @@ fn assert_chain(input: &FRep, got: &FRep, groups: &[NodeId], funcs: &[AggOp], ou
     tree.check_path_constraint().unwrap();
 }
 
+/// The rows of `rep` in enumeration order: a chain's groups in order.
+fn rows(rep: &FRep) -> Vec<Vec<Value>> {
+    let mut rows = Vec::new();
+    rep.for_each_tuple(|row| rows.push(row.to_vec()));
+    rows
+}
+
+/// How many pages of [`windowed_fold_is_a_slice_of_the_full_fold`]
+/// were windowed, how many of those started past the first root entry
+/// and how many ended before the last, and how many chains folded every
+/// group.
+#[derive(Debug, Default)]
+struct Pages {
+    windowed: usize,
+    skipped: usize,
+    cut: usize,
+    whole: usize,
+}
+
+/// Runs `cases` random path trees, five pages each. A fold on the first
+/// two or three nodes of the path, in path order, read for the groups
+/// `offset..offset + limit` (no limit at times) walks the root entries
+/// whose groups overlap the page: the window's `skipped` is the number
+/// of the full fold's groups under the root entries before it, and its
+/// groups are the full fold's from there on, under the root entries it
+/// names. Any other chain (shuffled, not the top of the path, or the
+/// root alone) folds every group.
+fn windowed_fold_is_a_slice_of_the_full_fold(cases: u64, seed: u64) -> Pages {
+    let mut pages = Pages::default();
+    for case in 0..cases {
+        let mut rng = Lcg(seed ^ case.wrapping_mul(0x2545_F491_4F6C_DD1D));
+        let mut catalog = Catalog::new();
+        let (rep, attrs) = random_rep(&mut rng, &mut catalog, case % 2 == 1, true);
+        let tree = rep.ftree();
+        let path = tree.root_path(
+            *tree
+                .live_nodes()
+                .iter()
+                .max_by_key(|&&n| tree.depth(n))
+                .unwrap(),
+        );
+        for _ in 0..5 {
+            let groups = if rng.below(2) == 0 {
+                let k = (2 + rng.below(2) as usize).min(path.len() - 1);
+                path[..k].to_vec()
+            } else {
+                random_groups(&mut rng, tree)
+            };
+            let finals = random_funcs(&mut rng, &attrs);
+            let deepest = *groups.iter().max_by_key(|&&g| tree.depth(g)).unwrap();
+            let rep = maybe_partial(&rep, deepest, &finals, &mut rng, &mut catalog);
+            let funcs = fold_funcs(rep.ftree(), &groups, &finals);
+            let outputs: Vec<AttrId> = (0..funcs.len())
+                .map(|k| catalog.intern(&format!("out{k}")))
+                .collect();
+            let fold = |page| {
+                ops::aggregate::group_fold_page(
+                    rep.clone(),
+                    &groups,
+                    funcs.clone(),
+                    outputs.clone(),
+                    page,
+                )
+            };
+            // An error in a group outside the window is never met.
+            let Ok((full, None)) = fold(None) else {
+                continue;
+            };
+            let all = rows(&full);
+            let offset = rng.below(all.len() as u64 + 3) as usize;
+            let end = match rng.below(4) {
+                0 => usize::MAX,
+                _ => offset + rng.below(all.len() as u64 / 2 + 2) as usize,
+            };
+            let what = format!(
+                "case {case}, groups {groups:?}, page {offset}..{end}, {funcs:?} on\n{}",
+                rep.display(&catalog)
+            );
+            let (got, window) = fold(Some(offset..end)).unwrap();
+            if groups.len() == 1 || groups != rep.ftree().root_path(deepest) {
+                assert_eq!(window, None, "{what}");
+                assert!(got.same_data(&full), "{what}");
+                pages.whole += 1;
+                continue;
+            }
+            // The full fold's root entries and how many groups each holds.
+            fn tuples(e: EntryRef<'_>) -> usize {
+                let union = |u: UnionRef<'_>| u.entries().map(tuples).sum::<usize>();
+                e.children().map(union).product()
+            }
+            let held: Vec<usize> = full.root(0).entries().map(tuples).collect();
+            let before = |i: usize| held[..i].iter().sum::<usize>();
+            let n = held.len();
+            let first = (0..n).find(|&i| before(i + 1) > offset).unwrap_or(n);
+            let last = (first..n).find(|&i| before(i) >= end).unwrap_or(n);
+            let want = FoldWindow {
+                roots: first..last,
+                of: n,
+                skipped: before(first),
+            };
+            assert_eq!(window.as_ref(), Some(&want), "{what}");
+            assert_eq!(rows(&got)[..], all[want.skipped..before(last)], "{what}");
+            pages.windowed += 1;
+            pages.skipped += usize::from(first > 0);
+            pages.cut += usize::from(last < n);
+        }
+    }
+    pages
+}
+
 #[test]
 fn group_fold_matches_the_swap_plan() {
     let folds = fold_matches_the_swap_plan(300, 0xF01D);
@@ -558,4 +679,19 @@ fn group_fold_matches_the_swap_plan() {
 #[ignore = "long budget; CI runs it in release with --ignored"]
 fn group_fold_matches_the_swap_plan_long() {
     fold_matches_the_swap_plan(200_000, 0x5EED);
+}
+
+#[test]
+fn a_page_of_a_path_prefix_fold_is_a_slice_of_the_full_fold() {
+    let pages = windowed_fold_is_a_slice_of_the_full_fold(1000, 0x9A6E);
+    assert!(
+        pages.windowed > 2000 && pages.skipped > 1300 && pages.cut > 280 && pages.whole > 2200,
+        "{pages:?}"
+    );
+}
+
+#[test]
+#[ignore = "long budget; CI runs it in release with --ignored"]
+fn a_page_of_a_path_prefix_fold_is_a_slice_of_the_full_fold_long() {
+    windowed_fold_is_a_slice_of_the_full_fold(100_000, 0x9A6F);
 }

@@ -443,3 +443,135 @@ fn unordered_grouping_set_pages_straddle_set_boundaries() {
         }
     }
 }
+
+/// The grouped pages of `sql` (a grouped query with an `ORDER BY` and no
+/// `LIMIT`/`OFFSET`) against `RdbEngine`'s, byte for byte, over the
+/// offsets of `offset_sweep`, the offsets on and next to the group
+/// boundaries of the first order key, and one page past the end, with no
+/// `LIMIT`, `LIMIT 3` and a `LIMIT` that spans several first-key values,
+/// under every choice. When forced to stream, the group fold reads a
+/// window ([`FdbResult::explain`]'s `page window:` line) exactly when
+/// `windows` and the query is a page, and the stream then enumerates
+/// only the window's rows up to the page's end.
+fn assert_grouped_pages_agree(e: &mut FdbEngine, view: &FRep, sql: &str, windows: bool) {
+    use fdb::relational::engine::{PlanMode, RdbEngine};
+    use fdb::relational::GroupStrategy;
+    let schemas = e.schemas();
+    let base = fdb::parse(sql, &mut e.catalog, &schemas).unwrap().to_task();
+    let mut rdb = RdbEngine::new(e.catalog.clone(), GroupStrategy::Sort);
+    rdb.register("R1", view.flatten());
+    let all = rdb.run(&base, PlanMode::Naive).unwrap();
+    let first = all.schema().position(base.order_by[0].attr).unwrap();
+    let boundaries: Vec<usize> = (1..all.len())
+        .filter(|&i| all.row(i)[first] != all.row(i - 1)[first])
+        .collect();
+    assert!(boundaries.len() > 2, "`{sql}`: several first-key values");
+    let mut offsets = offset_sweep(all.len());
+    for &b in boundaries.iter().take(2).chain(boundaries.last()) {
+        offsets.extend([b - 1, b, b + 1]);
+    }
+    offsets.push(all.len() + 3);
+    offsets.sort_unstable();
+    offsets.dedup();
+    let wide = 2 * all.len() / boundaries.len() + 1;
+    for offset in offsets {
+        for limit in [None, Some(3), Some(wide)] {
+            let mut task = base.clone();
+            task.offset = offset;
+            task.limit = limit;
+            let expected = rdb.run(&task, PlanMode::Naive).unwrap();
+            assert_eq!(expected, ops::page(&all, offset, limit));
+            for choice in choices() {
+                let ctx = format!("`{sql}` {choice:?} OFFSET {offset} LIMIT {limit:?}");
+                let result = run(e, &task, choice).unwrap_or_else(|err| panic!("{ctx}: {err}"));
+                let (page, stats) = result.to_relation_counted().unwrap();
+                assert_eq!(
+                    page, expected,
+                    "{ctx}: page differs from the relational one"
+                );
+                if choice != Some(OrderStrategy::StreamInTree) {
+                    continue;
+                }
+                assert_eq!(stats.strategy, OrderStrategy::StreamInTree, "{ctx}");
+                let explain = result.explain(&e.catalog);
+                let line = explain.lines().find(|l| l.starts_with("page window: "));
+                // The whole result, unpaged, is no page.
+                let paged = windows && (offset > 0 || limit.is_some());
+                assert_eq!(line.is_some(), paged, "{ctx}:\n{explain}");
+                if let Some(line) = line {
+                    // `… N groups skipped`: the stream skips the rest of
+                    // the offset in the window, then reads the page.
+                    let words: Vec<&str> = line.split_whitespace().collect();
+                    let skipped: usize = words[words.len() - 3].parse().unwrap();
+                    let held = result.rep().tuple_count();
+                    assert!(
+                        skipped <= offset && skipped + held <= all.len(),
+                        "{ctx}: {line}"
+                    );
+                    let read = (offset - skipped).saturating_add(limit.unwrap_or(usize::MAX));
+                    assert_eq!(stats.rows_enumerated, held.min(read), "{ctx}: {line}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn grouped_chain_order_pages_agree_at_every_offset() {
+    let (mut e, _) = orders_engine();
+    let view = FRep::clone(&e.view_arc("R1").expect("R1 is registered"));
+    let q3 = "SELECT date, package, SUM(price) AS sum_price FROM R1";
+    for sql in [
+        format!("{q3} GROUP BY date, package ORDER BY package, date"),
+        format!("{q3} WHERE customer <> 3 GROUP BY date, package ORDER BY package, date"),
+    ] {
+        assert_grouped_pages_agree(&mut e, &view, &sql, true);
+    }
+    // Orders the fold's chain is not taken in, and a HAVING that thins
+    // the page, fold every group.
+    for sql in [
+        format!("{q3} GROUP BY date, package ORDER BY package DESC, date"),
+        format!("{q3} GROUP BY date, package HAVING SUM(price) > 40 ORDER BY package, date"),
+        format!("{q3} GROUP BY date, package ORDER BY date, package"),
+    ] {
+        assert_grouped_pages_agree(&mut e, &view, &sql, false);
+    }
+    // A three-level chain: on R1's own f-tree `package → date → customer`
+    // ends in a leaf and keeps its `γ` plan, so R1 is stored as the path
+    // `package → date → customer → item → price`, where it folds.
+    let names = ["package", "date", "customer", "item", "price"];
+    let path = names.map(|n| e.catalog.lookup(n).unwrap());
+    let deep = FRep::from_relation(&view.flatten(), fdb::FTree::path(&path)).unwrap();
+    e.register_view("R1", deep.clone());
+    let sql = "SELECT package, date, customer, COUNT(*) AS n, MAX(price) AS top FROM R1 \
+               GROUP BY package, date, customer ORDER BY package, date, customer";
+    assert_grouped_pages_agree(&mut e, &deep, sql, true);
+}
+
+#[test]
+fn grouped_chain_order_pages_over_a_written_tail_agree_at_every_offset() {
+    // As in `swap_requiring_order_pages_agree_at_every_offset`: a written
+    // version of R1 whose tail is kept (two fresh packages, one
+    // deleted), while the version it was written from stays alive.
+    let (mut e, ds) = orders_engine();
+    let a = ds.attrs;
+    let before = e.view_arc("R1").expect("R1 is registered");
+    let mut written = FRep::clone(&before);
+    let schema = written.schema();
+    let top = (0..ds.packages.len())
+        .map(|i| ds.packages.row(i)[0].as_int().unwrap())
+        .max()
+        .unwrap();
+    let mut row = written.flatten().row(0).to_vec();
+    for fresh in [top + 1, top + 7] {
+        row[schema.position(a.package).unwrap()] = Value::Int(fresh);
+        assert!(written.insert(&row).unwrap());
+    }
+    let gone = Predicate::AttrCmp(a.package, CmpOp::Eq, Value::Int(top / 2));
+    assert!(written.delete_where(&[gone]).unwrap() > 0);
+    assert!(written.tail_records() > 0 && written.shares_base_with(&before));
+    e.register_view_arc("R1", Arc::new(written.clone()));
+    let sql = "SELECT date, package, SUM(price) AS sum_price FROM R1 \
+               GROUP BY date, package ORDER BY package, date";
+    assert_grouped_pages_agree(&mut e, &written, sql, true);
+}
