@@ -18,12 +18,13 @@ use crate::error::{FdbError, Result};
 use crate::frep::FRep;
 use crate::optim::Stats;
 use crate::pipeline::ExecStats;
+use crate::plan::FOp;
 use execute::check_deadline;
 use fdb_relational::planner::JoinAggTask;
 use fdb_relational::{dedup_sort_keys, Catalog, Relation, Schema};
 use lower::EmitCol;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 mod choose;
@@ -107,13 +108,53 @@ pub struct FdbEngine {
     relations: HashMap<String, Arc<Relation>>,
 }
 
-/// A registered view: the representation, its tuple count, and the
-/// cost model's statistics built from that count.
+/// A registered view: the representation, its tuple count, the cost
+/// model's statistics built from that count, and the restructured
+/// copies its runs kept. Engine clones share the copies; registering a
+/// view replaces the `View`, so a new version starts with none.
 #[derive(Clone, Debug)]
 struct View {
     rep: Arc<FRep>,
     tuples: usize,
     stats: Stats,
+    restructured: Arc<Mutex<Restructured>>,
+}
+
+/// The results of restructure-only plans (every operator a swap) over
+/// one view version, keyed by the plan's operators: a later run of the
+/// same plan reads the kept result, count index included, instead of
+/// swapping again. Swap node ids are fixed for a version, so the
+/// operators are the whole key. The bytes the kept results appended stay
+/// at most the view's own data bytes; a result that does not fit is
+/// not kept.
+#[derive(Debug, Default)]
+struct Restructured {
+    kept: Vec<(Vec<FOp>, Arc<FRep>)>,
+    bytes: usize,
+    budget: usize,
+}
+
+impl Restructured {
+    /// The kept result of the plan `ops`.
+    fn get(&self, ops: &[FOp]) -> Option<Arc<FRep>> {
+        let (_, rep) = self.kept.iter().find(|(k, _)| k.as_slice() == ops)?;
+        Some(Arc::clone(rep))
+    }
+
+    /// Keeps `rep`, the result of `ops` that appended `bytes`, if it
+    /// fits the budget and no concurrent run kept one first.
+    fn keep(&mut self, ops: &[FOp], rep: &Arc<FRep>, bytes: usize) {
+        if self.bytes + bytes <= self.budget && self.get(ops).is_none() {
+            self.bytes += bytes;
+            self.kept.push((ops.to_vec(), Arc::clone(rep)));
+        }
+    }
+}
+
+/// Locks a view's restructured copies; a run that panicked under the
+/// lock leaves them whole (an entry is pushed in one step).
+fn lock(restructured: &Mutex<Restructured>) -> MutexGuard<'_, Restructured> {
+    restructured.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl FdbEngine {
@@ -159,7 +200,17 @@ impl FdbEngine {
         // Views with no multi-attribute dependencies still need coverage.
         let attrs = rep.ftree().all_attrs();
         stats.add_relation(attrs, tuples);
-        self.views.insert(name.into(), View { rep, tuples, stats });
+        let restructured = Arc::new(Mutex::new(Restructured {
+            budget: rep.data_bytes(),
+            ..Restructured::default()
+        }));
+        let view = View {
+            rep,
+            tuples,
+            stats,
+            restructured,
+        };
+        self.views.insert(name.into(), view);
     }
 
     /// Registers a flat relation (factorised on demand as a sorted trie).
@@ -186,6 +237,13 @@ impl FdbEngine {
     /// The tuple count a registered view was registered with.
     pub fn view_tuples(&self, name: &str) -> Option<usize> {
         self.views.get(name).map(|v| v.tuples)
+    }
+
+    /// The bytes the restructured copies kept for a registered view's
+    /// version appended (at most the view's [`FRep::data_bytes`]).
+    #[doc(hidden)]
+    pub fn view_restructured_bytes(&self, name: &str) -> Option<usize> {
+        self.views.get(name).map(|v| lock(&v.restructured).bytes)
     }
 
     /// Shared handle to a registered flat relation.
@@ -354,12 +412,12 @@ impl FdbEngine {
             exec_stats.add(&result.exec_stats);
             sets.push((set.clone(), result));
         }
-        let (_, last) = sets.last_mut().expect("a grouping-sets task has a set");
-        // Sealed, the last set's arena is shared with the outer result
-        // rather than copied (unless it shares a view's base already).
-        last.rep.seal();
-        let (rep, plan, input_tree) =
-            (last.rep.clone(), last.plan.clone(), last.input_tree.clone());
+        let (_, last) = sets.last().expect("a grouping-sets task has a set");
+        let (rep, plan, input_tree) = (
+            Arc::clone(&last.rep),
+            last.plan.clone(),
+            last.input_tree.clone(),
+        );
         let order_by = dedup_sort_keys(&task.order_by);
         let order_strategy = if order_by.is_empty() {
             OrderStrategy::Unordered
@@ -377,6 +435,7 @@ impl FdbEngine {
             limit: task.limit,
             offset: task.offset,
             window: None,
+            reused: false,
             plan,
             input_tree,
             exec_stats,

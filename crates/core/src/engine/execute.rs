@@ -1,9 +1,12 @@
 //! Execution: the chosen f-plan through the plan executor
-//! ([`crate::pipeline::execute`]), `HAVING` pushed into the result as
-//! selections, and the ordering verified once against the result f-tree.
-//! The result is an [`FdbResult`]; [`super::emit`] turns it into rows.
+//! ([`crate::pipeline::execute`]), or the kept result of a
+//! restructure-only plan over the same view version, `HAVING` pushed
+//! into the result as selections, and the ordering verified once against
+//! the result f-tree. The result is an [`FdbResult`]; [`super::emit`]
+//! turns it into rows.
 
 use super::choose::Chosen;
+use super::lock;
 use super::lower::{EmitCol, Lowered};
 use crate::agg::FoldWindow;
 use crate::enumerate::EnumSpec;
@@ -15,6 +18,7 @@ use crate::pipeline::{ExecStats, Page};
 use crate::plan::{FOp, FPlan};
 use fdb_relational::planner::JoinAggTask;
 use fdb_relational::{AttrId, Catalog, Predicate, Schema, SortKey};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// How often the enumeration sinks poll the deadline clock (rows
@@ -78,7 +82,9 @@ pub(super) enum ResultKind {
 /// tuples (`FDB` mode) or keep it factorised (`FDB f/o` mode).
 #[derive(Clone, Debug)]
 pub struct FdbResult {
-    pub(super) rep: FRep,
+    /// Shared: a restructured view kept for its version is read, not
+    /// copied.
+    pub(super) rep: Arc<FRep>,
     pub(super) kind: ResultKind,
     /// The output columns, in declared order.
     pub(super) schema: Schema,
@@ -101,6 +107,9 @@ pub struct FdbResult {
     /// What the plan's closing group fold read for the page, when it
     /// folded only the page's groups ([`crate::pipeline::Page`]).
     pub(super) window: Option<FoldWindow>,
+    /// Whether the plan (all swaps) was not run because the view's
+    /// version kept its result.
+    pub(super) reused: bool,
     /// The executed f-plan (for EXPLAIN-style introspection).
     pub(super) plan: FPlan,
     /// The f-tree the plan ran on: `explain` simulates the plan on it
@@ -136,8 +145,30 @@ pub(super) fn execute(
         offset: task.offset,
         limit: task.limit,
     });
-    let (mut rep, mut exec_stats, window) =
-        crate::pipeline::execute_page(&chosen.plan, low.rep, page)?;
+    // A restructure-only plan over a view runs once per view version;
+    // later runs read its kept result and report no pass.
+    let ops = &chosen.plan.ops;
+    let restructured = (low.restructured)
+        .filter(|_| !ops.is_empty() && ops.iter().all(|op| matches!(op, FOp::Swap { .. })));
+    let kept = restructured.as_deref().and_then(|r| lock(r).get(ops));
+    let reused = kept.is_some();
+    let (mut rep, mut exec_stats, window) = match kept {
+        Some(rep) => {
+            let stats = ExecStats {
+                operators: ops.len(),
+                ..ExecStats::default()
+            };
+            (rep, stats, None)
+        }
+        None => {
+            let (rep, stats, window) = crate::pipeline::execute_page(&chosen.plan, low.rep, page)?;
+            let rep = Arc::new(rep);
+            if let Some(r) = &restructured {
+                lock(r).keep(ops, &rep, stats.intermediate_bytes);
+            }
+            (rep, stats, window)
+        }
+    };
     check_deadline(deadline_at, "plan execution")?;
 
     // HAVING: what can be is pushed into the factorisation as one fused
@@ -156,8 +187,8 @@ pub(super) fn execute(
         }
     }
     if !having_plan.is_empty() {
-        let hstats;
-        (rep, hstats) = crate::pipeline::execute(&having_plan, rep)?;
+        let (filtered, hstats) = crate::pipeline::execute(&having_plan, Arc::unwrap_or_clone(rep))?;
+        rep = Arc::new(filtered);
         exec_stats.intermediate_bytes += hstats.intermediate_bytes;
         exec_stats.copies_avoided += hstats.copies_avoided;
         exec_stats.compacted |= hstats.compacted;
@@ -208,6 +239,7 @@ pub(super) fn execute(
         // The groups before the window are not in the result.
         offset: task.offset - window.as_ref().map_or(0, |w| w.skipped),
         window,
+        reused,
         plan: chosen.plan,
         input_tree,
         exec_stats,
@@ -219,7 +251,9 @@ impl FdbResult {
     /// The result factorisation (`FDB f/o`); of a grouping-sets result,
     /// its last set's. Of a page whose group fold was windowed (a
     /// `page window:` line in [`FdbResult::explain`]), only the groups
-    /// of the root entries the window walked.
+    /// of the root entries the window walked. Of a plan of swaps alone
+    /// over a registered view, the copy that view version kept, shared
+    /// by every run of the plan over it.
     pub fn rep(&self) -> &FRep {
         &self.rep
     }
@@ -368,6 +402,9 @@ impl FdbResult {
             stats.copies_avoided,
             if stats.compacted { ", compacted" } else { "" }
         );
+        if self.reused {
+            let _ = writeln!(out, "restructured input: reused for this view version");
+        }
         let _ = writeln!(out, "result f-tree:");
         out.push_str(&self.rep.ftree().display(catalog));
     }

@@ -4,13 +4,14 @@
 //! `(sum, count)` plus a division at emission (§3.2.4) — one [`Lowered`]
 //! value per run, which planning and execution only read.
 
-use super::FdbEngine;
+use super::{FdbEngine, Restructured};
 use crate::error::{FdbError, Result};
 use crate::frep::FRep;
 use crate::ftree::{AggOp, FTree};
 use crate::optim::{QuerySpec, Stats};
 use fdb_relational::planner::JoinAggTask;
 use fdb_relational::{dedup_sort_keys, AggFunc, AttrId, Predicate, Relation, Schema, SortKey};
+use std::sync::{Arc, Mutex};
 
 /// How one output column is produced from the enumerated raw columns.
 #[derive(Clone, Copy, Debug)]
@@ -27,6 +28,9 @@ pub(super) enum EmitCol {
 pub(super) struct Lowered {
     /// The input factorisation: the product of every `FROM` input.
     pub(super) rep: FRep,
+    /// The restructured copies of the input's version, when the input
+    /// is one registered view.
+    pub(super) restructured: Option<Arc<Mutex<Restructured>>>,
     /// The cost model's statistics of those inputs.
     pub(super) stats: Stats,
     /// The optimiser's spec, realising no order and consolidating
@@ -49,6 +53,10 @@ impl FdbEngine {
     pub(super) fn lower(&mut self, task: &JoinAggTask) -> Result<Lowered> {
         let mut spec = QuerySpec::default();
         let (rep, stats) = self.build_input(&task.inputs, &mut spec)?;
+        let restructured = match task.inputs.as_slice() {
+            [name] => self.views.get(name).map(|v| Arc::clone(&v.restructured)),
+            _ => None,
+        };
         for p in &task.predicates {
             match p {
                 Predicate::AttrEq(a, b) => spec.selections.push((*a, *b)),
@@ -85,6 +93,7 @@ impl FdbEngine {
         let order_keys = dedup_sort_keys(&task.order_by);
         Ok(Lowered {
             rep,
+            restructured,
             stats,
             spec,
             order_keys,

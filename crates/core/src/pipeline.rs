@@ -80,11 +80,12 @@ impl ExecStats {
 /// the keys' nodes, one key per node, ascending, folds only the groups
 /// the page shows when the chain is the top of the root path
 /// ([`crate::ops::aggregate::group_fold_page`]).
+#[doc(hidden)]
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Page<'a> {
-    pub(crate) keys: &'a [SortKey],
-    pub(crate) offset: usize,
-    pub(crate) limit: Option<usize>,
+pub struct Page<'a> {
+    pub keys: &'a [SortKey],
+    pub offset: usize,
+    pub limit: Option<usize>,
 }
 
 impl Page<'_> {
@@ -112,7 +113,8 @@ pub fn execute(plan: &FPlan, rep: FRep) -> Result<(FRep, ExecStats)> {
 /// [`execute`] for the page `page`: a closing group fold on the page's
 /// order folds only the groups the page shows, and the window it read
 /// is returned with the result.
-pub(crate) fn execute_page(
+#[doc(hidden)]
+pub fn execute_page(
     plan: &FPlan,
     rep: FRep,
     page: Option<Page<'_>>,

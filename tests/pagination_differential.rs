@@ -22,6 +22,7 @@
 //!   first descending) identically in every strategy.
 
 use fdb::core::engine::{FdbEngine, FdbResult, OrderStrategy, RunOptions};
+use fdb::core::FOp;
 use fdb::relational::planner::JoinAggTask;
 use fdb::relational::{ops, AggFunc, AggSpec, CmpOp, Predicate, Relation, Schema, SortKey, Value};
 use fdb::workload::orders::{generate, OrdersConfig};
@@ -248,8 +249,122 @@ fn swap_requiring_order_pages_agree_at_every_offset() {
     assert!(written.delete_where(&[gone]).unwrap() > 0);
     assert!(written.tail_records() > 0 && written.shares_base_with(&before));
     e.register_view_arc("R1", Arc::new(written));
-    assert!(e.view_arc("R1").unwrap().tail_records() > 0);
+    let written = e.view_arc("R1").unwrap();
+    assert!(written.tail_records() > 0);
     assert_pages_agree(&mut e, &task, true, true, "swap order over a written tail");
+
+    // The whole row in that order is a plan of swaps alone, which each
+    // view version runs once: every page twice, a swap and then a read
+    // of the kept swap, over both versions.
+    let sql = "SELECT package, date, customer, item, price FROM R1 \
+               ORDER BY date, package, item, customer";
+    assert_swapped_pages_agree_twice(&mut e, &before, sql);
+    assert_swapped_pages_agree_twice(&mut e, &written, sql);
+}
+
+/// Whether `result`'s plan is swaps alone, and whether it read the swap
+/// its view version kept instead of running it.
+fn swaps_and_reuse(e: &FdbEngine, result: &FdbResult) -> (bool, bool) {
+    let ops = &result.plan().ops;
+    let swaps = !ops.is_empty() && ops.iter().all(|op| matches!(op, FOp::Swap { .. }));
+    let reused = (result.explain(&e.catalog).lines())
+        .any(|l| l == "restructured input: reused for this view version");
+    (swaps, reused)
+}
+
+/// The pages of `sql` (the whole row of R1 in an order its f-tree does
+/// not support) against `RdbEngine`'s, byte for byte, at every
+/// `offset_sweep` offset with no `LIMIT` and `LIMIT 3`, under every
+/// choice. Each page runs twice on `view` registered afresh: the first
+/// run restructures, and the second reads the kept result exactly when
+/// the plan is swaps alone.
+fn assert_swapped_pages_agree_twice(e: &mut FdbEngine, view: &Arc<FRep>, sql: &str) {
+    use fdb::relational::engine::{PlanMode, RdbEngine};
+    use fdb::relational::GroupStrategy;
+    let schemas = e.schemas();
+    let base = fdb::parse(sql, &mut e.catalog, &schemas).unwrap().to_task();
+    let mut rdb = RdbEngine::new(e.catalog.clone(), GroupStrategy::Sort);
+    rdb.register("R1", view.flatten());
+    let all = rdb.run(&base, PlanMode::Naive).unwrap();
+    let mut reads = 0;
+    for offset in offset_sweep(all.len()) {
+        for limit in [None, Some(3)] {
+            let mut task = base.clone();
+            task.offset = offset;
+            task.limit = limit;
+            let expected = ops::page(&all, offset, limit);
+            for choice in choices() {
+                e.register_view_counted("R1", Arc::clone(view), all.len());
+                for second in [false, true] {
+                    let ctx = format!("`{sql}` {choice:?} OFFSET {offset} LIMIT {limit:?}");
+                    let result = run(e, &task, choice).unwrap_or_else(|err| panic!("{ctx}: {err}"));
+                    let page = result.to_relation().unwrap();
+                    assert_eq!(page, expected, "{ctx}, run {}", 1 + second as u8);
+                    let (swaps, reused) = swaps_and_reuse(e, &result);
+                    assert_eq!(reused, swaps && second, "{ctx}, run {}", 1 + second as u8);
+                    reads += reused as usize;
+                }
+            }
+        }
+    }
+    assert!(reads > 0, "`{sql}`: no page read a kept swap");
+}
+
+/// Every order of R1's whole row over one view version: a run reads a
+/// kept swap only of its own plan, the swaps kept for the version never
+/// append more than the view's own bytes, though together the plans
+/// append more, and a run whose swap is not kept pages as one that is.
+#[test]
+fn restructured_copies_of_a_view_stay_within_its_bytes() {
+    use fdb::relational::engine::{PlanMode, RdbEngine};
+    use fdb::relational::GroupStrategy;
+    let (mut e, _) = orders_engine();
+    let view = e.view_arc("R1").expect("R1 is registered");
+    let budget = view.data_bytes();
+    let mut rdb = RdbEngine::new(e.catalog.clone(), GroupStrategy::Sort);
+    rdb.register("R1", view.flatten());
+    let names = ["package", "date", "customer", "item", "price"];
+    let (mut appended, mut plans) = (0, Vec::new());
+    for n in 0..120 {
+        // The `n`-th permutation of `names`, by the factorial digits of `n`.
+        let (mut left, mut order, mut rest) = (n, Vec::new(), names.to_vec());
+        for radix in (1..=names.len()).rev() {
+            order.push(rest.remove(left % radix));
+            left /= radix;
+        }
+        let sql = format!(
+            "SELECT package, date, customer, item, price FROM R1 \
+             ORDER BY {} LIMIT 5 OFFSET 7",
+            order.join(", ")
+        );
+        let schemas = e.schemas();
+        let task = fdb::parse(&sql, &mut e.catalog, &schemas)
+            .unwrap()
+            .to_task();
+        let result = run(&mut e, &task, Some(OrderStrategy::StreamInTree)).unwrap();
+        let (swaps, reused) = swaps_and_reuse(&e, &result);
+        let ops = &result.plan().ops;
+        assert!(
+            !reused || plans.contains(ops),
+            "`{sql}`: read another plan's swap"
+        );
+        if swaps && !reused {
+            appended += result.exec_stats().intermediate_bytes;
+        }
+        if swaps && !plans.contains(ops) {
+            plans.push(ops.clone());
+        }
+        let kept = e.view_restructured_bytes("R1").unwrap();
+        assert!(kept <= budget, "`{sql}`: {kept} bytes kept, view {budget}");
+        let expected = rdb.run(&task, PlanMode::Naive).unwrap();
+        assert_eq!(result.to_relation().unwrap(), expected, "`{sql}`");
+    }
+    let n = plans.len();
+    assert!(
+        n > 10 && appended > 2 * budget,
+        "{n} plans, {appended} bytes"
+    );
+    assert!(e.view_restructured_bytes("R1").unwrap() > 0);
 }
 
 #[test]

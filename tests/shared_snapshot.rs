@@ -38,20 +38,25 @@ fn orders_engine() -> FdbEngine {
     engine
 }
 
-const QUERIES: [&str; 3] = [
+const QUERIES: [&str; 4] = [
     "SELECT customer, SUM(price) AS revenue FROM R1 \
      GROUP BY customer ORDER BY revenue DESC, customer LIMIT 5",
     "SELECT COUNT(*) AS n FROM R1",
     "SELECT item, price FROM Items ORDER BY price DESC, item LIMIT 7",
+    // A swap-only plan: the threads race to restructure R1's version.
+    "SELECT package, date, customer, item, price FROM R1 \
+     ORDER BY date, package, item, customer LIMIT 10 OFFSET 500",
 ];
 
 #[test]
 fn engine_clones_share_arenas_and_enumerate_byte_identically() {
     let engine = orders_engine();
-    // Serial reference on a clone of its own.
+    // Serial reference on an engine of its own: a clone would share (and
+    // warm) the view's restructured copies.
+    let mut reference = orders_engine();
     let serial: Vec<Relation> = QUERIES
         .iter()
-        .map(|sql| engine.clone().run_sql(sql).unwrap())
+        .map(|sql| reference.run_sql(sql).unwrap())
         .collect();
 
     std::thread::scope(|scope| {
@@ -88,9 +93,12 @@ fn engine_clones_share_arenas_and_enumerate_byte_identically() {
 #[test]
 fn sixteen_sessions_on_one_db_agree_with_serial() {
     let db = Db::from_engine(orders_engine());
+    // The reference runs on a second `Db`, so the sessions below race a
+    // cold store of restructured copies.
+    let reference = Db::from_engine(orders_engine());
     let serial: Vec<Relation> = QUERIES
         .iter()
-        .map(|sql| db.session().query(sql).unwrap().rows)
+        .map(|sql| reference.session().query(sql).unwrap().rows)
         .collect();
 
     std::thread::scope(|scope| {
@@ -266,4 +274,65 @@ fn a_written_version_reuses_the_base_counts_and_counts_its_own_tail() {
     assert!(counted.has_count_index());
     assert!(counted.shares_base_counts_with(&first));
     assert!(!counted.shares_count_index_with(&first));
+}
+
+/// A page in an order the stored f-tree does not support swaps the view
+/// first. The swapped copy is kept per view version: a second run, on
+/// the same engine or on another session's clone, reads it — count index
+/// and all — and runs no pass. A write's new version swaps afresh, a
+/// session cut before the write keeps reading its own version's copy,
+/// and another swap order is a plan of its own.
+#[test]
+fn a_restructured_view_is_built_once_per_view_version() {
+    let db = Db::from_engine(orders_engine());
+    let page = "SELECT package, date, customer, item, price FROM R1 \
+                ORDER BY date, package, item, customer LIMIT 10 OFFSET 2000";
+    let reused = "restructured input: reused for this view version";
+    let run = |s: &mut fdb::Session, sql: &str| {
+        let result = s.engine_mut().run_sql_result(sql).unwrap();
+        let rows = result.to_relation().unwrap();
+        let explain = result.explain(s.catalog());
+        (result, rows, explain)
+    };
+    let mut session = db.session();
+    let (first, rows, explain) = run(&mut session, page);
+    assert_eq!(rows.len(), 10);
+    assert!(!explain.contains(reused), "{explain}");
+    assert!(first.exec_stats().intermediate_bytes > 0);
+    assert!(first.rep().has_count_index(), "the page did not seek");
+    let mut fresh = db.session();
+    for s in [&mut session, &mut fresh] {
+        let (again, again_rows, explain) = run(s, page);
+        assert!(again.rep().shares_count_index_with(first.rep()));
+        assert_eq!(again_rows, rows);
+        assert!(explain.contains(reused), "{explain}");
+        let stats = again.exec_stats();
+        assert_eq!(stats.operators, first.exec_stats().operators);
+        assert_eq!((stats.stages, stats.intermediate_bytes), (0, 0));
+    }
+
+    // Another swap order over the same version is not this plan.
+    let other = "SELECT package, date, customer, item, price FROM R1 \
+                 ORDER BY item, package, date, customer LIMIT 10 OFFSET 2000";
+    let (cold, cold_rows, _) = run(&mut Db::from_engine(orders_engine()).session(), other);
+    let (second, second_rows, explain) = run(&mut db.session(), other);
+    assert!(!explain.contains(reused), "{explain}");
+    assert!(!second.rep().shares_count_index_with(first.rep()));
+    assert_eq!(second_rows, cold_rows);
+    assert_eq!(second.order_strategy(), cold.order_strategy());
+
+    let mut before = db.session();
+    db.execute("INSERT INTO R1 (package, date, customer, item, price) VALUES (-1, -1, 1, 1, 5)")
+        .unwrap();
+    let (written, written_rows, explain) = run(&mut db.session(), page);
+    assert!(!explain.contains(reused), "{explain}");
+    assert!(!written.rep().shares_count_index_with(first.rep()));
+    assert_ne!(written_rows, rows, "the written row sorts first");
+    let (again, again_rows, _) = run(&mut db.session(), page);
+    assert!(again.rep().shares_count_index_with(written.rep()));
+    assert_eq!(again_rows, written_rows);
+    let (old, old_rows, explain) = run(&mut before, page);
+    assert!(old.rep().shares_count_index_with(first.rep()));
+    assert!(explain.contains(reused), "{explain}");
+    assert_eq!(old_rows, rows);
 }
