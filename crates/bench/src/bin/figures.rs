@@ -346,7 +346,7 @@ fn fig8(args: &Args, emit: &mut Emitter) {
             let mut task = q.task.clone();
             task.limit = limit;
             let suffix = if limit.is_some() { " lim" } else { "" };
-            let (n, t) = median_secs(args.repeats, || env.run_fdb_flat(&task));
+            let ((_, n), t) = env.run_fdb_flat_fresh(&task, args.repeats);
             emit.row(
                 scale,
                 q.name,

@@ -16,15 +16,16 @@ pub fn time_secs<R>(f: impl FnOnce() -> R) -> (R, f64) {
 /// policy but robust to one-off noise). Returns the last result.
 pub fn median_secs<R>(repeats: usize, mut f: impl FnMut() -> R) -> (R, f64) {
     assert!(repeats >= 1);
-    let mut times = Vec::with_capacity(repeats);
-    let mut last = None;
-    for _ in 0..repeats {
-        let (r, t) = time_secs(&mut f);
-        times.push(t);
-        last = Some(r);
-    }
+    median_of((0..repeats).map(|_| time_secs(&mut f)).collect())
+}
+
+/// The last result and the median seconds of timed runs (`time_secs`
+/// results), for a caller that does untimed work between them.
+pub fn median_of<R>(runs: Vec<(R, f64)>) -> (R, f64) {
+    let mut times: Vec<f64> = runs.iter().map(|&(_, t)| t).collect();
     times.sort_by(f64::total_cmp);
-    (last.expect("at least one repeat"), times[times.len() / 2])
+    let median = times[times.len() / 2];
+    (runs.into_iter().last().expect("at least one run").0, median)
 }
 
 /// The flags: `--fig N` (4–8, required), `--scale N` (default 4; 2 for

@@ -23,6 +23,6 @@ pub mod harness;
 pub mod queries;
 pub mod setup;
 
-pub use harness::{check, exit_code, median_secs, time_secs, Args, Claim, Emitter};
+pub use harness::{check, exit_code, median_of, median_secs, time_secs, Args, Claim, Emitter};
 pub use queries::{extended_agg_queries, figure5_queries, paper_queries, PaperQuery, QueryClass};
 pub use setup::{BenchEnv, BenchSetup};

@@ -9,6 +9,7 @@
 //!   materialised in exactly that order) and `R3`, plus the base
 //!   relations for the flat-input experiment.
 
+use crate::harness::{median_of, time_secs};
 use fdb_core::engine::{FdbEngine, FdbResult};
 use fdb_core::FRep;
 use fdb_relational::engine::RdbEngine;
@@ -128,6 +129,40 @@ impl BenchEnv {
     pub fn run_fdb_flat(&mut self, task: &JoinAggTask) -> usize {
         let result = self.fdb.run_default(task).expect("fdb plans");
         result.to_relation().expect("fdb enumerates").len()
+    }
+
+    /// Registers `R1` and `R3` again from their own `Arc`s, which walks
+    /// and copies nothing: the new view versions keep no restructured
+    /// copies, so the next run that swaps pays for its swaps again.
+    pub fn fresh_views(&mut self) {
+        for name in ["R1", "R3"] {
+            let rep = self.fdb.view_arc(name).expect("registered view");
+            let tuples = self.fdb.view_tuples(name).expect("registered view");
+            self.fdb.register_view_counted(name, rep, tuples);
+        }
+    }
+
+    /// Figure 8's FDB timing: `repeats` flat-output runs of `task`, each
+    /// on fresh view versions ([`BenchEnv::fresh_views`], outside the
+    /// timed region). Returns the last run's result and row count, and
+    /// the median seconds.
+    pub fn run_fdb_flat_fresh(
+        &mut self,
+        task: &JoinAggTask,
+        repeats: usize,
+    ) -> ((FdbResult, usize), f64) {
+        assert!(repeats >= 1);
+        let runs = (0..repeats)
+            .map(|_| {
+                self.fresh_views();
+                time_secs(|| {
+                    let result = self.run_fdb_fo(task);
+                    let rows = result.to_relation().expect("fdb enumerates").len();
+                    (result, rows)
+                })
+            })
+            .collect();
+        median_of(runs)
     }
 
     /// Runs a task on FDB keeping the output factorised (`FDB f/o`),
@@ -267,6 +302,32 @@ mod tests {
         assert_eq!(n, env.flat_tuples);
         let n10 = env.run_rdb_ord("R1", &stored, Some(10));
         assert_eq!(n10, 10.min(env.flat_tuples));
+    }
+
+    /// Every timed repeat of figure 8 restructures: Q12 (one swap of the
+    /// stored R1), run twice through the figure's helper, runs its
+    /// plan's pass each time and never reads a kept copy.
+    #[test]
+    fn figure8_runs_restructure_on_every_repeat() {
+        let mut env = tiny_env();
+        let attrs = env.attrs;
+        let queries = paper_queries(&mut env.fdb.catalog, &attrs);
+        let q12 = queries.iter().find(|q| q.name == "Q12").unwrap();
+        for limit in [None, Some(10)] {
+            let task = JoinAggTask {
+                limit,
+                ..q12.task.clone()
+            };
+            for run in 0..2 {
+                let ((result, _), _) = env.run_fdb_flat_fresh(&task, 1);
+                let explain = result.explain(&env.fdb.catalog);
+                assert!(
+                    explain.contains("1 pass(es)")
+                        && !explain.contains("restructured input: reused"),
+                    "{limit:?}, run {run}:\n{explain}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -187,3 +187,294 @@ fn cost_inputs(
         row_width: low.schema.arity(),
     })
 }
+
+#[cfg(test)]
+mod tests {
+    //! The paper's claim for its heuristic as a gate: on every query of
+    //! the reproduction, the exhaustive search of §5.1 finds a plan that
+    //! costs no more than greedy's, and greedy's costs at most its
+    //! recorded bound times that optimum. Cost is `plan_cost`, the sum
+    //! of the f-tree size bounds after every operator.
+    use super::*;
+    use crate::engine::FdbEngine;
+    use crate::frep::FRep;
+    use crate::ftree::{AggOp, FTree, NodeLabel};
+    use crate::optim::greedy::exhaustive::{exhaustive, MAX_STATES};
+    use crate::optim::Stats;
+    use fdb_workload::orders::{generate, OrdersConfig};
+    use fdb_workload::pizzeria::pizzeria;
+
+    /// Greedy's cost over the optimum where the two planners disagree,
+    /// as measured and rounded up in the fourth decimal; every other
+    /// query must plan at the optimum. Lower a bound when greedy
+    /// improves; never raise one.
+    const GAPS: &[(&str, f64)] = &[
+        // Figure 6. Q1–Q3: greedy merges `package` with its shadow
+        // before it lifts `item`, then swaps on the merged tree; Q4, Q5:
+        // a partial `γ` over `price` that the last aggregate reads anyway.
+        ("flat Q1", 111.1132),
+        ("flat Q2", 94.3546),
+        ("flat Q3", 111.334),
+        ("flat Q4", 1.064),
+        ("flat Q5", 1.0666),
+        // The long variant's `GROUP BY` subsets of R1: where the group
+        // fold needs a swap first, greedy's step 2 runs partial `γ`s
+        // before it.
+        ("R1 GROUP BY date, item", 2.25),
+        ("R1 GROUP BY date, item (ordered)", 2.25),
+        ("R1 GROUP BY package, date, item", 1.1112),
+        ("R1 GROUP BY package, date, item (ordered)", 1.1112),
+        ("R1 GROUP BY customer, item", 2.875),
+        ("R1 GROUP BY customer, item (ordered)", 2.875),
+        ("R1 GROUP BY package, customer, item", 1.6667),
+        ("R1 GROUP BY package, customer, item (ordered)", 1.6667),
+        ("R1 GROUP BY date, customer, item", 2.1112),
+        ("R1 GROUP BY date, customer, item (ordered)", 2.1112),
+        ("R1 GROUP BY date, price", 1.625),
+        ("R1 GROUP BY date, price (ordered)", 1.625),
+        ("R1 GROUP BY package, date, price", 1.6667),
+        ("R1 GROUP BY package, date, price (ordered)", 1.6667),
+        ("R1 GROUP BY customer, price", 1.3847),
+        ("R1 GROUP BY customer, price (ordered)", 1.3847),
+        ("R1 GROUP BY package, customer, price", 1.4286),
+        ("R1 GROUP BY package, customer, price (ordered)", 1.4286),
+        ("R1 GROUP BY date, customer, price", 1.7143),
+        ("R1 GROUP BY date, customer, price (ordered)", 1.7143),
+        ("R1 GROUP BY item, price", 1.375),
+        ("R1 GROUP BY item, price (ordered)", 1.375),
+        ("R1 GROUP BY date, item, price", 1.5556),
+        ("R1 GROUP BY date, item, price (ordered)", 1.5556),
+        ("R1 GROUP BY customer, item, price", 1.3572),
+        ("R1 GROUP BY customer, item, price (ordered)", 1.3572),
+        ("R1 GROUP BY date, customer, item, price", 1.3334),
+        ("R1 GROUP BY date, customer, item, price (ordered)", 1.6667),
+    ];
+
+    /// What both planners are given: the input's f-tree and statistics
+    /// and the spec of the plan the engine runs.
+    struct Case {
+        name: String,
+        tree: FTree,
+        stats: Stats,
+        spec: QuerySpec,
+    }
+
+    /// The reproduction's engine at s=1, seed `0xFDB` and 100 customers
+    /// (figure 6's set-up): `R1` over the paper's f-tree, `R3` as the
+    /// `date → customer → package` trie of `Orders`, and the three base
+    /// relations, which a multi-relation `FROM` factorises as tries.
+    fn engine() -> FdbEngine {
+        let mut catalog = Catalog::new();
+        let ds = generate(&mut catalog, &OrdersConfig::default());
+        let a = ds.attrs;
+        let mut t = FTree::new();
+        let package = t.add_node(NodeLabel::Atomic(vec![a.package]), None);
+        let date = t.add_node(NodeLabel::Atomic(vec![a.date]), Some(package));
+        t.add_node(NodeLabel::Atomic(vec![a.customer]), Some(date));
+        let item = t.add_node(NodeLabel::Atomic(vec![a.item]), Some(package));
+        t.add_node(NodeLabel::Atomic(vec![a.price]), Some(item));
+        t.add_dep([a.customer, a.date, a.package]);
+        t.add_dep([a.package, a.item]);
+        t.add_dep([a.item, a.price]);
+        let r1 = FRep::from_relation(&ds.join(), t).unwrap();
+        let r3 = FRep::from_relation(&ds.orders, FTree::path(&[a.date, a.customer, a.package]));
+        let mut e = FdbEngine::new(catalog);
+        e.register_view("R1", r1);
+        e.register_view("R3", r3.unwrap());
+        e.register_relation("Orders", ds.orders);
+        e.register_relation("Packages", ds.packages);
+        e.register_relation("Items", ds.items);
+        e
+    }
+
+    /// `sql` as the engine plans it: the input the lowering builds and
+    /// the spec of the candidate the chooser keeps, one case per
+    /// grouping set.
+    fn cases(e: &mut FdbEngine, name: &str, sql: &str) -> Vec<Case> {
+        let schemas = e.schemas();
+        let task = fdb_query::parse(sql, &mut e.catalog, &schemas)
+            .unwrap_or_else(|err| panic!("{name}: {err}"))
+            .to_task();
+        let sets: Vec<(String, JoinAggTask)> = if task.grouping_sets.is_empty() {
+            vec![(name.to_string(), task)]
+        } else {
+            let sets = task.grouping_sets.iter();
+            sets.map(|set| {
+                let names: Vec<&str> = set.iter().map(|&a| e.catalog.name(a)).collect();
+                let sub = JoinAggTask {
+                    grouping_sets: Vec::new(),
+                    group_by: set.clone(),
+                    ..task.clone()
+                };
+                (format!("{name} ({})", names.join(", ")), sub)
+            })
+            .collect()
+        };
+        sets.into_iter()
+            .map(|(name, task)| {
+                let low = e.lower(&task).unwrap();
+                let chosen = choose(&low, &task, &mut e.catalog, None).unwrap();
+                Case {
+                    name,
+                    tree: low.rep.ftree().clone(),
+                    stats: low.stats.clone(),
+                    spec: chosen.spec,
+                }
+            })
+            .collect()
+    }
+
+    /// `plan_explorer`'s scenarios: a consolidated `SUM(price)` per
+    /// customer, per (customer, pizza) and in total over the pizzeria's
+    /// f-tree T1, with the base relations' sizes as statistics.
+    fn pizzeria_cases(catalog: &mut Catalog) -> Vec<Case> {
+        let db = pizzeria(catalog);
+        let a = db.attrs;
+        let mut t = FTree::new();
+        let pizza = t.add_node(NodeLabel::Atomic(vec![a.pizza]), None);
+        let date = t.add_node(NodeLabel::Atomic(vec![a.date]), Some(pizza));
+        t.add_node(NodeLabel::Atomic(vec![a.customer]), Some(date));
+        let item = t.add_node(NodeLabel::Atomic(vec![a.item]), Some(pizza));
+        t.add_node(NodeLabel::Atomic(vec![a.price]), Some(item));
+        t.add_dep([a.customer, a.date, a.pizza]);
+        t.add_dep([a.pizza, a.item]);
+        t.add_dep([a.item, a.price]);
+        let mut stats = Stats::new();
+        stats.add_relation([a.customer, a.date, a.pizza], db.orders.len());
+        stats.add_relation([a.pizza, a.item], db.pizzas.len());
+        stats.add_relation([a.item, a.price], db.items.len());
+        let scenarios = [
+            ("revenue per customer", vec![a.customer]),
+            ("revenue per (customer, pizza)", vec![a.customer, a.pizza]),
+            ("total revenue", vec![]),
+        ];
+        scenarios
+            .into_iter()
+            .map(|(name, group_by)| Case {
+                name: format!("pizzeria {name}"),
+                tree: t.clone(),
+                stats: stats.clone(),
+                spec: QuerySpec {
+                    group_by,
+                    final_funcs: vec![AggOp::Sum(a.price)],
+                    final_outputs: vec![catalog.fresh("revenue")],
+                    consolidate: true,
+                    ..Default::default()
+                },
+            })
+            .collect()
+    }
+
+    /// Plans every case with both planners, prints a row per case
+    /// (`--nocapture` shows them) and fails naming every broken claim.
+    fn assert_greedy_within_bounds(cases: &[Case], catalog: &mut Catalog, max_states: usize) {
+        println!("case | greedy | optimum | ratio | states popped");
+        let mut broken = Vec::new();
+        for case in cases {
+            let name = &case.name;
+            let (tree, stats, spec) = (&case.tree, &case.stats, &case.spec);
+            let plan = greedy(tree, spec, stats, catalog).unwrap();
+            let optimum = match exhaustive(tree, spec, stats, catalog, max_states) {
+                Ok(optimum) => optimum,
+                Err(err) => {
+                    broken.push(format!("{name}: the search failed: {err}"));
+                    continue;
+                }
+            };
+            let g = plan_cost(tree, &plan, stats);
+            let x = plan_cost(tree, &optimum.plan, stats);
+            // Two empty plans (an order the input already has) agree.
+            let ratio = if g == x { 1.0 } else { g / x };
+            println!("{name} | {g:.0} | {x:.0} | {ratio:.3} | {}", optimum.popped);
+            if x > g * (1.0 + 1e-9) {
+                broken.push(format!(
+                    "{name}: the search's plan costs {x} > greedy's {g}"
+                ));
+            }
+            let bound = GAPS.iter().find(|(n, _)| n == name).map_or(1.0, |g| g.1);
+            if ratio > bound {
+                broken.push(format!(
+                    "{name}: greedy costs {ratio}× the optimum, over its bound {bound}×\n\
+                     greedy:\n{}optimum:\n{}",
+                    plan.display(catalog, tree),
+                    optimum.plan.display(catalog, tree)
+                ));
+            }
+        }
+        assert!(broken.is_empty(), "{}", broken.join("\n"));
+    }
+
+    /// The paper's queries (Figure 3 and the extended aggregate
+    /// surface, as `fdb-bench`'s `queries` builds them).
+    const PAPER: &[(&str, &str)] = &[
+        ("Q1", "SELECT package, date, customer, SUM(price) AS s FROM R1 GROUP BY package, date, customer"),
+        ("Q2", "SELECT customer, SUM(price) AS revenue FROM R1 GROUP BY customer"),
+        ("Q3", "SELECT date, package, SUM(price) AS s FROM R1 GROUP BY date, package"),
+        ("Q4", "SELECT package, SUM(price) AS s FROM R1 GROUP BY package"),
+        ("Q5", "SELECT SUM(price) AS s FROM R1"),
+        ("Q6", "SELECT customer, SUM(price) AS revenue FROM R1 GROUP BY customer ORDER BY customer"),
+        ("Q7", "SELECT customer, SUM(price) AS revenue FROM R1 GROUP BY customer ORDER BY revenue"),
+        ("Q8", "SELECT date, package, SUM(price) AS s FROM R1 GROUP BY date, package ORDER BY date, package"),
+        ("Q9", "SELECT date, package, SUM(price) AS s FROM R1 GROUP BY date, package ORDER BY package, date"),
+        ("Q10", "SELECT package, date, customer, item, price FROM R1 ORDER BY package, date, item"),
+        ("Q11", "SELECT package, date, customer, item, price FROM R1 ORDER BY package, item, date"),
+        ("Q12", "SELECT package, date, customer, item, price FROM R1 ORDER BY date, package, item"),
+        ("Q13", "SELECT customer, date, package FROM R3 ORDER BY customer, date, package"),
+        ("QD", "SELECT customer, COUNT(DISTINCT item) AS u FROM R1 GROUP BY customer"),
+        ("QP", "SELECT customer, PRODUCT(price) AS p FROM R1 GROUP BY customer"),
+        ("QB", "SELECT package, EXISTS(price > 8) AS e, FORALL(price >= 1) AS f FROM R1 GROUP BY package"),
+        ("QK", "SELECT customer, TOP_K(price, 3) AS t FROM R1 GROUP BY customer"),
+        ("QG", "SELECT customer, date, SUM(price) AS s FROM R1 GROUP BY ROLLUP (customer, date)"),
+    ];
+
+    /// The flat-input variants of Q1–Q5 (figure 6): the product of the
+    /// three base relations' tries.
+    const FLAT: &[(&str, &str)] = &[
+        ("flat Q1", "SELECT package, date, customer, SUM(price) AS s FROM Orders NATURAL JOIN Packages NATURAL JOIN Items GROUP BY package, date, customer"),
+        ("flat Q2", "SELECT customer, SUM(price) AS revenue FROM Orders NATURAL JOIN Packages NATURAL JOIN Items GROUP BY customer"),
+        ("flat Q3", "SELECT date, package, SUM(price) AS s FROM Orders NATURAL JOIN Packages NATURAL JOIN Items GROUP BY date, package"),
+        ("flat Q4", "SELECT package, SUM(price) AS s FROM Orders NATURAL JOIN Packages NATURAL JOIN Items GROUP BY package"),
+        ("flat Q5", "SELECT SUM(price) AS s FROM Orders NATURAL JOIN Packages NATURAL JOIN Items"),
+    ];
+
+    #[test]
+    fn greedy_stays_within_its_recorded_gap_to_the_optimum() {
+        let mut e = engine();
+        let mut all = Vec::new();
+        for (name, sql) in PAPER.iter().chain(FLAT) {
+            all.extend(cases(&mut e, name, sql));
+        }
+        all.extend(pizzeria_cases(&mut e.catalog));
+        assert_greedy_within_bounds(&all, &mut e.catalog, MAX_STATES);
+    }
+
+    /// Every `GROUP BY` subset of R1's five attributes, with and without
+    /// an order on the group keys, at a larger state budget.
+    #[test]
+    #[ignore = "long budget; run with --ignored in release"]
+    fn greedy_stays_within_its_recorded_gap_to_the_optimum_long() {
+        let mut e = engine();
+        let attrs = ["package", "date", "customer", "item", "price"];
+        let mut all = Vec::new();
+        for mask in 0u32..1 << attrs.len() {
+            let group: Vec<&str> = (attrs.iter().enumerate())
+                .filter(|(i, _)| mask & 1 << i != 0)
+                .map(|(_, a)| *a)
+                .collect();
+            let keys = group.join(", ");
+            if group.is_empty() {
+                all.extend(cases(&mut e, "R1 total", "SELECT SUM(price) AS s FROM R1"));
+                continue;
+            }
+            let sql = format!("SELECT {keys}, SUM(price) AS s FROM R1 GROUP BY {keys}");
+            all.extend(cases(&mut e, &format!("R1 GROUP BY {keys}"), &sql));
+            let sql = format!("{sql} ORDER BY {keys}");
+            all.extend(cases(
+                &mut e,
+                &format!("R1 GROUP BY {keys} (ordered)"),
+                &sql,
+            ));
+        }
+        assert_greedy_within_bounds(&all, &mut e.catalog, 200_000);
+    }
+}

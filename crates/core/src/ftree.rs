@@ -826,29 +826,17 @@ impl FTree {
         }
     }
 
-    /// Canonical structural key: label + multiset of child keys, used by
-    /// the exhaustive optimiser to deduplicate states (sibling order is
-    /// semantically irrelevant for products).
+    /// Canonical structural key: label + multiset of child keys, so two
+    /// f-trees that differ only in sibling order (semantically
+    /// irrelevant for products) get the same key. The tests compare
+    /// result trees by it.
     pub fn canonical_key(&self) -> String {
-        let mut keys: Vec<String> = self.roots.iter().map(|&r| self.node_key(r, true)).collect();
+        let mut keys: Vec<String> = self.roots.iter().map(|&r| self.node_key(r)).collect();
         keys.sort();
         keys.join("|")
     }
 
-    /// Like [`FTree::canonical_key`] but ignoring aggregate *output* ids,
-    /// so two search paths that created the same aggregate structure under
-    /// different fresh names collide in the visited set.
-    pub fn search_key(&self) -> String {
-        let mut keys: Vec<String> = self
-            .roots
-            .iter()
-            .map(|&r| self.node_key(r, false))
-            .collect();
-        keys.sort();
-        keys.join("|")
-    }
-
-    fn node_key(&self, n: NodeId, with_outputs: bool) -> String {
+    fn node_key(&self, n: NodeId) -> String {
         let mut label = String::new();
         match &self.node(n).label {
             NodeLabel::Atomic(attrs) => {
@@ -857,18 +845,14 @@ impl FTree {
                 let _ = write!(label, "a{ids:?}");
             }
             NodeLabel::Agg(l) => {
-                if with_outputs {
-                    let _ = write!(label, "g{:?}/{:?}/{:?}", l.funcs, l.over, l.outputs);
-                } else {
-                    let _ = write!(label, "g{:?}/{:?}", l.funcs, l.over);
-                }
+                let _ = write!(label, "g{:?}/{:?}/{:?}", l.funcs, l.over, l.outputs);
             }
         }
         let mut child_keys: Vec<String> = self
             .node(n)
             .children
             .iter()
-            .map(|&c| self.node_key(c, with_outputs))
+            .map(|&c| self.node_key(c))
             .collect();
         child_keys.sort();
         format!("({label}[{}])", child_keys.join(","))

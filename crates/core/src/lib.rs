@@ -25,12 +25,12 @@
 //! * the **plan executor** ([`pipeline`]): one loop over a plan's
 //!   operators on one shared arena, consecutive constant selections
 //!   fused into one walk, with at most one compaction pass per plan;
-//! * the **optimisers** ([`optim`]): the greedy heuristic of §5.2, the
-//!   engine's one planner, which restructures for group-by/order-by
-//!   clauses via swaps and consolidates the aggregate into a single
-//!   attribute when needed (§5.2 step 7); and exhaustive Dijkstra over
-//!   the f-plan space, a library search (§5.1). Both are driven by tight
-//!   factorisation size bounds from fractional edge covers;
+//! * the **optimiser** ([`optim`]): the greedy heuristic of §5.2, the
+//!   one planner, which restructures for group-by/order-by clauses via
+//!   swaps and consolidates the aggregate into a single attribute when
+//!   needed (§5.2 step 7), driven by tight factorisation size bounds
+//!   from fractional edge covers. The tests hold its plans against the
+//!   exhaustive Dijkstra search over the f-plan space (§5.1);
 //! * a high-level engine executing SQL-lowered
 //!   [`fdb_relational::planner::JoinAggTask`]s end to end
 //!   ([`engine::FdbEngine`]).
@@ -82,6 +82,6 @@ pub use engine::{FdbEngine, FdbResult, OrderRunStats, OrderStrategy, RunOptions}
 pub use error::{FdbError, Result};
 pub use frep::{Entry, EntryRef, FRep, FRepStats, Union, UnionId, UnionRef};
 pub use ftree::{AggLabel, AggOp, FTree, NodeId, NodeLabel};
-pub use optim::{ExhaustiveConfig, QuerySpec, Stats};
+pub use optim::{QuerySpec, Stats};
 pub use pipeline::ExecStats;
 pub use plan::{FOp, FPlan};

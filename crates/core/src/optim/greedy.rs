@@ -15,6 +15,11 @@
 //!
 //! The heuristic plans on a scratch f-tree; every emitted operator is
 //! simulated immediately so later operators reference valid node ids.
+//!
+//! Its test oracle is the exhaustive search of §5.1 (`exhaustive`, test
+//! builds only), which explores the same operators and shares the
+//! finishing phase; the engine's tests gate greedy's cost against the
+//! optimum it finds.
 
 use crate::agg::{fold_funcs, partial_funcs};
 use crate::error::{FdbError, Result};
@@ -170,10 +175,11 @@ pub fn greedy(
     Ok(plan)
 }
 
-/// Shared finishing phase for both optimisers: step 7 consolidation and
-/// the final aggregation for aggregate queries; projection for SPJ
-/// queries; then re-established group/order support (steps 4–5).
-pub(crate) fn finish(tree: &mut FTree, plan: &mut FPlan, spec: &QuerySpec) -> Result<()> {
+/// The finishing phase, shared with the exhaustive search of the tests:
+/// step 7 consolidation and the final aggregation for aggregate queries;
+/// projection for SPJ queries; then re-established group/order support
+/// (steps 4–5).
+fn finish(tree: &mut FTree, plan: &mut FPlan, spec: &QuerySpec) -> Result<()> {
     let emit = |tree: &mut FTree, plan: &mut FPlan, op: FOp| -> Result<()> {
         apply_to_tree(tree, &op)?;
         plan.push(op);
@@ -272,10 +278,7 @@ pub(crate) fn finish(tree: &mut FTree, plan: &mut FPlan, spec: &QuerySpec) -> Re
 
 /// Step 1: a merge/absorb whose condition already holds structurally,
 /// preferring operators touching the highest-placed (shallowest) node.
-pub(crate) fn applicable_selection(
-    tree: &FTree,
-    pending: &[(AttrId, AttrId)],
-) -> Option<(usize, FOp)> {
+fn applicable_selection(tree: &FTree, pending: &[(AttrId, AttrId)]) -> Option<(usize, FOp)> {
     let mut best: Option<(usize, usize, FOp)> = None; // (depth, idx, op)
     for (i, &(x, y)) in pending.iter().enumerate() {
         let (Some(nx), Some(ny)) = (tree.node_of_attr(x), tree.node_of_attr(y)) else {
@@ -314,7 +317,7 @@ pub(crate) fn applicable_selection(
 /// root-path order, so an order by the group attributes needs no swap
 /// after the fold. Its functions are the partial ones of the `γ` it
 /// stands for.
-pub(crate) fn group_fold(
+fn group_fold(
     tree: &FTree,
     spec: &QuerySpec,
     pending: &[(AttrId, AttrId)],
@@ -388,7 +391,7 @@ fn leaf_prefix(tree: &FTree, nodes: &BTreeSet<NodeId>) -> bool {
 
 /// Step 2: the permissible aggregation target with the most atomic
 /// attributes. Returns `(parent, sibling subtrees)`.
-pub(crate) fn best_aggregate(
+fn best_aggregate(
     tree: &FTree,
     spec: &QuerySpec,
     pending: &[(AttrId, AttrId)],
@@ -523,7 +526,7 @@ fn simulate_lifting(
 
 /// Step 4 condition: a node exposing a group attribute whose parent
 /// exposes none.
-pub(crate) fn group_violation(tree: &FTree, group: &[AttrId]) -> Option<(NodeId, NodeId)> {
+fn group_violation(tree: &FTree, group: &[AttrId]) -> Option<(NodeId, NodeId)> {
     let in_group = |n: NodeId| {
         tree.node(n)
             .label
@@ -546,7 +549,7 @@ pub(crate) fn group_violation(tree: &FTree, group: &[AttrId]) -> Option<(NodeId,
 /// Step 5 condition: an order-by node whose parent is not an earlier
 /// order-by node (keys whose attributes are not yet in the tree — pending
 /// final outputs — are skipped).
-pub(crate) fn order_violation(tree: &FTree, keys: &[SortKey]) -> Option<(NodeId, NodeId)> {
+fn order_violation(tree: &FTree, keys: &[SortKey]) -> Option<(NodeId, NodeId)> {
     let nodes: Vec<Option<NodeId>> = keys.iter().map(|k| tree.node_of_attr(k.attr)).collect();
     for (i, &n) in nodes.iter().enumerate() {
         let Some(n) = n else { continue };
@@ -564,7 +567,7 @@ pub(crate) fn order_violation(tree: &FTree, keys: &[SortKey]) -> Option<(NodeId,
 
 /// What [`plan_consolidation`] computes: the swap sequence, then the
 /// target parent and sibling subtrees for the consolidating `γ`.
-pub(crate) type ConsolidationPlan = (Vec<(NodeId, NodeId)>, Option<NodeId>, Vec<NodeId>);
+type ConsolidationPlan = (Vec<(NodeId, NodeId)>, Option<NodeId>, Vec<NodeId>);
 
 /// Plans §5.2 step 7: swaps that gather every node *not* exposing a
 /// `group` attribute under a single parent, returning the swaps plus the
@@ -572,7 +575,7 @@ pub(crate) type ConsolidationPlan = (Vec<(NodeId, NodeId)>, Option<NodeId>, Vec<
 ///
 /// Fails when the non-group nodes live in different trees of the forest
 /// with group roots in between — callers fall back to materialising.
-pub(crate) fn plan_consolidation(tree: &FTree, group: &[AttrId]) -> Result<ConsolidationPlan> {
+fn plan_consolidation(tree: &FTree, group: &[AttrId]) -> Result<ConsolidationPlan> {
     let mut scratch = tree.clone();
     let mut swaps: Vec<(NodeId, NodeId)> = Vec::new();
     let group_nodes = nodes_of(&scratch, group)?;
@@ -680,6 +683,379 @@ fn nodes_of(tree: &FTree, attrs: &[AttrId]) -> Result<Vec<NodeId>> {
 }
 
 #[cfg(test)]
+pub(crate) mod exhaustive {
+    //! Exhaustive f-plan search, greedy's test oracle: Dijkstra over the
+    //! graph of f-trees (§5.1).
+    //!
+    //! "We can represent the space of all f-plans as a graph whose nodes are
+    //! f-trees and whose edges are operators between them. […] we can utilise
+    //! Dijkstra's algorithm to find the minimum-cost f-plan" — with
+    //! Proposition 3 characterising the outgoing edges (permissible
+    //! operators): applicable selections, permissible aggregation operators,
+    //! and any swap — plus the group fold where its shape rule holds. Edge
+    //! cost is the size bound of the operator's output tree (the paper's
+    //! metric), so the path cost estimates total intermediate size.
+    //!
+    //! The space is exponential in the query size; `max_states` bounds the
+    //! number of popped states. The engine never calls the search: the tests
+    //! hold greedy's plans against it (`engine::choose`'s gate).
+
+    use super::{
+        applicable_selection, best_aggregate, finish, group_fold, group_violation, order_violation,
+        QuerySpec,
+    };
+    use crate::agg::partial_funcs;
+    use crate::error::{FdbError, Result};
+    use crate::ftree::{FTree, NodeId, NodeLabel};
+    use crate::optim::cost::{tree_cost, Stats};
+    use crate::plan::{apply_to_tree, FOp, FPlan};
+    use fdb_relational::{AttrId, Catalog};
+    use std::cmp::Ordering;
+    use std::collections::{BinaryHeap, HashMap};
+
+    /// The budget the tests search with unless they need more.
+    pub(crate) const MAX_STATES: usize = 20_000;
+
+    /// A minimum-cost plan and the number of states popped to find it.
+    pub(crate) struct Optimum {
+        pub(crate) plan: FPlan,
+        pub(crate) popped: usize,
+    }
+
+    struct State {
+        cost: f64,
+        seq: usize,
+        tree: FTree,
+        pending: Vec<(AttrId, AttrId)>,
+        plan: FPlan,
+    }
+
+    impl PartialEq for State {
+        fn eq(&self, other: &Self) -> bool {
+            self.cost == other.cost && self.seq == other.seq
+        }
+    }
+    impl Eq for State {}
+    impl PartialOrd for State {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for State {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // Min-heap on cost (BinaryHeap is a max-heap): reverse.
+            other
+                .cost
+                .total_cmp(&self.cost)
+                .then(other.seq.cmp(&self.seq))
+        }
+    }
+
+    /// Finds a minimum-cost f-plan under the size-bound metric, popping
+    /// at most `max_states` states.
+    pub(crate) fn exhaustive(
+        tree0: &FTree,
+        spec: &QuerySpec,
+        stats: &Stats,
+        catalog: &mut Catalog,
+        max_states: usize,
+    ) -> Result<Optimum> {
+        // Constant selections are applied up front, outside the search
+        // (§5.1: they are evaluated in one traversal of the product).
+        let mut base_tree = tree0.clone();
+        let mut base_plan = FPlan::new();
+        for (attr, op, value) in &spec.const_preds {
+            let op = FOp::SelectConst {
+                attr: *attr,
+                op: *op,
+                value: value.clone(),
+            };
+            apply_to_tree(&mut base_tree, &op)?;
+            base_plan.push(op);
+        }
+
+        let mut heap: BinaryHeap<State> = BinaryHeap::new();
+        let mut visited: HashMap<String, f64> = HashMap::new();
+        let mut seq = 0usize;
+        heap.push(State {
+            cost: 0.0,
+            seq,
+            tree: base_tree,
+            pending: spec.selections.clone(),
+            plan: base_plan,
+        });
+        let mut popped = 0usize;
+        while let Some(state) = heap.pop() {
+            popped += 1;
+            if popped > max_states {
+                return Err(FdbError::PlanningFailed(format!(
+                    "exhaustive search exceeded {max_states} states"
+                )));
+            }
+            let key = state_key(&state);
+            match visited.get(&key) {
+                Some(&c) if c <= state.cost => continue,
+                _ => {
+                    visited.insert(key, state.cost);
+                }
+            }
+            if is_goal(&state.tree, &state.pending, spec) {
+                let mut tree = state.tree;
+                let mut plan = state.plan;
+                finish(&mut tree, &mut plan, spec)?;
+                return Ok(Optimum { plan, popped });
+            }
+            // --- Successors (permissible operators, Prop. 3) ---
+            let mut push = |tree: FTree,
+                            pending: Vec<(AttrId, AttrId)>,
+                            plan: FPlan,
+                            base: f64,
+                            heap: &mut BinaryHeap<State>| {
+                seq += 1;
+                let cost = base + tree_cost(&tree, stats);
+                heap.push(State {
+                    cost,
+                    seq,
+                    tree,
+                    pending,
+                    plan,
+                });
+            };
+            // Applicable selections (each pending one that fits
+            // structurally).
+            for i in 0..state.pending.len() {
+                let one = [state.pending[i]];
+                if let Some((_, op)) = applicable_selection(&state.tree, &one) {
+                    let mut tree = state.tree.clone();
+                    if apply_to_tree(&mut tree, &op).is_err() {
+                        continue;
+                    }
+                    let mut pending = state.pending.clone();
+                    pending.remove(i);
+                    pending.retain(|&(x, y)| tree.node_of_attr(x) != tree.node_of_attr(y));
+                    let mut plan = state.plan.clone();
+                    plan.push(op);
+                    push(tree, pending, plan, state.cost, &mut heap);
+                }
+            }
+            // Permissible aggregation operators: the maximal target set
+            // per position (smaller subsets are dominated by Prop. 2
+            // composition).
+            if spec.is_aggregate() {
+                if let Some((parent, targets)) = best_aggregate(&state.tree, spec, &state.pending) {
+                    let funcs = partial_funcs(&state.tree, &targets, &spec.final_funcs);
+                    let outputs: Vec<AttrId> = funcs
+                        .iter()
+                        .map(|f| catalog.fresh(&format!("partial_{}", f.display(catalog))))
+                        .collect();
+                    let op = FOp::Aggregate {
+                        parent,
+                        targets,
+                        funcs,
+                        outputs,
+                    };
+                    let mut tree = state.tree.clone();
+                    if apply_to_tree(&mut tree, &op).is_ok() {
+                        let mut plan = state.plan.clone();
+                        plan.push(op);
+                        push(tree, state.pending.clone(), plan, state.cost, &mut heap);
+                    }
+                }
+            }
+            // The group fold, where its shape rule holds.
+            if let Some(op) = group_fold(&state.tree, spec, &state.pending, catalog)? {
+                let mut tree = state.tree.clone();
+                if apply_to_tree(&mut tree, &op).is_ok() {
+                    let mut plan = state.plan.clone();
+                    plan.push(op);
+                    push(tree, state.pending.clone(), plan, state.cost, &mut heap);
+                }
+            }
+            // Every swap.
+            for n in state.tree.live_nodes() {
+                if let Some(p) = state.tree.node(n).parent {
+                    let op = FOp::Swap {
+                        parent: p,
+                        child: n,
+                    };
+                    let mut tree = state.tree.clone();
+                    if apply_to_tree(&mut tree, &op).is_ok() {
+                        let mut plan = state.plan.clone();
+                        plan.push(op);
+                        push(tree, state.pending.clone(), plan, state.cost, &mut heap);
+                    }
+                }
+            }
+        }
+        Err(FdbError::PlanningFailed(
+            "exhaustive search exhausted the state space without a goal".into(),
+        ))
+    }
+
+    /// The visited-set key of a state: its f-tree up to sibling order and
+    /// the fresh names of aggregate outputs — so two search paths that
+    /// built the same aggregate structure under different names collide —
+    /// and its pending selections.
+    fn state_key(state: &State) -> String {
+        fn node_key(tree: &FTree, n: NodeId) -> String {
+            let label = match &tree.node(n).label {
+                NodeLabel::Atomic(attrs) => {
+                    let mut ids: Vec<u32> = attrs.iter().map(|a| a.0).collect();
+                    ids.sort_unstable();
+                    format!("a{ids:?}")
+                }
+                NodeLabel::Agg(l) => format!("g{:?}/{:?}", l.funcs, l.over),
+            };
+            let node = tree.node(n);
+            let mut children: Vec<String> =
+                node.children.iter().map(|&c| node_key(tree, c)).collect();
+            children.sort();
+            format!("({label}[{}])", children.join(","))
+        }
+        let tree = &state.tree;
+        let mut roots: Vec<String> = tree.roots().iter().map(|&r| node_key(tree, r)).collect();
+        roots.sort();
+        let mut pend: Vec<(u32, u32)> = state
+            .pending
+            .iter()
+            .map(|&(a, b)| (a.0.min(b.0), a.0.max(b.0)))
+            .collect();
+        pend.sort_unstable();
+        format!("{}§{pend:?}", roots.join("|"))
+    }
+
+    /// Goal test per §5.1: selections done; for aggregate queries every
+    /// atomic node exposing a group attribute (the rest aggregated away;
+    /// a class may also hold attributes merged into a group attribute)
+    /// and group support established; order support for keys already
+    /// present (final-output keys are handled by the shared finish
+    /// phase).
+    fn is_goal(tree: &FTree, pending: &[(AttrId, AttrId)], spec: &QuerySpec) -> bool {
+        if !pending.is_empty() {
+            return false;
+        }
+        if spec.is_aggregate() {
+            for n in tree.live_nodes() {
+                if let NodeLabel::Atomic(attrs) = &tree.node(n).label {
+                    if !attrs.iter().any(|a| spec.group_by.contains(a)) {
+                        return false;
+                    }
+                }
+            }
+            if group_violation(tree, &spec.group_by).is_some() {
+                return false;
+            }
+        }
+        order_violation(tree, &spec.order_by).is_none()
+    }
+
+    mod tests {
+        use super::*;
+        use crate::frep::FRep;
+        use crate::ftree::AggOp;
+        use crate::optim::greedy::greedy;
+        use crate::optim::greedy::tests::{join_rep, t1_rep};
+        use crate::optim::ordering::plan_cost;
+        use fdb_relational::SortKey;
+
+        #[test]
+        fn exhaustive_matches_greedy_results() {
+            // `plan_explorer`'s three group-bys, an order on the
+            // consolidated aggregate and a join by selection: both
+            // optimisers' plans must compute the same result.
+            let mut cases: Vec<(&str, Catalog, FRep, Stats, QuerySpec)> = Vec::new();
+            let groups: [(&str, &[&str]); 3] = [
+                ("revenue per customer", &["customer"]),
+                ("revenue per (customer, pizza)", &["customer", "pizza"]),
+                ("total revenue", &[]),
+            ];
+            for (name, group) in groups {
+                let (mut c, rep, stats) = t1_rep();
+                let spec = QuerySpec {
+                    group_by: group.iter().map(|a| c.lookup(a).unwrap()).collect(),
+                    final_funcs: vec![AggOp::Sum(c.lookup("price").unwrap())],
+                    final_outputs: vec![c.intern("revenue")],
+                    consolidate: true,
+                    ..Default::default()
+                };
+                cases.push((name, c, rep, stats, spec));
+            }
+            let (mut c, rep, stats) = t1_rep();
+            let revenue = c.intern("revenue");
+            let spec = QuerySpec {
+                group_by: vec![c.lookup("customer").unwrap()],
+                final_funcs: vec![AggOp::Sum(c.lookup("price").unwrap())],
+                final_outputs: vec![revenue],
+                order_by: vec![SortKey::desc(revenue)],
+                consolidate: true,
+                ..Default::default()
+            };
+            cases.push(("revenue per customer by revenue", c, rep, stats, spec));
+            let (mut c, rep, stats) = join_rep();
+            let spec = QuerySpec {
+                selections: vec![(c.lookup("item").unwrap(), c.lookup("item2").unwrap())],
+                group_by: vec![c.lookup("pizza").unwrap()],
+                final_funcs: vec![AggOp::Sum(c.lookup("price").unwrap())],
+                final_outputs: vec![c.intern("total")],
+                consolidate: true,
+                ..Default::default()
+            };
+            cases.push(("join by selection", c, rep, stats, spec));
+
+            for (name, mut c, rep, stats, spec) in cases {
+                let gplan = greedy(rep.ftree(), &spec, &stats, &mut c).unwrap();
+                let xplan = exhaustive(rep.ftree(), &spec, &stats, &mut c, MAX_STATES)
+                    .unwrap_or_else(|e| panic!("{name}: {e}"))
+                    .plan;
+                let mut cols = spec.group_by.clone();
+                cols.extend(&spec.final_outputs);
+                let run = |plan: &FPlan| {
+                    let out = plan.execute(rep.clone()).unwrap().flatten();
+                    out.project_cols(&cols).canonical()
+                };
+                assert_eq!(run(&gplan), run(&xplan), "{name}");
+            }
+        }
+
+        #[test]
+        fn exhaustive_cost_not_worse_than_greedy() {
+            // Compare total plan cost (sum of intermediate tree bounds) —
+            // Dijkstra must never exceed the heuristic.
+            let (mut c, rep, stats) = t1_rep();
+            let price = c.lookup("price").unwrap();
+            let customer = c.lookup("customer").unwrap();
+            let spec = QuerySpec {
+                group_by: vec![customer],
+                final_funcs: vec![AggOp::Sum(price)],
+                final_outputs: vec![c.intern("rev_cost")],
+                consolidate: false,
+                ..Default::default()
+            };
+            let gplan = greedy(rep.ftree(), &spec, &stats, &mut c).unwrap();
+            let xplan = exhaustive(rep.ftree(), &spec, &stats, &mut c, MAX_STATES)
+                .unwrap()
+                .plan;
+            let x = plan_cost(rep.ftree(), &xplan, &stats);
+            assert!(x <= plan_cost(rep.ftree(), &gplan, &stats) + 1e-6);
+        }
+
+        #[test]
+        fn tiny_budget_fails_gracefully() {
+            let (mut c, rep, stats) = t1_rep();
+            let price = c.lookup("price").unwrap();
+            let spec = QuerySpec {
+                group_by: vec![c.lookup("customer").unwrap()],
+                final_funcs: vec![AggOp::Sum(price)],
+                final_outputs: vec![c.intern("rev_tiny")],
+                ..Default::default()
+            };
+            let err = exhaustive(rep.ftree(), &spec, &stats, &mut c, 1);
+            assert!(matches!(err, Err(FdbError::PlanningFailed(_))));
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::enumerate::{supports_group, supports_order, EnumSpec, TupleIter};
@@ -687,7 +1063,7 @@ mod tests {
     use fdb_relational::{Relation, Schema, SortDir};
 
     /// T1 rep + stats for the pizzeria join.
-    fn t1_rep() -> (Catalog, FRep, Stats) {
+    pub(super) fn t1_rep() -> (Catalog, FRep, Stats) {
         let mut c = Catalog::new();
         let pizza = c.intern("pizza");
         let date = c.intern("date");
@@ -883,9 +1259,9 @@ mod tests {
         assert!(rel.is_sorted_by(&keys));
     }
 
-    #[test]
-    fn greedy_join_by_selection() {
-        // Two path reps product + selection item = item2 (the FDB join).
+    /// Pizzas(pizza, item) × Items(item2, price), two path reps: the
+    /// join condition `item = item2` is still pending.
+    pub(super) fn join_rep() -> (Catalog, FRep, Stats) {
         let mut c = Catalog::new();
         let pizza = c.intern("pizza");
         let item = c.intern("item");
@@ -909,10 +1285,19 @@ mod tests {
         );
         let rp = FRep::from_relation(&pizzas, FTree::path(&[pizza, item])).unwrap();
         let ri = FRep::from_relation(&items, FTree::path(&[item2, price])).unwrap();
-        let joined = crate::ops::product(rp, ri);
         let mut stats = Stats::new();
         stats.add_relation([pizza, item], 3);
         stats.add_relation([item2, price], 2);
+        (c, crate::ops::product(rp, ri), stats)
+    }
+
+    #[test]
+    fn greedy_join_by_selection() {
+        // The product of two path reps + selection item = item2 (the FDB
+        // join).
+        let (mut c, joined, stats) = join_rep();
+        let a = |n: &str| c.lookup(n).unwrap();
+        let (pizza, item, item2, price) = (a("pizza"), a("item"), a("item2"), a("price"));
         let total = c.intern("total");
         let spec = QuerySpec {
             selections: vec![(item, item2)],

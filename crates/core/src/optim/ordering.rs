@@ -163,8 +163,8 @@ pub fn choose_order_strategy(inputs: &OrderCostInputs) -> OrderStrategy {
 
 /// Prices a plan by the representations it materialises: the sum of the
 /// f-tree size bound after every operator (the paper's §5.1 metric, the
-/// one `exhaustive_cost_not_worse_than_greedy` compares the two
-/// optimisers on).
+/// one the tests compare greedy's plans with the exhaustive search's
+/// optimum on).
 pub fn plan_cost(tree0: &FTree, plan: &FPlan, stats: &Stats) -> f64 {
     let mut tree = tree0.clone();
     let mut total = 0.0;
