@@ -4,20 +4,40 @@
 # to its first `#[cfg(test)]` line.
 #
 # Usage, from the repository root:
-#   .github/scripts/nontest-lines.sh         # the working tree
-#   .github/scripts/nontest-lines.sh <rev>   # the files of commit <rev>
+#   .github/scripts/nontest-lines.sh                      # the working tree
+#   .github/scripts/nontest-lines.sh <rev>                # the files of commit <rev>
+#   .github/scripts/nontest-lines.sh --per-crate [<rev>]  # one `<count> <crate>` line
+#                                                         # per crate (`src` is the facade)
 set -eu
 
+per_crate=false
+if [ "${1:-}" = --per-crate ]; then
+    per_crate=true
+    shift
+fi
+
+# The non-test lines of the `src/` files under the directories given.
 count() {
-    find src crates -name '*.rs' -path '*/src/*' -not -path '*/shims/*' | sort |
+    find "$@" -name '*.rs' -path '*/src/*' -not -path '*/shims/*' | sort |
         xargs awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n+0}'
 }
 
+report() {
+    if $per_crate; then
+        for dir in ./src ./crates/*; do
+            [ "$dir" = ./crates/shims ] && continue
+            echo "$(count "$dir") ${dir#./}"
+        done
+    else
+        count ./src ./crates
+    fi
+}
+
 if [ $# -eq 0 ]; then
-    count
+    report
 else
     tmp=$(mktemp -d)
     trap 'rm -rf "$tmp"' EXIT
     git archive "$1" src crates | tar -x -C "$tmp"
-    (cd "$tmp" && count)
+    (cd "$tmp" && report)
 fi

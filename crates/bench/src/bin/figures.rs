@@ -261,8 +261,7 @@ fn fig4(args: &Args, emit: &mut Emitter) {
             "# scale {scale}: flat view {} tuples, factorised view {} singletons",
             env.flat_tuples, env.view_singletons
         );
-        let attrs = env.attrs;
-        let queries = paper_queries(&mut env.fdb.catalog, &attrs);
+        let queries = paper_queries(&mut env.fdb);
         env.share_catalog();
         for q in queries.iter().filter(|q| q.name == "Q2" || q.name == "Q3") {
             let (n, t) = median_secs(args.repeats, || env.run_fdb_flat(&q.task));
@@ -280,8 +279,7 @@ fn fig5(args: &Args, emit: &mut Emitter) {
         "# flat view {} tuples, factorised view {} singletons ({} arena bytes)",
         env.flat_tuples, env.view_singletons, env.view_bytes
     );
-    let attrs = env.attrs;
-    let queries = figure5_queries(&mut env.fdb.catalog, &attrs);
+    let queries = figure5_queries(&mut env.fdb);
     env.share_catalog();
     for q in &queries {
         let (res, t) = median_secs(args.repeats, || env.run_fdb_fo(&q.task));
@@ -306,8 +304,7 @@ fn fig6(args: &Args, emit: &mut Emitter) {
     let scale = args.scale;
     println!("# Figure 6: AGG queries on flat input (no materialised view) at scale {scale}");
     let mut env = env_at(args, scale, false);
-    let attrs = env.attrs;
-    let queries = flat_input_agg_queries(&mut env.fdb.catalog, &attrs);
+    let queries = flat_input_agg_queries(&mut env.fdb);
     env.share_catalog();
     for q in &queries {
         let (res, t) = median_secs(args.repeats, || env.run_fdb_fo(&q.task));
@@ -324,8 +321,7 @@ fn fig7(args: &Args, emit: &mut Emitter) {
     let scale = args.scale;
     println!("# Figure 7: AGG+ORD queries on the materialised view R1 at scale {scale}");
     let mut env = env_at(args, scale, true);
-    let attrs = env.attrs;
-    let queries = paper_queries(&mut env.fdb.catalog, &attrs);
+    let queries = paper_queries(&mut env.fdb);
     env.share_catalog();
     for q in queries.iter().filter(|q| q.class == QueryClass::AggOrd) {
         let (n, t) = median_secs(args.repeats, || env.run_fdb_flat(&q.task));
@@ -338,8 +334,7 @@ fn fig8(args: &Args, emit: &mut Emitter) {
     let scale = args.scale;
     println!("# Figure 8: ORD queries ± LIMIT 10 on materialised views at scale {scale}");
     let mut env = env_at(args, scale, true);
-    let attrs = env.attrs;
-    let queries = paper_queries(&mut env.fdb.catalog, &attrs);
+    let queries = paper_queries(&mut env.fdb);
     env.share_catalog();
     for q in queries.iter().filter(|q| q.class == QueryClass::Ord) {
         for limit in [None, Some(10usize)] {
@@ -355,7 +350,9 @@ fn fig8(args: &Args, emit: &mut Emitter) {
                 &format!("rows={n}"),
             );
             let keys = task.order_by.clone();
-            let (n, t) = median_secs(args.repeats, || env.run_rdb_ord(q.input, &keys, limit));
+            let (n, t) = median_secs(args.repeats, || {
+                env.run_rdb_ord(&q.task.inputs[0], &keys, limit)
+            });
             emit.row(
                 scale,
                 q.name,

@@ -4,7 +4,9 @@
 //! the operator micro-benches share:
 //!
 //! * [`queries`] — the thirteen queries of Figure 3 (AGG: Q1–Q5, AGG+ORD:
-//!   Q6–Q9, ORD: Q10–Q13) as engine-neutral tasks;
+//!   Q6–Q9, ORD: Q10–Q13) and the extended aggregate surface, parsed from
+//!   their SQL ([`fdb_workload::orders::QUERIES`]) into engine-neutral
+//!   tasks;
 //! * [`setup`] — paired engine construction over the scalable Orders/
 //!   Packages/Items dataset: the factorised view `R1` for FDB, the
 //!   materialised flat views `R1`/`R2`/`R3` for the relational baselines;

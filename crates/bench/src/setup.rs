@@ -232,8 +232,7 @@ mod tests {
     #[test]
     fn all_thirteen_queries_agree_across_engines() {
         let mut env = tiny_env();
-        let attrs = env.attrs;
-        let queries = paper_queries(&mut env.fdb.catalog, &attrs);
+        let queries = paper_queries(&mut env.fdb);
         env.rdb_sort.catalog = env.fdb.catalog.clone();
         env.rdb_hash.catalog = env.fdb.catalog.clone();
         for q in &queries {
@@ -262,8 +261,7 @@ mod tests {
     #[test]
     fn flat_input_queries_agree_including_eager() {
         let mut env = tiny_env();
-        let attrs = env.attrs;
-        let queries = crate::queries::flat_input_agg_queries(&mut env.fdb.catalog, &attrs);
+        let queries = crate::queries::flat_input_agg_queries(&mut env.fdb);
         env.rdb_sort.catalog = env.fdb.catalog.clone();
         for q in &queries {
             let fdb_out = env
@@ -310,8 +308,7 @@ mod tests {
     #[test]
     fn figure8_runs_restructure_on_every_repeat() {
         let mut env = tiny_env();
-        let attrs = env.attrs;
-        let queries = paper_queries(&mut env.fdb.catalog, &attrs);
+        let queries = paper_queries(&mut env.fdb);
         let q12 = queries.iter().find(|q| q.name == "Q12").unwrap();
         for limit in [None, Some(10)] {
             let task = JoinAggTask {
@@ -344,8 +341,7 @@ mod tests {
     #[test]
     fn fo_stats_report_bytes() {
         let mut env = tiny_env();
-        let attrs = env.attrs;
-        let queries = paper_queries(&mut env.fdb.catalog, &attrs);
+        let queries = paper_queries(&mut env.fdb);
         let q1 = &queries[0];
         let stats = env.run_fdb_fo(&q1.task).rep().stats();
         assert!(stats.singletons > 0);

@@ -41,8 +41,7 @@ fn figure5_plans_allocate_within_their_bounds() {
         materialise_flat: false,
     }
     .build();
-    let attrs = env.attrs;
-    let queries = figure5_queries(&mut env.fdb.catalog, &attrs);
+    let queries = figure5_queries(&mut env.fdb);
     // A query without a bound, or a bound without its query, fails.
     let names: Vec<&str> = queries.iter().map(|q| q.name).collect();
     assert_eq!(names, BOUNDS.map(|(q, _)| q));

@@ -1241,6 +1241,103 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// The pizzeria's join as the view `R` over the f-tree T1 (Figure 1).
+    fn pizzeria_view() -> FdbEngine {
+        use crate::ftree::{FTree, NodeLabel};
+        let mut catalog = Catalog::new();
+        let db = fdb_workload::pizzeria(&mut catalog);
+        let a = db.attrs;
+        let join = fdb_relational::ops::hash_join(&db.orders, &db.pizzas);
+        let join = fdb_relational::ops::hash_join(&join, &db.items);
+        let mut t1 = FTree::new();
+        let pizza = t1.add_node(NodeLabel::Atomic(vec![a.pizza]), None);
+        let date = t1.add_node(NodeLabel::Atomic(vec![a.date]), Some(pizza));
+        t1.add_node(NodeLabel::Atomic(vec![a.customer]), Some(date));
+        let item = t1.add_node(NodeLabel::Atomic(vec![a.item]), Some(pizza));
+        t1.add_node(NodeLabel::Atomic(vec![a.price]), Some(item));
+        let mut e = FdbEngine::new(catalog);
+        e.register_view("R", FRep::from_relation(&join, t1).unwrap());
+        e
+    }
+
+    /// `sql`'s result on `e`, and its rows as `(customer, s, n…)` with
+    /// every integer column after the first.
+    fn run_rows(e: &mut FdbEngine, sql: &str) -> (FdbResult, Vec<(String, Vec<i64>)>) {
+        let result = e.run_sql_result(sql).unwrap();
+        let rel = result.to_relation().unwrap();
+        let row = |r: &[Value]| {
+            let ints = r[1..].iter().map(|v| v.as_int().unwrap()).collect();
+            (r[0].as_str().unwrap().to_string(), ints)
+        };
+        let rows = rel.rows().map(row).collect();
+        (result, rows)
+    }
+
+    #[test]
+    fn pushed_having_selections_join_the_plan_and_its_report() {
+        let mut e = pizzeria_view();
+        let sql = "SELECT customer, SUM(price) AS s FROM R GROUP BY customer HAVING s > 9";
+        let (result, rows) = run_rows(&mut e, sql);
+        assert_eq!(rows, [("Mario".to_string(), vec![22])]);
+        let ops = &result.plan().ops;
+        assert!(
+            matches!(ops.last(), Some(FOp::SelectConst { .. })),
+            "{ops:?}"
+        );
+        // The selection is an operator and a pass of its own.
+        let stats = result.exec_stats();
+        assert_eq!((stats.operators, stats.stages), (ops.len(), ops.len()));
+        let text = result.explain(&e.catalog);
+        let header = format!("f-plan ({0} operator(s), {0} pass(es)):", ops.len());
+        assert!(
+            text.contains(&header) && text.contains("select s > 9"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn having_on_a_group_attribute_alone_keeps_the_aggregates_partial() {
+        let mut e = pizzeria_view();
+        let sql = "SELECT customer, SUM(price) AS s FROM R GROUP BY customer \
+                   HAVING customer > 'M' ORDER BY customer";
+        let (result, rows) = run_rows(&mut e, sql);
+        let expected = [("Mario", 22), ("Pietro", 9)].map(|(c, s)| (c.to_string(), vec![s]));
+        assert_eq!(rows, expected);
+        let text = result.explain(&e.catalog);
+        assert!(text.contains("output mode: grouped"), "{text}");
+        assert_eq!(result.order_strategy(), OrderStrategy::StreamInTree);
+    }
+
+    /// `ORDER BY n` over the composite node `(s, n)` a consolidation
+    /// would build cannot stream: the plan is the fold alone, and the
+    /// order is left to a sort or a heap. `ORDER BY s, n` is the node's
+    /// tuple order and streams.
+    #[test]
+    fn an_order_a_composite_node_cannot_realise_is_not_planned_into_the_tree() {
+        let mut e = pizzeria_view();
+        let select = "SELECT customer, SUM(price) AS s, COUNT(*) AS n FROM R GROUP BY customer";
+        for (order, strategy, counts) in [
+            ("ORDER BY n", OrderStrategy::CollectSortCut, vec![3, 3, 7]),
+            (
+                "ORDER BY n DESC, s LIMIT 2 OFFSET 1",
+                OrderStrategy::HeapTopK,
+                vec![3, 3],
+            ),
+        ] {
+            let (result, rows) = run_rows(&mut e, &format!("{select} {order}"));
+            let ops = &result.plan().ops;
+            assert!(
+                matches!(ops[..], [FOp::GroupFold { .. }]),
+                "{order}: {ops:?}"
+            );
+            assert_eq!(result.order_strategy(), strategy, "{order}");
+            let n: Vec<i64> = rows.iter().map(|(_, ints)| ints[1]).collect();
+            assert_eq!(n, counts, "{order}: {rows:?}");
+        }
+        let (result, _) = run_rows(&mut e, &format!("{select} ORDER BY s, n"));
+        assert_eq!(result.order_strategy(), OrderStrategy::StreamInTree);
+    }
+
     #[test]
     fn explain_reports_sort_fallback_for_avg_order() {
         let mut e = engine();

@@ -14,6 +14,7 @@ use crate::error::{FdbError, Result};
 use crate::frep::FRep;
 use crate::ftree::{AggOp, FTree};
 use crate::optim::ordering::{is_page, OrderStrategy};
+use crate::optim::QuerySpec;
 use crate::pipeline::{ExecStats, Page};
 use crate::plan::{FOp, FPlan};
 use fdb_relational::planner::JoinAggTask;
@@ -110,7 +111,8 @@ pub struct FdbResult {
     /// Whether the plan (all swaps) was not run because the view's
     /// version kept its result.
     pub(super) reused: bool,
-    /// The executed f-plan (for EXPLAIN-style introspection).
+    /// The executed f-plan (for EXPLAIN-style introspection), the
+    /// selections of the HAVING push-down included.
     pub(super) plan: FPlan,
     /// The f-tree the plan ran on: `explain` simulates the plan on it
     /// to name the nodes each operator touches.
@@ -186,28 +188,22 @@ pub(super) fn execute(
             other => row_filters.push(other.clone()),
         }
     }
+    let mut plan = chosen.plan;
     if !having_plan.is_empty() {
         let (filtered, hstats) = crate::pipeline::execute(&having_plan, Arc::unwrap_or_clone(rep))?;
         rep = Arc::new(filtered);
-        exec_stats.intermediate_bytes += hstats.intermediate_bytes;
-        exec_stats.copies_avoided += hstats.copies_avoided;
-        exec_stats.compacted |= hstats.compacted;
+        exec_stats.add(&hstats);
+        plan.ops.extend(having_plan.ops);
     }
 
     // Verify a streamed order once against the *result* f-tree
-    // (defensive: never return wrongly ordered data); on failure fall
+    // (defensive: never return wrongly ordered data; the chooser already
+    // ran the same test on the plan's simulated tree); on failure fall
     // back once, to the chooser's pick among the flat strategies. Only a
     // streamed strategy runs a plan whose spec realises an order. Direct
     // access was chosen only with a tuple cursor and no HAVING, so the
     // order is all there is left to check.
-    let grouped = spec.is_aggregate() && !spec.consolidate;
-    let (tree, keys) = (rep.ftree(), &spec.order_by);
-    let realised = keys.is_empty()
-        || if grouped {
-            EnumSpec::group_prefix_ordered(tree, &spec.group_by, keys).is_ok()
-        } else {
-            crate::enumerate::supports_order(tree, keys)
-        };
+    let realised = realises(rep.ftree(), &spec);
     // A window's chain, from the root in the order's keys, realises it.
     debug_assert!(realised || window.is_none());
     let order_strategy = if realised {
@@ -215,6 +211,7 @@ pub(super) fn execute(
     } else {
         chosen.fallback
     };
+    let grouped = spec.is_aggregate() && !spec.consolidate;
     let kind = if !spec.is_aggregate() {
         ResultKind::Spj
     } else if !grouped {
@@ -240,11 +237,25 @@ pub(super) fn execute(
         offset: task.offset - window.as_ref().map_or(0, |w| w.skipped),
         window,
         reused,
-        plan: chosen.plan,
+        plan,
         input_tree,
         exec_stats,
         deadline_at,
     })
+}
+
+/// Whether `tree` enumerates in `spec`'s order (trivially when
+/// `spec.order_by` is empty): by its group prefix when the aggregates
+/// stay partial (Theorem 1), else by its visit order (Theorem 2, with a
+/// composite aggregate node's tuple order).
+pub(super) fn realises(tree: &FTree, spec: &QuerySpec) -> bool {
+    let keys = &spec.order_by;
+    keys.is_empty()
+        || if spec.is_aggregate() && !spec.consolidate {
+            EnumSpec::group_prefix_ordered(tree, &spec.group_by, keys).is_ok()
+        } else {
+            crate::enumerate::supports_order(tree, keys)
+        }
 }
 
 impl FdbResult {
@@ -273,9 +284,9 @@ impl FdbResult {
         self.order_strategy
     }
 
-    /// The f-plan that produced this result; of a grouping-sets result,
-    /// the one that produced its last set ([`FdbResult::explain`] lists
-    /// every set's).
+    /// The f-plan that produced this result, ending in the selections
+    /// `HAVING` pushed into it; of a grouping-sets result, the one that
+    /// produced its last set ([`FdbResult::explain`] lists every set's).
     pub fn plan(&self) -> &FPlan {
         &self.plan
     }

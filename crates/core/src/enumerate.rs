@@ -11,8 +11,9 @@
 //!   lexicographic order `O` (asc/desc per attribute) is possible iff every
 //!   attribute of `O` is a root or a child of an earlier `O`-attribute —
 //!   then the visit sequence starts with the `O`-nodes in `O`-order.
-//! * [`EnumSpec::grouped`] realises Theorem 1: grouped enumeration needs
-//!   every group-by node to be a root or the child of another group node.
+//! * [`EnumSpec::group_prefix`] realises Theorem 1: grouped enumeration
+//!   needs every group-by node to be a root or the child of another group
+//!   node.
 //! * [`GroupCursor`] walks group combinations and exposes the *dangling*
 //!   subtree unions below each group, on which the caller evaluates
 //!   aggregates on the fly (scenario 3 of the introduction).
@@ -81,14 +82,6 @@ impl EnumSpec {
         }
         complete_preorder(tree, &mut visit, &mut dirs);
         Ok(EnumSpec { visit, dirs })
-    }
-
-    /// Visit sequence enumerating tuples clustered by `group` (Theorem 1):
-    /// group nodes first (any topological order), then the rest.
-    pub fn grouped(tree: &FTree, group: &[AttrId]) -> Result<Self> {
-        let mut spec = Self::group_prefix(tree, group)?;
-        complete_preorder(tree, &mut spec.visit, &mut spec.dirs);
-        Ok(spec)
     }
 
     /// Group-node prefix visiting the order keys first: grouped
@@ -202,12 +195,6 @@ fn complete_preorder(tree: &FTree, visit: &mut Vec<NodeId>, dirs: &mut Vec<SortD
 /// without restructuring (Theorem 2).
 pub fn supports_order(tree: &FTree, keys: &[SortKey]) -> bool {
     EnumSpec::ordered(tree, keys).is_ok()
-}
-
-/// True iff the f-tree supports constant-delay grouped enumeration by
-/// `group` without restructuring (Theorem 1).
-pub fn supports_group(tree: &FTree, group: &[AttrId]) -> bool {
-    EnumSpec::group_prefix(tree, group).is_ok()
 }
 
 /// Where a visited node finds its union.
@@ -1100,10 +1087,11 @@ pub(crate) mod tests {
         let (c, rep) = t1_rep();
         let t = rep.ftree();
         let a = |n: &str| c.lookup(n).unwrap();
-        assert!(supports_group(t, &[a("date"), a("pizza")]));
-        assert!(supports_group(t, &[a("item"), a("pizza"), a("date")]));
-        assert!(!supports_group(t, &[a("customer"), a("pizza")]));
-        assert!(!supports_group(t, &[a("date")]));
+        let supports = |group: &[AttrId]| EnumSpec::group_prefix(t, group).is_ok();
+        assert!(supports(&[a("date"), a("pizza")]));
+        assert!(supports(&[a("item"), a("pizza"), a("date")]));
+        assert!(!supports(&[a("customer"), a("pizza")]));
+        assert!(!supports(&[a("date")]));
     }
 
     #[test]
@@ -1646,7 +1634,10 @@ pub(crate) mod tests {
                 let group: Vec<AttrId> = keys[..n].iter().map(|k| k.attr).collect();
                 if let Ok(spec) = EnumSpec::group_prefix(tree, &group) {
                     assert_groups_match_naive(&rep, &spec);
-                    assert_tuples_match_naive(&rep, &EnumSpec::grouped(tree, &group).unwrap());
+                    // Group nodes first, then the rest.
+                    let EnumSpec { mut visit, mut dirs } = spec;
+                    complete_preorder(tree, &mut visit, &mut dirs);
+                    assert_tuples_match_naive(&rep, &EnumSpec { visit, dirs });
                 }
                 if let Ok(spec) = EnumSpec::group_prefix_ordered(tree, &group, &keys[..n]) {
                     assert_groups_match_naive(&rep, &spec);

@@ -1058,7 +1058,7 @@ pub(crate) mod exhaustive {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerate::{supports_group, supports_order, EnumSpec, TupleIter};
+    use crate::enumerate::{supports_order, EnumSpec, TupleIter};
     use crate::frep::FRep;
     use fdb_relational::{Relation, Schema, SortDir};
 
@@ -1173,10 +1173,7 @@ mod tests {
         let plan = greedy(rep.ftree(), &spec, &stats, &mut c).unwrap();
         let out = plan.execute(rep).unwrap();
         // Group nodes satisfy Theorem 1 afterwards.
-        assert!(crate::enumerate::supports_group(
-            out.ftree(),
-            &[customer, pizza]
-        ));
+        assert!(EnumSpec::group_prefix(out.ftree(), &[customer, pizza]).is_ok());
         // Atomic non-group attributes are gone.
         for n in out.ftree().live_nodes() {
             if let NodeLabel::Atomic(attrs) = &out.ftree().node(n).label {
@@ -1402,9 +1399,9 @@ mod tests {
         let (c, rep, _) = t1_rep();
         let a = |n: &str| c.lookup(n).unwrap();
         let group = vec![a("customer"), a("pizza")];
-        assert!(!supports_group(rep.ftree(), &group));
+        assert!(EnumSpec::group_prefix(rep.ftree(), &group).is_err());
         let (out, _) = restructure(rep, |t| group_violation(t, &group));
-        assert!(supports_group(out.ftree(), &group));
+        assert!(EnumSpec::group_prefix(out.ftree(), &group).is_ok());
         out.check_invariants().unwrap();
     }
 
