@@ -114,12 +114,14 @@ pub(super) fn choose(
         return Chosen::plan(low, catalog, stream_consolidate, false);
     }
     let mut stream = Chosen::plan(low, catalog, stream_consolidate, true)?;
-    // Greedy restructures by Theorem 2 alone: the tree its plan leaves is
-    // tested as execution tests the result's (a composite aggregate node
-    // orders by its whole tuple). A candidate that fails is planned again
-    // without realising the order.
+    // Greedy restructures by Theorem 2 alone, but a composite aggregate
+    // node (several aggregates consolidated) orders by its whole tuple:
+    // such a candidate's tree is tested as execution tests the result's,
+    // and one that fails is planned again without realising the order.
+    // The tree also prices a direct seek past an OFFSET.
+    let composite = stream.spec.consolidate && stream.spec.final_outputs.len() > 1;
     let mut stream_tree = None;
-    if stream.realised() {
+    if stream.realised() && (composite || task.offset > 0) {
         let mut scratch = low.rep.ftree().clone();
         if stream.plan.simulate(&mut scratch).is_ok() && realises(&scratch, &stream.spec) {
             stream_tree = Some(scratch);
@@ -153,7 +155,8 @@ pub(super) fn choose(
 }
 
 /// Prices the candidates of an ordered query, `stream_tree` the tree a
-/// realising stream candidate's plan leaves. Prices decide only a page:
+/// realising stream candidate's plan leaves (known under an OFFSET).
+/// Prices decide only a page:
 /// an unpaged order is chosen by feasibility alone, so its plans go
 /// unpriced.
 fn cost_inputs(
