@@ -1316,12 +1316,26 @@ mod tests {
     fn an_order_a_composite_node_cannot_realise_is_not_planned_into_the_tree() {
         let mut e = pizzeria_view();
         let select = "SELECT customer, SUM(price) AS s, COUNT(*) AS n FROM R GROUP BY customer";
+        // The node `γ` gives `(s, n)` sorts by that tuple: an order that
+        // leaves its outputs (`n`), breaks their tie by another key
+        // before the last output (`s, customer`), or turns direction
+        // between them (`s DESC, n`) is not planned into the tree.
         for (order, strategy, counts) in [
             ("ORDER BY n", OrderStrategy::CollectSortCut, vec![3, 3, 7]),
             (
                 "ORDER BY n DESC, s LIMIT 2 OFFSET 1",
                 OrderStrategy::HeapTopK,
                 vec![3, 3],
+            ),
+            (
+                "ORDER BY s, customer",
+                OrderStrategy::CollectSortCut,
+                vec![3, 3, 7],
+            ),
+            (
+                "ORDER BY s DESC, n",
+                OrderStrategy::CollectSortCut,
+                vec![7, 3, 3],
             ),
         ] {
             let (result, rows) = run_rows(&mut e, &format!("{select} {order}"));
@@ -1336,6 +1350,20 @@ mod tests {
         }
         let (result, _) = run_rows(&mut e, &format!("{select} ORDER BY s, n"));
         assert_eq!(result.order_strategy(), OrderStrategy::StreamInTree);
+        // Its outputs in order, then the group key: a page streams or
+        // seeks in the tree.
+        let sql = format!("{select} ORDER BY s, n, customer LIMIT 2 OFFSET 1");
+        let (result, rows) = run_rows(&mut e, &sql);
+        assert!(
+            matches!(
+                result.order_strategy(),
+                OrderStrategy::StreamInTree | OrderStrategy::DirectAccess
+            ),
+            "{:?}",
+            result.order_strategy()
+        );
+        let expected = [("Pietro", vec![9, 3]), ("Mario", vec![22, 7])];
+        assert_eq!(rows, expected.map(|(c, v)| (c.to_string(), v)));
     }
 
     #[test]

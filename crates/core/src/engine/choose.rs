@@ -1,13 +1,13 @@
 //! Planning: the greedy candidates (§5.2) and the ordering decision.
 //! An ordered query plans one candidate that realises the order in the
-//! factorisation and one that leaves it to enumeration, prices every
-//! feasible strategy on them ([`crate::optim::ordering`]) and keeps the
-//! cheapest as its [`Chosen`] plan.
+//! factorisation, when its spec lets one ([`realisable`]), and one that
+//! leaves it to enumeration, prices every feasible strategy on them
+//! ([`crate::optim::ordering`]) and keeps the cheapest as its [`Chosen`]
+//! plan. Execution verifies the result's tree.
 
-use super::execute::realises;
 use super::lower::Lowered;
+use crate::enumerate::composite_realises;
 use crate::error::{FdbError, Result};
-use crate::ftree::FTree;
 use crate::optim::ordering::{
     choose_order_strategy, estimate_rows, is_page, plan_cost, OrderCostInputs, OrderStrategy,
 };
@@ -29,38 +29,44 @@ pub(super) struct Chosen {
     pub(super) fallback: OrderStrategy,
 }
 
+/// Whether a candidate consolidating or not can realise all of `keys`
+/// (a prefix would still need a sort). Keys on group attributes can;
+/// keys on aggregate outputs need consolidation, whose `γ` gives its
+/// node exactly `spec.final_outputs`, and must follow that tuple's order
+/// ([`composite_realises`]); keys on `AVG` outputs never can.
+fn realisable(spec: &QuerySpec, keys: &[SortKey], consolidate: bool) -> bool {
+    let on_output = |k: &SortKey| spec.final_outputs.contains(&k.attr);
+    let on_node = |k: &SortKey| {
+        !spec.is_aggregate() || spec.group_by.contains(&k.attr) || (consolidate && on_output(k))
+    };
+    !keys.is_empty()
+        && keys.iter().all(on_node)
+        && (keys.iter().position(on_output))
+            .is_none_or(|i| composite_realises(&spec.final_outputs, &keys[i..]))
+}
+
 impl Chosen {
-    /// Plans `low` consolidating or not, realising the order (only if
-    /// *all* keys are realisable: a prefix would still need a sort) or
-    /// not. Partial aggregates pinned under *different* group nodes along
-    /// a path cannot be consolidated by upward swaps; the candidate is
-    /// then planned unconsolidated and emission handles the aggregate.
+    /// Plans `low` consolidating or not, realising the order when asked
+    /// and [`realisable`]. Partial aggregates pinned under *different*
+    /// group nodes along a path cannot be consolidated by upward swaps;
+    /// the candidate is then planned unconsolidated and emission handles
+    /// the aggregate.
     fn plan(
         low: &Lowered,
         catalog: &mut Catalog,
         consolidate: bool,
         realise: bool,
     ) -> Result<Self> {
-        let spec = &low.spec;
-        // Keys on group attributes can always be realised (after
-        // restructuring); keys on aggregate outputs need consolidation;
-        // keys on `AVG` outputs are computed columns and never can be.
-        let realisable = |k: &SortKey| {
-            !spec.is_aggregate()
-                || spec.group_by.contains(&k.attr)
-                || (consolidate && spec.final_outputs.contains(&k.attr))
-        };
-        let realised =
-            realise && !low.order_keys.is_empty() && low.order_keys.iter().all(realisable);
-        let order_by = if realised {
-            low.order_keys.clone()
+        let keys = &low.order_keys;
+        let order_by = if realise && realisable(&low.spec, keys, consolidate) {
+            keys.clone()
         } else {
             Vec::new()
         };
         let spec = QuerySpec {
             order_by,
             consolidate,
-            ..spec.clone()
+            ..low.spec.clone()
         };
         match greedy(low.rep.ftree(), &spec, &low.stats, catalog) {
             Err(FdbError::PlanningFailed(_)) if consolidate => {
@@ -74,15 +80,12 @@ impl Chosen {
             }),
         }
     }
-
-    fn realised(&self) -> bool {
-        !self.spec.order_by.is_empty()
-    }
 }
 
 /// Plans `low` and decides its ordering (§4): plans the order-realising
-/// and the flat candidate once, prices every feasible strategy, takes
-/// the cheapest — or `force`, when it is feasible.
+/// candidate, when the spec lets one realise the order, and the flat
+/// one, once each; prices every feasible strategy and takes the
+/// cheapest — or `force`, when it is feasible.
 pub(super) fn choose(
     low: &Lowered,
     task: &JoinAggTask,
@@ -90,8 +93,8 @@ pub(super) fn choose(
     force: Option<OrderStrategy>,
 ) -> Result<Chosen> {
     let spec = &low.spec;
+    let keys = &low.order_keys;
     let on_output = |a| spec.final_outputs.contains(a);
-    let order_on_output = low.order_keys.iter().any(|k| on_output(&k.attr));
     // A group attribute is a node with or without consolidation; an
     // aggregate output is one only in a consolidated tree.
     let having_on_node = task.having.iter().any(|p| match p {
@@ -108,41 +111,27 @@ pub(super) fn choose(
         .iter()
         .any(|f| f.attr().is_some_and(|a| spec.group_by.contains(&a)));
     let consolidable = spec.is_aggregate() && !over_group;
-    let stream_consolidate = consolidable && (order_on_output || having_on_node);
+    let order_on_output = keys.iter().any(|k| on_output(&k.attr));
+    let stream_consolidate =
+        consolidable && ((order_on_output && realisable(spec, keys, true)) || having_on_node);
     let flat_consolidate = consolidable && having_on_node;
-    if low.order_keys.is_empty() {
-        return Chosen::plan(low, catalog, stream_consolidate, false);
+    if keys.is_empty() {
+        return Chosen::plan(low, catalog, flat_consolidate, false);
     }
-    let mut stream = Chosen::plan(low, catalog, stream_consolidate, true)?;
-    // Greedy restructures by Theorem 2 alone, but a composite aggregate
-    // node (several aggregates consolidated) orders by its whole tuple:
-    // such a candidate's tree is tested as execution tests the result's,
-    // and one that fails is planned again without realising the order.
-    // The tree also prices a direct seek past an OFFSET.
-    let composite = stream.spec.consolidate && stream.spec.final_outputs.len() > 1;
-    let mut stream_tree = None;
-    if stream.realised() && (composite || task.offset > 0) {
-        let mut scratch = low.rep.ftree().clone();
-        if stream.plan.simulate(&mut scratch).is_ok() && realises(&scratch, &stream.spec) {
-            stream_tree = Some(scratch);
-        } else {
-            stream = Chosen::plan(low, catalog, stream_consolidate, false)?;
-        }
-    }
-    // When no key is realisable and the consolidation choice matches,
-    // the two candidate specs are identical: skip the second search.
-    let flat = if !stream.realised() && stream_consolidate == flat_consolidate {
-        stream.clone()
-    } else {
-        Chosen::plan(low, catalog, flat_consolidate, false)?
-    };
-    let inputs = cost_inputs(low, task, &stream, stream_tree.as_ref(), &flat)?;
+    // The candidate that streams the order exists only where the spec
+    // lets one realise it; one whose consolidation failed no longer does.
+    let stream = (realisable(spec, keys, stream_consolidate))
+        .then(|| Chosen::plan(low, catalog, stream_consolidate, true))
+        .transpose()?
+        .filter(|s| !s.spec.order_by.is_empty());
+    let flat = Chosen::plan(low, catalog, flat_consolidate, false)?;
+    let inputs = cost_inputs(low, task, stream.as_ref(), &flat)?;
     let strategy = match force {
         Some(s) if inputs.feasible(s) => s,
         _ => choose_order_strategy(&inputs),
     };
-    let mut chosen = match strategy {
-        OrderStrategy::StreamInTree | OrderStrategy::DirectAccess => stream,
+    let mut chosen = match (strategy, stream) {
+        (OrderStrategy::StreamInTree | OrderStrategy::DirectAccess, Some(stream)) => stream,
         _ => flat,
     };
     chosen.strategy = strategy;
@@ -154,16 +143,13 @@ pub(super) fn choose(
     Ok(chosen)
 }
 
-/// Prices the candidates of an ordered query, `stream_tree` the tree a
-/// realising stream candidate's plan leaves (known under an OFFSET).
-/// Prices decide only a page:
-/// an unpaged order is chosen by feasibility alone, so its plans go
-/// unpriced.
+/// Prices the candidates of an ordered query. Prices decide only a
+/// page: an unpaged order is chosen by feasibility alone, so its plans
+/// go unpriced.
 fn cost_inputs(
     low: &Lowered,
     task: &JoinAggTask,
-    stream: &Chosen,
-    stream_tree: Option<&FTree>,
+    stream: Option<&Chosen>,
     flat: &Chosen,
 ) -> Result<OrderCostInputs> {
     let (tree, stats) = (low.rep.ftree(), &low.stats);
@@ -186,13 +172,22 @@ fn cost_inputs(
     // The direct seek is quoted only for a realised order on a tuple
     // cursor, with no HAVING (the counts count unfiltered tuples) and an
     // OFFSET to seek past: d·log f, with d the result tree's live node
-    // count and the fanout bounded by the row estimate.
-    let direct_seek_cost = stream_tree
-        .filter(|_| task.offset > 0 && task.having.is_empty())
-        .filter(|_| !is_aggregate || stream.spec.consolidate)
-        .map(|t| t.live_nodes().len().max(1) as f64 * est_rows.max(2.0).log2());
+    // count and the fanout bounded by the row estimate. Only then is the
+    // stream candidate's tree simulated.
+    let direct_seek_cost = match stream {
+        Some(s)
+            if task.offset > 0
+                && task.having.is_empty()
+                && (!is_aggregate || s.spec.consolidate) =>
+        {
+            let mut scratch = tree.clone();
+            s.plan.simulate(&mut scratch)?;
+            Some(scratch.live_nodes().len().max(1) as f64 * est_rows.max(2.0).log2())
+        }
+        _ => None,
+    };
     Ok(OrderCostInputs {
-        stream_plan_cost: stream.realised().then(|| price(&stream.plan)),
+        stream_plan_cost: stream.map(|s| price(&s.plan)),
         unordered_plan_cost: price(&flat.plan),
         est_rows,
         k: task.limit,

@@ -197,15 +197,15 @@ pub(super) fn execute(
     }
 
     // Verify a streamed order once against the *result* f-tree
-    // (defensive: never return wrongly ordered data; the chooser already
-    // ran the same test on the plan's simulated tree); on failure fall
+    // (defensive: never return wrongly ordered data); on failure fall
     // back once, to the chooser's pick among the flat strategies. Only a
-    // streamed strategy runs a plan whose spec realises an order. Direct
-    // access was chosen only with a tuple cursor and no HAVING, so the
-    // order is all there is left to check.
+    // streamed strategy runs a plan whose spec realises an order, and
+    // the chooser streams only an order its spec lets the plan realise
+    // (a window's chain, from the root in the order's keys, does): the
+    // fallback is for release builds. Direct access was chosen only with
+    // a tuple cursor and no HAVING, so the order is all left to check.
     let realised = realises(rep.ftree(), &spec);
-    // A window's chain, from the root in the order's keys, realises it.
-    debug_assert!(realised || window.is_none());
+    debug_assert!(realised, "{:?} on an unrealised order", chosen.strategy);
     let order_strategy = if realised {
         chosen.strategy
     } else {
@@ -248,7 +248,7 @@ pub(super) fn execute(
 /// `spec.order_by` is empty): by its group prefix when the aggregates
 /// stay partial (Theorem 1), else by its visit order (Theorem 2, with a
 /// composite aggregate node's tuple order).
-pub(super) fn realises(tree: &FTree, spec: &QuerySpec) -> bool {
+fn realises(tree: &FTree, spec: &QuerySpec) -> bool {
     let keys = &spec.order_by;
     keys.is_empty()
         || if spec.is_aggregate() && !spec.consolidate {

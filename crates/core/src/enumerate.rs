@@ -70,7 +70,11 @@ impl EnumSpec {
                     key.attr
                 )));
             }
-            if !composite_realises(tree, node, &keys[i..]) {
+            let outputs = match &tree.node(node).label {
+                NodeLabel::Agg(l) => &l.outputs[..],
+                NodeLabel::Atomic(_) => &[],
+            };
+            if !composite_realises(outputs, &keys[i..]) {
                 return Err(FdbError::OrderUnsupported(format!(
                     "a composite aggregate's entries are sorted by its whole \
                      tuple, which does not order by attribute {}",
@@ -158,27 +162,24 @@ impl EnumSpec {
     }
 }
 
-/// Whether visiting `node` realises the order `keys`, which starts at
-/// its first key. The entries of a composite aggregate node are sorted by
-/// their whole tuple, so its keys must be its outputs in order, in one
-/// direction, and either all of them or the last keys of the order —
-/// else its tuple order, not the next key, would break their ties.
-fn composite_realises(tree: &FTree, node: NodeId, keys: &[SortKey]) -> bool {
-    let NodeLabel::Agg(l) = &tree.node(node).label else {
-        return true;
-    };
-    if l.outputs.len() == 1 {
-        return true;
-    }
+/// Whether an aggregate node with `outputs` realises the order `keys`,
+/// which starts at its first key (§4). The entries of a composite node
+/// (several outputs) are sorted by their whole tuple, so its keys must
+/// be its outputs in order, in one direction, and either all of them or
+/// the last keys of the order — else its tuple order, not the next key,
+/// would break their ties. [`EnumSpec::ordered`] asks it of a tree's
+/// node; the engine's chooser asks it of the outputs a consolidating
+/// plan will give the node, before it plans.
+pub(crate) fn composite_realises(outputs: &[AttrId], keys: &[SortKey]) -> bool {
     let run = keys
         .iter()
-        .take_while(|k| tree.node_of_attr(k.attr) == Some(node))
+        .take_while(|k| outputs.contains(&k.attr))
         .count();
     let in_order = keys[..run]
         .iter()
-        .zip(&l.outputs)
+        .zip(outputs)
         .all(|(k, &o)| k.attr == o && k.dir == keys[0].dir);
-    in_order && (run == l.outputs.len() || run == keys.len())
+    outputs.len() <= 1 || (in_order && (run == outputs.len() || run == keys.len()))
 }
 
 /// Appends the unvisited nodes in pre-order (parents first).

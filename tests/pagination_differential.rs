@@ -396,6 +396,46 @@ fn aggregate_order_pages_agree_at_every_offset() {
         ..Default::default()
     };
     assert_pages_agree(&mut e, &task, true, false, "aggregate order");
+    // Two aggregates consolidate into one composite node, sorted by its
+    // whole `(s, n)` tuple: only its outputs in order and in one
+    // direction, then the group key, stream from the tree (and seek past
+    // an OFFSET); the other orders run on the flat candidate.
+    let (s, n) = (e.catalog.intern("s_page"), e.catalog.intern("n_page"));
+    let customer = a.customer;
+    for (order_by, expect_direct, label) in [
+        (
+            vec![SortKey::asc(s), SortKey::asc(n), SortKey::asc(customer)],
+            true,
+            "composite s, n, customer",
+        ),
+        (
+            vec![SortKey::asc(n), SortKey::asc(s), SortKey::asc(customer)],
+            false,
+            "composite n, s, customer",
+        ),
+        (
+            vec![SortKey::desc(s), SortKey::asc(n), SortKey::asc(customer)],
+            false,
+            "composite s DESC, n ASC, customer",
+        ),
+        (
+            vec![SortKey::asc(s), SortKey::asc(customer), SortKey::asc(n)],
+            false,
+            "composite s, customer, n",
+        ),
+    ] {
+        let task = JoinAggTask {
+            inputs: vec!["R1".into()],
+            group_by: vec![customer],
+            aggregates: vec![
+                AggSpec::new(AggFunc::Sum(a.price), s),
+                AggSpec::new(AggFunc::Count, n),
+            ],
+            order_by,
+            ..Default::default()
+        };
+        assert_pages_agree(&mut e, &task, true, expect_direct, label);
+    }
 }
 
 #[test]
